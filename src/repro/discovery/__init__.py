@@ -12,8 +12,8 @@ from repro.discovery.search import (
     DiscoveryEngine,
     DiscoveryResult,
     PairScorer,
+    RerankOutcome,
     RerankPool,
-    WorkerCandidateSource,
     prune_then_rerank,
 )
 
@@ -26,8 +26,8 @@ __all__ = [
     "DiscoveryEngine",
     "DiscoveryResult",
     "PairScorer",
+    "RerankOutcome",
     "RerankPool",
-    "WorkerCandidateSource",
     "PreparedTableCache",
     "PreparedStore",
     "PREPARED_PAYLOAD_FORMAT",

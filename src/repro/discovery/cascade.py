@@ -1,8 +1,8 @@
 """Stage-1 signals and score bounds for the cascaded rerank.
 
-The rerank cascade (PR 10) splits :func:`~repro.discovery.search.
-prune_then_rerank` into two stages.  Stage 1 scores every shortlisted
-candidate with *cheap* store-resident evidence — the sketch-level MinHash
+The rerank plan (:func:`~repro.discovery.search.prune_then_rerank`) can be
+*priced* before it runs.  Stage 1 scores every shortlisted candidate with
+*cheap* store-resident evidence — the sketch-level MinHash
 Jaccard and the hash-space histogram distance every
 :class:`~repro.lake.profiles.ColumnSketch` already carries — condensed into
 one :class:`CandidateSignals` per candidate.  Each matcher turns those
@@ -14,8 +14,8 @@ overlaps the current top-k cutoff.
 Bounds are trusted for skipping only when the matcher declares them
 *admissible* (:meth:`~repro.matchers.base.BaseMatcher.bounds_admissible`);
 otherwise they merely order the work best-bound-first, and every candidate
-is still scored exactly — which is what keeps cascaded rankings
-byte-identical to the uncascaded path.
+is still scored exactly — which is what keeps priced rankings
+byte-identical to unpriced ones.
 
 This module deliberately avoids importing :mod:`repro.lake` (the lake
 package imports the discovery core); the sketch arguments are duck-typed
@@ -25,9 +25,8 @@ against :class:`~repro.lake.profiles.ColumnSketch`'s attributes.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.lake -> here)
 
 __all__ = [
     "CandidateSignals",
-    "RerankCascade",
     "candidate_signals",
     "mode_bound",
     "compute_ranking_bounds",
@@ -152,45 +150,6 @@ def candidate_signals(
         seed=seed,
         max_values=max_values,
     )
-
-
-@dataclass
-class RerankCascade:
-    """One rerank's cascade configuration plus its outcome counters.
-
-    Built by the caller (the lake engine, or a test) with the stage-1
-    ``signals`` and an optional anytime ``budget_ms``; filled in by
-    :func:`~repro.discovery.search.prune_then_rerank` after the rerank —
-    the same mutable-result-channel idiom as
-    :class:`~repro.discovery.search.WorkerCandidateSource.store_hits`.
-
-    ``partial`` means the budget expired before every surviving candidate
-    was scored: the returned ranking is the best-effort top-k over the
-    candidates scored so far (possibly empty), never a wrong ordering of
-    the scored ones.
-    """
-
-    #: Stage-1 evidence per candidate name; names absent here get a ``+inf``
-    #: bound (always scored exactly).
-    signals: Mapping[str, CandidateSignals] = field(default_factory=dict)
-    #: Anytime budget for the whole rerank stage, in milliseconds; ``None``
-    #: disables the deadline.
-    budget_ms: Optional[float] = None
-    # ------ outcome (filled by prune_then_rerank) ------
-    #: Candidates the matcher actually scored.
-    exact_scored: int = field(default=0, compare=False)
-    #: Candidates whose admissible bound fell below the top-k cutoff.
-    skipped: int = field(default=0, compare=False)
-    #: Times the shared top-k cutoff tightened as exact scores streamed in.
-    cutoff_updates: int = field(default=0, compare=False)
-    #: Whether the budget deadline stopped the cascade early.
-    partial: bool = field(default=False, compare=False)
-
-    def start_deadline(self) -> Optional[float]:
-        """Absolute ``perf_counter`` deadline for this rerank, or ``None``."""
-        if self.budget_ms is None:
-            return None
-        return time.perf_counter() + self.budget_ms / 1000.0
 
 
 def mode_bound(pair_bound: float, mode: str, union_threshold: float) -> float:

@@ -6,37 +6,34 @@ API: a :class:`DatasetRepository` holds candidate tables, and
 unionability using any bundled matcher.
 
 Every discovery query — brute force, index-pruned, or lake-scale — runs
-through one shared **prune-then-rerank core**, :func:`prune_then_rerank`:
+through **one rerank plan**, :func:`prune_then_rerank`:
 
-1. *prune* — the caller supplies candidate table names (the whole repository,
-   or an index shortlist) and an injectable ``resolve`` strategy that turns a
-   name into a :class:`~repro.data.table.Table` (in-memory lookup, or lazy
-   CSV loading);
-2. *rerank* — the query table is **prepared exactly once**
-   (:meth:`BaseMatcher.prepare <repro.matchers.base.BaseMatcher.prepare>`)
-   and streamed through
-   :meth:`~repro.matchers.base.BaseMatcher.match_prepared` against every
-   resolved candidate, serially or in a process pool.
+1. *bounds* — the query is prepared once; whatever stage-1 signals the
+   caller supplied become per-candidate ranking-score upper bounds (no
+   signals: every bound is ``+inf``);
+2. *order* — candidates are sorted best-bound-first (no bounds: shortlist
+   order) and cut into chunks;
+3. *chunk* — each chunk runs through the single :func:`_score_chunk` task:
+   skip what an admissible bound proves cannot reach the top k, resolve the
+   survivors in one batch, score them under a chunk-local top-k;
+4. *cutoff feedback* — exact scores stream back into the shared top-k
+   cutoff, which rides along with every later chunk.
 
-The parallel rerank is fully parallel end to end: tasks are **batched
-name-chunks**, and — when the caller supplies a
-:class:`WorkerCandidateSource` — each worker resolves its chunk *itself*,
-reading candidate metadata from the (WAL-mode) sketch store and pickled
-prepared payloads from the prepared store in one ``IN (...)`` query per
-chunk, with a CSV-prepare write-through fallback on cold candidates.
-Nothing candidate-sized is ever pickled through the parent.  The scorer and
-the prepared query ship to each worker exactly once per query (a worker-side
-token cache), so a persistent :class:`RerankPool` can serve many queries
-from the same warm workers without re-paying pool spawn or query shipping.
+*Inline versus pooled is the executor*: without a :class:`RerankPool` the
+chunks run in this process, with one they are submitted to its warm workers
+(at most ``workers`` in flight).  *Priced versus unpriced is the signals*:
+they only decide how tight the bounds are.  Chunking follows from both — an
+inline rerank that can neither skip nor stop early is one chunk (one store
+round trip for the whole shortlist), one that can resolves per scored
+candidate, a pooled one splits the shortlist ``workers x 2`` ways.
 
 :class:`DiscoveryEngine` and
 :class:`~repro.lake.engine.LakeDiscoveryEngine` are thin parameterisations
-of this core, so their rankings can never drift apart.
+of this plan, so their rankings can never drift apart.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import itertools
 import logging
@@ -44,18 +41,26 @@ import math
 import multiprocessing
 import os
 import pickle
-import sqlite3
 import time
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.data.table import Table
 from repro.discovery.cascade import (
     CandidateSignals,
-    RerankCascade,
     candidate_signals,
     compute_ranking_bounds,
     order_by_bound,
@@ -72,13 +77,9 @@ __all__ = [
     "DiscoveryResult",
     "DiscoveryEngine",
     "PairScorer",
+    "RerankOutcome",
     "RerankPool",
-    "RerankJob",
-    "WorkerCandidateSource",
     "prune_then_rerank",
-    "rerank_jobs",
-    "fan_out_names",
-    "MIN_FAN_OUT",
     "mode_score",
     "sort_discovery_results",
     "DEFAULT_MIN_CANDIDATES",
@@ -235,14 +236,15 @@ def sort_discovery_results(results: list[DiscoveryResult], mode: str) -> None:
         raise ValueError(f"unknown discovery mode {mode!r}")
 
 
+
 @dataclass
 class PairScorer:
     """Scores one (query, candidate) pair; the shared rerank unit.
 
     Both discovery engines delegate pair scoring here so their rankings can
     never drift.  The scorer is picklable (matcher configs are plain
-    attributes), which is what lets the parallel rerank ship it to worker
-    processes through the pool initializer.
+    attributes), which is what lets a pooled rerank ship it to worker
+    processes once per query.
     """
 
     matcher: BaseMatcher
@@ -252,18 +254,6 @@ class PairScorer:
         self, query: PreparedTable, candidate: Union[Table, PreparedTable]
     ) -> DiscoveryResult:
         """Match a *prepared* query against one candidate table."""
-        if self.matcher.prefers_legacy_get_matches():
-            # A subclass overrode get_matches below the prepared pipeline
-            # (e.g. to post-process scores): honour it rather than silently
-            # bypassing the override through match_prepared.
-            candidate_table = (
-                candidate.table if isinstance(candidate, PreparedTable) else candidate
-            )
-            matches = self.matcher.get_matches(query.table, candidate_table)
-            scores = relatedness(matches, query.table, threshold=self.union_threshold)
-            return DiscoveryResult(
-                table_name=candidate_table.name, scores=scores, matches=matches
-            )
         candidate_prepared = self.matcher._ensure_prepared(candidate)
         matches = self.matcher.match_prepared(query, candidate_prepared)
         scores = relatedness(matches, query.table, threshold=self.union_threshold)
@@ -274,48 +264,6 @@ class PairScorer:
     def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:
         """Match a raw query against one candidate (prepares the query too)."""
         return self.score_prepared(self.matcher.prepare(query), candidate)
-
-
-@dataclass
-class WorkerCandidateSource:
-    """A picklable recipe that lets rerank workers resolve candidates themselves.
-
-    Shipped (with each chunk task — it is a couple hundred bytes) to worker
-    processes, which open their own per-PID connections to the two WAL
-    stores and pull candidate payloads straight from SQLite: the sketch
-    store answers ``name -> (build-time content hash, source CSV path)`` in
-    one batched query, the prepared store answers ``(fingerprint, name,
-    hash) -> pickled PreparedTable`` in another.  A candidate missing from
-    the prepared store falls back to reading its CSV and preparing in the
-    worker, writing the payload through for the next query (WAL serializes
-    the occasional concurrent writer).
-
-    Attributes
-    ----------
-    sketch_store_path / prepared_store_path:
-        File paths of the two stores (in-memory stores cannot cross
-        processes, so callers only build a source for file-backed lakes).
-    fingerprint:
-        The matcher fingerprint candidates are stored under.
-    write_through:
-        Whether cold candidates prepared in a worker are persisted.
-    max_entries / max_bytes:
-        Eviction caps the workers' write-through store handles apply —
-        mirrored from the parent's store so budgets hold regardless of who
-        writes.
-    store_hits:
-        Filled by :func:`prune_then_rerank` after a parallel rerank: how
-        many candidates (summed over all workers) were served straight from
-        the prepared store.
-    """
-
-    sketch_store_path: str
-    prepared_store_path: str
-    fingerprint: str
-    write_through: bool = True
-    max_entries: int = 4096
-    max_bytes: Optional[int] = None
-    store_hits: int = field(default=0, compare=False)
 
 
 class RerankPool:
@@ -329,9 +277,11 @@ class RerankPool:
     travels inside the tasks (with a worker-side cache so the query payload
     is unpickled once per worker, not once per chunk).
 
-    The pool is lazy (no processes until the first :meth:`map`) and
-    self-healing: a :class:`BrokenProcessPool` (a worker died) discards the
-    executor and retries the batch once on a fresh one.
+    The pool is lazy (no processes until the first task) and self-healing:
+    after a :class:`BrokenProcessPool` (a worker died) :meth:`close`
+    discards the executor and the next task spawns a fresh one —
+    :meth:`map` retries its batch once that way, the rerank stream replays
+    itself once.
 
     Workers are **spawned, not forked**: rerank workers open their own
     SQLite connections to the lake's stores, and SQLite database state must
@@ -380,15 +330,14 @@ class RerankPool:
     def submit(self, fn: Callable, task: object) -> Future:
         """Submit one task to the warm workers; returns its future.
 
-        The streaming primitive behind the cascade dispatcher: unlike
-        :meth:`map`, per-future failures (including ``BrokenProcessPool``)
-        surface to the caller, who owns the retry decision for the whole
-        streamed batch.
+        The streaming primitive behind the rerank plan: unlike :meth:`map`,
+        per-future failures (including ``BrokenProcessPool``) surface to
+        the caller, who owns the retry decision for the whole stream.
         """
         return self._ensure_executor().submit(fn, task)
 
     def close(self) -> None:
-        """Shut the executor down; the next :meth:`map` spawns a fresh one."""
+        """Shut the executor down; the next task spawns a fresh one."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -401,614 +350,303 @@ class RerankPool:
 
 
 # --------------------------------------------------------------------- #
-# worker-side machinery of the parallel rerank
+# the rerank plan
 # --------------------------------------------------------------------- #
 
-#: Tokens distinguishing one query's shipped state from the next, so a
-#: persistent pool's workers know when to re-unpickle.
-_QUERY_TOKENS = itertools.count()
+#: What a resolver hands back for one batch of names: the candidates it
+#: could produce (input order, unresolvable names omitted) and how many of
+#: them came straight from a prepared store.
+Resolved = tuple[list[Union[Table, PreparedTable]], int]
 
-#: How many queries' shipped state one worker keeps unpickled.  A serving
-#: batch interleaves chunks from several concurrent queries on the same
-#: warm workers; a single-slot cache would thrash (one unpickle per chunk
-#: instead of one per query), so the cache is a small per-worker LRU.
-_WORKER_STATE_SLOTS = 8
-
-# Per-worker LRU cache for query state (scorer + prepared query), keyed by
-# token: every chunk task carries the pickled state, but a worker unpickles
-# each query's state at most once while it stays in the cache.
-_WORKER_QUERY_STATES: "OrderedDict[str, tuple[PairScorer, PreparedTable]]" = (
-    OrderedDict()
-)
-
-
-def _load_query_state(token: str, blob: bytes) -> tuple[PairScorer, PreparedTable]:
-    state = _WORKER_QUERY_STATES.get(token)
-    if state is not None:
-        _WORKER_QUERY_STATES.move_to_end(token)
-        return state
-    scorer, query_prepared = pickle.loads(blob)
-    _WORKER_QUERY_STATES[token] = (scorer, query_prepared)
-    while len(_WORKER_QUERY_STATES) > _WORKER_STATE_SLOTS:
-        _WORKER_QUERY_STATES.popitem(last=False)
-    return scorer, query_prepared
-
-
-def _resolve_chunk_in_worker(
-    source: WorkerCandidateSource, names: Sequence[str], scorer: PairScorer
-) -> tuple[list[Union[Table, PreparedTable]], int]:
-    """Resolve one name-chunk inside a worker; returns (candidates, store hits).
-
-    Store connections are opened per *chunk*, never cached for the worker's
-    lifetime: when the last lock-holding connection to a WAL database
-    closes, SQLite checkpoints and deletes the ``-wal``/``-shm`` files, and
-    an idle connection in another process is left frozen on its old mmap —
-    it would silently serve a stale snapshot forever.  A fresh open per
-    chunk (two ~100µs connects amortised over the whole chunk) always sees
-    the latest committed state.
-
-    The imports are lazy because ``repro.lake`` imports this module — a
-    top-level import would be circular.
-    """
-    from repro.data.csv_io import read_csv
-    from repro.data.fingerprint import table_content_hash
-    from repro.discovery.prepared import PreparedStore
-    from repro.lake.store import SketchStore
-
-    # Sketches are touched read-only; the prepared store stays writable for
-    # the cold-candidate write-through (with the parent's eviction caps).
-    sketch_store = SketchStore(source.sketch_store_path, read_only=True)
-    prepared_store = PreparedStore(
-        source.prepared_store_path,
-        max_entries=source.max_entries,
-        max_bytes=source.max_bytes,
-    )
-    try:
-        meta = sketch_store.table_meta(names)
-        keys = [(name, meta[name][0]) for name in names if name in meta]
-        found = prepared_store.get_many(source.fingerprint, keys)
-        resolved: list[Union[Table, PreparedTable]] = []
-        hits = 0
-        dropped = 0
-        for name in names:
-            prepared = found.get(name)
-            if prepared is not None:
-                hits += 1
-                resolved.append(prepared)
-                continue
-            _build_hash, path = meta.get(name, (None, None))
-            if path is None:
-                dropped += 1
-                logger.debug("candidate %r has no stored payload and no CSV; dropped", name)
-                continue  # neither stored nor on disk: cannot be ranked
-            try:
-                with telemetry.span("rerank.csv_read", table=name):
-                    table = read_csv(path, name=name)
-            except (OSError, ValueError, csv.Error) as exc:
-                dropped += 1
-                logger.warning("skipping candidate %r: unreadable CSV %s (%s)", name, path, exc)
-                continue  # stale store entry (CSV moved/corrupted since build)
-            # Mirror the serial provider for CSVs edited since `lake build`:
-            # the batch lookup above keys on the build-time hash, but a
-            # previous query may already have written this table through
-            # under its *current* content — probe that before re-preparing.
-            current_hash = table_content_hash(table)
-            prepared = prepared_store.get(source.fingerprint, name, current_hash)
-            if prepared is None:
-                telemetry.count("prepared_store.misses")
-                with telemetry.span("rerank.prepare_candidate", table=name):
-                    prepared = scorer.matcher.prepare(table)
-                if source.write_through:
-                    try:
-                        prepared_store.put(prepared, content_hash=current_hash)
-                    except sqlite3.Error:  # pragma: no cover - lock contention
-                        # The payload still serves this query; only reuse is lost.
-                        logger.warning(
-                            "write-through of %r lost to store contention", name
-                        )
-                        telemetry.count("prepared_store.write_contention")
-            resolved.append(prepared)
-        if dropped:
-            telemetry.count("discovery.candidates_dropped", dropped)
-        return resolved, hits
-    finally:
-        prepared_store.close()
-        sketch_store.close()
-
-
-#: One parallel-rerank task: ``(query token, pickled (scorer, prepared
-#: query), optional worker-side candidate source, chunk, stats epoch)``.
-#: The chunk is a list of table *names* when a source is given (workers
-#: resolve), else a list of parent-resolved ``Table``/``PreparedTable``
-#: candidates.  ``stats epoch`` is ``None`` when telemetry is disabled,
-#: else the parent's ``perf_counter`` at submit time — the worker measures
-#: queue wait against it (on Linux ``perf_counter`` is ``CLOCK_MONOTONIC``,
-#: shared machine-wide, so the cross-process delta is meaningful).
-_RerankChunk = tuple[str, bytes, Optional[WorkerCandidateSource], list, Optional[float]]
-
-
-def _score_chunk(
-    task: _RerankChunk,
-) -> tuple[list[DiscoveryResult], int]:
-    """Resolve (if worker-sourced) and score one chunk; the task's core."""
-    token, state_blob, source, items, _epoch = task
-    scorer, query_prepared = _load_query_state(token, state_blob)
-    store_hits = 0
-    if source is not None:
-        with telemetry.span("rerank.resolve_chunk", size=len(items)):
-            candidates, store_hits = _resolve_chunk_in_worker(source, items, scorer)
-    else:
-        candidates = items
-    with telemetry.span("rerank.score_chunk", size=len(candidates)):
-        results = [
-            scorer.score_prepared(query_prepared, candidate)
-            for candidate in candidates
-        ]
-    telemetry.count("discovery.candidates_scored", len(results))
-    return results, store_hits
-
-
-def _rerank_worker_chunk(
-    task: _RerankChunk,
-) -> tuple[list[DiscoveryResult], int, Optional["telemetry.TelemetrySnapshot"]]:
-    """One chunk task, run inside a (spawned) rerank worker.
-
-    With telemetry enabled (``stats epoch`` set), the worker records into
-    its own :class:`~repro.telemetry.recorder.TelemetryRecorder` and ships
-    the picklable snapshot back piggybacked on the result tuple — the
-    parent merges every chunk's snapshot into its active recorder, giving
-    one coherent cross-process trace per query.
-    """
-    epoch = task[4]
-    if epoch is None:
-        results, store_hits = _score_chunk(task)
-        return results, store_hits, None
-    recorder = telemetry.TelemetryRecorder()
-    with telemetry.use(recorder):
-        recorder.observe(
-            "rerank.queue_wait", max(0.0, time.perf_counter() - epoch)
-        )
-        with recorder.span("rerank.chunk", size=len(task[3])):
-            results, store_hits = _score_chunk(task)
-    return results, store_hits, recorder.snapshot()
-
-
-#: Target chunks per worker: >1 smooths uneven chunk costs, while each chunk
-#: still amortises its two SQLite round trips over many candidates.
-_CHUNKS_PER_WORKER = 2
-
-#: Minimum candidate count for a parallel rerank to actually fan out;
-#: below it the serial path is used.  Callers that prepare state for one
-#: path or the other (e.g. the lake engine arming a worker source vs
-#: building a serial prefetch) must consult :func:`fan_out_names` with this
-#: threshold — the decision is defined once, here.
-MIN_FAN_OUT = 2
-
-
-def fan_out_names(query_name: str, candidate_names: Iterable[str]) -> list[str]:
-    """The candidate names a parallel rerank would fan out over.
-
-    The single definition of the "will it fan out" input: the shortlist
-    minus the query's own name.  ``len(fan_out_names(...)) >= MIN_FAN_OUT``
-    is the exact predicate :func:`prune_then_rerank` applies before taking
-    the worker-resolved path.
-    """
-    return [name for name in candidate_names if name != query_name]
-
-
-def _chunked(items: Sequence, workers: int) -> Iterator[list]:
-    """Lazily yield contiguous chunks of *items* sized for *workers*.
-
-    A generator (not a materialised list of lists) so consumers that
-    interleave chunk dispatch with other work — the cascade's streaming
-    dispatcher tightening its cutoff between submissions — never pay for
-    slicing chunks they may decide not to submit (budget exhausted).
-    """
-    if not items:
-        return
-    chunk_count = max(1, min(len(items), workers * _CHUNKS_PER_WORKER))
-    size = math.ceil(len(items) / chunk_count)
-    for start in range(0, len(items), size):
-        yield list(items[start : start + size])
+#: ``resolve(names, matcher) -> Resolved``.  A resolver that can also work
+#: inside a pool worker offers ``for_workers(names)`` returning a picklable
+#: copy of itself for that chunk (or ``None`` when it cannot, e.g. because
+#: its tables only exist in this process).
+Resolver = Callable[[Sequence[str], BaseMatcher], Resolved]
 
 
 @dataclass
-class RerankJob:
-    """One query's rerank work, ready to fan out over pool workers.
+class RerankOutcome:
+    """Everything one :func:`prune_then_rerank` call has to report."""
 
-    The unit of :func:`rerank_jobs`: the picklable pair state (scorer +
-    prepared query) plus the items to score — table *names* when ``source``
-    is set (workers resolve the chunk themselves from the WAL stores), else
-    parent-resolved ``Table``/``PreparedTable`` candidates.
+    #: The ranking (sorted for the mode, truncated to ``top_k``).
+    results: list[DiscoveryResult] = field(default_factory=list)
+    #: Candidates the matcher actually scored (before top-k truncation).
+    scored: int = 0
+    #: Candidates whose admissible bound fell below the top-k cutoff.
+    skipped: int = 0
+    #: Candidates served straight from a prepared store.
+    store_hits: int = 0
+    #: Times the shared top-k cutoff tightened as exact scores streamed in.
+    cutoff_updates: int = 0
+    #: Whether the budget expired before every surviving candidate was
+    #: scored: the ranking is the best-effort top-k over those scored so far
+    #: (possibly empty), never a wrong ordering of them.
+    partial: bool = False
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One rerank's per-query state, shared by all of its chunks.
+
+    Pickled once per pooled query and unpickled once per worker (see
+    :func:`_load_plan`).  ``deadline`` is an absolute ``perf_counter`` value
+    (``CLOCK_MONOTONIC`` on Linux, shared machine wide, so it means the
+    same instant in every worker).
     """
 
     scorer: PairScorer
     query_prepared: PreparedTable
-    items: list
-    source: Optional[WorkerCandidateSource] = None
+    mode: str
+    top_k: Optional[int]
+    #: Whether the bounds are admissible and can actually skip a candidate.
+    skippable: bool
+    deadline: Optional[float]
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() >= self.deadline
 
 
-def rerank_jobs(
-    jobs: Sequence[RerankJob],
-    pool: Optional[RerankPool] = None,
-    max_workers: Optional[int] = None,
-) -> list[tuple[list[DiscoveryResult], int]]:
-    """Fan several queries' reranks out over one pool *together*.
+class _Chunk(NamedTuple):
+    """One :func:`_score_chunk` task."""
 
-    This is the micro-batching primitive behind ``lake serve``: every job's
-    chunk tasks are submitted in a single batch, so the pool's workers stay
-    saturated across query boundaries instead of draining between one
-    query's last chunk and the next query's first.  Per job the semantics
-    match the single-query parallel rerank exactly — its own query token,
-    its own state blob (unpickled at most once per worker via the
-    worker-side LRU), its own optional :class:`WorkerCandidateSource`.
+    #: Distinguishes one query's shipped plan from the next, so a
+    #: persistent pool's workers know when to re-unpickle.
+    token: str
+    #: The live plan inline; its pickle when bound for the pool.
+    plan: Union[_Plan, bytes]
+    resolve: Resolver
+    #: Prepared provider for raw tables the resolver returns (inline only:
+    #: a worker cannot see the parent's provider).
+    provider: Optional[PreparedTableCache]
+    #: ``(name, ranking bound)`` pairs, best bound first.
+    items: list[tuple[str, float]]
+    #: The shared top-k cutoff at submit time — stale by the time a worker
+    #: runs, but a stale cutoff only under-skips (see :class:`_TopKCutoff`).
+    cutoff: Optional[float]
+    #: Submit-side ``perf_counter`` when pooled with telemetry enabled (the
+    #: worker measures queue wait against it and ships a snapshot back).
+    epoch: Optional[float]
 
-    Chunk sizing splits the pool across jobs (``workers / len(jobs)``
-    chunks-per-worker per job, at least one chunk each) so a batch of B
-    queries produces about as many tasks as one query would alone.
 
-    Returns ``(results, store hits)`` per job, in job order; each job's
-    ``source.store_hits`` (when it has a source) is also updated.  When a
-    real telemetry recorder is active, tasks carry submit timestamps and
-    worker snapshots are merged back, exactly as in the single-query path.
+class _ChunkOutcome(NamedTuple):
+    results: list[DiscoveryResult]
+    store_hits: int
+    skipped: int
+    stopped: bool
+    snapshot: Optional["telemetry.TelemetrySnapshot"]
+
+
+#: Source of the per-query tokens in :attr:`_Chunk.token`.
+_QUERY_TOKENS = itertools.count()
+
+#: How many queries' plans one worker keeps unpickled.  A serving batch
+#: interleaves chunks from several concurrent queries on the same warm
+#: workers; a single-slot cache would thrash (one unpickle per chunk
+#: instead of one per query), so the cache is a small per-worker LRU.
+_WORKER_PLAN_SLOTS = 8
+
+_WORKER_PLANS: "OrderedDict[str, _Plan]" = OrderedDict()
+
+
+def _load_plan(token: str, blob: bytes) -> _Plan:
+    plan = _WORKER_PLANS.get(token)
+    if plan is not None:
+        _WORKER_PLANS.move_to_end(token)
+        return plan
+    plan = _WORKER_PLANS[token] = pickle.loads(blob)
+    while len(_WORKER_PLANS) > _WORKER_PLAN_SLOTS:
+        _WORKER_PLANS.popitem(last=False)
+    return plan
+
+
+def _score_chunk(task: _Chunk) -> _ChunkOutcome:
+    """Skip, resolve, then score one chunk — inline or inside a pool worker.
+
+    Names whose bound undercuts the dispatched cutoff are dropped *before*
+    resolution, so a skipped candidate costs neither a store read nor a CSV
+    load.  Survivors are resolved in one batch and scored in bound order
+    against the tighter of the dispatched cutoff and this chunk's own
+    running top-k.
+
+    A pooled chunk with telemetry enabled records into a private recorder
+    and piggybacks its snapshot on the outcome; the parent merges every
+    chunk's snapshot, giving one coherent cross-process trace per query.
     """
-    recorder = telemetry.get_recorder()
-    workers = pool.workers if pool is not None else (max_workers or os.cpu_count() or 1)
-    per_job_workers = max(1, math.ceil(workers / max(1, len(jobs))))
-    epoch = time.perf_counter() if recorder.enabled else None
-    tasks: list[_RerankChunk] = []
-    spans: list[tuple[int, int]] = []
-    for job in jobs:
-        state_blob = pickle.dumps((job.scorer, job.query_prepared), protocol=4)
-        token = f"{os.getpid()}-{next(_QUERY_TOKENS)}"
-        start = len(tasks)
-        tasks.extend(
-            (token, state_blob, job.source, chunk, epoch)
-            for chunk in _chunked(job.items, per_job_workers)
-        )
-        spans.append((start, len(tasks)))
-    if pool is not None:
-        outcomes = pool.map(_rerank_worker_chunk, tasks)
-    else:
-        # Transient pool: same spawn start method as RerankPool (workers
-        # touching SQLite must not inherit forked connection state).
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        ) as executor:
-            outcomes = list(executor.map(_rerank_worker_chunk, tasks))
-    telemetry.count("rerank_pool.chunks", len(tasks))
-    if len(jobs) > 1:
-        telemetry.count("rerank_pool.batched_jobs", len(jobs))
-    per_job: list[tuple[list[DiscoveryResult], int]] = []
-    for job, (start, end) in zip(jobs, spans):
+    recorder = None
+    with ExitStack() as stack:
+        if task.epoch is not None:
+            recorder = telemetry.TelemetryRecorder()
+            stack.enter_context(telemetry.use(recorder))
+            recorder.observe(
+                "rerank.queue_wait", max(0.0, time.perf_counter() - task.epoch)
+            )
+            stack.enter_context(recorder.span("rerank.chunk", size=len(task.items)))
+        plan = task.plan
+        if isinstance(plan, bytes):
+            plan = _load_plan(task.token, plan)
+        scorer, matcher = plan.scorer, plan.scorer.matcher
+        floor = task.cutoff if plan.skippable else None
+        survivors = [
+            item for item in task.items if floor is None or item[1] >= floor
+        ]
+        skipped = len(task.items) - len(survivors)
         results: list[DiscoveryResult] = []
         store_hits = 0
-        for chunk_results, chunk_hits, chunk_snapshot in outcomes[start:end]:
-            results.extend(chunk_results)
-            store_hits += chunk_hits
-            if chunk_snapshot is not None:
-                recorder.merge(chunk_snapshot)
-        if job.source is not None:
-            job.source.store_hits = store_hits
-        per_job.append((results, store_hits))
-    return per_job
-
-
-def _parallel_rerank(
-    scorer: PairScorer,
-    query_prepared: PreparedTable,
-    items: list,
-    source: Optional[WorkerCandidateSource],
-    pool: Optional[RerankPool],
-    max_workers: Optional[int],
-) -> tuple[list[DiscoveryResult], int]:
-    """Fan one rerank out over batched chunks; returns (results, store hits).
-
-    The single-query parameterisation of :func:`rerank_jobs`.
-    """
-    return rerank_jobs(
-        [RerankJob(scorer, query_prepared, items, source)],
-        pool=pool,
-        max_workers=max_workers,
-    )[0]
-
-
-# --------------------------------------------------------------------- #
-# cascaded rerank (stage-2 skip + streaming dispatch)
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _CascadeState:
-    """Per-chunk cascade parameters, piggybacked on chunk dispatch.
-
-    ``cutoff`` is the parent's top-k cutoff at submit time — stale by the
-    time the worker runs, but a stale cutoff only under-skips, never
-    mis-skips (see :class:`_TopKCutoff`).  Workers tighten it further with
-    their own chunk-local heap.  ``deadline`` is an absolute
-    ``perf_counter`` value (``CLOCK_MONOTONIC`` on Linux, shared machine
-    wide, the same convention as the chunk stats epoch).
-    """
-
-    cutoff: Optional[float]
-    k: Optional[int]
-    mode: str
-    deadline: Optional[float]
-    trusted: bool
-
-
-#: One cascade chunk task: the ``_RerankChunk`` layout with per-name bounds
-#: in the items (``[(name, ranking bound), ...]``) and the cascade state
-#: appended.  Cascade chunks always carry a worker source — the streaming
-#: path only runs worker-resolved.
-_CascadeChunk = tuple[
-    str, bytes, WorkerCandidateSource, list, Optional[float], _CascadeState
-]
-
-
-def _score_cascade_chunk(
-    task: _CascadeChunk,
-) -> tuple[list[DiscoveryResult], int, int, int, bool]:
-    """Skip, resolve, then score one cascade chunk inside a worker.
-
-    Returns ``(results, store hits, skipped, scored, budget stopped)``.
-    Names whose dispatched bound undercuts the cutoff are dropped *before*
-    resolution — a skipped candidate costs neither a store read nor a CSV
-    load.  Survivors are scored in bound order against the tighter of the
-    dispatched cutoff and the worker's own running top-k.
-    """
-    token, state_blob, source, items, _epoch, cstate = task
-    scorer, query_prepared = _load_query_state(token, state_blob)
-    cutoff = cstate.cutoff
-    skipped = 0
-    survivors: list[tuple[str, float]] = []
-    if cstate.trusted and cutoff is not None:
-        for name, bound in items:
-            if bound < cutoff:
-                skipped += 1
-            else:
-                survivors.append((name, bound))
-    else:
-        survivors = list(items)
-    results: list[DiscoveryResult] = []
-    store_hits = 0
-    scored = 0
-    stopped = False
-    expired = cstate.deadline is not None and time.perf_counter() >= cstate.deadline
-    if survivors and expired:
-        stopped = True
-    elif survivors:
-        with telemetry.span("rerank.resolve_chunk", size=len(survivors)):
-            candidates, store_hits = _resolve_chunk_in_worker(
-                source, [name for name, _ in survivors], scorer
-            )
-        bound_of = dict(survivors)
-        local = _TopKCutoff(cstate.k)
-        with telemetry.span("rerank.score_chunk", size=len(candidates)):
-            for candidate in candidates:
-                if (
-                    cstate.deadline is not None
-                    and time.perf_counter() >= cstate.deadline
-                ):
-                    stopped = True
-                    break
-                if cstate.trusted:
-                    effective = cutoff
-                    local_value = local.value
-                    if local_value is not None and (
-                        effective is None or local_value > effective
-                    ):
-                        effective = local_value
+        stopped = bool(survivors) and plan.expired()
+        if survivors and not stopped:
+            names = [name for name, _ in survivors]
+            with telemetry.span("rerank.resolve_chunk", size=len(names)):
+                candidates, store_hits = task.resolve(names, matcher)
+            if len(candidates) < len(names):
+                telemetry.count(
+                    "discovery.candidates_dropped", len(names) - len(candidates)
+                )
+            bound_of = dict(survivors)
+            local = _TopKCutoff(plan.top_k if plan.skippable else None)
+            with telemetry.span("rerank.score_chunk", size=len(candidates)):
+                for candidate in candidates:
+                    if plan.expired():
+                        stopped = True
+                        break
                     if (
-                        effective is not None
-                        and bound_of.get(candidate.name, math.inf) < effective
+                        floor is not None
+                        and bound_of.get(candidate.name, math.inf) < floor
                     ):
                         skipped += 1
                         continue
-                result = scorer.score_prepared(query_prepared, candidate)
-                results.append(result)
-                scored += 1
-                local.observe(mode_score(result, cstate.mode))
-    telemetry.count("discovery.candidates_scored", scored)
-    return results, store_hits, skipped, scored, stopped
+                    if task.provider is not None and not isinstance(
+                        candidate, PreparedTable
+                    ):
+                        candidate = task.provider.prepare(matcher, candidate)
+                    result = scorer.score_prepared(plan.query_prepared, candidate)
+                    results.append(result)
+                    if local.observe(mode_score(result, plan.mode)):
+                        # The chunk's own k-th best is a cutoff too.
+                        if floor is None or local.value > floor:
+                            floor = local.value
+        telemetry.count("discovery.candidates_scored", len(results))
+    return _ChunkOutcome(
+        results,
+        store_hits,
+        skipped,
+        stopped,
+        recorder.snapshot() if recorder is not None else None,
+    )
 
 
-def _cascade_worker_chunk(
-    task: _CascadeChunk,
-) -> tuple[
-    list[DiscoveryResult], int, int, int, bool, Optional["telemetry.TelemetrySnapshot"]
-]:
-    """One cascade chunk task with the usual telemetry piggyback."""
-    epoch = task[4]
-    if epoch is None:
-        return (*_score_cascade_chunk(task), None)
-    recorder = telemetry.TelemetryRecorder()
-    with telemetry.use(recorder):
-        recorder.observe("rerank.queue_wait", max(0.0, time.perf_counter() - epoch))
-        with recorder.span("rerank.chunk", size=len(task[3])):
-            outcome = _score_cascade_chunk(task)
-    return (*outcome, recorder.snapshot())
+class _Shipped:
+    """Candidates the parent resolved for one pooled chunk.
+
+    Stands in for a resolver that cannot cross processes (an in-memory
+    repository or store): the payloads travel inside the task instead.
+    """
+
+    def __init__(self, candidates: list, store_hits: int) -> None:
+        self.candidates = candidates
+        self.store_hits = store_hits
+
+    def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
+        wanted = set(names)
+        kept = [c for c in self.candidates if c.name in wanted]
+        return kept, self.store_hits
 
 
-def _cascade_dispatch(
-    scorer: PairScorer,
-    query_prepared: PreparedTable,
-    ordered_names: Sequence[str],
-    bounds: dict[str, float],
-    trusted: bool,
-    source: WorkerCandidateSource,
-    executor: ProcessPoolExecutor,
-    workers: int,
-    mode: str,
-    top_k: Optional[int],
-    deadline: Optional[float],
-) -> tuple[list[DiscoveryResult], int, int, int, int, bool]:
-    """Stream bound-ordered chunks through *executor*, tightening the cutoff.
+#: Target chunks per worker: >1 smooths uneven chunk costs, while each chunk
+#: still amortises its store round trip over many candidates.
+_CHUNKS_PER_WORKER = 2
 
-    Unlike :func:`rerank_jobs`' single batched submission, chunks are kept
-    at most ``workers`` in flight and every new submission piggybacks the
-    *current* top-k cutoff — the first wave (the best bounds, which seed
-    the cutoff) informs every later wave, which is where the skips come
-    from.  Returns ``(results, store hits, skipped, scored, cutoff
-    updates, budget stopped)``; per-future errors (``BrokenProcessPool``)
-    propagate to the caller, which owns the retry.
+
+def _stream(
+    plan: _Plan,
+    items: list[tuple[str, float]],
+    size: int,
+    resolve: Resolver,
+    provider: Optional[PreparedTableCache],
+    pool: Optional[RerankPool],
+) -> RerankOutcome:
+    """Feed bound-ordered chunks of *size* to :func:`_score_chunk`.
+
+    Inline (no *pool*) each chunk runs here and now; pooled, at most
+    ``pool.workers`` are in flight.  Either way every chunk carries the
+    *current* top-k cutoff and every finished chunk's exact scores tighten
+    it — the first wave (the best bounds) informs every later one, which is
+    where the skips come from.  Per-future errors (``BrokenProcessPool``)
+    propagate to the caller, which owns the replay.
     """
     recorder = telemetry.get_recorder()
-    epoch = time.perf_counter() if recorder.enabled else None
-    state_blob = pickle.dumps((scorer, query_prepared), protocol=4)
     token = f"{os.getpid()}-{next(_QUERY_TOKENS)}"
-    chunks = _chunked(ordered_names, workers)
-    cutoff = _TopKCutoff(top_k)
-    results: list[DiscoveryResult] = []
-    store_hits = 0
-    skipped = 0
-    scored = 0
-    cutoff_updates = 0
-    budget_stopped = False
-    submitted = 0
-    exhausted = False
+    shipped_plan = plan if pool is None else pickle.dumps(plan, protocol=4)
+    epoch = time.perf_counter() if pool is not None and recorder.enabled else None
+    width = 1 if pool is None else pool.workers
+    for_workers = getattr(resolve, "for_workers", None)
+    cutoff = _TopKCutoff(plan.top_k)
+    outcome = RerankOutcome()
     pending: set[Future] = set()
+    submitted = 0
 
-    def submit_one() -> bool:
-        nonlocal submitted, exhausted, budget_stopped
-        if exhausted:
-            return False
-        if deadline is not None and time.perf_counter() >= deadline:
-            # Budget spent: stop dispatching.  Partial only if work remained.
-            if next(chunks, None) is not None:
-                budget_stopped = True
-            exhausted = True
-            return False
-        chunk = next(chunks, None)
-        if chunk is None:
-            exhausted = True
-            return False
-        items = [(name, bounds.get(name, math.inf)) for name in chunk]
-        state = _CascadeState(
-            cutoff=cutoff.value,
-            k=top_k,
-            mode=mode,
-            deadline=deadline,
-            trusted=trusted,
-        )
-        pending.add(
-            executor.submit(
-                _cascade_worker_chunk,
-                (token, state_blob, source, items, epoch, state),
+    def fold(chunk: _ChunkOutcome) -> None:
+        outcome.results.extend(chunk.results)
+        outcome.scored += len(chunk.results)
+        outcome.skipped += chunk.skipped
+        outcome.store_hits += chunk.store_hits
+        outcome.partial = outcome.partial or chunk.stopped
+        if chunk.snapshot is not None:
+            recorder.merge(chunk.snapshot)
+        for result in chunk.results:
+            if cutoff.observe(mode_score(result, plan.mode)):
+                outcome.cutoff_updates += 1
+
+    starts = iter(range(0, len(items), size))
+    while True:
+        while len(pending) < width:
+            start = next(starts, None)
+            if start is None:
+                break
+            if plan.expired():
+                # Budget spent with work remaining: stop dispatching.
+                outcome.partial = True
+                starts = iter(())
+                break
+            chunk = items[start : start + size]
+            resolver = resolve
+            if pool is not None:
+                names = [name for name, _ in chunk]
+                resolver = for_workers(names) if for_workers is not None else None
+                if resolver is None:
+                    resolver = _Shipped(*resolve(names, plan.scorer.matcher))
+            task = _Chunk(
+                token, shipped_plan, resolver, provider, chunk, cutoff.value, epoch
             )
-        )
-        submitted += 1
-        return True
-
-    while len(pending) < workers and submit_one():
-        pass
-    while pending:
+            if pool is None:
+                fold(_score_chunk(task))
+            else:
+                pending.add(pool.submit(_score_chunk, task))
+                submitted += 1
+        if not pending:
+            break
         done, pending = wait(pending, return_when=FIRST_COMPLETED)
         for future in done:
-            (
-                chunk_results,
-                chunk_hits,
-                chunk_skipped,
-                chunk_scored,
-                chunk_stopped,
-                snapshot,
-            ) = future.result()
-            results.extend(chunk_results)
-            store_hits += chunk_hits
-            skipped += chunk_skipped
-            scored += chunk_scored
-            budget_stopped = budget_stopped or chunk_stopped
-            if snapshot is not None:
-                recorder.merge(snapshot)
-            for result in chunk_results:
-                if cutoff.observe(mode_score(result, mode)):
-                    cutoff_updates += 1
-        while len(pending) < workers and submit_one():
-            pass
-    telemetry.count("rerank_pool.chunks", submitted)
-    return results, store_hits, skipped, scored, cutoff_updates, budget_stopped
-
-
-def _cascade_parallel_rerank(
-    scorer: PairScorer,
-    query_prepared: PreparedTable,
-    ordered_names: Sequence[str],
-    bounds: dict[str, float],
-    trusted: bool,
-    source: WorkerCandidateSource,
-    pool: Optional[RerankPool],
-    max_workers: Optional[int],
-    mode: str,
-    top_k: Optional[int],
-    deadline: Optional[float],
-) -> tuple[list[DiscoveryResult], int, int, int, int, bool]:
-    """The streaming counterpart of :func:`_parallel_rerank` for cascades.
-
-    Mirrors :meth:`RerankPool.map`'s healing: a ``BrokenProcessPool`` on
-    the persistent pool respawns it and replays the whole stream once
-    (chunk results from the broken attempt are discarded — cascade
-    counters must describe exactly one coherent pass).
-    """
-    workers = pool.workers if pool is not None else (max_workers or os.cpu_count() or 1)
-    args = (scorer, query_prepared, ordered_names, bounds, trusted, source)
-    if pool is not None:
-        try:
-            return _cascade_dispatch(
-                *args, pool._ensure_executor(), workers, mode, top_k, deadline
-            )
-        except BrokenProcessPool:
-            logger.warning(
-                "rerank pool broke mid-cascade; respawning and retrying the stream"
-            )
-            telemetry.count("rerank_pool.respawns")
-            pool.close()
-            return _cascade_dispatch(
-                *args, pool._ensure_executor(), workers, mode, top_k, deadline
-            )
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        mp_context=multiprocessing.get_context("spawn"),
-    ) as executor:
-        return _cascade_dispatch(*args, executor, workers, mode, top_k, deadline)
-
-
-def _finish_cascade(
-    cascade: RerankCascade,
-    skipped: int,
-    scored: int,
-    cutoff_updates: int,
-    stopped: bool,
-) -> None:
-    """Record a finished cascade's outcome on the spec and in telemetry."""
-    cascade.skipped = skipped
-    cascade.exact_scored = scored
-    cascade.cutoff_updates = cutoff_updates
-    cascade.partial = stopped
-    telemetry.count("rerank.cascade.skipped", skipped)
-    telemetry.count("rerank.cascade.exact", scored)
-    if cutoff_updates:
-        telemetry.count("rerank.cutoff_updates", cutoff_updates)
-    if stopped:
-        telemetry.count("rerank.budget_stops")
+            fold(future.result())
+    if submitted:
+        telemetry.count("rerank_pool.chunks", submitted)
+    return outcome
 
 
 def prune_then_rerank(
     query: Table,
     candidate_names: Iterable[str],
-    resolve: Callable[[str], Optional[Union[Table, PreparedTable]]],
+    resolve: Resolver,
     scorer: PairScorer,
     mode: str = "joinable",
     top_k: Optional[int] = None,
     *,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     prepared_cache: Optional[PreparedTableCache] = None,
-    worker_source: Optional[WorkerCandidateSource] = None,
     pool: Optional[RerankPool] = None,
-    cascade: Optional[RerankCascade] = None,
-) -> tuple[list[DiscoveryResult], int]:
-    """The discovery core shared by every engine: resolve, rerank, sort.
+    signals: Optional[Mapping[str, CandidateSignals]] = None,
+    budget_ms: Optional[float] = None,
+) -> RerankOutcome:
+    """The discovery core shared by every engine: one streaming rerank plan.
 
     Parameters
     ----------
@@ -1019,230 +657,99 @@ def prune_then_rerank(
         search, an LSH shortlist for indexed search.  The query's own name
         is always skipped.
     resolve:
-        Injectable resolution strategy turning a name into a table
-        (repository lookup, lazy CSV read...) or directly into a
-        :class:`PreparedTable` (e.g. the lake engine's persistent
-        prepared-candidate store), which skips the prepare stage entirely
-        for that candidate.  Returning ``None`` drops the candidate (it
-        cannot be ranked without values).
+        The :data:`Resolver` turning a batch of names into tables
+        (repository lookup, CSV read...) or directly into
+        :class:`PreparedTable` payloads (e.g. the lake engine's persistent
+        prepared-candidate store), which skips the prepare stage for those
+        candidates.  Names it cannot resolve are dropped from the ranking.
     scorer:
         The pair scorer (matcher + unionability threshold).
     mode:
         ``"joinable"``, ``"unionable"`` or ``"combined"``.
     top_k:
         Optionally truncate the final ranking.
-    parallel / max_workers:
-        Rerank in a process pool.  Tasks are batched chunks (not
-        per-candidate futures); the scorer and the prepared query ship to
-        each worker once per query via a worker-side token cache.
     prepared_cache:
         Optional prepared provider — a
         :class:`~repro.discovery.prepared.PreparedTableCache`, a
         :class:`~repro.discovery.prepared.PreparedStore`, or anything else
         with their ``prepare(matcher, table, content_hash=...)`` contract.
-        When given, the query's prepared table — and, on the serial path,
-        every candidate's — is served from / written through it.
-        (Parent-resolved parallel reranks ship whatever ``resolve``
-        returned; raw tables are prepared inside the workers, which cannot
-        see the parent's provider.)
-    worker_source:
-        Optional :class:`WorkerCandidateSource`.  When given together with
-        ``parallel=True``, ``resolve`` is bypassed entirely: workers
-        receive name chunks and pull candidate payloads straight from the
-        WAL stores themselves — the fully parallel warm path.  After the
-        call, ``worker_source.store_hits`` holds the summed prepared-store
-        hits.
+        The query's prepared table — and, inline, every raw candidate's —
+        is served from / written through it.
     pool:
-        Optional persistent :class:`RerankPool`.  Without one, each
-        parallel call spawns (and tears down) a transient pool.
-    cascade:
-        Optional :class:`~repro.discovery.cascade.RerankCascade` arming the
-        two-stage cascade: candidates are scored best-bound-first and —
+        The executor: ``None`` scores inline, a :class:`RerankPool` fans
+        the chunks out over its workers.  Workers resolve their chunks
+        themselves when *resolve* offers ``for_workers``; otherwise the
+        parent resolves and the payloads ship with the task.
+    signals:
+        Stage-1 evidence per candidate name (see
+        :mod:`repro.discovery.cascade`).  The matcher lifts it to
+        ranking-score bounds: candidates are scored best-bound-first and —
         when the matcher declares its bounds admissible — skipped outright
-        once their bound falls below the running top-k cutoff.  An optional
-        anytime ``budget_ms`` stops scoring at the deadline and flags the
-        spec ``partial``.  Outcome counters are written back onto the spec.
-        Without a budget, cascaded rankings are identical to uncascaded
-        ones (admissibility guarantees skips cannot evict a true top-k
-        member; re-ordering cannot change the final sort).
-
-    Returns
-    -------
-    ``(ranked results, rerank count)`` where the count is the number of
-    candidates the matcher actually scored (the pruning statistic, before
-    top-k truncation).
+        once their bound falls below the running top-k cutoff.  ``None``
+        (or a name absent from it) means a ``+inf`` bound: shortlist order,
+        never skipped.  Without a budget the ranking is identical with and
+        without signals (admissibility guarantees skips cannot evict a true
+        top-k member; re-ordering cannot change the final sort).
+    budget_ms:
+        Anytime budget for the scoring stage; when it runs out, scoring
+        stops and the outcome is flagged ``partial``.
     """
     if mode not in ("joinable", "unionable", "combined"):
         raise ValueError(f"unknown discovery mode {mode!r}")
-    if parallel and worker_source is not None:
-        names = fan_out_names(query.name, candidate_names)
-        if len(names) >= MIN_FAN_OUT:
-            with telemetry.span("discovery.prepare_query", table=query.name):
-                if prepared_cache is not None:
-                    query_prepared = prepared_cache.prepare(scorer.matcher, query)
-                else:
-                    query_prepared = scorer.matcher.prepare(query)
-            if cascade is None:
-                with telemetry.span("discovery.score", candidates=len(names)):
-                    results, store_hits = _parallel_rerank(
-                        scorer, query_prepared, names, worker_source, pool, max_workers
-                    )
-                worker_source.store_hits = store_hits
-                with telemetry.span("discovery.sort"):
-                    sort_discovery_results(results, mode)
-                truncated = results[:top_k] if top_k is not None else results
-                return truncated, len(results)
-            with telemetry.span("rerank.cascade", candidates=len(names)):
-                bound_of, trusted = compute_ranking_bounds(
-                    scorer.matcher,
-                    query_prepared,
-                    cascade.signals,
-                    mode,
-                    scorer.union_threshold,
-                )
-                ordered = order_by_bound(names, bound_of, cascade.signals)
-            deadline = cascade.start_deadline()
-            with telemetry.span("discovery.score", candidates=len(ordered)):
-                (
-                    results,
-                    store_hits,
-                    skipped,
-                    scored,
-                    cutoff_updates,
-                    stopped,
-                ) = _cascade_parallel_rerank(
-                    scorer,
-                    query_prepared,
-                    ordered,
-                    bound_of,
-                    trusted,
-                    worker_source,
-                    pool,
-                    max_workers,
-                    mode,
-                    top_k,
-                    deadline,
-                )
-            worker_source.store_hits = store_hits
-            _finish_cascade(cascade, skipped, scored, cutoff_updates, stopped)
-            with telemetry.span("discovery.sort"):
-                sort_discovery_results(results, mode)
-            truncated = results[:top_k] if top_k is not None else results
-            return truncated, scored
-        candidate_names = names
-    if cascade is not None:
-        # Streamed cascade without worker-side resolution.  This also covers
-        # ``parallel=True`` with a parent-side resolver: the cutoff needs
-        # exact-score feedback between candidates, and without a worker
-        # source every candidate payload would ship to the pool anyway.
-        with telemetry.span("discovery.prepare_query", table=query.name):
-            if prepared_cache is not None:
-                query_prepared = prepared_cache.prepare(scorer.matcher, query)
-            else:
-                query_prepared = scorer.matcher.prepare(query)
-        with telemetry.span("rerank.cascade", candidates=len(cascade.signals)):
-            bound_of, trusted = compute_ranking_bounds(
-                scorer.matcher,
-                query_prepared,
-                cascade.signals,
-                mode,
-                scorer.union_threshold,
-            )
-            names = [name for name in candidate_names if name != query.name]
-            names = order_by_bound(names, bound_of, cascade.signals)
-        deadline = cascade.start_deadline()
-        cutoff = _TopKCutoff(top_k)
-        cache_candidates = (
-            prepared_cache is not None
-            and not scorer.matcher.prefers_legacy_get_matches()
-        )
-        results = []
-        dropped = skipped = scored = cutoff_updates = 0
-        stopped = False
-        with telemetry.span("discovery.score", candidates=len(names)):
-            for name in names:
-                if deadline is not None and time.perf_counter() >= deadline:
-                    stopped = True
-                    break
-                if (
-                    trusted
-                    and cutoff.value is not None
-                    and bound_of.get(name, math.inf) < cutoff.value
-                ):
-                    skipped += 1
-                    continue
-                candidate = resolve(name)
-                if candidate is None:
-                    dropped += 1
-                    continue
-                if cache_candidates and not isinstance(candidate, PreparedTable):
-                    candidate = prepared_cache.prepare(scorer.matcher, candidate)
-                result = scorer.score_prepared(query_prepared, candidate)
-                results.append(result)
-                scored += 1
-                if cutoff.observe(mode_score(result, mode)):
-                    cutoff_updates += 1
-        if dropped:
-            telemetry.count("discovery.candidates_dropped", dropped)
-            logger.debug("%d shortlisted candidates could not be resolved", dropped)
-        telemetry.count("discovery.candidates_scored", scored)
-        _finish_cascade(cascade, skipped, scored, cutoff_updates, stopped)
-        with telemetry.span("discovery.sort"):
-            sort_discovery_results(results, mode)
-        truncated = results[:top_k] if top_k is not None else results
-        return truncated, scored
-    candidates: list[Union[Table, PreparedTable]] = []
-    dropped = 0
-    with telemetry.span("discovery.resolve"):
-        for name in candidate_names:
-            if name == query.name:
-                continue
-            table = resolve(name)
-            if table is not None:
-                candidates.append(table)
-            else:
-                dropped += 1
-    if dropped:
-        telemetry.count("discovery.candidates_dropped", dropped)
-        logger.debug("%d shortlisted candidates could not be resolved", dropped)
+    names = [name for name in candidate_names if name != query.name]
+    matcher = scorer.matcher
     with telemetry.span("discovery.prepare_query", table=query.name):
         if prepared_cache is not None:
-            query_prepared = prepared_cache.prepare(scorer.matcher, query)
+            query_prepared = prepared_cache.prepare(matcher, query)
         else:
-            query_prepared = scorer.matcher.prepare(query)
-    if parallel and len(candidates) > 1:
-        # Parent-resolved parallel path (in-memory repositories / stores):
-        # candidates the resolver delivered as PreparedTable ship their
-        # payload to the worker; raw tables are prepared in-worker.
-        with telemetry.span("discovery.score", candidates=len(candidates)):
-            results, _ = _parallel_rerank(
-                scorer, query_prepared, candidates, None, pool, max_workers
+            query_prepared = matcher.prepare(query)
+    bounds: dict[str, float] = {}
+    skippable = False
+    if signals:
+        with telemetry.span("rerank.cascade", candidates=len(names)):
+            bounds, admissible = compute_ranking_bounds(
+                matcher, query_prepared, signals, mode, scorer.union_threshold
             )
+            skippable = admissible and top_k is not None
+            names = order_by_bound(names, bounds, signals)
+    items = [(name, bounds.get(name, math.inf)) for name in names]
+    deadline = None
+    if budget_ms is not None:
+        deadline = time.perf_counter() + budget_ms / 1000.0
+    plan = _Plan(scorer, query_prepared, mode, top_k, skippable, deadline)
+    if len(items) < 2:
+        pool = None  # nothing to fan out
+    if pool is not None:
+        chunks = min(len(items), pool.workers * _CHUNKS_PER_WORKER)
+        size = math.ceil(len(items) / chunks)
+    elif skippable or deadline is not None:
+        size = 1  # resolve only what is about to be scored
     else:
-        # Candidate-side caching only pays off when the matcher actually
-        # consumes prepared payloads; a legacy get_matches override discards
-        # them, so skip the per-candidate content hashing for those.
-        # Candidates resolved straight to a PreparedTable bypass the cache —
-        # they already are the thing the cache would produce.
-        cache_candidates = (
-            prepared_cache is not None
-            and not scorer.matcher.prefers_legacy_get_matches()
-        )
-        with telemetry.span("discovery.score", candidates=len(candidates)):
-            results = [
-                scorer.score_prepared(
-                    query_prepared,
-                    prepared_cache.prepare(scorer.matcher, candidate)
-                    if cache_candidates and not isinstance(candidate, PreparedTable)
-                    else candidate,
-                )
-                for candidate in candidates
-            ]
-        telemetry.count("discovery.candidates_scored", len(results))
+        size = max(1, len(items))  # one store round trip for the whole shortlist
+    provider = prepared_cache if pool is None else None
+    with telemetry.span("discovery.score", candidates=len(items)):
+        try:
+            outcome = _stream(plan, items, size, resolve, provider, pool)
+        except BrokenProcessPool:
+            # A worker died: heal the pool and replay the whole stream once
+            # (results of the broken attempt are discarded — the counters
+            # must describe exactly one coherent pass).
+            logger.warning("rerank pool broke mid-rerank; respawning and replaying")
+            telemetry.count("rerank_pool.respawns")
+            pool.close()
+            outcome = _stream(plan, items, size, resolve, provider, pool)
+    if signals is not None or budget_ms is not None:
+        telemetry.count("rerank.cascade.skipped", outcome.skipped)
+        telemetry.count("rerank.cascade.exact", outcome.scored)
+        if outcome.cutoff_updates:
+            telemetry.count("rerank.cutoff_updates", outcome.cutoff_updates)
+        if outcome.partial:
+            telemetry.count("rerank.budget_stops")
     with telemetry.span("discovery.sort"):
-        sort_discovery_results(results, mode)
-    truncated = results[:top_k] if top_k is not None else results
-    return truncated, len(candidates)
+        sort_discovery_results(outcome.results, mode)
+    if top_k is not None:
+        del outcome.results[top_k:]
+    return outcome
 
 
 @dataclass
@@ -1263,11 +770,6 @@ class DiscoveryEngine:
     matcher: BaseMatcher
     union_threshold: float = DEFAULT_UNION_THRESHOLD
     prepared_cache: Optional[PreparedTableCache] = None
-    #: The :class:`~repro.discovery.cascade.RerankCascade` spec of the last
-    #: :meth:`discover` call (outcome counters filled in), or ``None`` when
-    #: the cascade was off — the brute-force counterpart of the lake
-    #: engine's ``last_query_stats`` cascade fields.
-    last_cascade: Optional[RerankCascade] = field(default=None, repr=False, init=False)
 
     def _scorer(self) -> PairScorer:
         return PairScorer(matcher=self.matcher, union_threshold=self.union_threshold)
@@ -1314,16 +816,16 @@ class DiscoveryEngine:
             top_k)`` so the exact matcher has slack to repair sketch-level
             ranking mistakes (unbounded when neither is set).
         parallel / max_workers:
-            Rerank candidates in a process pool (workers receive the
-            prepared query once each).
+            Rerank candidates in a transient process pool (workers receive
+            the prepared query once each).
         cascade / budget_ms:
-            Arm the two-stage rerank cascade and/or an anytime budget, with
-            the same semantics as :meth:`LakeDiscoveryEngine.query
+            Price the candidates with stage-1 signals and/or set an anytime
+            budget, with the same semantics as
+            :meth:`LakeDiscoveryEngine.query
             <repro.lake.engine.LakeDiscoveryEngine.query>`.  With no
-            persistent sketch store, stage-1 signals are sketched from the
+            persistent sketch store, the signals are sketched from the
             repository on the fly (cheap relative to the matchers the
-            cascade exists to skip).  The spec — outcome counters included —
-            is left on :attr:`last_cascade`.
+            bounds exist to skip).
         """
         if index is not None:
             limit = candidate_limit
@@ -1331,43 +833,42 @@ class DiscoveryEngine:
                 limit = max(
                     DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER * top_k
                 )
-            names: Iterable[str] = index.shortlist(query, limit)
+            names = list(index.shortlist(query, limit))
         else:
             names = repository.table_names
-        spec: Optional[RerankCascade] = None
-        if cascade or budget_ms is not None:
-            names = list(names)
-            signals: dict[str, CandidateSignals] = {}
-            if cascade:
-                # Imported lazily: repro.lake imports this module at package
-                # import time (cycle guard); by the time a query runs, both
-                # sides are fully initialised.
-                from repro.lake.profiles import SketchConfig, sketch_table
+        signals: Optional[dict[str, CandidateSignals]] = None
+        if cascade:
+            # Imported lazily: repro.lake imports this module at package
+            # import time (cycle guard); by the time a query runs, both
+            # sides are fully initialised.
+            from repro.lake.profiles import SketchConfig, sketch_table
 
-                config = SketchConfig()
-                query_sketch = sketch_table(query, config, content_hash="")
-                for name in names:
-                    if name == query.name:
-                        continue
-                    table = repository.get(name)
-                    if table is None or not table.columns:
-                        continue
-                    candidate = sketch_table(table, config, content_hash="")
-                    signals[name] = candidate_signals(
-                        query_sketch, candidate.columns, seed=config.seed
-                    )
-            spec = RerankCascade(signals=signals, budget_ms=budget_ms)
-        self.last_cascade = spec
-        results, _ = prune_then_rerank(
-            query,
-            names,
-            repository.get,
-            self._scorer(),
-            mode=mode,
-            top_k=top_k,
-            parallel=parallel,
-            max_workers=max_workers,
-            prepared_cache=self.prepared_cache,
-            cascade=spec,
-        )
-        return results
+            config = SketchConfig()
+            query_sketch = sketch_table(query, config, content_hash="")
+            signals = {}
+            for name in names:
+                table = repository.get(name)
+                if name == query.name or table is None or not table.columns:
+                    continue
+                candidate = sketch_table(table, config, content_hash="")
+                signals[name] = candidate_signals(
+                    query_sketch, candidate.columns, seed=config.seed
+                )
+
+        def resolve(batch: Sequence[str], _matcher: BaseMatcher) -> Resolved:
+            tables = (repository.get(name) for name in batch)
+            return [table for table in tables if table is not None], 0
+
+        with RerankPool(max_workers) if parallel else nullcontext() as pool:
+            return prune_then_rerank(
+                query,
+                names,
+                resolve,
+                self._scorer(),
+                mode=mode,
+                top_k=top_k,
+                prepared_cache=self.prepared_cache,
+                pool=pool,
+                signals=signals,
+                budget_ms=budget_ms,
+            ).results

@@ -59,8 +59,6 @@ def run_single_experiment(
     # how much of the runtime is per-table preparation (the part discovery
     # amortises) versus genuinely pairwise matching.  Total runtime semantics
     # are unchanged: prepare + match is exactly what get_matches does.
-    # Matchers whose subclass overrode get_matches below the prepared
-    # pipeline go through get_matches so the override is honoured.
     #
     # Every run executes under its own telemetry recorder: the snapshot
     # yields the cache-hit counters this record reports and is flattened
@@ -68,24 +66,19 @@ def run_single_experiment(
     # the caller has active so sweep-level totals still add up.
     parent = telemetry.get_recorder()
     run_recorder = TelemetryRecorder()
-    use_cache = prepared_cache is not None and not matcher.prefers_legacy_get_matches()
+    use_cache = prepared_cache is not None
     started = time.perf_counter()
     with telemetry.use(run_recorder):
-        if matcher.prefers_legacy_get_matches():
-            prepared_at = started
-            with telemetry.span("matcher.match", pair=pair.name):
-                result = matcher.get_matches(pair.source, pair.target)
-        else:
-            with telemetry.span("matcher.prepare", pair=pair.name):
-                if use_cache:
-                    source_prepared = prepared_cache.prepare(matcher, pair.source)
-                    target_prepared = prepared_cache.prepare(matcher, pair.target)
-                else:
-                    source_prepared = matcher.prepare(pair.source)
-                    target_prepared = matcher.prepare(pair.target)
-            prepared_at = time.perf_counter()
-            with telemetry.span("matcher.match", pair=pair.name):
-                result = matcher.match_prepared(source_prepared, target_prepared)
+        with telemetry.span("matcher.prepare", pair=pair.name):
+            if use_cache:
+                source_prepared = prepared_cache.prepare(matcher, pair.source)
+                target_prepared = prepared_cache.prepare(matcher, pair.target)
+            else:
+                source_prepared = matcher.prepare(pair.source)
+                target_prepared = matcher.prepare(pair.target)
+        prepared_at = time.perf_counter()
+        with telemetry.span("matcher.match", pair=pair.name):
+            result = matcher.match_prepared(source_prepared, target_prepared)
     elapsed = time.perf_counter() - started
     snapshot = run_recorder.snapshot()
     if parent.enabled:

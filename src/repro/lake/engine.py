@@ -8,66 +8,56 @@
    sketch-level evidence; everything else in the lake is never touched.
 2. **Rerank** — run the configured :class:`BaseMatcher` only on the
    survivors and derive the usual joinability/unionability scores, exactly
-   as the brute-force engine would.  Reranking is embarrassingly parallel,
-   so a process-pool path is provided for expensive matchers.
+   as the brute-force engine would.
 
-The candidate tables' *values* come either from an in-memory
-:class:`DatasetRepository` or lazily from the CSV paths recorded in the
-store at build time — only shortlisted tables are ever loaded from disk.
-
-Both stages execute through the shared
-:func:`~repro.discovery.search.prune_then_rerank` core: this engine merely
-injects its LSH shortlist as the pruning strategy and its lazy CSV loading
-as the resolution strategy.  The query table is prepared once per query
-(:meth:`BaseMatcher.prepare`) and shipped to each rerank worker once.
-
-The *warm* parallel path is parallel end to end: for a file-backed lake the
-engine hands the rerank a :class:`~repro.discovery.search.WorkerCandidateSource`
-— workers receive batched name-chunks and pull prepared payloads straight
-from the WAL-mode stores themselves, so nothing candidate-sized flows
-through this process.  Repeated :meth:`LakeDiscoveryEngine.query` calls
-reuse one persistent :class:`~repro.discovery.search.RerankPool` of warm
-workers (created lazily on the first parallel query; release it with
-:meth:`LakeDiscoveryEngine.close` or a ``with`` block).
+The rerank is the one plan of
+:func:`~repro.discovery.search.prune_then_rerank` (bounds → order → chunk →
+skip/resolve/score → cutoff feedback).  This engine supplies its three
+inputs per query: the LSH shortlist, the stage-1 signals when ``cascade``
+asks for them, and a :class:`StoreResolver` built from the shortlist's one
+batched :meth:`SketchStore.table_meta` read.  ``parallel`` picks the
+executor: the engine's persistent
+:class:`~repro.discovery.search.RerankPool` of warm workers (created lazily
+on the first parallel query; release it with
+:meth:`LakeDiscoveryEngine.close` or a ``with`` block) instead of inline
+scoring.  For a file-backed lake the pool's workers resolve their chunks
+themselves, so nothing candidate-sized flows through this process.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import sqlite3
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro.data.csv_io import read_csv
 from repro.data.table import Table
-from repro.discovery.cascade import CandidateSignals, RerankCascade, candidate_signals
+from repro.discovery.cascade import CandidateSignals, candidate_signals
 from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import (
     DEFAULT_CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
     DEFAULT_UNION_THRESHOLD,
-    MIN_FAN_OUT,
     DatasetRepository,
-    PairScorer,
     DiscoveryResult,
-    RerankJob,
+    PairScorer,
     RerankPool,
-    WorkerCandidateSource,
-    fan_out_names,
+    Resolved,
     prune_then_rerank,
-    rerank_jobs,
-    sort_discovery_results,
 )
 from repro.lake.index import CandidateTable, LakeIndex, LSHParams
 from repro.lake.profiles import sketch_table
-from repro.lake.store import SketchStore, TableMeta
+from repro.lake.store import SketchStore
 from repro.matchers.base import BaseMatcher, PreparedTable
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.telemetry.stats import QueryStats
 
-__all__ = ["LakeDiscoveryEngine", "BatchQueryResult"]
+__all__ = ["LakeDiscoveryEngine", "BatchQueryResult", "StoreResolver"]
 
 logger = logging.getLogger(__name__)
 
@@ -80,41 +70,135 @@ class BatchQueryResult:
     stats: QueryStats
 
 
-class _LazyPreparedShortlist:
-    """Prepared-payload lookup that loads one candidate per first access.
+@dataclass
+class StoreResolver:
+    """The one candidate resolver: name → something the matcher can score.
 
-    Duck-typed stand-in for the eager prefetch dict
-    (:meth:`LakeDiscoveryEngine._prefetch_prepared`) on cascaded reranks:
-    the cascade's bounds skip most of the shortlist before it is ever
-    resolved, so decoding every stored payload up front would spend the
-    very time the skips save.  Lookups are keyed by the same build-time
-    content hashes, so hit semantics (and staleness behaviour) match the
-    eager path exactly; misses are cached as ``None`` so a candidate never
-    pays the store round trip twice.
+    Per name, in order: the in-memory *repository* table; the stored
+    prepared payload, keyed by the content hash recorded at build time and
+    read in **one** batched :meth:`PreparedStore.get_many` per call (a hit
+    skips the CSV read *and* the prepare); the source CSV, read and — when a
+    prepared provider is at hand — prepared and written through so one cold
+    query warms the next.  Names with neither payload nor readable CSV are
+    omitted (they cannot be ranked).
+
+    Keying by build-time hash keeps the warm rerank consistent with the
+    sketch shortlist: both answer as of the last ``lake build`` (a CSV
+    edited since keeps serving its build-time payload until the rebuild
+    moves the stored hash).  A candidate with no stored payload is prepared
+    from its CSV as it is *now*, and the provider keys that payload by the
+    current content.
+
+    In this process the resolver works on the engine's open handles.
+    :meth:`for_workers` makes the picklable per-chunk copy a pool worker
+    runs: it carries the chunk's meta rows and the prepared store's *path*,
+    and opens that store per call, never for the worker's lifetime — when
+    the last lock-holding connection to a WAL database closes, SQLite
+    checkpoints and deletes the ``-wal``/``-shm`` files, and an idle
+    connection in another process would be left serving a stale snapshot.
     """
 
-    def __init__(
-        self,
-        prepared_store: Optional[PreparedStore],
-        fingerprint: str,
-        hashes: dict[str, str],
-    ) -> None:
-        self._store = prepared_store
-        self._fingerprint = fingerprint
-        self._hashes = hashes
-        self._cache: dict[str, Optional[PreparedTable]] = {}
+    #: ``name -> (build-time content hash, source CSV path, ...)`` for the
+    #: shortlist, from the query's single :meth:`SketchStore.table_meta`.
+    meta: Mapping[str, tuple]
+    fingerprint: str
+    prepared_store: Optional[PreparedStore] = None
+    #: Write-through prepared provider for cold candidates (the engine's
+    #: in-memory cache fronting the store, or the store itself).
+    provider: Union[PreparedTableCache, PreparedStore, None] = None
+    repository: Optional[DatasetRepository] = None
+    #: Worker copies only: ``(path, max_entries, max_bytes)`` of the
+    #: prepared store to open per call (the parent's eviction caps, so
+    #: budgets hold regardless of who writes).
+    store_spec: Optional[tuple[str, int, Optional[int]]] = None
 
-    def get(self, name: str) -> Optional[PreparedTable]:
-        if name in self._cache:
-            return self._cache[name]
-        prepared: Optional[PreparedTable] = None
-        content_hash = self._hashes.get(name)
-        if self._store is not None and content_hash:
-            prepared = self._store.get_many(
-                self._fingerprint, [(name, content_hash)]
-            ).get(name)
-        self._cache[name] = prepared
-        return prepared
+    def for_workers(self, names: Sequence[str]) -> Optional["StoreResolver"]:
+        """A picklable copy resolving *names* inside a pool worker, or ``None``.
+
+        ``None`` when the candidates only exist in this process — a
+        repository, or an in-memory prepared store.
+        """
+        store = self.prepared_store
+        if self.repository is not None or (
+            store is not None and store.path == ":memory:"
+        ):
+            return None
+        spec = None
+        if store is not None:
+            spec = (store.path, store.max_entries, store.max_bytes)
+        meta = {name: tuple(self.meta[name][:2]) for name in names if name in self.meta}
+        return StoreResolver(meta, self.fingerprint, store_spec=spec)
+
+    def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
+        if self.store_spec is None:
+            return self._resolve(names, matcher, self.prepared_store, self.provider)
+        path, max_entries, max_bytes = self.store_spec
+        with PreparedStore(path, max_entries=max_entries, max_bytes=max_bytes) as store:
+            return self._resolve(names, matcher, store, store)
+
+    def _resolve(
+        self,
+        names: Sequence[str],
+        matcher: BaseMatcher,
+        store: Optional[PreparedStore],
+        provider: Union[PreparedTableCache, PreparedStore, None],
+    ) -> Resolved:
+        in_memory: dict[str, Table] = {}
+        if self.repository is not None:
+            tables = ((name, self.repository.get(name)) for name in names)
+            in_memory = {name: table for name, table in tables if table is not None}
+        stored: dict[str, PreparedTable] = {}
+        if store is not None:
+            keys = [
+                (name, self.meta[name][0])
+                for name in names
+                if name not in in_memory and name in self.meta and self.meta[name][0]
+            ]
+            if keys:
+                stored = store.get_many(self.fingerprint, keys)
+        resolved: list[Union[Table, PreparedTable]] = []
+        for name in names:
+            candidate = in_memory.get(name)
+            if candidate is None:
+                candidate = stored.get(name)
+            if candidate is None:
+                candidate = self._load(name, matcher, provider)
+            if candidate is not None:
+                resolved.append(candidate)
+        return resolved, len(stored)
+
+    def _load(
+        self,
+        name: str,
+        matcher: BaseMatcher,
+        provider: Union[PreparedTableCache, PreparedStore, None],
+    ) -> Union[Table, PreparedTable, None]:
+        """The cold path: read the candidate's CSV, prepare, write through."""
+        path = self.meta[name][1] if name in self.meta else None
+        if path is None:
+            logger.debug("candidate %r has no stored payload and no CSV; dropped", name)
+            return None
+        try:
+            with telemetry.span("rerank.csv_read", table=name):
+                table = read_csv(path, name=name)
+        except (OSError, ValueError, csv.Error) as exc:
+            # Stale store entry: the CSV moved, or was overwritten with
+            # something unreadable, since `build`.  Skip the candidate.
+            logger.warning(
+                "skipping candidate %r: unreadable CSV %s (%s)", name, path, exc
+            )
+            return None
+        if provider is None:
+            return table
+        try:
+            with telemetry.span("rerank.prepare_candidate", table=name):
+                return provider.prepare(matcher, table)
+        except sqlite3.Error:
+            # Lost the write lock to another worker.  The raw table still
+            # serves this query (the scorer prepares it); only reuse is lost.
+            logger.warning("write-through of %r lost to store contention", name)
+            telemetry.count("prepared_store.write_contention")
+            return table
 
 
 @dataclass
@@ -179,18 +263,13 @@ class LakeDiscoveryEngine:
     #: shortlist/rerank sizes, store hits, and (when a telemetry recorder is
     #: active) the full counter/span snapshot of that query.
     last_query_stats: Optional[QueryStats] = field(default=None, repr=False, init=False)
-    _store_hits: int = field(default=0, repr=False, init=False)
     _index: Optional[LakeIndex] = field(default=None, repr=False, init=False)
     _index_version: int = field(default=-1, repr=False, init=False)
     _owns_pool: bool = field(default=False, repr=False, init=False)
-    _closed: bool = field(default=False, repr=False, init=False)
+    _closed: bool = field(default=True, repr=False, init=False)
 
     def __post_init__(self) -> None:
-        # Immediate invalidation: the store tells us about every committed
-        # remove_table, so a deletion can never leave a dangling candidate
-        # name in a shortlist — even one built before the index's next
-        # store-version probe would have noticed.
-        self.store.add_removal_listener(self._on_table_removed)
+        self._set_closed(False)
 
     def _on_table_removed(self, name: str) -> None:
         if self._index is not None:
@@ -199,6 +278,25 @@ class LakeDiscoveryEngine:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
+    def _set_closed(self, closed: bool) -> bool:
+        """Open or close the engine; returns whether the state changed.
+
+        The closed flag and the store's removal listener move together, so
+        an engine revived by a query after :meth:`close` hears
+        ``remove_table`` again.  The listener is immediate invalidation:
+        the store reports every committed removal, so a deletion can never
+        leave a dangling candidate name in a shortlist — even one built
+        before the index's next store-version probe would have noticed.
+        """
+        if closed == self._closed:
+            return False
+        self._closed = closed
+        if closed:
+            self.store.remove_removal_listener(self._on_table_removed)
+        else:
+            self.store.add_removal_listener(self._on_table_removed)
+        return True
+
     def close(self) -> None:
         """Release the engine-owned rerank pool (and owned stores).
 
@@ -208,12 +306,11 @@ class LakeDiscoveryEngine:
         guard.  A pool passed in by the caller is left running (it may serve
         other engines); only a pool this engine lazily created is shut down.
         Stores are closed only when :attr:`owns_stores` is set — by default
-        they belong to whoever constructed them.
+        they belong to whoever constructed them.  Querying again revives
+        the engine; the next :meth:`close` releases what that query made.
         """
-        if self._closed:
+        if not self._set_closed(True):
             return
-        self._closed = True
-        self.store.remove_removal_listener(self._on_table_removed)
         if self.rerank_pool is not None and self._owns_pool:
             self.rerank_pool.close()
             self.rerank_pool = None
@@ -239,10 +336,6 @@ class LakeDiscoveryEngine:
         if self.rerank_pool is None:
             self.rerank_pool = RerankPool(max_workers=max_workers)
             self._owns_pool = True
-            # Querying again after close() revives the engine: the fresh
-            # pool must be released by the *next* close, not skipped by the
-            # idempotence guard.
-            self._closed = False
         return self.rerank_pool
 
     # ------------------------------------------------------------------ #
@@ -325,43 +418,6 @@ class LakeDiscoveryEngine:
             limit = max(self.min_candidates, self.candidate_multiplier * top_k)
         sketch = sketch_table(query, self.store.config, content_hash="")
         return self.index.candidate_tables(sketch, top_k=limit), sketch
-
-    def _cascade_spec(
-        self,
-        query_sketch: "object",
-        names: list[str],
-        query_name: str,
-        cascade: bool,
-        budget_ms: Optional[float],
-    ) -> tuple[Optional[RerankCascade], Optional[dict[str, TableMeta]]]:
-        """Build the rerank's :class:`RerankCascade`, or ``None`` when off.
-
-        With ``cascade=True`` the shortlist's stored column sketches are
-        batch-loaded (one extra ``IN (...)`` query via
-        :meth:`SketchStore.table_meta`) and condensed into per-candidate
-        stage-1 signals; the rich meta is returned alongside the spec so
-        the caller can reuse its build-time content hashes instead of
-        re-querying :meth:`SketchStore.table_meta`.  A budget without the
-        cascade still arms the spec — empty signals give every candidate a
-        ``+inf`` bound, so nothing is skipped or re-ordered and only the
-        deadline applies (and no meta is fetched).
-        """
-        if not cascade and budget_ms is None:
-            return None, None
-        signals: dict[str, CandidateSignals] = {}
-        meta: Optional[dict[str, TableMeta]] = None
-        if cascade:
-            wanted = [name for name in names if name != query_name]
-            meta = self.store.table_meta(wanted, include_sketches=True)
-            for name in wanted:
-                entry = meta.get(name)
-                if entry is None or not entry.columns:
-                    continue
-                signals[name] = candidate_signals(
-                    query_sketch, entry.columns, seed=self.store.config.seed
-                )
-        return RerankCascade(signals=signals, budget_ms=budget_ms), meta
-
     def _prepared_provider(self) -> Optional[Union[PreparedTableCache, PreparedStore]]:
         """The write-through prepared provider for this engine's reranks.
 
@@ -373,74 +429,6 @@ class LakeDiscoveryEngine:
                 self.prepared_cache.backing = self.prepared_store
             return self.prepared_cache
         return self.prepared_store
-
-    def _prefetch_prepared(
-        self,
-        names: list[str],
-        query_name: str,
-        repository: Optional[DatasetRepository],
-        fingerprint: str,
-    ) -> dict[str, PreparedTable]:
-        """Batch-load the shortlist's stored payloads in one round trip.
-
-        One :meth:`SketchStore.table_meta` query for the build-time content
-        hashes plus one :meth:`PreparedStore.get_many` for the payloads —
-        instead of two point queries per candidate.  Names the repository
-        will serve anyway are skipped (the in-memory table wins, as in
-        :meth:`_resolve_candidate`).
-        """
-        wanted = [
-            name
-            for name in names
-            if name != query_name
-            and (repository is None or repository.get(name) is None)
-        ]
-        if not wanted:
-            return {}
-        meta = self.store.table_meta(wanted)
-        keys = [
-            (name, meta[name][0]) for name in wanted if name in meta and meta[name][0]
-        ]
-        if not keys:
-            return {}
-        return self.prepared_store.get_many(fingerprint, keys)
-
-    def _resolve_candidate(
-        self,
-        name: str,
-        repository: Optional[DatasetRepository],
-        prefetched: Union[dict[str, PreparedTable], _LazyPreparedShortlist],
-    ) -> Optional[Union[Table, PreparedTable]]:
-        if repository is not None:
-            table = repository.get(name)
-            if table is not None:
-                return table
-        # Warm path: the prefetched payload embeds the table, so a hit
-        # skips the CSV read AND the prepare for this candidate.  Keyed by
-        # the content hash recorded at build time, so the warm rerank is
-        # consistent with the sketch shortlist: both answer as of the last
-        # `lake build`.  A CSV edited on disk keeps serving its build-time
-        # payload until the lake is rebuilt (the rebuild moves the stored
-        # hash, which invalidates the prefetch lookup).
-        prepared = prefetched.get(name)
-        if prepared is not None:
-            self._store_hits += 1
-            return prepared
-        path = self.store.source_path(name) if name in self.store else None
-        if path is not None:
-            try:
-                return read_csv(path, name=name)
-            except (OSError, ValueError, csv.Error) as exc:
-                # Stale store entry: the CSV moved, or was overwritten with
-                # something unreadable, since `build`. Skip the candidate.
-                logger.warning(
-                    "skipping candidate %r: stored CSV path %s is unreadable (%s)",
-                    name,
-                    path,
-                    exc,
-                )
-                return None
-        return None
 
     def query(
         self,
@@ -470,21 +458,19 @@ class LakeDiscoveryEngine:
         top_k:
             Truncate the final ranking (also bounds the shortlist).
         parallel:
-            Rerank candidates in a process pool instead of serially.  For a
-            file-backed lake the workers resolve candidates themselves —
-            batched name-chunks, payloads read straight from the WAL
-            stores, CSV-prepare write-through on cold candidates — and the
-            (persistent) :attr:`rerank_pool` keeps them warm across
-            queries.
+            Rerank on the (persistent) :attr:`rerank_pool` instead of
+            inline.  For a file-backed lake the workers resolve candidates
+            themselves — payloads read straight from the WAL prepared
+            store, CSV-prepare write-through on cold candidates.
         max_workers:
             Pool size for the parallel path (fixed when the persistent
             pool is first created; default: executor's choice).
         cascade:
-            Arm the two-stage rerank cascade: stage 1 derives per-candidate
-            score bounds from the stored sketches, stage 2 runs the matcher
-            best-bound-first and — when the matcher declares its bounds
-            admissible — skips candidates proven unable to reach the top-k.
-            Without a budget the ranking is identical to ``cascade=False``.
+            Fetch stage-1 signals: per-candidate score bounds are derived
+            from the stored sketches, the matcher runs best-bound-first
+            and — when it declares its bounds admissible — skips candidates
+            proven unable to reach the top-k.  Without a budget the ranking
+            is identical to ``cascade=False``.
         budget_ms:
             Anytime budget for the rerank stage, in milliseconds.  When the
             deadline passes, scoring stops and the current best-effort top-k
@@ -494,165 +480,15 @@ class LakeDiscoveryEngine:
         Afterwards :attr:`last_query_stats` holds the structured statistics
         of this query (stage durations, shortlist/rerank sizes, store hits).
         When a :class:`~repro.telemetry.TelemetryRecorder` is active (via
-        ``telemetry.use(...)`` or ``set_default_recorder``), this query runs
+        ``telemetry.use(...)`` or ``set_default_recorder``), the query runs
         under a private child recorder whose counter/span snapshot is merged
         back into the active recorder *and* attached to the stats — so
         per-query attribution survives even on a shared recorder.
         """
-        parent = telemetry.get_recorder()
-        child = TelemetryRecorder() if parent.enabled else None
-        start = time.perf_counter()
-        if child is not None:
-            with telemetry.use(child):
-                results, stage_seconds, shortlist_size, spec = self._run_query(
-                    query, repository, mode, top_k, parallel, max_workers,
-                    cascade, budget_ms,
-                )
-        else:
-            results, stage_seconds, shortlist_size, spec = self._run_query(
-                query, repository, mode, top_k, parallel, max_workers,
-                cascade, budget_ms,
-            )
-        total_seconds = time.perf_counter() - start
-        snapshot = None
-        if child is not None:
-            snapshot = child.snapshot()
-            parent.merge(snapshot)
-        self.last_query_stats = QueryStats(
-            query_name=query.name,
-            mode=mode,
-            parallel=parallel,
-            shortlist_size=shortlist_size,
-            rerank_count=self.last_rerank_count,
-            store_hits=self._store_hits,
-            total_seconds=total_seconds,
-            shortlist_seconds=stage_seconds[0],
-            rerank_seconds=stage_seconds[1],
-            partial=spec.partial if spec is not None else False,
-            cascade_skipped=spec.skipped if spec is not None else 0,
-            cascade_exact=spec.exact_scored if spec is not None else 0,
-            snapshot=snapshot,
+        (outcome,) = self.query_many(
+            [query], repository, mode, top_k, parallel, max_workers, cascade, budget_ms
         )
-        return results
-
-    def _prepared_fingerprint(self) -> Optional[str]:
-        """The matcher fingerprint for prepared-store lookups, or ``None``.
-
-        The prepared-store fast path hands fully prepared candidates to the
-        rerank; matchers that insist on their legacy get_matches override
-        consume raw tables, so the fast path is skipped for them.
-        """
-        if self.prepared_store is not None and not self.matcher.prefers_legacy_get_matches():
-            return self.matcher.fingerprint()
-        return None
-
-    def _worker_source_for(
-        self,
-        query_name: str,
-        names: list[str],
-        repository: Optional[DatasetRepository],
-        parallel: bool,
-        fingerprint: Optional[str],
-    ) -> Optional[WorkerCandidateSource]:
-        """Arm the fully parallel warm path for one query, when eligible.
-
-        Workers pull payloads from the stores themselves.  Needs file-backed
-        stores (in-memory SQLite cannot cross processes), no repository
-        (workers cannot see it), and a shortlist the rerank will actually
-        fan out — otherwise the caller falls back to the serial resolver,
-        which must keep its prefetch.  The fan-out decision is
-        `prune_then_rerank`'s; both sides evaluate the one shared predicate.
-        """
-        if (
-            parallel
-            and fingerprint is not None
-            and repository is None
-            and len(fan_out_names(query_name, names)) >= MIN_FAN_OUT
-            and self.store.path != ":memory:"
-            and self.prepared_store.path != ":memory:"
-        ):
-            return WorkerCandidateSource(
-                sketch_store_path=self.store.path,
-                prepared_store_path=self.prepared_store.path,
-                fingerprint=fingerprint,
-                max_entries=self.prepared_store.max_entries,
-                max_bytes=self.prepared_store.max_bytes,
-            )
-        return None
-
-    def _run_query(
-        self,
-        query: Table,
-        repository: Optional[DatasetRepository],
-        mode: str,
-        top_k: Optional[int],
-        parallel: bool,
-        max_workers: Optional[int],
-        cascade: bool = False,
-        budget_ms: Optional[float] = None,
-    ) -> tuple[
-        list[DiscoveryResult], tuple[float, float], int, Optional[RerankCascade]
-    ]:
-        """The two-stage plan itself.
-
-        Returns ``(results, stage seconds, shortlist size, cascade spec)`` —
-        the spec is ``None`` unless the cascade or a budget was armed.
-        """
-        shortlist_start = time.perf_counter()
-        with telemetry.span("query.shortlist", table=query.name):
-            shortlist, query_sketch = self._shortlist_with_sketch(query, top_k)
-        shortlist_seconds = time.perf_counter() - shortlist_start
-        names = [entry.table_name for entry in shortlist]
-        self._store_hits = 0
-        fingerprint = self._prepared_fingerprint()
-        worker_source = self._worker_source_for(
-            query.name, names, repository, parallel, fingerprint
-        )
-        spec, rich_meta = self._cascade_spec(
-            query_sketch, names, query.name, cascade, budget_ms
-        )
-        prefetched: Union[dict[str, PreparedTable], _LazyPreparedShortlist] = {}
-        if fingerprint is not None and worker_source is None:
-            if rich_meta is not None:
-                # The cascade skips most of the shortlist, so eagerly
-                # decoding every stored payload would waste the very work
-                # the bounds save.  Reuse the content hashes the stage-1
-                # fetch already paid for and load payloads one scored
-                # candidate at a time.
-                hashes = {
-                    name: entry.content_hash
-                    for name, entry in rich_meta.items()
-                    if entry.content_hash
-                    and (repository is None or repository.get(name) is None)
-                }
-                prefetched = _LazyPreparedShortlist(
-                    self.prepared_store, fingerprint, hashes
-                )
-            else:
-                prefetched = self._prefetch_prepared(
-                    names, query.name, repository, fingerprint
-                )
-        pool = self._ensure_rerank_pool(max_workers) if parallel else None
-        rerank_start = time.perf_counter()
-        results, rerank_count = prune_then_rerank(
-            query,
-            names,
-            lambda name: self._resolve_candidate(name, repository, prefetched),
-            PairScorer(matcher=self.matcher, union_threshold=self.union_threshold),
-            mode=mode,
-            top_k=top_k,
-            parallel=parallel,
-            max_workers=max_workers,
-            prepared_cache=self._prepared_provider(),
-            worker_source=worker_source,
-            pool=pool,
-            cascade=spec,
-        )
-        rerank_seconds = time.perf_counter() - rerank_start
-        if worker_source is not None:
-            self._store_hits = worker_source.store_hits
-        self.last_rerank_count = rerank_count
-        return results, (shortlist_seconds, rerank_seconds), len(names), spec
+        return outcome.results
 
     def query_many(
         self,
@@ -665,162 +501,99 @@ class LakeDiscoveryEngine:
         cascade: bool = False,
         budget_ms: Optional[float] = None,
     ) -> list[BatchQueryResult]:
-        """Run several queries as one batch, sharing the rerank fan-out.
+        """Run several queries, each exactly as :meth:`query` would.
 
-        The serving primitive behind ``lake serve``'s micro-batcher: each
-        query is shortlisted and prepared as :meth:`query` would, but every
-        query eligible for the fully parallel warm path contributes its
-        chunk tasks to **one** :func:`~repro.discovery.search.rerank_jobs`
-        submission, so the shared :class:`RerankPool` stays saturated across
-        query boundaries.  Queries that cannot fan out (tiny shortlists,
-        in-memory stores, legacy matchers, ``parallel=False``) run serially
-        inside the batch, through the exact same
-        :func:`~repro.discovery.search.prune_then_rerank` core as
-        :meth:`query` — rankings can never differ between the two entry
-        points.
-
+        The serving primitive behind ``lake serve``'s micro-batcher.
         Returns one :class:`BatchQueryResult` (results + stats) per query,
-        in input order.  Per-query stats of pooled queries report the shared
-        fan-out wall clock as their rerank time (the batch reranks as one
-        unit); unlike :meth:`query`, no per-query child recorder is created
-        — callers serving traffic keep one long-lived recorder active and
-        read merged counters from it.
-
-        When ``cascade`` or ``budget_ms`` is armed, each query runs through
-        :meth:`_run_query` individually instead of contributing to the
-        shared :func:`~repro.discovery.search.rerank_jobs` fan-out: the
-        cascade's top-k cutoff is per-query state, and an anytime budget is
-        a per-request deadline — neither survives being fused into one batch
-        submission.  The cascade's own streaming dispatcher keeps the shared
-        pool busy within each query.
+        in input order; a pooled rerank keeps the shared
+        :class:`RerankPool` busy within each query.
         """
-        if cascade or budget_ms is not None:
-            outcomes = []
-            for query in queries:
-                query_start = time.perf_counter()
-                results, stage_seconds, shortlist_size, spec = self._run_query(
-                    query, repository, mode, top_k, parallel, max_workers,
-                    cascade, budget_ms,
-                )
-                outcomes.append(
-                    BatchQueryResult(
-                        results=results,
-                        stats=QueryStats(
-                            query_name=query.name,
-                            mode=mode,
-                            parallel=parallel,
-                            shortlist_size=shortlist_size,
-                            rerank_count=self.last_rerank_count,
-                            store_hits=self._store_hits,
-                            total_seconds=time.perf_counter() - query_start,
-                            shortlist_seconds=stage_seconds[0],
-                            rerank_seconds=stage_seconds[1],
-                            partial=spec.partial if spec is not None else False,
-                            cascade_skipped=spec.skipped if spec is not None else 0,
-                            cascade_exact=(
-                                spec.exact_scored if spec is not None else 0
-                            ),
-                        ),
-                    )
-                )
-            if outcomes:
-                self.last_query_stats = outcomes[-1].stats
-            return outcomes
-        scorer = PairScorer(matcher=self.matcher, union_threshold=self.union_threshold)
-        outcomes: list[Optional[BatchQueryResult]] = [None] * len(queries)
-        jobs: list[RerankJob] = []
-        job_meta: list[tuple[int, float, int]] = []
-        for position, query in enumerate(queries):
-            shortlist_start = time.perf_counter()
+        self._set_closed(False)
+        pool = self._ensure_rerank_pool(max_workers) if parallel else None
+        outcomes = [
+            self._query_one(query, repository, mode, top_k, pool, cascade, budget_ms)
+            for query in queries
+        ]
+        if outcomes:
+            self.last_query_stats = outcomes[-1].stats
+            self.last_rerank_count = outcomes[-1].stats.rerank_count
+        return outcomes
+
+    def _query_one(
+        self,
+        query: Table,
+        repository: Optional[DatasetRepository],
+        mode: str,
+        top_k: Optional[int],
+        pool: Optional[RerankPool],
+        cascade: bool,
+        budget_ms: Optional[float],
+    ) -> BatchQueryResult:
+        """Shortlist → signals if *cascade* → the rerank plan → stats."""
+        parent = telemetry.get_recorder()
+        child = TelemetryRecorder() if parent.enabled else None
+        start = time.perf_counter()
+        with telemetry.use(child) if child is not None else nullcontext():
             with telemetry.span("query.shortlist", table=query.name):
-                shortlist = self.shortlist(query, top_k=top_k)
-            shortlist_seconds = time.perf_counter() - shortlist_start
+                shortlist, query_sketch = self._shortlist_with_sketch(query, top_k)
+            shortlist_seconds = time.perf_counter() - start
             names = [entry.table_name for entry in shortlist]
-            fingerprint = self._prepared_fingerprint()
-            worker_source = self._worker_source_for(
-                query.name, names, repository, parallel, fingerprint
+            # The shortlist's one sketch-store read: build-time hashes and
+            # CSV paths for the resolver, plus — only when stage-1 pricing
+            # is asked for — the column sketches the signals condense.
+            meta = self.store.table_meta(
+                [name for name in names if name != query.name],
+                include_sketches=cascade,
             )
-            if worker_source is not None:
-                with telemetry.span("discovery.prepare_query", table=query.name):
-                    provider = self._prepared_provider()
-                    if provider is not None:
-                        query_prepared = provider.prepare(self.matcher, query)
-                    else:
-                        query_prepared = self.matcher.prepare(query)
-                jobs.append(
-                    RerankJob(
-                        scorer,
-                        query_prepared,
-                        fan_out_names(query.name, names),
-                        worker_source,
+            signals: Optional[dict[str, CandidateSignals]] = None
+            if cascade:
+                signals = {
+                    name: candidate_signals(
+                        query_sketch, entry.columns, seed=self.store.config.seed
                     )
-                )
-                job_meta.append((position, shortlist_seconds, len(names)))
-                continue
-            # Serial fallback inside the batch: identical to the one-query
-            # serial path (prefetch included), so results cannot drift.
-            self._store_hits = 0
-            prefetched: dict[str, PreparedTable] = {}
-            if fingerprint is not None:
-                prefetched = self._prefetch_prepared(
-                    names, query.name, repository, fingerprint
-                )
+                    for name, entry in meta.items()
+                    if entry.columns
+                }
+            provider = self._prepared_provider()
+            fingerprint = ""
+            if self.prepared_store is not None:
+                fingerprint = self.matcher.fingerprint()
             rerank_start = time.perf_counter()
-            results, rerank_count = prune_then_rerank(
+            outcome = prune_then_rerank(
                 query,
                 names,
-                lambda name: self._resolve_candidate(name, repository, prefetched),
-                scorer,
+                StoreResolver(
+                    meta, fingerprint, self.prepared_store, provider, repository
+                ),
+                PairScorer(matcher=self.matcher, union_threshold=self.union_threshold),
                 mode=mode,
                 top_k=top_k,
-                parallel=False,
-                prepared_cache=self._prepared_provider(),
+                prepared_cache=provider,
+                pool=pool,
+                signals=signals,
+                budget_ms=budget_ms,
             )
-            rerank_seconds = time.perf_counter() - rerank_start
-            outcomes[position] = BatchQueryResult(
-                results=results,
-                stats=QueryStats(
-                    query_name=query.name,
-                    mode=mode,
-                    parallel=False,
-                    shortlist_size=len(names),
-                    rerank_count=rerank_count,
-                    store_hits=self._store_hits,
-                    total_seconds=shortlist_seconds + rerank_seconds,
-                    shortlist_seconds=shortlist_seconds,
-                    rerank_seconds=rerank_seconds,
-                ),
-            )
-        if jobs:
-            pool = self._ensure_rerank_pool(max_workers)
-            rerank_start = time.perf_counter()
-            with telemetry.span("discovery.batch_score", queries=len(jobs)):
-                job_outcomes = rerank_jobs(jobs, pool=pool)
-            batch_rerank_seconds = time.perf_counter() - rerank_start
-            for (position, shortlist_seconds, shortlist_size), (
-                results,
-                store_hits,
-            ) in zip(job_meta, job_outcomes):
-                sort_discovery_results(results, mode)
-                rerank_count = len(results)
-                truncated = results[:top_k] if top_k is not None else results
-                outcomes[position] = BatchQueryResult(
-                    results=truncated,
-                    stats=QueryStats(
-                        query_name=queries[position].name,
-                        mode=mode,
-                        parallel=True,
-                        shortlist_size=shortlist_size,
-                        rerank_count=rerank_count,
-                        store_hits=store_hits,
-                        total_seconds=shortlist_seconds + batch_rerank_seconds,
-                        shortlist_seconds=shortlist_seconds,
-                        rerank_seconds=batch_rerank_seconds,
-                    ),
-                )
-        completed = [outcome for outcome in outcomes if outcome is not None]
-        if completed:
-            self.last_query_stats = completed[-1].stats
-            self.last_rerank_count = completed[-1].stats.rerank_count
-            self._store_hits = completed[-1].stats.store_hits
-        return completed
+        end = time.perf_counter()
+        snapshot = None
+        if child is not None:
+            snapshot = child.snapshot()
+            parent.merge(snapshot)
+        # An unpriced, unbudgeted query is not a cascade: its cascade
+        # counters stay 0 even though every candidate was scored.
+        armed = cascade or budget_ms is not None
+        stats = QueryStats(
+            query_name=query.name,
+            mode=mode,
+            parallel=pool is not None,
+            shortlist_size=len(names),
+            rerank_count=outcome.scored,
+            store_hits=outcome.store_hits,
+            total_seconds=end - start,
+            shortlist_seconds=shortlist_seconds,
+            rerank_seconds=end - rerank_start,
+            partial=outcome.partial,
+            cascade_skipped=outcome.skipped if armed else 0,
+            cascade_exact=outcome.scored if armed else 0,
+            snapshot=snapshot,
+        )
+        return BatchQueryResult(results=outcome.results, stats=stats)

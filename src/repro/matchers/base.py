@@ -286,24 +286,6 @@ class BaseMatcher(abc.ABC):
         """
         return ()
 
-    def prefers_legacy_get_matches(self) -> bool:
-        """True when a subclass overrode :meth:`get_matches` below the class
-        that last overrode :meth:`match_prepared`.
-
-        Such a subclass (e.g. a third-party matcher deriving from a bundled
-        one to post-process its scores) expects every ranking to flow
-        through its ``get_matches``; callers that normally use the prepared
-        fast path (discovery, ensembles) consult this predicate and fall
-        back to ``get_matches`` so the override is never silently bypassed.
-        """
-        for klass in type(self).__mro__:
-            owns_match_prepared = "match_prepared" in klass.__dict__
-            if "get_matches" in klass.__dict__ and not owns_match_prepared:
-                return True
-            if owns_match_prepared:
-                return False
-        return False
-
     def prepare(self, table: Table) -> PreparedTable:
         """Precompute this matcher's single-table artifacts for *table*.
 

@@ -155,12 +155,7 @@ class EnsembleMatcher(BaseMatcher):
         for matcher, prepared_source, prepared_target in zip(
             self._matchers, source_members, target_members
         ):
-            if matcher.prefers_legacy_get_matches():
-                # A member subclass overrode get_matches below the prepared
-                # pipeline: honour its override instead of bypassing it.
-                result = matcher.get_matches(prepared_source.table, prepared_target.table)
-            else:
-                result = matcher.match_prepared(prepared_source, prepared_target)
+            result = matcher.match_prepared(prepared_source, prepared_target)
             base_results.append((matcher, result))
 
         combined: dict[PairKey, float] = {}

@@ -5,14 +5,15 @@ thread that opened it (and the engine's shortlist/rerank path is written
 for one caller at a time), so the daemon confines *all* engine and store
 access to this thread.  HTTP handler threads never touch the engine — they
 park on ticket futures; concurrency comes from the rerank process pool
-underneath, which one dispatcher keeps saturated by batching.
+underneath, which each query's chunk stream keeps busy.
 
 Batching policy: take the first ticket (blocking), then collect more for at
 most ``batch_wait_s`` or until ``batch_max`` — a classic micro-batch window
-that adds at most a few milliseconds of latency in exchange for feeding
-:meth:`~repro.lake.engine.LakeDiscoveryEngine.query_many` whole batches,
-whose chunks interleave in **one** pool pass.  Duplicate concurrent
-requests (same content-hash cache key) coalesce onto a single score.
+that adds at most a few milliseconds of latency in exchange for coalescing:
+duplicate concurrent requests (same content-hash cache key) share a single
+score.  The rest of the batch goes to
+:meth:`~repro.lake.engine.LakeDiscoveryEngine.query_many`, one query after
+the other.
 """
 
 from __future__ import annotations

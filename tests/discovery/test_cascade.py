@@ -15,7 +15,8 @@ import random
 import pytest
 
 from repro.datasets import tpcdi_prospect_table
-from repro.discovery.cascade import CandidateSignals, RerankCascade, mode_bound
+from repro.discovery import search as discovery_search
+from repro.discovery.cascade import CandidateSignals, mode_bound
 from repro.discovery.search import (
     DatasetRepository,
     DiscoveryEngine,
@@ -24,6 +25,7 @@ from repro.discovery.search import (
 )
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
+from repro.telemetry import TelemetryRecorder, use
 
 TOP_K = 3
 
@@ -44,6 +46,14 @@ def lake():
 
 def _signature(results):
     return [(r.table_name, r.joinability, r.unionability) for r in results]
+
+
+def _discover_counted(engine, *args, **kwargs):
+    """``engine.discover(...)`` plus the counters that rerank emitted."""
+    recorder = TelemetryRecorder()
+    with use(recorder):
+        results = engine.discover(*args, **kwargs)
+    return results, recorder.snapshot().counters
 
 
 class TestTopKCutoff:
@@ -130,15 +140,13 @@ class TestAdmissibilityContract:
         ).discover(query, repository, mode="combined", top_k=TOP_K)
 
         engine = DiscoveryEngine(matcher=_WrongLowBoundMatcher(sample_size=20))
-        cascaded = engine.discover(
-            query, repository, mode="combined", top_k=TOP_K, cascade=True
+        cascaded, counters = _discover_counted(
+            engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
         )
         assert _signature(cascaded) == _signature(baseline)
-        spec = engine.last_cascade
-        assert spec is not None
-        assert spec.skipped == 0
-        assert spec.exact_scored == len(repository.table_names)
-        assert spec.partial is False
+        assert counters["rerank.cascade.skipped"] == 0
+        assert counters["rerank.cascade.exact"] == len(repository.table_names)
+        assert "rerank.budget_stops" not in counters
 
     def test_admissible_declaration_is_what_permits_skipping(self, lake):
         # Contrast case: the *only* difference is bounds_admissible() -> True,
@@ -148,34 +156,58 @@ class TestAdmissibilityContract:
         engine = DiscoveryEngine(
             matcher=_WrongLowBoundAdmissibleMatcher(sample_size=20)
         )
-        engine.discover(query, repository, mode="combined", top_k=TOP_K, cascade=True)
-        spec = engine.last_cascade
-        assert spec is not None
-        assert spec.skipped > 0
-        assert spec.exact_scored + spec.skipped == len(repository.table_names)
+        _, counters = _discover_counted(
+            engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
+        )
+        assert counters["rerank.cascade.skipped"] > 0
+        assert counters["rerank.cascade.exact"] + counters[
+            "rerank.cascade.skipped"
+        ] == len(repository.table_names)
 
-    def test_budget_only_cascade_keeps_shortlist_order_and_completes(self, lake):
+    def test_budget_only_keeps_shortlist_order_and_completes(self, lake, monkeypatch):
         query, repository = lake
         engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
         baseline = engine.discover(query, repository, mode="combined", top_k=TOP_K)
-        budgeted = engine.discover(
-            query, repository, mode="combined", top_k=TOP_K, budget_ms=60_000.0
-        )
-        spec = engine.last_cascade
-        assert _signature(budgeted) == _signature(baseline)
-        assert spec is not None and spec.partial is False
-        assert spec.signals == {}  # budget without cascade computes no stage 1
 
-    def test_cascade_spec_records_outcome(self, lake):
+        def no_stage_one(*args, **kwargs):
+            raise AssertionError("a budget without cascade computes no stage 1")
+
+        monkeypatch.setattr(discovery_search, "candidate_signals", no_stage_one)
+        budgeted, counters = _discover_counted(
+            engine, query, repository, mode="combined", top_k=TOP_K, budget_ms=60_000.0
+        )
+        assert _signature(budgeted) == _signature(baseline)
+        assert "rerank.budget_stops" not in counters
+        assert counters["rerank.cascade.exact"] == len(repository.table_names)
+
+    def test_cascade_prices_every_candidate(self, lake, monkeypatch):
         query, repository = lake
+        priced = {}
+        real = discovery_search.candidate_signals
+
+        def recording(query_sketch, columns, seed=7):
+            signal = real(query_sketch, columns, seed=seed)
+            priced[signal.table_name] = signal
+            return signal
+
+        monkeypatch.setattr(discovery_search, "candidate_signals", recording)
         engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
-        engine.discover(query, repository, mode="combined", top_k=TOP_K, cascade=True)
-        spec = engine.last_cascade
-        assert isinstance(spec, RerankCascade)
-        assert set(spec.signals) == set(repository.table_names) - {query.name}
-        for signal in spec.signals.values():
+        _, counters = _discover_counted(
+            engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
+        )
+        assert set(priced) == set(repository.table_names) - {query.name}
+        for signal in priced.values():
             assert isinstance(signal, CandidateSignals)
             assert 0.0 <= signal.max_jaccard <= 1.0
         # JL is not admissible: everything was scored exactly.
-        assert spec.skipped == 0
-        assert spec.exact_scored == len(repository.table_names)
+        assert counters["rerank.cascade.skipped"] == 0
+        assert counters["rerank.cascade.exact"] == len(repository.table_names)
+
+    def test_unpriced_unbudgeted_rerank_emits_no_cascade_counters(self, lake):
+        query, repository = lake
+        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
+        _, counters = _discover_counted(
+            engine, query, repository, mode="combined", top_k=TOP_K
+        )
+        assert counters["discovery.candidates_scored"] == len(repository.table_names)
+        assert not any(name.startswith("rerank.c") for name in counters)

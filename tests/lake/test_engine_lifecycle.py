@@ -10,6 +10,8 @@ Regressions pinned here:
   stores untouched;
 * the ``last_store_hits`` alias (deprecated in PR 6) is gone —
   ``last_query_stats.store_hits`` is the only surface;
+* a query after ``close()`` revives the whole engine — removal listener
+  included — and the next ``close()`` releases what the query made;
 * ``query_many`` answers exactly like sequential ``query`` calls.
 """
 
@@ -91,6 +93,26 @@ class TestIdempotentClose:
         results = engine.query(query, top_k=2)  # stores are caller-owned: fine
         assert results
         engine.close()
+
+
+    def test_revived_engine_hears_table_removals_again(self, warm_setup):
+        """close() unregisters the store's removal listener; the query that
+        revives the engine must register it again, or a removed table
+        lingers in the cached index until the next ``.index`` refresh."""
+        matcher, store, prepared_store, query = warm_setup
+        engine = LakeDiscoveryEngine(
+            matcher=matcher, store=store, prepared_store=prepared_store
+        )
+        engine.query(query, top_k=2)  # builds the cached index
+        engine.close()
+        try:
+            assert engine.query(query, top_k=2, parallel=True, max_workers=2)
+            assert "t0" in engine._index.table_names
+            assert store.remove_table("t0")
+            assert "t0" not in engine._index.table_names  # heard it, no refresh
+        finally:
+            engine.close()
+        assert engine.rerank_pool is None  # the revived pool was released
 
 
 class TestLastStoreHitsRemoval:

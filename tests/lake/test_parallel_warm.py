@@ -2,15 +2,16 @@
 
 Contracts under test:
 
-* parallel-warm rankings are identical to serial-warm for **every**
-  registered matcher (the workers resolve candidates themselves, so any
-  divergence would mean the worker-side load changed the payloads);
 * a warm ``parallel=True`` query reads **zero** candidate CSVs (proved by
   deleting them) and re-prepares nothing (every candidate is a store hit);
 * the engine's persistent :class:`RerankPool` is spawned once and reused
   across queries (and across engines when shared explicitly);
 * cold candidates hit in a worker are written through, warming the store
   for the next (serial or parallel) query.
+
+That parallel-warm rankings equal serial-warm ones for every registered
+matcher is asserted by the plan x executor grid in
+``test_cascade_engine.py``.
 """
 
 from __future__ import annotations
@@ -67,40 +68,6 @@ def warm_lake(tmp_path_factory):
     store.close()
 
 
-class TestParallelWarmEquality:
-    def test_parallel_equals_serial_for_every_matcher(self, warm_lake):
-        """Serial-warm and parallel-warm rankings must be identical for all
-        eight registered matchers; one shared RerankPool serves them all."""
-        store, prepared_path, query, _ = warm_lake
-        with RerankPool(max_workers=2) as pool:
-            for name in sorted(available_matchers()):
-                matcher = create_matcher(name, **_LIGHT_CONFIGS.get(name, {}))
-                with PreparedStore(prepared_path) as prepared_store:
-                    prepare_lake(store, prepared_store, matcher)
-                    serial_engine = LakeDiscoveryEngine(
-                        matcher=matcher, store=store, prepared_store=prepared_store
-                    )
-                    serial = serial_engine.query(query, mode="unionable")
-                    parallel_engine = LakeDiscoveryEngine(
-                        matcher=matcher,
-                        store=store,
-                        prepared_store=prepared_store,
-                        rerank_pool=pool,
-                    )
-                    parallel = parallel_engine.query(
-                        query, mode="unionable", parallel=True, max_workers=2
-                    )
-                    assert _ranking(parallel) == _ranking(serial), (
-                        f"{name}: parallel-warm ranking diverged from serial-warm"
-                    )
-                    assert (
-                        parallel_engine.last_query_stats.store_hits
-                        == parallel_engine.last_rerank_count
-                        == _NUM_TABLES
-                    ), f"{name}: parallel-warm query re-prepared a candidate"
-            assert pool.spawn_count == 1  # 8 matchers, one warm pool
-
-
 class TestZeroCsvReads:
     def test_parallel_warm_query_opens_no_csvs(self, tmp_path):
         """Delete every candidate CSV after pre-warming: a parallel query
@@ -133,10 +100,9 @@ class TestZeroCsvReads:
 
 class TestSingleCandidateShortlist:
     def test_parallel_warm_with_one_candidate_stays_warm(self, tmp_path):
-        """Regression: a shortlist of one candidate cannot fan out, so the
-        rerank falls back to the serial resolver — which must still serve
-        the prepared payload (not lose it because the worker path was
-        half-armed and the prefetch skipped)."""
+        """Regression: a shortlist of one candidate has nothing to fan out,
+        so the rerank runs inline — which must still serve the prepared
+        payload from the store."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
         table = tpcdi_prospect_table(num_rows=16, seed=55).rename("only")

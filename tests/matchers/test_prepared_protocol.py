@@ -232,31 +232,3 @@ class TestLegacyBridge:
             CupidMatcher().fingerprint()
             != CupidMatcher(thesaurus=custom_thesaurus).fingerprint()
         )
-
-    def test_subclass_get_matches_override_is_honoured_by_discovery(self, tables):
-        """Overriding get_matches below a migrated matcher must not be bypassed."""
-        from repro.discovery.search import PairScorer
-
-        query, target, _ = tables
-
-        class CappedComa(ComaSchemaMatcher):
-            """Legacy-style subclass: post-processes the parent's ranking."""
-
-            def get_matches(self, source, target):
-                full = super().get_matches(source, target)
-                return full.top_k(2)
-
-        capped = CappedComa()
-        assert capped.prefers_legacy_get_matches()
-        assert not ComaSchemaMatcher().prefers_legacy_get_matches()
-
-        scorer = PairScorer(matcher=capped)
-        result = scorer.score_prepared(capped.prepare(query), target)
-        assert len(result.matches) == 2
-        assert _records(result.matches) == _records(capped.get_matches(query, target))
-
-        ensemble = EnsembleMatcher([capped])
-        via_ensemble = ensemble.match_prepared(
-            ensemble.prepare(query), ensemble.prepare(target)
-        )
-        assert len(via_ensemble) == 2
