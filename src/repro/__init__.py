@@ -36,7 +36,7 @@ from repro.experiments import (
     run_single_experiment,
 )
 from repro.fabrication import DatasetPair, Fabricator, NoiseVariant, Scenario
-from repro.discovery import DatasetRepository, DiscoveryEngine, FeedbackSession
+from repro.discovery import DatasetRepository, DiscoveryEngine
 from repro.matchers import (
     BaseMatcher,
     ComaInstanceMatcher,
@@ -104,7 +104,6 @@ __all__ = [
     # discovery + tuning
     "DatasetRepository",
     "DiscoveryEngine",
-    "FeedbackSession",
     "AutoTuner",
     # fabrication
     "DatasetPair",

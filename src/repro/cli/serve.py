@@ -1,0 +1,88 @@
+"""The daemon command: ``lake serve``."""
+
+from __future__ import annotations
+
+import argparse
+from pathlib import Path
+
+from repro.cli.options import add_method_option, add_store_options, add_workers_option, fail
+
+
+def register(lake_commands: argparse._SubParsersAction) -> None:
+    serve = lake_commands.add_parser(
+        "serve", help="run the discovery daemon (/query /stats /healthz over HTTP)"
+    )
+    add_store_options(serve)
+    add_method_option(serve)
+    serve.add_argument("--host", default="127.0.0.1", help="TCP bind address")
+    serve.add_argument("--port", type=int, default=8642, help="TCP port (0 for an ephemeral one)")
+    serve.add_argument(
+        "--unix-socket", type=Path, default=None, metavar="PATH",
+        help="serve on this unix-domain socket instead of TCP",
+    )
+    serve.add_argument(
+        "--queue-limit", type=int, default=32,
+        help="bounded admission queue size; requests beyond it get 429",
+    )
+    serve.add_argument(
+        "--batch-max", type=int, default=8,
+        help="micro-batch size: concurrent queries scored per engine pass",
+    )
+    serve.add_argument(
+        "--timeout-s", type=float, default=30.0, metavar="SECONDS",
+        help="default per-request deadline (clients can override per query; "
+        "expired requests get 504)",
+    )
+    add_workers_option(serve, "rerank process-pool size shared by all requests")
+    serve.add_argument(
+        "--serial", action="store_true",
+        help="rerank inline in the dispatcher instead of the process pool",
+    )
+    serve.add_argument(
+        "--cascade", action="store_true",
+        help="arm the two-stage rerank cascade for every served query "
+        "(exact rankings; admissible bounds skip hopeless candidates)",
+    )
+    serve.add_argument(
+        "--reopen-poll-s", type=float, default=1.0, metavar="SECONDS",
+        help="how often to poll the stores for a writer cycle (generation "
+        "change triggers a graceful engine reopen)",
+    )
+    serve.set_defaults(func=_command_lake_serve)
+
+
+def _command_lake_serve(args: argparse.Namespace) -> int:
+    from repro.serve import DiscoveryServer, ServeConfig
+
+    config = ServeConfig(
+        store_path=args.store,
+        method=args.method,
+        prepared_path=args.prepared_store,
+        host=args.host,
+        port=args.port,
+        unix_socket=args.unix_socket,
+        queue_limit=args.queue_limit,
+        batch_max=args.batch_max,
+        default_timeout_s=args.timeout_s,
+        parallel=not args.serial,
+        max_workers=args.workers,
+        reopen_poll_s=args.reopen_poll_s,
+        cascade=args.cascade,
+    )
+    try:
+        server = DiscoveryServer(config).start()
+    except ValueError as exc:
+        # An unusable store (LakeOpenError, raised on the dispatcher thread)
+        # or an out-of-range --queue-limit / --batch-max.
+        return fail(exc)
+    if args.unix_socket is not None:
+        where = f"unix:{args.unix_socket}"
+    else:
+        host, port = server.address
+        where = f"http://{host}:{port}"
+    print(
+        f"serving {args.store} with {args.method} on {where} "
+        f"(queue limit {args.queue_limit}, batch max {args.batch_max}; Ctrl-C to stop)"
+    )
+    server.run_forever()
+    return 0

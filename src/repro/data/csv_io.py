@@ -15,9 +15,13 @@ from typing import Optional, Union
 from repro.data.table import Column, Table
 from repro.data.types import DataType, coerce_value
 
-__all__ = ["read_csv", "write_csv", "table_from_csv_text", "table_to_csv_text"]
+__all__ = ["UNREADABLE_CSV", "read_csv", "write_csv", "table_from_csv_text", "table_to_csv_text"]
 
 PathLike = Union[str, Path]
+
+#: What :func:`read_csv` raises for a missing, undecodable or malformed file —
+#: the set callers catch to skip (or report) one bad CSV instead of crashing.
+UNREADABLE_CSV = (OSError, ValueError, csv.Error)
 
 
 def table_from_csv_text(text: str, name: str = "table", infer_types: bool = True) -> Table:

@@ -1,8 +1,8 @@
-"""Dataset discovery layer: table-level relatedness, repository search, feedback."""
+"""Dataset discovery layer: table-level relatedness and repository search."""
 
-from repro.discovery.feedback import FeedbackDecision, FeedbackSession
 from repro.discovery.prepared import (
     PREPARED_PAYLOAD_FORMAT,
+    PreparedProvider,
     PreparedStore,
     PreparedTableCache,
 )
@@ -28,10 +28,9 @@ __all__ = [
     "PairScorer",
     "RerankOutcome",
     "RerankPool",
+    "PreparedProvider",
     "PreparedTableCache",
     "PreparedStore",
     "PREPARED_PAYLOAD_FORMAT",
     "prune_then_rerank",
-    "FeedbackDecision",
-    "FeedbackSession",
 ]

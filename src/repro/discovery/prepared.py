@@ -56,7 +56,7 @@ import sqlite3
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Protocol, Sequence, Union
 
 from repro.data.fingerprint import table_content_hash
 from repro.data.sqlite_store import _MAX_IN_VARS, PerProcessSqliteStore
@@ -66,7 +66,12 @@ from repro.telemetry import recorder as telemetry
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["PreparedTableCache", "PreparedStore", "PREPARED_PAYLOAD_FORMAT"]
+__all__ = [
+    "PreparedProvider",
+    "PreparedTableCache",
+    "PreparedStore",
+    "PREPARED_PAYLOAD_FORMAT",
+]
 
 #: Version of the pickled payload layout.  Readers only trust rows carrying
 #: exactly this format; anything else is re-prepared and overwritten.
@@ -96,6 +101,24 @@ CREATE INDEX IF NOT EXISTS prepared_lru ON prepared (last_used);
 """
 
 
+class PreparedProvider(Protocol):
+    """Anything that hands out prepared tables, reusing earlier work when it can.
+
+    The structural type of a prepared-table source — what the discovery
+    engines accept wherever they would otherwise call ``matcher.prepare``.
+    :class:`PreparedTableCache` and :class:`PreparedStore` both satisfy it.
+    """
+
+    def prepare(
+        self,
+        matcher: BaseMatcher,
+        table: Table,
+        content_hash: Optional[str] = None,
+    ) -> PreparedTable:
+        """``matcher.prepare(table)``, served from reuse when possible."""
+        ...
+
+
 @dataclass
 class PreparedTableCache:
     """Bounded LRU cache of :class:`PreparedTable` bundles.
@@ -107,14 +130,13 @@ class PreparedTableCache:
         are evicted first).  Payload sizes vary wildly across matchers, so
         the bound is on entry count, not bytes.
     backing:
-        Optional second tier consulted on a miss — anything with the same
-        ``prepare(matcher, table, content_hash=...)`` contract, typically a
-        :class:`PreparedStore`.  Entries fetched (or computed) by the
+        Optional second tier consulted on a miss — any
+        :class:`PreparedProvider`, typically a :class:`PreparedStore`.  Entries fetched (or computed) by the
         backing tier are promoted into this in-memory cache.
     """
 
     max_entries: int = 128
-    backing: Optional["PreparedStore"] = None
+    backing: Optional[PreparedProvider] = None
     hits: int = field(default=0, init=False)
     misses: int = field(default=0, init=False)
     _entries: "OrderedDict[tuple[str, str, str], PreparedTable]" = field(
@@ -390,29 +412,6 @@ class PreparedStore(PerProcessSqliteStore):
         telemetry.count("prepared_store.bytes_read", len(row[1]))
         return prepared
 
-    def get_raw(
-        self, fingerprint: str, table_name: str, content_hash: str
-    ) -> Optional[bytes]:
-        """The pickled payload blob for a key, skipping the unpickle.
-
-        For callers that ship payloads elsewhere (another process decodes):
-        only the payload format is checked — no unpickling, no fingerprint
-        validation, no deletion of bad rows.  Counts as a hit and records
-        recency like :meth:`get`.
-        """
-        row = self._connection.execute(
-            "SELECT payload_format, payload FROM prepared "
-            "WHERE matcher_fingerprint = ? AND table_name = ? AND content_hash = ?",
-            (fingerprint, table_name, content_hash),
-        ).fetchone()
-        if row is None or row[0] != PREPARED_PAYLOAD_FORMAT:
-            return None
-        self._record_touch((fingerprint, table_name, content_hash))
-        self.hits += 1
-        telemetry.count("prepared_store.hits")
-        telemetry.count("prepared_store.bytes_read", len(row[1]))
-        return row[1]
-
     def get_many(
         self, fingerprint: str, keys: Sequence[tuple[str, str]]
     ) -> dict[str, PreparedTable]:
@@ -682,7 +681,7 @@ class PreparedStore(PerProcessSqliteStore):
     ) -> PreparedTable:
         """Return ``matcher.prepare(table)``, served from disk when possible.
 
-        The write-through provider contract shared with
+        The write-through :class:`PreparedProvider` contract shared with
         :class:`PreparedTableCache`: a miss computes the payload and persists
         it, so one cold rerank warms the store for every later query.
         """

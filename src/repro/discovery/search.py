@@ -65,7 +65,7 @@ from repro.discovery.cascade import (
     compute_ranking_bounds,
     order_by_bound,
 )
-from repro.discovery.prepared import PreparedTableCache
+from repro.discovery.prepared import PreparedProvider
 from repro.discovery.relatedness import RelatednessScores, relatedness
 from repro.matchers.base import BaseMatcher, MatchResult, PreparedTable
 from repro.telemetry import recorder as telemetry
@@ -418,7 +418,7 @@ class _Chunk(NamedTuple):
     resolve: Resolver
     #: Prepared provider for raw tables the resolver returns (inline only:
     #: a worker cannot see the parent's provider).
-    provider: Optional[PreparedTableCache]
+    provider: Optional[PreparedProvider]
     #: ``(name, ranking bound)`` pairs, best bound first.
     items: list[tuple[str, float]]
     #: The shared top-k cutoff at submit time — stale by the time a worker
@@ -562,7 +562,7 @@ def _stream(
     items: list[tuple[str, float]],
     size: int,
     resolve: Resolver,
-    provider: Optional[PreparedTableCache],
+    provider: Optional[PreparedProvider],
     pool: Optional[RerankPool],
 ) -> RerankOutcome:
     """Feed bound-ordered chunks of *size* to :func:`_score_chunk`.
@@ -641,7 +641,7 @@ def prune_then_rerank(
     mode: str = "joinable",
     top_k: Optional[int] = None,
     *,
-    prepared_cache: Optional[PreparedTableCache] = None,
+    prepared_cache: Optional[PreparedProvider] = None,
     pool: Optional[RerankPool] = None,
     signals: Optional[Mapping[str, CandidateSignals]] = None,
     budget_ms: Optional[float] = None,
@@ -669,10 +669,9 @@ def prune_then_rerank(
     top_k:
         Optionally truncate the final ranking.
     prepared_cache:
-        Optional prepared provider — a
-        :class:`~repro.discovery.prepared.PreparedTableCache`, a
-        :class:`~repro.discovery.prepared.PreparedStore`, or anything else
-        with their ``prepare(matcher, table, content_hash=...)`` contract.
+        Optional :class:`~repro.discovery.prepared.PreparedProvider` (a
+        :class:`~repro.discovery.prepared.PreparedTableCache` or a
+        :class:`~repro.discovery.prepared.PreparedStore`).
         The query's prepared table — and, inline, every raw candidate's —
         is served from / written through it.
     pool:
@@ -763,13 +762,14 @@ class DiscoveryEngine:
     union_threshold:
         Column-score threshold used by the unionability measure.
     prepared_cache:
-        Optional :class:`~repro.discovery.prepared.PreparedTableCache`
+        Optional :class:`~repro.discovery.prepared.PreparedProvider`
+        (typically a :class:`~repro.discovery.prepared.PreparedTableCache`)
         reusing prepared query tables across :meth:`discover` calls.
     """
 
     matcher: BaseMatcher
     union_threshold: float = DEFAULT_UNION_THRESHOLD
-    prepared_cache: Optional[PreparedTableCache] = None
+    prepared_cache: Optional[PreparedProvider] = None
 
     def _scorer(self) -> PairScorer:
         return PairScorer(matcher=self.matcher, union_threshold=self.union_threshold)

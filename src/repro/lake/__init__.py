@@ -14,12 +14,15 @@ compact per-column sketches first.  This package provides that layer:
 * :mod:`repro.lake.engine` — :class:`LakeDiscoveryEngine`, prune with the
   index then rerank only the survivors with any registered matcher;
 * :mod:`repro.lake.build` — parallel (process-pool) lake construction and
-  prepared-store pre-warming with a single-writer commit.
+  prepared-store pre-warming with a single-writer commit;
+* :mod:`repro.lake.opening` — :func:`open_lake`, the one way the CLI and the
+  serve daemon open (and close) a lake's sketch + prepared stores.
 """
 
 from repro.lake.build import BuildReport, PrepareReport, build_from_paths, prepare_lake
 from repro.lake.engine import BatchQueryResult, LakeDiscoveryEngine
 from repro.lake.index import CandidateTable, LakeIndex, LSHParams
+from repro.lake.opening import LakeOpenError, lake_generation, open_lake, resolve_prepared_path
 from repro.lake.profiles import (
     ColumnSketch,
     SketchConfig,
@@ -37,6 +40,10 @@ __all__ = [
     "table_content_hash",
     "SketchStore",
     "store_generation",
+    "LakeOpenError",
+    "open_lake",
+    "resolve_prepared_path",
+    "lake_generation",
     "LSHParams",
     "CandidateTable",
     "LakeIndex",

@@ -22,14 +22,13 @@ query runs warm.
 
 from __future__ import annotations
 
-import csv
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from repro.data.csv_io import read_csv
+from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.fingerprint import table_content_hash
 from repro.discovery.prepared import PreparedStore
 from repro.lake.profiles import SketchConfig, TableSketch, sketch_table
@@ -96,7 +95,7 @@ def _read_and_sketch(task: _BuildTask) -> _BuildOutcome:
     path, known_hash, config = task
     try:
         table = read_csv(path)
-    except (OSError, ValueError, csv.Error) as exc:
+    except UNREADABLE_CSV as exc:
         return ("unreadable", Path(path).stem, None, path, str(exc))
     content_hash = table_content_hash(table)
     if known_hash is not None and content_hash == known_hash:
@@ -215,7 +214,7 @@ def _prepare_one(
     name, path, _expected_hash = task
     try:
         table = read_csv(path, name=name)
-    except (OSError, ValueError, csv.Error):
+    except UNREADABLE_CSV:
         return (name, None, None)
     content_hash = table_content_hash(table)
     return (name, content_hash, _PREPARE_MATCHER.prepare(table))

@@ -26,7 +26,6 @@ themselves, so nothing candidate-sized flows through this process.
 
 from __future__ import annotations
 
-import csv
 import logging
 import sqlite3
 import time
@@ -34,10 +33,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from repro.data.csv_io import read_csv
+from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.table import Table
 from repro.discovery.cascade import CandidateSignals, candidate_signals
-from repro.discovery.prepared import PreparedStore, PreparedTableCache
+from repro.discovery.prepared import PreparedProvider, PreparedStore, PreparedTableCache
 from repro.discovery.search import (
     DEFAULT_CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
@@ -105,7 +104,7 @@ class StoreResolver:
     prepared_store: Optional[PreparedStore] = None
     #: Write-through prepared provider for cold candidates (the engine's
     #: in-memory cache fronting the store, or the store itself).
-    provider: Union[PreparedTableCache, PreparedStore, None] = None
+    provider: Optional[PreparedProvider] = None
     repository: Optional[DatasetRepository] = None
     #: Worker copies only: ``(path, max_entries, max_bytes)`` of the
     #: prepared store to open per call (the parent's eviction caps, so
@@ -141,7 +140,7 @@ class StoreResolver:
         names: Sequence[str],
         matcher: BaseMatcher,
         store: Optional[PreparedStore],
-        provider: Union[PreparedTableCache, PreparedStore, None],
+        provider: Optional[PreparedProvider],
     ) -> Resolved:
         in_memory: dict[str, Table] = {}
         if self.repository is not None:
@@ -171,7 +170,7 @@ class StoreResolver:
         self,
         name: str,
         matcher: BaseMatcher,
-        provider: Union[PreparedTableCache, PreparedStore, None],
+        provider: Optional[PreparedProvider],
     ) -> Union[Table, PreparedTable, None]:
         """The cold path: read the candidate's CSV, prepare, write through."""
         path = self.meta[name][1] if name in self.meta else None
@@ -181,7 +180,7 @@ class StoreResolver:
         try:
             with telemetry.span("rerank.csv_read", table=name):
                 table = read_csv(path, name=name)
-        except (OSError, ValueError, csv.Error) as exc:
+        except UNREADABLE_CSV as exc:
             # Stale store entry: the CSV moved, or was overwritten with
             # something unreadable, since `build`.  Skip the candidate.
             logger.warning(
@@ -270,6 +269,10 @@ class LakeDiscoveryEngine:
 
     def __post_init__(self) -> None:
         self._set_closed(False)
+        # The in-memory cache fronts the persistent store: a cache miss
+        # falls through to SQLite, a store miss computes and persists.
+        if self.prepared_cache is not None and self.prepared_store is not None:
+            self.prepared_cache.backing = self.prepared_store
 
     def _on_table_removed(self, name: str) -> None:
         if self._index is not None:
@@ -418,17 +421,6 @@ class LakeDiscoveryEngine:
             limit = max(self.min_candidates, self.candidate_multiplier * top_k)
         sketch = sketch_table(query, self.store.config, content_hash="")
         return self.index.candidate_tables(sketch, top_k=limit), sketch
-    def _prepared_provider(self) -> Optional[Union[PreparedTableCache, PreparedStore]]:
-        """The write-through prepared provider for this engine's reranks.
-
-        The in-memory cache (when present) fronts the persistent store: a
-        miss falls through to SQLite, a store miss computes and persists.
-        """
-        if self.prepared_cache is not None:
-            if self.prepared_store is not None:
-                self.prepared_cache.backing = self.prepared_store
-            return self.prepared_cache
-        return self.prepared_store
 
     def query(
         self,
@@ -554,7 +546,9 @@ class LakeDiscoveryEngine:
                     for name, entry in meta.items()
                     if entry.columns
                 }
-            provider = self._prepared_provider()
+            provider: Optional[PreparedProvider] = self.prepared_store
+            if self.prepared_cache is not None:
+                provider = self.prepared_cache
             fingerprint = ""
             if self.prepared_store is not None:
                 fingerprint = self.matcher.fingerprint()

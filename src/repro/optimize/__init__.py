@@ -1,13 +1,5 @@
-"""Discrete optimisation substrate: binary ILP and assignment helpers."""
+"""Discrete optimisation substrate: the binary ILP solver."""
 
-from repro.optimize.assignment import greedy_assignment, max_weight_assignment, stable_marriage
 from repro.optimize.ilp import BinaryProgram, Constraint, ILPSolution
 
-__all__ = [
-    "BinaryProgram",
-    "Constraint",
-    "ILPSolution",
-    "max_weight_assignment",
-    "greedy_assignment",
-    "stable_marriage",
-]
+__all__ = ["BinaryProgram", "Constraint", "ILPSolution"]

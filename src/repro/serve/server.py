@@ -34,6 +34,7 @@ import socket
 import socketserver
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -42,9 +43,8 @@ from typing import Optional, Sequence, Tuple
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import RerankPool
-from repro.lake import LakeDiscoveryEngine, SketchStore, store_generation
+from repro.lake import LakeDiscoveryEngine, lake_generation, open_lake
 from repro.matchers.registry import create_matcher
 from repro.serve.admission import AdmissionQueue, Deadline, DeadlineExpired, QueueFull, Ticket
 from repro.serve.batcher import MicroBatcher
@@ -99,11 +99,6 @@ class ServeConfig:
     #: suite's injection point.  ``None`` costs nothing.
     fault_plan: Optional[object] = None
 
-    def resolved_prepared_path(self) -> Path:
-        if self.prepared_path is not None:
-            return self.prepared_path
-        return self.store_path.with_name(self.store_path.name + ".prepared")
-
 
 @dataclass
 class _EngineSession:
@@ -111,43 +106,45 @@ class _EngineSession:
 
     Sessions are opened and closed **on the dispatcher thread only** —
     their SQLite connections are unusable from any other thread.  The
-    rerank pool is shared across sessions (``owns_stores=True`` makes
-    ``engine.close()`` release the stores but a handed-in pool is never
-    closed by the engine).
+    rerank pool is shared across sessions: a pool handed to the engine is
+    never closed by it, so :meth:`close` retires the engine and both
+    stores while the workers stay warm.
     """
 
     engine: LakeDiscoveryEngine
     generation: Tuple[object, object]
     table_count: int
+    _resources: ExitStack
 
     @classmethod
     def open(cls, config: ServeConfig, pool: RerankPool) -> "_EngineSession":
-        generation = current_generation(config)
-        store = SketchStore(config.store_path, read_only=True)
-        prepared_store = None
-        try:
-            prepared_store = PreparedStore(config.resolved_prepared_path())
-        except ValueError as exc:
-            logger.warning("prepared store unavailable, serving cold: %s", exc)
-        engine = LakeDiscoveryEngine(
-            matcher=create_matcher(config.method, **config.method_kwargs),
-            store=store,
-            prepared_store=prepared_store,
-            rerank_pool=pool,
-            owns_stores=True,
-        )
-        return cls(engine=engine, generation=generation, table_count=len(store))
+        generation = lake_generation(config.store_path, config.prepared_path)
+        with ExitStack() as stack:
+            # Sketch store read-only, prepared store writable: cold queries
+            # warm it for everyone.
+            store, prepared_store = stack.enter_context(
+                open_lake(
+                    config.store_path,
+                    config.prepared_path,
+                    read_only=True,
+                    prepared="create",
+                    warn=lambda exc: logger.warning(
+                        "prepared store unavailable, serving cold: %s", exc
+                    ),
+                )
+            )
+            engine = stack.enter_context(
+                LakeDiscoveryEngine(
+                    matcher=create_matcher(config.method, **config.method_kwargs),
+                    store=store,
+                    prepared_store=prepared_store,
+                    rerank_pool=pool,
+                )
+            )
+            return cls(engine, generation, len(store), stack.pop_all())
 
     def close(self) -> None:
-        self.engine.close()
-
-
-def current_generation(config: ServeConfig) -> Tuple[object, object]:
-    """The on-disk generation of (sketch store, prepared store)."""
-    return (
-        store_generation(config.store_path),
-        store_generation(config.resolved_prepared_path()),
-    )
+        self._resources.close()
 
 
 class _UnixHTTPServer(ThreadingHTTPServer):
@@ -367,7 +364,7 @@ class DiscoveryServer:
         if now - self._last_reopen_poll < self.config.reopen_poll_s:
             return
         self._last_reopen_poll = now
-        current = current_generation(self.config)
+        current = lake_generation(self.config.store_path, self.config.prepared_path)
         session = self._session
         if session is None or current == session.generation:
             return
@@ -395,20 +392,12 @@ class DiscoveryServer:
         session = self._session
         if session is None:  # pragma: no cover - dispatcher guarantees open
             raise RuntimeError("no engine session")
-        groups: dict = {}
-        for index, request in enumerate(requests):
-            # budget_ms joins the group key: a budget is a per-request rerank
-            # deadline, so budgeted and full requests never share a
-            # query_many call (their stats — and possibly rankings — differ).
-            groups.setdefault(
-                (request.mode, request.top_k, request.budget_ms), []
-            ).append(index)
         with use(self.recorder):
             self.recorder.count("serve.batches")
             self.recorder.count("serve.batched_queries", len(requests))
             parallel = self.config.parallel and self.breaker.allow()
             try:
-                outcomes = self._score_groups(session, requests, groups, parallel)
+                outcomes = self._score(session, requests, parallel)
             except BrokenProcessPool:
                 # The shared pool died *twice* for this batch (RerankPool
                 # already respawned and retried once internally).  Restart
@@ -423,30 +412,28 @@ class DiscoveryServer:
                     "batch to serial scoring (breaker: %s)",
                     self.breaker.state,
                 )
-                outcomes = self._score_groups(session, requests, groups, False)
+                outcomes = self._score(session, requests, False)
             else:
                 if parallel:
                     self.breaker.record_success()
         return outcomes
 
-    def _score_groups(
-        self, session: _EngineSession, requests: Sequence, groups: dict, parallel: bool
-    ) -> list:
+    def _score(self, session: _EngineSession, requests: Sequence, parallel: bool) -> list:
+        """Score each (already deduplicated) request with its own parameters."""
         if self.config.fault_plan is not None:
             self.config.fault_plan.check("serve.score_batch")
-        outcomes: list = [None] * len(requests)
-        for (mode, top_k, budget_ms), indexes in groups.items():
-            batch = session.engine.query_many(
-                [requests[i].table for i in indexes],
-                mode=mode,
-                top_k=top_k,
+        outcomes = []
+        for request in requests:
+            (outcome,) = session.engine.query_many(
+                [request.table],
+                mode=request.mode,
+                top_k=request.top_k,
                 parallel=parallel,
                 max_workers=self.config.max_workers,
                 cascade=self.config.cascade,
-                budget_ms=budget_ms,
+                budget_ms=request.budget_ms,
             )
-            for i, outcome in zip(indexes, batch):
-                outcomes[i] = outcome
+            outcomes.append(outcome)
         return outcomes
 
     # ------------------------------------------------------------------ #

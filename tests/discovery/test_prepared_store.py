@@ -370,33 +370,6 @@ class TestBatchReads:
             assert store.contains_many(fingerprint, [("t0", "wrong-hash")]) == set()
             assert store.contains_many("nobody", keys) == set()
 
-    def test_get_raw_returns_undecoded_payload(self):
-        matcher = JaccardLevenshteinMatcher()
-        table = _table("t", ["a"])
-        with PreparedStore() as store:
-            prepared = store.prepare(matcher, table)
-            blob = store.get_raw(
-                matcher.fingerprint(), "t", table_content_hash(table)
-            )
-            assert blob is not None
-            decoded = pickle.loads(blob)
-            assert decoded.payload == prepared.payload
-            assert store.get_raw("nobody", "t", "nohash") is None
-
-    def test_get_raw_refuses_foreign_payload_format(self):
-        matcher = JaccardLevenshteinMatcher()
-        table = _table("t", ["a"])
-        with PreparedStore() as store:
-            store.prepare(matcher, table)
-            store._connection.execute(
-                "UPDATE prepared SET payload_format = ?", (PREPARED_PAYLOAD_FORMAT + 1,)
-            )
-            store._connection.commit()
-            assert (
-                store.get_raw(matcher.fingerprint(), "t", table_content_hash(table))
-                is None
-            )
-
 
 class TestRecencyDurability:
     def test_batched_touches_survive_close(self, tmp_path):

@@ -271,3 +271,106 @@ class TestUnixSocket:
                 response = client.query(query, top_k=2)
                 assert len(response["results"]) == 2
         assert not socket_path.exists()  # cleaned up on stop
+
+
+class TestPreparedStoreUnavailable:
+    """`_EngineSession.open` goes through `open_lake`: a broken prepared store
+    at the default path costs warmth only; a named one refuses to start."""
+
+    @staticmethod
+    def _copy_sketch_store(served_lake, tmp_path):
+        import shutil
+        import sqlite3
+
+        store_path, query = served_lake
+        copy = tmp_path / "lake.sketches"
+        shutil.copy(store_path, copy)
+        foreign = tmp_path / "lake.sketches.prepared"
+        with sqlite3.connect(foreign) as connection:
+            connection.execute("CREATE TABLE users (id INTEGER PRIMARY KEY)")
+        return copy, foreign, query
+
+    def test_default_path_unusable_serves_cold_with_a_warning(
+        self, served_lake, tmp_path, caplog
+    ):
+        store_path, _, query = self._copy_sketch_store(served_lake, tmp_path)
+        config = ServeConfig(store_path=store_path, method=_METHOD, parallel=False)
+        with caplog.at_level("WARNING", logger="repro.serve.server"):
+            with DiscoveryServer(config) as daemon:
+                host, port = daemon.address
+                with ServeClient(host=host, port=port, timeout_s=30) as client:
+                    assert client.healthz()["status"] == "ok"
+                    response = client.query(query, top_k=2)
+        assert len(response["results"]) == 2
+        assert response["stats"]["store_hits"] == 0  # cold: nothing served warm
+        assert "prepared store unavailable, serving cold" in caplog.text
+
+    def test_named_path_unusable_refuses_to_start(self, served_lake, tmp_path):
+        store_path, foreign, _ = self._copy_sketch_store(served_lake, tmp_path)
+        named = foreign.rename(tmp_path / "named.db")
+        config = ServeConfig(
+            store_path=store_path, method=_METHOD, prepared_path=named, parallel=False
+        )
+        with pytest.raises(ValueError, match="not a prepared store"):
+            DiscoveryServer(config).start()
+
+    def test_missing_sketch_store_refuses_to_start(self, tmp_path):
+        config = ServeConfig(store_path=tmp_path / "nope.sketches", method=_METHOD)
+        with pytest.raises(ValueError, match="run `lake build` first"):
+            DiscoveryServer(config).start()
+
+
+class TestMixedBatch:
+    def test_each_request_in_a_batch_is_scored_with_its_own_parameters(self, served_lake):
+        """Requests that differ in mode / top_k / budget ride one micro-batch
+        and each comes back exactly as a lone request would."""
+        store_path, query = served_lake
+        config = ServeConfig(
+            store_path=store_path, method=_METHOD, parallel=False, batch_wait_s=0.05
+        )
+        daemon = DiscoveryServer(config)
+        release, entered = threading.Event(), threading.Event()
+        original = daemon.batcher.execute
+
+        def stalling_execute(requests):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30)
+            return original(requests)
+
+        daemon.batcher.execute = stalling_execute
+        asks = {
+            "join3": dict(mode="joinable", top_k=3),
+            "union2": dict(mode="unionable", top_k=2),
+            "budget": dict(mode="joinable", top_k=3, budget_ms=0.001),
+        }
+        answers: dict = {}
+
+        def go(tag, **params):
+            with ServeClient(host=host, port=port, timeout_s=60) as c:
+                answers[tag] = c.query(query, **params)
+
+        with daemon:
+            host, port = daemon.address
+            blocker = threading.Thread(target=go, args=("blocker",), kwargs=dict(top_k=1))
+            blocker.start()
+            assert entered.wait(timeout=30)
+            threads = [threading.Thread(target=go, args=(t,), kwargs=p) for t, p in asks.items()]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while daemon.admission.depth() < len(asks) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.set()
+            for thread in [blocker, *threads]:
+                thread.join(timeout=60)
+            counters = daemon.recorder.snapshot().counters
+            assert counters["serve.batches"] == 2 and counters["serve.batched_queries"] == 4
+            with ServeClient(host=host, port=port, timeout_s=60) as c:
+                alone = {tag: c.query(query, **params) for tag, params in asks.items()}
+        for tag in ("join3", "union2"):
+            assert answers[tag]["results"] == alone[tag]["results"]
+            assert answers[tag]["stats"]["partial"] is False
+        assert len(answers["join3"]["results"]) == 3
+        assert len(answers["union2"]["results"]) == 2
+        assert answers["budget"]["stats"]["partial"] is True

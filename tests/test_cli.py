@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import sqlite3
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -20,6 +23,171 @@ class TestParser:
         for command in ("coverage", "parameters"):
             args = parser.parse_args([command])
             assert args.command == command
+
+
+def _walk(parser, prefix=()):
+    """Yield ``(command path, parser)`` for *parser* and every subcommand."""
+    yield " ".join(prefix), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _walk(sub, prefix + (name,))
+
+
+def _surface(parser):
+    """Per command: sorted ``(option strings, dest, repr(default))`` rows."""
+    return {
+        path: sorted(
+            (tuple(sorted(action.option_strings)), action.dest, repr(action.default))
+            for action in sub._actions
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        )
+        for path, sub in _walk(parser)
+    }
+
+
+_STORE = (("--store",), "store", "PosixPath('lake.sketches')")
+_PREPARED_STORE = (("--prepared-store",), "prepared_store", "None")
+_WORKERS = (("--workers",), "workers", "None")
+_METHOD = (("--method",), "method", "'ComaSchema'")
+
+#: Recorded from commit 3a2edeb (the last single-file ``cli.py``): no flag
+#: may be added, removed, renamed or re-defaulted by a refactor.
+_PARSER_SURFACE = {
+    "": [(("--verbose", "-v"), "verbose", "0")],
+    "coverage": [],
+    "fabricate": [
+        (("--output",), "output", "PosixPath('fabricated_pairs')"),
+        (("--rows",), "rows", "400"),
+        (("--scenario",), "scenario", "None"),
+        (("--source",), "source", "'tpcdi'"),
+    ],
+    "lake": [],
+    "lake build": [((), "input", "None"), (("--prune",), "prune", "False"), _STORE, _WORKERS],
+    "lake prepare": [
+        ((), "method", "None"),
+        (("--max-store-mb",), "max_store_mb", "None"),
+        _PREPARED_STORE,
+        _STORE,
+        _WORKERS,
+    ],
+    "lake publish": [
+        ((), "out_dir", "None"),
+        (("--iblt-cells",), "iblt_cells", "128"),
+        (("--no-prepared",), "no_prepared", "False"),
+        (("--no-prune",), "no_prune", "False"),
+        _PREPARED_STORE,
+        _STORE,
+    ],
+    "lake pull": [
+        ((), "src", "None"),
+        (("--keep-missing",), "keep_missing", "False"),
+        (("--no-prepared",), "no_prepared", "False"),
+        (("--no-resume",), "no_resume", "False"),
+        _PREPARED_STORE,
+        (("--retry-attempts",), "retry_attempts", "4"),
+        (("--retry-budget",), "retry_budget", "64"),
+        _STORE,
+    ],
+    "lake query": [
+        ((), "query_csv", "None"),
+        (("--budget-ms",), "budget_ms", "None"),
+        (("--cascade",), "cascade", "False"),
+        _METHOD,
+        (("--mode",), "mode", "'joinable'"),
+        (("--no-prepared-store",), "no_prepared_store", "False"),
+        (("--parallel",), "parallel", "False"),
+        _PREPARED_STORE,
+        (("--stats",), "stats", "False"),
+        _STORE,
+        (("--timeout-s",), "timeout_s", "None"),
+        (("--top",), "top", "10"),
+        (("--trace-json",), "trace_json", "None"),
+        _WORKERS,
+    ],
+    "lake serve": [
+        (("--batch-max",), "batch_max", "8"),
+        (("--cascade",), "cascade", "False"),
+        (("--host",), "host", "'127.0.0.1'"),
+        _METHOD,
+        (("--port",), "port", "8642"),
+        _PREPARED_STORE,
+        (("--queue-limit",), "queue_limit", "32"),
+        (("--reopen-poll-s",), "reopen_poll_s", "1.0"),
+        (("--serial",), "serial", "False"),
+        _STORE,
+        (("--timeout-s",), "timeout_s", "30.0"),
+        (("--unix-socket",), "unix_socket", "None"),
+        _WORKERS,
+    ],
+    "lake stats": [_PREPARED_STORE, _STORE],
+    "lake verify": [
+        (("--artifact",), "artifact", "None"),
+        _PREPARED_STORE,
+        (("--repair",), "repair", "False"),
+        _STORE,
+    ],
+    "lake watch": [
+        ((), "input", "None"),
+        (("--interval-s",), "interval_s", "2.0"),
+        (("--max-polls",), "max_polls", "None"),
+        (("--prepare",), "prepare", "None"),
+        _PREPARED_STORE,
+        (("--publish",), "publish", "None"),
+        _STORE,
+        _WORKERS,
+    ],
+    "match": [
+        ((), "source_csv", "None"),
+        ((), "target_csv", "None"),
+        _METHOD,
+        (("--top",), "top", "20"),
+    ],
+    "parameters": [(("--fast",), "fast", "False")],
+    "run": [
+        (("--full-grid",), "full_grid", "False"),
+        (("--methods",), "methods", "None"),
+        (("--output",), "output", "None"),
+        (("--rows",), "rows", "200"),
+        (("--source",), "source", "'tpcdi'"),
+    ],
+}
+
+#: A minimal valid argv per leaf command (positionals only).
+_LEAF_ARGV = {
+    "coverage": [],
+    "parameters": [],
+    "fabricate": [],
+    "run": [],
+    "match": ["a.csv", "b.csv"],
+    "lake build": ["dir"],
+    "lake prepare": ["ComaSchema"],
+    "lake query": ["q.csv"],
+    "lake stats": [],
+    "lake serve": [],
+    "lake publish": ["out"],
+    "lake pull": ["src"],
+    "lake verify": [],
+    "lake watch": ["dir"],
+}
+
+
+class TestParserSurface:
+    def test_no_flag_added_removed_or_redefaulted(self):
+        assert _surface(build_parser()) == _PARSER_SURFACE
+
+    def test_every_leaf_command_is_listed(self):
+        leaves = {path for path, sub in _walk(build_parser()) if path not in ("", "lake")}
+        assert leaves == set(_LEAF_ARGV)
+
+    @pytest.mark.parametrize("command", sorted(_LEAF_ARGV))
+    def test_command_dispatches_to_a_handler_and_has_help(self, command, capsys):
+        args = build_parser().parse_args(command.split() + _LEAF_ARGV[command])
+        assert callable(args.func)
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--help"])
+        assert excinfo.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestCommands:
@@ -433,3 +601,127 @@ class TestObservability:
             root.setLevel(logging.NOTSET)
             logging.getLogger("repro.lake").setLevel(logging.NOTSET)
             logging.getLogger("repro.discovery").setLevel(logging.NOTSET)
+
+
+class TestBadInput:
+    """Operational errors are one stderr line and exit 1; usage errors exit 2.
+    Neither leaves a traceback or a stray file behind."""
+
+    @staticmethod
+    def _built_store(tmp_path):
+        lake_dir = tmp_path / "lake"
+        lake_dir.mkdir()
+        write_csv(Table("cities", {"city": ["delft", "gouda"]}), lake_dir / "cities.csv")
+        store_dir = tmp_path / "stores"
+        store_dir.mkdir()
+        store = store_dir / "lake.sketches"
+        assert main(["lake", "build", str(lake_dir), "--store", str(store)]) == 0
+        query_path = write_csv(Table("query", {"place": ["delft"]}), tmp_path / "query.csv")
+        return lake_dir, store, query_path
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["match", "{query}", "{query}", "--method", "Bogus"],
+            ["lake", "query", "{query}", "--store", "{store}", "--method", "Bogus"],
+            ["lake", "prepare", "Bogus", "--store", "{store}"],
+            ["lake", "serve", "--store", "{store}", "--method", "Bogus"],
+            ["lake", "watch", "{lake}", "--store", "{store}", "--prepare", "Bogus"],
+        ],
+        ids=["match", "query", "prepare", "serve", "watch"],
+    )
+    def test_unknown_matcher_is_a_usage_error_before_anything_opens(
+        self, command, tmp_path, capsys
+    ):
+        lake_dir, store, query_path = self._built_store(tmp_path)
+        before = sorted(store.parent.iterdir())
+        capsys.readouterr()
+        argv = [
+            part.format(query=query_path, store=store, lake=lake_dir) for part in command
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown matcher 'Bogus'" in err and "known matchers:" in err
+        assert "Traceback" not in err
+        # In particular no empty <store>.prepared appears next to the store.
+        assert sorted(store.parent.iterdir()) == before
+
+    def test_lake_query_unreadable_csv_is_one_line_and_opens_nothing(self, tmp_path, capsys):
+        _, store, _ = self._built_store(tmp_path)
+        before = sorted(store.parent.iterdir())
+        capsys.readouterr()
+        missing = tmp_path / "nope.csv"
+        assert main(["lake", "query", str(missing), "--store", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(missing) in captured.err
+        assert sorted(store.parent.iterdir()) == before
+
+    def test_lake_query_undecodable_csv_is_one_line(self, tmp_path, capsys):
+        _, store, _ = self._built_store(tmp_path)
+        capsys.readouterr()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe not utf8 \xff")
+        assert main(["lake", "query", str(bad), "--store", str(store)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot read {bad}" in err
+
+    def test_match_unreadable_csv_is_one_line(self, tmp_path, capsys):
+        good = write_csv(Table("t", {"a": [1]}), tmp_path / "t.csv")
+        missing = tmp_path / "nope.csv"
+        for argv in (["match", str(missing), str(good)], ["match", str(good), str(missing)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and f"cannot read {missing}" in captured.err
+
+    def test_lake_query_closes_its_stores_when_the_query_raises(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: an exception mid-query used to leak the prepared store."""
+        from repro.discovery.prepared import PreparedStore
+        from repro.lake import LakeDiscoveryEngine
+
+        _, store, query_path = self._built_store(tmp_path)
+        opened = []
+        real_init = PreparedStore.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            opened.append(self)
+
+        def exploding_query(self, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(PreparedStore, "__init__", recording_init)
+        monkeypatch.setattr(LakeDiscoveryEngine, "query", exploding_query)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["lake", "query", str(query_path), "--store", str(store)])
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(opened[0])
+
+    def test_lake_stats_opens_both_stores_read_only(self, tmp_path, capsys):
+        """A read-write open converts a legacy rollback-journal store to WAL;
+        `lake stats` must leave the files exactly as it found them."""
+        _, store, query_path = self._built_store(tmp_path)
+        assert main(["lake", "query", str(query_path), "--store", str(store)]) == 0
+        prepared = store.with_name(store.name + ".prepared")
+        for path in (store, prepared):
+            with sqlite3.connect(path) as connection:
+                assert connection.execute("PRAGMA journal_mode = DELETE").fetchone() == ("delete",)
+        capsys.readouterr()
+        assert main(["lake", "stats", "--store", str(store)]) == 0
+        output = capsys.readouterr().out
+        assert "sketch store" in output and "prepared store" in output
+        for path in (store, prepared):
+            with sqlite3.connect(path) as connection:
+                assert connection.execute("PRAGMA journal_mode").fetchone() == ("delete",)
+
+    def test_serve_rejects_out_of_range_queue_limit(self, tmp_path, capsys):
+        _, store, _ = self._built_store(tmp_path)
+        capsys.readouterr()
+        assert main(["lake", "serve", "--store", str(store), "--queue-limit", "0"]) == 1
+        assert "admission queue limit must be positive" in capsys.readouterr().err
