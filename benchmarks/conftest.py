@@ -5,8 +5,8 @@ laptop scale: the dataset sizes and parameter grids are reduced (see
 ``FAST_*`` constants below), but the *structure* of each experiment — which
 methods run on which fabricated scenarios and how the results are aggregated
 — follows the paper exactly.  The reproduced rows/series are printed to
-stdout (run with ``-s`` or see ``bench_output.txt``) and attached to the
-pytest-benchmark ``extra_info`` for machine-readable inspection.
+stdout (run with ``-s``), written to ``benchmarks/reports/`` and attached to
+the pytest-benchmark ``extra_info`` for machine-readable inspection.
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ def print_report(title: str, body: str) -> None:
     """Print a reproduced artefact and persist it under ``benchmarks/reports/``.
 
     pytest only shows captured stdout for failing tests, so every reproduced
-    table/figure is also written to a text file named after its title; the
-    files are what EXPERIMENTS.md links to.
+    table/figure is also written to a text file named after its title.
     """
     import pathlib
     import re

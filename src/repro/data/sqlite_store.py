@@ -25,7 +25,10 @@ live exactly once, here:
 Subclasses declare what their store looks like (``_STORE_KIND``,
 ``_REQUIRED_TABLES``, ``_SCHEMA_SCRIPT``, ``_FOREIGN_KEYS``), call
 :meth:`_init_connections` from ``__init__``, and may override
-:meth:`_close_hook` for flush-on-close work.
+:meth:`_close_hook` for flush-on-close work.  Every store has a ``meta``
+key/value table (it is in ``_REQUIRED_TABLES``), read and written through
+:meth:`_read_meta` / :meth:`_write_meta`, and is a context manager that
+closes itself.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from __future__ import annotations
 import os
 import sqlite3
 from pathlib import Path
-from typing import Union
+from typing import Optional, TypeVar, Union
 
 __all__ = ["PerProcessSqliteStore"]
+
+_StoreT = TypeVar("_StoreT", bound="PerProcessSqliteStore")
 
 #: Milliseconds a connection waits on SQLite's write lock before giving up.
 #: Generous on purpose: concurrent writers (e.g. parallel-rerank workers
@@ -140,6 +145,19 @@ class PerProcessSqliteStore:
     def _connection(self) -> sqlite3.Connection:
         return self._ensure_connection()
 
+    def _read_meta(self, key: str) -> Optional[str]:
+        row = self._connection.execute(
+            "SELECT value FROM meta WHERE key = ?", (key,)
+        ).fetchone()
+        return row[0] if row else None
+
+    def _write_meta(self, key: str, value: str) -> None:
+        self._connection.execute(
+            "INSERT INTO meta (key, value) VALUES (?, ?) "
+            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
+            (key, value),
+        )
+
     def _close_hook(self, connection: sqlite3.Connection) -> None:
         """Last-chance work on the closing connection (e.g. flush batches)."""
 
@@ -179,3 +197,9 @@ class PerProcessSqliteStore:
             self._connections.pop(pid, None)
             connection.close()
         self._closed = True
+
+    def __enter__(self: _StoreT) -> _StoreT:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

@@ -275,28 +275,6 @@ class PreparedStore(PerProcessSqliteStore):
         so LRU order survives process exit."""
         self._flush_touches(connection)
 
-    def __enter__(self) -> "PreparedStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # meta helpers
-    # ------------------------------------------------------------------ #
-    def _read_meta(self, key: str) -> Optional[str]:
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def _write_meta(self, key: str, value: str) -> None:
-        self._connection.execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-            (key, value),
-        )
-
     def _tick(self) -> int:
         """Advance and return the monotone LRU clock (wall-clock free).
 

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.table import Table
 from repro.discovery.cascade import CandidateSignals, candidate_signals
-from repro.discovery.prepared import PreparedProvider, PreparedStore, PreparedTableCache
+from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import (
     DEFAULT_CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
@@ -76,8 +76,8 @@ class StoreResolver:
     Per name, in order: the in-memory *repository* table; the stored
     prepared payload, keyed by the content hash recorded at build time and
     read in **one** batched :meth:`PreparedStore.get_many` per call (a hit
-    skips the CSV read *and* the prepare); the source CSV, read and — when a
-    prepared provider is at hand — prepared and written through so one cold
+    skips the CSV read *and* the prepare); the source CSV, read and — when
+    there is a prepared store — prepared and written through so one cold
     query warms the next.  Names with neither payload nor readable CSV are
     omitted (they cannot be ranked).
 
@@ -85,7 +85,7 @@ class StoreResolver:
     sketch shortlist: both answer as of the last ``lake build`` (a CSV
     edited since keeps serving its build-time payload until the rebuild
     moves the stored hash).  A candidate with no stored payload is prepared
-    from its CSV as it is *now*, and the provider keys that payload by the
+    from its CSV as it is *now*, and the store keys that payload by the
     current content.
 
     In this process the resolver works on the engine's open handles.
@@ -102,9 +102,6 @@ class StoreResolver:
     meta: Mapping[str, tuple]
     fingerprint: str
     prepared_store: Optional[PreparedStore] = None
-    #: Write-through prepared provider for cold candidates (the engine's
-    #: in-memory cache fronting the store, or the store itself).
-    provider: Optional[PreparedProvider] = None
     repository: Optional[DatasetRepository] = None
     #: Worker copies only: ``(path, max_entries, max_bytes)`` of the
     #: prepared store to open per call (the parent's eviction caps, so
@@ -130,17 +127,16 @@ class StoreResolver:
 
     def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
         if self.store_spec is None:
-            return self._resolve(names, matcher, self.prepared_store, self.provider)
+            return self._resolve(names, matcher, self.prepared_store)
         path, max_entries, max_bytes = self.store_spec
         with PreparedStore(path, max_entries=max_entries, max_bytes=max_bytes) as store:
-            return self._resolve(names, matcher, store, store)
+            return self._resolve(names, matcher, store)
 
     def _resolve(
         self,
         names: Sequence[str],
         matcher: BaseMatcher,
         store: Optional[PreparedStore],
-        provider: Optional[PreparedProvider],
     ) -> Resolved:
         in_memory: dict[str, Table] = {}
         if self.repository is not None:
@@ -161,7 +157,7 @@ class StoreResolver:
             if candidate is None:
                 candidate = stored.get(name)
             if candidate is None:
-                candidate = self._load(name, matcher, provider)
+                candidate = self._load(name, matcher, store)
             if candidate is not None:
                 resolved.append(candidate)
         return resolved, len(stored)
@@ -170,7 +166,7 @@ class StoreResolver:
         self,
         name: str,
         matcher: BaseMatcher,
-        provider: Optional[PreparedProvider],
+        store: Optional[PreparedStore],
     ) -> Union[Table, PreparedTable, None]:
         """The cold path: read the candidate's CSV, prepare, write through."""
         path = self.meta[name][1] if name in self.meta else None
@@ -187,11 +183,11 @@ class StoreResolver:
                 "skipping candidate %r: unreadable CSV %s (%s)", name, path, exc
             )
             return None
-        if provider is None:
+        if store is None:
             return table
         try:
             with telemetry.span("rerank.prepare_candidate", table=name):
-                return provider.prepare(matcher, table)
+                return store.prepare(matcher, table)
         except sqlite3.Error:
             # Lost the write lock to another worker.  The raw table still
             # serves this query (the scorer prepares it); only reuse is lost.
@@ -218,9 +214,6 @@ class LakeDiscoveryEngine:
         Shortlist size for a ``top_k`` query is
         ``max(min_candidates, candidate_multiplier * top_k)`` — the slack is
         what lets the exact matcher repair sketch-level ranking mistakes.
-    prepared_cache:
-        Optional :class:`~repro.discovery.prepared.PreparedTableCache`
-        reusing prepared query tables across :meth:`query` calls.
     prepared_store:
         Optional :class:`~repro.discovery.prepared.PreparedStore` — the
         persistent prepared-candidate store, conventionally living next to
@@ -228,9 +221,7 @@ class LakeDiscoveryEngine:
         payload is stored (keyed by this matcher's fingerprint and the
         content hash recorded at build time) are served straight from disk
         — no CSV read, no prepare — and cold candidates are written through
-        after their first prepare, so one query warms the next.  When a
-        ``prepared_cache`` is also set it fronts the store as the in-memory
-        tier (its ``backing`` is wired to the store).
+        after their first prepare, so one query warms the next.
     rerank_pool:
         Optional persistent :class:`~repro.discovery.search.RerankPool`
         shared across queries (and possibly across engines).  When left
@@ -238,11 +229,6 @@ class LakeDiscoveryEngine:
         ``parallel=True`` query and keeps it warm for later queries —
         release it with :meth:`close` (engines never close pools that were
         handed to them).
-    owns_stores:
-        When True, :meth:`close` also closes :attr:`store` and
-        :attr:`prepared_store`.  Off by default (stores usually belong to
-        whoever constructed them); the serving daemon turns it on so a
-        store-generation swap can retire the whole engine in one call.
     """
 
     matcher: BaseMatcher
@@ -251,10 +237,8 @@ class LakeDiscoveryEngine:
     union_threshold: float = DEFAULT_UNION_THRESHOLD
     candidate_multiplier: int = DEFAULT_CANDIDATE_MULTIPLIER
     min_candidates: int = DEFAULT_MIN_CANDIDATES
-    prepared_cache: Optional[PreparedTableCache] = None
     prepared_store: Optional[PreparedStore] = None
     rerank_pool: Optional[RerankPool] = None
-    owns_stores: bool = False
     #: How many candidates the matcher actually reranked in the last
     #: :meth:`query` (before top-k truncation) — the pruning statistic.
     last_rerank_count: int = field(default=0, repr=False, init=False)
@@ -269,10 +253,6 @@ class LakeDiscoveryEngine:
 
     def __post_init__(self) -> None:
         self._set_closed(False)
-        # The in-memory cache fronts the persistent store: a cache miss
-        # falls through to SQLite, a store miss computes and persists.
-        if self.prepared_cache is not None and self.prepared_store is not None:
-            self.prepared_cache.backing = self.prepared_store
 
     def _on_table_removed(self, name: str) -> None:
         if self._index is not None:
@@ -301,16 +281,15 @@ class LakeDiscoveryEngine:
         return True
 
     def close(self) -> None:
-        """Release the engine-owned rerank pool (and owned stores).
+        """Release the engine-owned rerank pool.
 
         Idempotent: a second :meth:`close` — including the implicit one from
         ``__exit__`` after an explicit close inside the ``with`` block — is
-        a no-op, so teardown paths can never trip the stores' closed-store
-        guard.  A pool passed in by the caller is left running (it may serve
-        other engines); only a pool this engine lazily created is shut down.
-        Stores are closed only when :attr:`owns_stores` is set — by default
-        they belong to whoever constructed them.  Querying again revives
-        the engine; the next :meth:`close` releases what that query made.
+        a no-op.  A pool passed in by the caller is left running (it may
+        serve other engines); only a pool this engine lazily created is shut
+        down.  The stores belong to whoever constructed them and stay open.
+        Querying again revives the engine; the next :meth:`close` releases
+        what that query made.
         """
         if not self._set_closed(True):
             return
@@ -318,10 +297,6 @@ class LakeDiscoveryEngine:
             self.rerank_pool.close()
             self.rerank_pool = None
             self._owns_pool = False
-        if self.owns_stores:
-            if self.prepared_store is not None:
-                self.prepared_store.close()
-            self.store.close()
 
     def __enter__(self) -> "LakeDiscoveryEngine":
         return self
@@ -383,20 +358,6 @@ class LakeDiscoveryEngine:
                     self._index.add(sketch)
         self._index_version = store_version
         return self._index
-
-    def refresh_index(self) -> LakeIndex:
-        """Discard the cached LSH index and rebuild it from the store.
-
-        The incremental refresh in :attr:`index` (plus the store's removal
-        listener) keeps the index correct on its own; this is the explicit
-        big hammer for callers that mutated the store out-of-band — e.g. a
-        replica that just applied a large :func:`~repro.artifacts.sync.
-        pull_snapshot` — and want the rebuild cost paid now, not on the
-        next query.
-        """
-        self._index = None
-        self._index_version = -1
-        return self.index
 
     # ------------------------------------------------------------------ #
     # queries
@@ -546,9 +507,6 @@ class LakeDiscoveryEngine:
                     for name, entry in meta.items()
                     if entry.columns
                 }
-            provider: Optional[PreparedProvider] = self.prepared_store
-            if self.prepared_cache is not None:
-                provider = self.prepared_cache
             fingerprint = ""
             if self.prepared_store is not None:
                 fingerprint = self.matcher.fingerprint()
@@ -556,13 +514,11 @@ class LakeDiscoveryEngine:
             outcome = prune_then_rerank(
                 query,
                 names,
-                StoreResolver(
-                    meta, fingerprint, self.prepared_store, provider, repository
-                ),
+                StoreResolver(meta, fingerprint, self.prepared_store, repository),
                 PairScorer(matcher=self.matcher, union_threshold=self.union_threshold),
                 mode=mode,
                 top_k=top_k,
-                prepared_cache=provider,
+                prepared_cache=self.prepared_store,
                 pool=pool,
                 signals=signals,
                 budget_ms=budget_ms,

@@ -184,31 +184,6 @@ class SketchStore(PerProcessSqliteStore):
                 )
             self.config = persisted
 
-    # ------------------------------------------------------------------ #
-    # lifecycle (connection machinery inherited from PerProcessSqliteStore)
-    # ------------------------------------------------------------------ #
-    def __enter__(self) -> "SketchStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # meta helpers
-    # ------------------------------------------------------------------ #
-    def _read_meta(self, key: str) -> Optional[str]:
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def _write_meta(self, key: str, value: str) -> None:
-        self._connection.execute(
-            "INSERT INTO meta (key, value) VALUES (?, ?) "
-            "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-            (key, value),
-        )
-
     @property
     def version(self) -> int:
         """Monotone counter bumped by every mutating operation."""

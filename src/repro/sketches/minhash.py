@@ -10,9 +10,8 @@ value sets is digested exactly once into a ``uint64`` hash array, the
 ``(a * h + b) mod p`` permutation family is applied to the whole array via
 broadcast arithmetic, and the per-set minima come from one segmented
 reduction.  A pure-Python reference (:func:`minhash_signatures_scalar`)
-computes bit-identical signatures value by value; it exists so tests and
-benchmarks can verify the vectorized path against an independent
-implementation (see ``benchmarks/bench_warm_lake_query.py``).
+computes bit-identical signatures value by value; it exists so tests can
+verify the vectorized path against an independent implementation.
 """
 
 from __future__ import annotations

@@ -33,14 +33,14 @@ _LIGHT_CONFIGS: dict[str, dict[str, object]] = {
     "embdi": {
         "dimensions": 16,
         "sentence_length": 8,
-        "walks_per_node": 2,
+        "walks_per_node": 1,
         "epochs": 1,
-        "max_rows": 6,
+        "max_rows": 4,
     },
     "semprop": {"num_permutations": 32, "sample_size": 50},
     "comainstance": {"sample_size": 50},
     "distributionbased": {"sample_size": 50},
-    "jaccardlevenshtein": {"sample_size": 20},
+    "jaccardlevenshtein": {"sample_size": 8},
 }
 
 _NUM_TABLES = 3
@@ -118,12 +118,20 @@ class TestPublishPullRoundTrip:
 
 class TestDeltaPull:
     def test_diverged_store_fetches_only_the_delta(self, tmp_path):
+        """Sketches and prepared payloads both travel, so the delta is two
+        blobs per changed table — and nothing else crosses."""
         store, lake_dir = _build_lake(tmp_path, num_tables=8)
-        publish_snapshot(store, tmp_path / "artifact")
+        matcher = create_matcher("semprop", **_LIGHT_CONFIGS["semprop"])
+        prepared = PreparedStore(tmp_path / "lake.sketches.prepared")
+        prepare_lake(store, prepared, matcher)
+        publish_snapshot(store, tmp_path / "artifact", prepared_store=prepared)
         # Replica syncs fully once.
         replica = SketchStore(tmp_path / "replica")
-        first = pull_snapshot(tmp_path / "artifact", replica)
-        assert first.blobs_fetched == 8
+        replica_prepared = PreparedStore(tmp_path / "replica.prepared")
+        first = pull_snapshot(
+            tmp_path / "artifact", replica, prepared_store=replica_prepared
+        )
+        assert first.blobs_fetched == 2 * 8
         # Publisher diverges: one changed, one new, one deleted.
         write_csv(
             tpcdi_prospect_table(num_rows=20, seed=77).rename("table_0"),
@@ -137,25 +145,30 @@ class TestDeltaPull:
         build_from_paths(
             store, sorted(lake_dir.glob("*.csv")), remove_missing=True
         )
-        publish_snapshot(store, tmp_path / "artifact")
+        prepare_lake(store, prepared, matcher)
+        publish_snapshot(store, tmp_path / "artifact", prepared_store=prepared)
         recorder = TelemetryRecorder()
         with use(recorder):
-            report = pull_snapshot(tmp_path / "artifact", replica)
-        # Only the changed + new blobs cross; the six shared ones do not.
-        assert report.blobs_fetched == 2
-        assert report.blobs_skipped == 6
-        assert report.tables_added == 2
+            report = pull_snapshot(
+                tmp_path / "artifact", replica, prepared_store=replica_prepared
+            )
+        # Only the changed + new blobs cross; the six shared tables' do not.
+        assert report.blobs_fetched == 2 * 2
+        assert report.blobs_skipped == 2 * 6
+        assert report.tables_added == report.prepared_added == 2
         assert report.tables_removed == 1
-        assert report.iblt_decoded == 1 and report.iblt_fallback == 0
+        # Both key domains (tables, prepared) reconcile by IBLT peel.
+        assert report.iblt_decoded == 2 and report.iblt_fallback == 0
         counters = recorder.snapshot().counters
-        assert counters.get("artifacts.pull.blobs_fetched") == 2
-        assert counters.get("artifacts.pull.blobs_skipped") == 6
-        assert counters.get("artifacts.iblt.decode_success") == 1
+        assert counters.get("artifacts.pull.blobs_fetched") == 2 * 2
+        assert counters.get("artifacts.pull.blobs_skipped") == 2 * 6
+        assert counters.get("artifacts.iblt.decode_success") == 2
         assert sorted(replica.table_names) == sorted(store.table_names)
         for name in store.table_names:
             assert replica.content_hash(name) == store.content_hash(name)
-        replica.close()
-        store.close()
+        assert sorted(replica_prepared.raw_keys()) == sorted(prepared.raw_keys())
+        for handle in (replica_prepared, replica, prepared, store):
+            handle.close()
 
     def test_idempotent_pull_is_free(self, tmp_path):
         store, _ = _build_lake(tmp_path)
@@ -223,15 +236,21 @@ class TestSafety:
 
     def test_republish_in_place_prunes_superseded_blobs(self, tmp_path):
         store, lake_dir = _build_lake(tmp_path)
-        first = publish_snapshot(store, tmp_path / "artifact")
-        write_csv(
-            tpcdi_prospect_table(num_rows=22, seed=70).rename("table_0"),
-            lake_dir / "table_0.csv",
-        )
-        build_from_paths(store, sorted(lake_dir.glob("*.csv")))
-        second = publish_snapshot(store, tmp_path / "artifact")
+        matcher = create_matcher("semprop", **_LIGHT_CONFIGS["semprop"])
+        with PreparedStore(tmp_path / "lake.sketches.prepared") as prepared:
+            prepare_lake(store, prepared, matcher)
+            artifact = tmp_path / "artifact"
+            first = publish_snapshot(store, artifact, prepared_store=prepared)
+            write_csv(
+                tpcdi_prospect_table(num_rows=22, seed=70).rename("table_0"),
+                lake_dir / "table_0.csv",
+            )
+            build_from_paths(store, sorted(lake_dir.glob("*.csv")))
+            prepare_lake(store, prepared, matcher)
+            second = publish_snapshot(store, artifact, prepared_store=prepared)
         assert second.snapshot_id != first.snapshot_id
-        assert second.blobs_written == 1  # only the changed table
-        assert second.blobs_reused == _NUM_TABLES - 1
-        assert second.blobs_pruned == 1  # the superseded table_0 blob
+        # Only the changed table: its sketch blob and its prepared payload.
+        assert second.blobs_written == 2
+        assert second.blobs_reused == 2 * (_NUM_TABLES - 1)
+        assert second.blobs_pruned == 2  # the superseded table_0 pair
         store.close()

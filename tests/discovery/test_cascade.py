@@ -98,7 +98,7 @@ class TestModeBound:
 class TestModeScore:
     def test_matches_sort_keys(self, lake):
         query, repository = lake
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
+        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
         results = engine.discover(query, repository, mode="combined")
         for result in results:
             assert mode_score(result, "joinable") == result.joinability
@@ -107,7 +107,7 @@ class TestModeScore:
 
     def test_unknown_mode_rejected(self, lake):
         query, repository = lake
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
+        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
         result = engine.discover(query, repository, top_k=1)[0]
         with pytest.raises(ValueError):
             mode_score(result, "bogus")
@@ -136,10 +136,10 @@ class TestAdmissibilityContract:
     def test_non_admissible_wrong_bound_never_skips(self, lake):
         query, repository = lake
         baseline = DiscoveryEngine(
-            matcher=JaccardLevenshteinMatcher(sample_size=20)
+            matcher=JaccardLevenshteinMatcher(sample_size=8)
         ).discover(query, repository, mode="combined", top_k=TOP_K)
 
-        engine = DiscoveryEngine(matcher=_WrongLowBoundMatcher(sample_size=20))
+        engine = DiscoveryEngine(matcher=_WrongLowBoundMatcher(sample_size=8))
         cascaded, counters = _discover_counted(
             engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
         )
@@ -154,7 +154,7 @@ class TestAdmissibilityContract:
         # failure mode the default-False contract protects against.
         query, repository = lake
         engine = DiscoveryEngine(
-            matcher=_WrongLowBoundAdmissibleMatcher(sample_size=20)
+            matcher=_WrongLowBoundAdmissibleMatcher(sample_size=8)
         )
         _, counters = _discover_counted(
             engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
@@ -166,7 +166,7 @@ class TestAdmissibilityContract:
 
     def test_budget_only_keeps_shortlist_order_and_completes(self, lake, monkeypatch):
         query, repository = lake
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
+        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
         baseline = engine.discover(query, repository, mode="combined", top_k=TOP_K)
 
         def no_stage_one(*args, **kwargs):
@@ -191,7 +191,7 @@ class TestAdmissibilityContract:
             return signal
 
         monkeypatch.setattr(discovery_search, "candidate_signals", recording)
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
+        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
         _, counters = _discover_counted(
             engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
         )
@@ -205,7 +205,7 @@ class TestAdmissibilityContract:
 
     def test_unpriced_unbudgeted_rerank_emits_no_cascade_counters(self, lake):
         query, repository = lake
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=20))
+        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
         _, counters = _discover_counted(
             engine, query, repository, mode="combined", top_k=TOP_K
         )

@@ -18,7 +18,7 @@ def small_grids():
             "JaccardLevenshtein",
             JaccardLevenshteinMatcher,
             {"threshold": (0.6, 0.8)},
-            fixed={"sample_size": 20},
+            fixed={"sample_size": 8},
         ),
     }
 
@@ -166,19 +166,22 @@ class TestTelemetryMetrics:
 
 
 class TestPooledRunner:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        from repro.discovery.search import RerankPool
+
+        with RerankPool(max_workers=2) as pool:
+            yield pool
+
     def test_pooled_sweep_matches_serial_records(
-        self, small_grids, unionable_pair, noisy_unionable_pair
+        self, small_grids, unionable_pair, noisy_unionable_pair, pool
     ):
         """A RerankPool-backed sweep must produce the same records, in the
         same order, as the serial loop (runtimes aside)."""
-        from repro.discovery.search import RerankPool
-
         pairs = [unionable_pair, noisy_unionable_pair]
         serial = ExperimentRunner(grids=small_grids).run_all(pairs)
-        with RerankPool(max_workers=2) as pool:
-            pooled_runner = ExperimentRunner(grids=small_grids, rerank_pool=pool)
-            pooled = pooled_runner.run_all(pairs)
-            assert pool.spawn_count == 1  # one pool serves the whole sweep
+        pooled = ExperimentRunner(grids=small_grids, rerank_pool=pool).run_all(pairs)
+        assert pool.spawn_count == 1  # one pool serves the whole sweep
         key = lambda r: (
             r.method,
             r.pair_name,
@@ -187,14 +190,11 @@ class TestPooledRunner:
         )
         assert [key(r) for r in pooled.records] == [key(r) for r in serial.records]
 
-    def test_pooled_progress_callback_invoked(self, small_grids, unionable_pair):
-        from repro.discovery.search import RerankPool
-
+    def test_pooled_progress_callback_invoked(self, small_grids, unionable_pair, pool):
         messages = []
-        with RerankPool(max_workers=2) as pool:
-            runner = ExperimentRunner(
-                grids=small_grids, progress_callback=messages.append, rerank_pool=pool
-            )
-            runner.run_all([unionable_pair], methods=["JaccardLevenshtein"])
+        runner = ExperimentRunner(
+            grids=small_grids, progress_callback=messages.append, rerank_pool=pool
+        )
+        runner.run_all([unionable_pair], methods=["JaccardLevenshtein"])
         assert len(messages) == 2  # one per configuration x pair
         assert all("recall@GT" in message for message in messages)

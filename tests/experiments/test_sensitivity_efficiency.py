@@ -18,7 +18,7 @@ def jl_grid():
         "JaccardLevenshtein",
         JaccardLevenshteinMatcher,
         {"threshold": (0.4, 0.6, 0.8)},
-        fixed={"sample_size": 20},
+        fixed={"sample_size": 8},
     )
 
 

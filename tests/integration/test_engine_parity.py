@@ -45,7 +45,7 @@ def _signature(results) -> list[tuple[str, float, float]]:
 
 @pytest.mark.parametrize(
     "matcher_factory",
-    [ComaSchemaMatcher, lambda: JaccardLevenshteinMatcher(sample_size=20)],
+    [ComaSchemaMatcher, lambda: JaccardLevenshteinMatcher(sample_size=8)],
     ids=["coma-schema", "jaccard-levenshtein"],
 )
 def test_all_engines_produce_identical_rankings(tmp_path, lake, matcher_factory):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -53,11 +53,11 @@ MATCHER_CONFIGS: dict[str, dict] = {
     "embdi": {
         "dimensions": 8,
         "sentence_length": 8,
-        "walks_per_node": 2,
+        "walks_per_node": 1,
         "epochs": 1,
-        "max_rows": 10,
+        "max_rows": 4,
     },
-    "jaccardlevenshtein": {"sample_size": 20},
+    "jaccardlevenshtein": {"sample_size": 8},
     "semprop": {"num_permutations": 16, "sample_size": 50},
     "similarityflooding": {"max_iterations": 50},
 }
@@ -244,13 +244,14 @@ def semprop_lake(tmp_path_factory):
     return store_path, query
 
 
-def _semprop_engine(store_path) -> LakeDiscoveryEngine:
-    return LakeDiscoveryEngine(
-        matcher=SemPropMatcher(),
-        store=SketchStore(store_path, read_only=True),
-        prepared_store=PreparedStore(store_path.with_name("lake.sketches.prepared")),
-        owns_stores=True,
-    )
+@contextmanager
+def _semprop_engine(store_path):
+    with SketchStore(store_path, read_only=True) as store, PreparedStore(
+        store_path.with_name("lake.sketches.prepared")
+    ) as prepared_store, LakeDiscoveryEngine(
+        matcher=SemPropMatcher(), store=store, prepared_store=prepared_store
+    ) as engine:
+        yield engine
 
 
 def test_semprop_cascade_skips_and_stays_exact_serial(semprop_lake):
@@ -260,7 +261,9 @@ def test_semprop_cascade_skips_and_stays_exact_serial(semprop_lake):
         cascaded = engine.query(query, mode="joinable", top_k=TOP_K, cascade=True)
         stats = engine.last_query_stats
     assert _signature(cascaded) == _signature(plain)
-    assert stats.cascade_skipped > 0  # hopeless candidates never scored
+    # The floor the cascade is held to: an inline priced rerank scores the
+    # three goods first, after which every bad's bound is under the cutoff.
+    assert stats.cascade_skipped >= 0.3 * stats.shortlist_size
     assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
     assert stats.rerank_count == stats.cascade_exact
 
@@ -299,7 +302,7 @@ class _SlowMatcher(JaccardLevenshteinMatcher):
 
 def test_tiny_budget_stops_early_and_flags_partial(lake):
     query, repository, store = lake
-    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=20), store=store)
+    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=8), store=store)
     try:
         results = engine.query(
             query, repository, mode="combined", top_k=TOP_K, budget_ms=1.0
@@ -317,7 +320,7 @@ def test_tiny_budget_stops_early_and_flags_partial(lake):
 
 def test_large_budget_completes_and_matches_unbudgeted(lake):
     query, repository, store = lake
-    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=20), store=store)
+    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=8), store=store)
     try:
         plain = engine.query(query, repository, mode="combined", top_k=TOP_K)
         budgeted = engine.query(
@@ -333,7 +336,7 @@ def test_large_budget_completes_and_matches_unbudgeted(lake):
 
 def test_query_many_propagates_budget_and_partial(lake):
     query, repository, store = lake
-    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=20), store=store)
+    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=8), store=store)
     try:
         outcomes = engine.query_many(
             [query], repository, mode="combined", top_k=TOP_K, budget_ms=1.0
@@ -382,15 +385,12 @@ class _CountingPreparedStore(PreparedStore):
 @pytest.fixture()
 def counting_engine(semprop_lake):
     store_path, query = semprop_lake
-    sketch_store = _CountingSketchStore(store_path, read_only=True)
-    prepared_store = _CountingPreparedStore(
+    with _CountingSketchStore(
+        store_path, read_only=True
+    ) as sketch_store, _CountingPreparedStore(
         store_path.with_name("lake.sketches.prepared")
-    )
-    with LakeDiscoveryEngine(
-        matcher=SemPropMatcher(),
-        store=sketch_store,
-        prepared_store=prepared_store,
-        owns_stores=True,
+    ) as prepared_store, LakeDiscoveryEngine(
+        matcher=SemPropMatcher(), store=sketch_store, prepared_store=prepared_store
     ) as engine:
         yield engine, sketch_store, prepared_store, query
 
@@ -418,9 +418,10 @@ def test_priced_rerank_reads_payloads_only_for_scored_candidates(counting_engine
 
 def test_cold_rerank_without_prepared_store_never_decodes_sketches(semprop_lake):
     store_path, query = semprop_lake
-    sketch_store = _CountingSketchStore(store_path, read_only=True)
-    with LakeDiscoveryEngine(
-        matcher=create_matcher("cupid"), store=sketch_store, owns_stores=True
+    with _CountingSketchStore(
+        store_path, read_only=True
+    ) as sketch_store, LakeDiscoveryEngine(
+        matcher=create_matcher("cupid"), store=sketch_store
     ) as engine:
         results = engine.query(query, mode="joinable", top_k=TOP_K)
         stats = engine.last_query_stats

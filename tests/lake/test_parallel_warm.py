@@ -7,7 +7,9 @@ Contracts under test:
 * the engine's persistent :class:`RerankPool` is spawned once and reused
   across queries (and across engines when shared explicitly);
 * cold candidates hit in a worker are written through, warming the store
-  for the next (serial or parallel) query.
+  for the next (serial or parallel) query;
+* with telemetry off, the instrumentation left on the warm path is a bounded
+  number of no-op calls and constructs nothing.
 
 That parallel-warm rankings equal serial-warm ones for every registered
 matcher is asserted by the plan x executor grid in
@@ -15,6 +17,8 @@ matcher is asserted by the plan x executor grid in
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepa
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.telemetry import NULL_RECORDER, TelemetryRecorder, use
+from repro.telemetry import recorder as telemetry_recorder
 
 #: One lightweight configuration per registered matcher (mirrors the
 #: prepared-store round-trip test) so the full-coverage equality test stays
@@ -34,17 +39,24 @@ _LIGHT_CONFIGS: dict[str, dict[str, object]] = {
     "embdi": {
         "dimensions": 16,
         "sentence_length": 8,
-        "walks_per_node": 2,
+        "walks_per_node": 1,
         "epochs": 1,
-        "max_rows": 6,
+        "max_rows": 4,
     },
     "semprop": {"num_permutations": 32, "sample_size": 50},
     "comainstance": {"sample_size": 50},
     "distributionbased": {"sample_size": 50},
-    "jaccardlevenshtein": {"sample_size": 20},
+    "jaccardlevenshtein": {"sample_size": 8},
 }
 
 _NUM_TABLES = 5
+
+#: Disabled-telemetry budget: module-level ``span``/``count``/``observe``
+#: calls one warm serial query may make, per shortlisted candidate plus
+#: query column.  A null call costs 0.1-1.4 us, so 8 of them stay under 2 %
+#: of the cheapest prepared pair score (0.68 ms, SemProp); today's census is
+#: 3 per query column and 2 per candidate.
+_NULL_CALLS_PER_UNIT = 8
 
 
 def _ranking(results):
@@ -186,9 +198,9 @@ class TestTelemetryParity:
                     serial_engine = LakeDiscoveryEngine(
                         matcher=matcher, store=store, prepared_store=prepared_store
                     )
-                    # Warm-up writes the query table's own payload through,
-                    # so both measured queries below run fully warm.
-                    serial_engine.query(query, mode="unionable")
+                    # Write the query table's own payload through, so both
+                    # measured queries below run fully warm.
+                    prepared_store.prepare(matcher, query)
                     serial_recorder = TelemetryRecorder()
                     with use(serial_recorder):
                         serial_engine.query(query, mode="unionable")
@@ -250,6 +262,53 @@ class TestTelemetryParity:
             assert stats.rerank_count == _NUM_TABLES
             assert stats.total_seconds > 0.0
             assert stats.store_hits == _NUM_TABLES
+
+
+    def test_disabled_instrumentation_stays_within_a_call_budget(
+        self, warm_lake, monkeypatch
+    ):
+        """What the instrumentation costs when telemetry is off, counted
+        rather than timed: one warm serial query may make only so many
+        calls into the module-level entry points, and must build no span
+        and no recorder of its own."""
+        store, prepared_path, query, _ = warm_lake
+        matcher = create_matcher("semprop", **_LIGHT_CONFIGS["semprop"])
+        calls: Counter = Counter()
+        built: Counter = Counter()
+
+        def counted(owner, attribute, tally, key):
+            original = getattr(owner, attribute)
+
+            def wrapper(*args, **kwargs):
+                tally[key] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with PreparedStore(prepared_path) as prepared_store:
+            prepare_lake(store, prepared_store, matcher)
+            engine = LakeDiscoveryEngine(
+                matcher=matcher, store=store, prepared_store=prepared_store
+            )
+            engine.query(query)  # writes the query's own payload through
+            for name in ("span", "count", "observe"):
+                wrapper = counted(telemetry_recorder, name, calls, name)
+                monkeypatch.setattr(telemetry_recorder, name, wrapper)
+            for cls in (telemetry_recorder._Span, TelemetryRecorder):
+                wrapper = counted(cls, "__init__", built, cls.__name__)
+                monkeypatch.setattr(cls, "__init__", wrapper)
+            engine.query(query)
+            monkeypatch.undo()
+            stats = engine.last_query_stats
+        assert telemetry_recorder.get_recorder() is NULL_RECORDER
+        assert stats.store_hits == stats.rerank_count == _NUM_TABLES
+        assert not built, built
+        # Spans are per stage, never per candidate; the counters are the
+        # LSH probe tallies (per query column) and the store hit/byte
+        # tallies (per candidate).
+        assert calls["span"] <= 8
+        units = stats.rerank_count + query.num_columns
+        assert sum(calls.values()) <= _NULL_CALLS_PER_UNIT * units, calls
 
 
 class TestWorkerWriteThrough:

@@ -8,7 +8,7 @@ The PR 8 satellite contracts:
   no longer matches the sketch store, before writing fresh ones;
 * ``SketchStore.remove_table`` notifies listeners, so a
   ``LakeDiscoveryEngine``'s cached LSH index can never serve a dangling
-  candidate name; ``refresh_index()`` is the explicit full rebuild.
+  candidate name.
 """
 
 from __future__ import annotations
@@ -133,18 +133,3 @@ class TestRemovalInvalidation:
             assert not store._removal_listeners
             # A post-close removal must not touch the retired engine.
             assert store.remove_table("t0")
-
-    def test_refresh_index_rebuilds_from_store(self, tmp_path):
-        lake_dir = _make_lake(tmp_path)
-        query = tpcdi_prospect_table(num_rows=12, seed=90).rename("q")
-        with SketchStore(tmp_path / "s.sketches") as store:
-            build_from_paths(store, sorted(lake_dir.glob("*.csv")))
-            with LakeDiscoveryEngine(
-                matcher=create_matcher("jaccardlevenshtein", sample_size=20),
-                store=store,
-            ) as engine:
-                stale = engine.index
-                index = engine.refresh_index()
-                assert index is not stale
-                assert index.table_names == set(store.table_names)
-                assert engine.shortlist(query)
