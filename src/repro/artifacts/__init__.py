@@ -21,8 +21,6 @@ from repro.artifacts.manifest import (
     Manifest,
     PreparedEntry,
     TableEntry,
-    decode_sketch_blob,
-    encode_sketch_blob,
 )
 from repro.artifacts.sync import (
     PublishReport,
@@ -60,8 +58,6 @@ __all__ = [
     "TransportError",
     "WatchReport",
     "blob_digest",
-    "decode_sketch_blob",
-    "encode_sketch_blob",
     "key_fingerprint",
     "publish_snapshot",
     "pull_snapshot",

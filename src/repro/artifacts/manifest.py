@@ -6,8 +6,11 @@ and is swapped atomically, so a snapshot is exactly "whatever the manifest
 references":
 
 * one :class:`TableEntry` per sketch-store table — ``(name, content hash,
-  payload digest, num_rows)``, the blob being the canonical JSON encoding
-  of the :class:`~repro.lake.profiles.TableSketch`;
+  payload digest, num_rows)``, the blob being the store row's ``sketch``
+  bytes verbatim (:meth:`TableSketch.to_bytes
+  <repro.lake.profiles.TableSketch.to_bytes>`, canonical JSON: the same
+  sketch always gives the same bytes, hence the same digest, hence a no-op
+  re-publish);
 * one :class:`PreparedEntry` per prepared-store row — ``(matcher
   fingerprint, table name, content hash, payload format, digest)``, the
   blob being the store's pickled payload verbatim;
@@ -15,20 +18,19 @@ references":
   :class:`~repro.lake.profiles.SketchConfig` (a puller refuses to mix
   incomparable sketch parameters);
 * one :class:`~repro.artifacts.iblt.IBLTSketch` over the table entry
-  **keys** and one over the prepared entry keys, so a puller can reconcile
-  either set against its local keys by exchanging O(delta) cells instead of
-  full key lists (peel failure falls back to the entry list, which the
-  manifest also carries).  The two domains get separate sketches because a
-  puller may sync only the sketch store — a combined IBLT would then see
-  every prepared key as a difference and never decode.
+  **keys** and one over the prepared entry keys.  A puller peels the
+  difference between either and its local keys — but it has already read
+  the full entry lists above (it needs them to map a peeled fingerprint
+  back to an entry, and falls back to diffing them when the peel fails),
+  so as wired the peel saves no transfer and returns exactly the set
+  difference of the two key lists.  The two domains get separate sketches
+  because a puller may sync only the sketch store — a combined IBLT would
+  then see every prepared key as a difference and never decode.
 
-Entry *keys* are strings (``t|name|hash`` / ``p|fingerprint|name|hash|fmt``)
-— a table whose content changes gets a new key, so "changed" is just
-"one key removed + one added" to the reconciliation layer.
-
-Blob encoding of a table sketch is **canonical** (sorted keys, fixed
-separators): the same sketch always produces the same bytes, hence the same
-digest, hence a no-op re-publish.
+Entry *keys* are strings (``t|name|hash`` / ``p|fingerprint|name|hash|fmt``),
+built only by :attr:`TableEntry.key` / :attr:`PreparedEntry.key` — a table
+whose content changes gets a new key, so "changed" is just "one key removed
++ one added" to the reconciliation layer.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from repro.artifacts.iblt import IBLTSketch
-from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch
+from repro.lake.profiles import SketchConfig
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -51,8 +53,6 @@ __all__ = [
     "TableEntry",
     "PreparedEntry",
     "Manifest",
-    "encode_sketch_blob",
-    "decode_sketch_blob",
 ]
 
 MANIFEST_FORMAT = 1
@@ -60,40 +60,17 @@ MANIFEST_NAME = "manifest.json"
 BLOBS_DIR = "blobs"
 
 
-def _canonical_json(data: object) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def encode_sketch_blob(sketch: TableSketch) -> bytes:
-    """Canonical JSON bytes of a table sketch (digest-stable)."""
-    return _canonical_json(
-        {
-            "name": sketch.name,
-            "content_hash": sketch.content_hash,
-            "num_rows": sketch.num_rows,
-            "columns": [column.to_dict() for column in sketch.columns],
-        }
-    )
-
-
-def decode_sketch_blob(data: bytes) -> TableSketch:
-    """Inverse of :func:`encode_sketch_blob`."""
-    decoded = json.loads(data.decode("utf-8"))
-    return TableSketch(
-        name=str(decoded["name"]),
-        content_hash=str(decoded["content_hash"]),
-        num_rows=int(decoded["num_rows"]),
-        columns=tuple(ColumnSketch.from_dict(c) for c in decoded["columns"]),
-    )
-
-
 @dataclass(frozen=True)
 class TableEntry:
-    """One sketch-store table in a snapshot."""
+    """One sketch-store table in a snapshot.
+
+    ``digest`` is empty for a local store row whose bytes nobody has hashed
+    (what pull and verify compare a snapshot's entries against, by ``key``).
+    """
 
     name: str
     content_hash: str
-    digest: str
+    digest: str = ""
     num_rows: int = 0
 
     @property
@@ -120,13 +97,13 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class PreparedEntry:
-    """One prepared-store payload in a snapshot."""
+    """One prepared-store payload in a snapshot (``digest`` as above)."""
 
     fingerprint: str
     table_name: str
     content_hash: str
     payload_format: int
-    digest: str
+    digest: str = ""
 
     @property
     def key(self) -> str:
@@ -169,15 +146,6 @@ class Manifest:
     # ------------------------------------------------------------------ #
     # derived views
     # ------------------------------------------------------------------ #
-    def entries_by_key(self) -> dict[str, Union[TableEntry, PreparedEntry]]:
-        """Every entry keyed by its reconciliation key string."""
-        out: dict[str, Union[TableEntry, PreparedEntry]] = {}
-        for entry in self.tables:
-            out[entry.key] = entry
-        for entry in self.prepared:
-            out[entry.key] = entry
-        return out
-
     def referenced_digests(self) -> set[str]:
         """Digests of every blob this snapshot needs (for pruning)."""
         return {e.digest for e in self.tables} | {e.digest for e in self.prepared}
@@ -186,10 +154,11 @@ class Manifest:
     def snapshot_id(self) -> str:
         """Content identity of the snapshot: hash of its sorted entry keys
         and digests (independent of store version or entry order)."""
-        payload = _canonical_json(
-            sorted((key, entry.digest) for key, entry in self.entries_by_key().items())
+        payload = json.dumps(
+            sorted((entry.key, entry.digest) for entry in self.tables + self.prepared),
+            separators=(",", ":"),
         )
-        return hashlib.sha256(payload).hexdigest()
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------ #
     # (de)serialisation

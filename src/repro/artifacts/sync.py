@@ -5,21 +5,21 @@ the sketch/prepared stores (it runs ``lake build`` / ``lake watch``),
 periodically :func:`publish_snapshot`-es them into an artifact directory
 (local disk, NFS export, object-store mount — anything path-like), and any
 number of query nodes :func:`pull_snapshot` the artifact into their own
-local stores.  Applied pulls commit through the ordinary single-writer
-store APIs (:meth:`SketchStore.add_sketch`, :meth:`PreparedStore.put_raw`),
-bumping the store version — a running ``lake serve`` daemon on the replica
-notices via its ``store_generation`` probe and reopens live.
+local stores.  A blob *is* a store row: publish ships ``iter_raw()`` bytes
+and pull commits them with ``put_raw()``, verbatim, so nothing here encodes
+or decodes a payload and one publish loop and one pull loop serve both
+stores, each described to them by a :class:`_Domain`.  Applied pulls bump
+the store version — a running ``lake serve`` daemon on the replica notices
+via its ``store_generation`` probe and reopens live.
 
 Delta sync.  A pull first reconciles *keys* (``t|name|hash`` /
-``p|fingerprint|name|hash|fmt``) between the local stores and the published
-manifest.  The preferred mechanism is the manifest's
-:class:`~repro.artifacts.iblt.IBLTSketch`: the puller folds its own keys
-into an identically-shaped table, subtracts, and peels — an O(cells)
-exchange that recovers the symmetric difference no matter how large the
-lake is, as long as the *difference* fits the table.  Peel failure (e.g. a
-bootstrap pull into an empty store, where the difference is the whole lake)
-falls back to a full manifest diff; either way only missing blobs are
-fetched, and shared ones cost nothing.  Telemetry counters:
+``p|fingerprint|name|hash|fmt``) between the local stores and the
+manifest's entry lists.  The manifest's
+:class:`~repro.artifacts.iblt.IBLTSketch` is tried first (fold the local
+keys into a table of the same shape, subtract, peel); since the puller
+holds both key lists, the peel can only return their set difference, which
+is also what peel failure falls back to.  Either way only missing blobs
+are fetched, and shared ones cost nothing.  Telemetry counters:
 ``artifacts.iblt.decode_success`` / ``artifacts.iblt.decode_fallback``,
 ``artifacts.pull.blobs_fetched`` / ``blobs_skipped`` / ``bytes_fetched``.
 
@@ -29,19 +29,20 @@ wrapped in a :class:`~repro.artifacts.transport.LocalTransport`) and treats
 the channel as lossy: every fetched blob is re-hashed against its manifest
 digest, and a mismatch or transient transport error triggers a bounded
 backoff-and-retry (:class:`~repro.artifacts.transport.RetryPolicy` — per
-blob attempts plus a pull-wide budget) rather than an abort.  Progress is
-journaled (:class:`~repro.artifacts.journal.PullJournal`): each key is
-logged *after* its store commit, so a pull killed mid-flight resumes
-fetching only blobs it never verified.  Counters: ``sync.retries``,
-``sync.resumed_blobs``.
+blob attempts plus a pull-wide budget) rather than an abort.  Each key is
+committed to its store before the next is fetched, so a pull killed
+mid-flight re-fetches only what reconciliation finds missing; the
+:class:`~repro.artifacts.journal.PullJournal` (a key is logged *after* its
+commit) is what lets the next pull report that as resumed.  Counters:
+``sync.retries``, ``sync.resumed_blobs``.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.artifacts.blobs import BlobStore, blob_digest
 from repro.artifacts.iblt import IBLTSketch, key_fingerprint
@@ -51,8 +52,6 @@ from repro.artifacts.manifest import (
     Manifest,
     PreparedEntry,
     TableEntry,
-    decode_sketch_blob,
-    encode_sketch_blob,
 )
 from repro.artifacts.transport import (
     ArtifactTransport,
@@ -68,6 +67,66 @@ from repro.telemetry import recorder as telemetry
 __all__ = ["PublishReport", "PullReport", "publish_snapshot", "pull_snapshot"]
 
 logger = logging.getLogger(__name__)
+
+
+_Entry = Union[TableEntry, PreparedEntry]
+
+
+@dataclass(frozen=True)
+class _Domain:
+    """One store's side of the publish loop and the pull loop.
+
+    A *slot* is the store's primary key for a row, table name first: what a
+    commit overwrites and a retire deletes.
+    """
+
+    label: str
+    #: ``(entry with no digest yet, row bytes)`` of every row to publish.
+    rows: Callable[[], Iterator[tuple[_Entry, bytes]]]
+    #: The same entries without the bytes: what the store holds now.
+    local: Callable[[], Iterable[_Entry]]
+    slot: Callable[[_Entry], tuple]
+    #: Store fetched bytes verbatim in the entry's slot; ``ValueError`` when
+    #: the store refuses them (nothing written).
+    commit: Callable[[_Entry, bytes], None]
+    #: ``retire(*slot)`` deletes a row; returns whether it existed.
+    retire: Callable[..., bool]
+
+
+def _table_domain(store: SketchStore) -> _Domain:
+    return _Domain(
+        label="table",
+        rows=lambda: (
+            (TableEntry(name, content_hash, num_rows=num_rows), blob)
+            for name, content_hash, num_rows, blob in store.iter_raw()
+        ),
+        local=lambda: (TableEntry(*row) for row in store.raw_keys()),
+        slot=lambda entry: (entry.name,),
+        commit=lambda entry, data: store.put_raw(entry.name, entry.content_hash, data),
+        retire=store.remove_table,
+    )
+
+
+def _prepared_domain(prepared_store: PreparedStore) -> _Domain:
+    return _Domain(
+        label="prepared payload",
+        rows=lambda: (
+            (PreparedEntry(*key_fields), blob)
+            for *key_fields, blob in prepared_store.iter_raw()
+        ),
+        local=lambda: (PreparedEntry(*row) for row in prepared_store.raw_keys()),
+        slot=lambda entry: (entry.table_name, entry.fingerprint, entry.content_hash),
+        commit=lambda entry, data: prepared_store.put_raw(
+            entry.fingerprint,
+            entry.table_name,
+            entry.content_hash,
+            entry.payload_format,
+            data,
+        ),
+        retire=lambda name, fingerprint, content_hash: prepared_store.remove_raw(
+            fingerprint, name, content_hash
+        ),
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -108,9 +167,9 @@ def publish_snapshot(
     Parameters
     ----------
     store / prepared_store:
-        The stores to export.  Prepared payload blobs are shipped verbatim
-        (current payload format only); pass ``None`` to publish sketches
-        only.
+        The stores to export.  Rows of both are shipped verbatim (prepared
+        payloads: current payload format only); pass ``None`` to publish
+        sketches only.
     artifact_dir:
         Destination directory (created on demand).
     iblt_cells_per_subtable:
@@ -126,41 +185,12 @@ def publish_snapshot(
     directory = Path(artifact_dir)
     blobs = BlobStore(directory / BLOBS_DIR)
     with telemetry.span("artifacts.publish", store=store.path):
-        table_entries: list[TableEntry] = []
-        for sketch in store:
-            data = encode_sketch_blob(sketch)
-            digest, written = blobs.write(data)
-            if written:
-                report.blobs_written += 1
-                report.bytes_written += len(data)
-            else:
-                report.blobs_reused += 1
-            table_entries.append(
-                TableEntry(
-                    name=sketch.name,
-                    content_hash=sketch.content_hash,
-                    digest=digest,
-                    num_rows=sketch.num_rows,
-                )
-            )
-        prepared_entries: list[PreparedEntry] = []
+        table_entries = _publish_rows(_table_domain(store), blobs, report)
+        prepared_entries = []
         if prepared_store is not None:
-            for fingerprint, name, content_hash, fmt, blob in prepared_store.iter_raw():
-                digest, written = blobs.write(bytes(blob))
-                if written:
-                    report.blobs_written += 1
-                    report.bytes_written += len(blob)
-                else:
-                    report.blobs_reused += 1
-                prepared_entries.append(
-                    PreparedEntry(
-                        fingerprint=fingerprint,
-                        table_name=name,
-                        content_hash=content_hash,
-                        payload_format=fmt,
-                        digest=digest,
-                    )
-                )
+            prepared_entries = _publish_rows(
+                _prepared_domain(prepared_store), blobs, report
+            )
         manifest = Manifest(
             sketch_config=store.config,
             store_version=store.version,
@@ -197,6 +227,21 @@ def publish_snapshot(
     return report
 
 
+def _publish_rows(domain: _Domain, blobs: BlobStore, report: PublishReport) -> list:
+    """Write every row of *domain* as a blob; returns its manifest entries."""
+    entries = []
+    for entry, blob in domain.rows():
+        data = bytes(blob)
+        digest, written = blobs.write(data)
+        if written:
+            report.blobs_written += 1
+            report.bytes_written += len(data)
+        else:
+            report.blobs_reused += 1
+        entries.append(replace(entry, digest=digest))
+    return entries
+
+
 # ---------------------------------------------------------------------- #
 # reconciliation
 # ---------------------------------------------------------------------- #
@@ -209,11 +254,11 @@ def _reconcile(
 ) -> tuple[set[str], set[str], bool]:
     """``(keys to fetch, keys to retire, via_iblt)`` for one key domain.
 
-    Attempts the O(delta) IBLT exchange first: fold the local keys into a
-    table of the remote sketch's shape, subtract, peel.  Any failure —
-    missing sketch, peel giving up, or a decoded fingerprint that maps to
-    no known key (a 64-bit collision, vanishingly rare) — falls back to the
-    exact full diff, so the result is always correct.
+    Tries the IBLT first: fold the local keys into a table of the remote
+    sketch's shape, subtract, peel.  Any failure — missing sketch, peel
+    giving up, or a decoded fingerprint that maps to no known key (a 64-bit
+    collision, vanishingly rare) — falls back to the plain set difference,
+    which is also all a successful peel can return.
     """
     if remote_iblt is not None:
         local_iblt = IBLTSketch.from_keys(
@@ -366,10 +411,10 @@ def pull_snapshot(
     Only blobs whose keys are missing locally are read (delta fetch); local
     tables and payloads absent from the snapshot are retired when
     *remove_missing* is set, so the replica converges to exactly the
-    published state.  All writes go through the ordinary store APIs in this
-    (single-writer) process; every applied change bumps the sketch store's
-    monotone version, which is what a serving daemon's generation probe
-    watches.
+    published state.  All writes go through the stores' own raw-row APIs in
+    this (single-writer) process; every applied change bumps the sketch
+    store's monotone version, which is what a serving daemon's generation
+    probe watches.
 
     Parameters
     ----------
@@ -416,28 +461,18 @@ def pull_snapshot(
             verified_before = resumed
             report.resumed = bool(resumed)
 
+    shared = (transport, remove_missing, report, retry_state, journal, verified_before)
     try:
         with telemetry.span("artifacts.pull", artifact=transport.describe()):
-            _pull_tables(
-                manifest,
-                transport,
-                store,
-                remove_missing,
-                report,
-                retry_state,
-                journal,
-                verified_before,
+            report.tables_added, report.tables_removed = _pull_entries(
+                _table_domain(store), manifest.tables, manifest.iblt, *shared
             )
             if prepared_store is not None:
-                _pull_prepared(
-                    manifest,
-                    transport,
-                    prepared_store,
-                    remove_missing,
-                    report,
-                    retry_state,
-                    journal,
-                    verified_before,
+                report.prepared_added, report.prepared_removed = _pull_entries(
+                    _prepared_domain(prepared_store),
+                    manifest.prepared,
+                    manifest.prepared_iblt,
+                    *shared,
                 )
         if journal is not None and not report.corrupt:
             # With failures pending we leave the journal unsealed, so the
@@ -474,126 +509,53 @@ def pull_snapshot(
     return report
 
 
-def _pull_tables(
-    manifest: Manifest,
+def _pull_entries(
+    domain: _Domain,
+    entries: Sequence[_Entry],
+    remote_iblt: Optional[IBLTSketch],
     transport: ArtifactTransport,
-    store: SketchStore,
     remove_missing: bool,
     report: PullReport,
     retry_state: Optional[RetryState],
     journal: Optional[PullJournal],
     verified_before: set[str],
-) -> None:
-    local_meta = store.table_meta(store.table_names)
-    local_keys = {
-        f"t|{name}|{content_hash}": name
-        for name, (content_hash, _path) in local_meta.items()
-    }
-    remote_entries = {entry.key: entry for entry in manifest.tables}
-    to_fetch, to_remove, via_iblt = _reconcile(
-        set(local_keys), set(remote_entries), manifest.iblt
-    )
+) -> tuple[int, int]:
+    """Reconcile → fetch → commit → journal → retire, for one store.
+
+    Returns ``(rows committed, rows retired)``; everything else is
+    accumulated on *report*.
+    """
+    local = {entry.key: domain.slot(entry) for entry in domain.local()}
+    remote = {entry.key: entry for entry in entries}
+    to_fetch, to_remove, via_iblt = _reconcile(set(local), set(remote), remote_iblt)
     report.iblt_decoded += int(via_iblt)
     report.iblt_fallback += int(not via_iblt)
-    report.blobs_skipped += len(remote_entries) - len(to_fetch)
-    report.resumed_blobs += len(
-        verified_before & (set(remote_entries) - to_fetch)
-    )
+    report.blobs_skipped += len(remote) - len(to_fetch)
+    report.resumed_blobs += len(verified_before & (set(remote) - to_fetch))
+    added = removed = 0
     for key in sorted(to_fetch):
-        entry = remote_entries[key]
+        entry = remote[key]
+        table_name = domain.slot(entry)[0]
         try:
             data = _fetch_blob(transport, entry.digest, retry_state, report)
-        except _FetchFailed as exc:
-            logger.warning("skipping table %r: %s", entry.name, exc)
-            report.corrupt.append(entry.name)
-            continue
-        try:
-            sketch = decode_sketch_blob(data)
-        except (ValueError, KeyError, TypeError) as exc:
-            # Digest-valid but undecodable: a publisher bug, not a wire
-            # fault — re-fetching would hand back the same bytes.
-            logger.warning(
-                "skipping table %r: blob is not a sketch (%s)", entry.name, exc
-            )
-            report.corrupt.append(entry.name)
-            continue
-        if sketch.name != entry.name or sketch.content_hash != entry.content_hash:
-            logger.warning(
-                "skipping table %r: blob identity does not match its manifest entry",
-                entry.name,
-            )
-            report.corrupt.append(entry.name)
+            # Digest-valid bytes the store still refuses are a publisher
+            # bug, not a wire fault — re-fetching would hand back the same.
+            domain.commit(entry, data)
+        except (_FetchFailed, ValueError) as exc:
+            logger.warning("skipping %s for %r: %s", domain.label, table_name, exc)
+            report.corrupt.append(table_name)
             continue
         report.blobs_fetched += 1
         report.bytes_fetched += len(data)
-        if store.add_sketch(sketch):
-            report.tables_added += 1
+        added += 1
         if journal is not None:
             journal.record(key)
     if remove_missing:
-        # A changed table surfaces as old-key-removed + new-key-added for
-        # the same name; the add above already replaced the row, so only
-        # names absent from the snapshot entirely are dropped.
-        remote_names = {entry.name for entry in manifest.tables}
+        # A changed row whose slot the snapshot still claims (a table under
+        # a new content hash) was replaced — or, if its fetch failed, kept —
+        # by the loop above; only slots absent from the snapshot are dropped.
+        claimed = {domain.slot(entry) for entry in entries}
         for key in sorted(to_remove):
-            name = local_keys[key]
-            if name in remote_names:
-                continue
-            if store.remove_table(name):
-                report.tables_removed += 1
-
-
-def _pull_prepared(
-    manifest: Manifest,
-    transport: ArtifactTransport,
-    prepared_store: PreparedStore,
-    remove_missing: bool,
-    report: PullReport,
-    retry_state: Optional[RetryState],
-    journal: Optional[PullJournal],
-    verified_before: set[str],
-) -> None:
-    local_rows = {
-        f"p|{fingerprint}|{name}|{content_hash}|{fmt}": (fingerprint, name, content_hash)
-        for fingerprint, name, content_hash, fmt in prepared_store.raw_keys()
-    }
-    remote_entries = {entry.key: entry for entry in manifest.prepared}
-    to_fetch, to_remove, via_iblt = _reconcile(
-        set(local_rows), set(remote_entries), manifest.prepared_iblt
-    )
-    report.iblt_decoded += int(via_iblt)
-    report.iblt_fallback += int(not via_iblt)
-    report.blobs_skipped += len(remote_entries) - len(to_fetch)
-    report.resumed_blobs += len(
-        verified_before & (set(remote_entries) - to_fetch)
-    )
-    for key in sorted(to_fetch):
-        entry = remote_entries[key]
-        try:
-            data = _fetch_blob(transport, entry.digest, retry_state, report)
-        except _FetchFailed as exc:
-            logger.warning(
-                "skipping prepared payload for %r: %s", entry.table_name, exc
-            )
-            report.corrupt.append(entry.table_name)
-            continue
-        report.blobs_fetched += 1
-        report.bytes_fetched += len(data)
-        prepared_store.put_raw(
-            entry.fingerprint,
-            entry.table_name,
-            entry.content_hash,
-            entry.payload_format,
-            data,
-        )
-        report.prepared_added += 1
-        if journal is not None:
-            journal.record(key)
-    if remove_missing:
-        # Prepared keys embed the content hash, so a changed payload's old
-        # row is a distinct primary key — exact removal never clobbers the
-        # row just pulled.
-        for key in sorted(to_remove):
-            fingerprint, name, content_hash = local_rows[key]
-            if prepared_store.remove_raw(fingerprint, name, content_hash):
-                report.prepared_removed += 1
+            if local[key] not in claimed and domain.retire(*local[key]):
+                removed += 1
+    return added, removed

@@ -23,7 +23,7 @@ live exactly once, here:
   letting the per-PID lookup silently reopen a leaked connection.
 
 Subclasses declare what their store looks like (``_STORE_KIND``,
-``_REQUIRED_TABLES``, ``_SCHEMA_SCRIPT``, ``_FOREIGN_KEYS``), call
+``_REQUIRED_TABLES``, ``_SCHEMA_SCRIPT``), call
 :meth:`_init_connections` from ``__init__``, and may override
 :meth:`_close_hook` for flush-on-close work.  Every store has a ``meta``
 key/value table (it is in ``_REQUIRED_TABLES``), read and written through
@@ -62,8 +62,6 @@ class PerProcessSqliteStore:
     _REQUIRED_TABLES: frozenset = frozenset({"meta"})
     #: ``executescript`` DDL creating the store's tables (writable opens).
     _SCHEMA_SCRIPT = ""
-    #: Whether connections enable ``PRAGMA foreign_keys``.
-    _FOREIGN_KEYS = False
 
     def _init_connections(
         self, path: Union[str, Path], read_only: bool
@@ -86,8 +84,6 @@ class PerProcessSqliteStore:
                 connection = sqlite3.connect(f"file:{self.path}?mode=ro", uri=True)
             else:
                 connection = sqlite3.connect(self.path)
-            if self._FOREIGN_KEYS:
-                connection.execute("PRAGMA foreign_keys = ON")
             connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
             if not in_memory and not self.read_only:
                 # WAL lets N reader processes (parallel-rerank workers) pull

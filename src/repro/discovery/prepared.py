@@ -129,14 +129,9 @@ class PreparedTableCache:
         Maximum number of prepared tables kept (least recently used entries
         are evicted first).  Payload sizes vary wildly across matchers, so
         the bound is on entry count, not bytes.
-    backing:
-        Optional second tier consulted on a miss — any
-        :class:`PreparedProvider`, typically a :class:`PreparedStore`.  Entries fetched (or computed) by the
-        backing tier are promoted into this in-memory cache.
     """
 
     max_entries: int = 128
-    backing: Optional[PreparedProvider] = None
     hits: int = field(default=0, init=False)
     misses: int = field(default=0, init=False)
     _entries: "OrderedDict[tuple[str, str, str], PreparedTable]" = field(
@@ -165,10 +160,7 @@ class PreparedTableCache:
             return cached
         self.misses += 1
         telemetry.count("prepared_cache.misses")
-        if self.backing is not None:
-            prepared = self.backing.prepare(matcher, table, content_hash=content_hash)
-        else:
-            prepared = matcher.prepare(table)
+        prepared = matcher.prepare(table)
         self._entries[key] = prepared
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -536,9 +528,7 @@ class PreparedStore(PerProcessSqliteStore):
             )
         return cursor.rowcount > 0
 
-    def iter_raw(
-        self, fingerprint: Optional[str] = None
-    ) -> Iterator[tuple[str, str, str, int, bytes]]:
+    def iter_raw(self) -> Iterator[tuple[str, str, str, int, bytes]]:
         """Iterate stored rows as raw ``(fingerprint, name, hash, format,
         blob)`` tuples — the export hook behind ``lake publish``.
 
@@ -546,15 +536,12 @@ class PreparedStore(PerProcessSqliteStore):
         :meth:`get` would refuse to decode must not be replicated to other
         nodes.  No LRU recency is recorded (export is not "use").
         """
-        query = (
+        for row in self._connection.execute(
             "SELECT matcher_fingerprint, table_name, content_hash, "
-            "payload_format, payload FROM prepared WHERE payload_format = ?"
-        )
-        parameters: tuple = (PREPARED_PAYLOAD_FORMAT,)
-        if fingerprint is not None:
-            query += " AND matcher_fingerprint = ?"
-            parameters = (PREPARED_PAYLOAD_FORMAT, fingerprint)
-        for row in self._connection.execute(query + " ORDER BY rowid", parameters):
+            "payload_format, payload FROM prepared WHERE payload_format = ? "
+            "ORDER BY rowid",
+            (PREPARED_PAYLOAD_FORMAT,),
+        ):
             yield (row[0], row[1], row[2], int(row[3]), row[4])
 
     def raw_keys(self) -> list[tuple[str, str, str, int]]:

@@ -239,9 +239,6 @@ class LakeDiscoveryEngine:
     min_candidates: int = DEFAULT_MIN_CANDIDATES
     prepared_store: Optional[PreparedStore] = None
     rerank_pool: Optional[RerankPool] = None
-    #: How many candidates the matcher actually reranked in the last
-    #: :meth:`query` (before top-k truncation) — the pruning statistic.
-    last_rerank_count: int = field(default=0, repr=False, init=False)
     #: Structured statistics of the last :meth:`query` — stage durations,
     #: shortlist/rerank sizes, store hits, and (when a telemetry recorder is
     #: active) the full counter/span snapshot of that query.
@@ -249,37 +246,10 @@ class LakeDiscoveryEngine:
     _index: Optional[LakeIndex] = field(default=None, repr=False, init=False)
     _index_version: int = field(default=-1, repr=False, init=False)
     _owns_pool: bool = field(default=False, repr=False, init=False)
-    _closed: bool = field(default=True, repr=False, init=False)
-
-    def __post_init__(self) -> None:
-        self._set_closed(False)
-
-    def _on_table_removed(self, name: str) -> None:
-        if self._index is not None:
-            self._index.remove(name)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def _set_closed(self, closed: bool) -> bool:
-        """Open or close the engine; returns whether the state changed.
-
-        The closed flag and the store's removal listener move together, so
-        an engine revived by a query after :meth:`close` hears
-        ``remove_table`` again.  The listener is immediate invalidation:
-        the store reports every committed removal, so a deletion can never
-        leave a dangling candidate name in a shortlist — even one built
-        before the index's next store-version probe would have noticed.
-        """
-        if closed == self._closed:
-            return False
-        self._closed = closed
-        if closed:
-            self.store.remove_removal_listener(self._on_table_removed)
-        else:
-            self.store.add_removal_listener(self._on_table_removed)
-        return True
-
     def close(self) -> None:
         """Release the engine-owned rerank pool.
 
@@ -288,11 +258,9 @@ class LakeDiscoveryEngine:
         a no-op.  A pool passed in by the caller is left running (it may
         serve other engines); only a pool this engine lazily created is shut
         down.  The stores belong to whoever constructed them and stay open.
-        Querying again revives the engine; the next :meth:`close` releases
-        what that query made.
+        A later parallel query lazily creates a new pool, which the next
+        :meth:`close` releases.
         """
-        if not self._set_closed(True):
-            return
         if self.rerank_pool is not None and self._owns_pool:
             self.rerank_pool.close()
             self.rerank_pool = None
@@ -343,7 +311,8 @@ class LakeDiscoveryEngine:
         Built once from the whole store, then refreshed *incrementally* when
         the store version moves on: only tables sketched after the index's
         version are (re)added and vanished tables removed, so one mutation
-        on a large lake does not trigger an O(lake) rebuild.
+        on a large lake does not trigger an O(lake) rebuild.  Every access
+        probes the version, so a removal by any process reaches the next one.
         """
         store_version = self.store.version
         if self._index is None:
@@ -461,7 +430,6 @@ class LakeDiscoveryEngine:
         in input order; a pooled rerank keeps the shared
         :class:`RerankPool` busy within each query.
         """
-        self._set_closed(False)
         pool = self._ensure_rerank_pool(max_workers) if parallel else None
         outcomes = [
             self._query_one(query, repository, mode, top_k, pool, cascade, budget_ms)
@@ -469,7 +437,6 @@ class LakeDiscoveryEngine:
         ]
         if outcomes:
             self.last_query_stats = outcomes[-1].stats
-            self.last_rerank_count = outcomes[-1].stats.rerank_count
         return outcomes
 
     def _query_one(

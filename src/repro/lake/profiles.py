@@ -12,6 +12,7 @@ reused by every subsequent query, which is what turns discovery from
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -208,7 +209,13 @@ class ColumnSketch:
 
 @dataclass(frozen=True)
 class TableSketch:
-    """All column sketches of one table plus identity metadata."""
+    """All column sketches of one table plus identity metadata.
+
+    :meth:`to_bytes` / :meth:`from_bytes` are the one sketch codec: the bytes
+    they define are a :class:`~repro.lake.store.SketchStore` row *and* the
+    blob a published snapshot hash-pins, so a format change is made here and
+    nowhere else.
+    """
 
     name: str
     content_hash: str
@@ -218,6 +225,39 @@ class TableSketch:
     @property
     def num_columns(self) -> int:
         return len(self.columns)
+
+    def to_bytes(self) -> bytes:
+        """Canonical JSON bytes of this sketch (inverse of :meth:`from_bytes`).
+
+        Sorted keys and fixed separators: equal sketches give equal bytes,
+        hence equal digests, hence a no-op re-publish.
+        """
+        return json.dumps(
+            {
+                "name": self.name,
+                "content_hash": self.content_hash,
+                "num_rows": self.num_rows,
+                "columns": [column.to_dict() for column in self.columns],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode("utf-8")
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "TableSketch":
+        """Decode :meth:`to_bytes` output; ``ValueError`` for anything else."""
+        try:
+            decoded = json.loads(bytes(data).decode("utf-8"))
+            return cls(
+                name=str(decoded["name"]),
+                content_hash=str(decoded["content_hash"]),
+                num_rows=int(decoded["num_rows"]),
+                columns=tuple(ColumnSketch.from_dict(c) for c in decoded["columns"]),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"not a table sketch ({type(exc).__name__}: {exc})"
+            ) from exc
 
     def column(self, name: str) -> ColumnSketch:
         for sketch in self.columns:

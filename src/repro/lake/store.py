@@ -3,8 +3,10 @@
 The store is the persistent half of the lake index: sketches are computed
 once when a table is added and survive process restarts, so a discovery
 query against a 10k-table lake never re-profiles the lake.  SQLite is used
-as the storage engine (stdlib, single file, transactional); sketches are
-stored as JSON payloads keyed by ``(table, column)``.
+as the storage engine (stdlib, single file, transactional); each table is
+one row whose ``sketch`` column holds :meth:`TableSketch.to_bytes
+<repro.lake.profiles.TableSketch.to_bytes>` verbatim — the bytes a published
+snapshot hash-pins, so publish and pull move rows without decoding them.
 
 Consistency properties:
 
@@ -29,7 +31,7 @@ import json
 import logging
 import sqlite3
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from repro.data.sqlite_store import _MAX_IN_VARS, PerProcessSqliteStore
 from repro.data.table import Table
@@ -97,7 +99,7 @@ def store_generation(path: Union[str, Path]) -> Optional[StoreGeneration]:
         connection.close()
     return (stat.st_dev, stat.st_ino, int(row[0]) if row else 0)
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -108,15 +110,10 @@ CREATE TABLE IF NOT EXISTS tables (
     name TEXT PRIMARY KEY,
     content_hash TEXT NOT NULL,
     num_rows INTEGER NOT NULL,
+    num_columns INTEGER NOT NULL,
     source_path TEXT,
-    updated_version INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS columns (
-    table_name TEXT NOT NULL,
-    column_name TEXT NOT NULL,
-    payload TEXT NOT NULL,
-    PRIMARY KEY (table_name, column_name),
-    FOREIGN KEY (table_name) REFERENCES tables(name) ON DELETE CASCADE
+    updated_version INTEGER NOT NULL,
+    sketch BLOB NOT NULL
 );
 """
 
@@ -140,7 +137,6 @@ class SketchStore(PerProcessSqliteStore):
     _STORE_KIND = "sketch store"
     _REQUIRED_TABLES = frozenset({"meta"})
     _SCHEMA_SCRIPT = _SCHEMA
-    _FOREIGN_KEYS = True
 
     def __init__(
         self,
@@ -148,11 +144,6 @@ class SketchStore(PerProcessSqliteStore):
         config: Optional[SketchConfig] = None,
         read_only: bool = False,
     ) -> None:
-        #: Callbacks fired with the table name after a successful
-        #: :meth:`remove_table` commit — how derived in-memory structures
-        #: (the engine's LSH index) invalidate a deleted table immediately
-        #: instead of waiting for their next version probe.
-        self._removal_listeners: list[Callable[[str], None]] = []
         connection = self._init_connections(path, read_only)
         stored = self._read_meta("sketch_config")
         if stored is None:
@@ -173,7 +164,8 @@ class SketchStore(PerProcessSqliteStore):
                 self.close()
                 raise ValueError(
                     f"store at {self.path!r} has schema version {schema_version}, "
-                    f"this code reads version {_SCHEMA_VERSION}"
+                    f"this code reads version {_SCHEMA_VERSION}; a sketch store "
+                    "is derived data — rebuild it with `lake build`"
                 )
             persisted = SketchConfig.from_dict(json.loads(stored))
             if config is not None and config != persisted:
@@ -214,7 +206,7 @@ class SketchStore(PerProcessSqliteStore):
             return False
         with telemetry.span("sketch_store.sketch", table=table.name):
             sketch = sketch_table(table, self.config, content_hash=content_hash)
-        self._write_sketch(sketch, source_path)
+        self._write_row(sketch, sketch.to_bytes(), source_path)
         telemetry.count("sketch_store.sketch_writes")
         return True
 
@@ -230,8 +222,25 @@ class SketchStore(PerProcessSqliteStore):
         """
         if self._is_unchanged(sketch.name, sketch.content_hash, source_path):
             return False
-        self._write_sketch(sketch, source_path)
+        self._write_row(sketch, sketch.to_bytes(), source_path)
         return True
+
+    def put_raw(self, name: str, content_hash: str, blob: bytes) -> None:
+        """Persist one already-encoded sketch row under an explicit identity.
+
+        The import half of snapshot distribution: a pull commits a fetched
+        blob verbatim, so replica row bytes equal publisher row bytes.
+        Raises ``ValueError`` — and writes nothing — when *blob* does not
+        decode as a sketch or names a different table / content hash than
+        the caller (the manifest entry) claims.
+        """
+        sketch = TableSketch.from_bytes(blob)
+        if (sketch.name, sketch.content_hash) != (name, content_hash):
+            raise ValueError(
+                f"sketch bytes identify table {sketch.name!r} "
+                f"({sketch.content_hash[:12]}), not {name!r} ({content_hash[:12]})"
+            )
+        self._write_row(sketch, blob, None)
 
     def _is_unchanged(
         self,
@@ -269,43 +278,39 @@ class SketchStore(PerProcessSqliteStore):
                 (resolved_path, name),
             )
 
-    def _write_sketch(
-        self, sketch: TableSketch, source_path: Optional[Union[str, Path]]
+    def _write_row(
+        self,
+        sketch: TableSketch,
+        blob: bytes,
+        source_path: Optional[Union[str, Path]],
     ) -> None:
+        """Upsert the row of *sketch*; *blob* is its encoding, stored as is."""
         resolved_path = None if source_path is None else str(source_path)
         with self._connection:
             self._connection.execute(
-                "DELETE FROM columns WHERE table_name = ?", (sketch.name,)
-            )
-            self._connection.execute(
-                "INSERT INTO tables (name, content_hash, num_rows, source_path, updated_version) "
-                "VALUES (?, ?, ?, ?, ?) "
+                "INSERT INTO tables (name, content_hash, num_rows, num_columns, "
+                "source_path, updated_version, sketch) VALUES (?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(name) DO UPDATE SET content_hash = excluded.content_hash, "
-                "num_rows = excluded.num_rows, source_path = excluded.source_path, "
-                "updated_version = excluded.updated_version",
+                "num_rows = excluded.num_rows, num_columns = excluded.num_columns, "
+                "source_path = excluded.source_path, "
+                "updated_version = excluded.updated_version, sketch = excluded.sketch",
                 (
                     sketch.name,
                     sketch.content_hash,
                     sketch.num_rows,
+                    sketch.num_columns,
                     resolved_path,
                     self.version + 1,
+                    blob,
                 ),
-            )
-            self._connection.executemany(
-                "INSERT INTO columns (table_name, column_name, payload) VALUES (?, ?, ?)",
-                [
-                    (sketch.name, column.column_name, json.dumps(column.to_dict()))
-                    for column in sketch.columns
-                ],
             )
             self._bump_version()
 
     def remove_table(self, name: str) -> bool:
         """Drop the sketch of *name*; returns whether it existed.
 
-        Registered removal listeners (see :meth:`add_removal_listener`) are
-        notified after the delete commits, so anything derived from the
-        store can retire the table before its next read.
+        The version bump commits with the delete, which is how anything
+        derived from the store — in this process or another — finds out.
         """
         with self._connection:
             cursor = self._connection.execute(
@@ -314,20 +319,7 @@ class SketchStore(PerProcessSqliteStore):
             if cursor.rowcount == 0:
                 return False
             self._bump_version()
-        for listener in list(self._removal_listeners):
-            listener(name)
         return True
-
-    def add_removal_listener(self, listener: Callable[[str], None]) -> None:
-        """Call *listener(name)* after every committed :meth:`remove_table`."""
-        self._removal_listeners.append(listener)
-
-    def remove_removal_listener(self, listener: Callable[[str], None]) -> None:
-        """Unregister a listener added with :meth:`add_removal_listener`."""
-        try:
-            self._removal_listeners.remove(listener)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------ #
     # reads
@@ -383,58 +375,40 @@ class SketchStore(PerProcessSqliteStore):
         a single store round trip.  Unknown names are absent from the
         result.
 
-        With ``include_sketches=True`` each entry is a :class:`TableMeta`
-        whose ``columns`` carry the decoded column sketches, joined in via
-        one extra batched ``IN (...)`` query over the columns table — the
-        rerank cascade's stage-1 signal source (histograms + MinHash for a
-        whole shortlist, no per-candidate round trips).  Column payloads
-        that fail to decode leave that table's ``columns`` empty rather
-        than failing the batch (the cascade then scores it exactly).
+        With ``include_sketches=True`` the same query also reads each row's
+        sketch and every entry is a :class:`TableMeta` whose ``columns``
+        carry the decoded column sketches — the rerank cascade's stage-1
+        signal source (histograms + MinHash for a whole shortlist, no
+        per-candidate round trips).  A sketch that fails to decode leaves
+        that table's ``columns`` empty rather than failing the batch (the
+        cascade then scores it exactly).
         """
         names = list(names)
         out: dict[str, Union[tuple[str, Optional[str]], TableMeta]] = {}
-        sketches: dict[str, list[ColumnSketch]] = {}
-        corrupt: set[str] = set()
+        selected = "name, content_hash, source_path"
+        if include_sketches:
+            selected += ", sketch"
         for start in range(0, len(names), _MAX_IN_VARS):
             chunk = names[start : start + _MAX_IN_VARS]
             placeholders = ", ".join("?" * len(chunk))
             rows = self._connection.execute(
-                "SELECT name, content_hash, source_path FROM tables "
-                f"WHERE name IN ({placeholders})",
+                f"SELECT {selected} FROM tables WHERE name IN ({placeholders})",
                 chunk,
             ).fetchall()
-            for name, content_hash, source_path in rows:
-                out[name] = (content_hash, source_path)
-            if include_sketches:
-                column_rows = self._connection.execute(
-                    "SELECT table_name, payload FROM columns "
-                    f"WHERE table_name IN ({placeholders}) ORDER BY rowid",
-                    chunk,
-                ).fetchall()
-                for table_name, payload in column_rows:
-                    if table_name in corrupt:
-                        continue
-                    try:
-                        sketch = ColumnSketch.from_dict(json.loads(payload))
-                    except (ValueError, KeyError, TypeError):
-                        corrupt.add(table_name)
-                        sketches.pop(table_name, None)
-                        logger.warning(
-                            "column sketch of table %r does not decode; "
-                            "stage-1 signals unavailable for it",
-                            table_name,
-                        )
-                        continue
-                    sketches.setdefault(table_name, []).append(sketch)
-        if include_sketches:
-            out = {
-                name: TableMeta(
-                    content_hash=entry[0],
-                    source_path=entry[1],
-                    columns=tuple(sketches.get(name, ())),
-                )
-                for name, entry in out.items()
-            }
+            for name, content_hash, source_path, *sketch in rows:
+                if not include_sketches:
+                    out[name] = (content_hash, source_path)
+                    continue
+                try:
+                    columns = TableSketch.from_bytes(sketch[0]).columns
+                except ValueError:
+                    columns = ()
+                    logger.warning(
+                        "sketch of table %r does not decode; "
+                        "stage-1 signals unavailable for it",
+                        name,
+                    )
+                out[name] = TableMeta(content_hash, source_path, columns)
         telemetry.count("sketch_store.meta_lookups", len(names))
         telemetry.count("sketch_store.meta_hits", len(out))
         if len(out) < len(set(names)):
@@ -452,10 +426,10 @@ class SketchStore(PerProcessSqliteStore):
 
     def stats(self) -> dict:
         """Store-level counters for ``lake stats``: row counts, version, config."""
-        tables, total_rows = self._connection.execute(
-            "SELECT COUNT(*), COALESCE(SUM(num_rows), 0) FROM tables"
+        tables, total_rows, columns = self._connection.execute(
+            "SELECT COUNT(*), COALESCE(SUM(num_rows), 0), "
+            "COALESCE(SUM(num_columns), 0) FROM tables"
         ).fetchone()
-        columns = self._connection.execute("SELECT COUNT(*) FROM columns").fetchone()[0]
         return {
             "tables": tables,
             "columns": columns,
@@ -467,55 +441,48 @@ class SketchStore(PerProcessSqliteStore):
     def get(self, name: str) -> Optional[TableSketch]:
         """Return the :class:`TableSketch` of *name* or ``None``.
 
-        Raises ``ValueError`` naming the table when its stored column
-        payloads do not decode (row-level corruption that SQLite's own
+        Raises ``ValueError`` naming the table when its stored sketch does
+        not decode (row-level corruption that SQLite's own
         ``integrity_check`` cannot see) — the granularity ``lake verify``
         repairs at.
         """
         telemetry.count("sketch_store.sketch_reads")
         row = self._connection.execute(
-            "SELECT content_hash, num_rows FROM tables WHERE name = ?", (name,)
+            "SELECT sketch FROM tables WHERE name = ?", (name,)
         ).fetchone()
         if row is None:
             return None
-        payloads = self._connection.execute(
-            "SELECT payload FROM columns WHERE table_name = ? ORDER BY rowid",
-            (name,),
-        ).fetchall()
         try:
-            columns = tuple(ColumnSketch.from_dict(json.loads(p[0])) for p in payloads)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(
-                f"sketch for table {name!r} is corrupt: column payload does "
-                f"not decode ({exc})"
-            ) from exc
-        return TableSketch(
-            name=name, content_hash=row[0], num_rows=row[1], columns=columns
-        )
+            return TableSketch.from_bytes(row[0])
+        except ValueError as exc:
+            raise ValueError(f"sketch for table {name!r} is corrupt: {exc}") from exc
 
     def __iter__(self) -> Iterator[TableSketch]:
         """Iterate over all table sketches in insertion order.
 
-        Reads the whole store in two bulk queries (not 2N point lookups), so
-        full-index rebuilds stay cheap on large lakes.
+        One bulk query (not N point lookups), so full-index rebuilds stay
+        cheap on large lakes.
         """
-        metadata = self._connection.execute(
-            "SELECT name, content_hash, num_rows FROM tables ORDER BY rowid"
+        rows = self._connection.execute(
+            "SELECT sketch FROM tables ORDER BY rowid"
         ).fetchall()
-        payloads = self._connection.execute(
-            "SELECT c.table_name, c.payload FROM columns c "
-            "JOIN tables t ON t.name = c.table_name ORDER BY t.rowid, c.rowid"
-        ).fetchall()
-        columns_of: dict[str, list[ColumnSketch]] = {}
-        for table_name, payload in payloads:
-            columns_of.setdefault(table_name, []).append(
-                ColumnSketch.from_dict(json.loads(payload))
-            )
-        for name, content_hash, num_rows in metadata:
-            yield TableSketch(
-                name=name,
-                content_hash=content_hash,
-                num_rows=num_rows,
-                columns=tuple(columns_of.get(name, ())),
-            )
+        for (blob,) in rows:
+            yield TableSketch.from_bytes(blob)
 
+    def iter_raw(self) -> Iterator[tuple[str, str, int, bytes]]:
+        """Iterate stored rows as raw ``(name, content hash, num_rows,
+        sketch bytes)`` tuples in insertion order — the export hook behind
+        ``lake publish``: nothing is decoded."""
+        yield from self._connection.execute(
+            "SELECT name, content_hash, num_rows, sketch FROM tables ORDER BY rowid"
+        )
+
+    def raw_keys(self) -> list[tuple[str, str]]:
+        """``(name, content hash)`` of every stored table, no sketches loaded.
+
+        What snapshot pull reconciles against the published manifest and
+        ``lake verify`` checks prepared rows against.
+        """
+        return self._connection.execute(
+            "SELECT name, content_hash FROM tables ORDER BY rowid"
+        ).fetchall()

@@ -7,7 +7,7 @@ the cheapest sufficient means:
 
 * **SQLite file soundness** — ``PRAGMA integrity_check`` on both stores
   (page corruption; not repairable in place, only reportable);
-* **sketch row decode** — every table's column payloads are decoded; a
+* **sketch row decode** — every table's sketch bytes are decoded; a
   row that no longer parses is repaired by re-sketching from its recorded
   ``source_path`` CSV (publisher) or by a targeted re-pull (replica with
   an artifact);
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.artifacts.blobs import blob_digest
-from repro.artifacts.manifest import Manifest
+from repro.artifacts.manifest import Manifest, PreparedEntry, TableEntry
 from repro.artifacts.sync import pull_snapshot
 from repro.artifacts.transport import (
     ArtifactTransport,
@@ -126,7 +126,7 @@ def verify_lake(
         _check_sqlite(store, prepared_store, report)
         _check_sketches(store, report)
         if prepared_store is not None:
-            _check_prepared(store, prepared_store, report)
+            report.stale_prepared = len(_stale_prepared(store, prepared_store))
         transport: Optional[ArtifactTransport] = None
         if source is not None:
             transport = (
@@ -170,16 +170,16 @@ def _check_sketches(store: SketchStore, report: VerifyReport) -> None:
             report.bad_sketches.append(name)
 
 
-def _check_prepared(
-    store: SketchStore, prepared_store: PreparedStore, report: VerifyReport
-) -> None:
-    current = {
-        name: content_hash
-        for name, (content_hash, _path) in store.table_meta(store.table_names).items()
-    }
-    for _fingerprint, name, content_hash, _fmt in prepared_store.raw_keys():
-        if current.get(name) != content_hash:
-            report.stale_prepared += 1
+def _stale_prepared(
+    store: SketchStore, prepared_store: PreparedStore
+) -> list[tuple[str, str, str]]:
+    """Prepared rows keyed to a table / content hash the sketch store lacks."""
+    current = dict(store.raw_keys())
+    return [
+        (fingerprint, name, content_hash)
+        for fingerprint, name, content_hash, _fmt in prepared_store.raw_keys()
+        if current.get(name) != content_hash
+    ]
 
 
 def _check_artifact(
@@ -201,21 +201,14 @@ def _check_artifact(
             continue
         if blob_digest(data) != entry.digest:
             report.corrupt_blobs.append(entry.digest)
-    local_table_keys = {
-        f"t|{name}|{content_hash}"
-        for name, (content_hash, _path) in store.table_meta(store.table_names).items()
-    }
-    for entry in manifest.tables:
-        if entry.key not in local_table_keys:
-            report.missing_entries.append(entry.key)
+    local_keys = {TableEntry(*row).key for row in store.raw_keys()}
+    remote_entries = list(manifest.tables)
     if prepared_store is not None:
-        local_prepared_keys = {
-            f"p|{fingerprint}|{name}|{content_hash}|{fmt}"
-            for fingerprint, name, content_hash, fmt in prepared_store.raw_keys()
-        }
-        for entry in manifest.prepared:
-            if entry.key not in local_prepared_keys:
-                report.missing_entries.append(entry.key)
+        local_keys |= {PreparedEntry(*row).key for row in prepared_store.raw_keys()}
+        remote_entries += manifest.prepared
+    report.missing_entries += [
+        entry.key for entry in remote_entries if entry.key not in local_keys
+    ]
 
 
 # ---------------------------------------------------------------------- #
@@ -256,16 +249,8 @@ def _repair(
             else:
                 report.unrepaired.append(name)
     if prepared_store is not None and report.stale_prepared:
-        current = {
-            name: content_hash
-            for name, (content_hash, _path) in store.table_meta(
-                store.table_names
-            ).items()
-        }
-        for fingerprint, name, content_hash, _fmt in prepared_store.raw_keys():
-            if current.get(name) != content_hash:
-                if prepared_store.remove_raw(fingerprint, name, content_hash):
-                    report.pruned_prepared += 1
+        for row in _stale_prepared(store, prepared_store):
+            report.pruned_prepared += prepared_store.remove_raw(*row)
     if transport is not None and (report.missing_entries or report.bad_sketches):
         # Targeted re-pull: reconciliation fetches exactly what's missing.
         # keep local extras — verify repairs, it does not retire tables

@@ -26,10 +26,8 @@ candidates through :meth:`match_prepared` (see
 :func:`repro.discovery.search.prune_then_rerank`), turning O(candidates)
 redundant query-side preprocessing into O(1).
 
-Third-party matchers may implement either side of the protocol: overriding
-only :meth:`get_matches` keeps working (the default :meth:`match_prepared`
-falls back to it), while overriding :meth:`prepare`/:meth:`match_prepared`
-opts into prepared reuse and caching.
+:meth:`match_prepared` is the one method a matcher must implement;
+overriding :meth:`prepare` as well opts into prepared reuse and caching.
 """
 
 from __future__ import annotations
@@ -219,10 +217,9 @@ class PreparedTable:
 class BaseMatcher(abc.ABC):
     """Abstract base class of every schema matching method in the suite.
 
-    Subclasses implement the two-phase protocol — :meth:`prepare` and
-    :meth:`match_prepared` — or, for simple/legacy methods, just
-    :meth:`get_matches`; class attributes describe the method for the
-    registry and the Table I coverage report.
+    Subclasses implement the two-phase protocol — :meth:`match_prepared`
+    and, when they have per-table work, :meth:`prepare`; class attributes
+    describe the method for the registry and the Table I coverage report.
     """
 
     #: Human-readable method name (e.g. ``"Cupid"``).
@@ -345,32 +342,17 @@ class BaseMatcher(abc.ABC):
         """
         return False
 
+    @abc.abstractmethod
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:
-        """Compute the ranked matches from two prepared tables.
-
-        The default supports legacy matchers that only implement
-        :meth:`get_matches` by unwrapping the tables; matchers implementing
-        the two-phase protocol override this with their pairwise stage.
-        """
-        if type(self).get_matches is BaseMatcher.get_matches:
-            raise TypeError(
-                f"{type(self).__name__} must override match_prepared() "
-                "(or the legacy get_matches())"
-            )
-        return self.get_matches(source.table, target.table)
+        """Compute the ranked matches from two prepared tables."""
 
     def get_matches(self, source: Table, target: Table) -> MatchResult:
         """Compute the ranked matches between *source* and *target* columns.
 
-        Thin default over the two-phase protocol: prepare both sides, then
-        match.  Discovery callers should instead prepare the query once and
-        call :meth:`match_prepared` per candidate.
+        Prepare both sides, then match.  Discovery callers should instead
+        prepare the query once and call :meth:`match_prepared` per
+        candidate.
         """
-        if type(self).match_prepared is BaseMatcher.match_prepared:
-            raise TypeError(
-                f"{type(self).__name__} must override get_matches() "
-                "or match_prepared()"
-            )
         return self.match_prepared(self.prepare(source), self.prepare(target))
 
     def _ensure_prepared(self, table: Union[Table, PreparedTable]) -> PreparedTable:

@@ -5,9 +5,7 @@ matchers by name, and the Table I coverage report, which lists the match
 types each method provides.
 
 Registered matchers participate in the two-phase prepare/match protocol of
-:class:`~repro.matchers.base.BaseMatcher`; legacy classes that only override
-``get_matches`` still register and run (the protocol's defaults bridge
-them), they just forgo prepared-table reuse in discovery.
+:class:`~repro.matchers.base.BaseMatcher`.
 """
 
 from __future__ import annotations

@@ -13,11 +13,9 @@ from repro.artifacts.manifest import (
     Manifest,
     PreparedEntry,
     TableEntry,
-    decode_sketch_blob,
-    encode_sketch_blob,
 )
 from repro.data.table import Column, Table
-from repro.lake.profiles import SketchConfig, sketch_table
+from repro.lake.profiles import SketchConfig, TableSketch, sketch_table
 
 
 class TestBlobStore:
@@ -55,10 +53,11 @@ class TestSketchBlobEncoding:
     def test_round_trip_and_stability(self):
         table = Table("demo", [Column("c", ["x", "y", "z", "x"])])
         sketch = sketch_table(table, SketchConfig(), content_hash="h1")
-        data = encode_sketch_blob(sketch)
-        assert data == encode_sketch_blob(sketch)  # canonical => stable
-        restored = decode_sketch_blob(data)
+        data = sketch.to_bytes()
+        assert data == sketch.to_bytes()  # canonical => stable
+        restored = TableSketch.from_bytes(data)
         assert restored == sketch
+        assert restored.to_bytes() == data
 
 
 class TestManifest:

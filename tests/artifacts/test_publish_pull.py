@@ -7,6 +7,10 @@ The ISSUE-level guarantees pinned here:
   travel);
 * a pull into a non-empty diverged store fetches **only the delta**
   (blob-fetch counters, both report- and telemetry-level);
+* the seam: a store row, the blob published for it and the replica's row
+  are the **same bytes**, for both stores, after a bootstrap pull and after
+  a delta pull — and a sketch blob that disagrees with its manifest entry
+  is refused by the store, reported ``corrupt``, never committed;
 * IBLT decode failure falls back to the full manifest diff with the
   ``artifacts.iblt.decode_fallback`` telemetry counter recorded — and
   still converges.
@@ -15,10 +19,11 @@ The ISSUE-level guarantees pinned here:
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
-from repro.artifacts import Manifest, publish_snapshot, pull_snapshot
+from repro.artifacts import BlobStore, Manifest, publish_snapshot, pull_snapshot
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -66,6 +71,27 @@ def _ranking_bytes(store, prepared_store, matcher, query):
     return pickle.dumps(
         [(r.table_name, r.scores, r.matches) for r in results], protocol=4
     )
+
+
+def _assert_rows_are_blobs(artifact, sketch_stores, prepared_stores):
+    """Every given store's row bytes == the blob bytes published for them."""
+    manifest = Manifest.load(artifact)
+    blobs = BlobStore(artifact / "blobs")
+    sketch_blobs = {e.name: blobs.read(e.digest) for e in manifest.tables}
+    prepared_blobs = {
+        (e.fingerprint, e.table_name, e.content_hash): blobs.read(e.digest)
+        for e in manifest.prepared
+    }
+    assert sketch_blobs and prepared_blobs  # not vacuous
+    for store in sketch_stores:
+        rows = {name: bytes(blob) for name, _hash, _rows, blob in store.iter_raw()}
+        assert rows == sketch_blobs
+    for store in prepared_stores:
+        rows = {
+            (fingerprint, name, content_hash): bytes(blob)
+            for fingerprint, name, content_hash, _fmt, blob in store.iter_raw()
+        }
+        assert rows == prepared_blobs
 
 
 class TestPublishPullRoundTrip:
@@ -132,6 +158,9 @@ class TestDeltaPull:
             tmp_path / "artifact", replica, prepared_store=replica_prepared
         )
         assert first.blobs_fetched == 2 * 8
+        _assert_rows_are_blobs(
+            tmp_path / "artifact", (store, replica), (prepared, replica_prepared)
+        )
         # Publisher diverges: one changed, one new, one deleted.
         write_csv(
             tpcdi_prospect_table(num_rows=20, seed=77).rename("table_0"),
@@ -167,6 +196,9 @@ class TestDeltaPull:
         for name in store.table_names:
             assert replica.content_hash(name) == store.content_hash(name)
         assert sorted(replica_prepared.raw_keys()) == sorted(prepared.raw_keys())
+        _assert_rows_are_blobs(
+            tmp_path / "artifact", (store, replica), (prepared, replica_prepared)
+        )
         for handle in (replica_prepared, replica, prepared, store):
             handle.close()
 
@@ -232,6 +264,34 @@ class TestSafety:
         assert report.tables_added == _NUM_TABLES - 1
         assert victim.name not in replica.table_names
         replica.close()
+        store.close()
+
+    def test_blob_that_disagrees_with_its_entry_is_refused(self, tmp_path):
+        """Digest-valid sketch bytes under the wrong manifest entry — another
+        table's blob, or the right table at another content hash — never
+        reach the replica: ``put_raw`` refuses them, the pull reports them
+        ``corrupt`` and the store stays untouched."""
+        store, _ = _build_lake(tmp_path)
+        publish_snapshot(store, tmp_path / "artifact")
+        manifest = Manifest.load(tmp_path / "artifact")
+        first, second, third = manifest.tables
+        manifest.tables = [
+            replace(first, digest=second.digest),  # names table_1
+            replace(second, digest=first.digest),  # names table_0
+            replace(third, content_hash="0" * 64),  # embeds the real hash
+        ]
+        manifest.save(tmp_path / "artifact")
+        with SketchStore(tmp_path / "replica") as replica:
+            report = pull_snapshot(tmp_path / "artifact", replica)
+            assert sorted(report.corrupt) == ["table_0", "table_1", "table_2"]
+            assert report.tables_added == report.blobs_fetched == 0
+            assert len(replica) == 0 and replica.version == 0
+            blob = next(blob for name, _h, _n, blob in store.iter_raw() if name == "table_2")
+            with pytest.raises(ValueError, match="not 'table_2'"):
+                replica.put_raw("table_2", "0" * 64, blob)
+            with pytest.raises(ValueError, match="not a table sketch"):
+                replica.put_raw("table_2", third.content_hash, b"\xde\xad")
+            assert len(replica) == 0 and replica.version == 0
         store.close()
 
     def test_republish_in_place_prunes_superseded_blobs(self, tmp_path):

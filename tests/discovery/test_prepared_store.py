@@ -8,11 +8,7 @@ import pytest
 
 from repro.data.fingerprint import table_content_hash
 from repro.data.table import Column, Table
-from repro.discovery.prepared import (
-    PREPARED_PAYLOAD_FORMAT,
-    PreparedStore,
-    PreparedTableCache,
-)
+from repro.discovery.prepared import PREPARED_PAYLOAD_FORMAT, PreparedStore
 from repro.matchers.base import PreparedTable
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import create_matcher
@@ -434,23 +430,3 @@ class TestRecencyDurability:
                 store._ensure_connection()
         finally:
             store._connections.clear()  # nothing left to close
-
-
-class TestCacheChaining:
-    def test_memory_cache_fronts_the_store(self):
-        """PreparedTableCache(backing=store): a cache miss falls through to
-        disk, a disk hit is promoted to memory, and a fresh cache over the
-        same store never re-prepares."""
-        matcher = JaccardLevenshteinMatcher()
-        table = _table("t", ["a", "b"])
-        with PreparedStore() as store:
-            cache = PreparedTableCache(backing=store)
-            cache.prepare(matcher, table)  # computes, persists
-            assert (cache.misses, store.misses) == (1, 1)
-            cache.prepare(matcher, table)  # memory hit, disk untouched
-            assert cache.hits == 1 and store.hits == 0
-
-            fresh = PreparedTableCache(backing=store)
-            fresh.prepare(matcher, table)  # memory miss -> disk hit
-            assert fresh.misses == 1 and store.hits == 1
-            assert store.misses == 1  # never recomputed

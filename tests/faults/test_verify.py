@@ -26,12 +26,12 @@ _NUM_TABLES = 3
 
 
 def _corrupt_sketch_row(store_path, table_name):
-    """Clobber one table's column payloads directly in SQLite — the kind of
+    """Clobber one table's sketch bytes directly in SQLite — the kind of
     row-level rot ``PRAGMA integrity_check`` cannot see."""
     connection = sqlite3.connect(store_path)
     try:
         connection.execute(
-            "UPDATE columns SET payload = X'DEADBEEF' WHERE table_name = ?",
+            "UPDATE tables SET sketch = X'DEADBEEF' WHERE name = ?",
             (table_name,),
         )
         connection.commit()

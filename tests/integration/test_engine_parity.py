@@ -77,11 +77,11 @@ def test_parallel_rerank_matches_serial(tmp_path, lake):
     engine.build(repository)
 
     serial = engine.query(query, repository, mode="combined", top_k=TOP_K)
-    serial_count = engine.last_rerank_count
+    serial_count = engine.last_query_stats.rerank_count
     parallel = engine.query(
         query, repository, mode="combined", top_k=TOP_K, parallel=True, max_workers=2
     )
 
     assert _signature(parallel) == _signature(serial)
-    assert engine.last_rerank_count == serial_count
+    assert engine.last_query_stats.rerank_count == serial_count
     store.close()

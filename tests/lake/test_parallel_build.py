@@ -143,4 +143,4 @@ class TestPrepareLake:
                 assert [
                     (r.table_name, r.joinability, r.unionability) for r in warm
                 ] == [(r.table_name, r.joinability, r.unionability) for r in cold]
-                assert prepared_store.hits == warm_engine.last_rerank_count
+                assert prepared_store.hits == warm_engine.last_query_stats.rerank_count

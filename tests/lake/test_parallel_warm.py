@@ -107,7 +107,8 @@ class TestZeroCsvReads:
                         query, top_k=3, parallel=True, max_workers=2
                     )
                     assert _ranking(parallel) == _ranking(serial)
-                    assert engine.last_query_stats.store_hits == engine.last_rerank_count == 4
+                    stats = engine.last_query_stats
+                    assert stats.store_hits == stats.rerank_count == 4
 
 
 class TestSingleCandidateShortlist:
@@ -131,7 +132,8 @@ class TestSingleCandidateShortlist:
                 ) as engine:
                     results = engine.query(query, parallel=True, max_workers=2)
                     assert [r.table_name for r in results] == ["only"]
-                    assert engine.last_query_stats.store_hits == engine.last_rerank_count == 1
+                    stats = engine.last_query_stats
+                    assert stats.store_hits == stats.rerank_count == 1
 
 
 class TestRerankPoolLifecycle:
@@ -340,5 +342,6 @@ class TestWorkerWriteThrough:
                         "query",
                     }
                     warm = engine.query(query)  # serial, same engine
-                    assert engine.last_query_stats.store_hits == engine.last_rerank_count == 4
+                    stats = engine.last_query_stats
+                    assert stats.store_hits == stats.rerank_count == 4
                     assert _ranking(warm) == _ranking(cold)

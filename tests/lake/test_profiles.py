@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.data.table import Column, Table
@@ -9,10 +11,11 @@ from repro.data.types import DataType
 from repro.lake.profiles import (
     ColumnSketch,
     SketchConfig,
+    TableSketch,
     sketch_table,
     table_content_hash,
 )
-from repro.sketches.minhash import minhash_signature
+from repro.sketches.minhash import MinHashSignature, minhash_signature
 
 
 class TestSketchTable:
@@ -68,6 +71,55 @@ class TestSerialisation:
     def test_config_round_trip(self):
         config = SketchConfig(num_permutations=64, seed=3, num_buckets=4)
         assert SketchConfig.from_dict(config.as_dict()) == config
+
+    def test_table_sketch_bytes_are_pinned(self):
+        """``to_bytes`` is a sketch-store row and a published blob at once:
+        changing what it emits orphans every store and artifact in the
+        field, so it has to be done on purpose — bump the sketch store's
+        schema version (and ``MANIFEST_FORMAT`` if old artifacts stop
+        decoding) together with this digest."""
+
+        def column(name, data_type, signature, set_size, histogram, missing, stats):
+            return ColumnSketch(
+                table_name="golden",
+                column_name=name,
+                data_type=data_type,
+                minhash=MinHashSignature(signature, set_size),
+                histogram=histogram,
+                row_count=3,
+                distinct_count=set_size,
+                missing_count=missing,
+                mean=stats[0],
+                std=stats[1],
+                minimum=stats[2],
+                maximum=stats[3],
+                avg_length=stats[4],
+            )
+
+        sketch = TableSketch(
+            name="golden",
+            content_hash="c0ffee",
+            num_rows=3,
+            columns=(
+                column("amount", DataType.FLOAT, (3, 1, 4, 1, 5), 3,
+                       (0.5, 0.25, 0.25), 0, (2.5, 0.5, 2.0, 3.0, 3.0)),
+                column("näme", DataType.STRING, (9, 2, 6, 5, 3), 2,
+                       (1.0, 0.0, 0.0), 1, (None, None, None, None, 4.5)),
+            ),
+        )  # fmt: skip
+        data = sketch.to_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "c7516162b2831393cd2e30e394e63b191359f7cc5f6535d096b4eb4317dd5a00"
+        )
+        assert TableSketch.from_bytes(data) == sketch
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"\xde\xad\xbe\xef", b"[]", b'{"tampered": true}', b'{"name": "t"}', "text"],
+    )
+    def test_from_bytes_refuses_anything_else_with_value_error(self, garbage):
+        with pytest.raises(ValueError, match="not a table sketch"):
+            TableSketch.from_bytes(garbage)
 
 
 class TestContentHash:

@@ -1,4 +1,4 @@
-"""Stale-state maintenance: build pruning, prepared pruning, removal listeners.
+"""Stale-state maintenance: build pruning, prepared pruning, removal invalidation.
 
 The PR 8 satellite contracts:
 
@@ -6,9 +6,9 @@ The PR 8 satellite contracts:
   vanished — but never tables whose CSV is present yet unreadable;
 * ``prepare_lake`` prunes prepared payloads whose build-time content hash
   no longer matches the sketch store, before writing fresh ones;
-* ``SketchStore.remove_table`` notifies listeners, so a
-  ``LakeDiscoveryEngine``'s cached LSH index can never serve a dangling
-  candidate name.
+* ``SketchStore.remove_table`` bumps the store version with the delete, so
+  a ``LakeDiscoveryEngine``'s cached LSH index — which probes the version
+  on every access — can never serve a dangling candidate name.
 """
 
 from __future__ import annotations
@@ -115,21 +115,24 @@ class TestRemovalInvalidation:
             with LakeDiscoveryEngine(matcher=matcher, store=store) as engine:
                 assert "t1" in {c.table_name for c in engine.shortlist(query)}
                 store.remove_table("t1")
-                # The listener already dropped it — no version probe needed.
-                assert engine._index is not None
-                assert "t1" not in engine._index.table_names
+                # The removal bumped the store version in its own
+                # transaction; the next shortlist's version probe sees it.
                 assert "t1" not in {c.table_name for c in engine.shortlist(query)}
 
-    def test_listener_unregistered_on_close(self, tmp_path):
+    def test_removal_by_another_process_handle_is_seen_too(self, tmp_path):
+        """The version probe is the only invalidation that crosses
+        processes (a ``lake watch`` writer under a ``lake serve`` reader):
+        a removal through a second handle on the same file must drop the
+        table from the reader's next shortlist."""
         lake_dir = _make_lake(tmp_path)
-        with SketchStore(tmp_path / "s.sketches") as store:
-            build_from_paths(store, sorted(lake_dir.glob("*.csv")))
-            engine = LakeDiscoveryEngine(
-                matcher=create_matcher("jaccardlevenshtein", sample_size=20),
-                store=store,
-            )
-            assert store._removal_listeners
-            engine.close()
-            assert not store._removal_listeners
-            # A post-close removal must not touch the retired engine.
-            assert store.remove_table("t0")
+        matcher = create_matcher("jaccardlevenshtein", sample_size=20)
+        query = tpcdi_prospect_table(num_rows=12, seed=90).rename("q")
+        with SketchStore(tmp_path / "s.sketches") as writer:
+            build_from_paths(writer, sorted(lake_dir.glob("*.csv")))
+            with SketchStore(tmp_path / "s.sketches", read_only=True) as reader:
+                with LakeDiscoveryEngine(matcher=matcher, store=reader) as engine:
+                    assert "t1" in {c.table_name for c in engine.shortlist(query)}
+                    writer.remove_table("t1")
+                    assert "t1" not in {
+                        c.table_name for c in engine.shortlist(query)
+                    }

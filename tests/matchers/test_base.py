@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data.table import ColumnRef, Table
+from repro.data.table import ColumnRef
 from repro.matchers.base import BaseMatcher, Match, MatchResult, MatchType
 
 
@@ -111,7 +111,7 @@ class TestBaseMatcher:
                 self.alpha = 0.5
                 self._hidden = "no"
 
-            def get_matches(self, source: Table, target: Table) -> MatchResult:
+            def match_prepared(self, source, target) -> MatchResult:
                 return MatchResult()
 
         dummy = Dummy()

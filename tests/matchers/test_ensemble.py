@@ -22,7 +22,7 @@ class _FixedMatcher(BaseMatcher):
         self._scored_pairs = scored_pairs
         self.name = name
 
-    def get_matches(self, source: Table, target: Table) -> MatchResult:
+    def match_prepared(self, source, target) -> MatchResult:
         return MatchResult(
             Match(score, ColumnRef(source.name, s), ColumnRef(target.name, t))
             for s, t, score in self._scored_pairs

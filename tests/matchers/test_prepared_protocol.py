@@ -165,30 +165,19 @@ class TestEnsembleSharing:
 
 
 class TestLegacyBridge:
-    def test_legacy_get_matches_only_matcher_still_works(self, tables):
-        query, target, _ = tables
-
-        class LegacyMatcher(BaseMatcher):
-            name = "LegacyTest"
-
-            def get_matches(self, source, target):
-                return JaccardLevenshteinMatcher().get_matches(source, target)
-
-        legacy = LegacyMatcher()
-        via_prepared = legacy.match_prepared(legacy.prepare(query), legacy.prepare(target))
-        assert _records(via_prepared) == _records(legacy.get_matches(query, target))
-
-    def test_matcher_without_either_hook_raises(self, tables):
-        query, target, _ = tables
+    def test_matcher_without_either_hook_raises(self):
+        """``match_prepared`` is the one abstract method: a matcher without
+        it — including one that only overrides ``get_matches`` — cannot be
+        instantiated."""
 
         class EmptyMatcher(BaseMatcher):
             name = "EmptyTest"
 
-        empty = EmptyMatcher()
-        with pytest.raises(TypeError):
-            empty.get_matches(query, target)
-        with pytest.raises(TypeError):
-            empty.match_prepared(empty.prepare(query), empty.prepare(target))
+            def get_matches(self, source, target):
+                return JaccardLevenshteinMatcher().get_matches(source, target)
+
+        with pytest.raises(TypeError, match="match_prepared"):
+            EmptyMatcher()
 
     def test_fingerprint_changes_with_prepare_parameters(self):
         """The fingerprint is the *prepare* identity: parameters the prepare

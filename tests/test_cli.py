@@ -566,6 +566,7 @@ class TestObservability:
         output = capsys.readouterr().out
         assert "sketch store" in output
         assert "tables:" in output and "2" in output
+        assert "columns:          4\n" in output  # 2 tables x 2 columns
         assert "prepared store" in output
         assert "matcher " in output  # per-fingerprint breakdown
 
