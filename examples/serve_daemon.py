@@ -12,7 +12,7 @@ the whole loop in-process:
 * start a :class:`~repro.serve.DiscoveryServer` on a loopback port (exactly
   what ``lake serve --store ...`` does);
 * hammer it from several client threads via :class:`~repro.serve.ServeClient`
-  — identical concurrent queries are coalesced into one rerank;
+  — identical queries in flight together are coalesced into one rerank;
 * show back-pressure: a tiny admission queue sheds a burst with HTTP 429
   (``QueueFullError``) instead of hanging;
 * read the merged telemetry from ``/stats``.
@@ -85,11 +85,11 @@ def burst_against_tiny_queue(store_path: Path) -> None:
         method=METHOD,
         parallel=False,
         queue_limit=1,  # deliberately tiny: force load shedding
-        batch_max=1,
     )
     served, rejected = 0, 0
     lock = threading.Lock()
-    # Distinct queries so coalescing cannot absorb the burst for us.
+    # Distinct queries: identical ones would be coalesced onto the ticket
+    # already in flight and take no queue seat at all.
     queries = [
         tpcdi_prospect_table(num_rows=24, seed=200 + i).rename(f"burst_{i}")
         for i in range(8)
@@ -144,10 +144,7 @@ def main() -> None:
                 stats = client.stats()
             admitted = stats["counters"].get("serve.admitted", 0)
             serve = stats["serve"]
-            print(
-                f"/stats: {admitted} admitted, "
-                f"{serve['batches_run']} batches, {serve['coalesced']} coalesced"
-            )
+            print(f"/stats: {admitted} admitted, {serve['coalesced']} coalesced")
 
         print()
         burst_against_tiny_queue(store_path)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.cli.options import add_method_option, fail
+from repro.cli.options import add_method_option, fail, positive_int
 from repro.data.csv_io import UNREADABLE_CSV, read_csv, write_csv
 from repro.datasets import chembl_assays_table, open_data_table, tpcdi_prospect_table
 from repro.experiments.parameters import default_parameter_grids
@@ -52,7 +52,7 @@ def register(subparsers: argparse._SubParsersAction) -> None:
     match.add_argument("source_csv", type=Path)
     match.add_argument("target_csv", type=Path)
     add_method_option(match)
-    match.add_argument("--top", type=int, default=20, help="number of ranked matches to print")
+    match.add_argument("--top", type=positive_int, default=20, help="number of ranked matches to print")
     match.set_defaults(func=_command_match)
 
 

@@ -7,7 +7,14 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from repro.cli.options import add_method_option, add_store_options, add_workers_option, fail
+from repro.cli.options import (
+    add_method_option,
+    add_store_options,
+    add_workers_option,
+    fail,
+    positive_float,
+    positive_int,
+)
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.lake import (
     LakeDiscoveryEngine,
@@ -41,7 +48,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     add_store_options(prepare)
     add_workers_option(prepare, "prepare tables in a process pool of this size")
     prepare.add_argument(
-        "--max-store-mb", type=float, default=None,
+        "--max-store-mb", type=positive_float, default=None,
         help="byte budget for the prepared store in MiB: least-recently-used "
         "payloads are evicted until the total fits (entry-count cap still "
         "applies as a secondary bound)",
@@ -57,7 +64,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     )
     query.add_argument("--mode", choices=["joinable", "unionable", "combined"], default="joinable")
     add_method_option(query)
-    query.add_argument("--top", type=int, default=10, help="number of tables to report")
+    query.add_argument("--top", type=positive_int, default=10, help="number of tables to report")
     query.add_argument("--parallel", action="store_true", help="rerank in a process pool")
     add_workers_option(
         query,
@@ -71,7 +78,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="disable the prepared-candidate store (the PR 3 cold path)",
     )
     query.add_argument(
-        "--timeout-s", type=float, default=None, metavar="SECONDS",
+        "--timeout-s", type=positive_float, default=None, metavar="SECONDS",
         help="per-query deadline (the same one `lake serve` enforces per "
         "request); an expired query exits with status 124",
     )
@@ -83,7 +90,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "admissible)",
     )
     query.add_argument(
-        "--budget-ms", type=float, default=None, metavar="MS",
+        "--budget-ms", type=positive_float, default=None, metavar="MS",
         help="anytime rerank budget in milliseconds: stop scoring at the "
         "deadline and report the best-effort top-k (flagged partial)",
     )

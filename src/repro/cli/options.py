@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,22 @@ def matcher_name(value: str) -> str:
     return value
 
 
+def positive_int(value: str) -> int:
+    """``type=`` callable: a whole number of at least 1."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
+    return number
+
+
+def positive_float(value: str) -> float:
+    """``type=`` callable: a finite number above 0."""
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a positive number")
+    return number
+
+
 def add_method_option(
     parser: argparse.ArgumentParser, name: str = "--method", **kwargs: object
 ) -> None:
@@ -46,4 +63,4 @@ def add_store_options(
 
 
 def add_workers_option(parser: argparse.ArgumentParser, help: str) -> None:
-    parser.add_argument("--workers", type=int, default=None, help=help)
+    parser.add_argument("--workers", type=positive_int, default=None, help=help)

@@ -5,7 +5,14 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.cli.options import add_method_option, add_store_options, add_workers_option, fail
+from repro.cli.options import (
+    add_method_option,
+    add_store_options,
+    add_workers_option,
+    fail,
+    positive_float,
+    positive_int,
+)
 
 
 def register(lake_commands: argparse._SubParsersAction) -> None:
@@ -21,15 +28,11 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="serve on this unix-domain socket instead of TCP",
     )
     serve.add_argument(
-        "--queue-limit", type=int, default=32,
+        "--queue-limit", type=positive_int, default=32,
         help="bounded admission queue size; requests beyond it get 429",
     )
     serve.add_argument(
-        "--batch-max", type=int, default=8,
-        help="micro-batch size: concurrent queries scored per engine pass",
-    )
-    serve.add_argument(
-        "--timeout-s", type=float, default=30.0, metavar="SECONDS",
+        "--timeout-s", type=positive_float, default=30.0, metavar="SECONDS",
         help="default per-request deadline (clients can override per query; "
         "expired requests get 504)",
     )
@@ -44,7 +47,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "(exact rankings; admissible bounds skip hopeless candidates)",
     )
     serve.add_argument(
-        "--reopen-poll-s", type=float, default=1.0, metavar="SECONDS",
+        "--reopen-poll-s", type=positive_float, default=1.0, metavar="SECONDS",
         help="how often to poll the stores for a writer cycle (generation "
         "change triggers a graceful engine reopen)",
     )
@@ -62,7 +65,6 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
         port=args.port,
         unix_socket=args.unix_socket,
         queue_limit=args.queue_limit,
-        batch_max=args.batch_max,
         default_timeout_s=args.timeout_s,
         parallel=not args.serial,
         max_workers=args.workers,
@@ -72,8 +74,7 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
     try:
         server = DiscoveryServer(config).start()
     except ValueError as exc:
-        # An unusable store (LakeOpenError, raised on the dispatcher thread)
-        # or an out-of-range --queue-limit / --batch-max.
+        # An unusable store (LakeOpenError, raised on the dispatcher thread).
         return fail(exc)
     if args.unix_socket is not None:
         where = f"unix:{args.unix_socket}"
@@ -82,7 +83,7 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
         where = f"http://{host}:{port}"
     print(
         f"serving {args.store} with {args.method} on {where} "
-        f"(queue limit {args.queue_limit}, batch max {args.batch_max}; Ctrl-C to stop)"
+        f"(queue limit {args.queue_limit}; Ctrl-C to stop)"
     )
     server.run_forever()
     return 0

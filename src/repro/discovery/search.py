@@ -695,6 +695,8 @@ def prune_then_rerank(
     """
     if mode not in ("joinable", "unionable", "combined"):
         raise ValueError(f"unknown discovery mode {mode!r}")
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     names = [name for name in candidate_names if name != query.name]
     matcher = scorer.matcher
     with telemetry.span("discovery.prepare_query", table=query.name):

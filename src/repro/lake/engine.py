@@ -13,9 +13,13 @@
 The rerank is the one plan of
 :func:`~repro.discovery.search.prune_then_rerank` (bounds → order → chunk →
 skip/resolve/score → cutoff feedback).  This engine supplies its three
-inputs per query: the LSH shortlist, the stage-1 signals when ``cascade``
-asks for them, and a :class:`StoreResolver` built from the shortlist's one
-batched :meth:`SketchStore.table_meta` read.  ``parallel`` picks the
+inputs per query: the LSH shortlist, a :class:`StoreResolver` built from the
+shortlist's one batched :meth:`SketchStore.table_meta` read, and — when
+``cascade`` asks for them — the stage-1 signals, condensed from the sketches
+the :class:`~repro.lake.index.LakeIndex` already holds decoded, never from
+the store.  A candidate is priced only while its indexed content hash equals
+the one ``table_meta`` just returned — a bound never meets content other
+than the payload it prices; the rest are scored exactly.  ``parallel`` picks the
 executor: the engine's persistent
 :class:`~repro.discovery.search.RerankPool` of warm workers (created lazily
 on the first parallel query; release it with
@@ -49,7 +53,7 @@ from repro.discovery.search import (
     prune_then_rerank,
 )
 from repro.lake.index import CandidateTable, LakeIndex, LSHParams
-from repro.lake.profiles import sketch_table
+from repro.lake.profiles import TableSketch, sketch_table
 from repro.lake.store import SketchStore
 from repro.matchers.base import BaseMatcher, PreparedTable
 from repro.telemetry import recorder as telemetry
@@ -97,9 +101,9 @@ class StoreResolver:
     connection in another process would be left serving a stale snapshot.
     """
 
-    #: ``name -> (build-time content hash, source CSV path, ...)`` for the
+    #: ``name -> (build-time content hash, source CSV path)`` for the
     #: shortlist, from the query's single :meth:`SketchStore.table_meta`.
-    meta: Mapping[str, tuple]
+    meta: Mapping[str, tuple[str, Optional[str]]]
     fingerprint: str
     prepared_store: Optional[PreparedStore] = None
     repository: Optional[DatasetRepository] = None
@@ -122,7 +126,7 @@ class StoreResolver:
         spec = None
         if store is not None:
             spec = (store.path, store.max_entries, store.max_bytes)
-        meta = {name: tuple(self.meta[name][:2]) for name in names if name in self.meta}
+        meta = {name: self.meta[name] for name in names if name in self.meta}
         return StoreResolver(meta, self.fingerprint, store_spec=spec)
 
     def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
@@ -335,12 +339,12 @@ class LakeDiscoveryEngine:
         self, query: Table, top_k: Optional[int] = None
     ) -> list[CandidateTable]:
         """Sketch *query* and return the index's candidate tables."""
-        return self._shortlist_with_sketch(query, top_k)[0]
+        return self._probe(self.index, query, top_k)[0]
 
-    def _shortlist_with_sketch(
-        self, query: Table, top_k: Optional[int] = None
-    ) -> tuple[list[CandidateTable], "object"]:
-        """:meth:`shortlist` plus the query sketch it was probed with.
+    def _probe(
+        self, index: LakeIndex, query: Table, top_k: Optional[int]
+    ) -> tuple[list[CandidateTable], TableSketch]:
+        """*index*'s candidates for *query*, plus the sketch it was probed with.
 
         The cascade's stage-1 signals compare candidate sketches against the
         *same* query sketch the LSH shortlist used, so stage 1 never pays a
@@ -350,7 +354,7 @@ class LakeDiscoveryEngine:
         if top_k is not None:
             limit = max(self.min_candidates, self.candidate_multiplier * top_k)
         sketch = sketch_table(query, self.store.config, content_hash="")
-        return self.index.candidate_tables(sketch, top_k=limit), sketch
+        return index.candidate_tables(sketch, top_k=limit), sketch
 
     def query(
         self,
@@ -388,8 +392,8 @@ class LakeDiscoveryEngine:
             Pool size for the parallel path (fixed when the persistent
             pool is first created; default: executor's choice).
         cascade:
-            Fetch stage-1 signals: per-candidate score bounds are derived
-            from the stored sketches, the matcher runs best-bound-first
+            Price the shortlist: per-candidate score bounds are derived
+            from the sketches the index holds, the matcher runs best-bound-first
             and — when it declares its bounds admissible — skips candidates
             proven unable to reach the top-k.  Without a budget the ranking
             is identical to ``cascade=False``.
@@ -425,10 +429,11 @@ class LakeDiscoveryEngine:
     ) -> list[BatchQueryResult]:
         """Run several queries, each exactly as :meth:`query` would.
 
-        The serving primitive behind ``lake serve``'s micro-batcher.
         Returns one :class:`BatchQueryResult` (results + stats) per query,
-        in input order; a pooled rerank keeps the shared
-        :class:`RerankPool` busy within each query.
+        in input order — what a caller that needs the stats with the
+        results uses (``lake serve`` calls it with one query per ticket).
+        The queries run one after the other; a pooled rerank keeps the
+        shared :class:`RerankPool` busy within each.
         """
         pool = self._ensure_rerank_pool(max_workers) if parallel else None
         outcomes = [
@@ -455,25 +460,24 @@ class LakeDiscoveryEngine:
         start = time.perf_counter()
         with telemetry.use(child) if child is not None else nullcontext():
             with telemetry.span("query.shortlist", table=query.name):
-                shortlist, query_sketch = self._shortlist_with_sketch(query, top_k)
+                index = self.index
+                shortlist, query_sketch = self._probe(index, query, top_k)
             shortlist_seconds = time.perf_counter() - start
             names = [entry.table_name for entry in shortlist]
-            # The shortlist's one sketch-store read: build-time hashes and
-            # CSV paths for the resolver, plus — only when stage-1 pricing
-            # is asked for — the column sketches the signals condense.
-            meta = self.store.table_meta(
-                [name for name in names if name != query.name],
-                include_sketches=cascade,
-            )
+            # The query's one sketch-store read: build-time hashes and CSV
+            # paths for the resolver.
+            meta = self.store.table_meta([n for n in names if n != query.name])
             signals: Optional[dict[str, CandidateSignals]] = None
             if cascade:
-                signals = {
-                    name: candidate_signals(
-                        query_sketch, entry.columns, seed=self.store.config.seed
-                    )
-                    for name, entry in meta.items()
-                    if entry.columns
-                }
+                # A table whose stored hash moved on since the index was
+                # refreshed gets no signal: +inf bound, scored exactly.
+                signals = {}
+                for name, (content_hash, _) in meta.items():
+                    sketch = index.sketch(name)
+                    if sketch.columns and sketch.content_hash == content_hash:
+                        signals[name] = candidate_signals(
+                            query_sketch, sketch.columns, seed=self.store.config.seed
+                        )
             fingerprint = ""
             if self.prepared_store is not None:
                 fingerprint = self.matcher.fingerprint()

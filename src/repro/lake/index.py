@@ -12,6 +12,10 @@ lake size.
 Bucket collisions are then refined with cheap sketch-level checks (full
 signature Jaccard, data-type compatibility, hash-space histogram distance)
 before any expensive matcher sees the pair.
+
+The index is also the process's one decoded copy of the lake's sketches: it
+keeps every table's sketch whole (:meth:`LakeIndex.sketch`), which is what
+the rerank cascade prices a shortlist from.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ class LakeIndex:
         self.params = params
         self._buckets: dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]] = {}
         self._columns: dict[tuple[str, str], ColumnSketch] = {}
-        # table name -> its column keys, so removal is O(columns of table).
-        self._tables: dict[str, list[tuple[str, str]]] = {}
+        # table name -> its whole sketch; makes removal O(columns of table).
+        self._tables: dict[str, TableSketch] = {}
         # normalised column name -> keys; the schema-evidence channel.
         self._name_buckets: dict[str, set[tuple[str, str]]] = {}
 
@@ -144,11 +148,10 @@ class LakeIndex:
         """Insert (or replace) a table's column sketches into the buckets."""
         if table_sketch.name in self._tables:
             self.remove(table_sketch.name)
-        keys = self._tables[table_sketch.name] = []
+        self._tables[table_sketch.name] = table_sketch
         for column in table_sketch.columns:
             if column.minhash.set_size == 0:
                 continue  # empty columns collide with everything trivially
-            keys.append(column.key)
             self._columns[column.key] = column
             for key in self._band_keys(column):
                 self._buckets.setdefault(key, set()).add(column.key)
@@ -158,9 +161,13 @@ class LakeIndex:
 
     def remove(self, table_name: str) -> None:
         """Drop every column of *table_name* from the buckets."""
-        doomed = self._tables.pop(table_name, [])
-        for column_key in doomed:
-            column = self._columns.pop(column_key)
+        doomed = self._tables.pop(table_name, None)
+        if doomed is None:
+            return
+        for column in doomed.columns:
+            column_key = column.key
+            if self._columns.pop(column_key, None) is None:
+                continue  # an empty column: never bucketed
             for bucket_key in self._band_keys(column):
                 bucket = self._buckets.get(bucket_key)
                 if bucket is not None:
@@ -177,6 +184,12 @@ class LakeIndex:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
+    def sketch(self, table_name: str) -> TableSketch:
+        """The sketch *table_name* was indexed from (``KeyError`` if none):
+        every column, the empty ones the buckets skip too, under the
+        ``content_hash`` that says which content it describes."""
+        return self._tables[table_name]
+
     def candidate_columns(
         self, query: ColumnSketch, exclude_table: Optional[str] = None
     ) -> list[tuple[ColumnSketch, float]]:

@@ -28,15 +28,13 @@ Consistency properties:
 from __future__ import annotations
 
 import json
-import logging
 import sqlite3
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.data.sqlite_store import _MAX_IN_VARS, PerProcessSqliteStore
 from repro.data.table import Table
 from repro.lake.profiles import (
-    ColumnSketch,
     SketchConfig,
     TableSketch,
     sketch_table,
@@ -44,24 +42,7 @@ from repro.lake.profiles import (
 )
 from repro.telemetry import recorder as telemetry
 
-logger = logging.getLogger(__name__)
-
-__all__ = ["SketchStore", "TableMeta", "store_generation"]
-
-
-class TableMeta(NamedTuple):
-    """One table's batch-resolved metadata plus (optionally) its sketches.
-
-    The return unit of :meth:`SketchStore.table_meta` with
-    ``include_sketches=True``: identity metadata and the decoded
-    :class:`~repro.lake.profiles.ColumnSketch` objects, all pulled in one
-    ``IN (...)`` round trip per ~500 names — what the rerank cascade's
-    stage 1 scores candidates with, without per-candidate point queries.
-    """
-
-    content_hash: str
-    source_path: Optional[str]
-    columns: tuple[ColumnSketch, ...]
+__all__ = ["SketchStore", "store_generation"]
 
 #: The generation of a store file: identity of the inode plus the monotone
 #: store version inside it.
@@ -364,51 +345,28 @@ class SketchStore(PerProcessSqliteStore):
         ).fetchone()
         return row[0] if row else None
 
-    def table_meta(
-        self, names: Sequence[str], include_sketches: bool = False
-    ) -> dict[str, Union[tuple[str, Optional[str]], TableMeta]]:
+    def table_meta(self, names: Sequence[str]) -> dict[str, tuple[str, Optional[str]]]:
         """Batch ``{name: (content hash, source path)}`` lookup.
 
         One ``IN (...)`` query per ~500 names instead of two point lookups
-        per name — how a discovery shortlist (or a rerank worker's name
-        chunk) resolves its candidates' build-time hashes and CSV paths in
-        a single store round trip.  Unknown names are absent from the
-        result.
-
-        With ``include_sketches=True`` the same query also reads each row's
-        sketch and every entry is a :class:`TableMeta` whose ``columns``
-        carry the decoded column sketches — the rerank cascade's stage-1
-        signal source (histograms + MinHash for a whole shortlist, no
-        per-candidate round trips).  A sketch that fails to decode leaves
-        that table's ``columns`` empty rather than failing the batch (the
-        cascade then scores it exactly).
+        per name — how a discovery shortlist resolves its candidates'
+        build-time hashes and CSV paths in a single store round trip.
+        Unknown names are absent from the result.  No sketch is read: the
+        decoded ones live in the :class:`~repro.lake.index.LakeIndex`, and
+        these hashes tell a reader whether they still describe the rows.
         """
         names = list(names)
-        out: dict[str, Union[tuple[str, Optional[str]], TableMeta]] = {}
-        selected = "name, content_hash, source_path"
-        if include_sketches:
-            selected += ", sketch"
+        out: dict[str, tuple[str, Optional[str]]] = {}
         for start in range(0, len(names), _MAX_IN_VARS):
             chunk = names[start : start + _MAX_IN_VARS]
             placeholders = ", ".join("?" * len(chunk))
             rows = self._connection.execute(
-                f"SELECT {selected} FROM tables WHERE name IN ({placeholders})",
+                "SELECT name, content_hash, source_path FROM tables "
+                f"WHERE name IN ({placeholders})",
                 chunk,
             ).fetchall()
-            for name, content_hash, source_path, *sketch in rows:
-                if not include_sketches:
-                    out[name] = (content_hash, source_path)
-                    continue
-                try:
-                    columns = TableSketch.from_bytes(sketch[0]).columns
-                except ValueError:
-                    columns = ()
-                    logger.warning(
-                        "sketch of table %r does not decode; "
-                        "stage-1 signals unavailable for it",
-                        name,
-                    )
-                out[name] = TableMeta(content_hash, source_path, columns)
+            for name, content_hash, source_path in rows:
+                out[name] = (content_hash, source_path)
         telemetry.count("sketch_store.meta_lookups", len(names))
         telemetry.count("sketch_store.meta_hits", len(out))
         if len(out) < len(set(names)):

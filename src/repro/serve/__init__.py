@@ -6,14 +6,15 @@ keeps all of that warm in a daemon (``lake serve``) and admits many
 concurrent queries over HTTP (TCP or a unix socket, stdlib only):
 
 * :mod:`repro.serve.protocol` — the JSON wire format: request decoding
-  with validation, response encoding, and the content-hash cache key the
-  batcher coalesces identical concurrent requests on;
+  with validation, response encoding, and the content-hash cache key
+  identical concurrent requests are coalesced on;
 * :mod:`repro.serve.admission` — back-pressure primitives: per-request
   :class:`Deadline`, the bounded :class:`AdmissionQueue` (full ⇒ reject
-  with 429, never hang), and :func:`run_with_deadline` for the one-shot
-  CLI path;
-* :mod:`repro.serve.batcher` — the single dispatcher thread that drains
-  the admission queue into micro-batches; **all** engine and store access
+  with 429, never hang) with its map of keys in flight (a duplicate of a
+  request queued or being scored waits on that ticket and takes no seat),
+  and :func:`run_with_deadline` for the one-shot CLI path;
+* :mod:`repro.serve.dispatcher` — the single dispatcher thread that serves
+  the admission queue one ticket at a time; **all** engine and store access
   happens on this thread (SQLite connections are thread-bound);
 * :mod:`repro.serve.server` — :class:`DiscoveryServer`: one warm
   :class:`~repro.lake.engine.LakeDiscoveryEngine` + shared
@@ -32,7 +33,7 @@ from repro.serve.admission import (
     Ticket,
     run_with_deadline,
 )
-from repro.serve.batcher import MicroBatcher
+from repro.serve.dispatcher import Dispatcher
 from repro.serve.health import CircuitBreaker
 from repro.serve.client import (
     DeadlineExpiredError,
@@ -58,7 +59,7 @@ __all__ = [
     "QueueFull",
     "Ticket",
     "run_with_deadline",
-    "MicroBatcher",
+    "Dispatcher",
     "CircuitBreaker",
     "ProtocolError",
     "QueryRequest",

@@ -1,13 +1,15 @@
-"""Admission control: deadlines, the bounded queue, and back-pressure.
+"""Admission control: deadlines, the bounded queue, in-flight coalescing.
 
 The daemon's contract under overload is *reject, never hang*: a request
 either gets a seat in the bounded admission queue or an immediate 429 —
 the queue cannot grow without bound, and a request that waited past its
 deadline is answered 504 whether it is still queued or already mid-rerank.
+A request identical to one already queued **or being scored** waits on that
+ticket's future instead of being scored again, and takes no queue seat.
 
 Everything here is engine-agnostic plumbing: a :class:`Ticket` couples one
 decoded request to the :class:`~concurrent.futures.Future` its handler
-thread waits on; the dispatcher (:mod:`repro.serve.batcher`) is the only
+threads wait on; the dispatcher (:mod:`repro.serve.dispatcher`) is the only
 consumer.  :func:`run_with_deadline` reuses the same deadline semantics
 for the one-shot ``lake query --timeout-s`` CLI path.
 """
@@ -20,7 +22,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from repro.serve.protocol import QueryRequest
 
@@ -48,9 +50,9 @@ class Deadline:
     """A monotonic-clock expiry shared by the daemon and the CLI.
 
     Built once at admission from the request's ``timeout_s`` and consulted
-    at every hand-off: the batcher drops tickets that expired while queued,
-    and the handler thread bounds its wait on the ticket future with
-    :meth:`remaining`.
+    at every hand-off: the dispatcher drops tickets that expired while
+    queued, and the handler thread bounds its wait on the ticket future
+    with :meth:`remaining`.
     """
 
     __slots__ = ("expires_at",)
@@ -73,18 +75,19 @@ class Deadline:
 
 @dataclass
 class Ticket:
-    """One admitted request travelling from handler thread to dispatcher.
+    """One distinct request travelling from handler threads to dispatcher.
 
-    The handler thread blocks on :attr:`future` (bounded by the deadline);
-    the dispatcher resolves it with ``(BatchQueryResult, coalesced)`` or an
-    exception.  The future is the *only* channel between the two threads.
+    Every handler thread whose request has this :attr:`key` blocks on
+    :attr:`future` (each bounded by its own deadline); the dispatcher
+    resolves it once, with the ``BatchQueryResult`` or an exception.  The
+    future is the *only* channel between the threads.  :attr:`deadline` is
+    the latest of the waiters' deadlines (``None``: one waits forever).
     """
 
     request: QueryRequest
     key: str
     deadline: Optional[Deadline] = None
     future: Future = field(default_factory=Future)
-    enqueued_at: float = field(default_factory=time.monotonic)
 
     @property
     def expired(self) -> bool:
@@ -92,27 +95,65 @@ class Ticket:
 
 
 class AdmissionQueue:
-    """A bounded FIFO of tickets; full means reject, not block.
+    """A bounded FIFO of tickets plus the map of keys in flight.
 
     ``limit`` counts *waiting* tickets only — requests already being scored
     by the dispatcher have left the queue, so the bound is on queued work,
-    the quantity back-pressure must cap.
+    the quantity back-pressure must cap.  A key stays in the in-flight map
+    from :meth:`submit` until the dispatcher calls :meth:`retire`, which it
+    does *before* resolving the ticket's future: a duplicate either joins a
+    ticket that is still unanswered or starts a fresh one, never a resolved
+    one.  One lock covers the map, each ticket's deadline and the seating.
     """
 
     def __init__(self, limit: int) -> None:
         if limit <= 0:
             raise ValueError("admission queue limit must be positive")
         self.limit = limit
+        self.coalesced_count = 0
         self._queue: "queue.Queue[Ticket]" = queue.Queue(maxsize=limit)
+        self._lock = threading.Lock()
+        self._in_flight: dict[str, Ticket] = {}
 
-    def submit(self, ticket: Ticket) -> None:
-        """Seat *ticket* or raise :class:`QueueFull` immediately (no wait)."""
-        try:
-            self._queue.put_nowait(ticket)
-        except queue.Full:
-            raise QueueFull(
-                f"admission queue is full ({self.limit} waiting requests)"
-            ) from None
+    def submit(self, ticket: Ticket) -> Ticket:
+        """Admit *ticket*; returns the ticket whose future to wait on.
+
+        The in-flight ticket with the same key when there is one — no seat
+        taken, its deadline moved out to the later of the two, so a patient
+        duplicate is never expired by an impatient original — else *ticket*
+        itself, now seated, or :class:`QueueFull` at once if no seat is free.
+        """
+        with self._lock:
+            leader = self._in_flight.get(ticket.key)
+            if leader is not None:
+                if leader.deadline is not None and (
+                    ticket.deadline is None
+                    or ticket.deadline.expires_at > leader.deadline.expires_at
+                ):
+                    leader.deadline = ticket.deadline
+                self.coalesced_count += 1
+                return leader
+            try:
+                self._queue.put_nowait(ticket)
+            except queue.Full:
+                raise QueueFull(
+                    f"admission queue is full ({self.limit} waiting requests)"
+                ) from None
+            self._in_flight[ticket.key] = ticket
+            return ticket
+
+    def retire(self, ticket: Ticket, if_expired: bool = False) -> bool:
+        """Take *ticket*'s key out of flight; returns whether that happened.
+
+        With *if_expired*, only when its deadline has passed — checked under
+        the lock :meth:`submit` extends deadlines under, so a duplicate joins
+        before the check (and is waited for) or after it (and starts afresh).
+        """
+        with self._lock:
+            if if_expired and not ticket.expired:
+                return False
+            self._in_flight.pop(ticket.key, None)
+            return True
 
     def get(self, timeout: Optional[float] = None) -> Optional[Ticket]:
         """The next ticket, or ``None`` when *timeout* elapses empty."""
@@ -120,16 +161,6 @@ class AdmissionQueue:
             return self._queue.get(timeout=timeout)
         except queue.Empty:
             return None
-
-    def drain(self, max_items: int) -> List[Ticket]:
-        """Up to *max_items* immediately available tickets (no waiting)."""
-        drained: List[Ticket] = []
-        while len(drained) < max_items:
-            try:
-                drained.append(self._queue.get_nowait())
-            except queue.Empty:
-                break
-        return drained
 
     def depth(self) -> int:
         """Approximate number of waiting tickets (racy by nature)."""

@@ -2,8 +2,8 @@
 
 The daemon degrades instead of dying.  When the shared rerank pool breaks
 repeatedly (workers OOM-killed, a poisoned payload segfaulting them), the
-dispatcher stops paying the spawn-retry-break cycle on every batch and
-falls back to serial scoring until the breaker lets a trial batch through.
+dispatcher stops paying the spawn-retry-break cycle on every query and
+falls back to serial scoring until the breaker lets a trial query through.
 
 State machine (the classic three states):
 
@@ -80,7 +80,7 @@ class CircuitBreaker:
         ``True`` in closed state and for the single trial of half-open
         (repeated calls during half-open keep returning True until the
         trial's outcome is recorded — the dispatcher records an outcome
-        after every allowed batch, so only one trial is in flight).
+        after every allowed query, so only one trial is in flight).
         """
         with self._lock:
             return self._observe() != OPEN

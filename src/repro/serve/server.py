@@ -5,15 +5,20 @@
 * a **threaded HTTP front end** (``ThreadingHTTPServer`` over TCP, or the
   same handler over a unix socket) whose handler threads only parse,
   admit, and wait — they never touch the engine;
-* the **dispatcher** (:class:`~repro.serve.batcher.MicroBatcher`): one
+* **admission** (:class:`~repro.serve.admission.AdmissionQueue`): a
+  bounded queue of distinct requests plus the map of cache keys in flight,
+  so a request identical to one queued *or being scored* waits on that
+  ticket instead of being scored again (``coalesced: true``, no seat taken);
+* the **dispatcher** (:class:`~repro.serve.dispatcher.Dispatcher`): one
   thread owning the engine session, because the stores' SQLite
-  connections are bound to the thread that opens them;
+  connections are bound to the thread that opens them; it scores one
+  ticket at a time;
 * one **engine session per store generation** — sketch store opened
   read-only, prepared store writable (cold queries warm it for everyone),
   both wrapped by a :class:`~repro.lake.engine.LakeDiscoveryEngine`
   holding the *shared* :class:`~repro.discovery.search.RerankPool`, whose
   spawned workers survive every reopen;
-* **graceful reopen**: between batches the dispatcher polls
+* **graceful reopen**: between tickets the dispatcher polls
   :func:`~repro.lake.store.store_generation` (inode + monotone version)
   and, on change, opens the new generation before closing the old one —
   queued requests simply continue onto the fresh session, so a writer
@@ -38,19 +43,20 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.discovery.search import RerankPool
-from repro.lake import LakeDiscoveryEngine, lake_generation, open_lake
+from repro.lake import BatchQueryResult, LakeDiscoveryEngine, lake_generation, open_lake
 from repro.matchers.registry import create_matcher
 from repro.serve.admission import AdmissionQueue, Deadline, DeadlineExpired, QueueFull, Ticket
-from repro.serve.batcher import MicroBatcher
+from repro.serve.dispatcher import Dispatcher
 from repro.serve.health import CircuitBreaker
 from repro.serve.protocol import (
     ProtocolError,
+    QueryRequest,
     decode_query_request,
     request_cache_key,
     response_to_dict,
@@ -80,14 +86,12 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral (the bound port is on DiscoveryServer.address)
     unix_socket: Optional[Path] = None  # serve on AF_UNIX instead of TCP
     queue_limit: int = 32
-    batch_max: int = 8
-    batch_wait_s: float = 0.005
     default_timeout_s: Optional[float] = 30.0
     parallel: bool = True
     max_workers: Optional[int] = None
     reopen_poll_s: float = 1.0
     #: Circuit breaker over the parallel rerank path: this many consecutive
-    #: pool breaks switch batches to serial scoring for ``cooldown_s``.
+    #: pool breaks switch queries to serial scoring for ``cooldown_s``.
     breaker_threshold: int = 2
     breaker_cooldown_s: float = 5.0
     #: Arm the two-stage rerank cascade for every served query (exact
@@ -257,14 +261,12 @@ class DiscoveryServer:
         self._session_lock = threading.Lock()  # guards the reference swap only
         self._last_reopen_poll = time.monotonic()
         self.admission = AdmissionQueue(config.queue_limit)
-        self.batcher = MicroBatcher(
+        self.dispatcher = Dispatcher(
             self.admission,
-            execute=self._execute_batch,
-            batch_max=config.batch_max,
-            batch_wait_s=config.batch_wait_s,
+            execute=self._execute,
             on_start=self._open_session,
             on_stop=self._close_session,
-            before_batch=self._maybe_reopen,
+            before_ticket=self._maybe_reopen,
         )
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
@@ -273,11 +275,11 @@ class DiscoveryServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "DiscoveryServer":
-        self.batcher.start()
+        self.dispatcher.start()
         try:
             self._httpd = self._build_httpd()
         except BaseException:
-            self.batcher.stop()
+            self.dispatcher.stop()
             self.pool.close()
             raise
         self._httpd.discovery = self  # type: ignore[attr-defined]
@@ -298,7 +300,7 @@ class DiscoveryServer:
         if self._http_thread is not None:
             self._http_thread.join(timeout=10)
             self._http_thread = None
-        self.batcher.stop()
+        self.dispatcher.stop()
         self.pool.close()
         if self.config.unix_socket is not None:
             try:
@@ -388,20 +390,18 @@ class DiscoveryServer:
         self.reopen_count += 1
         self.recorder.count("serve.reopens")
 
-    def _execute_batch(self, requests: Sequence) -> Sequence:
+    def _execute(self, request: QueryRequest) -> BatchQueryResult:
         session = self._session
         if session is None:  # pragma: no cover - dispatcher guarantees open
             raise RuntimeError("no engine session")
         with use(self.recorder):
-            self.recorder.count("serve.batches")
-            self.recorder.count("serve.batched_queries", len(requests))
             parallel = self.config.parallel and self.breaker.allow()
             try:
-                outcomes = self._score(session, requests, parallel)
+                outcome = self._score(session, request, parallel)
             except BrokenProcessPool:
-                # The shared pool died *twice* for this batch (RerankPool
+                # The shared pool died *twice* for this query (RerankPool
                 # already respawned and retried once internally).  Restart
-                # it behind the breaker and answer this batch serially —
+                # it behind the breaker and answer this query serially —
                 # degraded latency, correct results, no dropped queries.
                 self.recorder.count("serve.pool_restarts")
                 self.pool_restarts += 1
@@ -409,32 +409,29 @@ class DiscoveryServer:
                 self.pool.close()
                 logger.warning(
                     "rerank pool broke; restarted it and degraded this "
-                    "batch to serial scoring (breaker: %s)",
+                    "query to serial scoring (breaker: %s)",
                     self.breaker.state,
                 )
-                outcomes = self._score(session, requests, False)
+                outcome = self._score(session, request, False)
             else:
                 if parallel:
                     self.breaker.record_success()
-        return outcomes
+        return outcome
 
-    def _score(self, session: _EngineSession, requests: Sequence, parallel: bool) -> list:
-        """Score each (already deduplicated) request with its own parameters."""
+    def _score(
+        self, session: _EngineSession, request: QueryRequest, parallel: bool
+    ) -> BatchQueryResult:
         if self.config.fault_plan is not None:
             self.config.fault_plan.check("serve.score_batch")
-        outcomes = []
-        for request in requests:
-            (outcome,) = session.engine.query_many(
-                [request.table],
-                mode=request.mode,
-                top_k=request.top_k,
-                parallel=parallel,
-                max_workers=self.config.max_workers,
-                cascade=self.config.cascade,
-                budget_ms=request.budget_ms,
-            )
-            outcomes.append(outcome)
-        return outcomes
+        (outcome,) = session.engine.query_many(
+            [request.table],
+            mode=request.mode,
+            top_k=request.top_k,
+            parallel=parallel,
+            cascade=self.config.cascade,
+            budget_ms=request.budget_ms,
+        )
+        return outcome
 
     # ------------------------------------------------------------------ #
     # handler-thread half (admission + endpoints)
@@ -456,7 +453,7 @@ class DiscoveryServer:
             request=request, key=request_cache_key(request), deadline=deadline
         )
         try:
-            self.admission.submit(ticket)
+            leader = self.admission.submit(ticket)
         except QueueFull:
             self.recorder.count("serve.rejected_queue_full")
             send_json(
@@ -468,13 +465,13 @@ class DiscoveryServer:
         self.recorder.count("serve.admitted")
         try:
             wait = deadline.remaining() if deadline is not None else None
-            outcome, coalesced = ticket.future.result(timeout=wait)
+            outcome = leader.future.result(timeout=wait)
         except (FutureTimeoutError, DeadlineExpired):
             self.recorder.count("serve.deadline_expired")
             send_json(504, {"error": "deadline_expired", "timeout_s": timeout_s})
             return
         except Exception as exc:
-            # Contract: the daemon never answers 500.  A failed batch is a
+            # Contract: the daemon never answers 500.  A failed query is a
             # *transient server condition* — the session reopens, the pool
             # restarts, the breaker degrades — so tell the client to retry,
             # the same way a full queue does.
@@ -486,6 +483,7 @@ class DiscoveryServer:
                 {"Retry-After": "1"},
             )
             return
+        coalesced = leader is not ticket
         if coalesced:
             self.recorder.count("serve.coalesced")
         self.recorder.observe("serve.request", time.monotonic() - started)
@@ -496,7 +494,7 @@ class DiscoveryServer:
 
         ``ok`` — session open, breaker closed (full fast path).
         ``degraded`` — serving correct answers, but the rerank breaker is
-        open or half-open, so batches score serially.  ``starting`` — no
+        open or half-open, so queries score serially.  ``starting`` — no
         engine session yet (also the state after a failed open).
         """
         with self._session_lock:
@@ -528,9 +526,8 @@ class DiscoveryServer:
             "status": self.health_status(),
             "queue_depth": self.admission.depth(),
             "queue_limit": self.config.queue_limit,
-            "batches_run": self.batcher.batches_run,
-            "coalesced": self.batcher.coalesced_count,
-            "expired_in_queue": self.batcher.expired_in_queue,
+            "coalesced": self.admission.coalesced_count,
+            "expired_in_queue": self.dispatcher.expired_in_queue,
             "reopen_count": self.reopen_count,
             "pool_spawns": self.pool.spawn_count,
             "pool_restarts": self.pool_restarts,

@@ -95,6 +95,13 @@ class TestDiscoveryEngine:
         with pytest.raises(ValueError):
             engine.discover(query, repository, mode="bogus")
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_non_positive_top_k_rejected(self, lake, top_k):
+        query, repository = lake
+        engine = DiscoveryEngine(matcher=ComaSchemaMatcher())
+        with pytest.raises(ValueError, match="top_k must be at least 1"):
+            engine.discover(query, repository, top_k=top_k)
+
     def test_query_table_excluded_from_candidates(self, lake):
         query, repository = lake
         repository.add(query)

@@ -1,13 +1,13 @@
 """Chaos: the serve daemon under injected rerank-pool breaks.
 
-The no-500 contract from the ISSUE: whatever breaks inside a batch, a
+The no-500 contract from the ISSUE: whatever breaks inside a query, a
 client sees only 200 (answered), 429 (queue full) or 503 (transient server
 condition with a Retry-After hint) — never a 500 — and the daemon recovers
-to ``ok`` once the breaker's trial batch succeeds.
+to ``ok`` once the breaker's trial query succeeds.
 
 Most tests here run ``parallel=False`` (the injected ``BrokenProcessPool``
 exercises the same handler without paying worker spawns); the recovery test
-uses the real pool because only a successful *parallel* batch closes the
+uses the real pool because only a successful *parallel* query closes the
 breaker.
 """
 
@@ -54,7 +54,6 @@ def _config(store_path, plan, **overrides):
         store_path=store_path,
         method=_METHOD,
         parallel=False,
-        batch_wait_s=0.002,
         fault_plan=plan,
     )
     defaults.update(overrides)
@@ -63,7 +62,7 @@ def _config(store_path, plan, **overrides):
 
 class TestNoFiveHundred:
     def test_single_pool_break_is_absorbed(self, serve_lake):
-        """One break per batch: restarted pool + serial retry → still 200."""
+        """One break per query: restarted pool + serial retry → still 200."""
         store_path, query = serve_lake
         plan = FaultPlan(
             [FaultSpec("serve.score_batch", "error", error=BrokenProcessPool, times=1)]
@@ -81,7 +80,7 @@ class TestNoFiveHundred:
                 assert client.healthz()["status"] == "ok"
 
     def test_double_break_answers_503_not_500(self, serve_lake):
-        """The batch fails even after the restart: the client is told to
+        """The query fails even after the restart: the client is told to
         retry (503 + Retry-After), never shown a 500."""
         store_path, query = serve_lake
         plan = FaultPlan(
@@ -130,7 +129,7 @@ class TestNoFiveHundred:
 class TestBreakerRecovery:
     def test_degraded_then_recovers_to_ok(self, serve_lake):
         """threshold=1: one break opens the breaker (health: degraded, but
-        /healthz still answers 200); after the cooldown the trial batch
+        /healthz still answers 200); after the cooldown the trial query
         succeeds on the real pool and health returns to ok."""
         store_path, query = serve_lake
         plan = FaultPlan(
@@ -249,7 +248,6 @@ class TestEndToEndChaos:
             prepared_path=prepared_path,
             method=_METHOD,
             parallel=False,
-            batch_wait_s=0.002,
             fault_plan=serve_plan,
         )
         with DiscoveryServer(config) as daemon:

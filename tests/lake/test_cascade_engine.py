@@ -4,13 +4,14 @@ Covers the exactness contract — for **every** registered matcher the
 ranking is byte-identical in every plan x executor cell ({unpriced, priced}
 x {inline, pooled}) and equal to an index-free brute-force oracle — plus
 real skipping with SemProp's admissible bound, anytime budgets, the store
-round trips each plan is allowed to make, and the batched sketch fetch
-behind stage 1.
+round trips each plan is allowed to make, and the hash guard between the
+resident index stage 1 prices from and the store.
 """
 
 from __future__ import annotations
 
 import random
+import shutil
 import time
 from contextlib import contextmanager, nullcontext
 
@@ -33,7 +34,7 @@ from repro.lake import (
     build_from_paths,
     prepare_lake,
 )
-from repro.lake.store import TableMeta
+from repro.lake.profiles import TableSketch
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.matchers.semprop import SemPropMatcher
@@ -358,15 +359,16 @@ def test_query_many_propagates_budget_and_partial(lake):
 
 
 class _CountingSketchStore(SketchStore):
-    """Records the ``include_sketches`` flag of every ``table_meta`` call."""
+    """Records how many names every ``table_meta`` call asked for."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.meta_calls: list[bool] = []
+        self.meta_calls: list[int] = []
 
-    def table_meta(self, names, include_sketches=False):
-        self.meta_calls.append(include_sketches)
-        return super().table_meta(names, include_sketches)
+    def table_meta(self, names):
+        names = list(names)
+        self.meta_calls.append(len(names))
+        return super().table_meta(names)
 
 
 class _CountingPreparedStore(PreparedStore):
@@ -401,16 +403,29 @@ def test_unpriced_inline_warm_rerank_is_one_meta_read_and_one_payload_read(
     engine, sketch_store, prepared_store, query = counting_engine
     engine.query(query, mode="joinable", top_k=TOP_K)
     stats = engine.last_query_stats
-    assert sketch_store.meta_calls == [False]  # one read, no sketch decode
+    assert sketch_store.meta_calls == [stats.shortlist_size]  # one read
     assert prepared_store.get_many_calls == [stats.shortlist_size]
     assert stats.store_hits == stats.rerank_count == stats.shortlist_size
 
 
-def test_priced_rerank_reads_payloads_only_for_scored_candidates(counting_engine):
+def test_priced_rerank_reads_payloads_only_for_scored_candidates(
+    counting_engine, monkeypatch
+):
     engine, sketch_store, prepared_store, query = counting_engine
+    assert len(engine.index) == _GOOD + _BAD  # warm: the lake is decoded once
+    decodes: list[int] = []
+    decode = TableSketch.from_bytes
+    monkeypatch.setattr(
+        TableSketch,
+        "from_bytes",
+        staticmethod(lambda data: decodes.append(len(data)) or decode(data)),
+    )
     engine.query(query, mode="joinable", top_k=TOP_K, cascade=True)
     stats = engine.last_query_stats
-    assert sketch_store.meta_calls == [True]  # stage 1 rides the same read
+    # Stage 1 prices from the sketches the index holds: the store is asked
+    # for hashes and paths once, and no sketch is decoded again.
+    assert sketch_store.meta_calls == [stats.shortlist_size]
+    assert decodes == []
     assert stats.cascade_skipped > 0
     assert prepared_store.get_many_calls == [1] * stats.cascade_exact
     assert stats.store_hits == stats.cascade_exact
@@ -426,7 +441,7 @@ def test_cold_rerank_without_prepared_store_never_decodes_sketches(semprop_lake)
         results = engine.query(query, mode="joinable", top_k=TOP_K)
         stats = engine.last_query_stats
     assert len(results) == TOP_K
-    assert sketch_store.meta_calls == [False]
+    assert sketch_store.meta_calls == [stats.shortlist_size]
     assert stats.store_hits == 0 and stats.rerank_count == stats.shortlist_size
 
 
@@ -453,21 +468,56 @@ def test_query_is_query_many_of_one(counting_engine, priced, recorded):
 
 
 # --------------------------------------------------------------------- #
-# stage-1 plumbing: batched sketch fetch
+# stage-1 plumbing: a bound is applied only to the content it prices
 # --------------------------------------------------------------------- #
 
 
-def test_table_meta_include_sketches_batches_columns(lake):
-    _, repository, store = lake
-    names = sorted(repository.table_names)[:3]
-    plain = store.table_meta(names)
-    assert all(isinstance(entry, tuple) and len(entry) == 2 for entry in plain.values())
-    rich = store.table_meta(names, include_sketches=True)
-    assert set(rich) == set(plain)
-    for name in names:
-        entry = rich[name]
-        assert isinstance(entry, TableMeta)
-        assert entry.content_hash == plain[name][0]
-        assert entry.source_path == plain[name][1]
-        assert len(entry.columns) == len(repository.get(name).columns)
-        assert all(sketch.table_name == name for sketch in entry.columns)
+class _RacedSketchStore(SketchStore):
+    """Lets a writer commit just before the first ``table_meta`` read."""
+
+    def __init__(self, *args, writer, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.writer = writer
+
+    def table_meta(self, names):
+        if self.writer is not None:
+            writer, self.writer = self.writer, None
+            writer()
+        return super().table_meta(names)
+
+
+def test_table_rewritten_after_the_index_refresh_is_scored_exactly(
+    semprop_lake, tmp_path
+):
+    """The index still holds ``bad_0``'s value-disjoint sketch (bound ~0, a
+    certain skip) when a second handle commits it as a twin of the query:
+    its stored hash no longer equals the indexed one, so it gets no signal
+    and is scored on what the store now says it is."""
+    source, query = semprop_lake
+    store_path = tmp_path / source.name
+    prepared_path = store_path.with_name(store_path.name + ".prepared")
+    shutil.copy(source, store_path)
+    shutil.copy(source.with_name(prepared_path.name), prepared_path)
+    twin = _neutral_table("bad_0", lambda c, r: f"val_{c}_{r}")
+    twin_csv = write_csv(twin, tmp_path / "bad_0.csv")
+
+    def rewrite_bad_0() -> None:
+        with SketchStore(store_path) as second_handle:
+            assert second_handle.add_table(twin, source_path=twin_csv)
+
+    with _RacedSketchStore(
+        store_path, read_only=True, writer=rewrite_bad_0
+    ) as store, PreparedStore(prepared_path) as prepared_store, LakeDiscoveryEngine(
+        matcher=SemPropMatcher(), store=store, prepared_store=prepared_store
+    ) as engine:
+        assert len(engine.index) == _GOOD + _BAD
+        raced = engine.query(query, mode="joinable", top_k=TOP_K, cascade=True)
+        stats = engine.last_query_stats
+        assert store.writer is None  # the commit really landed mid-query
+        settled = engine.query(query, mode="joinable", top_k=TOP_K)
+    # Equal scores tie-break by name, so the twin now leads the ranking.
+    assert [r.table_name for r in raced] == ["bad_0", "good_0", "good_1"]
+    assert _signature(raced) == _signature(settled)
+    # Everything else as usual: the other bads are still skipped.
+    assert stats.cascade_skipped > 0
+    assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size

@@ -1,8 +1,8 @@
 """Anytime budgets through the serving stack (PR 10).
 
 ``budget_ms`` must survive encode -> decode, keep budgeted and full
-requests apart in the coalescing cache key and the micro-batch grouping,
-and surface ``partial`` in the response stats.
+requests apart in the coalescing cache key, and surface ``partial`` in the
+response stats.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def server(tmp_path_factory):
         store_path=store_path,
         method=_METHOD,
         parallel=False,
-        batch_wait_s=0.002,
     )
     with DiscoveryServer(config) as daemon:
         yield daemon

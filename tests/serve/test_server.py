@@ -1,5 +1,6 @@
 """The daemon end to end: endpoints, identity with the one-shot engine,
-coalescing, and admission control (429 queue-full, 504 deadline expiry).
+in-flight coalescing, and admission control (429 queue-full, 504 deadline
+expiry).
 
 The lake is tiny and the daemon reranks serially inside the dispatcher
 (``parallel=False``) so these tests are seconds-scale and deterministic on
@@ -56,7 +57,6 @@ def server(served_lake):
         store_path=store_path,
         method=_METHOD,
         parallel=False,
-        batch_wait_s=0.002,
     )
     with DiscoveryServer(config) as daemon:
         yield daemon
@@ -157,12 +157,21 @@ class TestCoalescing:
         assert len(rankings) == 1  # every client saw the same answer
 
 
+def _distinct_queries(count):
+    """Query tables with pairwise different content (hence cache keys)."""
+    return [
+        tpcdi_prospect_table(num_rows=16, seed=200 + i).rename(f"distinct_{i}")
+        for i in range(count)
+    ]
+
+
 class TestAdmissionControl:
-    """Back-pressure behaviour, driven through real HTTP clients.
+    """Back-pressure and in-flight coalescing, driven through real HTTP clients.
 
     A stalled dispatcher (its ``execute`` blocked on an event we control)
     backs requests up into the bounded queue, which lets the tests observe
-    429 rejection and 504 expiry deterministically.
+    429 rejection, 504 expiry and duplicates joining a ticket that is
+    queued or being scored, deterministically.
     """
 
     @pytest.fixture()
@@ -173,55 +182,62 @@ class TestAdmissionControl:
             method=_METHOD,
             parallel=False,
             queue_limit=1,
-            batch_max=1,
-            batch_wait_s=0.001,
         )
         daemon = DiscoveryServer(config)
         release = threading.Event()
         entered = threading.Event()
-        original = daemon.batcher.execute
+        original = daemon.dispatcher.execute
+        daemon.executed = []
 
-        def stalling_execute(requests):
+        def stalling_execute(request):
+            daemon.executed.append(request.table.name)
             entered.set()
-            assert release.wait(timeout=30), "test forgot to release the batcher"
-            return original(requests)
+            assert release.wait(timeout=30), "test forgot to release the dispatcher"
+            return original(request)
 
-        daemon.batcher.execute = stalling_execute
+        daemon.dispatcher.execute = stalling_execute
         with daemon:
             yield daemon, entered, release
         release.set()
 
-    def test_queue_full_is_rejected_with_429_not_hung(
-        self, served_lake, stalled_server
-    ):
-        _, query = served_lake
-        daemon, entered, release = stalled_server
+    @staticmethod
+    def _ask_in_background(daemon, outcomes, tag, query, **params):
         host, port = daemon.address
-        outcomes: dict = {}
 
-        def background_query(tag):
+        def run():
             try:
                 with ServeClient(host=host, port=port, timeout_s=60) as c:
-                    outcomes[tag] = c.query(query, top_k=2)
+                    outcomes[tag] = c.query(query, top_k=2, **params)
             except Exception as exc:
                 outcomes[tag] = exc
 
-        # First request occupies the dispatcher (blocked inside execute)...
-        first = threading.Thread(target=background_query, args=("first",))
-        first.start()
-        assert entered.wait(timeout=30)
-        # ...second fills the single queue seat...
-        second = threading.Thread(target=background_query, args=("second",))
-        second.start()
-        deadline = time.monotonic() + 10
-        while daemon.admission.depth() < 1 and time.monotonic() < deadline:
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def _wait_until(condition, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not condition() and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert daemon.admission.depth() == 1
-        # ...third must bounce immediately with 429.
+        assert condition()
+
+    def test_queue_full_is_rejected_with_429_not_hung(self, stalled_server):
+        first_query, second_query, third_query = _distinct_queries(3)
+        daemon, entered, release = stalled_server
+        host, port = daemon.address
+        outcomes: dict = {}
+        # First request occupies the dispatcher (blocked inside execute)...
+        first = self._ask_in_background(daemon, outcomes, "first", first_query)
+        assert entered.wait(timeout=30)
+        # ...a second, different one fills the single queue seat...
+        second = self._ask_in_background(daemon, outcomes, "second", second_query)
+        self._wait_until(lambda: daemon.admission.depth() == 1)
+        # ...a third, different again, must bounce immediately with 429.
         started = time.monotonic()
         with ServeClient(host=host, port=port, timeout_s=30) as c:
             with pytest.raises(QueueFullError) as excinfo:
-                c.query(query, top_k=2)
+                c.query(third_query, top_k=2)
         assert time.monotonic() - started < 5.0  # rejected, not hung
         assert excinfo.value.status == 429
         assert excinfo.value.retry_after >= 1.0
@@ -232,6 +248,82 @@ class TestAdmissionControl:
         assert isinstance(outcomes["second"], dict)
         stats = daemon.stats()
         assert stats["counters"]["serve.rejected_queue_full"] >= 1
+
+    def test_duplicate_arriving_mid_score_shares_the_one_score(
+        self, served_lake, stalled_server
+    ):
+        _, query = served_lake
+        daemon, entered, release = stalled_server
+        outcomes: dict = {}
+        leader = self._ask_in_background(daemon, outcomes, "leader", query)
+        assert entered.wait(timeout=30)  # the leader is being scored, not queued
+        assert daemon.admission.depth() == 0
+        follower = self._ask_in_background(daemon, outcomes, "follower", query)
+        self._wait_until(lambda: daemon.admission.coalesced_count == 1)
+        release.set()
+        leader.join(timeout=60)
+        follower.join(timeout=60)
+        assert daemon.executed == [query.name]  # scored once
+        assert outcomes["leader"]["coalesced"] is False
+        assert outcomes["follower"]["coalesced"] is True
+        assert outcomes["follower"]["results"] == outcomes["leader"]["results"]
+        assert outcomes["follower"]["stats"] == outcomes["leader"]["stats"]
+
+    def test_identical_burst_beyond_queue_limit_is_absorbed(
+        self, served_lake, stalled_server
+    ):
+        _, query = served_lake
+        (blocker,) = _distinct_queries(1)
+        daemon, entered, release = stalled_server
+        outcomes: dict = {}
+        threads = [self._ask_in_background(daemon, outcomes, "blocker", blocker)]
+        assert entered.wait(timeout=30)
+        # Six copies of one request against a queue of one seat: the first
+        # takes the seat, the rest take none.
+        burst = 6
+        for i in range(burst):
+            threads.append(self._ask_in_background(daemon, outcomes, i, query))
+        self._wait_until(lambda: daemon.admission.coalesced_count == burst - 1)
+        assert daemon.admission.depth() == 1
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(isinstance(outcomes[i], dict) for i in range(burst)), outcomes
+        assert sorted(outcomes[i]["coalesced"] for i in range(burst)) == (
+            [False] + [True] * (burst - 1)
+        )
+        assert daemon.executed == [blocker.name, query.name]
+        assert "serve.rejected_queue_full" not in daemon.stats()["counters"]
+
+    def test_patient_follower_outlives_a_leader_that_expires_in_queue(
+        self, served_lake, stalled_server
+    ):
+        _, query = served_lake
+        (blocker,) = _distinct_queries(1)
+        daemon, entered, release = stalled_server
+        outcomes: dict = {}
+        threads = [self._ask_in_background(daemon, outcomes, "blocker", blocker)]
+        assert entered.wait(timeout=30)
+        threads.append(
+            self._ask_in_background(daemon, outcomes, "leader", query, timeout_s=0.2)
+        )
+        self._wait_until(lambda: daemon.admission.depth() == 1)
+        threads.append(
+            self._ask_in_background(daemon, outcomes, "follower", query, timeout_s=60)
+        )
+        self._wait_until(lambda: daemon.admission.coalesced_count == 1)
+        # The leader gives up while its ticket is still queued...
+        self._wait_until(lambda: "leader" in outcomes)
+        assert isinstance(outcomes["leader"], DeadlineExpiredError)
+        assert outcomes["leader"].status == 504
+        # ...and the ticket it seated is still scored, for the follower.
+        release.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert isinstance(outcomes["follower"], dict), outcomes["follower"]
+        assert outcomes["follower"]["coalesced"] is True
+        assert daemon.executed == [blocker.name, query.name]
+        assert daemon.dispatcher.expired_in_queue == 0
 
     def test_deadline_expiry_mid_rerank_returns_504(
         self, served_lake, stalled_server
@@ -318,59 +410,3 @@ class TestPreparedStoreUnavailable:
         config = ServeConfig(store_path=tmp_path / "nope.sketches", method=_METHOD)
         with pytest.raises(ValueError, match="run `lake build` first"):
             DiscoveryServer(config).start()
-
-
-class TestMixedBatch:
-    def test_each_request_in_a_batch_is_scored_with_its_own_parameters(self, served_lake):
-        """Requests that differ in mode / top_k / budget ride one micro-batch
-        and each comes back exactly as a lone request would."""
-        store_path, query = served_lake
-        config = ServeConfig(
-            store_path=store_path, method=_METHOD, parallel=False, batch_wait_s=0.05
-        )
-        daemon = DiscoveryServer(config)
-        release, entered = threading.Event(), threading.Event()
-        original = daemon.batcher.execute
-
-        def stalling_execute(requests):
-            if not entered.is_set():
-                entered.set()
-                assert release.wait(timeout=30)
-            return original(requests)
-
-        daemon.batcher.execute = stalling_execute
-        asks = {
-            "join3": dict(mode="joinable", top_k=3),
-            "union2": dict(mode="unionable", top_k=2),
-            "budget": dict(mode="joinable", top_k=3, budget_ms=0.001),
-        }
-        answers: dict = {}
-
-        def go(tag, **params):
-            with ServeClient(host=host, port=port, timeout_s=60) as c:
-                answers[tag] = c.query(query, **params)
-
-        with daemon:
-            host, port = daemon.address
-            blocker = threading.Thread(target=go, args=("blocker",), kwargs=dict(top_k=1))
-            blocker.start()
-            assert entered.wait(timeout=30)
-            threads = [threading.Thread(target=go, args=(t,), kwargs=p) for t, p in asks.items()]
-            for thread in threads:
-                thread.start()
-            deadline = time.monotonic() + 10
-            while daemon.admission.depth() < len(asks) and time.monotonic() < deadline:
-                time.sleep(0.005)
-            release.set()
-            for thread in [blocker, *threads]:
-                thread.join(timeout=60)
-            counters = daemon.recorder.snapshot().counters
-            assert counters["serve.batches"] == 2 and counters["serve.batched_queries"] == 4
-            with ServeClient(host=host, port=port, timeout_s=60) as c:
-                alone = {tag: c.query(query, **params) for tag, params in asks.items()}
-        for tag in ("join3", "union2"):
-            assert answers[tag]["results"] == alone[tag]["results"]
-            assert answers[tag]["stats"]["partial"] is False
-        assert len(answers["join3"]["results"]) == 3
-        assert len(answers["union2"]["results"]) == 2
-        assert answers["budget"]["stats"]["partial"] is True

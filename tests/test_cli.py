@@ -106,7 +106,6 @@ _PARSER_SURFACE = {
         _WORKERS,
     ],
     "lake serve": [
-        (("--batch-max",), "batch_max", "8"),
         (("--cascade",), "cascade", "False"),
         (("--host",), "host", "'127.0.0.1'"),
         _METHOD,
@@ -508,7 +507,6 @@ class TestObservability:
         args = parser.parse_args(["lake", "serve", "--store", "x.sketches"])
         assert args.lake_command == "serve"
         assert args.queue_limit == 32
-        assert args.batch_max == 8
         assert args.timeout_s == 30.0
         assert args.unix_socket is None
 
@@ -721,8 +719,51 @@ class TestBadInput:
             with sqlite3.connect(path) as connection:
                 assert connection.execute("PRAGMA journal_mode").fetchone() == ("delete",)
 
-    def test_serve_rejects_out_of_range_queue_limit(self, tmp_path, capsys):
-        _, store, _ = self._built_store(tmp_path)
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["lake", "query", "{query}", "--store", "{store}", "--top", "0"],
+            ["lake", "query", "{query}", "--store", "{store}", "--top", "-1"],
+            ["lake", "query", "{query}", "--store", "{store}", "--workers", "0"],
+            ["lake", "query", "{query}", "--store", "{store}", "--budget-ms", "0"],
+            ["lake", "query", "{query}", "--store", "{store}", "--budget-ms", "-5"],
+            ["lake", "query", "{query}", "--store", "{store}", "--timeout-s", "0"],
+            ["lake", "query", "{query}", "--store", "{store}", "--timeout-s", "nan"],
+            ["lake", "serve", "--store", "{store}", "--workers", "0"],
+            ["lake", "serve", "--store", "{store}", "--queue-limit", "0"],
+            ["lake", "serve", "--store", "{store}", "--timeout-s", "-1"],
+            ["lake", "serve", "--store", "{store}", "--reopen-poll-s", "0"],
+            ["lake", "build", "{lake}", "--store", "{fresh}", "--workers", "0"],
+            ["lake", "prepare", "ComaSchema", "--store", "{store}", "--workers", "0"],
+            ["lake", "prepare", "ComaSchema", "--store", "{store}", "--max-store-mb", "0"],
+            ["lake", "watch", "{lake}", "--store", "{fresh}", "--workers", "0"],
+        ],
+        ids=lambda command: " ".join(command[1:2] + command[-2:]),
+    )
+    def test_non_positive_number_is_a_usage_error_before_anything_opens(
+        self, command, tmp_path, capsys
+    ):
+        """At the parent these were an IndexError (--top), a ValueError from
+        the executor (--workers), a daemon answering 503 forever (serve
+        --workers 0), an empty "partial" ranking (--budget-ms) or a
+        misleading timeout (--timeout-s)."""
+        lake_dir, store, query_path = self._built_store(tmp_path)
+        before = sorted(store.parent.iterdir())
         capsys.readouterr()
-        assert main(["lake", "serve", "--store", str(store), "--queue-limit", "0"]) == 1
-        assert "admission queue limit must be positive" in capsys.readouterr().err
+        argv = [
+            part.format(
+                query=query_path,
+                store=store,
+                lake=lake_dir,
+                fresh=store.with_name("fresh.sketches"),
+            )
+            for part in command
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {command[-2]}" in err and "is not a positive" in err
+        assert "Traceback" not in err
+        # Nothing was opened or created: no fresh store, no <store>.prepared.
+        assert sorted(store.parent.iterdir()) == before
