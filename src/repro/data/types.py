@@ -143,7 +143,8 @@ def infer_value_type(value: object) -> DataType:
     if isinstance(value, int):
         return DataType.INTEGER
     if isinstance(value, float):
-        return DataType.FLOAT if not value.is_integer() else DataType.FLOAT
+        # Integral floats (``3.0``) stay FLOAT: the cell was written as one.
+        return DataType.FLOAT
     text = str(value).strip()
     lowered = text.lower()
     if lowered in _BOOL_TOKENS:
@@ -158,12 +159,21 @@ def infer_value_type(value: object) -> DataType:
     return DataType.STRING
 
 
+#: Kinds that can still share a column without it falling back to STRING.
+_NUMERIC_KINDS = frozenset({DataType.INTEGER, DataType.FLOAT})
+
+
 def infer_column_type(values: Iterable[object], sample_limit: int = 1000) -> DataType:
     """Infer the dominant :class:`DataType` of a column.
 
     The inference looks at up to *sample_limit* non-missing values and applies
     a simple promotion lattice: a column with both integers and floats is a
     float column, a column mixing numerics and text is a string column.
+
+    The scan stops at the first cell that decides the lattice: a STRING
+    cell, or a BOOLEAN or DATE cell mixed with any other kind, can only end
+    in STRING whatever follows, so a text column costs one typed cell, not
+    one per row.  Each cell is typed (and checked for missingness) once.
 
     Parameters
     ----------
@@ -175,24 +185,22 @@ def infer_column_type(values: Iterable[object], sample_limit: int = 1000) -> Dat
     seen: set[DataType] = set()
     examined = 0
     for value in values:
-        if is_missing(value):
+        kind = infer_value_type(value)
+        if kind is DataType.UNKNOWN:  # a missing cell
             continue
-        seen.add(infer_value_type(value))
+        if kind not in seen:
+            seen.add(kind)
+            if kind is DataType.STRING or (len(seen) > 1 and not seen <= _NUMERIC_KINDS):
+                return DataType.STRING
         examined += 1
         if examined >= sample_limit:
             break
 
     if not seen:
         return DataType.UNKNOWN
-    if seen == {DataType.BOOLEAN}:
-        return DataType.BOOLEAN
-    if seen <= {DataType.INTEGER}:
-        return DataType.INTEGER
-    if seen <= {DataType.INTEGER, DataType.FLOAT}:
-        return DataType.FLOAT
-    if seen <= {DataType.DATE}:
-        return DataType.DATE
-    return DataType.STRING
+    if len(seen) == 1:
+        return next(iter(seen))
+    return DataType.FLOAT  # only INTEGER mixed with FLOAT gets this far
 
 
 def coerce_value(value: object, data_type: DataType) -> object:
@@ -207,8 +215,15 @@ def coerce_value(value: object, data_type: DataType) -> object:
     text = str(value).strip()
     if data_type is DataType.INTEGER:
         try:
-            return int(float(text))
+            # Exact at any magnitude; ``float`` would round beyond 2**53.
+            return int(text)
         except ValueError:
+            pass
+        try:
+            # The ``12.0`` / ``1e3`` cells an INTEGER column can still hold
+            # past ``sample_limit``.
+            return int(float(text))
+        except (ValueError, OverflowError):
             return value
     if data_type is DataType.FLOAT:
         try:

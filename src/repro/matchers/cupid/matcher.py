@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from repro.data.table import Table
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
+from repro.matchers.cupid.linguistic import token_pair_work
 from repro.matchers.cupid.schema_tree import build_schema_tree
 from repro.matchers.cupid.structural import CupidWeights, tree_match
 from repro.matchers.registry import register_matcher
+from repro.telemetry import recorder as telemetry
 from repro.text.thesaurus import Thesaurus, default_thesaurus
 
 __all__ = ["CupidMatcher"]
@@ -93,7 +95,11 @@ class CupidMatcher(BaseMatcher):
             leaf_w_struct=self.leaf_w_struct,
             th_accept=self.th_accept,
         )
+        hits_before, misses_before = token_pair_work()
         weighted = tree_match(tree_source, tree_target, weights=weights, thesaurus=self._thesaurus)
+        hits, misses = token_pair_work()
+        telemetry.count("cupid.token_pairs.hits", hits - hits_before)
+        telemetry.count("cupid.token_pairs.misses", misses - misses_before)
         scores = {}
         for (source_name, target_name), score in weighted.items():
             scores[

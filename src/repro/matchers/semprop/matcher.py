@@ -20,10 +20,11 @@ from repro.data.table import Table
 from repro.embeddings.pretrained import PretrainedEmbeddings, default_pretrained_embeddings
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
 from repro.matchers.registry import register_matcher
-from repro.matchers.semprop.semantic import coherence_score, link_to_ontology
+from repro.matchers.semprop.semantic import SemanticLink, coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
 from repro.sketches.minhash import jaccard_matrix, minhash_signature
+from repro.telemetry import recorder as telemetry
 
 __all__ = ["SemPropMatcher"]
 
@@ -81,6 +82,52 @@ class SemPropMatcher(BaseMatcher):
         self.sample_size = sample_size
         self._ontology = ontology or business_ontology()
         self._embeddings = embeddings or default_pretrained_embeddings()
+        self._link_table: dict[tuple[str, float, str], list[SemanticLink]] = {}
+
+    #: Upper bound on the name -> links table, emptied when reached.  The
+    #: 72-table lakebench gate lakes hold 96 (``families``) and 5
+    #: (``overlap``) distinct column names.
+    _LINK_TABLE_LIMIT = 1 << 14
+
+    def __getstate__(self) -> dict:
+        """Drop the name -> links table when pickling (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        state["_link_table"] = {}
+        return state
+
+    def _link_columns(self, table: Table) -> dict[str, list[SemanticLink]]:
+        """Ontology links per column, each distinct name linked once.
+
+        The table is keyed with everything a link depends on that can change
+        under a live matcher (the threshold attribute, the mutable ontology;
+        the embedder is fixed at construction).  Links are always rebuilt
+        around the table's own name object: pickle memoises strings by
+        identity, so a payload whose links pointed at another table's equal
+        string would serialise to different (longer) bytes.
+        """
+        ontology = self._ontology.fingerprint()
+        links: dict[str, list[SemanticLink]] = {}
+        misses = 0
+        for name in table.column_names:
+            key = (name, self.semantic_threshold, ontology)
+            found = self._link_table.get(key)
+            if found is None:
+                misses += 1
+                found = link_to_ontology(
+                    name,
+                    self._ontology,
+                    embeddings=self._embeddings,
+                    threshold=self.semantic_threshold,
+                )
+                if len(self._link_table) >= self._LINK_TABLE_LIMIT:
+                    self._link_table.clear()
+                self._link_table[key] = found
+            links[name] = [
+                SemanticLink(name, link.ontology_class, link.strength) for link in found
+            ]
+        telemetry.count("semprop.links.hits", len(links) - misses)
+        telemetry.count("semprop.links.misses", misses)
+        return links
 
     def _fingerprint_extras(self) -> tuple[object, ...]:
         """The ontology and embedding model shape every prepared link."""
@@ -106,17 +153,12 @@ class SemPropMatcher(BaseMatcher):
         Both artifacts depend only on one table (plus the matcher's ontology,
         embeddings and thresholds), so discovery amortises the expensive
         embedding lookups and MinHash hashing over every candidate the
-        prepared query meets.
+        prepared query meets.  The links depend on the column *name* alone,
+        so a matcher instance links each distinct name once however many
+        tables carry it (see :meth:`_link_columns`); the payload is
+        byte-identical to one linked from scratch.
         """
-        links = {
-            column.name: link_to_ontology(
-                column.name,
-                self._ontology,
-                embeddings=self._embeddings,
-                threshold=self.semantic_threshold,
-            )
-            for column in table.columns
-        }
+        links = self._link_columns(table)
         signatures = {
             column.name: minhash_signature(
                 column.as_strings()[: self.sample_size],

@@ -118,8 +118,21 @@ _HYPERNYM_PAIRS: tuple[tuple[str, str], ...] = (
 )
 
 
+#: Shared empty lookup result, so a miss allocates nothing.
+_NO_KEYS: frozenset[str] = frozenset()
+
+
 class Thesaurus:
     """A small synonym/hypernym lexicon with stem-normalised lookups.
+
+    Every lookup normalises its terms to *keys* (lowercased, space-free
+    stems) and then works on keys alone: dict and set membership, no
+    re-stemming and no set copies.  A term's key is a pure function of the
+    term, so it is computed once per distinct term and kept in a bounded
+    term -> key table; the table is dropped on pickling (a matcher shipped
+    to a pool worker rebuilds it on demand) and survives mutation, because
+    adding a group or a hypernym changes which keys are related, never the
+    key of a term.
 
     Parameters
     ----------
@@ -129,6 +142,11 @@ class Thesaurus:
         Iterable of ``(specific, general)`` pairs.
     """
 
+    #: Upper bound on the term -> key table, emptied when reached.  The
+    #: bundled lexicon has 211 terms; Cupid over the lakebench gate lake (72
+    #: tables, 674 columns) adds 139 distinct tokens.
+    _KEY_TABLE_LIMIT = 1 << 14
+
     def __init__(
         self,
         synonym_groups: Iterable[tuple[str, ...]] = (),
@@ -136,14 +154,27 @@ class Thesaurus:
     ) -> None:
         self._synonyms: dict[str, set[str]] = {}
         self._hypernyms: dict[str, set[str]] = {}
+        self._keys: dict[str, str] = {}
         for group in synonym_groups:
             self.add_synonym_group(group)
         for specific, general in hypernym_pairs:
             self.add_hypernym(specific, general)
 
-    @staticmethod
-    def _key(term: str) -> str:
-        return stem(str(term).strip().lower().replace(" ", ""))
+    def _key(self, term: str) -> str:
+        term = str(term)
+        key = self._keys.get(term)
+        if key is None:
+            key = stem(term.strip().lower().replace(" ", ""))
+            if len(self._keys) >= self._KEY_TABLE_LIMIT:
+                self._keys.clear()
+            self._keys[term] = key
+        return key
+
+    def __getstate__(self) -> dict:
+        """Drop the term -> key table when pickling (rebuilt on demand)."""
+        state = self.__dict__.copy()
+        state["_keys"] = {}
+        return state
 
     def fingerprint(self) -> str:
         """Short content-based digest of the lexicon (stable across processes).
@@ -181,21 +212,23 @@ class Thesaurus:
 
     def synonyms(self, term: str) -> set[str]:
         """Return the synonym keys of *term* (including itself if known)."""
-        return set(self._synonyms.get(self._key(term), set()))
+        return set(self._synonyms.get(self._key(term), _NO_KEYS))
+
+    def _synonymous(self, key_a: str, key_b: str) -> bool:
+        return key_a == key_b or key_b in self._synonyms.get(key_a, _NO_KEYS)
+
+    def _hypernymous(self, key_a: str, key_b: str) -> bool:
+        return key_b in self._hypernyms.get(key_a, _NO_KEYS) or key_a in self._hypernyms.get(
+            key_b, _NO_KEYS
+        )
 
     def are_synonyms(self, a: str, b: str) -> bool:
         """True when *a* and *b* share a synonym group (or have equal stems)."""
-        key_a, key_b = self._key(a), self._key(b)
-        if key_a == key_b:
-            return True
-        return key_b in self._synonyms.get(key_a, set())
+        return self._synonymous(self._key(a), self._key(b))
 
     def are_hypernyms(self, a: str, b: str) -> bool:
         """True when one of the terms is a registered hypernym of the other."""
-        key_a, key_b = self._key(a), self._key(b)
-        return key_b in self._hypernyms.get(key_a, set()) or key_a in self._hypernyms.get(
-            key_b, set()
-        )
+        return self._hypernymous(self._key(a), self._key(b))
 
     def relation_score(self, a: str, b: str) -> float:
         """Score the lexical relation of two terms.
@@ -205,12 +238,14 @@ class Thesaurus:
         neighbourhood (both synonyms of a common term) scores 0.6, otherwise
         0.0 (the caller is expected to fall back to string similarity).
         """
-        if self.are_synonyms(a, b):
+        key_a, key_b = self._key(a), self._key(b)
+        if self._synonymous(key_a, key_b):
             return 1.0
-        if self.are_hypernyms(a, b):
+        if self._hypernymous(key_a, key_b):
             return 0.8
-        common = self.synonyms(a) & self.synonyms(b)
-        if common:
+        if not self._synonyms.get(key_a, _NO_KEYS).isdisjoint(
+            self._synonyms.get(key_b, _NO_KEYS)
+        ):
             return 0.6
         return 0.0
 

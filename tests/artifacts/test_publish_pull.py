@@ -23,6 +23,8 @@ from dataclasses import replace
 
 import pytest
 
+from matcher_support import LIGHT_MATCHER_CONFIGS
+
 from repro.artifacts import BlobStore, Manifest, publish_snapshot, pull_snapshot
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
@@ -31,22 +33,6 @@ from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepa
 from repro.lake.profiles import SketchConfig
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.telemetry import TelemetryRecorder, use
-
-#: One lightweight configuration per registered matcher (mirrors the
-#: prepared-store round-trip test) so full-coverage stays seconds-scale.
-_LIGHT_CONFIGS: dict[str, dict[str, object]] = {
-    "embdi": {
-        "dimensions": 16,
-        "sentence_length": 8,
-        "walks_per_node": 1,
-        "epochs": 1,
-        "max_rows": 4,
-    },
-    "semprop": {"num_permutations": 32, "sample_size": 50},
-    "comainstance": {"sample_size": 50},
-    "distributionbased": {"sample_size": 50},
-    "jaccardlevenshtein": {"sample_size": 8},
-}
 
 _NUM_TABLES = 3
 
@@ -102,7 +88,7 @@ class TestPublishPullRoundTrip:
         query = tpcdi_prospect_table(num_rows=14, seed=99).rename("query_table")
         artifact = tmp_path / "artifact"
         for name in sorted(available_matchers()):
-            matcher = create_matcher(name, **_LIGHT_CONFIGS.get(name, {}))
+            matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS.get(name, {}))
             with PreparedStore(tmp_path / f"{name}.prepared") as prepared_store:
                 prepare_lake(store, prepared_store, matcher)
                 # Publish before querying: the query below write-throughs its
@@ -147,7 +133,7 @@ class TestDeltaPull:
         """Sketches and prepared payloads both travel, so the delta is two
         blobs per changed table — and nothing else crosses."""
         store, lake_dir = _build_lake(tmp_path, num_tables=8)
-        matcher = create_matcher("semprop", **_LIGHT_CONFIGS["semprop"])
+        matcher = create_matcher("semprop", **LIGHT_MATCHER_CONFIGS["semprop"])
         prepared = PreparedStore(tmp_path / "lake.sketches.prepared")
         prepare_lake(store, prepared, matcher)
         publish_snapshot(store, tmp_path / "artifact", prepared_store=prepared)
@@ -296,7 +282,7 @@ class TestSafety:
 
     def test_republish_in_place_prunes_superseded_blobs(self, tmp_path):
         store, lake_dir = _build_lake(tmp_path)
-        matcher = create_matcher("semprop", **_LIGHT_CONFIGS["semprop"])
+        matcher = create_matcher("semprop", **LIGHT_MATCHER_CONFIGS["semprop"])
         with PreparedStore(tmp_path / "lake.sketches.prepared") as prepared:
             prepare_lake(store, prepared, matcher)
             artifact = tmp_path / "artifact"

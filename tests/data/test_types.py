@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.csv_io import table_from_csv_text
 from repro.data.types import (
     DataType,
     coerce_value,
@@ -89,6 +92,73 @@ class TestInferColumnType:
         assert infer_column_type(values, sample_limit=5) is DataType.INTEGER
 
 
+def reference_infer_column_type(values, sample_limit=1000):
+    """``infer_column_type`` as it was before the early exit (PR 19).
+
+    Kept verbatim as the reference: types every sampled cell, then resolves
+    the promotion lattice over the full set of kinds seen.
+    """
+    seen = set()
+    examined = 0
+    for value in values:
+        if is_missing(value):
+            continue
+        seen.add(infer_value_type(value))
+        examined += 1
+        if examined >= sample_limit:
+            break
+
+    if not seen:
+        return DataType.UNKNOWN
+    if seen == {DataType.BOOLEAN}:
+        return DataType.BOOLEAN
+    if seen <= {DataType.INTEGER}:
+        return DataType.INTEGER
+    if seen <= {DataType.INTEGER, DataType.FLOAT}:
+        return DataType.FLOAT
+    if seen <= {DataType.DATE}:
+        return DataType.DATE
+    return DataType.STRING
+
+
+#: One cell of every kind, raw and as CSV text, plus the missing tokens.
+_cells = st.sampled_from(
+    [1, -7, 2.5, 3.0, True, False, None, float("nan")]
+    + ["12", "+4", "1.5", "1e3", ".5", "yes", "no", "T", "2020-01-31", "3/4/21", "1-Jan-2020"]
+    + ["text", "12 apples", "2020-13", " 7 ", "", "  ", "NA", "n/a", "null", "-", "?"]
+)
+
+
+class TestInferColumnTypeMatchesTheFullScan:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_cells, max_size=12), st.integers(min_value=-1, max_value=13))
+    def test_generated_mixed_columns(self, values, sample_limit):
+        assert infer_column_type(values, sample_limit) == reference_infer_column_type(
+            values, sample_limit
+        )
+
+    @pytest.mark.parametrize("sample_limit", [0, 1, 2, 3, 1000])
+    def test_a_deciding_cell_beyond_the_sample_is_not_seen(self, sample_limit):
+        values = ["1", "NA", "2", "late text", "2020-01-01"]
+        assert infer_column_type(values, sample_limit) == reference_infer_column_type(
+            values, sample_limit
+        )
+
+    def test_a_text_column_types_one_cell(self, monkeypatch):
+        from repro.data import types
+
+        typed = []
+        original = types.infer_value_type
+        monkeypatch.setattr(
+            types, "infer_value_type", lambda value: typed.append(value) or original(value)
+        )
+        assert infer_column_type(["", "alpha"] + ["beta"] * 500) is DataType.STRING
+        assert typed == ["", "alpha"]
+        del typed[:]
+        assert infer_column_type(["yes", "no", "7"] + ["1"] * 500) is DataType.STRING
+        assert typed == ["yes", "no", "7"]
+
+
 class TestTypeCompatibility:
     def test_identical_types_fully_compatible(self):
         for data_type in DataType:
@@ -130,6 +200,22 @@ class TestCoerceValue:
 
     def test_string_coercion_strips_whitespace(self):
         assert coerce_value("  hi ", DataType.STRING) == "hi"
+
+    def test_integers_beyond_float_precision_keep_every_digit(self):
+        """``int(float(text))`` rounded past 2**53: two keys became one value."""
+        literals = ["9007199254740993", "9007199254740992", "123456789012345678901"]
+        table = table_from_csv_text("key\n" + "\n".join(literals) + "\n")
+        assert table["key"].data_type is DataType.INTEGER
+        assert table["key"].values == [int(literal) for literal in literals]
+        assert len(table["key"].unique_values()) == 3
+
+    def test_float_spelled_cells_of_an_integer_column_still_coerce(self):
+        assert coerce_value("12.0", DataType.INTEGER) == 12
+        assert coerce_value("1e3", DataType.INTEGER) == 1000
+        assert coerce_value(" -7 ", DataType.INTEGER) == -7
+
+    def test_an_infinite_cell_of_an_integer_column_is_left_alone(self):
+        assert coerce_value("inf", DataType.INTEGER) == "inf"
 
 
 class TestProfileTypes:

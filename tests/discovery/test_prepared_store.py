@@ -6,6 +6,8 @@ import pickle
 
 import pytest
 
+from matcher_support import LIGHT_MATCHER_CONFIGS
+
 from repro.data.fingerprint import table_content_hash
 from repro.data.table import Column, Table
 from repro.discovery.prepared import PREPARED_PAYLOAD_FORMAT, PreparedStore
@@ -40,23 +42,6 @@ def candidate_table() -> Table:
     )
 
 
-#: One lightweight configuration per registered matcher, so the round-trip
-#: test exercises every payload shape without minutes of embedding training.
-_LIGHT_CONFIGS: dict[str, dict[str, object]] = {
-    "embdi": {
-        "dimensions": 16,
-        "sentence_length": 8,
-        "walks_per_node": 2,
-        "epochs": 1,
-        "max_rows": 6,
-    },
-    "semprop": {"num_permutations": 32, "sample_size": 50},
-    "comainstance": {"sample_size": 50},
-    "distributionbased": {"sample_size": 50},
-    "jaccardlevenshtein": {"sample_size": 20},
-}
-
-
 class TestRoundTripEquality:
     def test_store_loaded_prepared_matches_fresh_for_every_matcher(
         self, query_table, candidate_table
@@ -66,7 +51,7 @@ class TestRoundTripEquality:
         from repro.matchers.registry import available_matchers
 
         for name in sorted(available_matchers()):
-            matcher = create_matcher(name, **_LIGHT_CONFIGS.get(name, {}))
+            matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS.get(name, {}))
             with PreparedStore() as store:
                 fresh = matcher.prepare(candidate_table)
                 store.put(fresh)

@@ -17,6 +17,8 @@ from contextlib import contextmanager, nullcontext
 
 import pytest
 
+from matcher_support import LIGHT_MATCHER_CONFIGS
+
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.datasets import tpcdi_prospect_table
@@ -41,28 +43,6 @@ from repro.matchers.semprop import SemPropMatcher
 from repro.telemetry import TelemetryRecorder, use
 
 TOP_K = 3
-
-#: Lightly-sized constructor kwargs per registered matcher, mirroring the
-#: prepared-protocol equivalence suite.  The test below asserts this map
-#: covers the registry, so a newly registered matcher fails loudly here
-#: until it is added (and thereby cascade-exactness-tested).
-MATCHER_CONFIGS: dict[str, dict] = {
-    "comaschema": {},
-    "comainstance": {"sample_size": 50},
-    "cupid": {},
-    "distributionbased": {"sample_size": 50},
-    "embdi": {
-        "dimensions": 8,
-        "sentence_length": 8,
-        "walks_per_node": 1,
-        "epochs": 1,
-        "max_rows": 4,
-    },
-    "jaccardlevenshtein": {"sample_size": 8},
-    "semprop": {"num_permutations": 16, "sample_size": 50},
-    "similarityflooding": {"max_iterations": 50},
-}
-
 
 def _signature(results):
     return [(r.table_name, r.joinability, r.unionability) for r in results]
@@ -93,7 +73,7 @@ def lake(tmp_path_factory):
 
 
 def test_config_map_covers_every_registered_matcher():
-    assert set(MATCHER_CONFIGS) == set(available_matchers())
+    assert set(LIGHT_MATCHER_CONFIGS) == set(available_matchers())
 
 
 class _GridLake:
@@ -119,14 +99,14 @@ class _GridLake:
         self._oracle: dict[str, list] = {}
 
     def matcher(self, method: str):
-        matcher = create_matcher(method, **MATCHER_CONFIGS[method])
+        matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
         prepare_lake(self.store, self.prepared_store, matcher)  # no-op once warm
         return matcher
 
     def oracle(self, method: str, mode: str) -> list:
         """Score every table with the matcher and sort: no index, no stores."""
         if method not in self._oracle:
-            matcher = create_matcher(method, **MATCHER_CONFIGS[method])
+            matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
             self._oracle[method] = DiscoveryEngine(matcher=matcher).discover(
                 self.query, self.repository
             )
@@ -152,7 +132,7 @@ def grid_lake(tmp_path_factory):
 @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
 @pytest.mark.parametrize("priced", [False, True], ids=["unpriced", "priced"])
 @pytest.mark.parametrize("mode", ["joinable", "unionable", "combined"])
-@pytest.mark.parametrize("method", sorted(MATCHER_CONFIGS))
+@pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
 def test_ranking_identical_in_every_plan_and_executor_cell(
     grid_lake, method, mode, priced, pooled
 ):

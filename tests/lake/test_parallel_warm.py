@@ -22,6 +22,8 @@ from collections import Counter
 
 import pytest
 
+from matcher_support import LIGHT_MATCHER_CONFIGS
+
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -31,23 +33,6 @@ from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.telemetry import NULL_RECORDER, TelemetryRecorder, use
 from repro.telemetry import recorder as telemetry_recorder
-
-#: One lightweight configuration per registered matcher (mirrors the
-#: prepared-store round-trip test) so the full-coverage equality test stays
-#: seconds-scale.
-_LIGHT_CONFIGS: dict[str, dict[str, object]] = {
-    "embdi": {
-        "dimensions": 16,
-        "sentence_length": 8,
-        "walks_per_node": 1,
-        "epochs": 1,
-        "max_rows": 4,
-    },
-    "semprop": {"num_permutations": 32, "sample_size": 50},
-    "comainstance": {"sample_size": 50},
-    "distributionbased": {"sample_size": 50},
-    "jaccardlevenshtein": {"sample_size": 8},
-}
 
 _NUM_TABLES = 5
 
@@ -194,7 +179,7 @@ class TestTelemetryParity:
         store, prepared_path, query, _ = warm_lake
         with RerankPool(max_workers=2) as pool:
             for name in sorted(available_matchers()):
-                matcher = create_matcher(name, **_LIGHT_CONFIGS.get(name, {}))
+                matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS.get(name, {}))
                 with PreparedStore(prepared_path) as prepared_store:
                     prepare_lake(store, prepared_store, matcher)
                     serial_engine = LakeDiscoveryEngine(
@@ -248,7 +233,7 @@ class TestTelemetryParity:
         stats (sizes and stage wall-clock) without one."""
         store, prepared_path, query, _ = warm_lake
         matcher = JaccardLevenshteinMatcher(
-            **_LIGHT_CONFIGS["jaccardlevenshtein"]
+            **LIGHT_MATCHER_CONFIGS["jaccardlevenshtein"]
         )
         with PreparedStore(prepared_path) as prepared_store:
             prepare_lake(store, prepared_store, matcher)
@@ -274,7 +259,7 @@ class TestTelemetryParity:
         calls into the module-level entry points, and must build no span
         and no recorder of its own."""
         store, prepared_path, query, _ = warm_lake
-        matcher = create_matcher("semprop", **_LIGHT_CONFIGS["semprop"])
+        matcher = create_matcher("semprop", **LIGHT_MATCHER_CONFIGS["semprop"])
         calls: Counter = Counter()
         built: Counter = Counter()
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.data.table import Column, Table
 from repro.matchers.semprop import SemPropMatcher, coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology, chemistry_ontology
+from repro.ontology.model import Ontology, OntologyClass
+from repro.telemetry import recorder as telemetry_recorder
 
 
 class TestSemanticLinking:
@@ -72,3 +76,85 @@ class TestSemPropMatcher:
         matcher = SemPropMatcher(semantic_threshold=0.4, coherent_threshold=0.2, num_permutations=32)
         scores = matcher.get_matches(source, target).scores()
         assert scores[("country", "nation")] > scores[("hashcol", "token")]
+
+
+def _uncached_payload(matcher: SemPropMatcher, table: Table) -> bytes:
+    """The payload bytes of a prepare that links every name from scratch."""
+    matcher._link_table.clear()
+    return pickle.dumps(matcher.prepare(table), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+class TestLinkTable:
+    """Each distinct column name is linked once; the payload bytes never notice."""
+
+    def _tables(self):
+        shared = {"customer_name": ["ann", "bob"], "country": ["nl", "de"], "zzqx": ["1", "2"]}
+        first = Table("first", shared)
+        second = Table("second", {**shared, "order_total": ["3", "4"]})
+        return first, second
+
+    def test_payload_bytes_are_the_same_cold_and_warm(self):
+        matcher = SemPropMatcher(num_permutations=16)
+        first, second = self._tables()
+        cold = [_uncached_payload(matcher, table) for table in (first, second)]
+        matcher._link_table.clear()
+        warm = [
+            pickle.dumps(matcher.prepare(table), protocol=pickle.HIGHEST_PROTOCOL)
+            for table in (first, second, first)  # second shares three names with first
+        ]
+        assert warm == [cold[0], cold[1], cold[0]]
+        assert len(matcher._link_table) == 4
+
+    def test_links_carry_their_own_table_name_object(self):
+        matcher = SemPropMatcher(num_permutations=16, semantic_threshold=0.3)
+        first, second = self._tables()
+        matcher.prepare(first)
+        prepared = matcher.prepare(second)
+        own_names = {id(name) for name in second.column_names}
+        links = [link for found in prepared.payload["links"].values() for link in found]
+        assert links and all(id(link.element) in own_names for link in links)
+
+    def test_counters_report_hits_and_misses_in_two_calls(self, monkeypatch):
+        matcher = SemPropMatcher(num_permutations=16)
+        first, second = self._tables()
+        calls = []
+        monkeypatch.setattr(
+            telemetry_recorder, "count", lambda name, value=1: calls.append((name, value))
+        )
+        matcher.prepare(first)
+        matcher.prepare(second)
+        assert calls == [
+            ("semprop.links.hits", 0),
+            ("semprop.links.misses", 3),
+            ("semprop.links.hits", 3),
+            ("semprop.links.misses", 1),
+        ]
+
+    def test_threshold_and_ontology_changes_relink(self):
+        ontology = Ontology("tiny", [OntologyClass("Customer", labels=("customer", "client"))])
+        matcher = SemPropMatcher(num_permutations=16, semantic_threshold=0.9, ontology=ontology)
+        table = Table("t", {"client_name": ["a"], "gizmo": ["b"]})
+        assert not any(matcher.prepare(table).payload["links"].values())
+        matcher.semantic_threshold = 0.3
+        relinked = matcher.prepare(table).payload["links"]
+        assert [link.ontology_class for link in relinked["client_name"]] == ["Customer"]
+        assert relinked["gizmo"] == []
+        ontology.add_class(OntologyClass("Widget", labels=("gizmo", "gadget")))
+        assert [
+            link.ontology_class for link in matcher.prepare(table).payload["links"]["gizmo"]
+        ] == ["Widget"]
+
+    def test_the_link_table_is_bounded_and_not_pickled(self, monkeypatch):
+        matcher = SemPropMatcher(num_permutations=16)
+        first, second = self._tables()
+        expected = _uncached_payload(matcher, second)
+        monkeypatch.setattr(SemPropMatcher, "_LINK_TABLE_LIMIT", 1)
+        matcher._link_table.clear()
+        matcher.prepare(first)
+        assert pickle.dumps(matcher.prepare(second), protocol=pickle.HIGHEST_PROTOCOL) == expected
+        assert len(matcher._link_table) == 1
+        shipped = pickle.dumps(matcher)
+        assert b"zzqx" not in shipped and b"order_total" not in shipped
+        clone = pickle.loads(shipped)
+        assert clone._link_table == {}
+        assert clone.prepare(second).payload["links"] == pickle.loads(expected).payload["links"]

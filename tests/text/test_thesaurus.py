@@ -2,9 +2,26 @@
 
 from __future__ import annotations
 
-import pytest
+import pickle
 
-from repro.text.thesaurus import Thesaurus, default_thesaurus
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matcher_support import reference_relation_score, term_corpus
+from repro.text.thesaurus import _HYPERNYM_PAIRS, _SYNONYM_GROUPS, Thesaurus, default_thesaurus
+
+#: Lexicon terms, their plurals and inflections, spaced and cased variants,
+#: plus arbitrary short text (empty included).
+_terms = st.one_of(
+    st.builds(
+        lambda term, suffix, upper: (term.upper() if upper else term) + suffix,
+        st.sampled_from(term_corpus()),
+        st.sampled_from(["", "s", "es", "ing", "ed", " ", "1"]),
+        st.booleans(),
+    ),
+    st.text(alphabet="abcdeinrst yS_1", max_size=10),
+)
 
 
 class TestDefaultThesaurus:
@@ -69,3 +86,53 @@ class TestCustomThesaurus:
         assert len(thesaurus) == 0
         thesaurus.add_synonym_group(("a1", "b1"))
         assert len(thesaurus) == 2
+
+
+class TestKeyedLookupsMatchTheReference:
+    """The key-table kernel against the parent's re-stemming body, exactly."""
+
+    def test_every_corpus_pair_scores_identically(self):
+        thesaurus = default_thesaurus()
+        terms = term_corpus()
+        assert len(terms) > 300
+        for a in terms:
+            for b in terms:
+                assert thesaurus.relation_score(a, b) == reference_relation_score(
+                    thesaurus, a, b
+                ), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_terms, _terms)
+    def test_generated_terms_score_identically(self, a, b):
+        thesaurus = default_thesaurus()
+        assert thesaurus.relation_score(a, b) == reference_relation_score(thesaurus, a, b)
+        assert thesaurus.are_synonyms(a, b) == (reference_relation_score(thesaurus, a, b) == 1.0)
+
+    def test_scores_survive_a_one_entry_key_table(self, monkeypatch):
+        terms = term_corpus()[::7]
+        expected = [default_thesaurus().relation_score(a, b) for a in terms for b in terms]
+        monkeypatch.setattr(Thesaurus, "_KEY_TABLE_LIMIT", 1)
+        thesaurus = Thesaurus(_SYNONYM_GROUPS, _HYPERNYM_PAIRS)
+        assert [thesaurus.relation_score(a, b) for a in terms for b in terms] == expected
+        assert len(thesaurus._keys) == 1
+
+    def test_mutation_is_seen_by_the_next_lookup(self):
+        thesaurus = Thesaurus([("alpha", "beta")])
+        assert thesaurus.relation_score("alphas", "gamma") == 0.0  # both keys now cached
+        before = thesaurus.fingerprint()
+        thesaurus.add_synonym_group(("alpha", "gamma"))
+        assert thesaurus.relation_score("alphas", "gamma") == 1.0
+        thesaurus.add_hypernym("delta", "gamma")
+        assert thesaurus.relation_score("gamma", "delta") == 0.8
+        assert thesaurus.fingerprint() != before
+
+    def test_the_key_table_is_not_pickled(self):
+        thesaurus = Thesaurus(_SYNONYM_GROUPS, _HYPERNYM_PAIRS)
+        cold = pickle.dumps(thesaurus)
+        for term in term_corpus():
+            thesaurus.relation_score(term, "customer")
+        assert len(thesaurus._keys) > 300
+        assert pickle.dumps(thesaurus) == cold
+        clone = pickle.loads(cold)
+        assert clone.fingerprint() == thesaurus.fingerprint()
+        assert clone.relation_score("clients", "customers") == 1.0
