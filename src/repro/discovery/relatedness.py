@@ -46,7 +46,8 @@ def joinability(result: MatchResult) -> float:
     key (value overlap / semantic equivalence), regardless of the rest of the
     schema.
     """
-    return result[0].score if len(result) else 0.0
+    best = result.best()
+    return float(best.score) if best else 0.0
 
 
 def unionability(result: MatchResult, query: Table, threshold: float = 0.55) -> float:
@@ -54,20 +55,29 @@ def unionability(result: MatchResult, query: Table, threshold: float = 0.55) -> 
 
     Union compatibility requires a 1-1 mapping over *all* attributes
     (Section III-A), so the score is normalised by the query's column count.
-    The 1-1 constraint is respected by greedily consuming the ranking.
+    The 1-1 constraint is respected by greedily consuming the ranking — of
+    which only the part scoring at least *threshold* is looked at: whether a
+    match survives the greedy walk depends on the matches ranked before it
+    alone, so everything below the threshold can neither count nor change
+    what does, and the rest of the ranking is never ordered.
     """
     if query.num_columns == 0:
         return 0.0
-    one_to_one = result.one_to_one()
-    strong = sum(1 for match in one_to_one if match.score >= threshold)
+    strong = len(result.filter_threshold(threshold).one_to_one())
     return min(1.0, strong / query.num_columns)
 
 
 def relatedness(result: MatchResult, query: Table, threshold: float = 0.55) -> RelatednessScores:
-    """Compute both table-level scores from one ranking."""
-    best = result[0].as_pair() if len(result) else None
+    """Compute both table-level scores from one ranking.
+
+    Asks the ranking for its best match and for its at-least-*threshold*
+    part only (see :func:`unionability`), so scoring a candidate orders at
+    most that part; the scores are plain Python floats (the serve protocol
+    JSON-encodes them).
+    """
+    best = result.best()
     return RelatednessScores(
-        joinability=joinability(result),
+        joinability=float(best.score) if best else 0.0,
         unionability=unionability(result, query, threshold=threshold),
-        best_pair=best,
+        best_pair=best.as_pair() if best else None,
     )

@@ -253,13 +253,14 @@ class PairScorer:
     def score_prepared(
         self, query: PreparedTable, candidate: Union[Table, PreparedTable]
     ) -> DiscoveryResult:
-        """Match a *prepared* query against one candidate table."""
-        candidate_prepared = self.matcher._ensure_prepared(candidate)
-        matches = self.matcher.match_prepared(query, candidate_prepared)
+        """Match a *prepared* query against one candidate table.
+
+        The candidate goes to the matcher as it came: ``match_prepared``
+        itself prepares a raw table and re-prepares a foreign payload.
+        """
+        matches = self.matcher.match_prepared(query, candidate)
         scores = relatedness(matches, query.table, threshold=self.union_threshold)
-        return DiscoveryResult(
-            table_name=candidate_prepared.table.name, scores=scores, matches=matches
-        )
+        return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
 
     def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:
         """Match a raw query against one candidate (prepares the query too)."""

@@ -77,18 +77,65 @@ class Match:
         return f"{self.source} ~ {self.target} ({self.score:.3f})"
 
 
-class MatchResult:
-    """An ordered (descending score) list of :class:`Match` objects.
+def _name_order(source: ColumnRef, target: ColumnRef) -> tuple[str, str, str, str]:
+    """The ranking's tie-break among equal scores."""
+    return (source.table, source.column, target.table, target.column)
 
-    The class encapsulates the ranking semantics: ties are broken
-    deterministically by column names so that experiments are reproducible.
+
+def _take(
+    scores: list[float], sources: list[ColumnRef], targets: list[ColumnRef], rows: Sequence[int]
+) -> tuple[list[float], list[ColumnRef], list[ColumnRef]]:
+    """The given positions of three parallel columns, in the given order."""
+    return (
+        [scores[i] for i in rows],
+        [sources[i] for i in rows],
+        [targets[i] for i in rows],
+    )
+
+
+class MatchResult:
+    """A ranking of column-pair matches, best first.
+
+    The ranking is held as three parallel columns — scores, source refs,
+    target refs — not as a list of objects.  Building a result neither sorts
+    nor allocates per pair: the ranking order is worked out once, on the
+    first access that needs it (iteration, indexing, :meth:`top_k`,
+    :meth:`one_to_one`, the ``ranked_*`` views ...), and :class:`Match`
+    objects exist only while someone iterates or indexes.  ``len``,
+    :meth:`best` and :meth:`filter_threshold` never order anything, and they
+    are all that dataset discovery reads of most rankings (see
+    :func:`repro.discovery.relatedness.relatedness`).
+
+    The order is what it always was: descending score, ties broken
+    deterministically by source table, source column, target table and
+    target column name, so experiments are reproducible.  Ordering is
+    idempotent — two threads reading one result can at worst both do it.
     """
 
     def __init__(self, matches: Iterable[Match] = ()) -> None:
-        self._matches = sorted(
-            matches,
-            key=lambda m: (-m.score, m.source.table, m.source.column, m.target.table, m.target.column),
+        matches = list(matches)
+        # One attribute, replaced whole: (scores, sources, targets, whether
+        # they are in ranking order yet).  A concurrent reader sees either
+        # the unordered or the ordered columns, never a mix.
+        self._state: tuple[list[float], list[ColumnRef], list[ColumnRef], bool] = (
+            [match.score for match in matches],
+            [match.source for match in matches],
+            [match.target for match in matches],
+            False,
         )
+
+    @classmethod
+    def _of(
+        cls,
+        scores: list[float],
+        sources: list[ColumnRef],
+        targets: list[ColumnRef],
+        ranked: bool,
+    ) -> "MatchResult":
+        """A result over the given columns (*ranked*: already in ranking order)."""
+        result = cls.__new__(cls)
+        result._state = (scores, sources, targets, ranked)
+        return result
 
     @classmethod
     def from_scores(
@@ -102,85 +149,153 @@ class MatchResult:
         Pairs scoring at or below *threshold* are dropped unless *keep_zero*
         is set (some matchers deliberately emit complete rankings).
         """
-        matches = [
-            Match(score=float(score), source=source, target=target)
-            for (source, target), score in scores.items()
-            if keep_zero or score > threshold
-        ]
-        return cls(matches)
+        kept = {
+            pair: score for pair, score in scores.items() if keep_zero or score > threshold
+        }
+        return cls._of(
+            [float(score) for score in kept.values()],
+            [source for source, _ in kept],
+            [target for _, target in kept],
+            ranked=False,
+        )
+
+    @classmethod
+    def from_column_scores(
+        cls,
+        source: Table,
+        target: Table,
+        scores: Mapping[tuple[str, str], float],
+    ) -> "MatchResult":
+        """Build a result from ``{(source column, target column): score}`` names.
+
+        How every matcher hands back its ranking.  The two tables' column
+        refs are taken once, here (one :attr:`Column.ref
+        <repro.data.table.Column.ref>` per column, not two per scored pair),
+        and every pair in *scores* is kept, zero scores included: Valentine
+        evaluates complete rankings, not thresholded ones.
+        """
+        source_refs = {column.name: column.ref for column in source.columns}
+        target_refs = {column.name: column.ref for column in target.columns}
+        return cls._of(
+            [float(score) for score in scores.values()],
+            [source_refs[source_name] for source_name, _ in scores],
+            [target_refs[target_name] for _, target_name in scores],
+            ranked=False,
+        )
+
+    def _ranking(self) -> tuple[list[float], list[ColumnRef], list[ColumnRef]]:
+        """The three columns in ranking order (ordered on the first call)."""
+        scores, sources, targets, ranked = self._state
+        if not ranked:
+            keys = [
+                (-score, *_name_order(source, target))
+                for score, source, target in zip(scores, sources, targets)
+            ]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._state = (*_take(scores, sources, targets, order), True)
+        return self._state[:3]
 
     # ------------------------------------------------------------------ #
     # sequence behaviour
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self._matches)
+        return len(self._state[0])
 
     def __iter__(self) -> Iterator[Match]:
-        return iter(self._matches)
+        return map(Match, *self._ranking())
 
     def __getitem__(self, index: int) -> Match:
-        return self._matches[index]
+        scores, sources, targets = self._ranking()
+        return Match(scores[index], sources[index], targets[index])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchResult(n={len(self)})"
 
     @property
     def matches(self) -> list[Match]:
-        """The ranked matches (copy)."""
-        return list(self._matches)
+        """The ranked matches (a fresh list)."""
+        return list(self)
+
+    def best(self) -> Optional[Match]:
+        """The top-ranked match — ``self[0]`` — or ``None`` when empty.
+
+        Found as the maximum score, ties broken by the ranking's name order;
+        nothing is sorted.
+        """
+        scores, sources, targets, ranked = self._state
+        if not scores:
+            return None
+        if ranked:
+            top = 0
+        else:
+            high = max(scores)
+            top = min(
+                (i for i, score in enumerate(scores) if score == high),
+                key=lambda i: _name_order(sources[i], targets[i]),
+            )
+        return Match(scores[top], sources[top], targets[top])
 
     # ------------------------------------------------------------------ #
     # derived views
     # ------------------------------------------------------------------ #
     def top_k(self, k: int) -> "MatchResult":
         """The first *k* matches of the ranking."""
-        return MatchResult(self._matches[: max(k, 0)])
+        k = max(k, 0)
+        scores, sources, targets = self._ranking()
+        return self._of(scores[:k], sources[:k], targets[:k], ranked=True)
 
     def ranked_pairs(self) -> list[tuple[str, str]]:
         """Column-name pairs in ranking order."""
-        return [match.as_pair() for match in self._matches]
+        _, sources, targets = self._ranking()
+        return [(source.column, target.column) for source, target in zip(sources, targets)]
 
     def ranked_ref_pairs(self) -> list[tuple[ColumnRef, ColumnRef]]:
         """Fully qualified ref pairs in ranking order."""
-        return [match.as_refs() for match in self._matches]
+        _, sources, targets = self._ranking()
+        return list(zip(sources, targets))
 
     def scores(self) -> dict[tuple[str, str], float]:
         """``{(source column, target column): score}`` (best score per pair)."""
         result: dict[tuple[str, str], float] = {}
-        for match in self._matches:
-            pair = match.as_pair()
-            if pair not in result:
-                result[pair] = match.score
+        for score, source, target in zip(*self._ranking()):
+            result.setdefault((source.column, target.column), score)
         return result
 
     def filter_threshold(self, threshold: float) -> "MatchResult":
-        """Matches with ``score >= threshold``."""
-        return MatchResult(m for m in self._matches if m.score >= threshold)
+        """Matches with ``score >= threshold``.
+
+        Filtering commutes with the ranking order, so a result that has not
+        been ordered yet stays that way and only the survivors ever are.
+        """
+        scores, sources, targets, ranked = self._state
+        keep = [i for i, score in enumerate(scores) if score >= threshold]
+        return self._of(*_take(scores, sources, targets, keep), ranked)
 
     def one_to_one(self) -> "MatchResult":
         """Greedy 1-1 filtering of the ranking (each column used at most once)."""
+        scores, sources, targets = self._ranking()
         used_sources: set[ColumnRef] = set()
         used_targets: set[ColumnRef] = set()
-        kept: list[Match] = []
-        for match in self._matches:
-            if match.source in used_sources or match.target in used_targets:
+        keep: list[int] = []
+        for i, (source, target) in enumerate(zip(sources, targets)):
+            if source in used_sources or target in used_targets:
                 continue
-            kept.append(match)
-            used_sources.add(match.source)
-            used_targets.add(match.target)
-        return MatchResult(kept)
+            keep.append(i)
+            used_sources.add(source)
+            used_targets.add(target)
+        return self._of(*_take(scores, sources, targets, keep), ranked=True)
 
     def to_records(self) -> list[dict[str, object]]:
         """Serialise to a list of plain dictionaries (for JSON/CSV export)."""
         return [
             {
-                "source_table": match.source.table,
-                "source_column": match.source.column,
-                "target_table": match.target.table,
-                "target_column": match.target.column,
-                "score": match.score,
+                "source_table": source.table,
+                "source_column": source.column,
+                "target_table": target.table,
+                "target_column": target.column,
+                "score": score,
             }
-            for match in self._matches
+            for score, source, target in zip(*self._ranking())
         ]
 
 
@@ -344,7 +459,14 @@ class BaseMatcher(abc.ABC):
 
     @abc.abstractmethod
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:
-        """Compute the ranked matches from two prepared tables."""
+        """Compute the ranked matches from two prepared tables.
+
+        Implementations open with :meth:`_ensure_prepared` on both sides —
+        callers (the rerank's :class:`~repro.discovery.search.PairScorer`
+        included) may hand over a raw table or a payload prepared under
+        another fingerprint and rely on that one guard — and end in
+        :meth:`MatchResult.from_column_scores`.
+        """
 
     def get_matches(self, source: Table, target: Table) -> MatchResult:
         """Compute the ranked matches between *source* and *target* columns.

@@ -119,13 +119,7 @@ class _ComaBase(BaseMatcher):
 
         aggregated = aggregate(component_scores, self._config)
         selected = select_pairs(aggregated, self._config)
-
-        result_scores = {}
-        for (source_name, target_name), score in selected.items():
-            result_scores[
-                (source.table.column(source_name).ref, target.table.column(target_name).ref)
-            ] = score
-        return MatchResult.from_scores(result_scores, keep_zero=True)
+        return MatchResult.from_column_scores(source.table, target.table, selected)
 
 
 @register_matcher

@@ -100,9 +100,4 @@ class CupidMatcher(BaseMatcher):
         hits, misses = token_pair_work()
         telemetry.count("cupid.token_pairs.hits", hits - hits_before)
         telemetry.count("cupid.token_pairs.misses", misses - misses_before)
-        scores = {}
-        for (source_name, target_name), score in weighted.items():
-            scores[
-                (source.table.column(source_name).ref, target.table.column(target_name).ref)
-            ] = score
-        return MatchResult.from_scores(scores, keep_zero=True)
+        return MatchResult.from_column_scores(source.table, target.table, weighted)

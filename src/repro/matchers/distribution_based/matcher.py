@@ -23,7 +23,7 @@ groups are ordered by their (inverted, normalised) EMD.
 
 from __future__ import annotations
 
-from repro.data.table import Column, ColumnRef, Table
+from repro.data.table import Column, Table
 from repro.distributions.emd import column_emd, intersection_emd
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
 from repro.matchers.distribution_based.clustering import connected_components, refine_cluster
@@ -191,15 +191,9 @@ class DistributionBasedMatcher(BaseMatcher):
 
         # Ranked output: confirmed cluster members first, then the rest, both
         # ordered by inverted EMD.
-        scores: dict[tuple[ColumnRef, ColumnRef], float] = {}
+        scores: dict[tuple[str, str], float] = {}
         for (node_a, node_b), emd in phase1_emd.items():
-            source_name, target_name = node_a[1], node_b[1]
+            pair = (node_a[1], node_b[1])
             base = 1.0 - emd
-            if (source_name, target_name) in matched_pairs:
-                score = 0.5 + 0.5 * base
-            else:
-                score = 0.5 * base
-            scores[
-                (source.table.column(source_name).ref, target.table.column(target_name).ref)
-            ] = score
-        return MatchResult.from_scores(scores, keep_zero=True)
+            scores[pair] = 0.5 + 0.5 * base if pair in matched_pairs else 0.5 * base
+        return MatchResult.from_column_scores(source.table, target.table, scores)

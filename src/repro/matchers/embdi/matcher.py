@@ -107,12 +107,12 @@ class EmbDIMatcher(BaseMatcher):
         )
 
         scores = {}
-        for source_column in source.columns:
-            source_token = cid_token(source.name, source_column.name)
-            for target_column in target.columns:
-                target_token = cid_token(target.name, target_column.name)
+        for source_name in source.column_names:
+            source_token = cid_token(source.name, source_name)
+            for target_name in target.column_names:
+                target_token = cid_token(target.name, target_name)
                 similarity = model.similarity(source_token, target_token)
                 # Cosine similarity lives in [-1, 1]; shift to [0, 1] so the
                 # ranking scores compose with the rest of the suite.
-                scores[(source_column.ref, target_column.ref)] = (similarity + 1.0) / 2.0
-        return MatchResult.from_scores(scores, keep_zero=True)
+                scores[(source_name, target_name)] = (similarity + 1.0) / 2.0
+        return MatchResult.from_column_scores(source, target, scores)

@@ -21,18 +21,19 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from repro.data.table import ColumnRef, Table
+from repro.data.table import Table
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
 from repro.matchers.registry import register_matcher
 
 __all__ = ["EnsembleMatcher"]
 
-PairKey = tuple[ColumnRef, ColumnRef]
+#: (source column name, target column name): members all match the same two tables.
+PairKey = tuple[str, str]
 
 
 def _normalised_scores(result: MatchResult) -> dict[PairKey, float]:
     """Min-max normalise a ranking's scores into [0, 1] (constant → 1.0)."""
-    pairs = result.ranked_ref_pairs()
+    pairs = result.ranked_pairs()
     if not pairs:
         return {}
     scores = [match.score for match in result]
@@ -41,7 +42,7 @@ def _normalised_scores(result: MatchResult) -> dict[PairKey, float]:
         return {pair: 1.0 for pair in pairs}
     normalised: dict[PairKey, float] = {}
     for match in result:
-        key = (match.source, match.target)
+        key = match.as_pair()
         value = (match.score - low) / (high - low)
         normalised[key] = max(normalised.get(key, 0.0), value)
     return normalised
@@ -49,7 +50,7 @@ def _normalised_scores(result: MatchResult) -> dict[PairKey, float]:
 
 def _borda_points(result: MatchResult) -> dict[PairKey, float]:
     """Borda points: the best rank gets n-1 points, the worst gets 0."""
-    pairs = result.ranked_ref_pairs()
+    pairs = result.ranked_pairs()
     total = len(pairs)
     points: dict[PairKey, float] = {}
     for position, pair in enumerate(pairs):
@@ -183,4 +184,4 @@ class EnsembleMatcher(BaseMatcher):
                 for pair in totals
             }
 
-        return MatchResult.from_scores(combined, keep_zero=True)
+        return MatchResult.from_column_scores(source.table, target.table, combined)

@@ -158,13 +158,12 @@ class JaccardLevenshteinMatcher(BaseMatcher):
         source_sets = source.payload["value_sets"]
         target_sets = target.payload["value_sets"]
         scores = {}
-        for source_column in source.table.columns:
-            for target_column in target.table.columns:
-                score = _fuzzy_jaccard_sets(
-                    source_sets[source_column.name],
-                    target_sets[target_column.name],
+        for source_name in source.table.column_names:
+            for target_name in target.table.column_names:
+                scores[(source_name, target_name)] = _fuzzy_jaccard_sets(
+                    source_sets[source_name],
+                    target_sets[target_name],
                     threshold=self.threshold,
                     sample_size=self.sample_size,
                 )
-                scores[(source_column.ref, target_column.ref)] = score
-        return MatchResult.from_scores(scores, keep_zero=True)
+        return MatchResult.from_column_scores(source.table, target.table, scores)

@@ -14,7 +14,10 @@ Parameters follow Table II: ``minhash_threshold`` (syntactic acceptance),
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 from repro.data.table import Table
 from repro.embeddings.pretrained import PretrainedEmbeddings, default_pretrained_embeddings
@@ -218,37 +221,44 @@ class SemPropMatcher(BaseMatcher):
         return 0.5 * min(1.0, signals.max_jaccard)
 
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:
-        """Combine semantic (ontology-linked) and syntactic (MinHash) evidence."""
+        """Combine semantic (ontology-linked) and syntactic (MinHash) evidence.
+
+        The syntactic score of every column pair is one array expression
+        over the all-pairs MinHash estimate; only pairs whose columns both
+        carry ontology links can cohere, so only those are visited one by
+        one to see whether the semantic branch overrides it.  Every score is
+        the IEEE double the per-pair loop computed.
+        """
         source = self._ensure_prepared(source)
         target = self._ensure_prepared(target)
         source_links = source.payload["links"]
         target_links = target.payload["links"]
         source_signatures = source.payload["signatures"]
         target_signatures = target.payload["signatures"]
+        source_names = source.table.column_names
+        target_names = target.table.column_names
 
-        # All-pairs syntactic evidence in one broadcast comparison; each cell
-        # equals the corresponding signature.jaccard() exactly, so rankings
-        # are unchanged versus the per-pair loop.
-        source_columns = source.table.columns
-        target_columns = target.table.columns
-        estimated_matrix = jaccard_matrix(
-            [source_signatures[column.name] for column in source_columns],
-            [target_signatures[column.name] for column in target_columns],
+        # Each cell equals the corresponding signature.jaccard() exactly.
+        estimated = jaccard_matrix(
+            [source_signatures[name] for name in source_names],
+            [target_signatures[name] for name in target_names],
         )
+        grid = np.where(estimated >= self.minhash_threshold, 0.5 * estimated, 0.25 * estimated)
 
-        scores = {}
-        for i, source_column in enumerate(source_columns):
-            for j, target_column in enumerate(target_columns):
-                semantic = coherence_score(
-                    source_links[source_column.name],
-                    target_links[target_column.name],
-                    self._ontology,
-                )
+        # Coherence is 0.0 unless both columns carry links, which only a zero
+        # threshold accepts: only then are linkless columns visited as well.
+        everyone = self.coherent_threshold <= 0.0
+        linked_sources = [i for i, name in enumerate(source_names) if everyone or source_links[name]]
+        linked_targets = [j for j, name in enumerate(target_names) if everyone or target_links[name]]
+        for i in linked_sources:
+            links = source_links[source_names[i]]
+            for j in linked_targets:
+                semantic = coherence_score(links, target_links[target_names[j]], self._ontology)
                 if semantic >= self.coherent_threshold:
                     # Semantic matches rank above purely syntactic ones.
-                    score = 0.5 + 0.5 * semantic
-                else:
-                    estimated = float(estimated_matrix[i, j])
-                    score = 0.5 * estimated if estimated >= self.minhash_threshold else 0.25 * estimated
-                scores[(source_column.ref, target_column.ref)] = score
-        return MatchResult.from_scores(scores, keep_zero=True)
+                    grid[i, j] = 0.5 + 0.5 * semantic
+
+        pairs = itertools.product(source_names, target_names)
+        return MatchResult.from_column_scores(
+            source.table, target.table, dict(zip(pairs, grid.ravel().tolist()))
+        )

@@ -116,12 +116,10 @@ class SimilarityFloodingMatcher(BaseMatcher):
                 continue
             column_a = node_a.identifier.split(".", 1)[1]
             column_b = node_b.identifier.split(".", 1)[1]
-            scores[
-                (source.table.column(column_a).ref, target.table.column(column_b).ref)
-            ] = similarity
+            scores[(column_a, column_b)] = similarity
         # Columns that never co-occur in the PCG get a zero score so the
         # ranking is complete (Valentine evaluates rankings, not thresholds).
-        for source_column in source.table.columns:
-            for target_column in target.table.columns:
-                scores.setdefault((source_column.ref, target_column.ref), 0.0)
-        return MatchResult.from_scores(scores, keep_zero=True)
+        for source_name in source.table.column_names:
+            for target_name in target.table.column_names:
+                scores.setdefault((source_name, target_name), 0.0)
+        return MatchResult.from_column_scores(source.table, target.table, scores)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from matcher_support import ReferenceMatchResult, reference_relatedness, reference_unionability
 from repro.data.table import ColumnRef, Table
 from repro.discovery.relatedness import RelatednessScores, joinability, relatedness, unionability
 from repro.matchers.base import Match, MatchResult
@@ -62,3 +66,41 @@ class TestRelatedness:
         assert scores.combined(join_weight=1.0) == 1.0
         assert scores.combined(join_weight=0.0) == 0.0
         assert scores.combined() == 0.5
+
+
+_SCORES = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.55, 0.5500000000000002, 0.75, 1.0])
+_SCORE_MAPS = st.dictionaries(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from(["a", "b", "x", "y", "z"])),
+    _SCORES,
+    max_size=20,
+)
+
+
+class TestAgainstTheWholeRankingReference:
+    """Reading only the best match and the at-least-threshold part is exact."""
+
+    @given(_SCORE_MAPS, st.sampled_from(["q", "c"]), st.integers(0, 5))
+    def test_relatedness_at_every_score_as_threshold(self, scores, candidate, query_columns):
+        query = Table("q", {name: [] for name in "abcde"[:query_columns]})
+        matches = [
+            Match(score, ColumnRef("q", source), ColumnRef(candidate, target))
+            for (source, target), score in scores.items()
+        ]
+        reference = ReferenceMatchResult(matches)
+        for threshold in sorted(set(scores.values()) | {0.55, 2.0}):
+            result = MatchResult(matches)
+            assert relatedness(result, query, threshold) == reference_relatedness(
+                reference, query, threshold
+            )
+            assert joinability(result) == (reference[0].score if matches else 0.0)
+            assert unionability(result, query, threshold) == reference_unionability(
+                reference, query, threshold
+            )
+            # ... and what was read on the way changed nothing about the rest.
+            assert result.matches == reference.matches
+
+    def test_scores_are_plain_floats_whatever_the_matches_hold(self, query_table):
+        result = _result([("a", "x", np.float32(0.75)), ("b", "y", 1)])
+        scores = relatedness(result, query_table, threshold=0.5)
+        assert type(scores.joinability) is float and scores.joinability == 1.0
+        assert type(scores.unionability) is float

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from matcher_support import (
+    lakebench_lake,
+    reference_relatedness,
+    reference_semprop_match_prepared,
+)
+from repro.data.csv_io import read_csv
 from repro.datasets import open_data_table, tpcdi_prospect_table
-from repro.discovery.search import DatasetRepository, DiscoveryEngine, DiscoveryResult
+from repro.discovery.search import (
+    DatasetRepository,
+    DiscoveryEngine,
+    DiscoveryResult,
+    PairScorer,
+    _ChunkOutcome,
+)
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.matchers import ComaSchemaMatcher
+from repro.matchers import ComaSchemaMatcher, CupidMatcher, SemPropMatcher
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +132,68 @@ class TestDiscoveryEngine:
         assert len(result.matches) > 0
         assert 0.0 <= result.joinability <= 1.0
         assert 0.0 <= result.unionability <= 1.0
+
+
+@pytest.fixture(scope="module")
+def gate_pair(tmp_path_factory):
+    """The gate lake's 14-column query and an 8-column relative of it."""
+    root = lakebench_lake(tmp_path_factory.mktemp("gate_pair") / "gate")
+    query = read_csv(root / "queries" / "query_00_0.csv")
+    candidate = read_csv(root / "lake" / "rel_00_joinable.csv")
+    assert (query.num_columns, candidate.num_columns) == (14, 8)
+    return query, candidate
+
+
+class TestPairScorer:
+    def test_any_candidate_form_scores_alike_with_one_guard_a_side(
+        self, gate_pair, monkeypatch
+    ):
+        """``match_prepared`` guards both sides itself; the scorer adds no
+        third ``fingerprint()`` of its own on top of those two."""
+        query, candidate = gate_pair
+        matcher = SemPropMatcher()
+        scorer = PairScorer(matcher)
+        query_prepared, candidate_prepared = matcher.prepare(query), matcher.prepare(candidate)
+        reference = reference_semprop_match_prepared(matcher, query_prepared, candidate_prepared)
+        expected = reference_relatedness(reference, query, scorer.union_threshold)
+        foreign = CupidMatcher().prepare(candidate)
+        assert foreign.fingerprint != matcher.fingerprint()
+
+        calls = []
+        fingerprint = SemPropMatcher.fingerprint
+        monkeypatch.setattr(
+            SemPropMatcher, "fingerprint", lambda self: calls.append(1) or fingerprint(self)
+        )
+        for form, allowed in ((candidate_prepared, 2), (candidate, 2), (foreign, 3)):
+            del calls[:]
+            result = scorer.score_prepared(query_prepared, form)
+            # The guard, once a side; re-preparing stamps the new payload too.
+            assert len(calls) <= allowed
+            assert result.table_name == candidate.name
+            assert result.scores == expected
+            assert result.matches.matches == reference.matches
+
+
+class TestResultsTravel:
+    def test_a_pooled_chunk_ships_columns_not_objects(self, gate_pair):
+        """What a pool worker pickles back per scored candidate."""
+        query, candidate = gate_pair
+        matcher = SemPropMatcher()
+        result = PairScorer(matcher).score_pair(query, candidate)
+        eager = DiscoveryResult(
+            table_name=result.table_name,
+            scores=result.scores,
+            matches=reference_semprop_match_prepared(
+                matcher, matcher.prepare(query), matcher.prepare(candidate)
+            ),
+        )
+
+        def shipped(shipped_result) -> bytes:
+            return pickle.dumps(_ChunkOutcome([shipped_result], 1, 0, False, None))
+
+        # The eager form of this 14 x 8 pair weighed 7,607 bytes at PR 19.
+        assert len(shipped(result)) < 7607 / 3
+        assert len(shipped(result)) < len(shipped(eager)) / 3
+        back = pickle.loads(shipped(result)).results[0]
+        assert back.scores == result.scores
+        assert back.matches.matches == result.matches.matches == eager.matches.matches

@@ -1,5 +1,7 @@
 """What several matcher test suites share: light configs, a name corpus and
-the uncached thesaurus reference the name-level kernels are pinned against.
+the previous bodies the kernels are pinned against with ``==`` — the uncached
+thesaurus (PR 19), the eager ``MatchResult``, ``relatedness`` and SemProp's
+per-cell ``match_prepared`` loop (PR 20).
 
 ``tests/`` is on ``sys.path`` (the root ``conftest.py`` lives here), so any
 test module can ``from matcher_support import ...``.
@@ -10,15 +12,27 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator, Mapping
 
+from repro.data.table import ColumnRef, Table
+from repro.discovery.relatedness import RelatednessScores
+from repro.matchers.base import Match, PreparedTable
+from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.semantic import coherence_score
+from repro.sketches.minhash import jaccard_matrix
 from repro.text.stemmer import stem
 from repro.text.thesaurus import _HYPERNYM_PAIRS, _SYNONYM_GROUPS, Thesaurus
 from repro.text.tokenize import ABBREVIATIONS, tokenize_identifier
 
 __all__ = [
     "LIGHT_MATCHER_CONFIGS",
+    "ReferenceMatchResult",
     "lakebench_column_names",
+    "lakebench_lake",
+    "reference_relatedness",
     "reference_relation_score",
+    "reference_semprop_match_prepared",
+    "reference_unionability",
     "term_corpus",
 ]
 
@@ -46,18 +60,33 @@ LIGHT_MATCHER_CONFIGS: dict[str, dict[str, object]] = {
 _LAKEGEN = Path(__file__).resolve().parents[1] / "benchmarks" / "lakebench" / "lakegen.py"
 
 
-def lakebench_column_names() -> list[str]:
-    """Every column name (and semantic alias) lakebench's generator can emit.
-
-    Read from the generator's schema tables; ``lakegen`` is stdlib + numpy
-    and imports nothing of the program under test.
-    """
+def _lakegen():
+    """lakebench's generator module (stdlib + numpy, imports nothing of ``repro``)."""
     module = sys.modules.get("_lakegen_schemas")
     if module is None:
         spec = importlib.util.spec_from_file_location("_lakegen_schemas", _LAKEGEN)
         module = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = module  # dataclasses resolve annotations through it
         spec.loader.exec_module(module)
+    return module
+
+
+def lakebench_lake(out_dir: Path) -> Path:
+    """Write a one-family ``families`` lake the way the gate does, just smaller.
+
+    ``<out_dir>/lake/*.csv`` are four planted relatives plus two background
+    tables (30 rows each), ``<out_dir>/queries/*.csv`` a wide (14-column)
+    and a narrow query.
+    """
+    module = _lakegen()
+    shape = module.LakeShape("families", tables=6, rows=30, groups=1, queries_per_group=1)
+    module.generate(out_dir, 1, shape)
+    return out_dir
+
+
+def lakebench_column_names() -> list[str]:
+    """Every column name (and semantic alias) lakebench's generator can emit."""
+    module = _lakegen()
     schemas = [*module.SEED_SCHEMAS, *module.DOMAINS]
     names = {name for schema in schemas for column in schema for name in column[:2] if name}
     names.update(f"field_{i}" for i in range(5))  # the ``overlap`` profile
@@ -106,3 +135,146 @@ def reference_relation_score(thesaurus: Thesaurus, a: str, b: str) -> float:
     if synonyms_of(a) & synonyms_of(b):
         return 0.6
     return 0.0
+
+
+class ReferenceMatchResult:
+    """``MatchResult`` as it was before the columnar representation (PR 20).
+
+    Kept verbatim as the reference: one ``Match`` per pair, sorted in the
+    constructor, every derived view handed back to the sorting constructor.
+    """
+
+    def __init__(self, matches: Iterable[Match] = ()) -> None:
+        self._matches = sorted(
+            matches,
+            key=lambda m: (-m.score, m.source.table, m.source.column, m.target.table, m.target.column),
+        )
+
+    @classmethod
+    def from_scores(
+        cls,
+        scores: Mapping[tuple[ColumnRef, ColumnRef], float],
+        threshold: float = 0.0,
+        keep_zero: bool = False,
+    ) -> "ReferenceMatchResult":
+        matches = [
+            Match(score=float(score), source=source, target=target)
+            for (source, target), score in scores.items()
+            if keep_zero or score > threshold
+        ]
+        return cls(matches)
+
+    def __len__(self) -> int:
+        return len(self._matches)
+
+    def __iter__(self) -> Iterator[Match]:
+        return iter(self._matches)
+
+    def __getitem__(self, index: int) -> Match:
+        return self._matches[index]
+
+    @property
+    def matches(self) -> list[Match]:
+        return list(self._matches)
+
+    def top_k(self, k: int) -> "ReferenceMatchResult":
+        return ReferenceMatchResult(self._matches[: max(k, 0)])
+
+    def ranked_pairs(self) -> list[tuple[str, str]]:
+        return [match.as_pair() for match in self._matches]
+
+    def ranked_ref_pairs(self) -> list[tuple[ColumnRef, ColumnRef]]:
+        return [match.as_refs() for match in self._matches]
+
+    def scores(self) -> dict[tuple[str, str], float]:
+        result: dict[tuple[str, str], float] = {}
+        for match in self._matches:
+            pair = match.as_pair()
+            if pair not in result:
+                result[pair] = match.score
+        return result
+
+    def filter_threshold(self, threshold: float) -> "ReferenceMatchResult":
+        return ReferenceMatchResult(m for m in self._matches if m.score >= threshold)
+
+    def one_to_one(self) -> "ReferenceMatchResult":
+        used_sources: set[ColumnRef] = set()
+        used_targets: set[ColumnRef] = set()
+        kept: list[Match] = []
+        for match in self._matches:
+            if match.source in used_sources or match.target in used_targets:
+                continue
+            kept.append(match)
+            used_sources.add(match.source)
+            used_targets.add(match.target)
+        return ReferenceMatchResult(kept)
+
+    def to_records(self) -> list[dict[str, object]]:
+        return [
+            {
+                "source_table": match.source.table,
+                "source_column": match.source.column,
+                "target_table": match.target.table,
+                "target_column": match.target.column,
+                "score": match.score,
+            }
+            for match in self._matches
+        ]
+
+
+def reference_unionability(
+    result: ReferenceMatchResult, query: Table, threshold: float = 0.55
+) -> float:
+    """``unionability`` as it was: 1-1 filter the whole ranking, then count."""
+    if query.num_columns == 0:
+        return 0.0
+    one_to_one = result.one_to_one()
+    strong = sum(1 for match in one_to_one if match.score >= threshold)
+    return min(1.0, strong / query.num_columns)
+
+
+def reference_relatedness(
+    result: ReferenceMatchResult, query: Table, threshold: float = 0.55
+) -> RelatednessScores:
+    """``relatedness`` as it was: everything read off the sorted ranking."""
+    return RelatednessScores(
+        joinability=result[0].score if len(result) else 0.0,
+        unionability=reference_unionability(result, query, threshold=threshold),
+        best_pair=result[0].as_pair() if len(result) else None,
+    )
+
+
+def reference_semprop_match_prepared(
+    matcher: SemPropMatcher, source: PreparedTable, target: PreparedTable
+) -> ReferenceMatchResult:
+    """``SemPropMatcher.match_prepared`` as it was: one Python branch per cell."""
+    source_links = source.payload["links"]
+    target_links = target.payload["links"]
+    source_signatures = source.payload["signatures"]
+    target_signatures = target.payload["signatures"]
+    source_columns = source.table.columns
+    target_columns = target.table.columns
+    estimated_matrix = jaccard_matrix(
+        [source_signatures[column.name] for column in source_columns],
+        [target_signatures[column.name] for column in target_columns],
+    )
+
+    scores = {}
+    for i, source_column in enumerate(source_columns):
+        for j, target_column in enumerate(target_columns):
+            semantic = coherence_score(
+                source_links[source_column.name],
+                target_links[target_column.name],
+                matcher._ontology,
+            )
+            if semantic >= matcher.coherent_threshold:
+                score = 0.5 + 0.5 * semantic
+            else:
+                estimated = float(estimated_matrix[i, j])
+                score = (
+                    0.5 * estimated
+                    if estimated >= matcher.minhash_threshold
+                    else 0.25 * estimated
+                )
+            scores[(source_column.ref, target_column.ref)] = score
+    return ReferenceMatchResult.from_scores(scores, keep_zero=True)

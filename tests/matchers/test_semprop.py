@@ -6,10 +6,13 @@ import pickle
 
 import pytest
 
+from matcher_support import lakebench_column_names, reference_semprop_match_prepared
 from repro.data.table import Column, Table
+from repro.matchers.base import PreparedTable
 from repro.matchers.semprop import SemPropMatcher, coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology, chemistry_ontology
 from repro.ontology.model import Ontology, OntologyClass
+from repro.sketches.minhash import MinHashSignature
 from repro.telemetry import recorder as telemetry_recorder
 
 
@@ -76,6 +79,105 @@ class TestSemPropMatcher:
         matcher = SemPropMatcher(semantic_threshold=0.4, coherent_threshold=0.2, num_permutations=32)
         scores = matcher.get_matches(source, target).scores()
         assert scores[("country", "nation")] > scores[("hashcol", "token")]
+
+
+class TestKernelAgainstThePerCellReference:
+    """The array kernel scores every pair with the same double the loop did."""
+
+    @pytest.fixture(scope="class")
+    def gate_tables(self) -> list[PreparedTable]:
+        """The gate lake's column names, 13 to a table, with graded value overlap."""
+        names = lakebench_column_names()
+        assert len(names) == 117
+        matcher = SemPropMatcher()
+        return [
+            matcher.prepare(
+                Table(
+                    f"gate_{start // 13}",
+                    {
+                        name: [f"v{(5 * (start + k) + row % (12 + k)) % 60}" for row in range(30)]
+                        for k, name in enumerate(names[start : start + 13])
+                    },
+                )
+            )
+            for start in range(0, len(names), 13)
+        ]
+
+    @pytest.mark.parametrize("coherent_threshold", [0.0, 0.3, 1.0])
+    def test_every_gate_table_pair(self, gate_tables, coherent_threshold):
+        matcher = SemPropMatcher(coherent_threshold=coherent_threshold)
+        semantic = syntactic = 0
+        for source in gate_tables:
+            for target in gate_tables:
+                result = matcher.match_prepared(source, target)
+                expected = reference_semprop_match_prepared(matcher, source, target)
+                assert result.matches == expected.matches
+                assert all(type(match.score) is float for match in result)
+                semantic += sum(1 for match in result if match.score >= 0.5)
+                syntactic += sum(1 for match in result if 0.0 < match.score < 0.5)
+        # Both branches were really taken (at 0.0 every pair is semantic).
+        assert semantic > 0
+        assert (syntactic > 0) == (coherent_threshold > 0.0)
+
+    def _crafted(self, matcher, name, signatures, links=None) -> PreparedTable:
+        table = Table(name, {column: [] for column in signatures})
+        return PreparedTable(
+            table=table,
+            fingerprint=matcher.fingerprint(),
+            payload={
+                "links": links or {column: [] for column in signatures},
+                "signatures": {
+                    column: MinHashSignature(tuple(values), set_size=len(values))
+                    for column, values in signatures.items()
+                },
+            },
+        )
+
+    def test_an_estimate_equal_to_the_threshold_is_accepted(self):
+        matcher = SemPropMatcher()  # minhash_threshold 0.25 == 32 / 128 exactly
+        source = self._crafted(matcher, "s", {"q": range(128)})
+        target = self._crafted(
+            matcher,
+            "t",
+            {
+                "at": [*range(32), *range(1000, 1096)],
+                "below": [*range(31), *range(1000, 1097)],
+                "none": range(1000, 1128),
+            },
+        )
+        result = matcher.match_prepared(source, target)
+        assert result.scores() == {
+            ("q", "at"): 0.5 * (32 / 128),
+            ("q", "below"): 0.25 * (31 / 128),
+            ("q", "none"): 0.0,
+        }
+        assert result.matches == reference_semprop_match_prepared(matcher, source, target).matches
+
+    @pytest.mark.parametrize("coherent_threshold", [0.0, 0.3, 1.0])
+    def test_no_links_all_links_and_no_columns(self, coherent_threshold):
+        matcher = SemPropMatcher(coherent_threshold=coherent_threshold, num_permutations=32)
+        values = ["ann", "bob", "cy", "di"]
+        linkless = matcher.prepare(Table("linkless", {"zzqx": values, "qqq": ["ann", "bob"] * 2}))
+        linked = matcher.prepare(
+            Table("linked", {"customer": values, "country": ["bob", "cy"] * 2, "client": ["di"] * 4})
+        )
+        empty = matcher.prepare(Table("empty", {}))
+        assert not any(linkless.payload["links"].values())
+        assert all(linked.payload["links"].values())
+        tables = (linkless, linked, empty)
+        for source in tables:
+            for target in tables:
+                result = matcher.match_prepared(source, target)
+                expected = reference_semprop_match_prepared(matcher, source, target)
+                assert result.matches == expected.matches
+                assert len(result) == source.table.num_columns * target.table.num_columns
+
+    def test_mismatched_signature_widths_still_raise(self):
+        matcher = SemPropMatcher()
+        source = self._crafted(matcher, "s", {"q": range(128)})
+        narrow = self._crafted(matcher, "t", {"c": range(16)})
+        with pytest.raises(ValueError, match="same number of permutations"):
+            matcher.match_prepared(source, narrow)
 
 
 def _uncached_payload(matcher: SemPropMatcher, table: Table) -> bytes:

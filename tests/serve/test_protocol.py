@@ -6,13 +6,17 @@ import json
 
 import pytest
 
+from matcher_support import LIGHT_MATCHER_CONFIGS
 from repro.data.table import Table
+from repro.discovery.search import PairScorer
+from repro.matchers.registry import create_matcher
 from repro.serve.protocol import (
     MODES,
     ProtocolError,
     decode_query_request,
     encode_query_request,
     request_cache_key,
+    result_to_dict,
     table_to_dict,
 )
 
@@ -105,3 +109,17 @@ class TestCacheKey:
             _body(table={"name": "q", "columns": {"a": [1, 3], "b": ["x", "y"]}})
         )
         assert request_cache_key(a) != request_cache_key(b)
+
+
+class TestResultEncoding:
+    @pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
+    def test_every_matcher_scores_in_plain_json_floats(self, method, clients_table, offices_table):
+        """No ``np.float64`` leaks out of an array kernel onto the wire."""
+        matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
+        result = PairScorer(matcher).score_pair(clients_table, offices_table)
+        assert type(result.joinability) is float
+        assert type(result.unionability) is float
+        assert all(type(match.score) is float for match in result.matches)
+        encoded = json.loads(json.dumps(result_to_dict(result)))
+        assert encoded["joinability"] == result.joinability
+        assert encoded["best_pair"] == list(result.scores.best_pair)
