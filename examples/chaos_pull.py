@@ -10,17 +10,16 @@ injects all of them — deterministically, from a seeded
 * a transport where ~30% of blob reads fail outright and some payloads
   arrive torn or bit-flipped: bounded-backoff retries plus digest
   verification re-fetch exactly the broken transfers;
-* a crash after a few verified blobs: the append-only pull journal next to
-  the store records every verified-and-committed key, so the next pull
-  resumes and fetches only the unverified remainder;
+* a crash after a few verified blobs: each row was committed to the store
+  before the next blob was fetched, so the next pull reconciles against
+  what the store holds and fetches only the uncommitted remainder;
 * the result is byte-identical to a clean pull — corruption costs retries,
   never a corrupt store.
 
 Run with ``python examples/chaos_pull.py``.  The equivalent shell shape:
 
     lake pull /srv/snapshot --store replica.sketches \\
-        --retry-attempts 6 --retry-budget 128   # resumes automatically
-    lake stats --store replica.sketches         # shows the last pull journal
+        --retry-attempts 6 --retry-budget 128   # re-run after a crash: resumes
     lake verify --store replica.sketches --artifact /srv/snapshot --repair
 """
 
@@ -100,10 +99,10 @@ def main() -> None:
                     transport, replica, prepared_store=replica_prepared, retry=retry
                 )
         except InjectedCrash as crash:
-            print(f"replica: pull died mid-sync ({crash}) — journal left unsealed")
+            print(f"replica: pull died mid-sync ({crash}) — committed rows stay")
 
-        # Second attempt, same store: the journal resumes the interrupted
-        # pull, skipping every blob already verified and committed.
+        # Second attempt, same store: reconciliation finds every row the
+        # interrupted pull committed and fetches only the rest.
         with SketchStore(replica_path) as replica, PreparedStore(
             replica_prepared_path
         ) as replica_prepared:
@@ -113,7 +112,7 @@ def main() -> None:
             table_names = sorted(replica.table_names)
         print(
             f"replica: resumed pull fetched {report.blobs_fetched} blobs, "
-            f"skipped {report.resumed_blobs} already-verified, retried "
+            f"skipped {report.blobs_skipped} already-committed, retried "
             f"{report.retries} broken transfers, corrupt entries: "
             f"{len(report.corrupt)}"
         )

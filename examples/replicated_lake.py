@@ -97,7 +97,6 @@ def main() -> None:
             store_path=replica_path,
             method=METHOD,
             method_kwargs=METHOD_KWARGS,
-            parallel=False,
             reopen_poll_s=0.05,
         )
         with DiscoveryServer(config) as daemon:

@@ -21,7 +21,7 @@ Run with ``python examples/serve_daemon.py``.  The equivalent production
 shape from a shell:
 
     lake build ./lake_dir --store lake.sketches
-    lake prepare --store lake.sketches --method comaschema
+    lake prepare comaschema --store lake.sketches
     lake serve --store lake.sketches --port 8642 &
     # then POST query tables to http://127.0.0.1:8642/query
 """
@@ -83,7 +83,6 @@ def burst_against_tiny_queue(store_path: Path) -> None:
     config = ServeConfig(
         store_path=store_path,
         method=METHOD,
-        parallel=False,
         queue_limit=1,  # deliberately tiny: force load shedding
     )
     served, rejected = 0, 0
@@ -128,7 +127,6 @@ def main() -> None:
         config = ServeConfig(
             store_path=store_path,
             method=METHOD,
-            parallel=False,  # serial rerank keeps the example portable
         )
         with DiscoveryServer(config) as daemon:
             host, port = daemon.address

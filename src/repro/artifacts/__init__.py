@@ -13,7 +13,6 @@ the stores (and optionally re-publishing) incrementally.
 
 from repro.artifacts.blobs import BlobStore, blob_digest
 from repro.artifacts.iblt import IBLTDecodeResult, IBLTSketch, key_fingerprint
-from repro.artifacts.journal import PullJournal
 from repro.artifacts.manifest import (
     BLOBS_DIR,
     MANIFEST_FORMAT,
@@ -51,7 +50,6 @@ __all__ = [
     "Manifest",
     "PreparedEntry",
     "PublishReport",
-    "PullJournal",
     "PullReport",
     "RetryPolicy",
     "TableEntry",

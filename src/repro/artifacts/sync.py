@@ -30,11 +30,9 @@ the channel as lossy: every fetched blob is re-hashed against its manifest
 digest, and a mismatch or transient transport error triggers a bounded
 backoff-and-retry (:class:`~repro.artifacts.transport.RetryPolicy` — per
 blob attempts plus a pull-wide budget) rather than an abort.  Each key is
-committed to its store before the next is fetched, so a pull killed
-mid-flight re-fetches only what reconciliation finds missing; the
-:class:`~repro.artifacts.journal.PullJournal` (a key is logged *after* its
-commit) is what lets the next pull report that as resumed.  Counters:
-``sync.retries``, ``sync.resumed_blobs``.
+committed to its store before the next is fetched, so the pull after one
+killed mid-flight finds the committed rows by reconciliation (they count
+as ``blobs_skipped``) and fetches only the rest.  Counter: ``sync.retries``.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.artifacts.blobs import BlobStore, blob_digest
 from repro.artifacts.iblt import IBLTSketch, key_fingerprint
-from repro.artifacts.journal import PullJournal
 from repro.artifacts.manifest import (
     BLOBS_DIR,
     Manifest,
@@ -318,14 +315,8 @@ class PullReport:
     #: after retries (the pull skips them and keeps whatever the local
     #: store had — a later pull retries them from scratch).
     corrupt: list[str] = field(default_factory=list)
-    #: Fault-tolerance accounting: transport reads retried after a failure
-    #: or digest mismatch, and blobs *not* re-fetched because an earlier
-    #: interrupted pull of this snapshot already verified and committed
-    #: them (per the pull journal).
+    #: Transport reads retried after a failure or digest mismatch.
     retries: int = 0
-    resumed_blobs: int = 0
-    #: True when this pull picked up an interrupted pull's journal.
-    resumed: bool = False
 
     @property
     def unchanged(self) -> bool:
@@ -403,8 +394,6 @@ def pull_snapshot(
     prepared_store: Optional[PreparedStore] = None,
     remove_missing: bool = True,
     retry: Optional[RetryPolicy] = None,
-    journal_path: Union[str, Path, None] = None,
-    resume: bool = True,
 ) -> PullReport:
     """Sync local stores to the snapshot published at *source*.
 
@@ -426,10 +415,6 @@ def pull_snapshot(
         transfers (default: :class:`RetryPolicy()`); an entry that stays
         unfetchable after retries lands in ``report.corrupt`` instead of
         aborting the pull.
-    journal_path / resume:
-        Where the crash-safe progress journal lives (default: next to the
-        sketch store; ``None`` + in-memory store = no journal) and whether
-        to honour an interrupted pull's progress found there.
 
     Raises
     ------
@@ -451,50 +436,25 @@ def pull_snapshot(
         )
     report.snapshot_id = manifest.snapshot_id
 
-    if journal_path is None:
-        journal_path = PullJournal.default_path(store.path)
-    journal = PullJournal(journal_path) if journal_path is not None else None
-    verified_before: set[str] = set()
-    if journal is not None:
-        resumed = journal.begin(manifest.snapshot_id)
-        if resume:
-            verified_before = resumed
-            report.resumed = bool(resumed)
-
-    shared = (transport, remove_missing, report, retry_state, journal, verified_before)
-    try:
-        with telemetry.span("artifacts.pull", artifact=transport.describe()):
-            report.tables_added, report.tables_removed = _pull_entries(
-                _table_domain(store), manifest.tables, manifest.iblt, *shared
+    shared = (transport, remove_missing, report, retry_state)
+    with telemetry.span("artifacts.pull", artifact=transport.describe()):
+        report.tables_added, report.tables_removed = _pull_entries(
+            _table_domain(store), manifest.tables, manifest.iblt, *shared
+        )
+        if prepared_store is not None:
+            report.prepared_added, report.prepared_removed = _pull_entries(
+                _prepared_domain(prepared_store),
+                manifest.prepared,
+                manifest.prepared_iblt,
+                *shared,
             )
-            if prepared_store is not None:
-                report.prepared_added, report.prepared_removed = _pull_entries(
-                    _prepared_domain(prepared_store),
-                    manifest.prepared,
-                    manifest.prepared_iblt,
-                    *shared,
-                )
-        if journal is not None and not report.corrupt:
-            # With failures pending we leave the journal unsealed, so the
-            # next pull resumes and retries exactly the unverified rest.
-            journal.complete(
-                {
-                    "blobs_fetched": report.blobs_fetched,
-                    "bytes_fetched": report.bytes_fetched,
-                    "retries": report.retries,
-                }
-            )
-    finally:
-        if journal is not None:
-            journal.close()
     telemetry.count("artifacts.pull.blobs_fetched", report.blobs_fetched)
     telemetry.count("artifacts.pull.blobs_skipped", report.blobs_skipped)
     telemetry.count("artifacts.pull.bytes_fetched", report.bytes_fetched)
     telemetry.count("sync.retries", report.retries)
-    telemetry.count("sync.resumed_blobs", report.resumed_blobs)
     logger.info(
         "pulled snapshot %s: +%d/-%d tables, +%d/-%d prepared "
-        "(%d blobs fetched / %d skipped, %d bytes, %d retries, %d resumed)",
+        "(%d blobs fetched / %d skipped, %d bytes, %d retries)",
         report.snapshot_id[:12],
         report.tables_added,
         report.tables_removed,
@@ -504,7 +464,6 @@ def pull_snapshot(
         report.blobs_skipped,
         report.bytes_fetched,
         report.retries,
-        report.resumed_blobs,
     )
     return report
 
@@ -517,10 +476,8 @@ def _pull_entries(
     remove_missing: bool,
     report: PullReport,
     retry_state: Optional[RetryState],
-    journal: Optional[PullJournal],
-    verified_before: set[str],
 ) -> tuple[int, int]:
-    """Reconcile → fetch → commit → journal → retire, for one store.
+    """Reconcile → fetch → commit → retire, for one store.
 
     Returns ``(rows committed, rows retired)``; everything else is
     accumulated on *report*.
@@ -531,7 +488,6 @@ def _pull_entries(
     report.iblt_decoded += int(via_iblt)
     report.iblt_fallback += int(not via_iblt)
     report.blobs_skipped += len(remote) - len(to_fetch)
-    report.resumed_blobs += len(verified_before & (set(remote) - to_fetch))
     added = removed = 0
     for key in sorted(to_fetch):
         entry = remote[key]
@@ -548,8 +504,6 @@ def _pull_entries(
         report.blobs_fetched += 1
         report.bytes_fetched += len(data)
         added += 1
-        if journal is not None:
-            journal.record(key)
     if remove_missing:
         # A changed row whose slot the snapshot still claims (a table under
         # a new content hash) was replaced — or, if its fetch failed, kept —

@@ -65,13 +65,11 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     query.add_argument("--mode", choices=["joinable", "unionable", "combined"], default="joinable")
     add_method_option(query)
     query.add_argument("--top", type=positive_int, default=10, help="number of tables to report")
-    query.add_argument("--parallel", action="store_true", help="rerank in a process pool")
     add_workers_option(
         query,
-        "process-pool size; implies --parallel (default: executor's "
-        "choice).  Warm candidates are loaded inside the workers straight "
-        "from the WAL-mode stores — nothing candidate-sized crosses the "
-        "parent process",
+        "rerank in a process pool of this size (default: inline, no pool).  "
+        "Warm candidates are loaded inside the workers straight from the "
+        "WAL-mode stores — nothing candidate-sized crosses the parent process",
     )
     query.add_argument(
         "--no-prepared-store", action="store_true",
@@ -206,7 +204,7 @@ def _run_lake_query(args: argparse.Namespace) -> int:
                 query,
                 mode=args.mode,
                 top_k=args.top,
-                parallel=args.parallel or args.workers is not None,
+                parallel=args.workers is not None,
                 max_workers=args.workers,
                 cascade=args.cascade,
                 budget_ms=args.budget_ms,
@@ -256,7 +254,6 @@ def _command_lake_stats(args: argparse.Namespace) -> int:
     print(f"  columns:          {sketch_stats['columns']}")
     print(f"  total table rows: {sketch_stats['total_table_rows']}")
     print(f"  store version:    {sketch_stats['version']}")
-    _print_last_pull(args.store)
     prepared_path = resolve_prepared_path(args.store, args.prepared_store)
     if prepared_stats is None:
         print(f"no prepared store at {prepared_path}")
@@ -274,25 +271,3 @@ def _command_lake_stats(args: argparse.Namespace) -> int:
         )
     return 0
 
-
-def _print_last_pull(store_path: Path) -> None:
-    """Append the last-pull journal summary (if any) to `lake stats` output."""
-    from repro.artifacts import PullJournal
-
-    journal_path = PullJournal.default_path(store_path)
-    if journal_path is None:
-        return
-    summary = PullJournal.summarize(journal_path)
-    if summary is None:
-        return
-    state = "complete" if summary["completed"] else "INTERRUPTED (will resume)"
-    print(f"last pull ({state})")
-    print(f"  snapshot:         {str(summary['snapshot_id'])[:12]}…")
-    print(f"  verified entries: {summary['verified_keys']}")
-    stats = summary.get("stats") or {}
-    if stats:
-        print(
-            f"  fetched:          {stats.get('blobs_fetched', 0)} blobs "
-            f"({stats.get('bytes_fetched', 0)} bytes), "
-            f"{stats.get('retries', 0)} retries"
-        )

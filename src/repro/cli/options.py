@@ -35,6 +35,22 @@ def positive_int(value: str) -> int:
     return number
 
 
+def non_negative_int(value: str) -> int:
+    """``type=`` callable: a whole number of at least 0."""
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a non-negative integer")
+    return number
+
+
+def port_number(value: str) -> int:
+    """``type=`` callable: a TCP port, 0 (ephemeral) to 65535."""
+    number = int(value)
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a port number (0-65535)")
+    return number
+
+
 def positive_float(value: str) -> float:
     """``type=`` callable: a finite number above 0."""
     number = float(value)

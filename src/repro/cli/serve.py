@@ -10,6 +10,7 @@ from repro.cli.options import (
     add_store_options,
     add_workers_option,
     fail,
+    port_number,
     positive_float,
     positive_int,
 )
@@ -22,7 +23,9 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     add_store_options(serve)
     add_method_option(serve)
     serve.add_argument("--host", default="127.0.0.1", help="TCP bind address")
-    serve.add_argument("--port", type=int, default=8642, help="TCP port (0 for an ephemeral one)")
+    serve.add_argument(
+        "--port", type=port_number, default=8642, help="TCP port (0 for an ephemeral one)"
+    )
     serve.add_argument(
         "--unix-socket", type=Path, default=None, metavar="PATH",
         help="serve on this unix-domain socket instead of TCP",
@@ -36,10 +39,10 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="default per-request deadline (clients can override per query; "
         "expired requests get 504)",
     )
-    add_workers_option(serve, "rerank process-pool size shared by all requests")
-    serve.add_argument(
-        "--serial", action="store_true",
-        help="rerank inline in the dispatcher instead of the process pool",
+    add_workers_option(
+        serve,
+        "rerank in a process pool of this size shared by all requests "
+        "(default: score inline in the dispatcher, no pool)",
     )
     serve.add_argument(
         "--cascade", action="store_true",
@@ -66,21 +69,25 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
         unix_socket=args.unix_socket,
         queue_limit=args.queue_limit,
         default_timeout_s=args.timeout_s,
-        parallel=not args.serial,
         max_workers=args.workers,
         reopen_poll_s=args.reopen_poll_s,
         cascade=args.cascade,
     )
+    if args.unix_socket is not None:
+        where = f"unix:{args.unix_socket}"
+    else:
+        where = f"http://{args.host}:{args.port}"
     try:
         server = DiscoveryServer(config).start()
     except ValueError as exc:
         # An unusable store (LakeOpenError, raised on the dispatcher thread).
         return fail(exc)
-    if args.unix_socket is not None:
-        where = f"unix:{args.unix_socket}"
-    else:
-        host, port = server.address
-        where = f"http://{host}:{port}"
+    except OSError as exc:
+        # The bind failed (port busy, socket directory missing); start()
+        # has already stopped the dispatcher it brought up.
+        return fail(f"cannot listen on {where}: {exc}")
+    if args.unix_socket is None:
+        where = "http://{}:{}".format(*server.address)
     print(
         f"serving {args.store} with {args.method} on {where} "
         f"(queue limit {args.queue_limit}; Ctrl-C to stop)"

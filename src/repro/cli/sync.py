@@ -5,7 +5,15 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.cli.options import add_method_option, add_store_options, add_workers_option, fail
+from repro.cli.options import (
+    add_method_option,
+    add_store_options,
+    add_workers_option,
+    fail,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from repro.lake import open_lake
 from repro.matchers.registry import create_matcher
 
@@ -29,7 +37,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="keep blobs of superseded snapshots (for shared blob directories)",
     )
     publish.add_argument(
-        "--iblt-cells", type=int, default=128,
+        "--iblt-cells", type=positive_int, default=128,
         help="cells per IBLT subtable in the manifest; the default decodes "
         "deltas of roughly 250 keys",
     )
@@ -54,16 +62,12 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "(default: remove them so the replica converges exactly)",
     )
     pull.add_argument(
-        "--retry-attempts", type=int, default=4, metavar="N",
+        "--retry-attempts", type=positive_int, default=4, metavar="N",
         help="max transport attempts per blob before skipping it (default: 4)",
     )
     pull.add_argument(
-        "--retry-budget", type=int, default=64, metavar="N",
+        "--retry-budget", type=non_negative_int, default=64, metavar="N",
         help="total retries one pull may spend across all blobs (default: 64)",
-    )
-    pull.add_argument(
-        "--no-resume", action="store_true",
-        help="ignore an interrupted pull's journal and refetch from scratch",
     )
     pull.set_defaults(func=_command_lake_pull)
 
@@ -94,11 +98,11 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "only used with --prepare)",
     )
     watch.add_argument(
-        "--interval-s", type=float, default=2.0, metavar="SECONDS",
+        "--interval-s", type=positive_float, default=2.0, metavar="SECONDS",
         help="poll interval; idle polls cost one stat() per file",
     )
     watch.add_argument(
-        "--max-polls", type=int, default=None,
+        "--max-polls", type=positive_int, default=None,
         help="stop after this many polls (default: run until interrupted)",
     )
     add_method_option(
@@ -164,7 +168,6 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
             prepared_store=prepared_store,
             remove_missing=not args.keep_missing,
             retry=RetryPolicy(max_attempts=args.retry_attempts, budget=args.retry_budget),
-            resume=not args.no_resume,
         )
     if report.unchanged:
         delta = "already in sync"
@@ -181,11 +184,6 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
     )
     if report.retries:
         print(f"  transport retries: {report.retries}")
-    if report.resumed:
-        print(
-            f"  resumed interrupted pull: {report.resumed_blobs} blobs "
-            "already verified, not re-fetched"
-        )
     if report.corrupt:
         return fail(
             f"warning: skipped {len(report.corrupt)} entries with corrupt blobs "

@@ -1,7 +1,7 @@
 """Long-lived serving layer over the lake discovery pipeline.
 
 The one-shot ``lake query`` CLI pays the full cold-start bill on every
-invocation: process launch, store open, rerank-pool spawn.  This package
+invocation: process launch, store open, index build.  This package
 keeps all of that warm in a daemon (``lake serve``) and admits many
 concurrent queries over HTTP (TCP or a unix socket, stdlib only):
 
@@ -17,10 +17,9 @@ concurrent queries over HTTP (TCP or a unix socket, stdlib only):
   the admission queue one ticket at a time; **all** engine and store access
   happens on this thread (SQLite connections are thread-bound);
 * :mod:`repro.serve.server` — :class:`DiscoveryServer`: one warm
-  :class:`~repro.lake.engine.LakeDiscoveryEngine` + shared
-  :class:`~repro.discovery.search.RerankPool` behind ``/query``,
-  ``/stats`` and ``/healthz``, with graceful store reopen when a writer
-  cycles the on-disk stores;
+  :class:`~repro.lake.engine.LakeDiscoveryEngine` behind ``/query``,
+  ``/stats`` and ``/healthz`` (scoring inline, or on a shared rerank pool
+  when given workers), with graceful store reopen on writer cycles;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the thin HTTP client
   the benchmarks (and tests) drive the daemon with.
 """

@@ -1,4 +1,4 @@
-"""The discovery daemon: warm engine + shared pool behind three endpoints.
+"""The discovery daemon: one warm engine behind three endpoints.
 
 ``DiscoveryServer`` assembles the serving stack:
 
@@ -12,12 +12,11 @@
 * the **dispatcher** (:class:`~repro.serve.dispatcher.Dispatcher`): one
   thread owning the engine session, because the stores' SQLite
   connections are bound to the thread that opens them; it scores one
-  ticket at a time;
+  ticket at a time, inline — or, given workers (``max_workers``), on one
+  :class:`~repro.discovery.search.RerankPool` that survives every reopen;
 * one **engine session per store generation** — sketch store opened
   read-only, prepared store writable (cold queries warm it for everyone),
-  both wrapped by a :class:`~repro.lake.engine.LakeDiscoveryEngine`
-  holding the *shared* :class:`~repro.discovery.search.RerankPool`, whose
-  spawned workers survive every reopen;
+  both wrapped by a :class:`~repro.lake.engine.LakeDiscoveryEngine`;
 * **graceful reopen**: between tickets the dispatcher polls
   :func:`~repro.lake.store.store_generation` (inode + monotone version)
   and, on change, opens the new generation before closing the old one —
@@ -87,11 +86,10 @@ class ServeConfig:
     unix_socket: Optional[Path] = None  # serve on AF_UNIX instead of TCP
     queue_limit: int = 32
     default_timeout_s: Optional[float] = 30.0
-    parallel: bool = True
-    max_workers: Optional[int] = None
+    max_workers: Optional[int] = None  # rerank pool size; None = no pool, score inline
     reopen_poll_s: float = 1.0
-    #: Circuit breaker over the parallel rerank path: this many consecutive
-    #: pool breaks switch queries to serial scoring for ``cooldown_s``.
+    #: Circuit breaker over the pooled rerank path: this many consecutive
+    #: pool breaks switch queries to inline scoring for ``cooldown_s``.
     breaker_threshold: int = 2
     breaker_cooldown_s: float = 5.0
     #: Arm the two-stage rerank cascade for every served query (exact
@@ -110,9 +108,9 @@ class _EngineSession:
 
     Sessions are opened and closed **on the dispatcher thread only** —
     their SQLite connections are unusable from any other thread.  The
-    rerank pool is shared across sessions: a pool handed to the engine is
-    never closed by it, so :meth:`close` retires the engine and both
-    stores while the workers stay warm.
+    rerank pool, when the daemon has one, is shared across sessions: a pool
+    handed to the engine is never closed by it, so :meth:`close` retires
+    the engine and both stores while the workers stay warm.
     """
 
     engine: LakeDiscoveryEngine
@@ -121,7 +119,7 @@ class _EngineSession:
     _resources: ExitStack
 
     @classmethod
-    def open(cls, config: ServeConfig, pool: RerankPool) -> "_EngineSession":
+    def open(cls, config: ServeConfig, pool: Optional[RerankPool]) -> "_EngineSession":
         generation = lake_generation(config.store_path, config.prepared_path)
         with ExitStack() as stack:
             # Sketch store read-only, prepared store writable: cold queries
@@ -250,7 +248,7 @@ class DiscoveryServer:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.recorder = TelemetryRecorder()
-        self.pool = RerankPool(max_workers=config.max_workers)
+        self.pool = None if config.max_workers is None else RerankPool(config.max_workers)
         self.breaker = CircuitBreaker(
             threshold=config.breaker_threshold,
             cooldown_s=config.breaker_cooldown_s,
@@ -279,8 +277,7 @@ class DiscoveryServer:
         try:
             self._httpd = self._build_httpd()
         except BaseException:
-            self.dispatcher.stop()
-            self.pool.close()
+            self.stop()
             raise
         self._httpd.discovery = self  # type: ignore[attr-defined]
         self._http_thread = threading.Thread(
@@ -301,7 +298,8 @@ class DiscoveryServer:
             self._http_thread.join(timeout=10)
             self._http_thread = None
         self.dispatcher.stop()
-        self.pool.close()
+        if self.pool is not None:
+            self.pool.close()
         if self.config.unix_socket is not None:
             try:
                 self.config.unix_socket.unlink()
@@ -395,13 +393,15 @@ class DiscoveryServer:
         if session is None:  # pragma: no cover - dispatcher guarantees open
             raise RuntimeError("no engine session")
         with use(self.recorder):
-            parallel = self.config.parallel and self.breaker.allow()
+            if self.pool is None:
+                return self._score(session, request, False)
+            parallel = self.breaker.allow()
             try:
                 outcome = self._score(session, request, parallel)
             except BrokenProcessPool:
                 # The shared pool died *twice* for this query (RerankPool
                 # already respawned and retried once internally).  Restart
-                # it behind the breaker and answer this query serially —
+                # it behind the breaker and answer this query inline —
                 # degraded latency, correct results, no dropped queries.
                 self.recorder.count("serve.pool_restarts")
                 self.pool_restarts += 1
@@ -409,7 +409,7 @@ class DiscoveryServer:
                 self.pool.close()
                 logger.warning(
                     "rerank pool broke; restarted it and degraded this "
-                    "query to serial scoring (breaker: %s)",
+                    "query to inline scoring (breaker: %s)",
                     self.breaker.state,
                 )
                 outcome = self._score(session, request, False)
@@ -494,8 +494,8 @@ class DiscoveryServer:
 
         ``ok`` — session open, breaker closed (full fast path).
         ``degraded`` — serving correct answers, but the rerank breaker is
-        open or half-open, so queries score serially.  ``starting`` — no
-        engine session yet (also the state after a failed open).
+        open or half-open, so queries bypass the pool and score inline.
+        ``starting`` — no engine session yet (also after a failed open).
         """
         with self._session_lock:
             session = self._session
@@ -529,7 +529,7 @@ class DiscoveryServer:
             "coalesced": self.admission.coalesced_count,
             "expired_in_queue": self.dispatcher.expired_in_queue,
             "reopen_count": self.reopen_count,
-            "pool_spawns": self.pool.spawn_count,
+            "pool_spawns": self.pool.spawn_count if self.pool is not None else 0,
             "pool_restarts": self.pool_restarts,
             "breaker": self.breaker.snapshot(),
             "pid": os.getpid(),

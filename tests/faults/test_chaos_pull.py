@@ -2,8 +2,8 @@
 
 The acceptance bar from the ISSUE: a replica pulling through a transport
 with >=30% injected failures (plus truncations and bit flips) still
-converges to **byte-identical** query rankings; a crash mid-pull resumes
-from the journal and re-fetches only the unverified blobs.  Every plan here
+converges to **byte-identical** query rankings; the pull after a crash
+mid-pull fetches only the blobs the first one had not committed.  Every plan here
 is seeded, so the "chaos" is exactly reproducible — these tests are
 blocking, not flaky.
 """
@@ -11,14 +11,13 @@ blocking, not flaky.
 from __future__ import annotations
 
 import pickle
-from pathlib import Path
+import shutil
 
 import pytest
 
 from repro.artifacts import (
     FaultyTransport,
     LocalTransport,
-    PullJournal,
     RetryPolicy,
     publish_snapshot,
     pull_snapshot,
@@ -166,10 +165,24 @@ class TestChaosTransport:
             assert clean.tables_added == _NUM_TABLES
 
 
+def _rows(store):
+    """A sketch store's rows as published: (name, content hash, rows, bytes)."""
+    return sorted((*key, bytes(blob)) for *key, blob in store.iter_raw())
+
+
+def _publisher_rows(artifact):
+    with SketchStore(artifact.parent / "pub.sketches") as publisher:
+        return _rows(publisher)
+
+
 class TestCrashResume:
+    """A killed pull is resumed by reconciliation against the rows the store
+    already committed: the next pull fetches exactly the uncommitted rest."""
+
     def test_crash_mid_pull_resumes_without_refetching(self, tmp_path, published):
-        """Kill the pull after two verified blobs: the next pull picks the
-        journal up, skips exactly those two, and converges."""
+        """Kill the pull after two committed blobs: the next pull (a new
+        process, as far as the store can tell) skips exactly those two,
+        fetches the other three, and the replica equals the publisher."""
         artifact, _query, _expected = published
         plan = FaultPlan(
             [FaultSpec("transport.read_blob", "crash", after=2, times=1)]
@@ -179,23 +192,19 @@ class TestCrashResume:
         with SketchStore(store_path) as replica:
             with pytest.raises(InjectedCrash):
                 pull_snapshot(transport, replica, retry=_fast_retry())
-        # The journal survived the "process death", unsealed.
-        journal_path = PullJournal.default_path(store_path)
-        summary = PullJournal.summarize(journal_path)
-        assert summary is not None and not summary["completed"]
-        assert summary["verified_keys"] == 2
         # Same transport object: the crash budget is spent, reads now work.
         with SketchStore(store_path) as replica:
+            assert len(replica.table_names) == 2  # committed before the crash
             report = pull_snapshot(transport, replica, retry=_fast_retry())
-            assert report.resumed
-            assert report.resumed_blobs == 2
+            assert report.blobs_skipped == 2
             assert report.blobs_fetched == _NUM_TABLES - 2
             assert report.tables_added == _NUM_TABLES - 2
-            assert sorted(replica.table_names) == [f"t{i}" for i in range(5)]
-        assert PullJournal.summarize(journal_path)["completed"]
+            assert not report.corrupt
+            assert _rows(replica) == _publisher_rows(artifact)
 
     def test_resume_is_voided_by_a_new_snapshot(self, tmp_path, published):
-        """Progress against snapshot A must not be trusted for snapshot B."""
+        """Progress against snapshot A must not be trusted for snapshot B:
+        a row committed from A whose table B republished is fetched again."""
         artifact, _query, _expected = published
         store_path = tmp_path / "replica.sketches"
         plan = FaultPlan(
@@ -205,11 +214,27 @@ class TestCrashResume:
         with SketchStore(store_path) as replica:
             with pytest.raises(InjectedCrash):
                 pull_snapshot(transport, replica, retry=_fast_retry())
-        journal = PullJournal(PullJournal.default_path(store_path))
-        assert journal.begin("some-other-snapshot") == set()
-        journal.close()
+            assert replica.table_names == ["t0"]
+        # The publisher moves on: t0 changes, the other four do not.
+        lake_b = tmp_path / "lake_b"
+        shutil.copytree(artifact.parent / "lake", lake_b)
+        write_csv(
+            tpcdi_prospect_table(num_rows=14, seed=7).rename("t0"), lake_b / "t0.csv"
+        )
+        artifact_b = tmp_path / "artifact_b"
+        with SketchStore(tmp_path / "pub_b.sketches") as publisher:
+            build_from_paths(publisher, sorted(lake_b.glob("*.csv")))
+            publish_snapshot(publisher, artifact_b)
+            expected_rows = _rows(publisher)
+        with SketchStore(store_path) as replica:
+            report = pull_snapshot(artifact_b, replica, retry=_fast_retry())
+            assert report.blobs_fetched == _NUM_TABLES  # t0 again, under B's hash
+            assert report.blobs_skipped == 0
+            assert _rows(replica) == expected_rows
 
-    def test_no_resume_flag_refetches_everything(self, tmp_path, published):
+    def test_retry_on_the_same_open_store_fetches_only_the_rest(
+        self, tmp_path, published
+    ):
         artifact, _query, _expected = published
         store_path = tmp_path / "replica.sketches"
         plan = FaultPlan(
@@ -219,46 +244,7 @@ class TestCrashResume:
         with SketchStore(store_path) as replica:
             with pytest.raises(InjectedCrash):
                 pull_snapshot(transport, replica, retry=_fast_retry())
-            report = pull_snapshot(
-                transport, replica, retry=_fast_retry(), resume=False
-            )
-            # The two committed tables are still skipped (store-level delta)
-            # but nothing is credited to the journal.
-            assert not report.resumed
-            assert report.resumed_blobs == 0
-            assert sorted(replica.table_names) == [f"t{i}" for i in range(5)]
-
-
-class TestPullJournal:
-    def test_round_trip_and_seal(self, tmp_path):
-        path = tmp_path / "store.pull-journal"
-        with PullJournal(path) as journal:
-            assert journal.begin("snap-1") == set()
-            journal.record("t|a|1")
-            journal.record("t|b|2")
-        with PullJournal(path) as journal:
-            assert journal.begin("snap-1") == {"t|a|1", "t|b|2"}
-            journal.record("t|c|3")
-            journal.complete({"blobs_fetched": 1})
-        summary = PullJournal.summarize(path)
-        assert summary["completed"] and summary["stats"] == {"blobs_fetched": 1}
-        assert summary["verified_keys"] == 3  # carried keys + the new one
-        # Sealed: nothing to resume on the next pull.
-        with PullJournal(path) as journal:
-            assert journal.begin("snap-1") == set()
-
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = tmp_path / "store.pull-journal"
-        with PullJournal(path) as journal:
-            journal.begin("snap-1")
-            journal.record("t|a|1")
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"kind": "verified", "key": "t|')  # the crash write
-        with PullJournal(path) as journal:
-            assert journal.begin("snap-1") == {"t|a|1"}
-
-    def test_default_path_is_none_for_memory_stores(self, tmp_path):
-        assert PullJournal.default_path(":memory:") is None
-        assert PullJournal.default_path(tmp_path / "s.sketches") == Path(
-            str(tmp_path / "s.sketches") + ".pull-journal"
-        )
+            report = pull_snapshot(transport, replica, retry=_fast_retry())
+            assert report.blobs_skipped == 2
+            assert report.blobs_fetched == _NUM_TABLES - 2
+            assert _rows(replica) == _publisher_rows(artifact)

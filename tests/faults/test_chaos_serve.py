@@ -5,10 +5,11 @@ client sees only 200 (answered), 429 (queue full) or 503 (transient server
 condition with a Retry-After hint) — never a 500 — and the daemon recovers
 to ``ok`` once the breaker's trial query succeeds.
 
-Most tests here run ``parallel=False`` (the injected ``BrokenProcessPool``
-exercises the same handler without paying worker spawns); the recovery test
-uses the real pool because only a successful *parallel* query closes the
-breaker.
+Every daemon here is given workers (``max_workers=2``): without them there
+is no pool to break and no handler to exercise.  The pool is lazy, so a
+query whose first attempt is the injected ``BrokenProcessPool`` is answered
+inline and spawns nothing; the recovery test lets a query reach the real
+pool because only a successful *pooled* query closes the breaker.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _config(store_path, plan, **overrides):
     defaults = dict(
         store_path=store_path,
         method=_METHOD,
-        parallel=False,
+        max_workers=2,
         fault_plan=plan,
     )
     defaults.update(overrides)
@@ -138,8 +139,6 @@ class TestBreakerRecovery:
         config = _config(
             store_path,
             plan,
-            parallel=True,
-            max_workers=2,
             breaker_threshold=1,
             breaker_cooldown_s=0.2,
         )
@@ -237,7 +236,7 @@ class TestEndToEndChaos:
             report = pull_snapshot(
                 transport, replica, prepared_store=replica_prepared, retry=retry
             )
-            assert not report.corrupt and report.resumed
+            assert not report.corrupt and report.blobs_skipped > 0
 
         # Serve the replica under an injected pool break: still correct.
         serve_plan = FaultPlan(
@@ -247,7 +246,7 @@ class TestEndToEndChaos:
             store_path=replica_path,
             prepared_path=prepared_path,
             method=_METHOD,
-            parallel=False,
+            max_workers=2,
             fault_plan=serve_plan,
         )
         with DiscoveryServer(config) as daemon:

@@ -83,7 +83,6 @@ def server(tmp_path_factory):
     config = ServeConfig(
         store_path=store_path,
         method=_METHOD,
-        parallel=False,
     )
     with DiscoveryServer(config) as daemon:
         yield daemon

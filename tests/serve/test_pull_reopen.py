@@ -76,7 +76,6 @@ class TestPullTriggersLiveReopen:
             store_path=replica_store_path,
             method=_METHOD,
             method_kwargs=_METHOD_KWARGS,
-            parallel=False,
             reopen_poll_s=0.05,
         )
         with DiscoveryServer(config) as daemon:

@@ -2,14 +2,15 @@
 in-flight coalescing, and admission control (429 queue-full, 504 deadline
 expiry).
 
-The lake is tiny and the daemon reranks serially inside the dispatcher
-(``parallel=False``) so these tests are seconds-scale and deterministic on
-one CPU; the parallel path itself is covered by the engine/rerank suites
-and the ``slow`` reopen test.
+The lake is tiny and the daemon scores inline on the dispatcher thread
+(the default: no ``max_workers``, no pool) so these tests are seconds-scale
+and deterministic on one CPU; the pooled path is covered by
+``TestExecutorRule`` below, the chaos suite and the ``slow`` reopen test.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
 
@@ -17,6 +18,7 @@ import pytest
 
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
+from repro.discovery import search
 from repro.discovery.prepared import PreparedStore
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
 from repro.matchers.registry import create_matcher
@@ -50,13 +52,23 @@ def served_lake(tmp_path_factory):
     return store_path, query
 
 
+def _one_shot_ranking(store_path, query, mode):
+    """What ``LakeDiscoveryEngine.query`` answers inline for the same stores."""
+    with SketchStore(store_path) as store, PreparedStore(
+        store_path.with_name(store_path.name + ".prepared")
+    ) as prepared_store, LakeDiscoveryEngine(
+        matcher=create_matcher(_METHOD), store=store, prepared_store=prepared_store
+    ) as engine:
+        direct = engine.query(query, mode=mode, top_k=_NUM_TABLES)
+    return [(r.table_name, r.joinability, r.unionability) for r in direct]
+
+
 @pytest.fixture(scope="module")
 def server(served_lake):
     store_path, _ = served_lake
     config = ServeConfig(
         store_path=store_path,
         method=_METHOD,
-        parallel=False,
     )
     with DiscoveryServer(config) as daemon:
         yield daemon
@@ -79,20 +91,10 @@ class TestEndpoints:
     def test_query_matches_one_shot_engine_exactly(self, served_lake, client):
         store_path, query = served_lake
         served = client.query(query, mode="joinable", top_k=_NUM_TABLES)
-        with SketchStore(store_path) as store:
-            with PreparedStore(
-                store_path.with_name(store_path.name + ".prepared")
-            ) as prepared_store:
-                with LakeDiscoveryEngine(
-                    matcher=create_matcher(_METHOD),
-                    store=store,
-                    prepared_store=prepared_store,
-                ) as engine:
-                    direct = engine.query(query, mode="joinable", top_k=_NUM_TABLES)
         assert [
             (r["table_name"], r["joinability"], r["unionability"])
             for r in served["results"]
-        ] == [(r.table_name, r.joinability, r.unionability) for r in direct]
+        ] == _one_shot_ranking(store_path, query, "joinable")
         assert served["stats"]["rerank_count"] == _NUM_TABLES
         assert served["stats"]["store_hits"] == _NUM_TABLES  # fully warm
 
@@ -129,6 +131,60 @@ class TestEndpoints:
             assert b"bad_request" in response.read()
         finally:
             connection.close()
+
+
+class TestExecutorRule:
+    """A pool exists iff the daemon was given workers — counted, not timed."""
+
+    @staticmethod
+    def _serve(config, query):
+        """Two queries against *config*'s daemon: (response, /stats, children)."""
+        before = set(multiprocessing.active_children())
+        with DiscoveryServer(config) as daemon:
+            host, port = daemon.address
+            with ServeClient(host=host, port=port, timeout_s=60) as client:
+                client.query(query, mode="joinable", top_k=2)
+                response = client.query(query, mode="combined", top_k=_NUM_TABLES)
+                stats = client.stats()
+            children = set(multiprocessing.active_children()) - before
+        assert set(multiprocessing.active_children()) <= before  # stop() reaps them
+        ranking = [
+            (r["table_name"], r["joinability"], r["unionability"])
+            for r in response["results"]
+        ]
+        return ranking, response["stats"], stats["serve"], children
+
+    def test_default_daemon_never_constructs_or_spawns_a_pool(
+        self, served_lake, monkeypatch
+    ):
+        store_path, query = served_lake
+        constructed = []
+        original = search.RerankPool.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            constructed.append(pool)
+            original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(search.RerankPool, "__init__", counting_init)
+        ranking, query_stats, serve_stats, children = self._serve(
+            ServeConfig(store_path=store_path, method=_METHOD), query
+        )
+        assert constructed == []
+        assert children == set()
+        assert serve_stats["pool_spawns"] == 0
+        assert query_stats["parallel"] is False
+        assert ranking == _one_shot_ranking(store_path, query, "combined")
+
+    def test_daemon_given_workers_spawns_exactly_one_executor(self, served_lake):
+        store_path, query = served_lake
+        ranking, query_stats, serve_stats, children = self._serve(
+            ServeConfig(store_path=store_path, method=_METHOD, max_workers=2), query
+        )
+        assert 1 <= len(children) <= 2  # workers start on demand, up to N
+        assert serve_stats["pool_spawns"] == 1  # one executor for both queries
+        assert serve_stats["pool_restarts"] == 0
+        assert query_stats["parallel"] is True
+        assert ranking == _one_shot_ranking(store_path, query, "combined")
 
 
 class TestCoalescing:
@@ -180,7 +236,6 @@ class TestAdmissionControl:
         config = ServeConfig(
             store_path=store_path,
             method=_METHOD,
-            parallel=False,
             queue_limit=1,
         )
         daemon = DiscoveryServer(config)
@@ -353,7 +408,6 @@ class TestUnixSocket:
         config = ServeConfig(
             store_path=store_path,
             method=_METHOD,
-            parallel=False,
             unix_socket=socket_path,
         )
         with DiscoveryServer(config) as daemon:
@@ -386,7 +440,7 @@ class TestPreparedStoreUnavailable:
         self, served_lake, tmp_path, caplog
     ):
         store_path, _, query = self._copy_sketch_store(served_lake, tmp_path)
-        config = ServeConfig(store_path=store_path, method=_METHOD, parallel=False)
+        config = ServeConfig(store_path=store_path, method=_METHOD)
         with caplog.at_level("WARNING", logger="repro.serve.server"):
             with DiscoveryServer(config) as daemon:
                 host, port = daemon.address
@@ -401,7 +455,7 @@ class TestPreparedStoreUnavailable:
         store_path, foreign, _ = self._copy_sketch_store(served_lake, tmp_path)
         named = foreign.rename(tmp_path / "named.db")
         config = ServeConfig(
-            store_path=store_path, method=_METHOD, prepared_path=named, parallel=False
+            store_path=store_path, method=_METHOD, prepared_path=named
         )
         with pytest.raises(ValueError, match="not a prepared store"):
             DiscoveryServer(config).start()

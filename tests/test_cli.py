@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import socket
 import sqlite3
+import threading
 
 import pytest
 
@@ -52,7 +54,8 @@ _WORKERS = (("--workers",), "workers", "None")
 _METHOD = (("--method",), "method", "'ComaSchema'")
 
 #: Recorded from commit 3a2edeb (the last single-file ``cli.py``): no flag
-#: may be added, removed, renamed or re-defaulted by a refactor.
+#: may be added, removed, renamed or re-defaulted by a refactor.  Deleted on
+#: purpose since: ``query --parallel``, ``serve --serial``, ``pull --no-resume``.
 _PARSER_SURFACE = {
     "": [(("--verbose", "-v"), "verbose", "0")],
     "coverage": [],
@@ -83,7 +86,6 @@ _PARSER_SURFACE = {
         ((), "src", "None"),
         (("--keep-missing",), "keep_missing", "False"),
         (("--no-prepared",), "no_prepared", "False"),
-        (("--no-resume",), "no_resume", "False"),
         _PREPARED_STORE,
         (("--retry-attempts",), "retry_attempts", "4"),
         (("--retry-budget",), "retry_budget", "64"),
@@ -96,7 +98,6 @@ _PARSER_SURFACE = {
         _METHOD,
         (("--mode",), "mode", "'joinable'"),
         (("--no-prepared-store",), "no_prepared_store", "False"),
-        (("--parallel",), "parallel", "False"),
         _PREPARED_STORE,
         (("--stats",), "stats", "False"),
         _STORE,
@@ -113,7 +114,6 @@ _PARSER_SURFACE = {
         _PREPARED_STORE,
         (("--queue-limit",), "queue_limit", "32"),
         (("--reopen-poll-s",), "reopen_poll_s", "1.0"),
-        (("--serial",), "serial", "False"),
         _STORE,
         (("--timeout-s",), "timeout_s", "30.0"),
         (("--unix-socket",), "unix_socket", "None"),
@@ -178,6 +178,21 @@ class TestParserSurface:
     def test_every_leaf_command_is_listed(self):
         leaves = {path for path, sub in _walk(build_parser()) if path not in ("", "lake")}
         assert leaves == set(_LEAF_ARGV)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lake", "query", "q.csv", "--parallel"],
+            ["lake", "serve", "--serial"],
+            ["lake", "pull", "src", "--no-resume"],
+        ],
+        ids=lambda argv: " ".join(argv[1:2] + argv[-1:]),
+    )
+    def test_deleted_executor_and_journal_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(_LEAF_ARGV))
     def test_command_dispatches_to_a_handler_and_has_help(self, command, capsys):
@@ -529,6 +544,14 @@ class TestObservability:
         assert "shortlist:" in output and "rerank:" in output
         assert "counters:" in output
         assert "lsh.bands_probed" in output
+        assert "mode=joinable serial" in output  # no --workers, no pool
+
+    def test_query_workers_is_what_asks_for_a_pool(self, tmp_path, capsys):
+        store, query_path = self._built_lake(tmp_path)
+        capsys.readouterr()
+        argv = ["lake", "query", str(query_path), "--store", str(store), "--stats"]
+        assert main(argv + ["--workers", "2"]) == 0
+        assert "mode=joinable parallel" in capsys.readouterr().out
 
     def test_query_trace_json_is_valid_chrome_trace(self, tmp_path, capsys):
         import json
@@ -647,6 +670,26 @@ class TestBadInput:
         # In particular no empty <store>.prepared appears next to the store.
         assert sorted(store.parent.iterdir()) == before
 
+    @pytest.mark.parametrize("where", ["busy port", "socket directory missing"])
+    def test_serve_that_cannot_bind_is_one_line_and_leaves_nothing_running(
+        self, where, tmp_path, capsys
+    ):
+        """At the parent: an OSError traceback (only ValueError was caught)."""
+        _, store, _ = self._built_store(tmp_path)
+        capsys.readouterr()
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            if where == "busy port":
+                target = ["--port", str(holder.getsockname()[1])]
+            else:
+                target = ["--unix-socket", str(tmp_path / "no" / "such" / "dir.sock")]
+            assert main(["lake", "serve", "--store", str(store)] + target) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot listen on ") and target[-1] in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "serve-dispatcher" not in {t.name for t in threading.enumerate()}
+
     def test_lake_query_unreadable_csv_is_one_line_and_opens_nothing(self, tmp_path, capsys):
         _, store, _ = self._built_store(tmp_path)
         before = sorted(store.parent.iterdir())
@@ -733,10 +776,18 @@ class TestBadInput:
             ["lake", "serve", "--store", "{store}", "--queue-limit", "0"],
             ["lake", "serve", "--store", "{store}", "--timeout-s", "-1"],
             ["lake", "serve", "--store", "{store}", "--reopen-poll-s", "0"],
+            ["lake", "serve", "--store", "{store}", "--port", "99999"],
+            ["lake", "serve", "--store", "{store}", "--port", "-5"],
+            ["lake", "publish", "{fresh}.artifact", "--store", "{store}", "--iblt-cells", "0"],
+            ["lake", "pull", "{lake}", "--store", "{fresh}", "--retry-attempts", "0"],
+            ["lake", "pull", "{lake}", "--store", "{fresh}", "--retry-budget", "-1"],
             ["lake", "build", "{lake}", "--store", "{fresh}", "--workers", "0"],
             ["lake", "prepare", "ComaSchema", "--store", "{store}", "--workers", "0"],
             ["lake", "prepare", "ComaSchema", "--store", "{store}", "--max-store-mb", "0"],
             ["lake", "watch", "{lake}", "--store", "{fresh}", "--workers", "0"],
+            ["lake", "watch", "{lake}", "--store", "{fresh}", "--interval-s", "0"],
+            ["lake", "watch", "{lake}", "--store", "{fresh}", "--interval-s", "nan"],
+            ["lake", "watch", "{lake}", "--store", "{fresh}", "--max-polls", "0"],
         ],
         ids=lambda command: " ".join(command[1:2] + command[-2:]),
     )
@@ -745,8 +796,10 @@ class TestBadInput:
     ):
         """At the parent these were an IndexError (--top), a ValueError from
         the executor (--workers), a daemon answering 503 forever (serve
-        --workers 0), an empty "partial" ranking (--budget-ms) or a
-        misleading timeout (--timeout-s)."""
+        --workers 0), an empty "partial" ranking (--budget-ms), a misleading
+        timeout (--timeout-s), an OverflowError from bind() (--port), a
+        ValueError after an empty store was created (pull --retry-attempts 0)
+        or a watch loop that never sleeps (--interval-s 0)."""
         lake_dir, store, query_path = self._built_store(tmp_path)
         before = sorted(store.parent.iterdir())
         capsys.readouterr()
@@ -763,7 +816,7 @@ class TestBadInput:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {command[-2]}" in err and "is not a positive" in err
+        assert f"argument {command[-2]}" in err and "is not a " in err
         assert "Traceback" not in err
         # Nothing was opened or created: no fresh store, no <store>.prepared.
         assert sorted(store.parent.iterdir()) == before
