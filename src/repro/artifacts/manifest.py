@@ -13,7 +13,8 @@ references":
   re-publish);
 * one :class:`PreparedEntry` per prepared-store row — ``(matcher
   fingerprint, table name, content hash, payload format, digest)``, the
-  blob being the store's pickled payload verbatim;
+  blob being the store's encoded row verbatim (data only, see
+  :mod:`repro.discovery.prepared_codec`);
 * the publishing store's ``version`` and pinned
   :class:`~repro.lake.profiles.SketchConfig` (a puller refuses to mix
   incomparable sketch parameters);

@@ -215,6 +215,8 @@ def _command_lake_verify(args: argparse.Namespace) -> int:
         print(f"undecodable sketches: {', '.join(sorted(report.bad_sketches))}")
     if report.stale_prepared:
         print(f"stale prepared rows: {report.stale_prepared}")
+    if report.undecodable_prepared:
+        print(f"undecodable prepared rows: {report.undecodable_prepared}")
     if report.missing_blobs:
         print(f"artifact blobs missing/unreadable: {len(report.missing_blobs)}")
     if report.corrupt_blobs:
@@ -224,7 +226,8 @@ def _command_lake_verify(args: argparse.Namespace) -> int:
     if args.repair:
         print(
             f"repairs: {report.resketched} re-sketched, {report.repulled} "
-            f"re-pulled, {report.pruned_prepared} stale prepared rows pruned"
+            f"re-pulled, {report.pruned_prepared} stale or undecodable prepared "
+            "rows pruned"
         )
         if report.unrepaired:
             print(f"unrepaired: {', '.join(sorted(set(report.unrepaired)))}")

@@ -20,7 +20,7 @@ from repro.data.types import (
     parse_numeric_values,
 )
 
-__all__ = ["Column", "Table", "ColumnRef"]
+__all__ = ["Column", "Table", "ColumnRef", "TableHeader"]
 
 
 @dataclass(frozen=True, order=True)
@@ -36,6 +36,34 @@ class ColumnRef:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.table}.{self.column}"
+
+
+@dataclass(frozen=True)
+class TableHeader:
+    """A table's schema without its cells: name, typed columns, row count.
+
+    What a matcher reads of a table it only holds prepared — a stored
+    candidate carries its header, not its cells.
+    """
+
+    name: str
+    column_names: tuple[str, ...]
+    column_types: tuple[DataType, ...]
+    num_rows: int
+
+    @classmethod
+    def of(cls, table: "Table") -> "TableHeader":
+        columns = table.columns
+        return cls(
+            table.name,
+            tuple(column.name for column in columns),
+            tuple(column.data_type for column in columns),
+            table.num_rows,
+        )
+
+    @property
+    def num_columns(self) -> int:
+        return len(self.column_names)
 
 
 class Column:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.sketches.minhash import jaccard_matrix
+from repro.sketches.minhash import jaccard_matrix, signature_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.lake -> here)
     from repro.lake.profiles import ColumnSketch
@@ -130,8 +130,8 @@ def candidate_signals(
     query_columns = list(query_sketch.columns)
     if query_columns and columns:
         matrix = jaccard_matrix(
-            [sketch.minhash for sketch in query_columns],
-            [sketch.minhash for sketch in columns],
+            signature_matrix([sketch.minhash for sketch in query_columns]),
+            signature_matrix([sketch.minhash for sketch in columns]),
         )
         max_jaccard = float(matrix.max())
     min_histogram = _min_histogram_distance(query_columns, columns)

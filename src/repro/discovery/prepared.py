@@ -28,14 +28,17 @@ Entries are keyed by ``(matcher fingerprint, table name, content hash)``:
   ties the entry to the table's full schema + cell content, so mutated
   tables can never serve stale artifacts.
 
-Persistence format: payloads are pickled :class:`PreparedTable` bundles
-(table included, so a warm rerank does not even re-read the CSV).  Every row
-records the payload format version; opening a store whose schema version is
-newer than this code raises, while rows with a *different payload format*
-(or rows that fail to unpickle) are treated as misses and replaced — the
-versioning policy is "re-prepare on any format change", never "best-effort
-decode".  Bump ``PREPARED_PAYLOAD_FORMAT`` whenever the pickled layout of
-``PreparedTable`` or any matcher payload changes shape.
+Persistence format: a row is a :class:`PreparedTable` written by the one
+codec in :mod:`repro.discovery.prepared_codec` — the table's schema header
+and the matcher payload as canonical JSON plus typed little-endian arrays,
+never the table's cells and never a pickle, so reading a row (a pulled one
+included) builds data and runs no code.  Every row records the payload
+format version; opening a store whose schema version is newer than this
+code raises, while rows with a *different payload format* (or rows the
+codec refuses) are treated as misses and replaced — the versioning policy
+is "re-prepare on any format change", never "best-effort decode".  Bump
+``PREPARED_PAYLOAD_FORMAT`` whenever the codec's layout, ``PreparedTable``
+or any matcher payload changes shape.
 
 Concurrency: file-backed stores run in SQLite WAL journal mode, so any
 number of processes can *read* payloads while one writes — the parallel
@@ -51,10 +54,9 @@ locks and shared memory — keep stores on a local disk, not NFS.
 from __future__ import annotations
 
 import logging
-import pickle
 import sqlite3
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
@@ -63,6 +65,12 @@ from repro.data.sqlite_store import _MAX_IN_VARS, PerProcessSqliteStore
 from repro.data.table import Table
 from repro.matchers.base import BaseMatcher, PreparedTable
 from repro.telemetry import recorder as telemetry
+
+# After the matchers on purpose: the codec imports numpy and networkx, and
+# loading them ahead of the matcher modules costs `import repro.cli` ~70 ms
+# of CPU on a 2-core box (OpenBLAS's threads spin through the imports left;
+# with OPENBLAS_NUM_THREADS=1 the difference vanishes).
+from repro.discovery import prepared_codec
 
 logger = logging.getLogger(__name__)
 
@@ -73,13 +81,10 @@ __all__ = [
     "PREPARED_PAYLOAD_FORMAT",
 ]
 
-#: Version of the pickled payload layout.  Readers only trust rows carrying
-#: exactly this format; anything else is re-prepared and overwritten.
-PREPARED_PAYLOAD_FORMAT = 1
-
-#: Pickle protocol used for stored payloads.  Pinned (not HIGHEST_PROTOCOL)
-#: so stores written by a newer Python remain readable by older ones.
-_PICKLE_PROTOCOL = 4
+#: Version of the row layout (:mod:`repro.discovery.prepared_codec`).  Readers
+#: only decode rows carrying exactly this format; anything else is
+#: re-prepared and overwritten.
+PREPARED_PAYLOAD_FORMAT = 2
 
 _SCHEMA_VERSION = 1
 
@@ -198,11 +203,10 @@ class PreparedStore(PerProcessSqliteStore):
         Conventionally ``<sketch store path>.prepared``, next to the lake's
         sketch store.
     max_entries:
-        LRU size cap.  Prepared payloads embed their table, so the cap
-        bounds disk usage; least-recently-*used* rows are evicted when an
+        LRU size cap; least-recently-*used* rows are evicted when an
         insert overflows it.
     max_bytes:
-        Optional byte budget on the summed pickled payload sizes
+        Optional byte budget on the summed encoded payload sizes
         (``length(payload)`` per row).  When an insert overflows it,
         least-recently-used rows are evicted until the total fits again;
         the row just inserted is never its own victim, so a single payload
@@ -322,18 +326,16 @@ class PreparedStore(PerProcessSqliteStore):
     def _decode(
         self, payload_format: int, blob: bytes, fingerprint: str, table_name: str
     ) -> Optional[PreparedTable]:
-        """Decode one stored row, or ``None`` when it must not be trusted."""
+        """Decode one stored row, or ``None`` when it must not be trusted:
+        a foreign format (never decoded), bytes the codec refuses, or a row
+        naming another fingerprint or table than its key."""
         if payload_format != PREPARED_PAYLOAD_FORMAT:
             return None
         try:
-            decoded = pickle.loads(blob)
-        except Exception:
-            decoded = None
-        if (
-            isinstance(decoded, PreparedTable)
-            and decoded.fingerprint == fingerprint
-            and decoded.table.name == table_name
-        ):
+            decoded = prepared_codec.decode(blob)
+        except ValueError:
+            return None
+        if decoded.fingerprint == fingerprint and decoded.name == table_name:
             return decoded
         return None
 
@@ -359,11 +361,12 @@ class PreparedStore(PerProcessSqliteStore):
     ) -> Optional[PreparedTable]:
         """Load the stored :class:`PreparedTable` for a key, or ``None``.
 
-        Rows carrying a foreign payload format, rows that fail to unpickle,
-        and rows whose decoded fingerprint does not match are discarded (and
-        deleted) rather than trusted — the caller re-prepares.  A successful
-        load counts as a hit; probes that find nothing are not counted (the
-        eventual :meth:`prepare` records the miss exactly once).
+        Rows carrying a foreign payload format, rows the codec refuses, and
+        rows whose decoded fingerprint or name does not match are discarded
+        (and deleted) rather than trusted — the caller re-prepares.  A
+        successful load counts as a hit; probes that find nothing are not
+        counted (the eventual :meth:`prepare` records the miss exactly
+        once).  The result carries the table's header, not its cells.
         """
         row = self._connection.execute(
             "SELECT payload_format, payload FROM prepared "
@@ -395,11 +398,12 @@ class PreparedStore(PerProcessSqliteStore):
             ``(table name, content hash)`` pairs, e.g. a discovery
             shortlist against the hashes recorded at lake-build time.
 
-        Returns the found entries as ``{table name: PreparedTable}``;
-        missing names are simply absent (the caller falls back to
-        CSV-prepare for those).  Validation, hit counting and LRU recency
-        match :meth:`get` row for row — only the number of round trips
-        changes (one per ~500 names instead of one per name).
+        Returns the found entries as ``{table name: PreparedTable}`` (each
+        carrying its header, no cells); missing names are simply absent (the
+        caller falls back to CSV-prepare for those).  Validation, hit
+        counting and LRU recency match :meth:`get` row for row — only the
+        number of round trips changes (one per ~500 names instead of one per
+        name).
         """
         wanted = dict(keys)
         names = list(wanted)
@@ -455,11 +459,13 @@ class PreparedStore(PerProcessSqliteStore):
     def put(self, prepared: PreparedTable, content_hash: Optional[str] = None) -> None:
         """Persist one prepared table (replacing any entry under its key)."""
         if content_hash is None:
+            if prepared.table is None:
+                raise ValueError("put() needs the content hash of a decoded payload")
             content_hash = table_content_hash(prepared.table)
-        blob = pickle.dumps(prepared, protocol=_PICKLE_PROTOCOL)
+        blob = prepared_codec.encode(prepared)
         self.put_raw(
             prepared.fingerprint,
-            prepared.table.name,
+            prepared.name,
             content_hash,
             PREPARED_PAYLOAD_FORMAT,
             blob,
@@ -473,13 +479,14 @@ class PreparedStore(PerProcessSqliteStore):
         payload_format: int,
         blob: bytes,
     ) -> None:
-        """Persist one already-pickled payload under an explicit key.
+        """Persist one already-encoded payload under an explicit key.
 
         The import half of snapshot distribution: a puller ships payload
         blobs verbatim from a published artifact into a replica store
-        without unpickling them (validation happens lazily on first
-        :meth:`get`, exactly as for any other stored row).  LRU recency,
-        entry-count and byte-budget eviction behave as for :meth:`put`.
+        without decoding them (validation happens lazily on first
+        :meth:`get`, exactly as for any other stored row, and decoding
+        builds data only).  LRU recency, entry-count and byte-budget
+        eviction behave as for :meth:`put`.
         """
         # Settle deferred hit recency first so LRU eviction below never
         # victimises a row that was just served.
@@ -556,6 +563,21 @@ class PreparedStore(PerProcessSqliteStore):
             (PREPARED_PAYLOAD_FORMAT,),
         ).fetchall()
         return [(r[0], r[1], r[2], int(r[3])) for r in rows]
+
+    def undecodable_keys(self) -> list[tuple[str, str, str]]:
+        """``(fingerprint, name, hash)`` of every current-format row that
+        :meth:`get` would discard: bytes the codec refuses, or a decoded
+        fingerprint or table name other than the row's key.
+
+        What ``lake verify`` checks, since a pulled row is only ever
+        validated when a query first reads it.  Reads every payload; records
+        no recency.
+        """
+        return [
+            (fingerprint, name, content_hash)
+            for fingerprint, name, content_hash, payload_format, blob in self.iter_raw()
+            if self._decode(payload_format, blob, fingerprint, name) is None
+        ]
 
     def prune_stale(self, fingerprint: str, current: dict[str, str]) -> int:
         """Drop this matcher's rows whose table is gone or whose stored
@@ -654,7 +676,7 @@ class PreparedStore(PerProcessSqliteStore):
             content_hash = table_content_hash(table)
         prepared = self.get(matcher.fingerprint(), table.name, content_hash)
         if prepared is not None:
-            return prepared
+            return replace(prepared, table=table)
         self.misses += 1
         telemetry.count("prepared_store.misses")
         with telemetry.span("prepared_store.prepare", table=table.name):

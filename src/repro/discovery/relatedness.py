@@ -19,8 +19,9 @@ the bundled matching methods (or an ensemble) can be plugged in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
 
-from repro.data.table import Table
+from repro.data.table import Table, TableHeader
 from repro.matchers.base import MatchResult
 
 __all__ = ["RelatednessScores", "joinability", "unionability", "relatedness"]
@@ -50,7 +51,9 @@ def joinability(result: MatchResult) -> float:
     return float(best.score) if best else 0.0
 
 
-def unionability(result: MatchResult, query: Table, threshold: float = 0.55) -> float:
+def unionability(
+    result: MatchResult, query: Union[Table, TableHeader], threshold: float = 0.55
+) -> float:
     """Unionability: fraction of query columns with a partner above *threshold*.
 
     Union compatibility requires a 1-1 mapping over *all* attributes
@@ -67,7 +70,9 @@ def unionability(result: MatchResult, query: Table, threshold: float = 0.55) -> 
     return min(1.0, strong / query.num_columns)
 
 
-def relatedness(result: MatchResult, query: Table, threshold: float = 0.55) -> RelatednessScores:
+def relatedness(
+    result: MatchResult, query: Union[Table, TableHeader], threshold: float = 0.55
+) -> RelatednessScores:
     """Compute both table-level scores from one ranking.
 
     Asks the ranking for its best match and for its at-least-*threshold*

@@ -259,7 +259,7 @@ class PairScorer:
         itself prepares a raw table and re-prepares a foreign payload.
         """
         matches = self.matcher.match_prepared(query, candidate)
-        scores = relatedness(matches, query.table, threshold=self.union_threshold)
+        scores = relatedness(matches, query.header, threshold=self.union_threshold)
         return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
 
     def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:

@@ -239,7 +239,7 @@ def prepare_lake(
     report = PrepareReport()
     # Two batched round trips — (hash, path) metadata from the sketch store
     # and an existence probe against the prepared store — instead of three
-    # point queries per lake table.  The probe never unpickles payloads.
+    # point queries per lake table.  The probe never decodes payloads.
     names = store.table_names
     meta = store.table_meta(names)
     # Drop this matcher's payloads whose build-time content hash no longer

@@ -11,9 +11,12 @@ the cheapest sufficient means:
   row that no longer parses is repaired by re-sketching from its recorded
   ``source_path`` CSV (publisher) or by a targeted re-pull (replica with
   an artifact);
-* **prepared consistency** — prepared rows whose ``(table, content hash)``
-  no longer matches the sketch store are dead weight (warm lookups key on
-  the build hash); repair prunes them;
+* **prepared consistency** — every prepared row is decoded; a row the
+  codec refuses, or whose decoded fingerprint or table name disagrees with
+  its key, would be discarded by the first query that reads it, and repair
+  deletes it.  Rows whose ``(table, content hash)`` no longer matches the
+  sketch store are dead weight (warm lookups key on the build hash); repair
+  prunes them;
 * **artifact cross-check** — every blob the manifest references is
   re-hashed (absent/corrupt blobs are a *publisher-side* finding: pullers
   already refuse them), and every manifest key is checked against the
@@ -62,12 +65,15 @@ class VerifyReport:
     bad_sketches: list[str] = field(default_factory=list)
     #: Prepared rows keyed to a table/hash the sketch store no longer has.
     stale_prepared: int = 0
+    #: Current-format prepared rows that do not decode to their own key.
+    undecodable_prepared: int = 0
     #: Artifact-side findings: referenced blobs absent or failing their
     #: digest, and manifest keys missing from the local stores.
     missing_blobs: list[str] = field(default_factory=list)
     corrupt_blobs: list[str] = field(default_factory=list)
     missing_entries: list[str] = field(default_factory=list)
-    #: Repair outcomes (zero unless ``repair=True``).
+    #: Repair outcomes (zero unless ``repair=True``); ``pruned_prepared``
+    #: counts stale and undecodable prepared rows deleted.
     resketched: int = 0
     pruned_prepared: int = 0
     repulled: int = 0
@@ -81,6 +87,7 @@ class VerifyReport:
             self.sqlite_findings
             or self.bad_sketches
             or self.stale_prepared
+            or self.undecodable_prepared
             or self.missing_blobs
             or self.corrupt_blobs
             or self.missing_entries
@@ -116,8 +123,8 @@ def verify_lake(
         against — and to re-pull missing/broken entries from on repair.
     repair:
         Attempt fixes: re-sketch undecodable tables from their recorded
-        CSVs, prune stale prepared rows, re-pull entries the artifact has
-        but the stores lack.
+        CSVs, delete undecodable and stale prepared rows, re-pull entries
+        the artifact has but the stores lack.
     retry:
         Forwarded to the repair pull.
     """
@@ -127,6 +134,7 @@ def verify_lake(
         _check_sketches(store, report)
         if prepared_store is not None:
             report.stale_prepared = len(_stale_prepared(store, prepared_store))
+            report.undecodable_prepared = len(prepared_store.undecodable_keys())
         transport: Optional[ArtifactTransport] = None
         if source is not None:
             transport = (
@@ -140,6 +148,7 @@ def verify_lake(
     telemetry.count("verify.runs")
     telemetry.count("verify.bad_sketches", len(report.bad_sketches))
     telemetry.count("verify.stale_prepared", report.stale_prepared)
+    telemetry.count("verify.undecodable_prepared", report.undecodable_prepared)
     return report
 
 
@@ -248,6 +257,9 @@ def _repair(
                 store.remove_table(name)
             else:
                 report.unrepaired.append(name)
+    if prepared_store is not None and report.undecodable_prepared:
+        for row in prepared_store.undecodable_keys():
+            report.pruned_prepared += prepared_store.remove_raw(*row)
     if prepared_store is not None and report.stale_prepared:
         for row in _stale_prepared(store, prepared_store):
             report.pruned_prepared += prepared_store.remove_raw(*row)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from repro.data.table import ColumnRef, Table
+from repro.data.table import ColumnRef, Table, TableHeader
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (cycle guard)
     from repro.discovery.cascade import CandidateSignals
@@ -162,20 +162,20 @@ class MatchResult:
     @classmethod
     def from_column_scores(
         cls,
-        source: Table,
-        target: Table,
+        source: Union[Table, TableHeader],
+        target: Union[Table, TableHeader],
         scores: Mapping[tuple[str, str], float],
     ) -> "MatchResult":
         """Build a result from ``{(source column, target column): score}`` names.
 
-        How every matcher hands back its ranking.  The two tables' column
-        refs are taken once, here (one :attr:`Column.ref
-        <repro.data.table.Column.ref>` per column, not two per scored pair),
-        and every pair in *scores* is kept, zero scores included: Valentine
-        evaluates complete rankings, not thresholded ones.
+        How every matcher hands back its ranking, from the two tables'
+        headers (a table works too).  Each column's ref is built once, here,
+        not twice per scored pair, and every pair in *scores* is kept, zero
+        scores included: Valentine evaluates complete rankings, not
+        thresholded ones.
         """
-        source_refs = {column.name: column.ref for column in source.columns}
-        target_refs = {column.name: column.ref for column in target.columns}
+        source_refs = {name: ColumnRef(source.name, name) for name in source.column_names}
+        target_refs = {name: ColumnRef(target.name, name) for name in target.column_names}
         return cls._of(
             [float(score) for score in scores.values()],
             [source_refs[source_name] for source_name, _ in scores],
@@ -301,32 +301,44 @@ class MatchResult:
 
 @dataclass(frozen=True)
 class PreparedTable:
-    """One table plus everything a specific matcher precomputes from it.
+    """A table's header plus everything a specific matcher precomputes from it.
 
     Attributes
     ----------
-    table:
-        The underlying table (always available, so matchers whose pairwise
-        stage needs raw values — e.g. EmbDI's joint embedding training — can
-        reach them).
     fingerprint:
         The :meth:`BaseMatcher.fingerprint` of the matcher configuration that
         produced the payload.  A matcher only trusts payloads carrying its
         own fingerprint; anything else is transparently re-prepared.
     payload:
-        Matcher-specific artifacts (value sets, signatures, schema trees...).
-        Must stay picklable: prepared query tables are shipped to rerank
-        worker processes.
+        Matcher-specific artifacts (value sets, signatures, schema trees...)
+        — everything :meth:`BaseMatcher.match_prepared` reads besides the
+        header.  Picklable, since prepared queries travel to rerank
+        workers, and storable only when made of the values the prepared
+        store's codec allows (:mod:`repro.discovery.prepared_codec`).
+    table:
+        The underlying table where one exists — a table just prepared, or a
+        query — and ``None`` for a payload decoded from a store row, which
+        carries no cells.
+    header:
+        The table's :class:`~repro.data.table.TableHeader` (name, typed
+        columns, row count); taken from *table* when not given.
     """
 
-    table: Table
     fingerprint: str
     payload: Mapping[str, object] = field(default_factory=dict)
+    table: Optional[Table] = None
+    header: TableHeader = None  # type: ignore[assignment]  # set from table
+
+    def __post_init__(self) -> None:
+        if self.header is None:
+            if self.table is None:
+                raise ValueError("a prepared table needs its table or its header")
+            object.__setattr__(self, "header", TableHeader.of(self.table))
 
     @property
     def name(self) -> str:
         """Name of the underlying table."""
-        return self.table.name
+        return self.header.name
 
 
 class BaseMatcher(abc.ABC):
@@ -483,11 +495,17 @@ class BaseMatcher(abc.ABC):
         Raw tables are prepared on the spot; prepared tables carrying a
         foreign fingerprint (another matcher, or the same matcher under a
         different configuration) are re-prepared from their underlying table
-        so a stale payload can never corrupt a match.
+        so a stale payload can never corrupt a match — and refused with
+        ``ValueError`` when they hold no table to re-prepare from.
         """
         if isinstance(table, PreparedTable):
             if table.fingerprint == self.fingerprint():
                 return table
+            if table.table is None:
+                raise ValueError(
+                    f"prepared table {table.name!r} carries a foreign payload "
+                    f"({table.fingerprint[:40]!r}) and no cells to re-prepare from"
+                )
             table = table.table
         return self.prepare(table)
 

@@ -96,8 +96,8 @@ class _ComaBase(BaseMatcher):
         target = self._ensure_prepared(target)
         source_features = source.payload["features"]
         target_features = target.payload["features"]
-        source_names = source.table.column_names
-        target_names = target.table.column_names
+        source_names = source.header.column_names
+        target_names = target.header.column_names
 
         component_scores: dict[str, dict[tuple[str, str], float]] = {}
         for component in self._components():
@@ -119,7 +119,7 @@ class _ComaBase(BaseMatcher):
 
         aggregated = aggregate(component_scores, self._config)
         selected = select_pairs(aggregated, self._config)
-        return MatchResult.from_column_scores(source.table, target.table, selected)
+        return MatchResult.from_column_scores(source.header, target.header, selected)
 
 
 @register_matcher

@@ -100,4 +100,4 @@ class CupidMatcher(BaseMatcher):
         hits, misses = token_pair_work()
         telemetry.count("cupid.token_pairs.hits", hits - hits_before)
         telemetry.count("cupid.token_pairs.misses", misses - misses_before)
-        return MatchResult.from_column_scores(source.table, target.table, weighted)
+        return MatchResult.from_column_scores(source.header, target.header, weighted)

@@ -147,8 +147,8 @@ class DistributionBasedMatcher(BaseMatcher):
         source_values = source.payload["values"]
         target_values = target.payload["values"]
 
-        source_nodes = [("source", name) for name in source.table.column_names]
-        target_nodes = [("target", name) for name in target.table.column_names]
+        source_nodes = [("source", name) for name in source.header.column_names]
+        target_nodes = [("target", name) for name in target.header.column_names]
         all_nodes = source_nodes + target_nodes
 
         # Phase 1: global EMD between cross-table pairs.
@@ -196,4 +196,4 @@ class DistributionBasedMatcher(BaseMatcher):
             pair = (node_a[1], node_b[1])
             base = 1.0 - emd
             scores[pair] = 0.5 + 0.5 * base if pair in matched_pairs else 0.5 * base
-        return MatchResult.from_column_scores(source.table, target.table, scores)
+        return MatchResult.from_column_scores(source.header, target.header, scores)

@@ -15,12 +15,12 @@ CID of the column it belongs to.  Random walks over this graph produce the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 from repro.data.table import Table
 from repro.data.types import is_missing
 
-__all__ = ["DataGraph", "build_data_graph"]
+__all__ = ["DataGraph", "build_data_graph", "graph_from_tokens", "value_tokens"]
 
 RID_PREFIX = "idx__"
 CID_PREFIX = "cid__"
@@ -77,6 +77,45 @@ def cid_token(table_name: str, column_name: str) -> str:
     return f"{CID_PREFIX}{table_name}__{column_name}"
 
 
+def value_tokens(table: Table, max_rows: int | None = None) -> list[list[Optional[str]]]:
+    """Per column, the value-node token of each of the first *max_rows* rows.
+
+    ``None`` marks a missing cell (it gets no node).  All of a table the
+    graph reads, so EmbDI prepares a table into exactly this.
+    """
+    row_limit = table.num_rows if max_rows is None else min(table.num_rows, max_rows)
+    return [
+        [None if is_missing(value) else _value_token(value) for value in column.values[:row_limit]]
+        for column in table.columns
+    ]
+
+
+def graph_from_tokens(
+    tables: Iterable[tuple[str, Sequence[str], Sequence[Sequence[Optional[str]]]]],
+) -> DataGraph:
+    """The joint graph of ``(table name, column names, value_tokens)`` triples."""
+    graph = DataGraph()
+    for table_name, column_names, columns in tables:
+        column_tokens = [cid_token(table_name, name) for name in column_names]
+        for column_token in column_tokens:
+            if column_token not in graph.adjacency:
+                graph.adjacency.setdefault(column_token, [])
+                graph.cid_nodes.append(column_token)
+        for row_index in range(len(columns[0]) if columns else 0):
+            rid_token = f"{RID_PREFIX}{table_name}__{row_index}"
+            graph.adjacency.setdefault(rid_token, [])
+            graph.rid_nodes.append(rid_token)
+            for column_token, tokens in zip(column_tokens, columns):
+                value_token = tokens[row_index]
+                if value_token is None:
+                    continue
+                if value_token not in graph.adjacency:
+                    graph.value_nodes.append(value_token)
+                graph.add_edge(rid_token, value_token)
+                graph.add_edge(column_token, value_token)
+    return graph
+
+
 def build_data_graph(
     tables: Iterable[Table],
     max_rows_per_table: int | None = None,
@@ -94,27 +133,7 @@ def build_data_graph(
     max_rows_per_table:
         Optional row cap per table (keeps the benchmark-scale runs tractable).
     """
-    graph = DataGraph()
-    for table in tables:
-        row_limit = table.num_rows if max_rows_per_table is None else min(
-            table.num_rows, max_rows_per_table
-        )
-        for column in table.columns:
-            column_token = cid_token(table.name, column.name)
-            if column_token not in graph.adjacency:
-                graph.adjacency.setdefault(column_token, [])
-                graph.cid_nodes.append(column_token)
-        for row_index in range(row_limit):
-            rid_token = f"{RID_PREFIX}{table.name}__{row_index}"
-            graph.adjacency.setdefault(rid_token, [])
-            graph.rid_nodes.append(rid_token)
-            for column in table.columns:
-                value = column.values[row_index]
-                if is_missing(value):
-                    continue
-                value_token = _value_token(value)
-                if value_token not in graph.adjacency:
-                    graph.value_nodes.append(value_token)
-                graph.add_edge(rid_token, value_token)
-                graph.add_edge(cid_token(table.name, column.name), value_token)
-    return graph
+    return graph_from_tokens(
+        (table.name, table.column_names, value_tokens(table, max_rows_per_table))
+        for table in tables
+    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.data.table import Table
 from repro.embeddings.word2vec import Word2VecConfig, train_word2vec
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.embdi.graph import build_data_graph, cid_token
+from repro.matchers.embdi.graph import cid_token, graph_from_tokens, value_tokens
 from repro.matchers.embdi.walks import WalkConfig, generate_walks
 from repro.matchers.registry import register_matcher
 
@@ -75,21 +75,32 @@ class EmbDIMatcher(BaseMatcher):
         self.max_rows = max_rows
         self.seed = seed
 
+    def prepare(self, table: Table) -> PreparedTable:
+        """Render the cells the data graph reads as value tokens, once.
+
+        Only the first ``max_rows`` rows enter the graph, so only they are
+        kept: a prepared (or stored) EmbDI table needs no cells.
+        """
+        return PreparedTable(
+            table=table,
+            fingerprint=self.fingerprint(),
+            payload={"tokens": value_tokens(table, self.max_rows)},
+        )
+
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:
         """Train local embeddings over both tables and compare CID embeddings.
 
         EmbDI is the one method whose expensive work is genuinely *pairwise*:
         the tripartite graph, the walks and the word2vec model are trained
         jointly over both relations (shared value nodes are the only bridges
-        between them), so :meth:`prepare` stays the no-op default and the
-        whole pipeline runs here.
+        between them), so only the value tokens are prepared and the whole
+        pipeline runs here.
         """
-        source_table = self._ensure_prepared(source).table
-        target_table = self._ensure_prepared(target).table
-        return self._match_tables(source_table, target_table)
-
-    def _match_tables(self, source: Table, target: Table) -> MatchResult:
-        graph = build_data_graph([source, target], max_rows_per_table=self.max_rows)
+        prepared = self._ensure_prepared(source), self._ensure_prepared(target)
+        graph = graph_from_tokens(
+            (side.name, side.header.column_names, side.payload["tokens"]) for side in prepared
+        )
+        source, target = (side.header for side in prepared)
         walk_config = WalkConfig(
             sentence_length=self.sentence_length,
             walks_per_node=self.walks_per_node,

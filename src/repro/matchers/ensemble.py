@@ -184,4 +184,4 @@ class EnsembleMatcher(BaseMatcher):
                 for pair in totals
             }
 
-        return MatchResult.from_column_scores(source.table, target.table, combined)
+        return MatchResult.from_column_scores(source.header, target.header, combined)

@@ -158,12 +158,12 @@ class JaccardLevenshteinMatcher(BaseMatcher):
         source_sets = source.payload["value_sets"]
         target_sets = target.payload["value_sets"]
         scores = {}
-        for source_name in source.table.column_names:
-            for target_name in target.table.column_names:
+        for source_name in source.header.column_names:
+            for target_name in target.header.column_names:
                 scores[(source_name, target_name)] = _fuzzy_jaccard_sets(
                     source_sets[source_name],
                     target_sets[target_name],
                     threshold=self.threshold,
                     sample_size=self.sample_size,
                 )
-        return MatchResult.from_column_scores(source.table, target.table, scores)
+        return MatchResult.from_column_scores(source.header, target.header, scores)

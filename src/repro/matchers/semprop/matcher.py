@@ -26,7 +26,7 @@ from repro.matchers.registry import register_matcher
 from repro.matchers.semprop.semantic import SemanticLink, coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
-from repro.sketches.minhash import jaccard_matrix, minhash_signature
+from repro.sketches.minhash import jaccard_matrix, minhash_signatures, signature_matrix
 from repro.telemetry import recorder as telemetry
 
 __all__ = ["SemPropMatcher"]
@@ -103,10 +103,7 @@ class SemPropMatcher(BaseMatcher):
 
         The table is keyed with everything a link depends on that can change
         under a live matcher (the threshold attribute, the mutable ontology;
-        the embedder is fixed at construction).  Links are always rebuilt
-        around the table's own name object: pickle memoises strings by
-        identity, so a payload whose links pointed at another table's equal
-        string would serialise to different (longer) bytes.
+        the embedder is fixed at construction).
         """
         ontology = self._ontology.fingerprint()
         links: dict[str, list[SemanticLink]] = {}
@@ -125,9 +122,7 @@ class SemPropMatcher(BaseMatcher):
                 if len(self._link_table) >= self._LINK_TABLE_LIMIT:
                     self._link_table.clear()
                 self._link_table[key] = found
-            links[name] = [
-                SemanticLink(name, link.ontology_class, link.strength) for link in found
-            ]
+            links[name] = found
         telemetry.count("semprop.links.hits", len(links) - misses)
         telemetry.count("semprop.links.misses", misses)
         return links
@@ -158,21 +153,27 @@ class SemPropMatcher(BaseMatcher):
         embedding lookups and MinHash hashing over every candidate the
         prepared query meets.  The links depend on the column *name* alone,
         so a matcher instance links each distinct name once however many
-        tables carry it (see :meth:`_link_columns`); the payload is
-        byte-identical to one linked from scratch.
+        tables carry it (see :meth:`_link_columns`).
+
+        The signatures are one ``uint32`` matrix, a row per column in column
+        order (every MinHash value fits 32 bits), plus the value-set sizes:
+        the arrays :func:`~repro.sketches.minhash.jaccard_matrix` compares.
         """
         links = self._link_columns(table)
-        signatures = {
-            column.name: minhash_signature(
-                column.as_strings()[: self.sample_size],
-                num_permutations=self.num_permutations,
-            )
-            for column in table.columns
-        }
+        signatures = minhash_signatures(
+            [column.as_strings()[: self.sample_size] for column in table.columns],
+            num_permutations=self.num_permutations,
+        )
         return PreparedTable(
             table=table,
             fingerprint=self.fingerprint(),
-            payload={"links": links, "signatures": signatures},
+            payload={
+                "links": links,
+                "signatures": signature_matrix(signatures).astype(np.uint32),
+                "set_sizes": np.array(
+                    [signature.set_size for signature in signatures], dtype=np.int64
+                ),
+            },
         )
 
     def bounds_admissible(self) -> bool:
@@ -212,7 +213,7 @@ class SemPropMatcher(BaseMatcher):
             # store sketched differently estimates a different Jaccard.
             return math.inf
         if (
-            prepared_query.table.num_rows > self.sample_size
+            prepared_query.header.num_rows > self.sample_size
             or signals.max_values > self.sample_size
         ):
             # Sampling would truncate a value set on one side, so the two
@@ -233,16 +234,11 @@ class SemPropMatcher(BaseMatcher):
         target = self._ensure_prepared(target)
         source_links = source.payload["links"]
         target_links = target.payload["links"]
-        source_signatures = source.payload["signatures"]
-        target_signatures = target.payload["signatures"]
-        source_names = source.table.column_names
-        target_names = target.table.column_names
+        source_names = source.header.column_names
+        target_names = target.header.column_names
 
         # Each cell equals the corresponding signature.jaccard() exactly.
-        estimated = jaccard_matrix(
-            [source_signatures[name] for name in source_names],
-            [target_signatures[name] for name in target_names],
-        )
+        estimated = jaccard_matrix(source.payload["signatures"], target.payload["signatures"])
         grid = np.where(estimated >= self.minhash_threshold, 0.5 * estimated, 0.25 * estimated)
 
         # Coherence is 0.0 unless both columns carry links, which only a zero
@@ -260,5 +256,5 @@ class SemPropMatcher(BaseMatcher):
 
         pairs = itertools.product(source_names, target_names)
         return MatchResult.from_column_scores(
-            source.table, target.table, dict(zip(pairs, grid.ravel().tolist()))
+            source.header, target.header, dict(zip(pairs, grid.ravel().tolist()))
         )

@@ -119,7 +119,7 @@ class SimilarityFloodingMatcher(BaseMatcher):
             scores[(column_a, column_b)] = similarity
         # Columns that never co-occur in the PCG get a zero score so the
         # ranking is complete (Valentine evaluates rankings, not thresholds).
-        for source_name in source.table.column_names:
-            for target_name in target.table.column_names:
+        for source_name in source.header.column_names:
+            for target_name in target.header.column_names:
                 scores.setdefault((source_name, target_name), 0.0)
-        return MatchResult.from_column_scores(source.table, target.table, scores)
+        return MatchResult.from_column_scores(source.header, target.header, scores)

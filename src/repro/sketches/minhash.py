@@ -30,6 +30,7 @@ __all__ = [
     "minhash_signatures_scalar",
     "hash_normalized_values",
     "minhash_signatures_from_hashes",
+    "signature_matrix",
     "jaccard_matrix",
     "estimate_jaccard",
 ]
@@ -95,8 +96,8 @@ class MinHashSignature:
         return vector
 
     def __getstate__(self) -> tuple[tuple[int, ...], int]:
-        # Drop the cached vector: pickled signatures (prepared-table store,
-        # rerank worker processes) carry only the canonical fields.
+        # Drop the cached vector: pickled signatures (the sketches a parallel
+        # lake build's workers return) carry only the canonical fields.
         return (self.values, self.set_size)
 
     def __setstate__(self, state: tuple[tuple[int, ...], int]) -> None:
@@ -277,27 +278,38 @@ def minhash_signatures_scalar(
     return signatures
 
 
-def jaccard_matrix(
-    signatures_a: Sequence[MinHashSignature],
-    signatures_b: Sequence[MinHashSignature],
-) -> np.ndarray:
-    """Pairwise estimated Jaccard similarities between two signature lists.
+def signature_matrix(signatures: Sequence[MinHashSignature]) -> np.ndarray:
+    """Signatures as the rows of one ``uint64`` matrix (``len x permutations``).
 
-    ``result[i, j] == signatures_a[i].jaccard(signatures_b[j])`` bit for bit
-    (one equality count per pair, divided by the permutation count), but the
-    whole ``len(a) x len(b)`` grid is computed as a single broadcast
-    comparison — the shape every all-pairs column matcher needs.
+    What :func:`jaccard_matrix` compares.  Every signature value is below
+    ``2**32`` (the empty-set value included), so the matrix casts to
+    ``uint32`` without loss.  ``ValueError`` when the widths differ.
     """
-    if not signatures_a or not signatures_b:
-        return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
-    num_permutations = signatures_a[0].num_permutations
-    for signature in (*signatures_a, *signatures_b):
-        if signature.num_permutations != num_permutations:
-            raise ValueError("signatures must use the same number of permutations")
+    if not signatures:
+        return np.zeros((0, 0), dtype=np.uint64)
+    width = signatures[0].num_permutations
+    if any(signature.num_permutations != width for signature in signatures):
+        raise ValueError("signatures must use the same number of permutations")
+    return np.stack([signature._vector for signature in signatures])
+
+
+def jaccard_matrix(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
+    """Pairwise estimated Jaccard similarities between two signature matrices.
+
+    Rows are signatures (see :func:`signature_matrix`).  ``result[i, j]`` is
+    ``MinHashSignature.jaccard`` of row ``i`` and row ``j`` bit for bit (one
+    equality count per pair, divided by the permutation count), but the
+    whole grid is a single broadcast comparison — the shape every all-pairs
+    column matcher needs.
+    """
+    rows_a, rows_b = len(matrix_a), len(matrix_b)
+    if not rows_a or not rows_b:
+        return np.zeros((rows_a, rows_b), dtype=float)
+    num_permutations = matrix_a.shape[1]
+    if matrix_b.shape[1] != num_permutations:
+        raise ValueError("signatures must use the same number of permutations")
     if num_permutations == 0:
-        return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
-    matrix_a = np.stack([signature._vector for signature in signatures_a])
-    matrix_b = np.stack([signature._vector for signature in signatures_b])
+        return np.zeros((rows_a, rows_b), dtype=float)
     equal = (matrix_a[:, None, :] == matrix_b[None, :, :]).sum(axis=2)
     return equal / num_permutations
 

@@ -1,19 +1,31 @@
-"""Tests of the persistent prepared-table store (SQLite, versioned pickles)."""
+"""Tests of the persistent prepared-table store (SQLite, versioned data-only rows)."""
 
 from __future__ import annotations
 
+import ast
+import hashlib
+import os
 import pickle
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS
+from matcher_support import LIGHT_MATCHER_CONFIGS, prospect_lake
 
+import repro
 from repro.data.fingerprint import table_content_hash
 from repro.data.table import Column, Table
+from repro.discovery import prepared_codec
 from repro.discovery.prepared import PREPARED_PAYLOAD_FORMAT, PreparedStore
 from repro.matchers.base import PreparedTable
+from repro.matchers.cupid import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import create_matcher
+from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.semantic import SemanticLink
+from repro.telemetry import TelemetryRecorder, use
 
 
 def _table(name: str, values: list[object]) -> Table:
@@ -69,6 +81,28 @@ class TestRoundTripEquality:
                 assert via_loaded.to_records() == via_fresh.to_records(), (
                     f"{name}: matches diverged after a store round trip"
                 )
+
+    @pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
+    def test_codec_round_trip_keeps_every_score_on_the_grid_tables(self, method):
+        """encode → decode → ``match_prepared`` scores every pair of the
+        oracle grid's lake with the same double as the in-memory payloads,
+        from header and payload alone."""
+        query, tables = prospect_lake(slices=5)
+        matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
+
+        def stored(prepared: PreparedTable) -> PreparedTable:
+            blob = prepared_codec.encode(prepared)
+            decoded = prepared_codec.decode(blob)
+            assert decoded.table is None and decoded.header == prepared.header
+            assert prepared_codec.encode(decoded) == blob  # canonical bytes
+            return decoded
+
+        prepared_query = matcher.prepare(query)
+        stored_query = stored(prepared_query)
+        for table in tables:
+            prepared = matcher.prepare(table)
+            expected = matcher.match_prepared(prepared_query, prepared).matches
+            assert matcher.match_prepared(stored_query, stored(prepared)).matches == expected
 
 
 class TestInvalidation:
@@ -134,7 +168,7 @@ class TestInvalidation:
         table = _table("t", ["a"])
         with PreparedStore() as store:
             foreign = PreparedTable(table=table, fingerprint="somebody-else")
-            blob = pickle.dumps(foreign, protocol=4)
+            blob = prepared_codec.encode(foreign)
             store._connection.execute(
                 "INSERT INTO prepared (matcher_fingerprint, table_name, content_hash, "
                 "payload_format, payload, last_used) VALUES (?, ?, ?, ?, ?, 1)",
@@ -164,7 +198,8 @@ class TestPersistenceAndBounds:
             second = reopened.prepare(matcher, table)
             assert reopened.hits == 1 and reopened.misses == 0
             assert second.payload == first.payload
-            assert second.table.column_names == first.table.column_names
+            assert second.table is table  # the caller's table rides along
+            assert second.header == first.header
 
     def test_lru_eviction_respects_recency(self):
         matcher = JaccardLevenshteinMatcher()
@@ -223,8 +258,9 @@ class TestPersistenceAndBounds:
 
 class TestByteBudget:
     def _payload_bytes(self, matcher, table) -> int:
-        prepared = matcher.prepare(table)
-        return len(pickle.dumps(prepared, protocol=4))
+        with PreparedStore() as store:
+            store.prepare(matcher, table)
+            return store.total_bytes
 
     def test_byte_budget_evicts_lru_first(self):
         matcher = JaccardLevenshteinMatcher()
@@ -415,3 +451,195 @@ class TestRecencyDurability:
                 store._ensure_connection()
         finally:
             store._connections.clear()  # nothing left to close
+
+
+class _Detonator:
+    """Unpickling this creates *marker* — a stand-in for arbitrary code."""
+
+    def __init__(self, marker: Path) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (os.mkdir, (str(self.marker),))
+
+
+class TestRowsNeverExecute:
+    @pytest.mark.parametrize("payload_format", sorted({1, PREPARED_PAYLOAD_FORMAT}))
+    def test_a_pickled_row_committed_like_a_pull_is_discarded_unrun(
+        self, tmp_path, payload_format
+    ):
+        """A row arrives through ``put_raw``, as ``lake pull`` commits it; its
+        bytes are a pickle whose loading would create a marker file.  Read
+        through ``get_many`` and through ``get``, it is refused and deleted,
+        and nothing runs — at the current format and at the old one."""
+        marker = tmp_path / "detonated"
+        blob = pickle.dumps(_Detonator(marker), protocol=4)
+        matcher = JaccardLevenshteinMatcher()
+        fingerprint, table = matcher.fingerprint(), _table("t", ["a"])
+        content_hash = table_content_hash(table)
+        reads = (
+            lambda store: store.get_many(fingerprint, [(table.name, content_hash)]),
+            lambda store: store.get(fingerprint, table.name, content_hash),
+        )
+        recorder = TelemetryRecorder()
+        with PreparedStore(tmp_path / "p.prepared") as store, use(recorder):
+            for read in reads:
+                store.put_raw(fingerprint, table.name, content_hash, payload_format, blob)
+                assert not read(store)
+                assert not marker.exists()
+                assert len(store) == 0
+        assert recorder.snapshot().counters["prepared_store.discarded_rows"] == 2
+
+    def test_nothing_under_src_unpickles_but_the_worker_plan_cache(self):
+        """An AST census: ``pickle.loads`` / ``pickle.load`` / ``Unpickler``
+        occur only where a pool worker unpickles the plan its own parent
+        pickled — never on store or pulled bytes."""
+        source = Path(repro.__file__).parent
+        found = []
+        for path in sorted(source.rglob("*.py")):
+            census = _UnpickleCensus()
+            census.visit(ast.parse(path.read_text(encoding="utf-8")))
+            found += [(path.relative_to(source).as_posix(), where) for where in census.found]
+        assert found == [("discovery/search.py", "_load_plan")]
+
+
+class _UnpickleCensus(ast.NodeVisitor):
+    """Names the function around every unpickling call or import."""
+
+    _CALLS = {"load", "loads", "Unpickler"}
+    _MODULES = {"pickle", "_pickle", "cPickle"}
+
+    def __init__(self) -> None:
+        self.found: list[str] = []
+        self.functions = ["<module>"]
+        self.aliases = set(self._MODULES)
+
+    def visit_FunctionDef(self, node) -> None:
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name in self._MODULES:
+                self.aliases.add(alias.asname or alias.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module in self._MODULES:
+            if any(alias.name in self._CALLS or alias.name == "*" for alias in node.names):
+                self.found.append(self.functions[-1])
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            node.attr in self._CALLS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in self.aliases
+        ):
+            self.found.append(self.functions[-1])
+        self.generic_visit(node)
+
+
+def _golden_table() -> Table:
+    return Table(
+        "golden",
+        {
+            "customer_name": ["Ann", "Bob", None, "Cy"],
+            "amount": [1.5, 2.0, 2.0, 3.25],
+            "zip": ["1000", "2000", "3000", "4000"],
+        },
+    )
+
+
+class TestGoldenRows:
+    """A stored row is a published blob too: changing what the codec emits
+    orphans every store and artifact in the field, so it has to be done on
+    purpose — bump ``PREPARED_PAYLOAD_FORMAT`` together with these digests."""
+
+    def _pinned(self, prepared: PreparedTable, digest: str) -> None:
+        blob = prepared_codec.encode(prepared)
+        assert hashlib.sha256(blob).hexdigest() == digest
+        decoded = prepared_codec.decode(blob)
+        assert decoded.header == prepared.header
+        assert prepared_codec.encode(decoded) == blob
+
+    def test_semprop_row_bytes_are_pinned(self):
+        table = _golden_table()
+        real = SemPropMatcher(num_permutations=4).prepare(table)
+        prepared = replace(
+            real,
+            fingerprint="golden-semprop",
+            payload={
+                "links": {
+                    "customer_name": [SemanticLink("customer_name", "customer", 0.75)],
+                    "amount": [],
+                    "zip": [],
+                },
+                "signatures": np.array(
+                    [[3, 1, 4, 1], [5, 9, 2, 6], [2**32 - 1] * 4], dtype=np.uint32
+                ),
+                "set_sizes": np.array([3, 3, 0], dtype=np.int64),
+            },
+        )
+        # The fabricated payload has exactly the shape SemProp prepares.
+        assert list(prepared.payload) == list(real.payload)
+        for key in ("signatures", "set_sizes"):
+            assert prepared.payload[key].dtype == real.payload[key].dtype
+            assert prepared.payload[key].shape == real.payload[key].shape
+        self._pinned(
+            prepared, "266a1f61a6523b8e5ac8eaba6f748bcbd133da902b61b4cd30c5dad6876b1217"
+        )
+
+    def test_cupid_row_bytes_are_pinned(self):
+        prepared = replace(CupidMatcher().prepare(_golden_table()), fingerprint="golden-cupid")
+        self._pinned(
+            prepared, "6524295dd125647057f79bdf64360d0b87f664405950bf2fcc71bbf710050380"
+        )
+
+
+class TestCodecRefusals:
+    """Anything but an encoded row is a ``ValueError`` — the discard path."""
+
+    @pytest.fixture(scope="class")
+    def semprop_row(self) -> bytes:
+        matcher = SemPropMatcher(**LIGHT_MATCHER_CONFIGS["semprop"])
+        return prepared_codec.encode(matcher.prepare(_golden_table()))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: b"not a payload",
+            lambda blob: b"",
+            lambda blob: blob[:-5],  # a truncated array section
+            lambda blob: blob[:20],  # a truncated skeleton
+            lambda blob: blob + b"\x00",  # trailing bytes
+            lambda blob: blob.replace(b'"ndarray"', b'"nparray"', 1),  # unknown tag
+            lambda blob: blob.replace(b'"ndarray","<u4",[3,', b'"ndarray","<u4",[4,', 1),
+            lambda blob: blob.replace(b'"SemanticLink"', b'"subprocess.x"', 1),
+        ],
+        ids=[
+            "garbage", "empty", "truncated-section", "truncated-skeleton",
+            "trailing-bytes", "unknown-tag", "shape-mismatch", "foreign-tag",
+        ],
+    )  # fmt: skip
+    def test_damaged_rows_raise_value_error_and_are_discarded(self, semprop_row, damage):
+        blob = damage(semprop_row)
+        assert blob != semprop_row
+        with pytest.raises(ValueError, match="not a prepared row"):
+            prepared_codec.decode(blob)
+        matcher = SemPropMatcher(**LIGHT_MATCHER_CONFIGS["semprop"])
+        with PreparedStore() as store:
+            store.put_raw(matcher.fingerprint(), "golden", "h", PREPARED_PAYLOAD_FORMAT, blob)
+            assert store.get(matcher.fingerprint(), "golden", "h") is None
+            assert len(store) == 0
+
+    def test_values_outside_the_allowlist_are_not_written(self):
+        table = _golden_table()
+        prepared = PreparedTable(table=table, fingerprint="f", payload={"x": object()})
+        with pytest.raises(ValueError, match="cannot be stored"):
+            prepared_codec.encode(prepared)
+        with pytest.raises(ValueError, match="string keys"):
+            prepared_codec.encode(replace(prepared, payload={"x": {1: "one"}}))
+        with pytest.raises(ValueError, match="dtype"):
+            prepared_codec.encode(replace(prepared, payload={"x": np.zeros(2, dtype=np.int8)}))

@@ -2,7 +2,8 @@
 
 Covers the four check levels (SQLite soundness, sketch-row decode, prepared
 consistency, artifact cross-check) and the repair paths: re-sketch from the
-recorded CSV, targeted re-pull from the artifact, stale-prepared pruning.
+recorded CSV, targeted re-pull from the artifact, stale- and
+undecodable-prepared pruning.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sqlite3
 
 import pytest
 
+from matcher_support import LIGHT_MATCHER_CONFIGS
 from repro.artifacts import publish_snapshot, pull_snapshot
 from repro.artifacts.blobs import BlobStore
 from repro.artifacts.manifest import BLOBS_DIR, Manifest
@@ -18,8 +20,10 @@ from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
 from repro.lake import SketchStore, build_from_paths, prepare_lake
+from repro.cli import main
 from repro.lake.verify import verify_lake
 from repro.matchers.registry import create_matcher
+from repro.telemetry import TelemetryRecorder, use
 
 _METHOD = "jaccardlevenshtein"
 _NUM_TABLES = 3
@@ -37,6 +41,34 @@ def _corrupt_sketch_row(store_path, table_name):
         connection.commit()
     finally:
         connection.close()
+
+
+#: Ways a committed prepared row can fail to be its key's payload.
+_DAMAGE = {
+    "garbage": lambda blob, other: b"not a payload",
+    "truncated-array-section": lambda blob, other: blob[:-5],
+    "wrong-type-tag": lambda blob, other: blob.replace(b'"ndarray"', b'"nparray"', 1),
+    "another-tables-row": lambda blob, other: other,
+}
+
+
+def _damage_one_prepared_row(prepared_store, damage):
+    """Overwrite t0's SemProp row the way a pull commits one: ``put_raw``
+    under its valid current-format key."""
+    rows = {
+        name: (fingerprint, content_hash, payload_format, bytes(blob))
+        for fingerprint, name, content_hash, payload_format, blob in prepared_store.iter_raw()
+    }
+    fingerprint, content_hash, payload_format, blob = rows["t0"]
+    bad = _DAMAGE[damage](blob, rows["t1"][3])
+    prepared_store.put_raw(fingerprint, "t0", content_hash, payload_format, bad)
+
+
+def _semprop_prepared(store, path):
+    prepared_store = PreparedStore(path)
+    matcher = create_matcher("semprop", **LIGHT_MATCHER_CONFIGS["semprop"])
+    prepare_lake(store, prepared_store, matcher)
+    return prepared_store
 
 
 @pytest.fixture()
@@ -82,6 +114,21 @@ class TestChecks:
             build_from_paths(store, [lake_dir / "t0.csv"])
             report = verify_lake(store, prepared_store=prepared_store)
             assert report.stale_prepared == 1
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_undecodable_prepared_row_is_detected(self, built_lake, tmp_path, damage):
+        """A row the first query would silently discard makes the lake unclean."""
+        store, _store_path, _lake_dir = built_lake
+        recorder = TelemetryRecorder()
+        with _semprop_prepared(store, tmp_path / "p.prepared") as prepared_store:
+            assert verify_lake(store, prepared_store=prepared_store).clean
+            _damage_one_prepared_row(prepared_store, damage)
+            with use(recorder):
+                report = verify_lake(store, prepared_store=prepared_store)
+        assert report.undecodable_prepared == 1
+        assert report.stale_prepared == 0
+        assert not report.clean
+        assert recorder.snapshot().counters["verify.undecodable_prepared"] == 1
 
     def test_artifact_blob_rot_is_detected(self, built_lake, tmp_path):
         store, _store_path, _lake_dir = built_lake
@@ -150,6 +197,30 @@ class TestRepair:
             report = verify_lake(store, prepared_store=prepared_store, repair=True)
             assert report.pruned_prepared == 1
             assert verify_lake(store, prepared_store=prepared_store).clean
+
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_undecodable_prepared_rows_are_deleted(self, built_lake, tmp_path, damage):
+        store, _store_path, _lake_dir = built_lake
+        with _semprop_prepared(store, tmp_path / "p.prepared") as prepared_store:
+            _damage_one_prepared_row(prepared_store, damage)
+            report = verify_lake(store, prepared_store=prepared_store, repair=True)
+            assert report.pruned_prepared == 1
+            assert report.healthy_after_repair
+            assert prepared_store.table_names() == ["t1", "t2"]
+            assert verify_lake(store, prepared_store=prepared_store).clean
+
+    def test_the_cli_reports_and_repairs_undecodable_rows(self, built_lake, capsys):
+        store, store_path, _lake_dir = built_lake
+        prepared_path = store_path.with_name(store_path.name + ".prepared")
+        with _semprop_prepared(store, prepared_path) as prepared_store:
+            _damage_one_prepared_row(prepared_store, "garbage")
+        argv = ["lake", "verify", "--store", str(store_path)]
+        assert main(argv) == 1
+        assert "undecodable prepared rows: 1" in capsys.readouterr().out
+        assert main(argv + ["--repair"]) == 0
+        assert "1 stale or undecodable prepared rows pruned" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "verify: clean" in capsys.readouterr().out
 
     def test_missing_entry_is_repulled(self, built_lake, tmp_path):
         store, _store_path, _lake_dir = built_lake

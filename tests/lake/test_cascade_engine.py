@@ -10,18 +10,16 @@ resident index stage 1 prices from and the store.
 
 from __future__ import annotations
 
-import random
 import shutil
 import time
 from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS
+from matcher_support import LIGHT_MATCHER_CONFIGS, prospect_lake
 
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
-from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import (
     DatasetRepository,
@@ -29,7 +27,6 @@ from repro.discovery.search import (
     RerankPool,
     mode_score,
 )
-from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake import (
     LakeDiscoveryEngine,
     SketchStore,
@@ -48,22 +45,10 @@ def _signature(results):
     return [(r.table_name, r.joinability, r.unionability) for r in results]
 
 
-def _prospect_lake(slices: int) -> tuple[Table, list[Table]]:
-    """A query plus its unionable sibling and *slices* joinable vertical cuts."""
-    rng = random.Random(11)
-    base = tpcdi_prospect_table(num_rows=40, seed=2)
-    horizontal = split_horizontal(base, 0.3, rng)
-    tables = [horizontal.second.rename("prospects_full")]
-    for i in range(slices):
-        vertical = split_vertical(base, rng.uniform(0.3, 0.7), rng)
-        tables.append(vertical.second.rename(f"slice_{i}"))
-    return horizontal.first.rename("query_prospects"), tables
-
-
 @pytest.fixture(scope="module")
 def lake(tmp_path_factory):
     """A file-backed sketch store plus an in-memory candidate repository."""
-    query, tables = _prospect_lake(slices=8)
+    query, tables = prospect_lake(slices=8)
     repository = DatasetRepository(tables)
     store = SketchStore(tmp_path_factory.mktemp("cascade") / "lake.sketches")
     for table in repository:
@@ -86,7 +71,7 @@ class _GridLake:
     """
 
     def __init__(self, directory) -> None:
-        self.query, tables = _prospect_lake(slices=5)
+        self.query, tables = prospect_lake(slices=5)
         lake_dir = directory / "csv"
         lake_dir.mkdir()
         paths = [write_csv(table, lake_dir / f"{table.name}.csv") for table in tables]

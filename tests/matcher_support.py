@@ -2,6 +2,8 @@
 the previous bodies the kernels are pinned against with ``==`` — the uncached
 thesaurus (PR 19), the eager ``MatchResult``, ``relatedness`` and SemProp's
 per-cell ``match_prepared`` loop (PR 20).
+``jaccard_matrix`` over lists of ``MinHashSignature`` objects is kept the
+same way, as it was before SemProp stored one signature matrix.
 
 ``tests/`` is on ``sys.path`` (the root ``conftest.py`` lives here), so any
 test module can ``from matcher_support import ...``.
@@ -10,16 +12,21 @@ test module can ``from matcher_support import ...``.
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.data.table import ColumnRef, Table
+from repro.datasets import tpcdi_prospect_table
 from repro.discovery.relatedness import RelatednessScores
+from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers.base import Match, PreparedTable
 from repro.matchers.semprop import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score
-from repro.sketches.minhash import jaccard_matrix
+from repro.sketches.minhash import MinHashSignature
 from repro.text.stemmer import stem
 from repro.text.thesaurus import _HYPERNYM_PAIRS, _SYNONYM_GROUPS, Thesaurus
 from repro.text.tokenize import ABBREVIATIONS, tokenize_identifier
@@ -29,10 +36,13 @@ __all__ = [
     "ReferenceMatchResult",
     "lakebench_column_names",
     "lakebench_lake",
+    "prospect_lake",
+    "reference_jaccard_matrix",
     "reference_relatedness",
     "reference_relation_score",
     "reference_semprop_match_prepared",
     "reference_unionability",
+    "semprop_signatures",
     "term_corpus",
 ]
 
@@ -91,6 +101,19 @@ def lakebench_column_names() -> list[str]:
     names = {name for schema in schemas for column in schema for name in column[:2] if name}
     names.update(f"field_{i}" for i in range(5))  # the ``overlap`` profile
     return sorted(names)
+
+
+def prospect_lake(slices: int) -> tuple[Table, list[Table]]:
+    """A query plus its unionable sibling and *slices* joinable vertical cuts
+    (the lake of the ranking grid in ``tests/lake/test_cascade_engine.py``)."""
+    rng = random.Random(11)
+    base = tpcdi_prospect_table(num_rows=40, seed=2)
+    horizontal = split_horizontal(base, 0.3, rng)
+    tables = [horizontal.second.rename("prospects_full")]
+    for i in range(slices):
+        vertical = split_vertical(base, rng.uniform(0.3, 0.7), rng)
+        tables.append(vertical.second.rename(f"slice_{i}"))
+    return horizontal.first.rename("query_prospects"), tables
 
 
 def term_corpus() -> list[str]:
@@ -244,28 +267,50 @@ def reference_relatedness(
     )
 
 
+def reference_jaccard_matrix(
+    signatures_a: Sequence[MinHashSignature],
+    signatures_b: Sequence[MinHashSignature],
+) -> np.ndarray:
+    """``jaccard_matrix`` as it was: over two lists of signature objects."""
+    if not signatures_a or not signatures_b:
+        return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
+    num_permutations = signatures_a[0].num_permutations
+    for signature in (*signatures_a, *signatures_b):
+        if signature.num_permutations != num_permutations:
+            raise ValueError("signatures must use the same number of permutations")
+    if num_permutations == 0:
+        return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
+    matrix_a = np.stack([signature._vector for signature in signatures_a])
+    matrix_b = np.stack([signature._vector for signature in signatures_b])
+    equal = (matrix_a[:, None, :] == matrix_b[None, :, :]).sum(axis=2)
+    return equal / num_permutations
+
+
+def semprop_signatures(prepared: PreparedTable) -> list[MinHashSignature]:
+    """A SemProp payload's signature matrix as one signature object per column."""
+    return [
+        MinHashSignature(tuple(row.tolist()), int(size))
+        for row, size in zip(prepared.payload["signatures"], prepared.payload["set_sizes"])
+    ]
+
+
 def reference_semprop_match_prepared(
     matcher: SemPropMatcher, source: PreparedTable, target: PreparedTable
 ) -> ReferenceMatchResult:
     """``SemPropMatcher.match_prepared`` as it was: one Python branch per cell."""
     source_links = source.payload["links"]
     target_links = target.payload["links"]
-    source_signatures = source.payload["signatures"]
-    target_signatures = target.payload["signatures"]
-    source_columns = source.table.columns
-    target_columns = target.table.columns
-    estimated_matrix = jaccard_matrix(
-        [source_signatures[column.name] for column in source_columns],
-        [target_signatures[column.name] for column in target_columns],
+    source_names = source.header.column_names
+    target_names = target.header.column_names
+    estimated_matrix = reference_jaccard_matrix(
+        semprop_signatures(source), semprop_signatures(target)
     )
 
     scores = {}
-    for i, source_column in enumerate(source_columns):
-        for j, target_column in enumerate(target_columns):
+    for i, source_name in enumerate(source_names):
+        for j, target_name in enumerate(target_names):
             semantic = coherence_score(
-                source_links[source_column.name],
-                target_links[target_column.name],
-                matcher._ontology,
+                source_links[source_name], target_links[target_name], matcher._ontology
             )
             if semantic >= matcher.coherent_threshold:
                 score = 0.5 + 0.5 * semantic
@@ -276,5 +321,6 @@ def reference_semprop_match_prepared(
                     if estimated >= matcher.minhash_threshold
                     else 0.25 * estimated
                 )
-            scores[(source_column.ref, target_column.ref)] = score
+            source_ref = ColumnRef(source.name, source_name)
+            scores[(source_ref, ColumnRef(target.name, target_name))] = score
     return ReferenceMatchResult.from_scores(scores, keep_zero=True)

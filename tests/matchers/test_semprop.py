@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from matcher_support import lakebench_column_names, reference_semprop_match_prepared
 from repro.data.table import Column, Table
+from repro.discovery import prepared_codec
 from repro.matchers.base import PreparedTable
 from repro.matchers.semprop import SemPropMatcher, coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology, chemistry_ontology
 from repro.ontology.model import Ontology, OntologyClass
-from repro.sketches.minhash import MinHashSignature
 from repro.telemetry import recorder as telemetry_recorder
 
 
@@ -121,15 +122,14 @@ class TestKernelAgainstThePerCellReference:
 
     def _crafted(self, matcher, name, signatures, links=None) -> PreparedTable:
         table = Table(name, {column: [] for column in signatures})
+        rows = [list(values) for values in signatures.values()]
         return PreparedTable(
             table=table,
             fingerprint=matcher.fingerprint(),
             payload={
                 "links": links or {column: [] for column in signatures},
-                "signatures": {
-                    column: MinHashSignature(tuple(values), set_size=len(values))
-                    for column, values in signatures.items()
-                },
+                "signatures": np.array(rows, dtype=np.uint32),
+                "set_sizes": np.array([len(row) for row in rows], dtype=np.int64),
             },
         )
 
@@ -170,7 +170,7 @@ class TestKernelAgainstThePerCellReference:
                 result = matcher.match_prepared(source, target)
                 expected = reference_semprop_match_prepared(matcher, source, target)
                 assert result.matches == expected.matches
-                assert len(result) == source.table.num_columns * target.table.num_columns
+                assert len(result) == source.header.num_columns * target.header.num_columns
 
     def test_mismatched_signature_widths_still_raise(self):
         matcher = SemPropMatcher()
@@ -181,9 +181,9 @@ class TestKernelAgainstThePerCellReference:
 
 
 def _uncached_payload(matcher: SemPropMatcher, table: Table) -> bytes:
-    """The payload bytes of a prepare that links every name from scratch."""
+    """The stored row of a prepare that links every name from scratch."""
     matcher._link_table.clear()
-    return pickle.dumps(matcher.prepare(table), protocol=pickle.HIGHEST_PROTOCOL)
+    return prepared_codec.encode(matcher.prepare(table))
 
 
 class TestLinkTable:
@@ -201,20 +201,11 @@ class TestLinkTable:
         cold = [_uncached_payload(matcher, table) for table in (first, second)]
         matcher._link_table.clear()
         warm = [
-            pickle.dumps(matcher.prepare(table), protocol=pickle.HIGHEST_PROTOCOL)
+            prepared_codec.encode(matcher.prepare(table))
             for table in (first, second, first)  # second shares three names with first
         ]
         assert warm == [cold[0], cold[1], cold[0]]
         assert len(matcher._link_table) == 4
-
-    def test_links_carry_their_own_table_name_object(self):
-        matcher = SemPropMatcher(num_permutations=16, semantic_threshold=0.3)
-        first, second = self._tables()
-        matcher.prepare(first)
-        prepared = matcher.prepare(second)
-        own_names = {id(name) for name in second.column_names}
-        links = [link for found in prepared.payload["links"].values() for link in found]
-        assert links and all(id(link.element) in own_names for link in links)
 
     def test_counters_report_hits_and_misses_in_two_calls(self, monkeypatch):
         matcher = SemPropMatcher(num_permutations=16)
@@ -253,10 +244,12 @@ class TestLinkTable:
         monkeypatch.setattr(SemPropMatcher, "_LINK_TABLE_LIMIT", 1)
         matcher._link_table.clear()
         matcher.prepare(first)
-        assert pickle.dumps(matcher.prepare(second), protocol=pickle.HIGHEST_PROTOCOL) == expected
+        assert prepared_codec.encode(matcher.prepare(second)) == expected
         assert len(matcher._link_table) == 1
         shipped = pickle.dumps(matcher)
         assert b"zzqx" not in shipped and b"order_total" not in shipped
         clone = pickle.loads(shipped)
         assert clone._link_table == {}
-        assert clone.prepare(second).payload["links"] == pickle.loads(expected).payload["links"]
+        assert clone.prepare(second).payload["links"] == (
+            prepared_codec.decode(expected).payload["links"]
+        )

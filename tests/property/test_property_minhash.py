@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcher_support import reference_jaccard_matrix
 from repro.data.table import ColumnRef
 from repro.matchers.base import Match, MatchResult
-from repro.sketches.minhash import minhash_signature
+from repro.sketches.minhash import (
+    jaccard_matrix,
+    minhash_signature,
+    minhash_signatures,
+    signature_matrix,
+)
 
 value_sets = st.sets(st.text(min_size=1, max_size=6), min_size=0, max_size=30)
 
@@ -32,6 +40,38 @@ class TestMinHashProperties:
         sig_a = minhash_signature(a, num_permutations=64)
         sig_b = minhash_signature(b, num_permutations=64)
         assert sig_a.jaccard(sig_b) == sig_b.jaccard(sig_a)
+
+
+#: Zero to three columns of small, overlapping value sets (empty sets sign
+#: every permutation with 2**32 - 1).
+columns = st.lists(st.sets(st.sampled_from("abcdefgh"), max_size=6), max_size=3)
+
+
+class TestJaccardMatrixAgainstTheListForm:
+    """The matrix kernel gives every cell the double the per-object form did."""
+
+    @settings(max_examples=60)
+    @given(columns, columns, st.integers(min_value=1, max_value=24))
+    def test_matrix_form_equals_reference(self, columns_a, columns_b, width):
+        signatures_a = minhash_signatures(columns_a, num_permutations=width)
+        signatures_b = minhash_signatures(columns_b, num_permutations=width)
+        expected = reference_jaccard_matrix(signatures_a, signatures_b)
+        for dtype in (np.uint64, np.uint32):  # the cascade's form, SemProp's form
+            matrix_a = signature_matrix(signatures_a).astype(dtype)
+            matrix_b = signature_matrix(signatures_b).astype(dtype)
+            actual = jaccard_matrix(matrix_a, matrix_b)
+            assert actual.shape == expected.shape
+            assert actual.dtype == expected.dtype
+            assert (actual == expected).all()
+
+    @given(columns, st.integers(min_value=1, max_value=8))
+    def test_widths_must_agree(self, columns_a, width):
+        signatures_a = minhash_signatures(columns_a or [{"a"}], num_permutations=width)
+        wider = minhash_signatures([{"a"}], num_permutations=width + 1)
+        with pytest.raises(ValueError, match="same number of permutations"):
+            reference_jaccard_matrix(signatures_a, wider)
+        with pytest.raises(ValueError, match="same number of permutations"):
+            jaccard_matrix(signature_matrix(signatures_a), signature_matrix(wider))
 
 
 scores = st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=0, max_size=30)

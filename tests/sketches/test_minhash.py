@@ -177,32 +177,34 @@ class TestVectorizedVsScalar:
 
 class TestJaccardMatrix:
     def test_matrix_equals_pairwise_jaccard(self):
-        from repro.sketches.minhash import jaccard_matrix
+        from repro.sketches.minhash import jaccard_matrix, signature_matrix
 
         columns_a = [[f"v_{i}" for i in range(40)], ["x", "y"], []]
         columns_b = [[f"v_{i}" for i in range(20, 60)], ["y", "z"], ["q"]]
         signatures_a = minhash_signatures(columns_a, num_permutations=64)
         signatures_b = minhash_signatures(columns_b, num_permutations=64)
-        matrix = jaccard_matrix(signatures_a, signatures_b)
+        matrix = jaccard_matrix(signature_matrix(signatures_a), signature_matrix(signatures_b))
         assert matrix.shape == (3, 3)
         for i, signature_a in enumerate(signatures_a):
             for j, signature_b in enumerate(signatures_b):
                 assert matrix[i, j] == signature_a.jaccard(signature_b)
 
     def test_empty_sides(self):
-        from repro.sketches.minhash import jaccard_matrix
+        from repro.sketches.minhash import jaccard_matrix, signature_matrix
 
-        signatures = minhash_signatures([["a"]], num_permutations=16)
-        assert jaccard_matrix([], signatures).shape == (0, 1)
-        assert jaccard_matrix(signatures, []).shape == (1, 0)
+        signatures = signature_matrix(minhash_signatures([["a"]], num_permutations=16))
+        assert jaccard_matrix(signature_matrix([]), signatures).shape == (0, 1)
+        assert jaccard_matrix(signatures, signature_matrix([])).shape == (1, 0)
 
     def test_mismatched_permutations_rejected(self):
-        from repro.sketches.minhash import jaccard_matrix
+        from repro.sketches.minhash import jaccard_matrix, signature_matrix
 
         a = minhash_signature(["x"], num_permutations=16)
         b = minhash_signature(["x"], num_permutations=32)
         with pytest.raises(ValueError):
-            jaccard_matrix([a], [b])
+            jaccard_matrix(signature_matrix([a]), signature_matrix([b]))
+        with pytest.raises(ValueError):
+            signature_matrix([a, b])
 
 
 class TestSignaturePickling:

@@ -375,14 +375,14 @@ class TestCommands:
                     "--store",
                     str(store),
                     "--max-store-mb",
-                    "0.0005",  # ~524 bytes: far below two payloads
+                    "0.0003",  # ~314 bytes: below two ~205-byte payloads
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "2 tables prepared" in out
-        assert "byte budget 0.0005 MiB" in out
+        assert "byte budget 0.0003 MiB" in out
         with PreparedStore(store.parent / (store.name + ".prepared")) as prepared:
             assert len(prepared) == 1  # LRU-evicted down to the newest row
 
