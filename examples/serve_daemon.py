@@ -4,8 +4,7 @@
 One-shot ``lake query`` pays the store-open and matcher-construction cost on
 every invocation.  For interactive discovery — many query tables arriving
 concurrently against the same lake — PR 7 adds ``lake serve``: a daemon that
-keeps one warm :class:`~repro.lake.LakeDiscoveryEngine` (and its rerank pool)
-alive behind an HTTP front end with admission control.  This example drives
+keeps one warm :class:`~repro.lake.LakeDiscoveryEngine` alive behind an HTTP front end with admission control.  This example drives
 the whole loop in-process:
 
 * build a small lake and prepare it for the two-phase warm path;

@@ -65,12 +65,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     query.add_argument("--mode", choices=["joinable", "unionable", "combined"], default="joinable")
     add_method_option(query)
     query.add_argument("--top", type=positive_int, default=10, help="number of tables to report")
-    add_workers_option(
-        query,
-        "rerank in a process pool of this size (default: inline, no pool).  "
-        "Warm candidates are loaded inside the workers straight from the "
-        "WAL-mode stores — nothing candidate-sized crosses the parent process",
-    )
     query.add_argument(
         "--no-prepared-store", action="store_true",
         help="disable the prepared-candidate store (the PR 3 cold path)",
@@ -194,9 +188,6 @@ def _run_lake_query(args: argparse.Namespace) -> int:
             f"prepared store unavailable, querying cold: {exc}", file=sys.stderr
         ),
     ) as (store, prepared_store):
-        # The engine context releases the persistent rerank pool it lazily
-        # creates for the parallel path (a serving process would keep the
-        # engine — and its warm workers — alive across queries instead).
         with LakeDiscoveryEngine(
             matcher=create_matcher(args.method), store=store, prepared_store=prepared_store
         ) as engine, (use(TelemetryRecorder()) if traced else nullcontext()):
@@ -204,8 +195,6 @@ def _run_lake_query(args: argparse.Namespace) -> int:
                 query,
                 mode=args.mode,
                 top_k=args.top,
-                parallel=args.workers is not None,
-                max_workers=args.workers,
                 cascade=args.cascade,
                 budget_ms=args.budget_ms,
             )

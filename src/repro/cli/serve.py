@@ -8,7 +8,6 @@ from pathlib import Path
 from repro.cli.options import (
     add_method_option,
     add_store_options,
-    add_workers_option,
     fail,
     port_number,
     positive_float,
@@ -39,11 +38,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="default per-request deadline (clients can override per query; "
         "expired requests get 504)",
     )
-    add_workers_option(
-        serve,
-        "rerank in a process pool of this size shared by all requests "
-        "(default: score inline in the dispatcher, no pool)",
-    )
     serve.add_argument(
         "--cascade", action="store_true",
         help="arm the two-stage rerank cascade for every served query "
@@ -69,7 +63,6 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
         unix_socket=args.unix_socket,
         queue_limit=args.queue_limit,
         default_timeout_s=args.timeout_s,
-        max_workers=args.workers,
         reopen_poll_s=args.reopen_poll_s,
         cascade=args.cascade,
     )

@@ -2,9 +2,10 @@
 
 :class:`~repro.lake.store.SketchStore` and
 :class:`~repro.discovery.prepared.PreparedStore` are both single-file
-SQLite stores that parallel-rerank workers open concurrently with a
-writing parent.  The concurrency rules are identical and subtle, so they
-live exactly once, here:
+SQLite stores that several processes share — a ``lake serve`` daemon, a
+``lake watch`` loop, one-shot CLI queries, the build pool's writer.  The
+concurrency rules are identical and subtle, so they live exactly once,
+here:
 
 * **WAL journal mode** (file-backed stores only) — readers never block the
   writer and vice versa; requires a local filesystem with working POSIX
@@ -43,8 +44,8 @@ __all__ = ["PerProcessSqliteStore"]
 _StoreT = TypeVar("_StoreT", bound="PerProcessSqliteStore")
 
 #: Milliseconds a connection waits on SQLite's write lock before giving up.
-#: Generous on purpose: concurrent writers (e.g. parallel-rerank workers
-#: writing through misses) serialize on one lock under WAL.
+#: Generous on purpose: concurrent writers (e.g. a daemon writing through
+#: misses while ``lake watch`` re-prepares) serialize on one lock under WAL.
 _BUSY_TIMEOUT_MS = 10_000
 
 #: Names per ``IN (...)`` clause in batched lookups — comfortably below
@@ -86,8 +87,8 @@ class PerProcessSqliteStore:
                 connection = sqlite3.connect(self.path)
             connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
             if not in_memory and not self.read_only:
-                # WAL lets N reader processes (parallel-rerank workers) pull
-                # rows while a writer commits; NORMAL sync is the standard
+                # WAL lets N reader processes (daemons, one-shot queries)
+                # pull rows while a writer commits; NORMAL sync is the standard
                 # WAL pairing (the WAL survives process crashes, only an OS
                 # crash can lose the tail).  Converting the journal mode is
                 # the writer's job: on a read-only connection the pragma

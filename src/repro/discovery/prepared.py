@@ -41,13 +41,12 @@ is "re-prepare on any format change", never "best-effort decode".  Bump
 or any matcher payload changes shape.
 
 Concurrency: file-backed stores run in SQLite WAL journal mode, so any
-number of processes can *read* payloads while one writes — the parallel
-rerank opens one connection per worker process
-(:meth:`PreparedStore._ensure_connection` is keyed by PID) and pulls
-shortlist payloads straight from disk with :meth:`PreparedStore.get_many`,
-with zero pickling through the parent.  Occasional concurrent write-through
-from workers serializes on SQLite's write lock (a generous busy timeout is
-set on every connection).  WAL requires a filesystem with working POSIX
+number of processes can *read* payloads while one writes — a ``lake
+serve`` daemon, ``lake watch`` and one-shot ``lake query`` runs each hold
+their own connection (:meth:`PreparedStore._ensure_connection` is keyed by
+PID).  Occasional concurrent write-through from several of them serializes
+on SQLite's write lock (a generous busy timeout is set on every
+connection).  WAL requires a filesystem with working POSIX
 locks and shared memory — keep stores on a local disk, not NFS.
 """
 
@@ -275,7 +274,7 @@ class PreparedStore(PerProcessSqliteStore):
         """Advance and return the monotone LRU clock (wall-clock free).
 
         The increment is a single UPDATE, so it runs under SQLite's write
-        lock *before* the value is read back: concurrent worker
+        lock *before* the value is read back: concurrent cross-process
         write-throughs serialize on the lock and can never mint duplicate
         ticks (a read-modify-write in Python would race across processes).
         """

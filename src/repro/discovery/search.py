@@ -12,20 +12,17 @@ through **one rerank plan**, :func:`prune_then_rerank`:
    caller supplied become per-candidate ranking-score upper bounds (no
    signals: every bound is ``+inf``);
 2. *order* — candidates are sorted best-bound-first (no bounds: shortlist
-   order) and cut into chunks;
-3. *chunk* — each chunk runs through the single :func:`_score_chunk` task:
-   skip what an admissible bound proves cannot reach the top k, resolve the
-   survivors in one batch, score them under a chunk-local top-k;
-4. *cutoff feedback* — exact scores stream back into the shared top-k
-   cutoff, which rides along with every later chunk.
+   order);
+3. *score* — one loop in this process skips what an admissible bound
+   proves cannot reach the top k, resolves the rest and scores them;
+4. *cutoff feedback* — every exact score tightens the running top-k cutoff
+   the next skip decision reads.
 
-*Inline versus pooled is the executor*: without a :class:`RerankPool` the
-chunks run in this process, with one they are submitted to its warm workers
-(at most ``workers`` in flight).  *Priced versus unpriced is the signals*:
-they only decide how tight the bounds are.  Chunking follows from both — an
-inline rerank that can neither skip nor stop early is one chunk (one store
-round trip for the whole shortlist), one that can resolves per scored
-candidate, a pooled one splits the shortlist ``workers x 2`` ways.
+*Priced versus unpriced is the signals*: they only decide how tight the
+bounds are.  They also decide how the loop resolves: a rerank that can
+neither skip nor stop early resolves the whole shortlist in one batch (one
+store round trip), one that can resolves only the candidate it is about to
+score.
 
 :class:`DiscoveryEngine` and
 :class:`~repro.lake.engine.LakeDiscoveryEngine` are thin parameterisations
@@ -35,28 +32,15 @@ of this plan, so their rankings can never drift apart.
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 import math
 import multiprocessing
 import os
-import pickle
 import time
-from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.data.table import Table
 from repro.discovery.cascade import (
@@ -242,9 +226,7 @@ class PairScorer:
     """Scores one (query, candidate) pair; the shared rerank unit.
 
     Both discovery engines delegate pair scoring here so their rankings can
-    never drift.  The scorer is picklable (matcher configs are plain
-    attributes), which is what lets a pooled rerank ship it to worker
-    processes once per query.
+    never drift.
     """
 
     matcher: BaseMatcher
@@ -268,40 +250,38 @@ class PairScorer:
 
 
 class RerankPool:
-    """A persistent process pool for chunked rerank (and experiment) tasks.
+    """A persistent process pool for whole tasks, such as experiment runs.
 
-    ``ProcessPoolExecutor`` costs a spawn per pool plus an initializer run
-    per worker; paying that on every :meth:`LakeDiscoveryEngine.query
-    <repro.lake.engine.LakeDiscoveryEngine.query>` dwarfs the rerank itself
-    in a heavy-traffic serving scenario.  A ``RerankPool`` keeps one
-    executor alive across queries — workers stay warm, and per-query state
-    travels inside the tasks (with a worker-side cache so the query payload
-    is unpickled once per worker, not once per chunk).
+    :class:`~repro.experiments.runner.ExperimentRunner` fans the
+    (configuration x pair) runs of a grid sweep out over it, one task per
+    run.  ``ProcessPoolExecutor`` costs a spawn per pool plus an
+    initializer run per worker; the pool keeps one executor alive across
+    :meth:`map` calls so a sweep pays that once.  A discovery query never
+    uses it: every ranking is scored in the process that asked.
 
     The pool is lazy (no processes until the first task) and self-healing:
     after a :class:`BrokenProcessPool` (a worker died) :meth:`close`
-    discards the executor and the next task spawns a fresh one —
-    :meth:`map` retries its batch once that way, the rerank stream replays
-    itself once.
+    discards the executor, and :meth:`map` retries its batch once on a
+    fresh one.
 
-    Workers are **spawned, not forked**: rerank workers open their own
-    SQLite connections to the lake's stores, and SQLite database state must
-    never cross a ``fork()`` — a forked child inherits the parent
-    connections' file descriptors and in-process lock bookkeeping, which
-    silently corrupts any connection the child then opens to the same
-    files.  Spawn start-up is exactly the cost this pool exists to amortise.
+    Workers are **spawned, not forked**: SQLite database state must never
+    cross a ``fork()`` — a forked child inherits the parent connections'
+    file descriptors and in-process lock bookkeeping, which silently
+    corrupts any connection the child then opens to the same files.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, got {max_workers}")
         self.max_workers = max_workers
         #: How many executors this pool has spawned (observability: a
-        #: serving loop should see this stay at 1).
+        #: sweep with no worker deaths should see this stay at 1).
         self.spawn_count = 0
         self._executor: Optional[ProcessPoolExecutor] = None
 
     @property
     def workers(self) -> int:
-        """The resolved worker count (used to size task chunks)."""
+        """The resolved worker count."""
         return self.max_workers or os.cpu_count() or 1
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
@@ -328,15 +308,6 @@ class RerankPool:
             self.close()
             return list(self._ensure_executor().map(fn, tasks))
 
-    def submit(self, fn: Callable, task: object) -> Future:
-        """Submit one task to the warm workers; returns its future.
-
-        The streaming primitive behind the rerank plan: unlike :meth:`map`,
-        per-future failures (including ``BrokenProcessPool``) surface to
-        the caller, who owns the retry decision for the whole stream.
-        """
-        return self._ensure_executor().submit(fn, task)
-
     def close(self) -> None:
         """Shut the executor down; the next task spawns a fresh one."""
         if self._executor is not None:
@@ -359,10 +330,7 @@ class RerankPool:
 #: them came straight from a prepared store.
 Resolved = tuple[list[Union[Table, PreparedTable]], int]
 
-#: ``resolve(names, matcher) -> Resolved``.  A resolver that can also work
-#: inside a pool worker offers ``for_workers(names)`` returning a picklable
-#: copy of itself for that chunk (or ``None`` when it cannot, e.g. because
-#: its tables only exist in this process).
+#: ``resolve(names, matcher) -> Resolved``.
 Resolver = Callable[[Sequence[str], BaseMatcher], Resolved]
 
 
@@ -378,260 +346,12 @@ class RerankOutcome:
     skipped: int = 0
     #: Candidates served straight from a prepared store.
     store_hits: int = 0
-    #: Times the shared top-k cutoff tightened as exact scores streamed in.
+    #: Times the running top-k cutoff tightened as exact scores came in.
     cutoff_updates: int = 0
     #: Whether the budget expired before every surviving candidate was
     #: scored: the ranking is the best-effort top-k over those scored so far
     #: (possibly empty), never a wrong ordering of them.
     partial: bool = False
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """One rerank's per-query state, shared by all of its chunks.
-
-    Pickled once per pooled query and unpickled once per worker (see
-    :func:`_load_plan`).  ``deadline`` is an absolute ``perf_counter`` value
-    (``CLOCK_MONOTONIC`` on Linux, shared machine wide, so it means the
-    same instant in every worker).
-    """
-
-    scorer: PairScorer
-    query_prepared: PreparedTable
-    mode: str
-    top_k: Optional[int]
-    #: Whether the bounds are admissible and can actually skip a candidate.
-    skippable: bool
-    deadline: Optional[float]
-
-    def expired(self) -> bool:
-        return self.deadline is not None and time.perf_counter() >= self.deadline
-
-
-class _Chunk(NamedTuple):
-    """One :func:`_score_chunk` task."""
-
-    #: Distinguishes one query's shipped plan from the next, so a
-    #: persistent pool's workers know when to re-unpickle.
-    token: str
-    #: The live plan inline; its pickle when bound for the pool.
-    plan: Union[_Plan, bytes]
-    resolve: Resolver
-    #: Prepared provider for raw tables the resolver returns (inline only:
-    #: a worker cannot see the parent's provider).
-    provider: Optional[PreparedProvider]
-    #: ``(name, ranking bound)`` pairs, best bound first.
-    items: list[tuple[str, float]]
-    #: The shared top-k cutoff at submit time — stale by the time a worker
-    #: runs, but a stale cutoff only under-skips (see :class:`_TopKCutoff`).
-    cutoff: Optional[float]
-    #: Submit-side ``perf_counter`` when pooled with telemetry enabled (the
-    #: worker measures queue wait against it and ships a snapshot back).
-    epoch: Optional[float]
-
-
-class _ChunkOutcome(NamedTuple):
-    results: list[DiscoveryResult]
-    store_hits: int
-    skipped: int
-    stopped: bool
-    snapshot: Optional["telemetry.TelemetrySnapshot"]
-
-
-#: Source of the per-query tokens in :attr:`_Chunk.token`.
-_QUERY_TOKENS = itertools.count()
-
-#: How many queries' plans one worker keeps unpickled.  A serving batch
-#: interleaves chunks from several concurrent queries on the same warm
-#: workers; a single-slot cache would thrash (one unpickle per chunk
-#: instead of one per query), so the cache is a small per-worker LRU.
-_WORKER_PLAN_SLOTS = 8
-
-_WORKER_PLANS: "OrderedDict[str, _Plan]" = OrderedDict()
-
-
-def _load_plan(token: str, blob: bytes) -> _Plan:
-    plan = _WORKER_PLANS.get(token)
-    if plan is not None:
-        _WORKER_PLANS.move_to_end(token)
-        return plan
-    plan = _WORKER_PLANS[token] = pickle.loads(blob)
-    while len(_WORKER_PLANS) > _WORKER_PLAN_SLOTS:
-        _WORKER_PLANS.popitem(last=False)
-    return plan
-
-
-def _score_chunk(task: _Chunk) -> _ChunkOutcome:
-    """Skip, resolve, then score one chunk — inline or inside a pool worker.
-
-    Names whose bound undercuts the dispatched cutoff are dropped *before*
-    resolution, so a skipped candidate costs neither a store read nor a CSV
-    load.  Survivors are resolved in one batch and scored in bound order
-    against the tighter of the dispatched cutoff and this chunk's own
-    running top-k.
-
-    A pooled chunk with telemetry enabled records into a private recorder
-    and piggybacks its snapshot on the outcome; the parent merges every
-    chunk's snapshot, giving one coherent cross-process trace per query.
-    """
-    recorder = None
-    with ExitStack() as stack:
-        if task.epoch is not None:
-            recorder = telemetry.TelemetryRecorder()
-            stack.enter_context(telemetry.use(recorder))
-            recorder.observe(
-                "rerank.queue_wait", max(0.0, time.perf_counter() - task.epoch)
-            )
-            stack.enter_context(recorder.span("rerank.chunk", size=len(task.items)))
-        plan = task.plan
-        if isinstance(plan, bytes):
-            plan = _load_plan(task.token, plan)
-        scorer, matcher = plan.scorer, plan.scorer.matcher
-        floor = task.cutoff if plan.skippable else None
-        survivors = [
-            item for item in task.items if floor is None or item[1] >= floor
-        ]
-        skipped = len(task.items) - len(survivors)
-        results: list[DiscoveryResult] = []
-        store_hits = 0
-        stopped = bool(survivors) and plan.expired()
-        if survivors and not stopped:
-            names = [name for name, _ in survivors]
-            with telemetry.span("rerank.resolve_chunk", size=len(names)):
-                candidates, store_hits = task.resolve(names, matcher)
-            if len(candidates) < len(names):
-                telemetry.count(
-                    "discovery.candidates_dropped", len(names) - len(candidates)
-                )
-            bound_of = dict(survivors)
-            local = _TopKCutoff(plan.top_k if plan.skippable else None)
-            with telemetry.span("rerank.score_chunk", size=len(candidates)):
-                for candidate in candidates:
-                    if plan.expired():
-                        stopped = True
-                        break
-                    if (
-                        floor is not None
-                        and bound_of.get(candidate.name, math.inf) < floor
-                    ):
-                        skipped += 1
-                        continue
-                    if task.provider is not None and not isinstance(
-                        candidate, PreparedTable
-                    ):
-                        candidate = task.provider.prepare(matcher, candidate)
-                    result = scorer.score_prepared(plan.query_prepared, candidate)
-                    results.append(result)
-                    if local.observe(mode_score(result, plan.mode)):
-                        # The chunk's own k-th best is a cutoff too.
-                        if floor is None or local.value > floor:
-                            floor = local.value
-        telemetry.count("discovery.candidates_scored", len(results))
-    return _ChunkOutcome(
-        results,
-        store_hits,
-        skipped,
-        stopped,
-        recorder.snapshot() if recorder is not None else None,
-    )
-
-
-class _Shipped:
-    """Candidates the parent resolved for one pooled chunk.
-
-    Stands in for a resolver that cannot cross processes (an in-memory
-    repository or store): the payloads travel inside the task instead.
-    """
-
-    def __init__(self, candidates: list, store_hits: int) -> None:
-        self.candidates = candidates
-        self.store_hits = store_hits
-
-    def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
-        wanted = set(names)
-        kept = [c for c in self.candidates if c.name in wanted]
-        return kept, self.store_hits
-
-
-#: Target chunks per worker: >1 smooths uneven chunk costs, while each chunk
-#: still amortises its store round trip over many candidates.
-_CHUNKS_PER_WORKER = 2
-
-
-def _stream(
-    plan: _Plan,
-    items: list[tuple[str, float]],
-    size: int,
-    resolve: Resolver,
-    provider: Optional[PreparedProvider],
-    pool: Optional[RerankPool],
-) -> RerankOutcome:
-    """Feed bound-ordered chunks of *size* to :func:`_score_chunk`.
-
-    Inline (no *pool*) each chunk runs here and now; pooled, at most
-    ``pool.workers`` are in flight.  Either way every chunk carries the
-    *current* top-k cutoff and every finished chunk's exact scores tighten
-    it — the first wave (the best bounds) informs every later one, which is
-    where the skips come from.  Per-future errors (``BrokenProcessPool``)
-    propagate to the caller, which owns the replay.
-    """
-    recorder = telemetry.get_recorder()
-    token = f"{os.getpid()}-{next(_QUERY_TOKENS)}"
-    shipped_plan = plan if pool is None else pickle.dumps(plan, protocol=4)
-    epoch = time.perf_counter() if pool is not None and recorder.enabled else None
-    width = 1 if pool is None else pool.workers
-    for_workers = getattr(resolve, "for_workers", None)
-    cutoff = _TopKCutoff(plan.top_k)
-    outcome = RerankOutcome()
-    pending: set[Future] = set()
-    submitted = 0
-
-    def fold(chunk: _ChunkOutcome) -> None:
-        outcome.results.extend(chunk.results)
-        outcome.scored += len(chunk.results)
-        outcome.skipped += chunk.skipped
-        outcome.store_hits += chunk.store_hits
-        outcome.partial = outcome.partial or chunk.stopped
-        if chunk.snapshot is not None:
-            recorder.merge(chunk.snapshot)
-        for result in chunk.results:
-            if cutoff.observe(mode_score(result, plan.mode)):
-                outcome.cutoff_updates += 1
-
-    starts = iter(range(0, len(items), size))
-    while True:
-        while len(pending) < width:
-            start = next(starts, None)
-            if start is None:
-                break
-            if plan.expired():
-                # Budget spent with work remaining: stop dispatching.
-                outcome.partial = True
-                starts = iter(())
-                break
-            chunk = items[start : start + size]
-            resolver = resolve
-            if pool is not None:
-                names = [name for name, _ in chunk]
-                resolver = for_workers(names) if for_workers is not None else None
-                if resolver is None:
-                    resolver = _Shipped(*resolve(names, plan.scorer.matcher))
-            task = _Chunk(
-                token, shipped_plan, resolver, provider, chunk, cutoff.value, epoch
-            )
-            if pool is None:
-                fold(_score_chunk(task))
-            else:
-                pending.add(pool.submit(_score_chunk, task))
-                submitted += 1
-        if not pending:
-            break
-        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            fold(future.result())
-    if submitted:
-        telemetry.count("rerank_pool.chunks", submitted)
-    return outcome
 
 
 def prune_then_rerank(
@@ -643,11 +363,10 @@ def prune_then_rerank(
     top_k: Optional[int] = None,
     *,
     prepared_cache: Optional[PreparedProvider] = None,
-    pool: Optional[RerankPool] = None,
     signals: Optional[Mapping[str, CandidateSignals]] = None,
     budget_ms: Optional[float] = None,
 ) -> RerankOutcome:
-    """The discovery core shared by every engine: one streaming rerank plan.
+    """The discovery core shared by every engine: one inline rerank plan.
 
     Parameters
     ----------
@@ -673,13 +392,8 @@ def prune_then_rerank(
         Optional :class:`~repro.discovery.prepared.PreparedProvider` (a
         :class:`~repro.discovery.prepared.PreparedTableCache` or a
         :class:`~repro.discovery.prepared.PreparedStore`).
-        The query's prepared table — and, inline, every raw candidate's —
-        is served from / written through it.
-    pool:
-        The executor: ``None`` scores inline, a :class:`RerankPool` fans
-        the chunks out over its workers.  Workers resolve their chunks
-        themselves when *resolve* offers ``for_workers``; otherwise the
-        parent resolves and the payloads ship with the task.
+        The query's prepared table — and every raw candidate's — is served
+        from / written through it.
     signals:
         Stage-1 evidence per candidate name (see
         :mod:`repro.discovery.cascade`).  The matcher lifts it to
@@ -718,28 +432,52 @@ def prune_then_rerank(
     deadline = None
     if budget_ms is not None:
         deadline = time.perf_counter() + budget_ms / 1000.0
-    plan = _Plan(scorer, query_prepared, mode, top_k, skippable, deadline)
-    if len(items) < 2:
-        pool = None  # nothing to fan out
-    if pool is not None:
-        chunks = min(len(items), pool.workers * _CHUNKS_PER_WORKER)
-        size = math.ceil(len(items) / chunks)
-    elif skippable or deadline is not None:
-        size = 1  # resolve only what is about to be scored
-    else:
-        size = max(1, len(items))  # one store round trip for the whole shortlist
-    provider = prepared_cache if pool is None else None
+
+    def expired() -> bool:
+        return deadline is not None and time.perf_counter() >= deadline
+
+    # Nothing can skip or stop: one store round trip for the whole
+    # shortlist.  Something can: resolve only what is about to be scored.
+    batch = 1 if skippable or deadline is not None else max(1, len(items))
+    cutoff = _TopKCutoff(top_k)
+    outcome = RerankOutcome()
     with telemetry.span("discovery.score", candidates=len(items)):
-        try:
-            outcome = _stream(plan, items, size, resolve, provider, pool)
-        except BrokenProcessPool:
-            # A worker died: heal the pool and replay the whole stream once
-            # (results of the broken attempt are discarded — the counters
-            # must describe exactly one coherent pass).
-            logger.warning("rerank pool broke mid-rerank; respawning and replaying")
-            telemetry.count("rerank_pool.respawns")
-            pool.close()
-            outcome = _stream(plan, items, size, resolve, provider, pool)
+        for start in range(0, len(items), batch):
+            if expired():
+                outcome.partial = True
+                break
+            chunk = items[start : start + batch]
+            floor = cutoff.value if skippable else None
+            survivors = [
+                name for name, bound in chunk if floor is None or bound >= floor
+            ]
+            outcome.skipped += len(chunk) - len(survivors)
+            if not survivors:
+                continue
+            with telemetry.span("rerank.resolve_chunk", size=len(survivors)):
+                candidates, store_hits = resolve(survivors, matcher)
+            outcome.store_hits += store_hits
+            if len(candidates) < len(survivors):
+                telemetry.count(
+                    "discovery.candidates_dropped", len(survivors) - len(candidates)
+                )
+            with telemetry.span("rerank.score_chunk", size=len(candidates)):
+                for candidate in candidates:
+                    if expired():
+                        outcome.partial = True
+                        break
+                    if prepared_cache is not None and not isinstance(
+                        candidate, PreparedTable
+                    ):
+                        candidate = prepared_cache.prepare(matcher, candidate)
+                    result = scorer.score_prepared(query_prepared, candidate)
+                    outcome.results.append(result)
+                    if cutoff.observe(mode_score(result, mode)):
+                        outcome.cutoff_updates += 1
+            if outcome.partial:
+                break
+        outcome.scored = len(outcome.results)
+        telemetry.count("discovery.candidates_scored", outcome.scored)
     if signals is not None or budget_ms is not None:
         telemetry.count("rerank.cascade.skipped", outcome.skipped)
         telemetry.count("rerank.cascade.exact", outcome.scored)
@@ -789,8 +527,6 @@ class DiscoveryEngine:
         top_k: Optional[int] = None,
         index: Optional[object] = None,
         candidate_limit: Optional[int] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         cascade: bool = False,
         budget_ms: Optional[float] = None,
     ) -> list[DiscoveryResult]:
@@ -818,9 +554,6 @@ class DiscoveryEngine:
             ``max(DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER *
             top_k)`` so the exact matcher has slack to repair sketch-level
             ranking mistakes (unbounded when neither is set).
-        parallel / max_workers:
-            Rerank candidates in a transient process pool (workers receive
-            the prepared query once each).
         cascade / budget_ms:
             Price the candidates with stage-1 signals and/or set an anytime
             budget, with the same semantics as
@@ -862,16 +595,14 @@ class DiscoveryEngine:
             tables = (repository.get(name) for name in batch)
             return [table for table in tables if table is not None], 0
 
-        with RerankPool(max_workers) if parallel else nullcontext() as pool:
-            return prune_then_rerank(
-                query,
-                names,
-                resolve,
-                self._scorer(),
-                mode=mode,
-                top_k=top_k,
-                prepared_cache=self.prepared_cache,
-                pool=pool,
-                signals=signals,
-                budget_ms=budget_ms,
-            ).results
+        return prune_then_rerank(
+            query,
+            names,
+            resolve,
+            self._scorer(),
+            mode=mode,
+            top_k=top_k,
+            prepared_cache=self.prepared_cache,
+            signals=signals,
+            budget_ms=budget_ms,
+        ).results

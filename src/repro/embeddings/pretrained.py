@@ -161,8 +161,8 @@ class PretrainedEmbeddings:
     def __getstate__(self) -> dict:
         """Drop the memoisation caches when pickling.
 
-        The parallel rerank ships matchers (and therefore this embedder) to
-        every pool worker; a warm cache can hold tens of MB of vectors the
+        A pooled experiment sweep ships matchers (and therefore this
+        embedder) to every pool worker; a warm cache can hold tens of MB of vectors the
         workers rebuild cheaply on demand.
         """
         state = self.__dict__.copy()

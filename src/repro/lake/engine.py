@@ -11,21 +11,16 @@
    as the brute-force engine would.
 
 The rerank is the one plan of
-:func:`~repro.discovery.search.prune_then_rerank` (bounds → order → chunk →
-skip/resolve/score → cutoff feedback).  This engine supplies its three
-inputs per query: the LSH shortlist, a :class:`StoreResolver` built from the
-shortlist's one batched :meth:`SketchStore.table_meta` read, and — when
-``cascade`` asks for them — the stage-1 signals, condensed from the sketches
-the :class:`~repro.lake.index.LakeIndex` already holds decoded, never from
-the store.  A candidate is priced only while its indexed content hash equals
+:func:`~repro.discovery.search.prune_then_rerank` (bounds → order →
+skip/resolve/score → cutoff feedback), run in this process.  This engine
+supplies its three inputs per query: the LSH shortlist, a
+:class:`StoreResolver` built from the shortlist's one batched
+:meth:`SketchStore.table_meta` read, and — when ``cascade`` asks for them —
+the stage-1 signals, condensed from the sketches the
+:class:`~repro.lake.index.LakeIndex` already holds decoded, never from the
+store.  A candidate is priced only while its indexed content hash equals
 the one ``table_meta`` just returned — a bound never meets content other
-than the payload it prices; the rest are scored exactly.  ``parallel`` picks the
-executor: the engine's persistent
-:class:`~repro.discovery.search.RerankPool` of warm workers (created lazily
-on the first parallel query; release it with
-:meth:`LakeDiscoveryEngine.close` or a ``with`` block) instead of inline
-scoring.  For a file-backed lake the pool's workers resolve their chunks
-themselves, so nothing candidate-sized flows through this process.
+than the payload it prices; the rest are scored exactly.
 """
 
 from __future__ import annotations
@@ -48,7 +43,6 @@ from repro.discovery.search import (
     DatasetRepository,
     DiscoveryResult,
     PairScorer,
-    RerankPool,
     Resolved,
     prune_then_rerank,
 )
@@ -91,14 +85,6 @@ class StoreResolver:
     moves the stored hash).  A candidate with no stored payload is prepared
     from its CSV as it is *now*, and the store keys that payload by the
     current content.
-
-    In this process the resolver works on the engine's open handles.
-    :meth:`for_workers` makes the picklable per-chunk copy a pool worker
-    runs: it carries the chunk's meta rows and the prepared store's *path*,
-    and opens that store per call, never for the worker's lifetime — when
-    the last lock-holding connection to a WAL database closes, SQLite
-    checkpoints and deletes the ``-wal``/``-shm`` files, and an idle
-    connection in another process would be left serving a stale snapshot.
     """
 
     #: ``name -> (build-time content hash, source CSV path)`` for the
@@ -107,70 +93,34 @@ class StoreResolver:
     fingerprint: str
     prepared_store: Optional[PreparedStore] = None
     repository: Optional[DatasetRepository] = None
-    #: Worker copies only: ``(path, max_entries, max_bytes)`` of the
-    #: prepared store to open per call (the parent's eviction caps, so
-    #: budgets hold regardless of who writes).
-    store_spec: Optional[tuple[str, int, Optional[int]]] = None
-
-    def for_workers(self, names: Sequence[str]) -> Optional["StoreResolver"]:
-        """A picklable copy resolving *names* inside a pool worker, or ``None``.
-
-        ``None`` when the candidates only exist in this process — a
-        repository, or an in-memory prepared store.
-        """
-        store = self.prepared_store
-        if self.repository is not None or (
-            store is not None and store.path == ":memory:"
-        ):
-            return None
-        spec = None
-        if store is not None:
-            spec = (store.path, store.max_entries, store.max_bytes)
-        meta = {name: self.meta[name] for name in names if name in self.meta}
-        return StoreResolver(meta, self.fingerprint, store_spec=spec)
 
     def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
-        if self.store_spec is None:
-            return self._resolve(names, matcher, self.prepared_store)
-        path, max_entries, max_bytes = self.store_spec
-        with PreparedStore(path, max_entries=max_entries, max_bytes=max_bytes) as store:
-            return self._resolve(names, matcher, store)
-
-    def _resolve(
-        self,
-        names: Sequence[str],
-        matcher: BaseMatcher,
-        store: Optional[PreparedStore],
-    ) -> Resolved:
         in_memory: dict[str, Table] = {}
         if self.repository is not None:
             tables = ((name, self.repository.get(name)) for name in names)
             in_memory = {name: table for name, table in tables if table is not None}
         stored: dict[str, PreparedTable] = {}
-        if store is not None:
+        if self.prepared_store is not None:
             keys = [
                 (name, self.meta[name][0])
                 for name in names
                 if name not in in_memory and name in self.meta and self.meta[name][0]
             ]
             if keys:
-                stored = store.get_many(self.fingerprint, keys)
+                stored = self.prepared_store.get_many(self.fingerprint, keys)
         resolved: list[Union[Table, PreparedTable]] = []
         for name in names:
             candidate = in_memory.get(name)
             if candidate is None:
                 candidate = stored.get(name)
             if candidate is None:
-                candidate = self._load(name, matcher, store)
+                candidate = self._load(name, matcher)
             if candidate is not None:
                 resolved.append(candidate)
         return resolved, len(stored)
 
     def _load(
-        self,
-        name: str,
-        matcher: BaseMatcher,
-        store: Optional[PreparedStore],
+        self, name: str, matcher: BaseMatcher
     ) -> Union[Table, PreparedTable, None]:
         """The cold path: read the candidate's CSV, prepare, write through."""
         path = self.meta[name][1] if name in self.meta else None
@@ -187,14 +137,15 @@ class StoreResolver:
                 "skipping candidate %r: unreadable CSV %s (%s)", name, path, exc
             )
             return None
-        if store is None:
+        if self.prepared_store is None:
             return table
         try:
             with telemetry.span("rerank.prepare_candidate", table=name):
-                return store.prepare(matcher, table)
+                return self.prepared_store.prepare(matcher, table)
         except sqlite3.Error:
-            # Lost the write lock to another worker.  The raw table still
-            # serves this query (the scorer prepares it); only reuse is lost.
+            # Lost the write lock to another process (a daemon, `watch`,
+            # another query).  The raw table still serves this query (the
+            # scorer prepares it); only reuse is lost.
             logger.warning("write-through of %r lost to store contention", name)
             telemetry.count("prepared_store.write_contention")
             return table
@@ -226,13 +177,6 @@ class LakeDiscoveryEngine:
         content hash recorded at build time) are served straight from disk
         — no CSV read, no prepare — and cold candidates are written through
         after their first prepare, so one query warms the next.
-    rerank_pool:
-        Optional persistent :class:`~repro.discovery.search.RerankPool`
-        shared across queries (and possibly across engines).  When left
-        ``None``, the engine lazily creates its own on the first
-        ``parallel=True`` query and keeps it warm for later queries —
-        release it with :meth:`close` (engines never close pools that were
-        handed to them).
     """
 
     matcher: BaseMatcher
@@ -242,51 +186,31 @@ class LakeDiscoveryEngine:
     candidate_multiplier: int = DEFAULT_CANDIDATE_MULTIPLIER
     min_candidates: int = DEFAULT_MIN_CANDIDATES
     prepared_store: Optional[PreparedStore] = None
-    rerank_pool: Optional[RerankPool] = None
     #: Structured statistics of the last :meth:`query` — stage durations,
     #: shortlist/rerank sizes, store hits, and (when a telemetry recorder is
     #: active) the full counter/span snapshot of that query.
     last_query_stats: Optional[QueryStats] = field(default=None, repr=False, init=False)
     _index: Optional[LakeIndex] = field(default=None, repr=False, init=False)
     _index_version: int = field(default=-1, repr=False, init=False)
-    _owns_pool: bool = field(default=False, repr=False, init=False)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the engine-owned rerank pool.
+        """Drop the resident index.
 
-        Idempotent: a second :meth:`close` — including the implicit one from
-        ``__exit__`` after an explicit close inside the ``with`` block — is
-        a no-op.  A pool passed in by the caller is left running (it may
-        serve other engines); only a pool this engine lazily created is shut
-        down.  The stores belong to whoever constructed them and stay open.
-        A later parallel query lazily creates a new pool, which the next
-        :meth:`close` releases.
+        Idempotent, and the engine stays usable: a later query rebuilds the
+        index from the store.  The stores belong to whoever constructed
+        them and stay open.
         """
-        if self.rerank_pool is not None and self._owns_pool:
-            self.rerank_pool.close()
-            self.rerank_pool = None
-            self._owns_pool = False
+        self._index = None
+        self._index_version = -1
 
     def __enter__(self) -> "LakeDiscoveryEngine":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _ensure_rerank_pool(self, max_workers: Optional[int]) -> RerankPool:
-        """The persistent pool for parallel reranks, created on first use.
-
-        The pool's size is fixed when it is created; a different
-        ``max_workers`` on a later query reuses the existing warm pool
-        rather than respawning.
-        """
-        if self.rerank_pool is None:
-            self.rerank_pool = RerankPool(max_workers=max_workers)
-            self._owns_pool = True
-        return self.rerank_pool
 
     # ------------------------------------------------------------------ #
     # build / maintenance
@@ -362,8 +286,6 @@ class LakeDiscoveryEngine:
         repository: Optional[DatasetRepository] = None,
         mode: str = "joinable",
         top_k: Optional[int] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         cascade: bool = False,
         budget_ms: Optional[float] = None,
     ) -> list[DiscoveryResult]:
@@ -383,14 +305,6 @@ class LakeDiscoveryEngine:
             semantics as :meth:`DiscoveryEngine.discover`).
         top_k:
             Truncate the final ranking (also bounds the shortlist).
-        parallel:
-            Rerank on the (persistent) :attr:`rerank_pool` instead of
-            inline.  For a file-backed lake the workers resolve candidates
-            themselves — payloads read straight from the WAL prepared
-            store, CSV-prepare write-through on cold candidates.
-        max_workers:
-            Pool size for the parallel path (fixed when the persistent
-            pool is first created; default: executor's choice).
         cascade:
             Price the shortlist: per-candidate score bounds are derived
             from the sketches the index holds, the matcher runs best-bound-first
@@ -411,9 +325,7 @@ class LakeDiscoveryEngine:
         back into the active recorder *and* attached to the stats — so
         per-query attribution survives even on a shared recorder.
         """
-        (outcome,) = self.query_many(
-            [query], repository, mode, top_k, parallel, max_workers, cascade, budget_ms
-        )
+        (outcome,) = self.query_many([query], repository, mode, top_k, cascade, budget_ms)
         return outcome.results
 
     def query_many(
@@ -422,8 +334,6 @@ class LakeDiscoveryEngine:
         repository: Optional[DatasetRepository] = None,
         mode: str = "joinable",
         top_k: Optional[int] = None,
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
         cascade: bool = False,
         budget_ms: Optional[float] = None,
     ) -> list[BatchQueryResult]:
@@ -432,12 +342,10 @@ class LakeDiscoveryEngine:
         Returns one :class:`BatchQueryResult` (results + stats) per query,
         in input order — what a caller that needs the stats with the
         results uses (``lake serve`` calls it with one query per ticket).
-        The queries run one after the other; a pooled rerank keeps the
-        shared :class:`RerankPool` busy within each.
+        The queries run one after the other.
         """
-        pool = self._ensure_rerank_pool(max_workers) if parallel else None
         outcomes = [
-            self._query_one(query, repository, mode, top_k, pool, cascade, budget_ms)
+            self._query_one(query, repository, mode, top_k, cascade, budget_ms)
             for query in queries
         ]
         if outcomes:
@@ -450,7 +358,6 @@ class LakeDiscoveryEngine:
         repository: Optional[DatasetRepository],
         mode: str,
         top_k: Optional[int],
-        pool: Optional[RerankPool],
         cascade: bool,
         budget_ms: Optional[float],
     ) -> BatchQueryResult:
@@ -490,7 +397,6 @@ class LakeDiscoveryEngine:
                 mode=mode,
                 top_k=top_k,
                 prepared_cache=self.prepared_store,
-                pool=pool,
                 signals=signals,
                 budget_ms=budget_ms,
             )
@@ -505,7 +411,6 @@ class LakeDiscoveryEngine:
         stats = QueryStats(
             query_name=query.name,
             mode=mode,
-            parallel=pool is not None,
             shortlist_size=len(names),
             rerank_count=outcome.scored,
             store_hits=outcome.store_hits,

@@ -20,8 +20,8 @@ Consistency properties:
   silently mixing incomparable signatures.
 * **Concurrent readers** — file-backed stores run in WAL journal mode with
   one connection per process (:meth:`SketchStore._ensure_connection` is
-  keyed by PID), so parallel-rerank workers resolve candidate metadata
-  concurrently with a writing parent.  ``read_only=True`` opens an existing
+  keyed by PID), so a serving daemon or a one-shot query reads candidate
+  metadata while ``lake build`` or ``lake watch`` writes.  ``read_only=True`` opens an existing
   store without ever writing (safe for any number of reader processes).
 """
 
@@ -111,8 +111,8 @@ class SketchStore(PerProcessSqliteStore):
         passing a different explicit config raises ``ValueError``.
     read_only:
         Open an *existing* store for reading only (SQLite ``mode=ro``) —
-        what parallel-rerank workers use to resolve candidate metadata
-        while the parent may still be writing.
+        what ``lake serve`` uses to resolve candidate metadata while
+        another process may still be writing.
     """
 
     _STORE_KIND = "sketch store"

@@ -312,8 +312,7 @@ class PreparedTable:
     payload:
         Matcher-specific artifacts (value sets, signatures, schema trees...)
         — everything :meth:`BaseMatcher.match_prepared` reads besides the
-        header.  Picklable, since prepared queries travel to rerank
-        workers, and storable only when made of the values the prepared
+        header.  Storable only when made of the values the prepared
         store's codec allows (:mod:`repro.discovery.prepared_codec`).
     table:
         The underlying table where one exists — a table just prepared, or a
@@ -405,8 +404,9 @@ class BaseMatcher(abc.ABC):
         custom thesaurus, ontology or embedding model) override this to
         return stable, content-based tokens for them — otherwise two
         configurations differing only in such a dependency would share cache
-        entries.  Tokens must be stable across processes (no ``id()``): the
-        parallel rerank recomputes fingerprints in worker processes.
+        entries.  Tokens must be stable across processes (no ``id()``): a
+        persistent prepared store is read by processes other than the one
+        that wrote it.
         """
         return ()
 

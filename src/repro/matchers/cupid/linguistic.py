@@ -48,11 +48,11 @@ class _TokenPairTable:
     ``max(relation_score, jaro_winkler)`` is a pure function of the two
     tokens and the thesaurus content, so it is computed once per distinct
     ``(fingerprint, token_a, token_b)`` and shared by every match this
-    process runs.  Scoped per process, not per matcher: a pool worker
-    unpickles a fresh matcher for every query and must still hit.  Keyed by
+    process runs.  Scoped per process, not per matcher: an experiment
+    worker unpickles a fresh matcher for every run and must still hit.  Keyed by
     :meth:`Thesaurus.fingerprint`, so a mutated thesaurus never reads a
     score computed before the mutation.  Module state, so it is never
-    pickled into a matcher, a plan or a prepared payload.
+    pickled into a matcher or a prepared payload.
     """
 
     __slots__ = ("scores", "lookups", "misses")

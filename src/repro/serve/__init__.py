@@ -18,8 +18,8 @@ concurrent queries over HTTP (TCP or a unix socket, stdlib only):
   happens on this thread (SQLite connections are thread-bound);
 * :mod:`repro.serve.server` — :class:`DiscoveryServer`: one warm
   :class:`~repro.lake.engine.LakeDiscoveryEngine` behind ``/query``,
-  ``/stats`` and ``/healthz`` (scoring inline, or on a shared rerank pool
-  when given workers), with graceful store reopen on writer cycles;
+  ``/stats`` and ``/healthz`` (scoring inline on the dispatcher), with
+  graceful store reopen on writer cycles;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the thin HTTP client
   the benchmarks (and tests) drive the daemon with.
 """
@@ -33,7 +33,6 @@ from repro.serve.admission import (
     run_with_deadline,
 )
 from repro.serve.dispatcher import Dispatcher
-from repro.serve.health import CircuitBreaker
 from repro.serve.client import (
     DeadlineExpiredError,
     QueueFullError,
@@ -59,7 +58,6 @@ __all__ = [
     "Ticket",
     "run_with_deadline",
     "Dispatcher",
-    "CircuitBreaker",
     "ProtocolError",
     "QueryRequest",
     "decode_query_request",

@@ -4,8 +4,7 @@ Why a single thread: every SQLite connection in the stores is bound to the
 thread that opened it (and the engine's shortlist/rerank path is written
 for one caller at a time), so the daemon confines *all* engine and store
 access to this thread.  HTTP handler threads never touch the engine — they
-park on ticket futures.  A ticket is scored inline on this thread, unless
-the daemon was given workers: then its chunks go to the rerank pool.
+park on ticket futures.  A ticket is scored inline on this thread.
 
 Per ticket: poll for a store reopen, fail the ticket if every waiter's
 deadline passed while it queued, otherwise score it, retire its key from

@@ -197,7 +197,6 @@ def response_to_dict(request: QueryRequest, outcome, coalesced: bool) -> dict:
             "shortlist_size": stats.shortlist_size,
             "rerank_count": stats.rerank_count,
             "store_hits": stats.store_hits,
-            "parallel": stats.parallel,
             "total_seconds": stats.total_seconds,
             "shortlist_seconds": stats.shortlist_seconds,
             "rerank_seconds": stats.rerank_seconds,

@@ -12,8 +12,7 @@
 * the **dispatcher** (:class:`~repro.serve.dispatcher.Dispatcher`): one
   thread owning the engine session, because the stores' SQLite
   connections are bound to the thread that opens them; it scores one
-  ticket at a time, inline — or, given workers (``max_workers``), on one
-  :class:`~repro.discovery.search.RerankPool` that survives every reopen;
+  ticket at a time, inline;
 * one **engine session per store generation** — sketch store opened
   read-only, prepared store writable (cold queries warm it for everyone),
   both wrapped by a :class:`~repro.lake.engine.LakeDiscoveryEngine`;
@@ -45,14 +44,11 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 
-from repro.discovery.search import RerankPool
 from repro.lake import BatchQueryResult, LakeDiscoveryEngine, lake_generation, open_lake
 from repro.matchers.registry import create_matcher
 from repro.serve.admission import AdmissionQueue, Deadline, DeadlineExpired, QueueFull, Ticket
 from repro.serve.dispatcher import Dispatcher
-from repro.serve.health import CircuitBreaker
 from repro.serve.protocol import (
     ProtocolError,
     QueryRequest,
@@ -86,12 +82,7 @@ class ServeConfig:
     unix_socket: Optional[Path] = None  # serve on AF_UNIX instead of TCP
     queue_limit: int = 32
     default_timeout_s: Optional[float] = 30.0
-    max_workers: Optional[int] = None  # rerank pool size; None = no pool, score inline
     reopen_poll_s: float = 1.0
-    #: Circuit breaker over the pooled rerank path: this many consecutive
-    #: pool breaks switch queries to inline scoring for ``cooldown_s``.
-    breaker_threshold: int = 2
-    breaker_cooldown_s: float = 5.0
     #: Arm the two-stage rerank cascade for every served query (exact
     #: rankings; admissible bounds skip candidates that cannot reach the
     #: top-k).  Per-request anytime budgets (``budget_ms``) work either way.
@@ -107,10 +98,7 @@ class _EngineSession:
     """One generation of the stores and the engine wrapped around them.
 
     Sessions are opened and closed **on the dispatcher thread only** —
-    their SQLite connections are unusable from any other thread.  The
-    rerank pool, when the daemon has one, is shared across sessions: a pool
-    handed to the engine is never closed by it, so :meth:`close` retires
-    the engine and both stores while the workers stay warm.
+    their SQLite connections are unusable from any other thread.
     """
 
     engine: LakeDiscoveryEngine
@@ -119,7 +107,7 @@ class _EngineSession:
     _resources: ExitStack
 
     @classmethod
-    def open(cls, config: ServeConfig, pool: Optional[RerankPool]) -> "_EngineSession":
+    def open(cls, config: ServeConfig) -> "_EngineSession":
         generation = lake_generation(config.store_path, config.prepared_path)
         with ExitStack() as stack:
             # Sketch store read-only, prepared store writable: cold queries
@@ -140,7 +128,6 @@ class _EngineSession:
                     matcher=create_matcher(config.method, **config.method_kwargs),
                     store=store,
                     prepared_store=prepared_store,
-                    rerank_pool=pool,
                 )
             )
             return cls(engine, generation, len(store), stack.pop_all())
@@ -197,10 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         if self.path == "/healthz":
             payload = self.daemon.health()
-            # ok/degraded answer 200 (keep routing here — degraded still
-            # serves correct results); starting answers 503.
-            status = 200 if payload["status"] in ("ok", "degraded") else 503
-            self._send_json(status, payload)
+            self._send_json(200 if payload["status"] == "ok" else 503, payload)
         elif self.path == "/stats":
             self._send_json(200, self.daemon.stats())
         else:
@@ -248,12 +232,6 @@ class DiscoveryServer:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.recorder = TelemetryRecorder()
-        self.pool = None if config.max_workers is None else RerankPool(config.max_workers)
-        self.breaker = CircuitBreaker(
-            threshold=config.breaker_threshold,
-            cooldown_s=config.breaker_cooldown_s,
-        )
-        self.pool_restarts = 0
         self.reopen_count = 0
         self._session: Optional[_EngineSession] = None
         self._session_lock = threading.Lock()  # guards the reference swap only
@@ -298,8 +276,6 @@ class DiscoveryServer:
             self._http_thread.join(timeout=10)
             self._http_thread = None
         self.dispatcher.stop()
-        if self.pool is not None:
-            self.pool.close()
         if self.config.unix_socket is not None:
             try:
                 self.config.unix_socket.unlink()
@@ -349,7 +325,7 @@ class DiscoveryServer:
     # dispatcher-thread half (session ownership)
     # ------------------------------------------------------------------ #
     def _open_session(self) -> None:
-        session = _EngineSession.open(self.config, self.pool)
+        session = _EngineSession.open(self.config)
         with self._session_lock:
             self._session = session
 
@@ -378,7 +354,7 @@ class DiscoveryServer:
             current,
         )
         try:
-            fresh = _EngineSession.open(self.config, self.pool)
+            fresh = _EngineSession.open(self.config)
         except (ValueError, OSError) as exc:
             logger.warning("reopen failed (writer mid-cycle?), retrying later: %s", exc)
             return
@@ -393,44 +369,15 @@ class DiscoveryServer:
         if session is None:  # pragma: no cover - dispatcher guarantees open
             raise RuntimeError("no engine session")
         with use(self.recorder):
-            if self.pool is None:
-                return self._score(session, request, False)
-            parallel = self.breaker.allow()
-            try:
-                outcome = self._score(session, request, parallel)
-            except BrokenProcessPool:
-                # The shared pool died *twice* for this query (RerankPool
-                # already respawned and retried once internally).  Restart
-                # it behind the breaker and answer this query inline —
-                # degraded latency, correct results, no dropped queries.
-                self.recorder.count("serve.pool_restarts")
-                self.pool_restarts += 1
-                self.breaker.record_failure()
-                self.pool.close()
-                logger.warning(
-                    "rerank pool broke; restarted it and degraded this "
-                    "query to inline scoring (breaker: %s)",
-                    self.breaker.state,
-                )
-                outcome = self._score(session, request, False)
-            else:
-                if parallel:
-                    self.breaker.record_success()
-        return outcome
-
-    def _score(
-        self, session: _EngineSession, request: QueryRequest, parallel: bool
-    ) -> BatchQueryResult:
-        if self.config.fault_plan is not None:
-            self.config.fault_plan.check("serve.score_batch")
-        (outcome,) = session.engine.query_many(
-            [request.table],
-            mode=request.mode,
-            top_k=request.top_k,
-            parallel=parallel,
-            cascade=self.config.cascade,
-            budget_ms=request.budget_ms,
-        )
+            if self.config.fault_plan is not None:
+                self.config.fault_plan.check("serve.score_batch")
+            (outcome,) = session.engine.query_many(
+                [request.table],
+                mode=request.mode,
+                top_k=request.top_k,
+                cascade=self.config.cascade,
+                budget_ms=request.budget_ms,
+            )
         return outcome
 
     # ------------------------------------------------------------------ #
@@ -472,9 +419,9 @@ class DiscoveryServer:
             return
         except Exception as exc:
             # Contract: the daemon never answers 500.  A failed query is a
-            # *transient server condition* — the session reopens, the pool
-            # restarts, the breaker degrades — so tell the client to retry,
-            # the same way a full queue does.
+            # *transient server condition* — a locked store, a writer
+            # mid-cycle — so tell the client to retry, the same way a full
+            # queue does.
             self.recorder.count("serve.errors")
             logger.exception("query failed")
             send_json(
@@ -490,18 +437,11 @@ class DiscoveryServer:
         send_json(200, response_to_dict(request, outcome, coalesced))
 
     def health_status(self) -> str:
-        """The daemon's condition: ``ok`` / ``degraded`` / ``starting``.
-
-        ``ok`` — session open, breaker closed (full fast path).
-        ``degraded`` — serving correct answers, but the rerank breaker is
-        open or half-open, so queries bypass the pool and score inline.
-        ``starting`` — no engine session yet (also after a failed open).
-        """
+        """``ok`` once an engine session is open, ``starting`` until then
+        (also after a failed open)."""
         with self._session_lock:
             session = self._session
-        if session is None:
-            return "starting"
-        return "ok" if self.breaker.state == "closed" else "degraded"
+        return "starting" if session is None else "ok"
 
     def health(self) -> dict:
         """The ``/healthz`` payload — cached fields only, never the stores."""
@@ -509,14 +449,12 @@ class DiscoveryServer:
             session = self._session
         return {
             "status": self.health_status(),
-            "breaker": self.breaker.state,
             "tables": session.table_count if session is not None else None,
             "generation": _generation_as_json(
                 session.generation if session is not None else None
             ),
             "queue_depth": self.admission.depth(),
             "reopen_count": self.reopen_count,
-            "pool_restarts": self.pool_restarts,
         }
 
     def stats(self) -> dict:
@@ -529,9 +467,6 @@ class DiscoveryServer:
             "coalesced": self.admission.coalesced_count,
             "expired_in_queue": self.dispatcher.expired_in_queue,
             "reopen_count": self.reopen_count,
-            "pool_spawns": self.pool.spawn_count if self.pool is not None else 0,
-            "pool_restarts": self.pool_restarts,
-            "breaker": self.breaker.snapshot(),
             "pid": os.getpid(),
         }
         return payload

@@ -1,4 +1,4 @@
-"""Cross-process telemetry: spans, counters and query stats for discovery.
+"""Telemetry: spans, counters and query stats for discovery.
 
 The paper's evaluation weighs matcher *effectiveness* against *runtime
 efficiency*; this package is the instrument that attributes where a query's
@@ -7,8 +7,8 @@ time actually goes.  Three pieces:
 * :mod:`repro.telemetry.recorder` — the zero-dependency, thread-safe
   recorder: context-manager spans (``with telemetry.span("rerank",
   table=name):``), monotonic counters, duration histograms with
-  p50/p95/p99, and picklable :class:`TelemetrySnapshot` objects that
-  rerank workers ship back to the parent for merging.  The process-wide
+  p50/p95/p99, and picklable :class:`TelemetrySnapshot` objects a child
+  recorder hands its parent for merging.  The process-wide
   default is a no-op :class:`NullRecorder`, so the disabled path costs a
   method dispatch on the hot loop and nothing else.
 * :mod:`repro.telemetry.stats` — :class:`QueryStats`, the structured

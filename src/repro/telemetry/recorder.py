@@ -14,14 +14,18 @@ so the design splits into two halves:
   summaries.  All mutation happens under one lock, so a future ``lake
   serve`` daemon can share a recorder across request threads.
 
-Cross-process story: the parallel rerank runs in spawn-based workers that
-share nothing with the parent.  A worker therefore records into its own
-:class:`TelemetryRecorder`, takes a :class:`TelemetrySnapshot` (a plain
-picklable dataclass), and ships it back piggybacked on its chunk result;
-the parent folds it in with :meth:`TelemetryRecorder.merge`.  Span
-timestamps come from :func:`time.perf_counter`, which on Linux is
-``CLOCK_MONOTONIC`` — machine-wide, so parent and worker spans line up on
-one trace timeline.
+Cross-process story: a discovery query records in the process that runs
+it.  The one pool that runs recorded work is an
+:class:`~repro.experiments.runner.ExperimentRunner` sweep on a
+:class:`~repro.discovery.search.RerankPool`: each run records into its own
+:class:`TelemetryRecorder` inside a spawn-based worker, and its
+:class:`TelemetrySnapshot` (a plain picklable dataclass) travels back
+flattened into the run's record (``tm.*`` extra metrics).  Within one
+process, a child recorder's snapshot is folded into its parent with
+:meth:`TelemetryRecorder.merge`.  Span timestamps come from
+:func:`time.perf_counter`, which on Linux is ``CLOCK_MONOTONIC`` —
+machine-wide, so spans from different processes line up on one trace
+timeline.
 
 The **active** recorder is resolved per thread (with a process-wide
 default of :data:`NULL_RECORDER`): :func:`use` pushes a recorder for a
@@ -84,7 +88,7 @@ class SpanRecord:
 
     ``start`` is a raw :func:`time.perf_counter` value; consumers that need
     a common origin (the Chrome-trace exporter) subtract the earliest start
-    across the whole snapshot.  ``pid`` keeps spans from different worker
+    across the whole snapshot.  ``pid`` keeps spans from different
     processes on separate trace rows.
     """
 
@@ -99,9 +103,9 @@ class SpanRecord:
 class TelemetrySnapshot:
     """A picklable, mergeable copy of a recorder's state.
 
-    This is the unit that crosses process boundaries: workers return one
-    per chunk, the parent merges them, and the CLI renders one into the
-    ``--stats`` summary / ``--trace-json`` file.
+    This is the unit a child recorder hands its parent to merge, and the
+    one the CLI renders into the ``--stats`` summary / ``--trace-json``
+    file.
     """
 
     counters: dict[str, Number] = field(default_factory=dict)
@@ -317,7 +321,7 @@ class TelemetryRecorder:
             )
 
     def merge(self, snapshot: TelemetrySnapshot) -> None:
-        """Fold a (worker's) snapshot into this recorder."""
+        """Fold a (child recorder's) snapshot into this recorder."""
         with self._lock:
             for name, value in snapshot.counters.items():
                 self._counters[name] = self._counters.get(name, 0) + value

@@ -7,7 +7,7 @@ count, prepared-store hits, stage wall-clock) are always measured — two
 ``perf_counter`` reads, no recorder required — and, when a real
 :class:`~repro.telemetry.recorder.TelemetryRecorder` is active during the
 query, the full per-query :class:`TelemetrySnapshot` (per-stage duration
-histograms, store/LSH/pool counters, trace spans) is attached.
+histograms, store/LSH counters, trace spans) is attached.
 
 It replaced the old ``engine.last_store_hits`` side-channel attribute
 (deprecated in PR 6, removed in PR 8).
@@ -29,7 +29,6 @@ class QueryStats:
 
     query_name: str = ""
     mode: str = "joinable"
-    parallel: bool = False
     #: Candidate tables surfaced by the LSH shortlist (before resolution).
     shortlist_size: int = 0
     #: Candidates the matcher actually scored (before top-k truncation).
@@ -70,8 +69,7 @@ class QueryStats:
     def format_summary(self) -> str:
         """A human-readable multi-line summary (the CLI's ``--stats`` output)."""
         lines = [
-            f"query stats: {self.query_name!r} mode={self.mode} "
-            f"{'parallel' if self.parallel else 'serial'}",
+            f"query stats: {self.query_name!r} mode={self.mode}",
             f"  shortlist: {self.shortlist_size} candidates "
             f"in {self.shortlist_seconds * 1e3:.1f} ms",
             f"  rerank:    {self.rerank_count} scored, {self.store_hits} "

@@ -3,10 +3,9 @@
 Renders the spans of a :class:`~repro.telemetry.recorder.TelemetrySnapshot`
 in the Trace Event Format consumed by ``chrome://tracing`` and Perfetto
 (https://ui.perfetto.dev): a JSON object with a ``traceEvents`` array of
-complete ("ph": "X") events carrying microsecond ``ts``/``dur``.  Spans
-recorded by rerank workers keep their own ``pid``, so the parallel warm
-path renders as one timeline with a lane per process — queue waits and
-chunk skew are directly visible.
+complete ("ph": "X") events carrying microsecond ``ts``/``dur``.  Every
+span keeps the ``pid`` of the process that recorded it, so spans merged
+from several processes render as one timeline with a lane per process.
 
 Span start times are raw ``perf_counter`` readings; the exporter shifts
 them so the earliest span starts at ``ts = 0`` (trace viewers expect small

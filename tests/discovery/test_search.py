@@ -19,7 +19,6 @@ from repro.discovery.search import (
     DiscoveryEngine,
     DiscoveryResult,
     PairScorer,
-    _ChunkOutcome,
 )
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers import ComaSchemaMatcher, CupidMatcher, SemPropMatcher
@@ -175,8 +174,8 @@ class TestPairScorer:
 
 
 class TestResultsTravel:
-    def test_a_pooled_chunk_ships_columns_not_objects(self, gate_pair):
-        """What a pool worker pickles back per scored candidate."""
+    def test_a_result_pickles_as_columns_not_objects(self, gate_pair):
+        """What one scored candidate weighs when it crosses a process."""
         query, candidate = gate_pair
         matcher = SemPropMatcher()
         result = PairScorer(matcher).score_pair(query, candidate)
@@ -189,11 +188,11 @@ class TestResultsTravel:
         )
 
         def shipped(shipped_result) -> bytes:
-            return pickle.dumps(_ChunkOutcome([shipped_result], 1, 0, False, None))
+            return pickle.dumps(shipped_result)
 
         # The eager form of this 14 x 8 pair weighed 7,607 bytes at PR 19.
         assert len(shipped(result)) < 7607 / 3
         assert len(shipped(result)) < len(shipped(eager)) / 3
-        back = pickle.loads(shipped(result)).results[0]
+        back = pickle.loads(shipped(result))
         assert back.scores == result.scores
         assert back.matches.matches == result.matches.matches == eager.matches.matches

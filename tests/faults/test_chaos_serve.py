@@ -1,21 +1,19 @@
-"""Chaos: the serve daemon under injected rerank-pool breaks.
+"""Chaos: the serve daemon under injected transient failures.
 
-The no-500 contract from the ISSUE: whatever breaks inside a query, a
-client sees only 200 (answered), 429 (queue full) or 503 (transient server
-condition with a Retry-After hint) — never a 500 — and the daemon recovers
-to ``ok`` once the breaker's trial query succeeds.
+The no-500 contract: whatever breaks inside a query, a client sees only 200
+(answered), 429 (queue full) or 503 (transient server condition with a
+Retry-After hint) — never a 500 — and the next query is answered.
 
-Every daemon here is given workers (``max_workers=2``): without them there
-is no pool to break and no handler to exercise.  The pool is lazy, so a
-query whose first attempt is the injected ``BrokenProcessPool`` is answered
-inline and spawns nothing; the recovery test lets a query reach the real
-pool because only a successful *pooled* query closes the breaker.
+The daemon scores inline on its dispatcher thread, so a failure is injected
+where every query passes: ``serve.score_batch``, as the SQLite error a store
+locked by another process raises.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures.process import BrokenProcessPool
+import http.client
+import json
+import sqlite3
 
 import pytest
 
@@ -25,10 +23,21 @@ from repro.discovery.prepared import PreparedStore
 from repro.faults import FaultPlan, FaultSpec
 from repro.lake import SketchStore, build_from_paths, prepare_lake
 from repro.matchers.registry import create_matcher
-from repro.serve import CircuitBreaker, DiscoveryServer, ServeClient, ServeConfig, ServeError
+from repro.serve import DiscoveryServer, ServeClient, ServeConfig, ServeError
+from repro.serve.protocol import encode_query_request
 
 _METHOD = "jaccardlevenshtein"
 _NUM_TABLES = 3
+
+
+def _locked(**kwargs) -> FaultSpec:
+    """A transient failure at ``serve.score_batch``: a locked store."""
+    return FaultSpec(
+        "serve.score_batch",
+        "error",
+        error=sqlite3.OperationalError("database is locked"),
+        **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -50,69 +59,46 @@ def serve_lake(tmp_path_factory):
     return store_path, query
 
 
-def _config(store_path, plan, **overrides):
-    defaults = dict(
-        store_path=store_path,
-        method=_METHOD,
-        max_workers=2,
-        fault_plan=plan,
-    )
-    defaults.update(overrides)
-    return ServeConfig(**defaults)
+def _config(store_path, plan):
+    return ServeConfig(store_path=store_path, method=_METHOD, fault_plan=plan)
+
+
+def _post_query(daemon, query):
+    """One raw ``/query``: (status, Retry-After header, payload)."""
+    host, port = daemon.address
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("POST", "/query", body=encode_query_request(query, top_k=1))
+        response = connection.getresponse()
+        return response.status, response.getheader("Retry-After"), json.loads(response.read())
+    finally:
+        connection.close()
 
 
 class TestNoFiveHundred:
-    def test_single_pool_break_is_absorbed(self, serve_lake):
-        """One break per query: restarted pool + serial retry → still 200."""
+    def test_transient_failure_answers_503_and_the_next_query_200(self, serve_lake):
+        """The failed query is told to retry (503 + Retry-After), never shown
+        a 500; the next query is answered, the daemon stays ``ok`` and the
+        failure is counted."""
         store_path, query = serve_lake
-        plan = FaultPlan(
-            [FaultSpec("serve.score_batch", "error", error=BrokenProcessPool, times=1)]
-        )
-        with DiscoveryServer(_config(store_path, plan)) as daemon:
+        with DiscoveryServer(_config(store_path, FaultPlan([_locked(times=1)]))) as daemon:
+            status, retry_after, payload = _post_query(daemon, query)
+            assert status == 503
+            assert retry_after == "1"
+            assert payload["error"] == "unavailable"
+            assert "database is locked" in payload["detail"]
             host, port = daemon.address
             with ServeClient(host=host, port=port, timeout_s=30) as client:
                 response = client.query(query, top_k=_NUM_TABLES)
                 assert len(response["results"]) == _NUM_TABLES
-                assert daemon.pool_restarts == 1
-                stats = client.stats()
-                assert stats["counters"]["serve.pool_restarts"] == 1
-                assert stats["serve"]["pool_restarts"] == 1
-                # One failure < threshold (2): the breaker stayed closed.
                 assert client.healthz()["status"] == "ok"
+                assert client.stats()["counters"]["serve.errors"] == 1
 
-    def test_double_break_answers_503_not_500(self, serve_lake):
-        """The query fails even after the restart: the client is told to
-        retry (503 + Retry-After), never shown a 500."""
-        store_path, query = serve_lake
-        plan = FaultPlan(
-            [FaultSpec("serve.score_batch", "error", error=BrokenProcessPool, times=2)]
-        )
-        with DiscoveryServer(_config(store_path, plan)) as daemon:
-            host, port = daemon.address
-            with ServeClient(host=host, port=port, timeout_s=30) as client:
-                with pytest.raises(ServeError) as excinfo:
-                    client.query(query, top_k=1)
-                assert excinfo.value.status == 503
-                assert excinfo.value.payload["error"] == "unavailable"
-                # The plan's budget is spent: the daemon has already healed.
-                response = client.query(query, top_k=1)
-                assert response["results"]
-
-    def test_status_sweep_under_flaky_pool(self, serve_lake):
-        """A seeded 50%-break plan over a dozen queries: every answer is
+    def test_status_sweep_under_transient_failures(self, serve_lake):
+        """A seeded 50%-failure plan over a dozen queries: every answer is
         200 or 503; the daemon never wedges and never answers 500."""
         store_path, query = serve_lake
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    "serve.score_batch",
-                    "error",
-                    error=BrokenProcessPool,
-                    probability=0.5,
-                )
-            ],
-            seed=6,
-        )
+        plan = FaultPlan([_locked(probability=0.5)], seed=6)
         statuses = []
         with DiscoveryServer(_config(store_path, plan)) as daemon:
             host, port = daemon.address
@@ -123,45 +109,34 @@ class TestNoFiveHundred:
                         statuses.append(200)
                     except ServeError as exc:
                         statuses.append(exc.status)
+                assert client.healthz()["status"] == "ok"
+                errors = client.stats()["counters"]["serve.errors"]
         assert set(statuses) <= {200, 503}
         assert 200 in statuses and 503 in statuses  # the plan really fired
+        assert errors == statuses.count(503)
 
 
-class TestBreakerRecovery:
-    def test_degraded_then_recovers_to_ok(self, serve_lake):
-        """threshold=1: one break opens the breaker (health: degraded, but
-        /healthz still answers 200); after the cooldown the trial query
-        succeeds on the real pool and health returns to ok."""
-        store_path, query = serve_lake
-        plan = FaultPlan(
-            [FaultSpec("serve.score_batch", "error", error=BrokenProcessPool, times=1)]
-        )
-        config = _config(
-            store_path,
-            plan,
-            breaker_threshold=1,
-            breaker_cooldown_s=0.2,
-        )
-        with DiscoveryServer(config) as daemon:
-            host, port = daemon.address
-            with ServeClient(host=host, port=port, timeout_s=60) as client:
-                response = client.query(query, top_k=1)
-                assert response["results"]  # absorbed serially
-                health = client.healthz()
-                assert health["status"] == "degraded"
-                # Open, or already half-open if the query outran the cooldown.
-                assert health["breaker"] in ("open", "half_open")
-                time.sleep(0.3)  # past the cooldown: half-open trial allowed
-                response = client.query(query, top_k=1)
-                assert response["results"]
-                assert client.healthz()["status"] == "ok"
-                assert daemon.breaker.state == "closed"
-
+class TestHealth:
     def test_unstarted_daemon_reports_starting(self, serve_lake):
         store_path, _query = serve_lake
         daemon = DiscoveryServer(_config(store_path, None))
         assert daemon.health_status() == "starting"
         assert daemon.health()["status"] == "starting"
+
+    def test_consecutive_failures_leave_health_ok(self, serve_lake):
+        """Three failed queries in a row: each is its own 503, /healthz
+        answers ``ok`` after every one, and the fourth query is answered."""
+        store_path, query = serve_lake
+        with DiscoveryServer(_config(store_path, FaultPlan([_locked(times=3)]))) as daemon:
+            host, port = daemon.address
+            with ServeClient(host=host, port=port, timeout_s=30) as client:
+                for _ in range(3):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.query(query, top_k=1)
+                    assert excinfo.value.status == 503
+                    assert client.healthz()["status"] == "ok"
+                assert client.query(query, top_k=1)["results"]
+                assert client.stats()["counters"]["serve.errors"] == 3
 
 
 @pytest.mark.slow
@@ -169,8 +144,8 @@ class TestEndToEndChaos:
     def test_publisher_replica_daemon_pipeline(self, tmp_path):
         """The whole distribution path under one seeded fault plan: publish,
         chaos-pull (30%+ failures, one crash mid-pull, resumed), then serve
-        the replica under an injected pool break — and the daemon's answers
-        are exactly the publisher's."""
+        the replica under an injected transient failure — and the daemon's
+        answers are exactly the publisher's."""
         from repro.artifacts import (
             FaultyTransport,
             LocalTransport,
@@ -238,67 +213,27 @@ class TestEndToEndChaos:
             )
             assert not report.corrupt and report.blobs_skipped > 0
 
-        # Serve the replica under an injected pool break: still correct.
-        serve_plan = FaultPlan(
-            [FaultSpec("serve.score_batch", "error", error=BrokenProcessPool, times=1)]
-        )
+        # Serve the replica under an injected transient failure: the first
+        # query is told to retry, the retry is correct.
         config = ServeConfig(
             store_path=replica_path,
             prepared_path=prepared_path,
             method=_METHOD,
-            max_workers=2,
-            fault_plan=serve_plan,
+            fault_plan=FaultPlan([_locked(times=1)]),
         )
         with DiscoveryServer(config) as daemon:
             host, port = daemon.address
             with ServeClient(
                 host=host, port=port, timeout_s=60, retry_queue_full=True
             ) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.query(query, mode="joinable", top_k=_NUM_TABLES)
+                assert excinfo.value.status == 503
                 response = client.query(query, mode="joinable", top_k=_NUM_TABLES)
                 served = [
                     (r["table_name"], r["joinability"], r["unionability"])
                     for r in response["results"]
                 ]
                 assert served == expected
-                assert daemon.pool_restarts == 1
                 assert client.healthz()["status"] == "ok"
-
-
-class TestCircuitBreaker:
-    def test_opens_at_threshold_and_cools_down(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=2, cooldown_s=10.0, clock=lambda: clock[0])
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # one failure, threshold two
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-        clock[0] = 10.0
-        assert breaker.state == "half_open" and breaker.allow()
-
-    def test_failed_trial_reopens_immediately(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=2, cooldown_s=5.0, clock=lambda: clock[0])
-        breaker.record_failure()
-        breaker.record_failure()
-        clock[0] = 5.0
-        assert breaker.state == "half_open"
-        breaker.record_failure()  # one failure re-opens: no threshold refill
-        assert breaker.state == "open"
-        assert breaker.opened_count == 2
-
-    def test_success_closes_and_resets(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=0.0)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # the reset forgot the first failure
-        snapshot = breaker.snapshot()
-        assert snapshot["state"] == "closed"
-        assert snapshot["consecutive_failures"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=-1.0)
+                assert client.stats()["counters"]["serve.errors"] == 1

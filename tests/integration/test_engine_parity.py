@@ -1,11 +1,12 @@
 """Parity of the discovery engines through the shared prune-then-rerank core.
 
-Fabricates a small lake and answers the same query four ways — brute-force
-scan, index-pruned ``DiscoveryEngine.discover(index=)``, serial
-``LakeDiscoveryEngine.query`` and its parallel (process-pool) variant — and
-asserts all four produce identical rankings with identical scores.  The
-shortlist is larger than the lake here, so pruning cannot drop genuinely
-related tables and the comparison is exact.
+Fabricates a small lake and answers the same query three ways — brute-force
+scan, index-pruned ``DiscoveryEngine.discover(index=)`` and
+``LakeDiscoveryEngine.query`` — and asserts all three produce identical
+rankings with identical scores; so does the lake engine when every
+candidate is a payload from its prepared store.  The shortlist is larger
+than the lake here, so pruning cannot drop genuinely related tables and the
+comparison is exact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from repro.data.table import Table
 from repro.datasets import tpcdi_prospect_table
+from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake import LakeDiscoveryEngine, SketchStore
@@ -68,20 +70,32 @@ def test_all_engines_produce_identical_rankings(tmp_path, lake, matcher_factory)
     store.close()
 
 
-def test_parallel_rerank_matches_serial(tmp_path, lake):
+@pytest.mark.parametrize(
+    "matcher_factory",
+    [ComaSchemaMatcher, lambda: JaccardLevenshteinMatcher(sample_size=8)],
+    ids=["coma-schema", "jaccard-levenshtein"],
+)
+def test_warm_rerank_from_the_prepared_store_matches_brute_force(
+    tmp_path, lake, matcher_factory
+):
+    """No repository and no CSVs: every candidate is a stored payload."""
     query, repository = lake
-    matcher = ComaSchemaMatcher()
-
-    store = SketchStore(tmp_path / "parallel.sketches")
-    engine = LakeDiscoveryEngine(matcher=matcher, store=store)
-    engine.build(repository)
-
-    serial = engine.query(query, repository, mode="combined", top_k=TOP_K)
-    serial_count = engine.last_query_stats.rerank_count
-    parallel = engine.query(
-        query, repository, mode="combined", top_k=TOP_K, parallel=True, max_workers=2
+    matcher = matcher_factory()
+    brute = DiscoveryEngine(matcher=matcher).discover(
+        query, repository, mode="combined", top_k=TOP_K
     )
 
-    assert _signature(parallel) == _signature(serial)
-    assert engine.last_query_stats.rerank_count == serial_count
-    store.close()
+    with SketchStore(tmp_path / "warm.sketches") as store, PreparedStore(
+        tmp_path / "warm.sketches.prepared"
+    ) as prepared_store:
+        engine = LakeDiscoveryEngine(
+            matcher=matcher, store=store, prepared_store=prepared_store
+        )
+        engine.build(repository)
+        for table in repository:
+            prepared_store.prepare(matcher, table)
+        warm = engine.query(query, mode="combined", top_k=TOP_K)
+        stats = engine.last_query_stats
+
+    assert _signature(warm) == _signature(brute)
+    assert stats.store_hits == stats.rerank_count == len(repository)

@@ -1,8 +1,8 @@
 """End-to-end tests of the one rerank plan over the lake engine.
 
 Covers the exactness contract — for **every** registered matcher the
-ranking is byte-identical in every plan x executor cell ({unpriced, priced}
-x {inline, pooled}) and equal to an index-free brute-force oracle — plus
+ranking is byte-identical in every plan x resolve cell ({unpriced, priced}
+x {warm, cold}) and equal to an index-free brute-force oracle — plus
 real skipping with SemProp's admissible bound, anytime budgets, the store
 round trips each plan is allowed to make, and the hash guard between the
 resident index stage 1 prices from and the store.
@@ -21,12 +21,7 @@ from matcher_support import LIGHT_MATCHER_CONFIGS, prospect_lake
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.discovery.prepared import PreparedStore
-from repro.discovery.search import (
-    DatasetRepository,
-    DiscoveryEngine,
-    RerankPool,
-    mode_score,
-)
+from repro.discovery.search import DatasetRepository, DiscoveryEngine, mode_score
 from repro.lake import (
     LakeDiscoveryEngine,
     SketchStore,
@@ -62,12 +57,11 @@ def test_config_map_covers_every_registered_matcher():
 
 
 class _GridLake:
-    """A file-backed lake every grid cell queries, plus the shared pool.
+    """A file-backed lake every grid cell queries.
 
-    No repository: candidates come from the prepared store (warmed per
-    matcher before its first cell) or, on a miss, from the CSVs — so the
-    pooled cells run the worker-resolved path.  One ``RerankPool`` serves
-    all 48 pooled cells; ``spawn_count`` staying 1 is part of the contract.
+    No repository: a warm cell's candidates come from the shared prepared
+    store (warmed per matcher before its first cell); a cold cell gets an
+    empty prepared store of its own, so its candidates come from the CSVs.
     """
 
     def __init__(self, directory) -> None:
@@ -78,7 +72,6 @@ class _GridLake:
         self.store = SketchStore(directory / "lake.sketches")
         build_from_paths(self.store, paths)
         self.prepared_store = PreparedStore(directory / "lake.sketches.prepared")
-        self.pool = RerankPool(max_workers=2)
         # The oracle sees what the engine sees: tables as read back from CSV.
         self.repository = DatasetRepository(read_csv(path) for path in paths)
         self._oracle: dict[str, list] = {}
@@ -102,7 +95,6 @@ class _GridLake:
         return _signature(ranked[:TOP_K])
 
     def close(self) -> None:
-        self.pool.close()
         self.prepared_store.close()
         self.store.close()
 
@@ -114,29 +106,28 @@ def grid_lake(tmp_path_factory):
     lake.close()
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 @pytest.mark.parametrize("priced", [False, True], ids=["unpriced", "priced"])
 @pytest.mark.parametrize("mode", ["joinable", "unionable", "combined"])
 @pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
-def test_ranking_identical_in_every_plan_and_executor_cell(
-    grid_lake, method, mode, priced, pooled
+def test_ranking_identical_in_every_plan_and_resolve_cell(
+    grid_lake, tmp_path, method, mode, priced, warm
 ):
-    engine = LakeDiscoveryEngine(
+    prepared_store = (
+        nullcontext(grid_lake.prepared_store)
+        if warm
+        else PreparedStore(tmp_path / "cold.prepared")
+    )
+    with prepared_store as prepared_store, LakeDiscoveryEngine(
         matcher=grid_lake.matcher(method),
         store=grid_lake.store,
-        prepared_store=grid_lake.prepared_store,
-        rerank_pool=grid_lake.pool if pooled else None,
-    )
-    try:
-        ranking = engine.query(
-            grid_lake.query, mode=mode, top_k=TOP_K, cascade=priced, parallel=pooled
-        )
+        prepared_store=prepared_store,
+    ) as engine:
+        ranking = engine.query(grid_lake.query, mode=mode, top_k=TOP_K, cascade=priced)
         stats = engine.last_query_stats
-    finally:
-        engine.close()
+        written = set(prepared_store.table_names()) - {grid_lake.query.name}
     assert _signature(ranking) == grid_lake.oracle(method, mode)
     assert stats.partial is False
-    assert stats.parallel is pooled
     assert stats.shortlist_size == len(grid_lake.repository)
     if priced:
         assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
@@ -146,26 +137,22 @@ def test_ranking_identical_in_every_plan_and_executor_cell(
         # and the cascade counters stay 0.
         assert stats.rerank_count == stats.shortlist_size
         assert stats.cascade_exact == stats.cascade_skipped == 0
-    # Fully warm: every scored candidate came from the prepared store.  (A
-    # pooled worker resolves its chunk before its local top-k skips some of
-    # it, so hits can outnumber the scored.)
-    assert stats.store_hits >= stats.rerank_count
-    if not priced:
+    if warm:
+        # Every scored candidate came from the prepared store.
         assert stats.store_hits == stats.rerank_count
-    assert grid_lake.pool.spawn_count <= 1  # 48 pooled cells, one warm pool
+    else:
+        # Every scored candidate was read from its CSV, prepared and written
+        # through; a skipped one was never read.
+        assert stats.store_hits == 0
+        assert len(written) == stats.rerank_count
 
 
 # --------------------------------------------------------------------- #
 # SemProp: the one bundled matcher with a sound (admissible) bound
 # --------------------------------------------------------------------- #
 
-# _GOOD == TOP_K on purpose: bound ordering puts the good tables first, so
-# the first parallel chunk (size ~4 with two workers) holds all three goods
-# plus a bad one — its worker-local top-k heap fills from the goods and
-# skips the trailing bad *within the chunk*, making `cascade_skipped > 0`
-# deterministic.  Cross-chunk skips also happen, but they depend on chunk
-# completion order (a later-finishing good chunk seeds the shared cutoff
-# too late) and must not be what the assertion rides on.
+# _GOOD == TOP_K: bound ordering scores the three goods first, and their
+# exact scores fill the top-k cutoff every bad's bound then falls under.
 _GOOD, _BAD, _ROWS = 3, 12, 30
 
 
@@ -232,23 +219,6 @@ def test_semprop_cascade_skips_and_stays_exact_serial(semprop_lake):
     assert stats.cascade_skipped >= 0.3 * stats.shortlist_size
     assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
     assert stats.rerank_count == stats.cascade_exact
-
-
-def test_semprop_cascade_skips_and_stays_exact_parallel(semprop_lake):
-    store_path, query = semprop_lake
-    with _semprop_engine(store_path) as engine:
-        plain = engine.query(query, mode="joinable", top_k=TOP_K)
-        cascaded = engine.query(
-            query, mode="joinable", top_k=TOP_K, cascade=True, parallel=True,
-            max_workers=2,
-        )
-        stats = engine.last_query_stats
-    assert _signature(cascaded) == _signature(plain)
-    # At least the first chunk's trailing bad candidate is skipped by its
-    # worker-local heap (see the _GOOD == TOP_K note above); cross-chunk
-    # skips via the shared cutoff are opportunistic and timing-dependent.
-    assert stats.cascade_skipped > 0
-    assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
 
 
 # --------------------------------------------------------------------- #
@@ -394,6 +364,30 @@ def test_priced_rerank_reads_payloads_only_for_scored_candidates(
     assert stats.cascade_skipped > 0
     assert prepared_store.get_many_calls == [1] * stats.cascade_exact
     assert stats.store_hits == stats.cascade_exact
+
+
+def test_budgeted_rerank_reads_payloads_one_candidate_at_a_time(counting_engine):
+    """A deadline can stop the rerank, so nothing is read ahead of scoring."""
+    engine, sketch_store, prepared_store, query = counting_engine
+    plain = engine.query(query, mode="joinable", top_k=TOP_K)
+    prepared_store.get_many_calls.clear()
+    budgeted = engine.query(query, mode="joinable", top_k=TOP_K, budget_ms=60_000.0)
+    stats = engine.last_query_stats
+    assert stats.partial is False
+    assert _signature(budgeted) == _signature(plain)
+    assert prepared_store.get_many_calls == [1] * stats.shortlist_size
+    assert stats.store_hits == stats.rerank_count == stats.shortlist_size
+
+
+def test_priced_rerank_without_top_k_is_one_payload_read(counting_engine):
+    """No top-k, no cutoff: even admissible bounds cannot skip, so the
+    priced rerank resolves the whole shortlist in one round trip."""
+    engine, sketch_store, prepared_store, query = counting_engine
+    engine.query(query, mode="joinable", cascade=True)
+    stats = engine.last_query_stats
+    assert stats.cascade_skipped == 0
+    assert stats.cascade_exact == stats.shortlist_size
+    assert prepared_store.get_many_calls == [stats.shortlist_size]
 
 
 def test_cold_rerank_without_prepared_store_never_decodes_sketches(semprop_lake):

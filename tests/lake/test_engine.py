@@ -50,16 +50,6 @@ class TestLakeDiscoveryEngine:
             assert got, f"index pruned every candidate in mode {mode!r}"
             assert [r.table_name for r in got] == [r.table_name for r in expected][: len(got)]
 
-    def test_parallel_path_matches_serial(self, lake, engine):
-        query, repository = lake
-        serial = engine.query(query, repository, mode="unionable")
-        parallel = engine.query(
-            query, repository, mode="unionable", parallel=True, max_workers=2
-        )
-        assert [(r.table_name, r.unionability) for r in serial] == [
-            (r.table_name, r.unionability) for r in parallel
-        ]
-
     def test_build_is_incremental(self, lake, engine):
         _, repository = lake
         assert engine.build(repository) == 0  # all cache hits

@@ -7,8 +7,8 @@ Regressions pinned here:
 * the engine never closes the stores it was given;
 * the ``last_store_hits`` alias (deprecated in PR 6) is gone —
   ``last_query_stats.store_hits`` is the only surface;
-* a query after ``close()`` works — the index keeps following the store —
-  and the next ``close()`` releases the pool that query made;
+* a query after ``close()`` works — the index is rebuilt and keeps
+  following the store — and the next ``close()`` drops it again;
 * ``query_many`` answers exactly like sequential ``query`` calls.
 """
 
@@ -85,7 +85,7 @@ class TestIdempotentClose:
     def test_revived_engine_hears_table_removals_again(self, warm_setup):
         """An engine queried again after close() keeps following the store:
         a table removed afterwards is gone from its next shortlist, and the
-        pool that query created is released by the next close()."""
+        index that query rebuilt is dropped by the next close()."""
         matcher, store, prepared_store, query = warm_setup
         engine = LakeDiscoveryEngine(
             matcher=matcher, store=store, prepared_store=prepared_store
@@ -93,13 +93,13 @@ class TestIdempotentClose:
         engine.query(query, top_k=2)  # builds the cached index
         engine.close()
         try:
-            assert engine.query(query, top_k=2, parallel=True, max_workers=2)
+            assert engine.query(query, top_k=2)
             assert "t0" in {c.table_name for c in engine.shortlist(query)}
             assert store.remove_table("t0")
             assert "t0" not in {c.table_name for c in engine.shortlist(query)}
         finally:
             engine.close()
-        assert engine.rerank_pool is None  # the revived pool was released
+        assert engine._index is None  # the rebuilt index was dropped
 
 
 class TestLastStoreHitsRemoval:

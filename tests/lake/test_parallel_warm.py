@@ -1,19 +1,16 @@
-"""The fully parallel warm path: worker-side payload loading + RerankPool.
+"""The warm path: how a cold query warms it, what its telemetry costs, and
+the process pool experiment sweeps use.
 
 Contracts under test:
 
-* a warm ``parallel=True`` query reads **zero** candidate CSVs (proved by
-  deleting them) and re-prepares nothing (every candidate is a store hit);
-* the engine's persistent :class:`RerankPool` is spawned once and reused
-  across queries (and across engines when shared explicitly);
-* cold candidates hit in a worker are written through, warming the store
-  for the next (serial or parallel) query;
+* a warm query reads **zero** candidate CSVs (proved by deleting them) and
+  re-prepares nothing (every candidate is a store hit);
+* a cold query writes its candidates through, so the next one is fully warm,
+  and both report the same scored-candidate counters for every matcher;
 * with telemetry off, the instrumentation left on the warm path is a bounded
-  number of no-op calls and constructs nothing.
-
-That parallel-warm rankings equal serial-warm ones for every registered
-matcher is asserted by the plan x executor grid in
-``test_cascade_engine.py``.
+  number of no-op calls and constructs nothing;
+* :class:`RerankPool` refuses a size below one when it is built, and heals
+  itself after a worker dies (what ``ExperimentRunner`` relies on).
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import RerankPool
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.matchers.registry import available_matchers, create_matcher
+from repro.matchers.registry import create_matcher
 from repro.telemetry import NULL_RECORDER, TelemetryRecorder, use
 from repro.telemetry import recorder as telemetry_recorder
 
@@ -66,10 +63,9 @@ def warm_lake(tmp_path_factory):
 
 
 class TestZeroCsvReads:
-    def test_parallel_warm_query_opens_no_csvs(self, tmp_path):
-        """Delete every candidate CSV after pre-warming: a parallel query
-        must still answer (workers resolve purely from the stores), and its
-        ranking must match the serial-warm answer recorded beforehand."""
+    def test_warm_query_opens_no_csvs(self, tmp_path):
+        """Delete every candidate CSV after pre-warming: the query must still
+        answer from the stores alone, and rank as it did with the CSVs."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
         for i in range(4):
@@ -85,22 +81,19 @@ class TestZeroCsvReads:
                 with LakeDiscoveryEngine(
                     matcher=matcher, store=store, prepared_store=prepared_store
                 ) as engine:
-                    serial = engine.query(query, top_k=3)
+                    before = engine.query(query, top_k=3)
                     for path in csv_paths:
                         path.unlink()  # any CSV open would now fail loudly
-                    parallel = engine.query(
-                        query, top_k=3, parallel=True, max_workers=2
-                    )
-                    assert _ranking(parallel) == _ranking(serial)
+                    after = engine.query(query, top_k=3)
+                    assert _ranking(after) == _ranking(before)
                     stats = engine.last_query_stats
                     assert stats.store_hits == stats.rerank_count == 4
 
 
 class TestSingleCandidateShortlist:
-    def test_parallel_warm_with_one_candidate_stays_warm(self, tmp_path):
-        """Regression: a shortlist of one candidate has nothing to fan out,
-        so the rerank runs inline — which must still serve the prepared
-        payload from the store."""
+    def test_warm_query_with_one_candidate_stays_warm(self, tmp_path):
+        """A shortlist of one candidate is still served the prepared payload
+        from the store."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
         table = tpcdi_prospect_table(num_rows=16, seed=55).rename("only")
@@ -115,48 +108,18 @@ class TestSingleCandidateShortlist:
                 with LakeDiscoveryEngine(
                     matcher=matcher, store=store, prepared_store=prepared_store
                 ) as engine:
-                    results = engine.query(query, parallel=True, max_workers=2)
+                    results = engine.query(query)
                     assert [r.table_name for r in results] == ["only"]
                     stats = engine.last_query_stats
                     assert stats.store_hits == stats.rerank_count == 1
 
 
 class TestRerankPoolLifecycle:
-    def test_engine_reuses_its_lazily_created_pool(self, tmp_path):
-        lake_dir = tmp_path / "lake"
-        lake_dir.mkdir()
-        for i in range(3):
-            table = tpcdi_prospect_table(num_rows=14, seed=60 + i).rename(f"t{i}")
-            write_csv(table, lake_dir / f"t{i}.csv")
-        matcher = JaccardLevenshteinMatcher()
-        query = tpcdi_prospect_table(num_rows=14, seed=97).rename("query")
-        with SketchStore(tmp_path / "lake.sketches") as store:
-            build_from_paths(store, sorted(lake_dir.glob("*.csv")))
-            with PreparedStore(tmp_path / "lake.sketches.prepared") as prepared_store:
-                prepare_lake(store, prepared_store, matcher)
-                engine = LakeDiscoveryEngine(
-                    matcher=matcher, store=store, prepared_store=prepared_store
-                )
-                assert engine.rerank_pool is None
-                first = engine.query(query, parallel=True, max_workers=2)
-                pool = engine.rerank_pool
-                assert pool is not None and pool.spawn_count == 1
-                second = engine.query(query, parallel=True, max_workers=2)
-                assert engine.rerank_pool is pool and pool.spawn_count == 1
-                assert _ranking(first) == _ranking(second)
-                engine.close()
-                assert engine.rerank_pool is None
-
-    def test_engine_does_not_close_a_shared_pool(self, tmp_path):
-        with RerankPool(max_workers=2) as pool:
-            store = SketchStore(tmp_path / "lake.sketches")
-            engine = LakeDiscoveryEngine(
-                matcher=JaccardLevenshteinMatcher(), store=store, rerank_pool=pool
-            )
-            engine.close()
-            assert engine.rerank_pool is pool  # left running for other owners
-            assert pool.map(len, [[1, 2], [3]]) == [2, 1]  # still serves
-            store.close()
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one_is_refused_at_construction(self, size):
+        """Not at the first ``map``, and never read back as a worker count."""
+        with pytest.raises(ValueError, match="max_workers must be at least 1"):
+            RerankPool(max_workers=size)
 
     def test_pool_heals_after_worker_death(self):
         with RerankPool(max_workers=2) as pool:
@@ -170,62 +133,42 @@ class TestRerankPoolLifecycle:
 
 
 class TestTelemetryParity:
-    def test_parallel_counters_match_serial_for_every_matcher(self, warm_lake):
-        """Worker-side telemetry snapshots must merge back into the parent's
-        recorder so that a warm parallel query reports the *same* pipeline
-        counters as the equivalent serial query, for all eight matchers —
-        the counters are recorded in different processes on the parallel
-        path, but the totals are a property of the query, not the plan."""
-        store, prepared_path, query, _ = warm_lake
-        with RerankPool(max_workers=2) as pool:
-            for name in sorted(available_matchers()):
-                matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS.get(name, {}))
-                with PreparedStore(prepared_path) as prepared_store:
-                    prepare_lake(store, prepared_store, matcher)
-                    serial_engine = LakeDiscoveryEngine(
-                        matcher=matcher, store=store, prepared_store=prepared_store
-                    )
-                    # Write the query table's own payload through, so both
-                    # measured queries below run fully warm.
-                    prepared_store.prepare(matcher, query)
-                    serial_recorder = TelemetryRecorder()
-                    with use(serial_recorder):
-                        serial_engine.query(query, mode="unionable")
-                    parallel_engine = LakeDiscoveryEngine(
-                        matcher=matcher,
-                        store=store,
-                        prepared_store=prepared_store,
-                        rerank_pool=pool,
-                    )
-                    parallel_recorder = TelemetryRecorder()
-                    with use(parallel_recorder):
-                        parallel_engine.query(
-                            query, mode="unionable", parallel=True, max_workers=2
-                        )
-                    serial = serial_recorder.snapshot().counters
-                    parallel = parallel_recorder.snapshot().counters
-                    assert (
-                        serial.get("discovery.candidates_scored")
-                        == parallel.get("discovery.candidates_scored")
-                        == _NUM_TABLES
-                    ), f"{name}: scored-candidate counters diverged"
-                    assert serial.get("prepared_store.hits") == parallel.get(
-                        "prepared_store.hits"
-                    ), f"{name}: prepared-store hit counters diverged"
-                    # The parallel plan leaves its own fingerprints: chunk
-                    # accounting and worker-measured queue waits.
-                    assert parallel.get("rerank_pool.chunks", 0) >= 1
-                    waits = parallel_recorder.snapshot().durations.get(
-                        "rerank.queue_wait", []
-                    )
-                    assert waits and all(wait >= 0.0 for wait in waits)
-                    # QueryStats carries the per-query snapshot and agrees
-                    # with the engine-level statistics.
-                    stats = parallel_engine.last_query_stats
-                    assert stats is not None and stats.snapshot is not None
-                    assert stats.store_hits == _NUM_TABLES
-                    assert stats.rerank_count == _NUM_TABLES
-                    assert stats.parallel is True
+    @pytest.mark.parametrize("name", sorted(LIGHT_MATCHER_CONFIGS))
+    def test_counters_match_cold_and_warm_for_every_matcher(
+        self, warm_lake, tmp_path, name
+    ):
+        """A cold query (CSV reads, prepares, write-through) and the warm one
+        after it report the same scored-candidate counters and rank the
+        same: the totals are a property of the query, not of where its
+        candidates came from.  The store counters tell the two apart, and
+        agree with the per-query stats."""
+        store, _, query, _ = warm_lake
+        matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS[name])
+        runs = []
+        with PreparedStore(tmp_path / "lake.sketches.prepared") as prepared_store:
+            engine = LakeDiscoveryEngine(
+                matcher=matcher, store=store, prepared_store=prepared_store
+            )
+            for _ in range(2):
+                recorder = TelemetryRecorder()
+                with use(recorder):
+                    ranking = _ranking(engine.query(query, mode="unionable"))
+                stats = engine.last_query_stats
+                runs.append((ranking, recorder.snapshot().counters, stats))
+        (cold_ranking, cold, cold_stats), (warm_ranking, warm, warm_stats) = runs
+        assert warm_ranking == cold_ranking, f"{name}: rankings diverged"
+        assert (
+            cold.get("discovery.candidates_scored")
+            == warm.get("discovery.candidates_scored")
+            == _NUM_TABLES
+        ), f"{name}: scored-candidate counters diverged"
+        assert cold_stats.store_hits == 0
+        assert cold.get("prepared_store.writes") == _NUM_TABLES + 1  # + the query
+        assert warm_stats.store_hits == _NUM_TABLES
+        assert warm.get("prepared_store.writes", 0) == 0
+        for stats in (cold_stats, warm_stats):
+            assert stats.snapshot is not None
+            assert stats.rerank_count == stats.shortlist_size == _NUM_TABLES
 
     def test_disabled_recorder_stays_empty(self, warm_lake):
         """With the default no-op recorder the pipeline must not record
@@ -249,7 +192,6 @@ class TestTelemetryParity:
             assert stats.rerank_count == _NUM_TABLES
             assert stats.total_seconds > 0.0
             assert stats.store_hits == _NUM_TABLES
-
 
     def test_disabled_instrumentation_stays_within_a_call_budget(
         self, warm_lake, monkeypatch
@@ -298,10 +240,10 @@ class TestTelemetryParity:
         assert sum(calls.values()) <= _NULL_CALLS_PER_UNIT * units, calls
 
 
-class TestWorkerWriteThrough:
-    def test_cold_parallel_query_warms_the_store(self, tmp_path):
-        """No pre-warming: workers read CSVs, prepare, and write through —
-        the next serial query must be fully warm."""
+class TestWriteThrough:
+    def test_cold_query_warms_the_store(self, tmp_path):
+        """No pre-warming: the query reads CSVs, prepares, and writes through
+        — the next query must be fully warm and rank the same."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
         for i in range(4):
@@ -315,10 +257,10 @@ class TestWorkerWriteThrough:
                 with LakeDiscoveryEngine(
                     matcher=matcher, store=store, prepared_store=prepared_store
                 ) as engine:
-                    cold = engine.query(query, parallel=True, max_workers=2)
+                    cold = engine.query(query)
                     assert engine.last_query_stats.store_hits == 0  # genuinely cold
-                    # Workers wrote all four candidates through (the fifth
-                    # row is the query itself, via the prepared provider).
+                    # All four candidates were written through, and the
+                    # query itself via the prepared provider.
                     assert set(prepared_store.table_names()) == {
                         "t0",
                         "t1",
@@ -326,7 +268,7 @@ class TestWorkerWriteThrough:
                         "t3",
                         "query",
                     }
-                    warm = engine.query(query)  # serial, same engine
+                    warm = engine.query(query)
                     stats = engine.last_query_stats
                     assert stats.store_hits == stats.rerank_count == 4
                     assert _ranking(warm) == _ranking(cold)

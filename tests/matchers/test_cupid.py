@@ -16,7 +16,7 @@ from matcher_support import lakebench_column_names, reference_relation_score, te
 from repro.data.csv_io import write_csv
 from repro.data.table import Column, Table
 from repro.datasets import tpcdi_prospect_table
-from repro.discovery.search import PairScorer, _Plan
+from repro.discovery.search import PairScorer
 from repro.matchers.cupid import CupidMatcher, build_schema_tree, name_similarity, tree_match
 from repro.matchers.cupid import linguistic
 from repro.matchers.cupid.linguistic import category_compatibility, linguistic_similarity
@@ -251,7 +251,7 @@ class TestTokenPairTableContract:
         source = Table("s", {"client_name": ["a"], "zip": ["b"], "salary": [1]})
         target = Table("t", {"customer": ["c"], "postal_code": ["d"], "wage": [2]})
         prepared = matcher.prepare(source), matcher.prepare(target)
-        plan = _Plan(PairScorer(matcher), prepared[0], "joinable", 3, False, None)
+        plan = (PairScorer(matcher), prepared[0])
         cold = len(pickle.dumps(matcher)), len(pickle.dumps(plan))
         keys_before = len(thesaurus._keys)
         hits_before, _ = linguistic.token_pair_work()

@@ -4,7 +4,7 @@ The writer is the actual ``lake build`` CLI run via ``subprocess`` — the
 same multi-process WAL situation a deployed daemon faces — while client
 threads keep querying.  Contract: no in-flight or subsequent query fails,
 and the daemon picks up the new generation (new table visible) without a
-restart; the warm rerank pool must survive the swap.
+restart.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class TestReopenUnderTraffic:
         config = ServeConfig(
             store_path=store_path,
             method=_METHOD,
-            max_workers=2,
             reopen_poll_s=0.05,
         )
         with DiscoveryServer(config) as daemon:
@@ -115,8 +114,6 @@ class TestReopenUnderTraffic:
             assert queries_done[0] > 0
             assert health["tables"] == 5  # new generation is live
             assert health["reopen_count"] >= 1
-            # The spawned rerank pool survived the reopen untouched.
-            assert daemon.pool.spawn_count == 1
             # And the new table is actually rankable.
             with ServeClient(host=host, port=port, timeout_s=60) as client:
                 response = client.query(query, top_k=10)

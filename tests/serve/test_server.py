@@ -2,10 +2,8 @@
 in-flight coalescing, and admission control (429 queue-full, 504 deadline
 expiry).
 
-The lake is tiny and the daemon scores inline on the dispatcher thread
-(the default: no ``max_workers``, no pool) so these tests are seconds-scale
-and deterministic on one CPU; the pooled path is covered by
-``TestExecutorRule`` below, the chaos suite and the ``slow`` reopen test.
+The lake is tiny and the daemon scores inline on the dispatcher thread, so
+these tests are seconds-scale and deterministic on one CPU.
 """
 
 from __future__ import annotations
@@ -134,25 +132,7 @@ class TestEndpoints:
 
 
 class TestExecutorRule:
-    """A pool exists iff the daemon was given workers — counted, not timed."""
-
-    @staticmethod
-    def _serve(config, query):
-        """Two queries against *config*'s daemon: (response, /stats, children)."""
-        before = set(multiprocessing.active_children())
-        with DiscoveryServer(config) as daemon:
-            host, port = daemon.address
-            with ServeClient(host=host, port=port, timeout_s=60) as client:
-                client.query(query, mode="joinable", top_k=2)
-                response = client.query(query, mode="combined", top_k=_NUM_TABLES)
-                stats = client.stats()
-            children = set(multiprocessing.active_children()) - before
-        assert set(multiprocessing.active_children()) <= before  # stop() reaps them
-        ranking = [
-            (r["table_name"], r["joinability"], r["unionability"])
-            for r in response["results"]
-        ]
-        return ranking, response["stats"], stats["serve"], children
+    """The daemon scores in its own process — counted, not timed."""
 
     def test_default_daemon_never_constructs_or_spawns_a_pool(
         self, served_lake, monkeypatch
@@ -166,25 +146,19 @@ class TestExecutorRule:
             original(pool, *args, **kwargs)
 
         monkeypatch.setattr(search.RerankPool, "__init__", counting_init)
-        ranking, query_stats, serve_stats, children = self._serve(
-            ServeConfig(store_path=store_path, method=_METHOD), query
-        )
+        before = set(multiprocessing.active_children())
+        with DiscoveryServer(ServeConfig(store_path=store_path, method=_METHOD)) as daemon:
+            host, port = daemon.address
+            with ServeClient(host=host, port=port, timeout_s=60) as client:
+                client.query(query, mode="joinable", top_k=2)
+                response = client.query(query, mode="combined", top_k=_NUM_TABLES)
+            children = set(multiprocessing.active_children()) - before
         assert constructed == []
         assert children == set()
-        assert serve_stats["pool_spawns"] == 0
-        assert query_stats["parallel"] is False
-        assert ranking == _one_shot_ranking(store_path, query, "combined")
-
-    def test_daemon_given_workers_spawns_exactly_one_executor(self, served_lake):
-        store_path, query = served_lake
-        ranking, query_stats, serve_stats, children = self._serve(
-            ServeConfig(store_path=store_path, method=_METHOD, max_workers=2), query
-        )
-        assert 1 <= len(children) <= 2  # workers start on demand, up to N
-        assert serve_stats["pool_spawns"] == 1  # one executor for both queries
-        assert serve_stats["pool_restarts"] == 0
-        assert query_stats["parallel"] is True
-        assert ranking == _one_shot_ranking(store_path, query, "combined")
+        assert [
+            (r["table_name"], r["joinability"], r["unionability"])
+            for r in response["results"]
+        ] == _one_shot_ranking(store_path, query, "combined")
 
 
 class TestCoalescing:

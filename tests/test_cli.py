@@ -55,7 +55,8 @@ _METHOD = (("--method",), "method", "'ComaSchema'")
 
 #: Recorded from commit 3a2edeb (the last single-file ``cli.py``): no flag
 #: may be added, removed, renamed or re-defaulted by a refactor.  Deleted on
-#: purpose since: ``query --parallel``, ``serve --serial``, ``pull --no-resume``.
+#: purpose since: ``query --parallel``, ``serve --serial``, ``pull --no-resume``,
+#: ``query --workers`` and ``serve --workers``.
 _PARSER_SURFACE = {
     "": [(("--verbose", "-v"), "verbose", "0")],
     "coverage": [],
@@ -104,7 +105,6 @@ _PARSER_SURFACE = {
         (("--timeout-s",), "timeout_s", "None"),
         (("--top",), "top", "10"),
         (("--trace-json",), "trace_json", "None"),
-        _WORKERS,
     ],
     "lake serve": [
         (("--cascade",), "cascade", "False"),
@@ -117,7 +117,6 @@ _PARSER_SURFACE = {
         _STORE,
         (("--timeout-s",), "timeout_s", "30.0"),
         (("--unix-socket",), "unix_socket", "None"),
-        _WORKERS,
     ],
     "lake stats": [_PREPARED_STORE, _STORE],
     "lake verify": [
@@ -185,14 +184,17 @@ class TestParserSurface:
             ["lake", "query", "q.csv", "--parallel"],
             ["lake", "serve", "--serial"],
             ["lake", "pull", "src", "--no-resume"],
+            ["lake", "query", "q.csv", "--workers", "2"],
+            ["lake", "serve", "--workers", "2"],
         ],
-        ids=lambda argv: " ".join(argv[1:2] + argv[-1:]),
+        ids=lambda argv: " ".join(argv[1:2] + [a for a in argv if a.startswith("--")]),
     )
     def test_deleted_executor_and_journal_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+        flag = next(a for a in argv if a.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(_LEAF_ARGV))
     def test_command_dispatches_to_a_handler_and_has_help(self, command, capsys):
@@ -544,14 +546,7 @@ class TestObservability:
         assert "shortlist:" in output and "rerank:" in output
         assert "counters:" in output
         assert "lsh.bands_probed" in output
-        assert "mode=joinable serial" in output  # no --workers, no pool
-
-    def test_query_workers_is_what_asks_for_a_pool(self, tmp_path, capsys):
-        store, query_path = self._built_lake(tmp_path)
-        capsys.readouterr()
-        argv = ["lake", "query", str(query_path), "--store", str(store), "--stats"]
-        assert main(argv + ["--workers", "2"]) == 0
-        assert "mode=joinable parallel" in capsys.readouterr().out
+        assert "mode=joinable" in output
 
     def test_query_trace_json_is_valid_chrome_trace(self, tmp_path, capsys):
         import json
@@ -767,12 +762,10 @@ class TestBadInput:
         [
             ["lake", "query", "{query}", "--store", "{store}", "--top", "0"],
             ["lake", "query", "{query}", "--store", "{store}", "--top", "-1"],
-            ["lake", "query", "{query}", "--store", "{store}", "--workers", "0"],
             ["lake", "query", "{query}", "--store", "{store}", "--budget-ms", "0"],
             ["lake", "query", "{query}", "--store", "{store}", "--budget-ms", "-5"],
             ["lake", "query", "{query}", "--store", "{store}", "--timeout-s", "0"],
             ["lake", "query", "{query}", "--store", "{store}", "--timeout-s", "nan"],
-            ["lake", "serve", "--store", "{store}", "--workers", "0"],
             ["lake", "serve", "--store", "{store}", "--queue-limit", "0"],
             ["lake", "serve", "--store", "{store}", "--timeout-s", "-1"],
             ["lake", "serve", "--store", "{store}", "--reopen-poll-s", "0"],
@@ -795,9 +788,8 @@ class TestBadInput:
         self, command, tmp_path, capsys
     ):
         """At the parent these were an IndexError (--top), a ValueError from
-        the executor (--workers), a daemon answering 503 forever (serve
-        --workers 0), an empty "partial" ranking (--budget-ms), a misleading
-        timeout (--timeout-s), an OverflowError from bind() (--port), a
+        the executor (--workers), an empty "partial" ranking (--budget-ms), a
+        misleading timeout (--timeout-s), an OverflowError from bind() (--port), a
         ValueError after an empty store was created (pull --retry-attempts 0)
         or a watch loop that never sleeps (--interval-s 0)."""
         lake_dir, store, query_path = self._built_store(tmp_path)
