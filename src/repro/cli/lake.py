@@ -16,6 +16,7 @@ from repro.cli.options import (
     positive_int,
 )
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
+from repro.discovery.prepared import fingerprint_class
 from repro.lake import (
     LakeDiscoveryEngine,
     build_from_paths,
@@ -76,10 +77,10 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     )
     query.add_argument(
         "--cascade", action="store_true",
-        help="two-stage rerank: score cheap sketch-level bounds first and "
-        "skip candidates that provably cannot reach the top-k (exact "
-        "rankings; skipping only when the matcher declares its bounds "
-        "admissible)",
+        help="two-stage rerank: price candidates with cheap sketch-level "
+        "bounds and skip those that provably cannot reach the top-k (exact "
+        "rankings; only SemProp bounds anything, and only when no query "
+        "column links to its ontology)",
     )
     query.add_argument(
         "--budget-ms", type=positive_float, default=None, metavar="MS",
@@ -250,12 +251,9 @@ def _command_lake_stats(args: argparse.Namespace) -> int:
     print(f"prepared store {prepared_path} ({prepared_path.stat().st_size / 1024:.1f} KiB)")
     print(f"  rows:             {prepared_stats['rows']}")
     print(f"  payload bytes:    {prepared_stats['total_payload_bytes']}")
-    print(f"  entry cap:        {prepared_stats['max_entries']}")
-    budget = prepared_stats["max_bytes"]
-    print(f"  byte budget:      {budget if budget is not None else 'none'}")
     for fingerprint, per in sorted(prepared_stats["per_fingerprint"].items()):
         print(
-            f"  matcher {fingerprint[:12]}…: {per['rows']} rows, "
+            f"  matcher {fingerprint_class(fingerprint)}: {per['rows']} rows, "
             f"{per['payload_bytes']} payload bytes"
         )
     return 0

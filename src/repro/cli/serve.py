@@ -41,7 +41,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     serve.add_argument(
         "--cascade", action="store_true",
         help="arm the two-stage rerank cascade for every served query "
-        "(exact rankings; admissible bounds skip hopeless candidates)",
+        "(exact rankings; sound bounds skip hopeless candidates)",
     )
     serve.add_argument(
         "--reopen-poll-s", type=positive_float, default=1.0, metavar="SECONDS",

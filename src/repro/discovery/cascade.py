@@ -1,21 +1,21 @@
 """Stage-1 signals and score bounds for the cascaded rerank.
 
 The rerank plan (:func:`~repro.discovery.search.prune_then_rerank`) can be
-*priced* before it runs.  Stage 1 scores every shortlisted candidate with
-*cheap* store-resident evidence — the sketch-level MinHash
-Jaccard and the hash-space histogram distance every
-:class:`~repro.lake.profiles.ColumnSketch` already carries — condensed into
-one :class:`CandidateSignals` per candidate.  Each matcher turns those
-signals into an **upper bound** on any column-pair score it could produce
-(:meth:`~repro.matchers.base.BaseMatcher.score_bound`); stage 2 then runs
-the expensive ``match_prepared`` only on candidates whose bound still
-overlaps the current top-k cutoff.
+*priced* before it runs.  Stage 1 condenses cheap store-resident evidence —
+the sketch-level MinHash Jaccard every
+:class:`~repro.lake.profiles.ColumnSketch` already carries — into one
+:class:`CandidateSignals` per shortlisted candidate.  Its one producer is the
+lake engine (:class:`~repro.lake.engine.LakeDiscoveryEngine`), which reads
+the sketches its resident :class:`~repro.lake.index.LakeIndex` holds.  Each
+matcher turns those signals into an **upper bound** on any column-pair score
+it could produce (:meth:`~repro.matchers.base.BaseMatcher.score_bound`);
+stage 2 then runs the expensive ``match_prepared`` only on candidates whose
+bound still reaches the current top-k cutoff.
 
-Bounds are trusted for skipping only when the matcher declares them
-*admissible* (:meth:`~repro.matchers.base.BaseMatcher.bounds_admissible`);
-otherwise they merely order the work best-bound-first, and every candidate
-is still scored exactly — which is what keeps priced rankings
-byte-identical to unpriced ones.
+One rule makes that exact: a finite bound is a sound bound, and a matcher
+that cannot guarantee one returns the base ``+inf``, which never skips.
+Skipping therefore cannot evict a true top-k member, and a priced ranking is
+byte-identical to an unpriced one.
 
 This module deliberately avoids importing :mod:`repro.lake` (the lake
 package imports the discovery core); the sketch arguments are duck-typed
@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
-
-import numpy as np
 
 from repro.sketches.minhash import jaccard_matrix, signature_matrix
 
@@ -60,11 +58,6 @@ class CandidateSignals:
     max_jaccard:
         Maximum sketch-estimated value-set Jaccard over all (query column,
         candidate column) pairs.
-    min_histogram_distance:
-        Minimum L1 distance between hash-space histograms over all pairs
-        (in ``[0, 2]``; ``0.0`` when no comparable histograms exist).
-    num_columns:
-        Candidate column count.
     num_permutations:
         Signature width of the candidate's stored MinHash sketches.
     seed:
@@ -76,42 +69,9 @@ class CandidateSignals:
 
     table_name: str
     max_jaccard: float
-    min_histogram_distance: float
-    num_columns: int
     num_permutations: int
     seed: int
     max_values: int
-
-
-def _min_histogram_distance(query_columns, columns) -> float:
-    """Minimum pairwise L1 histogram distance, vectorised per bucket width.
-
-    Stage 1 runs once per shortlisted candidate, so this is on the per-query
-    hot path; broadcasting over all (query column, candidate column) pairs
-    of the same histogram length beats the naive double loop by an order of
-    magnitude on wide shortlists.  Only equal-length, non-empty histograms
-    are comparable — mismatched widths contribute nothing, as before.
-    """
-    query_by_len: dict[int, list] = {}
-    for q in query_columns:
-        if q.histogram:
-            query_by_len.setdefault(len(q.histogram), []).append(q.histogram)
-    best = math.inf
-    if not query_by_len:
-        return best
-    candidate_by_len: dict[int, list] = {}
-    for c in columns:
-        if c.histogram:
-            candidate_by_len.setdefault(len(c.histogram), []).append(c.histogram)
-    for length, query_hists in query_by_len.items():
-        candidate_hists = candidate_by_len.get(length)
-        if not candidate_hists:
-            continue
-        q = np.asarray(query_hists, dtype=np.float64)
-        c = np.asarray(candidate_hists, dtype=np.float64)
-        distances = np.abs(q[:, None, :] - c[None, :, :]).sum(axis=2)
-        best = min(best, float(distances.min()))
-    return best
 
 
 def candidate_signals(
@@ -134,7 +94,6 @@ def candidate_signals(
             signature_matrix([sketch.minhash for sketch in columns]),
         )
         max_jaccard = float(matrix.max())
-    min_histogram = _min_histogram_distance(query_columns, columns)
     num_permutations = len(columns[0].minhash.values) if columns else 0
     max_values = 0
     for c in columns:
@@ -144,8 +103,6 @@ def candidate_signals(
     return CandidateSignals(
         table_name=name,
         max_jaccard=max_jaccard,
-        min_histogram_distance=0.0 if math.isinf(min_histogram) else min_histogram,
-        num_columns=len(columns),
         num_permutations=num_permutations,
         seed=seed,
         max_values=max_values,
@@ -177,23 +134,19 @@ def compute_ranking_bounds(
     signals: Mapping[str, CandidateSignals],
     mode: str,
     union_threshold: float,
-) -> tuple[dict[str, float], bool]:
-    """Per-candidate ranking-score bounds, plus whether they may skip work.
+) -> dict[str, float]:
+    """Per-candidate upper bounds on the final ranking score under *mode*.
 
-    Returns ``(bounds, trusted)``: *bounds* maps candidate name to an upper
-    bound on its final ranking score under *mode*, and *trusted* is the
-    matcher's :meth:`~repro.matchers.base.BaseMatcher.bounds_admissible`
-    declaration — only a trusted bound may drop a candidate below the
-    cutoff; untrusted bounds are used purely to order scoring
-    best-bound-first.
+    A finite value is sound (the matcher's
+    :meth:`~repro.matchers.base.BaseMatcher.score_bound` guarantees it) and
+    may drop a candidate below the cutoff; ``+inf`` never does.
     """
-    bounds = {
+    return {
         name: mode_bound(
             matcher.score_bound(prepared_query, signal), mode, union_threshold
         )
         for name, signal in signals.items()
     }
-    return bounds, matcher.bounds_admissible()
 
 
 def order_by_bound(

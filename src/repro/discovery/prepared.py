@@ -78,6 +78,7 @@ __all__ = [
     "PreparedTableCache",
     "PreparedStore",
     "PREPARED_PAYLOAD_FORMAT",
+    "fingerprint_class",
 ]
 
 #: Version of the row layout (:mod:`repro.discovery.prepared_codec`).  Readers
@@ -103,6 +104,15 @@ CREATE TABLE IF NOT EXISTS prepared (
 );
 CREATE INDEX IF NOT EXISTS prepared_lru ON prepared (last_used);
 """
+
+
+def fingerprint_class(fingerprint: str) -> str:
+    """The matcher class a fingerprint names: everything before its ``(``.
+
+    Every :meth:`~repro.matchers.base.BaseMatcher.fingerprint` opens with
+    ``module.Class(``; the parameters after it are too long for a label.
+    """
+    return fingerprint.partition("(")[0]
 
 
 class PreparedProvider(Protocol):
@@ -341,9 +351,9 @@ class PreparedStore(PerProcessSqliteStore):
     def _discard(self, fingerprint: str, table_name: str, content_hash: str) -> None:
         """Delete one untrustworthy row (no-op on read-only stores)."""
         logger.warning(
-            "discarding corrupt or foreign prepared row (table=%r, fingerprint=%s...)",
+            "discarding corrupt or foreign prepared row (table=%r, matcher=%s)",
             table_name,
-            fingerprint[:12],
+            fingerprint_class(fingerprint),
         )
         telemetry.count("prepared_store.discarded_rows")
         if self.read_only:
@@ -732,8 +742,6 @@ class PreparedStore(PerProcessSqliteStore):
         return {
             "rows": len(self),
             "total_payload_bytes": self.total_bytes,
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
             "session_hits": self.hits,
             "session_misses": self.misses,
             "session_hit_rate": self.hit_rate,

@@ -13,16 +13,18 @@ through **one rerank plan**, :func:`prune_then_rerank`:
    signals: every bound is ``+inf``);
 2. *order* — candidates are sorted best-bound-first (no bounds: shortlist
    order);
-3. *score* — one loop in this process skips what an admissible bound
-   proves cannot reach the top k, resolves the rest and scores them;
+3. *score* — one loop in this process skips what a finite bound proves
+   cannot reach the top k, resolves the rest and scores them;
 4. *cutoff feedback* — every exact score tightens the running top-k cutoff
    the next skip decision reads.
 
 *Priced versus unpriced is the signals*: they only decide how tight the
-bounds are.  They also decide how the loop resolves: a rerank that can
-neither skip nor stop early resolves the whole shortlist in one batch (one
-store round trip), one that can resolves only the candidate it is about to
-score.
+bounds are.  A finite bound is sound by contract (see
+:meth:`~repro.matchers.base.BaseMatcher.score_bound`); ``+inf`` never
+skips.  The bounds also decide how the loop resolves: a rerank that can
+neither skip (no ``top_k``, or no finite bound) nor stop early (no budget)
+resolves the whole shortlist in one batch (one store round trip), one that
+can resolves only the candidate it is about to score.
 
 :class:`DiscoveryEngine` and
 :class:`~repro.lake.engine.LakeDiscoveryEngine` are thin parameterisations
@@ -45,7 +47,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 from repro.data.table import Table
 from repro.discovery.cascade import (
     CandidateSignals,
-    candidate_signals,
     compute_ranking_bounds,
     order_by_bound,
 )
@@ -169,7 +170,7 @@ class _TopKCutoff:
     """Min-heap of the k best exact mode-scores seen so far.
 
     Once *k* scores are in, :attr:`value` is the running k-th best: any
-    candidate whose admissible bound is **strictly** below it cannot enter
+    candidate whose (sound) bound is **strictly** below it cannot enter
     the top k (its true score would rank strictly below k already-scored
     candidates, regardless of name tie-breaks).  The k-th best of any
     subset of the exact scores is a lower bound of the final k-th best —
@@ -342,7 +343,7 @@ class RerankOutcome:
     results: list[DiscoveryResult] = field(default_factory=list)
     #: Candidates the matcher actually scored (before top-k truncation).
     scored: int = 0
-    #: Candidates whose admissible bound fell below the top-k cutoff.
+    #: Candidates whose finite bound fell below the top-k cutoff.
     skipped: int = 0
     #: Candidates served straight from a prepared store.
     store_hits: int = 0
@@ -397,13 +398,13 @@ def prune_then_rerank(
     signals:
         Stage-1 evidence per candidate name (see
         :mod:`repro.discovery.cascade`).  The matcher lifts it to
-        ranking-score bounds: candidates are scored best-bound-first and —
-        when the matcher declares its bounds admissible — skipped outright
-        once their bound falls below the running top-k cutoff.  ``None``
-        (or a name absent from it) means a ``+inf`` bound: shortlist order,
-        never skipped.  Without a budget the ranking is identical with and
-        without signals (admissibility guarantees skips cannot evict a true
-        top-k member; re-ordering cannot change the final sort).
+        ranking-score bounds: candidates are scored best-bound-first and
+        skipped outright once a finite bound falls below the running top-k
+        cutoff.  ``None`` (or a name absent from it, or a matcher that
+        cannot bound) means a ``+inf`` bound: never skipped.  Without a
+        budget the ranking is identical with and without signals (a finite
+        bound is sound, so a skip cannot evict a true top-k member;
+        re-ordering cannot change the final sort).
     budget_ms:
         Anytime budget for the scoring stage; when it runs out, scoring
         stops and the outcome is flagged ``partial``.
@@ -420,14 +421,13 @@ def prune_then_rerank(
         else:
             query_prepared = matcher.prepare(query)
     bounds: dict[str, float] = {}
-    skippable = False
     if signals:
         with telemetry.span("rerank.cascade", candidates=len(names)):
-            bounds, admissible = compute_ranking_bounds(
+            bounds = compute_ranking_bounds(
                 matcher, query_prepared, signals, mode, scorer.union_threshold
             )
-            skippable = admissible and top_k is not None
             names = order_by_bound(names, bounds, signals)
+    skippable = top_k is not None and any(map(math.isfinite, bounds.values()))
     items = [(name, bounds.get(name, math.inf)) for name in names]
     deadline = None
     if budget_ms is not None:
@@ -527,7 +527,6 @@ class DiscoveryEngine:
         top_k: Optional[int] = None,
         index: Optional[object] = None,
         candidate_limit: Optional[int] = None,
-        cascade: bool = False,
         budget_ms: Optional[float] = None,
     ) -> list[DiscoveryResult]:
         """Rank repository tables against *query*.
@@ -554,14 +553,12 @@ class DiscoveryEngine:
             ``max(DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER *
             top_k)`` so the exact matcher has slack to repair sketch-level
             ranking mistakes (unbounded when neither is set).
-        cascade / budget_ms:
-            Price the candidates with stage-1 signals and/or set an anytime
-            budget, with the same semantics as
+        budget_ms:
+            Anytime budget for the scoring stage, with the same semantics as
             :meth:`LakeDiscoveryEngine.query
-            <repro.lake.engine.LakeDiscoveryEngine.query>`.  With no
-            persistent sketch store, the signals are sketched from the
-            repository on the fly (cheap relative to the matchers the
-            bounds exist to skip).
+            <repro.lake.engine.LakeDiscoveryEngine.query>`.  Candidates are
+            never priced here: stage-1 signals come only from the lake
+            engine's resident index.
         """
         if index is not None:
             limit = candidate_limit
@@ -572,24 +569,6 @@ class DiscoveryEngine:
             names = list(index.shortlist(query, limit))
         else:
             names = repository.table_names
-        signals: Optional[dict[str, CandidateSignals]] = None
-        if cascade:
-            # Imported lazily: repro.lake imports this module at package
-            # import time (cycle guard); by the time a query runs, both
-            # sides are fully initialised.
-            from repro.lake.profiles import SketchConfig, sketch_table
-
-            config = SketchConfig()
-            query_sketch = sketch_table(query, config, content_hash="")
-            signals = {}
-            for name in names:
-                table = repository.get(name)
-                if name == query.name or table is None or not table.columns:
-                    continue
-                candidate = sketch_table(table, config, content_hash="")
-                signals[name] = candidate_signals(
-                    query_sketch, candidate.columns, seed=config.seed
-                )
 
         def resolve(batch: Sequence[str], _matcher: BaseMatcher) -> Resolved:
             tables = (repository.get(name) for name in batch)
@@ -603,6 +582,5 @@ class DiscoveryEngine:
             mode=mode,
             top_k=top_k,
             prepared_cache=self.prepared_cache,
-            signals=signals,
             budget_ms=budget_ms,
         ).results

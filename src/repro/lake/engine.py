@@ -308,9 +308,9 @@ class LakeDiscoveryEngine:
         cascade:
             Price the shortlist: per-candidate score bounds are derived
             from the sketches the index holds, the matcher runs best-bound-first
-            and — when it declares its bounds admissible — skips candidates
-            proven unable to reach the top-k.  Without a budget the ranking
-            is identical to ``cascade=False``.
+            and skips candidates whose finite (sound) bound proves they
+            cannot reach the top-k.  Without a budget the ranking is
+            identical to ``cascade=False``.
         budget_ms:
             Anytime budget for the rerank stage, in milliseconds.  When the
             deadline passes, scoring stops and the current best-effort top-k

@@ -431,43 +431,27 @@ class BaseMatcher(abc.ABC):
         candidate with the *prepared* query table and the candidate's cheap
         store-resident evidence (a
         :class:`~repro.discovery.cascade.CandidateSignals`: sketch-level
-        MinHash Jaccard, histogram distance, column counts).  The returned
-        value must satisfy, for every column pair ``(q, c)``::
+        MinHash Jaccard, signature geometry, value counts).
+
+        One rule: a finite value is a *sound* bound.  For every column
+        pair ``(q, c)``::
 
             match_prepared(prepared_query, prepare(candidate))
                 .score of (q, c)  <=  score_bound(prepared_query, signals)
 
-        whenever :meth:`bounds_admissible` is ``True`` — the cascade then
-        skips the expensive :meth:`match_prepared` for candidates whose
-        bound falls strictly below the current top-k cutoff, and the final
-        ranking is provably identical to scoring everything.
+        The cascade skips the expensive :meth:`match_prepared` for
+        candidates whose bound falls strictly below the current top-k
+        cutoff, so the final ranking is provably identical to scoring
+        everything.  An estimate that the exact score may exceed is not a
+        bound and must not be returned.
 
-        A matcher that can only *estimate* (its exact score may exceed the
-        estimate) should still override this but leave
-        :meth:`bounds_admissible` at ``False``: the value is then used
-        purely to schedule scoring best-bound-first (which tightens the
-        cutoff early and feeds the anytime budget), never to skip.
-
-        The conservative default is ``+inf`` — "I cannot bound this" — so
-        third-party matchers are always scored exactly.  Overrides should
-        return ``+inf`` themselves for any configuration where their
-        calibration assumptions break (mismatched signature widths or
-        seeds, value sampling that could truncate, semantic evidence the
-        signals cannot see).
+        The default is ``+inf`` — "I cannot bound this" — so a matcher that
+        does not override it is always scored exactly.  An override returns
+        ``+inf`` itself for any configuration where its argument breaks
+        (mismatched signature widths or seeds, value sampling that could
+        truncate, semantic evidence the signals cannot see).
         """
         return math.inf
-
-    def bounds_admissible(self) -> bool:
-        """Whether :meth:`score_bound` is a *sound* upper bound.
-
-        Only an admissible bound may cause the rerank cascade to skip a
-        candidate; inadmissible bounds (the default) still order the work
-        but every candidate is scored exactly.  Override to return ``True``
-        only when :meth:`score_bound` provably dominates every pair score
-        this matcher can emit (returning ``+inf`` for configurations it
-        cannot vouch for).
-        """
-        return False
 
     @abc.abstractmethod
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:

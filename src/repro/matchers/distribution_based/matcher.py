@@ -125,21 +125,6 @@ class DistributionBasedMatcher(BaseMatcher):
             payload={"values": values},
         )
 
-    def score_bound(self, prepared_query: PreparedTable, signals) -> float:
-        """Scheduling estimate only — ``bounds_admissible()`` stays False.
-
-        The matcher's EMDs are computed over *per-pair* quantile histograms
-        of the two columns' value union; the store's sketches histogram a
-        fixed hashed rank domain instead.  The two distances are not
-        comparable, so no sound bound exists — but a small store-histogram
-        distance still correlates with a small EMD, which makes
-        ``0.5 + 0.5 * (1 - d/2)`` (the best score a cluster-confirmed pair
-        at that distance could plausibly reach) a useful best-first
-        ordering for the cascade and the anytime budget.
-        """
-        closeness = max(0.0, 1.0 - signals.min_histogram_distance / 2.0)
-        return 0.5 + 0.5 * closeness
-
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:
         """Run the two clustering phases and rank cross-table column pairs."""
         source = self._ensure_prepared(source)

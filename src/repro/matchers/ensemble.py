@@ -18,7 +18,6 @@ Three aggregation strategies are provided:
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 from repro.data.table import Table
@@ -126,24 +125,6 @@ class EnsembleMatcher(BaseMatcher):
             table=table,
             fingerprint=self.fingerprint(),
             payload={"members": members},
-        )
-
-    def score_bound(self, prepared_query: PreparedTable, signals) -> float:
-        """Scheduling estimate only — ``bounds_admissible()`` stays False.
-
-        Member bounds do not compose through the ensemble's aggregation:
-        both Borda and score averaging min-max-normalise each member's
-        *ranking* first, so even a member pair scoring near zero can
-        normalise to 1.0 within its own ranking.  The pass-through maximum
-        of the members' bounds (computed against each member's prepared
-        query slice) is still the best available ordering signal.
-        """
-        members = prepared_query.payload.get("members")
-        if not members:
-            return math.inf
-        return max(
-            matcher.score_bound(prepared, signals)
-            for matcher, prepared in zip(self._matchers, members)
         )
 
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:

@@ -139,18 +139,6 @@ class JaccardLevenshteinMatcher(BaseMatcher):
             payload={"value_sets": value_sets},
         )
 
-    def score_bound(self, prepared_query: PreparedTable, signals) -> float:
-        """Scheduling estimate only — ``bounds_admissible()`` stays False.
-
-        The Levenshtein tolerance can lift the fuzzy Jaccard arbitrarily
-        far above the sketch-level *exact* set Jaccard (two disjoint value
-        sets of near-identical strings estimate ~0 but fuzzy-match ~1), so
-        no sound bound exists from the signals.  The padded estimate still
-        orders the rerank best-first and lets the anytime budget spend its
-        deadline on the most promising candidates.
-        """
-        return min(1.0, signals.max_jaccard + 0.25)
-
     def match_prepared(self, source: PreparedTable, target: PreparedTable) -> MatchResult:
         """Score every source/target column pair with fuzzy Jaccard similarity."""
         source = self._ensure_prepared(source)

@@ -176,28 +176,20 @@ class SemPropMatcher(BaseMatcher):
             },
         )
 
-    def bounds_admissible(self) -> bool:
-        """SemProp's cascade bound is sound (it returns ``+inf`` otherwise).
-
-        When :meth:`score_bound` returns a finite value, every pair fell to
-        the syntactic branch (no query column carries ontology links, so
-        ``coherence_score`` is 0 for every pair and stays below the positive
-        ``coherent_threshold``), and the branch scores at most
-        ``0.5 * estimated_jaccard``.  Under the conditions the bound checks
-        — same signature width and seed as the store sketches, no value
-        sampling truncation on either side — the matcher's MinHash estimate
-        *is* the store-sketch estimate (both hash the identical normalised
-        distinct value set through the identical permutation family), so
-        ``0.5 * signals.max_jaccard`` dominates every pair score exactly.
-        """
-        return True
-
     def score_bound(self, prepared_query: PreparedTable, signals) -> float:
         """Upper-bound pair scores with the store-sketch Jaccard, when sound.
 
-        Sound only when the semantic branch is provably closed and the
-        syntactic estimates coincide with the store sketches; any violated
-        assumption returns ``+inf`` (score exactly).
+        A finite value is sound.  It is returned only when every pair falls
+        to the syntactic branch: no query column carries ontology links, so
+        ``coherence_score`` is 0 for every pair and stays below the positive
+        ``coherent_threshold``, and the branch scores at most
+        ``0.5 * estimated_jaccard``.  Under the further conditions checked
+        below — same signature width and seed as the store sketches, no
+        value sampling truncation on either side — the matcher's MinHash
+        estimate *is* the store-sketch estimate (both hash the identical
+        normalised distinct value set through the identical permutation
+        family), so ``0.5 * signals.max_jaccard`` dominates every pair score
+        exactly.  Any violated assumption returns ``+inf`` (score exactly).
         """
         if self.coherent_threshold <= 0.0:
             # A zero threshold lets linkless pairs take the semantic branch

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -125,29 +126,30 @@ def decode_query_request(body: bytes) -> QueryRequest:
         if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k <= 0:
             raise ProtocolError('"top_k" must be a positive integer')
 
-    timeout_s = payload.get("timeout_s")
-    if timeout_s is not None:
-        if not isinstance(timeout_s, (int, float)) or isinstance(timeout_s, bool):
-            raise ProtocolError('"timeout_s" must be a number')
-        timeout_s = float(timeout_s)
-        if timeout_s <= 0:
-            raise ProtocolError('"timeout_s" must be positive')
-
-    budget_ms = payload.get("budget_ms")
-    if budget_ms is not None:
-        if not isinstance(budget_ms, (int, float)) or isinstance(budget_ms, bool):
-            raise ProtocolError('"budget_ms" must be a number')
-        budget_ms = float(budget_ms)
-        if budget_ms <= 0:
-            raise ProtocolError('"budget_ms" must be positive')
-
     return QueryRequest(
         table=table,
         mode=mode,
         top_k=top_k,
-        timeout_s=timeout_s,
-        budget_ms=budget_ms,
+        timeout_s=_positive_number(payload, "timeout_s"),
+        budget_ms=_positive_number(payload, "budget_ms"),
     )
+
+
+def _positive_number(payload: dict, key: str) -> Optional[float]:
+    """*payload[key]* as a finite float above 0, or ``None`` when absent.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; neither is a deadline
+    or a budget (the CLI's ``positive_float`` refuses them too).
+    """
+    value = payload.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError(f'"{key}" must be a number')
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ProtocolError(f'"{key}" must be a finite positive number')
+    return value
 
 
 def request_cache_key(request: QueryRequest) -> str:

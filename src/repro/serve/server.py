@@ -84,7 +84,7 @@ class ServeConfig:
     default_timeout_s: Optional[float] = 30.0
     reopen_poll_s: float = 1.0
     #: Arm the two-stage rerank cascade for every served query (exact
-    #: rankings; admissible bounds skip candidates that cannot reach the
+    #: rankings; sound bounds skip candidates that cannot reach the
     #: top-k).  Per-request anytime budgets (``budget_ms``) work either way.
     cascade: bool = False
     #: Optional :class:`~repro.faults.FaultPlan` (duck-typed: anything with

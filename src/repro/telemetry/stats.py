@@ -43,7 +43,7 @@ class QueryStats:
     #: Whether an anytime budget stopped the rerank before every surviving
     #: candidate was scored — the ranking is best-effort over those scored.
     partial: bool = False
-    #: Cascade outcome: candidates skipped on an admissible bound below the
+    #: Cascade outcome: candidates skipped on a finite bound below the
     #: top-k cutoff, and candidates scored exactly (0/0 when not cascaded).
     cascade_skipped: int = 0
     cascade_exact: int = 0

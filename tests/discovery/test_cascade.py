@@ -1,10 +1,10 @@
-"""Unit and property tests for the rerank cascade (stage-1 bounds, cutoff).
+"""Unit tests for the rerank cascade primitives (bounds, cutoff, mode score).
 
-The end-to-end exactness suite over every registered matcher lives in
-``tests/lake/test_cascade_engine.py`` (it needs a sketch store); this module
-covers the cascade primitives and the admissibility *contract* — a matcher
-whose bound is deliberately wrong must not corrupt rankings as long as it
-keeps ``bounds_admissible()`` False.
+The end-to-end exactness suite over every registered matcher, and the one
+bound rule (a finite bound skips, ``+inf`` never does), live in
+``tests/lake/test_cascade_engine.py``: stage-1 signals come only from the
+lake engine.  This module covers the primitives and the brute-force
+engine, which is never priced.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery import search as discovery_search
-from repro.discovery.cascade import CandidateSignals, mode_bound
+from repro.discovery.cascade import mode_bound
 from repro.discovery.search import (
     DatasetRepository,
     DiscoveryEngine,
@@ -113,56 +113,10 @@ class TestModeScore:
             mode_score(result, "bogus")
 
 
-class _WrongLowBoundMatcher(JaccardLevenshteinMatcher):
-    """A deliberately *unsound* bound: claims no pair can beat 0.0.
-
-    ``bounds_admissible()`` stays False (the base default), which is the
-    contract under test: an untrusted bound may only re-order scoring, never
-    skip it, so the ranking survives the lie.
-    """
-
-    def score_bound(self, prepared_query, signals) -> float:
-        return 0.0
-
-
-class _WrongLowBoundAdmissibleMatcher(_WrongLowBoundMatcher):
-    """The same lie, wrongly declared admissible — skipping becomes visible."""
-
-    def bounds_admissible(self) -> bool:
-        return True
-
-
-class TestAdmissibilityContract:
-    def test_non_admissible_wrong_bound_never_skips(self, lake):
-        query, repository = lake
-        baseline = DiscoveryEngine(
-            matcher=JaccardLevenshteinMatcher(sample_size=8)
-        ).discover(query, repository, mode="combined", top_k=TOP_K)
-
-        engine = DiscoveryEngine(matcher=_WrongLowBoundMatcher(sample_size=8))
-        cascaded, counters = _discover_counted(
-            engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
-        )
-        assert _signature(cascaded) == _signature(baseline)
-        assert counters["rerank.cascade.skipped"] == 0
-        assert counters["rerank.cascade.exact"] == len(repository.table_names)
-        assert "rerank.budget_stops" not in counters
-
-    def test_admissible_declaration_is_what_permits_skipping(self, lake):
-        # Contrast case: the *only* difference is bounds_admissible() -> True,
-        # and the too-low bound now visibly skips candidates.  This is the
-        # failure mode the default-False contract protects against.
-        query, repository = lake
-        engine = DiscoveryEngine(
-            matcher=_WrongLowBoundAdmissibleMatcher(sample_size=8)
-        )
-        _, counters = _discover_counted(
-            engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
-        )
-        assert counters["rerank.cascade.skipped"] > 0
-        assert counters["rerank.cascade.exact"] + counters[
-            "rerank.cascade.skipped"
-        ] == len(repository.table_names)
+class TestBruteForceEngineIsNeverPriced:
+    """Stage-1 signals have one producer, the lake engine's resident index;
+    the brute-force engine keeps only the anytime budget (the priced
+    contract is in ``tests/lake/test_cascade_engine.py``)."""
 
     def test_budget_only_keeps_shortlist_order_and_completes(self, lake, monkeypatch):
         query, repository = lake
@@ -170,37 +124,14 @@ class TestAdmissibilityContract:
         baseline = engine.discover(query, repository, mode="combined", top_k=TOP_K)
 
         def no_stage_one(*args, **kwargs):
-            raise AssertionError("a budget without cascade computes no stage 1")
+            raise AssertionError("a budget without signals computes no bounds")
 
-        monkeypatch.setattr(discovery_search, "candidate_signals", no_stage_one)
+        monkeypatch.setattr(discovery_search, "compute_ranking_bounds", no_stage_one)
         budgeted, counters = _discover_counted(
             engine, query, repository, mode="combined", top_k=TOP_K, budget_ms=60_000.0
         )
         assert _signature(budgeted) == _signature(baseline)
         assert "rerank.budget_stops" not in counters
-        assert counters["rerank.cascade.exact"] == len(repository.table_names)
-
-    def test_cascade_prices_every_candidate(self, lake, monkeypatch):
-        query, repository = lake
-        priced = {}
-        real = discovery_search.candidate_signals
-
-        def recording(query_sketch, columns, seed=7):
-            signal = real(query_sketch, columns, seed=seed)
-            priced[signal.table_name] = signal
-            return signal
-
-        monkeypatch.setattr(discovery_search, "candidate_signals", recording)
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
-        _, counters = _discover_counted(
-            engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
-        )
-        assert set(priced) == set(repository.table_names) - {query.name}
-        for signal in priced.values():
-            assert isinstance(signal, CandidateSignals)
-            assert 0.0 <= signal.max_jaccard <= 1.0
-        # JL is not admissible: everything was scored exactly.
-        assert counters["rerank.cascade.skipped"] == 0
         assert counters["rerank.cascade.exact"] == len(repository.table_names)
 
     def test_unpriced_unbudgeted_rerank_emits_no_cascade_counters(self, lake):

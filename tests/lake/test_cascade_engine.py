@@ -2,10 +2,11 @@
 
 Covers the exactness contract — for **every** registered matcher the
 ranking is byte-identical in every plan x resolve cell ({unpriced, priced}
-x {warm, cold}) and equal to an index-free brute-force oracle — plus
-real skipping with SemProp's admissible bound, anytime budgets, the store
-round trips each plan is allowed to make, and the hash guard between the
-resident index stage 1 prices from and the store.
+x {warm, cold}) and equal to an index-free brute-force oracle — plus the
+one bound rule (a finite bound skips, the base ``+inf`` never does), real
+skipping with SemProp's sound bound, anytime budgets, the store round trips
+each plan is allowed to make, and the hash guard between the resident
+index stage 1 prices from and the store.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import DatasetRepository, DiscoveryEngine, mode_score
+from repro.lake import engine as lake_engine
 from repro.lake import (
     LakeDiscoveryEngine,
     SketchStore,
@@ -148,7 +150,81 @@ def test_ranking_identical_in_every_plan_and_resolve_cell(
 
 
 # --------------------------------------------------------------------- #
-# SemProp: the one bundled matcher with a sound (admissible) bound
+# the one rule: a finite bound may skip, the base +inf never does
+# --------------------------------------------------------------------- #
+
+
+class _WrongLowBoundMatcher(JaccardLevenshteinMatcher):
+    """A deliberately *unsound* finite bound: claims no pair can beat 0.0."""
+
+    def score_bound(self, prepared_query, signals) -> float:
+        return 0.0
+
+
+def _query_counted(engine, *args, **kwargs):
+    """``engine.query(...)`` plus the counters that rerank emitted."""
+    recorder = TelemetryRecorder()
+    with use(recorder):
+        results = engine.query(*args, **kwargs)
+    return results, recorder.snapshot().counters
+
+
+class TestOneBoundRule:
+    def test_base_infinite_bound_never_skips(self, lake):
+        query, repository, store = lake
+        with LakeDiscoveryEngine(
+            matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
+        ) as engine:
+            plain = engine.query(query, repository, mode="combined", top_k=TOP_K)
+            priced, counters = _query_counted(
+                engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
+            )
+            stats = engine.last_query_stats
+        assert _signature(priced) == _signature(plain)
+        assert counters["rerank.cascade.skipped"] == 0
+        assert counters["rerank.cascade.exact"] == stats.shortlist_size
+        assert "rerank.budget_stops" not in counters
+
+    def test_wrong_finite_bound_visibly_skips(self, lake):
+        # The *only* difference is a finite score_bound: there is no second
+        # declaration to hide behind, so the lie skips candidates.  This is
+        # why a matcher that cannot guarantee a bound must return +inf.
+        query, repository, store = lake
+        with LakeDiscoveryEngine(
+            matcher=_WrongLowBoundMatcher(sample_size=8), store=store
+        ) as engine:
+            _, counters = _query_counted(
+                engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
+            )
+            stats = engine.last_query_stats
+        assert counters["rerank.cascade.skipped"] > 0
+        assert (
+            counters["rerank.cascade.exact"] + counters["rerank.cascade.skipped"]
+            == stats.shortlist_size
+        )
+
+    def test_cascade_prices_every_shortlisted_candidate(self, lake, monkeypatch):
+        query, repository, store = lake
+        priced = {}
+        real = lake_engine.candidate_signals
+
+        def recording(query_sketch, columns, seed=7):
+            signal = real(query_sketch, columns, seed=seed)
+            priced[signal.table_name] = signal
+            return signal
+
+        monkeypatch.setattr(lake_engine, "candidate_signals", recording)
+        with LakeDiscoveryEngine(
+            matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
+        ) as engine:
+            shortlist = {entry.table_name for entry in engine.shortlist(query, TOP_K)}
+            engine.query(query, repository, mode="combined", top_k=TOP_K, cascade=True)
+        assert set(priced) == shortlist - {query.name}
+        assert all(0.0 <= signal.max_jaccard <= 1.0 for signal in priced.values())
+
+
+# --------------------------------------------------------------------- #
+# SemProp: the one bundled matcher with a finite (sound) bound
 # --------------------------------------------------------------------- #
 
 # _GOOD == TOP_K: bound ordering scores the three goods first, and their
@@ -173,7 +249,7 @@ def semprop_lake(tmp_path_factory):
 
     ``good_*`` tables share the query's exact value sets (sketch Jaccard
     ~1.0); ``bad_*`` tables are value-disjoint (sketch Jaccard ~0.0), so
-    SemProp's admissible ``0.5 * max_jaccard`` bound undercuts any top-k
+    SemProp's sound ``0.5 * max_jaccard`` bound undercuts any top-k
     cutoff seeded by the good tables.
     """
     tmp_path = tmp_path_factory.mktemp("semprop_cascade")
@@ -379,9 +455,25 @@ def test_budgeted_rerank_reads_payloads_one_candidate_at_a_time(counting_engine)
     assert stats.store_hits == stats.rerank_count == stats.shortlist_size
 
 
+def test_priced_rerank_with_no_finite_bound_is_one_payload_read(counting_engine):
+    """A query column linked to SemProp's ontology opens the semantic branch,
+    which no sketch signal bounds: every bound is +inf, nothing can skip,
+    so the priced rerank resolves the whole shortlist in one round trip."""
+    engine, sketch_store, prepared_store, query = counting_engine
+    columns = {column.name: column.values for column in query.columns}
+    linked = Table(query.name, {**columns, "city": columns["field_0"]})
+    assert any(engine.matcher.prepare(linked).payload["links"].values())
+    engine.query(linked, mode="joinable", top_k=TOP_K, cascade=True)
+    stats = engine.last_query_stats
+    assert stats.cascade_skipped == 0
+    assert stats.cascade_exact == stats.shortlist_size
+    assert prepared_store.get_many_calls == [stats.shortlist_size]
+    assert stats.store_hits == stats.shortlist_size
+
+
 def test_priced_rerank_without_top_k_is_one_payload_read(counting_engine):
-    """No top-k, no cutoff: even admissible bounds cannot skip, so the
-    priced rerank resolves the whole shortlist in one round trip."""
+    """No top-k, no cutoff: even finite bounds cannot skip, so the priced
+    rerank resolves the whole shortlist in one round trip."""
     engine, sketch_store, prepared_store, query = counting_engine
     engine.query(query, mode="joinable", cascade=True)
     stats = engine.last_query_stats

@@ -1,19 +1,16 @@
-"""Property-based test of the admissibility contract the rerank cascade rests on.
+"""Property-based test of the one rule the rerank cascade rests on.
 
-The cascade may skip a candidate only because a matcher declared
-``bounds_admissible()`` and its ``score_bound`` fell below the top-k cutoff,
-so the contract is: *no* column-pair score ``match_prepared`` can produce
-exceeds ``score_bound(prepared_query, candidate_signals(...))`` — with the
-signals computed exactly as the lake engine computes them, from sketches made
-with the store's :class:`~repro.lake.profiles.SketchConfig`.  Where a
-matcher's calibration assumptions break it must answer ``+inf``, which the
-same inequality enforces (a finite answer there is a wrong skip waiting to
+The cascade skips a candidate whenever its ``score_bound`` is finite and
+falls below the top-k cutoff, so the rule is: a finite bound is sound —
+*no* column-pair score ``match_prepared`` can produce exceeds
+``score_bound(prepared_query, candidate_signals(...))``, with the signals
+computed exactly as the lake engine computes them, from sketches made with
+the store's :class:`~repro.lake.profiles.SketchConfig`.  A matcher that
+cannot guarantee that answers ``+inf``.  The dominance property runs over
+every registered matcher, with nothing filtered out; where SemProp's
+calibration assumptions break it must answer ``+inf``, which the same
+inequality enforces (a finite answer there is a wrong skip waiting to
 happen) and the SemProp-specific tests pin one configuration at a time.
-
-The three scheduling-only overrides (JaccardLevenshtein, DistributionBased,
-Ensemble) leave ``bounds_admissible()`` at ``False``; each gets a generated
-counterexample here — a table pair scoring above its "bound" — so that
-whether to promote or delete them is decided on evidence.
 """
 
 from __future__ import annotations
@@ -21,15 +18,12 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.table import Table
 from repro.discovery.cascade import candidate_signals
 from repro.lake.profiles import SketchConfig, sketch_table
-from repro.matchers.distribution_based import DistributionBasedMatcher
-from repro.matchers.ensemble import EnsembleMatcher
-from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.matchers.semprop import SemPropMatcher
 
@@ -74,7 +68,11 @@ sketch_configs = st.sampled_from(
 
 
 def _bound_and_best(matcher, query: Table, candidate: Table, config: SketchConfig):
-    """``(score_bound, highest pair score)`` the way the lake engine gets them."""
+    """``(score_bound, highest pair score)`` the way the lake engine gets them.
+
+    An infinite bound dominates whatever the matcher scores, so the pair is
+    matched only when the bound is something else.
+    """
     signals = candidate_signals(
         sketch_table(query, config, content_hash=""),
         sketch_table(candidate, config).columns,
@@ -82,34 +80,32 @@ def _bound_and_best(matcher, query: Table, candidate: Table, config: SketchConfi
     )
     prepared_query = matcher.prepare(query)
     bound = matcher.score_bound(prepared_query, signals)
+    if bound == math.inf:
+        return bound, None
     result = matcher.match_prepared(prepared_query, matcher.prepare(candidate))
     return bound, max((match.score for match in result), default=0.0)
 
 
-def _admissible_matchers() -> dict[str, object]:
-    """Every registered matcher that lets the cascade skip, at its defaults,
-    plus the SemProp configurations under which its bound must give up."""
+def _bound_matchers() -> dict[str, object]:
+    """Every registered matcher at its defaults, plus the SemProp
+    configurations under which its bound must give up."""
     matchers = {name: create_matcher(name) for name in available_matchers()}
     matchers["semprop sample_size=4"] = SemPropMatcher(sample_size=4)
     matchers["semprop num_permutations=64"] = SemPropMatcher(num_permutations=64)
     matchers["semprop coherent_threshold=0"] = SemPropMatcher(coherent_threshold=0.0)
-    return {label: m for label, m in matchers.items() if m.bounds_admissible()}
+    return matchers
 
 
-_ADMISSIBLE = _admissible_matchers()
+_MATCHERS = _bound_matchers()
 
 
-def test_semprop_is_what_declares_admissibility_today():
-    assert {type(m) for m in _ADMISSIBLE.values()} == {SemPropMatcher}
-
-
-class TestAdmissibleBoundsDominateEveryPairScore:
-    @pytest.mark.parametrize("label", sorted(_ADMISSIBLE))
+class TestFiniteBoundsDominateEveryPairScore:
+    @pytest.mark.parametrize("label", sorted(_MATCHERS))
     @settings(max_examples=300, deadline=None)
     @given(pair=table_pairs(), config=sketch_configs)
     def test_no_pair_scores_above_the_bound(self, label, pair, config):
-        bound, best = _bound_and_best(_ADMISSIBLE[label], *pair, config)
-        assert best <= bound
+        bound, best = _bound_and_best(_MATCHERS[label], *pair, config)
+        assert bound == math.inf or best <= bound
 
     @settings(max_examples=40, deadline=None)
     @given(pair=table_pairs(_NEUTRAL_NAMES))
@@ -151,51 +147,3 @@ class TestSemPropGivesUpWhereItCannotVouch:
             len(column.non_missing()) > 4 for column in candidate.columns
         )
         assert (bound == math.inf) == truncates
-
-
-#: Why each scheduling-only override cannot be promoted, as one line each.
-_SCHEDULING_ONLY = {
-    "jaccardlevenshtein": (
-        JaccardLevenshteinMatcher,
-        "edit-distance tolerance matches values the exact-set sketch Jaccard calls disjoint",
-    ),
-    "distributionbased": (
-        DistributionBasedMatcher,
-        "per-pair quantile EMD and the store's hash-rank histogram distance are unrelated",
-    ),
-    "ensemble": (
-        lambda: EnsembleMatcher([JaccardLevenshteinMatcher(), DistributionBasedMatcher()]),
-        "members' rankings are min-max normalised, so the top pair scores 1.0 whatever they bound",
-    ),
-}
-
-
-class TestSchedulingOnlyBoundsAreNotAdmissible:
-    @pytest.mark.parametrize("label", sorted(_SCHEDULING_ONLY))
-    def test_a_generated_pair_scores_above_the_bound(self, label, record_property):
-        factory, reason = _SCHEDULING_ONLY[label]
-        matcher = factory()
-        assert not matcher.bounds_admissible()
-
-        def exceeds(pair) -> bool:
-            bound, best = _bound_and_best(matcher, *pair, SketchConfig())
-            return best > bound
-
-        query, candidate = find(
-            table_pairs(_NEUTRAL_NAMES),
-            exceeds,
-            settings=settings(max_examples=2000, deadline=None, database=None, derandomize=True),
-        )
-        bound, best = _bound_and_best(matcher, query, candidate, SketchConfig())
-        assert math.isfinite(bound) and best > bound
-        record_property(
-            "counterexample",
-            {
-                "matcher": matcher.name,
-                "why": reason,
-                "query": {c.name: c.values for c in query.columns},
-                "candidate": {c.name: c.values for c in candidate.columns},
-                "score_bound": bound,
-                "best_pair_score": best,
-            },
-        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -74,6 +75,16 @@ class TestDecode:
     )
     def test_rejects_malformed_bodies(self, body):
         with pytest.raises(ProtocolError):
+            decode_query_request(body)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("field", ["timeout_s", "budget_ms"])
+    def test_rejects_non_finite_numbers(self, field, value):
+        # json.dumps writes NaN / Infinity / -Infinity, and json.loads
+        # parses them back: the check has to be the decoder's own.
+        body = _body(**{field: value})
+        assert b"Infinity" in body or b"NaN" in body
+        with pytest.raises(ProtocolError, match=field):
             decode_query_request(body)
 
     def test_modes_match_cli_choices(self):

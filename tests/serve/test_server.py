@@ -130,6 +130,31 @@ class TestEndpoints:
         finally:
             connection.close()
 
+    def test_non_finite_timeout_is_400_not_an_error(self, server, client, served_lake):
+        """``json.loads`` parses ``Infinity``; the door refuses it, so it never
+        reaches ``Future.result(timeout=inf)`` (an ``OverflowError``, once
+        answered 503 and counted in ``serve.errors``)."""
+        import http.client
+        import json
+
+        from repro.serve.protocol import encode_query_request
+
+        _, query = served_lake
+        payload = json.loads(encode_query_request(query, top_k=2))
+        payload["timeout_s"] = float("inf")
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("POST", "/query", body=json.dumps(payload).encode("utf-8"))
+            response = connection.getresponse()
+            assert response.status == 400
+            assert b"timeout_s" in response.read()
+        finally:
+            connection.close()
+        counters = client.stats()["counters"]
+        assert counters["serve.bad_requests"] >= 1
+        assert counters.get("serve.errors", 0) == 0
+
 
 class TestExecutorRule:
     """The daemon scores in its own process — counted, not timed."""

@@ -586,6 +586,28 @@ class TestObservability:
         assert "prepared store" in output
         assert "matcher " in output  # per-fingerprint breakdown
 
+    def test_lake_stats_names_each_matcher_and_reports_only_store_facts(
+        self, tmp_path, capsys
+    ):
+        """A fixed-width fingerprint prefix printed ``repro.matche…`` for every
+        matcher, and the reading handle's default caps read as store facts."""
+        store, _ = self._built_lake(tmp_path)
+        for method in ("SemProp", "JaccardLevenshtein"):
+            assert main(["lake", "prepare", method, "--store", str(store)]) == 0
+        capsys.readouterr()
+        assert main(["lake", "stats", "--store", str(store)]) == 0
+        output = capsys.readouterr().out
+        names = [
+            line.split()[1].rstrip(":")
+            for line in output.splitlines()
+            if line.startswith("  matcher ")
+        ]
+        assert names == [
+            "repro.matchers.jaccard_levenshtein.JaccardLevenshteinMatcher",
+            "repro.matchers.semprop.matcher.SemPropMatcher",
+        ]
+        assert "entry cap" not in output and "byte budget" not in output
+
     def test_lake_stats_without_prepared_store(self, tmp_path, capsys):
         store, _ = self._built_lake(tmp_path)
         capsys.readouterr()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -86,3 +87,39 @@ def test_every_flag_shown_on_a_lake_command_line_exists():
     assert len(shown) > 20, "the command-line pattern stopped matching the docs"
     unknown = [where for where, known in shown if not known]
     assert not unknown, unknown
+
+
+#: A fully qualified Sphinx cross-reference: ``:role:`~repro.a.B.c``` or
+#: ``:role:`title <repro.a.B.c>```.
+_CROSS_REFERENCE = re.compile(
+    r":(?:class|meth|func|attr|mod|data|exc):`(?:[^`<]*<)?~?(repro\.[\w.]+)>?`"
+)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether *dotted* names something: the longest importable module
+    prefix, then one ``getattr`` per remaining part."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def test_every_qualified_cross_reference_in_src_resolves():
+    """A deleted method leaves prose that names it; Sphinx would only warn."""
+    references = [
+        (f"{path.relative_to(ROOT)}: {dotted}", dotted)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for dotted in _CROSS_REFERENCE.findall(path.read_text(encoding="utf-8"))
+    ]
+    assert len(references) > 100, "the cross-reference pattern stopped matching"
+    dangling = [where for where, dotted in references if not _resolves(dotted)]
+    assert not dangling, dangling
