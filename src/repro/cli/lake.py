@@ -48,12 +48,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     add_method_option(prepare, "method", help="registered matcher name to prepare for")
     add_store_options(prepare)
     add_workers_option(prepare, "prepare tables in a process pool of this size")
-    prepare.add_argument(
-        "--max-store-mb", type=positive_float, default=None,
-        help="byte budget for the prepared store in MiB: least-recently-used "
-        "payloads are evicted until the total fits (entry-count cap still "
-        "applies as a secondary bound)",
-    )
     prepare.set_defaults(func=_command_lake_prepare)
 
     query = lake_commands.add_parser("query", help="discover related tables for a CSV")
@@ -99,7 +93,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     query.set_defaults(func=_command_lake_query)
 
     stats = lake_commands.add_parser(
-        "stats", help="print store-level statistics (row counts, bytes, hit rates)"
+        "stats", help="print store-level statistics (row counts, bytes)"
     )
     add_store_options(stats)
     stats.set_defaults(func=_command_lake_stats)
@@ -130,15 +124,13 @@ def _command_lake_build(args: argparse.Namespace) -> int:
 
 
 def _command_lake_prepare(args: argparse.Namespace) -> int:
-    max_mb = args.max_store_mb
-    max_bytes = None if max_mb is None else max(1, int(max_mb * 1024 * 1024))
     with open_lake(
-        args.store, args.prepared_store, prepared="create", max_bytes=max_bytes
+        args.store, args.prepared_store, prepared="create"
     ) as (store, prepared_store):
         report = prepare_lake(
             store, prepared_store, create_matcher(args.method), workers=args.workers
         )
-    suffix = "" if max_bytes is None else f", byte budget {max_mb:g} MiB"
+    suffix = ""
     if report.stale_pruned:
         suffix += f", {report.stale_pruned} stale payloads pruned"
     if report.missing:
@@ -179,8 +171,9 @@ def _run_lake_query(args: argparse.Namespace) -> int:
     # recorder for the query.  Without them the default no-op recorder
     # stays in place and instrumentation costs ~nothing.
     traced = args.stats or args.trace_json is not None
-    # The prepared store is write-through: the first (cold) query warms it,
-    # later queries with the same matcher config rerank without preparing.
+    # The prepared store is write-through for candidates: the first (cold)
+    # query warms it, later queries with the same matcher config rerank
+    # without preparing.  The query table itself is never written there.
     with open_lake(
         args.store,
         args.prepared_store,

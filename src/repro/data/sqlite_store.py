@@ -24,9 +24,8 @@ here:
   letting the per-PID lookup silently reopen a leaked connection.
 
 Subclasses declare what their store looks like (``_STORE_KIND``,
-``_REQUIRED_TABLES``, ``_SCHEMA_SCRIPT``), call
-:meth:`_init_connections` from ``__init__``, and may override
-:meth:`_close_hook` for flush-on-close work.  Every store has a ``meta``
+``_REQUIRED_TABLES``, ``_SCHEMA_SCRIPT``) and call
+:meth:`_init_connections` from ``__init__``.  Every store has a ``meta``
 key/value table (it is in ``_REQUIRED_TABLES``), read and written through
 :meth:`_read_meta` / :meth:`_write_meta`, and is a context manager that
 closes itself.
@@ -155,9 +154,6 @@ class PerProcessSqliteStore:
             (key, value),
         )
 
-    def _close_hook(self, connection: sqlite3.Connection) -> None:
-        """Last-chance work on the closing connection (e.g. flush batches)."""
-
     def integrity_check(self) -> list[str]:
         """Run ``PRAGMA integrity_check``; ``[]`` means the file is sound.
 
@@ -185,13 +181,8 @@ class PerProcessSqliteStore:
         copy of it).
         """
         pid = os.getpid()
-        connection = self._connections.get(pid)
+        connection = self._connections.pop(pid, None)
         if connection is not None:
-            try:
-                self._close_hook(connection)
-            except sqlite3.Error:  # pragma: no cover - defensive on teardown
-                pass
-            self._connections.pop(pid, None)
             connection.close()
         self._closed = True
 

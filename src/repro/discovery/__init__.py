@@ -2,7 +2,6 @@
 
 from repro.discovery.prepared import (
     PREPARED_PAYLOAD_FORMAT,
-    PreparedProvider,
     PreparedStore,
     PreparedTableCache,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "PairScorer",
     "RerankOutcome",
     "RerankPool",
-    "PreparedProvider",
     "PreparedTableCache",
     "PreparedStore",
     "PREPARED_PAYLOAD_FORMAT",

@@ -5,13 +5,18 @@ per-table half of matching — tokenised names, value sets, sketches, schema
 trees.  Within one discovery query the engines already prepare the query
 exactly once; the two classes here extend the amortisation further:
 
-* :class:`PreparedTableCache` — a bounded in-memory LRU.  Repository tables
-  that appear in many shortlists, or a dashboard that re-runs similar
-  queries, hit the cache instead of re-preparing.
-* :class:`PreparedStore` — the same mapping persisted to SQLite, so a *warm*
-  lake query reranks without preparing any candidate at all, across process
-  restarts.  :class:`~repro.lake.engine.LakeDiscoveryEngine` keeps one next
-  to its sketch store and serves shortlisted candidates straight from it.
+* :class:`PreparedTableCache` — a bounded in-memory LRU.  Query tables a
+  dashboard re-runs, or repository tables that appear in many shortlists,
+  hit the cache instead of re-preparing.
+* :class:`PreparedStore` — the lake's prepared rows persisted to SQLite, so
+  a *warm* lake query reranks without preparing any candidate at all,
+  across process restarts.  :class:`~repro.lake.engine.LakeDiscoveryEngine`
+  keeps one next to its sketch store and serves shortlisted candidates
+  straight from it.  The store is derived data, not a cache: it holds
+  exactly the rows its writers put there (``lake prepare``, a cold
+  candidate's write-through, ``lake pull``) and never drops one on its own;
+  a row leaves only through :meth:`PreparedStore.prune_stale`, a pull's
+  retire step or ``lake verify --repair``.
 
 Entries are keyed by ``(matcher fingerprint, table name, content hash)``:
 
@@ -33,8 +38,9 @@ codec in :mod:`repro.discovery.prepared_codec` — the table's schema header
 and the matcher payload as canonical JSON plus typed little-endian arrays,
 never the table's cells and never a pickle, so reading a row (a pulled one
 included) builds data and runs no code.  Every row records the payload
-format version; opening a store whose schema version is newer than this
-code raises, while rows with a *different payload format* (or rows the
+format version; opening a store whose schema version differs from this
+code's raises (delete the file and re-run ``lake prepare``), while rows
+with a *different payload format* (or rows the
 codec refuses) are treated as misses and replaced — the versioning policy
 is "re-prepare on any format change", never "best-effort decode".  Bump
 ``PREPARED_PAYLOAD_FORMAT`` whenever the codec's layout, ``PreparedTable``
@@ -53,11 +59,10 @@ locks and shared memory — keep stores on a local disk, not NFS.
 from __future__ import annotations
 
 import logging
-import sqlite3
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.data.fingerprint import table_content_hash
 from repro.data.sqlite_store import _MAX_IN_VARS, PerProcessSqliteStore
@@ -74,7 +79,6 @@ from repro.discovery import prepared_codec
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "PreparedProvider",
     "PreparedTableCache",
     "PreparedStore",
     "PREPARED_PAYLOAD_FORMAT",
@@ -86,7 +90,9 @@ __all__ = [
 #: re-prepared and overwritten.
 PREPARED_PAYLOAD_FORMAT = 2
 
-_SCHEMA_VERSION = 1
+#: Version 2 dropped the LRU recency column, its index and the clock meta
+#: key; a version-1 file is refused, never migrated.
+_SCHEMA_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -99,10 +105,8 @@ CREATE TABLE IF NOT EXISTS prepared (
     content_hash TEXT NOT NULL,
     payload_format INTEGER NOT NULL,
     payload BLOB NOT NULL,
-    last_used INTEGER NOT NULL,
     PRIMARY KEY (matcher_fingerprint, table_name, content_hash)
 );
-CREATE INDEX IF NOT EXISTS prepared_lru ON prepared (last_used);
 """
 
 
@@ -113,24 +117,6 @@ def fingerprint_class(fingerprint: str) -> str:
     ``module.Class(``; the parameters after it are too long for a label.
     """
     return fingerprint.partition("(")[0]
-
-
-class PreparedProvider(Protocol):
-    """Anything that hands out prepared tables, reusing earlier work when it can.
-
-    The structural type of a prepared-table source — what the discovery
-    engines accept wherever they would otherwise call ``matcher.prepare``.
-    :class:`PreparedTableCache` and :class:`PreparedStore` both satisfy it.
-    """
-
-    def prepare(
-        self,
-        matcher: BaseMatcher,
-        table: Table,
-        content_hash: Optional[str] = None,
-    ) -> PreparedTable:
-        """``matcher.prepare(table)``, served from reuse when possible."""
-        ...
 
 
 @dataclass
@@ -198,12 +184,14 @@ class PreparedTableCache:
 
 
 class PreparedStore(PerProcessSqliteStore):
-    """A persistent, bounded collection of prepared tables (SQLite-backed).
+    """The lake's persistent prepared tables (SQLite-backed).
 
     The on-disk half of prepared-table reuse: payloads survive process
     restarts, so a warm :meth:`LakeDiscoveryEngine.query
     <repro.lake.engine.LakeDiscoveryEngine.query>` reranks its shortlist
-    without preparing — or even loading — any candidate table.
+    without preparing — or even loading — any candidate table.  Unbounded
+    on purpose: one row per (lake table, matcher) that was prepared, and
+    no row is ever evicted.
 
     Parameters
     ----------
@@ -211,21 +199,9 @@ class PreparedStore(PerProcessSqliteStore):
         SQLite database path; ``":memory:"`` gives an ephemeral store.
         Conventionally ``<sketch store path>.prepared``, next to the lake's
         sketch store.
-    max_entries:
-        LRU size cap; least-recently-*used* rows are evicted when an
-        insert overflows it.
-    max_bytes:
-        Optional byte budget on the summed encoded payload sizes
-        (``length(payload)`` per row).  When an insert overflows it,
-        least-recently-used rows are evicted until the total fits again;
-        the row just inserted is never its own victim, so a single payload
-        larger than the budget is kept (and everything else evicted).
-        ``max_entries`` stays as a secondary cap — whichever bound is hit
-        first evicts.
     read_only:
         Open an *existing* store for reading only (SQLite ``mode=ro``).
-        Reads work as usual but nothing is ever written — not even LRU
-        recency, which is deliberately dropped on this path.  Safe for any
+        Reads work as usual but nothing is ever written.  Safe for any
         number of concurrent reader processes over a WAL store.
     """
 
@@ -234,24 +210,8 @@ class PreparedStore(PerProcessSqliteStore):
     _SCHEMA_SCRIPT = _SCHEMA
 
     def __init__(
-        self,
-        path: Union[str, Path] = ":memory:",
-        max_entries: int = 4096,
-        max_bytes: Optional[int] = None,
-        read_only: bool = False,
+        self, path: Union[str, Path] = ":memory:", read_only: bool = False
     ) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None for unbounded)")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        # LRU bookkeeping is deferred: hits record their key here and the
-        # batch is flushed in one transaction (on write, threshold or close)
-        # so the warm read path never pays a per-get commit.
-        self._pending_touches: "OrderedDict[tuple[str, str, str], None]" = OrderedDict()
         connection = self._init_connections(path, read_only)
         stored = self._read_meta("schema_version")
         if stored is None:
@@ -264,70 +224,14 @@ class PreparedStore(PerProcessSqliteStore):
             with connection:
                 self._write_meta("schema_version", str(_SCHEMA_VERSION))
                 self._write_meta("payload_format", str(PREPARED_PAYLOAD_FORMAT))
-                self._write_meta("clock", "0")
         elif int(stored) != _SCHEMA_VERSION:
             self.close()
             raise ValueError(
                 f"prepared store at {self.path!r} has schema version {stored}, "
-                f"this code reads version {_SCHEMA_VERSION}"
+                f"this code reads version {_SCHEMA_VERSION}; a prepared store is "
+                f"derived data — delete {self.path} and re-run "
+                "`lake prepare <matcher>`"
             )
-
-    # ------------------------------------------------------------------ #
-    # lifecycle (connection machinery inherited from PerProcessSqliteStore)
-    # ------------------------------------------------------------------ #
-    def _close_hook(self, connection: sqlite3.Connection) -> None:
-        """Flush deferred recency before :meth:`close` drops the connection,
-        so LRU order survives process exit."""
-        self._flush_touches(connection)
-
-    def _tick(self) -> int:
-        """Advance and return the monotone LRU clock (wall-clock free).
-
-        The increment is a single UPDATE, so it runs under SQLite's write
-        lock *before* the value is read back: concurrent cross-process
-        write-throughs serialize on the lock and can never mint duplicate
-        ticks (a read-modify-write in Python would race across processes).
-        """
-        connection = self._connection
-        connection.execute(
-            "UPDATE meta SET value = CAST(value AS INTEGER) + 1 WHERE key = 'clock'"
-        )
-        return int(self._read_meta("clock") or 0)
-
-    #: Deferred LRU touches are flushed once this many keys accumulate.
-    _TOUCH_FLUSH_THRESHOLD = 1024
-
-    def _flush_touches(self, connection: Optional[sqlite3.Connection] = None) -> None:
-        """Write the deferred ``last_used`` updates in one transaction.
-
-        Runs on every write, on the accumulation threshold and on
-        :meth:`close` — the close-time flush is what makes LRU order survive
-        process exit (a batch of warm hits with no subsequent write would
-        otherwise be forgotten, and the next eviction would victimise the
-        wrong rows).
-        """
-        if not self._pending_touches or self.read_only:
-            self._pending_touches.clear()
-            return
-        if connection is None:
-            connection = self._connection
-        with connection:
-            for fingerprint, table_name, content_hash in self._pending_touches:
-                connection.execute(
-                    "UPDATE prepared SET last_used = ? WHERE matcher_fingerprint = ? "
-                    "AND table_name = ? AND content_hash = ?",
-                    (self._tick(), fingerprint, table_name, content_hash),
-                )
-        self._pending_touches.clear()
-
-    def _record_touch(self, key: tuple[str, str, str]) -> None:
-        """Queue one LRU recency update (dropped entirely on read-only stores)."""
-        if self.read_only:
-            return
-        self._pending_touches.pop(key, None)
-        self._pending_touches[key] = None
-        if len(self._pending_touches) >= self._TOUCH_FLUSH_THRESHOLD:
-            self._flush_touches()
 
     # ------------------------------------------------------------------ #
     # core operations
@@ -373,9 +277,10 @@ class PreparedStore(PerProcessSqliteStore):
         Rows carrying a foreign payload format, rows the codec refuses, and
         rows whose decoded fingerprint or name does not match are discarded
         (and deleted) rather than trusted — the caller re-prepares.  A
-        successful load counts as a hit; probes that find nothing are not
-        counted (the eventual :meth:`prepare` records the miss exactly
-        once).  The result carries the table's header, not its cells.
+        successful load counts as a ``prepared_store.hits``; probes that
+        find nothing are not counted (the eventual :meth:`prepare` records
+        the miss exactly once).  The result carries the table's header, not
+        its cells.
         """
         row = self._connection.execute(
             "SELECT payload_format, payload FROM prepared "
@@ -388,8 +293,6 @@ class PreparedStore(PerProcessSqliteStore):
         if prepared is None:
             self._discard(fingerprint, table_name, content_hash)
             return None
-        self._record_touch((fingerprint, table_name, content_hash))
-        self.hits += 1
         telemetry.count("prepared_store.hits")
         telemetry.count("prepared_store.bytes_read", len(row[1]))
         return prepared
@@ -409,10 +312,9 @@ class PreparedStore(PerProcessSqliteStore):
 
         Returns the found entries as ``{table name: PreparedTable}`` (each
         carrying its header, no cells); missing names are simply absent (the
-        caller falls back to CSV-prepare for those).  Validation, hit
-        counting and LRU recency match :meth:`get` row for row — only the
-        number of round trips changes (one per ~500 names instead of one per
-        name).
+        caller falls back to CSV-prepare for those).  Validation and hit
+        counting match :meth:`get` row for row — only the number of round
+        trips changes (one per ~500 names instead of one per name).
         """
         wanted = dict(keys)
         names = list(wanted)
@@ -434,8 +336,6 @@ class PreparedStore(PerProcessSqliteStore):
                     self._discard(fingerprint, table_name, content_hash)
                     continue
                 found[table_name] = prepared
-                self._record_touch((fingerprint, table_name, content_hash))
-                self.hits += 1
                 telemetry.count("prepared_store.hits")
                 telemetry.count("prepared_store.bytes_read", len(blob))
         return found
@@ -445,8 +345,8 @@ class PreparedStore(PerProcessSqliteStore):
     ) -> set[str]:
         """Batch existence probe: the subset of key names present in the store.
 
-        Like ``key in store`` (current payload format only, no decode, no
-        LRU touch) but one ``IN (...)`` query per ~500 names.
+        Like ``key in store`` (current payload format only, no decode) but
+        one ``IN (...)`` query per ~500 names.
         """
         wanted = dict(keys)
         names = list(wanted)
@@ -494,38 +394,17 @@ class PreparedStore(PerProcessSqliteStore):
         blobs verbatim from a published artifact into a replica store
         without decoding them (validation happens lazily on first
         :meth:`get`, exactly as for any other stored row, and decoding
-        builds data only).  LRU recency, entry-count and byte-budget
-        eviction behave as for :meth:`put`.
+        builds data only).
         """
-        # Settle deferred hit recency first so LRU eviction below never
-        # victimises a row that was just served.
-        self._flush_touches()
-        connection = self._connection
-        with connection:
-            connection.execute(
+        with self._connection:
+            self._connection.execute(
                 "INSERT INTO prepared (matcher_fingerprint, table_name, content_hash, "
-                "payload_format, payload, last_used) VALUES (?, ?, ?, ?, ?, ?) "
+                "payload_format, payload) VALUES (?, ?, ?, ?, ?) "
                 "ON CONFLICT(matcher_fingerprint, table_name, content_hash) DO UPDATE "
                 "SET payload_format = excluded.payload_format, "
-                "payload = excluded.payload, last_used = excluded.last_used",
-                (
-                    fingerprint,
-                    table_name,
-                    content_hash,
-                    payload_format,
-                    blob,
-                    self._tick(),
-                ),
+                "payload = excluded.payload",
+                (fingerprint, table_name, content_hash, payload_format, blob),
             )
-            overflow = len(self) - self.max_entries
-            if overflow > 0:
-                connection.execute(
-                    "DELETE FROM prepared WHERE rowid IN ("
-                    "SELECT rowid FROM prepared ORDER BY last_used, rowid LIMIT ?)",
-                    (overflow,),
-                )
-                telemetry.count("prepared_store.evictions", overflow)
-            self._evict_over_byte_budget(connection)
         telemetry.count("prepared_store.writes")
         telemetry.count("prepared_store.bytes_written", len(blob))
 
@@ -535,7 +414,6 @@ class PreparedStore(PerProcessSqliteStore):
         The removal half of snapshot sync — a pulled snapshot that no
         longer carries a payload retires the local row.
         """
-        self._pending_touches.pop((fingerprint, table_name, content_hash), None)
         with self._connection:
             cursor = self._connection.execute(
                 "DELETE FROM prepared WHERE matcher_fingerprint = ? "
@@ -550,7 +428,7 @@ class PreparedStore(PerProcessSqliteStore):
 
         Only rows carrying the *current* payload format are yielded: a row
         :meth:`get` would refuse to decode must not be replicated to other
-        nodes.  No LRU recency is recorded (export is not "use").
+        nodes.
         """
         for row in self._connection.execute(
             "SELECT matcher_fingerprint, table_name, content_hash, "
@@ -579,8 +457,7 @@ class PreparedStore(PerProcessSqliteStore):
         fingerprint or table name other than the row's key.
 
         What ``lake verify`` checks, since a pulled row is only ever
-        validated when a query first reads it.  Reads every payload; records
-        no recency.
+        validated when a query first reads it.  Reads every payload.
         """
         return [
             (fingerprint, name, content_hash)
@@ -612,9 +489,6 @@ class PreparedStore(PerProcessSqliteStore):
             return 0
         with self._connection:
             for table_name, content_hash in victims:
-                self._pending_touches.pop(
-                    (fingerprint, table_name, content_hash), None
-                )
                 self._connection.execute(
                     "DELETE FROM prepared WHERE matcher_fingerprint = ? "
                     "AND table_name = ? AND content_hash = ?",
@@ -623,48 +497,9 @@ class PreparedStore(PerProcessSqliteStore):
         telemetry.count("prepared_store.stale_pruned", len(victims))
         return len(victims)
 
-    def _evict_over_byte_budget(self, connection: sqlite3.Connection) -> None:
-        """Evict LRU rows until the summed payload size fits ``max_bytes``.
-
-        The most recently used row (the one :meth:`put` just wrote) is never
-        evicted, so one oversized payload degrades to "budget holds exactly
-        this row" instead of an insert/evict livelock.
-        """
-        if self.max_bytes is None:
-            return
-        total = connection.execute(
-            "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM prepared"
-        ).fetchone()[0]
-        if total <= self.max_bytes:
-            return  # one aggregate probe; no per-row scan while under budget
-        rows = connection.execute(
-            "SELECT LENGTH(payload) FROM prepared ORDER BY last_used, rowid"
-        ).fetchall()
-        victims = 0
-        for (size,) in rows[:-1]:  # LRU first; never the newest row
-            if total <= self.max_bytes:
-                break
-            victims += 1
-            total -= size
-        if victims:
-            # Victims are exactly the first `victims` rows in LRU order, so
-            # a LIMIT subquery deletes them without an unbounded IN (...)
-            # placeholder list.
-            connection.execute(
-                "DELETE FROM prepared WHERE rowid IN ("
-                "SELECT rowid FROM prepared ORDER BY last_used, rowid LIMIT ?)",
-                (victims,),
-            )
-            telemetry.count("prepared_store.evictions", victims)
-            logger.debug(
-                "byte budget evicted %d prepared payloads (budget %d bytes)",
-                victims,
-                self.max_bytes,
-            )
-
     @property
     def total_bytes(self) -> int:
-        """Summed size of all stored payload blobs (the ``max_bytes`` metric)."""
+        """Summed size of all stored payload blobs."""
         return self._connection.execute(
             "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM prepared"
         ).fetchone()[0]
@@ -677,16 +512,15 @@ class PreparedStore(PerProcessSqliteStore):
     ) -> PreparedTable:
         """Return ``matcher.prepare(table)``, served from disk when possible.
 
-        The write-through :class:`PreparedProvider` contract shared with
-        :class:`PreparedTableCache`: a miss computes the payload and persists
-        it, so one cold rerank warms the store for every later query.
+        The write-through half of the lake's warm path: a miss computes the
+        payload and persists it, so one cold rerank warms the store for
+        every later query.
         """
         if content_hash is None:
             content_hash = table_content_hash(table)
         prepared = self.get(matcher.fingerprint(), table.name, content_hash)
         if prepared is not None:
             return replace(prepared, table=table)
-        self.misses += 1
         telemetry.count("prepared_store.misses")
         with telemetry.span("prepared_store.prepare", table=table.name):
             prepared = matcher.prepare(table)
@@ -700,7 +534,7 @@ class PreparedStore(PerProcessSqliteStore):
         return self._connection.execute("SELECT COUNT(*) FROM prepared").fetchone()[0]
 
     def __contains__(self, key: tuple[str, str, str]) -> bool:
-        """Cheap existence probe (no payload decode, no LRU touch).
+        """Cheap existence probe (no payload decode).
 
         Only rows carrying the current payload format count: a row
         :meth:`get` would discard anyway must not report as present.
@@ -732,8 +566,6 @@ class PreparedStore(PerProcessSqliteStore):
 
         ``per_fingerprint`` maps each stored matcher fingerprint to its row
         count and summed payload bytes — the shape of the store on disk.
-        The in-process ``hits``/``misses`` (and their ``hit_rate``) describe
-        only this handle's session, not the store's lifetime.
         """
         rows = self._connection.execute(
             "SELECT matcher_fingerprint, COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
@@ -742,25 +574,8 @@ class PreparedStore(PerProcessSqliteStore):
         return {
             "rows": len(self),
             "total_payload_bytes": self.total_bytes,
-            "session_hits": self.hits,
-            "session_misses": self.misses,
-            "session_hit_rate": self.hit_rate,
             "per_fingerprint": {
                 fingerprint: {"rows": count, "payload_bytes": nbytes}
                 for fingerprint, count, nbytes in rows
             },
         }
-
-    def clear(self) -> None:
-        """Drop every stored payload and reset the hit/miss counters."""
-        self._pending_touches.clear()
-        with self._connection:
-            self._connection.execute("DELETE FROM prepared")
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of :meth:`prepare` calls served from disk (0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

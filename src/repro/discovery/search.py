@@ -50,7 +50,7 @@ from repro.discovery.cascade import (
     compute_ranking_bounds,
     order_by_bound,
 )
-from repro.discovery.prepared import PreparedProvider
+from repro.discovery.prepared import PreparedTableCache
 from repro.discovery.relatedness import RelatednessScores, relatedness
 from repro.matchers.base import BaseMatcher, MatchResult, PreparedTable
 from repro.telemetry import recorder as telemetry
@@ -363,7 +363,7 @@ def prune_then_rerank(
     mode: str = "joinable",
     top_k: Optional[int] = None,
     *,
-    prepared_cache: Optional[PreparedProvider] = None,
+    prepared_cache: Optional[PreparedTableCache] = None,
     signals: Optional[Mapping[str, CandidateSignals]] = None,
     budget_ms: Optional[float] = None,
 ) -> RerankOutcome:
@@ -390,11 +390,10 @@ def prune_then_rerank(
     top_k:
         Optionally truncate the final ranking.
     prepared_cache:
-        Optional :class:`~repro.discovery.prepared.PreparedProvider` (a
-        :class:`~repro.discovery.prepared.PreparedTableCache` or a
-        :class:`~repro.discovery.prepared.PreparedStore`).
-        The query's prepared table — and every raw candidate's — is served
-        from / written through it.
+        Optional :class:`~repro.discovery.prepared.PreparedTableCache`.  The
+        query's prepared table — and every raw candidate's — is served from
+        and kept in that in-memory cache.  Nothing here writes to a prepared
+        store: a resolver that reads one returns its candidates prepared.
     signals:
         Stage-1 evidence per candidate name (see
         :mod:`repro.discovery.cascade`).  The matcher lifts it to
@@ -503,14 +502,13 @@ class DiscoveryEngine:
     union_threshold:
         Column-score threshold used by the unionability measure.
     prepared_cache:
-        Optional :class:`~repro.discovery.prepared.PreparedProvider`
-        (typically a :class:`~repro.discovery.prepared.PreparedTableCache`)
+        Optional :class:`~repro.discovery.prepared.PreparedTableCache`
         reusing prepared query tables across :meth:`discover` calls.
     """
 
     matcher: BaseMatcher
     union_threshold: float = DEFAULT_UNION_THRESHOLD
-    prepared_cache: Optional[PreparedProvider] = None
+    prepared_cache: Optional[PreparedTableCache] = None
 
     def _scorer(self) -> PairScorer:
         return PairScorer(matcher=self.matcher, union_threshold=self.union_threshold)

@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.table import Table
 from repro.discovery.cascade import CandidateSignals, candidate_signals
-from repro.discovery.prepared import PreparedStore
+from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import (
     DEFAULT_CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
@@ -176,7 +176,10 @@ class LakeDiscoveryEngine:
         payload is stored (keyed by this matcher's fingerprint and the
         content hash recorded at build time) are served straight from disk
         — no CSV read, no prepare — and cold candidates are written through
-        after their first prepare, so one query warms the next.
+        after their first prepare, so one query warms the next.  The query
+        table itself is never written there: it is prepared into a private
+        in-memory :class:`~repro.discovery.prepared.PreparedTableCache`, so
+        a repeated query skips its prepare without adding a row to the lake.
     """
 
     matcher: BaseMatcher
@@ -192,6 +195,9 @@ class LakeDiscoveryEngine:
     last_query_stats: Optional[QueryStats] = field(default=None, repr=False, init=False)
     _index: Optional[LakeIndex] = field(default=None, repr=False, init=False)
     _index_version: int = field(default=-1, repr=False, init=False)
+    _query_cache: PreparedTableCache = field(
+        default_factory=PreparedTableCache, repr=False, init=False
+    )
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -386,8 +392,10 @@ class LakeDiscoveryEngine:
                             query_sketch, sketch.columns, seed=self.store.config.seed
                         )
             fingerprint = ""
+            query_cache = None
             if self.prepared_store is not None:
                 fingerprint = self.matcher.fingerprint()
+                query_cache = self._query_cache
             rerank_start = time.perf_counter()
             outcome = prune_then_rerank(
                 query,
@@ -396,7 +404,7 @@ class LakeDiscoveryEngine:
                 PairScorer(matcher=self.matcher, union_threshold=self.union_threshold),
                 mode=mode,
                 top_k=top_k,
-                prepared_cache=self.prepared_store,
+                prepared_cache=query_cache,
                 signals=signals,
                 budget_ms=budget_ms,
             )

@@ -12,7 +12,9 @@ live exactly once:
 * whether the prepared store is left alone, opened only when its file is
   already there, or created;
 * one error type, :class:`LakeOpenError`, for a store that is missing,
-  somebody else's SQLite file, or built with another schema or sketch config;
+  somebody else's SQLite file, or built with another schema or sketch config
+  (a schema refusal names the file to delete and the command that
+  recreates it: both stores are derived data);
 * both handles closed on the way out, whatever the body did.
 """
 
@@ -62,7 +64,6 @@ def open_lake(
     read_only: bool = False,
     prepared: Optional[str] = None,
     config: Optional[SketchConfig] = None,
-    max_bytes: Optional[int] = None,
     warn: Optional[Callable[[ValueError], None]] = None,
 ) -> Iterator[tuple[SketchStore, Optional[PreparedStore]]]:
     """Open a lake's stores; yields ``(sketch_store, prepared_store_or_None)``.
@@ -85,8 +86,6 @@ def open_lake(
     config:
         Sketch parameters for a sketch store created here; an existing store
         built with different ones refuses.
-    max_bytes:
-        Byte budget handed to the prepared store.
     warn:
         Makes an unusable prepared store at the *default* path survivable:
         *warn* is called with the error and ``None`` is yielded in the
@@ -111,9 +110,7 @@ def open_lake(
             try:
                 prepared_store = stack.enter_context(
                     PreparedStore(
-                        resolved_prepared,
-                        max_bytes=max_bytes,
-                        read_only=read_only and prepared != "create",
+                        resolved_prepared, read_only=read_only and prepared != "create"
                     )
                 )
             except ValueError as exc:

@@ -146,7 +146,8 @@ class SketchStore(PerProcessSqliteStore):
                 raise ValueError(
                     f"store at {self.path!r} has schema version {schema_version}, "
                     f"this code reads version {_SCHEMA_VERSION}; a sketch store "
-                    "is derived data — rebuild it with `lake build`"
+                    f"is derived data — delete {self.path} and re-run "
+                    "`lake build` on its CSV directory"
                 )
             persisted = SketchConfig.from_dict(json.loads(stored))
             if config is not None and config != persisted:

@@ -14,8 +14,8 @@
   connections are bound to the thread that opens them; it scores one
   ticket at a time, inline;
 * one **engine session per store generation** — sketch store opened
-  read-only, prepared store writable (cold queries warm it for everyone),
-  both wrapped by a :class:`~repro.lake.engine.LakeDiscoveryEngine`;
+  read-only, prepared store writable (cold candidates warm it for
+  everyone), both wrapped by a :class:`~repro.lake.engine.LakeDiscoveryEngine`;
 * **graceful reopen**: between tickets the dispatcher polls
   :func:`~repro.lake.store.store_generation` (inode + monotone version)
   and, on change, opens the new generation before closing the old one —
@@ -110,8 +110,9 @@ class _EngineSession:
     def open(cls, config: ServeConfig) -> "_EngineSession":
         generation = lake_generation(config.store_path, config.prepared_path)
         with ExitStack() as stack:
-            # Sketch store read-only, prepared store writable: cold queries
-            # warm it for everyone.
+            # Sketch store read-only, prepared store writable: a cold
+            # candidate's write-through warms it for everyone.  Query tables
+            # stay in the engine's memory and never reach the store.
             store, prepared_store = stack.enter_context(
                 open_lake(
                     config.store_path,
@@ -358,11 +359,14 @@ class DiscoveryServer:
         except (ValueError, OSError) as exc:
             logger.warning("reopen failed (writer mid-cycle?), retrying later: %s", exc)
             return
+        # The count moves with the swap, under the lock: a health check
+        # never pairs the new generation with the old count, however long
+        # the old session takes to close.
         with self._session_lock:
             self._session = fresh
+            self.reopen_count += 1
+            self.recorder.count("serve.reopens")
         session.close()
-        self.reopen_count += 1
-        self.recorder.count("serve.reopens")
 
     def _execute(self, request: QueryRequest) -> BatchQueryResult:
         session = self._session
@@ -446,7 +450,7 @@ class DiscoveryServer:
     def health(self) -> dict:
         """The ``/healthz`` payload — cached fields only, never the stores."""
         with self._session_lock:
-            session = self._session
+            session, reopen_count = self._session, self.reopen_count
         return {
             "status": self.health_status(),
             "tables": session.table_count if session is not None else None,
@@ -454,7 +458,7 @@ class DiscoveryServer:
                 session.generation if session is not None else None
             ),
             "queue_depth": self.admission.depth(),
-            "reopen_count": self.reopen_count,
+            "reopen_count": reopen_count,
         }
 
     def stats(self) -> dict:

@@ -32,6 +32,12 @@ def _table(name: str, values: list[object]) -> Table:
     return Table(name, [Column("value", values)])
 
 
+def _hits_and_misses(recorder: TelemetryRecorder) -> tuple[int, int]:
+    """The store's ``(hits, misses)`` as its telemetry counted them."""
+    counters = recorder.snapshot().counters
+    return counters.get("prepared_store.hits", 0), counters.get("prepared_store.misses", 0)
+
+
 @pytest.fixture
 def query_table() -> Table:
     return Table(
@@ -108,11 +114,12 @@ class TestRoundTripEquality:
 class TestInvalidation:
     def test_content_hash_invalidation(self):
         matcher = JaccardLevenshteinMatcher()
-        with PreparedStore() as store:
+        recorder = TelemetryRecorder()
+        with PreparedStore() as store, use(recorder):
             store.prepare(matcher, _table("t", ["a", "b"]))
             # Same name, new cells: the old payload must not be served.
             prepared = store.prepare(matcher, _table("t", ["a", "b", "c"]))
-            assert store.misses == 2 and store.hits == 0
+            assert _hits_and_misses(recorder) == (0, 2)
             assert set(prepared.payload["value_sets"]["value"]) == {"a", "b", "c"}
 
     def test_matcher_fingerprint_invalidation(self):
@@ -121,12 +128,13 @@ class TestInvalidation:
         from repro.matchers.distribution_based import DistributionBasedMatcher
 
         table = _table("t", ["a", "b", "c"])
-        with PreparedStore() as store:
+        recorder = TelemetryRecorder()
+        with PreparedStore() as store, use(recorder):
             store.prepare(DistributionBasedMatcher(sample_size=2), table)
             store.prepare(DistributionBasedMatcher(sample_size=3), table)
-            assert store.misses == 2 and store.hits == 0
+            assert _hits_and_misses(recorder) == (0, 2)
             store.prepare(DistributionBasedMatcher(sample_size=2, phase1_threshold=0.5), table)
-            assert store.hits == 1
+            assert _hits_and_misses(recorder) == (1, 2)
 
     def test_foreign_payload_format_is_a_miss_and_is_replaced(self):
         matcher = JaccardLevenshteinMatcher()
@@ -171,7 +179,7 @@ class TestInvalidation:
             blob = prepared_codec.encode(foreign)
             store._connection.execute(
                 "INSERT INTO prepared (matcher_fingerprint, table_name, content_hash, "
-                "payload_format, payload, last_used) VALUES (?, ?, ?, ?, ?, 1)",
+                "payload_format, payload) VALUES (?, ?, ?, ?, ?)",
                 (
                     matcher.fingerprint(),
                     table.name,
@@ -194,30 +202,66 @@ class TestPersistenceAndBounds:
         table = _table("t", ["a", "b"])
         with PreparedStore(path) as store:
             first = store.prepare(matcher, table)
-        with PreparedStore(path) as reopened:
+        recorder = TelemetryRecorder()
+        with PreparedStore(path) as reopened, use(recorder):
             second = reopened.prepare(matcher, table)
-            assert reopened.hits == 1 and reopened.misses == 0
+            assert _hits_and_misses(recorder) == (1, 0)
             assert second.payload == first.payload
             assert second.table is table  # the caller's table rides along
             assert second.header == first.header
 
-    def test_lru_eviction_respects_recency(self):
-        matcher = JaccardLevenshteinMatcher()
-        tables = [_table(f"t{i}", [i]) for i in range(3)]
-        with PreparedStore(max_entries=2) as store:
-            store.prepare(matcher, tables[0])
-            store.prepare(matcher, tables[1])
-            store.prepare(matcher, tables[0])  # refresh t0: t1 becomes LRU
-            store.prepare(matcher, tables[2])  # evicts t1
-            assert len(store) == 2
-            store.prepare(matcher, tables[0])
-            assert store.hits == 2  # t0 survived
-            store.prepare(matcher, tables[1])  # t1 was evicted -> miss
-            assert store.misses == 4
+    def test_put_raw_never_evicts(self):
+        """The store is the lake's rows, not a cache: past the 4,096 rows
+        the LRU used to keep, every row written is still there."""
+        with PreparedStore() as store:
+            for i in range(4097):
+                store.put_raw("f", f"t{i}", "h", PREPARED_PAYLOAD_FORMAT, b"x")
+            assert len(store) == 4097
+            assert store.contains_many("f", [("t0", "h"), ("t4096", "h")]) == {
+                "t0",
+                "t4096",
+            }
 
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            PreparedStore(max_entries=0)
+    def test_total_bytes_tracks_stored_payloads(self):
+        matcher = JaccardLevenshteinMatcher()
+        with PreparedStore() as store:
+            assert store.total_bytes == 0
+            store.prepare(matcher, _table("t", ["a"]))
+            assert store.total_bytes > 0
+            assert store.stats()["total_payload_bytes"] == store.total_bytes
+
+    def test_reads_write_nothing(self, tmp_path):
+        """Serving a row records nothing: a hit through ``prepare``, ``get``
+        and ``get_many`` on a writable store leaves the file unchanged."""
+        path = tmp_path / "p.prepared"
+        matcher = JaccardLevenshteinMatcher()
+        table = _table("t", ["a", "b"])
+        content_hash = table_content_hash(table)
+        with PreparedStore(path) as store:
+            store.prepare(matcher, table)
+        with PreparedStore(path) as store:
+            recorder = TelemetryRecorder()
+            with use(recorder):
+                store.prepare(matcher, table)
+                assert store.get(matcher.fingerprint(), table.name, content_hash)
+                assert store.get_many(matcher.fingerprint(), [(table.name, content_hash)])
+            assert _hits_and_misses(recorder) == (3, 0)
+            assert store._connection.total_changes == 0
+
+    def test_prune_stale_removes_only_superseded_rows(self):
+        """The store never drops a row on its own; ``prune_stale`` removes
+        the rows of one matcher whose table is gone or whose content hash
+        is not the current one, and nothing else."""
+        with PreparedStore() as store:
+            for name, content_hash in (("kept", "h1"), ("changed", "old"), ("gone", "h3")):
+                store.put_raw("f", name, content_hash, PREPARED_PAYLOAD_FORMAT, b"x")
+            store.put_raw("other", "gone", "h3", PREPARED_PAYLOAD_FORMAT, b"x")
+            assert store.prune_stale("f", {"kept": "h1", "changed": "new"}) == 2
+            assert store.raw_keys() == [
+                ("f", "kept", "h1", PREPARED_PAYLOAD_FORMAT),
+                ("other", "gone", "h3", PREPARED_PAYLOAD_FORMAT),
+            ]
+            assert store.prune_stale("f", {"kept": "h1"}) == 0
 
     def test_refuses_foreign_sqlite_file(self, tmp_path):
         import sqlite3
@@ -238,13 +282,17 @@ class TestPersistenceAndBounds:
         with pytest.raises(ValueError, match="schema version 999"):
             PreparedStore(path)
 
-    def test_clear_resets(self):
-        matcher = JaccardLevenshteinMatcher()
-        with PreparedStore() as store:
-            store.prepare(matcher, _table("t", ["a"]))
-            store.clear()
-            assert len(store) == 0
-            assert (store.hits, store.misses) == (0, 0)
+    def test_refuses_schema_1_naming_the_file_and_the_fix(self, tmp_path):
+        """A store written with the LRU layout is refused, never migrated,
+        and the refusal says what to delete and what recreates it."""
+        path = tmp_path / "p.prepared"
+        with PreparedStore(path) as store:
+            store._write_meta("schema_version", "1")
+            store._connection.commit()
+        with pytest.raises(ValueError, match="schema version 1") as excinfo:
+            PreparedStore(path)
+        assert f"delete {path}" in str(excinfo.value)
+        assert "`lake prepare <matcher>`" in str(excinfo.value)
 
     def test_table_names_listing(self):
         matcher = JaccardLevenshteinMatcher()
@@ -254,56 +302,6 @@ class TestPersistenceAndBounds:
             assert store.table_names() == ["alpha", "beta"]
             assert store.table_names(matcher.fingerprint()) == ["alpha", "beta"]
             assert store.table_names("nobody") == []
-
-
-class TestByteBudget:
-    def _payload_bytes(self, matcher, table) -> int:
-        with PreparedStore() as store:
-            store.prepare(matcher, table)
-            return store.total_bytes
-
-    def test_byte_budget_evicts_lru_first(self):
-        matcher = JaccardLevenshteinMatcher()
-        tables = [_table(f"t{i}", [f"v{i}"]) for i in range(4)]
-        one_payload = self._payload_bytes(matcher, tables[0])
-        # Budget for roughly two payloads: the third insert must evict.
-        with PreparedStore(max_bytes=int(one_payload * 2.5)) as store:
-            store.prepare(matcher, tables[0])
-            store.prepare(matcher, tables[1])
-            store.prepare(matcher, tables[0])  # refresh t0: t1 becomes LRU
-            store.prepare(matcher, tables[2])  # over budget -> evicts t1
-            names = store.table_names()
-            assert "t1" not in names and {"t0", "t2"} <= set(names)
-            assert store.total_bytes <= int(one_payload * 2.5)
-
-    def test_newest_row_survives_an_impossible_budget(self):
-        matcher = JaccardLevenshteinMatcher()
-        with PreparedStore(max_bytes=1) as store:
-            store.prepare(matcher, _table("a", ["x"]))
-            store.prepare(matcher, _table("b", ["y"]))
-            # Each insert evicts everything else but keeps itself.
-            assert store.table_names() == ["b"]
-            assert store.total_bytes > 1  # over budget by exactly one row
-
-    def test_entry_cap_remains_a_secondary_bound(self):
-        matcher = JaccardLevenshteinMatcher()
-        with PreparedStore(max_entries=2, max_bytes=10**9) as store:
-            for i in range(3):
-                store.prepare(matcher, _table(f"t{i}", [i]))
-            assert len(store) == 2  # byte budget is loose; entry cap bites
-
-    def test_rejects_nonpositive_byte_budget(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            PreparedStore(max_bytes=0)
-
-    def test_total_bytes_tracks_stored_payloads(self):
-        matcher = JaccardLevenshteinMatcher()
-        with PreparedStore() as store:
-            assert store.total_bytes == 0
-            store.prepare(matcher, _table("t", ["a"]))
-            assert store.total_bytes > 0
-            store.clear()
-            assert store.total_bytes == 0
 
 
 class TestBatchReads:
@@ -318,10 +316,11 @@ class TestBatchReads:
             self._warm(store, matcher, tables)
             fingerprint = matcher.fingerprint()
             keys = [(t.name, table_content_hash(t)) for t in tables]
-            hits_before = store.hits
-            found = store.get_many(fingerprint, keys + [("ghost", "nohash")])
+            recorder = TelemetryRecorder()
+            with use(recorder):
+                found = store.get_many(fingerprint, keys + [("ghost", "nohash")])
             assert sorted(found) == ["t0", "t1", "t2"]
-            assert store.hits == hits_before + 3
+            assert _hits_and_misses(recorder) == (3, 0)
             for table in tables:
                 assert found[table.name].payload == matcher.prepare(table).payload
 
@@ -346,19 +345,6 @@ class TestBatchReads:
                 matcher.fingerprint(), [("t", table_content_hash(table))]
             )
             assert found == {} and len(store) == 0
-
-    def test_get_many_records_recency(self):
-        matcher = JaccardLevenshteinMatcher()
-        tables = [_table(f"t{i}", [i]) for i in range(3)]
-        with PreparedStore(max_entries=2) as store:
-            store.prepare(matcher, tables[0])
-            store.prepare(matcher, tables[1])
-            # Batch-touch t0 so t1 is the LRU victim of the next insert.
-            store.get_many(
-                matcher.fingerprint(), [("t0", table_content_hash(tables[0]))]
-            )
-            store.prepare(matcher, tables[2])
-            assert "t1" not in store.table_names()
 
     def test_get_many_spans_in_clause_chunks(self):
         from repro.discovery import prepared as prepared_module
@@ -389,25 +375,6 @@ class TestBatchReads:
 
 
 class TestRecencyDurability:
-    def test_batched_touches_survive_close(self, tmp_path):
-        """Regression: warm-hit recency deferred in ``_pending_touches`` must
-        be flushed by ``close()``/``__exit__`` — otherwise the LRU order seen
-        after a restart victimises recently served rows."""
-        path = tmp_path / "lake.sketches.prepared"
-        matcher = JaccardLevenshteinMatcher()
-        tables = [_table(f"t{i}", [i]) for i in range(3)]
-        with PreparedStore(path, max_entries=2) as store:
-            store.prepare(matcher, tables[0])
-            store.prepare(matcher, tables[1])
-            # A warm hit with NO subsequent write: recency only lives in the
-            # deferred batch when the store closes.
-            assert store.prepare(matcher, tables[0]) is not None
-            assert store._pending_touches  # still unflushed at this point
-        with PreparedStore(path, max_entries=2) as reopened:
-            reopened.prepare(matcher, tables[2])  # evicts the true LRU: t1
-            names = reopened.table_names()
-            assert "t0" in names and "t1" not in names
-
     def test_read_only_store_serves_without_writing(self, tmp_path):
         path = tmp_path / "p.prepared"
         matcher = JaccardLevenshteinMatcher()
@@ -419,11 +386,11 @@ class TestRecencyDurability:
                 matcher.fingerprint(), table.name, table_content_hash(table)
             )
             assert loaded is not None and loaded.payload == expected.payload
-            assert not reader._pending_touches  # recency is dropped, not queued
             found = reader.get_many(
                 matcher.fingerprint(), [(table.name, table_content_hash(table))]
             )
             assert set(found) == {table.name}
+            assert reader._connection.total_changes == 0
 
     def test_read_only_refuses_missing_store(self, tmp_path):
         with pytest.raises(ValueError, match="cannot open"):

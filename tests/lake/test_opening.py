@@ -120,9 +120,8 @@ class TestPreparedStore:
             assert prepared_store.read_only
 
     def test_create_makes_it_at_the_default_or_named_path(self, store_path, tmp_path):
-        with open_lake(store_path, prepared="create", max_bytes=4096) as (_, prepared_store):
+        with open_lake(store_path, prepared="create") as (_, prepared_store):
             assert prepared_store.path == str(resolve_prepared_path(store_path))
-            assert prepared_store.max_bytes == 4096
         named = tmp_path / "named.prepared"
         with open_lake(store_path, named, prepared="create", read_only=True) as (store, prepared):
             assert store.read_only

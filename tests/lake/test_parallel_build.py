@@ -143,4 +143,5 @@ class TestPrepareLake:
                 assert [
                     (r.table_name, r.joinability, r.unionability) for r in warm
                 ] == [(r.table_name, r.joinability, r.unionability) for r in cold]
-                assert prepared_store.hits == warm_engine.last_query_stats.rerank_count
+                stats = warm_engine.last_query_stats
+                assert stats.store_hits == stats.rerank_count

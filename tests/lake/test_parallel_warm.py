@@ -163,7 +163,7 @@ class TestTelemetryParity:
             == _NUM_TABLES
         ), f"{name}: scored-candidate counters diverged"
         assert cold_stats.store_hits == 0
-        assert cold.get("prepared_store.writes") == _NUM_TABLES + 1  # + the query
+        assert cold.get("prepared_store.writes") == _NUM_TABLES  # never the query
         assert warm_stats.store_hits == _NUM_TABLES
         assert warm.get("prepared_store.writes", 0) == 0
         for stats in (cold_stats, warm_stats):
@@ -219,7 +219,7 @@ class TestTelemetryParity:
             engine = LakeDiscoveryEngine(
                 matcher=matcher, store=store, prepared_store=prepared_store
             )
-            engine.query(query)  # writes the query's own payload through
+            engine.query(query)  # prepares the query into the engine's cache
             for name in ("span", "count", "observe"):
                 wrapper = counted(telemetry_recorder, name, calls, name)
                 monkeypatch.setattr(telemetry_recorder, name, wrapper)
@@ -259,16 +259,65 @@ class TestWriteThrough:
                 ) as engine:
                     cold = engine.query(query)
                     assert engine.last_query_stats.store_hits == 0  # genuinely cold
-                    # All four candidates were written through, and the
-                    # query itself via the prepared provider.
-                    assert set(prepared_store.table_names()) == {
-                        "t0",
-                        "t1",
-                        "t2",
-                        "t3",
-                        "query",
-                    }
+                    # All four candidates were written through; the query
+                    # table never is.
+                    assert set(prepared_store.table_names()) == {"t0", "t1", "t2", "t3"}
                     warm = engine.query(query)
                     stats = engine.last_query_stats
                     assert stats.store_hits == stats.rerank_count == 4
                     assert _ranking(warm) == _ranking(cold)
+
+    def test_first_seen_query_writes_nothing_to_a_warm_store(self, warm_lake):
+        """Against a fully prepared store, a query the engine has never seen
+        adds no row and makes no change at all: the query table is prepared
+        in the engine's memory, and a repeat is served from there."""
+        store, prepared_path, query, _ = warm_lake
+        matcher = create_matcher("semprop", **LIGHT_MATCHER_CONFIGS["semprop"])
+        with PreparedStore(prepared_path) as prepared_store:
+            prepare_lake(store, prepared_store, matcher)
+        with PreparedStore(prepared_path) as prepared_store:
+            rows = len(prepared_store)
+            engine = LakeDiscoveryEngine(
+                matcher=matcher, store=store, prepared_store=prepared_store
+            )
+            first = engine.query(query)
+            recorder = TelemetryRecorder()
+            with use(recorder):
+                again = engine.query(query)
+            assert prepared_store._connection.total_changes == 0
+            assert len(prepared_store) == rows
+            assert query.name not in prepared_store.table_names()
+        assert _ranking(again) == _ranking(first)
+        counters = recorder.snapshot().counters
+        assert counters["prepared_cache.hits"] == 1
+        assert "prepared_store.misses" not in counters
+
+    def test_query_table_is_prepared_once_per_content(self, warm_lake):
+        """The engine's in-memory query cache is keyed like a store row: a
+        repeat of the same query is a hit, and the same name with other
+        cells is prepared afresh."""
+        store, prepared_path, query, _ = warm_lake
+        matcher = JaccardLevenshteinMatcher()
+        changed = tpcdi_prospect_table(num_rows=18, seed=98).rename(query.name)
+        with PreparedStore(prepared_path) as prepared_store:
+            engine = LakeDiscoveryEngine(
+                matcher=matcher, store=store, prepared_store=prepared_store
+            )
+            for table in (query, query, changed, query):
+                engine.query(table, top_k=2)
+            assert prepared_store.table_names(matcher.fingerprint()) == [
+                f"table_{i}" for i in range(_NUM_TABLES)
+            ]
+        cache = engine._query_cache
+        assert (cache.misses, cache.hits, len(cache)) == (2, 2, 2)
+
+    def test_engine_without_a_prepared_store_keeps_no_query_cache(self, warm_lake):
+        """The cold path is unchanged: with no prepared store the query is
+        prepared with its candidates, and the engine's cache stays unused."""
+        store, _, query, _ = warm_lake
+        engine = LakeDiscoveryEngine(matcher=JaccardLevenshteinMatcher(), store=store)
+        engine.query(query, top_k=2)
+        engine.query(query, top_k=2)
+        assert engine.last_query_stats.store_hits == 0
+        cache = engine._query_cache
+        assert (cache.misses, cache.hits, len(cache)) == (0, 0, 0)

@@ -4,7 +4,8 @@ The writer is the actual ``lake build`` CLI run via ``subprocess`` — the
 same multi-process WAL situation a deployed daemon faces — while client
 threads keep querying.  Contract: no in-flight or subsequent query fails,
 and the daemon picks up the new generation (new table visible) without a
-restart.
+restart.  And ``/healthz`` never reports the new generation next to the
+old reopen count, however long the old session takes to close.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.discovery.prepared import PreparedStore
 from repro.lake import SketchStore, build_from_paths, prepare_lake
 from repro.matchers.registry import create_matcher
 from repro.serve import DiscoveryServer, ServeClient, ServeConfig
+from repro.serve import server as server_module
 
 _METHOD = "jaccardlevenshtein"
 
@@ -118,3 +120,43 @@ class TestReopenUnderTraffic:
             with ServeClient(host=host, port=port, timeout_s=60) as client:
                 response = client.query(query, top_k=10)
             assert "t4" in {r["table_name"] for r in response["results"]}
+
+
+class TestReopenHealth:
+    def test_health_never_pairs_the_new_generation_with_the_old_count(
+        self, tmp_path, monkeypatch
+    ):
+        """The old session's close is held open: meanwhile the daemon serves
+        the new generation, and its health says so with the count moved.
+        At the parent the count moved only after the close returned."""
+        lake_dir = tmp_path / "lake"
+        lake_dir.mkdir()
+        for i in range(2):
+            table = tpcdi_prospect_table(num_rows=10, seed=60 + i).rename(f"t{i}")
+            write_csv(table, lake_dir / f"{table.name}.csv")
+        store_path = tmp_path / "lake.sketches"
+        with SketchStore(store_path) as store:
+            build_from_paths(store, sorted(lake_dir.glob("*.csv")))
+            with PreparedStore(tmp_path / "lake.sketches.prepared") as prepared_store:
+                prepare_lake(store, prepared_store, create_matcher(_METHOD))
+        closing, release = threading.Event(), threading.Event()
+        real_close = server_module._EngineSession.close
+
+        def held_close(session):
+            closing.set()
+            release.wait(timeout=30)
+            real_close(session)
+
+        monkeypatch.setattr(server_module._EngineSession, "close", held_close)
+        config = ServeConfig(store_path=store_path, method=_METHOD, reopen_poll_s=0.05)
+        with DiscoveryServer(config) as daemon:
+            try:
+                before = daemon.health()
+                assert (before["tables"], before["reopen_count"]) == (2, 0)
+                with SketchStore(store_path) as store:
+                    store.add_table(tpcdi_prospect_table(num_rows=10, seed=62).rename("t2"))
+                assert closing.wait(timeout=30), "the daemon never reopened"
+                during = daemon.health()
+            finally:
+                release.set()
+        assert (during["tables"], during["reopen_count"]) == (3, 1)

@@ -56,7 +56,7 @@ _METHOD = (("--method",), "method", "'ComaSchema'")
 #: Recorded from commit 3a2edeb (the last single-file ``cli.py``): no flag
 #: may be added, removed, renamed or re-defaulted by a refactor.  Deleted on
 #: purpose since: ``query --parallel``, ``serve --serial``, ``pull --no-resume``,
-#: ``query --workers`` and ``serve --workers``.
+#: ``query --workers``, ``serve --workers`` and ``prepare --max-store-mb``.
 _PARSER_SURFACE = {
     "": [(("--verbose", "-v"), "verbose", "0")],
     "coverage": [],
@@ -70,7 +70,6 @@ _PARSER_SURFACE = {
     "lake build": [((), "input", "None"), (("--prune",), "prune", "False"), _STORE, _WORKERS],
     "lake prepare": [
         ((), "method", "None"),
-        (("--max-store-mb",), "max_store_mb", "None"),
         _PREPARED_STORE,
         _STORE,
         _WORKERS,
@@ -186,6 +185,7 @@ class TestParserSurface:
             ["lake", "pull", "src", "--no-resume"],
             ["lake", "query", "q.csv", "--workers", "2"],
             ["lake", "serve", "--workers", "2"],
+            ["lake", "prepare", "ComaSchema", "--max-store-mb", "1"],
         ],
         ids=lambda argv: " ".join(argv[1:2] + [a for a in argv if a.startswith("--")]),
     )
@@ -356,37 +356,70 @@ class TestCommands:
         )
         assert "served from the prepared store" not in capsys.readouterr().out
 
-    def test_lake_prepare_max_store_mb_bounds_the_store(self, tmp_path, capsys):
-        """--max-store-mb sets the byte budget: a tiny budget leaves only the
-        most recently prepared payload behind."""
-        from repro.discovery.prepared import PreparedStore
-
+    def test_query_leaves_the_lake_verifiable_and_publishable(self, tmp_path, capsys):
+        """build → prepare → query → verify → publish → pull → verify: the
+        query adds no prepared row, so both the publisher and a fresh
+        replica verify clean and the snapshot carries one prepared payload
+        per lake table.  At the parent the query's own row made both
+        `lake verify` runs exit 1 ("stale prepared rows: 1")."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
-        write_csv(Table("alpha", {"a": ["x", "y", "z"]}), lake_dir / "alpha.csv")
-        write_csv(Table("beta", {"b": ["p", "q", "r"]}), lake_dir / "beta.csv")
-        store = tmp_path / "lake.sketches"
-        assert main(["lake", "build", str(lake_dir), "--store", str(store)]) == 0
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "lake",
-                    "prepare",
-                    "JaccardLevenshtein",
-                    "--store",
-                    str(store),
-                    "--max-store-mb",
-                    "0.0003",  # ~314 bytes: below two ~205-byte payloads
-                ]
-            )
-            == 0
+        write_csv(
+            Table("cities", {"city": ["delft", "leiden", "gouda"], "pop": [1, 2, 3]}),
+            lake_dir / "cities.csv",
         )
+        write_csv(
+            Table("towns", {"town": ["delft", "gouda", "utrecht"], "size": [3, 4, 5]}),
+            lake_dir / "towns.csv",
+        )
+        query_path = write_csv(
+            Table("query", {"place": ["delft", "gouda"], "n": [7, 8]}),
+            tmp_path / "query.csv",
+        )
+        store, replica = tmp_path / "lake.sketches", tmp_path / "replica.sketches"
+        artifact = tmp_path / "artifact"
+        method = "JaccardLevenshtein"
+        assert main(["lake", "build", str(lake_dir), "--store", str(store)]) == 0
+        assert main(["lake", "prepare", method, "--store", str(store)]) == 0
+        query = ["lake", "query", str(query_path), "--store", str(store), "--method", method]
+        assert main(query) == 0
+        capsys.readouterr()
+        assert main(["lake", "verify", "--store", str(store)]) == 0
+        assert "verify: clean" in capsys.readouterr().out
+        assert main(["lake", "publish", str(artifact), "--store", str(store)]) == 0
+        assert "2 tables, 2 prepared payloads" in capsys.readouterr().out
+        assert main(["lake", "pull", str(artifact), "--store", str(replica)]) == 0
+        capsys.readouterr()
+        assert main(["lake", "verify", "--store", str(replica), "--artifact", str(artifact)]) == 0
+        assert "verify: clean" in capsys.readouterr().out
+
+    def test_prepare_after_a_query_has_nothing_to_do(self, tmp_path, capsys):
+        """A second `lake prepare` after a query prepares nothing and prunes
+        nothing: the lake's rows are exactly what the first one wrote."""
+        lake_dir = tmp_path / "lake"
+        lake_dir.mkdir()
+        write_csv(
+            Table("cities", {"city": ["delft", "leiden"], "pop": [1, 2]}),
+            lake_dir / "cities.csv",
+        )
+        write_csv(
+            Table("towns", {"town": ["delft", "gouda"], "size": [3, 4]}),
+            lake_dir / "towns.csv",
+        )
+        query_path = write_csv(
+            Table("query", {"place": ["delft", "gouda"], "n": [7, 8]}),
+            tmp_path / "query.csv",
+        )
+        store, method = tmp_path / "lake.sketches", "JaccardLevenshtein"
+        prepare = ["lake", "prepare", method, "--store", str(store)]
+        assert main(["lake", "build", str(lake_dir), "--store", str(store)]) == 0
+        assert main(prepare) == 0
+        query = ["lake", "query", str(query_path), "--store", str(store), "--method", method]
+        assert main(query) == 0
+        capsys.readouterr()
+        assert main(prepare) == 0
         out = capsys.readouterr().out
-        assert "2 tables prepared" in out
-        assert "byte budget 0.0003 MiB" in out
-        with PreparedStore(store.parent / (store.name + ".prepared")) as prepared:
-            assert len(prepared) == 1  # LRU-evicted down to the newest row
+        assert out.rstrip().endswith(f"0 tables prepared with {method}, 2 already stored")
 
     def test_lake_prepare_requires_store(self, tmp_path, capsys):
         missing = tmp_path / "nope.sketches"
@@ -575,7 +608,7 @@ class TestObservability:
 
     def test_lake_stats_reports_both_stores(self, tmp_path, capsys):
         store, query_path = self._built_lake(tmp_path)
-        # A query with the default write-through prepared store populates it.
+        # A cold query writes its candidates through to the default store.
         assert main(["lake", "query", str(query_path), "--store", str(store)]) == 0
         capsys.readouterr()
         assert main(["lake", "stats", "--store", str(store)]) == 0
@@ -762,6 +795,33 @@ class TestBadInput:
         with pytest.raises(sqlite3.ProgrammingError):
             len(opened[0])
 
+    @pytest.mark.parametrize(
+        "suffix, command, fix",
+        [
+            ("", ["lake", "build", "{lake}"], "re-run `lake build` on its CSV directory"),
+            (".prepared", ["lake", "prepare", "JaccardLevenshtein"], "`lake prepare <matcher>`"),
+        ],
+        ids=["sketch store", "prepared store"],
+    )
+    def test_old_schema_refusal_names_the_file_and_the_fix(
+        self, suffix, command, fix, tmp_path, capsys
+    ):
+        """At the parent the sketch store said "rebuild it with `lake build`"
+        (the command that had just refused it) and the prepared store named
+        no fix at all."""
+        lake_dir, store, _ = self._built_store(tmp_path)
+        assert main(["lake", "prepare", "JaccardLevenshtein", "--store", str(store)]) == 0
+        target = store.with_name(store.name + suffix)
+        with sqlite3.connect(target) as connection:
+            connection.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+        connection.close()
+        capsys.readouterr()
+        argv = [part.format(lake=lake_dir) for part in command] + ["--store", str(store)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "schema version 1" in err and f"delete {target} " in err and fix in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_lake_stats_opens_both_stores_read_only(self, tmp_path, capsys):
         """A read-write open converts a legacy rollback-journal store to WAL;
         `lake stats` must leave the files exactly as it found them."""
@@ -798,7 +858,6 @@ class TestBadInput:
             ["lake", "pull", "{lake}", "--store", "{fresh}", "--retry-budget", "-1"],
             ["lake", "build", "{lake}", "--store", "{fresh}", "--workers", "0"],
             ["lake", "prepare", "ComaSchema", "--store", "{store}", "--workers", "0"],
-            ["lake", "prepare", "ComaSchema", "--store", "{store}", "--max-store-mb", "0"],
             ["lake", "watch", "{lake}", "--store", "{fresh}", "--workers", "0"],
             ["lake", "watch", "{lake}", "--store", "{fresh}", "--interval-s", "0"],
             ["lake", "watch", "{lake}", "--store", "{fresh}", "--interval-s", "nan"],
