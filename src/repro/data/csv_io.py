@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.data.table import Column, Table
-from repro.data.types import DataType, coerce_value
+from repro.data.types import type_column
 
 __all__ = ["UNREADABLE_CSV", "read_csv", "write_csv", "table_from_csv_text", "table_to_csv_text"]
 
@@ -36,20 +37,24 @@ def table_from_csv_text(text: str, name: str = "table", infer_types: bool = True
     infer_types:
         When True (default) cell values are coerced to the inferred column
         type; otherwise all cells stay strings.
+
+    Each column is typed and coerced by :func:`~repro.data.types.type_column`;
+    a short row leaves ``None`` in the columns it lacks, and cells past the
+    header's width are dropped.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if not rows:
         return Table(name, [])
-    header = [h.strip() for h in rows[0]]
-    data_rows = rows[1:]
     columns: list[Column] = []
-    for i, col_name in enumerate(header):
-        values: list[object] = [row[i] if i < len(row) else None for row in data_rows]
-        column = Column(col_name, values)
-        if infer_types and column.data_type is not DataType.STRING:
-            column = column.coerced()
-        columns.append(column)
+    # One column per header cell: a short row pads it with None, and an
+    # over-long row's extra cells fall past the header's width.
+    for header_cell, *cells in islice(zip_longest(*rows), len(rows[0])):
+        if infer_types:
+            data_type, values = type_column(cells)
+            columns.append(Column(header_cell.strip(), values, data_type))
+        else:
+            columns.append(Column(header_cell.strip(), cells))
     return Table(name, columns)
 
 
@@ -66,10 +71,12 @@ def table_to_csv_text(table: Table) -> str:
 def read_csv(path: PathLike, name: Optional[str] = None, infer_types: bool = True) -> Table:
     """Read a CSV file into a :class:`Table`.
 
-    The table name defaults to the file stem.
+    The table name defaults to the file stem.  A leading UTF-8 byte-order
+    mark (as spreadsheet exports write) is dropped, not read into the first
+    column's name.
     """
     path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as handle:
+    with path.open("r", newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
     return table_from_csv_text(text, name=name or path.stem, infer_types=infer_types)
 

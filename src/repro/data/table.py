@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.data.types import (
     DataType,
-    coerce_value,
     infer_column_type,
     is_missing,
     parse_numeric_values,
@@ -148,11 +147,6 @@ class Column:
     def head(self, n: int) -> "Column":
         """Return a copy containing only the first *n* cells."""
         return Column(self.name, self.values[:n], self.data_type, self.table_name)
-
-    def coerced(self) -> "Column":
-        """Return a copy whose values are coerced to the column data type."""
-        coerced_values = [coerce_value(v, self.data_type) for v in self.values]
-        return Column(self.name, coerced_values, self.data_type, self.table_name)
 
 
 class Table:

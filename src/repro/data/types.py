@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -23,6 +22,7 @@ __all__ = [
     "coerce_value",
     "is_missing",
     "parse_numeric_values",
+    "type_column",
     "type_compatibility",
 ]
 
@@ -106,14 +106,19 @@ def type_compatibility(a: DataType, b: DataType) -> float:
 
 _MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "-", "?"})
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?$")
+#: One integer / float / date cell, shared by the per-cell patterns and the
+#: whole-column ones :func:`type_column` matches.
+_INT_BODY = r"[+-]?\d+"
+_FLOAT_BODY = r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_INT_RE = re.compile(rf"^{_INT_BODY}$")
+_FLOAT_RE = re.compile(rf"^{_FLOAT_BODY}$")
 _BOOL_TOKENS = frozenset({"true", "false", "yes", "no", "t", "f", "y", "n"})
-_DATE_RES = (
-    re.compile(r"^\d{4}-\d{1,2}-\d{1,2}([ T]\d{1,2}:\d{2}(:\d{2})?)?$"),
-    re.compile(r"^\d{1,2}/\d{1,2}/\d{2,4}$"),
-    re.compile(r"^\d{1,2}-[A-Za-z]{3}-\d{2,4}$"),
+_DATE_BODIES = (
+    r"\d{4}-\d{1,2}-\d{1,2}(?:[ T]\d{1,2}:\d{2}(?::\d{2})?)?",
+    r"\d{1,2}/\d{1,2}/\d{2,4}",
+    r"\d{1,2}-[A-Za-z]{3}-\d{2,4}",
 )
+_DATE_RES = tuple(re.compile(rf"^{body}$") for body in _DATE_BODIES)
 
 
 def is_missing(value: object) -> bool:
@@ -203,6 +208,76 @@ def infer_column_type(values: Iterable[object], sample_limit: int = 1000) -> Dat
     return DataType.FLOAT  # only INTEGER mixed with FLOAT gets this far
 
 
+#: Whitespace around a cell of a whole-column pattern: what ``str.strip``
+#: removes, except the line break that joins the cells.  (``int`` and
+#: ``float`` reject the separators ``\x1c``-``\x1f``; their ``ValueError``
+#: sends such a column down the cell-by-cell path.)
+_PAD = r"[^\S\n]*"
+
+
+def _column_pattern(body: str) -> "re.Pattern[str]":
+    cell = rf"{_PAD}(?:{body}){_PAD}"
+    return re.compile(rf"{cell}(?:\n{cell})*")
+
+
+#: ``(pattern, type, converter)``: a column whose newline-joined cells
+#: fullmatch *pattern* has type *type*, and ``converter`` coerces each cell
+#: exactly as :func:`coerce_value` would, or raises ``ValueError``.  INTEGER
+#: is tried before FLOAT, which an all-integer column also matches.  A date
+#: cell always holds a ``-`` or ``/``, so it is never a number, a boolean
+#: or a missing token.
+_PATTERN_COLUMNS = (
+    (_column_pattern(_INT_BODY), DataType.INTEGER, int),
+    (_column_pattern(_FLOAT_BODY), DataType.FLOAT, float),
+    (_column_pattern("|".join(_DATE_BODIES)), DataType.DATE, str.strip),
+)
+
+
+def _pattern_column(cells: Sequence[Optional[str]]) -> Optional[tuple[DataType, list[object]]]:
+    """``(type, values)`` of an all-integer, all-float or all-date column, else None.
+
+    Only for cells that are all strings without a line break, so that the
+    newline-joined column holds exactly ``len(cells) - 1`` of them.
+    """
+    try:
+        blob = "\n".join(cells)
+    except TypeError:  # a short row's None
+        return None
+    for pattern, data_type, convert in _PATTERN_COLUMNS:
+        if pattern.fullmatch(blob):
+            if blob.count("\n") != len(cells) - 1:  # a cell holds a line break
+                return None
+            try:
+                return data_type, list(map(convert, cells))
+            except ValueError:  # past int's digit limit, or a \x1c pad
+                return None
+    return None
+
+
+def type_column(
+    cells: Sequence[Optional[str]], sample_limit: int = 1000
+) -> tuple[DataType, list[object]]:
+    """Type a column of raw CSV cells and coerce them: ``(data_type, values)``.
+
+    The result is exactly ``infer_column_type(cells, sample_limit)`` and,
+    unless that is STRING (cells kept as read), ``coerce_value`` applied to
+    every cell; *cells* are strings, with ``None`` for a short row's gap.
+    A column of at most *sample_limit* cells whose newline-joined text
+    fullmatches an integer, float or date column pattern gets there in one
+    pass: every cell is in the sample and has the pattern's kind, so the
+    column is converted with one ``map(int | float | str.strip, ...)`` and
+    no cell is typed.  Any other column is typed and coerced cell by cell.
+    """
+    if len(cells) <= sample_limit:
+        patterned = _pattern_column(cells)
+        if patterned is not None:
+            return patterned
+    data_type = infer_column_type(cells, sample_limit)
+    if data_type is DataType.STRING:
+        return data_type, list(cells)
+    return data_type, [coerce_value(cell, data_type) for cell in cells]
+
+
 def coerce_value(value: object, data_type: DataType) -> object:
     """Coerce *value* into the Python representation of *data_type*.
 
@@ -220,11 +295,12 @@ def coerce_value(value: object, data_type: DataType) -> object:
         except ValueError:
             pass
         try:
-            # The ``12.0`` / ``1e3`` cells an INTEGER column can still hold
-            # past ``sample_limit``.
-            return int(float(text))
-        except (ValueError, OverflowError):
+            number = float(text)
+        except ValueError:
             return value
+        # The ``12.0`` / ``1e3`` cells an INTEGER column can still hold past
+        # ``sample_limit``; a fractional or infinite one is not an integer.
+        return int(number) if number.is_integer() else value
     if data_type is DataType.FLOAT:
         try:
             return float(text)
@@ -240,45 +316,3 @@ def coerce_value(value: object, data_type: DataType) -> object:
     if data_type in (DataType.STRING, DataType.DATE):
         return text
     return value
-
-
-@dataclass(frozen=True)
-class TypeProfile:
-    """Summary of the type composition of a column.
-
-    Attributes
-    ----------
-    dominant:
-        The inferred dominant data type.
-    counts:
-        Number of non-missing values observed per type.
-    missing:
-        Number of missing cells.
-    total:
-        Total number of cells examined.
-    """
-
-    dominant: DataType
-    counts: dict[str, int]
-    missing: int
-    total: int
-
-    @property
-    def missing_ratio(self) -> float:
-        """Fraction of cells that are missing."""
-        return self.missing / self.total if self.total else 0.0
-
-
-def profile_types(values: Sequence[object], sample_limit: Optional[int] = None) -> TypeProfile:
-    """Build a :class:`TypeProfile` for a sequence of cell values."""
-    limit = len(values) if sample_limit is None else min(sample_limit, len(values))
-    counts: dict[str, int] = {}
-    missing = 0
-    for value in values[:limit]:
-        if is_missing(value):
-            missing += 1
-            continue
-        kind = infer_value_type(value).value
-        counts[kind] = counts.get(kind, 0) + 1
-    dominant = infer_column_type(values[:limit])
-    return TypeProfile(dominant=dominant, counts=counts, missing=missing, total=limit)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.csv_io import read_csv, table_from_csv_text, table_to_csv_text, write_csv
+from repro.data.fingerprint import table_content_hash
 from repro.data.table import Table
 from repro.data.types import DataType
 
@@ -54,3 +55,23 @@ class TestCsvFiles:
         path = write_csv(clients_table, tmp_path / "data.csv")
         loaded = read_csv(path, name="renamed")
         assert loaded.name == "renamed"
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_column_name(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,name\n1,a\n")
+        table = read_csv(path)
+        assert table.column_names == ["id", "name"]
+        assert table.column("id").data_type is DataType.INTEGER
+
+    def test_a_file_without_a_byte_order_mark_hashes_as_before(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"id,name,score\n1,a,2.5\n2,b,\n")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        # The digest the reader gave this file before byte-order marks were dropped.
+        assert table_content_hash(read_csv(plain)) == "ad7659587e59e7137cf182be09032dd5"
+        assert table_content_hash(read_csv(marked)) == table_content_hash(read_csv(plain))
+
+    def test_written_files_carry_no_byte_order_mark(self, tmp_path):
+        path = write_csv(Table("t", {"id": [1, 2]}), tmp_path / "t.csv")
+        assert path.read_bytes().startswith(b"id\n")

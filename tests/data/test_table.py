@@ -45,10 +45,6 @@ class TestColumn:
     def test_missing_count(self):
         assert Column("c", [None, "", 1]).missing_count() == 2
 
-    def test_coerced(self):
-        column = Column("c", ["1", "2", "3"])
-        assert column.coerced().values == [1, 2, 3]
-
 
 class TestTableConstruction:
     def test_from_mapping(self):

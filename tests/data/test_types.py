@@ -15,7 +15,6 @@ from repro.data.types import (
     infer_column_type,
     infer_value_type,
     is_missing,
-    profile_types,
     type_compatibility,
 )
 
@@ -217,21 +216,19 @@ class TestCoerceValue:
     def test_an_infinite_cell_of_an_integer_column_is_left_alone(self):
         assert coerce_value("inf", DataType.INTEGER) == "inf"
 
+    @pytest.mark.parametrize("cell", ["12.5", " 12.5 ", "-0.25", "1e-3", "1e400", "+nan"])
+    def test_a_fractional_cell_of_an_integer_column_is_left_alone(self, cell):
+        """``int(float(text))`` truncated ``12.5`` to ``12``; the cell is returned as read."""
+        assert coerce_value(cell, DataType.INTEGER) == cell
 
-class TestProfileTypes:
-    def test_counts_and_missing(self):
-        profile = profile_types([1, 2, None, "x", ""])
-        assert profile.missing == 2
-        assert profile.total == 5
-        assert profile.counts["integer"] == 2
-        assert profile.counts["string"] == 1
-        assert profile.dominant is DataType.STRING
+    @pytest.mark.parametrize(
+        "cell,expected", [("12.0", 12), ("1e3", 1000), (" -1.5e1 ", -15), ("-0.0", 0)]
+    )
+    def test_an_integral_float_cell_of_an_integer_column_still_coerces(self, cell, expected):
+        value = coerce_value(cell, DataType.INTEGER)
+        assert (type(value), value) == (int, expected)
 
-    def test_missing_ratio(self):
-        profile = profile_types([None, None, 1, 2])
-        assert profile.missing_ratio == pytest.approx(0.5)
-
-    def test_empty_profile(self):
-        profile = profile_types([])
-        assert profile.total == 0
-        assert profile.missing_ratio == 0.0
+    def test_a_fractional_cell_past_the_sample_survives_reading(self):
+        table = table_from_csv_text("n\n" + "1\n" * 1000 + "12.5\n12.0\n")
+        assert table["n"].data_type is DataType.INTEGER
+        assert table["n"].values[-2:] == ["12.5", 12]
