@@ -1,6 +1,6 @@
 """Cupid schema matcher package."""
 
-from repro.matchers.cupid.linguistic import linguistic_similarity, name_similarity
+from repro.matchers.cupid.linguistic import name_similarity
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree, build_schema_tree
 from repro.matchers.cupid.structural import CupidWeights, tree_match
@@ -12,6 +12,5 @@ __all__ = [
     "SchemaTree",
     "build_schema_tree",
     "tree_match",
-    "linguistic_similarity",
     "name_similarity",
 ]

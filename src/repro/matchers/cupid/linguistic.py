@@ -10,24 +10,19 @@ The paper notes that the original Cupid is not openly available and that the
 Valentine authors used WordNet as thesaurus; here the bundled mini-thesaurus
 (see :mod:`repro.text.thesaurus`) plays that role, and name similarity also
 serves as the data-type compatibility surrogate, as in the paper.
+Categorisation is applied by TreeMatch (:mod:`repro.matchers.cupid.structural`),
+which scales each name similarity by its pair's category compatibility.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.data.types import DataType, type_compatibility
-from repro.matchers.cupid.schema_tree import SchemaElement
 from repro.text.distance import jaro_winkler_similarity, monge_elkan
 from repro.text.thesaurus import Thesaurus, default_thesaurus
 from repro.text.tokenize import tokenize_identifier
 
-__all__ = [
-    "name_similarity",
-    "linguistic_similarity",
-    "category_compatibility",
-    "token_pair_work",
-]
+__all__ = ["name_similarity", "name_similarities", "name_pair_work"]
 
 
 #: Upper bound on distinct names whose token tuples are kept, emptied when
@@ -36,23 +31,24 @@ __all__ = [
 #: a table and a schema name per table.
 _NAME_TOKENS_LIMIT = 1 << 14
 
-#: Upper bound on the token-pair score table, emptied when reached.  The
-#: same 30 x 72 matches leave 10,222 entries (119 distinct column tokens;
-#: 987,450 of 997,672 lookups hit).
-_TOKEN_PAIR_LIMIT = 1 << 16
+#: Upper bound on the name-pair score table, emptied when reached.  The
+#: same 30 x 72 matches leave 12,480 entries: 3,840 column-name pairs
+#: (179,488 of their 183,328 lookups hit) and 8,640 table / schema name
+#: pairs, four per match.
+_NAME_PAIR_LIMIT = 1 << 16
 
 
-class _TokenPairTable:
-    """Per-process scores of ordered token pairs, per thesaurus fingerprint.
+class _NamePairTable:
+    """Per-process name similarities of ordered name pairs, per thesaurus fingerprint.
 
-    ``max(relation_score, jaro_winkler)`` is a pure function of the two
-    tokens and the thesaurus content, so it is computed once per distinct
-    ``(fingerprint, token_a, token_b)`` and shared by every match this
-    process runs.  Scoped per process, not per matcher: an experiment
-    worker unpickles a fresh matcher for every run and must still hit.  Keyed by
-    :meth:`Thesaurus.fingerprint`, so a mutated thesaurus never reads a
-    score computed before the mutation.  Module state, so it is never
-    pickled into a matcher or a prepared payload.
+    :func:`name_similarity` is a pure function of the two names and the
+    thesaurus content, so it is computed once per distinct
+    ``(fingerprint, name_a, name_b)`` and shared by every match this process
+    runs.  Scoped per process, not per matcher: an experiment worker
+    unpickles a fresh matcher for every run and must still hit.  Keyed by
+    :meth:`Thesaurus.fingerprint`, so a mutated thesaurus never reads a score
+    computed before the mutation.  Module state, so it is never pickled into
+    a matcher or a prepared payload.
     """
 
     __slots__ = ("scores", "lookups", "misses")
@@ -64,13 +60,13 @@ class _TokenPairTable:
         self.misses = 0
 
 
-_TOKEN_PAIRS = _TokenPairTable()
+_NAME_PAIRS = _NamePairTable()
 _NAME_TOKENS: dict[str, tuple[str, ...]] = {}
 
 
-def token_pair_work() -> tuple[int, int]:
-    """Token-pair ``(hits, misses)`` of this process so far (monotonic)."""
-    return _TOKEN_PAIRS.lookups - _TOKEN_PAIRS.misses, _TOKEN_PAIRS.misses
+def name_pair_work() -> tuple[int, int]:
+    """Name-pair ``(hits, misses)`` of this process so far (monotonic)."""
+    return _NAME_PAIRS.lookups - _NAME_PAIRS.misses, _NAME_PAIRS.misses
 
 
 def _name_tokens(name: str) -> tuple[str, ...]:
@@ -84,6 +80,48 @@ def _name_tokens(name: str) -> tuple[str, ...]:
     return tokens
 
 
+def _score_names(name_a: str, name_b: str, thesaurus: Thesaurus) -> float:
+    """The uncached name similarity of :func:`name_similarity`."""
+    tokens_a = _name_tokens(name_a)
+    tokens_b = _name_tokens(name_b)
+    if not tokens_a or not tokens_b:
+        return 0.0
+
+    def token_score(token_a: str, token_b: str) -> float:
+        lexical = thesaurus.relation_score(token_a, token_b)
+        string = jaro_winkler_similarity(token_a, token_b)
+        return max(lexical, string)
+
+    forward = monge_elkan(tokens_a, tokens_b, inner=token_score)
+    backward = monge_elkan(tokens_b, tokens_a, inner=token_score)
+    return (forward + backward) / 2.0
+
+
+def name_similarities(
+    names_a: Sequence[str],
+    names_b: Sequence[str],
+    thesaurus: Thesaurus | None = None,
+) -> list[float]:
+    """:func:`name_similarity` of every pair in ``names_a x names_b``, row-major."""
+    thesaurus = thesaurus or default_thesaurus()
+    fingerprint = thesaurus.fingerprint()
+    scores = _NAME_PAIRS.scores
+    result = []
+    for name_a in names_a:
+        for name_b in names_b:
+            key = (fingerprint, name_a, name_b)
+            score = scores.get(key)
+            if score is None:
+                score = _score_names(name_a, name_b, thesaurus)
+                _NAME_PAIRS.misses += 1
+                if len(scores) >= _NAME_PAIR_LIMIT:
+                    scores.clear()
+                scores[key] = score
+            result.append(score)
+    _NAME_PAIRS.lookups += len(result)
+    return result
+
+
 def name_similarity(
     name_a: str,
     name_b: str,
@@ -95,62 +133,10 @@ def name_similarity(
     score and the Jaro–Winkler string similarity; token scores are combined
     with a Monge–Elkan style averaging in both directions.
 
-    Each name is tokenised once per distinct name and each ordered token
-    pair is scored once per distinct pair and thesaurus content (see
-    :class:`_TokenPairTable`); the combination itself is recomputed, so the
-    result is the same float as the uncached computation.  No symmetry is
-    assumed: ``(a, b)`` and ``(b, a)`` are separate entries.
+    Each ordered name pair is scored once per process and thesaurus content
+    (see :class:`_NamePairTable`), so a lookup returns the float the first
+    computation produced.  No symmetry is assumed: ``(a, b)`` and ``(b, a)``
+    are separate entries.
     """
-    thesaurus = thesaurus or default_thesaurus()
-    tokens_a = _name_tokens(name_a)
-    tokens_b = _name_tokens(name_b)
-    if not tokens_a or not tokens_b:
-        return 0.0
-    scores = _TOKEN_PAIRS.scores
-    fingerprint = thesaurus.fingerprint()
-
-    def token_score(token_a: str, token_b: str) -> float:
-        key = (fingerprint, token_a, token_b)
-        score = scores.get(key)
-        if score is None:
-            lexical = thesaurus.relation_score(token_a, token_b)
-            string = jaro_winkler_similarity(token_a, token_b)
-            score = max(lexical, string)
-            _TOKEN_PAIRS.misses += 1
-            if len(scores) >= _TOKEN_PAIR_LIMIT:
-                scores.clear()
-            scores[key] = score
-        return score
-
-    _TOKEN_PAIRS.lookups += 2 * len(tokens_a) * len(tokens_b)
-    forward = monge_elkan(tokens_a, tokens_b, inner=token_score)
-    backward = monge_elkan(tokens_b, tokens_a, inner=token_score)
-    return (forward + backward) / 2.0
-
-
-def category_compatibility(element_a: SchemaElement, element_b: SchemaElement) -> float:
-    """Compatibility of two elements' categories in [0, 1].
-
-    Inner nodes compare by category equality; leaves compare through the
-    data-type compatibility table.
-    """
-    if element_a.is_leaf and element_b.is_leaf:
-        type_a = element_a.data_type or DataType.UNKNOWN
-        type_b = element_b.data_type or DataType.UNKNOWN
-        return type_compatibility(type_a, type_b)
-    return 1.0 if element_a.category == element_b.category else 0.5
-
-
-def linguistic_similarity(
-    element_a: SchemaElement,
-    element_b: SchemaElement,
-    thesaurus: Thesaurus | None = None,
-) -> float:
-    """Linguistic similarity of two schema elements.
-
-    The product of name similarity and category compatibility, as in Cupid's
-    ``lsim = cat_compatibility * name_similarity``.
-    """
-    return category_compatibility(element_a, element_b) * name_similarity(
-        element_a.name, element_b.name, thesaurus=thesaurus
-    )
+    (score,) = name_similarities((name_a,), (name_b,), thesaurus)
+    return score

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.data.table import Table
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.cupid.linguistic import token_pair_work
+from repro.matchers.cupid.linguistic import name_pair_work
 from repro.matchers.cupid.schema_tree import build_schema_tree
 from repro.matchers.cupid.structural import CupidWeights, tree_match
 from repro.matchers.registry import register_matcher
@@ -95,9 +95,9 @@ class CupidMatcher(BaseMatcher):
             leaf_w_struct=self.leaf_w_struct,
             th_accept=self.th_accept,
         )
-        hits_before, misses_before = token_pair_work()
+        hits_before, misses_before = name_pair_work()
         weighted = tree_match(tree_source, tree_target, weights=weights, thesaurus=self._thesaurus)
-        hits, misses = token_pair_work()
-        telemetry.count("cupid.token_pairs.hits", hits - hits_before)
-        telemetry.count("cupid.token_pairs.misses", misses - misses_before)
+        hits, misses = name_pair_work()
+        telemetry.count("cupid.name_pairs.hits", hits - hits_before)
+        telemetry.count("cupid.name_pairs.misses", misses - misses_before)
         return MatchResult.from_column_scores(source.header, target.header, weighted)

@@ -1,33 +1,48 @@
-"""Cupid's structural matching phase (TreeMatch).
+"""Cupid's structural matching phase (TreeMatch), as matrix expressions.
 
 Structural similarity of two elements reflects how similar their *contexts*
 are: for leaves, the similarity of their ancestors; for inner nodes, the
-fraction of strongly linked leaves in their subtrees.  The implementation
-follows the TreeMatch post-order sweep of the Cupid paper, simplified to the
-shallow trees produced by tabular schemata:
+fraction of strongly linked leaves in their subtrees.  A tabular schema has
+one shape, ``schema -> table -> columns`` (:func:`build_schema_tree`), and on
+it the post-order TreeMatch sweep of the Cupid paper is a handful of
+elementwise expressions over ``|A| x |B|`` float64 matrices, one cell per
+column pair:
 
-1. leaves are initialised with ``ssim = data-type compatibility`` and
-   ``wsim = w_struct * ssim + (1 - w_struct) * lsim``;
-2. inner nodes get ``ssim`` equal to the fraction of leaf pairs in their
-   subtrees whose weighted similarity exceeds ``th_accept``;
-3. after computing an inner node's similarity, the leaves of strongly similar
-   subtrees are boosted (``c_inc``) and those of dissimilar ones are
-   penalised (``c_dec``), as in the original algorithm.
+1. ``lsim = types * names`` and
+   ``wsim = leaf_w_struct * types + (1 - leaf_w_struct) * lsim``, where
+   ``names`` holds the columns' name similarities (memoised per process by
+   :func:`~repro.matchers.cupid.linguistic.name_similarity`) and ``types``
+   their data-type compatibilities;
+2. the inner-node pairs are visited in post-order: (table, table),
+   (table, schema), (schema, table), (schema, schema).  Every inner node
+   spans every column of its side, so each pair's ``ssim`` is the share of
+   cells with ``wsim > th_accept``, and its weight is
+   ``w_struct * ssim + (1 - w_struct) * lsim`` of the two node names (name
+   similarity times 1.0 for equal categories, 0.5 otherwise);
+3. a weight above ``th_high`` (below ``th_low``) rescales every cell by
+   ``c_inc`` (``c_dec``):
+   ``wsim = leaf_w_struct * min(1, wsim * factor) + (1 - leaf_w_struct) * lsim``.
+
+Each elementwise float64 operation is the IEEE operation a per-pair scalar
+loop performs, in the same order, so every score is the same float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import product
+
+import numpy as np
 
 from repro.data.types import DataType, type_compatibility
-from repro.matchers.cupid.linguistic import linguistic_similarity
+from repro.matchers.cupid.linguistic import name_similarities
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.text.thesaurus import Thesaurus
 
 __all__ = ["CupidWeights", "tree_match"]
 
-ElementPair = tuple[int, int]
+_TYPE_INDEX = {data_type: i for i, data_type in enumerate(DataType)}
+_TYPE_COMPATIBILITY = np.array([[type_compatibility(a, b) for b in DataType] for a in DataType])
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,27 @@ class CupidWeights:
     c_dec: float = 0.9
 
 
+def _levels(tree: SchemaTree) -> tuple[SchemaElement, SchemaElement, list[SchemaElement]]:
+    """The schema node, table node and column leaves of *tree*.
+
+    Raises ``ValueError`` for any other shape than the one
+    :func:`build_schema_tree` builds: a ``"schema"`` root whose one child is
+    a ``"table"`` node whose children, if any, are leaves.
+    """
+    schema = tree.root
+    table = schema.children[0] if len(schema.children) == 1 else None
+    if (
+        schema.category != "schema"
+        or table is None
+        or table.category != "table"
+        or any(leaf.children for leaf in table.children)
+    ):
+        raise ValueError(
+            f"TreeMatch takes a schema -> table -> columns tree; {tree.table_name!r} is not one"
+        )
+    return schema, table, table.children
+
+
 def tree_match(
     tree_a: SchemaTree,
     tree_b: SchemaTree,
@@ -70,69 +106,39 @@ def tree_match(
     Returns
     -------
     dict
-        ``{(leaf name in A, leaf name in B): weighted similarity}``.
+        ``{(leaf name in A, leaf name in B): weighted similarity}``, row-major
+        over the two trees' columns; empty when either table has no columns.
     """
     weights = weights or CupidWeights()
-    leaves_a = tree_a.leaves()
-    leaves_b = tree_b.leaves()
+    schema_a, table_a, leaves_a = _levels(tree_a)
+    schema_b, table_b, leaves_b = _levels(tree_b)
+    if not leaves_a or not leaves_b:
+        return {}
+    names_a = [leaf.name for leaf in leaves_a]
+    names_b = [leaf.name for leaf in leaves_b]
+    name_scores = np.array(name_similarities(names_a, names_b, thesaurus))
+    types_a = [_TYPE_INDEX[leaf.data_type or DataType.UNKNOWN] for leaf in leaves_a]
+    types_b = [_TYPE_INDEX[leaf.data_type or DataType.UNKNOWN] for leaf in leaves_b]
+    types = _TYPE_COMPATIBILITY[types_a][:, types_b]
 
-    lsim: dict[tuple[int, int], float] = {}
-    wsim: dict[tuple[int, int], float] = {}
+    leaf_w = weights.leaf_w_struct
+    lsim = types * name_scores.reshape(types.shape)
+    wsim = leaf_w * types + (1.0 - leaf_w) * lsim
+    inner_a, inner_b = (table_a, schema_a), (table_b, schema_b)
+    inner_scores = name_similarities(
+        [node.name for node in inner_a], [node.name for node in inner_b], thesaurus
+    )
+    for (node_a, node_b), node_score in zip(product(inner_a, inner_b), inner_scores):
+        ssim = np.count_nonzero(wsim > weights.th_accept) / wsim.size
+        category = 1.0 if node_a.category == node_b.category else 0.5
+        node_wsim = weights.w_struct * ssim + (1.0 - weights.w_struct) * (category * node_score)
+        if node_wsim > weights.th_high:
+            factor = weights.c_inc
+        elif node_wsim < weights.th_low:
+            factor = weights.c_dec
+        else:
+            factor = 1.0
+        if factor != 1.0:
+            wsim = leaf_w * np.minimum(1.0, wsim * factor) + (1.0 - leaf_w) * lsim
 
-    # Step 1: leaf-level linguistic + data-type similarity.
-    for i, leaf_a in enumerate(leaves_a):
-        for j, leaf_b in enumerate(leaves_b):
-            linguistic = linguistic_similarity(leaf_a, leaf_b, thesaurus=thesaurus)
-            type_a = leaf_a.data_type or DataType.UNKNOWN
-            type_b = leaf_b.data_type or DataType.UNKNOWN
-            structural = type_compatibility(type_a, type_b)
-            lsim[(i, j)] = linguistic
-            wsim[(i, j)] = (
-                weights.leaf_w_struct * structural
-                + (1.0 - weights.leaf_w_struct) * linguistic
-            )
-
-    # Step 2: inner-node structural similarity (single table node per side for
-    # tabular data, but the computation is generic over subtrees).
-    inner_a = [e for e in tree_a.elements() if not e.is_leaf]
-    inner_b = [e for e in tree_b.elements() if not e.is_leaf]
-    index_a = {id(leaf): i for i, leaf in enumerate(leaves_a)}
-    index_b = {id(leaf): j for j, leaf in enumerate(leaves_b)}
-
-    for node_a in reversed(inner_a):
-        for node_b in reversed(inner_b):
-            sub_a = [index_a[id(leaf)] for leaf in node_a.leaves()]
-            sub_b = [index_b[id(leaf)] for leaf in node_b.leaves()]
-            if not sub_a or not sub_b:
-                continue
-            strong = sum(
-                1
-                for i in sub_a
-                for j in sub_b
-                if wsim[(i, j)] > weights.th_accept
-            )
-            total = len(sub_a) * len(sub_b)
-            ssim = strong / total if total else 0.0
-            node_linguistic = linguistic_similarity(node_a, node_b, thesaurus=thesaurus)
-            node_wsim = weights.w_struct * ssim + (1.0 - weights.w_struct) * node_linguistic
-
-            # Step 3: adjust leaf similarities of this subtree pair.
-            if node_wsim > weights.th_high:
-                factor = weights.c_inc
-            elif node_wsim < weights.th_low:
-                factor = weights.c_dec
-            else:
-                factor = 1.0
-            if factor != 1.0:
-                for i in sub_a:
-                    for j in sub_b:
-                        structural_component = min(1.0, wsim[(i, j)] * factor)
-                        wsim[(i, j)] = (
-                            weights.leaf_w_struct * structural_component
-                            + (1.0 - weights.leaf_w_struct) * lsim[(i, j)]
-                        )
-
-    return {
-        (leaves_a[i].name, leaves_b[j].name): score
-        for (i, j), score in wsim.items()
-    }
+    return dict(zip(product(names_a, names_b), wsim.ravel().tolist()))

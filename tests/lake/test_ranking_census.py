@@ -25,6 +25,7 @@ from matcher_support import (
     ReferenceMatchResult,
     lakebench_lake,
     reference_semprop_match_prepared,
+    reference_tree_match,
 )
 from repro.data.csv_io import read_csv
 from repro.data.table import Column, ColumnRef
@@ -33,7 +34,7 @@ from repro.discovery.search import PairScorer
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
 from repro.matchers import base
 from repro.matchers.cupid import CupidMatcher
-from repro.matchers.cupid.structural import CupidWeights, tree_match
+from repro.matchers.cupid.structural import CupidWeights
 from repro.matchers.semprop import SemPropMatcher
 
 
@@ -119,7 +120,7 @@ def test_one_cupid_pair_ends_in_the_same_constructor(gate_lake, monkeypatch):
     assert census.refs <= query.num_columns + candidate.num_columns
     assert census.sorts <= 1
 
-    weighted = tree_match(
+    weighted = reference_tree_match(
         query_prepared.payload["tree"],
         candidate_prepared.payload["tree"],
         weights=CupidWeights(

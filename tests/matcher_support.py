@@ -2,6 +2,8 @@
 the previous bodies the kernels are pinned against with ``==`` — the uncached
 thesaurus (PR 19), the eager ``MatchResult``, ``relatedness`` and SemProp's
 per-cell ``match_prepared`` loop (PR 20).
+Cupid's per-pair, multi-level TreeMatch is kept the same way, with the
+element-level ``linguistic_similarity`` it called.
 ``jaccard_matrix`` over lists of ``MinHashSignature`` objects is kept the
 same way, as it was before SemProp stored one signature matrix.
 
@@ -20,10 +22,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.data.table import ColumnRef, Table
+from repro.data.types import DataType, type_compatibility
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.relatedness import RelatednessScores
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers.base import Match, PreparedTable
+from repro.matchers.cupid.linguistic import name_similarity
+from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
+from repro.matchers.cupid.structural import CupidWeights
 from repro.matchers.semprop import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score
 from repro.sketches.minhash import MinHashSignature
@@ -34,6 +40,8 @@ from repro.text.tokenize import ABBREVIATIONS, tokenize_identifier
 __all__ = [
     "LIGHT_MATCHER_CONFIGS",
     "ReferenceMatchResult",
+    "category_compatibility",
+    "linguistic_similarity",
     "lakebench_column_names",
     "lakebench_lake",
     "prospect_lake",
@@ -41,6 +49,7 @@ __all__ = [
     "reference_relatedness",
     "reference_relation_score",
     "reference_semprop_match_prepared",
+    "reference_tree_match",
     "reference_unionability",
     "semprop_signatures",
     "term_corpus",
@@ -324,3 +333,110 @@ def reference_semprop_match_prepared(
             source_ref = ColumnRef(source.name, source_name)
             scores[(source_ref, ColumnRef(target.name, target_name))] = score
     return ReferenceMatchResult.from_scores(scores, keep_zero=True)
+
+
+def category_compatibility(element_a: SchemaElement, element_b: SchemaElement) -> float:
+    """Compatibility of two elements' categories in [0, 1].
+
+    Inner nodes compare by category equality; leaves compare through the
+    data-type compatibility table.
+    """
+    if element_a.is_leaf and element_b.is_leaf:
+        type_a = element_a.data_type or DataType.UNKNOWN
+        type_b = element_b.data_type or DataType.UNKNOWN
+        return type_compatibility(type_a, type_b)
+    return 1.0 if element_a.category == element_b.category else 0.5
+
+
+def linguistic_similarity(
+    element_a: SchemaElement,
+    element_b: SchemaElement,
+    thesaurus: Thesaurus | None = None,
+) -> float:
+    """Linguistic similarity of two schema elements.
+
+    The product of name similarity and category compatibility, as in Cupid's
+    ``lsim = cat_compatibility * name_similarity``.
+    """
+    return category_compatibility(element_a, element_b) * name_similarity(
+        element_a.name, element_b.name, thesaurus=thesaurus
+    )
+
+
+def reference_tree_match(
+    tree_a: SchemaTree,
+    tree_b: SchemaTree,
+    weights: CupidWeights | None = None,
+    thesaurus: Thesaurus | None = None,
+) -> dict[tuple[str, str], float]:
+    """``tree_match`` as it was before the matrix form, kept verbatim.
+
+    One dict entry per leaf pair, a generic walk over every pair of inner
+    nodes and a ``leaves()`` call per inner pair.  It names the live
+    (memoised) ``name_similarity``, which is pinned against its own
+    reference separately.
+    """
+    weights = weights or CupidWeights()
+    leaves_a = tree_a.leaves()
+    leaves_b = tree_b.leaves()
+
+    lsim: dict[tuple[int, int], float] = {}
+    wsim: dict[tuple[int, int], float] = {}
+
+    # Step 1: leaf-level linguistic + data-type similarity.
+    for i, leaf_a in enumerate(leaves_a):
+        for j, leaf_b in enumerate(leaves_b):
+            linguistic = linguistic_similarity(leaf_a, leaf_b, thesaurus=thesaurus)
+            type_a = leaf_a.data_type or DataType.UNKNOWN
+            type_b = leaf_b.data_type or DataType.UNKNOWN
+            structural = type_compatibility(type_a, type_b)
+            lsim[(i, j)] = linguistic
+            wsim[(i, j)] = (
+                weights.leaf_w_struct * structural
+                + (1.0 - weights.leaf_w_struct) * linguistic
+            )
+
+    # Step 2: inner-node structural similarity (single table node per side for
+    # tabular data, but the computation is generic over subtrees).
+    inner_a = [e for e in tree_a.elements() if not e.is_leaf]
+    inner_b = [e for e in tree_b.elements() if not e.is_leaf]
+    index_a = {id(leaf): i for i, leaf in enumerate(leaves_a)}
+    index_b = {id(leaf): j for j, leaf in enumerate(leaves_b)}
+
+    for node_a in reversed(inner_a):
+        for node_b in reversed(inner_b):
+            sub_a = [index_a[id(leaf)] for leaf in node_a.leaves()]
+            sub_b = [index_b[id(leaf)] for leaf in node_b.leaves()]
+            if not sub_a or not sub_b:
+                continue
+            strong = sum(
+                1
+                for i in sub_a
+                for j in sub_b
+                if wsim[(i, j)] > weights.th_accept
+            )
+            total = len(sub_a) * len(sub_b)
+            ssim = strong / total if total else 0.0
+            node_linguistic = linguistic_similarity(node_a, node_b, thesaurus=thesaurus)
+            node_wsim = weights.w_struct * ssim + (1.0 - weights.w_struct) * node_linguistic
+
+            # Step 3: adjust leaf similarities of this subtree pair.
+            if node_wsim > weights.th_high:
+                factor = weights.c_inc
+            elif node_wsim < weights.th_low:
+                factor = weights.c_dec
+            else:
+                factor = 1.0
+            if factor != 1.0:
+                for i in sub_a:
+                    for j in sub_b:
+                        structural_component = min(1.0, wsim[(i, j)] * factor)
+                        wsim[(i, j)] = (
+                            weights.leaf_w_struct * structural_component
+                            + (1.0 - weights.leaf_w_struct) * lsim[(i, j)]
+                        )
+
+    return {
+        (leaves_a[i].name, leaves_b[j].name): score
+        for (i, j), score in wsim.items()
+    }

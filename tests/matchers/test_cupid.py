@@ -12,15 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matcher_support import lakebench_column_names, reference_relation_score, term_corpus
-from repro.data.csv_io import write_csv
+from matcher_support import (
+    category_compatibility,
+    lakebench_column_names,
+    lakebench_lake,
+    linguistic_similarity,
+    reference_relation_score,
+    reference_tree_match,
+    term_corpus,
+)
+from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Column, Table
+from repro.data.types import DataType
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.search import PairScorer
+from repro.experiments.parameters import default_parameter_grids
 from repro.matchers.cupid import CupidMatcher, build_schema_tree, name_similarity, tree_match
 from repro.matchers.cupid import linguistic
-from repro.matchers.cupid.linguistic import category_compatibility, linguistic_similarity
-from repro.matchers.cupid.schema_tree import SchemaElement
+from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.cupid.structural import CupidWeights
 from repro.metrics.ranking import recall_at_ground_truth
 from repro.telemetry import TelemetryRecorder, use
@@ -102,8 +111,6 @@ class TestLinguisticMatching:
         assert category_compatibility(int_leaf, int_leaf) > 0.0
 
     def test_linguistic_similarity_scales_with_category(self):
-        from repro.data.types import DataType
-
         left = SchemaElement("amount", "integer", data_type=DataType.INTEGER)
         right_same = SchemaElement("amount", "integer", data_type=DataType.INTEGER)
         right_other = SchemaElement("amount", "string", data_type=DataType.STRING)
@@ -124,6 +131,66 @@ class TestTreeMatch:
         country_scores = {pair: score for pair, score in weighted.items() if pair[0] == "Country"}
         best = max(country_scores, key=country_scores.get)
         assert best == ("Country", "Cntr")
+
+
+def _two_level_tree(table_name, leaves):
+    """A ``schema -> table -> columns`` tree as ``build_schema_tree`` shapes it."""
+    table = SchemaElement(table_name, "table")
+    for name, data_type in leaves:
+        table.add_child(SchemaElement(name, data_type.value, data_type))
+    return SchemaTree(SchemaElement(f"{table_name}_schema", "schema", children=[table]), table_name)
+
+
+def _nested_column_root():
+    root = _two_level_tree("deep", [("address", DataType.STRING)]).root
+    root.children[0].children[0].add_child(SchemaElement("zip", "string"))
+    return root
+
+
+class TestTreeMatchShape:
+    """Only the shape ``build_schema_tree`` builds is scored; nothing else is guessed at."""
+
+    @pytest.mark.parametrize(
+        "root",
+        [
+            SchemaElement("bare_schema", "schema"),
+            SchemaElement("flat_schema", "schema", children=[SchemaElement("id", "integer")]),
+            SchemaElement(
+                "two_schema",
+                "schema",
+                children=[SchemaElement("t1", "table"), SchemaElement("t2", "table")],
+            ),
+            _nested_column_root(),
+            SchemaElement("table_as_root", "table", children=[SchemaElement("t", "table")]),
+        ],
+        ids=["no-table", "column-under-schema", "two-tables", "nested-column", "wrong-root"],
+    )
+    def test_other_shapes_are_refused_on_either_side(self, root, clients_table):
+        other = SchemaTree(root, root.name)
+        good = build_schema_tree(clients_table)
+        with pytest.raises(ValueError, match="schema -> table -> columns"):
+            tree_match(other, good)
+        with pytest.raises(ValueError, match="schema -> table -> columns"):
+            tree_match(good, other)
+
+    def test_a_table_without_columns_matches_nothing_on_either_side(self, clients_table):
+        empty = Table("empty", [])
+        trees = build_schema_tree(empty), build_schema_tree(clients_table)
+        assert tree_match(*trees) == {}
+        assert tree_match(*reversed(trees)) == {}
+        assert tree_match(trees[0], trees[0]) == {}
+        matcher = CupidMatcher()
+        assert len(matcher.get_matches(empty, clients_table)) == 0
+        assert len(matcher.get_matches(clients_table, empty)) == 0
+
+    def test_duplicate_column_names_keep_the_first_position_and_the_last_score(self):
+        tree_a = _two_level_tree(
+            "a", [("id", DataType.INTEGER), ("name", DataType.STRING), ("id", DataType.STRING)]
+        )
+        tree_b = _two_level_tree("b", [("id", DataType.INTEGER)])
+        weighted = tree_match(tree_a, tree_b)
+        assert list(weighted) == [("id", "id"), ("name", "id")]
+        assert list(weighted.items()) == list(reference_tree_match(tree_a, tree_b).items())
 
 
 class TestCupidMatcher:
@@ -202,7 +269,55 @@ class TestNameSimilarityMatchesTheReference:
         assert name_similarity(b, a) == reference_name_similarity(b, a)
 
 
-class TestTokenPairTableContract:
+_schema_names = st.one_of(st.sampled_from(lakebench_column_names()), _identifiers)
+_two_level_trees = st.builds(
+    _two_level_tree,
+    _schema_names,
+    st.lists(st.tuples(_schema_names, st.sampled_from(list(DataType))), max_size=15),
+)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@pytest.fixture(scope="module")
+def gate_tree_pairs(tmp_path_factory):
+    """Every (query, lake table) tree pair of the lakebench gate fixture."""
+    root = lakebench_lake(tmp_path_factory.mktemp("cupid") / "gate")
+    lake, queries = (
+        [build_schema_tree(read_csv(path)) for path in sorted((root / part).glob("*.csv"))]
+        for part in ("lake", "queries")
+    )
+    return [(query, table) for query in queries for table in lake]
+
+
+class TestTreeMatchMatchesTheReference:
+    """The matrix form returns the per-pair loop's floats, in the loop's key order."""
+
+    def test_every_gate_pair_at_every_paper_grid_point(self, gate_tree_pairs):
+        grid = default_parameter_grids()["Cupid"]
+        weight_sets = [CupidWeights(), *(CupidWeights(**point) for point in grid.configurations())]
+        assert len(weight_sets) == 1 + 4 * 4 * 6 and len(gate_tree_pairs) == 12
+        for tree_a, tree_b in gate_tree_pairs:
+            for weights in weight_sets:
+                expected = reference_tree_match(tree_a, tree_b, weights=weights)
+                assert list(tree_match(tree_a, tree_b, weights=weights).items()) == list(
+                    expected.items()
+                ), (tree_a.table_name, tree_b.table_name, weights)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_two_level_trees, _two_level_trees, _unit, _unit, _unit)
+    def test_generated_two_level_schemas(self, tree_a, tree_b, w_struct, leaf_w_struct, th_accept):
+        weights = CupidWeights(w_struct=w_struct, leaf_w_struct=leaf_w_struct, th_accept=th_accept)
+        weighted = tree_match(tree_a, tree_b, weights=weights)
+        if tree_a.root.children[0].children and tree_b.root.children[0].children:
+            expected = reference_tree_match(tree_a, tree_b, weights=weights)
+            assert list(weighted.items()) == list(expected.items())
+        else:
+            # The reference scored a column-less table node as if it were a
+            # column, keyed by the table's name; the header has no such column.
+            assert weighted == {}
+
+
+class TestNamePairTableContract:
     def _all_scores(self, tables):
         trees = [build_schema_tree(table) for table in tables]
         return [tree_match(a, b) for a in trees for b in trees]
@@ -211,13 +326,13 @@ class TestTokenPairTableContract:
         tables = _prospect_tables(3)
         expected = self._all_scores(tables)
         for bound in (1, sys.maxsize):
-            monkeypatch.setattr(linguistic, "_TOKEN_PAIR_LIMIT", bound)
+            monkeypatch.setattr(linguistic, "_NAME_PAIR_LIMIT", bound)
             monkeypatch.setattr(linguistic, "_NAME_TOKENS_LIMIT", bound)
-            linguistic._TOKEN_PAIRS.scores.clear()
+            linguistic._NAME_PAIRS.scores.clear()
             linguistic._NAME_TOKENS.clear()
             assert self._all_scores(tables) == expected
             if bound == 1:
-                assert len(linguistic._TOKEN_PAIRS.scores) == 1
+                assert len(linguistic._NAME_PAIRS.scores) == 1
                 assert len(linguistic._NAME_TOKENS) == 1
 
     def test_a_mutated_thesaurus_never_reads_a_stale_score(self):
@@ -228,7 +343,7 @@ class TestTokenPairTableContract:
             [("manager", "employee"), ("branch", "office")],
         )
         expected = CupidMatcher(thesaurus=fresh).get_matches(source, target).to_records()
-        linguistic._TOKEN_PAIRS.scores.clear()  # what a fresh process starts with
+        linguistic._NAME_PAIRS.scores.clear()  # what a fresh process starts with
 
         thesaurus = Thesaurus([("client", "customer")], [("manager", "employee")])
         matcher = CupidMatcher(thesaurus=thesaurus)
@@ -254,10 +369,10 @@ class TestTokenPairTableContract:
         plan = (PairScorer(matcher), prepared[0])
         cold = len(pickle.dumps(matcher)), len(pickle.dumps(plan))
         keys_before = len(thesaurus._keys)
-        hits_before, _ = linguistic.token_pair_work()
+        hits_before, _ = linguistic.name_pair_work()
         for _ in range(1000):
             matcher.match_prepared(*prepared)
-        assert linguistic.token_pair_work()[0] - hits_before > 1000
+        assert linguistic.name_pair_work()[0] - hits_before > 1000
         assert len(thesaurus._keys) > keys_before
         assert (len(pickle.dumps(matcher)), len(pickle.dumps(plan))) == cold
         assert b"postal" not in pickle.dumps(matcher)
@@ -271,8 +386,8 @@ class TestTokenPairTableContract:
         with use(recorder):
             clone.match_prepared(clone.prepare(tables[0]), clone.prepare(tables[1]))
         counters = recorder.snapshot().counters
-        assert counters["cupid.token_pairs.misses"] == 0
-        assert counters["cupid.token_pairs.hits"] > 0
+        assert counters["cupid.name_pairs.misses"] == 0
+        assert counters["cupid.name_pairs.hits"] > 0
 
     def test_counters_cost_two_calls_per_match(self, monkeypatch):
         matcher = CupidMatcher()
@@ -287,7 +402,46 @@ class TestTokenPairTableContract:
 
         monkeypatch.setattr(telemetry_recorder, "count", counted)
         matcher.match_prepared(prepared[0], prepared[1])
-        assert calls == {"cupid.token_pairs.hits": 1, "cupid.token_pairs.misses": 1}
+        assert calls == {"cupid.name_pairs.hits": 1, "cupid.name_pairs.misses": 1}
+
+
+class TestTreeMatchWorkCensus:
+    """What one match looks up and computes, counted rather than timed."""
+
+    def test_a_match_looks_up_each_column_pair_and_four_node_pairs(
+        self, clients_table, offices_table
+    ):
+        matcher = CupidMatcher()
+        for source, target in ((clients_table, offices_table), (offices_table, clients_table)):
+            prepared = matcher.prepare(source), matcher.prepare(target)
+            for _ in range(2):
+                before = sum(linguistic.name_pair_work())
+                matcher.match_prepared(*prepared)
+                lookups = sum(linguistic.name_pair_work()) - before
+                assert lookups == source.num_columns * target.num_columns + 4
+
+    def test_a_repeated_match_computes_no_name_similarity(
+        self, monkeypatch, clients_table, offices_table
+    ):
+        calls: Counter = Counter()
+        for name in ("jaro_winkler_similarity", "monge_elkan"):
+
+            def counted(*args, _name=name, _original=getattr(linguistic, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(linguistic, name, counted)
+        matcher = CupidMatcher()
+        prepared = matcher.prepare(clients_table), matcher.prepare(offices_table)
+        linguistic._NAME_PAIRS.scores.clear()  # what a fresh process starts with
+        first = matcher.match_prepared(*prepared).to_records()
+        assert calls["monge_elkan"] == 2 * (4 * 3 + 4) and calls["jaro_winkler_similarity"] > 0
+
+        calls.clear()
+        _, misses_before = linguistic.name_pair_work()
+        assert matcher.match_prepared(*prepared).to_records() == first
+        assert linguistic.name_pair_work()[1] == misses_before
+        assert calls == Counter()
 
 
 _SALT_SCRIPT = """
@@ -296,7 +450,7 @@ from pathlib import Path
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
 from repro.data.csv_io import read_csv
 from repro.matchers.cupid import CupidMatcher
-from repro.matchers.cupid.linguistic import token_pair_work
+from repro.matchers.cupid.linguistic import name_pair_work
 
 directory = Path(sys.argv[1])
 with SketchStore() as store:
@@ -306,7 +460,7 @@ with SketchStore() as store:
             print(result.table_name, result.joinability.hex(), result.unionability.hex())
             for match in result.matches:
                 print(" ", match.source, match.target, match.score.hex())
-print("token pairs (hits, misses):", token_pair_work())
+print("name pairs (hits, misses):", name_pair_work())
 """
 
 
