@@ -14,9 +14,13 @@ import re
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "DataType",
     "TYPE_COMPATIBILITY",
+    "TYPE_COMPATIBILITY_MATRIX",
+    "TYPE_INDEX",
     "infer_value_type",
     "infer_column_type",
     "coerce_value",
@@ -102,6 +106,14 @@ for _t in DataType:
 def type_compatibility(a: DataType, b: DataType) -> float:
     """Return the compatibility score of two data types in ``[0, 1]``."""
     return TYPE_COMPATIBILITY.get((a, b), 0.0)
+
+
+#: :func:`type_compatibility` as a matrix for array code: the score of
+#: ``(a, b)`` is ``TYPE_COMPATIBILITY_MATRIX[TYPE_INDEX[a], TYPE_INDEX[b]]``.
+TYPE_INDEX = {data_type: i for i, data_type in enumerate(DataType)}
+TYPE_COMPATIBILITY_MATRIX = np.array(
+    [[type_compatibility(a, b) for b in DataType] for a in DataType]
+)
 
 
 _MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "-", "?"})

@@ -5,8 +5,10 @@ The rerank plan (:func:`~repro.discovery.search.prune_then_rerank`) can be
 the sketch-level MinHash Jaccard every
 :class:`~repro.lake.profiles.ColumnSketch` already carries — into one
 :class:`CandidateSignals` per shortlisted candidate.  Its one producer is the
-lake engine (:class:`~repro.lake.engine.LakeDiscoveryEngine`), which reads
-the sketches its resident :class:`~repro.lake.index.LakeIndex` holds.  Each
+lake engine (:class:`~repro.lake.engine.LakeDiscoveryEngine`), which prices
+its whole shortlist in one :func:`candidate_signals` call per query, from
+the signature matrix its resident :class:`~repro.lake.index.LakeIndex`
+keeps per index generation.  Each
 matcher turns those signals into an **upper bound** on any column-pair score
 it could produce (:meth:`~repro.matchers.base.BaseMatcher.score_bound`);
 stage 2 then runs the expensive ``match_prepared`` only on candidates whose
@@ -18,8 +20,9 @@ Skipping therefore cannot evict a true top-k member, and a priced ranking is
 byte-identical to an unpriced one.
 
 This module deliberately avoids importing :mod:`repro.lake` (the lake
-package imports the discovery core); the sketch arguments are duck-typed
-against :class:`~repro.lake.profiles.ColumnSketch`'s attributes.
+package imports the discovery core): the index hands it arrays, and the
+query sketch is duck-typed against
+:class:`~repro.lake.profiles.TableSketch`'s attributes.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.sketches.minhash import jaccard_matrix, signature_matrix
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.lake -> here)
-    from repro.lake.profiles import ColumnSketch
     from repro.matchers.base import BaseMatcher, PreparedTable
 
 __all__ = [
@@ -75,38 +77,49 @@ class CandidateSignals:
 
 
 def candidate_signals(
-    query_sketch, columns: Sequence["ColumnSketch"], seed: int = 7
-) -> CandidateSignals:
-    """Condense one candidate's column sketches against the query sketch.
+    query_sketch,
+    names: Sequence[str],
+    signatures: np.ndarray,
+    offsets: np.ndarray,
+    max_values: Sequence[int],
+    seed: int = 7,
+) -> dict[str, CandidateSignals]:
+    """Condense a whole shortlist against the query sketch: one Jaccard block,
+    query columns x candidate columns, maximised per table slice.
 
     *query_sketch* is the query's :class:`~repro.lake.profiles.TableSketch`
-    (the same object the LSH shortlist was probed with, so stage 1 adds no
-    extra sketching pass); *columns* are the candidate's stored
-    :class:`~repro.lake.profiles.ColumnSketch` objects and *seed* the store
-    config's MinHash seed.
+    (the one the LSH shortlist was probed with: stage 1 sketches nothing).
+    The tables *names* arrive as
+    :meth:`~repro.lake.index.LakeIndex.signature_block` returns them;
+    *seed* is the store config's MinHash seed.
     """
-    name = columns[0].table_name if columns else ""
-    max_jaccard = 0.0
-    query_columns = list(query_sketch.columns)
-    if query_columns and columns:
-        matrix = jaccard_matrix(
-            signature_matrix([sketch.minhash for sketch in query_columns]),
-            signature_matrix([sketch.minhash for sketch in columns]),
-        )
-        max_jaccard = float(matrix.max())
-    num_permutations = len(columns[0].minhash.values) if columns else 0
-    max_values = 0
-    for c in columns:
-        non_missing = max(0, c.row_count - c.missing_count)
-        if non_missing > max_values:
-            max_values = non_missing
-    return CandidateSignals(
-        table_name=name,
-        max_jaccard=max_jaccard,
-        num_permutations=num_permutations,
-        seed=seed,
-        max_values=max_values,
+    query = np.array(
+        [column.minhash.values for column in query_sketch.columns], dtype=np.uint32
     )
+    width = signatures.shape[1]
+    sizes = np.diff(offsets)
+    max_jaccard = np.zeros(len(names))
+    if len(query) and len(signatures):
+        if query.shape[1] != width:
+            raise ValueError("signatures must use the same number of permutations")
+        if width:
+            equal = np.zeros(len(signatures), dtype=np.intp)
+            for column in query:  # a row of the block at a time: small temporaries
+                equal = np.maximum(equal, np.count_nonzero(signatures == column, axis=1))
+            priced = sizes > 0
+            max_jaccard[priced] = np.maximum.reduceat(equal, offsets[:-1][priced]) / width
+    return {
+        name: CandidateSignals(
+            table_name=name,
+            max_jaccard=jaccard,
+            num_permutations=width if size else 0,
+            seed=seed,
+            max_values=values,
+        )
+        for name, jaccard, size, values in zip(
+            names, max_jaccard.tolist(), sizes.tolist(), max_values
+        )
+    }
 
 
 def mode_bound(pair_bound: float, mode: str, union_threshold: float) -> float:

@@ -16,11 +16,11 @@ skip/resolve/score → cutoff feedback), run in this process.  This engine
 supplies its three inputs per query: the LSH shortlist, a
 :class:`StoreResolver` built from the shortlist's one batched
 :meth:`SketchStore.table_meta` read, and — when ``cascade`` asks for them —
-the stage-1 signals, condensed from the sketches the
-:class:`~repro.lake.index.LakeIndex` already holds decoded, never from the
-store.  A candidate is priced only while its indexed content hash equals
-the one ``table_meta`` just returned — a bound never meets content other
-than the payload it prices; the rest are scored exactly.
+the stage-1 signals, priced in one call per query from the signature
+matrix the :class:`~repro.lake.index.LakeIndex` already holds decoded,
+never from the store.  A candidate is priced only while its indexed
+content hash equals the one ``table_meta`` just returned — a bound never
+meets content other than the payload it prices; the rest are scored exactly.
 """
 
 from __future__ import annotations
@@ -384,13 +384,14 @@ class LakeDiscoveryEngine:
             if cascade:
                 # A table whose stored hash moved on since the index was
                 # refreshed gets no signal: +inf bound, scored exactly.
-                signals = {}
+                priced = []
                 for name, (content_hash, _) in meta.items():
                     sketch = index.sketch(name)
                     if sketch.columns and sketch.content_hash == content_hash:
-                        signals[name] = candidate_signals(
-                            query_sketch, sketch.columns, seed=self.store.config.seed
-                        )
+                        priced.append(name)
+                seed = self.store.config.seed
+                block = index.signature_block(priced)
+                signals = candidate_signals(query_sketch, priced, *block, seed=seed)
             fingerprint = ""
             query_cache = None
             if self.prepared_store is not None:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.data.fingerprint import table_content_hash
 from repro.data.profiling import ColumnProfile, profile_column
 from repro.data.table import Column, Table
-from repro.data.types import DataType, type_compatibility
+from repro.data.types import DataType
 from repro.distributions.histograms import build_histogram
 from repro.sketches.minhash import (
     MinHashSignature,
@@ -118,30 +118,6 @@ class ColumnSketch:
     def key(self) -> tuple[str, str]:
         """``(table name, column name)`` — unique within one lake."""
         return (self.table_name, self.column_name)
-
-    def jaccard(self, other: "ColumnSketch") -> float:
-        """Estimated value-set Jaccard similarity with another sketch."""
-        return self.minhash.jaccard(other.minhash)
-
-    def containment(self, other: "ColumnSketch") -> float:
-        """Estimated containment of this column's values in *other*'s."""
-        return self.minhash.containment(other.minhash)
-
-    def type_compatibility(self, other: "ColumnSketch") -> float:
-        """Data-type compatibility score in [0, 1]."""
-        return type_compatibility(self.data_type, other.data_type)
-
-    def histogram_distance(self, other: "ColumnSketch") -> float:
-        """L1 distance between the hash-space histograms (in [0, 2]).
-
-        Both histograms live on the same fixed domain, so the distance is
-        meaningful without re-bucketing; empty histograms compare as 0.
-        """
-        if not self.histogram or not other.histogram:
-            return 0.0
-        if len(self.histogram) != len(other.histogram):
-            raise ValueError("histograms must use the same number of buckets")
-        return sum(abs(a - b) for a, b in zip(self.histogram, other.histogram))
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serialisable representation (inverse of :meth:`from_dict`)."""

@@ -34,16 +34,12 @@ from itertools import product
 
 import numpy as np
 
-from repro.data.types import DataType, type_compatibility
+from repro.data.types import TYPE_COMPATIBILITY_MATRIX, TYPE_INDEX, DataType
 from repro.matchers.cupid.linguistic import name_similarities
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.text.thesaurus import Thesaurus
 
 __all__ = ["CupidWeights", "tree_match"]
-
-_TYPE_INDEX = {data_type: i for i, data_type in enumerate(DataType)}
-_TYPE_COMPATIBILITY = np.array([[type_compatibility(a, b) for b in DataType] for a in DataType])
-
 
 @dataclass(frozen=True)
 class CupidWeights:
@@ -117,9 +113,9 @@ def tree_match(
     names_a = [leaf.name for leaf in leaves_a]
     names_b = [leaf.name for leaf in leaves_b]
     name_scores = np.array(name_similarities(names_a, names_b, thesaurus))
-    types_a = [_TYPE_INDEX[leaf.data_type or DataType.UNKNOWN] for leaf in leaves_a]
-    types_b = [_TYPE_INDEX[leaf.data_type or DataType.UNKNOWN] for leaf in leaves_b]
-    types = _TYPE_COMPATIBILITY[types_a][:, types_b]
+    types_a = [TYPE_INDEX[leaf.data_type or DataType.UNKNOWN] for leaf in leaves_a]
+    types_b = [TYPE_INDEX[leaf.data_type or DataType.UNKNOWN] for leaf in leaves_b]
+    types = TYPE_COMPATIBILITY_MATRIX[types_a][:, types_b]
 
     leaf_w = weights.leaf_w_struct
     lsim = types * name_scores.reshape(types.shape)

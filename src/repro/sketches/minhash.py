@@ -3,7 +3,7 @@
 SemProp's syntactic matcher (and several of the dataset discovery systems the
 paper surveys, e.g. Aurum and LSH Ensemble) estimate value-set overlap with
 MinHash sketches instead of exact set intersection.  This module provides a
-deterministic MinHash implementation with Jaccard and containment estimators.
+deterministic MinHash implementation with a Jaccard estimator.
 
 The implementation is fully batched: every distinct value across a batch of
 value sets is digested exactly once into a ``uint64`` hash array, the
@@ -81,46 +81,14 @@ class MinHashSignature:
     def num_permutations(self) -> int:
         return len(self.values)
 
-    @property
-    def _vector(self) -> np.ndarray:
-        """The signature as a uint64 array, built once per instance.
-
-        Cached outside the dataclass fields (equality/hash ignore it) so
-        repeated Jaccard estimates — an LSH index refines every bucket
-        collision with one — compare arrays instead of looping in Python.
-        """
-        vector = self.__dict__.get("_vector_cache")
-        if vector is None:
-            vector = np.asarray(self.values, dtype=np.uint64)
-            object.__setattr__(self, "_vector_cache", vector)
-        return vector
-
-    def __getstate__(self) -> tuple[tuple[int, ...], int]:
-        # Drop the cached vector: pickled signatures (the sketches a parallel
-        # lake build's workers return) carry only the canonical fields.
-        return (self.values, self.set_size)
-
-    def __setstate__(self, state: tuple[tuple[int, ...], int]) -> None:
-        object.__setattr__(self, "values", state[0])
-        object.__setattr__(self, "set_size", state[1])
-
     def jaccard(self, other: "MinHashSignature") -> float:
         """Estimated Jaccard similarity with another signature."""
         if self.num_permutations != other.num_permutations:
             raise ValueError("signatures must use the same number of permutations")
         if self.num_permutations == 0:
             return 0.0
-        equal = int(np.count_nonzero(self._vector == other._vector))
+        equal = int(np.count_nonzero(np.array(self.values) == np.array(other.values)))
         return equal / self.num_permutations
-
-    def containment(self, other: "MinHashSignature") -> float:
-        """Estimated containment of this set in *other* (|A∩B| / |A|)."""
-        jaccard = self.jaccard(other)
-        if self.set_size == 0:
-            return 0.0
-        union_estimate = (self.set_size + other.set_size) / (1.0 + jaccard) if jaccard >= 0 else 0
-        intersection_estimate = jaccard * union_estimate
-        return min(1.0, intersection_estimate / self.set_size)
 
 
 def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +258,7 @@ def signature_matrix(signatures: Sequence[MinHashSignature]) -> np.ndarray:
     width = signatures[0].num_permutations
     if any(signature.num_permutations != width for signature in signatures):
         raise ValueError("signatures must use the same number of permutations")
-    return np.stack([signature._vector for signature in signatures])
+    return np.array([signature.values for signature in signatures], dtype=np.uint64)
 
 
 def jaccard_matrix(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:

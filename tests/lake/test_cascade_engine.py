@@ -205,13 +205,12 @@ class TestOneBoundRule:
 
     def test_cascade_prices_every_shortlisted_candidate(self, lake, monkeypatch):
         query, repository, store = lake
-        priced = {}
+        calls = []
         real = lake_engine.candidate_signals
 
-        def recording(query_sketch, columns, seed=7):
-            signal = real(query_sketch, columns, seed=seed)
-            priced[signal.table_name] = signal
-            return signal
+        def recording(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(lake_engine, "candidate_signals", recording)
         with LakeDiscoveryEngine(
@@ -219,6 +218,7 @@ class TestOneBoundRule:
         ) as engine:
             shortlist = {entry.table_name for entry in engine.shortlist(query, TOP_K)}
             engine.query(query, repository, mode="combined", top_k=TOP_K, cascade=True)
+        (priced,) = calls  # the whole shortlist in one call
         assert set(priced) == shortlist - {query.name}
         assert all(0.0 <= signal.max_jaccard <= 1.0 for signal in priced.values())
 

@@ -6,6 +6,10 @@ Cupid's per-pair, multi-level TreeMatch is kept the same way, with the
 element-level ``linguistic_similarity`` it called.
 ``jaccard_matrix`` over lists of ``MinHashSignature`` objects is kept the
 same way, as it was before SemProp stored one signature matrix.
+So are the LSH refine loop (``LakeIndex.candidate_columns`` +
+``candidate_tables``, one Python comparison per colliding column pair) and
+the per-candidate ``candidate_signals``, as they were before the index kept
+a columnar copy of its columns.
 
 ``tests/`` is on ``sys.path`` (the root ``conftest.py`` lives here), so any
 test module can ``from matcher_support import ...``.
@@ -17,15 +21,18 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.data.table import ColumnRef, Table
 from repro.data.types import DataType, type_compatibility
 from repro.datasets import tpcdi_prospect_table
+from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
 from repro.fabrication.splitting import split_horizontal, split_vertical
+from repro.lake.index import CandidateTable, LakeIndex
+from repro.lake.profiles import ColumnSketch, TableSketch
 from repro.matchers.base import Match, PreparedTable
 from repro.matchers.cupid.linguistic import name_similarity
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
@@ -33,6 +40,7 @@ from repro.matchers.cupid.structural import CupidWeights
 from repro.matchers.semprop import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score
 from repro.sketches.minhash import MinHashSignature
+from repro.telemetry import recorder as telemetry
 from repro.text.stemmer import stem
 from repro.text.thesaurus import _HYPERNYM_PAIRS, _SYNONYM_GROUPS, Thesaurus
 from repro.text.tokenize import ABBREVIATIONS, tokenize_identifier
@@ -45,6 +53,9 @@ __all__ = [
     "lakebench_column_names",
     "lakebench_lake",
     "prospect_lake",
+    "reference_candidate_signals",
+    "reference_candidate_tables",
+    "reference_histogram_distance",
     "reference_jaccard_matrix",
     "reference_relatedness",
     "reference_relation_score",
@@ -289,10 +300,137 @@ def reference_jaccard_matrix(
             raise ValueError("signatures must use the same number of permutations")
     if num_permutations == 0:
         return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
-    matrix_a = np.stack([signature._vector for signature in signatures_a])
-    matrix_b = np.stack([signature._vector for signature in signatures_b])
+    matrix_a = np.stack([np.asarray(signature.values, np.uint64) for signature in signatures_a])
+    matrix_b = np.stack([np.asarray(signature.values, np.uint64) for signature in signatures_b])
     equal = (matrix_a[:, None, :] == matrix_b[None, :, :]).sum(axis=2)
     return equal / num_permutations
+
+
+def reference_histogram_distance(a: ColumnSketch, b: ColumnSketch) -> float:
+    """``ColumnSketch.histogram_distance`` as it was: the L1 distance of the
+    two hash-space histograms, 0 when either is empty."""
+    if not a.histogram or not b.histogram:
+        return 0.0
+    if len(a.histogram) != len(b.histogram):
+        raise ValueError("histograms must use the same number of buckets")
+    return sum(abs(x - y) for x, y in zip(a.histogram, b.histogram))
+
+
+def _reference_candidate_columns(
+    index: LakeIndex, query: ColumnSketch, exclude_table: Optional[str] = None
+) -> list[tuple[ColumnSketch, float]]:
+    """``LakeIndex.candidate_columns`` as it was: one query column's
+    collisions, refined and scored one pair at a time."""
+    seen: set[tuple[str, str]] = set()
+    for bucket_key in index._band_keys(query):
+        seen.update(index._buckets.get(bucket_key, ()))
+    params = index.params
+    name_matches: set[tuple[str, str]] = set()
+    if params.name_match_score > 0:
+        name_matches = index._name_buckets.get(index._name_key(query.column_name), set())
+        seen |= name_matches
+    scored: list[tuple[ColumnSketch, float]] = []
+    type_rejected = histogram_rejected = jaccard_rejected = 0
+    for column_key in seen:
+        if column_key == query.key or column_key[0] == exclude_table:
+            continue
+        candidate = index.sketch(column_key[0]).column(column_key[1])
+        if (
+            type_compatibility(query.data_type, candidate.data_type)
+            < params.min_type_compatibility
+        ):
+            type_rejected += 1
+            continue
+        name_match = column_key in name_matches
+        if (
+            not name_match
+            and reference_histogram_distance(query, candidate) > params.max_histogram_distance
+        ):
+            histogram_rejected += 1
+            continue
+        similarity = query.minhash.jaccard(candidate.minhash)
+        if name_match:
+            similarity = max(similarity, params.name_match_score)
+        if similarity < params.min_jaccard:
+            jaccard_rejected += 1
+            continue
+        scored.append((candidate, similarity))
+    scored.sort(key=lambda item: (-item[1], item[0].key))
+    telemetry.count("lsh.bands_probed", params.bands)
+    telemetry.count("lsh.bucket_candidates", len(seen))
+    if type_rejected:
+        telemetry.count("lsh.type_rejected", type_rejected)
+    if histogram_rejected:
+        telemetry.count("lsh.histogram_rejected", histogram_rejected)
+    if jaccard_rejected:
+        telemetry.count("lsh.jaccard_rejected", jaccard_rejected)
+    telemetry.count("lsh.columns_accepted", len(scored))
+    return scored
+
+
+def reference_candidate_tables(
+    index: LakeIndex,
+    query: TableSketch,
+    top_k: Optional[int] = None,
+    exclude_self: bool = True,
+) -> list[CandidateTable]:
+    """``LakeIndex.candidate_tables`` as it was: per-column candidates, one
+    vote per (query column, table), a Python sum per table."""
+    exclude = query.name if exclude_self else None
+    per_table: dict[str, dict[str, tuple[str, float]]] = {}
+    for query_column in query.columns:
+        for candidate, similarity in _reference_candidate_columns(
+            index, query_column, exclude_table=exclude
+        ):
+            best = per_table.setdefault(candidate.table_name, {})
+            current = best.get(query_column.column_name)
+            if current is None or similarity > current[1]:
+                best[query_column.column_name] = (candidate.column_name, similarity)
+    num_query_columns = max(1, query.num_columns)
+    candidates = []
+    for table_name, votes in per_table.items():
+        pairs = tuple(
+            sorted(
+                (
+                    (query_column, target_column, similarity)
+                    for query_column, (target_column, similarity) in votes.items()
+                ),
+                key=lambda pair: (-pair[2], pair[0], pair[1]),
+            )
+        )
+        score = sum(similarity for _, _, similarity in pairs) / num_query_columns
+        candidates.append(CandidateTable(table_name=table_name, score=score, column_pairs=pairs))
+    candidates.sort(key=lambda c: (-c.score, c.table_name))
+    return candidates[:top_k] if top_k is not None else candidates
+
+
+def reference_candidate_signals(
+    query_sketch: TableSketch, columns: Sequence[ColumnSketch], seed: int = 7
+) -> CandidateSignals:
+    """``candidate_signals`` as it was: one candidate's column sketches
+    against the query sketch, one call per candidate."""
+    name = columns[0].table_name if columns else ""
+    max_jaccard = 0.0
+    query_columns = list(query_sketch.columns)
+    if query_columns and columns:
+        matrix = reference_jaccard_matrix(
+            [sketch.minhash for sketch in query_columns],
+            [sketch.minhash for sketch in columns],
+        )
+        max_jaccard = float(matrix.max())
+    num_permutations = len(columns[0].minhash.values) if columns else 0
+    max_values = 0
+    for c in columns:
+        non_missing = max(0, c.row_count - c.missing_count)
+        if non_missing > max_values:
+            max_values = non_missing
+    return CandidateSignals(
+        table_name=name,
+        max_jaccard=max_jaccard,
+        num_permutations=num_permutations,
+        seed=seed,
+        max_values=max_values,
+    )
 
 
 def semprop_signatures(prepared: PreparedTable) -> list[MinHashSignature]:

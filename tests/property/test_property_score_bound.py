@@ -4,8 +4,10 @@ The cascade skips a candidate whenever its ``score_bound`` is finite and
 falls below the top-k cutoff, so the rule is: a finite bound is sound —
 *no* column-pair score ``match_prepared`` can produce exceeds
 ``score_bound(prepared_query, candidate_signals(...))``, with the signals
-computed exactly as the lake engine computes them, from sketches made with
-the store's :class:`~repro.lake.profiles.SketchConfig`.  A matcher that
+computed exactly as the lake engine computes them — from the signature
+block of a :class:`~repro.lake.index.LakeIndex` holding the candidate —
+and from sketches made with the store's
+:class:`~repro.lake.profiles.SketchConfig`.  A matcher that
 cannot guarantee that answers ``+inf``.  The dominance property runs over
 every registered matcher, with nothing filtered out; where SemProp's
 calibration assumptions break it must answer ``+inf``, which the same
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.data.table import Table
 from repro.discovery.cascade import candidate_signals
+from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import SketchConfig, sketch_table
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.matchers.semprop import SemPropMatcher
@@ -73,11 +76,14 @@ def _bound_and_best(matcher, query: Table, candidate: Table, config: SketchConfi
     An infinite bound dominates whatever the matcher scores, so the pair is
     matched only when the bound is something else.
     """
-    signals = candidate_signals(
+    index = LakeIndex(config, LSHParams(bands=config.num_permutations // 4))
+    index.add(sketch_table(candidate, config))
+    (signals,) = candidate_signals(
         sketch_table(query, config, content_hash=""),
-        sketch_table(candidate, config).columns,
+        [candidate.name],
+        *index.signature_block([candidate.name]),
         seed=config.seed,
-    )
+    ).values()
     prepared_query = matcher.prepare(query)
     bound = matcher.score_bound(prepared_query, signals)
     if bound == math.inf:

@@ -53,13 +53,6 @@ class TestMinHashSignature:
         with pytest.raises(ValueError):
             minhash_signature(["x"], num_permutations=0)
 
-    def test_containment_of_subset(self):
-        small = [f"v_{i}" for i in range(50)]
-        large = [f"v_{i}" for i in range(200)]
-        signature_small = minhash_signature(small, num_permutations=256)
-        signature_large = minhash_signature(large, num_permutations=256)
-        assert signature_small.containment(signature_large) >= 0.7
-
 
 class TestBatchSignatures:
     def test_batch_equals_per_column(self):
@@ -208,13 +201,13 @@ class TestJaccardMatrix:
 
 
 class TestSignaturePickling:
-    def test_pickle_round_trip_drops_vector_cache(self):
+    def test_pickle_round_trip(self):
+        """What a parallel lake build's workers send back: the fields only."""
         import pickle
 
         signature = minhash_signature(["a", "b"], num_permutations=16)
-        signature.jaccard(signature)  # materialise the cached vector
-        assert "_vector_cache" in signature.__dict__
+        signature.jaccard(signature)
         clone = pickle.loads(pickle.dumps(signature))
         assert clone == signature
-        assert "_vector_cache" not in clone.__dict__
+        assert set(clone.__dict__) == {"values", "set_size"}
         assert clone.jaccard(signature) == 1.0
