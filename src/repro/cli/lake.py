@@ -77,11 +77,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "column links to its ontology)",
     )
     query.add_argument(
-        "--budget-ms", type=positive_float, default=None, metavar="MS",
-        help="anytime rerank budget in milliseconds: stop scoring at the "
-        "deadline and report the best-effort top-k (flagged partial)",
-    )
-    query.add_argument(
         "--stats", action="store_true",
         help="print per-stage latencies (p50/p95/p99) and pipeline counters for this query",
     )
@@ -190,7 +185,6 @@ def _run_lake_query(args: argparse.Namespace) -> int:
                 mode=args.mode,
                 top_k=args.top,
                 cascade=args.cascade,
-                budget_ms=args.budget_ms,
             )
         stats = engine.last_query_stats
         warm_note = ""
@@ -203,12 +197,6 @@ def _run_lake_query(args: argparse.Namespace) -> int:
             f"query {query.name!r} against {len(store)} tables "
             f"({stats.rerank_count} candidates reranked with {args.method}"
             f"{warm_note}{cascade_note})"
-        )
-    if stats.partial:
-        print(
-            f"note: budget of {args.budget_ms:g} ms expired before all "
-            "candidates were scored — ranking is partial (best-effort)",
-            file=sys.stderr,
         )
     for result in results:
         best = result.scores.best_pair

@@ -172,8 +172,8 @@ def order_by_bound(
     Unknown bounds (``+inf``) come first — they must be scored regardless,
     and scoring them early costs nothing.  Ties fall back to the stage-1
     ``max_jaccard`` signal, then to the input (shortlist) order — the sort
-    is stable, so a budget-only cascade with no signals preserves the
-    shortlist's evidence ordering.
+    is stable, so candidates without signals keep the shortlist's evidence
+    ordering.
     """
 
     def sort_key(name: str) -> tuple[float, float]:

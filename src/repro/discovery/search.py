@@ -3,10 +3,13 @@
 This is "Valentine as a Discovery Component" (Section II-B) turned into an
 API: a :class:`DatasetRepository` holds candidate tables, and
 :class:`DiscoveryEngine` ranks them against a query table by joinability or
-unionability using any bundled matcher.
+unionability using any bundled matcher.  :meth:`DiscoveryEngine.discover`
+is the reference ranking: it matches the query against every table and
+sorts, sharing only the matcher and :mod:`~repro.discovery.relatedness`
+with the lake engine.
 
-Every discovery query — brute force, index-pruned, or lake-scale — runs
-through **one rerank plan**, :func:`prune_then_rerank`:
+:class:`~repro.lake.engine.LakeDiscoveryEngine` reranks its LSH shortlist
+through one plan, :func:`prune_then_rerank`:
 
 1. *bounds* — the query is prepared once; whatever stage-1 signals the
    caller supplied become per-candidate ranking-score upper bounds (no
@@ -21,14 +24,10 @@ through **one rerank plan**, :func:`prune_then_rerank`:
 *Priced versus unpriced is the signals*: they only decide how tight the
 bounds are.  A finite bound is sound by contract (see
 :meth:`~repro.matchers.base.BaseMatcher.score_bound`); ``+inf`` never
-skips.  The bounds also decide how the loop resolves: a rerank that can
-neither skip (no ``top_k``, or no finite bound) nor stop early (no budget)
-resolves the whole shortlist in one batch (one store round trip), one that
-can resolves only the candidate it is about to score.
-
-:class:`DiscoveryEngine` and
-:class:`~repro.lake.engine.LakeDiscoveryEngine` are thin parameterisations
-of this plan, so their rankings can never drift apart.
+skips.  The bounds also decide how the loop resolves: a rerank that cannot
+skip (no ``top_k``, or no finite bound) resolves the whole shortlist in one
+batch (one store round trip), one that can resolves only the candidate it
+is about to score.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import logging
 import math
 import multiprocessing
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -66,7 +64,6 @@ __all__ = [
     "RerankPool",
     "prune_then_rerank",
     "mode_score",
-    "sort_discovery_results",
     "DEFAULT_MIN_CANDIDATES",
     "DEFAULT_CANDIDATE_MULTIPLIER",
     "DEFAULT_UNION_THRESHOLD",
@@ -75,8 +72,7 @@ __all__ = [
 #: Default shortlist slack for index-pruned discovery: an exact top-k query
 #: reranks ``max(DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER * k)``
 #: sketch-level candidates so the matcher can repair sketch ranking mistakes.
-#: Shared by :meth:`DiscoveryEngine.discover` and
-#: :class:`~repro.lake.engine.LakeDiscoveryEngine`.
+#: The defaults of :class:`~repro.lake.engine.LakeDiscoveryEngine`.
 DEFAULT_MIN_CANDIDATES = 20
 DEFAULT_CANDIDATE_MULTIPLIER = 5
 
@@ -156,7 +152,8 @@ class DiscoveryResult:
 
 
 def mode_score(result: DiscoveryResult, mode: str) -> float:
-    """The scalar a *mode* ranks by — the value the cascade cutoff tracks."""
+    """The scalar a *mode* ranks by: the rerank's sort key and the value its
+    top-k cutoff tracks."""
     if mode == "joinable":
         return result.joinability
     if mode == "unionable":
@@ -205,30 +202,9 @@ class _TopKCutoff:
         return after is not None and (before is None or after > before)
 
 
-def sort_discovery_results(results: list[DiscoveryResult], mode: str) -> None:
-    """Sort *results* in place by the ranking criterion of *mode*.
-
-    Shared by the brute-force and the index-accelerated engines so both
-    produce identical orderings (descending score, ties broken by name).
-    """
-    if mode == "joinable":
-        results.sort(key=lambda r: (-r.joinability, r.table_name))
-    elif mode == "unionable":
-        results.sort(key=lambda r: (-r.unionability, r.table_name))
-    elif mode == "combined":
-        results.sort(key=lambda r: (-r.scores.combined(), r.table_name))
-    else:
-        raise ValueError(f"unknown discovery mode {mode!r}")
-
-
-
 @dataclass
 class PairScorer:
-    """Scores one (query, candidate) pair; the shared rerank unit.
-
-    Both discovery engines delegate pair scoring here so their rankings can
-    never drift.
-    """
+    """Scores one (query, candidate) pair: the rerank's unit of work."""
 
     matcher: BaseMatcher
     union_threshold: float = DEFAULT_UNION_THRESHOLD
@@ -244,10 +220,6 @@ class PairScorer:
         matches = self.matcher.match_prepared(query, candidate)
         scores = relatedness(matches, query.header, threshold=self.union_threshold)
         return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
-
-    def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:
-        """Match a raw query against one candidate (prepares the query too)."""
-        return self.score_prepared(self.matcher.prepare(query), candidate)
 
 
 class RerankPool:
@@ -349,10 +321,6 @@ class RerankOutcome:
     store_hits: int = 0
     #: Times the running top-k cutoff tightened as exact scores came in.
     cutoff_updates: int = 0
-    #: Whether the budget expired before every surviving candidate was
-    #: scored: the ranking is the best-effort top-k over those scored so far
-    #: (possibly empty), never a wrong ordering of them.
-    partial: bool = False
 
 
 def prune_then_rerank(
@@ -365,18 +333,16 @@ def prune_then_rerank(
     *,
     prepared_cache: Optional[PreparedTableCache] = None,
     signals: Optional[Mapping[str, CandidateSignals]] = None,
-    budget_ms: Optional[float] = None,
 ) -> RerankOutcome:
-    """The discovery core shared by every engine: one inline rerank plan.
+    """The lake engine's rerank: one inline plan over a shortlist.
 
     Parameters
     ----------
     query:
         The input table (prepared exactly once for the whole rerank).
     candidate_names:
-        Pruned candidate table names — the whole repository for brute-force
-        search, an LSH shortlist for indexed search.  The query's own name
-        is always skipped.
+        Pruned candidate table names (an LSH shortlist).  The query's own
+        name is always skipped.
     resolve:
         The :data:`Resolver` turning a batch of names into tables
         (repository lookup, CSV read...) or directly into
@@ -400,13 +366,11 @@ def prune_then_rerank(
         ranking-score bounds: candidates are scored best-bound-first and
         skipped outright once a finite bound falls below the running top-k
         cutoff.  ``None`` (or a name absent from it, or a matcher that
-        cannot bound) means a ``+inf`` bound: never skipped.  Without a
-        budget the ranking is identical with and without signals (a finite
-        bound is sound, so a skip cannot evict a true top-k member;
-        re-ordering cannot change the final sort).
-    budget_ms:
-        Anytime budget for the scoring stage; when it runs out, scoring
-        stops and the outcome is flagged ``partial``.
+        cannot bound) means a ``+inf`` bound: never skipped.  The ranking
+        is identical with and without signals (a finite bound is sound, so a
+        skip cannot evict a true top-k member; re-ordering cannot change the
+        final sort).  Counted as a cascade (``rerank.cascade.*``) only when
+        signals are given.
     """
     if mode not in ("joinable", "unionable", "combined"):
         raise ValueError(f"unknown discovery mode {mode!r}")
@@ -428,23 +392,13 @@ def prune_then_rerank(
             names = order_by_bound(names, bounds, signals)
     skippable = top_k is not None and any(map(math.isfinite, bounds.values()))
     items = [(name, bounds.get(name, math.inf)) for name in names]
-    deadline = None
-    if budget_ms is not None:
-        deadline = time.perf_counter() + budget_ms / 1000.0
-
-    def expired() -> bool:
-        return deadline is not None and time.perf_counter() >= deadline
-
-    # Nothing can skip or stop: one store round trip for the whole
-    # shortlist.  Something can: resolve only what is about to be scored.
-    batch = 1 if skippable or deadline is not None else max(1, len(items))
+    # Nothing can skip: one store round trip for the whole shortlist.
+    # Something can: resolve only what is about to be scored.
+    batch = 1 if skippable else max(1, len(items))
     cutoff = _TopKCutoff(top_k)
     outcome = RerankOutcome()
     with telemetry.span("discovery.score", candidates=len(items)):
         for start in range(0, len(items), batch):
-            if expired():
-                outcome.partial = True
-                break
             chunk = items[start : start + batch]
             floor = cutoff.value if skippable else None
             survivors = [
@@ -462,9 +416,6 @@ def prune_then_rerank(
                 )
             with telemetry.span("rerank.score_chunk", size=len(candidates)):
                 for candidate in candidates:
-                    if expired():
-                        outcome.partial = True
-                        break
                     if prepared_cache is not None and not isinstance(
                         candidate, PreparedTable
                     ):
@@ -473,19 +424,15 @@ def prune_then_rerank(
                     outcome.results.append(result)
                     if cutoff.observe(mode_score(result, mode)):
                         outcome.cutoff_updates += 1
-            if outcome.partial:
-                break
         outcome.scored = len(outcome.results)
         telemetry.count("discovery.candidates_scored", outcome.scored)
-    if signals is not None or budget_ms is not None:
+    if signals is not None:
         telemetry.count("rerank.cascade.skipped", outcome.skipped)
         telemetry.count("rerank.cascade.exact", outcome.scored)
         if outcome.cutoff_updates:
             telemetry.count("rerank.cutoff_updates", outcome.cutoff_updates)
-        if outcome.partial:
-            telemetry.count("rerank.budget_stops")
     with telemetry.span("discovery.sort"):
-        sort_discovery_results(outcome.results, mode)
+        outcome.results.sort(key=lambda r: (-mode_score(r, mode), r.table_name))
     if top_k is not None:
         del outcome.results[top_k:]
     return outcome
@@ -495,27 +442,26 @@ def prune_then_rerank(
 class DiscoveryEngine:
     """Ranks repository tables against a query table using a column matcher.
 
+    The reference ranking every faster path is checked against: it matches
+    the query against every table and sorts, with no shortlist, cache,
+    bound or cutoff.
+
     Attributes
     ----------
     matcher:
         Any :class:`~repro.matchers.base.BaseMatcher`.
     union_threshold:
         Column-score threshold used by the unionability measure.
-    prepared_cache:
-        Optional :class:`~repro.discovery.prepared.PreparedTableCache`
-        reusing prepared query tables across :meth:`discover` calls.
     """
 
     matcher: BaseMatcher
     union_threshold: float = DEFAULT_UNION_THRESHOLD
-    prepared_cache: Optional[PreparedTableCache] = None
-
-    def _scorer(self) -> PairScorer:
-        return PairScorer(matcher=self.matcher, union_threshold=self.union_threshold)
 
     def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:
         """Match *query* against one *candidate* and derive table-level scores."""
-        return self._scorer().score_pair(query, candidate)
+        matches = self.matcher.get_matches(query, candidate)
+        scores = relatedness(matches, query, threshold=self.union_threshold)
+        return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
 
     def discover(
         self,
@@ -523,62 +469,29 @@ class DiscoveryEngine:
         repository: DatasetRepository,
         mode: str = "joinable",
         top_k: Optional[int] = None,
-        index: Optional[object] = None,
-        candidate_limit: Optional[int] = None,
-        budget_ms: Optional[float] = None,
     ) -> list[DiscoveryResult]:
-        """Rank repository tables against *query*.
+        """Rank every repository table but the query's own name against *query*.
 
-        Parameters
-        ----------
-        query:
-            The input table.
-        repository:
-            Candidate tables.
-        mode:
-            ``"joinable"`` (rank by joinability), ``"unionable"`` (rank by
-            unionability) or ``"combined"``.
-        top_k:
-            Optionally truncate the ranking.
-        index:
-            Optional fast path: any object with a
-            ``shortlist(query, limit) -> list[str]`` method (e.g. a
-            :class:`~repro.lake.index.LakeIndex`).  When given, only the
-            shortlisted tables are matched instead of the whole repository —
-            O(candidates) instead of O(lake).
-        candidate_limit:
-            Shortlist size for the fast path; defaults to
-            ``max(DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER *
-            top_k)`` so the exact matcher has slack to repair sketch-level
-            ranking mistakes (unbounded when neither is set).
-        budget_ms:
-            Anytime budget for the scoring stage, with the same semantics as
-            :meth:`LakeDiscoveryEngine.query
-            <repro.lake.engine.LakeDiscoveryEngine.query>`.  Candidates are
-            never priced here: stage-1 signals come only from the lake
-            engine's resident index.
+        *mode* is ``"joinable"`` (rank by joinability), ``"unionable"``
+        (rank by unionability) or ``"combined"`` (their mean); ties break by
+        table name.  *top_k* optionally truncates the ranking.
         """
-        if index is not None:
-            limit = candidate_limit
-            if limit is None and top_k is not None:
-                limit = max(
-                    DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER * top_k
-                )
-            names = list(index.shortlist(query, limit))
-        else:
-            names = repository.table_names
-
-        def resolve(batch: Sequence[str], _matcher: BaseMatcher) -> Resolved:
-            tables = (repository.get(name) for name in batch)
-            return [table for table in tables if table is not None], 0
-
-        return prune_then_rerank(
-            query,
-            names,
-            resolve,
-            self._scorer(),
-            mode=mode,
-            top_k=top_k,
-            prepared_cache=self.prepared_cache,
-            budget_ms=budget_ms,
-        ).results
+        if mode not in ("joinable", "unionable", "combined"):
+            raise ValueError(f"unknown discovery mode {mode!r}")
+        if top_k is not None and top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {top_k}")
+        ranked = []
+        for candidate in repository:
+            if candidate.name == query.name:
+                continue
+            result = self.score_pair(query, candidate)
+            join, union = result.joinability, result.unionability
+            if mode == "joinable":
+                score = join
+            elif mode == "unionable":
+                score = union
+            else:
+                score = 0.5 * join + 0.5 * union
+            ranked.append((-score, result.table_name, result))
+        ranked.sort(key=lambda entry: entry[:2])
+        return [result for _, _, result in ranked[:top_k]]

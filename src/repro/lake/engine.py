@@ -7,8 +7,8 @@
    :class:`~repro.lake.index.LakeIndex` for the top candidate tables by
    sketch-level evidence; everything else in the lake is never touched.
 2. **Rerank** — run the configured :class:`BaseMatcher` only on the
-   survivors and derive the usual joinability/unionability scores, exactly
-   as the brute-force engine would.
+   survivors and derive the usual joinability/unionability scores; on the
+   same candidates the ranking equals ``DiscoveryEngine.discover``'s.
 
 The rerank is the one plan of
 :func:`~repro.discovery.search.prune_then_rerank` (bounds → order →
@@ -265,12 +265,6 @@ class LakeDiscoveryEngine:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def shortlist(
-        self, query: Table, top_k: Optional[int] = None
-    ) -> list[CandidateTable]:
-        """Sketch *query* and return the index's candidate tables."""
-        return self._probe(self.index, query, top_k)[0]
-
     def _probe(
         self, index: LakeIndex, query: Table, top_k: Optional[int]
     ) -> tuple[list[CandidateTable], TableSketch]:
@@ -293,7 +287,6 @@ class LakeDiscoveryEngine:
         mode: str = "joinable",
         top_k: Optional[int] = None,
         cascade: bool = False,
-        budget_ms: Optional[float] = None,
     ) -> list[DiscoveryResult]:
         """Rank lake tables against *query*: prune with the index, rerank.
 
@@ -315,13 +308,8 @@ class LakeDiscoveryEngine:
             Price the shortlist: per-candidate score bounds are derived
             from the sketches the index holds, the matcher runs best-bound-first
             and skips candidates whose finite (sound) bound proves they
-            cannot reach the top-k.  Without a budget the ranking is
-            identical to ``cascade=False``.
-        budget_ms:
-            Anytime budget for the rerank stage, in milliseconds.  When the
-            deadline passes, scoring stops and the current best-effort top-k
-            is returned with ``last_query_stats.partial`` set.  Works with
-            or without ``cascade``.
+            cannot reach the top-k.  The ranking is identical to
+            ``cascade=False``.
 
         Afterwards :attr:`last_query_stats` holds the structured statistics
         of this query (stage durations, shortlist/rerank sizes, store hits).
@@ -331,7 +319,7 @@ class LakeDiscoveryEngine:
         back into the active recorder *and* attached to the stats — so
         per-query attribution survives even on a shared recorder.
         """
-        (outcome,) = self.query_many([query], repository, mode, top_k, cascade, budget_ms)
+        (outcome,) = self.query_many([query], repository, mode, top_k, cascade)
         return outcome.results
 
     def query_many(
@@ -341,7 +329,6 @@ class LakeDiscoveryEngine:
         mode: str = "joinable",
         top_k: Optional[int] = None,
         cascade: bool = False,
-        budget_ms: Optional[float] = None,
     ) -> list[BatchQueryResult]:
         """Run several queries, each exactly as :meth:`query` would.
 
@@ -351,7 +338,7 @@ class LakeDiscoveryEngine:
         The queries run one after the other.
         """
         outcomes = [
-            self._query_one(query, repository, mode, top_k, cascade, budget_ms)
+            self._query_one(query, repository, mode, top_k, cascade)
             for query in queries
         ]
         if outcomes:
@@ -365,7 +352,6 @@ class LakeDiscoveryEngine:
         mode: str,
         top_k: Optional[int],
         cascade: bool,
-        budget_ms: Optional[float],
     ) -> BatchQueryResult:
         """Shortlist → signals if *cascade* → the rerank plan → stats."""
         parent = telemetry.get_recorder()
@@ -407,16 +393,12 @@ class LakeDiscoveryEngine:
                 top_k=top_k,
                 prepared_cache=query_cache,
                 signals=signals,
-                budget_ms=budget_ms,
             )
         end = time.perf_counter()
         snapshot = None
         if child is not None:
             snapshot = child.snapshot()
             parent.merge(snapshot)
-        # An unpriced, unbudgeted query is not a cascade: its cascade
-        # counters stay 0 even though every candidate was scored.
-        armed = cascade or budget_ms is not None
         stats = QueryStats(
             query_name=query.name,
             mode=mode,
@@ -426,9 +408,10 @@ class LakeDiscoveryEngine:
             total_seconds=end - start,
             shortlist_seconds=shortlist_seconds,
             rerank_seconds=end - rerank_start,
-            partial=outcome.partial,
-            cascade_skipped=outcome.skipped if armed else 0,
-            cascade_exact=outcome.scored if armed else 0,
+            # An unpriced query is not a cascade: its cascade counters stay
+            # 0 even though every candidate was scored.
+            cascade_skipped=outcome.skipped if cascade else 0,
+            cascade_exact=outcome.scored if cascade else 0,
             snapshot=snapshot,
         )
         return BatchQueryResult(results=outcome.results, stats=stats)

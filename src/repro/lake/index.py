@@ -29,9 +29,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.data.table import Table
 from repro.data.types import TYPE_COMPATIBILITY_MATRIX, TYPE_INDEX
-from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch, sketch_table
+from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch
 from repro.telemetry import recorder as telemetry
 
 __all__ = ["LSHParams", "CandidateTable", "LakeIndex"]
@@ -406,15 +405,3 @@ class LakeIndex:
             CandidateTable(columns.tables[tables[t]], float(scores[t]), tuple(pairs[spans[t]]))
             for t in ranking.tolist()
         ]
-
-    def shortlist(self, query: Table, limit: Optional[int] = None) -> list[str]:
-        """Candidate table names for a raw query table (sketched on the fly).
-
-        This is the duck-typed hook :meth:`DiscoveryEngine.discover
-        <repro.discovery.search.DiscoveryEngine.discover>` calls for its
-        ``index=`` fast path.
-        """
-        # Transient query sketch: identity is never consulted, skip the
-        # O(cells) content hash.
-        sketch = sketch_table(query, self.config, content_hash="")
-        return [c.table_name for c in self.candidate_tables(sketch, top_k=limit)]

@@ -117,20 +117,15 @@ class ServeClient:
         mode: str = "joinable",
         top_k: Optional[int] = None,
         timeout_s: Optional[float] = None,
-        budget_ms: Optional[float] = None,
     ) -> dict:
         """Score *table* against the lake; returns the decoded response.
 
         Raises :class:`QueueFullError` / :class:`DeadlineExpiredError` /
         :class:`ServeError` for 429 / 504 / other non-2xx answers.  With
         ``retry_queue_full`` set, 429s are retried after the daemon's
-        ``Retry-After`` hint (bounded by ``max_attempts``).  ``budget_ms``
-        caps the server-side rerank (anytime semantics): the response may
-        come back with ``stats.partial`` set and a best-effort top-k.
+        ``Retry-After`` hint (bounded by ``max_attempts``).
         """
-        body = encode_query_request(
-            table, mode=mode, top_k=top_k, timeout_s=timeout_s, budget_ms=budget_ms
-        )
+        body = encode_query_request(table, mode=mode, top_k=top_k, timeout_s=timeout_s)
         attempts = self.max_attempts if self.retry_queue_full else 1
         for attempt in range(1, attempts + 1):
             try:

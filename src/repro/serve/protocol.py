@@ -12,12 +12,12 @@ and one response shape::
                   "best_pair": ["id", "order_id"]}],
      "stats": {"shortlist_size": ..., "rerank_count": ..., ...}}
 
-Decoding is strict (unknown modes, ragged columns and non-object tables are
-:class:`ProtocolError`, rendered as HTTP 400) because the daemon sits on a
-socket: garbage must bounce at the door, not surface as a 500 from deep in
-the engine.  Floats survive the JSON round trip exactly (``repr``-based
-serialisation), so a served ranking is bit-identical to the one-shot
-``lake query`` ranking over the same stores.
+Decoding is strict (unknown fields and modes, ragged columns, non-scalar
+cells and non-object tables are :class:`ProtocolError`, rendered as HTTP
+400) because the daemon sits on a socket: garbage must bounce at the door,
+not surface as a 500 from deep in the engine.  Floats survive the JSON
+round trip exactly (``repr``-based serialisation), so a served ranking is
+bit-identical to the one-shot ``lake query`` ranking over the same stores.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ __all__ = [
 
 MODES = ("joinable", "unionable", "combined")
 
+#: The top-level fields a ``/query`` body may carry.
+_REQUEST_FIELDS = frozenset({"table", "mode", "top_k", "timeout_s"})
+
+#: What ``json.loads`` makes of a JSON scalar: the only cell values a
+#: column may hold.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
 
 class ProtocolError(ValueError):
     """A malformed request body — the daemon answers 400, not 500."""
@@ -58,9 +65,6 @@ class QueryRequest:
     mode: str = "joinable"
     top_k: Optional[int] = None
     timeout_s: Optional[float] = None
-    #: Anytime rerank budget (milliseconds): the engine stops scoring at the
-    #: deadline and flags the response stats ``partial``.
-    budget_ms: Optional[float] = None
 
 
 def table_to_dict(table: Table) -> dict:
@@ -76,7 +80,6 @@ def encode_query_request(
     mode: str = "joinable",
     top_k: Optional[int] = None,
     timeout_s: Optional[float] = None,
-    budget_ms: Optional[float] = None,
 ) -> bytes:
     """Client-side: serialise one ``/query`` body."""
     payload: dict = {"table": table_to_dict(table), "mode": mode}
@@ -84,8 +87,6 @@ def encode_query_request(
         payload["top_k"] = top_k
     if timeout_s is not None:
         payload["timeout_s"] = timeout_s
-    if budget_ms is not None:
-        payload["budget_ms"] = budget_ms
     return json.dumps(payload).encode("utf-8")
 
 
@@ -97,6 +98,9 @@ def decode_query_request(body: bytes) -> QueryRequest:
         raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("request body must be a JSON object")
+    unknown = sorted(set(payload) - _REQUEST_FIELDS)
+    if unknown:
+        raise ProtocolError(f"unknown request field(s): {', '.join(unknown)}")
 
     raw_table = payload.get("table")
     if not isinstance(raw_table, dict):
@@ -112,6 +116,10 @@ def decode_query_request(body: bytes) -> QueryRequest:
             raise ProtocolError("column names must be strings")
         if not isinstance(values, list):
             raise ProtocolError(f"column {column_name!r} values must be a JSON array")
+        if not all(type(value) in _SCALAR_TYPES for value in values):
+            raise ProtocolError(
+                f"column {column_name!r} values must be JSON scalars, not arrays or objects"
+            )
     try:
         table = Table(name, {str(k): v for k, v in raw_columns.items()})
     except ValueError as exc:  # ragged columns, duplicate names
@@ -131,7 +139,6 @@ def decode_query_request(body: bytes) -> QueryRequest:
         mode=mode,
         top_k=top_k,
         timeout_s=_positive_number(payload, "timeout_s"),
-        budget_ms=_positive_number(payload, "budget_ms"),
     )
 
 
@@ -139,7 +146,7 @@ def _positive_number(payload: dict, key: str) -> Optional[float]:
     """*payload[key]* as a finite float above 0, or ``None`` when absent.
 
     ``json.loads`` accepts ``NaN`` and ``Infinity``; neither is a deadline
-    or a budget (the CLI's ``positive_float`` refuses them too).
+    (the CLI's ``positive_float`` refuses them too).
     """
     value = payload.get(key)
     if value is None:
@@ -159,15 +166,11 @@ def request_cache_key(request: QueryRequest) -> str:
     invalidation), not the table name — two clients querying the same data
     under different handles still share one rerank; the same name over
     different data does not.  ``timeout_s`` is deliberately excluded: it
-    shapes waiting, not the answer.  ``budget_ms`` is deliberately
-    *included*: a budgeted request may return a partial ranking, which must
-    never be coalesced with (or served to) a full request.
+    shapes waiting, not the answer.
     """
     digest = hashlib.sha256()
     digest.update(table_content_hash(request.table).encode("utf-8"))
-    digest.update(
-        f"|{request.mode}|{request.top_k}|{request.budget_ms}".encode("utf-8")
-    )
+    digest.update(f"|{request.mode}|{request.top_k}".encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -202,7 +205,6 @@ def response_to_dict(request: QueryRequest, outcome, coalesced: bool) -> dict:
             "total_seconds": stats.total_seconds,
             "shortlist_seconds": stats.shortlist_seconds,
             "rerank_seconds": stats.rerank_seconds,
-            "partial": stats.partial,
             "cascade_skipped": stats.cascade_skipped,
             "cascade_exact": stats.cascade_exact,
         },

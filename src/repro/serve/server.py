@@ -85,7 +85,7 @@ class ServeConfig:
     reopen_poll_s: float = 1.0
     #: Arm the two-stage rerank cascade for every served query (exact
     #: rankings; sound bounds skip candidates that cannot reach the
-    #: top-k).  Per-request anytime budgets (``budget_ms``) work either way.
+    #: top-k).
     cascade: bool = False
     #: Optional :class:`~repro.faults.FaultPlan` (duck-typed: anything with
     #: ``check(operation)``) consulted at ``serve.score_batch`` — the chaos
@@ -380,7 +380,6 @@ class DiscoveryServer:
                 mode=request.mode,
                 top_k=request.top_k,
                 cascade=self.config.cascade,
-                budget_ms=request.budget_ms,
             )
         return outcome
 

@@ -40,9 +40,6 @@ class QueryStats:
     total_seconds: float = 0.0
     shortlist_seconds: float = 0.0
     rerank_seconds: float = 0.0
-    #: Whether an anytime budget stopped the rerank before every surviving
-    #: candidate was scored — the ranking is best-effort over those scored.
-    partial: bool = False
     #: Cascade outcome: candidates skipped on a finite bound below the
     #: top-k cutoff, and candidates scored exactly (0/0 when not cascaded).
     cascade_skipped: int = 0
@@ -77,11 +74,10 @@ class QueryStats:
             f"in {self.rerank_seconds * 1e3:.1f} ms",
             f"  total:     {self.total_seconds * 1e3:.1f} ms",
         ]
-        if self.cascade_skipped or self.cascade_exact or self.partial:
+        if self.cascade_skipped or self.cascade_exact:
             lines.append(
                 f"  cascade:   {self.cascade_exact} exact-scored, "
                 f"{self.cascade_skipped} skipped by bound"
-                + (" (PARTIAL: budget expired)" if self.partial else "")
             )
         if self.snapshot is not None:
             stage_names = sorted(

@@ -3,8 +3,7 @@
 The end-to-end exactness suite over every registered matcher, and the one
 bound rule (a finite bound skips, ``+inf`` never does), live in
 ``tests/lake/test_cascade_engine.py``: stage-1 signals come only from the
-lake engine.  This module covers the primitives and the brute-force
-engine, which is never priced.
+lake engine.  This module covers the primitives.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import random
 import pytest
 
 from repro.datasets import tpcdi_prospect_table
-from repro.discovery import search as discovery_search
 from repro.discovery.cascade import mode_bound
 from repro.discovery.search import (
     DatasetRepository,
@@ -25,9 +23,6 @@ from repro.discovery.search import (
 )
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.telemetry import TelemetryRecorder, use
-
-TOP_K = 3
 
 
 @pytest.fixture(scope="module")
@@ -42,18 +37,6 @@ def lake():
         vertical = split_vertical(base, rng.uniform(0.3, 0.7), rng)
         repository.add(vertical.second.rename(f"slice_{i}"))
     return query, repository
-
-
-def _signature(results):
-    return [(r.table_name, r.joinability, r.unionability) for r in results]
-
-
-def _discover_counted(engine, *args, **kwargs):
-    """``engine.discover(...)`` plus the counters that rerank emitted."""
-    recorder = TelemetryRecorder()
-    with use(recorder):
-        results = engine.discover(*args, **kwargs)
-    return results, recorder.snapshot().counters
 
 
 class TestTopKCutoff:
@@ -111,34 +94,3 @@ class TestModeScore:
         result = engine.discover(query, repository, top_k=1)[0]
         with pytest.raises(ValueError):
             mode_score(result, "bogus")
-
-
-class TestBruteForceEngineIsNeverPriced:
-    """Stage-1 signals have one producer, the lake engine's resident index;
-    the brute-force engine keeps only the anytime budget (the priced
-    contract is in ``tests/lake/test_cascade_engine.py``)."""
-
-    def test_budget_only_keeps_shortlist_order_and_completes(self, lake, monkeypatch):
-        query, repository = lake
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
-        baseline = engine.discover(query, repository, mode="combined", top_k=TOP_K)
-
-        def no_stage_one(*args, **kwargs):
-            raise AssertionError("a budget without signals computes no bounds")
-
-        monkeypatch.setattr(discovery_search, "compute_ranking_bounds", no_stage_one)
-        budgeted, counters = _discover_counted(
-            engine, query, repository, mode="combined", top_k=TOP_K, budget_ms=60_000.0
-        )
-        assert _signature(budgeted) == _signature(baseline)
-        assert "rerank.budget_stops" not in counters
-        assert counters["rerank.cascade.exact"] == len(repository.table_names)
-
-    def test_unpriced_unbudgeted_rerank_emits_no_cascade_counters(self, lake):
-        query, repository = lake
-        engine = DiscoveryEngine(matcher=JaccardLevenshteinMatcher(sample_size=8))
-        _, counters = _discover_counted(
-            engine, query, repository, mode="combined", top_k=TOP_K
-        )
-        assert counters["discovery.candidates_scored"] == len(repository.table_names)
-        assert not any(name.startswith("rerank.c") for name in counters)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.data.table import Column, Table
 from repro.discovery.prepared import PreparedTableCache
-from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 
@@ -99,33 +98,3 @@ class TestPreparedTableCache:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             PreparedTableCache(max_entries=0)
-
-
-class TestEngineIntegration:
-    def test_discover_with_cache_is_identical_and_hits(self):
-        repository = DatasetRepository(
-            [
-                _table("a", ["x", "y", "z"]),
-                _table("b", ["x", "q", "r"]),
-                _table("c", [1, 2, 3]),
-            ]
-        )
-        query = _table("query", ["x", "y", "q"])
-        matcher = JaccardLevenshteinMatcher()
-        plain = DiscoveryEngine(matcher=matcher)
-        cache = PreparedTableCache()
-        cached = DiscoveryEngine(matcher=matcher, prepared_cache=cache)
-
-        baseline = plain.discover(query, repository, mode="combined")
-        first = cached.discover(query, repository, mode="combined")
-        second = cached.discover(query, repository, mode="combined")
-
-        def names_and_scores(results):
-            return [(r.table_name, r.joinability, r.unionability) for r in results]
-
-        assert names_and_scores(first) == names_and_scores(baseline)
-        assert names_and_scores(second) == names_and_scores(baseline)
-        # The second query's prepares (query AND serial-path candidates)
-        # were all served from the cache: 4 tables prepared per discover.
-        assert cache.hits == 4
-        assert cache.misses == 4

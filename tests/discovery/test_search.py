@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import types
 
 import pytest
 
@@ -13,7 +14,9 @@ from matcher_support import (
     reference_semprop_match_prepared,
 )
 from repro.data.csv_io import read_csv
+from repro.data.table import Table
 from repro.datasets import open_data_table, tpcdi_prospect_table
+from repro.discovery import search
 from repro.discovery.search import (
     DatasetRepository,
     DiscoveryEngine,
@@ -133,6 +136,94 @@ class TestDiscoveryEngine:
         assert 0.0 <= result.unionability <= 1.0
 
 
+    @pytest.mark.parametrize("mode", ["joinable", "unionable", "combined"])
+    def test_ranking_is_every_score_pair_sorted(self, lake, mode):
+        query, repository = lake
+        engine = DiscoveryEngine(matcher=ComaSchemaMatcher())
+        pairs = [engine.score_pair(query, candidate) for candidate in repository]
+        key = {
+            "joinable": lambda r: r.joinability,
+            "unionable": lambda r: r.unionability,
+            "combined": lambda r: r.scores.combined(),
+        }[mode]
+        expected = sorted(pairs, key=lambda r: (-key(r), r.table_name))
+        ranking = engine.discover(query, repository, mode=mode)
+        assert [(r.table_name, r.scores) for r in ranking] == [
+            (r.table_name, r.scores) for r in expected
+        ]
+
+    def test_equal_scores_rank_by_table_name(self, lake):
+        query, _ = lake
+        twin = Table("b_twin", {c.name: list(c.values) for c in query.columns})
+        repository = DatasetRepository([twin, twin.rename("a_twin"), query])
+        ranking = DiscoveryEngine(matcher=ComaSchemaMatcher()).discover(query, repository)
+        assert [r.table_name for r in ranking] == ["a_twin", "b_twin"]
+        assert ranking[0].scores == ranking[1].scores
+
+
+#: What the lake engine's rerank is made of: the oracle may call none of it.
+_RERANK_NAMES = {
+    "prune_then_rerank",
+    "PairScorer",
+    "score_prepared",
+    "sort_discovery_results",
+    "mode_score",
+    "_TopKCutoff",
+    "compute_ranking_bounds",
+    "order_by_bound",
+    "PreparedTableCache",
+}
+
+
+def _names_reached(function) -> set[str]:
+    """Every name *function* looks up, and every name a function it reaches
+    looks up: ``DiscoveryEngine`` methods, module functions (resolved in
+    their own module) and nested code (lambdas, comprehensions)."""
+    names: set[str] = set()
+    seen: set[types.CodeType] = set()
+    stack = [(function.__code__, function.__globals__)]
+    while stack:
+        code, namespace = stack.pop()
+        if code in seen:
+            continue
+        seen.add(code)
+        names.update(code.co_names)
+        stack.extend((c, namespace) for c in code.co_consts if isinstance(c, types.CodeType))
+        for name in code.co_names:
+            target = getattr(DiscoveryEngine, name, None) or namespace.get(name)
+            if isinstance(target, types.FunctionType):
+                stack.append((target.__code__, target.__globals__))
+    return names
+
+
+class TestOracleIndependence:
+    """``discover`` is the reference the lake engine is checked against, so
+    it shares only the matcher and the relatedness measures with the rerank."""
+
+    def test_census_reaches_no_rerank_code(self):
+        reached = _names_reached(DiscoveryEngine.discover)
+        # The walk follows calls: score_pair, relatedness, unionability.
+        assert {"score_pair", "get_matches", "relatedness", "unionability"} <= reached
+        assert reached.isdisjoint(_RERANK_NAMES)
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name in _RERANK_NAMES if hasattr(search, name))
+    )
+    def test_ranking_survives_a_broken_rerank(self, lake, monkeypatch, name):
+        query, repository = lake
+        engine = DiscoveryEngine(matcher=ComaSchemaMatcher())
+        expected = engine.discover(query, repository, mode="combined")
+
+        def broken(*args, **kwargs):
+            raise AssertionError(f"the oracle reached search.{name}")
+
+        monkeypatch.setattr(search, name, broken)
+        ranking = engine.discover(query, repository, mode="combined")
+        assert [(r.table_name, r.scores) for r in ranking] == [
+            (r.table_name, r.scores) for r in expected
+        ]
+
+
 @pytest.fixture(scope="module")
 def gate_pair(tmp_path_factory):
     """The gate lake's 14-column query and an 8-column relative of it."""
@@ -178,7 +269,7 @@ class TestResultsTravel:
         """What one scored candidate weighs when it crosses a process."""
         query, candidate = gate_pair
         matcher = SemPropMatcher()
-        result = PairScorer(matcher).score_pair(query, candidate)
+        result = DiscoveryEngine(matcher).score_pair(query, candidate)
         eager = DiscoveryResult(
             table_name=result.table_name,
             scores=result.scores,

@@ -1,12 +1,13 @@
-"""Parity of the discovery engines through the shared prune-then-rerank core.
+"""Parity of the lake engine with the discovery oracle.
 
-Fabricates a small lake and answers the same query three ways — brute-force
-scan, index-pruned ``DiscoveryEngine.discover(index=)`` and
-``LakeDiscoveryEngine.query`` — and asserts all three produce identical
-rankings with identical scores; so does the lake engine when every
-candidate is a payload from its prepared store.  The shortlist is larger
-than the lake here, so pruning cannot drop genuinely related tables and the
-comparison is exact.
+Fabricates a small lake and answers the same query with
+``LakeDiscoveryEngine.query`` (LSH shortlist, then the prune-then-rerank
+plan) and with ``DiscoveryEngine.discover`` (match every table, sort), which
+shares only the matcher and the relatedness measures with the rerank.  Both
+produce identical rankings with identical scores, with candidates from the
+repository and with every candidate a payload from the prepared store.  The
+shortlist is larger than the lake here, so pruning cannot drop genuinely
+related tables and the comparison is exact.
 """
 
 from __future__ import annotations
@@ -58,15 +59,12 @@ def test_all_engines_produce_identical_rankings(tmp_path, lake, matcher_factory)
     lake_engine = LakeDiscoveryEngine(matcher=matcher, store=store)
     lake_engine.build(repository)
 
-    brute_engine = DiscoveryEngine(matcher=matcher)
-    brute = brute_engine.discover(query, repository, mode="combined", top_k=TOP_K)
-    indexed = brute_engine.discover(
-        query, repository, mode="combined", top_k=TOP_K, index=lake_engine.index
+    oracle = DiscoveryEngine(matcher=matcher).discover(
+        query, repository, mode="combined", top_k=TOP_K
     )
     serial = lake_engine.query(query, repository, mode="combined", top_k=TOP_K)
 
-    assert _signature(indexed) == _signature(brute)
-    assert _signature(serial) == _signature(brute)
+    assert _signature(serial) == _signature(oracle)
     store.close()
 
 
@@ -81,7 +79,7 @@ def test_warm_rerank_from_the_prepared_store_matches_brute_force(
     """No repository and no CSVs: every candidate is a stored payload."""
     query, repository = lake
     matcher = matcher_factory()
-    brute = DiscoveryEngine(matcher=matcher).discover(
+    oracle = DiscoveryEngine(matcher=matcher).discover(
         query, repository, mode="combined", top_k=TOP_K
     )
 
@@ -97,5 +95,5 @@ def test_warm_rerank_from_the_prepared_store_matches_brute_force(
         warm = engine.query(query, mode="combined", top_k=TOP_K)
         stats = engine.last_query_stats
 
-    assert _signature(warm) == _signature(brute)
+    assert _signature(warm) == _signature(oracle)
     assert stats.store_hits == stats.rerank_count == len(repository)

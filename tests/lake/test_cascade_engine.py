@@ -2,27 +2,29 @@
 
 Covers the exactness contract — for **every** registered matcher the
 ranking is byte-identical in every plan x resolve cell ({unpriced, priced}
-x {warm, cold}) and equal to an index-free brute-force oracle — plus the
-one bound rule (a finite bound skips, the base ``+inf`` never does), real
-skipping with SemProp's sound bound, anytime budgets, the store round trips
+x {warm, cold}) and equal to ``DiscoveryEngine.discover``, an oracle that
+shares only the matcher and the relatedness measures with the rerank —
+plus the one bound rule (a finite bound skips, the base ``+inf`` never
+does), real skipping with SemProp's sound bound, the store round trips
 each plan is allowed to make, and the hash guard between the resident
 index stage 1 prices from and the store.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
-import time
 from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS, prospect_lake
+from matcher_support import LIGHT_MATCHER_CONFIGS, engine_shortlist, prospect_lake
 
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
+from repro.discovery import search as discovery_search
 from repro.discovery.prepared import PreparedStore
-from repro.discovery.search import DatasetRepository, DiscoveryEngine, mode_score
+from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.lake import engine as lake_engine
 from repro.lake import (
     LakeDiscoveryEngine,
@@ -76,7 +78,7 @@ class _GridLake:
         self.prepared_store = PreparedStore(directory / "lake.sketches.prepared")
         # The oracle sees what the engine sees: tables as read back from CSV.
         self.repository = DatasetRepository(read_csv(path) for path in paths)
-        self._oracle: dict[str, list] = {}
+        self._oracle: dict[tuple[str, str], list] = {}
 
     def matcher(self, method: str):
         matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
@@ -85,16 +87,15 @@ class _GridLake:
 
     def oracle(self, method: str, mode: str) -> list:
         """Score every table with the matcher and sort: no index, no stores."""
-        if method not in self._oracle:
-            matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
-            self._oracle[method] = DiscoveryEngine(matcher=matcher).discover(
-                self.query, self.repository
-            )
-        ranked = sorted(
-            self._oracle[method],
-            key=lambda r: (-mode_score(r, mode), r.table_name),
+        if (method, mode) not in self._oracle:
+            self._oracle[method, mode] = _signature(self.discover(method, mode))
+        return self._oracle[method, mode]
+
+    def discover(self, method: str, mode: str) -> list:
+        matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
+        return DiscoveryEngine(matcher=matcher).discover(
+            self.query, self.repository, mode=mode, top_k=TOP_K
         )
-        return _signature(ranked[:TOP_K])
 
     def close(self) -> None:
         self.prepared_store.close()
@@ -129,14 +130,13 @@ def test_ranking_identical_in_every_plan_and_resolve_cell(
         stats = engine.last_query_stats
         written = set(prepared_store.table_names())
     assert _signature(ranking) == grid_lake.oracle(method, mode)
-    assert stats.partial is False
     assert stats.shortlist_size == len(grid_lake.repository)
     if priced:
         assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
         assert stats.rerank_count == stats.cascade_exact
     else:
-        # An unpriced, unbudgeted query is not a cascade: nothing skipped,
-        # and the cascade counters stay 0.
+        # An unpriced query is not a cascade: nothing skipped, and the
+        # cascade counters stay 0.
         assert stats.rerank_count == stats.shortlist_size
         assert stats.cascade_exact == stats.cascade_skipped == 0
     if warm:
@@ -147,6 +147,29 @@ def test_ranking_identical_in_every_plan_and_resolve_cell(
         # through; a skipped one was never read.
         assert stats.store_hits == 0
         assert len(written) == stats.rerank_count
+
+
+def test_grid_oracle_does_not_share_a_planted_rerank_defect(grid_lake, monkeypatch):
+    """A unionability threshold raised by 0.1 inside the rerank's
+    ``PairScorer`` moves the engine's scores but not the oracle's, so the
+    grid comparison fails: the two sides share no rerank code."""
+    method, mode = "jaccardlevenshtein", "joinable"
+    clean = grid_lake.oracle(method, mode)
+    score_prepared = discovery_search.PairScorer.score_prepared
+
+    def planted(scorer, query, candidate):
+        raised = dataclasses.replace(scorer, union_threshold=scorer.union_threshold + 0.1)
+        return score_prepared(raised, query, candidate)
+
+    monkeypatch.setattr(discovery_search.PairScorer, "score_prepared", planted)
+    with LakeDiscoveryEngine(
+        matcher=grid_lake.matcher(method),
+        store=grid_lake.store,
+        prepared_store=grid_lake.prepared_store,
+    ) as engine:
+        ranking = engine.query(grid_lake.query, mode=mode, top_k=TOP_K)
+    assert _signature(grid_lake.discover(method, mode)) == clean
+    assert _signature(ranking) != clean
 
 
 # --------------------------------------------------------------------- #
@@ -183,7 +206,32 @@ class TestOneBoundRule:
         assert _signature(priced) == _signature(plain)
         assert counters["rerank.cascade.skipped"] == 0
         assert counters["rerank.cascade.exact"] == stats.shortlist_size
-        assert "rerank.budget_stops" not in counters
+
+    def test_unpriced_rerank_computes_no_bounds(self, lake, monkeypatch):
+        query, repository, store = lake
+
+        def no_stage_one(*args, **kwargs):
+            raise AssertionError("a rerank without signals computes no bounds")
+
+        with LakeDiscoveryEngine(
+            matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
+        ) as engine:
+            plain = engine.query(query, repository, mode="combined", top_k=TOP_K)
+            monkeypatch.setattr(discovery_search, "compute_ranking_bounds", no_stage_one)
+            again = engine.query(query, repository, mode="combined", top_k=TOP_K)
+        assert _signature(again) == _signature(plain)
+
+    def test_unpriced_rerank_emits_no_cascade_counters(self, lake):
+        query, repository, store = lake
+        with LakeDiscoveryEngine(
+            matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
+        ) as engine:
+            _, counters = _query_counted(
+                engine, query, repository, mode="combined", top_k=TOP_K
+            )
+            stats = engine.last_query_stats
+        assert counters["discovery.candidates_scored"] == stats.shortlist_size
+        assert not any(name.startswith("rerank.c") for name in counters)
 
     def test_wrong_finite_bound_visibly_skips(self, lake):
         # The *only* difference is a finite score_bound: there is no second
@@ -216,7 +264,7 @@ class TestOneBoundRule:
         with LakeDiscoveryEngine(
             matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
         ) as engine:
-            shortlist = {entry.table_name for entry in engine.shortlist(query, TOP_K)}
+            shortlist = {entry.table_name for entry in engine_shortlist(engine, query, TOP_K)}
             engine.query(query, repository, mode="combined", top_k=TOP_K, cascade=True)
         (priced,) = calls  # the whole shortlist in one call
         assert set(priced) == shortlist - {query.name}
@@ -298,73 +346,6 @@ def test_semprop_cascade_skips_and_stays_exact_serial(semprop_lake):
 
 
 # --------------------------------------------------------------------- #
-# anytime budgets
-# --------------------------------------------------------------------- #
-
-
-class _SlowMatcher(JaccardLevenshteinMatcher):
-    """JL with a deliberate per-pair delay, to make deadlines deterministic."""
-
-    delay_s = 0.05
-
-    def match_prepared(self, source, target):
-        time.sleep(self.delay_s)
-        return super().match_prepared(source, target)
-
-
-def test_tiny_budget_stops_early_and_flags_partial(lake):
-    query, repository, store = lake
-    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=8), store=store)
-    try:
-        results = engine.query(
-            query, repository, mode="combined", top_k=TOP_K, budget_ms=1.0
-        )
-        stats = engine.last_query_stats
-        assert stats.partial is True
-        assert len(results) <= TOP_K
-        # Budget (1 ms) + at most the one in-flight match (50 ms) — nowhere
-        # near the nine matches a full rerank would run.  (Counted, not
-        # timed: the query's own prepare dwarfs the budget on a busy box.)
-        assert stats.rerank_count <= 1 < stats.shortlist_size
-    finally:
-        engine.close()
-
-
-def test_large_budget_completes_and_matches_unbudgeted(lake):
-    query, repository, store = lake
-    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=8), store=store)
-    try:
-        plain = engine.query(query, repository, mode="combined", top_k=TOP_K)
-        budgeted = engine.query(
-            query, repository, mode="combined", top_k=TOP_K, budget_ms=60_000.0
-        )
-        stats = engine.last_query_stats
-        assert stats.partial is False
-        assert _signature(budgeted) == _signature(plain)
-        assert stats.rerank_count == stats.shortlist_size
-    finally:
-        engine.close()
-
-
-def test_query_many_propagates_budget_and_partial(lake):
-    query, repository, store = lake
-    engine = LakeDiscoveryEngine(matcher=_SlowMatcher(sample_size=8), store=store)
-    try:
-        outcomes = engine.query_many(
-            [query], repository, mode="combined", top_k=TOP_K, budget_ms=1.0
-        )
-        assert len(outcomes) == 1
-        assert outcomes[0].stats.partial is True
-        full = engine.query_many(
-            [query], repository, mode="combined", top_k=TOP_K, cascade=True
-        )
-        assert full[0].stats.partial is False
-        assert full[0].stats.cascade_exact > 0
-    finally:
-        engine.close()
-
-
-# --------------------------------------------------------------------- #
 # round-trip contract: the store reads each plan is allowed to make
 # --------------------------------------------------------------------- #
 
@@ -440,19 +421,6 @@ def test_priced_rerank_reads_payloads_only_for_scored_candidates(
     assert stats.cascade_skipped > 0
     assert prepared_store.get_many_calls == [1] * stats.cascade_exact
     assert stats.store_hits == stats.cascade_exact
-
-
-def test_budgeted_rerank_reads_payloads_one_candidate_at_a_time(counting_engine):
-    """A deadline can stop the rerank, so nothing is read ahead of scoring."""
-    engine, sketch_store, prepared_store, query = counting_engine
-    plain = engine.query(query, mode="joinable", top_k=TOP_K)
-    prepared_store.get_many_calls.clear()
-    budgeted = engine.query(query, mode="joinable", top_k=TOP_K, budget_ms=60_000.0)
-    stats = engine.last_query_stats
-    assert stats.partial is False
-    assert _signature(budgeted) == _signature(plain)
-    assert prepared_store.get_many_calls == [1] * stats.shortlist_size
-    assert stats.store_hits == stats.rerank_count == stats.shortlist_size
 
 
 def test_priced_rerank_with_no_finite_bound_is_one_payload_read(counting_engine):

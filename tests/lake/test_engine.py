@@ -85,22 +85,3 @@ class TestLakeDiscoveryEngine:
         results = engine.query(query, mode="unionable", top_k=2)
         assert results and results[0].table_name == "prospect_more_rows"
         engine.store.close()
-
-
-class TestDiscoveryEngineFastPath:
-    def test_index_fast_path_matches_scan(self, lake, engine):
-        query, repository = lake
-        brute = DiscoveryEngine(matcher=ComaSchemaMatcher())
-        scan = brute.discover(query, repository, mode="joinable", top_k=2)
-        fast = brute.discover(
-            query, repository, mode="joinable", top_k=2, index=engine.index
-        )
-        assert [r.table_name for r in fast] == [r.table_name for r in scan]
-
-    def test_candidate_limit_bounds_matching(self, lake, engine):
-        query, repository = lake
-        brute = DiscoveryEngine(matcher=ComaSchemaMatcher())
-        fast = brute.discover(
-            query, repository, mode="joinable", index=engine.index, candidate_limit=1
-        )
-        assert len(fast) == 1

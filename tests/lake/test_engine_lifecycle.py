@@ -18,6 +18,7 @@ import warnings
 
 import pytest
 
+from matcher_support import engine_shortlist
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -94,9 +95,9 @@ class TestIdempotentClose:
         engine.close()
         try:
             assert engine.query(query, top_k=2)
-            assert "t0" in {c.table_name for c in engine.shortlist(query)}
+            assert "t0" in {c.table_name for c in engine_shortlist(engine, query)}
             assert store.remove_table("t0")
-            assert "t0" not in {c.table_name for c in engine.shortlist(query)}
+            assert "t0" not in {c.table_name for c in engine_shortlist(engine, query)}
         finally:
             engine.close()
         assert engine._index is None  # the rebuilt index was dropped

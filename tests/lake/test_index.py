@@ -149,18 +149,20 @@ class TestCandidates:
             ],
         )
         index = _build_index([part_2024])
-        names = index.shortlist(part_2023)
+        names = [c.table_name for c in index.candidate_tables(sketch_table(part_2023))]
         assert "events_2024" in names
         # Disabling the name channel restores pure value-overlap behaviour.
         index_values_only = _build_index(
             [part_2024], params=LSHParams(name_match_score=0.0)
         )
-        assert "events_2024" not in index_values_only.shortlist(part_2023)
+        values_only = index_values_only.candidate_tables(sketch_table(part_2023))
+        assert "events_2024" not in {c.table_name for c in values_only}
 
     def test_shortlist_speaks_table_names(self, fabricated_lake):
         related, unrelated = fabricated_lake
         index = _build_index(list(related.values()) + unrelated)
-        names = index.shortlist(related["join_source"], limit=4)
+        candidates = index.candidate_tables(sketch_table(related["join_source"]), top_k=4)
+        names = [c.table_name for c in candidates]
         assert len(names) <= 4
         assert "join_target" in names
 

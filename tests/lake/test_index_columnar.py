@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from matcher_support import (
     _lakegen,
+    engine_shortlist,
     reference_candidate_signals,
     reference_candidate_tables,
     reference_histogram_distance,
@@ -360,7 +361,7 @@ class TestWorkCensus:
             for table in tables:
                 store.add_table(table)
             with LakeDiscoveryEngine(matcher=SemPropMatcher(), store=store) as engine:
-                shortlist = engine.shortlist(tables[0], top_k=2)
+                shortlist = engine_shortlist(engine, tables[0], top_k=2)
                 engine.query(tables[0], DatasetRepository(tables), top_k=2, cascade=True)
         (signals,) = calls
         assert len(shortlist) > 2

@@ -71,6 +71,8 @@ def test_lake_survives_reopen_with_identical_topk(big_lake, tmp_path):
 
 
 def test_lake_recall_vs_brute_force(big_lake):
+    """The LSH shortlist keeps the oracle's top-k: ``discover`` matches every
+    table and shares no rerank code with the lake engine."""
     query, repository = big_lake
     matcher = ComaSchemaMatcher()
     brute = DiscoveryEngine(matcher=matcher).discover(

@@ -13,6 +13,7 @@ The PR 8 satellite contracts:
 
 from __future__ import annotations
 
+from matcher_support import engine_shortlist
 from repro.data.csv_io import write_csv
 from repro.data.fingerprint import table_content_hash
 from repro.datasets import tpcdi_prospect_table
@@ -113,11 +114,11 @@ class TestRemovalInvalidation:
         with SketchStore(tmp_path / "s.sketches") as store:
             build_from_paths(store, sorted(lake_dir.glob("*.csv")))
             with LakeDiscoveryEngine(matcher=matcher, store=store) as engine:
-                assert "t1" in {c.table_name for c in engine.shortlist(query)}
+                assert "t1" in {c.table_name for c in engine_shortlist(engine, query)}
                 store.remove_table("t1")
                 # The removal bumped the store version in its own
                 # transaction; the next shortlist's version probe sees it.
-                assert "t1" not in {c.table_name for c in engine.shortlist(query)}
+                assert "t1" not in {c.table_name for c in engine_shortlist(engine, query)}
 
     def test_removal_by_another_process_handle_is_seen_too(self, tmp_path):
         """The version probe is the only invalidation that crosses
@@ -131,8 +132,8 @@ class TestRemovalInvalidation:
             build_from_paths(writer, sorted(lake_dir.glob("*.csv")))
             with SketchStore(tmp_path / "s.sketches", read_only=True) as reader:
                 with LakeDiscoveryEngine(matcher=matcher, store=reader) as engine:
-                    assert "t1" in {c.table_name for c in engine.shortlist(query)}
+                    assert "t1" in {c.table_name for c in engine_shortlist(engine, query)}
                     writer.remove_table("t1")
                     assert "t1" not in {
-                        c.table_name for c in engine.shortlist(query)
+                        c.table_name for c in engine_shortlist(engine, query)
                     }

@@ -31,6 +31,7 @@ from repro.datasets import tpcdi_prospect_table
 from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
 from repro.fabrication.splitting import split_horizontal, split_vertical
+from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import CandidateTable, LakeIndex
 from repro.lake.profiles import ColumnSketch, TableSketch
 from repro.matchers.base import Match, PreparedTable
@@ -134,6 +135,14 @@ def prospect_lake(slices: int) -> tuple[Table, list[Table]]:
         vertical = split_vertical(base, rng.uniform(0.3, 0.7), rng)
         tables.append(vertical.second.rename(f"slice_{i}"))
     return horizontal.first.rename("query_prospects"), tables
+
+
+def engine_shortlist(
+    engine: LakeDiscoveryEngine, query: Table, top_k: Optional[int] = None
+) -> list[CandidateTable]:
+    """The LSH shortlist *engine* would rerank for a ``top_k`` *query*
+    (probed through ``engine.index``, so it follows the store's version)."""
+    return engine._probe(engine.index, query, top_k)[0]
 
 
 def term_corpus() -> list[str]:

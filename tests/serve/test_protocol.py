@@ -9,7 +9,7 @@ import pytest
 
 from matcher_support import LIGHT_MATCHER_CONFIGS
 from repro.data.table import Table
-from repro.discovery.search import PairScorer
+from repro.discovery.search import DiscoveryEngine
 from repro.matchers.registry import create_matcher
 from repro.serve.protocol import (
     MODES,
@@ -71,6 +71,10 @@ class TestDecode:
             _body(top_k=True),
             _body(timeout_s=-1),
             _body(timeout_s="soon"),
+            _body(table={"name": "q", "columns": {"a": [[1], [2]]}}),  # array cells
+            _body(table={"name": "q", "columns": {"a": [{"x": 1}, 2]}}),  # object cell
+            _body(bogus=1),  # unknown field
+            _body(budget_ms=5),  # a field no request carries any more
         ],
     )
     def test_rejects_malformed_bodies(self, body):
@@ -78,14 +82,24 @@ class TestDecode:
             decode_query_request(body)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
-    @pytest.mark.parametrize("field", ["timeout_s", "budget_ms"])
-    def test_rejects_non_finite_numbers(self, field, value):
+    def test_rejects_non_finite_numbers(self, value):
         # json.dumps writes NaN / Infinity / -Infinity, and json.loads
         # parses them back: the check has to be the decoder's own.
-        body = _body(**{field: value})
+        body = _body(timeout_s=value)
         assert b"Infinity" in body or b"NaN" in body
-        with pytest.raises(ProtocolError, match=field):
+        with pytest.raises(ProtocolError, match="timeout_s"):
             decode_query_request(body)
+
+    def test_every_json_scalar_is_a_cell(self):
+        cells = ["s", 1, 2.5, True, None]
+        request = decode_query_request(
+            _body(table={"name": "q", "columns": {"a": cells}})
+        )
+        assert table_to_dict(request.table)["columns"]["a"] == cells
+
+    def test_unknown_field_is_named(self):
+        with pytest.raises(ProtocolError, match="bogus, budget_ms"):
+            decode_query_request(_body(bogus=1, budget_ms=5))
 
     def test_modes_match_cli_choices(self):
         assert set(MODES) == {"joinable", "unionable", "combined"}
@@ -127,7 +141,7 @@ class TestResultEncoding:
     def test_every_matcher_scores_in_plain_json_floats(self, method, clients_table, offices_table):
         """No ``np.float64`` leaks out of an array kernel onto the wire."""
         matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
-        result = PairScorer(matcher).score_pair(clients_table, offices_table)
+        result = DiscoveryEngine(matcher).score_pair(clients_table, offices_table)
         assert type(result.joinability) is float
         assert type(result.unionability) is float
         assert all(type(match.score) is float for match in result.matches)

@@ -155,6 +155,43 @@ class TestEndpoints:
         assert counters["serve.bad_requests"] >= 1
         assert counters.get("serve.errors", 0) == 0
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"columns": {"a": [[1], [2]]}},
+            {"columns": {"a": [{"x": 1}, {"y": 2}]}},
+            {"bogus": 1},
+            {"budget_ms": 5},
+        ],
+        ids=["array-cells", "object-cells", "unknown-field", "stale-budget"],
+    )
+    def test_unanswerable_body_is_400_not_a_503_to_retry(self, server, client, change):
+        """A non-scalar cell once reached ``sketch_table`` (``TypeError:
+        unhashable type``) and was answered 503 with ``Retry-After``; an
+        unknown field was silently ignored."""
+        import http.client
+        import json
+
+        payload = {"table": {"name": "q", "columns": {"a": [1, 2]}}, "top_k": 2}
+        if "columns" in change:
+            payload["table"].update(change)
+        else:
+            payload.update(change)
+        before = client.stats()["counters"].get("serve.bad_requests", 0)
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request("POST", "/query", body=json.dumps(payload).encode("utf-8"))
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.getheader("Retry-After") is None
+            assert b"bad_request" in response.read()
+        finally:
+            connection.close()
+        counters = client.stats()["counters"]
+        assert counters["serve.bad_requests"] == before + 1
+        assert counters.get("serve.errors", 0) == 0
+
 
 class TestExecutorRule:
     """The daemon scores in its own process — counted, not timed."""

@@ -93,7 +93,6 @@ _PARSER_SURFACE = {
     ],
     "lake query": [
         ((), "query_csv", "None"),
-        (("--budget-ms",), "budget_ms", "None"),
         (("--cascade",), "cascade", "False"),
         _METHOD,
         (("--mode",), "mode", "'joinable'"),
@@ -186,6 +185,7 @@ class TestParserSurface:
             ["lake", "query", "q.csv", "--workers", "2"],
             ["lake", "serve", "--workers", "2"],
             ["lake", "prepare", "ComaSchema", "--max-store-mb", "1"],
+            ["lake", "query", "q.csv", "--budget-ms", "5"],
         ],
         ids=lambda argv: " ".join(argv[1:2] + [a for a in argv if a.startswith("--")]),
     )
@@ -844,8 +844,6 @@ class TestBadInput:
         [
             ["lake", "query", "{query}", "--store", "{store}", "--top", "0"],
             ["lake", "query", "{query}", "--store", "{store}", "--top", "-1"],
-            ["lake", "query", "{query}", "--store", "{store}", "--budget-ms", "0"],
-            ["lake", "query", "{query}", "--store", "{store}", "--budget-ms", "-5"],
             ["lake", "query", "{query}", "--store", "{store}", "--timeout-s", "0"],
             ["lake", "query", "{query}", "--store", "{store}", "--timeout-s", "nan"],
             ["lake", "serve", "--store", "{store}", "--queue-limit", "0"],
@@ -869,8 +867,7 @@ class TestBadInput:
         self, command, tmp_path, capsys
     ):
         """At the parent these were an IndexError (--top), a ValueError from
-        the executor (--workers), an empty "partial" ranking (--budget-ms), a
-        misleading timeout (--timeout-s), an OverflowError from bind() (--port), a
+        the executor (--workers), a misleading timeout (--timeout-s), an OverflowError from bind() (--port), a
         ValueError after an empty store was created (pull --retry-attempts 0)
         or a watch loop that never sleeps (--interval-s 0)."""
         lake_dir, store, query_path = self._built_store(tmp_path)
