@@ -12,12 +12,12 @@ registers its subcommands (parser plus ``set_defaults(func=handler)``), and
   (``/query`` ``/stats`` ``/healthz`` over HTTP, TCP or a unix socket);
 * :mod:`.sync` — ``lake publish | pull | verify | watch``: content-addressed
   snapshots, delta sync, repair, incremental ingest;
-* :mod:`.options` — the options commands share (``--store`` /
-  ``--prepared-store``, ``--method``, ``--workers``), each declared once.
+* :mod:`.options` — the options commands share (``--store``, ``--method``,
+  ``--workers``), each declared once.
 
-Every ``lake`` command opens its stores through :func:`repro.lake.open_lake`,
-which decides where the prepared store lives, whether a missing store is an
-error, and closes both handles afterwards.
+A lake is named by ``--store`` alone (its prepared store is always
+``<store>.prepared``), and every ``lake`` command opens both stores through
+:func:`repro.lake.open_lake`, which also closes them afterwards.
 
 Exit codes, for every command:
 

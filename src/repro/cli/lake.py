@@ -9,7 +9,7 @@ from pathlib import Path
 
 from repro.cli.options import (
     add_method_option,
-    add_store_options,
+    add_store_option,
     add_workers_option,
     fail,
     positive_float,
@@ -30,7 +30,7 @@ from repro.matchers.registry import create_matcher
 def register(lake_commands: argparse._SubParsersAction) -> None:
     build = lake_commands.add_parser("build", help="(re)build the sketch store from CSVs")
     build.add_argument("input", type=Path, help="directory of CSV files (one table each)")
-    add_store_options(build, prepared_help=None)
+    add_store_option(build)
     build.add_argument(
         "--prune", action="store_true",
         help="also drop store tables whose CSV is no longer in the input directory",
@@ -46,24 +46,16 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "prepare", help="pre-warm the prepared-candidate store for one matcher"
     )
     add_method_option(prepare, "method", help="registered matcher name to prepare for")
-    add_store_options(prepare)
+    add_store_option(prepare)
     add_workers_option(prepare, "prepare tables in a process pool of this size")
     prepare.set_defaults(func=_command_lake_prepare)
 
     query = lake_commands.add_parser("query", help="discover related tables for a CSV")
     query.add_argument("query_csv", type=Path)
-    add_store_options(
-        query,
-        "prepared-candidate store path (default: <store>.prepared); "
-        "warm candidates skip CSV loading and preparation entirely",
-    )
+    add_store_option(query)
     query.add_argument("--mode", choices=["joinable", "unionable", "combined"], default="joinable")
     add_method_option(query)
     query.add_argument("--top", type=positive_int, default=10, help="number of tables to report")
-    query.add_argument(
-        "--no-prepared-store", action="store_true",
-        help="disable the prepared-candidate store (the PR 3 cold path)",
-    )
     query.add_argument(
         "--timeout-s", type=positive_float, default=None, metavar="SECONDS",
         help="per-query deadline (the same one `lake serve` enforces per "
@@ -90,7 +82,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     stats = lake_commands.add_parser(
         "stats", help="print store-level statistics (row counts, bytes)"
     )
-    add_store_options(stats)
+    add_store_option(stats)
     stats.set_defaults(func=_command_lake_stats)
 
 
@@ -119,9 +111,7 @@ def _command_lake_build(args: argparse.Namespace) -> int:
 
 
 def _command_lake_prepare(args: argparse.Namespace) -> int:
-    with open_lake(
-        args.store, args.prepared_store, prepared="create"
-    ) as (store, prepared_store):
+    with open_lake(args.store, prepared="create") as (store, prepared_store):
         report = prepare_lake(
             store, prepared_store, create_matcher(args.method), workers=args.workers
         )
@@ -171,8 +161,7 @@ def _run_lake_query(args: argparse.Namespace) -> int:
     # without preparing.  The query table itself is never written there.
     with open_lake(
         args.store,
-        args.prepared_store,
-        prepared=None if args.no_prepared_store else "create",
+        prepared="create",
         warn=lambda exc: print(
             f"prepared store unavailable, querying cold: {exc}", file=sys.stderr
         ),
@@ -215,9 +204,7 @@ def _run_lake_query(args: argparse.Namespace) -> int:
 
 
 def _command_lake_stats(args: argparse.Namespace) -> int:
-    with open_lake(
-        args.store, args.prepared_store, read_only=True, prepared="if_present"
-    ) as (store, prepared_store):
+    with open_lake(args.store, read_only=True, prepared="if_present") as (store, prepared_store):
         sketch_stats = store.stats()
         prepared_stats = None if prepared_store is None else prepared_store.stats()
     print(f"sketch store {args.store} ({args.store.stat().st_size / 1024:.1f} KiB)")
@@ -225,11 +212,11 @@ def _command_lake_stats(args: argparse.Namespace) -> int:
     print(f"  columns:          {sketch_stats['columns']}")
     print(f"  total table rows: {sketch_stats['total_table_rows']}")
     print(f"  store version:    {sketch_stats['version']}")
-    prepared_path = resolve_prepared_path(args.store, args.prepared_store)
+    prepared_file = resolve_prepared_path(args.store)
     if prepared_stats is None:
-        print(f"no prepared store at {prepared_path}")
+        print(f"no prepared store at {prepared_file}")
         return 0
-    print(f"prepared store {prepared_path} ({prepared_path.stat().st_size / 1024:.1f} KiB)")
+    print(f"prepared store {prepared_file} ({prepared_file.stat().st_size / 1024:.1f} KiB)")
     print(f"  rows:             {prepared_stats['rows']}")
     print(f"  payload bytes:    {prepared_stats['total_payload_bytes']}")
     for fingerprint, per in sorted(prepared_stats["per_fingerprint"].items()):

@@ -9,8 +9,6 @@ from pathlib import Path
 
 from repro.matchers.registry import matcher_class
 
-_PREPARED_STORE_HELP = "prepared-candidate store path (default: <store>.prepared)"
-
 
 def fail(message: object) -> int:
     """Report an operational error: one line on stderr, exit status 1."""
@@ -69,13 +67,10 @@ def add_method_option(
     parser.add_argument(name, type=matcher_name, **kwargs)
 
 
-def add_store_options(
-    parser: argparse.ArgumentParser, prepared_help: str | None = _PREPARED_STORE_HELP
-) -> None:
-    """``--store`` and, unless *prepared_help* is ``None``, ``--prepared-store``."""
+def add_store_option(parser: argparse.ArgumentParser) -> None:
+    """``--store``: the sketch store, which alone names a lake (its prepared
+    store is ``<store>.prepared``)."""
     parser.add_argument("--store", type=Path, default=Path("lake.sketches"), help="store path")
-    if prepared_help is not None:
-        parser.add_argument("--prepared-store", type=Path, default=None, help=prepared_help)
 
 
 def add_workers_option(parser: argparse.ArgumentParser, help: str) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from repro.cli.options import (
     add_method_option,
-    add_store_options,
+    add_store_option,
     fail,
     port_number,
     positive_float,
@@ -19,7 +19,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     serve = lake_commands.add_parser(
         "serve", help="run the discovery daemon (/query /stats /healthz over HTTP)"
     )
-    add_store_options(serve)
+    add_store_option(serve)
     add_method_option(serve)
     serve.add_argument("--host", default="127.0.0.1", help="TCP bind address")
     serve.add_argument(
@@ -57,7 +57,6 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         store_path=args.store,
         method=args.method,
-        prepared_path=args.prepared_store,
         host=args.host,
         port=args.port,
         unix_socket=args.unix_socket,

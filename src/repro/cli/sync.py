@@ -7,7 +7,7 @@ from pathlib import Path
 
 from repro.cli.options import (
     add_method_option,
-    add_store_options,
+    add_store_option,
     add_workers_option,
     fail,
     non_negative_int,
@@ -25,13 +25,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     publish.add_argument(
         "out_dir", type=Path, help="artifact directory (created or updated in place)"
     )
-    add_store_options(
-        publish, "prepared-candidate store to include (default: <store>.prepared when it exists)"
-    )
-    publish.add_argument(
-        "--no-prepared", action="store_true",
-        help="publish sketches only, even when a prepared store exists",
-    )
+    add_store_option(publish)
     publish.add_argument(
         "--no-prune", action="store_true",
         help="keep blobs of superseded snapshots (for shared blob directories)",
@@ -47,15 +41,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "pull", help="sync local stores to a published snapshot, fetching only the delta"
     )
     pull.add_argument("src", type=Path, help="artifact directory to pull from")
-    add_store_options(
-        pull,
-        "prepared-candidate store to sync (default: <store>.prepared "
-        "when the snapshot carries prepared payloads)",
-    )
-    pull.add_argument(
-        "--no-prepared", action="store_true",
-        help="sync the sketch store only, ignoring the snapshot's prepared payloads",
-    )
+    add_store_option(pull)
     pull.add_argument(
         "--keep-missing", action="store_true",
         help="keep local tables and payloads absent from the snapshot "
@@ -74,9 +60,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     verify = lake_commands.add_parser(
         "verify", help="cross-check manifest <-> blobs <-> stores and optionally repair"
     )
-    add_store_options(
-        verify, "prepared-candidate store path (default: <store>.prepared when present)"
-    )
+    add_store_option(verify)
     verify.add_argument(
         "--artifact", type=Path, default=None, metavar="DIR",
         help="snapshot artifact to cross-check against (and repair from)",
@@ -92,11 +76,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "watch", help="poll a CSV directory and ingest changes into the store incrementally"
     )
     watch.add_argument("input", type=Path, help="directory of CSV files (one table each)")
-    add_store_options(
-        watch,
-        "prepared-candidate store path (default: <store>.prepared; "
-        "only used with --prepare)",
-    )
+    add_store_option(watch)
     watch.add_argument(
         "--interval-s", type=positive_float, default=2.0, metavar="SECONDS",
         help="poll interval; idle polls cost one stat() per file",
@@ -119,17 +99,10 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     watch.set_defaults(func=_command_lake_watch)
 
 
-def _named_or_present(args: argparse.Namespace) -> str:
-    """`publish` / `verify`: a prepared store the user names is opened
-    (created if need be); the default one only when its file is there."""
-    return "create" if args.prepared_store is not None else "if_present"
-
-
 def _command_lake_publish(args: argparse.Namespace) -> int:
     from repro.artifacts import publish_snapshot
 
-    prepared = None if args.no_prepared else _named_or_present(args)
-    with open_lake(args.store, args.prepared_store, prepared=prepared) as (store, prepared_store):
+    with open_lake(args.store, prepared="if_present") as (store, prepared_store):
         report = publish_snapshot(
             store,
             args.out_dir,
@@ -154,13 +127,14 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as exc:
         return fail(exc)
     # A bootstrap pull creates the local store with the snapshot's sketch
-    # config; an existing store with a different config refuses.
+    # config; an existing store with a different config refuses.  A local
+    # prepared store is reconciled even when the snapshot carries no
+    # payloads, so rows the publisher no longer has are retired.
     with open_lake(
         args.store,
-        args.prepared_store,
         create=True,
         config=manifest.sketch_config,
-        prepared="create" if manifest.prepared and not args.no_prepared else None,
+        prepared="create" if manifest.prepared else "if_present",
     ) as (store, prepared_store):
         report = pull_snapshot(
             args.src,
@@ -195,9 +169,7 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
 def _command_lake_verify(args: argparse.Namespace) -> int:
     from repro.lake.verify import verify_lake
 
-    with open_lake(
-        args.store, args.prepared_store, prepared=_named_or_present(args)
-    ) as (store, prepared_store):
+    with open_lake(args.store, prepared="if_present") as (store, prepared_store):
         try:
             report = verify_lake(
                 store,
@@ -260,10 +232,7 @@ def _command_lake_watch(args: argparse.Namespace) -> int:
         )
 
     with open_lake(
-        args.store,
-        args.prepared_store,
-        create=True,
-        prepared=None if args.prepare is None else "create",
+        args.store, create=True, prepared=None if args.prepare is None else "create"
     ) as (store, prepared_store):
         watcher = LakeWatcher(
             store,

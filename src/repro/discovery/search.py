@@ -11,9 +11,9 @@ with the lake engine.
 :class:`~repro.lake.engine.LakeDiscoveryEngine` reranks its LSH shortlist
 through one plan, :func:`prune_then_rerank`:
 
-1. *bounds* — the query is prepared once; whatever stage-1 signals the
-   caller supplied become per-candidate ranking-score upper bounds (no
-   signals: every bound is ``+inf``);
+1. *bounds* — whatever stage-1 signals the caller supplied become
+   per-candidate ranking-score upper bounds against the query the caller
+   prepared (no signals: every bound is ``+inf``);
 2. *order* — candidates are sorted best-bound-first (no bounds: shortlist
    order);
 3. *score* — one loop in this process skips what a finite bound proves
@@ -48,7 +48,6 @@ from repro.discovery.cascade import (
     compute_ranking_bounds,
     order_by_bound,
 )
-from repro.discovery.prepared import PreparedTableCache
 from repro.discovery.relatedness import RelatednessScores, relatedness
 from repro.matchers.base import BaseMatcher, MatchResult, PreparedTable
 from repro.telemetry import recorder as telemetry
@@ -324,14 +323,13 @@ class RerankOutcome:
 
 
 def prune_then_rerank(
-    query: Table,
+    query: PreparedTable,
     candidate_names: Iterable[str],
     resolve: Resolver,
     scorer: PairScorer,
     mode: str = "joinable",
     top_k: Optional[int] = None,
     *,
-    prepared_cache: Optional[PreparedTableCache] = None,
     signals: Optional[Mapping[str, CandidateSignals]] = None,
 ) -> RerankOutcome:
     """The lake engine's rerank: one inline plan over a shortlist.
@@ -339,27 +337,23 @@ def prune_then_rerank(
     Parameters
     ----------
     query:
-        The input table (prepared exactly once for the whole rerank).
+        The input table, already prepared by the caller for the scorer's
+        matcher (once for the whole rerank).
     candidate_names:
         Pruned candidate table names (an LSH shortlist).  The query's own
         name is always skipped.
     resolve:
-        The :data:`Resolver` turning a batch of names into tables
-        (repository lookup, CSV read...) or directly into
-        :class:`PreparedTable` payloads (e.g. the lake engine's persistent
-        prepared-candidate store), which skips the prepare stage for those
-        candidates.  Names it cannot resolve are dropped from the ranking.
+        The :data:`Resolver` turning a batch of names into tables (a CSV
+        read) or directly into :class:`PreparedTable` payloads (e.g. the
+        lake engine's persistent prepared-candidate store), which skips the
+        prepare stage for those candidates; the matcher prepares a raw
+        table itself.  Names it cannot resolve are dropped from the ranking.
     scorer:
         The pair scorer (matcher + unionability threshold).
     mode:
         ``"joinable"``, ``"unionable"`` or ``"combined"``.
     top_k:
         Optionally truncate the final ranking.
-    prepared_cache:
-        Optional :class:`~repro.discovery.prepared.PreparedTableCache`.  The
-        query's prepared table — and every raw candidate's — is served from
-        and kept in that in-memory cache.  Nothing here writes to a prepared
-        store: a resolver that reads one returns its candidates prepared.
     signals:
         Stage-1 evidence per candidate name (see
         :mod:`repro.discovery.cascade`).  The matcher lifts it to
@@ -378,16 +372,11 @@ def prune_then_rerank(
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     names = [name for name in candidate_names if name != query.name]
     matcher = scorer.matcher
-    with telemetry.span("discovery.prepare_query", table=query.name):
-        if prepared_cache is not None:
-            query_prepared = prepared_cache.prepare(matcher, query)
-        else:
-            query_prepared = matcher.prepare(query)
     bounds: dict[str, float] = {}
     if signals:
         with telemetry.span("rerank.cascade", candidates=len(names)):
             bounds = compute_ranking_bounds(
-                matcher, query_prepared, signals, mode, scorer.union_threshold
+                matcher, query, signals, mode, scorer.union_threshold
             )
             names = order_by_bound(names, bounds, signals)
     skippable = top_k is not None and any(map(math.isfinite, bounds.values()))
@@ -416,11 +405,7 @@ def prune_then_rerank(
                 )
             with telemetry.span("rerank.score_chunk", size=len(candidates)):
                 for candidate in candidates:
-                    if prepared_cache is not None and not isinstance(
-                        candidate, PreparedTable
-                    ):
-                        candidate = prepared_cache.prepare(matcher, candidate)
-                    result = scorer.score_prepared(query_prepared, candidate)
+                    result = scorer.score_prepared(query, candidate)
                     outcome.results.append(result)
                     if cutoff.observe(mode_score(result, mode)):
                         outcome.cutoff_updates += 1

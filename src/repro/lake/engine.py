@@ -30,7 +30,7 @@ import sqlite3
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.table import Table
@@ -40,7 +40,6 @@ from repro.discovery.search import (
     DEFAULT_CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
     DEFAULT_UNION_THRESHOLD,
-    DatasetRepository,
     DiscoveryResult,
     PairScorer,
     Resolved,
@@ -71,13 +70,13 @@ class BatchQueryResult:
 class StoreResolver:
     """The one candidate resolver: name → something the matcher can score.
 
-    Per name, in order: the in-memory *repository* table; the stored
+    A candidate comes only from the lake.  Per name, in order: the stored
     prepared payload, keyed by the content hash recorded at build time and
     read in **one** batched :meth:`PreparedStore.get_many` per call (a hit
-    skips the CSV read *and* the prepare); the source CSV, read and — when
-    there is a prepared store — prepared and written through so one cold
-    query warms the next.  Names with neither payload nor readable CSV are
-    omitted (they cannot be ranked).
+    skips the CSV read *and* the prepare); else the CSV recorded at build
+    time, read and — when there is a prepared store — prepared and written
+    through so one cold query warms the next.  Names with neither payload
+    nor readable CSV are omitted (they cannot be ranked).
 
     Keying by build-time hash keeps the warm rerank consistent with the
     sketch shortlist: both answer as of the last ``lake build`` (a CSV
@@ -92,27 +91,20 @@ class StoreResolver:
     meta: Mapping[str, tuple[str, Optional[str]]]
     fingerprint: str
     prepared_store: Optional[PreparedStore] = None
-    repository: Optional[DatasetRepository] = None
 
     def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
-        in_memory: dict[str, Table] = {}
-        if self.repository is not None:
-            tables = ((name, self.repository.get(name)) for name in names)
-            in_memory = {name: table for name, table in tables if table is not None}
         stored: dict[str, PreparedTable] = {}
         if self.prepared_store is not None:
             keys = [
                 (name, self.meta[name][0])
                 for name in names
-                if name not in in_memory and name in self.meta and self.meta[name][0]
+                if name in self.meta and self.meta[name][0]
             ]
             if keys:
                 stored = self.prepared_store.get_many(self.fingerprint, keys)
         resolved: list[Union[Table, PreparedTable]] = []
         for name in names:
-            candidate = in_memory.get(name)
-            if candidate is None:
-                candidate = stored.get(name)
+            candidate = stored.get(name)
             if candidate is None:
                 candidate = self._load(name, matcher)
             if candidate is not None:
@@ -155,6 +147,11 @@ class StoreResolver:
 class LakeDiscoveryEngine:
     """Index-accelerated dataset discovery over a persistent sketch store.
 
+    Every candidate comes from the lake: a stored prepared payload, else
+    the CSV recorded when the table was sketched
+    (:func:`~repro.lake.build.build_from_paths`, or
+    :meth:`SketchStore.add_table` with ``source_path=``).
+
     Attributes
     ----------
     matcher:
@@ -171,15 +168,17 @@ class LakeDiscoveryEngine:
         what lets the exact matcher repair sketch-level ranking mistakes.
     prepared_store:
         Optional :class:`~repro.discovery.prepared.PreparedStore` — the
-        persistent prepared-candidate store, conventionally living next to
-        the sketch store.  When set, shortlisted candidates whose prepared
-        payload is stored (keyed by this matcher's fingerprint and the
-        content hash recorded at build time) are served straight from disk
-        — no CSV read, no prepare — and cold candidates are written through
-        after their first prepare, so one query warms the next.  The query
-        table itself is never written there: it is prepared into a private
-        in-memory :class:`~repro.discovery.prepared.PreparedTableCache`, so
-        a repeated query skips its prepare without adding a row to the lake.
+        persistent prepared-candidate store (``<store>.prepared`` when
+        opened by :func:`~repro.lake.open_lake`).  When set, shortlisted
+        candidates whose prepared payload is stored (keyed by this matcher's
+        fingerprint and the content hash recorded at build time) are served
+        straight from disk — no CSV read, no prepare — and cold candidates
+        are written through after their first prepare, so one query warms
+        the next.  The query table itself is never written there: it is
+        prepared into a private in-memory
+        :class:`~repro.discovery.prepared.PreparedTableCache`, so a repeated
+        query skips its prepare without adding a row to the lake.  Without a
+        prepared store the query is prepared afresh every time.
     """
 
     matcher: BaseMatcher
@@ -217,26 +216,6 @@ class LakeDiscoveryEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # build / maintenance
-    # ------------------------------------------------------------------ #
-    def build(
-        self,
-        tables: Union[DatasetRepository, Iterable[Table]],
-        source_paths: Optional[dict[str, str]] = None,
-    ) -> int:
-        """Add every table to the store; returns how many (re)sketches ran.
-
-        Unchanged tables (same content hash) are cache hits and cost one
-        hash, not a re-profile.
-        """
-        changed = 0
-        for table in tables:
-            path = (source_paths or {}).get(table.name)
-            if self.store.add_table(table, source_path=path):
-                changed += 1
-        return changed
 
     @property
     def index(self) -> LakeIndex:
@@ -283,7 +262,7 @@ class LakeDiscoveryEngine:
     def query(
         self,
         query: Table,
-        repository: Optional[DatasetRepository] = None,
+        *,
         mode: str = "joinable",
         top_k: Optional[int] = None,
         cascade: bool = False,
@@ -293,12 +272,10 @@ class LakeDiscoveryEngine:
         Parameters
         ----------
         query:
-            The input table (does not need to be in the store).
-        repository:
-            Where candidate values live.  When omitted, candidates are read
-            lazily from the CSV paths recorded at build time; candidates
-            available neither in the repository nor on disk cannot be
-            matched and are excluded from the ranking.
+            The input table (does not need to be in the store).  Candidates
+            come only from the lake: a stored prepared payload, else the CSV
+            recorded at build time; a candidate with neither cannot be
+            matched and is excluded from the ranking.
         mode:
             ``"joinable"``, ``"unionable"`` or ``"combined"`` (same
             semantics as :meth:`DiscoveryEngine.discover`).
@@ -319,13 +296,13 @@ class LakeDiscoveryEngine:
         back into the active recorder *and* attached to the stats — so
         per-query attribution survives even on a shared recorder.
         """
-        (outcome,) = self.query_many([query], repository, mode, top_k, cascade)
+        (outcome,) = self.query_many([query], mode=mode, top_k=top_k, cascade=cascade)
         return outcome.results
 
     def query_many(
         self,
         queries: Sequence[Table],
-        repository: Optional[DatasetRepository] = None,
+        *,
         mode: str = "joinable",
         top_k: Optional[int] = None,
         cascade: bool = False,
@@ -337,10 +314,7 @@ class LakeDiscoveryEngine:
         results uses (``lake serve`` calls it with one query per ticket).
         The queries run one after the other.
         """
-        outcomes = [
-            self._query_one(query, repository, mode, top_k, cascade)
-            for query in queries
-        ]
+        outcomes = [self._query_one(query, mode, top_k, cascade) for query in queries]
         if outcomes:
             self.last_query_stats = outcomes[-1].stats
         return outcomes
@@ -348,7 +322,6 @@ class LakeDiscoveryEngine:
     def _query_one(
         self,
         query: Table,
-        repository: Optional[DatasetRepository],
         mode: str,
         top_k: Optional[int],
         cascade: bool,
@@ -379,19 +352,21 @@ class LakeDiscoveryEngine:
                 block = index.signature_block(priced)
                 signals = candidate_signals(query_sketch, priced, *block, seed=seed)
             fingerprint = ""
-            query_cache = None
             if self.prepared_store is not None:
                 fingerprint = self.matcher.fingerprint()
-                query_cache = self._query_cache
             rerank_start = time.perf_counter()
+            with telemetry.span("discovery.prepare_query", table=query.name):
+                if self.prepared_store is not None:
+                    query_prepared = self._query_cache.prepare(self.matcher, query)
+                else:
+                    query_prepared = self.matcher.prepare(query)
             outcome = prune_then_rerank(
-                query,
+                query_prepared,
                 names,
-                StoreResolver(meta, fingerprint, self.prepared_store, repository),
+                StoreResolver(meta, fingerprint, self.prepared_store),
                 PairScorer(matcher=self.matcher, union_threshold=self.union_threshold),
                 mode=mode,
                 top_k=top_k,
-                prepared_cache=query_cache,
                 signals=signals,
             )
         end = time.perf_counter()

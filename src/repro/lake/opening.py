@@ -1,12 +1,12 @@
 """The front door to a lake on disk: which stores open, where, and how they fail.
 
-A lake is a sketch store plus, conventionally right next to it, a
-prepared-candidate store.  Every ``lake`` subcommand and the ``lake serve``
-daemon open that pair through :func:`open_lake`, so the decisions they share
-live exactly once:
+A lake is named by its sketch store alone: its prepared-candidate store
+always lives right next to it, at ``<store>.prepared``.  Every ``lake``
+subcommand and the ``lake serve`` daemon open that pair through
+:func:`open_lake`, so the decisions they share live exactly once:
 
-* the prepared store's default location, ``<store>.prepared``
-  (:func:`resolve_prepared_path`);
+* the prepared store's location, ``<store>.prepared``
+  (:func:`resolve_prepared_path`, the one place the suffix is written);
 * whether a missing sketch store is an error (``create=False``) or gets
   created (``create=True``);
 * whether the prepared store is left alone, opened only when its file is
@@ -37,28 +37,22 @@ class LakeOpenError(ValueError):
     """A store the caller needs is missing, foreign or otherwise unusable."""
 
 
-def resolve_prepared_path(store_path: PathLike, prepared_path: Optional[PathLike] = None) -> Path:
-    """*prepared_path* when named, else ``<store>.prepared`` next to the sketch store."""
-    if prepared_path is not None:
-        return Path(prepared_path)
+def resolve_prepared_path(store_path: PathLike) -> Path:
+    """``<store>.prepared``: where the prepared store of a sketch store lives."""
     store_path = Path(store_path)
     return store_path.with_name(store_path.name + ".prepared")
 
 
 def lake_generation(
-    store_path: PathLike, prepared_path: Optional[PathLike] = None
+    store_path: PathLike,
 ) -> tuple[Optional[StoreGeneration], Optional[StoreGeneration]]:
     """The on-disk generation of (sketch store, prepared store)."""
-    return (
-        store_generation(store_path),
-        store_generation(resolve_prepared_path(store_path, prepared_path)),
-    )
+    return store_generation(store_path), store_generation(resolve_prepared_path(store_path))
 
 
 @contextmanager
 def open_lake(
     store_path: PathLike,
-    prepared_path: Optional[PathLike] = None,
     *,
     create: bool = False,
     read_only: bool = False,
@@ -70,9 +64,8 @@ def open_lake(
 
     Parameters
     ----------
-    store_path / prepared_path:
-        The sketch store, and the prepared store when it does not live at
-        the default ``<store>.prepared``.
+    store_path:
+        The sketch store; the prepared store is ``<store>.prepared``.
     create:
         Create the sketch store when it is missing.  Off, a missing store
         raises :class:`LakeOpenError` telling the user to build one.
@@ -87,17 +80,16 @@ def open_lake(
         Sketch parameters for a sketch store created here; an existing store
         built with different ones refuses.
     warn:
-        Makes an unusable prepared store at the *default* path survivable:
-        *warn* is called with the error and ``None`` is yielded in the
-        store's place, so the caller runs cold.  A prepared store the user
-        named explicitly always fails loudly.
+        Makes an unusable prepared store survivable: *warn* is called with
+        the error and ``None`` is yielded in the store's place, so the
+        caller runs cold.  Without it the error is a :class:`LakeOpenError`.
     """
     if prepared not in (None, "if_present", "create"):
         raise ValueError(f"prepared must be None, 'if_present' or 'create', not {prepared!r}")
     store_path = Path(store_path)
     if not create and not store_path.exists():
         raise LakeOpenError(f"no sketch store at {store_path}; run `lake build` first")
-    resolved_prepared = resolve_prepared_path(store_path, prepared_path)
+    prepared_file = resolve_prepared_path(store_path)
     with ExitStack() as stack:
         try:
             store = stack.enter_context(
@@ -106,15 +98,13 @@ def open_lake(
         except ValueError as exc:
             raise LakeOpenError(str(exc)) from exc
         prepared_store = None
-        if prepared == "create" or (prepared == "if_present" and resolved_prepared.exists()):
+        if prepared == "create" or (prepared == "if_present" and prepared_file.exists()):
             try:
                 prepared_store = stack.enter_context(
-                    PreparedStore(
-                        resolved_prepared, read_only=read_only and prepared != "create"
-                    )
+                    PreparedStore(prepared_file, read_only=read_only and prepared != "create")
                 )
             except ValueError as exc:
-                if warn is None or prepared_path is not None:
+                if warn is None:
                     raise LakeOpenError(str(exc)) from exc
                 warn(exc)
         yield store, prepared_store

@@ -76,7 +76,6 @@ class ServeConfig:
     #: Constructor kwargs for the matcher — must match what the prepared
     #: store was warmed with, or every query falls back to cold preparation.
     method_kwargs: dict = field(default_factory=dict)
-    prepared_path: Optional[Path] = None
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (the bound port is on DiscoveryServer.address)
     unix_socket: Optional[Path] = None  # serve on AF_UNIX instead of TCP
@@ -108,7 +107,7 @@ class _EngineSession:
 
     @classmethod
     def open(cls, config: ServeConfig) -> "_EngineSession":
-        generation = lake_generation(config.store_path, config.prepared_path)
+        generation = lake_generation(config.store_path)
         with ExitStack() as stack:
             # Sketch store read-only, prepared store writable: a cold
             # candidate's write-through warms it for everyone.  Query tables
@@ -116,7 +115,6 @@ class _EngineSession:
             store, prepared_store = stack.enter_context(
                 open_lake(
                     config.store_path,
-                    config.prepared_path,
                     read_only=True,
                     prepared="create",
                     warn=lambda exc: logger.warning(
@@ -341,7 +339,7 @@ class DiscoveryServer:
         if now - self._last_reopen_poll < self.config.reopen_poll_s:
             return
         self._last_reopen_poll = now
-        current = lake_generation(self.config.store_path, self.config.prepared_path)
+        current = lake_generation(self.config.store_path)
         session = self._session
         if session is None or current == session.generation:
             return

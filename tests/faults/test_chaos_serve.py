@@ -197,7 +197,7 @@ class TestEndToEndChaos:
         )
         transport = FaultyTransport(LocalTransport(artifact), plan)
         replica_path = tmp_path / "replica.sketches"
-        prepared_path = tmp_path / "replica.prepared"
+        prepared_path = tmp_path / "replica.sketches.prepared"
         with SketchStore(replica_path) as replica, PreparedStore(
             prepared_path
         ) as replica_prepared:
@@ -217,7 +217,6 @@ class TestEndToEndChaos:
         # query is told to retry, the retry is correct.
         config = ServeConfig(
             store_path=replica_path,
-            prepared_path=prepared_path,
             method=_METHOD,
             fault_plan=FaultPlan([_locked(times=1)]),
         )

@@ -18,13 +18,13 @@ from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS, engine_shortlist, prospect_lake
+from matcher_support import LIGHT_MATCHER_CONFIGS, csv_lake, engine_shortlist, prospect_lake
 
-from repro.data.csv_io import read_csv, write_csv
+from repro.data.csv_io import write_csv
 from repro.data.table import Table
 from repro.discovery import search as discovery_search
 from repro.discovery.prepared import PreparedStore
-from repro.discovery.search import DatasetRepository, DiscoveryEngine
+from repro.discovery.search import DiscoveryEngine
 from repro.lake import engine as lake_engine
 from repro.lake import (
     LakeDiscoveryEngine,
@@ -46,13 +46,12 @@ def _signature(results):
 
 @pytest.fixture(scope="module")
 def lake(tmp_path_factory):
-    """A file-backed sketch store plus an in-memory candidate repository."""
+    """A file-backed sketch store built from CSVs (no prepared store)."""
     query, tables = prospect_lake(slices=8)
-    repository = DatasetRepository(tables)
-    store = SketchStore(tmp_path_factory.mktemp("cascade") / "lake.sketches")
-    for table in repository:
-        store.add_table(table)
-    yield query, repository, store
+    directory = tmp_path_factory.mktemp("cascade")
+    store = SketchStore(directory / "lake.sketches")
+    csv_lake(directory / "csv", tables, store)
+    yield query, store
     store.close()
 
 
@@ -63,21 +62,17 @@ def test_config_map_covers_every_registered_matcher():
 class _GridLake:
     """A file-backed lake every grid cell queries.
 
-    No repository: a warm cell's candidates come from the shared prepared
-    store (warmed per matcher before its first cell); a cold cell gets an
-    empty prepared store of its own, so its candidates come from the CSVs.
+    A warm cell's candidates come from the shared prepared store (warmed
+    per matcher before its first cell); a cold cell gets an empty prepared
+    store of its own, so its candidates come from the CSVs.
     """
 
     def __init__(self, directory) -> None:
         self.query, tables = prospect_lake(slices=5)
-        lake_dir = directory / "csv"
-        lake_dir.mkdir()
-        paths = [write_csv(table, lake_dir / f"{table.name}.csv") for table in tables]
         self.store = SketchStore(directory / "lake.sketches")
-        build_from_paths(self.store, paths)
-        self.prepared_store = PreparedStore(directory / "lake.sketches.prepared")
         # The oracle sees what the engine sees: tables as read back from CSV.
-        self.repository = DatasetRepository(read_csv(path) for path in paths)
+        self.repository = csv_lake(directory / "csv", tables, self.store)
+        self.prepared_store = PreparedStore(directory / "lake.sketches.prepared")
         self._oracle: dict[tuple[str, str], list] = {}
 
     def matcher(self, method: str):
@@ -194,13 +189,13 @@ def _query_counted(engine, *args, **kwargs):
 
 class TestOneBoundRule:
     def test_base_infinite_bound_never_skips(self, lake):
-        query, repository, store = lake
+        query, store = lake
         with LakeDiscoveryEngine(
             matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
         ) as engine:
-            plain = engine.query(query, repository, mode="combined", top_k=TOP_K)
+            plain = engine.query(query, mode="combined", top_k=TOP_K)
             priced, counters = _query_counted(
-                engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
+                engine, query, mode="combined", top_k=TOP_K, cascade=True
             )
             stats = engine.last_query_stats
         assert _signature(priced) == _signature(plain)
@@ -208,7 +203,7 @@ class TestOneBoundRule:
         assert counters["rerank.cascade.exact"] == stats.shortlist_size
 
     def test_unpriced_rerank_computes_no_bounds(self, lake, monkeypatch):
-        query, repository, store = lake
+        query, store = lake
 
         def no_stage_one(*args, **kwargs):
             raise AssertionError("a rerank without signals computes no bounds")
@@ -216,18 +211,18 @@ class TestOneBoundRule:
         with LakeDiscoveryEngine(
             matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
         ) as engine:
-            plain = engine.query(query, repository, mode="combined", top_k=TOP_K)
+            plain = engine.query(query, mode="combined", top_k=TOP_K)
             monkeypatch.setattr(discovery_search, "compute_ranking_bounds", no_stage_one)
-            again = engine.query(query, repository, mode="combined", top_k=TOP_K)
+            again = engine.query(query, mode="combined", top_k=TOP_K)
         assert _signature(again) == _signature(plain)
 
     def test_unpriced_rerank_emits_no_cascade_counters(self, lake):
-        query, repository, store = lake
+        query, store = lake
         with LakeDiscoveryEngine(
             matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
         ) as engine:
             _, counters = _query_counted(
-                engine, query, repository, mode="combined", top_k=TOP_K
+                engine, query, mode="combined", top_k=TOP_K
             )
             stats = engine.last_query_stats
         assert counters["discovery.candidates_scored"] == stats.shortlist_size
@@ -237,12 +232,12 @@ class TestOneBoundRule:
         # The *only* difference is a finite score_bound: there is no second
         # declaration to hide behind, so the lie skips candidates.  This is
         # why a matcher that cannot guarantee a bound must return +inf.
-        query, repository, store = lake
+        query, store = lake
         with LakeDiscoveryEngine(
             matcher=_WrongLowBoundMatcher(sample_size=8), store=store
         ) as engine:
             _, counters = _query_counted(
-                engine, query, repository, mode="combined", top_k=TOP_K, cascade=True
+                engine, query, mode="combined", top_k=TOP_K, cascade=True
             )
             stats = engine.last_query_stats
         assert counters["rerank.cascade.skipped"] > 0
@@ -252,7 +247,7 @@ class TestOneBoundRule:
         )
 
     def test_cascade_prices_every_shortlisted_candidate(self, lake, monkeypatch):
-        query, repository, store = lake
+        query, store = lake
         calls = []
         real = lake_engine.candidate_signals
 
@@ -265,7 +260,7 @@ class TestOneBoundRule:
             matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
         ) as engine:
             shortlist = {entry.table_name for entry in engine_shortlist(engine, query, TOP_K)}
-            engine.query(query, repository, mode="combined", top_k=TOP_K, cascade=True)
+            engine.query(query, mode="combined", top_k=TOP_K, cascade=True)
         (priced,) = calls  # the whole shortlist in one call
         assert set(priced) == shortlist - {query.name}
         assert all(0.0 <= signal.max_jaccard <= 1.0 for signal in priced.values())

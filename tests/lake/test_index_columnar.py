@@ -28,11 +28,10 @@ from matcher_support import (
 
 import repro.lake.engine as lake_engine
 import repro.lake.index as lake_index
-from repro.data.csv_io import read_csv
+from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.data.types import DataType
 from repro.discovery.cascade import candidate_signals
-from repro.discovery.search import DatasetRepository
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch, sketch_table
@@ -342,7 +341,7 @@ class TestWorkCensus:
             assert not hasattr(ColumnSketch, method)
         assert not hasattr(LakeIndex, "candidate_columns")
 
-    def test_a_priced_query_prices_its_shortlist_in_one_call(self, monkeypatch):
+    def test_a_priced_query_prices_its_shortlist_in_one_call(self, monkeypatch, tmp_path):
         calls = []
         real = lake_engine.candidate_signals
 
@@ -359,10 +358,11 @@ class TestWorkCensus:
         ]
         with SketchStore() as store:
             for table in tables:
-                store.add_table(table)
+                path = write_csv(table, tmp_path / f"{table.name}.csv")
+                store.add_table(table, source_path=path)
             with LakeDiscoveryEngine(matcher=SemPropMatcher(), store=store) as engine:
                 shortlist = engine_shortlist(engine, tables[0], top_k=2)
-                engine.query(tables[0], DatasetRepository(tables), top_k=2, cascade=True)
+                engine.query(tables[0], top_k=2, cascade=True)
         (signals,) = calls
         assert len(shortlist) > 2
         assert set(signals) == {c.table_name for c in shortlist} - {"t0"}

@@ -9,11 +9,13 @@ import random
 
 import pytest
 
+from matcher_support import csv_lake
+
 from repro.data.table import Column, Table
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.lake import LakeDiscoveryEngine, SketchStore
+from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
 from repro.matchers import ComaSchemaMatcher
 
 pytestmark = pytest.mark.slow
@@ -56,13 +58,15 @@ def test_lake_survives_reopen_with_identical_topk(big_lake, tmp_path):
     path = tmp_path / "lake.sketches"
 
     engine = LakeDiscoveryEngine(matcher=ComaSchemaMatcher(), store=SketchStore(path))
-    assert engine.build(repository) == LAKE_SIZE
-    first = engine.query(query, repository, mode="combined", top_k=TOP_K)
+    csv_lake(tmp_path / "csv", repository, engine.store)
+    assert len(engine.store) == LAKE_SIZE
+    first = engine.query(query, mode="combined", top_k=TOP_K)
     engine.store.close()
 
     reopened = LakeDiscoveryEngine(matcher=ComaSchemaMatcher(), store=SketchStore(path))
-    assert reopened.build(repository) == 0  # everything is a cache hit
-    second = reopened.query(query, repository, mode="combined", top_k=TOP_K)
+    report = build_from_paths(reopened.store, sorted((tmp_path / "csv").glob("*.csv")))
+    assert report.sketched == 0  # everything is a cache hit
+    second = reopened.query(query, mode="combined", top_k=TOP_K)
     reopened.store.close()
 
     assert [(r.table_name, r.scores) for r in first] == [
@@ -70,17 +74,18 @@ def test_lake_survives_reopen_with_identical_topk(big_lake, tmp_path):
     ]
 
 
-def test_lake_recall_vs_brute_force(big_lake):
+def test_lake_recall_vs_brute_force(big_lake, tmp_path):
     """The LSH shortlist keeps the oracle's top-k: ``discover`` matches every
-    table and shares no rerank code with the lake engine."""
-    query, repository = big_lake
+    table (as read back from the lake's CSVs) and shares no rerank code with
+    the lake engine."""
+    query, tables = big_lake
     matcher = ComaSchemaMatcher()
+    engine = LakeDiscoveryEngine(matcher=matcher, store=SketchStore())
+    repository = csv_lake(tmp_path / "csv", tables, engine.store)
     brute = DiscoveryEngine(matcher=matcher).discover(
         query, repository, mode="combined", top_k=TOP_K
     )
-    engine = LakeDiscoveryEngine(matcher=matcher, store=SketchStore())
-    engine.build(repository)
-    pruned = engine.query(query, repository, mode="combined", top_k=TOP_K)
+    pruned = engine.query(query, mode="combined", top_k=TOP_K)
     engine.store.close()
 
     brute_top = {r.table_name for r in brute}

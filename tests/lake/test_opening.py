@@ -46,9 +46,12 @@ class TestPreparedPath:
         )
         assert resolve_prepared_path("lake.sketches").name == "lake.sketches.prepared"
 
-    def test_an_explicit_path_wins(self, tmp_path):
-        named = tmp_path / "elsewhere.db"
-        assert resolve_prepared_path(tmp_path / "lake.sketches", named) == named
+    def test_the_path_cannot_be_named(self, tmp_path):
+        """A lake is named by its sketch store alone."""
+        with pytest.raises(TypeError):
+            resolve_prepared_path(tmp_path / "lake.sketches", tmp_path / "elsewhere.db")
+        with pytest.raises(TypeError):
+            lake_generation(tmp_path / "lake.sketches", tmp_path / "elsewhere.db")
 
     def test_generation_covers_both_stores(self, store_path):
         assert lake_generation(store_path) == (store_generation(store_path), None)
@@ -119,15 +122,18 @@ class TestPreparedStore:
         with open_lake(store_path, prepared="if_present", read_only=True) as (_, prepared_store):
             assert prepared_store.read_only
 
-    def test_create_makes_it_at_the_default_or_named_path(self, store_path, tmp_path):
-        with open_lake(store_path, prepared="create") as (_, prepared_store):
-            assert prepared_store.path == str(resolve_prepared_path(store_path))
-        named = tmp_path / "named.prepared"
-        with open_lake(store_path, named, prepared="create", read_only=True) as (store, prepared):
+    def test_create_makes_it_next_to_the_store(self, store_path):
+        with open_lake(store_path, prepared="create", read_only=True) as (store, prepared):
             assert store.read_only
             assert not prepared.read_only  # a store being created is writable
-            assert prepared.path == str(named)
-        assert named.exists()
+            assert prepared.path == str(resolve_prepared_path(store_path))
+        assert resolve_prepared_path(store_path).exists()
+
+    def test_a_named_path_is_a_type_error(self, store_path, tmp_path):
+        with pytest.raises(TypeError):
+            with open_lake(store_path, tmp_path / "named.prepared", prepared="create"):
+                pass
+        assert not (tmp_path / "named.prepared").exists()
 
     def test_unknown_mode_is_a_programming_error(self, store_path):
         with pytest.raises(ValueError, match="if_present"):
@@ -136,8 +142,8 @@ class TestPreparedStore:
 
 
 class TestTolerance:
-    """What `lake query` and `lake serve` share: a broken prepared store at
-    the default path costs warmth, not the query; a named one fails."""
+    """What `lake query` and `lake serve` share: a broken prepared store
+    costs warmth, not the query; every other command fails on it."""
 
     def test_default_path_unusable_warns_and_runs_cold(self, store_path):
         _foreign_db(resolve_prepared_path(store_path))
@@ -153,13 +159,16 @@ class TestTolerance:
             with open_lake(store_path, prepared="create"):
                 pass
 
-    def test_named_path_unusable_fails_even_with_warn(self, store_path, tmp_path):
-        named = _foreign_db(tmp_path / "app.db")
+    def test_unusable_if_present_store_warns_too(self, store_path):
+        """`warn` applies whatever the policy: an existing foreign file
+        opened `if_present` is survivable the same way."""
+        _foreign_db(resolve_prepared_path(store_path))
         warnings = []
-        with pytest.raises(LakeOpenError, match="not a prepared store"):
-            with open_lake(store_path, named, prepared="create", warn=warnings.append):
-                pass
-        assert warnings == []
+        with open_lake(
+            store_path, prepared="if_present", warn=warnings.append
+        ) as (_, prepared):
+            assert prepared is None
+        assert len(warnings) == 1 and "not a prepared store" in str(warnings[0])
 
 
 class TestClosing:

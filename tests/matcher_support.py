@@ -25,15 +25,19 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import ColumnRef, Table
 from repro.data.types import DataType, type_compatibility
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
+from repro.discovery.search import DatasetRepository
 from repro.fabrication.splitting import split_horizontal, split_vertical
+from repro.lake.build import build_from_paths
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import CandidateTable, LakeIndex
 from repro.lake.profiles import ColumnSketch, TableSketch
+from repro.lake.store import SketchStore
 from repro.matchers.base import Match, PreparedTable
 from repro.matchers.cupid.linguistic import name_similarity
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
@@ -135,6 +139,21 @@ def prospect_lake(slices: int) -> tuple[Table, list[Table]]:
         vertical = split_vertical(base, rng.uniform(0.3, 0.7), rng)
         tables.append(vertical.second.rename(f"slice_{i}"))
     return horizontal.first.rename("query_prospects"), tables
+
+
+def csv_lake(
+    directory: Path, tables: Iterable[Table], store: SketchStore
+) -> DatasetRepository:
+    """Write *tables* as CSVs under *directory* and sketch them into *store*.
+
+    Returns the oracle's repository: the tables as read back from those
+    CSVs, which is what the lake engine scores (the reader types columns
+    itself, so a read-back table need not equal the one written).
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [write_csv(table, directory / f"{table.name}.csv") for table in tables]
+    build_from_paths(store, paths)
+    return DatasetRepository(read_csv(path) for path in paths)
 
 
 def engine_shortlist(

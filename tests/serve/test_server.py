@@ -457,7 +457,7 @@ class TestUnixSocket:
 
 class TestPreparedStoreUnavailable:
     """`_EngineSession.open` goes through `open_lake`: a broken prepared store
-    at the default path costs warmth only; a named one refuses to start."""
+    costs warmth only.  Its path cannot be named: it is `<store>.prepared`."""
 
     @staticmethod
     def _copy_sketch_store(served_lake, tmp_path):
@@ -487,14 +487,13 @@ class TestPreparedStoreUnavailable:
         assert response["stats"]["store_hits"] == 0  # cold: nothing served warm
         assert "prepared store unavailable, serving cold" in caplog.text
 
-    def test_named_path_unusable_refuses_to_start(self, served_lake, tmp_path):
-        store_path, foreign, _ = self._copy_sketch_store(served_lake, tmp_path)
-        named = foreign.rename(tmp_path / "named.db")
-        config = ServeConfig(
-            store_path=store_path, method=_METHOD, prepared_path=named
-        )
-        with pytest.raises(ValueError, match="not a prepared store"):
-            DiscoveryServer(config).start()
+    def test_prepared_path_is_not_a_config_field(self, tmp_path):
+        with pytest.raises(TypeError, match="prepared_path"):
+            ServeConfig(
+                store_path=tmp_path / "lake.sketches",
+                method=_METHOD,
+                prepared_path=tmp_path / "named.db",
+            )
 
     def test_missing_sketch_store_refuses_to_start(self, tmp_path):
         config = ServeConfig(store_path=tmp_path / "nope.sketches", method=_METHOD)

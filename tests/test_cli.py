@@ -49,14 +49,16 @@ def _surface(parser):
 
 
 _STORE = (("--store",), "store", "PosixPath('lake.sketches')")
-_PREPARED_STORE = (("--prepared-store",), "prepared_store", "None")
 _WORKERS = (("--workers",), "workers", "None")
 _METHOD = (("--method",), "method", "'ComaSchema'")
 
 #: Recorded from commit 3a2edeb (the last single-file ``cli.py``): no flag
 #: may be added, removed, renamed or re-defaulted by a refactor.  Deleted on
 #: purpose since: ``query --parallel``, ``serve --serial``, ``pull --no-resume``,
-#: ``query --workers``, ``serve --workers`` and ``prepare --max-store-mb``.
+#: ``query --workers``, ``serve --workers``, ``prepare --max-store-mb``,
+#: ``query --budget-ms``, ``--prepared-store`` on ``prepare``, ``publish``,
+#: ``pull``, ``query``, ``serve``, ``stats``, ``verify`` and ``watch``,
+#: ``query --no-prepared-store`` and ``publish`` / ``pull --no-prepared``.
 _PARSER_SURFACE = {
     "": [(("--verbose", "-v"), "verbose", "0")],
     "coverage": [],
@@ -68,25 +70,16 @@ _PARSER_SURFACE = {
     ],
     "lake": [],
     "lake build": [((), "input", "None"), (("--prune",), "prune", "False"), _STORE, _WORKERS],
-    "lake prepare": [
-        ((), "method", "None"),
-        _PREPARED_STORE,
-        _STORE,
-        _WORKERS,
-    ],
+    "lake prepare": [((), "method", "None"), _STORE, _WORKERS],
     "lake publish": [
         ((), "out_dir", "None"),
         (("--iblt-cells",), "iblt_cells", "128"),
-        (("--no-prepared",), "no_prepared", "False"),
         (("--no-prune",), "no_prune", "False"),
-        _PREPARED_STORE,
         _STORE,
     ],
     "lake pull": [
         ((), "src", "None"),
         (("--keep-missing",), "keep_missing", "False"),
-        (("--no-prepared",), "no_prepared", "False"),
-        _PREPARED_STORE,
         (("--retry-attempts",), "retry_attempts", "4"),
         (("--retry-budget",), "retry_budget", "64"),
         _STORE,
@@ -96,8 +89,6 @@ _PARSER_SURFACE = {
         (("--cascade",), "cascade", "False"),
         _METHOD,
         (("--mode",), "mode", "'joinable'"),
-        (("--no-prepared-store",), "no_prepared_store", "False"),
-        _PREPARED_STORE,
         (("--stats",), "stats", "False"),
         _STORE,
         (("--timeout-s",), "timeout_s", "None"),
@@ -109,17 +100,15 @@ _PARSER_SURFACE = {
         (("--host",), "host", "'127.0.0.1'"),
         _METHOD,
         (("--port",), "port", "8642"),
-        _PREPARED_STORE,
         (("--queue-limit",), "queue_limit", "32"),
         (("--reopen-poll-s",), "reopen_poll_s", "1.0"),
         _STORE,
         (("--timeout-s",), "timeout_s", "30.0"),
         (("--unix-socket",), "unix_socket", "None"),
     ],
-    "lake stats": [_PREPARED_STORE, _STORE],
+    "lake stats": [_STORE],
     "lake verify": [
         (("--artifact",), "artifact", "None"),
-        _PREPARED_STORE,
         (("--repair",), "repair", "False"),
         _STORE,
     ],
@@ -128,7 +117,6 @@ _PARSER_SURFACE = {
         (("--interval-s",), "interval_s", "2.0"),
         (("--max-polls",), "max_polls", "None"),
         (("--prepare",), "prepare", "None"),
-        _PREPARED_STORE,
         (("--publish",), "publish", "None"),
         _STORE,
         _WORKERS,
@@ -194,6 +182,32 @@ class TestParserSurface:
             main(argv)
         assert excinfo.value.code == 2
         flag = next(a for a in argv if a.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            *(
+                (command, "--prepared-store")
+                for command in (
+                    "prepare", "publish", "pull", "query", "serve", "stats", "verify", "watch"
+                )
+            ),
+            ("query", "--no-prepared-store"),
+            ("publish", "--no-prepared"),
+            ("pull", "--no-prepared"),
+        ],
+        ids=lambda value: value,
+    )
+    def test_deleted_prepared_store_flags_are_usage_errors(self, command, flag, capsys):
+        """A lake is named by ``--store`` alone: its prepared store is always
+        ``<store>.prepared`` and cannot be named, nor switched off."""
+        argv = ["lake", command, *_LEAF_ARGV[f"lake {command}"], flag]
+        if flag == "--prepared-store":
+            argv.append("elsewhere.prepared")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(_LEAF_ARGV))
@@ -338,24 +352,6 @@ class TestCommands:
         )
         assert "2 served from the prepared store" in capsys.readouterr().out
 
-        # The cold path is still available and prints no warm statistics.
-        assert (
-            main(
-                [
-                    "lake",
-                    "query",
-                    str(query_path),
-                    "--store",
-                    str(store),
-                    "--method",
-                    "JaccardLevenshtein",
-                    "--no-prepared-store",
-                ]
-            )
-            == 0
-        )
-        assert "served from the prepared store" not in capsys.readouterr().out
-
     def test_query_leaves_the_lake_verifiable_and_publishable(self, tmp_path, capsys):
         """build → prepare → query → verify → publish → pull → verify: the
         query adds no prepared row, so both the publisher and a fresh
@@ -392,6 +388,58 @@ class TestCommands:
         capsys.readouterr()
         assert main(["lake", "verify", "--store", str(replica), "--artifact", str(artifact)]) == 0
         assert "verify: clean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "with_artifact, pull_flags",
+        [(False, []), (True, []), (False, ["--keep-missing"])],
+        ids=["alone", "artifact", "keep-missing"],
+    )
+    def test_replica_verifies_clean_after_a_pull_without_prepared_payloads(
+        self, tmp_path, capsys, with_artifact, pull_flags
+    ):
+        """build → prepare → publish → pull, then the publisher loses its
+        prepared store and one CSV, and build --prune → publish → pull: the
+        replica's prepared rows are reconciled against a snapshot that
+        carries none, so they are retired and `lake verify` is clean (a pull
+        that skipped them left "stale prepared rows: 1" behind).
+        `--keep-missing` keeps the rows, and the tables they belong to."""
+        lake_dir = tmp_path / "lake"
+        lake_dir.mkdir()
+        write_csv(
+            Table("cities", {"city": ["delft", "leiden", "gouda"], "pop": [1, 2, 3]}),
+            lake_dir / "cities.csv",
+        )
+        doomed = write_csv(
+            Table("towns", {"town": ["delft", "gouda", "utrecht"], "size": [3, 4, 5]}),
+            lake_dir / "towns.csv",
+        )
+        store, replica = tmp_path / "pub.sketches", tmp_path / "replica.sketches"
+        artifact = tmp_path / "artifact"
+        publish = ["lake", "publish", str(artifact), "--store", str(store)]
+        pull = ["lake", "pull", str(artifact), "--store", str(replica)]
+        assert main(["lake", "build", str(lake_dir), "--store", str(store)]) == 0
+        assert main(["lake", "prepare", "JaccardLevenshtein", "--store", str(store)]) == 0
+        assert main(publish) == 0 and main(pull) == 0
+        assert (tmp_path / "replica.sketches.prepared").exists()
+        capsys.readouterr()
+
+        for leftover in tmp_path.glob("pub.sketches.prepared*"):
+            leftover.unlink()
+        doomed.unlink()
+        assert main(["lake", "build", str(lake_dir), "--store", str(store), "--prune"]) == 0
+        assert main(publish) == 0
+        assert "1 tables, 0 prepared payloads" in capsys.readouterr().out
+        assert main(pull + pull_flags) == 0
+        pulled = capsys.readouterr().out
+        verify = ["lake", "verify", "--store", str(replica)]
+        if with_artifact:
+            verify += ["--artifact", str(artifact)]
+        assert main(verify) == 0
+        assert "verify: clean" in capsys.readouterr().out
+        if pull_flags:
+            assert "already in sync" in pulled
+        else:
+            assert "+0/-1 tables, +0/-2 prepared" in pulled
 
     def test_prepare_after_a_query_has_nothing_to_do(self, tmp_path, capsys):
         """A second `lake prepare` after a query prepares nothing and prunes
