@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Iterator, Union
 
 __all__ = ["BlobStore", "blob_digest"]
+
+_DIGEST = re.compile(r"[0-9a-f]{3,}")
 
 
 def blob_digest(data: bytes) -> str:
@@ -45,7 +48,7 @@ class BlobStore:
         self.root = Path(root)
 
     def _path_of(self, digest: str) -> Path:
-        if len(digest) < 3 or not all(c in "0123456789abcdef" for c in digest):
+        if not _DIGEST.fullmatch(digest):
             raise ValueError(f"not a hex blob digest: {digest!r}")
         return self.root / digest[:2] / digest
 
@@ -119,12 +122,12 @@ class BlobStore:
         """Every blob digest currently stored (no particular order)."""
         if not self.root.is_dir():
             return
-        for shard in self.root.iterdir():
-            if not shard.is_dir():
-                continue
-            for path in shard.iterdir():
-                if path.is_file() and not path.name.startswith("."):
-                    yield path.name
+        with os.scandir(self.root) as shards:
+            for shard in filter(os.DirEntry.is_dir, shards):
+                with os.scandir(shard.path) as entries:
+                    for entry in entries:
+                        if entry.is_file() and not entry.name.startswith("."):
+                            yield entry.name
 
     def prune(self, referenced: set[str]) -> int:
         """Delete blobs not in *referenced*; returns how many were removed.

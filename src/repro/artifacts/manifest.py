@@ -8,9 +8,9 @@ references":
 * one :class:`TableEntry` per sketch-store table — ``(name, content hash,
   payload digest, num_rows)``, the blob being the store row's ``sketch``
   bytes verbatim (:meth:`TableSketch.to_bytes
-  <repro.lake.profiles.TableSketch.to_bytes>`, canonical JSON: the same
-  sketch always gives the same bytes, hence the same digest, hence a no-op
-  re-publish);
+  <repro.lake.profiles.TableSketch.to_bytes>`, a JSON skeleton plus
+  little-endian signature and histogram sections: the same sketch always
+  gives the same bytes, hence the same digest, hence a no-op re-publish);
 * one :class:`PreparedEntry` per prepared-store row — ``(matcher
   fingerprint, table name, content hash, payload format, digest)``, the
   blob being the store's encoded row verbatim (data only, see
@@ -56,7 +56,7 @@ __all__ = [
     "Manifest",
 ]
 
-MANIFEST_FORMAT = 1
+MANIFEST_FORMAT = 2
 MANIFEST_NAME = "manifest.json"
 BLOBS_DIR = "blobs"
 
@@ -185,7 +185,7 @@ class Manifest:
         if declared != MANIFEST_FORMAT:
             raise ValueError(
                 f"snapshot manifest format {declared} is not readable by this "
-                f"code (expected {MANIFEST_FORMAT})"
+                f"code (expected {MANIFEST_FORMAT}); republish it with `lake publish`"
             )
         iblt_data = data.get("iblt")
         prepared_iblt_data = data.get("prepared_iblt")
@@ -202,8 +202,8 @@ class Manifest:
             ),
         )
 
-    def save(self, artifact_dir: Union[str, Path]) -> Path:
-        """Atomically write ``manifest.json`` into *artifact_dir*.
+    def save(self, artifact_dir: Union[str, Path]) -> str:
+        """Atomically write ``manifest.json`` into *artifact_dir*; returns its snapshot id.
 
         The temp-file + ``os.replace`` swap is the publication point: a
         concurrent puller sees either the previous complete manifest or
@@ -212,7 +212,8 @@ class Manifest:
         directory = Path(artifact_dir)
         directory.mkdir(parents=True, exist_ok=True)
         target = directory / MANIFEST_NAME
-        payload = json.dumps(self.as_dict(), indent=1).encode("utf-8")
+        data = self.as_dict()
+        payload = json.dumps(data, separators=(",", ":")).encode("utf-8")
         fd, temp_name = tempfile.mkstemp(prefix=".manifest-", dir=directory)
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -224,7 +225,7 @@ class Manifest:
             except OSError:
                 pass
             raise
-        return target
+        return data["snapshot_id"]
 
     @classmethod
     def from_bytes(cls, raw: bytes, origin: str = "manifest") -> "Manifest":

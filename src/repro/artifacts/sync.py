@@ -202,10 +202,9 @@ def publish_snapshot(
                 cells_per_subtable=iblt_cells_per_subtable,
             ),
         )
-        manifest.save(directory)
+        report.snapshot_id = manifest.save(directory)
         if prune:
             report.blobs_pruned = blobs.prune(manifest.referenced_digests())
-    report.snapshot_id = manifest.snapshot_id
     report.tables = len(table_entries)
     report.prepared = len(prepared_entries)
     telemetry.count("artifacts.publish.blobs_written", report.blobs_written)

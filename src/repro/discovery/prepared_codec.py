@@ -1,13 +1,9 @@
 """The prepared store's row codec: a :class:`PreparedTable` as plain data.
 
-A stored row is read back by building values, never by running code: the
-bytes are a canonical-JSON *skeleton* followed by length-prefixed,
-little-endian numeric *sections* that decode with ``np.frombuffer``.  Only
+A stored row is read back by building values, never by running code: a
+:mod:`repro.data.sections` frame under ``b"PREP"`` of a canonical-JSON
+*skeleton* and little-endian numeric *sections*.  Only
 :mod:`repro.discovery.prepared` uses this module.
-
-Layout (integers little-endian)::
-
-    b"PREP" | u32 skeleton length | skeleton | (u64 length | bytes) per section
 
 The skeleton is one JSON object — the schema header (``table``,
 ``columns``, ``types``, ``rows``), the matcher ``fingerprint`` and the
@@ -35,13 +31,11 @@ a section whose size disagrees with its dtype and shape.
 from __future__ import annotations
 
 import dataclasses
-import json
-import math
-import struct
 
 import networkx as nx
 import numpy as np
 
+from repro.data import sections as framing
 from repro.data.profiling import ColumnProfile
 from repro.data.table import TableHeader
 from repro.data.types import DataType
@@ -53,8 +47,6 @@ from repro.matchers.semprop.semantic import SemanticLink
 __all__ = ["decode", "encode"]
 
 _MAGIC = b"PREP"
-_SKELETON = struct.Struct("<I")
-_SECTION = struct.Struct("<Q")
 
 #: Little-endian dtypes a numeric section may hold.
 _DTYPES = frozenset({"<u4", "<i8", "<f8"})
@@ -83,44 +75,22 @@ def encode(prepared: PreparedTable) -> bytes:
         "fingerprint": prepared.fingerprint,
         "payload": writer.value(dict(prepared.payload)),
     }
-    text = json.dumps(skeleton, separators=(",", ":")).encode("ascii")
-    parts = [_MAGIC, _SKELETON.pack(len(text)), text]
-    for section in writer.sections:
-        parts += [_SECTION.pack(len(section)), section]
-    return b"".join(parts)
+    return framing.pack(_MAGIC, skeleton, writer.sections)
 
 
 def decode(blob: bytes) -> PreparedTable:
     """The :class:`PreparedTable` a row holds (its header, no cells);
     ``ValueError`` when it holds none."""
     try:
-        return _decode(memoryview(blob))
+        return _decode(blob)
     except (
-        ValueError, KeyError, IndexError, TypeError, struct.error, RecursionError, OverflowError
+        ValueError, KeyError, IndexError, TypeError, RecursionError, OverflowError
     ) as exc:
         raise ValueError(f"not a prepared row ({type(exc).__name__}: {exc})") from exc
 
 
-def _decode(view: memoryview) -> PreparedTable:
-    if view[:4] != _MAGIC:
-        raise ValueError("bad magic")
-    (length,) = _SKELETON.unpack_from(view, 4)
-    start = 4 + _SKELETON.size
-    if start + length > len(view):
-        raise ValueError("short skeleton")
-    skeleton = json.loads(bytes(view[start : start + length]))
-    sections = []
-    offset = start + length
-    while offset < len(view):
-        if offset + _SECTION.size > len(view):
-            raise ValueError("short section length")
-        (size,) = _SECTION.unpack_from(view, offset)
-        offset += _SECTION.size
-        if offset + size > len(view):
-            raise ValueError("short section")
-        sections.append(view[offset : offset + size])
-        offset += size
-
+def _decode(blob: bytes) -> PreparedTable:
+    skeleton, sections = framing.unpack(_MAGIC, blob)
     name, columns, types, rows = (skeleton[key] for key in ("table", "columns", "types", "rows"))
     if not (
         type(name) is str
@@ -252,7 +222,4 @@ class _Reader:
         if not all(type(size) is int and size >= 0 for size in shape):
             raise ValueError("malformed array shape")
         self.used.add(index)
-        section = self.sections[index]
-        if len(section) != math.prod(shape) * np.dtype(dtype).itemsize:
-            raise ValueError("section size disagrees with its shape")
-        return np.frombuffer(section, dtype=dtype).reshape(shape)
+        return framing.section_array(self.sections[index], dtype, tuple(shape))

@@ -12,12 +12,13 @@ reused by every subsequent query, which is what turns discovery from
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
+from repro.data import sections as framing
 from repro.data.fingerprint import table_content_hash
 from repro.data.profiling import ColumnProfile, profile_column
 from repro.data.table import Column, Table
@@ -42,6 +43,8 @@ __all__ = [
 #: sketches share this domain, so histograms are comparable across columns
 #: without building a per-pair value union.
 _HASH_RANK_DOMAIN = 8192
+
+_SKETCH_MAGIC = b"SKCH"
 
 
 @dataclass(frozen=True)
@@ -119,45 +122,6 @@ class ColumnSketch:
         """``(table name, column name)`` — unique within one lake."""
         return (self.table_name, self.column_name)
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable representation (inverse of :meth:`from_dict`)."""
-        return {
-            "table_name": self.table_name,
-            "column_name": self.column_name,
-            "data_type": self.data_type.value,
-            "signature": list(self.minhash.values),
-            "set_size": self.minhash.set_size,
-            "histogram": list(self.histogram),
-            "row_count": self.row_count,
-            "distinct_count": self.distinct_count,
-            "missing_count": self.missing_count,
-            "mean": self.mean,
-            "std": self.std,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "avg_length": self.avg_length,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ColumnSketch":
-        return cls(
-            table_name=str(data["table_name"]),
-            column_name=str(data["column_name"]),
-            data_type=DataType(data["data_type"]),
-            minhash=MinHashSignature(
-                tuple(int(x) for x in data["signature"]), int(data["set_size"])
-            ),
-            histogram=tuple(float(x) for x in data["histogram"]),
-            row_count=int(data["row_count"]),
-            distinct_count=int(data["distinct_count"]),
-            missing_count=int(data["missing_count"]),
-            mean=None if data["mean"] is None else float(data["mean"]),
-            std=None if data["std"] is None else float(data["std"]),
-            minimum=None if data["minimum"] is None else float(data["minimum"]),
-            maximum=None if data["maximum"] is None else float(data["maximum"]),
-            avg_length=float(data["avg_length"]),
-        )
-
     @classmethod
     def from_profile(
         cls,
@@ -183,6 +147,29 @@ class ColumnSketch:
         )
 
 
+def _column_fields(column: ColumnSketch) -> list:
+    """A column's skeleton entry; its signature and histogram go to the sections."""
+    stats = (column.mean, column.std, column.minimum, column.maximum, column.avg_length)
+    return [
+        column.column_name, column.data_type.value, column.minhash.set_size,
+        len(column.minhash.values), len(column.histogram),
+        column.row_count, column.distinct_count, column.missing_count,
+        *(None if stat is None else float(stat) for stat in stats),
+    ]  # fmt: skip
+
+
+def _column_from_fields(table: str, fields: list, values: Iterator, weights: Iterator):
+    """Inverse of :func:`_column_fields`, reading the numbers off *values* / *weights*."""
+    name, type_name, set_size, width, buckets, *profile = fields
+    if type(name) is not str or {*map(type, fields[2:8])} - {int} or (
+        {*map(type, fields[8:])} - {float, type(None)}
+    ):
+        raise ValueError(f"malformed column {name!r}")
+    signature = MinHashSignature(tuple(islice(values, width)), set_size)
+    histogram = tuple(islice(weights, buckets))
+    return ColumnSketch(table, name, DataType(type_name), signature, histogram, *profile)
+
+
 @dataclass(frozen=True)
 class TableSketch:
     """All column sketches of one table plus identity metadata.
@@ -203,34 +190,41 @@ class TableSketch:
         return len(self.columns)
 
     def to_bytes(self) -> bytes:
-        """Canonical JSON bytes of this sketch (inverse of :meth:`from_bytes`).
-
-        Sorted keys and fixed separators: equal sketches give equal bytes,
-        hence equal digests, hence a no-op re-publish.
-        """
-        return json.dumps(
-            {
-                "name": self.name,
-                "content_hash": self.content_hash,
-                "num_rows": self.num_rows,
-                "columns": [column.to_dict() for column in self.columns],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
+        """The row bytes of this sketch (inverse of :meth:`from_bytes`): a
+        :mod:`~repro.data.sections` frame of the identity and
+        :func:`_column_fields` per column, then every signature as one
+        ``<u4`` section and every histogram as one ``<f8`` section."""
+        if any(column.table_name != self.name for column in self.columns):
+            raise ValueError(f"table sketch {self.name!r} holds another table's column")
+        skeleton = {
+            "name": self.name,
+            "content_hash": self.content_hash,
+            "rows": self.num_rows,
+            "columns": [_column_fields(column) for column in self.columns],
+        }
+        signatures = [value for column in self.columns for value in column.minhash.values]
+        histograms = [weight for column in self.columns for weight in column.histogram]
+        sections = (np.array(signatures, "<u4").tobytes(), np.array(histograms, "<f8").tobytes())
+        return framing.pack(_SKETCH_MAGIC, skeleton, sections)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TableSketch":
         """Decode :meth:`to_bytes` output; ``ValueError`` for anything else."""
         try:
-            decoded = json.loads(bytes(data).decode("utf-8"))
-            return cls(
-                name=str(decoded["name"]),
-                content_hash=str(decoded["content_hash"]),
-                num_rows=int(decoded["num_rows"]),
-                columns=tuple(ColumnSketch.from_dict(c) for c in decoded["columns"]),
+            skeleton, sections = framing.unpack(_SKETCH_MAGIC, data)
+            name, content_hash, rows, entries = (
+                skeleton[key] for key in ("name", "content_hash", "rows", "columns")
             )
-        except (ValueError, KeyError, TypeError) as exc:
+            if not (type(name) is type(content_hash) is str and type(rows) is int):
+                raise ValueError("malformed table identity")
+            signature_bytes, histogram_bytes = sections
+            widths = [(entry[3], entry[4]) for entry in entries]
+            signatures = framing.section_array(signature_bytes, "<u4", (sum(w for w, _ in widths),))
+            histograms = framing.section_array(histogram_bytes, "<f8", (sum(b for _, b in widths),))
+            values, weights = iter(signatures.tolist()), iter(histograms.tolist())
+            columns = [_column_from_fields(name, entry, values, weights) for entry in entries]
+            return cls(name=name, content_hash=content_hash, num_rows=rows, columns=tuple(columns))
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ValueError(
                 f"not a table sketch ({type(exc).__name__}: {exc})"
             ) from exc

@@ -5,8 +5,9 @@ once when a table is added and survive process restarts, so a discovery
 query against a 10k-table lake never re-profiles the lake.  SQLite is used
 as the storage engine (stdlib, single file, transactional); each table is
 one row whose ``sketch`` column holds :meth:`TableSketch.to_bytes
-<repro.lake.profiles.TableSketch.to_bytes>` verbatim — the bytes a published
-snapshot hash-pins, so publish and pull move rows without decoding them.
+<repro.lake.profiles.TableSketch.to_bytes>` (a JSON skeleton, ``<u4``
+signatures, ``<f8`` histograms) verbatim — the bytes a published snapshot
+hash-pins, so publish and pull move rows without decoding them.
 
 Consistency properties:
 
@@ -80,7 +81,7 @@ def store_generation(path: Union[str, Path]) -> Optional[StoreGeneration]:
         connection.close()
     return (stat.st_dev, stat.st_ino, int(row[0]) if row else 0)
 
-_SCHEMA_VERSION = 2
+_SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (

@@ -48,6 +48,31 @@ class TestBlobStore:
         assert blobs.prune({keep}) == 1
         assert keep in blobs and drop not in blobs
 
+    @pytest.mark.parametrize(
+        "name, accepted",
+        [("ab" * 32, True), ("abc", True), ("ab", False), ("", False), ("ABC", False),
+         ("../x", False), ("abc\n", False)],
+    )  # fmt: skip
+    def test_blob_names_are_lower_case_hex_of_three_or_more(self, tmp_path, name, accepted):
+        blobs = BlobStore(tmp_path / "blobs")
+        if accepted:
+            assert name not in blobs
+        else:
+            with pytest.raises(ValueError, match="not a hex blob digest"):
+                name in blobs
+
+    def test_prune_empties_every_shard_and_leaves_dot_files(self, tmp_path):
+        blobs = BlobStore(tmp_path / "blobs")
+        digests = [blobs.write(f"blob {i}".encode())[0] for i in range(40)]
+        assert len({digest[:2] for digest in digests}) > 20
+        hidden = tmp_path / "blobs" / digests[0][:2] / ".blob-in-flight"
+        hidden.write_bytes(b"a temp file")
+        (tmp_path / "blobs" / "stray-file").write_bytes(b"not a shard")
+        assert sorted(blobs.digests()) == sorted(digests)
+        assert blobs.prune({digests[1]}) == 39
+        assert list(blobs.digests()) == [digests[1]]
+        assert hidden.read_bytes() == b"a temp file"
+
 
 class TestSketchBlobEncoding:
     def test_round_trip_and_stability(self):
@@ -110,9 +135,18 @@ class TestManifest:
         with pytest.raises(ValueError, match="not a lake snapshot"):
             Manifest.load(tmp_path)
 
-    def test_load_rejects_future_format(self, tmp_path):
+    @pytest.mark.parametrize("declared", [1, 999])
+    def test_load_rejects_other_formats(self, tmp_path, declared):
+        """Format 1 (JSON sketch rows) and any future format: republish."""
         data = self._manifest().as_dict()
-        data["format"] = 999
+        data["format"] = declared
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="format 999"):
+        with pytest.raises(ValueError, match=f"format {declared} .*republish"):
             Manifest.load(tmp_path)
+
+    def test_saved_manifest_is_compact_and_names_its_snapshot(self, tmp_path):
+        manifest = self._manifest()
+        assert manifest.save(tmp_path) == manifest.snapshot_id
+        text = (tmp_path / MANIFEST_NAME).read_text()
+        assert "\n" not in text and ": " not in text
+        assert json.loads(text)["snapshot_id"] == manifest.snapshot_id

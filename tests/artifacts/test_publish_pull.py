@@ -18,6 +18,7 @@ The ISSUE-level guarantees pinned here:
 
 from __future__ import annotations
 
+import json
 import pickle
 from dataclasses import replace
 
@@ -25,7 +26,8 @@ import pytest
 
 from matcher_support import LIGHT_MATCHER_CONFIGS
 
-from repro.artifacts import BlobStore, Manifest, publish_snapshot, pull_snapshot
+from repro.artifacts import BlobStore, Manifest, RetryPolicy, publish_snapshot, pull_snapshot
+from repro.artifacts.manifest import MANIFEST_NAME
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -234,6 +236,19 @@ class TestSafety:
         with pytest.raises(ValueError, match="refusing to mix"):
             pull_snapshot(tmp_path / "artifact", other)
         other.close()
+
+    def test_format_1_manifest_is_refused_before_any_row_is_written(self, tmp_path):
+        """An artifact published with JSON sketch rows is refused whole,
+        with a request to republish it; the replica stays empty."""
+        store, _ = _build_lake(tmp_path)
+        publish_snapshot(store, tmp_path / "artifact")
+        store.close()
+        path = tmp_path / "artifact" / MANIFEST_NAME
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": 1}))
+        with SketchStore(tmp_path / "replica") as replica:
+            with pytest.raises(ValueError, match="format 1 .*republish"):
+                pull_snapshot(path.parent, replica, retry=RetryPolicy(sleep=lambda _s: None))
+            assert len(replica) == 0 and replica.version == 0
 
     def test_corrupt_blob_is_skipped_not_committed(self, tmp_path):
         store, _ = _build_lake(tmp_path)

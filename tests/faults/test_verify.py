@@ -169,6 +169,26 @@ class TestRepair:
         store.get("t1")  # decodes again
         assert verify_lake(store).clean
 
+    def test_truncated_row_is_reported_and_resketched_by_the_cli(self, built_lake, capsys):
+        """A sectioned row cut short (its last histogram bytes gone) is
+        undecodable: `lake verify` names it and `--repair` rebuilds it."""
+        store, store_path, _lake_dir = built_lake
+        before = store.get("t1")
+        connection = sqlite3.connect(store_path)
+        with connection:
+            connection.execute(
+                "UPDATE tables SET sketch = substr(sketch, 1, length(sketch) - 5) WHERE name = 't1'"
+            )
+        connection.close()
+        verify = ["lake", "verify", "--store", str(store_path)]
+        assert main(verify) == 1
+        assert "undecodable sketches: t1" in capsys.readouterr().out
+        assert main([*verify, "--repair"]) == 0
+        assert "repairs: 1 re-sketched" in capsys.readouterr().out
+        assert main(verify) == 0
+        assert "verify: clean" in capsys.readouterr().out
+        assert store.get("t1") == before
+
     def test_bad_sketch_is_repulled_on_a_replica(self, built_lake, tmp_path):
         """Replica-side repair: no CSVs, so the broken table is re-fetched
         from the artifact — and only that table."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from matcher_support import LEGACY_JSON_SKETCH_ROW
 
 from repro.data.table import Column, Table
 from repro.lake.profiles import SketchConfig
@@ -94,6 +95,23 @@ class TestPersistence:
         # message says how to get a store this code reads.
         with pytest.raises(ValueError, match="schema version 999.*`lake build`"):
             SketchStore(path)
+
+    def test_schema_2_store_is_refused_naming_the_file_and_the_fix(self, tmp_path):
+        """A store of JSON sketch rows is refused, never migrated."""
+        path = tmp_path / "lake.sketches"
+        with SketchStore(path) as store:
+            store._write_meta("schema_version", "2")
+            store._connection.commit()
+        with pytest.raises(ValueError, match="schema version 2") as excinfo:
+            SketchStore(path)
+        assert f"delete {path}" in str(excinfo.value)
+        assert "`lake build`" in str(excinfo.value)
+
+    def test_put_raw_refuses_a_json_row_and_writes_nothing(self, store):
+        version = store.version
+        with pytest.raises(ValueError, match="not a table sketch"):
+            store.put_raw("t", "h", LEGACY_JSON_SKETCH_ROW)
+        assert len(store) == 0 and store.version == version
 
     def test_reopen_after_incremental_update(self, tmp_path, clients_table, offices_table):
         path = tmp_path / "lake.sketches"

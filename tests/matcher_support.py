@@ -9,7 +9,9 @@ same way, as it was before SemProp stored one signature matrix.
 So are the LSH refine loop (``LakeIndex.candidate_columns`` +
 ``candidate_tables``, one Python comparison per colliding column pair) and
 the per-candidate ``candidate_signals``, as they were before the index kept
-a columnar copy of its columns.
+a columnar copy of its columns.  A sketch row in the canonical-JSON codec
+the sketch store wrote before its rows were sectioned is kept too, as the
+bytes every reader must now refuse.
 
 ``tests/`` is on ``sys.path`` (the root ``conftest.py`` lives here), so any
 test module can ``from matcher_support import ...``.
@@ -117,6 +119,17 @@ def lakebench_lake(out_dir: Path) -> Path:
     shape = module.LakeShape("families", tables=6, rows=30, groups=1, queries_per_group=1)
     module.generate(out_dir, 1, shape)
     return out_dir
+
+
+#: A sketch row as a schema-2 sketch store held it (and a format-1 manifest
+#: pinned it): canonical JSON, decimal MinHash signatures.
+LEGACY_JSON_SKETCH_ROW = (
+    b'{"columns":[{"avg_length":1.0,"column_name":"x","data_type":"string",'
+    b'"distinct_count":1,"histogram":[1.0],"maximum":null,"mean":null,'
+    b'"minimum":null,"missing_count":0,"row_count":1,"set_size":1,'
+    b'"signature":[7],"std":null,"table_name":"t"}],"content_hash":"h",'
+    b'"name":"t","num_rows":1}'
+)
 
 
 def lakebench_column_names() -> list[str]:
