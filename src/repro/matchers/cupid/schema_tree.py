@@ -9,7 +9,7 @@ elements of compatible categories) and, for leaves, a data type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.data.table import Table
 from repro.data.types import DataType
@@ -40,52 +40,21 @@ class SchemaElement:
     data_type: Optional[DataType] = None
     children: list["SchemaElement"] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        """True when the element has no children (i.e. it is a column)."""
-        return not self.children
-
     def add_child(self, child: "SchemaElement") -> None:
         """Append a child element."""
         self.children.append(child)
 
-    def leaves(self) -> list["SchemaElement"]:
-        """All leaf descendants (the element itself when it is a leaf)."""
-        if self.is_leaf:
-            return [self]
-        result: list[SchemaElement] = []
-        for child in self.children:
-            result.extend(child.leaves())
-        return result
-
-    def walk(self) -> Iterator["SchemaElement"]:
-        """Pre-order traversal of the subtree rooted at this element."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
 
 @dataclass
 class SchemaTree:
-    """A schema tree with convenience accessors."""
+    """A schema tree: its root element and the name of the table it describes.
+
+    Cupid reads the tree through its fixed ``schema -> table -> columns``
+    levels; the tree offers no generic traversal.
+    """
 
     root: SchemaElement
     table_name: str
-
-    def leaves(self) -> list[SchemaElement]:
-        """All leaf (column) elements."""
-        return self.root.leaves()
-
-    def elements(self) -> list[SchemaElement]:
-        """All elements in pre-order."""
-        return list(self.root.walk())
-
-    def leaf_by_name(self, name: str) -> Optional[SchemaElement]:
-        """Find the leaf whose name equals *name* (case-sensitive)."""
-        for leaf in self.leaves():
-            if leaf.name == name:
-                return leaf
-        return None
 
 
 def build_schema_tree(table: Table) -> SchemaTree:

@@ -66,19 +66,20 @@ def _fuzzy_jaccard_sets(
         for value_b in rest_b:
             if value_b in matched_b:
                 continue
-            # sim >= threshold iff distance <= (1 - threshold) * max_len, so
-            # the DP can stop at a cutoff (one unit of float slack keeps the
-            # accept decision identical to the uncut similarity comparison).
+            # sim >= threshold iff distance <= (1 - threshold) * max_len, so a
+            # pair whose length difference (a lower bound on the distance)
+            # exceeds that cutoff is skipped without computing the distance.
+            # One unit of float slack keeps the accept decision identical to
+            # the similarity comparison.  The values differ (exact matches
+            # were removed), so the longer one is non-empty.
             longest = max(len(value_a), len(value_b))
-            if longest == 0:
-                similarity = 1.0
-            else:
-                cutoff = int((1.0 - threshold) * longest) + 1
-                distance = levenshtein_distance(value_a, value_b, max_distance=cutoff)
-                if distance > cutoff:
-                    continue
-                similarity = 1.0 - distance / longest
-            if similarity >= threshold:
+            cutoff = int((1.0 - threshold) * longest) + 1
+            if abs(len(value_a) - len(value_b)) > cutoff:
+                continue
+            distance = levenshtein_distance(value_a, value_b)
+            if distance > cutoff:
+                continue
+            if 1.0 - distance / longest >= threshold:
                 fuzzy_matches += 1
                 matched_b.add(value_b)
                 break

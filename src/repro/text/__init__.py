@@ -1,18 +1,13 @@
 """String similarity, tokenisation, stemming and thesaurus substrate."""
 
 from repro.text.distance import (
-    containment,
     dice_coefficient,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
     levenshtein_distance,
-    levenshtein_similarity,
-    longest_common_substring,
     monge_elkan,
     normalized_levenshtein,
-    overlap_coefficient,
-    prefix_similarity,
 )
 from repro.text.stemmer import stem
 from repro.text.thesaurus import Thesaurus, default_thesaurus
@@ -23,22 +18,16 @@ from repro.text.tokenize import (
     normalize_identifier,
     split_identifier,
     tokenize_identifier,
-    tokenize_values,
     word_tokens,
 )
 
 __all__ = [
     "levenshtein_distance",
-    "levenshtein_similarity",
     "normalized_levenshtein",
     "jaro_similarity",
     "jaro_winkler_similarity",
     "jaccard_similarity",
     "dice_coefficient",
-    "overlap_coefficient",
-    "containment",
-    "longest_common_substring",
-    "prefix_similarity",
     "monge_elkan",
     "stem",
     "Thesaurus",
@@ -49,6 +38,5 @@ __all__ = [
     "normalize_identifier",
     "split_identifier",
     "tokenize_identifier",
-    "tokenize_values",
     "word_tokens",
 ]

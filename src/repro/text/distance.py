@@ -1,111 +1,70 @@
 """Core string similarity and edit-distance measures.
 
-These measures are used throughout the suite: the Jaccard–Levenshtein
-baseline matcher, Cupid's linguistic matching, Similarity Flooding's initial
-string similarities and COMA's name matchers all build on them.
+The Jaccard–Levenshtein baseline matcher, COMA's name matchers and
+Similarity Flooding's initial similarities rest on
+:func:`levenshtein_distance`; Cupid's linguistic matching uses the
+Jaro–Winkler and Monge–Elkan measures.  The edit distance is one exact
+bit-parallel kernel with no cutoff: a caller that only accepts distances
+up to some bound checks the length difference before the call and the
+distance after it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
     "levenshtein_distance",
-    "levenshtein_similarity",
     "normalized_levenshtein",
     "jaro_similarity",
     "jaro_winkler_similarity",
     "jaccard_similarity",
     "dice_coefficient",
-    "overlap_coefficient",
-    "containment",
-    "longest_common_substring",
-    "prefix_similarity",
     "monge_elkan",
 ]
 
 
-def levenshtein_distance(a: str, b: str, max_distance: int | None = None) -> int:
+def levenshtein_distance(a: str, b: str) -> int:
     """Edit distance between *a* and *b* (insert/delete/substitute, unit cost).
 
-    Implemented with the classic two-row dynamic program, O(|a|*|b|) time and
-    O(min(|a|,|b|)) space.
-
-    Parameters
-    ----------
-    max_distance:
-        Optional cutoff for threshold-style callers ("are these within k
-        edits?").  When set, any return value ``> max_distance`` only means
-        *exceeded* (usually the sentinel ``max_distance + 1``, or the exact
-        distance when a trivial case short-circuits first); distances at or
-        below the cutoff are exact and identical to the unbounded
-        computation.  The work saved: the standard length-difference early
-        exit (``|len(a) - len(b)|`` is a lower bound) fires before any DP
-        work, the two-row DP only fills a diagonal band of half-width
-        ``max_distance`` (cells outside it cannot stay within the cutoff),
-        and a row whose band minimum exceeds the cutoff aborts the scan.
+    Myers' (1999) bit-vector algorithm in Hyyrö's (2001) formulation: one
+    column of the dynamic program is a pair of bit vectors over the longer
+    string (``pv`` / ``mv``: the vertical deltas that are +1 / -1), and
+    each character of the shorter string advances it with a handful of
+    integer operations.  Python ints are unbounded, so one pass serves
+    strings of any length.  The score tracks the DP's last row.
     """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     if len(a) < len(b):
         a, b = b, a
-    if max_distance is not None:
-        if max_distance < 0:
-            raise ValueError("max_distance must be non-negative")
-        # Length-difference lower bound: no alignment can do better than
-        # inserting the extra characters.
-        if len(a) - len(b) > max_distance:
-            return max_distance + 1
-        return _banded_levenshtein(a, b, max_distance)
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
-
-
-def _banded_levenshtein(a: str, b: str, max_distance: int) -> int:
-    """Two-row DP restricted to the ``|i - j| <= max_distance`` diagonal band.
-
-    Cells outside the band have distance > *max_distance* by construction,
-    so they are treated as "over the cutoff" without being computed; if a
-    whole row's band exceeds the cutoff no later row can recover and the
-    scan aborts.  Requires ``len(a) >= len(b)``.
-    """
-    over = max_distance + 1
-    len_b = len(b)
-    previous = [min(j, over) for j in range(len_b + 1)]
-    for i, char_a in enumerate(a, start=1):
-        lower = max(1, i - max_distance)
-        upper = min(len_b, i + max_distance)
-        current = [i if i <= max_distance else over] + [over] * len_b
-        best = current[0]
-        for j in range(lower, upper + 1):
-            char_b = b[j - 1]
-            cost = 0 if char_a == char_b else 1
-            value = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            if value > over:
-                value = over
-            current[j] = value
-            if value < best:
-                best = value
-        if best >= over:
-            return over
-        previous = current
-    return min(previous[-1], over)
-
-
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Similarity in [0, 1] derived from the Levenshtein distance."""
-    return normalized_levenshtein(a, b)
+    if not b:
+        return len(a)
+    # peq[c]: bit i is set where a[i] == c.
+    peq: dict[str, int] = {}
+    bit = 1
+    for char in a:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    for char in b:
+        eq = peq.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & mask
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of the DP grows by one per column: shift in a +1 delta.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalized_levenshtein(a: str, b: str) -> float:
@@ -186,50 +145,6 @@ def dice_coefficient(a: Iterable, b: Iterable) -> float:
     if not set_a or not set_b:
         return 0.0
     return 2.0 * len(set_a & set_b) / (len(set_a) + len(set_b))
-
-
-def overlap_coefficient(a: Iterable, b: Iterable) -> float:
-    """Overlap (Szymkiewicz–Simpson) coefficient: intersection over smaller set."""
-    set_a, set_b = set(a), set(b)
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / min(len(set_a), len(set_b))
-
-
-def containment(a: Iterable, b: Iterable) -> float:
-    """Containment of *a* in *b*: |a ∩ b| / |a|."""
-    set_a, set_b = set(a), set(b)
-    if not set_a:
-        return 0.0
-    return len(set_a & set_b) / len(set_a)
-
-
-def longest_common_substring(a: str, b: str) -> int:
-    """Length of the longest common contiguous substring of *a* and *b*."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    best = 0
-    for char_a in a:
-        current = [0] * (len(b) + 1)
-        for j, char_b in enumerate(b, start=1):
-            if char_a == char_b:
-                current[j] = previous[j - 1] + 1
-                best = max(best, current[j])
-        previous = current
-    return best
-
-
-def prefix_similarity(a: str, b: str) -> float:
-    """Length of the common prefix divided by the shorter string length."""
-    if not a or not b:
-        return 0.0
-    shared = 0
-    for char_a, char_b in zip(a, b):
-        if char_a != char_b:
-            break
-        shared += 1
-    return shared / min(len(a), len(b))
 
 
 def monge_elkan(

@@ -3,20 +3,18 @@
 Schema-based matchers compare attribute *names*, which in practice come in
 mixed conventions: ``camelCase``, ``snake_case``, abbreviations, table-name
 prefixes.  This module normalises and tokenises such identifiers, and also
-provides simple word/value tokenisation and character n-grams used by the
-instance-based matchers.
+provides word tokens and character n-grams (COMA's trigram name matchers and
+the pretrained embeddings use them).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
 
 __all__ = [
     "normalize_identifier",
     "split_identifier",
     "tokenize_identifier",
-    "tokenize_values",
     "character_ngrams",
     "word_tokens",
     "expand_abbreviation",
@@ -120,20 +118,6 @@ def tokenize_identifier(name: str, expand: bool = True) -> list[str]:
 def word_tokens(text: str) -> list[str]:
     """Lowercased alphanumeric word tokens of arbitrary text."""
     return [match.group(0).lower() for match in _WORD_RE.finditer(str(text))]
-
-
-def tokenize_values(values: Iterable[object], max_tokens: int | None = None) -> list[str]:
-    """Tokenise a collection of cell values into a flat token list.
-
-    Used by instance-based matchers that compare the token vocabularies of two
-    columns.  *max_tokens* bounds the output size for very large columns.
-    """
-    tokens: list[str] = []
-    for value in values:
-        tokens.extend(word_tokens(str(value)))
-        if max_tokens is not None and len(tokens) >= max_tokens:
-            return tokens[:max_tokens]
-    return tokens
 
 
 def character_ngrams(text: str, n: int = 3, pad: bool = True) -> list[str]:

@@ -9,7 +9,12 @@ same way, as it was before SemProp stored one signature matrix.
 So are the LSH refine loop (``LakeIndex.candidate_columns`` +
 ``candidate_tables``, one Python comparison per colliding column pair) and
 the per-candidate ``candidate_signals``, as they were before the index kept
-a columnar copy of its columns.  A sketch row in the canonical-JSON codec
+a columnar copy of its columns.  The two-row and banded Levenshtein DPs
+(with their ``max_distance`` cutoff) and the Jaccard–Levenshtein fuzzy pass
+that called the banded one are kept as they were before the bit-parallel
+kernel.  The generic schema-tree traversals (``is_leaf``, ``leaves``,
+``walk``, ``leaf_by_name``) live here too, since only the TreeMatch
+reference walks a tree.  A sketch row in the canonical-JSON codec
 the sketch store wrote before its rows were sectioned is kept too, as the
 bytes every reader must now refuse.
 
@@ -23,7 +28,7 @@ import importlib.util
 import random
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -56,14 +61,19 @@ __all__ = [
     "LIGHT_MATCHER_CONFIGS",
     "ReferenceMatchResult",
     "category_compatibility",
+    "is_leaf",
+    "leaf_by_name",
+    "leaves",
     "linguistic_similarity",
     "lakebench_column_names",
     "lakebench_lake",
     "prospect_lake",
     "reference_candidate_signals",
     "reference_candidate_tables",
+    "reference_fuzzy_jaccard_sets",
     "reference_histogram_distance",
     "reference_jaccard_matrix",
+    "reference_levenshtein_distance",
     "reference_relatedness",
     "reference_relation_score",
     "reference_semprop_match_prepared",
@@ -71,6 +81,7 @@ __all__ = [
     "reference_unionability",
     "semprop_signatures",
     "term_corpus",
+    "walk",
 ]
 
 #: One lightweight configuration per registered matcher: every payload shape
@@ -514,13 +525,43 @@ def reference_semprop_match_prepared(
     return ReferenceMatchResult.from_scores(scores, keep_zero=True)
 
 
+def is_leaf(element: SchemaElement) -> bool:
+    """True when the element has no children (i.e. it is a column)."""
+    return not element.children
+
+
+def leaves(element: SchemaElement) -> list[SchemaElement]:
+    """All leaf descendants (the element itself when it is a leaf)."""
+    if is_leaf(element):
+        return [element]
+    result: list[SchemaElement] = []
+    for child in element.children:
+        result.extend(leaves(child))
+    return result
+
+
+def walk(element: SchemaElement) -> Iterator[SchemaElement]:
+    """Pre-order traversal of the subtree rooted at *element*."""
+    yield element
+    for child in element.children:
+        yield from walk(child)
+
+
+def leaf_by_name(tree: SchemaTree, name: str) -> Optional[SchemaElement]:
+    """The leaf of *tree* whose name equals *name* (case-sensitive), if any."""
+    for leaf in leaves(tree.root):
+        if leaf.name == name:
+            return leaf
+    return None
+
+
 def category_compatibility(element_a: SchemaElement, element_b: SchemaElement) -> float:
     """Compatibility of two elements' categories in [0, 1].
 
     Inner nodes compare by category equality; leaves compare through the
     data-type compatibility table.
     """
-    if element_a.is_leaf and element_b.is_leaf:
+    if is_leaf(element_a) and is_leaf(element_b):
         type_a = element_a.data_type or DataType.UNKNOWN
         type_b = element_b.data_type or DataType.UNKNOWN
         return type_compatibility(type_a, type_b)
@@ -548,16 +589,17 @@ def reference_tree_match(
     weights: CupidWeights | None = None,
     thesaurus: Thesaurus | None = None,
 ) -> dict[tuple[str, str], float]:
-    """``tree_match`` as it was before the matrix form, kept verbatim.
+    """``tree_match`` as it was before the matrix form.
 
-    One dict entry per leaf pair, a generic walk over every pair of inner
+    Kept verbatim but for the tree accessors, which are the helpers above:
+    one dict entry per leaf pair, a generic walk over every pair of inner
     nodes and a ``leaves()`` call per inner pair.  It names the live
     (memoised) ``name_similarity``, which is pinned against its own
     reference separately.
     """
     weights = weights or CupidWeights()
-    leaves_a = tree_a.leaves()
-    leaves_b = tree_b.leaves()
+    leaves_a = leaves(tree_a.root)
+    leaves_b = leaves(tree_b.root)
 
     lsim: dict[tuple[int, int], float] = {}
     wsim: dict[tuple[int, int], float] = {}
@@ -577,15 +619,15 @@ def reference_tree_match(
 
     # Step 2: inner-node structural similarity (single table node per side for
     # tabular data, but the computation is generic over subtrees).
-    inner_a = [e for e in tree_a.elements() if not e.is_leaf]
-    inner_b = [e for e in tree_b.elements() if not e.is_leaf]
+    inner_a = [e for e in walk(tree_a.root) if not is_leaf(e)]
+    inner_b = [e for e in walk(tree_b.root) if not is_leaf(e)]
     index_a = {id(leaf): i for i, leaf in enumerate(leaves_a)}
     index_b = {id(leaf): j for j, leaf in enumerate(leaves_b)}
 
     for node_a in reversed(inner_a):
         for node_b in reversed(inner_b):
-            sub_a = [index_a[id(leaf)] for leaf in node_a.leaves()]
-            sub_b = [index_b[id(leaf)] for leaf in node_b.leaves()]
+            sub_a = [index_a[id(leaf)] for leaf in leaves(node_a)]
+            sub_b = [index_b[id(leaf)] for leaf in leaves(node_b)]
             if not sub_a or not sub_b:
                 continue
             strong = sum(
@@ -619,3 +661,104 @@ def reference_tree_match(
         (leaves_a[i].name, leaves_b[j].name): score
         for (i, j), score in wsim.items()
     }
+
+
+def reference_levenshtein_distance(a: str, b: str, max_distance: int | None = None) -> int:
+    """``levenshtein_distance`` as it was before the bit-parallel kernel.
+
+    The classic two-row DP; with *max_distance* set, a value above it only
+    means *exceeded* (the sentinel ``max_distance + 1``, or the exact
+    distance when a trivial case short-circuits first), and the banded DP
+    fills only the ``|i - j| <= max_distance`` diagonal.
+    """
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    if len(a) < len(b):
+        a, b = b, a
+    if max_distance is not None:
+        if max_distance < 0:
+            raise ValueError("max_distance must be non-negative")
+        if len(a) - len(b) > max_distance:
+            return max_distance + 1
+        return _reference_banded_levenshtein(a, b, max_distance)
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            cost = 0 if char_a == char_b else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+def _reference_banded_levenshtein(a: str, b: str, max_distance: int) -> int:
+    """Two-row DP restricted to the ``|i - j| <= max_distance`` band (``len(a) >= len(b)``)."""
+    over = max_distance + 1
+    len_b = len(b)
+    previous = [min(j, over) for j in range(len_b + 1)]
+    for i, char_a in enumerate(a, start=1):
+        lower = max(1, i - max_distance)
+        upper = min(len_b, i + max_distance)
+        current = [i if i <= max_distance else over] + [over] * len_b
+        best = current[0]
+        for j in range(lower, upper + 1):
+            char_b = b[j - 1]
+            cost = 0 if char_a == char_b else 1
+            value = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            if value > over:
+                value = over
+            current[j] = value
+            if value < best:
+                best = value
+        if best >= over:
+            return over
+        previous = current
+    return min(previous[-1], over)
+
+
+def reference_fuzzy_jaccard_sets(
+    set_a: AbstractSet[str],
+    set_b: AbstractSet[str],
+    threshold: float,
+    sample_size: int,
+) -> float:
+    """Jaccard–Levenshtein's ``_fuzzy_jaccard_sets`` as it was before the
+    bit-parallel kernel: the banded DP stops at the cutoff itself."""
+    if not set_a and not set_b:
+        return 1.0
+    if not set_a or not set_b:
+        return 0.0
+
+    exact = set_a & set_b
+    rest_a = sorted(set_a - exact)[:sample_size]
+    rest_b = sorted(set_b - exact)[:sample_size]
+
+    fuzzy_matches = 0
+    matched_b: set[str] = set()
+    for value_a in rest_a:
+        for value_b in rest_b:
+            if value_b in matched_b:
+                continue
+            longest = max(len(value_a), len(value_b))
+            if longest == 0:
+                similarity = 1.0
+            else:
+                cutoff = int((1.0 - threshold) * longest) + 1
+                distance = reference_levenshtein_distance(value_a, value_b, max_distance=cutoff)
+                if distance > cutoff:
+                    continue
+                similarity = 1.0 - distance / longest
+            if similarity >= threshold:
+                fuzzy_matches += 1
+                matched_b.add(value_b)
+                break
+
+    intersection = len(exact) + fuzzy_matches
+    union = len(set_a | set_b) - fuzzy_matches
+    if union <= 0:
+        return 1.0
+    return intersection / union

@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 
 from matcher_support import (
     category_compatibility,
+    is_leaf,
     lakebench_column_names,
     lakebench_lake,
+    leaf_by_name,
+    leaves,
     linguistic_similarity,
     reference_relation_score,
     reference_tree_match,
     term_corpus,
+    walk,
 )
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Column, Table
@@ -73,18 +77,18 @@ class TestSchemaTree:
     def test_tree_structure(self, clients_table):
         tree = build_schema_tree(clients_table)
         assert tree.table_name == "clients"
-        leaves = tree.leaves()
-        assert [leaf.name for leaf in leaves] == clients_table.column_names
-        assert all(leaf.is_leaf for leaf in leaves)
+        tree_leaves = leaves(tree.root)
+        assert [leaf.name for leaf in tree_leaves] == clients_table.column_names
+        assert all(is_leaf(leaf) for leaf in tree_leaves)
 
     def test_leaf_by_name(self, clients_table):
         tree = build_schema_tree(clients_table)
-        assert tree.leaf_by_name("PO").data_type is not None
-        assert tree.leaf_by_name("missing") is None
+        assert leaf_by_name(tree, "PO").data_type is not None
+        assert leaf_by_name(tree, "missing") is None
 
     def test_elements_walk_preorder(self, clients_table):
         tree = build_schema_tree(clients_table)
-        elements = tree.elements()
+        elements = list(walk(tree.root))
         assert elements[0].category == "schema"
         assert elements[1].category == "table"
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matcher_support import reference_levenshtein_distance
 from repro.text.distance import (
     jaccard_similarity,
     jaro_winkler_similarity,
@@ -14,9 +15,16 @@ from repro.text.distance import (
 
 short_text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20)
 value_sets = st.sets(st.text(max_size=6), max_size=15)
+#: Any code point (astral ones included), long enough to cross a 64-bit word.
+any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=90)
 
 
 class TestLevenshteinProperties:
+    @settings(max_examples=150)
+    @given(any_text, any_text)
+    def test_equals_the_two_row_dp(self, a, b):
+        assert levenshtein_distance(a, b) == reference_levenshtein_distance(a, b)
+
     @given(short_text, short_text)
     def test_symmetry(self, a, b):
         assert levenshtein_distance(a, b) == levenshtein_distance(b, a)

@@ -10,7 +10,6 @@ from repro.text.tokenize import (
     normalize_identifier,
     split_identifier,
     tokenize_identifier,
-    tokenize_values,
     word_tokens,
 )
 
@@ -58,14 +57,6 @@ class TestNormalize:
 
 
 class TestValuesAndNgrams:
-    def test_tokenize_values_flattens(self):
-        tokens = tokenize_values(["New York", "Los Angeles"])
-        assert tokens == ["new", "york", "los", "angeles"]
-
-    def test_tokenize_values_respects_cap(self):
-        tokens = tokenize_values(["a b c", "d e f"], max_tokens=4)
-        assert len(tokens) == 4
-
     def test_character_ngrams_padded(self):
         grams = character_ngrams("ab", n=3)
         assert grams[0] == "##a"
