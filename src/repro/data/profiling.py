@@ -51,17 +51,6 @@ class ColumnProfile:
     maximum: Optional[float]
     avg_length: float
 
-    @property
-    def uniqueness(self) -> float:
-        """Distinct values divided by non-missing cells (0 for empty columns)."""
-        non_missing = self.row_count - self.missing_count
-        return self.distinct_count / non_missing if non_missing else 0.0
-
-    @property
-    def completeness(self) -> float:
-        """Fraction of cells that are present."""
-        return 1.0 - (self.missing_count / self.row_count) if self.row_count else 0.0
-
 
 def profile_column(
     column: Column,

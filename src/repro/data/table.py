@@ -10,7 +10,7 @@ schema metadata (names, types) and column value sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.data.types import (
     DataType,
@@ -104,11 +104,6 @@ class Column:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Column({self.name!r}, type={self.data_type.value}, n={len(self)})"
 
-    @property
-    def ref(self) -> ColumnRef:
-        """The :class:`ColumnRef` of this column."""
-        return ColumnRef(self.table_name, self.name)
-
     def non_missing(self) -> list[object]:
         """Return the list of non-missing cell values."""
         return [v for v in self.values if not is_missing(v)]
@@ -138,15 +133,6 @@ class Column:
     def rename(self, new_name: str) -> "Column":
         """Return a copy of the column under a new attribute name."""
         return Column(new_name, list(self.values), self.data_type, self.table_name)
-
-    def map_values(self, transform: Callable[[object], object]) -> "Column":
-        """Return a copy with *transform* applied to every non-missing cell."""
-        new_values = [None if is_missing(v) else transform(v) for v in self.values]
-        return Column(self.name, new_values, None, self.table_name)
-
-    def head(self, n: int) -> "Column":
-        """Return a copy containing only the first *n* cells."""
-        return Column(self.name, self.values[:n], self.data_type, self.table_name)
 
 
 class Table:
@@ -274,12 +260,6 @@ class Table:
         selected = [self.column(col_name) for col_name in column_names]
         return Table(name or self.name, selected)
 
-    def drop_columns(self, column_names: Iterable[str], name: Optional[str] = None) -> "Table":
-        """Return a copy without the given columns."""
-        dropped = set(column_names)
-        kept = [col.name for col in self._columns if col.name not in dropped]
-        return self.project(kept, name=name)
-
     def select_rows(self, indices: Sequence[int], name: Optional[str] = None) -> "Table":
         """Return a copy containing only the rows at *indices* (in order)."""
         new_columns = [
@@ -287,24 +267,6 @@ class Table:
             for col in self._columns
         ]
         return Table(name or self.name, new_columns)
-
-    def filter_rows(
-        self, predicate: Callable[[Mapping[str, object]], bool], name: Optional[str] = None
-    ) -> "Table":
-        """Return the rows for which *predicate* holds.
-
-        The predicate receives each row as a ``{column: value}`` mapping.
-        """
-        keep: list[int] = []
-        names = self.column_names
-        for i, row in enumerate(self.rows()):
-            if predicate(dict(zip(names, row))):
-                keep.append(i)
-        return self.select_rows(keep, name=name)
-
-    def head(self, n: int, name: Optional[str] = None) -> "Table":
-        """Return the first *n* rows."""
-        return self.select_rows(range(min(n, self.num_rows)), name=name)
 
     def slice_rows(self, start: int, stop: int, name: Optional[str] = None) -> "Table":
         """Return rows in ``[start, stop)``."""
@@ -372,24 +334,6 @@ class Table:
             )
         return Table(name or f"{self.name}_join_{other.name}", new_columns)
 
-    def sample_rows(self, n: int, rng, name: Optional[str] = None) -> "Table":
-        """Return *n* rows sampled without replacement using *rng*.
-
-        Parameters
-        ----------
-        rng:
-            A ``random.Random`` instance (determinism is the caller's duty).
-        """
-        n = min(n, self.num_rows)
-        indices = sorted(rng.sample(range(self.num_rows), n))
-        return self.select_rows(indices, name=name)
-
-    def with_column(self, column: Column) -> "Table":
-        """Return a copy with *column* appended (or replaced when the name exists)."""
-        new_columns = [c for c in self._columns if c.name != column.name]
-        new_columns.append(Column(column.name, list(column.values), column.data_type))
-        return Table(self.name, new_columns)
-
     # ------------------------------------------------------------------ #
     # summaries
     # ------------------------------------------------------------------ #
@@ -407,11 +351,3 @@ class Table:
                 f"{col.missing_count()} missing"
             )
         return "\n".join(lines)
-
-    def equals(self, other: "Table") -> bool:
-        """Structural equality: same column names, order and cell values."""
-        if self.column_names != other.column_names or self.num_rows != other.num_rows:
-            return False
-        return all(
-            col.values == other.column(col.name).values for col in self._columns
-        )

@@ -149,11 +149,6 @@ class ValueSampler:
         """A "First Last" person name."""
         return f"{self.choice(FIRST_NAMES)} {self.choice(LAST_NAMES)}"
 
-    def short_person_name(self) -> str:
-        """A "F. Last" person name (the encoding used in Figure 2)."""
-        first = self.choice(FIRST_NAMES)
-        return f"{first[0]}. {self.choice(LAST_NAMES)}"
-
     def street_address(self) -> str:
         """A "<number>, <street>" address string."""
         return f"{self.rng.randint(1, 250)}, {self.choice(STREET_NAMES)}"

@@ -132,8 +132,6 @@ class PreparedTableCache:
     """
 
     max_entries: int = 128
-    hits: int = field(default=0, init=False)
-    misses: int = field(default=0, init=False)
     _entries: "OrderedDict[tuple[str, str, str], PreparedTable]" = field(
         default_factory=OrderedDict, repr=False, init=False
     )
@@ -154,11 +152,9 @@ class PreparedTableCache:
         key = (matcher.fingerprint(), table.name, content_hash)
         cached = self._entries.get(key)
         if cached is not None:
-            self.hits += 1
             telemetry.count("prepared_cache.hits")
             self._entries.move_to_end(key)
             return cached
-        self.misses += 1
         telemetry.count("prepared_cache.misses")
         prepared = matcher.prepare(table)
         self._entries[key] = prepared
@@ -166,21 +162,6 @@ class PreparedTableCache:
             self._entries.popitem(last=False)
             telemetry.count("prepared_cache.evictions")
         return prepared
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of :meth:`prepare` calls served from cache (0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class PreparedStore(PerProcessSqliteStore):
@@ -345,8 +326,9 @@ class PreparedStore(PerProcessSqliteStore):
     ) -> set[str]:
         """Batch existence probe: the subset of key names present in the store.
 
-        Like ``key in store`` (current payload format only, no decode) but
-        one ``IN (...)`` query per ~500 names.
+        Only rows carrying the current payload format count (a row
+        :meth:`get` would discard is not present), nothing is decoded, and
+        the probe is one ``IN (...)`` query per ~500 names.
         """
         wanted = dict(keys)
         names = list(wanted)
@@ -532,34 +514,6 @@ class PreparedStore(PerProcessSqliteStore):
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self._connection.execute("SELECT COUNT(*) FROM prepared").fetchone()[0]
-
-    def __contains__(self, key: tuple[str, str, str]) -> bool:
-        """Cheap existence probe (no payload decode).
-
-        Only rows carrying the current payload format count: a row
-        :meth:`get` would discard anyway must not report as present.
-        """
-        fingerprint, table_name, content_hash = key
-        row = self._connection.execute(
-            "SELECT 1 FROM prepared WHERE matcher_fingerprint = ? "
-            "AND table_name = ? AND content_hash = ? AND payload_format = ?",
-            (fingerprint, table_name, content_hash, PREPARED_PAYLOAD_FORMAT),
-        ).fetchone()
-        return row is not None
-
-    def table_names(self, fingerprint: Optional[str] = None) -> list[str]:
-        """Distinct table names with stored payloads (optionally per matcher)."""
-        if fingerprint is None:
-            rows = self._connection.execute(
-                "SELECT DISTINCT table_name FROM prepared ORDER BY table_name"
-            ).fetchall()
-        else:
-            rows = self._connection.execute(
-                "SELECT DISTINCT table_name FROM prepared "
-                "WHERE matcher_fingerprint = ? ORDER BY table_name",
-                (fingerprint,),
-            ).fetchall()
-        return [row[0] for row in rows]
 
     def stats(self) -> dict:
         """Store-level counters for ``lake stats``: rows, bytes, per matcher.

@@ -35,9 +35,9 @@ class RelatednessScores:
     unionability: float
     best_pair: tuple[str, str] | None
 
-    def combined(self, join_weight: float = 0.5) -> float:
-        """Weighted combination used for single-score rankings."""
-        return join_weight * self.joinability + (1.0 - join_weight) * self.unionability
+    def combined(self) -> float:
+        """The mean of joinability and unionability (single-score rankings)."""
+        return 0.5 * self.joinability + 0.5 * self.unionability
 
 
 def joinability(result: MatchResult) -> float:

@@ -18,31 +18,12 @@ import numpy as np
 __all__ = ["QuantileHistogram", "build_histogram", "build_histogram_pair", "rank_values"]
 
 
-def _as_sortable(values: Iterable[object]) -> list:
-    """Normalise mixed values into a homogeneous, sortable list.
-
-    Numeric-looking values are converted to floats; everything else is
-    compared as lowercase strings.  If both kinds are present, all values are
-    rendered as strings so ordering is total.
-    """
-    numbers: list[float] = []
-    strings: list[str] = []
-    raw = list(values)
-    for value in raw:
-        try:
-            numbers.append(float(str(value)))
-        except (TypeError, ValueError):
-            strings.append(str(value).strip().lower())
-    if strings:
-        return sorted(str(v).strip().lower() for v in raw)
-    return sorted(numbers)
-
-
 def rank_values(values: Iterable[object]) -> dict[object, int]:
     """Assign dense ranks to the distinct values of *values*.
 
     Ranks follow the natural order of the (normalised) values and start at 0.
     """
+    values = list(values)  # read twice below: once to normalise, once to key
     normalised = []
     for value in values:
         try:
@@ -84,12 +65,6 @@ class QuantileHistogram:
     @property
     def is_empty(self) -> bool:
         return not self.weights or sum(self.weights) == 0.0
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(bucket centres, weights)`` as numpy arrays."""
-        edges = np.asarray(self.bucket_edges, dtype=float)
-        centres = (edges[:-1] + edges[1:]) / 2.0
-        return centres, np.asarray(self.weights, dtype=float)
 
 
 def build_histogram(

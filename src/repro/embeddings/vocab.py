@@ -71,14 +71,6 @@ class Vocabulary:
         """Return the id of *token*, or ``None`` when out of vocabulary."""
         return self._token_to_id.get(str(token))
 
-    def token_of(self, index: int) -> str:
-        """Return the token with id *index*."""
-        return self._id_to_token[index]
-
-    def count_of(self, token: str) -> int:
-        """Raw corpus frequency of *token* (0 if never seen)."""
-        return self._counts.get(str(token), 0)
-
     @property
     def tokens(self) -> list[str]:
         """All in-vocabulary tokens ordered by id."""

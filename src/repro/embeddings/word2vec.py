@@ -71,25 +71,6 @@ class Word2VecModel:
             return 0.0
         return float(np.dot(vec_a, vec_b) / denom)
 
-    def most_similar(self, token: str, top_k: int = 10) -> list[tuple[str, float]]:
-        """Return the *top_k* most cosine-similar in-vocabulary tokens."""
-        vec = self.vector(token)
-        if vec is None or not len(self.vocabulary):
-            return []
-        norms = np.linalg.norm(self.vectors, axis=1) * (np.linalg.norm(vec) or 1.0)
-        norms[norms == 0] = 1.0
-        scores = self.vectors @ vec / norms
-        order = np.argsort(-scores)
-        results = []
-        for index in order:
-            candidate = self.vocabulary.token_of(int(index))
-            if candidate == token:
-                continue
-            results.append((candidate, float(scores[index])))
-            if len(results) >= top_k:
-                break
-        return results
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -10.0, 10.0)))

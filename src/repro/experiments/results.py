@@ -111,10 +111,6 @@ class ResultSet:
         """Records of one relatedness scenario."""
         return self.filter(lambda r: r.scenario == scenario)
 
-    def for_dataset_source(self, dataset_source: str) -> "ResultSet":
-        """Records of one dataset source (e.g. ``"chembl"``)."""
-        return self.filter(lambda r: r.dataset_source == dataset_source)
-
     # ------------------------------------------------------------------ #
     # aggregation
     # ------------------------------------------------------------------ #
@@ -154,13 +150,6 @@ class ResultSet:
             grouped.setdefault(record.method, []).append(record.recall_at_ground_truth)
         return {method: statistics.fmean(values) for method, values in grouped.items()}
 
-    def average_runtime_by_method(self) -> dict[str, float]:
-        """Average runtime in seconds per method — the Table V data."""
-        grouped: dict[str, list[float]] = {}
-        for record in self._records:
-            grouped.setdefault(record.method, []).append(record.runtime_seconds)
-        return {method: statistics.fmean(values) for method, values in grouped.items()}
-
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
@@ -171,28 +160,3 @@ class ResultSet:
         with path.open("w", encoding="utf-8") as handle:
             json.dump([r.to_dict() for r in self._records], handle, indent=2, default=str)
         return path
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ResultSet":
-        """Load records previously written with :meth:`to_json`."""
-        with Path(path).open("r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        records = [
-            ExperimentRecord(
-                method=item["method"],
-                matcher_code=item["matcher_code"],
-                pair_name=item["pair_name"],
-                scenario=item["scenario"],
-                variant=item.get("variant"),
-                dataset_source=item.get("dataset_source"),
-                parameters=item.get("parameters", {}),
-                recall_at_ground_truth=item["recall_at_ground_truth"],
-                runtime_seconds=item["runtime_seconds"],
-                ground_truth_size=item["ground_truth_size"],
-                noisy_schema=item.get("noisy_schema"),
-                noisy_instances=item.get("noisy_instances"),
-                extra_metrics=item.get("extra_metrics", {}),
-            )
-            for item in raw
-        ]
-        return cls(records)

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.discovery.prepared import PreparedTableCache
 from repro.discovery.search import RerankPool
 from repro.fabrication.pairs import DatasetPair
 from repro.experiments.parameters import ParameterGrid
@@ -29,7 +28,6 @@ def run_single_experiment(
     pair: DatasetPair,
     method_name: Optional[str] = None,
     parameters: Optional[Mapping[str, object]] = None,
-    prepared_cache: Optional[PreparedTableCache] = None,
 ) -> ExperimentRecord:
     """Run one matcher on one dataset pair and score the ranking.
 
@@ -44,38 +42,22 @@ def run_single_experiment(
     parameters:
         Parameter values recorded for the run (defaults to
         ``matcher.parameters()``).
-    prepared_cache:
-        Optional shared :class:`~repro.discovery.prepared.PreparedTableCache`.
-        When sweeping a parameter grid, configurations whose
-        :meth:`~repro.matchers.base.BaseMatcher.prepare` ignores the swept
-        parameter share one prepared payload per table — the run then times
-        only the pairwise stage plus a cache lookup, and the record's
-        ``prepare_cache_hits``/``prepare_cache_hit_rate`` extra metrics
-        report the reuse.  Leave ``None`` (the default) for paper-faithful
-        runtime measurements: caching changes what ``runtime_seconds``
-        means.
     """
     # Run through the two-phase protocol explicitly so the records can report
     # how much of the runtime is per-table preparation (the part discovery
     # amortises) versus genuinely pairwise matching.  Total runtime semantics
     # are unchanged: prepare + match is exactly what get_matches does.
     #
-    # Every run executes under its own telemetry recorder: the snapshot
-    # yields the cache-hit counters this record reports and is flattened
-    # into ``extra_metrics`` (``tm.*``), then merged into whatever recorder
-    # the caller has active so sweep-level totals still add up.
+    # Every run executes under its own telemetry recorder: the snapshot is
+    # flattened into ``extra_metrics`` (``tm.*``), then merged into whatever
+    # recorder the caller has active so sweep-level totals still add up.
     parent = telemetry.get_recorder()
     run_recorder = TelemetryRecorder()
-    use_cache = prepared_cache is not None
     started = time.perf_counter()
     with telemetry.use(run_recorder):
         with telemetry.span("matcher.prepare", pair=pair.name):
-            if use_cache:
-                source_prepared = prepared_cache.prepare(matcher, pair.source)
-                target_prepared = prepared_cache.prepare(matcher, pair.target)
-            else:
-                source_prepared = matcher.prepare(pair.source)
-                target_prepared = matcher.prepare(pair.target)
+            source_prepared = matcher.prepare(pair.source)
+            target_prepared = matcher.prepare(pair.target)
         prepared_at = time.perf_counter()
         with telemetry.span("matcher.match", pair=pair.name):
             result = matcher.match_prepared(source_prepared, target_prepared)
@@ -91,16 +73,6 @@ def run_single_experiment(
         "reciprocal_rank": reciprocal_rank(ranked, truth),
         "prepare_seconds": prepared_at - started,
     }
-    if use_cache:
-        # Both the hit count and the number of prepares come from this
-        # run's own telemetry counters — the denominator is no longer a
-        # hardcoded "2 prepares per run" assumption.
-        run_hits = snapshot.counters.get("prepared_cache.hits", 0)
-        run_prepares = run_hits + snapshot.counters.get("prepared_cache.misses", 0)
-        extra_metrics["prepare_cache_hits"] = float(run_hits)
-        extra_metrics["prepare_cache_hit_rate"] = (
-            run_hits / run_prepares if run_prepares else 0.0
-        )
     for name, value in sorted(snapshot.counters.items()):
         extra_metrics[f"tm.{name}"] = float(value)
     for name, seconds in sorted(snapshot.stage_seconds().items()):
@@ -145,30 +117,19 @@ class ExperimentRunner:
     progress_callback:
         Optional callable invoked with a human-readable progress string after
         every run (used by the CLI).
-    prepared_cache:
-        Optional shared :class:`~repro.discovery.prepared.PreparedTableCache`
-        threaded through every run.  Across a parameter grid, configurations
-        whose prepare stage ignores the swept parameter (the matcher's
-        :meth:`~repro.matchers.base.BaseMatcher.prepare_parameters` excludes
-        it) reuse prepared pair tables instead of re-preparing per
-        configuration; each record's ``prepare_cache_hit_rate`` extra metric
-        reports the reuse.  Leave ``None`` for paper-faithful runtime
-        measurements.
     rerank_pool:
         Optional persistent :class:`~repro.discovery.search.RerankPool`.
         When set, the (configuration x pair) experiments of each method fan
         out over its warm worker processes — the grid is embarrassingly
         parallel, and one pool amortises its spawn cost over the whole
         sweep.  Records come back in the same order as the serial loop.
-        The in-process ``prepared_cache`` cannot cross processes and is
-        ignored on this path; per-run wall-clock is still measured inside
-        the worker, but concurrent runs share cores, so keep the pool
-        ``None`` for paper-faithful runtime comparisons.
+        Per-run wall-clock is still measured inside the worker, but
+        concurrent runs share cores, so keep the pool ``None`` for
+        paper-faithful runtime comparisons.
     """
 
     grids: Mapping[str, ParameterGrid]
     progress_callback: Optional[Callable[[str], None]] = None
-    prepared_cache: Optional[PreparedTableCache] = None
     rerank_pool: Optional[RerankPool] = None
 
     def _notify(self, message: str) -> None:
@@ -205,7 +166,6 @@ class ExperimentRunner:
                     pair,
                     method_name=method_name,
                     parameters=parameters,
-                    prepared_cache=self.prepared_cache,
                 )
                 results.add(record)
                 self._notify(

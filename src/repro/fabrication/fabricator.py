@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.data.table import Table
 from repro.fabrication.pairs import DatasetPair, NoiseVariant, Scenario
@@ -202,10 +202,3 @@ class Fabricator:
             pair.name = f"{pair.name}_rep{repetition}"
             pair.metadata["repetition"] = repetition
         return pairs
-
-    def iter_fabricate(
-        self, seed_tables: Sequence[Table], scenarios: Sequence[Scenario] | None = None
-    ) -> Iterator[DatasetPair]:
-        """Lazily fabricate pairs for several seed tables."""
-        for seed_table in seed_tables:
-            yield from self.fabricate(seed_table, scenarios=scenarios)

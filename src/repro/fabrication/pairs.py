@@ -89,10 +89,6 @@ class DatasetPair:
         """Number of ground-truth correspondences."""
         return len(self.ground_truth)
 
-    def ground_truth_set(self) -> set[tuple[str, str]]:
-        """Ground truth as a set of name pairs."""
-        return set(self.ground_truth)
-
     def describe(self) -> str:
         """One-line description used in reports."""
         variant = self.variant.value if self.variant else "curated"

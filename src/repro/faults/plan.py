@@ -266,11 +266,3 @@ class FaultPlan:
                 f"{state.spec.operation}/{state.spec.kind}": state.injected
                 for state in self._states
             }
-
-    def reset(self) -> None:
-        """Rewind every spec's counters and deterministic stream."""
-        with self._lock:
-            for index, state in enumerate(self._states):
-                state.matched_calls = 0
-                state.injected = 0
-                state.rng = random.Random(f"{self.seed}:{index}")

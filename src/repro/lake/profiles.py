@@ -26,7 +26,6 @@ from repro.data.types import DataType
 from repro.distributions.histograms import build_histogram
 from repro.sketches.minhash import (
     MinHashSignature,
-    _stable_hash,
     hash_normalized_values,
     minhash_signatures_from_hashes,
 )
@@ -73,15 +72,6 @@ class SketchConfig:
             seed=int(data["seed"]),
             num_buckets=int(data["num_buckets"]),
         )
-
-
-def _hash_rank(value: object) -> int:
-    """Rank of a value in the fixed hashed domain (stable across processes).
-
-    Uses the same normalisation and stable hash as the MinHash sketches, so
-    both summaries agree on value identity.
-    """
-    return _stable_hash(str(value).strip().lower()) % _HASH_RANK_DOMAIN
 
 
 def _hash_space_histogram(

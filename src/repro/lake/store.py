@@ -336,17 +336,6 @@ class SketchStore(PerProcessSqliteStore):
         ).fetchall()
         return [row[0] for row in rows]
 
-    def content_hash(self, name: str) -> Optional[str]:
-        """The stored content hash of *name* (``None`` for unknown tables).
-
-        One indexed lookup — the warm discovery path uses it to key into the
-        prepared-candidate store without loading (or re-hashing) the table.
-        """
-        row = self._connection.execute(
-            "SELECT content_hash FROM tables WHERE name = ?", (name,)
-        ).fetchone()
-        return row[0] if row else None
-
     def table_meta(self, names: Sequence[str]) -> dict[str, tuple[str, Optional[str]]]:
         """Batch ``{name: (content hash, source path)}`` lookup.
 

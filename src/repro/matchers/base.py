@@ -69,10 +69,6 @@ class Match:
         """Return ``(source column name, target column name)``."""
         return (self.source.column, self.target.column)
 
-    def as_refs(self) -> tuple[ColumnRef, ColumnRef]:
-        """Return ``(source ref, target ref)``."""
-        return (self.source, self.target)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.source} ~ {self.target} ({self.score:.3f})"
 
@@ -136,28 +132,6 @@ class MatchResult:
         result = cls.__new__(cls)
         result._state = (scores, sources, targets, ranked)
         return result
-
-    @classmethod
-    def from_scores(
-        cls,
-        scores: Mapping[tuple[ColumnRef, ColumnRef], float],
-        threshold: float = 0.0,
-        keep_zero: bool = False,
-    ) -> "MatchResult":
-        """Build a result from a ``{(source, target): score}`` mapping.
-
-        Pairs scoring at or below *threshold* are dropped unless *keep_zero*
-        is set (some matchers deliberately emit complete rankings).
-        """
-        kept = {
-            pair: score for pair, score in scores.items() if keep_zero or score > threshold
-        }
-        return cls._of(
-            [float(score) for score in kept.values()],
-            [source for source, _ in kept],
-            [target for _, target in kept],
-            ranked=False,
-        )
 
     @classmethod
     def from_column_scores(
@@ -249,11 +223,6 @@ class MatchResult:
         _, sources, targets = self._ranking()
         return [(source.column, target.column) for source, target in zip(sources, targets)]
 
-    def ranked_ref_pairs(self) -> list[tuple[ColumnRef, ColumnRef]]:
-        """Fully qualified ref pairs in ranking order."""
-        _, sources, targets = self._ranking()
-        return list(zip(sources, targets))
-
     def scores(self) -> dict[tuple[str, str], float]:
         """``{(source column, target column): score}`` (best score per pair)."""
         result: dict[tuple[str, str], float] = {}
@@ -284,19 +253,6 @@ class MatchResult:
             used_sources.add(source)
             used_targets.add(target)
         return self._of(*_take(scores, sources, targets, keep), ranked=True)
-
-    def to_records(self) -> list[dict[str, object]]:
-        """Serialise to a list of plain dictionaries (for JSON/CSV export)."""
-        return [
-            {
-                "source_table": source.table,
-                "source_column": source.column,
-                "target_table": target.table,
-                "target_column": target.column,
-                "score": score,
-            }
-            for score, source, target in zip(*self._ranking())
-        ]
 
 
 @dataclass(frozen=True)

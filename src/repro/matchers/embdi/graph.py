@@ -55,14 +55,6 @@ class DataGraph:
         """Neighbour tokens of *node* (empty when isolated/unknown)."""
         return self.adjacency.get(node, [])
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.adjacency)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(neighbours) for neighbours in self.adjacency.values()) // 2
-
     def all_nodes(self) -> list[str]:
         """All node tokens (RID + CID + value)."""
         return list(self.adjacency)

@@ -91,11 +91,6 @@ class EnsembleMatcher(BaseMatcher):
         self.weights = dict(weights or {})
         self._matchers = list(matchers)
 
-    @property
-    def base_matchers(self) -> list[BaseMatcher]:
-        """The wrapped base matchers."""
-        return list(self._matchers)
-
     def parameters(self) -> dict[str, object]:
         """Ensemble configuration plus the names of the base matchers."""
         return {

@@ -24,33 +24,19 @@ def _normalised_value_set(values: Sequence[str]) -> frozenset[str]:
     return frozenset(str(v).strip().lower() for v in values)
 
 
-def _fuzzy_jaccard(
-    values_a: Sequence[str],
-    values_b: Sequence[str],
-    threshold: float,
-    sample_size: int,
-) -> float:
-    """Jaccard similarity with fuzzy (Levenshtein-tolerant) value equality.
-
-    Two values are "equal" when ``1 - levenshtein / max_len >= threshold``.
-    Exact matches are counted first on sets (cheap); only the residue goes
-    through the quadratic fuzzy pass, capped at *sample_size* values per side.
-    """
-    return _fuzzy_jaccard_sets(
-        _normalised_value_set(values_a),
-        _normalised_value_set(values_b),
-        threshold=threshold,
-        sample_size=sample_size,
-    )
-
-
 def _fuzzy_jaccard_sets(
     set_a: AbstractSet[str],
     set_b: AbstractSet[str],
     threshold: float,
     sample_size: int,
 ) -> float:
-    """:func:`_fuzzy_jaccard` over already-normalised value sets."""
+    """Jaccard similarity with fuzzy (Levenshtein-tolerant) value equality.
+
+    Two values of the already-normalised sets are "equal" when
+    ``1 - levenshtein / max_len >= threshold``.  Exact matches are counted
+    first on sets (cheap); only the residue goes through the quadratic fuzzy
+    pass, capped at *sample_size* values per side.
+    """
     if not set_a and not set_b:
         return 1.0
     if not set_a or not set_b:

@@ -99,10 +99,6 @@ class Ontology:
         cls = self._classes.get(class_name)
         return list(cls.parents) if cls else []
 
-    def ancestors_of(self, class_name: str) -> set[str]:
-        """All (transitive) superclasses of *class_name*."""
-        return set(self._ancestors(class_name))
-
     def _ancestors(self, class_name: str) -> frozenset[str]:
         """Memoized ancestor set (coherence scoring calls this per link pair)."""
         cache = getattr(self, "_ancestors_cache", None)
@@ -123,22 +119,6 @@ class Ontology:
         cache[class_name] = result
         return result
 
-    def descendants_of(self, class_name: str) -> set[str]:
-        """All (transitive) subclasses of *class_name*."""
-        children_of: dict[str, list[str]] = {}
-        for cls in self._classes.values():
-            for parent in cls.parents:
-                children_of.setdefault(parent, []).append(cls.name)
-        descendants: set[str] = set()
-        frontier = list(children_of.get(class_name, ()))
-        while frontier:
-            child = frontier.pop()
-            if child in descendants:
-                continue
-            descendants.add(child)
-            frontier.extend(children_of.get(child, ()))
-        return descendants
-
     def related(self, class_a: str, class_b: str) -> bool:
         """True when the two classes are equal or connected through IS-A."""
         if class_a == class_b:
@@ -158,27 +138,3 @@ class Ontology:
             )
             cache[key] = cached
         return cached
-
-    def semantic_distance(self, class_a: str, class_b: str) -> int:
-        """Shortest IS-A path length between the classes (-1 when unrelated)."""
-        if class_a == class_b:
-            return 0
-        # Breadth-first search over the undirected IS-A graph.
-        neighbours: dict[str, set[str]] = {name: set() for name in self._classes}
-        for cls in self._classes.values():
-            for parent in cls.parents:
-                neighbours.setdefault(cls.name, set()).add(parent)
-                neighbours.setdefault(parent, set()).add(cls.name)
-        if class_a not in neighbours or class_b not in neighbours:
-            return -1
-        visited = {class_a}
-        frontier = [(class_a, 0)]
-        while frontier:
-            node, depth = frontier.pop(0)
-            for neighbour in neighbours.get(node, ()):
-                if neighbour == class_b:
-                    return depth + 1
-                if neighbour not in visited:
-                    visited.add(neighbour)
-                    frontier.append((neighbour, depth + 1))
-        return -1

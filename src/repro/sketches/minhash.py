@@ -222,8 +222,7 @@ def minhash_signatures_scalar(
     One :func:`_stable_hash` call per distinct value and one Python-level
     ``(a*h + b) mod p`` loop per permutation — the pre-vectorization hot
     path, kept as an independently-written oracle.  Tests assert the NumPy
-    batch path produces bit-identical signatures; the warm-lake benchmark
-    measures its speedup over this function.
+    batch path produces bit-identical signatures.
     """
     if num_permutations <= 0:
         raise ValueError("num_permutations must be positive")

@@ -338,14 +338,6 @@ class TelemetryRecorder:
                 self._dropped_spans += len(snapshot.spans) - max(0, room)
             self._dropped_spans += snapshot.dropped_spans
 
-    def reset(self) -> None:
-        """Drop all recorded state (counters, histograms, spans)."""
-        with self._lock:
-            self._counters.clear()
-            self._durations.clear()
-            self._spans.clear()
-            self._dropped_spans = 0
-
 
 # --------------------------------------------------------------------- #
 # active-recorder resolution

@@ -210,10 +210,6 @@ class Thesaurus:
         self._hypernyms.setdefault(self._key(specific), set()).add(self._key(general))
         self._fingerprint_cache = None
 
-    def synonyms(self, term: str) -> set[str]:
-        """Return the synonym keys of *term* (including itself if known)."""
-        return set(self._synonyms.get(self._key(term), _NO_KEYS))
-
     def _synonymous(self, key_a: str, key_b: str) -> bool:
         return key_a == key_b or key_b in self._synonyms.get(key_a, _NO_KEYS)
 
@@ -221,14 +217,6 @@ class Thesaurus:
         return key_b in self._hypernyms.get(key_a, _NO_KEYS) or key_a in self._hypernyms.get(
             key_b, _NO_KEYS
         )
-
-    def are_synonyms(self, a: str, b: str) -> bool:
-        """True when *a* and *b* share a synonym group (or have equal stems)."""
-        return self._synonymous(self._key(a), self._key(b))
-
-    def are_hypernyms(self, a: str, b: str) -> bool:
-        """True when one of the terms is a registered hypernym of the other."""
-        return self._hypernymous(self._key(a), self._key(b))
 
     def relation_score(self, a: str, b: str) -> float:
         """Score the lexical relation of two terms.

@@ -48,10 +48,6 @@ class TuningOutcome:
     best_mean_recall: float
     leaderboard: list[tuple[dict[str, object], float]] = field(default_factory=list)
 
-    def build_matcher(self, grid: ParameterGrid):
-        """Instantiate the tuned matcher from the winning configuration."""
-        return grid.factory(**self.best_parameters)
-
 
 class AutoTuner:
     """Tune a matcher's parameters on fabricated scenarios (eTuner-style).

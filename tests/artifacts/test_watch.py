@@ -66,11 +66,11 @@ class TestPollSemantics:
         with SketchStore(tmp_path / "w.sketches") as store:
             watcher = LakeWatcher(store, lake_dir)
             watcher.poll_once()
-            before = store.content_hash("t1")
+            before, _ = store.table_meta(["t1"])["t1"]
             _write_table(lake_dir, "t1", seed=99, num_rows=20)
             report = watcher.poll_once()
             assert report.candidates == 1 and report.sketched == 1
-            assert store.content_hash("t1") != before
+            assert store.table_meta(["t1"])["t1"][0] != before
 
     def test_deleted_csv_retires_its_table(self, tmp_path, lake_dir):
         with SketchStore(tmp_path / "w.sketches") as store:

@@ -28,16 +28,21 @@ class TestProfileColumn:
         assert profile.distinct_count == 2
         assert profile.row_count == 4
 
-    def test_uniqueness_and_completeness(self):
-        profile = profile_column(Column("x", ["a", "b", "b", None]))
-        assert profile.uniqueness == pytest.approx(2 / 3)
-        assert profile.completeness == pytest.approx(0.75)
+    @pytest.mark.parametrize("values", [[3, 1, None, 3, "7"], ["b", None, "a", "b"], []])
+    def test_a_precomputed_scan_profiles_the_same(self, values):
+        column = Column("x", values)
+        scanned = profile_column(
+            column,
+            non_missing=column.non_missing(),
+            distinct_count=len(column.unique_values()),
+        )
+        assert scanned == profile_column(column)
 
     def test_empty_column(self):
         profile = profile_column(Column("x", []))
         assert profile.row_count == 0
-        assert profile.uniqueness == 0.0
-        assert profile.completeness == 0.0
+        assert profile.missing_count == 0
+        assert profile.distinct_count == 0
 
 
 class TestProfileTable:

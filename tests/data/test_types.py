@@ -15,8 +15,26 @@ from repro.data.types import (
     infer_column_type,
     infer_value_type,
     is_missing,
+    parse_numeric_values,
     type_compatibility,
 )
+
+
+class TestParseNumericValues:
+    def test_skips_what_float_cannot_read(self):
+        values = [1, "2.5", "x", None, "1e3", True, ""]
+        assert parse_numeric_values(values) == [1.0, 2.5, 1000.0]
+
+    def test_reads_a_one_pass_iterable(self):
+        assert parse_numeric_values(str(n) for n in range(3)) == [0.0, 1.0, 2.0]
+
+
+class TestDataTypeKinds:
+    def test_numeric_and_textual_are_disjoint(self):
+        numeric = {data_type for data_type in DataType if data_type.is_numeric}
+        textual = {data_type for data_type in DataType if data_type.is_textual}
+        assert numeric == {DataType.INTEGER, DataType.FLOAT}
+        assert textual == {DataType.STRING}
 
 
 class TestIsMissing:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets.vocabulary import COUNTRIES, COUNTRY_CODES, ValueSampler
+from repro.datasets.vocabulary import COMPANY_WORDS, COUNTRIES, COUNTRY_CODES, ValueSampler
 
 
 class TestValueSampler:
@@ -16,10 +16,6 @@ class TestValueSampler:
     def test_person_name_format(self):
         name = ValueSampler(1).person_name()
         assert len(name.split()) == 2
-
-    def test_short_person_name_format(self):
-        name = ValueSampler(1).short_person_name()
-        assert name[1] == "."
 
     def test_street_address_format(self):
         address = ValueSampler(2).street_address()
@@ -60,6 +56,19 @@ class TestValueSampler:
         year, month, day = date.split("-")
         assert 2000 <= int(year) <= 2001
         assert 1 <= int(month) <= 12
+
+    def test_phone_format(self):
+        country, area, number = ValueSampler(10).phone().lstrip("+").split("-")
+        assert 1 <= int(country) <= 99
+        assert len(area) == 3 and len(number) == 7
+
+    def test_company_is_two_vocabulary_words(self):
+        first, second = ValueSampler(11).company().split(" ")
+        assert first in COMPANY_WORDS and second in COMPANY_WORDS
+
+    def test_sentence_draws_its_length_from_the_word_list(self):
+        words = ValueSampler(12).sentence(["alpha", "beta"], length=5).split(" ")
+        assert len(words) == 5 and set(words) <= {"alpha", "beta"}
 
     def test_every_country_has_alternative_encoding(self):
         assert set(COUNTRY_CODES) == set(COUNTRIES)

@@ -84,7 +84,7 @@ class TestRoundTripEquality:
                 query_prepared = matcher.prepare(query_table)
                 via_fresh = matcher.match_prepared(query_prepared, fresh)
                 via_loaded = matcher.match_prepared(query_prepared, loaded)
-                assert via_loaded.to_records() == via_fresh.to_records(), (
+                assert via_loaded.matches == via_fresh.matches, (
                     f"{name}: matches diverged after a store round trip"
                 )
 
@@ -293,15 +293,6 @@ class TestPersistenceAndBounds:
             PreparedStore(path)
         assert f"delete {path}" in str(excinfo.value)
         assert "`lake prepare <matcher>`" in str(excinfo.value)
-
-    def test_table_names_listing(self):
-        matcher = JaccardLevenshteinMatcher()
-        with PreparedStore() as store:
-            store.prepare(matcher, _table("beta", ["b"]))
-            store.prepare(matcher, _table("alpha", ["a"]))
-            assert store.table_names() == ["alpha", "beta"]
-            assert store.table_names(matcher.fingerprint()) == ["alpha", "beta"]
-            assert store.table_names("nobody") == []
 
 
 class TestBatchReads:

@@ -63,9 +63,9 @@ class TestRelatedness:
 
     def test_combined_weighting(self):
         scores = RelatednessScores(joinability=1.0, unionability=0.0, best_pair=None)
-        assert scores.combined(join_weight=1.0) == 1.0
-        assert scores.combined(join_weight=0.0) == 0.0
         assert scores.combined() == 0.5
+        scores = RelatednessScores(joinability=0.7, unionability=0.3, best_pair=None)
+        assert scores.combined() == 0.5 * 0.7 + 0.5 * 0.3
 
 
 _SCORES = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.55, 0.5500000000000002, 0.75, 1.0])

@@ -14,8 +14,8 @@ class TestVocabulary:
         vocab.add_corpus([["a", "b", "a"], ["b", "c"]])
         vocab.finalize()
         assert len(vocab) == 3
-        assert vocab.count_of("a") == 2
-        assert vocab.token_of(vocab.id_of("a")) == "a"
+        assert vocab.unigram_table(power=1.0)[vocab.id_of("a")] == pytest.approx(2 / 5)
+        assert vocab.tokens[vocab.id_of("a")] == "a"
 
     def test_min_count_filters_rare_tokens(self):
         vocab = Vocabulary(min_count=2)

@@ -39,12 +39,6 @@ class TestTraining:
         across = model.similarity("alpha", "two")
         assert within > across
 
-    def test_most_similar_excludes_query(self):
-        model = train_word2vec(_toy_corpus(), Word2VecConfig(dimensions=16, epochs=2))
-        neighbours = model.most_similar("alpha", top_k=3)
-        assert len(neighbours) == 3
-        assert all(token != "alpha" for token, _ in neighbours)
-
 
 class TestModel:
     def test_similarity_of_unknown_token_is_zero(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.results import BoxplotStats, ExperimentRecord, ResultSet
@@ -54,7 +56,6 @@ class TestResultSet:
         ])
         assert len(results.for_method("A")) == 1
         assert len(results.for_scenario("joinable")) == 1
-        assert len(results.for_dataset_source("chembl")) == 1
         assert results.methods() == ["A", "B"]
         assert results.scenarios() == ["joinable", "unionable"]
 
@@ -77,19 +78,19 @@ class TestResultSet:
         assert results.best_recall_by_method() == {"A": 0.9, "B": 0.1}
         assert results.mean_recall_by_method()["A"] == pytest.approx(0.65)
 
-    def test_average_runtime(self):
-        results = ResultSet([
-            _record(method="A", runtime=1.0),
-            _record(method="A", runtime=3.0),
-        ])
-        assert results.average_runtime_by_method() == {"A": 2.0}
+    def test_recall_values_keep_record_order(self):
+        results = ResultSet([_record(recall=0.4), _record(recall=0.9), _record(recall=0.4)])
+        assert results.recall_values() == [0.4, 0.9, 0.4]
 
-    def test_json_round_trip(self, tmp_path):
+    def test_to_json(self, tmp_path):
         results = ResultSet([_record(method="A", recall=0.4), _record(method="B", recall=0.7)])
         path = results.to_json(tmp_path / "out" / "results.json")
-        loaded = ResultSet.from_json(path)
-        assert len(loaded) == 2
-        assert loaded.best_recall_by_method() == results.best_recall_by_method()
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+        assert [(row["method"], row["recall_at_ground_truth"]) for row in loaded] == [
+            ("A", 0.4),
+            ("B", 0.7),
+        ]
+        assert loaded[0]["parameters"] == {"alpha": 1}
 
     def test_record_to_dict(self):
         record = _record()

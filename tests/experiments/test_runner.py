@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.experiments.parameters import ParameterGrid
@@ -78,62 +81,21 @@ class TestExperimentRunner:
         assert "recall@GT" in messages[0]
 
 
-class TestCacheAwareRunner:
-    def test_grid_sweep_reuses_prepared_tables(self, small_grids, unionable_pair):
-        """JL's threshold is match-stage-only, so the second grid
-        configuration's prepares are all served from the shared cache."""
-        from repro.discovery.prepared import PreparedTableCache
-
-        cache = PreparedTableCache()
-        runner = ExperimentRunner(grids=small_grids, prepared_cache=cache)
-        results = runner.run_method("JaccardLevenshtein", [unionable_pair])
-        # 2 configurations x 1 pair x 2 tables: config 1 misses, config 2 hits.
-        assert cache.misses == 2
-        assert cache.hits == 2
-        hit_rates = [
-            record.extra_metrics["prepare_cache_hit_rate"] for record in results
+class TestConfiguration:
+    def test_the_runner_takes_no_prepared_cache(self):
+        """A run prepares both tables itself, so ``runtime_seconds`` always
+        means what the paper's Table 5 measures."""
+        assert [field.name for field in dataclasses.fields(ExperimentRunner)] == [
+            "grids",
+            "progress_callback",
+            "rerank_pool",
         ]
-        assert sorted(hit_rates) == [0.0, 1.0]
-        assert all(
-            "prepare_cache_hits" in record.extra_metrics for record in results
-        )
-
-    def test_cached_rankings_match_uncached(self, small_grids, unionable_pair):
-        from repro.discovery.prepared import PreparedTableCache
-
-        plain = ExperimentRunner(grids=small_grids)
-        cached = ExperimentRunner(grids=small_grids, prepared_cache=PreparedTableCache())
-        baseline = plain.run_all([unionable_pair])
-        reused = cached.run_all([unionable_pair])
-        assert [r.recall_at_ground_truth for r in baseline] == [
-            r.recall_at_ground_truth for r in reused
+        assert list(inspect.signature(run_single_experiment).parameters) == [
+            "matcher",
+            "pair",
+            "method_name",
+            "parameters",
         ]
-
-    def test_no_cache_means_no_cache_metrics(self, small_grids, unionable_pair):
-        runner = ExperimentRunner(grids=small_grids)
-        results = runner.run_all([unionable_pair], methods=["JaccardLevenshtein"])
-        assert all(
-            "prepare_cache_hit_rate" not in record.extra_metrics for record in results
-        )
-
-    def test_hit_rate_denominator_comes_from_telemetry(self, small_grids, unionable_pair):
-        """The hit rate is hits / (hits + misses) as counted by this run's
-        own telemetry — not a hardcoded two-prepares-per-run assumption."""
-        from repro.discovery.prepared import PreparedTableCache
-
-        runner = ExperimentRunner(
-            grids=small_grids, prepared_cache=PreparedTableCache()
-        )
-        results = runner.run_method("JaccardLevenshtein", [unionable_pair])
-        for record in results:
-            hits = record.extra_metrics.get("tm.prepared_cache.hits", 0.0)
-            misses = record.extra_metrics.get("tm.prepared_cache.misses", 0.0)
-            prepares = hits + misses
-            assert prepares == 2.0  # source + target, per-run counters
-            assert record.extra_metrics["prepare_cache_hit_rate"] == pytest.approx(
-                hits / prepares
-            )
-            assert record.extra_metrics["prepare_cache_hits"] == hits
 
 
 class TestTelemetryMetrics:

@@ -55,13 +55,6 @@ class TestFabricationGrid:
         pairs = Fabricator(config).fabricate(small_seed_table, scenarios=[Scenario.JOINABLE])
         assert len(pairs) == 8  # 4 overlaps x 2 variants
 
-    def test_iter_fabricate_covers_all_seeds(self, small_seed_table):
-        fabricator = Fabricator(FabricationConfig())
-        pairs = list(
-            fabricator.iter_fabricate([small_seed_table], scenarios=[Scenario.UNIONABLE])
-        )
-        assert len(pairs) == 12
-
 
 class TestNoiseVariantSemantics:
     def test_variant_flags(self):
@@ -97,6 +90,3 @@ class TestDatasetPairModel:
         )
         with pytest.raises(ValueError, match="unknown columns"):
             broken.validate()
-
-    def test_ground_truth_set(self, unionable_pair):
-        assert unionable_pair.ground_truth_set() == set(unionable_pair.ground_truth)

@@ -39,14 +39,6 @@ class TestDeterminism:
         second = _drive(FaultPlan([spec], seed=8), "transport.read_blob", 50)
         assert first != second
 
-    def test_reset_rewinds_the_stream(self):
-        plan = FaultPlan(
-            [FaultSpec("op", "error", probability=0.5)], seed=3
-        )
-        first = _drive(plan, "op", 30)
-        plan.reset()
-        assert _drive(plan, "op", 30) == first
-
     def test_spec_streams_are_independent(self):
         """Adding an unrelated spec must not perturb another spec's draws."""
         target = FaultSpec("op.a", "error", probability=0.5)
@@ -88,7 +80,6 @@ class TestScheduling:
         plan = FaultPlan([FaultSpec("transport.*", "error")])
         with pytest.raises(InjectedFault):
             plan.check("transport.read_manifest")
-        plan.reset()
         plan.check("serve.score_batch")  # no match, no fault
 
     def test_custom_error_class_and_instance(self):

@@ -226,7 +226,7 @@ class TestRepair:
             report = verify_lake(store, prepared_store=prepared_store, repair=True)
             assert report.pruned_prepared == 1
             assert report.healthy_after_repair
-            assert prepared_store.table_names() == ["t1", "t2"]
+            assert sorted(name for _, name, _, _ in prepared_store.raw_keys()) == ["t1", "t2"]
             assert verify_lake(store, prepared_store=prepared_store).clean
 
     def test_the_cli_reports_and_repairs_undecodable_rows(self, built_lake, capsys):

@@ -261,7 +261,8 @@ class TestWriteThrough:
                     assert engine.last_query_stats.store_hits == 0  # genuinely cold
                     # All four candidates were written through; the query
                     # table never is.
-                    assert set(prepared_store.table_names()) == {"t0", "t1", "t2", "t3"}
+                    written = {name for _, name, _, _ in prepared_store.raw_keys()}
+                    assert written == {"t0", "t1", "t2", "t3"}
                     warm = engine.query(query)
                     stats = engine.last_query_stats
                     assert stats.store_hits == stats.rerank_count == 4
@@ -286,7 +287,7 @@ class TestWriteThrough:
                 again = engine.query(query)
             assert prepared_store._connection.total_changes == 0
             assert len(prepared_store) == rows
-            assert query.name not in prepared_store.table_names()
+            assert query.name not in {name for _, name, _, _ in prepared_store.raw_keys()}
         assert _ranking(again) == _ranking(first)
         counters = recorder.snapshot().counters
         assert counters["prepared_cache.hits"] == 1
@@ -303,21 +304,27 @@ class TestWriteThrough:
             engine = LakeDiscoveryEngine(
                 matcher=matcher, store=store, prepared_store=prepared_store
             )
-            for table in (query, query, changed, query):
-                engine.query(table, top_k=2)
-            assert prepared_store.table_names(matcher.fingerprint()) == [
-                f"table_{i}" for i in range(_NUM_TABLES)
-            ]
-        cache = engine._query_cache
-        assert (cache.misses, cache.hits, len(cache)) == (2, 2, 2)
+            recorder = TelemetryRecorder()
+            with use(recorder):
+                for table in (query, query, changed, query):
+                    engine.query(table, top_k=2)
+            assert sorted(
+                name
+                for fingerprint, name, _, _ in prepared_store.raw_keys()
+                if fingerprint == matcher.fingerprint()
+            ) == [f"table_{i}" for i in range(_NUM_TABLES)]
+        counters = recorder.snapshot().counters
+        assert (counters["prepared_cache.misses"], counters["prepared_cache.hits"]) == (2, 2)
+        assert "prepared_cache.evictions" not in counters
 
     def test_engine_without_a_prepared_store_keeps_no_query_cache(self, warm_lake):
         """The cold path is unchanged: with no prepared store the query is
         prepared with its candidates, and the engine's cache stays unused."""
         store, _, query, _ = warm_lake
         engine = LakeDiscoveryEngine(matcher=JaccardLevenshteinMatcher(), store=store)
-        engine.query(query, top_k=2)
-        engine.query(query, top_k=2)
+        recorder = TelemetryRecorder()
+        with use(recorder):
+            engine.query(query, top_k=2)
+            engine.query(query, top_k=2)
         assert engine.last_query_stats.store_hits == 0
-        cache = engine._query_cache
-        assert (cache.misses, cache.hits, len(cache)) == (0, 0, 0)
+        assert not any(name.startswith("prepared_cache.") for name in recorder.snapshot().counters)

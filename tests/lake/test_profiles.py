@@ -209,8 +209,9 @@ class TestContentHash:
         assert table_content_hash(clients_table) == table_content_hash(clients_table)
 
     def test_hash_detects_value_changes(self, clients_table):
-        changed = clients_table.with_column(
-            Column("Country", ["USA", "China", "USA", "UK", "China", "Peru"])
+        changed = Table(
+            clients_table.name,
+            {**clients_table.to_dict(), "Country": ["USA", "China", "USA", "UK", "China", "Peru"]},
         )
         assert table_content_hash(changed) != table_content_hash(clients_table)
 

@@ -6,8 +6,8 @@ scoring a candidate must not pay for a materialised, sorted ranking:
 
 * no :class:`~repro.matchers.base.Match` per scored column pair (one per
   candidate: the best match ``relatedness`` asks for);
-* no :attr:`Column.ref <repro.data.table.Column.ref>` per pair either — the
-  shared constructor takes each table's refs once;
+* no :class:`~repro.data.table.ColumnRef` per pair either — the shared
+  constructor builds each column's ref once;
 * at most one ``sorted`` per candidate from ``MatchResult`` (the thresholded
   part), none from building the result;
 
@@ -28,7 +28,7 @@ from matcher_support import (
     reference_tree_match,
 )
 from repro.data.csv_io import read_csv
-from repro.data.table import Column, ColumnRef
+from repro.data.table import ColumnRef
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import PairScorer
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
@@ -46,19 +46,19 @@ def gate_lake(tmp_path_factory):
 
 
 class _Census:
-    """Counts ``Match()``, ``Column.ref`` and ``sorted`` as ``MatchResult`` sees them."""
+    """Counts ``Match()``, ``ColumnRef()`` and ``sorted`` as ``MatchResult`` sees them."""
 
     def __init__(self, monkeypatch) -> None:
         self.matches = self.refs = self.sorts = 0
-        match_class, builtin_sorted = base.Match, sorted
+        match_class, ref_class, builtin_sorted = base.Match, base.ColumnRef, sorted
 
         def match(*args, **kwargs):
             self.matches += 1
             return match_class(*args, **kwargs)
 
-        def ref(column: Column) -> ColumnRef:
+        def ref(*args, **kwargs):
             self.refs += 1
-            return ColumnRef(column.table_name, column.name)
+            return ref_class(*args, **kwargs)
 
         def counting_sorted(*args, **kwargs):
             # ``fingerprint()`` sorts its parameters in the same module.
@@ -67,7 +67,7 @@ class _Census:
             return builtin_sorted(*args, **kwargs)
 
         monkeypatch.setattr(base, "Match", match)
-        monkeypatch.setattr(Column, "ref", property(ref))
+        monkeypatch.setattr(base, "ColumnRef", ref)
         monkeypatch.setattr(base, "sorted", counting_sorted, raising=False)
 
 
@@ -132,7 +132,7 @@ def test_one_cupid_pair_ends_in_the_same_constructor(gate_lake, monkeypatch):
     )
     expected = ReferenceMatchResult.from_scores(
         {
-            (query.column(source).ref, candidate.column(target).ref): score
+            (ColumnRef(query.name, source), ColumnRef(candidate.name, target)): score
             for (source, target), score in weighted.items()
         },
         keep_zero=True,

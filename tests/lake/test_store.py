@@ -37,8 +37,9 @@ class TestMutations:
     def test_changed_content_invalidates(self, store, clients_table):
         store.add_table(clients_table)
         old_hash = store.get("clients").content_hash
-        changed = clients_table.with_column(
-            Column("Country", ["USA", "China", "USA", "UK", "China", "Peru"])
+        changed = Table(
+            clients_table.name,
+            {**clients_table.to_dict(), "Country": ["USA", "China", "USA", "UK", "China", "Peru"]},
         )
         assert store.add_table(changed)
         assert store.get("clients").content_hash != old_hash

@@ -76,7 +76,7 @@ class TestPrepareStalePruning:
             build_from_paths(store, sorted(lake_dir.glob("*.csv")))
             first = prepare_lake(store, prepared_store, matcher)
             assert first.prepared == 3 and first.stale_pruned == 0
-            old_hash = store.content_hash("t1")
+            old_hash, _ = store.table_meta(["t1"])["t1"]
             # t1's content changes and the lake is rebuilt: its old payload
             # row (keyed by the old hash) is now unreachable garbage.
             write_csv(

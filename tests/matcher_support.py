@@ -278,9 +278,6 @@ class ReferenceMatchResult:
     def ranked_pairs(self) -> list[tuple[str, str]]:
         return [match.as_pair() for match in self._matches]
 
-    def ranked_ref_pairs(self) -> list[tuple[ColumnRef, ColumnRef]]:
-        return [match.as_refs() for match in self._matches]
-
     def scores(self) -> dict[tuple[str, str], float]:
         result: dict[tuple[str, str], float] = {}
         for match in self._matches:
@@ -303,18 +300,6 @@ class ReferenceMatchResult:
             used_sources.add(match.source)
             used_targets.add(match.target)
         return ReferenceMatchResult(kept)
-
-    def to_records(self) -> list[dict[str, object]]:
-        return [
-            {
-                "source_table": match.source.table,
-                "source_column": match.source.column,
-                "target_table": match.target.table,
-                "target_column": match.target.column,
-                "score": match.score,
-            }
-            for match in self._matches
-        ]
 
 
 def reference_unionability(

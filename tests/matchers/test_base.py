@@ -61,10 +61,6 @@ class TestMatchResultViews:
     def test_ranked_pairs(self, sample_result):
         assert sample_result.ranked_pairs() == [("b", "y"), ("c", "z"), ("a", "x")]
 
-    def test_ranked_ref_pairs(self, sample_result):
-        refs = sample_result.ranked_ref_pairs()
-        assert refs[0] == (_ref("s", "b"), _ref("t", "y"))
-
     def test_scores_mapping_keeps_best(self):
         result = MatchResult(
             [
@@ -89,23 +85,11 @@ class TestMatchResultViews:
         one_to_one = result.one_to_one()
         assert one_to_one.ranked_pairs() == [("a", "x"), ("b", "y")]
 
-    def test_to_records(self, sample_result):
-        records = sample_result.to_records()
-        assert len(records) == 3
-        assert records[0]["source_column"] == "b"
-        assert records[0]["score"] == 0.9
-
-    def test_from_scores_threshold_and_keep_zero(self):
-        scores = {(_ref("s", "a"), _ref("t", "x")): 0.0, (_ref("s", "b"), _ref("t", "y")): 0.7}
-        assert len(MatchResult.from_scores(scores)) == 1
-        assert len(MatchResult.from_scores(scores, keep_zero=True)) == 2
-
 
 class TestMatchObject:
-    def test_as_pair_and_refs(self):
+    def test_as_pair(self):
         match = Match(0.4, _ref("s", "a"), _ref("t", "b"))
         assert match.as_pair() == ("a", "b")
-        assert match.as_refs() == (_ref("s", "a"), _ref("t", "b"))
 
 
 class TestBaseMatcher:
@@ -145,10 +129,8 @@ _READS = {
     "index": lambda r: [r[i] for i in range(-len(r), len(r))],
     "matches": lambda r: r.matches,
     "ranked_pairs": lambda r: r.ranked_pairs(),
-    "ranked_ref_pairs": lambda r: r.ranked_ref_pairs(),
     "scores": lambda r: list(r.scores().items()),
     "one_to_one": lambda r: r.one_to_one().matches,
-    "to_records": lambda r: r.to_records(),
     **{f"top_k({k})": lambda r, k=k: r.top_k(k).matches for k in (-1, 0, 1, 3, 100)},
 }
 
@@ -194,16 +176,6 @@ class TestColumnsAgainstTheEagerReference:
         assert result.best() == (reference[0] if matches else None)
         list(result)
         assert result.best() == (reference[0] if matches else None)
-
-    @given(
-        st.dictionaries(st.tuples(_REFS, _REFS), _SCORES, max_size=16),
-        st.sampled_from([-1.0, 0.0, 0.25, 0.5]),
-        st.booleans(),
-    )
-    def test_from_scores(self, scores, threshold, keep_zero):
-        result = MatchResult.from_scores(scores, threshold=threshold, keep_zero=keep_zero)
-        reference = ReferenceMatchResult.from_scores(scores, threshold=threshold, keep_zero=keep_zero)
-        assert result.matches == reference.matches
 
     @given(
         st.dictionaries(

@@ -346,19 +346,19 @@ class TestNamePairTableContract:
             [("client", "customer"), ("vendor", "supplier")],
             [("manager", "employee"), ("branch", "office")],
         )
-        expected = CupidMatcher(thesaurus=fresh).get_matches(source, target).to_records()
+        expected = CupidMatcher(thesaurus=fresh).get_matches(source, target).matches
         linguistic._NAME_PAIRS.scores.clear()  # what a fresh process starts with
 
         thesaurus = Thesaurus([("client", "customer")], [("manager", "employee")])
         matcher = CupidMatcher(thesaurus=thesaurus)
         prepared = matcher.prepare(source), matcher.prepare(target)
         for _ in range(100):
-            before = matcher.match_prepared(*prepared).to_records()
+            before = matcher.match_prepared(*prepared).matches
         assert before != expected
         thesaurus.add_synonym_group(("vendor", "supplier"))
         thesaurus.add_hypernym("branch", "office")
         assert thesaurus.fingerprint() == fresh.fingerprint()
-        assert matcher.match_prepared(*prepared).to_records() == expected
+        assert matcher.match_prepared(*prepared).matches == expected
         for names in (("vendor_code", "supplier_code"), ("branch", "office")):
             assert name_similarity(*names, thesaurus=thesaurus) == reference_name_similarity(
                 *names, thesaurus=fresh
@@ -438,12 +438,12 @@ class TestTreeMatchWorkCensus:
         matcher = CupidMatcher()
         prepared = matcher.prepare(clients_table), matcher.prepare(offices_table)
         linguistic._NAME_PAIRS.scores.clear()  # what a fresh process starts with
-        first = matcher.match_prepared(*prepared).to_records()
+        first = matcher.match_prepared(*prepared).matches
         assert calls["monge_elkan"] == 2 * (4 * 3 + 4) and calls["jaro_winkler_similarity"] > 0
 
         calls.clear()
         _, misses_before = linguistic.name_pair_work()
-        assert matcher.match_prepared(*prepared).to_records() == first
+        assert matcher.match_prepared(*prepared).matches == first
         assert linguistic.name_pair_work()[1] == misses_before
         assert calls == Counter()
 

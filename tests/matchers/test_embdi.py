@@ -41,7 +41,6 @@ class TestDataGraph:
         graph = build_data_graph([source, target])
         assert len(graph.cid_nodes) == 4
         assert len(graph.rid_nodes) == source.num_rows + target.num_rows
-        assert graph.num_nodes == len(graph.all_nodes())
 
     def test_shared_values_bridge_tables(self, tiny_tables):
         source, target = tiny_tables
@@ -64,7 +63,7 @@ class TestDataGraph:
 
     def test_edge_count_positive(self, tiny_tables):
         graph = build_data_graph(list(tiny_tables))
-        assert graph.num_edges > 0
+        assert any(graph.adjacency.values())
 
 
 class TestWalks:
@@ -78,7 +77,7 @@ class TestWalks:
         graph = build_data_graph(list(tiny_tables))
         config = WalkConfig(sentence_length=8, walks_per_node=2, seed=1)
         walks = generate_walks(graph, config)
-        assert len(walks) == 2 * graph.num_nodes
+        assert len(walks) == 2 * len(graph.all_nodes())
         assert all(len(walk) == 8 for walk in walks)
 
     def test_walks_deterministic(self, tiny_tables):

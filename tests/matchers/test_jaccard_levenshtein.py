@@ -19,11 +19,7 @@ from repro.fabrication.scenarios import (
     fabricate_view_unionable,
 )
 from repro.matchers import jaccard_levenshtein
-from repro.matchers.jaccard_levenshtein import (
-    JaccardLevenshteinMatcher,
-    _fuzzy_jaccard,
-    _normalised_value_set,
-)
+from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher, _normalised_value_set
 from repro.metrics.ranking import recall_at_ground_truth
 
 
@@ -44,27 +40,34 @@ def fidelity_pairs(num_rows: int) -> dict[str, DatasetPair]:
     }
 
 
+def _one_column_score(values_a: list, values_b: list, threshold: float) -> float:
+    """The matcher's score for two one-column tables holding the values."""
+    source, target = Table("s", {"c": values_a}), Table("t", {"c": values_b})
+    matcher = JaccardLevenshteinMatcher(threshold=threshold, sample_size=10)
+    return matcher.get_matches(source, target).best().score
+
+
 class TestFuzzyJaccard:
     def test_identical_sets(self):
-        assert _fuzzy_jaccard(["a", "b"], ["a", "b"], threshold=0.8, sample_size=10) == 1.0
+        assert _one_column_score(["a", "b"], ["a", "b"], 0.8) == 1.0
 
     def test_disjoint_sets(self):
-        assert _fuzzy_jaccard(["aaa"], ["zzz"], threshold=0.8, sample_size=10) == 0.0
+        assert _one_column_score(["aaa"], ["zzz"], 0.8) == 0.0
 
     def test_typo_tolerance(self):
-        score = _fuzzy_jaccard(["amsterdam"], ["amsterdan"], threshold=0.8, sample_size=10)
+        score = _one_column_score(["amsterdam"], ["amsterdan"], 0.8)
         assert score == 1.0
 
     def test_strict_threshold_rejects_typos(self):
-        score = _fuzzy_jaccard(["amsterdam"], ["amsterdan"], threshold=1.0, sample_size=10)
+        score = _one_column_score(["amsterdam"], ["amsterdan"], 1.0)
         assert score == 0.0
 
     def test_empty_sides(self):
-        assert _fuzzy_jaccard([], [], threshold=0.5, sample_size=10) == 1.0
-        assert _fuzzy_jaccard(["a"], [], threshold=0.5, sample_size=10) == 0.0
+        assert _one_column_score([], [], 0.5) == 1.0
+        assert _one_column_score(["a"], [], 0.5) == 0.0
 
     def test_case_insensitive(self):
-        assert _fuzzy_jaccard(["Apple"], ["apple"], threshold=1.0, sample_size=10) == 1.0
+        assert _one_column_score(["Apple"], ["apple"], 1.0) == 1.0
 
 
 class TestMatcher:

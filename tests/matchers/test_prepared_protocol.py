@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.matchers.base import BaseMatcher, MatchResult, PreparedTable
+from repro.matchers.base import BaseMatcher, PreparedTable
 from repro.matchers.coma import ComaInstanceMatcher, ComaSchemaMatcher
 from repro.matchers.cupid import CupidMatcher
 from repro.matchers.distribution_based import DistributionBasedMatcher
@@ -46,10 +46,6 @@ def _make_matchers() -> list[BaseMatcher]:
 
 
 MATCHERS = _make_matchers()
-
-
-def _records(result: MatchResult) -> list[dict[str, object]]:
-    return result.to_records()
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +94,7 @@ class TestPreparedEquivalence:
         via_prepared = matcher.match_prepared(
             matcher.prepare(query), matcher.prepare(target)
         )
-        assert _records(via_prepared) == _records(via_get)
+        assert via_prepared.matches == via_get.matches
 
     def test_prepared_query_reusable_across_candidates(self, matcher, tables):
         """One prepared query streamed over many candidates == fresh calls."""
@@ -107,7 +103,7 @@ class TestPreparedEquivalence:
         for candidate in [target, *extra]:
             reused = matcher.match_prepared(prepared_query, matcher.prepare(candidate))
             fresh = matcher.get_matches(query, candidate)
-            assert _records(reused) == _records(fresh)
+            assert reused.matches == fresh.matches
 
     def test_prepare_labels_payload_with_fingerprint(self, matcher, tables):
         query, _, _ = tables
@@ -121,7 +117,7 @@ class TestPreparedEquivalence:
         query, target, _ = tables
         foreign = PreparedTable(table=query, fingerprint="someone-else", payload={})
         result = matcher.match_prepared(foreign, matcher.prepare(target))
-        assert _records(result) == _records(matcher.get_matches(query, target))
+        assert result.matches == matcher.get_matches(query, target).matches
 
 
 class TestRegistryCoverage:

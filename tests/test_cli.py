@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import socket
 import sqlite3
 import threading
@@ -10,6 +11,13 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cli.options import (
+    matcher_name,
+    non_negative_int,
+    port_number,
+    positive_float,
+    positive_int,
+)
 from repro.data.csv_io import write_csv
 from repro.data.table import Table
 
@@ -26,6 +34,59 @@ class TestParser:
             args = parser.parse_args([command])
             assert args.command == command
 
+
+
+class TestOptionTypes:
+    """The shared ``type=`` callables, at the edges of what each accepts."""
+
+    @pytest.mark.parametrize(
+        ("convert", "text", "expected"),
+        [
+            (positive_int, "1", 1),
+            (non_negative_int, "0", 0),
+            (port_number, "0", 0),
+            (port_number, "65535", 65535),
+            (positive_float, "0.25", 0.25),
+            (matcher_name, "ComaSchema", "ComaSchema"),
+        ],
+        ids=[
+            "positive_int",
+            "non_negative_int",
+            "port_zero",
+            "port_max",
+            "positive_float",
+            "matcher",
+        ],
+    )
+    def test_accepts_its_smallest_and_largest_values(self, convert, text, expected):
+        assert convert(text) == expected
+
+    @pytest.mark.parametrize(
+        ("convert", "text"),
+        [
+            (positive_int, "0"),
+            (non_negative_int, "-1"),
+            (port_number, "-1"),
+            (port_number, "65536"),
+            (positive_float, "0"),
+            (positive_float, "inf"),
+            (positive_float, "nan"),
+            (matcher_name, "Bogus"),
+        ],
+        ids=[
+            "positive_int",
+            "non_negative_int",
+            "port_below",
+            "port_above",
+            "positive_float_zero",
+            "positive_float_inf",
+            "positive_float_nan",
+            "matcher",
+        ],
+    )
+    def test_rejects_one_past_the_edge(self, convert, text):
+        with pytest.raises(argparse.ArgumentTypeError, match=re.escape(text)):
+            convert(text)
 
 def _walk(parser, prefix=()):
     """Yield ``(command path, parser)`` for *parser* and every subcommand."""

@@ -123,3 +123,22 @@ def test_every_qualified_cross_reference_in_src_resolves():
     assert len(references) > 100, "the cross-reference pattern stopped matching"
     dangling = [where for where, dotted in references if not _resolves(dotted)]
     assert not dangling, dangling
+
+
+#: ``from repro... import a, b`` or ``from repro... import (a,\n b)``.
+_IMPORT = re.compile(r"^[ \t]*from (repro[\w.]*) import (\([^)]*\)|[^\n]*)", re.MULTILINE)
+
+
+def test_every_import_in_a_readme_python_block_resolves():
+    """A deleted name leaves README examples that import it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    imports = [
+        f"{module}.{name.split(' as ')[0].strip()}"
+        for block in re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+        for module, names in _IMPORT.findall(block)
+        for name in re.sub(r"#[^\n]*", "", names).strip("()").split(",")
+        if name.strip()
+    ]
+    assert len(imports) >= 5, "the import pattern stopped matching README"
+    dangling = [dotted for dotted in imports if not _resolves(dotted)]
+    assert not dangling, dangling

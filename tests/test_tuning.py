@@ -47,17 +47,6 @@ class TestTuning:
         assert all(best_score >= score for _, score in outcome.leaderboard)
         assert outcome.best_parameters["threshold"] in (0.4, 0.8)
 
-    def test_build_matcher_uses_winning_parameters(self, tuner, small_seed_table):
-        grid = ParameterGrid(
-            "Cupid",
-            CupidMatcher,
-            {"th_accept": (0.4, 0.7)},
-        )
-        outcome = tuner.tune(grid, small_seed_table)
-        matcher = outcome.build_matcher(grid)
-        assert isinstance(matcher, CupidMatcher)
-        assert matcher.th_accept == outcome.best_parameters["th_accept"]
-
     def test_evaluate_configuration_bounded(self, tuner, small_seed_table):
         grid = ParameterGrid("Cupid", CupidMatcher, {})
         pairs = tuner.fabricate_workload(small_seed_table)

@@ -30,18 +30,18 @@ class TestDefaultThesaurus:
 
     def test_core_synonyms(self):
         thesaurus = default_thesaurus()
-        assert thesaurus.are_synonyms("client", "customer")
-        assert thesaurus.are_synonyms("country", "nation")
-        assert thesaurus.are_synonyms("salary", "wage")
+        assert thesaurus.relation_score("client", "customer") == 1.0
+        assert thesaurus.relation_score("country", "nation") == 1.0
+        assert thesaurus.relation_score("salary", "wage") == 1.0
 
     def test_plural_forms_are_matched(self):
         thesaurus = default_thesaurus()
-        assert thesaurus.are_synonyms("clients", "customers")
+        assert thesaurus.relation_score("clients", "customers") == 1.0
 
     def test_hypernyms(self):
         thesaurus = default_thesaurus()
-        assert thesaurus.are_hypernyms("customer", "person")
-        assert thesaurus.are_hypernyms("person", "customer")
+        assert thesaurus.relation_score("customer", "person") == pytest.approx(0.8)
+        assert thesaurus.relation_score("person", "customer") == pytest.approx(0.8)
 
     def test_relation_scores_ordering(self):
         thesaurus = default_thesaurus()
@@ -66,13 +66,12 @@ class TestCustomThesaurus:
     def test_add_group_and_lookup(self):
         thesaurus = Thesaurus()
         thesaurus.add_synonym_group(("foo", "bar"))
-        assert thesaurus.are_synonyms("foo", "bar")
-        assert not thesaurus.are_synonyms("foo", "baz")
+        assert thesaurus.relation_score("foo", "bar") == 1.0
+        assert thesaurus.relation_score("foo", "baz") == 0.0
 
     def test_add_hypernym(self):
         thesaurus = Thesaurus()
         thesaurus.add_hypernym("beagle", "dog")
-        assert thesaurus.are_hypernyms("beagle", "dog")
         assert thesaurus.relation_score("beagle", "dog") == pytest.approx(0.8)
 
     def test_shared_neighbourhood_scores_partial(self):
@@ -106,7 +105,6 @@ class TestKeyedLookupsMatchTheReference:
     def test_generated_terms_score_identically(self, a, b):
         thesaurus = default_thesaurus()
         assert thesaurus.relation_score(a, b) == reference_relation_score(thesaurus, a, b)
-        assert thesaurus.are_synonyms(a, b) == (reference_relation_score(thesaurus, a, b) == 1.0)
 
     def test_scores_survive_a_one_entry_key_table(self, monkeypatch):
         terms = term_corpus()[::7]
