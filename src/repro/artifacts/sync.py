@@ -150,8 +150,6 @@ def publish_snapshot(
     store: SketchStore,
     artifact_dir: Union[str, Path],
     prepared_store: Optional[PreparedStore] = None,
-    iblt_cells_per_subtable: int = 128,
-    prune: bool = True,
 ) -> PublishReport:
     """Export *store* (and optionally *prepared_store*) as a snapshot artifact.
 
@@ -168,15 +166,9 @@ def publish_snapshot(
         payloads: current payload format only); pass ``None`` to publish
         sketches only.
     artifact_dir:
-        Destination directory (created on demand).
-    iblt_cells_per_subtable:
-        Size of the reconciliation sketches embedded in the manifest; the
-        default decodes deltas of roughly 250 keys.  Bigger lakes with
-        churnier deltas can raise it — pullers adapt automatically (the
-        shape travels in the manifest).
-    prune:
-        Delete blobs no longer referenced by the new manifest.  Turn off
-        when several publishers share one blob directory.
+        Destination directory (created on demand).  Its blob directory
+        belongs to this one publisher, so every blob the new manifest does
+        not reference is deleted after the swap.
     """
     report = PublishReport()
     directory = Path(artifact_dir)
@@ -193,18 +185,13 @@ def publish_snapshot(
             store_version=store.version,
             tables=table_entries,
             prepared=prepared_entries,
-            iblt=IBLTSketch.from_keys(
-                (entry.key for entry in table_entries),
-                cells_per_subtable=iblt_cells_per_subtable,
-            ),
+            iblt=IBLTSketch.from_keys(entry.key for entry in table_entries),
             prepared_iblt=IBLTSketch.from_keys(
-                (entry.key for entry in prepared_entries),
-                cells_per_subtable=iblt_cells_per_subtable,
+                entry.key for entry in prepared_entries
             ),
         )
         report.snapshot_id = manifest.save(directory)
-        if prune:
-            report.blobs_pruned = blobs.prune(manifest.referenced_digests())
+        report.blobs_pruned = blobs.prune(manifest.referenced_digests())
     report.tables = len(table_entries)
     report.prepared = len(prepared_entries)
     telemetry.count("artifacts.publish.blobs_written", report.blobs_written)

@@ -44,6 +44,9 @@ __all__ = [
     "RetryState",
 ]
 
+#: Share of a backoff delay that jitter may subtract.
+_JITTER = 0.5
+
 
 class TransportError(Exception):
     """A transient transport failure — the retryable kind."""
@@ -135,7 +138,7 @@ class RetryPolicy:
     """Bounded exponential backoff with jitter, plus a per-pull budget.
 
     The delay before retry *n* (1-based) is ``base_delay_s * 2**(n-1)``
-    capped at ``max_delay_s``, then jittered by up to ``jitter`` of itself
+    capped at ``max_delay_s``, then jittered by up to half of itself
     (subtracted, so the cap is honest).  ``seed`` pins the jitter stream
     for deterministic tests; ``sleep`` is injectable so chaos suites run at
     full speed.
@@ -148,7 +151,6 @@ class RetryPolicy:
     max_attempts: int = 4
     base_delay_s: float = 0.05
     max_delay_s: float = 2.0
-    jitter: float = 0.5
     budget: int = 64
     sleep: Callable[[float], None] = time.sleep
     seed: Optional[int] = None
@@ -156,8 +158,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
 
@@ -184,9 +184,7 @@ class RetryState:
             self.policy.max_delay_s,
             self.policy.base_delay_s * (2.0 ** (attempt - 1)),
         )
-        if self.policy.jitter:
-            delay -= delay * self.policy.jitter * self._rng.random()
-        return delay
+        return delay - delay * _JITTER * self._rng.random()
 
     def pause(self, attempt: int) -> bool:
         """Consume budget and sleep before retry *attempt*; False = give up.

@@ -19,11 +19,13 @@ replica ``lake serve`` nodes pull from.
 
 Quarantine.  A persistently broken file (truncated upload, wrong encoding,
 a producer re-writing garbage every cycle) must not be re-read — or worse,
-re-failed — on every poll forever.  After ``quarantine_after`` consecutive
-failed attempts a path is *parked*: the watcher skips it for a backoff
-window measured in polls (doubling up to ``quarantine_max_polls``), then
-retries once; a success releases it, another failure re-parks it with a
-longer window.  Parked tables keep their last good sketch — quarantine
+re-failed — on every poll forever.  After ``QUARANTINE_AFTER`` (3)
+consecutive failed attempts a path is *parked*: the watcher skips it for a
+backoff window measured in polls (``QUARANTINE_BASE_POLLS``, 4, doubling up
+to ``QUARANTINE_MAX_POLLS``, 64), then retries once; a success releases
+it, another failure re-parks it with a longer window.  Windows are counted
+in polls, not seconds, so quarantine is reproducible whatever the poll
+interval.  Parked tables keep their last good sketch — quarantine
 gates *ingestion attempts*, never store contents.  Counters:
 ``watch.quarantined`` / ``watch.released`` / ``watch.stat_errors``.
 """
@@ -50,6 +52,12 @@ logger = logging.getLogger(__name__)
 
 #: ``(mtime_ns, size)`` — the prefilter identity of one file on disk.
 _FileStamp = tuple[int, int]
+
+#: Consecutive failed ingestion attempts before a path is parked.
+QUARANTINE_AFTER = 3
+#: First backoff window, in polls, and the cap its doubling stops at.
+QUARANTINE_BASE_POLLS = 4
+QUARANTINE_MAX_POLLS = 64
 
 
 @dataclass
@@ -94,9 +102,8 @@ class LakeWatcher:
         The sketch store to keep in sync (this process must be its single
         writer).
     data_dir:
-        Directory of one-table-per-file CSVs (table name = file stem).
-    pattern:
-        Glob selecting the files to track (default ``*.csv``).
+        Directory of one-table-per-file CSVs (table name = file stem); the
+        watcher tracks its ``*.csv`` files.
     prepared_store / matcher:
         When both are given, each mutating poll also runs
         :func:`~repro.lake.build.prepare_lake` so changed tables are
@@ -107,45 +114,25 @@ class LakeWatcher:
         content addressing).
     workers:
         Forwarded to the build/prepare process pools.
-    quarantine_after:
-        Consecutive failed ingestion attempts before a path is parked.
-    quarantine_base_polls / quarantine_max_polls:
-        First backoff window (in polls) and its doubling cap.  Windows are
-        measured in polls, not seconds, so quarantine behaviour is exactly
-        reproducible in tests regardless of poll interval.
     """
 
     def __init__(
         self,
         store: SketchStore,
         data_dir: Union[str, Path],
-        pattern: str = "*.csv",
         prepared_store: Optional[PreparedStore] = None,
         matcher: Optional[BaseMatcher] = None,
         publish_dir: Optional[Union[str, Path]] = None,
         workers: Optional[int] = None,
-        quarantine_after: int = 3,
-        quarantine_base_polls: int = 4,
-        quarantine_max_polls: int = 64,
     ) -> None:
         if (prepared_store is None) != (matcher is None):
             raise ValueError("prepared_store and matcher must be given together")
-        if quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-        if not 1 <= quarantine_base_polls <= quarantine_max_polls:
-            raise ValueError(
-                "quarantine windows must satisfy 1 <= base <= max polls"
-            )
         self.store = store
         self.data_dir = Path(data_dir)
-        self.pattern = pattern
         self.prepared_store = prepared_store
         self.matcher = matcher
         self.publish_dir = Path(publish_dir) if publish_dir is not None else None
         self.workers = workers
-        self.quarantine_after = quarantine_after
-        self.quarantine_base_polls = quarantine_base_polls
-        self.quarantine_max_polls = quarantine_max_polls
         self._stamps: dict[str, _FileStamp] = {}
         self._poll_index = 0
         #: path -> consecutive failed ingestion attempts.
@@ -161,7 +148,7 @@ class LakeWatcher:
         stamps: dict[str, _FileStamp] = {}
         if not self.data_dir.is_dir():
             return stamps
-        for path in sorted(self.data_dir.glob(self.pattern)):
+        for path in sorted(self.data_dir.glob("*.csv")):
             try:
                 stat = path.stat()
             except OSError as exc:
@@ -188,12 +175,12 @@ class LakeWatcher:
         count = self._failures.get(path, 0) + 1
         self._failures[path] = count
         previous = self._quarantine.get(path)
-        if previous is None and count < self.quarantine_after:
+        if previous is None and count < QUARANTINE_AFTER:
             return  # still inside the grace window; retried on next change
         if previous is None:
-            window = self.quarantine_base_polls
+            window = QUARANTINE_BASE_POLLS
         else:
-            window = min(self.quarantine_max_polls, previous[1] * 2)
+            window = min(QUARANTINE_MAX_POLLS, previous[1] * 2)
         self._quarantine[path] = (self._poll_index + window, window)
         report.quarantined.append(Path(path).stem)
         telemetry.count("watch.quarantined")

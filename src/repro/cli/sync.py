@@ -26,15 +26,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "out_dir", type=Path, help="artifact directory (created or updated in place)"
     )
     add_store_option(publish)
-    publish.add_argument(
-        "--no-prune", action="store_true",
-        help="keep blobs of superseded snapshots (for shared blob directories)",
-    )
-    publish.add_argument(
-        "--iblt-cells", type=positive_int, default=128,
-        help="cells per IBLT subtable in the manifest; the default decodes "
-        "deltas of roughly 250 keys",
-    )
     publish.set_defaults(func=_command_lake_publish)
 
     pull = lake_commands.add_parser(
@@ -42,11 +33,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     )
     pull.add_argument("src", type=Path, help="artifact directory to pull from")
     add_store_option(pull)
-    pull.add_argument(
-        "--keep-missing", action="store_true",
-        help="keep local tables and payloads absent from the snapshot "
-        "(default: remove them so the replica converges exactly)",
-    )
     pull.add_argument(
         "--retry-attempts", type=positive_int, default=4, metavar="N",
         help="max transport attempts per blob before skipping it (default: 4)",
@@ -103,13 +89,7 @@ def _command_lake_publish(args: argparse.Namespace) -> int:
     from repro.artifacts import publish_snapshot
 
     with open_lake(args.store, prepared="if_present") as (store, prepared_store):
-        report = publish_snapshot(
-            store,
-            args.out_dir,
-            prepared_store=prepared_store,
-            iblt_cells_per_subtable=args.iblt_cells,
-            prune=not args.no_prune,
-        )
+        report = publish_snapshot(store, args.out_dir, prepared_store=prepared_store)
     print(
         f"published {args.out_dir}: snapshot {report.snapshot_id[:12]}, "
         f"{report.tables} tables, {report.prepared} prepared payloads; "
@@ -140,7 +120,6 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
             args.src,
             store,
             prepared_store=prepared_store,
-            remove_missing=not args.keep_missing,
             retry=RetryPolicy(max_attempts=args.retry_attempts, budget=args.retry_budget),
         )
     if report.unchanged:

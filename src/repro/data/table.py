@@ -9,7 +9,7 @@ schema metadata (names, types) and column value sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.data.types import (

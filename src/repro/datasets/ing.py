@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.data.table import Column, Table
 from repro.datasets.vocabulary import APPLICATION_WORDS, TEAM_NAMES, ValueSampler
-from repro.fabrication.pairs import DatasetPair, NoiseVariant, Scenario
+from repro.fabrication.pairs import DatasetPair, Scenario
 
 __all__ = ["ing_backlog_pair", "ing_application_pair", "ing_pairs"]
 

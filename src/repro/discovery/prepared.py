@@ -5,9 +5,8 @@ per-table half of matching — tokenised names, value sets, sketches, schema
 trees.  Within one discovery query the engines already prepare the query
 exactly once; the two classes here extend the amortisation further:
 
-* :class:`PreparedTableCache` — a bounded in-memory LRU.  Query tables a
-  dashboard re-runs, or repository tables that appear in many shortlists,
-  hit the cache instead of re-preparing.
+* :class:`PreparedTableCache` — an in-memory LRU of at most 128 tables.
+  A query table that a dashboard re-runs hits it instead of re-preparing.
 * :class:`PreparedStore` — the lake's prepared rows persisted to SQLite, so
   a *warm* lake query reranks without preparing any candidate at all,
   across process restarts.  :class:`~repro.lake.engine.LakeDiscoveryEngine`
@@ -119,37 +118,26 @@ def fingerprint_class(fingerprint: str) -> str:
     return fingerprint.partition("(")[0]
 
 
+#: Entries a :class:`PreparedTableCache` keeps.  Payload sizes vary wildly
+#: across matchers, so the bound is on entry count, not bytes.
+CACHE_MAX_ENTRIES = 128
+
+
 @dataclass
 class PreparedTableCache:
-    """Bounded LRU cache of :class:`PreparedTable` bundles.
+    """LRU cache of :class:`PreparedTable` bundles.
 
-    Attributes
-    ----------
-    max_entries:
-        Maximum number of prepared tables kept (least recently used entries
-        are evicted first).  Payload sizes vary wildly across matchers, so
-        the bound is on entry count, not bytes.
+    Keeps the ``CACHE_MAX_ENTRIES`` most recently used tables; the least
+    recently used entry is evicted first.
     """
 
-    max_entries: int = 128
     _entries: "OrderedDict[tuple[str, str, str], PreparedTable]" = field(
         default_factory=OrderedDict, repr=False, init=False
     )
 
-    def __post_init__(self) -> None:
-        if self.max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-
-    def prepare(
-        self,
-        matcher: BaseMatcher,
-        table: Table,
-        content_hash: Optional[str] = None,
-    ) -> PreparedTable:
+    def prepare(self, matcher: BaseMatcher, table: Table) -> PreparedTable:
         """Return ``matcher.prepare(table)``, served from cache when possible."""
-        if content_hash is None:
-            content_hash = table_content_hash(table)
-        key = (matcher.fingerprint(), table.name, content_hash)
+        key = (matcher.fingerprint(), table.name, table_content_hash(table))
         cached = self._entries.get(key)
         if cached is not None:
             telemetry.count("prepared_cache.hits")
@@ -158,7 +146,7 @@ class PreparedTableCache:
         telemetry.count("prepared_cache.misses")
         prepared = matcher.prepare(table)
         self._entries[key] = prepared
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > CACHE_MAX_ENTRIES:
             self._entries.popitem(last=False)
             telemetry.count("prepared_cache.evictions")
         return prepared
@@ -347,12 +335,9 @@ class PreparedStore(PerProcessSqliteStore):
             )
         return present
 
-    def put(self, prepared: PreparedTable, content_hash: Optional[str] = None) -> None:
-        """Persist one prepared table (replacing any entry under its key)."""
-        if content_hash is None:
-            if prepared.table is None:
-                raise ValueError("put() needs the content hash of a decoded payload")
-            content_hash = table_content_hash(prepared.table)
+    def put(self, prepared: PreparedTable, content_hash: str) -> None:
+        """Persist one prepared table under *content_hash*, the hash of the
+        table it was prepared from (replacing any entry under its key)."""
         blob = prepared_codec.encode(prepared)
         self.put_raw(
             prepared.fingerprint,
@@ -486,20 +471,14 @@ class PreparedStore(PerProcessSqliteStore):
             "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM prepared"
         ).fetchone()[0]
 
-    def prepare(
-        self,
-        matcher: BaseMatcher,
-        table: Table,
-        content_hash: Optional[str] = None,
-    ) -> PreparedTable:
+    def prepare(self, matcher: BaseMatcher, table: Table) -> PreparedTable:
         """Return ``matcher.prepare(table)``, served from disk when possible.
 
         The write-through half of the lake's warm path: a miss computes the
         payload and persists it, so one cold rerank warms the store for
         every later query.
         """
-        if content_hash is None:
-            content_hash = table_content_hash(table)
+        content_hash = table_content_hash(table)
         prepared = self.get(matcher.fingerprint(), table.name, content_hash)
         if prepared is not None:
             return replace(prepared, table=table)

@@ -64,20 +64,21 @@ __all__ = [
     "prune_then_rerank",
     "mode_score",
     "DEFAULT_MIN_CANDIDATES",
-    "DEFAULT_CANDIDATE_MULTIPLIER",
+    "CANDIDATE_MULTIPLIER",
     "DEFAULT_UNION_THRESHOLD",
 ]
 
-#: Default shortlist slack for index-pruned discovery: an exact top-k query
-#: reranks ``max(DEFAULT_MIN_CANDIDATES, DEFAULT_CANDIDATE_MULTIPLIER * k)``
-#: sketch-level candidates so the matcher can repair sketch ranking mistakes.
-#: The defaults of :class:`~repro.lake.engine.LakeDiscoveryEngine`.
+#: Shortlist slack for index-pruned discovery: an exact top-k query reranks
+#: ``max(min_candidates, CANDIDATE_MULTIPLIER * k)`` sketch-level candidates
+#: so the matcher can repair sketch ranking mistakes.  The minimum defaults
+#: to ``DEFAULT_MIN_CANDIDATES`` on
+#: :class:`~repro.lake.engine.LakeDiscoveryEngine`.
 DEFAULT_MIN_CANDIDATES = 20
-DEFAULT_CANDIDATE_MULTIPLIER = 5
+CANDIDATE_MULTIPLIER = 5
 
-#: Default column-score threshold of the unionability measure, shared by
-#: :class:`PairScorer` and both discovery engines so the three defaults can
-#: never drift apart.
+#: Column-score threshold of the unionability measure: what
+#: :class:`DiscoveryEngine` always uses, and :class:`PairScorer`'s default,
+#: so the reference ranking and the lake's rerank cannot drift apart.
 DEFAULT_UNION_THRESHOLD = 0.55
 
 
@@ -435,17 +436,14 @@ class DiscoveryEngine:
     ----------
     matcher:
         Any :class:`~repro.matchers.base.BaseMatcher`.
-    union_threshold:
-        Column-score threshold used by the unionability measure.
     """
 
     matcher: BaseMatcher
-    union_threshold: float = DEFAULT_UNION_THRESHOLD
 
     def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:
         """Match *query* against one *candidate* and derive table-level scores."""
         matches = self.matcher.get_matches(query, candidate)
-        scores = relatedness(matches, query, threshold=self.union_threshold)
+        scores = relatedness(matches, query, threshold=DEFAULT_UNION_THRESHOLD)
         return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
 
     def discover(

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.distributions.histograms import QuantileHistogram, build_histogram_pair, rank_values
+from repro.distributions.histograms import QuantileHistogram, build_histogram_pair
 
 __all__ = ["emd_1d", "emd_general", "histogram_emd", "column_emd", "intersection_emd"]
 

@@ -9,7 +9,7 @@ and negative-sampling tables the trainer needs.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

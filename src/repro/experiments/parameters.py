@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from repro.matchers.base import BaseMatcher
 from repro.matchers.coma import ComaInstanceMatcher, ComaSchemaMatcher

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 from repro.experiments.efficiency import RuntimeMeasurement
 from repro.experiments.parameters import ParameterGrid
-from repro.experiments.results import BoxplotStats, ResultSet
+from repro.experiments.results import ResultSet
 from repro.experiments.sensitivity import SensitivityResult
 from repro.matchers.registry import coverage_table
 

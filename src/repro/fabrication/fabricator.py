@@ -10,7 +10,7 @@ reproduces that behaviour at configurable scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.data.table import Table

@@ -16,8 +16,6 @@ deterministic given a seed.
 from __future__ import annotations
 
 import random
-import string
-from typing import Sequence
 
 from repro.data.table import Column, Table
 from repro.data.types import DataType, is_missing

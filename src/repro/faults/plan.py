@@ -38,7 +38,7 @@ import fnmatch
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 __all__ = ["InjectedFault", "InjectedCrash", "FaultSpec", "FaultPlan"]

@@ -16,7 +16,7 @@ sigma_i + phi(sigma_0 + sigma_i))``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Hashable, Mapping
 
 import networkx as nx
 

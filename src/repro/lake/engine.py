@@ -37,15 +37,14 @@ from repro.data.table import Table
 from repro.discovery.cascade import CandidateSignals, candidate_signals
 from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import (
-    DEFAULT_CANDIDATE_MULTIPLIER,
+    CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
-    DEFAULT_UNION_THRESHOLD,
     DiscoveryResult,
     PairScorer,
     Resolved,
     prune_then_rerank,
 )
-from repro.lake.index import CandidateTable, LakeIndex, LSHParams
+from repro.lake.index import CandidateTable, LakeIndex
 from repro.lake.profiles import TableSketch, sketch_table
 from repro.lake.store import SketchStore
 from repro.matchers.base import BaseMatcher, PreparedTable
@@ -158,13 +157,9 @@ class LakeDiscoveryEngine:
         Any :class:`BaseMatcher`; only shortlisted candidates see it.
     store:
         The persistent sketch store backing the index.
-    params:
-        LSH banding / pre-filter parameters.
-    union_threshold:
-        Column-score threshold of the unionability measure.
-    candidate_multiplier / min_candidates:
+    min_candidates:
         Shortlist size for a ``top_k`` query is
-        ``max(min_candidates, candidate_multiplier * top_k)`` — the slack is
+        ``max(min_candidates, CANDIDATE_MULTIPLIER * top_k)`` — the slack is
         what lets the exact matcher repair sketch-level ranking mistakes.
     prepared_store:
         Optional :class:`~repro.discovery.prepared.PreparedStore` — the
@@ -183,9 +178,6 @@ class LakeDiscoveryEngine:
 
     matcher: BaseMatcher
     store: SketchStore
-    params: LSHParams = field(default_factory=LSHParams)
-    union_threshold: float = DEFAULT_UNION_THRESHOLD
-    candidate_multiplier: int = DEFAULT_CANDIDATE_MULTIPLIER
     min_candidates: int = DEFAULT_MIN_CANDIDATES
     prepared_store: Optional[PreparedStore] = None
     #: Structured statistics of the last :meth:`query` — stage durations,
@@ -229,7 +221,7 @@ class LakeDiscoveryEngine:
         """
         store_version = self.store.version
         if self._index is None:
-            self._index = LakeIndex.from_store(self.store, params=self.params)
+            self._index = LakeIndex.from_store(self.store)
         elif self._index_version != store_version:
             current = set(self.store.table_names)
             for name in self._index.table_names - current:
@@ -255,7 +247,7 @@ class LakeDiscoveryEngine:
         """
         limit = None
         if top_k is not None:
-            limit = max(self.min_candidates, self.candidate_multiplier * top_k)
+            limit = max(self.min_candidates, CANDIDATE_MULTIPLIER * top_k)
         sketch = sketch_table(query, self.store.config, content_hash="")
         return index.candidate_tables(sketch, top_k=limit), sketch
 
@@ -364,7 +356,7 @@ class LakeDiscoveryEngine:
                 query_prepared,
                 names,
                 StoreResolver(meta, fingerprint, self.prepared_store),
-                PairScorer(matcher=self.matcher, union_threshold=self.union_threshold),
+                PairScorer(matcher=self.matcher),
                 mode=mode,
                 top_k=top_k,
                 signals=signals,

@@ -188,9 +188,9 @@ class LakeIndex:
         self._arrays: Optional[_Columnar] = None
 
     @classmethod
-    def from_store(cls, store, params: LSHParams = LSHParams()) -> "LakeIndex":
+    def from_store(cls, store) -> "LakeIndex":
         """Build an index over every sketch currently in *store*."""
-        index = cls(config=store.config, params=params)
+        index = cls(config=store.config)
         for sketch in store:
             index.add(sketch)
         return index
@@ -296,7 +296,6 @@ class LakeIndex:
         self,
         query: TableSketch,
         top_k: Optional[int] = None,
-        exclude_self: bool = True,
     ) -> list[CandidateTable]:
         """Rank lake tables by sketch-level evidence against *query*.
 
@@ -308,7 +307,8 @@ class LakeIndex:
         per candidate table (ties to the smallest column key); a table's
         score is the mean of those votes over the query's columns (so a
         table matching all query columns outranks one matching a single
-        column equally well).
+        column equally well).  A lake table named like the query is never a
+        candidate.
         """
         if not query.columns:
             return []
@@ -335,9 +335,7 @@ class LakeIndex:
         groups = np.arange(2 * len(query_columns))
         q, name_match = np.repeat(groups // 2, counts), np.repeat(groups % 2 == 0, counts)
         row = np.array(colliding, dtype=np.intp)
-        own = np.array([columns.rows.get(c.key, -1) for c in query_columns])
-        excluded = columns.slots.get(query.name, -1) if exclude_self else -1
-        keep = (row != own[q]) & (columns.table_of[row] != excluded)
+        keep = columns.table_of[row] != columns.slots.get(query.name, -1)
         q, row, name_match = q[keep], row[keep], name_match[keep]
 
         query_types = np.array([TYPE_INDEX[c.data_type] for c in query_columns])

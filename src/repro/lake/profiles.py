@@ -21,7 +21,7 @@ import numpy as np
 from repro.data import sections as framing
 from repro.data.fingerprint import table_content_hash
 from repro.data.profiling import ColumnProfile, profile_column
-from repro.data.table import Column, Table
+from repro.data.table import Table
 from repro.data.types import DataType
 from repro.distributions.histograms import build_histogram
 from repro.sketches.minhash import (

@@ -42,7 +42,6 @@ from repro.artifacts.sync import pull_snapshot
 from repro.artifacts.transport import (
     ArtifactTransport,
     LocalTransport,
-    RetryPolicy,
     TransportError,
 )
 from repro.data.csv_io import read_csv
@@ -109,7 +108,6 @@ def verify_lake(
     prepared_store: Optional[PreparedStore] = None,
     source: Union[str, Path, ArtifactTransport, None] = None,
     repair: bool = False,
-    retry: Optional[RetryPolicy] = None,
 ) -> VerifyReport:
     """Inspect (and optionally repair) a lake's stores.
 
@@ -125,8 +123,6 @@ def verify_lake(
         Attempt fixes: re-sketch undecodable tables from their recorded
         CSVs, delete undecodable and stale prepared rows, re-pull entries
         the artifact has but the stores lack.
-    retry:
-        Forwarded to the repair pull.
     """
     report = VerifyReport()
     with telemetry.span("lake.verify", store=store.path):
@@ -144,7 +140,7 @@ def verify_lake(
             )
             _check_artifact(transport, store, prepared_store, report)
         if repair:
-            _repair(store, prepared_store, transport, retry, report)
+            _repair(store, prepared_store, transport, report)
     telemetry.count("verify.runs")
     telemetry.count("verify.bad_sketches", len(report.bad_sketches))
     telemetry.count("verify.stale_prepared", report.stale_prepared)
@@ -229,7 +225,6 @@ def _repair(
     store: SketchStore,
     prepared_store: Optional[PreparedStore],
     transport: Optional[ArtifactTransport],
-    retry: Optional[RetryPolicy],
     report: VerifyReport,
 ) -> None:
     for name in report.bad_sketches:
@@ -271,7 +266,6 @@ def _repair(
             store,
             prepared_store=prepared_store,
             remove_missing=False,
-            retry=retry,
         )
         report.repulled = pulled.tables_added + pulled.prepared_added
         if pulled.corrupt:

@@ -16,7 +16,7 @@ configurable steps:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 __all__ = ["CombinationConfig", "aggregate", "select_pairs"]
 

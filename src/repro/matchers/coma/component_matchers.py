@@ -31,7 +31,6 @@ all candidate tables of a discovery query.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Protocol
 
 from repro.data.profiling import profile_column

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from repro.matchers.embdi.graph import DataGraph
 

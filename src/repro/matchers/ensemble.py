@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 from repro.data.table import Table
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.registry import register_matcher
 
 __all__ = ["EnsembleMatcher"]
 

@@ -10,7 +10,7 @@ Registered matchers participate in the two-phase prepare/match protocol of
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Type
+from typing import Type
 
 from repro.matchers.base import BaseMatcher, MatchType
 

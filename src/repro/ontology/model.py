@@ -11,7 +11,7 @@ distance).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 __all__ = ["OntologyClass", "Ontology"]

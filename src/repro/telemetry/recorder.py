@@ -60,6 +60,17 @@ __all__ = [
 
 Number = Union[int, float]
 
+#: Span records a :class:`TelemetryRecorder` retains.  Counters and
+#: histograms keep aggregating past it; only the span *detail* is dropped
+#: (and counted in :attr:`TelemetrySnapshot.dropped_spans`), so a
+#: long-running serving process cannot leak memory through its trace.
+MAX_SPANS = 10_000
+#: Sliding window per duration histogram: each keeps the most recent
+#: ``MAX_SAMPLES`` samples.  Trimming runs in amortised batches, so a list
+#: may hold up to twice as many for a while.  One-shot runs never trim; a
+#: serve daemon gets recent-window quantiles instead of unbounded growth.
+MAX_SAMPLES = 100_000
+
 
 def quantile(samples: list[float], q: float) -> float:
     """The *q*-quantile (0..1) of *samples* by linear interpolation.
@@ -235,31 +246,13 @@ class _Span:
 class TelemetryRecorder:
     """Collects spans, counters and duration histograms; thread-safe.
 
-    Parameters
-    ----------
-    max_spans:
-        Retention cap on per-span trace records.  Counters and histograms
-        keep aggregating past it; only the span *detail* is dropped (and
-        counted in :attr:`TelemetrySnapshot.dropped_spans`), so a
-        long-running serving process cannot leak memory through its trace.
-    max_samples:
-        Sliding-window cap per duration histogram: each histogram keeps at
-        most the *most recent* ``max_samples`` samples (trimming runs in
-        amortised batches, so a list may transiently hold up to twice the
-        cap).  Counters are unaffected.  The default is large enough that
-        one-shot runs never trim; a serve daemon gets recent-window
-        quantiles instead of unbounded growth.
+    It keeps at most ``MAX_SPANS`` span records and, per histogram, the
+    most recent ``MAX_SAMPLES`` samples.
     """
 
     enabled = True
 
-    def __init__(self, max_spans: int = 10_000, max_samples: int = 100_000) -> None:
-        if max_spans <= 0:
-            raise ValueError("max_spans must be positive")
-        if max_samples <= 0:
-            raise ValueError("max_samples must be positive")
-        self.max_spans = max_spans
-        self.max_samples = max_samples
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, Number] = {}
         self._durations: dict[str, list[float]] = {}
@@ -276,15 +269,15 @@ class TelemetryRecorder:
     def _observe_locked(self, name: str, seconds: float) -> None:
         samples = self._durations.setdefault(name, [])
         samples.append(seconds)
-        if len(samples) > 2 * self.max_samples:
-            del samples[: -self.max_samples]
+        if len(samples) > 2 * MAX_SAMPLES:
+            del samples[:-MAX_SAMPLES]
 
     def _finish_span(
         self, name: str, start: float, duration: float, attrs: dict
     ) -> None:
         with self._lock:
             self._observe_locked(name, duration)
-            if len(self._spans) < self.max_spans:
+            if len(self._spans) < MAX_SPANS:
                 self._spans.append(
                     SpanRecord(
                         name=name,
@@ -328,9 +321,9 @@ class TelemetryRecorder:
             for name, samples in snapshot.durations.items():
                 mine = self._durations.setdefault(name, [])
                 mine.extend(samples)
-                if len(mine) > 2 * self.max_samples:
-                    del mine[: -self.max_samples]
-            room = self.max_spans - len(self._spans)
+                if len(mine) > 2 * MAX_SAMPLES:
+                    del mine[:-MAX_SAMPLES]
+            room = MAX_SPANS - len(self._spans)
             if room >= len(snapshot.spans):
                 self._spans.extend(snapshot.spans)
             else:

@@ -27,6 +27,7 @@ import pytest
 from matcher_support import LIGHT_MATCHER_CONFIGS
 
 from repro.artifacts import BlobStore, Manifest, RetryPolicy, publish_snapshot, pull_snapshot
+from repro.artifacts.iblt import IBLTSketch
 from repro.artifacts.manifest import MANIFEST_NAME
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
@@ -208,8 +209,12 @@ class TestIBLTFallback:
         """A manifest IBLT too small for the difference must not break the
         pull: full-diff fallback converges and the counter records it."""
         store, _ = _build_lake(tmp_path, num_tables=6)
+        publish_snapshot(store, tmp_path / "artifact")
         # One cell per subtable cannot peel a 6-key bootstrap difference.
-        publish_snapshot(store, tmp_path / "artifact", iblt_cells_per_subtable=1)
+        manifest = Manifest.load(tmp_path / "artifact")
+        keys = [entry.key for entry in manifest.tables]
+        tiny = IBLTSketch.from_keys(keys, cells_per_subtable=1)
+        replace(manifest, iblt=tiny).save(tmp_path / "artifact")
         replica = SketchStore(tmp_path / "replica")
         recorder = TelemetryRecorder()
         with use(recorder):

@@ -8,6 +8,11 @@ import threading
 import pytest
 
 from repro.artifacts import LakeWatcher, Manifest
+from repro.artifacts.watch import (
+    QUARANTINE_AFTER,
+    QUARANTINE_BASE_POLLS,
+    QUARANTINE_MAX_POLLS,
+)
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -139,92 +144,81 @@ def _write_garbage(lake_dir, name, version):
 
 
 class TestQuarantine:
-    def _watcher(self, store, lake_dir):
-        return LakeWatcher(
-            store,
-            lake_dir,
-            quarantine_after=2,
-            quarantine_base_polls=2,
-            quarantine_max_polls=8,
-        )
+    """At the watcher's constants: parked after ``QUARANTINE_AFTER`` (3)
+    failures, for ``QUARANTINE_BASE_POLLS`` (4) polls, doubling to
+    ``QUARANTINE_MAX_POLLS`` (64)."""
+
+    def _park(self, store, lake_dir):
+        """A watcher whose last poll parked ``bad``: the good tables, then
+        ``QUARANTINE_AFTER`` failed attempts, each on a fresh rewrite."""
+        watcher = LakeWatcher(store, lake_dir)
+        watcher.poll_once()
+        for version in range(1, QUARANTINE_AFTER + 1):
+            _write_garbage(lake_dir, "bad", version)
+            report = watcher.poll_once()
+            assert report.unreadable == ["bad"]
+        assert report.quarantined == ["bad"]
+        return watcher
 
     def test_failures_park_after_grace_window(self, tmp_path, lake_dir):
         with SketchStore(tmp_path / "w.sketches") as store:
-            watcher = self._watcher(store, lake_dir)
-            watcher.poll_once()  # poll 1: the three good tables
-            _write_garbage(lake_dir, "bad", 1)
-            first = watcher.poll_once()  # poll 2: failure 1 — grace
-            assert first.unreadable == ["bad"] and not first.quarantined
-            _write_garbage(lake_dir, "bad", 2)
-            second = watcher.poll_once()  # poll 3: failure 2 — parked
-            assert second.quarantined == ["bad"]
-            assert second.parked == ["bad"]
+            watcher = LakeWatcher(store, lake_dir)
+            watcher.poll_once()  # the three good tables
+            for version in range(1, QUARANTINE_AFTER):
+                _write_garbage(lake_dir, "bad", version)
+                grace = watcher.poll_once()
+                assert grace.unreadable == ["bad"] and not grace.quarantined
+            _write_garbage(lake_dir, "bad", QUARANTINE_AFTER)
+            parked = watcher.poll_once()
+            assert parked.quarantined == ["bad"]
+            assert parked.parked == ["bad"]
             # Parked: even a fresh rewrite is not re-read inside the window.
-            _write_garbage(lake_dir, "bad", 3)
-            idle = watcher.poll_once()  # poll 4
-            assert idle.candidates == 0 and idle.parked == ["bad"]
+            for version in range(1, QUARANTINE_BASE_POLLS):
+                _write_garbage(lake_dir, "bad", QUARANTINE_AFTER + version)
+                idle = watcher.poll_once()
+                assert idle.candidates == 0 and idle.parked == ["bad"]
             # The good tables were never disturbed.
             assert sorted(store.table_names) == ["t0", "t1", "t2"]
 
     def test_failed_probe_reparks_with_longer_window(self, tmp_path, lake_dir):
+        windows = []
+        window = QUARANTINE_BASE_POLLS
+        while not windows or windows[-1] < QUARANTINE_MAX_POLLS:
+            windows.append(window)
+            window *= 2
+        assert windows == [4, 8, 16, 32, 64]
         with SketchStore(tmp_path / "w.sketches") as store:
-            watcher = self._watcher(store, lake_dir)
-            watcher.poll_once()
-            _write_garbage(lake_dir, "bad", 1)
-            watcher.poll_once()
-            _write_garbage(lake_dir, "bad", 2)
-            parked = watcher.poll_once()  # poll 3: window 2, probe at poll 5
-            assert parked.quarantined == ["bad"]
-            assert watcher.poll_once().candidates == 0  # poll 4: parked
-            probe = watcher.poll_once()  # poll 5: due — probed, still broken
-            assert probe.candidates == 1
-            assert probe.quarantined == ["bad"]  # re-parked, window doubled
-            # The doubled window (4 polls) holds: no probe before poll 9.
-            for _ in range(3):  # polls 6-8
-                assert watcher.poll_once().candidates == 0
-            assert watcher.poll_once().candidates == 1  # poll 9: probed
+            watcher = self._park(store, lake_dir)
+            for window in windows + [QUARANTINE_MAX_POLLS]:
+                for _ in range(window - 1):
+                    assert watcher.poll_once().candidates == 0
+                probe = watcher.poll_once()  # due: probed, still broken
+                assert probe.candidates == 1
+                assert probe.quarantined == ["bad"]  # re-parked
 
     def test_release_after_table_heals(self, tmp_path, lake_dir):
         with SketchStore(tmp_path / "w.sketches") as store:
-            watcher = self._watcher(store, lake_dir)
-            watcher.poll_once()
-            _write_garbage(lake_dir, "bad", 1)
-            watcher.poll_once()
-            _write_garbage(lake_dir, "bad", 2)
-            watcher.poll_once()  # parked, probe at poll 5
+            watcher = self._park(store, lake_dir)
             _write_table(lake_dir, "bad", seed=123)  # the producer fixed it
-            assert watcher.poll_once().candidates == 0  # poll 4: still parked
-            healed = watcher.poll_once()  # poll 5: probe succeeds
+            for _ in range(QUARANTINE_BASE_POLLS - 1):
+                assert watcher.poll_once().candidates == 0  # still parked
+            healed = watcher.poll_once()  # the probe succeeds
             assert healed.released == ["bad"]
             assert healed.sketched == 1 and not healed.parked
             assert "bad" in store.table_names
             # Fully rehabilitated: the next failure gets a fresh grace window.
-            _write_garbage(lake_dir, "bad", 9)
+            _write_garbage(lake_dir, "bad", 99)
             relapse = watcher.poll_once()
             assert relapse.unreadable == ["bad"] and not relapse.quarantined
 
     def test_vanished_file_clears_quarantine_state(self, tmp_path, lake_dir):
         with SketchStore(tmp_path / "w.sketches") as store:
-            watcher = self._watcher(store, lake_dir)
-            watcher.poll_once()
-            _write_garbage(lake_dir, "bad", 1)
-            watcher.poll_once()
-            _write_garbage(lake_dir, "bad", 2)
-            assert watcher.poll_once().quarantined == ["bad"]
+            watcher = self._park(store, lake_dir)
             (lake_dir / "bad.csv").unlink()
             report = watcher.poll_once()
             assert not report.parked  # gone from the directory, forgotten
             # Never ingested, so nothing to retire from the store either.
             assert sorted(store.table_names) == ["t0", "t1", "t2"]
-
-    def test_window_validation(self, tmp_path, lake_dir):
-        with SketchStore(tmp_path / "w.sketches") as store:
-            with pytest.raises(ValueError, match="quarantine_after"):
-                LakeWatcher(store, lake_dir, quarantine_after=0)
-            with pytest.raises(ValueError, match="windows"):
-                LakeWatcher(
-                    store, lake_dir, quarantine_base_polls=8, quarantine_max_polls=4
-                )
 
 
 class TestStatErrors:

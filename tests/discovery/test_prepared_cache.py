@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.discovery.prepared import PreparedTableCache
+from repro.discovery.prepared import CACHE_MAX_ENTRIES, PreparedTableCache
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.telemetry import TelemetryRecorder, use
 
@@ -85,19 +85,16 @@ class TestPreparedTableCache:
         assert counted() == (0, 2, 0)
 
     def test_lru_eviction(self, counted):
-        cache = PreparedTableCache(max_entries=2)
+        cache = PreparedTableCache()
         matcher = JaccardLevenshteinMatcher()
-        t1, t2, t3 = (_table(f"t{i}", [i]) for i in range(3))
-        cache.prepare(matcher, t1)
-        cache.prepare(matcher, t2)
-        cache.prepare(matcher, t1)  # refresh t1: t2 becomes LRU
-        cache.prepare(matcher, t3)  # evicts t2
-        assert counted() == (1, 3, 1)
-        cache.prepare(matcher, t1)
-        assert counted()[0] == 2  # t1 survived both rounds
-        cache.prepare(matcher, t2)
-        assert counted()[1] == 4  # t2 was evicted
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            PreparedTableCache(max_entries=0)
+        tables = [_table(f"t{i}", [i]) for i in range(CACHE_MAX_ENTRIES + 1)]
+        for table in tables[:-1]:
+            cache.prepare(matcher, table)
+        assert counted() == (0, CACHE_MAX_ENTRIES, 0)  # full, nothing evicted
+        cache.prepare(matcher, tables[0])  # refresh t0: t1 becomes LRU
+        cache.prepare(matcher, tables[-1])  # evicts t1
+        assert counted() == (1, CACHE_MAX_ENTRIES + 1, 1)
+        cache.prepare(matcher, tables[0])
+        assert counted()[0] == 2  # t0 survived both rounds
+        cache.prepare(matcher, tables[1])
+        assert counted()[1] == CACHE_MAX_ENTRIES + 2  # t1 was evicted

@@ -72,12 +72,9 @@ class TestRoundTripEquality:
             matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS.get(name, {}))
             with PreparedStore() as store:
                 fresh = matcher.prepare(candidate_table)
-                store.put(fresh)
-                loaded = store.get(
-                    matcher.fingerprint(),
-                    candidate_table.name,
-                    table_content_hash(candidate_table),
-                )
+                content_hash = table_content_hash(candidate_table)
+                store.put(fresh, content_hash)
+                loaded = store.get(matcher.fingerprint(), candidate_table.name, content_hash)
                 assert loaded is not None, f"{name}: stored payload not found"
                 assert loaded.fingerprint == fresh.fingerprint
 

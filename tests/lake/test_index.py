@@ -130,7 +130,7 @@ class TestCandidates:
         params = LSHParams(min_type_compatibility=0.3, min_jaccard=0.0)
         index = _build_index([dates], params=params)
         sketch = sketch_table(numbers)
-        assert index.candidate_tables(sketch, exclude_self=False) == []
+        assert index.candidate_tables(sketch) == []
 
     def test_disjoint_partition_of_same_schema_is_still_found(self):
         """Schema evidence: unionable tables with zero value overlap."""

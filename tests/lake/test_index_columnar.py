@@ -91,12 +91,11 @@ def lakegen_index(request, tmp_path_factory):
 
 
 class TestEqualsTheReferenceOnLakegenLakes:
-    @pytest.mark.parametrize("exclude_self", [True, False])
     @pytest.mark.parametrize("top_k", [None, 3])
-    def test_every_query(self, lakegen_index, exclude_self, top_k):
+    def test_every_query(self, lakegen_index, top_k):
         index, queries = lakegen_index
         for query in queries:
-            _assert_matches_reference(index, query, top_k=top_k, exclude_self=exclude_self)
+            _assert_matches_reference(index, query, top_k=top_k)
 
     def test_the_lakes_are_not_trivial(self, lakegen_index):
         index, queries = lakegen_index
@@ -189,11 +188,8 @@ class TestEqualsTheReferenceUnderMutation:
             else:
                 index.remove(argument)
             for query in queries:
-                for exclude_self in (True, False):
-                    for top_k in (None, 1):
-                        _assert_matches_reference(
-                            index, query, top_k=top_k, exclude_self=exclude_self
-                        )
+                for top_k in (None, 1):
+                    _assert_matches_reference(index, query, top_k=top_k)
 
 
 def _one_column(table: str, name: str, signature, histogram) -> TableSketch:
@@ -332,7 +328,7 @@ class TestWorkCensus:
             return jaccard(self, other)
 
         monkeypatch.setattr(MinHashSignature, "jaccard", counting)
-        candidates = index.candidate_tables(tables[0], exclude_self=False)
+        candidates = index.candidate_tables(tables[0])
         names = [c.table_name for c in candidates]
         candidate_signals(tables[0], names, *index.signature_block(names))
         assert candidates and calls == []

@@ -409,15 +409,13 @@ def reference_candidate_tables(
     index: LakeIndex,
     query: TableSketch,
     top_k: Optional[int] = None,
-    exclude_self: bool = True,
 ) -> list[CandidateTable]:
     """``LakeIndex.candidate_tables`` as it was: per-column candidates, one
     vote per (query column, table), a Python sum per table."""
-    exclude = query.name if exclude_self else None
     per_table: dict[str, dict[str, tuple[str, float]]] = {}
     for query_column in query.columns:
         for candidate, similarity in _reference_candidate_columns(
-            index, query_column, exclude_table=exclude
+            index, query_column, exclude_table=query.name
         ):
             best = per_table.setdefault(candidate.table_name, {})
             current = best.get(query_column.column_name)

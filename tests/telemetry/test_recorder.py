@@ -22,6 +22,7 @@ from repro.telemetry import (
     span,
     use,
 )
+from repro.telemetry.recorder import MAX_SAMPLES, MAX_SPANS
 
 
 class TestQuantile:
@@ -109,34 +110,53 @@ class TestTelemetryRecorder:
         assert snap.durations["d"] == [1.0, 3.0]
 
     def test_max_spans_caps_trace_not_histograms(self):
-        recorder = TelemetryRecorder(max_spans=3)
-        for _ in range(5):
+        recorder = TelemetryRecorder()
+        for _ in range(MAX_SPANS + 2):
             with recorder.span("s"):
                 pass
         snap = recorder.snapshot()
-        assert len(snap.spans) == 3
+        assert len(snap.spans) == MAX_SPANS
         assert snap.dropped_spans == 2
         # Histogram keeps every sample — percentiles stay exact.
-        assert len(snap.durations["s"]) == 5
+        assert len(snap.durations["s"]) == MAX_SPANS + 2
 
     def test_merge_respects_span_cap(self):
-        recorder = TelemetryRecorder(max_spans=2)
-        with recorder.span("a"):
-            pass
+        recorder = TelemetryRecorder()
+        for _ in range(2):
+            with recorder.span("a"):
+                pass
         donor = TelemetryRecorder()
-        for _ in range(3):
+        for _ in range(MAX_SPANS - 1):
             with donor.span("b"):
                 pass
         recorder.merge(donor.snapshot())
         snap = recorder.snapshot()
-        assert len(snap.spans) == 2
-        assert snap.dropped_spans == 2
+        assert len(snap.spans) == MAX_SPANS
+        assert snap.dropped_spans == 1
         # Histogram samples from the donor all arrive regardless.
-        assert len(snap.durations["b"]) == 3
+        assert len(snap.durations["b"]) == MAX_SPANS - 1
 
-    def test_invalid_max_spans_rejected(self):
-        with pytest.raises(ValueError):
-            TelemetryRecorder(max_spans=0)
+    def test_observe_keeps_a_sliding_window_of_samples(self):
+        """Trimming waits until a histogram holds twice the window, then
+        keeps the most recent ``MAX_SAMPLES``."""
+        recorder = TelemetryRecorder()
+        for value in range(2 * MAX_SAMPLES):
+            recorder.observe("d", float(value))
+        assert len(recorder.snapshot().durations["d"]) == 2 * MAX_SAMPLES
+        recorder.observe("d", float(2 * MAX_SAMPLES))
+        samples = recorder.snapshot().durations["d"]
+        assert samples == [float(v) for v in range(MAX_SAMPLES + 1, 2 * MAX_SAMPLES + 1)]
+
+    def test_merge_keeps_a_sliding_window_of_samples(self):
+        recorder = TelemetryRecorder()
+        recorder.observe("d", -1.0)
+        recorder.merge(TelemetrySnapshot(durations={"d": [0.0] * (2 * MAX_SAMPLES - 1)}))
+        assert len(recorder.snapshot().durations["d"]) == 2 * MAX_SAMPLES
+        recorder.merge(TelemetrySnapshot(durations={"d": [float(v) for v in range(3)]}))
+        samples = recorder.snapshot().durations["d"]
+        assert len(samples) == MAX_SAMPLES
+        assert samples[-3:] == [0.0, 1.0, 2.0]
+        assert -1.0 not in samples
 
     def test_thread_safety_of_counters(self):
         recorder = TelemetryRecorder()

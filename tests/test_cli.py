@@ -119,7 +119,8 @@ _METHOD = (("--method",), "method", "'ComaSchema'")
 #: ``query --workers``, ``serve --workers``, ``prepare --max-store-mb``,
 #: ``query --budget-ms``, ``--prepared-store`` on ``prepare``, ``publish``,
 #: ``pull``, ``query``, ``serve``, ``stats``, ``verify`` and ``watch``,
-#: ``query --no-prepared-store`` and ``publish`` / ``pull --no-prepared``.
+#: ``query --no-prepared-store``, ``publish`` / ``pull --no-prepared``,
+#: ``publish --iblt-cells`` / ``--no-prune`` and ``pull --keep-missing``.
 _PARSER_SURFACE = {
     "": [(("--verbose", "-v"), "verbose", "0")],
     "coverage": [],
@@ -134,13 +135,10 @@ _PARSER_SURFACE = {
     "lake prepare": [((), "method", "None"), _STORE, _WORKERS],
     "lake publish": [
         ((), "out_dir", "None"),
-        (("--iblt-cells",), "iblt_cells", "128"),
-        (("--no-prune",), "no_prune", "False"),
         _STORE,
     ],
     "lake pull": [
         ((), "src", "None"),
-        (("--keep-missing",), "keep_missing", "False"),
         (("--retry-attempts",), "retry_attempts", "4"),
         (("--retry-budget",), "retry_budget", "64"),
         _STORE,
@@ -235,6 +233,9 @@ class TestParserSurface:
             ["lake", "serve", "--workers", "2"],
             ["lake", "prepare", "ComaSchema", "--max-store-mb", "1"],
             ["lake", "query", "q.csv", "--budget-ms", "5"],
+            ["lake", "publish", "out", "--iblt-cells", "8"],
+            ["lake", "publish", "out", "--no-prune"],
+            ["lake", "pull", "src", "--keep-missing"],
         ],
         ids=lambda argv: " ".join(argv[1:2] + [a for a in argv if a.startswith("--")]),
     )
@@ -450,20 +451,15 @@ class TestCommands:
         assert main(["lake", "verify", "--store", str(replica), "--artifact", str(artifact)]) == 0
         assert "verify: clean" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "with_artifact, pull_flags",
-        [(False, []), (True, []), (False, ["--keep-missing"])],
-        ids=["alone", "artifact", "keep-missing"],
-    )
+    @pytest.mark.parametrize("with_artifact", [False, True], ids=["alone", "artifact"])
     def test_replica_verifies_clean_after_a_pull_without_prepared_payloads(
-        self, tmp_path, capsys, with_artifact, pull_flags
+        self, tmp_path, capsys, with_artifact
     ):
         """build → prepare → publish → pull, then the publisher loses its
         prepared store and one CSV, and build --prune → publish → pull: the
         replica's prepared rows are reconciled against a snapshot that
         carries none, so they are retired and `lake verify` is clean (a pull
-        that skipped them left "stale prepared rows: 1" behind).
-        `--keep-missing` keeps the rows, and the tables they belong to."""
+        that skipped them left "stale prepared rows: 1" behind)."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
         write_csv(
@@ -490,17 +486,14 @@ class TestCommands:
         assert main(["lake", "build", str(lake_dir), "--store", str(store), "--prune"]) == 0
         assert main(publish) == 0
         assert "1 tables, 0 prepared payloads" in capsys.readouterr().out
-        assert main(pull + pull_flags) == 0
+        assert main(pull) == 0
         pulled = capsys.readouterr().out
         verify = ["lake", "verify", "--store", str(replica)]
         if with_artifact:
             verify += ["--artifact", str(artifact)]
         assert main(verify) == 0
         assert "verify: clean" in capsys.readouterr().out
-        if pull_flags:
-            assert "already in sync" in pulled
-        else:
-            assert "+0/-1 tables, +0/-2 prepared" in pulled
+        assert "+0/-1 tables, +0/-2 prepared" in pulled
 
     def test_prepare_after_a_query_has_nothing_to_do(self, tmp_path, capsys):
         """A second `lake prepare` after a query prepares nothing and prunes
@@ -960,7 +953,6 @@ class TestBadInput:
             ["lake", "serve", "--store", "{store}", "--reopen-poll-s", "0"],
             ["lake", "serve", "--store", "{store}", "--port", "99999"],
             ["lake", "serve", "--store", "{store}", "--port", "-5"],
-            ["lake", "publish", "{fresh}.artifact", "--store", "{store}", "--iblt-cells", "0"],
             ["lake", "pull", "{lake}", "--store", "{fresh}", "--retry-attempts", "0"],
             ["lake", "pull", "{lake}", "--store", "{fresh}", "--retry-budget", "-1"],
             ["lake", "build", "{lake}", "--store", "{fresh}", "--workers", "0"],
