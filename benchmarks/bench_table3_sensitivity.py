@@ -15,7 +15,7 @@ from repro.experiments.parameters import ParameterGrid
 from repro.experiments.reports import render_sensitivity_table
 from repro.experiments.sensitivity import sensitivity_table
 from repro.fabrication import FabricationConfig, Fabricator, Scenario
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 

@@ -22,13 +22,13 @@ from repro.datasets import (
 )
 from repro.experiments.parameters import ParameterGrid
 from repro.fabrication import FabricationConfig, Fabricator, Scenario
-from repro.matchers.coma import ComaInstanceMatcher, ComaSchemaMatcher
-from repro.matchers.cupid import CupidMatcher
-from repro.matchers.distribution_based import DistributionBasedMatcher
-from repro.matchers.embdi import EmbDIMatcher
+from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
+from repro.matchers.embdi.matcher import EmbDIMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.matchers.semprop import SemPropMatcher
-from repro.matchers.similarity_flooding import SimilarityFloodingMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
+from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
 
 #: Row count of the seed tables used by the benchmark harness.
 FAST_ROWS = 60

@@ -28,7 +28,7 @@ from repro.datasets import (
     wikidata_singers_table,
 )
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.matchers import ComaInstanceMatcher
+from repro.matchers.coma.matcher import ComaInstanceMatcher
 from repro.matchers.base import MatchResult
 
 

@@ -21,16 +21,13 @@ from repro.experiments.parameters import ParameterGrid
 from repro.experiments.reports import render_boxplot_figure, render_runtime_table
 from repro.experiments.runner import ExperimentRunner
 from repro.fabrication import FabricationConfig, Fabricator, Scenario
-from repro.matchers import (
-    ComaInstanceMatcher,
-    ComaSchemaMatcher,
-    CupidMatcher,
-    DistributionBasedMatcher,
-    EmbDIMatcher,
-    JaccardLevenshteinMatcher,
-    SemPropMatcher,
-    SimilarityFloodingMatcher,
-)
+from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
+from repro.matchers.embdi.matcher import EmbDIMatcher
+from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
+from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
 
 
 def comparison_grids() -> dict[str, ParameterGrid]:

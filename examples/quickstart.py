@@ -16,7 +16,8 @@ from __future__ import annotations
 from repro.datasets import tpcdi_prospect_table
 from repro.fabrication import Fabricator, FabricationConfig, NoiseVariant, Scenario
 from repro.fabrication.scenarios import fabricate_unionable
-from repro.matchers import ComaSchemaMatcher, JaccardLevenshteinMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
+from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.metrics import recall_at_ground_truth
 
 import random

@@ -7,22 +7,24 @@ from pathlib import Path
 
 from repro.cli.options import add_method_option, fail, positive_int
 from repro.data.csv_io import UNREADABLE_CSV, read_csv, write_csv
-from repro.datasets import chembl_assays_table, open_data_table, tpcdi_prospect_table
-from repro.experiments.parameters import default_parameter_grids
-from repro.experiments.reports import (
-    render_boxplot_figure,
-    render_coverage_table,
-    render_parameter_grids,
-)
-from repro.experiments.runner import ExperimentRunner
+from repro.data.table import Table
 from repro.fabrication import FabricationConfig, Fabricator, Scenario
 from repro.matchers.registry import create_matcher
 
+# The parser needs only the source names; the handlers import the dataset
+# generators and the experiment suite, so `import repro.cli` loads neither
+# (the parameter grids and the coverage table import every matcher).
 _SOURCES = {
-    "tpcdi": tpcdi_prospect_table,
-    "opendata": open_data_table,
-    "chembl": chembl_assays_table,
+    "tpcdi": "tpcdi_prospect_table",
+    "opendata": "open_data_table",
+    "chembl": "chembl_assays_table",
 }
+
+
+def _seed_table(args: argparse.Namespace) -> Table:
+    from repro import datasets
+
+    return getattr(datasets, _SOURCES[args.source])(num_rows=args.rows)
 
 
 def register(subparsers: argparse._SubParsersAction) -> None:
@@ -57,17 +59,22 @@ def register(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _command_coverage(args: argparse.Namespace) -> int:
+    from repro.experiments.reports import render_coverage_table
+
     print(render_coverage_table())
     return 0
 
 
 def _command_parameters(args: argparse.Namespace) -> int:
+    from repro.experiments.parameters import default_parameter_grids
+    from repro.experiments.reports import render_parameter_grids
+
     print(render_parameter_grids(default_parameter_grids(fast=args.fast)))
     return 0
 
 
 def _command_fabricate(args: argparse.Namespace) -> int:
-    seed_table = _SOURCES[args.source](num_rows=args.rows)
+    seed_table = _seed_table(args)
     fabricator = Fabricator(FabricationConfig())
     scenarios = [Scenario(args.scenario)] if args.scenario else None
     pairs = fabricator.fabricate(seed_table, scenarios=scenarios)
@@ -85,7 +92,11 @@ def _command_fabricate(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    seed_table = _SOURCES[args.source](num_rows=args.rows)
+    from repro.experiments.parameters import default_parameter_grids
+    from repro.experiments.reports import render_boxplot_figure
+    from repro.experiments.runner import ExperimentRunner
+
+    seed_table = _seed_table(args)
     fabricator = Fabricator(FabricationConfig())
     pairs = fabricator.fabricate(seed_table)
     grids = default_parameter_grids(fast=not args.full_grid)

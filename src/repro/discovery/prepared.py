@@ -66,14 +66,9 @@ from typing import Iterator, Optional, Sequence, Union
 from repro.data.fingerprint import table_content_hash
 from repro.data.sqlite_store import _MAX_IN_VARS, PerProcessSqliteStore
 from repro.data.table import Table
+from repro.discovery import prepared_codec
 from repro.matchers.base import BaseMatcher, PreparedTable
 from repro.telemetry import recorder as telemetry
-
-# After the matchers on purpose: the codec imports numpy and networkx, and
-# loading them ahead of the matcher modules costs `import repro.cli` ~70 ms
-# of CPU on a 2-core box (OpenBLAS's threads spin through the imports left;
-# with OPENBLAS_NUM_THREADS=1 the difference vanishes).
-from repro.discovery import prepared_codec
 
 logger = logging.getLogger(__name__)
 

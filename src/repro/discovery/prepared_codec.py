@@ -31,8 +31,9 @@ a section whose size disagrees with its dtype and shape.
 from __future__ import annotations
 
 import dataclasses
+import sys
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.data import sections as framing
@@ -43,6 +44,9 @@ from repro.graphmodel.schema_graph import NodeKind, SchemaNode
 from repro.matchers.base import PreparedTable
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.semprop.semantic import SemanticLink
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["decode", "encode"]
 
@@ -147,7 +151,8 @@ class _Writer:
         if _RECORDS.get(name) is kind:
             fields = dataclasses.fields(value)
             return [name, *(self.value(getattr(value, field.name)) for field in fields)]
-        if kind is nx.DiGraph:
+        networkx = sys.modules.get("networkx")  # a graph value means it is loaded
+        if networkx is not None and kind is networkx.DiGraph:
             return self._graph(value)
         if kind is PreparedTable:
             if value.header != self.header:
@@ -197,6 +202,8 @@ class _Reader:
         if tag == "ndarray":
             return self._array(*fields)
         if tag == "SchemaGraph":
+            import networkx as nx  # only Similarity Flooding's rows hold graphs
+
             attributes, nodes, edges = map(self.value, fields)
             graph = nx.DiGraph()
             graph.graph.update(attributes)

@@ -1,27 +1,2 @@
-"""Distribution substrate: quantile histograms and Earth Mover's Distance."""
-
-from repro.distributions.emd import (
-    column_emd,
-    emd_1d,
-    emd_general,
-    histogram_emd,
-    intersection_emd,
-)
-from repro.distributions.histograms import (
-    QuantileHistogram,
-    build_histogram,
-    build_histogram_pair,
-    rank_values,
-)
-
-__all__ = [
-    "QuantileHistogram",
-    "build_histogram",
-    "build_histogram_pair",
-    "rank_values",
-    "emd_1d",
-    "emd_general",
-    "histogram_emd",
-    "column_emd",
-    "intersection_emd",
-]
+"""Distribution substrate: quantile histograms (:mod:`.histograms`) and Earth
+Mover's Distance (:mod:`.emd`).  Only the EMD linear program loads scipy."""

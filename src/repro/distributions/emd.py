@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.distributions.histograms import QuantileHistogram, build_histogram_pair
 
@@ -82,6 +81,8 @@ def emd_general(
     for j in range(num_b):
         a_eq[num_a + j, j::num_b] = 1.0
     b_eq = np.concatenate([a, b])
+    from scipy.optimize import linprog  # only this oracle needs scipy
+
     result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:  # pragma: no cover - defensive
         raise RuntimeError(f"EMD linear program failed: {result.message}")

@@ -1,23 +1,2 @@
-"""Graph substrate: schema graphs and similarity propagation."""
-
-from repro.graphmodel.propagation import (
-    PropagationConfig,
-    build_propagation_graph,
-    similarity_flood,
-)
-from repro.graphmodel.schema_graph import (
-    NodeKind,
-    SchemaNode,
-    build_schema_graph,
-    pairwise_connectivity_graph,
-)
-
-__all__ = [
-    "NodeKind",
-    "SchemaNode",
-    "build_schema_graph",
-    "pairwise_connectivity_graph",
-    "PropagationConfig",
-    "build_propagation_graph",
-    "similarity_flood",
-]
+"""Graph substrate: schema graphs (:mod:`.schema_graph`) and similarity
+propagation (:mod:`.propagation`).  Only the graph builders load networkx."""

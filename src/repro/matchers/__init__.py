@@ -1,35 +1,7 @@
 """Schema matching methods (the core contribution of the suite).
 
-Importing this package registers all seven bundled matching methods with the
-registry, so ``available_matchers()`` and the experiment runner see them.
+Each method lives in its own module and is reached by name through
+:mod:`.registry`: ``matcher_class("SemProp")`` imports the SemProp module and
+no other, so a process loads only the matchers it runs.
+:mod:`.base` holds the protocol they share.
 """
-
-from repro.matchers.base import BaseMatcher, Match, MatchResult, MatchType
-from repro.matchers.coma import ComaInstanceMatcher, ComaSchemaMatcher
-from repro.matchers.cupid import CupidMatcher
-from repro.matchers.distribution_based import DistributionBasedMatcher
-from repro.matchers.embdi import EmbDIMatcher
-from repro.matchers.ensemble import EnsembleMatcher
-from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.matchers.registry import available_matchers, coverage_table, matcher_class
-from repro.matchers.semprop import SemPropMatcher
-from repro.matchers.similarity_flooding import SimilarityFloodingMatcher
-
-__all__ = [
-    "BaseMatcher",
-    "Match",
-    "MatchResult",
-    "MatchType",
-    "CupidMatcher",
-    "SimilarityFloodingMatcher",
-    "ComaSchemaMatcher",
-    "ComaInstanceMatcher",
-    "DistributionBasedMatcher",
-    "SemPropMatcher",
-    "EmbDIMatcher",
-    "JaccardLevenshteinMatcher",
-    "EnsembleMatcher",
-    "available_matchers",
-    "matcher_class",
-    "coverage_table",
-]

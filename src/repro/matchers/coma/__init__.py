@@ -1,30 +1,2 @@
-"""COMA composite matcher package."""
-
-from repro.matchers.coma.combination import CombinationConfig, aggregate, select_pairs
-from repro.matchers.coma.component_matchers import (
-    DataTypeMatcher,
-    NamePathMatcher,
-    NameTokenMatcher,
-    NameTrigramMatcher,
-    NumericStatisticsMatcher,
-    PatternMatcher,
-    ThesaurusMatcher,
-    ValueOverlapMatcher,
-)
-from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
-
-__all__ = [
-    "ComaSchemaMatcher",
-    "ComaInstanceMatcher",
-    "CombinationConfig",
-    "aggregate",
-    "select_pairs",
-    "NameTokenMatcher",
-    "NameTrigramMatcher",
-    "NamePathMatcher",
-    "DataTypeMatcher",
-    "ThesaurusMatcher",
-    "ValueOverlapMatcher",
-    "NumericStatisticsMatcher",
-    "PatternMatcher",
-]
+"""COMA composite matcher package: :mod:`.matcher` (the two registered
+matchers), :mod:`.component_matchers` and :mod:`.combination`."""

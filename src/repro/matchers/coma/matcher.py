@@ -29,7 +29,6 @@ from repro.matchers.coma.component_matchers import (
     ThesaurusMatcher,
     ValueOverlapMatcher,
 )
-from repro.matchers.registry import register_matcher
 
 __all__ = ["ComaSchemaMatcher", "ComaInstanceMatcher"]
 
@@ -122,7 +121,6 @@ class _ComaBase(BaseMatcher):
         return MatchResult.from_column_scores(source.header, target.header, selected)
 
 
-@register_matcher
 class ComaSchemaMatcher(_ComaBase):
     """COMA with the default schema-level strategy (name, path, type, thesaurus).
 
@@ -151,7 +149,6 @@ class ComaSchemaMatcher(_ComaBase):
         )
 
 
-@register_matcher
 class ComaInstanceMatcher(_ComaBase):
     """COMA with the instance-extended strategy (COMA++ instance matchers).
 

@@ -22,7 +22,7 @@ from repro.text.distance import jaro_winkler_similarity, monge_elkan
 from repro.text.thesaurus import Thesaurus, default_thesaurus
 from repro.text.tokenize import tokenize_identifier
 
-__all__ = ["name_similarity", "name_similarities", "name_pair_work"]
+__all__ = ["name_similarities", "name_pair_work"]
 
 
 #: Upper bound on distinct names whose token tuples are kept, emptied when
@@ -41,7 +41,7 @@ _NAME_PAIR_LIMIT = 1 << 16
 class _NamePairTable:
     """Per-process name similarities of ordered name pairs, per thesaurus fingerprint.
 
-    :func:`name_similarity` is a pure function of the two names and the
+    A name similarity is a pure function of the two names and the
     thesaurus content, so it is computed once per distinct
     ``(fingerprint, name_a, name_b)`` and shared by every match this process
     runs.  Scoped per process, not per matcher: an experiment worker
@@ -81,7 +81,7 @@ def _name_tokens(name: str) -> tuple[str, ...]:
 
 
 def _score_names(name_a: str, name_b: str, thesaurus: Thesaurus) -> float:
-    """The uncached name similarity of :func:`name_similarity`."""
+    """The uncached similarity of one name pair (see :func:`name_similarities`)."""
     tokens_a = _name_tokens(name_a)
     tokens_b = _name_tokens(name_b)
     if not tokens_a or not tokens_b:
@@ -102,7 +102,18 @@ def name_similarities(
     names_b: Sequence[str],
     thesaurus: Thesaurus | None = None,
 ) -> list[float]:
-    """:func:`name_similarity` of every pair in ``names_a x names_b``, row-major."""
+    """Token-level name similarity of every pair in ``names_a x names_b``, row-major.
+
+    A pair's score combines thesaurus and string evidence: for every token
+    pair it is the maximum of the thesaurus relation score and the
+    Jaro–Winkler string similarity, and token scores are combined with a
+    Monge–Elkan style averaging in both directions.
+
+    Each ordered name pair is scored once per process and thesaurus content
+    (see :class:`_NamePairTable`), so a lookup returns the float the first
+    computation produced.  No symmetry is assumed: ``(a, b)`` and ``(b, a)``
+    are separate entries.
+    """
     thesaurus = thesaurus or default_thesaurus()
     fingerprint = thesaurus.fingerprint()
     scores = _NAME_PAIRS.scores
@@ -121,22 +132,3 @@ def name_similarities(
     _NAME_PAIRS.lookups += len(result)
     return result
 
-
-def name_similarity(
-    name_a: str,
-    name_b: str,
-    thesaurus: Thesaurus | None = None,
-) -> float:
-    """Token-level name similarity combining thesaurus and string evidence.
-
-    For every token pair the score is the maximum of the thesaurus relation
-    score and the Jaro–Winkler string similarity; token scores are combined
-    with a Monge–Elkan style averaging in both directions.
-
-    Each ordered name pair is scored once per process and thesaurus content
-    (see :class:`_NamePairTable`), so a lookup returns the float the first
-    computation produced.  No symmetry is assumed: ``(a, b)`` and ``(b, a)``
-    are separate entries.
-    """
-    (score,) = name_similarities((name_a,), (name_b,), thesaurus)
-    return score

@@ -19,14 +19,12 @@ from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTab
 from repro.matchers.cupid.linguistic import name_pair_work
 from repro.matchers.cupid.schema_tree import build_schema_tree
 from repro.matchers.cupid.structural import CupidWeights, tree_match
-from repro.matchers.registry import register_matcher
 from repro.telemetry import recorder as telemetry
 from repro.text.thesaurus import Thesaurus, default_thesaurus
 
 __all__ = ["CupidMatcher"]
 
 
-@register_matcher
 class CupidMatcher(BaseMatcher):
     """Cupid: linguistic + structural schema-based matching.
 

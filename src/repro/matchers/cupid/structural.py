@@ -11,7 +11,7 @@ column pair:
 1. ``lsim = types * names`` and
    ``wsim = leaf_w_struct * types + (1 - leaf_w_struct) * lsim``, where
    ``names`` holds the columns' name similarities (memoised per process by
-   :func:`~repro.matchers.cupid.linguistic.name_similarity`) and ``types``
+   :func:`~repro.matchers.cupid.linguistic.name_similarities`) and ``types``
    their data-type compatibilities;
 2. the inner-node pairs are visited in post-order: (table, table),
    (table, schema), (schema, table), (schema, schema).  Every inner node

@@ -1,15 +1,1 @@
-"""Distribution-based matcher package."""
-
-from repro.matchers.distribution_based.clustering import (
-    ClusterRefinement,
-    connected_components,
-    refine_cluster,
-)
-from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
-
-__all__ = [
-    "DistributionBasedMatcher",
-    "ClusterRefinement",
-    "connected_components",
-    "refine_cluster",
-]
+"""Distribution-based matcher package: :mod:`.matcher` and :mod:`.clustering`."""

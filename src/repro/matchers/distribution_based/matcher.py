@@ -27,12 +27,10 @@ from repro.data.table import Column, Table
 from repro.distributions.emd import column_emd, intersection_emd
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
 from repro.matchers.distribution_based.clustering import connected_components, refine_cluster
-from repro.matchers.registry import register_matcher
 
 __all__ = ["DistributionBasedMatcher"]
 
 
-@register_matcher
 class DistributionBasedMatcher(BaseMatcher):
     """Distribution-based (EMD) column matching.
 

@@ -1,7 +1,1 @@
-"""EmbDI matcher package."""
-
-from repro.matchers.embdi.graph import DataGraph, build_data_graph, cid_token
-from repro.matchers.embdi.matcher import EmbDIMatcher
-from repro.matchers.embdi.walks import WalkConfig, generate_walks
-
-__all__ = ["EmbDIMatcher", "DataGraph", "build_data_graph", "cid_token", "WalkConfig", "generate_walks"]
+"""EmbDI matcher package: :mod:`.matcher`, :mod:`.graph` and :mod:`.walks`."""

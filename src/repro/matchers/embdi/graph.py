@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from repro.data.table import Table
 from repro.data.types import is_missing
 
-__all__ = ["DataGraph", "build_data_graph", "graph_from_tokens", "value_tokens"]
+__all__ = ["DataGraph", "graph_from_tokens", "value_tokens"]
 
 RID_PREFIX = "idx__"
 CID_PREFIX = "cid__"
@@ -85,7 +85,12 @@ def value_tokens(table: Table, max_rows: int | None = None) -> list[list[Optiona
 def graph_from_tokens(
     tables: Iterable[tuple[str, Sequence[str], Sequence[Sequence[Optional[str]]]]],
 ) -> DataGraph:
-    """The joint graph of ``(table name, column names, value_tokens)`` triples."""
+    """The joint graph of ``(table name, column names, value_tokens)`` triples.
+
+    EmbDI trains a single embedding space over *both* input relations so that
+    shared values tie the two schemas together; hence the graph is built over
+    the union of the tables.
+    """
     graph = DataGraph()
     for table_name, column_names, columns in tables:
         column_tokens = [cid_token(table_name, name) for name in column_names]
@@ -107,25 +112,3 @@ def graph_from_tokens(
                 graph.add_edge(column_token, value_token)
     return graph
 
-
-def build_data_graph(
-    tables: Iterable[Table],
-    max_rows_per_table: int | None = None,
-) -> DataGraph:
-    """Build the joint tripartite graph of one or more tables.
-
-    EmbDI trains a single embedding space over *both* input relations so that
-    shared values tie the two schemas together; hence the graph is built over
-    the union of the tables.
-
-    Parameters
-    ----------
-    tables:
-        The input relations.
-    max_rows_per_table:
-        Optional row cap per table (keeps the benchmark-scale runs tractable).
-    """
-    return graph_from_tokens(
-        (table.name, table.column_names, value_tokens(table, max_rows_per_table))
-        for table in tables
-    )

@@ -21,12 +21,10 @@ from repro.embeddings.word2vec import Word2VecConfig, train_word2vec
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
 from repro.matchers.embdi.graph import cid_token, graph_from_tokens, value_tokens
 from repro.matchers.embdi.walks import WalkConfig, generate_walks
-from repro.matchers.registry import register_matcher
 
 __all__ = ["EmbDIMatcher"]
 
 
-@register_matcher
 class EmbDIMatcher(BaseMatcher):
     """EmbDI: locally trained relational embeddings for schema matching.
 

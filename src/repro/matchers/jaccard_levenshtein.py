@@ -13,7 +13,6 @@ from typing import AbstractSet, Sequence
 
 from repro.data.table import Table
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.registry import register_matcher
 from repro.text.distance import levenshtein_distance
 
 __all__ = ["JaccardLevenshteinMatcher"]
@@ -77,7 +76,6 @@ def _fuzzy_jaccard_sets(
     return intersection / union
 
 
-@register_matcher
 class JaccardLevenshteinMatcher(BaseMatcher):
     """Naive fuzzy-Jaccard instance matcher (the paper's baseline).
 

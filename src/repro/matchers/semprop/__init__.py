@@ -1,6 +1,5 @@
-"""SemProp matcher package."""
+"""SemProp matcher package: :mod:`.matcher` and :mod:`.semantic`.
 
-from repro.matchers.semprop.matcher import SemPropMatcher
-from repro.matchers.semprop.semantic import SemanticLink, coherence_score, link_to_ontology
-
-__all__ = ["SemPropMatcher", "SemanticLink", "coherence_score", "link_to_ontology"]
+Quiet on purpose: the prepared-row codec imports :class:`.semantic.SemanticLink`,
+and that must not load the matcher.
+"""

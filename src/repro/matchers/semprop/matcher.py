@@ -22,7 +22,6 @@ import numpy as np
 from repro.data.table import Table
 from repro.embeddings.pretrained import PretrainedEmbeddings, default_pretrained_embeddings
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.registry import register_matcher
 from repro.matchers.semprop.semantic import SemanticLink, coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
@@ -32,7 +31,6 @@ from repro.telemetry import recorder as telemetry
 __all__ = ["SemPropMatcher"]
 
 
-@register_matcher
 class SemPropMatcher(BaseMatcher):
     """SemProp: ontology-anchored semantic matching with a syntactic fallback.
 

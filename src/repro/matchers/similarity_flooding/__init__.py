@@ -1,5 +1,1 @@
-"""Similarity Flooding matcher package."""
-
-from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
-
-__all__ = ["SimilarityFloodingMatcher"]
+"""Similarity Flooding matcher package: :mod:`.matcher`."""

@@ -23,7 +23,6 @@ from repro.graphmodel.schema_graph import (
     pairwise_connectivity_graph,
 )
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.registry import register_matcher
 from repro.text.distance import normalized_levenshtein
 from repro.text.tokenize import normalize_identifier
 
@@ -38,7 +37,6 @@ def _node_label(node: SchemaNode) -> str:
     return node.identifier.split(".")[-1]
 
 
-@register_matcher
 class SimilarityFloodingMatcher(BaseMatcher):
     """Similarity Flooding: graph-based fixpoint propagation of similarities.
 

@@ -1,5 +1,2 @@
-"""Discrete optimisation substrate: the binary ILP solver."""
-
-from repro.optimize.ilp import BinaryProgram, Constraint, ILPSolution
-
-__all__ = ["BinaryProgram", "Constraint", "ILPSolution"]
+"""Discrete optimisation substrate: the binary ILP solver (:mod:`.ilp`),
+which loads scipy only when it solves."""

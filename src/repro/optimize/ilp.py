@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = ["Constraint", "BinaryProgram", "ILPSolution"]
 
@@ -121,6 +120,8 @@ class BinaryProgram:
             else:
                 a_eq.append(row)
                 b_eq.append(constraint.bound)
+
+        from scipy.optimize import linprog  # loaded by the first solve, not on import
 
         result = linprog(
             -self._objective,

@@ -76,7 +76,7 @@ class TestPreparedTableCache:
     def test_prepare_stage_config_keys_separately(self, counted):
         """Parameters the prepare stage consumes (DB's sample_size truncates
         the prepared value lists) must produce distinct cache entries."""
-        from repro.matchers.distribution_based import DistributionBasedMatcher
+        from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
 
         cache = PreparedTableCache()
         table = _table("t", ["a", "b", "c"])

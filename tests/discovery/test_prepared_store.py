@@ -20,10 +20,10 @@ from repro.data.table import Column, Table
 from repro.discovery import prepared_codec
 from repro.discovery.prepared import PREPARED_PAYLOAD_FORMAT, PreparedStore
 from repro.matchers.base import PreparedTable
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import create_matcher
-from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.matchers.semprop.semantic import SemanticLink
 from repro.telemetry import TelemetryRecorder, use
 
@@ -122,7 +122,7 @@ class TestInvalidation:
     def test_matcher_fingerprint_invalidation(self):
         """A prepare-relevant config change must miss; a match-stage-only
         change shares the entry (prepare_parameters semantics)."""
-        from repro.matchers.distribution_based import DistributionBasedMatcher
+        from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
 
         table = _table("t", ["a", "b", "c"])
         recorder = TelemetryRecorder()

@@ -24,7 +24,9 @@ from repro.discovery.search import (
     PairScorer,
 )
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.matchers import ComaSchemaMatcher, CupidMatcher, SemPropMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from repro.experiments.parameters import (
     expand_grid,
     total_configurations,
 )
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 

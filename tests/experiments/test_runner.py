@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.runner import ExperimentRunner, run_single_experiment
-from repro.matchers.coma import ComaSchemaMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 

@@ -7,8 +7,8 @@ import pytest
 from repro.experiments.efficiency import measure_runtimes
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.sensitivity import parameter_sensitivity, sensitivity_table
-from repro.matchers.coma import ComaSchemaMatcher
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 

@@ -14,14 +14,11 @@ from repro.experiments.parameters import ParameterGrid
 from repro.experiments.runner import ExperimentRunner, run_single_experiment
 from repro.fabrication import FabricationConfig, Fabricator, NoiseVariant, Scenario
 from repro.fabrication.scenarios import fabricate_joinable, fabricate_unionable
-from repro.matchers import (
-    ComaInstanceMatcher,
-    ComaSchemaMatcher,
-    CupidMatcher,
-    DistributionBasedMatcher,
-    JaccardLevenshteinMatcher,
-    SimilarityFloodingMatcher,
-)
+from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
+from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
+from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
 from repro.metrics import recall_at_ground_truth
 
 

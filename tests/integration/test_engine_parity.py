@@ -25,7 +25,7 @@ from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import DiscoveryEngine
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake import LakeDiscoveryEngine, SketchStore, prepare_lake
-from repro.matchers.coma import ComaSchemaMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 TOP_K = 5

@@ -35,7 +35,7 @@ from repro.lake import (
 from repro.lake.profiles import TableSketch
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers, create_matcher
-from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.telemetry import TelemetryRecorder, use
 
 TOP_K = 3

@@ -14,7 +14,7 @@ from repro.datasets import open_data_table, tpcdi_prospect_table
 from repro.discovery.search import DiscoveryEngine, prune_then_rerank
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
-from repro.matchers import ComaSchemaMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
 
 
 @pytest.fixture(scope="module")

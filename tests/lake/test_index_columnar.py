@@ -36,7 +36,7 @@ from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch, sketch_table
 from repro.lake.store import SketchStore
-from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.sketches.minhash import MinHashSignature
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.recorder import TelemetryRecorder

@@ -16,7 +16,7 @@ from repro.datasets import tpcdi_prospect_table
 from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
-from repro.matchers import ComaSchemaMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
 
 pytestmark = pytest.mark.slow
 

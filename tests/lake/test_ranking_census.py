@@ -33,9 +33,9 @@ from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import PairScorer
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
 from repro.matchers import base
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.cupid.structural import CupidWeights
-from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 
 
 @pytest.fixture(scope="module")

@@ -46,10 +46,10 @@ from repro.lake.index import CandidateTable, LakeIndex
 from repro.lake.profiles import ColumnSketch, TableSketch
 from repro.lake.store import SketchStore
 from repro.matchers.base import Match, PreparedTable
-from repro.matchers.cupid.linguistic import name_similarity
+from repro.matchers.cupid.linguistic import name_similarities
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.cupid.structural import CupidWeights
-from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score
 from repro.sketches.minhash import MinHashSignature
 from repro.telemetry import recorder as telemetry
@@ -549,6 +549,12 @@ def category_compatibility(element_a: SchemaElement, element_b: SchemaElement) -
         type_b = element_b.data_type or DataType.UNKNOWN
         return type_compatibility(type_a, type_b)
     return 1.0 if element_a.category == element_b.category else 0.5
+
+
+def name_similarity(name_a: str, name_b: str, thesaurus: Thesaurus | None = None) -> float:
+    """The live (memoised) name similarity of one pair, through the batch call."""
+    (score,) = name_similarities((name_a,), (name_b,), thesaurus)
+    return score
 
 
 def linguistic_similarity(

@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.matchers.coma import (
-    ComaInstanceMatcher,
-    ComaSchemaMatcher,
-    CombinationConfig,
+from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
+from repro.matchers.coma.combination import CombinationConfig, aggregate, select_pairs
+from repro.matchers.coma.component_matchers import (
     DataTypeMatcher,
     NamePathMatcher,
     NameTokenMatcher,
@@ -17,8 +16,6 @@ from repro.matchers.coma import (
     PatternMatcher,
     ThesaurusMatcher,
     ValueOverlapMatcher,
-    aggregate,
-    select_pairs,
 )
 from repro.metrics.ranking import recall_at_ground_truth
 

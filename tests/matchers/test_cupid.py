@@ -20,6 +20,7 @@ from matcher_support import (
     leaf_by_name,
     leaves,
     linguistic_similarity,
+    name_similarity,
     reference_relation_score,
     reference_tree_match,
     term_corpus,
@@ -31,10 +32,10 @@ from repro.data.types import DataType
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.search import PairScorer
 from repro.experiments.parameters import default_parameter_grids
-from repro.matchers.cupid import CupidMatcher, build_schema_tree, name_similarity, tree_match
 from repro.matchers.cupid import linguistic
-from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
-from repro.matchers.cupid.structural import CupidWeights
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree, build_schema_tree
+from repro.matchers.cupid.structural import CupidWeights, tree_match
 from repro.metrics.ranking import recall_at_ground_truth
 from repro.telemetry import TelemetryRecorder, use
 from repro.telemetry import recorder as telemetry_recorder
@@ -453,7 +454,7 @@ import sys
 from pathlib import Path
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
 from repro.data.csv_io import read_csv
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.cupid.linguistic import name_pair_work
 
 directory = Path(sys.argv[1])

@@ -5,11 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.matchers.distribution_based import (
-    DistributionBasedMatcher,
-    connected_components,
-    refine_cluster,
-)
+from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
+from repro.matchers.distribution_based.clustering import connected_components, refine_cluster
 from repro.metrics.ranking import recall_at_ground_truth
 
 

@@ -5,15 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.matchers.embdi import (
-    DataGraph,
-    EmbDIMatcher,
-    WalkConfig,
-    build_data_graph,
-    cid_token,
-    generate_walks,
-)
+from repro.matchers.embdi.graph import DataGraph, cid_token, graph_from_tokens, value_tokens
+from repro.matchers.embdi.matcher import EmbDIMatcher
+from repro.matchers.embdi.walks import WalkConfig, generate_walks
 from repro.metrics.ranking import recall_at_ground_truth
+
+
+def build_data_graph(tables, max_rows_per_table=None) -> DataGraph:
+    """The joint graph of *tables*, built from their value tokens as the matcher does."""
+    return graph_from_tokens(
+        (table.name, table.column_names, value_tokens(table, max_rows_per_table))
+        for table in tables
+    )
 
 
 @pytest.fixture

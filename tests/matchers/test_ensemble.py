@@ -6,7 +6,7 @@ import pytest
 
 from repro.data.table import Column, ColumnRef, Table
 from repro.matchers.base import BaseMatcher, Match, MatchResult
-from repro.matchers.coma import ComaSchemaMatcher
+from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.ensemble import EnsembleMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.metrics.ranking import recall_at_ground_truth

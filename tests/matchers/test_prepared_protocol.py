@@ -13,15 +13,15 @@ import pytest
 
 from repro.data.table import Column, Table
 from repro.matchers.base import BaseMatcher, PreparedTable
-from repro.matchers.coma import ComaInstanceMatcher, ComaSchemaMatcher
-from repro.matchers.cupid import CupidMatcher
-from repro.matchers.distribution_based import DistributionBasedMatcher
-from repro.matchers.embdi import EmbDIMatcher
+from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
+from repro.matchers.embdi.matcher import EmbDIMatcher
 from repro.matchers.ensemble import EnsembleMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers
-from repro.matchers.semprop import SemPropMatcher
-from repro.matchers.similarity_flooding import SimilarityFloodingMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
+from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
 
 
 def _make_matchers() -> list[BaseMatcher]:
@@ -150,7 +150,7 @@ class TestEnsembleSharing:
         """Members differing in prepare-relevant config must not share
         prepared tables; members differing only in match-stage config
         (JL's threshold) deliberately do."""
-        from repro.matchers.distribution_based import DistributionBasedMatcher
+        from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
 
         a = EnsembleMatcher([DistributionBasedMatcher(sample_size=100)])
         b = EnsembleMatcher([DistributionBasedMatcher(sample_size=50)])
@@ -178,7 +178,7 @@ class TestLegacyBridge:
     def test_fingerprint_changes_with_prepare_parameters(self):
         """The fingerprint is the *prepare* identity: parameters the prepare
         stage consumes key separately, match-stage-only parameters share."""
-        from repro.matchers.distribution_based import DistributionBasedMatcher
+        from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
 
         assert (
             DistributionBasedMatcher(sample_size=100).fingerprint()

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-import repro.matchers  # noqa: F401 - ensure all matchers are registered
+from repro.experiments.reports import render_coverage_table
+from repro.matchers import registry
 from repro.matchers.base import MatchType
 from repro.matchers.registry import available_matchers, coverage_table, matcher_class
 
@@ -31,6 +32,16 @@ class TestRegistry:
     def test_unknown_matcher_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="known matchers"):
             matcher_class("does-not-exist")
+
+    def test_available_matchers_are_exactly_the_eight(self):
+        assert set(available_matchers()) == EXPECTED_METHODS
+
+    @pytest.mark.parametrize("key", sorted(EXPECTED_METHODS))
+    def test_every_table_entry_names_the_class_its_key_is_named_after(self, key):
+        module, class_name = registry._MATCHERS[key]
+        cls = matcher_class(key)
+        assert (cls.__module__, cls.__name__) == (module, class_name)
+        assert cls.name.lower() == key
 
     def test_every_registered_class_is_instantiable(self):
         for cls in available_matchers().values():
@@ -60,6 +71,20 @@ class TestCoverageTable:
         assert by_method["EmbDI"][MatchType.EMBEDDINGS.value]
         # Distribution-based covers distribution.
         assert by_method["DistributionBased"][MatchType.DISTRIBUTION.value]
+
+    def test_coverage_prints_table_one(self):
+        """``repro coverage`` prints these rows, in this order."""
+        rows = [line.rstrip() for line in render_coverage_table().splitlines()[2:]]
+        assert rows == [
+            "ComaInstance       | COI  | X                 | X             | X                | X         | X            |",
+            "ComaSchema         | COS  | X                 |               | X                | X         |              |",
+            "Cupid              | CU   | X                 |               | X                | X         |              |",
+            "DistributionBased  | DB   |                   | X             |                  |           | X            |",
+            "EmbDI              | EDI  |                   | X             |                  |           |              | X",
+            "JaccardLevenshtein | JL   |                   | X             |                  |           |              |",
+            "SemProp            | SP   |                   | X             | X                |           |              | X",
+            "SimilarityFlooding | SF   | X                 |               |                  | X         |              |",
+        ]
 
     def test_every_match_type_covered_by_some_method(self):
         rows = coverage_table()

@@ -11,7 +11,8 @@ from matcher_support import lakebench_column_names, reference_semprop_match_prep
 from repro.data.table import Column, Table
 from repro.discovery import prepared_codec
 from repro.matchers.base import PreparedTable
-from repro.matchers.semprop import SemPropMatcher, coherence_score, link_to_ontology
+from repro.matchers.semprop.matcher import SemPropMatcher
+from repro.matchers.semprop.semantic import coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology, chemistry_ontology
 from repro.ontology.model import Ontology, OntologyClass
 from repro.telemetry import recorder as telemetry_recorder

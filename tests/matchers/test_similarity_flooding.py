@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.matchers.similarity_flooding import SimilarityFloodingMatcher
+from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
 from repro.metrics.ranking import recall_at_ground_truth
 
 

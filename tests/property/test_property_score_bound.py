@@ -28,7 +28,7 @@ from repro.discovery.cascade import candidate_signals
 from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import SketchConfig, sketch_table
 from repro.matchers.registry import available_matchers, create_matcher
-from repro.matchers.semprop import SemPropMatcher
+from repro.matchers.semprop.matcher import SemPropMatcher
 
 #: Few distinct values, so generated columns overlap; near-identical
 #: spellings and numbers, so fuzzy and distribution matchers have something

@@ -28,8 +28,12 @@ _STDLIB_HOOK = "stdlib hook: "
 
 #: ``(path under src/, qualified name) -> why it has no caller in the program``.
 KEEP = {
+    ("repro/discovery/search.py", "DiscoveryEngine"): _REFERENCE
+    + "the class of the oracle below",
     ("repro/discovery/search.py", "DiscoveryEngine.discover"): _REFERENCE
     + "the oracle every lake ranking is checked against",
+    ("repro/distributions/emd.py", "emd_general"): _REFERENCE
+    + "the linear-program EMD the closed-form emd_1d must equal",
     ("repro/sketches/minhash.py", "minhash_signatures_scalar"): _REFERENCE
     + "the pure-Python MinHash the NumPy batch path must equal bit for bit",
     ("repro/serve/server.py", "_Handler.do_GET"): _STDLIB_HOOK

@@ -5,13 +5,17 @@ time (``import repro.cli`` pays for every module it pulls in) and tells a
 reader about a dependency that is not there.  A name counts as used when
 the module's code refers to it (a name, or the base of an attribute), when
 a quoted annotation names it, or when ``__all__`` lists it (a re-export).
-Package ``__init__`` modules re-export by design and are not checked.
+Package ``__init__`` modules are not checked: some re-export by design.  The
+ones whose siblings are heavy import nothing at all, so that importing one
+module of the package does not load the rest (scipy, networkx, every matcher).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -69,6 +73,36 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert found == {}
+
+
+#: Packages whose ``__init__`` imports nothing: ``import repro.cli`` reaches
+#: each of them, and a re-export there would load every sibling module.
+_QUIET_PACKAGES = [
+    "",
+    "matchers",
+    "matchers/coma",
+    "matchers/cupid",
+    "matchers/distribution_based",
+    "matchers/embdi",
+    "matchers/semprop",
+    "matchers/similarity_flooding",
+    "discovery",
+    "graphmodel",
+    "distributions",
+    "optimize",
+]
+
+
+@pytest.mark.parametrize("package", _QUIET_PACKAGES)
+def test_quiet_package_inits_import_nothing_from_the_package(package):
+    tree = ast.parse((_SRC / package / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+    ]
+    assert [name for name in imported if name.partition(".")[0] == "repro"] == []
 
 
 def test_the_scan_sees_quoted_annotations_and_all(tmp_path):

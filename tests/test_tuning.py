@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.parameters import ParameterGrid
 from repro.fabrication import FabricationConfig, Scenario
-from repro.matchers.cupid import CupidMatcher
+from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.tuning import AutoTuner
 
