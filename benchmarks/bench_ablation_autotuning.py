@@ -17,7 +17,8 @@ from benchmarks.conftest import print_report, seed_tables
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.reports import format_table
 from repro.experiments.runner import run_single_experiment
-from repro.fabrication import FabricationConfig, Fabricator, Scenario
+from repro.fabrication.fabricator import FabricationConfig, Fabricator
+from repro.fabrication.pairs import Scenario
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.tuning import AutoTuner
 

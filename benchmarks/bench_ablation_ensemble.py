@@ -15,7 +15,7 @@ import statistics
 from benchmarks.conftest import fabricated_pairs, print_report
 from repro.experiments.reports import format_table
 from repro.experiments.runner import run_single_experiment
-from repro.fabrication import Scenario
+from repro.fabrication.pairs import Scenario
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.ensemble import EnsembleMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher

@@ -15,7 +15,7 @@ import statistics
 
 from benchmarks.conftest import fabricated_pairs, print_report
 from repro.experiments.reports import format_table
-from repro.fabrication import Scenario
+from repro.fabrication.pairs import Scenario
 from repro.matchers.coma.matcher import ComaInstanceMatcher
 from repro.metrics.one_to_one import precision_recall_f1
 from repro.metrics.ranking import recall_at_ground_truth

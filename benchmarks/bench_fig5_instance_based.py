@@ -16,7 +16,7 @@ from benchmarks.conftest import fabricated_pairs, fast_grids, print_report
 from repro.experiments.reports import render_boxplot_figure
 from repro.experiments.results import ResultSet
 from repro.experiments.runner import ExperimentRunner
-from repro.fabrication import Scenario
+from repro.fabrication.pairs import Scenario
 
 METHODS = ("DistributionBased", "JaccardLevenshtein", "ComaInstance")
 

@@ -15,7 +15,7 @@ from repro.datasets import wikidata_pairs
 from repro.experiments.reports import render_boxplot_figure
 from repro.experiments.results import ResultSet
 from repro.experiments.runner import ExperimentRunner
-from repro.fabrication import Scenario
+from repro.fabrication.pairs import Scenario
 
 SCHEMA_METHODS = ("Cupid", "SimilarityFlooding", "ComaSchema")
 INSTANCE_METHODS = ("DistributionBased", "JaccardLevenshtein", "ComaInstance")

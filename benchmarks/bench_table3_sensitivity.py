@@ -14,7 +14,8 @@ from benchmarks.conftest import PAIRS_PER_SCENARIO, print_report, seed_tables
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.reports import render_sensitivity_table
 from repro.experiments.sensitivity import sensitivity_table
-from repro.fabrication import FabricationConfig, Fabricator, Scenario
+from repro.fabrication.fabricator import FabricationConfig, Fabricator
+from repro.fabrication.pairs import Scenario
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 

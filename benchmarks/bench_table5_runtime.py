@@ -13,7 +13,7 @@ from __future__ import annotations
 from benchmarks.conftest import fabricated_pairs, fast_grids, print_report
 from repro.experiments.efficiency import measure_runtimes
 from repro.experiments.reports import render_runtime_table
-from repro.fabrication import Scenario
+from repro.fabrication.pairs import Scenario
 
 
 def _pairs():

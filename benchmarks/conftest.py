@@ -21,7 +21,8 @@ from repro.datasets import (
     tpcdi_prospect_table,
 )
 from repro.experiments.parameters import ParameterGrid
-from repro.fabrication import FabricationConfig, Fabricator, Scenario
+from repro.fabrication.fabricator import FabricationConfig, Fabricator
+from repro.fabrication.pairs import Scenario
 from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.distribution_based.matcher import DistributionBasedMatcher

@@ -17,7 +17,7 @@ import random
 
 from repro.datasets import tpcdi_prospect_table
 from repro.experiments.reports import format_table
-from repro.fabrication import NoiseVariant
+from repro.fabrication.pairs import NoiseVariant
 from repro.fabrication.scenarios import fabricate_unionable, fabricate_view_unionable
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher

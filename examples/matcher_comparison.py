@@ -20,7 +20,8 @@ from repro.experiments.efficiency import measure_runtimes
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.reports import render_boxplot_figure, render_runtime_table
 from repro.experiments.runner import ExperimentRunner
-from repro.fabrication import FabricationConfig, Fabricator, Scenario
+from repro.fabrication.fabricator import FabricationConfig, Fabricator
+from repro.fabrication.pairs import Scenario
 from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.distribution_based.matcher import DistributionBasedMatcher

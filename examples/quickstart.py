@@ -14,7 +14,8 @@ Run with ``python examples/quickstart.py``.
 from __future__ import annotations
 
 from repro.datasets import tpcdi_prospect_table
-from repro.fabrication import Fabricator, FabricationConfig, NoiseVariant, Scenario
+from repro.fabrication.fabricator import FabricationConfig, Fabricator
+from repro.fabrication.pairs import NoiseVariant, Scenario
 from repro.fabrication.scenarios import fabricate_unionable
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher

@@ -18,11 +18,12 @@ what it uses, so ``import repro.cli`` loads neither scipy nor networkx.
 
 Quickstart
 ----------
->>> from repro import datasets, fabrication, metrics
+>>> from repro import datasets, metrics
+>>> from repro.fabrication.fabricator import Fabricator
+>>> from repro.fabrication.pairs import Scenario
 >>> from repro.matchers.registry import create_matcher
 >>> seed = datasets.tpcdi_prospect_table(num_rows=200)
->>> fabricator = fabrication.Fabricator()
->>> pair = fabricator.fabricate(seed, scenarios=[fabrication.Scenario.UNIONABLE])[0]
+>>> pair = Fabricator().fabricate(seed, scenarios=[Scenario.UNIONABLE])[0]
 >>> matcher = create_matcher("ComaSchema")
 >>> result = matcher.get_matches(pair.source, pair.target)
 >>> metrics.recall_at_ground_truth(result.ranked_pairs(), pair.ground_truth)  # doctest: +SKIP

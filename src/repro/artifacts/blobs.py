@@ -129,16 +129,16 @@ class BlobStore:
                         if entry.is_file() and not entry.name.startswith("."):
                             yield entry.name
 
-    def prune(self, referenced: set[str]) -> int:
-        """Delete blobs not in *referenced*; returns how many were removed.
+    def prune(self, referenced: set[str], stored: set[str]) -> int:
+        """Delete the blobs of *stored* (a listing from :meth:`digests`) not in
+        *referenced*; returns how many were removed.
 
         Run *after* the manifest swap: anything the live manifest does not
-        reference belongs to superseded snapshots.
+        reference belongs to superseded snapshots.  The caller's listing is
+        reused rather than the directory scanned again.
         """
         removed = 0
-        for digest in list(self.digests()):
-            if digest in referenced:
-                continue
+        for digest in stored - referenced:
             try:
                 self._path_of(digest).unlink()
                 removed += 1

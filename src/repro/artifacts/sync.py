@@ -5,12 +5,21 @@ the sketch/prepared stores (it runs ``lake build`` / ``lake watch``),
 periodically :func:`publish_snapshot`-es them into an artifact directory
 (local disk, NFS export, object-store mount — anything path-like), and any
 number of query nodes :func:`pull_snapshot` the artifact into their own
-local stores.  A blob *is* a store row: publish ships ``iter_raw()`` bytes
+local stores.  A blob *is* a store row: publish ships ``get_raw()`` bytes
 and pull commits them with ``put_raw()``, verbatim, so nothing here encodes
 or decodes a payload and one publish loop and one pull loop serve both
 stores, each described to them by a :class:`_Domain`.  Applied pulls bump
 the store version — a running ``lake serve`` daemon on the replica notices
 via its ``store_generation`` probe and reopens live.
+
+Delta publish.  Every store row keeps the SHA-256 of its bytes, written
+with the row, so a publish lists the stores' keys and digests
+(``raw_keys()``) and the blob directory once, and reads only the rows whose
+blob is not on disk: a republish after *k* edits reads and hashes the *k*
+new rows of each store, not all of them, and a blob deleted by hand is
+rewritten by the next publish.  The digests come from the stores, never
+from the previous manifest, whose entries are only as right as the code
+that wrote them.
 
 Delta sync.  A pull first reconciles *keys* (``t|name|hash`` /
 ``p|fingerprint|name|hash|fmt``) between the local stores and the
@@ -40,7 +49,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.artifacts.blobs import BlobStore, blob_digest
 from repro.artifacts.iblt import IBLTSketch, key_fingerprint
@@ -78,10 +87,10 @@ class _Domain:
     """
 
     label: str
-    #: ``(entry with no digest yet, row bytes)`` of every row to publish.
-    rows: Callable[[], Iterator[tuple[_Entry, bytes]]]
-    #: The same entries without the bytes: what the store holds now.
+    #: An entry per row the store holds now, with the row's stored digest.
     local: Callable[[], Iterable[_Entry]]
+    #: The bytes of one entry's row.
+    read: Callable[[_Entry], bytes]
     slot: Callable[[_Entry], tuple]
     #: Store fetched bytes verbatim in the entry's slot; ``ValueError`` when
     #: the store refuses them (nothing written).
@@ -93,11 +102,8 @@ class _Domain:
 def _table_domain(store: SketchStore) -> _Domain:
     return _Domain(
         label="table",
-        rows=lambda: (
-            (TableEntry(name, content_hash, num_rows=num_rows), blob)
-            for name, content_hash, num_rows, blob in store.iter_raw()
-        ),
         local=lambda: (TableEntry(*row) for row in store.raw_keys()),
+        read=lambda entry: store.get_raw(entry.name, entry.content_hash),
         slot=lambda entry: (entry.name,),
         commit=lambda entry, data: store.put_raw(entry.name, entry.content_hash, data),
         retire=store.remove_table,
@@ -107,11 +113,10 @@ def _table_domain(store: SketchStore) -> _Domain:
 def _prepared_domain(prepared_store: PreparedStore) -> _Domain:
     return _Domain(
         label="prepared payload",
-        rows=lambda: (
-            (PreparedEntry(*key_fields), blob)
-            for *key_fields, blob in prepared_store.iter_raw()
-        ),
         local=lambda: (PreparedEntry(*row) for row in prepared_store.raw_keys()),
+        read=lambda entry: prepared_store.get_raw(
+            entry.fingerprint, entry.table_name, entry.content_hash
+        ),
         slot=lambda entry: (entry.table_name, entry.fingerprint, entry.content_hash),
         commit=lambda entry, data: prepared_store.put_raw(
             entry.fingerprint,
@@ -153,11 +158,11 @@ def publish_snapshot(
 ) -> PublishReport:
     """Export *store* (and optionally *prepared_store*) as a snapshot artifact.
 
-    Blobs are content-addressed and written first (atomically, reusing any
-    digest already present), the manifest swap is the single publication
-    point, and unreferenced blobs of superseded snapshots are pruned after
-    the swap — so re-publishing in place is safe under concurrent pulls and
-    costs O(delta) writes.
+    Blobs are content-addressed and written first (atomically; a row whose
+    stored digest is already on disk is not even read), the manifest swap
+    is the single publication point, and unreferenced blobs of superseded
+    snapshots are pruned after the swap — so re-publishing in place is safe
+    under concurrent pulls and costs O(delta) reads and writes.
 
     Parameters
     ----------
@@ -174,11 +179,12 @@ def publish_snapshot(
     directory = Path(artifact_dir)
     blobs = BlobStore(directory / BLOBS_DIR)
     with telemetry.span("artifacts.publish", store=store.path):
-        table_entries = _publish_rows(_table_domain(store), blobs, report)
+        listed = set(blobs.digests())
+        table_entries = _publish_rows(_table_domain(store), blobs, listed, report)
         prepared_entries = []
         if prepared_store is not None:
             prepared_entries = _publish_rows(
-                _prepared_domain(prepared_store), blobs, report
+                _prepared_domain(prepared_store), blobs, listed, report
             )
         manifest = Manifest(
             sketch_config=store.config,
@@ -191,7 +197,7 @@ def publish_snapshot(
             ),
         )
         report.snapshot_id = manifest.save(directory)
-        report.blobs_pruned = blobs.prune(manifest.referenced_digests())
+        report.blobs_pruned = blobs.prune(manifest.referenced_digests(), listed)
     report.tables = len(table_entries)
     report.prepared = len(prepared_entries)
     telemetry.count("artifacts.publish.blobs_written", report.blobs_written)
@@ -210,17 +216,26 @@ def publish_snapshot(
     return report
 
 
-def _publish_rows(domain: _Domain, blobs: BlobStore, report: PublishReport) -> list:
-    """Write every row of *domain* as a blob; returns its manifest entries."""
+def _publish_rows(
+    domain: _Domain, blobs: BlobStore, listed: set[str], report: PublishReport
+) -> list:
+    """The manifest entries of *domain*'s rows, writing a blob for each row
+    whose stored digest is not in *listed* (the blob directory's digests,
+    which gain every blob written here)."""
     entries = []
-    for entry, blob in domain.rows():
-        data = bytes(blob)
+    for entry in domain.local():
+        if entry.digest in listed:
+            report.blobs_reused += 1
+            entries.append(entry)
+            continue
+        data = bytes(domain.read(entry))
         digest, written = blobs.write(data)
         if written:
             report.blobs_written += 1
             report.bytes_written += len(data)
         else:
             report.blobs_reused += 1
+        listed.add(digest)
         entries.append(replace(entry, digest=digest))
     return entries
 

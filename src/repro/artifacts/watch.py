@@ -8,7 +8,11 @@ the stores without ever rebuilding the world:
 * files that pass the prefilter go through the ordinary
   :func:`~repro.lake.build.build_from_paths` path, whose
   ``table_content_hash`` comparison confirms real content change (a
-  ``touch`` re-reads but never re-sketches or re-enters the writer);
+  ``touch`` re-reads but never re-sketches or re-enters the writer); with
+  a prepared store, the task that sketches a changed table prepares it
+  too, so each edited CSV is read and hashed once, and the
+  :func:`~repro.lake.build.prepare_lake` pass after it finds those rows
+  stored and only prunes;
 * stems that vanish from the directory are removed from the sketch store
   (and their prepared payloads pruned on the next ``prepare`` pass).
 
@@ -105,9 +109,10 @@ class LakeWatcher:
         Directory of one-table-per-file CSVs (table name = file stem); the
         watcher tracks its ``*.csv`` files.
     prepared_store / matcher:
-        When both are given, each mutating poll also runs
-        :func:`~repro.lake.build.prepare_lake` so changed tables are
-        re-prepared and stale payloads pruned — replicas stay warm.
+        When both are given, every table a poll re-sketches is re-prepared
+        in the same task, and each mutating poll then runs
+        :func:`~repro.lake.build.prepare_lake`, which prunes stale payloads
+        and prepares whatever is still missing — replicas stay warm.
     publish_dir:
         When set, every mutating poll re-publishes the stores there via
         :func:`~repro.artifacts.sync.publish_snapshot` (O(delta) thanks to
@@ -227,8 +232,18 @@ class LakeWatcher:
             vanished = [path for path in self._stamps if path not in current]
             report.candidates = len(changed)
             if changed:
-                build = build_from_paths(self.store, changed, workers=self.workers)
+                build = build_from_paths(
+                    self.store,
+                    changed,
+                    workers=self.workers,
+                    prepare=(
+                        None
+                        if self.prepared_store is None
+                        else (self.prepared_store, self.matcher)
+                    ),
+                )
                 report.sketched = build.sketched
+                report.prepared = build.prepared
                 report.unchanged = build.unchanged
                 report.unreadable = list(build.unreadable)
                 broken = set(build.unreadable)
@@ -266,7 +281,7 @@ class LakeWatcher:
                     telemetry.count("watch.prepare_errors")
                     logger.warning("prepare pass failed this poll: %s", exc)
                 else:
-                    report.prepared = prep.prepared
+                    report.prepared += prep.prepared
                     report.stale_pruned = prep.stale_pruned
             if report.changed and self.publish_dir is not None:
                 try:

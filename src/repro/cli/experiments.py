@@ -7,13 +7,13 @@ from pathlib import Path
 
 from repro.cli.options import add_method_option, fail, positive_int
 from repro.data.csv_io import UNREADABLE_CSV, read_csv, write_csv
-from repro.data.table import Table
-from repro.fabrication import FabricationConfig, Fabricator, Scenario
+from repro.fabrication.pairs import DatasetPair, Scenario
 from repro.matchers.registry import create_matcher
 
-# The parser needs only the source names; the handlers import the dataset
-# generators and the experiment suite, so `import repro.cli` loads neither
-# (the parameter grids and the coverage table import every matcher).
+# The parser needs only the source and scenario names; the handlers import
+# the dataset generators, the fabricator and the experiment suite, so
+# `import repro.cli` loads none of them (the parameter grids and the
+# coverage table import every matcher).
 _SOURCES = {
     "tpcdi": "tpcdi_prospect_table",
     "opendata": "open_data_table",
@@ -21,10 +21,15 @@ _SOURCES = {
 }
 
 
-def _seed_table(args: argparse.Namespace) -> Table:
+def _fabricate(
+    args: argparse.Namespace, scenarios: list[Scenario] | None = None
+) -> list[DatasetPair]:
+    """The pairs fabricated from the seed table ``--source`` / ``--rows`` name."""
     from repro import datasets
+    from repro.fabrication.fabricator import FabricationConfig, Fabricator
 
-    return getattr(datasets, _SOURCES[args.source])(num_rows=args.rows)
+    seed_table = getattr(datasets, _SOURCES[args.source])(num_rows=args.rows)
+    return Fabricator(FabricationConfig()).fabricate(seed_table, scenarios=scenarios)
 
 
 def register(subparsers: argparse._SubParsersAction) -> None:
@@ -74,10 +79,7 @@ def _command_parameters(args: argparse.Namespace) -> int:
 
 
 def _command_fabricate(args: argparse.Namespace) -> int:
-    seed_table = _seed_table(args)
-    fabricator = Fabricator(FabricationConfig())
-    scenarios = [Scenario(args.scenario)] if args.scenario else None
-    pairs = fabricator.fabricate(seed_table, scenarios=scenarios)
+    pairs = _fabricate(args, [Scenario(args.scenario)] if args.scenario else None)
     args.output.mkdir(parents=True, exist_ok=True)
     for pair in pairs:
         write_csv(pair.source, args.output / f"{pair.name}__source.csv")
@@ -96,9 +98,7 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro.experiments.reports import render_boxplot_figure
     from repro.experiments.runner import ExperimentRunner
 
-    seed_table = _seed_table(args)
-    fabricator = Fabricator(FabricationConfig())
-    pairs = fabricator.fabricate(seed_table)
+    pairs = _fabricate(args)
     grids = default_parameter_grids(fast=not args.full_grid)
     runner = ExperimentRunner(grids=grids, progress_callback=lambda msg: print("  " + msg))
     total = runner.total_runs(len(pairs), args.methods)

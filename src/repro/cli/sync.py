@@ -168,6 +168,8 @@ def _command_lake_verify(args: argparse.Namespace) -> int:
         print(f"stale prepared rows: {report.stale_prepared}")
     if report.undecodable_prepared:
         print(f"undecodable prepared rows: {report.undecodable_prepared}")
+    if report.bad_digests:
+        print(f"rows whose stored digest is wrong: {', '.join(report.bad_digests)}")
     if report.missing_blobs:
         print(f"artifact blobs missing/unreadable: {len(report.missing_blobs)}")
     if report.corrupt_blobs:
@@ -178,7 +180,7 @@ def _command_lake_verify(args: argparse.Namespace) -> int:
         print(
             f"repairs: {report.resketched} re-sketched, {report.repulled} "
             f"re-pulled, {report.pruned_prepared} stale or undecodable prepared "
-            "rows pruned"
+            f"rows pruned, {report.rehashed} rewritten to mend their digest"
         )
         if report.unrepaired:
             print(f"unrepaired: {', '.join(sorted(set(report.unrepaired)))}")

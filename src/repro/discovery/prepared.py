@@ -36,7 +36,10 @@ Persistence format: a row is a :class:`PreparedTable` written by the one
 codec in :mod:`repro.discovery.prepared_codec` — the table's schema header
 and the matcher payload as canonical JSON plus typed little-endian arrays,
 never the table's cells and never a pickle, so reading a row (a pulled one
-included) builds data and runs no code.  Every row records the payload
+included) builds data and runs no code.  Next to its bytes a row keeps
+their raw SHA-256 (``digest``, computed in :meth:`PreparedStore.put_raw`,
+the one place a row is written), which ``lake publish`` names the row's
+blob by without reading it.  Every row records the payload
 format version; opening a store whose schema version differs from this
 code's raises (delete the file and re-run ``lake prepare``), while rows
 with a *different payload format* (or rows the
@@ -57,6 +60,7 @@ locks and shared memory — keep stores on a local disk, not NFS.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -85,8 +89,9 @@ __all__ = [
 PREPARED_PAYLOAD_FORMAT = 2
 
 #: Version 2 dropped the LRU recency column, its index and the clock meta
-#: key; a version-1 file is refused, never migrated.
-_SCHEMA_VERSION = 2
+#: key; version 3 added the ``digest`` column.  An older file is refused,
+#: never migrated.
+_SCHEMA_VERSION = 3
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -99,6 +104,7 @@ CREATE TABLE IF NOT EXISTS prepared (
     content_hash TEXT NOT NULL,
     payload_format INTEGER NOT NULL,
     payload BLOB NOT NULL,
+    digest BLOB NOT NULL,
     PRIMARY KEY (matcher_fingerprint, table_name, content_hash)
 );
 """
@@ -350,7 +356,8 @@ class PreparedStore(PerProcessSqliteStore):
         payload_format: int,
         blob: bytes,
     ) -> None:
-        """Persist one already-encoded payload under an explicit key.
+        """Persist one already-encoded payload under an explicit key, next
+        to its SHA-256.
 
         The import half of snapshot distribution: a puller ships payload
         blobs verbatim from a published artifact into a replica store
@@ -361,11 +368,18 @@ class PreparedStore(PerProcessSqliteStore):
         with self._connection:
             self._connection.execute(
                 "INSERT INTO prepared (matcher_fingerprint, table_name, content_hash, "
-                "payload_format, payload) VALUES (?, ?, ?, ?, ?) "
+                "payload_format, payload, digest) VALUES (?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(matcher_fingerprint, table_name, content_hash) DO UPDATE "
                 "SET payload_format = excluded.payload_format, "
-                "payload = excluded.payload",
-                (fingerprint, table_name, content_hash, payload_format, blob),
+                "payload = excluded.payload, digest = excluded.digest",
+                (
+                    fingerprint,
+                    table_name,
+                    content_hash,
+                    payload_format,
+                    blob,
+                    hashlib.sha256(blob).digest(),
+                ),
             )
         telemetry.count("prepared_store.writes")
         telemetry.count("prepared_store.bytes_written", len(blob))
@@ -384,34 +398,50 @@ class PreparedStore(PerProcessSqliteStore):
             )
         return cursor.rowcount > 0
 
-    def iter_raw(self) -> Iterator[tuple[str, str, str, int, bytes]]:
-        """Iterate stored rows as raw ``(fingerprint, name, hash, format,
-        blob)`` tuples — the export hook behind ``lake publish``.
+    def get_raw(self, fingerprint: str, table_name: str, content_hash: str) -> bytes:
+        """The stored bytes of one row, undecoded — what ``lake publish``
+        writes as a blob (``KeyError`` when absent)."""
+        row = self._connection.execute(
+            "SELECT payload FROM prepared "
+            "WHERE matcher_fingerprint = ? AND table_name = ? AND content_hash = ?",
+            (fingerprint, table_name, content_hash),
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"no prepared row for table {table_name!r}")
+        return row[0]
 
-        Only rows carrying the *current* payload format are yielded: a row
-        :meth:`get` would refuse to decode must not be replicated to other
-        nodes.
+    def iter_raw(self) -> Iterator[tuple[str, str, str, int, bytes, bytes]]:
+        """Iterate stored rows as raw ``(fingerprint, name, hash, format,
+        stored digest, blob)`` tuples, nothing decoded — what ``lake
+        verify`` decodes and re-hashes.
+
+        Only rows carrying the *current* payload format are yielded, as by
+        :meth:`raw_keys`: a row :meth:`get` would refuse to decode is never
+        published.
         """
         for row in self._connection.execute(
             "SELECT matcher_fingerprint, table_name, content_hash, "
-            "payload_format, payload FROM prepared WHERE payload_format = ? "
+            "payload_format, digest, payload FROM prepared WHERE payload_format = ? "
             "ORDER BY rowid",
             (PREPARED_PAYLOAD_FORMAT,),
         ):
-            yield (row[0], row[1], row[2], int(row[3]), row[4])
+            yield (row[0], row[1], row[2], int(row[3]), row[4], row[5])
 
-    def raw_keys(self) -> list[tuple[str, str, str, int]]:
-        """Keys of every current-format row (no payloads loaded).
+    def raw_keys(self) -> list[tuple[str, str, str, int, str]]:
+        """``(fingerprint, name, hash, format, hex digest)`` of every
+        current-format row, no payloads loaded.
 
-        What snapshot pull reconciles against the published manifest: one
-        metadata-only query even for very large stores.
+        The fields of a :class:`~repro.artifacts.manifest.PreparedEntry`:
+        what ``lake publish`` lists and snapshot pull reconciles against the
+        published manifest, in one metadata-only query even for very large
+        stores.
         """
         rows = self._connection.execute(
-            "SELECT matcher_fingerprint, table_name, content_hash, payload_format "
-            "FROM prepared WHERE payload_format = ? ORDER BY rowid",
+            "SELECT matcher_fingerprint, table_name, content_hash, payload_format, "
+            "digest FROM prepared WHERE payload_format = ? ORDER BY rowid",
             (PREPARED_PAYLOAD_FORMAT,),
         ).fetchall()
-        return [(r[0], r[1], r[2], int(r[3])) for r in rows]
+        return [(r[0], r[1], r[2], int(r[3]), r[4].hex()) for r in rows]
 
     def undecodable_keys(self) -> list[tuple[str, str, str]]:
         """``(fingerprint, name, hash)`` of every current-format row that
@@ -423,7 +453,7 @@ class PreparedStore(PerProcessSqliteStore):
         """
         return [
             (fingerprint, name, content_hash)
-            for fingerprint, name, content_hash, payload_format, blob in self.iter_raw()
+            for fingerprint, name, content_hash, payload_format, _, blob in self.iter_raw()
             if self._decode(payload_format, blob, fingerprint, name) is None
         ]
 

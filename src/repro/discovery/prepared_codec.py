@@ -43,7 +43,7 @@ from repro.data.types import DataType
 from repro.graphmodel.schema_graph import NodeKind, SchemaNode
 from repro.matchers.base import PreparedTable
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
-from repro.matchers.semprop.semantic import SemanticLink
+from repro.matchers.semprop.links import SemanticLink
 
 if TYPE_CHECKING:
     import networkx as nx

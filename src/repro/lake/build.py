@@ -11,7 +11,10 @@ process is the **single writer** committing finished
 Cache-invalidation semantics are identical to the serial path: each worker
 hashes the table it read and compares against the hash recorded in the
 store (shipped with the task), so unchanged tables cost one read + hash and
-are never re-sketched — and never re-enter the writer.
+are never re-sketched — and never re-enter the writer.  Given a prepared
+store and a matcher (``lake watch --prepare``), the task that sketches a
+table also prepares it, and the owner commits both rows: an edited CSV is
+read and hashed once per poll, not once to sketch and again to prepare.
 
 :func:`prepare_lake` is the analogous fan-out for the *prepared-candidate*
 store: it pre-computes one matcher's
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -46,6 +50,8 @@ class BuildReport:
 
     sketched: int = 0
     unchanged: int = 0
+    #: Sketched tables whose prepared row was written with the sketch.
+    prepared: int = 0
     unreadable: list[str] = field(default_factory=list)
     #: Stale tables dropped because their CSV is gone (``remove_missing``).
     removed: list[str] = field(default_factory=list)
@@ -78,30 +84,52 @@ def _effective_workers(workers: Optional[int], num_tasks: int) -> int:
     return min(workers, num_tasks)
 
 
+#: The matcher the build and prepare tasks of this process prepare with
+#: (``None``: a build task only sketches).
+_PREPARE_MATCHER: Optional[BaseMatcher] = None
+
+
+def _prepare_worker_init(matcher: Optional[BaseMatcher]) -> None:
+    global _PREPARE_MATCHER
+    _PREPARE_MATCHER = matcher
+
+
 # ---------------------------------------------------------------------- #
 # sketch build
 # ---------------------------------------------------------------------- #
 
 #: Worker task/result for the parallel build.  Results are one of
-#: ``("sketched", name, sketch, path, None)``,
-#: ``("unchanged", name, None, path, None)`` or
-#: ``("unreadable", stem, None, path, error message)``.
+#: ``("sketched", name, sketch, path, None, prepared or None)``,
+#: ``("unchanged", name, None, path, None, None)`` or
+#: ``("unreadable", stem, None, path, error message, None)``.
 _BuildTask = tuple[str, Optional[str], SketchConfig]
-_BuildOutcome = tuple[str, str, Optional[TableSketch], str, Optional[str]]
+_BuildOutcome = tuple[
+    str, str, Optional[TableSketch], str, Optional[str], Optional[PreparedTable]
+]
 
 
 def _read_and_sketch(task: _BuildTask) -> _BuildOutcome:
-    """Read one CSV and sketch it unless the stored hash says it is unchanged."""
+    """Read one CSV and sketch it unless the stored hash says it is unchanged;
+    a sketched table is also prepared when the task's process has a matcher
+    (:func:`_prepare_worker_init`)."""
     path, known_hash, config = task
     try:
         table = read_csv(path)
     except UNREADABLE_CSV as exc:
-        return ("unreadable", Path(path).stem, None, path, str(exc))
+        return ("unreadable", Path(path).stem, None, path, str(exc), None)
     content_hash = table_content_hash(table)
     if known_hash is not None and content_hash == known_hash:
-        return ("unchanged", table.name, None, path, None)
+        return ("unchanged", table.name, None, path, None, None)
     sketch = sketch_table(table, config, content_hash=content_hash)
-    return ("sketched", table.name, sketch, path, None)
+    prepared = None
+    if _PREPARE_MATCHER is not None:
+        try:
+            prepared = _PREPARE_MATCHER.prepare(table)
+        except Exception as exc:
+            # The sketch still commits; prepare_lake retries the table and
+            # reports the failure.
+            logger.warning("cannot prepare %s with its sketch: %s", path, exc)
+    return ("sketched", table.name, sketch, path, None, prepared)
 
 
 def build_from_paths(
@@ -110,6 +138,7 @@ def build_from_paths(
     workers: Optional[int] = None,
     on_unreadable: Optional[Callable[[str], None]] = None,
     remove_missing: bool = False,
+    prepare: Optional[tuple[PreparedStore, BaseMatcher]] = None,
 ) -> BuildReport:
     """(Re)build *store* from CSV files, optionally with a process pool.
 
@@ -131,6 +160,12 @@ def build_from_paths(
         ``lake build --prune`` semantics.  Tables whose CSV is present but
         currently unreadable are kept (a transient parse error should not
         destroy a good sketch).
+    prepare:
+        ``(prepared store, matcher)``: every table sketched here is also
+        prepared in the same task and its row written next to the sketch,
+        as :func:`prepare_lake` would write it.  A table whose prepare
+        fails, or whose prepared row cannot be stored, is only sketched;
+        so are the tables left when a pool worker dies.
     """
     report = BuildReport()
     # One batched store round trip for the known hashes, not one per CSV.
@@ -139,20 +174,51 @@ def build_from_paths(
         (str(path), known.get(Path(path).stem, (None, None))[0], store.config)
         for path in csv_paths
     ]
-    effective = _effective_workers(workers, len(tasks))
-    if effective == 1:
-        outcomes = map(_read_and_sketch, tasks)
-        _commit_build(store, outcomes, report, on_unreadable)
-    else:
-        # Batched map keeps per-task pickling overhead low: each worker
-        # receives a slice of paths and returns a slice of sketches.
-        chunksize = max(1, len(tasks) // (effective * 4))
-        with ProcessPoolExecutor(max_workers=effective) as pool:
-            outcomes = pool.map(_read_and_sketch, tasks, chunksize=chunksize)
-            _commit_build(store, outcomes, report, on_unreadable)
+    prepared_store, matcher = prepare or (None, None)
+    try:
+        _run_build(store, tasks, workers, prepared_store, matcher, report, on_unreadable)
+    except BrokenProcessPool:
+        if matcher is None:
+            raise
+        # A pool worker died, most likely inside matcher.prepare: sketch the
+        # tables not yet committed (the outcomes commit in task order) as a
+        # build without a prepared store would; prepare_lake retries them.
+        logger.warning("a build worker died while preparing; sketching without it")
+        rest = tasks[report.total :]
+        _run_build(store, rest, workers, None, None, report, on_unreadable)
     if remove_missing:
         _remove_missing(store, csv_paths, report)
     return report
+
+
+def _run_build(
+    store: SketchStore,
+    tasks: list[_BuildTask],
+    workers: Optional[int],
+    prepared_store: Optional[PreparedStore],
+    matcher: Optional[BaseMatcher],
+    report: BuildReport,
+    on_unreadable: Optional[Callable[[str], None]],
+) -> None:
+    effective = _effective_workers(workers, len(tasks))
+    if effective == 1:
+        _prepare_worker_init(matcher)
+        try:
+            outcomes = map(_read_and_sketch, tasks)
+            _commit_build(store, prepared_store, outcomes, report, on_unreadable)
+        finally:
+            _prepare_worker_init(None)
+        return
+    # Batched map keeps per-task pickling overhead low: each worker
+    # receives a slice of paths and returns a slice of sketches.
+    chunksize = max(1, len(tasks) // (effective * 4))
+    with ProcessPoolExecutor(
+        max_workers=effective,
+        initializer=_prepare_worker_init,
+        initargs=(matcher,),
+    ) as pool:
+        outcomes = pool.map(_read_and_sketch, tasks, chunksize=chunksize)
+        _commit_build(store, prepared_store, outcomes, report, on_unreadable)
 
 
 def _remove_missing(
@@ -171,11 +237,12 @@ def _remove_missing(
 
 def _commit_build(
     store: SketchStore,
+    prepared_store: Optional[PreparedStore],
     outcomes,
     report: BuildReport,
     on_unreadable: Optional[Callable[[str], None]],
 ) -> BuildReport:
-    for status, name, sketch, path, error in outcomes:
+    for status, name, sketch, path, error, prepared in outcomes:
         # Absolute paths so later `lake query` calls resolve candidates
         # from any working directory.
         resolved = str(Path(path).resolve())
@@ -191,19 +258,22 @@ def _commit_build(
         else:
             store.add_sketch(sketch, source_path=resolved)
             report.sketched += 1
+            if prepared is not None:
+                try:
+                    prepared_store.put(prepared, content_hash=sketch.content_hash)
+                except Exception as exc:
+                    # The codec refused the payload, or the prepared store
+                    # is locked or full: prepare_lake retries the table and
+                    # reports the failure.
+                    logger.warning("cannot store the prepared row of %r: %s", name, exc)
+                else:
+                    report.prepared += 1
     return report
 
 
 # ---------------------------------------------------------------------- #
 # prepared-store pre-warming
 # ---------------------------------------------------------------------- #
-
-_PREPARE_MATCHER: Optional[BaseMatcher] = None
-
-
-def _prepare_worker_init(matcher: BaseMatcher) -> None:
-    global _PREPARE_MATCHER
-    _PREPARE_MATCHER = matcher
 
 
 def _prepare_one(
@@ -285,7 +355,7 @@ def prepare_lake(
             for task in tasks:
                 _commit(_prepare_one(task))
         finally:
-            _prepare_worker_init(None)  # type: ignore[arg-type]
+            _prepare_worker_init(None)
         return report
     with ProcessPoolExecutor(
         max_workers=effective,

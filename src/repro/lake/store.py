@@ -7,7 +7,10 @@ as the storage engine (stdlib, single file, transactional); each table is
 one row whose ``sketch`` column holds :meth:`TableSketch.to_bytes
 <repro.lake.profiles.TableSketch.to_bytes>` (a JSON skeleton, ``<u4``
 signatures, ``<f8`` histograms) verbatim — the bytes a published snapshot
-hash-pins, so publish and pull move rows without decoding them.
+hash-pins, so publish and pull move rows without decoding them.  Its
+``digest`` column is the raw SHA-256 of those bytes, computed in the one
+place a row is written (:meth:`SketchStore._write_row`): publish names a
+row's blob by it without reading the row.
 
 Consistency properties:
 
@@ -28,6 +31,7 @@ Consistency properties:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 from pathlib import Path
@@ -81,7 +85,9 @@ def store_generation(path: Union[str, Path]) -> Optional[StoreGeneration]:
         connection.close()
     return (stat.st_dev, stat.st_ino, int(row[0]) if row else 0)
 
-_SCHEMA_VERSION = 3
+#: Version 4 added the ``digest`` column; a version-3 file is refused,
+#: never migrated.
+_SCHEMA_VERSION = 4
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -95,7 +101,8 @@ CREATE TABLE IF NOT EXISTS tables (
     num_columns INTEGER NOT NULL,
     source_path TEXT,
     updated_version INTEGER NOT NULL,
-    sketch BLOB NOT NULL
+    sketch BLOB NOT NULL,
+    digest BLOB NOT NULL
 );
 """
 
@@ -267,16 +274,19 @@ class SketchStore(PerProcessSqliteStore):
         blob: bytes,
         source_path: Optional[Union[str, Path]],
     ) -> None:
-        """Upsert the row of *sketch*; *blob* is its encoding, stored as is."""
+        """Upsert the row of *sketch*; *blob* is its encoding, stored as is
+        next to its SHA-256."""
         resolved_path = None if source_path is None else str(source_path)
         with self._connection:
             self._connection.execute(
                 "INSERT INTO tables (name, content_hash, num_rows, num_columns, "
-                "source_path, updated_version, sketch) VALUES (?, ?, ?, ?, ?, ?, ?) "
+                "source_path, updated_version, sketch, digest) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
                 "ON CONFLICT(name) DO UPDATE SET content_hash = excluded.content_hash, "
                 "num_rows = excluded.num_rows, num_columns = excluded.num_columns, "
                 "source_path = excluded.source_path, "
-                "updated_version = excluded.updated_version, sketch = excluded.sketch",
+                "updated_version = excluded.updated_version, sketch = excluded.sketch, "
+                "digest = excluded.digest",
                 (
                     sketch.name,
                     sketch.content_hash,
@@ -285,6 +295,7 @@ class SketchStore(PerProcessSqliteStore):
                     resolved_path,
                     self.version + 1,
                     blob,
+                    hashlib.sha256(blob).digest(),
                 ),
             )
             self._bump_version()
@@ -418,20 +429,37 @@ class SketchStore(PerProcessSqliteStore):
         for (blob,) in rows:
             yield TableSketch.from_bytes(blob)
 
-    def iter_raw(self) -> Iterator[tuple[str, str, int, bytes]]:
-        """Iterate stored rows as raw ``(name, content hash, num_rows,
-        sketch bytes)`` tuples in insertion order — the export hook behind
-        ``lake publish``: nothing is decoded."""
+    def get_raw(self, name: str, content_hash: str) -> bytes:
+        """The stored sketch bytes of *name* at *content_hash*, undecoded —
+        what ``lake publish`` writes as a blob (``KeyError`` when absent)."""
+        row = self._connection.execute(
+            "SELECT sketch FROM tables WHERE name = ? AND content_hash = ?",
+            (name, content_hash),
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"store has no table {name!r} at {content_hash[:12]}")
+        return row[0]
+
+    def iter_raw(self) -> Iterator[tuple[str, str, bytes, bytes]]:
+        """Iterate stored rows as raw ``(name, content hash, stored digest,
+        sketch bytes)`` tuples in insertion order, nothing decoded — what
+        ``lake verify`` re-hashes against the stored digests."""
         yield from self._connection.execute(
-            "SELECT name, content_hash, num_rows, sketch FROM tables ORDER BY rowid"
+            "SELECT name, content_hash, digest, sketch FROM tables ORDER BY rowid"
         )
 
-    def raw_keys(self) -> list[tuple[str, str]]:
-        """``(name, content hash)`` of every stored table, no sketches loaded.
+    def raw_keys(self) -> list[tuple[str, str, str, int]]:
+        """``(name, content hash, hex digest, num_rows)`` of every stored
+        table, in insertion order and with no sketch loaded.
 
-        What snapshot pull reconciles against the published manifest and
-        ``lake verify`` checks prepared rows against.
+        The fields of a :class:`~repro.artifacts.manifest.TableEntry`: what
+        ``lake publish`` lists, snapshot pull reconciles against the
+        published manifest, and ``lake verify`` checks prepared rows against.
         """
-        return self._connection.execute(
-            "SELECT name, content_hash FROM tables ORDER BY rowid"
+        rows = self._connection.execute(
+            "SELECT name, content_hash, digest, num_rows FROM tables ORDER BY rowid"
         ).fetchall()
+        return [
+            (name, content_hash, digest.hex(), num_rows)
+            for name, content_hash, digest, num_rows in rows
+        ]

@@ -17,6 +17,12 @@ the cheapest sufficient means:
   deletes it.  Rows whose ``(table, content hash)`` no longer matches the
   sketch store are dead weight (warm lookups key on the build hash); repair
   prunes them;
+* **row digests** — every row of both stores is re-hashed against the
+  SHA-256 stored with it, the digest ``lake publish`` names its blob by
+  without reading the row.  A mismatched row would be published under a
+  blob that holds other bytes (or not at all); repair rewrites it through
+  the store's ordinary write path, which stores the digest of the row's
+  bytes, and keeps a sketch row's recorded CSV path;
 * **artifact cross-check** — every blob the manifest references is
   re-hashed (absent/corrupt blobs are a *publisher-side* finding: pullers
   already refuse them), and every manifest key is checked against the
@@ -31,10 +37,12 @@ daemon's generation probe sees repairs as ordinary writer cycles.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.artifacts.blobs import blob_digest
 from repro.artifacts.manifest import Manifest, PreparedEntry, TableEntry
@@ -66,16 +74,21 @@ class VerifyReport:
     stale_prepared: int = 0
     #: Current-format prepared rows that do not decode to their own key.
     undecodable_prepared: int = 0
+    #: Rows whose stored digest is not the SHA-256 of their bytes: a table
+    #: name, or ``prepared:<table name>`` for a prepared row.
+    bad_digests: list[str] = field(default_factory=list)
     #: Artifact-side findings: referenced blobs absent or failing their
     #: digest, and manifest keys missing from the local stores.
     missing_blobs: list[str] = field(default_factory=list)
     corrupt_blobs: list[str] = field(default_factory=list)
     missing_entries: list[str] = field(default_factory=list)
     #: Repair outcomes (zero unless ``repair=True``); ``pruned_prepared``
-    #: counts stale and undecodable prepared rows deleted.
+    #: counts stale and undecodable prepared rows deleted, ``rehashed`` the
+    #: rows rewritten to mend their digest.
     resketched: int = 0
     pruned_prepared: int = 0
     repulled: int = 0
+    rehashed: int = 0
     #: Findings repair could not fix (still broken after the attempt).
     unrepaired: list[str] = field(default_factory=list)
 
@@ -87,6 +100,7 @@ class VerifyReport:
             or self.bad_sketches
             or self.stale_prepared
             or self.undecodable_prepared
+            or self.bad_digests
             or self.missing_blobs
             or self.corrupt_blobs
             or self.missing_entries
@@ -122,15 +136,22 @@ def verify_lake(
     repair:
         Attempt fixes: re-sketch undecodable tables from their recorded
         CSVs, delete undecodable and stale prepared rows, re-pull entries
-        the artifact has but the stores lack.
+        the artifact has but the stores lack, rewrite rows whose stored
+        digest disagrees with their bytes.
     """
     report = VerifyReport()
     with telemetry.span("lake.verify", store=store.path):
         _check_sqlite(store, prepared_store, report)
         _check_sketches(store, report)
+        # Rows reported undecodable are not reported again for their digest.
+        undecodable: set = set(report.bad_sketches)
         if prepared_store is not None:
             report.stale_prepared = len(_stale_prepared(store, prepared_store))
-            report.undecodable_prepared = len(prepared_store.undecodable_keys())
+            undecodable_keys = prepared_store.undecodable_keys()
+            report.undecodable_prepared = len(undecodable_keys)
+            undecodable.update(undecodable_keys)
+        bad_digests = _bad_digests(store, prepared_store, undecodable)
+        report.bad_digests = [label for label, _ in bad_digests]
         transport: Optional[ArtifactTransport] = None
         if source is not None:
             transport = (
@@ -140,11 +161,12 @@ def verify_lake(
             )
             _check_artifact(transport, store, prepared_store, report)
         if repair:
-            _repair(store, prepared_store, transport, report)
+            _repair(store, prepared_store, transport, report, bad_digests)
     telemetry.count("verify.runs")
     telemetry.count("verify.bad_sketches", len(report.bad_sketches))
     telemetry.count("verify.stale_prepared", report.stale_prepared)
     telemetry.count("verify.undecodable_prepared", report.undecodable_prepared)
+    telemetry.count("verify.bad_digests", len(report.bad_digests))
     return report
 
 
@@ -179,12 +201,43 @@ def _stale_prepared(
     store: SketchStore, prepared_store: PreparedStore
 ) -> list[tuple[str, str, str]]:
     """Prepared rows keyed to a table / content hash the sketch store lacks."""
-    current = dict(store.raw_keys())
+    current = {name: content_hash for name, content_hash, _, _ in store.raw_keys()}
     return [
         (fingerprint, name, content_hash)
-        for fingerprint, name, content_hash, _fmt in prepared_store.raw_keys()
+        for fingerprint, name, content_hash, _, _ in prepared_store.raw_keys()
         if current.get(name) != content_hash
     ]
+
+
+def _bad_digests(
+    store: SketchStore, prepared_store: Optional[PreparedStore], undecodable: set
+) -> list[tuple[str, Callable[[], None]]]:
+    """``(label, rewrite)`` of every row whose stored digest is not the
+    SHA-256 of its bytes, passing over the *undecodable* table names and
+    prepared keys; ``rewrite()`` puts the row's bytes back through its
+    store's write path, which stores their digest."""
+    found: list[tuple[str, Callable[[], None]]] = []
+    for name, content_hash, digest, blob in store.iter_raw():
+        if name not in undecodable and hashlib.sha256(blob).digest() != digest:
+            rewrite = partial(_rewrite_sketch_row, store, name, content_hash, bytes(blob))
+            found.append((name, rewrite))
+    if prepared_store is not None:
+        for *key, payload_format, digest, blob in prepared_store.iter_raw():
+            if tuple(key) not in undecodable and hashlib.sha256(blob).digest() != digest:
+                rewrite = partial(prepared_store.put_raw, *key, payload_format, bytes(blob))
+                found.append((f"prepared:{key[1]}", rewrite))
+    return found
+
+
+def _rewrite_sketch_row(
+    store: SketchStore, name: str, content_hash: str, blob: bytes
+) -> None:
+    """``put_raw`` the row, keeping its recorded CSV path: ``put_raw`` stores
+    none, and ``prepare_lake`` and re-sketching read the table from it."""
+    source_path = store.source_path(name)
+    store.put_raw(name, content_hash, blob)
+    if source_path is not None:
+        store.refresh_source_path(name, source_path)
 
 
 def _check_artifact(
@@ -226,6 +279,7 @@ def _repair(
     prepared_store: Optional[PreparedStore],
     transport: Optional[ArtifactTransport],
     report: VerifyReport,
+    bad_digests: list[tuple[str, Callable[[], None]]],
 ) -> None:
     for name in report.bad_sketches:
         source_path = store.source_path(name)
@@ -252,6 +306,15 @@ def _repair(
                 store.remove_table(name)
             else:
                 report.unrepaired.append(name)
+    # Before the stale prune, which then deletes a stale row rewritten here.
+    for label, rewrite in bad_digests:
+        try:
+            rewrite()
+        except ValueError as exc:  # a sketch row holding another table
+            logger.warning("verify: cannot rewrite %s (%s)", label, exc)
+            report.unrepaired.append(label)
+        else:
+            report.rehashed += 1
     if prepared_store is not None and report.undecodable_prepared:
         for row in prepared_store.undecodable_keys():
             report.pruned_prepared += prepared_store.remove_raw(*row)
@@ -270,4 +333,6 @@ def _repair(
         report.repulled = pulled.tables_added + pulled.prepared_added
         if pulled.corrupt:
             report.unrepaired.extend(pulled.corrupt)
-    telemetry.count("verify.repairs", report.resketched + report.repulled)
+    telemetry.count(
+        "verify.repairs", report.resketched + report.repulled + report.rehashed
+    )

@@ -22,7 +22,8 @@ import numpy as np
 from repro.data.table import Table
 from repro.embeddings.pretrained import PretrainedEmbeddings, default_pretrained_embeddings
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
-from repro.matchers.semprop.semantic import SemanticLink, coherence_score, link_to_ontology
+from repro.matchers.semprop.links import SemanticLink
+from repro.matchers.semprop.semantic import coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
 from repro.sketches.minhash import jaccard_matrix, minhash_signatures, signature_matrix

@@ -15,22 +15,12 @@ help little on domain-specific vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.embeddings.pretrained import PretrainedEmbeddings, default_pretrained_embeddings
+from repro.matchers.semprop.links import SemanticLink
 from repro.ontology.model import Ontology
 from repro.text.tokenize import tokenize_identifier
 
-__all__ = ["SemanticLink", "link_to_ontology", "coherence_score"]
-
-
-@dataclass(frozen=True)
-class SemanticLink:
-    """A link from a schema element to an ontology class."""
-
-    element: str
-    ontology_class: str
-    strength: float
+__all__ = ["link_to_ontology", "coherence_score"]
 
 
 def link_to_ontology(

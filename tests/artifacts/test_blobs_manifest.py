@@ -45,7 +45,7 @@ class TestBlobStore:
         blobs = BlobStore(tmp_path / "blobs")
         keep, _ = blobs.write(b"keep me")
         drop, _ = blobs.write(b"drop me")
-        assert blobs.prune({keep}) == 1
+        assert blobs.prune({keep}, set(blobs.digests())) == 1
         assert keep in blobs and drop not in blobs
 
     @pytest.mark.parametrize(
@@ -69,7 +69,7 @@ class TestBlobStore:
         hidden.write_bytes(b"a temp file")
         (tmp_path / "blobs" / "stray-file").write_bytes(b"not a shard")
         assert sorted(blobs.digests()) == sorted(digests)
-        assert blobs.prune({digests[1]}) == 39
+        assert blobs.prune({digests[1]}, set(blobs.digests())) == 39
         assert list(blobs.digests()) == [digests[1]]
         assert hidden.read_bytes() == b"a temp file"
 

@@ -27,8 +27,9 @@ import pytest
 from matcher_support import LIGHT_MATCHER_CONFIGS
 
 from repro.artifacts import BlobStore, Manifest, RetryPolicy, publish_snapshot, pull_snapshot
+from repro.artifacts import blobs as blobs_module
 from repro.artifacts.iblt import IBLTSketch
-from repro.artifacts.manifest import MANIFEST_NAME
+from repro.artifacts.manifest import MANIFEST_NAME, PreparedEntry, TableEntry
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -73,12 +74,12 @@ def _assert_rows_are_blobs(artifact, sketch_stores, prepared_stores):
     }
     assert sketch_blobs and prepared_blobs  # not vacuous
     for store in sketch_stores:
-        rows = {name: bytes(blob) for name, _hash, _rows, blob in store.iter_raw()}
+        rows = {name: bytes(blob) for name, _hash, _digest, blob in store.iter_raw()}
         assert rows == sketch_blobs
     for store in prepared_stores:
         rows = {
             (fingerprint, name, content_hash): bytes(blob)
-            for fingerprint, name, content_hash, _fmt, blob in store.iter_raw()
+            for fingerprint, name, content_hash, _fmt, _digest, blob in store.iter_raw()
         }
         assert rows == prepared_blobs
 
@@ -182,7 +183,7 @@ class TestDeltaPull:
         assert counters.get("artifacts.pull.blobs_skipped") == 2 * 6
         assert counters.get("artifacts.iblt.decode_success") == 2
         assert sorted(replica.table_names) == sorted(store.table_names)
-        assert dict(replica.raw_keys()) == dict(store.raw_keys())
+        assert sorted(replica.raw_keys()) == sorted(store.raw_keys())
         assert sorted(replica_prepared.raw_keys()) == sorted(prepared.raw_keys())
         _assert_rows_are_blobs(
             tmp_path / "artifact", (store, replica), (prepared, replica_prepared)
@@ -291,7 +292,7 @@ class TestSafety:
             assert sorted(report.corrupt) == ["table_0", "table_1", "table_2"]
             assert report.tables_added == report.blobs_fetched == 0
             assert len(replica) == 0 and replica.version == 0
-            blob = next(blob for name, _h, _n, blob in store.iter_raw() if name == "table_2")
+            blob = next(blob for name, _h, _d, blob in store.iter_raw() if name == "table_2")
             with pytest.raises(ValueError, match="not 'table_2'"):
                 replica.put_raw("table_2", "0" * 64, blob)
             with pytest.raises(ValueError, match="not a table sketch"):
@@ -319,3 +320,83 @@ class TestSafety:
         assert second.blobs_reused == 2 * (_NUM_TABLES - 1)
         assert second.blobs_pruned == 2  # the superseded table_0 pair
         store.close()
+
+
+class TestDeltaPublish:
+    """Publish names each row's blob by the digest stored with the row, and
+    reads only the rows whose blob is not on disk."""
+
+    @pytest.fixture()
+    def census(self, monkeypatch):
+        """Counts of row reads (both stores) and of blob digests computed."""
+        counts = {"rows_read": 0, "blob_digests": 0}
+
+        def counting(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(SketchStore, "get_raw", "rows_read")
+        counting(PreparedStore, "get_raw", "rows_read")
+        counting(blobs_module, "blob_digest", "blob_digests")
+        return counts
+
+    @pytest.fixture()
+    def published(self, tmp_path):
+        """A 6-table lake with SemProp rows, published once."""
+        store, lake_dir = _build_lake(tmp_path, num_tables=6)
+        matcher = create_matcher("semprop", **LIGHT_MATCHER_CONFIGS["semprop"])
+        prepared = PreparedStore(tmp_path / "lake.sketches.prepared")
+        prepare_lake(store, prepared, matcher)
+        artifact = tmp_path / "artifact"
+        first = publish_snapshot(store, artifact, prepared_store=prepared)
+        assert first.blobs_written == 12
+        yield store, prepared, matcher, lake_dir, artifact
+        prepared.close()
+        store.close()
+
+    def test_unchanged_republish_reads_no_row_and_writes_no_blob(self, published, census):
+        store, prepared, _, _, artifact = published
+        snapshot_id = Manifest.load(artifact).snapshot_id
+        report = publish_snapshot(store, artifact, prepared_store=prepared)
+        assert census == {"rows_read": 0, "blob_digests": 0}
+        assert (report.blobs_written, report.blobs_reused, report.blobs_pruned) == (0, 12, 0)
+        assert report.snapshot_id == snapshot_id
+
+    @pytest.mark.parametrize("edits", [1, 2])
+    def test_republish_after_k_edits_reads_and_hashes_2k_rows(self, published, census, edits):
+        store, prepared, matcher, lake_dir, artifact = published
+        for i in range(edits):
+            write_csv(
+                tpcdi_prospect_table(num_rows=20, seed=90 + i).rename(f"table_{i}"),
+                lake_dir / f"table_{i}.csv",
+            )
+        build_from_paths(store, sorted(lake_dir.glob("*.csv")))
+        prepare_lake(store, prepared, matcher)
+        report = publish_snapshot(store, artifact, prepared_store=prepared)
+        assert census == {"rows_read": 2 * edits, "blob_digests": 2 * edits}
+        assert (report.blobs_written, report.blobs_pruned) == (2 * edits, 2 * edits)
+        _assert_rows_are_blobs(artifact, [store], [prepared])
+
+    def test_a_blob_deleted_by_hand_is_rewritten(self, published, census):
+        store, prepared, _, _, artifact = published
+        entry = Manifest.load(artifact).prepared[2]
+        path = artifact / "blobs" / entry.digest[:2] / entry.digest
+        data = path.read_bytes()
+        path.unlink()
+        report = publish_snapshot(store, artifact, prepared_store=prepared)
+        assert census == {"rows_read": 1, "blob_digests": 1}
+        assert (report.blobs_written, report.bytes_written) == (1, len(data))
+        assert path.read_bytes() == data
+        _assert_rows_are_blobs(artifact, [store], [prepared])
+
+    def test_stored_digests_are_the_blob_names(self, published):
+        """Every row's stored digest names the blob published for it."""
+        store, prepared, _, _, artifact = published
+        manifest = Manifest.load(artifact)
+        assert [TableEntry(*row) for row in store.raw_keys()] == manifest.tables
+        assert [PreparedEntry(*row) for row in prepared.raw_keys()] == manifest.prepared

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sqlite3
+import sys
 import threading
 
 import pytest
@@ -13,10 +15,11 @@ from repro.artifacts.watch import (
     QUARANTINE_BASE_POLLS,
     QUARANTINE_MAX_POLLS,
 )
+from repro.data import csv_io, fingerprint
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import SketchStore
+from repro.lake import SketchStore, build_from_paths, prepare_lake
 from repro.matchers.registry import create_matcher
 
 
@@ -135,6 +138,171 @@ class TestPrepareAndPublish:
             changed = watcher.poll_once()
             assert changed.publish is not None
             assert Manifest.load(artifact).snapshot_id != snapshot_id
+
+
+def _counting_every_binding(monkeypatch, function, counts, key):
+    """Count calls of *function* through every ``repro`` module that binds it."""
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def _rows(prepared_store):
+    return sorted((*key, bytes(blob)) for *key, _digest, blob in prepared_store.iter_raw())
+
+
+class TestOneReadPerEdit:
+    """The task that re-sketches an edited CSV prepares it too, so a poll
+    reads and hashes each edited file once, and prepare_lake only prunes."""
+
+    @pytest.mark.parametrize("edits", [1, 2])
+    def test_poll_reads_hashes_and_prepares_each_edit_once(
+        self, tmp_path, lake_dir, monkeypatch, edits
+    ):
+        matcher = create_matcher("semprop")
+        with SketchStore(tmp_path / "w.sketches") as store, PreparedStore(
+            tmp_path / "w.prepared"
+        ) as prepared_store:
+            watcher = LakeWatcher(
+                store, lake_dir, prepared_store=prepared_store, matcher=matcher
+            )
+            assert watcher.poll_once().prepared == 3
+            for i in range(edits):
+                _write_table(lake_dir, f"t{i}", seed=91 + i, num_rows=18)
+            counts = {"read_csv": 0, "table_content_hash": 0, "prepare": 0}
+            _counting_every_binding(monkeypatch, csv_io.read_csv, counts, "read_csv")
+            _counting_every_binding(
+                monkeypatch, fingerprint.table_content_hash, counts, "table_content_hash"
+            )
+            prepare = matcher.prepare
+
+            def counting_prepare(table):
+                counts["prepare"] += 1
+                return prepare(table)
+
+            monkeypatch.setattr(matcher, "prepare", counting_prepare)
+            report = watcher.poll_once()
+            assert counts == {"read_csv": edits, "table_content_hash": edits, "prepare": edits}
+            assert (report.sketched, report.prepared, report.stale_pruned) == (edits, edits, edits)
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_prepared_rows_equal_a_fresh_prepare_lake(self, tmp_path, lake_dir, workers):
+        matcher = create_matcher("semprop")
+        with SketchStore(tmp_path / "w.sketches") as store, PreparedStore(
+            tmp_path / "w.prepared"
+        ) as prepared_store:
+            watcher = LakeWatcher(
+                store, lake_dir, prepared_store=prepared_store, matcher=matcher,
+                workers=workers,
+            )
+            watcher.poll_once()
+            _write_table(lake_dir, "t1", seed=93, num_rows=18)
+            _write_table(lake_dir, "t7", seed=94)
+            assert watcher.poll_once().prepared == 2
+            watched = _rows(prepared_store)
+        with SketchStore(tmp_path / "f.sketches") as store, PreparedStore(
+            tmp_path / "f.prepared"
+        ) as prepared_store:
+            build_from_paths(store, sorted(lake_dir.glob("*.csv")))
+            assert prepare_lake(store, prepared_store, matcher).prepared == 4
+            assert _rows(prepared_store) == watched
+
+    def test_a_failing_prepare_leaves_the_sketch_and_reports(self, tmp_path, lake_dir, monkeypatch):
+        """A prepare that raises inside the build task does not lose the
+        sketch: prepare_lake retries the table and reports the failure."""
+        matcher = create_matcher("semprop")
+        with SketchStore(tmp_path / "w.sketches") as store, PreparedStore(
+            tmp_path / "w.prepared"
+        ) as prepared_store:
+            watcher = LakeWatcher(
+                store, lake_dir, prepared_store=prepared_store, matcher=matcher
+            )
+            watcher.poll_once()
+
+            def broken(table):
+                raise RuntimeError(f"cannot prepare {table.name}")
+
+            monkeypatch.setattr(matcher, "prepare", broken)
+            _write_table(lake_dir, "t2", seed=95, num_rows=18)
+            report = watcher.poll_once()
+            assert report.sketched == 1 and report.prepared == 0
+            assert report.prepare_error == "cannot prepare t2"
+            monkeypatch.undo()
+            _write_table(lake_dir, "t2", seed=96, num_rows=18)
+            assert watcher.poll_once().prepared == 1
+
+
+    def test_a_locked_prepared_store_is_reported_and_the_loop_runs(
+        self, tmp_path, lake_dir, monkeypatch
+    ):
+        """A prepared store that refuses writes costs the poll its prepared
+        rows, not the watch loop: the sketch commits and prepare_error says why."""
+        matcher = create_matcher("semprop")
+        with SketchStore(tmp_path / "w.sketches") as store, PreparedStore(
+            tmp_path / "w.prepared"
+        ) as prepared_store:
+            watcher = LakeWatcher(
+                store, lake_dir, prepared_store=prepared_store, matcher=matcher
+            )
+            watcher.poll_once()
+
+            def locked(*args, **kwargs):
+                raise sqlite3.OperationalError("database is locked")
+
+            monkeypatch.setattr(prepared_store, "put", locked)
+            _write_table(lake_dir, "t2", seed=97, num_rows=18)
+            reports = []
+            assert watcher.run(interval_s=0, max_polls=2, on_report=reports.append) == 2
+            assert reports[0].sketched == 1 and reports[0].prepared == 0
+            assert reports[0].prepare_error == "database is locked"
+            monkeypatch.undo()
+            _write_table(lake_dir, "t2", seed=98, num_rows=18)
+            assert watcher.poll_once().prepared == 1
+
+    def test_a_worker_dying_in_prepare_is_reported_and_the_loop_runs(
+        self, tmp_path, lake_dir
+    ):
+        """A pool worker that dies inside prepare breaks the build's pool:
+        the tables are still sketched, and the prepare pass reports."""
+        matcher = create_matcher("semprop")
+        with SketchStore(tmp_path / "w.sketches") as store, PreparedStore(
+            tmp_path / "w.prepared"
+        ) as prepared_store:
+            watcher = LakeWatcher(
+                store, lake_dir, prepared_store=prepared_store, matcher=matcher,
+                workers=2,
+            )
+            watcher.poll_once()
+            prepare = matcher.prepare
+            matcher.prepare = _die_in_a_worker
+            _write_table(lake_dir, "t0", seed=99, num_rows=18)
+            _write_table(lake_dir, "t1", seed=100, num_rows=18)
+            reports = []
+            assert watcher.run(interval_s=0, max_polls=2, on_report=reports.append) == 2
+            assert reports[0].sketched == 2 and reports[0].prepared == 0
+            assert reports[0].prepare_error is not None
+            assert store.get("t0").num_rows == 18 and store.get("t1").num_rows == 18
+            matcher.prepare = prepare
+            _write_table(lake_dir, "t0", seed=101, num_rows=18)
+            assert watcher.poll_once().prepared == 2
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _die_in_a_worker(table):
+    """A prepare that kills the pool worker running it (and only raises in
+    the test's own process)."""
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    raise RuntimeError(f"cannot prepare {table.name}")
 
 
 def _write_garbage(lake_dir, name, version):

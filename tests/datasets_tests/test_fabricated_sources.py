@@ -74,7 +74,8 @@ class TestChemblAssays:
         assert table.column("cell_line").missing_count() > 0
 
     def test_fabrication_grid_runs_on_every_source(self):
-        from repro.fabrication import FabricationConfig, Fabricator, Scenario
+        from repro.fabrication.fabricator import FabricationConfig, Fabricator
+        from repro.fabrication.pairs import Scenario
 
         fabricator = Fabricator(FabricationConfig())
         for builder in (tpcdi_prospect_table, open_data_table, chembl_assays_table):

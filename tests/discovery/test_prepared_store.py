@@ -23,8 +23,8 @@ from repro.matchers.base import PreparedTable
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import create_matcher
+from repro.matchers.semprop.links import SemanticLink
 from repro.matchers.semprop.matcher import SemPropMatcher
-from repro.matchers.semprop.semantic import SemanticLink
 from repro.telemetry import TelemetryRecorder, use
 
 
@@ -174,18 +174,13 @@ class TestInvalidation:
         with PreparedStore() as store:
             foreign = PreparedTable(table=table, fingerprint="somebody-else")
             blob = prepared_codec.encode(foreign)
-            store._connection.execute(
-                "INSERT INTO prepared (matcher_fingerprint, table_name, content_hash, "
-                "payload_format, payload) VALUES (?, ?, ?, ?, ?)",
-                (
-                    matcher.fingerprint(),
-                    table.name,
-                    table_content_hash(table),
-                    PREPARED_PAYLOAD_FORMAT,
-                    blob,
-                ),
+            store.put_raw(
+                matcher.fingerprint(),
+                table.name,
+                table_content_hash(table),
+                PREPARED_PAYLOAD_FORMAT,
+                blob,
             )
-            store._connection.commit()
             assert (
                 store.get(matcher.fingerprint(), table.name, table_content_hash(table))
                 is None
@@ -254,9 +249,10 @@ class TestPersistenceAndBounds:
                 store.put_raw("f", name, content_hash, PREPARED_PAYLOAD_FORMAT, b"x")
             store.put_raw("other", "gone", "h3", PREPARED_PAYLOAD_FORMAT, b"x")
             assert store.prune_stale("f", {"kept": "h1", "changed": "new"}) == 2
+            digest = hashlib.sha256(b"x").hexdigest()
             assert store.raw_keys() == [
-                ("f", "kept", "h1", PREPARED_PAYLOAD_FORMAT),
-                ("other", "gone", "h3", PREPARED_PAYLOAD_FORMAT),
+                ("f", "kept", "h1", PREPARED_PAYLOAD_FORMAT, digest),
+                ("other", "gone", "h3", PREPARED_PAYLOAD_FORMAT, digest),
             ]
             assert store.prune_stale("f", {"kept": "h1"}) == 0
 
@@ -290,6 +286,26 @@ class TestPersistenceAndBounds:
             PreparedStore(path)
         assert f"delete {path}" in str(excinfo.value)
         assert "`lake prepare <matcher>`" in str(excinfo.value)
+
+
+    def test_refuses_schema_2_without_digests(self, tmp_path):
+        """A store written before rows carried their digest is refused,
+        never migrated."""
+        import sqlite3
+
+        path = tmp_path / "p.prepared"
+        with sqlite3.connect(path) as connection:
+            connection.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "CREATE TABLE prepared (matcher_fingerprint TEXT NOT NULL,"
+                " table_name TEXT NOT NULL, content_hash TEXT NOT NULL,"
+                " payload_format INTEGER NOT NULL, payload BLOB NOT NULL,"
+                " PRIMARY KEY (matcher_fingerprint, table_name, content_hash));"
+                "INSERT INTO meta VALUES ('schema_version', '2');"
+            )
+        connection.close()
+        with pytest.raises(ValueError, match="schema version 2, this code reads version 3"):
+            PreparedStore(path)
 
 
 class TestBatchReads:

@@ -166,7 +166,7 @@ class TestChaosTransport:
 
 
 def _rows(store):
-    """A sketch store's rows as published: (name, content hash, rows, bytes)."""
+    """A sketch store's rows as published: (name, content hash, digest, bytes)."""
     return sorted((*key, bytes(blob)) for *key, blob in store.iter_raw())
 
 

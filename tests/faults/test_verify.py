@@ -1,13 +1,14 @@
 """`lake verify`: finding and repairing rot across the stores and artifact.
 
-Covers the four check levels (SQLite soundness, sketch-row decode, prepared
-consistency, artifact cross-check) and the repair paths: re-sketch from the
+Covers the five check levels (SQLite soundness, sketch-row decode, prepared
+consistency, row digests, artifact cross-check) and the repair paths: re-sketch from the
 recorded CSV, targeted re-pull from the artifact, stale- and
 undecodable-prepared pruning.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sqlite3
 
 import pytest
@@ -43,6 +44,29 @@ def _corrupt_sketch_row(store_path, table_name):
         connection.close()
 
 
+def _plant_digest(path, table, name_column, name):
+    """Overwrite one row's stored digest with zeros, leaving its bytes."""
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.execute(
+            f"UPDATE {table} SET digest = zeroblob(32) WHERE {name_column} = ?", (name,)
+        )
+    connection.close()
+
+
+def _digests_and_bytes(path, table, name_column):
+    """``{name: (stored digest, row bytes)}`` straight from SQLite."""
+    blob_column = "sketch" if table == "tables" else "payload"
+    connection = sqlite3.connect(path)
+    try:
+        rows = connection.execute(
+            f"SELECT {name_column}, digest, {blob_column} FROM {table}"
+        ).fetchall()
+    finally:
+        connection.close()
+    return {name: (digest, blob) for name, digest, blob in rows}
+
+
 #: Ways a committed prepared row can fail to be its key's payload.
 _DAMAGE = {
     "garbage": lambda blob, other: b"not a payload",
@@ -57,7 +81,7 @@ def _damage_one_prepared_row(prepared_store, damage):
     under its valid current-format key."""
     rows = {
         name: (fingerprint, content_hash, payload_format, bytes(blob))
-        for fingerprint, name, content_hash, payload_format, blob in prepared_store.iter_raw()
+        for fingerprint, name, content_hash, payload_format, _, blob in prepared_store.iter_raw()
     }
     fingerprint, content_hash, payload_format, blob = rows["t0"]
     bad = _DAMAGE[damage](blob, rows["t1"][3])
@@ -102,6 +126,23 @@ class TestChecks:
         assert not report.clean
         # Page-level integrity is still fine — this is row-level rot.
         assert not report.sqlite_findings
+
+    def test_a_wrong_stored_digest_is_detected(self, built_lake, tmp_path):
+        """A row whose stored digest is not the SHA-256 of its bytes would be
+        published under the wrong blob name: it is a finding, in either
+        store, and only for that row."""
+        store, store_path, _lake_dir = built_lake
+        prepared_path = tmp_path / "p.prepared"
+        with _semprop_prepared(store, prepared_path) as prepared_store:
+            assert verify_lake(store, prepared_store=prepared_store).clean
+            _plant_digest(store_path, "tables", "name", "t1")
+            _plant_digest(prepared_path, "prepared", "table_name", "t2")
+            with use(TelemetryRecorder()) as recorder:
+                report = verify_lake(store, prepared_store=prepared_store)
+            assert report.bad_digests == ["t1", "prepared:t2"]
+            assert not report.clean and not report.bad_sketches
+            assert not report.undecodable_prepared
+            assert recorder.snapshot().counters["verify.bad_digests"] == 2
 
     def test_stale_prepared_rows_are_counted(self, built_lake, tmp_path):
         store, _store_path, lake_dir = built_lake
@@ -206,6 +247,36 @@ class TestRepair:
             assert report.healthy_after_repair
             assert verify_lake(replica, source=artifact).clean
 
+    def test_a_wrong_stored_digest_is_rewritten(self, built_lake, tmp_path, capsys):
+        """Repair puts the row's bytes back through the ordinary write path,
+        which stores their digest; the next publish names the blob by it."""
+        store, store_path, _lake_dir = built_lake
+        prepared_path = store_path.with_name(store_path.name + ".prepared")
+        _semprop_prepared(store, prepared_path).close()
+        rows = _digests_and_bytes(store_path, "tables", "name")
+        paths = {name: store.source_path(name) for name in store.table_names}
+        _plant_digest(store_path, "tables", "name", "t0")
+        _plant_digest(prepared_path, "prepared", "table_name", "t1")
+        verify = ["lake", "verify", "--store", str(store_path)]
+        assert main(verify) == 1
+        assert "rows whose stored digest is wrong: t0, prepared:t1" in capsys.readouterr().out
+        assert main([*verify, "--repair"]) == 0
+        assert "2 rewritten to mend their digest" in capsys.readouterr().out
+        assert main(verify) == 0
+        assert "verify: clean" in capsys.readouterr().out
+        assert _digests_and_bytes(store_path, "tables", "name") == rows
+        for digest, blob in _digests_and_bytes(prepared_path, "prepared", "table_name").values():
+            assert digest == hashlib.sha256(blob).digest()
+        # The rewritten row keeps its CSV, so the table can still be prepared.
+        assert {name: store.source_path(name) for name in store.table_names} == paths
+        with PreparedStore(tmp_path / "fresh.prepared") as fresh:
+            prepared = prepare_lake(store, fresh, create_matcher(_METHOD))
+        assert prepared.prepared == _NUM_TABLES and not prepared.missing
+        artifact = tmp_path / "artifact"
+        with PreparedStore(prepared_path) as prepared_store:
+            publish_snapshot(store, artifact, prepared_store=prepared_store)
+        assert verify_lake(store, source=artifact).clean
+
     def test_stale_prepared_rows_are_pruned(self, built_lake, tmp_path):
         store, _store_path, lake_dir = built_lake
         matcher = create_matcher(_METHOD)
@@ -218,6 +289,22 @@ class TestRepair:
             assert report.pruned_prepared == 1
             assert verify_lake(store, prepared_store=prepared_store).clean
 
+    def test_a_stale_row_with_a_wrong_digest_is_pruned_not_rewritten(
+        self, built_lake, tmp_path
+    ):
+        store, _store_path, lake_dir = built_lake
+        prepared_path = tmp_path / "p.prepared"
+        with PreparedStore(prepared_path) as prepared_store:
+            prepare_lake(store, prepared_store, create_matcher(_METHOD))
+            table = tpcdi_prospect_table(num_rows=16, seed=502).rename("t0")
+            write_csv(table, lake_dir / "t0.csv")
+            build_from_paths(store, [lake_dir / "t0.csv"])
+            _plant_digest(prepared_path, "prepared", "table_name", "t0")
+            report = verify_lake(store, prepared_store=prepared_store, repair=True)
+            assert report.bad_digests == ["prepared:t0"] and report.stale_prepared == 1
+            assert report.rehashed == 1 and report.pruned_prepared == 1
+            assert verify_lake(store, prepared_store=prepared_store).clean
+
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_undecodable_prepared_rows_are_deleted(self, built_lake, tmp_path, damage):
         store, _store_path, _lake_dir = built_lake
@@ -226,7 +313,7 @@ class TestRepair:
             report = verify_lake(store, prepared_store=prepared_store, repair=True)
             assert report.pruned_prepared == 1
             assert report.healthy_after_repair
-            assert sorted(name for _, name, _, _ in prepared_store.raw_keys()) == ["t1", "t2"]
+            assert sorted(name for _, name, *_ in prepared_store.raw_keys()) == ["t1", "t2"]
             assert verify_lake(store, prepared_store=prepared_store).clean
 
     def test_the_cli_reports_and_repairs_undecodable_rows(self, built_lake, capsys):

@@ -12,7 +12,8 @@ import pytest
 from repro.datasets import ing_application_pair, magellan_pairs, wikidata_pairs
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.runner import ExperimentRunner, run_single_experiment
-from repro.fabrication import FabricationConfig, Fabricator, NoiseVariant, Scenario
+from repro.fabrication.fabricator import FabricationConfig, Fabricator
+from repro.fabrication.pairs import NoiseVariant, Scenario
 from repro.fabrication.scenarios import fabricate_joinable, fabricate_unionable
 from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
 from repro.matchers.cupid.matcher import CupidMatcher

@@ -123,7 +123,7 @@ def test_ranking_identical_in_every_plan_and_resolve_cell(
     ) as engine:
         ranking = engine.query(grid_lake.query, mode=mode, top_k=TOP_K, cascade=priced)
         stats = engine.last_query_stats
-        written = {name for _, name, _, _ in prepared_store.raw_keys()}
+        written = {name for _, name, *_ in prepared_store.raw_keys()}
     assert _signature(ranking) == grid_lake.oracle(method, mode)
     assert stats.shortlist_size == len(grid_lake.repository)
     if priced:

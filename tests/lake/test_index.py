@@ -8,7 +8,7 @@ import pytest
 
 from repro.data.table import Column, Table
 from repro.datasets import tpcdi_prospect_table
-from repro.fabrication import NoiseVariant
+from repro.fabrication.pairs import NoiseVariant
 from repro.fabrication.scenarios import fabricate_joinable, fabricate_unionable
 from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import SketchConfig, sketch_table

@@ -95,7 +95,7 @@ class TestPrepareLake:
                 parallel_report = prepare_lake(store, parallel, matcher, workers=2)
                 assert serial_report.prepared == parallel_report.prepared == 6
                 fingerprint = matcher.fingerprint()
-                for name, content_hash in store.raw_keys():
+                for name, content_hash, *_ in store.raw_keys():
                     a = serial.get(fingerprint, name, content_hash)
                     b = parallel.get(fingerprint, name, content_hash)
                     assert a is not None and b is not None

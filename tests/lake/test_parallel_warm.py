@@ -261,7 +261,7 @@ class TestWriteThrough:
                     assert engine.last_query_stats.store_hits == 0  # genuinely cold
                     # All four candidates were written through; the query
                     # table never is.
-                    written = {name for _, name, _, _ in prepared_store.raw_keys()}
+                    written = {name for _, name, *_ in prepared_store.raw_keys()}
                     assert written == {"t0", "t1", "t2", "t3"}
                     warm = engine.query(query)
                     stats = engine.last_query_stats
@@ -287,7 +287,7 @@ class TestWriteThrough:
                 again = engine.query(query)
             assert prepared_store._connection.total_changes == 0
             assert len(prepared_store) == rows
-            assert query.name not in {name for _, name, _, _ in prepared_store.raw_keys()}
+            assert query.name not in {name for _, name, *_ in prepared_store.raw_keys()}
         assert _ranking(again) == _ranking(first)
         counters = recorder.snapshot().counters
         assert counters["prepared_cache.hits"] == 1
@@ -310,7 +310,7 @@ class TestWriteThrough:
                     engine.query(table, top_k=2)
             assert sorted(
                 name
-                for fingerprint, name, _, _ in prepared_store.raw_keys()
+                for fingerprint, name, *_ in prepared_store.raw_keys()
                 if fingerprint == matcher.fingerprint()
             ) == [f"table_{i}" for i in range(_NUM_TABLES)]
         counters = recorder.snapshot().counters

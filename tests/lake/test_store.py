@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 from matcher_support import LEGACY_JSON_SKETCH_ROW
 
@@ -107,6 +110,29 @@ class TestPersistence:
             SketchStore(path)
         assert f"delete {path}" in str(excinfo.value)
         assert "`lake build`" in str(excinfo.value)
+
+    def test_schema_3_store_without_digests_is_refused(self, tmp_path):
+        """A store written before rows carried their digest (schema 3) is
+        refused with the rebuild message, never migrated."""
+        path = tmp_path / "lake.sketches"
+        with sqlite3.connect(path) as connection:
+            connection.executescript(
+                "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+                "CREATE TABLE tables (name TEXT PRIMARY KEY, content_hash TEXT NOT NULL,"
+                " num_rows INTEGER NOT NULL, num_columns INTEGER NOT NULL,"
+                " source_path TEXT, updated_version INTEGER NOT NULL, sketch BLOB NOT NULL);"
+            )
+            connection.executemany(
+                "INSERT INTO meta VALUES (?, ?)",
+                [
+                    ("schema_version", "3"),
+                    ("sketch_config", json.dumps(SketchConfig().as_dict())),
+                    ("version", "0"),
+                ],
+            )
+        connection.close()
+        with pytest.raises(ValueError, match="schema version 3, this code reads version 4"):
+            SketchStore(path)
 
     def test_put_raw_refuses_a_json_row_and_writes_nothing(self, store):
         version = store.version

@@ -89,7 +89,7 @@ class TestPrepareStalePruning:
             assert second.prepared == 1 and second.already_stored == 2
             keys = prepared_store.raw_keys()
             assert len(keys) == 3
-            assert all(content_hash != old_hash for _, _, content_hash, _ in keys)
+            assert all(content_hash != old_hash for _, _, content_hash, *_ in keys)
 
     def test_removed_table_payload_pruned(self, tmp_path):
         lake_dir = _make_lake(tmp_path, num_tables=3)
@@ -102,7 +102,7 @@ class TestPrepareStalePruning:
             store.remove_table("t2")
             report = prepare_lake(store, prepared_store, matcher)
             assert report.stale_pruned == 1
-            names = {name for _, name, _, _ in prepared_store.raw_keys()}
+            names = {name for _, name, *_ in prepared_store.raw_keys()}
             assert names == {"t0", "t1"}
 
 

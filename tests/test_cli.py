@@ -898,30 +898,31 @@ class TestBadInput:
             len(opened[0])
 
     @pytest.mark.parametrize(
-        "suffix, command, fix",
+        "suffix, old, command, fix",
         [
-            ("", ["lake", "build", "{lake}"], "re-run `lake build` on its CSV directory"),
-            (".prepared", ["lake", "prepare", "JaccardLevenshtein"], "`lake prepare <matcher>`"),
+            ("", 3, ["lake", "build", "{lake}"], "re-run `lake build` on its CSV directory"),
+            (".prepared", 2, ["lake", "prepare", "JaccardLevenshtein"], "`lake prepare <matcher>`"),
         ],
         ids=["sketch store", "prepared store"],
     )
     def test_old_schema_refusal_names_the_file_and_the_fix(
-        self, suffix, command, fix, tmp_path, capsys
+        self, suffix, old, command, fix, tmp_path, capsys
     ):
-        """At the parent the sketch store said "rebuild it with `lake build`"
-        (the command that had just refused it) and the prepared store named
-        no fix at all."""
+        """A store one schema version behind (no row digests) is refused
+        with the command that recreates it."""
         lake_dir, store, _ = self._built_store(tmp_path)
         assert main(["lake", "prepare", "JaccardLevenshtein", "--store", str(store)]) == 0
         target = store.with_name(store.name + suffix)
         with sqlite3.connect(target) as connection:
-            connection.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+            connection.execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'", (str(old),)
+            )
         connection.close()
         capsys.readouterr()
         argv = [part.format(lake=lake_dir) for part in command] + ["--store", str(store)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert "schema version 1" in err and f"delete {target} " in err and fix in err
+        assert f"schema version {old}," in err and f"delete {target} " in err and fix in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_lake_stats_opens_both_stores_read_only(self, tmp_path, capsys):

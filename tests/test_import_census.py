@@ -33,7 +33,7 @@ _CODEC_RECORDS = {
     "repro.matchers.cupid",
     "repro.matchers.cupid.schema_tree",
     "repro.matchers.semprop",
-    "repro.matchers.semprop.semantic",
+    "repro.matchers.semprop.links",
 }
 
 #: A ``sys.meta_path`` finder that refuses scipy and networkx, then the CLI.
@@ -91,8 +91,19 @@ def test_the_cli_running_semprop_loads_no_scipy_networkx_or_other_matcher():
         "repro.matchers.cupid.schema_tree",  # codec record
         "repro.matchers.registry",
         "repro.matchers.semprop",
+        "repro.matchers.semprop.links",  # codec record
         "repro.matchers.semprop.matcher",
         "repro.matchers.semprop.semantic",
+    ]
+
+
+def test_the_cli_loads_no_fabricator():
+    """The parser names ``Scenario`` from :mod:`repro.fabrication.pairs`;
+    the fabricator and what it builds with load only in the handlers."""
+    modules = _loaded_after("import repro.cli")
+    assert [m for m in modules if m.startswith("repro.fabrication")] == [
+        "repro.fabrication",
+        "repro.fabrication.pairs",
     ]
 
 
@@ -153,6 +164,39 @@ def test_the_lake_path_runs_with_scipy_and_networkx_refused(method, tmp_path):
         outputs.append(blocked.stdout)
     assert f"2 tables prepared with {method}" in outputs[1]
     assert "2 served from the prepared store" in outputs[2]
+
+
+#: Runs the CLI, then writes every loaded module name to the file named by
+#: the first argument, whatever the exit status.
+_RUN_CLI_AND_LIST_MODULES = """
+import atexit, json, runpy, sys
+out, *args = sys.argv[1:]
+atexit.register(lambda: open(out, "w").write(json.dumps(sorted(sys.modules))))
+sys.argv = ["repro.cli", *args]
+runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_cupid_lake_loads_no_semprop_substrate(tmp_path):
+    """``lake build`` then a Cupid ``lake query``: each process opens the
+    lake (and so the prepared-row codec, with SemProp's link record) but
+    loads neither the embeddings nor the ontology SemProp links with."""
+    _small_lake(tmp_path / "lake_root")
+    commands = [
+        ["lake", "build", "lake", "--store", "lake.sketches"],
+        ["lake", "query", "query.csv", "--store", "lake.sketches", "--method", "Cupid"],
+    ]
+    for index, command in enumerate(commands):
+        out = tmp_path / f"modules{index}.json"
+        result = _python("-c", _RUN_CLI_AND_LIST_MODULES, str(out), *command, cwd=tmp_path / "lake_root")
+        assert result.returncode == 0, result.stderr
+        modules = json.loads(out.read_text())
+        assert "repro.discovery.prepared_codec" in modules
+        assert "repro.matchers.semprop.links" in modules
+        substrate = [
+            m for m in modules if m.split(".")[:2] in (["repro", "embeddings"], ["repro", "ontology"])
+        ]
+        assert substrate == [], command
 
 
 def test_the_refusing_finder_refuses():

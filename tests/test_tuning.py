@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.parameters import ParameterGrid
-from repro.fabrication import FabricationConfig, Scenario
+from repro.fabrication.fabricator import FabricationConfig
+from repro.fabrication.pairs import Scenario
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.tuning import AutoTuner
