@@ -3,16 +3,13 @@
 The artifact layer turns a lake's stores into a replicable unit: a
 publisher node exports sketch (and optionally prepared) stores as a
 content-addressed snapshot — ``manifest.json`` plus SHA-256-named blobs —
-and replica nodes pull it, fetching only the blobs they are missing.
-Delta reconciliation uses an Invertible Bloom Lookup Table exchange with a
-full-manifest-diff fallback, so pulls cost O(difference) in the common
-case and are always correct.  :class:`~repro.artifacts.watch.LakeWatcher`
-closes the loop on the publisher side by folding directory changes into
+and replica nodes pull it, fetching only the blobs they are missing (the
+set difference between the manifest's entry keys and their own).
+:class:`~repro.artifacts.watch.LakeWatcher` closes the loop on the publisher side by folding directory changes into
 the stores (and optionally re-publishing) incrementally.
 """
 
 from repro.artifacts.blobs import BlobStore, blob_digest
-from repro.artifacts.iblt import IBLTDecodeResult, IBLTSketch, key_fingerprint
 from repro.artifacts.manifest import (
     BLOBS_DIR,
     MANIFEST_FORMAT,
@@ -43,8 +40,6 @@ __all__ = [
     "ArtifactTransport",
     "BlobStore",
     "FaultyTransport",
-    "IBLTDecodeResult",
-    "IBLTSketch",
     "LakeWatcher",
     "LocalTransport",
     "Manifest",
@@ -56,7 +51,6 @@ __all__ = [
     "TransportError",
     "WatchReport",
     "blob_digest",
-    "key_fingerprint",
     "publish_snapshot",
     "pull_snapshot",
 ]

@@ -17,21 +17,17 @@ references":
   :mod:`repro.discovery.prepared_codec`);
 * the publishing store's ``version`` and pinned
   :class:`~repro.lake.profiles.SketchConfig` (a puller refuses to mix
-  incomparable sketch parameters);
-* one :class:`~repro.artifacts.iblt.IBLTSketch` over the table entry
-  **keys** and one over the prepared entry keys.  A puller peels the
-  difference between either and its local keys — but it has already read
-  the full entry lists above (it needs them to map a peeled fingerprint
-  back to an entry, and falls back to diffing them when the peel fails),
-  so as wired the peel saves no transfer and returns exactly the set
-  difference of the two key lists.  The two domains get separate sketches
-  because a puller may sync only the sketch store — a combined IBLT would
-  then see every prepared key as a difference and never decode.
+  incomparable sketch parameters).
 
-Entry *keys* are strings (``t|name|hash`` / ``p|fingerprint|name|hash|fmt``),
-built only by :attr:`TableEntry.key` / :attr:`PreparedEntry.key` — a table
-whose content changes gets a new key, so "changed" is just "one key removed
-+ one added" to the reconciliation layer.
+A puller reads both entry lists and reconciles by plain set difference over
+entry *keys* (:mod:`repro.artifacts.sync`).  Keys are strings
+(``t|name|hash`` / ``p|fingerprint|name|hash|fmt``), built only by
+:attr:`TableEntry.key` / :attr:`PreparedEntry.key` — a table whose content
+changes gets a new key, so "changed" is just "one key removed + one added".
+
+Format 3 is the entry lists alone.  Format 2 also carried two key sketches
+that encoded the same lists again, and format 1 carried JSON sketch rows;
+both are refused with a request to republish.
 """
 
 from __future__ import annotations
@@ -42,9 +38,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
-from repro.artifacts.iblt import IBLTSketch
 from repro.lake.profiles import SketchConfig
 
 __all__ = [
@@ -56,7 +51,7 @@ __all__ = [
     "Manifest",
 ]
 
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3
 MANIFEST_NAME = "manifest.json"
 BLOBS_DIR = "blobs"
 
@@ -141,8 +136,6 @@ class Manifest:
     store_version: int = 0
     tables: list[TableEntry] = field(default_factory=list)
     prepared: list[PreparedEntry] = field(default_factory=list)
-    iblt: Optional[IBLTSketch] = None
-    prepared_iblt: Optional[IBLTSketch] = None
 
     # ------------------------------------------------------------------ #
     # derived views
@@ -173,10 +166,6 @@ class Manifest:
             "sketch_config": self.sketch_config.as_dict(),
             "tables": [entry.as_dict() for entry in self.tables],
             "prepared": [entry.as_dict() for entry in self.prepared],
-            "iblt": None if self.iblt is None else self.iblt.to_dict(),
-            "prepared_iblt": (
-                None if self.prepared_iblt is None else self.prepared_iblt.to_dict()
-            ),
         }
 
     @classmethod
@@ -187,19 +176,11 @@ class Manifest:
                 f"snapshot manifest format {declared} is not readable by this "
                 f"code (expected {MANIFEST_FORMAT}); republish it with `lake publish`"
             )
-        iblt_data = data.get("iblt")
-        prepared_iblt_data = data.get("prepared_iblt")
         return cls(
             sketch_config=SketchConfig.from_dict(data["sketch_config"]),
             store_version=int(data.get("store_version", 0)),
             tables=[TableEntry.from_dict(e) for e in data.get("tables", [])],
             prepared=[PreparedEntry.from_dict(e) for e in data.get("prepared", [])],
-            iblt=None if iblt_data is None else IBLTSketch.from_dict(iblt_data),
-            prepared_iblt=(
-                None
-                if prepared_iblt_data is None
-                else IBLTSketch.from_dict(prepared_iblt_data)
-            ),
         )
 
     def save(self, artifact_dir: Union[str, Path]) -> str:
@@ -232,8 +213,9 @@ class Manifest:
         """Parse manifest bytes as fetched by a transport.
 
         Raises ``ValueError`` when the bytes are not a readable snapshot
-        manifest — which a puller treats as retryable, since a transport
-        may have handed back torn or corrupted bytes.
+        manifest, a field missing or of the wrong type included — which a
+        puller treats as retryable, since a transport may have handed back
+        torn or corrupted bytes.
         """
         try:
             data = json.loads(raw.decode("utf-8"))
@@ -241,7 +223,16 @@ class Manifest:
             raise ValueError(f"unreadable snapshot manifest ({origin}): {exc}") from exc
         if not isinstance(data, dict) or data.get("kind") != "lake-snapshot":
             raise ValueError(f"{origin} is not a lake snapshot manifest")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed snapshot manifest ({origin}): missing field {exc}"
+            ) from exc
+        except TypeError as exc:
+            raise ValueError(
+                f"malformed snapshot manifest ({origin}): mistyped field ({exc})"
+            ) from exc
 
     @classmethod
     def load(cls, artifact_dir: Union[str, Path]) -> "Manifest":

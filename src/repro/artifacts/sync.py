@@ -21,16 +21,12 @@ rewritten by the next publish.  The digests come from the stores, never
 from the previous manifest, whose entries are only as right as the code
 that wrote them.
 
-Delta sync.  A pull first reconciles *keys* (``t|name|hash`` /
-``p|fingerprint|name|hash|fmt``) between the local stores and the
-manifest's entry lists.  The manifest's
-:class:`~repro.artifacts.iblt.IBLTSketch` is tried first (fold the local
-keys into a table of the same shape, subtract, peel); since the puller
-holds both key lists, the peel can only return their set difference, which
-is also what peel failure falls back to.  Either way only missing blobs
-are fetched, and shared ones cost nothing.  Telemetry counters:
-``artifacts.iblt.decode_success`` / ``artifacts.iblt.decode_fallback``,
-``artifacts.pull.blobs_fetched`` / ``blobs_skipped`` / ``bytes_fetched``.
+Delta sync.  A pull reads the manifest's entry lists, whose *keys*
+(``t|name|hash`` / ``p|fingerprint|name|hash|fmt``) it compares with its
+local stores' keys: it fetches ``remote − local`` and retires
+``local − remote``, so only missing blobs are read and shared ones cost
+nothing.  Telemetry counters: ``artifacts.pull.blobs_fetched`` /
+``blobs_skipped`` / ``bytes_fetched``.
 
 Fault tolerance.  A pull reads through an
 :class:`~repro.artifacts.transport.ArtifactTransport` (a plain path is
@@ -52,7 +48,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.artifacts.blobs import BlobStore, blob_digest
-from repro.artifacts.iblt import IBLTSketch, key_fingerprint
 from repro.artifacts.manifest import (
     BLOBS_DIR,
     Manifest,
@@ -191,10 +186,6 @@ def publish_snapshot(
             store_version=store.version,
             tables=table_entries,
             prepared=prepared_entries,
-            iblt=IBLTSketch.from_keys(entry.key for entry in table_entries),
-            prepared_iblt=IBLTSketch.from_keys(
-                entry.key for entry in prepared_entries
-            ),
         )
         report.snapshot_id = manifest.save(directory)
         report.blobs_pruned = blobs.prune(manifest.referenced_digests(), listed)
@@ -241,54 +232,6 @@ def _publish_rows(
 
 
 # ---------------------------------------------------------------------- #
-# reconciliation
-# ---------------------------------------------------------------------- #
-
-
-def _reconcile(
-    local_keys: set[str],
-    remote_keys: set[str],
-    remote_iblt: Optional[IBLTSketch],
-) -> tuple[set[str], set[str], bool]:
-    """``(keys to fetch, keys to retire, via_iblt)`` for one key domain.
-
-    Tries the IBLT first: fold the local keys into a table of the remote
-    sketch's shape, subtract, peel.  Any failure — missing sketch, peel
-    giving up, or a decoded fingerprint that maps to no known key (a 64-bit
-    collision, vanishingly rare) — falls back to the plain set difference,
-    which is also all a successful peel can return.
-    """
-    if remote_iblt is not None:
-        local_iblt = IBLTSketch.from_keys(
-            local_keys,
-            cells_per_subtable=remote_iblt.cells_per_subtable,
-            num_hashes=remote_iblt.num_hashes,
-            seed=remote_iblt.seed,
-        )
-        decoded = local_iblt.subtract(remote_iblt).decode()
-        if decoded is not None:
-            local_by_print = {key_fingerprint(key): key for key in local_keys}
-            remote_by_print = {key_fingerprint(key): key for key in remote_keys}
-            to_remove = {
-                local_by_print[p] for p in decoded.only_in_self if p in local_by_print
-            }
-            to_fetch = {
-                remote_by_print[p] for p in decoded.only_in_other if p in remote_by_print
-            }
-            if len(to_remove) == len(decoded.only_in_self) and len(to_fetch) == len(
-                decoded.only_in_other
-            ):
-                telemetry.count("artifacts.iblt.decode_success")
-                return to_fetch, to_remove, True
-            logger.warning(
-                "IBLT decoded keys that map to no manifest entry "
-                "(fingerprint collision?); falling back to full diff"
-            )
-        telemetry.count("artifacts.iblt.decode_fallback")
-    return remote_keys - local_keys, local_keys - remote_keys, False
-
-
-# ---------------------------------------------------------------------- #
 # pull
 # ---------------------------------------------------------------------- #
 
@@ -308,16 +251,17 @@ class PullReport:
     blobs_fetched: int = 0
     blobs_skipped: int = 0
     bytes_fetched: int = 0
-    #: Key domains (tables / prepared) reconciled via a successful IBLT
-    #: peel vs the full-diff fallback.
-    iblt_decoded: int = 0
-    iblt_fallback: int = 0
     #: Tables whose fetched blob failed digest/identity verification even
     #: after retries (the pull skips them and keeps whatever the local
     #: store had — a later pull retries them from scratch).
     corrupt: list[str] = field(default_factory=list)
     #: Transport reads retried after a failure or digest mismatch.
     retries: int = 0
+    # Constant zeros, not fields: lakebench's adapter is their only reader,
+    # and they go with its artifacts.iblt_decode_ok_share probe in the next
+    # change to the benchmark (ROADMAP item 2d).
+    iblt_decoded = 0
+    iblt_fallback = 0
 
     @property
     def unchanged(self) -> bool:
@@ -440,13 +384,12 @@ def pull_snapshot(
     shared = (transport, remove_missing, report, retry_state)
     with telemetry.span("artifacts.pull", artifact=transport.describe()):
         report.tables_added, report.tables_removed = _pull_entries(
-            _table_domain(store), manifest.tables, manifest.iblt, *shared
+            _table_domain(store), manifest.tables, *shared
         )
         if prepared_store is not None:
             report.prepared_added, report.prepared_removed = _pull_entries(
                 _prepared_domain(prepared_store),
                 manifest.prepared,
-                manifest.prepared_iblt,
                 *shared,
             )
     telemetry.count("artifacts.pull.blobs_fetched", report.blobs_fetched)
@@ -472,7 +415,6 @@ def pull_snapshot(
 def _pull_entries(
     domain: _Domain,
     entries: Sequence[_Entry],
-    remote_iblt: Optional[IBLTSketch],
     transport: ArtifactTransport,
     remove_missing: bool,
     report: PullReport,
@@ -485,9 +427,8 @@ def _pull_entries(
     """
     local = {entry.key: domain.slot(entry) for entry in domain.local()}
     remote = {entry.key: entry for entry in entries}
-    to_fetch, to_remove, via_iblt = _reconcile(set(local), set(remote), remote_iblt)
-    report.iblt_decoded += int(via_iblt)
-    report.iblt_fallback += int(not via_iblt)
+    to_fetch = remote.keys() - local.keys()
+    to_remove = local.keys() - remote.keys()
     report.blobs_skipped += len(remote) - len(to_fetch)
     added = removed = 0
     for key in sorted(to_fetch):

@@ -129,11 +129,10 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
             f"+{report.tables_added}/-{report.tables_removed} tables, "
             f"+{report.prepared_added}/-{report.prepared_removed} prepared"
         )
-    via = "full diff" if report.iblt_fallback else "iblt delta"
     print(
         f"pulled {args.src} -> {args.store}: {delta}; "
         f"{report.blobs_fetched} blobs fetched ({report.bytes_fetched} bytes), "
-        f"{report.blobs_skipped} already local [{via}]"
+        f"{report.blobs_skipped} already local"
     )
     if report.retries:
         print(f"  transport retries: {report.retries}")

@@ -12,9 +12,7 @@ Determinism is the design constraint.  Every spec draws from its own
 ``random.Random`` seeded from ``(plan seed, spec index)``, so a chaos test
 with a fixed seed injects the *same* faults at the *same* calls on every
 run, on every machine — the property that lets CI run chaos suites as
-blocking jobs rather than flaky lottery tickets.  (This mirrors how the
-IBLT layer treats its own failure mode: peel failure is deterministic for a
-given key set, so the fallback path is testable, not probabilistic.)
+blocking jobs rather than flaky lottery tickets.
 
 Two families of faults:
 

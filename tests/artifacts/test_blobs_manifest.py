@@ -7,15 +7,16 @@ import json
 import pytest
 
 from repro.artifacts.blobs import BlobStore, blob_digest
-from repro.artifacts.iblt import IBLTSketch
 from repro.artifacts.manifest import (
     MANIFEST_NAME,
     Manifest,
     PreparedEntry,
     TableEntry,
 )
+from repro.cli import main
 from repro.data.table import Column, Table
 from repro.lake.profiles import SketchConfig, TableSketch, sketch_table
+from repro.lake.store import SketchStore
 
 
 class TestBlobStore:
@@ -102,8 +103,6 @@ class TestManifest:
             store_version=3,
             tables=tables,
             prepared=prepared,
-            iblt=IBLTSketch.from_keys([e.key for e in tables]),
-            prepared_iblt=IBLTSketch.from_keys([e.key for e in prepared]),
         )
 
     def test_save_load_round_trip(self, tmp_path):
@@ -115,7 +114,6 @@ class TestManifest:
         assert loaded.prepared == manifest.prepared
         assert loaded.sketch_config == manifest.sketch_config
         assert loaded.store_version == 3
-        assert loaded.iblt is not None and loaded.prepared_iblt is not None
 
     def test_snapshot_id_is_content_identity(self, tmp_path):
         a = self._manifest()
@@ -135,9 +133,10 @@ class TestManifest:
         with pytest.raises(ValueError, match="not a lake snapshot"):
             Manifest.load(tmp_path)
 
-    @pytest.mark.parametrize("declared", [1, 999])
+    @pytest.mark.parametrize("declared", [1, 2, 999])
     def test_load_rejects_other_formats(self, tmp_path, declared):
-        """Format 1 (JSON sketch rows) and any future format: republish."""
+        """Format 1 (JSON sketch rows), format 2 (key sketches beside the
+        entry lists) and any future format: republish."""
         data = self._manifest().as_dict()
         data["format"] = declared
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(data))
@@ -150,3 +149,53 @@ class TestManifest:
         text = (tmp_path / MANIFEST_NAME).read_text()
         assert "\n" not in text and ": " not in text
         assert json.loads(text)["snapshot_id"] == manifest.snapshot_id
+
+
+def _malformed(case: str) -> dict:
+    """A manifest dict with one field missing or of the wrong type."""
+    data = TestManifest()._manifest().as_dict()
+    table = data["tables"][0]
+    if case == "no_sketch_config":
+        return {"format": data["format"], "kind": data["kind"]}
+    if case == "entry_without_content_hash":
+        del table["content_hash"]
+    elif case == "tables_not_a_list":
+        data["tables"] = "zz"
+    elif case == "entry_not_a_dict":
+        data["tables"] = [42]
+    return data
+
+
+_MALFORMED = [
+    "no_sketch_config",
+    "entry_without_content_hash",
+    "tables_not_a_list",
+    "entry_not_a_dict",
+]
+
+
+class TestMalformedManifest:
+    """A manifest with a missing or mistyped field is a ``ValueError`` naming
+    its origin, so `lake pull` and `lake verify --artifact` exit 1 on one
+    stderr line instead of a ``KeyError`` / ``TypeError`` traceback."""
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_from_bytes_raises_value_error(self, case):
+        raw = json.dumps(_malformed(case)).encode("utf-8")
+        with pytest.raises(ValueError, match=r"malformed snapshot manifest \(origin-x\)"):
+            Manifest.from_bytes(raw, origin="origin-x")
+
+    @pytest.mark.parametrize("case", _MALFORMED)
+    def test_cli_exits_1_and_writes_nothing(self, tmp_path, case, capsys):
+        artifact = tmp_path / "artifact"
+        artifact.mkdir()
+        (artifact / MANIFEST_NAME).write_text(json.dumps(_malformed(case)))
+        replica = tmp_path / "replica.sketches"
+        assert main(["lake", "pull", str(artifact), "--store", str(replica)]) == 1
+        assert "malformed snapshot manifest" in capsys.readouterr().err
+        assert not replica.exists()
+        SketchStore(replica).close()
+        verify = ["lake", "verify", "--store", str(replica), "--artifact", str(artifact)]
+        assert main(verify) == 1
+        err = capsys.readouterr().err
+        assert "malformed snapshot manifest" in err and str(artifact) in err

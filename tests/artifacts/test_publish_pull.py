@@ -11,9 +11,7 @@ The ISSUE-level guarantees pinned here:
   are the **same bytes**, for both stores, after a bootstrap pull and after
   a delta pull — and a sketch blob that disagrees with its manifest entry
   is refused by the store, reported ``corrupt``, never committed;
-* IBLT decode failure falls back to the full manifest diff with the
-  ``artifacts.iblt.decode_fallback`` telemetry counter recorded — and
-  still converges.
+* a manifest of another format is refused before any row is written.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from matcher_support import LIGHT_MATCHER_CONFIGS
 
 from repro.artifacts import BlobStore, Manifest, RetryPolicy, publish_snapshot, pull_snapshot
 from repro.artifacts import blobs as blobs_module
-from repro.artifacts.iblt import IBLTSketch
 from repro.artifacts.manifest import MANIFEST_NAME, PreparedEntry, TableEntry
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
@@ -176,12 +173,9 @@ class TestDeltaPull:
         assert report.blobs_skipped == 2 * 6
         assert report.tables_added == report.prepared_added == 2
         assert report.tables_removed == 1
-        # Both key domains (tables, prepared) reconcile by IBLT peel.
-        assert report.iblt_decoded == 2 and report.iblt_fallback == 0
         counters = recorder.snapshot().counters
         assert counters.get("artifacts.pull.blobs_fetched") == 2 * 2
         assert counters.get("artifacts.pull.blobs_skipped") == 2 * 6
-        assert counters.get("artifacts.iblt.decode_success") == 2
         assert sorted(replica.table_names) == sorted(store.table_names)
         assert sorted(replica.raw_keys()) == sorted(store.raw_keys())
         assert sorted(replica_prepared.raw_keys()) == sorted(prepared.raw_keys())
@@ -205,31 +199,6 @@ class TestDeltaPull:
         store.close()
 
 
-class TestIBLTFallback:
-    def test_undecodable_delta_falls_back_to_full_diff(self, tmp_path):
-        """A manifest IBLT too small for the difference must not break the
-        pull: full-diff fallback converges and the counter records it."""
-        store, _ = _build_lake(tmp_path, num_tables=6)
-        publish_snapshot(store, tmp_path / "artifact")
-        # One cell per subtable cannot peel a 6-key bootstrap difference.
-        manifest = Manifest.load(tmp_path / "artifact")
-        keys = [entry.key for entry in manifest.tables]
-        tiny = IBLTSketch.from_keys(keys, cells_per_subtable=1)
-        replace(manifest, iblt=tiny).save(tmp_path / "artifact")
-        replica = SketchStore(tmp_path / "replica")
-        recorder = TelemetryRecorder()
-        with use(recorder):
-            report = pull_snapshot(tmp_path / "artifact", replica)
-        assert report.iblt_fallback == 1 and report.iblt_decoded == 0
-        assert report.tables_added == 6
-        counters = recorder.snapshot().counters
-        assert counters.get("artifacts.iblt.decode_fallback") == 1
-        assert "artifacts.iblt.decode_success" not in counters
-        assert sorted(replica.table_names) == sorted(store.table_names)
-        replica.close()
-        store.close()
-
-
 class TestSafety:
     def test_config_mismatch_refused(self, tmp_path):
         store, _ = _build_lake(tmp_path)
@@ -242,16 +211,20 @@ class TestSafety:
             pull_snapshot(tmp_path / "artifact", other)
         other.close()
 
-    def test_format_1_manifest_is_refused_before_any_row_is_written(self, tmp_path):
-        """An artifact published with JSON sketch rows is refused whole,
+    @pytest.mark.parametrize("declared", [1, 2])
+    def test_old_format_manifest_is_refused_before_any_row_is_written(
+        self, tmp_path, declared
+    ):
+        """An artifact published with JSON sketch rows (format 1) or with
+        key sketches beside its entry lists (format 2) is refused whole,
         with a request to republish it; the replica stays empty."""
         store, _ = _build_lake(tmp_path)
         publish_snapshot(store, tmp_path / "artifact")
         store.close()
         path = tmp_path / "artifact" / MANIFEST_NAME
-        path.write_text(json.dumps({**json.loads(path.read_text()), "format": 1}))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": declared}))
         with SketchStore(tmp_path / "replica") as replica:
-            with pytest.raises(ValueError, match="format 1 .*republish"):
+            with pytest.raises(ValueError, match=f"format {declared} .*republish"):
                 pull_snapshot(path.parent, replica, retry=RetryPolicy(sleep=lambda _s: None))
             assert len(replica) == 0 and replica.version == 0
 
