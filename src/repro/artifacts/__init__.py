@@ -28,6 +28,7 @@ from repro.artifacts.transport import (
     ArtifactTransport,
     FaultyTransport,
     LocalTransport,
+    PinnedTransport,
     RetryPolicy,
     TransportError,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "LakeWatcher",
     "LocalTransport",
     "Manifest",
+    "PinnedTransport",
     "PreparedEntry",
     "PublishReport",
     "PullReport",

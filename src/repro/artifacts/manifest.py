@@ -233,23 +233,3 @@ class Manifest:
             raise ValueError(
                 f"malformed snapshot manifest ({origin}): mistyped field ({exc})"
             ) from exc
-
-    @classmethod
-    def load(cls, artifact_dir: Union[str, Path]) -> "Manifest":
-        """Read the manifest of an artifact directory.
-
-        Raises
-        ------
-        FileNotFoundError
-            When *artifact_dir* holds no ``manifest.json``.
-        ValueError
-            When the file is not a readable snapshot manifest.
-        """
-        path = Path(artifact_dir) / MANIFEST_NAME
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise FileNotFoundError(
-                f"no snapshot manifest at {path}; not a published artifact?"
-            ) from exc
-        return cls.from_bytes(raw, origin=str(path))

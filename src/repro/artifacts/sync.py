@@ -282,25 +282,33 @@ class _FetchFailed(Exception):
 def _fetch_manifest(
     transport: ArtifactTransport, retry_state: Optional[RetryState], report: PullReport
 ) -> Manifest:
-    """Fetch + parse the manifest, retrying transient/corrupt reads."""
+    """Fetch + parse the manifest, retrying transient/corrupt reads.
+
+    A refused manifest is re-read at once: the same bytes are the artifact's
+    own (an old format, a malformed file) and final; other bytes were torn
+    or flipped in transit, and are retried.
+    """
     attempt = 1
     while True:
         try:
             raw = transport.read_manifest()
-            return Manifest.from_bytes(raw, origin=transport.describe())
+            try:
+                return Manifest.from_bytes(raw, origin=transport.describe())
+            except ValueError as refusal:
+                if transport.read_manifest() == raw:
+                    raise
+                exc: Exception = refusal
         except FileNotFoundError:
             raise  # never published: retrying cannot help
-        except (TransportError, OSError, ValueError) as exc:
-            if retry_state is None or not retry_state.pause(attempt):
-                raise
-            attempt += 1
-            report.retries += 1
-            logger.warning(
-                "retrying manifest read from %s (attempt %d): %s",
-                transport.describe(),
-                attempt,
-                exc,
-            )
+        except (TransportError, OSError) as failure:
+            exc = failure
+        if retry_state is None or not retry_state.pause(attempt):
+            raise exc
+        attempt += 1
+        report.retries += 1
+        logger.warning(
+            "retrying manifest read from %s (attempt %d): %s", transport.describe(), attempt, exc
+        )
 
 
 def _fetch_blob(

@@ -40,6 +40,7 @@ __all__ = [
     "ArtifactTransport",
     "LocalTransport",
     "FaultyTransport",
+    "PinnedTransport",
     "RetryPolicy",
     "RetryState",
 ]
@@ -131,6 +132,18 @@ class FaultyTransport(ArtifactTransport):
 
     def describe(self) -> str:
         return f"{self.inner.describe()} (fault-injected)"
+
+
+class PinnedTransport(LocalTransport):
+    """An artifact directory whose manifest is bytes already read from it:
+    a pull syncs the snapshot its caller parsed, even across a publish."""
+
+    def __init__(self, artifact_dir: Union[str, Path], manifest: bytes) -> None:
+        super().__init__(artifact_dir)
+        self.manifest = manifest
+
+    def read_manifest(self) -> bytes:
+        return self.manifest
 
 
 @dataclass

@@ -62,13 +62,6 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         "request); an expired query exits with status 124",
     )
     query.add_argument(
-        "--cascade", action="store_true",
-        help="two-stage rerank: price candidates with cheap sketch-level "
-        "bounds and skip those that provably cannot reach the top-k (exact "
-        "rankings; only SemProp bounds anything, and only when no query "
-        "column links to its ontology)",
-    )
-    query.add_argument(
         "--stats", action="store_true",
         help="print per-stage latencies (p50/p95/p99) and pipeline counters for this query",
     )
@@ -169,18 +162,13 @@ def _run_lake_query(args: argparse.Namespace) -> int:
         with LakeDiscoveryEngine(
             matcher=create_matcher(args.method), store=store, prepared_store=prepared_store
         ) as engine, (use(TelemetryRecorder()) if traced else nullcontext()):
-            results = engine.query(
-                query,
-                mode=args.mode,
-                top_k=args.top,
-                cascade=args.cascade,
-            )
+            results = engine.query(query, mode=args.mode, top_k=args.top)
         stats = engine.last_query_stats
         warm_note = ""
         if prepared_store is not None:
             warm_note = f", {stats.store_hits} served from the prepared store"
         cascade_note = ""
-        if args.cascade:
+        if stats.cascade_exact or stats.cascade_skipped:
             cascade_note = f", {stats.cascade_skipped} skipped by cascade bound"
         print(
             f"query {query.name!r} against {len(store)} tables "

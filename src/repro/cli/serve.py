@@ -38,11 +38,9 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="default per-request deadline (clients can override per query; "
         "expired requests get 504)",
     )
-    serve.add_argument(
-        "--cascade", action="store_true",
-        help="arm the two-stage rerank cascade for every served query "
-        "(exact rankings; sound bounds skip hopeless candidates)",
-    )
+    # Accepted and ignored: a query is priced exactly when its matcher can
+    # bound it.  lakebench's served workload still passes the flag.
+    serve.add_argument("--cascade", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
         "--reopen-poll-s", type=positive_float, default=1.0, metavar="SECONDS",
         help="how often to poll the stores for a writer cycle (generation "
@@ -63,7 +61,6 @@ def _command_lake_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         default_timeout_s=args.timeout_s,
         reopen_poll_s=args.reopen_poll_s,
-        cascade=args.cascade,
     )
     if args.unix_socket is not None:
         where = f"unix:{args.unix_socket}"

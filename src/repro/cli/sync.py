@@ -100,11 +100,12 @@ def _command_lake_publish(args: argparse.Namespace) -> int:
 
 
 def _command_lake_pull(args: argparse.Namespace) -> int:
-    from repro.artifacts import Manifest, RetryPolicy, pull_snapshot
+    from repro.artifacts import LocalTransport, Manifest, PinnedTransport, RetryPolicy, pull_snapshot
 
     try:
-        manifest = Manifest.load(args.src)
-    except (FileNotFoundError, ValueError) as exc:
+        raw = LocalTransport(args.src).read_manifest()
+        manifest = Manifest.from_bytes(raw, origin=str(args.src))
+    except (OSError, ValueError) as exc:
         return fail(exc)
     # A bootstrap pull creates the local store with the snapshot's sketch
     # config; an existing store with a different config refuses.  A local
@@ -117,7 +118,7 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
         prepared="create" if manifest.prepared else "if_present",
     ) as (store, prepared_store):
         report = pull_snapshot(
-            args.src,
+            PinnedTransport(args.src, raw),  # one read: what was parsed is pulled
             store,
             prepared_store=prepared_store,
             retry=RetryPolicy(max_attempts=args.retry_attempts, budget=args.retry_budget),

@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from repro.discovery.relatedness import DEFAULT_UNION_THRESHOLD
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repro.lake -> here)
     from repro.matchers.base import BaseMatcher, PreparedTable
 
@@ -122,18 +124,19 @@ def candidate_signals(
     }
 
 
-def mode_bound(pair_bound: float, mode: str, union_threshold: float) -> float:
+def mode_bound(pair_bound: float, mode: str) -> float:
     """Lift a column-pair score bound to a ranking-score bound for *mode*.
 
     Joinability is the best pair score, so the pair bound carries over
-    directly.  Unionability counts pairs at or above *union_threshold*: a
+    directly.  Unionability counts pairs at or above
+    :data:`~repro.discovery.relatedness.DEFAULT_UNION_THRESHOLD`: a
     pair bound strictly below the threshold proves unionability is exactly
     ``0.0``, otherwise the conservative bound is ``1.0``.  Combined is the
     engines' fixed 0.5/0.5 blend of the two.
     """
     if not math.isfinite(pair_bound):
         return math.inf
-    union = 0.0 if pair_bound < union_threshold else 1.0
+    union = 0.0 if pair_bound < DEFAULT_UNION_THRESHOLD else 1.0
     if mode == "joinable":
         return pair_bound
     if mode == "unionable":
@@ -146,7 +149,6 @@ def compute_ranking_bounds(
     prepared_query: "PreparedTable",
     signals: Mapping[str, CandidateSignals],
     mode: str,
-    union_threshold: float,
 ) -> dict[str, float]:
     """Per-candidate upper bounds on the final ranking score under *mode*.
 
@@ -155,9 +157,7 @@ def compute_ranking_bounds(
     may drop a candidate below the cutoff; ``+inf`` never does.
     """
     return {
-        name: mode_bound(
-            matcher.score_bound(prepared_query, signal), mode, union_threshold
-        )
+        name: mode_bound(matcher.score_bound(prepared_query, signal), mode)
         for name, signal in signals.items()
     }
 

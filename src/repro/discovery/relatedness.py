@@ -24,7 +24,11 @@ from typing import Union
 from repro.data.table import Table, TableHeader
 from repro.matchers.base import MatchResult
 
-__all__ = ["RelatednessScores", "joinability", "unionability", "relatedness"]
+__all__ = ["DEFAULT_UNION_THRESHOLD", "RelatednessScores", "joinability", "unionability", "relatedness"]
+
+#: Column-score threshold of the unionability measure (the lake's rerank and
+#: its bounds pass it; the reference ranking takes it as the default).
+DEFAULT_UNION_THRESHOLD = 0.55
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ def joinability(result: MatchResult) -> float:
 
 
 def unionability(
-    result: MatchResult, query: Union[Table, TableHeader], threshold: float = 0.55
+    result: MatchResult, query: Union[Table, TableHeader], threshold: float = DEFAULT_UNION_THRESHOLD
 ) -> float:
     """Unionability: fraction of query columns with a partner above *threshold*.
 
@@ -71,7 +75,7 @@ def unionability(
 
 
 def relatedness(
-    result: MatchResult, query: Union[Table, TableHeader], threshold: float = 0.55
+    result: MatchResult, query: Union[Table, TableHeader], threshold: float = DEFAULT_UNION_THRESHOLD
 ) -> RelatednessScores:
     """Compute both table-level scores from one ranking.
 

@@ -48,7 +48,7 @@ from repro.discovery.cascade import (
     compute_ranking_bounds,
     order_by_bound,
 )
-from repro.discovery.relatedness import RelatednessScores, relatedness
+from repro.discovery.relatedness import DEFAULT_UNION_THRESHOLD, RelatednessScores, relatedness
 from repro.matchers.base import BaseMatcher, MatchResult, PreparedTable
 from repro.telemetry import recorder as telemetry
 
@@ -58,10 +58,10 @@ __all__ = [
     "DatasetRepository",
     "DiscoveryResult",
     "DiscoveryEngine",
-    "PairScorer",
     "RerankOutcome",
     "RerankPool",
     "prune_then_rerank",
+    "score_prepared",
     "mode_score",
     "DEFAULT_MIN_CANDIDATES",
     "CANDIDATE_MULTIPLIER",
@@ -75,11 +75,6 @@ __all__ = [
 #: :class:`~repro.lake.engine.LakeDiscoveryEngine`.
 DEFAULT_MIN_CANDIDATES = 20
 CANDIDATE_MULTIPLIER = 5
-
-#: Column-score threshold of the unionability measure: what
-#: :class:`DiscoveryEngine` always uses, and :class:`PairScorer`'s default,
-#: so the reference ranking and the lake's rerank cannot drift apart.
-DEFAULT_UNION_THRESHOLD = 0.55
 
 
 class DatasetRepository:
@@ -202,24 +197,18 @@ class _TopKCutoff:
         return after is not None and (before is None or after > before)
 
 
-@dataclass
-class PairScorer:
-    """Scores one (query, candidate) pair: the rerank's unit of work."""
+def score_prepared(
+    matcher: BaseMatcher, query: PreparedTable, candidate: Union[Table, PreparedTable]
+) -> DiscoveryResult:
+    """Match a *prepared* query against one candidate table: the rerank's
+    unit of work.
 
-    matcher: BaseMatcher
-    union_threshold: float = DEFAULT_UNION_THRESHOLD
-
-    def score_prepared(
-        self, query: PreparedTable, candidate: Union[Table, PreparedTable]
-    ) -> DiscoveryResult:
-        """Match a *prepared* query against one candidate table.
-
-        The candidate goes to the matcher as it came: ``match_prepared``
-        itself prepares a raw table and re-prepares a foreign payload.
-        """
-        matches = self.matcher.match_prepared(query, candidate)
-        scores = relatedness(matches, query.header, threshold=self.union_threshold)
-        return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
+    The candidate goes to the matcher as it came: ``match_prepared`` itself
+    prepares a raw table and re-prepares a foreign payload.
+    """
+    matches = matcher.match_prepared(query, candidate)
+    scores = relatedness(matches, query.header, threshold=DEFAULT_UNION_THRESHOLD)
+    return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
 
 
 class RerankPool:
@@ -327,7 +316,7 @@ def prune_then_rerank(
     query: PreparedTable,
     candidate_names: Iterable[str],
     resolve: Resolver,
-    scorer: PairScorer,
+    matcher: BaseMatcher,
     mode: str = "joinable",
     top_k: Optional[int] = None,
     *,
@@ -338,8 +327,8 @@ def prune_then_rerank(
     Parameters
     ----------
     query:
-        The input table, already prepared by the caller for the scorer's
-        matcher (once for the whole rerank).
+        The input table, already prepared by the caller for *matcher* (once
+        for the whole rerank).
     candidate_names:
         Pruned candidate table names (an LSH shortlist).  The query's own
         name is always skipped.
@@ -349,8 +338,8 @@ def prune_then_rerank(
         lake engine's persistent prepared-candidate store), which skips the
         prepare stage for those candidates; the matcher prepares a raw
         table itself.  Names it cannot resolve are dropped from the ranking.
-    scorer:
-        The pair scorer (matcher + unionability threshold).
+    matcher:
+        The matcher every surviving candidate is scored with.
     mode:
         ``"joinable"``, ``"unionable"`` or ``"combined"``.
     top_k:
@@ -372,13 +361,10 @@ def prune_then_rerank(
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     names = [name for name in candidate_names if name != query.name]
-    matcher = scorer.matcher
     bounds: dict[str, float] = {}
     if signals:
         with telemetry.span("rerank.cascade", candidates=len(names)):
-            bounds = compute_ranking_bounds(
-                matcher, query, signals, mode, scorer.union_threshold
-            )
+            bounds = compute_ranking_bounds(matcher, query, signals, mode)
             names = order_by_bound(names, bounds, signals)
     skippable = top_k is not None and any(map(math.isfinite, bounds.values()))
     items = [(name, bounds.get(name, math.inf)) for name in names]
@@ -406,7 +392,7 @@ def prune_then_rerank(
                 )
             with telemetry.span("rerank.score_chunk", size=len(candidates)):
                 for candidate in candidates:
-                    result = scorer.score_prepared(query, candidate)
+                    result = score_prepared(matcher, query, candidate)
                     outcome.results.append(result)
                     if cutoff.observe(mode_score(result, mode)):
                         outcome.cutoff_updates += 1
@@ -443,7 +429,7 @@ class DiscoveryEngine:
     def score_pair(self, query: Table, candidate: Table) -> DiscoveryResult:
         """Match *query* against one *candidate* and derive table-level scores."""
         matches = self.matcher.get_matches(query, candidate)
-        scores = relatedness(matches, query, threshold=DEFAULT_UNION_THRESHOLD)
+        scores = relatedness(matches, query)
         return DiscoveryResult(table_name=candidate.name, scores=scores, matches=matches)
 
     def discover(

@@ -15,12 +15,14 @@ The rerank is the one plan of
 skip/resolve/score → cutoff feedback), run in this process.  This engine
 supplies its three inputs per query: the LSH shortlist, a
 :class:`StoreResolver` built from the shortlist's one batched
-:meth:`SketchStore.table_meta` read, and — when ``cascade`` asks for them —
-the stage-1 signals, priced in one call per query from the signature
+:meth:`SketchStore.table_meta` read, and — when the matcher says it can
+bound the prepared query (:meth:`~repro.matchers.base.BaseMatcher.can_bound`)
+— the stage-1 signals, priced in one call per query from the signature
 matrix the :class:`~repro.lake.index.LakeIndex` already holds decoded,
-never from the store.  A candidate is priced only while its indexed
-content hash equals the one ``table_meta`` just returned — a bound never
-meets content other than the payload it prices; the rest are scored exactly.
+never from the store.  A query its matcher cannot bound computes no signal
+and no bound.  A candidate is priced only while its indexed content hash
+equals the one ``table_meta`` just returned — a bound never meets content
+other than the payload it prices; the rest are scored exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from repro.discovery.search import (
     CANDIDATE_MULTIPLIER,
     DEFAULT_MIN_CANDIDATES,
     DiscoveryResult,
-    PairScorer,
     Resolved,
     prune_then_rerank,
 )
@@ -136,7 +137,7 @@ class StoreResolver:
         except sqlite3.Error:
             # Lost the write lock to another process (a daemon, `watch`,
             # another query).  The raw table still serves this query (the
-            # scorer prepares it); only reuse is lost.
+            # matcher prepares it); only reuse is lost.
             logger.warning("write-through of %r lost to store contention", name)
             telemetry.count("prepared_store.write_contention")
             return table
@@ -257,7 +258,6 @@ class LakeDiscoveryEngine:
         *,
         mode: str = "joinable",
         top_k: Optional[int] = None,
-        cascade: bool = False,
     ) -> list[DiscoveryResult]:
         """Rank lake tables against *query*: prune with the index, rerank.
 
@@ -273,12 +273,12 @@ class LakeDiscoveryEngine:
             semantics as :meth:`DiscoveryEngine.discover`).
         top_k:
             Truncate the final ranking (also bounds the shortlist).
-        cascade:
-            Price the shortlist: per-candidate score bounds are derived
-            from the sketches the index holds, the matcher runs best-bound-first
-            and skips candidates whose finite (sound) bound proves they
-            cannot reach the top-k.  The ranking is identical to
-            ``cascade=False``.
+
+        When the matcher can bound the prepared query, the shortlist is
+        priced: per-candidate score bounds are derived from the sketches the
+        index holds, the matcher runs best-bound-first and skips candidates
+        whose finite (sound) bound proves they cannot reach the top-k.  The
+        ranking is the one scoring every candidate would give.
 
         Afterwards :attr:`last_query_stats` holds the structured statistics
         of this query (stage durations, shortlist/rerank sizes, store hits).
@@ -288,7 +288,7 @@ class LakeDiscoveryEngine:
         back into the active recorder *and* attached to the stats — so
         per-query attribution survives even on a shared recorder.
         """
-        (outcome,) = self.query_many([query], mode=mode, top_k=top_k, cascade=cascade)
+        (outcome,) = self.query_many([query], mode=mode, top_k=top_k)
         return outcome.results
 
     def query_many(
@@ -297,7 +297,6 @@ class LakeDiscoveryEngine:
         *,
         mode: str = "joinable",
         top_k: Optional[int] = None,
-        cascade: bool = False,
     ) -> list[BatchQueryResult]:
         """Run several queries, each exactly as :meth:`query` would.
 
@@ -306,19 +305,16 @@ class LakeDiscoveryEngine:
         results uses (``lake serve`` calls it with one query per ticket).
         The queries run one after the other.
         """
-        outcomes = [self._query_one(query, mode, top_k, cascade) for query in queries]
+        outcomes = [self._query_one(query, mode, top_k) for query in queries]
         if outcomes:
             self.last_query_stats = outcomes[-1].stats
         return outcomes
 
     def _query_one(
-        self,
-        query: Table,
-        mode: str,
-        top_k: Optional[int],
-        cascade: bool,
+        self, query: Table, mode: str, top_k: Optional[int]
     ) -> BatchQueryResult:
-        """Shortlist → signals if *cascade* → the rerank plan → stats."""
+        """Shortlist → prepared query → signals if the matcher can bound
+        it → the rerank plan → stats."""
         parent = telemetry.get_recorder()
         child = TelemetryRecorder() if parent.enabled else None
         start = time.perf_counter()
@@ -331,8 +327,17 @@ class LakeDiscoveryEngine:
             # The query's one sketch-store read: build-time hashes and CSV
             # paths for the resolver.
             meta = self.store.table_meta([n for n in names if n != query.name])
+            fingerprint = ""
+            if self.prepared_store is not None:
+                fingerprint = self.matcher.fingerprint()
+            rerank_start = time.perf_counter()
+            with telemetry.span("discovery.prepare_query", table=query.name):
+                if self.prepared_store is not None:
+                    query_prepared = self._query_cache.prepare(self.matcher, query)
+                else:
+                    query_prepared = self.matcher.prepare(query)
             signals: Optional[dict[str, CandidateSignals]] = None
-            if cascade:
+            if self.matcher.can_bound(query_prepared):
                 # A table whose stored hash moved on since the index was
                 # refreshed gets no signal: +inf bound, scored exactly.
                 priced = []
@@ -343,20 +348,11 @@ class LakeDiscoveryEngine:
                 seed = self.store.config.seed
                 block = index.signature_block(priced)
                 signals = candidate_signals(query_sketch, priced, *block, seed=seed)
-            fingerprint = ""
-            if self.prepared_store is not None:
-                fingerprint = self.matcher.fingerprint()
-            rerank_start = time.perf_counter()
-            with telemetry.span("discovery.prepare_query", table=query.name):
-                if self.prepared_store is not None:
-                    query_prepared = self._query_cache.prepare(self.matcher, query)
-                else:
-                    query_prepared = self.matcher.prepare(query)
             outcome = prune_then_rerank(
                 query_prepared,
                 names,
                 StoreResolver(meta, fingerprint, self.prepared_store),
-                PairScorer(matcher=self.matcher),
+                self.matcher,
                 mode=mode,
                 top_k=top_k,
                 signals=signals,
@@ -377,8 +373,8 @@ class LakeDiscoveryEngine:
             rerank_seconds=end - rerank_start,
             # An unpriced query is not a cascade: its cascade counters stay
             # 0 even though every candidate was scored.
-            cascade_skipped=outcome.skipped if cascade else 0,
-            cascade_exact=outcome.scored if cascade else 0,
+            cascade_skipped=outcome.skipped,
+            cascade_exact=outcome.scored if signals is not None else 0,
             snapshot=snapshot,
         )
         return BatchQueryResult(results=outcome.results, stats=stats)

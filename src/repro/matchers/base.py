@@ -378,6 +378,12 @@ class BaseMatcher(abc.ABC):
     # ------------------------------------------------------------------ #
     # rerank-cascade hooks
     # ------------------------------------------------------------------ #
+    def can_bound(self, prepared_query: PreparedTable) -> bool:
+        """Whether :meth:`score_bound` can be finite for any candidate of
+        this *prepared* query: the lake engine computes stage-1 signals only
+        then.  The default, like ``score_bound``'s ``+inf``, is no."""
+        return False
+
     def score_bound(
         self, prepared_query: PreparedTable, signals: "CandidateSignals"
     ) -> float:
@@ -403,9 +409,9 @@ class BaseMatcher(abc.ABC):
 
         The default is ``+inf`` — "I cannot bound this" — so a matcher that
         does not override it is always scored exactly.  An override returns
-        ``+inf`` itself for any configuration where its argument breaks
-        (mismatched signature widths or seeds, value sampling that could
-        truncate, semantic evidence the signals cannot see).
+        ``+inf`` itself wherever :meth:`can_bound` says no, and for any
+        candidate where its argument breaks (mismatched signature widths or
+        seeds, value sampling that could truncate).
         """
         return math.inf
 
@@ -414,7 +420,7 @@ class BaseMatcher(abc.ABC):
         """Compute the ranked matches from two prepared tables.
 
         Implementations open with :meth:`_ensure_prepared` on both sides —
-        callers (the rerank's :class:`~repro.discovery.search.PairScorer`
+        callers (the rerank's :func:`~repro.discovery.search.score_prepared`
         included) may hand over a raw table or a payload prepared under
         another fingerprint and rely on that one guard — and end in
         :meth:`MatchResult.from_column_scores`.

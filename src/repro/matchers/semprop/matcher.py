@@ -175,39 +175,42 @@ class SemPropMatcher(BaseMatcher):
             },
         )
 
-    def score_bound(self, prepared_query: PreparedTable, signals) -> float:
-        """Upper-bound pair scores with the store-sketch Jaccard, when sound.
-
-        A finite value is sound.  It is returned only when every pair falls
-        to the syntactic branch: no query column carries ontology links, so
-        ``coherence_score`` is 0 for every pair and stays below the positive
-        ``coherent_threshold``, and the branch scores at most
-        ``0.5 * estimated_jaccard``.  Under the further conditions checked
-        below — same signature width and seed as the store sketches, no
-        value sampling truncation on either side — the matcher's MinHash
-        estimate *is* the store-sketch estimate (both hash the identical
-        normalised distinct value set through the identical permutation
-        family), so ``0.5 * signals.max_jaccard`` dominates every pair score
-        exactly.  Any violated assumption returns ``+inf`` (score exactly).
+    def can_bound(self, prepared_query: PreparedTable) -> bool:
+        """Whether every pair falls to the syntactic branch, which a sketch
+        Jaccard bounds: no query column carries ontology links, so
+        ``coherence_score`` is 0 and stays below the positive
+        ``coherent_threshold``, and the branch scores at most ``0.5 *
+        estimated_jaccard``.  The query's values must also fit the sample,
+        or the matcher hashes a truncated value set the store never saw.
         """
         if self.coherent_threshold <= 0.0:
             # A zero threshold lets linkless pairs take the semantic branch
             # (score >= 0.5) — nothing cheap bounds that.
-            return math.inf
+            return False
         links = prepared_query.payload.get("links") or {}
-        if any(links.values()):
-            # Semantic matches score 0.5 + 0.5 * coherence; the sketch
-            # signals carry no ontology evidence to bound coherence with.
+        # Semantic matches score 0.5 + 0.5 * coherence; the sketch signals
+        # carry no ontology evidence to bound coherence with.
+        return not any(links.values()) and prepared_query.header.num_rows <= self.sample_size
+
+    def score_bound(self, prepared_query: PreparedTable, signals) -> float:
+        """Upper-bound pair scores with the store-sketch Jaccard, when sound.
+
+        A finite value is sound: it is returned only when :meth:`can_bound`
+        holds and the candidate was sketched as this matcher hashes (same
+        signature width and seed, no value sampling truncation).  Then the
+        matcher's MinHash estimate *is* the store-sketch estimate (the same
+        normalised distinct values through the same permutation family), so
+        ``0.5 * signals.max_jaccard`` dominates every pair score exactly.
+        Any violated assumption returns ``+inf`` (score exactly).
+        """
+        if not self.can_bound(prepared_query):
             return math.inf
         if signals.num_permutations != self.num_permutations or signals.seed != 7:
             # minhash_signature() hashes with the default seed-7 family; a
             # store sketched differently estimates a different Jaccard.
             return math.inf
-        if (
-            prepared_query.header.num_rows > self.sample_size
-            or signals.max_values > self.sample_size
-        ):
-            # Sampling would truncate a value set on one side, so the two
+        if signals.max_values > self.sample_size:
+            # Sampling would truncate the candidate's value set, so the two
             # estimators no longer hash the same sets.
             return math.inf
         return 0.5 * min(1.0, signals.max_jaccard)

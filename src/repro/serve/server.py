@@ -82,10 +82,6 @@ class ServeConfig:
     queue_limit: int = 32
     default_timeout_s: Optional[float] = 30.0
     reopen_poll_s: float = 1.0
-    #: Arm the two-stage rerank cascade for every served query (exact
-    #: rankings; sound bounds skip candidates that cannot reach the
-    #: top-k).
-    cascade: bool = False
     #: Optional :class:`~repro.faults.FaultPlan` (duck-typed: anything with
     #: ``check(operation)``) consulted at ``serve.score_batch`` — the chaos
     #: suite's injection point.  ``None`` costs nothing.
@@ -374,10 +370,7 @@ class DiscoveryServer:
             if self.config.fault_plan is not None:
                 self.config.fault_plan.check("serve.score_batch")
             (outcome,) = session.engine.query_many(
-                [request.table],
-                mode=request.mode,
-                top_k=request.top_k,
-                cascade=self.config.cascade,
+                [request.table], mode=request.mode, top_k=request.top_k
             )
         return outcome
 

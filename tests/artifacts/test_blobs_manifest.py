@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from matcher_support import load_manifest
+
 from repro.artifacts.blobs import BlobStore, blob_digest
 from repro.artifacts.manifest import (
     MANIFEST_NAME,
@@ -108,7 +110,7 @@ class TestManifest:
     def test_save_load_round_trip(self, tmp_path):
         manifest = self._manifest()
         manifest.save(tmp_path)
-        loaded = Manifest.load(tmp_path)
+        loaded = load_manifest(tmp_path)
         assert loaded.snapshot_id == manifest.snapshot_id
         assert loaded.tables == manifest.tables
         assert loaded.prepared == manifest.prepared
@@ -125,13 +127,13 @@ class TestManifest:
 
     def test_load_rejects_garbage(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            Manifest.load(tmp_path)
+            load_manifest(tmp_path)
         (tmp_path / MANIFEST_NAME).write_text("not json at all")
         with pytest.raises(ValueError, match="unreadable"):
-            Manifest.load(tmp_path)
+            load_manifest(tmp_path)
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({"kind": "something-else"}))
         with pytest.raises(ValueError, match="not a lake snapshot"):
-            Manifest.load(tmp_path)
+            load_manifest(tmp_path)
 
     @pytest.mark.parametrize("declared", [1, 2, 999])
     def test_load_rejects_other_formats(self, tmp_path, declared):
@@ -141,7 +143,7 @@ class TestManifest:
         data["format"] = declared
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"format {declared} .*republish"):
-            Manifest.load(tmp_path)
+            load_manifest(tmp_path)
 
     def test_saved_manifest_is_compact_and_names_its_snapshot(self, tmp_path):
         manifest = self._manifest()

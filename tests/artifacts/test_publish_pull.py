@@ -22,9 +22,9 @@ from dataclasses import replace
 
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS
+from matcher_support import LIGHT_MATCHER_CONFIGS, load_manifest
 
-from repro.artifacts import BlobStore, Manifest, RetryPolicy, publish_snapshot, pull_snapshot
+from repro.artifacts import BlobStore, RetryPolicy, publish_snapshot, pull_snapshot
 from repro.artifacts import blobs as blobs_module
 from repro.artifacts.manifest import MANIFEST_NAME, PreparedEntry, TableEntry
 from repro.data.csv_io import write_csv
@@ -62,7 +62,7 @@ def _ranking_bytes(store, prepared_store, matcher, query):
 
 def _assert_rows_are_blobs(artifact, sketch_stores, prepared_stores):
     """Every given store's row bytes == the blob bytes published for them."""
-    manifest = Manifest.load(artifact)
+    manifest = load_manifest(artifact)
     blobs = BlobStore(artifact / "blobs")
     sketch_blobs = {e.name: blobs.read(e.digest) for e in manifest.tables}
     prepared_blobs = {
@@ -228,10 +228,25 @@ class TestSafety:
                 pull_snapshot(path.parent, replica, retry=RetryPolicy(sleep=lambda _s: None))
             assert len(replica) == 0 and replica.version == 0
 
+    def test_old_format_manifest_is_refused_without_a_backoff(self, tmp_path):
+        """A refusal that an immediate re-read repeats byte for byte is the
+        artifact's own: the puller does not sleep through its retry policy
+        before saying so."""
+        store, _ = _build_lake(tmp_path)
+        publish_snapshot(store, tmp_path / "artifact")
+        store.close()
+        path = tmp_path / "artifact" / MANIFEST_NAME
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": 2}))
+        sleeps: list[float] = []
+        with SketchStore(tmp_path / "replica") as replica:
+            with pytest.raises(ValueError, match="format 2 .*republish"):
+                pull_snapshot(path.parent, replica, retry=RetryPolicy(sleep=sleeps.append))
+        assert sleeps == []
+
     def test_corrupt_blob_is_skipped_not_committed(self, tmp_path):
         store, _ = _build_lake(tmp_path)
         publish_snapshot(store, tmp_path / "artifact")
-        manifest = Manifest.load(tmp_path / "artifact")
+        manifest = load_manifest(tmp_path / "artifact")
         victim = manifest.tables[0]
         blob_path = (
             tmp_path / "artifact" / "blobs" / victim.digest[:2] / victim.digest
@@ -252,7 +267,7 @@ class TestSafety:
         ``corrupt`` and the store stays untouched."""
         store, _ = _build_lake(tmp_path)
         publish_snapshot(store, tmp_path / "artifact")
-        manifest = Manifest.load(tmp_path / "artifact")
+        manifest = load_manifest(tmp_path / "artifact")
         first, second, third = manifest.tables
         manifest.tables = [
             replace(first, digest=second.digest),  # names table_1
@@ -334,7 +349,7 @@ class TestDeltaPublish:
 
     def test_unchanged_republish_reads_no_row_and_writes_no_blob(self, published, census):
         store, prepared, _, _, artifact = published
-        snapshot_id = Manifest.load(artifact).snapshot_id
+        snapshot_id = load_manifest(artifact).snapshot_id
         report = publish_snapshot(store, artifact, prepared_store=prepared)
         assert census == {"rows_read": 0, "blob_digests": 0}
         assert (report.blobs_written, report.blobs_reused, report.blobs_pruned) == (0, 12, 0)
@@ -357,7 +372,7 @@ class TestDeltaPublish:
 
     def test_a_blob_deleted_by_hand_is_rewritten(self, published, census):
         store, prepared, _, _, artifact = published
-        entry = Manifest.load(artifact).prepared[2]
+        entry = load_manifest(artifact).prepared[2]
         path = artifact / "blobs" / entry.digest[:2] / entry.digest
         data = path.read_bytes()
         path.unlink()
@@ -370,6 +385,6 @@ class TestDeltaPublish:
     def test_stored_digests_are_the_blob_names(self, published):
         """Every row's stored digest names the blob published for it."""
         store, prepared, _, _, artifact = published
-        manifest = Manifest.load(artifact)
+        manifest = load_manifest(artifact)
         assert [TableEntry(*row) for row in store.raw_keys()] == manifest.tables
         assert [PreparedEntry(*row) for row in prepared.raw_keys()] == manifest.prepared

@@ -9,7 +9,9 @@ import threading
 
 import pytest
 
-from repro.artifacts import LakeWatcher, Manifest
+from matcher_support import load_manifest
+
+from repro.artifacts import LakeWatcher
 from repro.artifacts.watch import (
     QUARANTINE_AFTER,
     QUARANTINE_BASE_POLLS,
@@ -131,13 +133,13 @@ class TestPrepareAndPublish:
             watcher = LakeWatcher(store, lake_dir, publish_dir=artifact)
             first = watcher.poll_once()
             assert first.publish is not None
-            snapshot_id = Manifest.load(artifact).snapshot_id
+            snapshot_id = load_manifest(artifact).snapshot_id
             idle = watcher.poll_once()
             assert idle.publish is None  # no change, no republish
             _write_table(lake_dir, "t1", seed=55, num_rows=16)
             changed = watcher.poll_once()
             assert changed.publish is not None
-            assert Manifest.load(artifact).snapshot_id != snapshot_id
+            assert load_manifest(artifact).snapshot_id != snapshot_id
 
 
 def _counting_every_binding(monkeypatch, function, counts, key):

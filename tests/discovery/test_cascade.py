@@ -67,15 +67,15 @@ class TestTopKCutoff:
 class TestModeBound:
     def test_infinite_pair_bound_stays_infinite(self):
         for mode in ("joinable", "unionable", "combined"):
-            assert mode_bound(math.inf, mode, 0.55) == math.inf
+            assert mode_bound(math.inf, mode) == math.inf
 
     def test_union_bound_is_zero_below_threshold(self):
-        assert mode_bound(0.4, "unionable", 0.55) == 0.0
-        assert mode_bound(0.6, "unionable", 0.55) == 1.0
+        assert mode_bound(0.4, "unionable") == 0.0
+        assert mode_bound(0.6, "unionable") == 1.0
 
     def test_combined_blends_half_half(self):
-        assert mode_bound(0.4, "combined", 0.55) == pytest.approx(0.2)
-        assert mode_bound(0.8, "combined", 0.55) == pytest.approx(0.9)
+        assert mode_bound(0.4, "combined") == pytest.approx(0.2)
+        assert mode_bound(0.8, "combined") == pytest.approx(0.9)
 
 
 class TestModeScore:

@@ -18,10 +18,11 @@ from repro.data.table import Table
 from repro.datasets import open_data_table, tpcdi_prospect_table
 from repro.discovery import search
 from repro.discovery.search import (
+    DEFAULT_UNION_THRESHOLD,
     DatasetRepository,
     DiscoveryEngine,
     DiscoveryResult,
-    PairScorer,
+    score_prepared,
 )
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers.coma.matcher import ComaSchemaMatcher
@@ -166,7 +167,6 @@ class TestDiscoveryEngine:
 #: What the lake engine's rerank is made of: the oracle may call none of it.
 _RERANK_NAMES = {
     "prune_then_rerank",
-    "PairScorer",
     "score_prepared",
     "sort_discovery_results",
     "mode_score",
@@ -236,18 +236,17 @@ def gate_pair(tmp_path_factory):
     return query, candidate
 
 
-class TestPairScorer:
+class TestScorePrepared:
     def test_any_candidate_form_scores_alike_with_one_guard_a_side(
         self, gate_pair, monkeypatch
     ):
-        """``match_prepared`` guards both sides itself; the scorer adds no
-        third ``fingerprint()`` of its own on top of those two."""
+        """``match_prepared`` guards both sides itself; the rerank's pair
+        scorer adds no third ``fingerprint()`` of its own on top of those two."""
         query, candidate = gate_pair
         matcher = SemPropMatcher()
-        scorer = PairScorer(matcher)
         query_prepared, candidate_prepared = matcher.prepare(query), matcher.prepare(candidate)
         reference = reference_semprop_match_prepared(matcher, query_prepared, candidate_prepared)
-        expected = reference_relatedness(reference, query, scorer.union_threshold)
+        expected = reference_relatedness(reference, query, DEFAULT_UNION_THRESHOLD)
         foreign = CupidMatcher().prepare(candidate)
         assert foreign.fingerprint != matcher.fingerprint()
 
@@ -258,7 +257,7 @@ class TestPairScorer:
         )
         for form, allowed in ((candidate_prepared, 2), (candidate, 2), (foreign, 3)):
             del calls[:]
-            result = scorer.score_prepared(query_prepared, form)
+            result = score_prepared(matcher, query_prepared, form)
             # The guard, once a side; re-preparing stamps the new payload too.
             assert len(calls) <= allowed
             assert result.table_name == candidate.name

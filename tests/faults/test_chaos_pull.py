@@ -146,6 +146,22 @@ class TestChaosTransport:
         assert report.retries >= 1
         assert report.tables_added == _NUM_TABLES
 
+    def test_bit_flipped_manifest_is_retried(self, tmp_path, published):
+        """A refused manifest is final only when a re-read repeats its bytes;
+        one flipped in transit reads back different, so the pull retries it
+        and converges."""
+        artifact, _query, _expected = published
+        plan = FaultPlan(
+            [FaultSpec("transport.read_manifest", "corrupt", times=1)], seed=3
+        )
+        transport = FaultyTransport(LocalTransport(artifact), plan)
+        with SketchStore(tmp_path / "replica.sketches") as replica:
+            report = pull_snapshot(transport, replica, retry=_fast_retry())
+            assert plan.injected(kind="corrupt") == 1
+            assert report.retries == 1  # exactly the flipped read
+            assert report.tables_added == _NUM_TABLES
+            assert not report.corrupt
+
     def test_hard_down_transport_fails_in_bounded_time(self, tmp_path, published):
         """Persistent blob failure lands in ``report.corrupt`` (bounded by
         the budget) instead of aborting; a later clean pull converges."""

@@ -13,10 +13,10 @@ import sqlite3
 
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS
+from matcher_support import LIGHT_MATCHER_CONFIGS, load_manifest
 from repro.artifacts import publish_snapshot, pull_snapshot
 from repro.artifacts.blobs import BlobStore
-from repro.artifacts.manifest import BLOBS_DIR, Manifest
+from repro.artifacts.manifest import BLOBS_DIR
 from repro.data.csv_io import write_csv
 from repro.datasets import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
@@ -175,7 +175,7 @@ class TestChecks:
         store, _store_path, _lake_dir = built_lake
         artifact = tmp_path / "artifact"
         publish_snapshot(store, artifact)
-        manifest = Manifest.load(artifact)
+        manifest = load_manifest(artifact)
         blobs = BlobStore(artifact / BLOBS_DIR)
         victim, flipped = manifest.tables[0], manifest.tables[1]
         blobs._path_of(victim.digest).unlink()

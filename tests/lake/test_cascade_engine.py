@@ -1,30 +1,38 @@
 """End-to-end tests of the one rerank plan over the lake engine.
 
 Covers the exactness contract — for **every** registered matcher the
-ranking is byte-identical in every plan x resolve cell ({unpriced, priced}
-x {warm, cold}) and equal to ``DiscoveryEngine.discover``, an oracle that
-shares only the matcher and the relatedness measures with the rerank —
-plus the one bound rule (a finite bound skips, the base ``+inf`` never
-does), real skipping with SemProp's sound bound, the store round trips
-each plan is allowed to make, and the hash guard between the resident
-index stage 1 prices from and the store.
+ranking is byte-identical in every lake x resolve cell ({``families``,
+``overlap``} x {warm, cold}) and equal to ``DiscoveryEngine.discover``, an
+oracle that shares only the matcher and the relatedness measures with the
+rerank — plus who prices: a query is priced (stage-1 signals, bounds) exactly
+when its matcher can bound it, which on lakebench's two profiles means
+SemProp on ``overlap`` and nothing else.  Then the one bound rule (a finite
+bound skips, the base ``+inf`` never does), real skipping with SemProp's
+sound bound, the store round trips each plan is allowed to make, and the
+hash guard between the resident index stage 1 prices from and the store.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import shutil
 from contextlib import contextmanager, nullcontext
 
 import pytest
 
-from matcher_support import LIGHT_MATCHER_CONFIGS, csv_lake, engine_shortlist, prospect_lake
+from matcher_support import (
+    LIGHT_MATCHER_CONFIGS,
+    csv_lake,
+    engine_shortlist,
+    lakebench_lake,
+    prospect_lake,
+)
 
-from repro.data.csv_io import write_csv
+from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.discovery import search as discovery_search
 from repro.discovery.prepared import PreparedStore
-from repro.discovery.search import DiscoveryEngine
+from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.lake import engine as lake_engine
 from repro.lake import (
     LakeDiscoveryEngine,
@@ -39,6 +47,17 @@ from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.telemetry import TelemetryRecorder, use
 
 TOP_K = 3
+
+#: The light configs, but SemProp at the store's signature width: a bound
+#: needs the matcher to hash as the store sketched, so its ``overlap``
+#: cells really skip.
+GRID_CONFIGS = {**LIGHT_MATCHER_CONFIGS, "semprop": {"sample_size": 50}}
+
+#: The grid's lakes: lakebench's two profiles, and each one's query.  No
+#: ``families`` query can be bounded by SemProp (each has a column linked to
+#: its ontology); the ``overlap`` query can (five neutral ``field_N``).
+LAKES = {"families": "query_00_0", "overlap": "query_0_0"}
+
 
 def _signature(results):
     return [(r.table_name, r.joinability, r.unionability) for r in results]
@@ -60,23 +79,27 @@ def test_config_map_covers_every_registered_matcher():
 
 
 class _GridLake:
-    """A file-backed lake every grid cell queries.
+    """A file-backed lakegen lake every grid cell of one profile queries.
 
     A warm cell's candidates come from the shared prepared store (warmed
     per matcher before its first cell); a cold cell gets an empty prepared
     store of its own, so its candidates come from the CSVs.
     """
 
-    def __init__(self, directory) -> None:
-        self.query, tables = prospect_lake(slices=5)
+    def __init__(self, directory, profile: str) -> None:
+        root = lakebench_lake(directory / "gen", profile)
+        paths = sorted((root / "lake").glob("*.csv"))
+        self.queries = [read_csv(path) for path in sorted((root / "queries").glob("*.csv"))]
+        self.query = next(q for q in self.queries if q.name == LAKES[profile])
         self.store = SketchStore(directory / "lake.sketches")
+        build_from_paths(self.store, paths)
         # The oracle sees what the engine sees: tables as read back from CSV.
-        self.repository = csv_lake(directory / "csv", tables, self.store)
+        self.repository = DatasetRepository(read_csv(path) for path in paths)
         self.prepared_store = PreparedStore(directory / "lake.sketches.prepared")
         self._oracle: dict[tuple[str, str], list] = {}
 
     def matcher(self, method: str):
-        matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
+        matcher = create_matcher(method, **GRID_CONFIGS[method])
         prepare_lake(self.store, self.prepared_store, matcher)  # no-op once warm
         return matcher
 
@@ -87,7 +110,7 @@ class _GridLake:
         return self._oracle[method, mode]
 
     def discover(self, method: str, mode: str) -> list:
-        matcher = create_matcher(method, **LIGHT_MATCHER_CONFIGS[method])
+        matcher = create_matcher(method, **GRID_CONFIGS[method])
         return DiscoveryEngine(matcher=matcher).discover(
             self.query, self.repository, mode=mode, top_k=TOP_K
         )
@@ -98,19 +121,37 @@ class _GridLake:
 
 
 @pytest.fixture(scope="module")
-def grid_lake(tmp_path_factory):
-    lake = _GridLake(tmp_path_factory.mktemp("grid"))
-    yield lake
-    lake.close()
+def grid_lakes(tmp_path_factory):
+    lakes = {
+        profile: _GridLake(tmp_path_factory.mktemp(f"grid_{profile}"), profile)
+        for profile in LAKES
+    }
+    yield lakes
+    for lake in lakes.values():
+        lake.close()
+
+
+def _signal_calls(monkeypatch) -> list:
+    """Record every ``candidate_signals`` call the lake engine makes."""
+    calls: list = []
+    real = lake_engine.candidate_signals
+
+    def recording(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(lake_engine, "candidate_signals", recording)
+    return calls
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
-@pytest.mark.parametrize("priced", [False, True], ids=["unpriced", "priced"])
+@pytest.mark.parametrize("profile", sorted(LAKES))
 @pytest.mark.parametrize("mode", ["joinable", "unionable", "combined"])
 @pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
-def test_ranking_identical_in_every_plan_and_resolve_cell(
-    grid_lake, tmp_path, method, mode, priced, warm
+def test_ranking_identical_in_every_lake_and_resolve_cell(
+    grid_lakes, tmp_path, monkeypatch, method, mode, profile, warm
 ):
+    grid_lake = grid_lakes[profile]
     prepared_store = (
         nullcontext(grid_lake.prepared_store)
         if warm
@@ -121,17 +162,23 @@ def test_ranking_identical_in_every_plan_and_resolve_cell(
         store=grid_lake.store,
         prepared_store=prepared_store,
     ) as engine:
-        ranking = engine.query(grid_lake.query, mode=mode, top_k=TOP_K, cascade=priced)
+        calls = _signal_calls(monkeypatch)
+        ranking = engine.query(grid_lake.query, mode=mode, top_k=TOP_K)
         stats = engine.last_query_stats
         written = {name for _, name, *_ in prepared_store.raw_keys()}
     assert _signature(ranking) == grid_lake.oracle(method, mode)
     assert stats.shortlist_size == len(grid_lake.repository)
-    if priced:
+    if method == "semprop" and profile == "overlap":
+        # Priced: one signal call for the whole shortlist, and the bounds
+        # skip the value-disjoint tables wherever a pair score can rank.
+        assert len(calls) == 1
         assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
         assert stats.rerank_count == stats.cascade_exact
+        assert (stats.cascade_skipped > 0) is (mode != "unionable")
     else:
-        # An unpriced query is not a cascade: nothing skipped, and the
-        # cascade counters stay 0.
+        # Unpriced: no signal computed, nothing skipped, and the cascade
+        # counters stay 0.
+        assert calls == []
         assert stats.rerank_count == stats.shortlist_size
         assert stats.cascade_exact == stats.cascade_skipped == 0
     if warm:
@@ -144,19 +191,46 @@ def test_ranking_identical_in_every_plan_and_resolve_cell(
         assert len(written) == stats.rerank_count
 
 
-def test_grid_oracle_does_not_share_a_planted_rerank_defect(grid_lake, monkeypatch):
-    """A unionability threshold raised by 0.1 inside the rerank's
-    ``PairScorer`` moves the engine's scores but not the oracle's, so the
-    grid comparison fails: the two sides share no rerank code."""
+@pytest.mark.parametrize(
+    "method, profile, calls_per_query",
+    [
+        ("cupid", "families", 0),
+        ("cupid", "overlap", 0),
+        ("semprop", "families", 0),
+        ("semprop", "overlap", 1),
+    ],
+)
+def test_signals_are_computed_only_for_a_query_its_matcher_can_bound(
+    grid_lakes, monkeypatch, method, profile, calls_per_query
+):
+    """The census behind "no settable value selects pricing": over every
+    query of the lake, ``candidate_signals`` runs once for a query the
+    matcher can bound and never for any other."""
+    grid_lake = grid_lakes[profile]
+    matcher = grid_lake.matcher(method)
+    with LakeDiscoveryEngine(
+        matcher=matcher, store=grid_lake.store, prepared_store=grid_lake.prepared_store
+    ) as engine:
+        for query in grid_lake.queries:
+            assert matcher.can_bound(matcher.prepare(query)) is bool(calls_per_query)
+            calls = _signal_calls(monkeypatch)
+            engine.query(query, mode="joinable", top_k=TOP_K)
+            assert len(calls) == calls_per_query, query.name
+            monkeypatch.undo()
+
+
+def test_grid_oracle_does_not_share_a_planted_rerank_defect(grid_lakes, monkeypatch):
+    """A unionability threshold raised by 0.1 in the constant the rerank
+    scores with moves the engine's scores but not the oracle's, so the grid
+    comparison fails: the two sides share no rerank code."""
+    grid_lake = grid_lakes["families"]
     method, mode = "jaccardlevenshtein", "joinable"
     clean = grid_lake.oracle(method, mode)
-    score_prepared = discovery_search.PairScorer.score_prepared
-
-    def planted(scorer, query, candidate):
-        raised = dataclasses.replace(scorer, union_threshold=scorer.union_threshold + 0.1)
-        return score_prepared(raised, query, candidate)
-
-    monkeypatch.setattr(discovery_search.PairScorer, "score_prepared", planted)
+    monkeypatch.setattr(
+        discovery_search,
+        "DEFAULT_UNION_THRESHOLD",
+        discovery_search.DEFAULT_UNION_THRESHOLD + 0.1,
+    )
     with LakeDiscoveryEngine(
         matcher=grid_lake.matcher(method),
         store=grid_lake.store,
@@ -172,7 +246,14 @@ def test_grid_oracle_does_not_share_a_planted_rerank_defect(grid_lake, monkeypat
 # --------------------------------------------------------------------- #
 
 
-class _WrongLowBoundMatcher(JaccardLevenshteinMatcher):
+class _PricedMatcher(JaccardLevenshteinMatcher):
+    """Says it can bound every query, yet keeps the base ``+inf`` bound."""
+
+    def can_bound(self, prepared_query) -> bool:
+        return True
+
+
+class _WrongLowBoundMatcher(_PricedMatcher):
     """A deliberately *unsound* finite bound: claims no pair can beat 0.0."""
 
     def score_bound(self, prepared_query, signals) -> float:
@@ -194,9 +275,8 @@ class TestOneBoundRule:
             matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
         ) as engine:
             plain = engine.query(query, mode="combined", top_k=TOP_K)
-            priced, counters = _query_counted(
-                engine, query, mode="combined", top_k=TOP_K, cascade=True
-            )
+        with LakeDiscoveryEngine(matcher=_PricedMatcher(sample_size=8), store=store) as engine:
+            priced, counters = _query_counted(engine, query, mode="combined", top_k=TOP_K)
             stats = engine.last_query_stats
         assert _signature(priced) == _signature(plain)
         assert counters["rerank.cascade.skipped"] == 0
@@ -236,9 +316,7 @@ class TestOneBoundRule:
         with LakeDiscoveryEngine(
             matcher=_WrongLowBoundMatcher(sample_size=8), store=store
         ) as engine:
-            _, counters = _query_counted(
-                engine, query, mode="combined", top_k=TOP_K, cascade=True
-            )
+            _, counters = _query_counted(engine, query, mode="combined", top_k=TOP_K)
             stats = engine.last_query_stats
         assert counters["rerank.cascade.skipped"] > 0
         assert (
@@ -248,19 +326,10 @@ class TestOneBoundRule:
 
     def test_cascade_prices_every_shortlisted_candidate(self, lake, monkeypatch):
         query, store = lake
-        calls = []
-        real = lake_engine.candidate_signals
-
-        def recording(*args, **kwargs):
-            calls.append(real(*args, **kwargs))
-            return calls[-1]
-
-        monkeypatch.setattr(lake_engine, "candidate_signals", recording)
-        with LakeDiscoveryEngine(
-            matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
-        ) as engine:
+        calls = _signal_calls(monkeypatch)
+        with LakeDiscoveryEngine(matcher=_PricedMatcher(sample_size=8), store=store) as engine:
             shortlist = {entry.table_name for entry in engine_shortlist(engine, query, TOP_K)}
-            engine.query(query, mode="combined", top_k=TOP_K, cascade=True)
+            engine.query(query, mode="combined", top_k=TOP_K)
         (priced,) = calls  # the whole shortlist in one call
         assert set(priced) == shortlist - {query.name}
         assert all(0.0 <= signal.max_jaccard <= 1.0 for signal in priced.values())
@@ -329,10 +398,15 @@ def _semprop_engine(store_path):
 def test_semprop_cascade_skips_and_stays_exact_serial(semprop_lake):
     store_path, query = semprop_lake
     with _semprop_engine(store_path) as engine:
-        plain = engine.query(query, mode="joinable", top_k=TOP_K)
-        cascaded = engine.query(query, mode="joinable", top_k=TOP_K, cascade=True)
+        cascaded = engine.query(query, mode="joinable", top_k=TOP_K)
         stats = engine.last_query_stats
-    assert _signature(cascaded) == _signature(plain)
+    repository = DatasetRepository(
+        read_csv(path) for path in sorted((store_path.parent / "csv").glob("*.csv"))
+    )
+    oracle = DiscoveryEngine(SemPropMatcher()).discover(
+        query, repository, mode="joinable", top_k=TOP_K
+    )
+    assert _signature(cascaded) == _signature(oracle)
     # The floor the cascade is held to: an inline priced rerank scores the
     # three goods first, after which every bad's bound is under the cutoff.
     assert stats.cascade_skipped >= 0.3 * stats.shortlist_size
@@ -384,15 +458,29 @@ def counting_engine(semprop_lake):
         yield engine, sketch_store, prepared_store, query
 
 
+def _linked(query: Table) -> Table:
+    """*query* plus a ``city`` column, which links to SemProp's ontology: the
+    semantic branch opens, which no sketch signal bounds."""
+    columns = {column.name: column.values for column in query.columns}
+    return Table(query.name, {**columns, "city": columns["field_0"]})
+
+
 def test_unpriced_inline_warm_rerank_is_one_meta_read_and_one_payload_read(
-    counting_engine,
+    counting_engine, monkeypatch
 ):
+    """A query SemProp cannot bound computes no signal, so nothing can skip
+    and the rerank resolves the whole shortlist in one round trip."""
     engine, sketch_store, prepared_store, query = counting_engine
-    engine.query(query, mode="joinable", top_k=TOP_K)
+    linked = _linked(query)
+    assert not engine.matcher.can_bound(engine.matcher.prepare(linked))
+    calls = _signal_calls(monkeypatch)
+    engine.query(linked, mode="joinable", top_k=TOP_K)
     stats = engine.last_query_stats
+    assert calls == []
     assert sketch_store.meta_calls == [stats.shortlist_size]  # one read
     assert prepared_store.get_many_calls == [stats.shortlist_size]
     assert stats.store_hits == stats.rerank_count == stats.shortlist_size
+    assert stats.cascade_exact == stats.cascade_skipped == 0
 
 
 def test_priced_rerank_reads_payloads_only_for_scored_candidates(
@@ -407,7 +495,7 @@ def test_priced_rerank_reads_payloads_only_for_scored_candidates(
         "from_bytes",
         staticmethod(lambda data: decodes.append(len(data)) or decode(data)),
     )
-    engine.query(query, mode="joinable", top_k=TOP_K, cascade=True)
+    engine.query(query, mode="joinable", top_k=TOP_K)
     stats = engine.last_query_stats
     # Stage 1 prices from the sketches the index holds: the store is asked
     # for hashes and paths once, and no sketch is decoded again.
@@ -418,16 +506,18 @@ def test_priced_rerank_reads_payloads_only_for_scored_candidates(
     assert stats.store_hits == stats.cascade_exact
 
 
-def test_priced_rerank_with_no_finite_bound_is_one_payload_read(counting_engine):
-    """A query column linked to SemProp's ontology opens the semantic branch,
-    which no sketch signal bounds: every bound is +inf, nothing can skip,
-    so the priced rerank resolves the whole shortlist in one round trip."""
+def test_priced_rerank_with_no_finite_bound_is_one_payload_read(
+    counting_engine, monkeypatch
+):
+    """A priced query whose every candidate bound is +inf (here: a bound
+    that refuses every candidate) cannot skip, so the priced rerank resolves
+    the whole shortlist in one round trip."""
     engine, sketch_store, prepared_store, query = counting_engine
-    columns = {column.name: column.values for column in query.columns}
-    linked = Table(query.name, {**columns, "city": columns["field_0"]})
-    assert any(engine.matcher.prepare(linked).payload["links"].values())
-    engine.query(linked, mode="joinable", top_k=TOP_K, cascade=True)
+    monkeypatch.setattr(SemPropMatcher, "score_bound", lambda *args: math.inf)
+    calls = _signal_calls(monkeypatch)
+    engine.query(query, mode="joinable", top_k=TOP_K)
     stats = engine.last_query_stats
+    assert len(calls) == 1
     assert stats.cascade_skipped == 0
     assert stats.cascade_exact == stats.shortlist_size
     assert prepared_store.get_many_calls == [stats.shortlist_size]
@@ -438,7 +528,7 @@ def test_priced_rerank_without_top_k_is_one_payload_read(counting_engine):
     """No top-k, no cutoff: even finite bounds cannot skip, so the priced
     rerank resolves the whole shortlist in one round trip."""
     engine, sketch_store, prepared_store, query = counting_engine
-    engine.query(query, mode="joinable", cascade=True)
+    engine.query(query, mode="joinable")
     stats = engine.last_query_stats
     assert stats.cascade_skipped == 0
     assert stats.cascade_exact == stats.shortlist_size
@@ -466,12 +556,13 @@ _TIMINGS = {"total_seconds", "shortlist_seconds", "rerank_seconds", "snapshot"}
 @pytest.mark.parametrize("recorded", [False, True], ids=["no-recorder", "recorder"])
 def test_query_is_query_many_of_one(counting_engine, priced, recorded):
     engine, _, _, query = counting_engine
+    if not priced:
+        query = _linked(query)
     with use(TelemetryRecorder()) if recorded else nullcontext():
-        single = engine.query(query, mode="joinable", top_k=TOP_K, cascade=priced)
+        single = engine.query(query, mode="joinable", top_k=TOP_K)
         single_stats = engine.last_query_stats
-        (batched,) = engine.query_many(
-            [query], mode="joinable", top_k=TOP_K, cascade=priced
-        )
+        (batched,) = engine.query_many([query], mode="joinable", top_k=TOP_K)
+    assert (single_stats.cascade_exact > 0) is priced
     assert _signature(batched.results) == _signature(single)
     for name, value in vars(single_stats).items():
         if name not in _TIMINGS:
@@ -525,7 +616,7 @@ def test_table_rewritten_after_the_index_refresh_is_scored_exactly(
         matcher=SemPropMatcher(), store=store, prepared_store=prepared_store
     ) as engine:
         assert len(engine.index) == _GOOD + _BAD
-        raced = engine.query(query, mode="joinable", top_k=TOP_K, cascade=True)
+        raced = engine.query(query, mode="joinable", top_k=TOP_K)
         stats = engine.last_query_stats
         assert store.writer is None  # the commit really landed mid-query
         settled = engine.query(query, mode="joinable", top_k=TOP_K)

@@ -358,7 +358,7 @@ class TestWorkCensus:
                 store.add_table(table, source_path=path)
             with LakeDiscoveryEngine(matcher=SemPropMatcher(), store=store) as engine:
                 shortlist = engine_shortlist(engine, tables[0], top_k=2)
-                engine.query(tables[0], top_k=2, cascade=True)
+                engine.query(tables[0], top_k=2)
         (signals,) = calls
         assert len(shortlist) > 2
         assert set(signals) == {c.table_name for c in shortlist} - {"t0"}

@@ -30,7 +30,7 @@ from matcher_support import (
 from repro.data.csv_io import read_csv
 from repro.data.table import ColumnRef
 from repro.discovery.prepared import PreparedStore
-from repro.discovery.search import PairScorer
+from repro.discovery.search import score_prepared
 from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
 from repro.matchers import base
 from repro.matchers.cupid.matcher import CupidMatcher
@@ -114,7 +114,7 @@ def test_one_cupid_pair_ends_in_the_same_constructor(gate_lake, monkeypatch):
     query_prepared, candidate_prepared = matcher.prepare(query), matcher.prepare(candidate)
 
     census = _Census(monkeypatch)
-    result = PairScorer(matcher).score_prepared(query_prepared, candidate_prepared)
+    result = score_prepared(matcher, query_prepared, candidate_prepared)
     monkeypatch.undo()
     assert census.matches == 1
     assert census.refs <= query.num_columns + candidate.num_columns

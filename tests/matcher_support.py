@@ -32,6 +32,7 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.artifacts import LocalTransport, Manifest
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import ColumnRef, Table
 from repro.data.types import DataType, type_compatibility
@@ -67,6 +68,7 @@ __all__ = [
     "linguistic_similarity",
     "lakebench_column_names",
     "lakebench_lake",
+    "load_manifest",
     "prospect_lake",
     "reference_candidate_signals",
     "reference_candidate_tables",
@@ -119,15 +121,27 @@ def _lakegen():
     return module
 
 
-def lakebench_lake(out_dir: Path) -> Path:
-    """Write a one-family ``families`` lake the way the gate does, just smaller.
+def load_manifest(artifact_dir: Path) -> Manifest:
+    """The manifest of an artifact directory, read as a pull reads it."""
+    return Manifest.from_bytes(LocalTransport(artifact_dir).read_manifest())
 
-    ``<out_dir>/lake/*.csv`` are four planted relatives plus two background
-    tables (30 rows each), ``<out_dir>/queries/*.csv`` a wide (14-column)
-    and a narrow query.
+
+def lakebench_lake(out_dir: Path, profile: str = "families") -> Path:
+    """Write a lake of one of the gate's two profiles, just smaller.
+
+    ``families``: ``<out_dir>/lake/*.csv`` are four planted relatives plus
+    two background tables (30 rows each), ``<out_dir>/queries/*.csv`` a wide
+    (14-column) and a narrow query.  ``overlap``: four tables sharing a
+    falling share of the query's values and four value-disjoint ones, all
+    with the same five ``field_N`` columns (30 rows each), and one query.
     """
     module = _lakegen()
-    shape = module.LakeShape("families", tables=6, rows=30, groups=1, queries_per_group=1)
+    shape = {
+        "families": module.LakeShape("families", tables=6, rows=30, groups=1, queries_per_group=1),
+        "overlap": module.LakeShape(
+            "overlap", tables=8, rows=30, groups=1, queries_per_group=1, cohort=4
+        ),
+    }[profile]
     module.generate(out_dir, 1, shape)
     return out_dir
 

@@ -30,7 +30,6 @@ from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Column, Table
 from repro.data.types import DataType
 from repro.datasets import tpcdi_prospect_table
-from repro.discovery.search import PairScorer
 from repro.experiments.parameters import default_parameter_grids
 from repro.matchers.cupid import linguistic
 from repro.matchers.cupid.matcher import CupidMatcher
@@ -371,7 +370,7 @@ class TestNamePairTableContract:
         source = Table("s", {"client_name": ["a"], "zip": ["b"], "salary": [1]})
         target = Table("t", {"customer": ["c"], "postal_code": ["d"], "wage": [2]})
         prepared = matcher.prepare(source), matcher.prepare(target)
-        plan = (PairScorer(matcher), prepared[0])
+        plan = (matcher, prepared[0])
         cold = len(pickle.dumps(matcher)), len(pickle.dumps(plan))
         keys_before = len(thesaurus._keys)
         hits_before, _ = linguistic.name_pair_work()

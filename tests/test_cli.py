@@ -7,9 +7,11 @@ import re
 import socket
 import sqlite3
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.artifacts.manifest import MANIFEST_NAME
 from repro.cli import build_parser, main
 from repro.cli.options import (
     matcher_name,
@@ -120,7 +122,8 @@ _METHOD = (("--method",), "method", "'ComaSchema'")
 #: ``query --budget-ms``, ``--prepared-store`` on ``prepare``, ``publish``,
 #: ``pull``, ``query``, ``serve``, ``stats``, ``verify`` and ``watch``,
 #: ``query --no-prepared-store``, ``publish`` / ``pull --no-prepared``,
-#: ``publish --iblt-cells`` / ``--no-prune`` and ``pull --keep-missing``.
+#: ``publish --iblt-cells`` / ``--no-prune``, ``pull --keep-missing`` and
+#: ``query --cascade`` (``serve --cascade`` still parses and does nothing).
 _PARSER_SURFACE = {
     "": [(("--verbose", "-v"), "verbose", "0")],
     "coverage": [],
@@ -145,7 +148,6 @@ _PARSER_SURFACE = {
     ],
     "lake query": [
         ((), "query_csv", "None"),
-        (("--cascade",), "cascade", "False"),
         _METHOD,
         (("--mode",), "mode", "'joinable'"),
         (("--stats",), "stats", "False"),
@@ -236,6 +238,7 @@ class TestParserSurface:
             ["lake", "publish", "out", "--iblt-cells", "8"],
             ["lake", "publish", "out", "--no-prune"],
             ["lake", "pull", "src", "--keep-missing"],
+            ["lake", "query", "q.csv", "--cascade"],
         ],
         ids=lambda argv: " ".join(argv[1:2] + [a for a in argv if a.startswith("--")]),
     )
@@ -245,6 +248,27 @@ class TestParserSurface:
         assert excinfo.value.code == 2
         flag = next(a for a in argv if a.startswith("--"))
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_serve_cascade_parses_and_changes_nothing(self, monkeypatch, capsys):
+        """A query is priced when its matcher can bound it, so ``lake serve
+        --cascade`` has nothing left to switch: it is accepted, hidden from
+        ``--help``, and the daemon gets the same config without it."""
+        from repro.serve import server as serve_server
+
+        configs = []
+
+        def capture(self, config):
+            configs.append(config)
+            raise ValueError("stop before binding")
+
+        monkeypatch.setattr(serve_server.DiscoveryServer, "__init__", capture)
+        argv = ["lake", "serve", "--store", "lake.sketches"]
+        assert main(argv) == 1
+        assert main([*argv, "--cascade"]) == 1
+        assert configs[0] == configs[1]
+        with pytest.raises(SystemExit):
+            main(["lake", "serve", "--help"])
+        assert "--cascade" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -450,6 +474,36 @@ class TestCommands:
         capsys.readouterr()
         assert main(["lake", "verify", "--store", str(replica), "--artifact", str(artifact)]) == 0
         assert "verify: clean" in capsys.readouterr().out
+
+    def test_a_pull_reads_the_manifest_once(self, tmp_path, capsys, monkeypatch):
+        """`lake pull` parses the manifest to open the replica with its sketch
+        config, then pulls from those same bytes: one read per pull, so a
+        publish landing in between cannot split what it opened from what it
+        syncs."""
+        lake_dir = tmp_path / "lake"
+        lake_dir.mkdir()
+        write_csv(
+            Table("cities", {"city": ["delft", "leiden", "gouda"], "pop": [1, 2, 3]}),
+            lake_dir / "cities.csv",
+        )
+        store, artifact = tmp_path / "lake.sketches", tmp_path / "artifact"
+        assert main(["lake", "build", str(lake_dir), "--store", str(store)]) == 0
+        assert main(["lake", "publish", str(artifact), "--store", str(store)]) == 0
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            if path.name == MANIFEST_NAME:
+                reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        pull = ["lake", "pull", str(artifact), "--store", str(tmp_path / "replica.sketches")]
+        assert main(pull) == 0
+        assert len(reads) == 1
+        assert main(pull) == 0  # already in sync: still one read
+        assert len(reads) == 2
+        assert "already in sync" in capsys.readouterr().out
 
     @pytest.mark.parametrize("with_artifact", [False, True], ids=["alone", "artifact"])
     def test_replica_verifies_clean_after_a_pull_without_prepared_payloads(

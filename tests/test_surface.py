@@ -44,7 +44,7 @@ _PARAMETERS = {
     ),
     "LakeDiscoveryEngine.query": (
         LakeDiscoveryEngine.query,
-        ("self", "query", "mode", "top_k", "cascade"),
+        ("self", "query", "mode", "top_k"),
     ),
     "DiscoveryEngine": (DiscoveryEngine, ("matcher",)),
     "LakeWatcher": (
@@ -77,7 +77,6 @@ _PARAMETERS = {
             "queue_limit",
             "default_timeout_s",
             "reopen_poll_s",
-            "cascade",
             "fault_plan",
         ),
     ),
@@ -91,7 +90,6 @@ _LAKE_OPTIONS = {
     "pull": ("src", "--retry-attempts", "--retry-budget", "--store"),
     "query": (
         "query_csv",
-        "--cascade",
         "--method",
         "--mode",
         "--stats",
