@@ -28,7 +28,6 @@ from repro.artifacts.transport import (
     ArtifactTransport,
     FaultyTransport,
     LocalTransport,
-    PinnedTransport,
     RetryPolicy,
     TransportError,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "LakeWatcher",
     "LocalTransport",
     "Manifest",
-    "PinnedTransport",
     "PreparedEntry",
     "PublishReport",
     "PullReport",

@@ -40,7 +40,6 @@ __all__ = [
     "ArtifactTransport",
     "LocalTransport",
     "FaultyTransport",
-    "PinnedTransport",
     "RetryPolicy",
     "RetryState",
 ]
@@ -135,8 +134,9 @@ class FaultyTransport(ArtifactTransport):
 
 
 class PinnedTransport(LocalTransport):
-    """An artifact directory whose manifest is bytes already read from it:
-    a pull syncs the snapshot its caller parsed, even across a publish."""
+    """An artifact directory whose manifest is bytes already read from it,
+    so a pull uses the manifest its caller parsed instead of reading it
+    again.  Blobs are still read from the directory as it is now."""
 
     def __init__(self, artifact_dir: Union[str, Path], manifest: bytes) -> None:
         super().__init__(artifact_dir)

@@ -38,8 +38,8 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
         help="default per-request deadline (clients can override per query; "
         "expired requests get 504)",
     )
-    # Accepted and ignored: a query is priced exactly when its matcher can
-    # bound it.  lakebench's served workload still passes the flag.
+    # Accepted and ignored: a query is priced exactly when a bound could
+    # skip.  lakebench's served workload still passes the flag.
     serve.add_argument("--cascade", action="store_true", help=argparse.SUPPRESS)
     serve.add_argument(
         "--reopen-poll-s", type=positive_float, default=1.0, metavar="SECONDS",

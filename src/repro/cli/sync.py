@@ -100,7 +100,8 @@ def _command_lake_publish(args: argparse.Namespace) -> int:
 
 
 def _command_lake_pull(args: argparse.Namespace) -> int:
-    from repro.artifacts import LocalTransport, Manifest, PinnedTransport, RetryPolicy, pull_snapshot
+    from repro.artifacts import LocalTransport, Manifest, RetryPolicy, pull_snapshot
+    from repro.artifacts.transport import PinnedTransport
 
     try:
         raw = LocalTransport(args.src).read_manifest()
@@ -118,7 +119,7 @@ def _command_lake_pull(args: argparse.Namespace) -> int:
         prepared="create" if manifest.prepared else "if_present",
     ) as (store, prepared_store):
         report = pull_snapshot(
-            PinnedTransport(args.src, raw),  # one read: what was parsed is pulled
+            PinnedTransport(args.src, raw),  # the manifest parsed above
             store,
             prepared_store=prepared_store,
             retry=RetryPolicy(max_attempts=args.retry_attempts, budget=args.retry_budget),

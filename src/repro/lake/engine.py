@@ -15,12 +15,14 @@ The rerank is the one plan of
 skip/resolve/score → cutoff feedback), run in this process.  This engine
 supplies its three inputs per query: the LSH shortlist, a
 :class:`StoreResolver` built from the shortlist's one batched
-:meth:`SketchStore.table_meta` read, and — when the matcher says it can
-bound the prepared query (:meth:`~repro.matchers.base.BaseMatcher.can_bound`)
-— the stage-1 signals, priced in one call per query from the signature
-matrix the :class:`~repro.lake.index.LakeIndex` already holds decoded,
-never from the store.  A query its matcher cannot bound computes no signal
-and no bound.  A candidate is priced only while its indexed content hash
+:meth:`SketchStore.table_meta` read, and — when a bound could skip a
+candidate — the stage-1 signals, priced in one call per query from the
+signature matrix the :class:`~repro.lake.index.LakeIndex` already holds
+decoded, never from the store.  A bound can skip only under a top-k cutoff
+and only when the matcher's
+:meth:`~repro.matchers.base.BaseMatcher.score_ceiling` for the prepared
+query is finite and, lifted to the mode, above 0; any other query computes
+no signal and no bound.  A candidate is priced only while its indexed content hash
 equals the one ``table_meta`` just returned — a bound never meets content
 other than the payload it prices; the rest are scored exactly.
 """
@@ -28,6 +30,7 @@ other than the payload it prices; the rest are scored exactly.
 from __future__ import annotations
 
 import logging
+import math
 import sqlite3
 import time
 from contextlib import nullcontext
@@ -36,7 +39,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.table import Table
-from repro.discovery.cascade import CandidateSignals, candidate_signals
+from repro.discovery.cascade import CandidateSignals, candidate_signals, mode_bound
 from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import (
     CANDIDATE_MULTIPLIER,
@@ -274,11 +277,13 @@ class LakeDiscoveryEngine:
         top_k:
             Truncate the final ranking (also bounds the shortlist).
 
-        When the matcher can bound the prepared query, the shortlist is
-        priced: per-candidate score bounds are derived from the sketches the
-        index holds, the matcher runs best-bound-first and skips candidates
-        whose finite (sound) bound proves they cannot reach the top-k.  The
-        ranking is the one scoring every candidate would give.
+        With a *top_k* and a query its matcher can bound in this *mode*
+        (:meth:`~repro.matchers.base.BaseMatcher.score_ceiling`), the
+        shortlist is priced: per-candidate score bounds are derived from
+        the sketches the index holds, the matcher runs best-bound-first and
+        skips candidates whose finite (sound) bound proves they cannot reach
+        the top-k.  The ranking is the one scoring every candidate would
+        give.
 
         Afterwards :attr:`last_query_stats` holds the structured statistics
         of this query (stage durations, shortlist/rerank sizes, store hits).
@@ -313,8 +318,8 @@ class LakeDiscoveryEngine:
     def _query_one(
         self, query: Table, mode: str, top_k: Optional[int]
     ) -> BatchQueryResult:
-        """Shortlist → prepared query → signals if the matcher can bound
-        it → the rerank plan → stats."""
+        """Shortlist → prepared query → signals if a bound could skip →
+        the rerank plan → stats."""
         parent = telemetry.get_recorder()
         child = TelemetryRecorder() if parent.enabled else None
         start = time.perf_counter()
@@ -337,7 +342,11 @@ class LakeDiscoveryEngine:
                 else:
                     query_prepared = self.matcher.prepare(query)
             signals: Optional[dict[str, CandidateSignals]] = None
-            if self.matcher.can_bound(query_prepared):
+            # A bound skips a candidate only when it falls below the top-k
+            # cutoff: pricing needs a cutoff and a finite ceiling above 0 in
+            # this mode (at 0 every score, and so the cutoff, is 0).
+            ceiling = mode_bound(self.matcher.score_ceiling(query_prepared), mode)
+            if top_k is not None and 0.0 < ceiling < math.inf:
                 # A table whose stored hash moved on since the index was
                 # refreshed gets no signal: +inf bound, scored exactly.
                 priced = []

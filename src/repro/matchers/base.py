@@ -378,11 +378,14 @@ class BaseMatcher(abc.ABC):
     # ------------------------------------------------------------------ #
     # rerank-cascade hooks
     # ------------------------------------------------------------------ #
-    def can_bound(self, prepared_query: PreparedTable) -> bool:
-        """Whether :meth:`score_bound` can be finite for any candidate of
-        this *prepared* query: the lake engine computes stage-1 signals only
-        then.  The default, like ``score_bound``'s ``+inf``, is no."""
-        return False
+    def score_ceiling(self, prepared_query: PreparedTable) -> float:
+        """The most any column-pair score of this *prepared* query can
+        reach, against any candidate, or ``+inf`` when the matcher cannot
+        bound it — then :meth:`score_bound` is ``+inf`` for every
+        candidate.  The lake engine computes stage-1 signals only for a
+        finite ceiling that a ranking score can stay below.  The default,
+        like ``score_bound``'s, is ``+inf``."""
+        return math.inf
 
     def score_bound(
         self, prepared_query: PreparedTable, signals: "CandidateSignals"
@@ -409,7 +412,7 @@ class BaseMatcher(abc.ABC):
 
         The default is ``+inf`` — "I cannot bound this" — so a matcher that
         does not override it is always scored exactly.  An override returns
-        ``+inf`` itself wherever :meth:`can_bound` says no, and for any
+        ``+inf`` itself wherever :meth:`score_ceiling` is, and for any
         candidate where its argument breaks (mismatched signature widths or
         seeds, value sampling that could truncate).
         """

@@ -175,35 +175,38 @@ class SemPropMatcher(BaseMatcher):
             },
         )
 
-    def can_bound(self, prepared_query: PreparedTable) -> bool:
-        """Whether every pair falls to the syntactic branch, which a sketch
-        Jaccard bounds: no query column carries ontology links, so
+    def score_ceiling(self, prepared_query: PreparedTable) -> float:
+        """``0.5`` when every pair falls to the syntactic branch, which a
+        sketch Jaccard bounds: no query column carries ontology links, so
         ``coherence_score`` is 0 and stays below the positive
         ``coherent_threshold``, and the branch scores at most ``0.5 *
         estimated_jaccard``.  The query's values must also fit the sample,
         or the matcher hashes a truncated value set the store never saw.
+        ``+inf`` otherwise.
         """
         if self.coherent_threshold <= 0.0:
             # A zero threshold lets linkless pairs take the semantic branch
             # (score >= 0.5) — nothing cheap bounds that.
-            return False
+            return math.inf
         links = prepared_query.payload.get("links") or {}
         # Semantic matches score 0.5 + 0.5 * coherence; the sketch signals
         # carry no ontology evidence to bound coherence with.
-        return not any(links.values()) and prepared_query.header.num_rows <= self.sample_size
+        if any(links.values()) or prepared_query.header.num_rows > self.sample_size:
+            return math.inf
+        return 0.5
 
     def score_bound(self, prepared_query: PreparedTable, signals) -> float:
         """Upper-bound pair scores with the store-sketch Jaccard, when sound.
 
-        A finite value is sound: it is returned only when :meth:`can_bound`
-        holds and the candidate was sketched as this matcher hashes (same
+        A finite value is sound: it is returned only when
+        :meth:`score_ceiling` is finite and the candidate was sketched as this matcher hashes (same
         signature width and seed, no value sampling truncation).  Then the
         matcher's MinHash estimate *is* the store-sketch estimate (the same
         normalised distinct values through the same permutation family), so
         ``0.5 * signals.max_jaccard`` dominates every pair score exactly.
         Any violated assumption returns ``+inf`` (score exactly).
         """
-        if not self.can_bound(prepared_query):
+        if math.isinf(self.score_ceiling(prepared_query)):
             return math.inf
         if signals.num_permutations != self.num_permutations or signals.seed != 7:
             # minhash_signature() hashes with the default seed-7 family; a

@@ -36,7 +36,8 @@ class QueryStats:
     #: Candidates served straight from the prepared store (no CSV, no prepare).
     store_hits: int = 0
     #: Whole-query wall clock, and its two headline stages.  Always
-    #: measured, even with telemetry disabled.
+    #: measured, even with telemetry disabled.  The rerank stage runs from
+    #: preparing the query to the ranking, stage-1 pricing included.
     total_seconds: float = 0.0
     shortlist_seconds: float = 0.0
     rerank_seconds: float = 0.0

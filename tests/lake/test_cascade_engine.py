@@ -2,11 +2,13 @@
 
 Covers the exactness contract — for **every** registered matcher the
 ranking is byte-identical in every lake x resolve cell ({``families``,
-``overlap``} x {warm, cold}) and equal to ``DiscoveryEngine.discover``, an
-oracle that shares only the matcher and the relatedness measures with the
-rerank — plus who prices: a query is priced (stage-1 signals, bounds) exactly
-when its matcher can bound it, which on lakebench's two profiles means
-SemProp on ``overlap`` and nothing else.  Then the one bound rule (a finite
+``overlap``, ``prospect``} x {warm, cold}) and equal to
+``DiscoveryEngine.discover``, an oracle that shares only the matcher and the
+relatedness measures with the rerank — plus who prices: a query is priced
+(stage-1 signals, bounds) exactly when a bound could skip — a top-k query
+whose matcher's score ceiling is finite and, in the mode, above 0 — which
+on lakebench's two profiles means a joinable or combined SemProp query on
+``overlap`` and nothing else.  Then the one bound rule (a finite
 bound skips, the base ``+inf`` never does), real skipping with SemProp's
 sound bound, the store round trips each plan is allowed to make, and the
 hash guard between the resident index stage 1 prices from and the store.
@@ -58,6 +60,10 @@ GRID_CONFIGS = {**LIGHT_MATCHER_CONFIGS, "semprop": {"sample_size": 50}}
 #: its ontology); the ``overlap`` query can (five neutral ``field_N``).
 LAKES = {"families": "query_00_0", "overlap": "query_0_0"}
 
+#: A third grid lake with typed columns (dates, numerics): a TPC-DI
+#: prospect query, its unionable sibling and joinable vertical cuts.
+PROSPECT = "prospect"
+
 
 def _signature(results):
     return [(r.table_name, r.joinability, r.unionability) for r in results]
@@ -79,7 +85,7 @@ def test_config_map_covers_every_registered_matcher():
 
 
 class _GridLake:
-    """A file-backed lakegen lake every grid cell of one profile queries.
+    """A file-backed lake every grid cell of one lake queries.
 
     A warm cell's candidates come from the shared prepared store (warmed
     per matcher before its first cell); a cold cell gets an empty prepared
@@ -87,14 +93,19 @@ class _GridLake:
     """
 
     def __init__(self, directory, profile: str) -> None:
-        root = lakebench_lake(directory / "gen", profile)
-        paths = sorted((root / "lake").glob("*.csv"))
-        self.queries = [read_csv(path) for path in sorted((root / "queries").glob("*.csv"))]
-        self.query = next(q for q in self.queries if q.name == LAKES[profile])
         self.store = SketchStore(directory / "lake.sketches")
-        build_from_paths(self.store, paths)
         # The oracle sees what the engine sees: tables as read back from CSV.
-        self.repository = DatasetRepository(read_csv(path) for path in paths)
+        if profile == PROSPECT:
+            self.query, tables = prospect_lake(slices=5)
+            self.queries = [self.query]
+            self.repository = csv_lake(directory / "csv", tables, self.store)
+        else:
+            root = lakebench_lake(directory / "gen", profile)
+            paths = sorted((root / "lake").glob("*.csv"))
+            self.queries = [read_csv(path) for path in sorted((root / "queries").glob("*.csv"))]
+            self.query = next(q for q in self.queries if q.name == LAKES[profile])
+            build_from_paths(self.store, paths)
+            self.repository = DatasetRepository(read_csv(path) for path in paths)
         self.prepared_store = PreparedStore(directory / "lake.sketches.prepared")
         self._oracle: dict[tuple[str, str], list] = {}
 
@@ -124,7 +135,7 @@ class _GridLake:
 def grid_lakes(tmp_path_factory):
     lakes = {
         profile: _GridLake(tmp_path_factory.mktemp(f"grid_{profile}"), profile)
-        for profile in LAKES
+        for profile in [*LAKES, PROSPECT]
     }
     yield lakes
     for lake in lakes.values():
@@ -145,7 +156,7 @@ def _signal_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
-@pytest.mark.parametrize("profile", sorted(LAKES))
+@pytest.mark.parametrize("profile", sorted([*LAKES, PROSPECT]))
 @pytest.mark.parametrize("mode", ["joinable", "unionable", "combined"])
 @pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
 def test_ranking_identical_in_every_lake_and_resolve_cell(
@@ -168,16 +179,18 @@ def test_ranking_identical_in_every_lake_and_resolve_cell(
         written = {name for _, name, *_ in prepared_store.raw_keys()}
     assert _signature(ranking) == grid_lake.oracle(method, mode)
     assert stats.shortlist_size == len(grid_lake.repository)
-    if method == "semprop" and profile == "overlap":
+    if method == "semprop" and profile == "overlap" and mode != "unionable":
         # Priced: one signal call for the whole shortlist, and the bounds
-        # skip the value-disjoint tables wherever a pair score can rank.
+        # skip the value-disjoint tables.
         assert len(calls) == 1
         assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
         assert stats.rerank_count == stats.cascade_exact
-        assert (stats.cascade_skipped > 0) is (mode != "unionable")
+        assert stats.cascade_skipped > 0
     else:
         # Unpriced: no signal computed, nothing skipped, and the cascade
-        # counters stay 0.
+        # counters stay 0.  A unionable SemProp query on ``overlap`` is
+        # among these: its ceiling (0.5) is below the union threshold, so
+        # every unionability is 0 and no bound can fall under the cutoff.
         assert calls == []
         assert stats.rerank_count == stats.shortlist_size
         assert stats.cascade_exact == stats.cascade_skipped == 0
@@ -212,7 +225,8 @@ def test_signals_are_computed_only_for_a_query_its_matcher_can_bound(
         matcher=matcher, store=grid_lake.store, prepared_store=grid_lake.prepared_store
     ) as engine:
         for query in grid_lake.queries:
-            assert matcher.can_bound(matcher.prepare(query)) is bool(calls_per_query)
+            ceiling = matcher.score_ceiling(matcher.prepare(query))
+            assert math.isfinite(ceiling) is bool(calls_per_query)
             calls = _signal_calls(monkeypatch)
             engine.query(query, mode="joinable", top_k=TOP_K)
             assert len(calls) == calls_per_query, query.name
@@ -249,8 +263,8 @@ def test_grid_oracle_does_not_share_a_planted_rerank_defect(grid_lakes, monkeypa
 class _PricedMatcher(JaccardLevenshteinMatcher):
     """Says it can bound every query, yet keeps the base ``+inf`` bound."""
 
-    def can_bound(self, prepared_query) -> bool:
-        return True
+    def score_ceiling(self, prepared_query) -> float:
+        return 1.0
 
 
 class _WrongLowBoundMatcher(_PricedMatcher):
@@ -472,7 +486,7 @@ def test_unpriced_inline_warm_rerank_is_one_meta_read_and_one_payload_read(
     and the rerank resolves the whole shortlist in one round trip."""
     engine, sketch_store, prepared_store, query = counting_engine
     linked = _linked(query)
-    assert not engine.matcher.can_bound(engine.matcher.prepare(linked))
+    assert math.isinf(engine.matcher.score_ceiling(engine.matcher.prepare(linked)))
     calls = _signal_calls(monkeypatch)
     engine.query(linked, mode="joinable", top_k=TOP_K)
     stats = engine.last_query_stats
@@ -524,14 +538,24 @@ def test_priced_rerank_with_no_finite_bound_is_one_payload_read(
     assert stats.store_hits == stats.shortlist_size
 
 
-def test_priced_rerank_without_top_k_is_one_payload_read(counting_engine):
-    """No top-k, no cutoff: even finite bounds cannot skip, so the priced
-    rerank resolves the whole shortlist in one round trip."""
+@pytest.mark.parametrize(
+    "mode, top_k", [("joinable", None), ("unionable", TOP_K)], ids=["no-top-k", "unionable"]
+)
+def test_query_no_bound_can_skip_is_unpriced_and_one_payload_read(
+    counting_engine, monkeypatch, mode, top_k
+):
+    """SemProp can bound this query, but no bound can skip a candidate:
+    without a top k there is no cutoff, and a unionable ranking under a
+    0.5 ceiling is 0 everywhere.  So no signal is computed and the rerank
+    resolves the whole shortlist in one round trip."""
     engine, sketch_store, prepared_store, query = counting_engine
-    engine.query(query, mode="joinable")
+    assert engine.matcher.score_ceiling(engine.matcher.prepare(query)) == 0.5
+    calls = _signal_calls(monkeypatch)
+    engine.query(query, mode=mode, top_k=top_k)
     stats = engine.last_query_stats
-    assert stats.cascade_skipped == 0
-    assert stats.cascade_exact == stats.shortlist_size
+    assert calls == []
+    assert stats.cascade_exact == stats.cascade_skipped == 0
+    assert stats.rerank_count == stats.shortlist_size
     assert prepared_store.get_many_calls == [stats.shortlist_size]
 
 

@@ -477,9 +477,9 @@ class TestCommands:
 
     def test_a_pull_reads_the_manifest_once(self, tmp_path, capsys, monkeypatch):
         """`lake pull` parses the manifest to open the replica with its sketch
-        config, then pulls from those same bytes: one read per pull, so a
-        publish landing in between cannot split what it opened from what it
-        syncs."""
+        config, then pulls with those same bytes: one manifest read per
+        pull, and the config the replica was opened with is the one of the
+        manifest it pulls."""
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()
         write_csv(
