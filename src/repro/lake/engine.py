@@ -22,9 +22,10 @@ decoded, never from the store.  A bound can skip only under a top-k cutoff
 and only when the matcher's
 :meth:`~repro.matchers.base.BaseMatcher.score_ceiling` for the prepared
 query is finite and, lifted to the mode, above 0; any other query computes
-no signal and no bound.  A candidate is priced only while its indexed content hash
-equals the one ``table_meta`` just returned — a bound never meets content
-other than the payload it prices; the rest are scored exactly.
+no signal and no bound.  A candidate is priced only while its indexed
+content hash equals the one ``table_meta`` just returned — a bound never
+meets content other than the payload it prices; the rest are scored
+exactly.
 """
 
 from __future__ import annotations
