@@ -9,11 +9,11 @@ S-curve that passes near-certainly above the similarity threshold and
 near-never below it, which is what makes candidate generation sublinear in
 lake size.
 
-Bucket collisions are then refined with cheap sketch-level checks (full
-signature Jaccard, data-type compatibility, hash-space histogram distance)
-before any expensive matcher sees the pair, in one pass of array
-expressions per query over a columnar copy of the indexed columns, rebuilt
-once per index generation (after any :meth:`LakeIndex.add` / ``remove``).
+The bands are sorted arrays cut from the signature matrix of a columnar
+copy of the indexed columns.  A query's band collisions, found by exact
+byte equality, are refined with cheap sketch-level checks (full signature
+Jaccard, data-type compatibility, hash-space histogram distance) before
+any expensive matcher sees the pair, in one pass of array expressions.
 
 The index is also the process's one decoded copy of the lake's sketches: it
 keeps every table's sketch whole (:meth:`LakeIndex.sketch`), and the rerank
@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.data.types import TYPE_COMPATIBILITY_MATRIX, TYPE_INDEX
-from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch
+from repro.lake.profiles import SketchConfig, TableSketch
 from repro.telemetry import recorder as telemetry
 
 __all__ = ["LSHParams", "CandidateTable", "LakeIndex"]
@@ -112,14 +113,29 @@ def _builtin_sums(terms: np.ndarray) -> np.ndarray:
     return total + compensation
 
 
+def _band_keys(signatures: np.ndarray, params: LSHParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each band of *signatures*, band-major, as a byte string, and its sort
+    key: the band number, then its first and last hash (less a few bits)."""
+    bands, rows = params.bands, params.rows
+    slices = signatures[:, : bands * rows].reshape(-1, bands, rows).transpose(1, 0, 2)
+    slices = np.ascontiguousarray(slices).reshape(-1, rows)
+    shift = np.uint64(max(1, (bands - 1).bit_length()))
+    number = np.repeat(np.arange(bands, dtype=np.uint64), len(signatures)) << np.uint64(64) - shift
+    hashes = slices[:, 0].astype(np.uint64) << np.uint64(32) | slices[:, -1]
+    return number | hashes >> shift, slices.view(np.dtype((np.void, 4 * rows))).ravel()
+
+
 @dataclass(frozen=True)
 class _Columnar:
     """One index generation's columns as arrays: a row per column of every
     table, the empty ones too (pricing compares them), sorted by
     ``(table name, column name)`` so row and table numbers order keys and
-    names the way ``str`` compares them.  ``rows`` maps the bucketed keys."""
+    names the way ``str`` compares them; ``rows`` and ``band_*`` hold the bucketed ones."""
 
     rows: dict[tuple[str, str], int]
+    band_prefixes: np.ndarray  # the sort keys of _band_keys, ascending
+    band_keys: np.ndarray  # the bands as byte strings, in that order
+    band_rows: np.ndarray  # the row each band belongs to
     column_names: list[str]
     signatures: np.ndarray  # uint32, rows x permutations
     histograms: np.ndarray  # rows x the widest histogram, zero-padded
@@ -132,7 +148,9 @@ class _Columnar:
     max_values: np.ndarray  # largest non-missing cell count per table
 
     @classmethod
-    def build(cls, sketches: Iterable[TableSketch], width: int) -> "_Columnar":
+    def build(
+        cls, sketches: Iterable[TableSketch], config: SketchConfig, params: LSHParams
+    ) -> "_Columnar":
         tables = sorted(sketches, key=lambda table: table.name)
         columns = [
             column
@@ -142,12 +160,19 @@ class _Columnar:
         sizes = [len(column.histogram) for column in columns]
         buckets = max(sizes, default=0)
         widths = [table.num_columns for table in tables]
+        signatures = np.array([column.minhash.values for column in columns], dtype=np.uint32)
+        signatures = signatures.reshape(len(columns), -1 if columns else config.num_permutations)
+        # Empty columns collide with everything trivially: never bucketed.
+        bucketed = np.flatnonzero([column.minhash.set_size for column in columns])
+        prefixes, keys = _band_keys(signatures[bucketed], params)
+        order = np.argsort(prefixes)
         return cls(
-            rows={c.key: row for row, c in enumerate(columns) if c.minhash.set_size},
+            rows={columns[row].key: row for row in bucketed.tolist()},
+            band_prefixes=prefixes[order],
+            band_keys=keys[order],
+            band_rows=np.tile(bucketed, params.bands)[order],
             column_names=[column.column_name for column in columns],
-            signatures=np.array(
-                [column.minhash.values for column in columns], dtype=np.uint32
-            ).reshape(len(columns), -1 if columns else width),
+            signatures=signatures,
             histograms=np.array(
                 [c.histogram + (0.0,) * (buckets - len(c.histogram)) for c in columns]
             ).reshape(len(columns), buckets),
@@ -166,9 +191,10 @@ class _Columnar:
 class LakeIndex:
     """In-memory LSH banding index over the column sketches of a lake.
 
-    The index is cheap to (re)build from a :class:`SketchStore` — buckets are
-    plain dict lookups over already-persisted signatures — and supports
-    incremental :meth:`add` / :meth:`remove` mirroring store mutations.
+    Opening one from a :class:`SketchStore` decodes the persisted sketches
+    and files each column under its normalised name; the band arrays are
+    built from the signature matrix at the first query.  :meth:`add` /
+    :meth:`remove` mirror store mutations incrementally.
     """
 
     def __init__(
@@ -179,7 +205,6 @@ class LakeIndex:
         params.validate(config.num_permutations)
         self.config = config
         self.params = params
-        self._buckets: dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]] = {}
         # table name -> its whole sketch; makes removal O(columns of table).
         self._tables: dict[str, TableSketch] = {}
         # normalised column name -> keys; the schema-evidence channel.
@@ -206,58 +231,33 @@ class LakeIndex:
         """Names of the tables currently indexed."""
         return set(self._tables)
 
-    @property
-    def num_columns(self) -> int:
-        """How many columns are bucketed (the empty ones are not)."""
-        return len({c.key for t in self._tables.values() for c in t.columns if c.minhash.set_size})
-
-    def _band_keys(self, sketch: ColumnSketch) -> Iterable[tuple[int, tuple[int, ...]]]:
-        values = sketch.minhash.values
-        rows = self.params.rows
-        for band in range(self.params.bands):
-            yield (band, values[band * rows : (band + 1) * rows])
-
     @staticmethod
     def _name_key(column_name: str) -> str:
         return column_name.strip().lower()
 
     def add(self, table_sketch: TableSketch) -> None:
-        """Insert (or replace) a table's column sketches into the buckets."""
+        """Insert (or replace) a table's column sketches."""
         self._arrays = None
         if table_sketch.name in self._tables:
             self.remove(table_sketch.name)
         self._tables[table_sketch.name] = table_sketch
         for column in table_sketch.columns:
-            if column.minhash.set_size == 0:
-                continue  # empty columns collide with everything trivially
-            for key in self._band_keys(column):
-                self._buckets.setdefault(key, set()).add(column.key)
-            self._name_buckets.setdefault(
-                self._name_key(column.column_name), set()
-            ).add(column.key)
+            if column.minhash.set_size:  # an empty column is never bucketed
+                names = self._name_buckets.setdefault(self._name_key(column.column_name), set())
+                names.add(column.key)
 
     def remove(self, table_name: str) -> None:
-        """Drop every column of *table_name* from the buckets."""
+        """Drop every column of *table_name*."""
         doomed = self._tables.pop(table_name, None)
         if doomed is None:
             return
         self._arrays = None
         for column in doomed.columns:
-            column_key = column.key
-            if column.minhash.set_size == 0:
-                continue  # an empty column: never bucketed
-            for bucket_key in self._band_keys(column):
-                bucket = self._buckets.get(bucket_key)
-                if bucket is not None:
-                    bucket.discard(column_key)
-                    if not bucket:
-                        del self._buckets[bucket_key]
             name_key = self._name_key(column.column_name)
-            names = self._name_buckets.get(name_key)
-            if names is not None:
-                names.discard(column_key)
-                if not names:
-                    del self._name_buckets[name_key]
+            names = self._name_buckets.get(name_key, set())
+            names.discard(column.key)
+            if not names:
+                self._name_buckets.pop(name_key, None)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -271,7 +271,7 @@ class LakeIndex:
     def _columnar(self) -> _Columnar:
         """This generation's columnar copy, built on first use after a change."""
         if self._arrays is None:
-            self._arrays = _Columnar.build(self._tables.values(), self.config.num_permutations)
+            self._arrays = _Columnar.build(self._tables.values(), self.config, self.params)
         return self._arrays
 
     def signature_block(
@@ -316,25 +316,30 @@ class LakeIndex:
         params = self.params
         # In name order, so a query column's number orders its name too.
         query_columns = sorted(query.columns, key=lambda column: column.column_name)
-        # Each query column's name collisions, then its band-only ones.
-        colliding: list[int] = []
-        counts: list[int] = []
-        for query_column in query_columns:
-            seen: set[tuple[str, str]] = set()
-            for bucket_key in self._band_keys(query_column):
-                seen.update(self._buckets.get(bucket_key, ()))
-            named: Iterable[tuple[str, str]] = ()
-            if params.name_match_score > 0:
-                named = self._name_buckets.get(self._name_key(query_column.column_name), ())
-                seen.difference_update(named)
-            colliding += map(columns.rows.__getitem__, named)
-            colliding += map(columns.rows.__getitem__, seen)
-            counts += (len(named), len(seen))
+        signatures = np.array([c.minhash.values for c in query_columns], dtype=np.uint32)
+        if signatures.shape[1] != columns.signatures.shape[1]:
+            raise ValueError("signatures must use the same number of permutations")
+        # Band collisions: the bands under each query band's sort key that
+        # equal it byte for byte, marked per (query column, row).
+        prefixes, keys = _band_keys(signatures, params)
+        starts = np.searchsorted(columns.band_prefixes, prefixes)
+        counts = np.searchsorted(columns.band_prefixes, prefixes, side="right") - starts
+        probe = np.repeat(np.arange(len(keys)), counts)
+        at = np.arange(len(probe)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        hit = columns.band_keys.take(at) == keys.take(probe)
+        collides = np.zeros((len(query_columns), len(columns.column_names)), dtype=bool)
+        collides[probe[hit] % len(query_columns), columns.band_rows.take(at[hit])] = True
+        # Name collisions, then the band-only ones.
+        names = self._name_buckets if params.name_match_score > 0 else {}
+        named = [names.get(self._name_key(c.column_name), ()) for c in query_columns]
+        named_q = np.repeat(np.arange(len(named)), [len(keys) for keys in named])
+        named = np.fromiter(map(columns.rows.__getitem__, chain(*named)), np.intp)
+        collides[named_q, named] = False
+        band_q, band_row = np.nonzero(collides)
+        q, row = np.concatenate((named_q, band_q)), np.concatenate((named, band_row))
         telemetry.count("lsh.bands_probed", params.bands * len(query_columns))
-        telemetry.count("lsh.bucket_candidates", sum(counts))
-        groups = np.arange(2 * len(query_columns))
-        q, name_match = np.repeat(groups // 2, counts), np.repeat(groups % 2 == 0, counts)
-        row = np.array(colliding, dtype=np.intp)
+        telemetry.count("lsh.bucket_candidates", len(q))
+        name_match = np.arange(len(q)) < len(named)
         keep = columns.table_of[row] != columns.slots.get(query.name, -1)
         q, row, name_match = q[keep], row[keep], name_match[keep]
 
@@ -358,14 +363,9 @@ class LakeIndex:
         histogram_rejected = checked & (distance > params.max_histogram_distance)
         scored = ~type_rejected & ~histogram_rejected
         similarity = np.zeros(len(row))
-        if scored.any():
-            signatures = np.array([c.minhash.values for c in query_columns], dtype=np.uint32)
-            width = columns.signatures.shape[1]
-            if signatures.shape[1] != width:
-                raise ValueError("signatures must use the same number of permutations")
-            if width:
-                equal = signatures[q[scored]] == columns.signatures[row[scored]]
-                similarity[scored] = np.count_nonzero(equal, axis=1) / width
+        if scored.any() and signatures.shape[1]:
+            equal = signatures[q[scored]] == columns.signatures[row[scored]]
+            similarity[scored] = np.count_nonzero(equal, axis=1) / signatures.shape[1]
         similarity[name_match] = np.maximum(similarity[name_match], params.name_match_score)
         jaccard_rejected = scored & (similarity < params.min_jaccard)
         accepted = scored & ~jaccard_rejected

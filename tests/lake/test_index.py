@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from matcher_support import reference_buckets, reference_candidate_tables
 
 from repro.data.table import Column, Table
 from repro.datasets import tpcdi_prospect_table
@@ -49,6 +50,11 @@ def fabricated_lake():
     return related, unrelated
 
 
+def _bucketed(index):
+    """The column keys the reference banding files under a name."""
+    return set().union(*reference_buckets(index)[1].values())
+
+
 def _build_index(tables, config=SketchConfig(), params=LSHParams()):
     index = LakeIndex(config=config, params=params)
     for table in tables:
@@ -68,18 +74,23 @@ class TestParams:
         assert len(index) == 2
         index.remove("offices")
         assert len(index) == 1
-        assert index.num_columns == 4
+        assert _bucketed(index) == {("clients", name) for name in clients_table.column_names}
         sketch = sketch_table(clients_table)
         assert index.candidate_tables(sketch) == []  # only itself remains
         index.remove("clients")
         assert len(index) == 0
-        assert not index._buckets
+        assert reference_buckets(index) == ({}, {})
+        # Under another name nothing hides a stale band or name bucket.
+        probe = sketch_table(clients_table.rename("probe"))
+        assert index.candidate_tables(probe) == reference_candidate_tables(index, probe) == []
 
     def test_re_adding_replaces(self, clients_table):
         index = _build_index([clients_table])
         index.add(sketch_table(clients_table))
         assert len(index) == 1
-        assert index.num_columns == 4
+        assert _bucketed(index) == {("clients", name) for name in clients_table.column_names}
+        probe = sketch_table(clients_table.rename("probe"))
+        assert index.candidate_tables(probe) == reference_candidate_tables(index, probe)
 
 
 class TestCandidates:

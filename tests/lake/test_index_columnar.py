@@ -13,6 +13,8 @@ timed.
 from __future__ import annotations
 
 import random
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from matcher_support import (
     _lakegen,
     engine_shortlist,
+    lakebench_lake,
     reference_candidate_signals,
     reference_candidate_tables,
     reference_histogram_distance,
@@ -32,6 +35,7 @@ from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.data.types import DataType
 from repro.discovery.cascade import candidate_signals
+from repro.lake.build import build_from_paths
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch, sketch_table
@@ -192,6 +196,92 @@ class TestEqualsTheReferenceUnderMutation:
                     _assert_matches_reference(index, query, top_k=top_k)
 
 
+# --------------------------------------------------------------------- #
+# edge cases of the band arrays, each against the reference
+# --------------------------------------------------------------------- #
+def _rebuilt(index: LakeIndex, params: LSHParams) -> LakeIndex:
+    """A *params* index over the sketches *index* holds."""
+    rebuilt = LakeIndex(index.config, params)
+    for name in sorted(index.table_names):
+        rebuilt.add(index.sketch(name))
+    return rebuilt
+
+
+def _emptied(sketch: TableSketch) -> TableSketch:
+    """*sketch* with every column's value set empty."""
+    empty = MinHashSignature((2**32 - 1,) * len(sketch.columns[0].minhash.values), 0)
+    columns = tuple(replace(column, minhash=empty) for column in sketch.columns)
+    return replace(sketch, columns=columns)
+
+
+class TestEdgeCasesEqualTheReference:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            LSHParams(bands=16, rows=4),  # the bands cover half the signature
+            LSHParams(bands=128, rows=1),
+            LSHParams(bands=32, rows=1, min_jaccard=0.0),
+            LSHParams(name_match_score=0.0),
+        ],
+        ids=["16x4-of-128", "128x1", "32x1-no-jaccard-floor", "no-name-channel"],
+    )
+    def test_banding_shapes(self, lakegen_index, params):
+        index, queries = lakegen_index
+        rebuilt = _rebuilt(index, params)
+        for query in queries:
+            _assert_matches_reference(rebuilt, query, top_k=None)
+        assert any(rebuilt.candidate_tables(query) for query in queries)
+
+    def test_a_lake_of_empty_columns(self, lakegen_index):
+        index, queries = lakegen_index
+        empty = LakeIndex(index.config, index.params)
+        for name in sorted(index.table_names):
+            empty.add(_emptied(index.sketch(name)))
+        assert empty._columnar().band_keys.size == 0  # nothing is bucketed
+        for query in queries + [_emptied(queries[0])]:
+            _assert_matches_reference(empty, query)
+            assert empty.candidate_tables(query) == []
+
+    def test_an_index_emptied_by_remove(self, lakegen_index):
+        index, queries = lakegen_index
+        emptied = _rebuilt(index, index.params)
+        _assert_matches_reference(emptied, queries[0])
+        for name in sorted(emptied.table_names):
+            emptied.remove(name)
+        assert len(emptied) == 0
+        for query in queries:
+            _assert_matches_reference(emptied, query)
+            assert emptied.candidate_tables(query) == []
+
+    def test_an_engines_incremental_refresh(self, tmp_path):
+        """Tables added and removed through the store between two probes:
+        the engine's refreshed index equals the reference over what it
+        holds, and an index opened afresh from the store."""
+        rng = random.Random(9)
+        words = [f"w{i}" for i in range(40)]
+
+        def table(name: str) -> Table:
+            return Table(name, {f"field_{c}": rng.sample(words, 15) for c in range(3)})
+
+        with SketchStore() as store:
+            for i in range(5):
+                store.add_table(table(f"t{i}"))
+            query = sketch_table(table("query"), store.config, content_hash="")
+            with LakeDiscoveryEngine(matcher=SemPropMatcher(), store=store) as engine:
+                index = engine.index
+                _assert_matches_reference(index, query)
+                store.remove_table("t1")
+                store.add_table(table("t2"))  # replaced
+                store.add_table(table("t5"))
+                assert engine.index is index  # refreshed, not reopened
+                assert index.table_names == {"t0", "t2", "t3", "t4", "t5"}
+                _assert_matches_reference(index, query)
+                _assert_matches_reference(index, query, top_k=2)
+                assert index.candidate_tables(query) == LakeIndex.from_store(
+                    store
+                ).candidate_tables(query)
+
+
 def _one_column(table: str, name: str, signature, histogram) -> TableSketch:
     column = ColumnSketch(
         table_name=table,
@@ -274,9 +364,9 @@ def counted_builds(monkeypatch):
     builds = []
     build = lake_index._Columnar.build
 
-    def counting(tables, config):
+    def counting(tables, *args):
         builds.append(len(tables))
-        return build(tables, config)
+        return build(tables, *args)
 
     monkeypatch.setattr(lake_index._Columnar, "build", staticmethod(counting))
     return builds
@@ -314,6 +404,49 @@ class TestWorkCensus:
         index.remove("missing")  # not a change: the copy stays
         index.candidate_tables(tables[0])
         assert counted_builds == [4, 3, 4]
+
+    def test_adds_after_an_open_rebuild_the_bands_once(self, counted_builds):
+        tables = _tables(6)
+        with SketchStore() as store:
+            for sketch in tables[:3]:
+                store.add_sketch(sketch)
+            index = LakeIndex.from_store(store)
+        assert counted_builds == []  # an open bands nothing
+        index.candidate_tables(tables[0])
+        assert counted_builds == [3]
+        for sketch in tables[3:]:
+            index.add(sketch)
+        assert counted_builds == [3]
+        index.candidate_tables(tables[0])
+        index.candidate_tables(tables[4])
+        assert counted_builds == [3, 6]
+        assert len(index._columnar().band_keys) == index.params.bands * 6 * 2
+
+    def test_an_open_and_its_first_probe_make_linear_calls(self, tmp_path):
+        """``from_store`` plus the first probe on the test ``families`` lake
+        make a bounded number of Python-level calls per table and column,
+        not a few per column and band: filling dict buckets one band key at
+        a time made about 165 per table or column here."""
+        lake = lakebench_lake(tmp_path)
+        paths = sorted((lake / "lake").glob("*.csv"))
+        with SketchStore() as store:
+            build_from_paths(store, paths)
+            query = read_csv(sorted((lake / "queries").glob("*.csv"))[0])
+            sketch = sketch_table(query, store.config, content_hash="")
+            units = len(paths) + sum(table.num_columns for table in store)
+            calls = []
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    calls.append(event)
+
+            sys.setprofile(profile)
+            try:
+                candidates = LakeIndex.from_store(store).candidate_tables(sketch)
+            finally:
+                sys.setprofile(None)
+        assert candidates
+        assert len(calls) <= 40 * units, (len(calls), units)
 
     def test_no_per_pair_sketch_calls(self, monkeypatch):
         index = LakeIndex()

@@ -367,18 +367,50 @@ def reference_histogram_distance(a: ColumnSketch, b: ColumnSketch) -> float:
     return sum(abs(x - y) for x, y in zip(a.histogram, b.histogram))
 
 
+def reference_buckets(
+    index: LakeIndex,
+) -> tuple[dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]], dict[str, set[tuple[str, str]]]]:
+    """The dict banding ``LakeIndex`` kept before its bands were arrays:
+    ``(band, tuple of rows) -> column keys`` and ``normalised name -> column
+    keys``, filled one key at a time from every indexed table's sketch (the
+    empty columns are never bucketed)."""
+    buckets: dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]] = {}
+    names: dict[str, set[tuple[str, str]]] = {}
+    for table_name in index.table_names:
+        for column in index.sketch(table_name).columns:
+            if column.minhash.set_size == 0:
+                continue
+            for key in _reference_band_keys(index, column):
+                buckets.setdefault(key, set()).add(column.key)
+            names.setdefault(column.column_name.strip().lower(), set()).add(column.key)
+    return buckets, names
+
+
+def _reference_band_keys(
+    index: LakeIndex, sketch: ColumnSketch
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    values, rows = sketch.minhash.values, index.params.rows
+    for band in range(index.params.bands):
+        yield (band, values[band * rows : (band + 1) * rows])
+
+
 def _reference_candidate_columns(
-    index: LakeIndex, query: ColumnSketch, exclude_table: Optional[str] = None
+    index: LakeIndex,
+    query: ColumnSketch,
+    buckets: tuple[dict, dict],
+    exclude_table: Optional[str] = None,
 ) -> list[tuple[ColumnSketch, float]]:
     """``LakeIndex.candidate_columns`` as it was: one query column's
-    collisions, refined and scored one pair at a time."""
+    collisions in *buckets* (:func:`reference_buckets`), refined and scored
+    one pair at a time."""
+    band_buckets, name_buckets = buckets
     seen: set[tuple[str, str]] = set()
-    for bucket_key in index._band_keys(query):
-        seen.update(index._buckets.get(bucket_key, ()))
+    for bucket_key in _reference_band_keys(index, query):
+        seen.update(band_buckets.get(bucket_key, ()))
     params = index.params
     name_matches: set[tuple[str, str]] = set()
     if params.name_match_score > 0:
-        name_matches = index._name_buckets.get(index._name_key(query.column_name), set())
+        name_matches = name_buckets.get(query.column_name.strip().lower(), set())
         seen |= name_matches
     scored: list[tuple[ColumnSketch, float]] = []
     type_rejected = histogram_rejected = jaccard_rejected = 0
@@ -427,9 +459,10 @@ def reference_candidate_tables(
     """``LakeIndex.candidate_tables`` as it was: per-column candidates, one
     vote per (query column, table), a Python sum per table."""
     per_table: dict[str, dict[str, tuple[str, float]]] = {}
+    buckets = reference_buckets(index)
     for query_column in query.columns:
         for candidate, similarity in _reference_candidate_columns(
-            index, query_column, exclude_table=query.name
+            index, query_column, buckets, exclude_table=query.name
         ):
             best = per_table.setdefault(candidate.table_name, {})
             current = best.get(query_column.column_name)
