@@ -277,9 +277,8 @@ class TestEdgeCasesEqualTheReference:
                 assert index.table_names == {"t0", "t2", "t3", "t4", "t5"}
                 _assert_matches_reference(index, query)
                 _assert_matches_reference(index, query, top_k=2)
-                assert index.candidate_tables(query) == LakeIndex.from_store(
-                    store
-                ).candidate_tables(query)
+                reopened = LakeIndex.from_store(store)
+                assert index.candidate_tables(query) == reopened.candidate_tables(query)
 
 
 def _one_column(table: str, name: str, signature, histogram) -> TableSketch:

@@ -7,7 +7,9 @@ element-level ``linguistic_similarity`` it called.
 ``jaccard_matrix`` over lists of ``MinHashSignature`` objects is kept the
 same way, as it was before SemProp stored one signature matrix.
 So are the LSH refine loop (``LakeIndex.candidate_columns`` +
-``candidate_tables``, one Python comparison per colliding column pair) and
+``candidate_tables``, one Python comparison per colliding column pair) over
+the dict buckets the index filled one band key at a time before its bands
+were sorted arrays (rebuilt here from the index's sketches), and
 the per-candidate ``candidate_signals``, as they were before the index kept
 a columnar copy of its columns.  The two-row and banded Levenshtein DPs
 (with their ``max_distance`` cutoff) and the Jaccard–Levenshtein fuzzy pass
@@ -367,15 +369,17 @@ def reference_histogram_distance(a: ColumnSketch, b: ColumnSketch) -> float:
     return sum(abs(x - y) for x, y in zip(a.histogram, b.histogram))
 
 
-def reference_buckets(
-    index: LakeIndex,
-) -> tuple[dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]], dict[str, set[tuple[str, str]]]]:
-    """The dict banding ``LakeIndex`` kept before its bands were arrays:
-    ``(band, tuple of rows) -> column keys`` and ``normalised name -> column
-    keys``, filled one key at a time from every indexed table's sketch (the
-    empty columns are never bucketed)."""
-    buckets: dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]] = {}
-    names: dict[str, set[tuple[str, str]]] = {}
+#: ``(band, tuple of rows) -> column keys`` and ``normalised name -> column keys``.
+ReferenceBuckets = tuple[
+    dict[tuple[int, tuple[int, ...]], set[tuple[str, str]]], dict[str, set[tuple[str, str]]]
+]
+
+
+def reference_buckets(index: LakeIndex) -> ReferenceBuckets:
+    """The dict banding ``LakeIndex`` kept before its bands were arrays,
+    filled one key at a time from every indexed table's sketch (the empty
+    columns are never bucketed)."""
+    buckets, names = {}, {}
     for table_name in index.table_names:
         for column in index.sketch(table_name).columns:
             if column.minhash.set_size == 0:
@@ -397,7 +401,7 @@ def _reference_band_keys(
 def _reference_candidate_columns(
     index: LakeIndex,
     query: ColumnSketch,
-    buckets: tuple[dict, dict],
+    buckets: ReferenceBuckets,
     exclude_table: Optional[str] = None,
 ) -> list[tuple[ColumnSketch, float]]:
     """``LakeIndex.candidate_columns`` as it was: one query column's
