@@ -2,8 +2,8 @@
 
 The rerank plan (:func:`~repro.discovery.search.prune_then_rerank`) can be
 *priced* before it runs.  Stage 1 condenses cheap store-resident evidence —
-the sketch-level MinHash Jaccard every
-:class:`~repro.lake.profiles.ColumnSketch` already carries — into one
+the MinHash Jaccard estimate between the signature rows every
+:class:`~repro.lake.profiles.TableSketch` already holds — into one
 :class:`CandidateSignals` per shortlisted candidate.  Its one producer is the
 lake engine (:class:`~repro.lake.engine.LakeDiscoveryEngine`), which prices
 its whole shortlist in one :func:`candidate_signals` call per query, from
@@ -84,7 +84,7 @@ def candidate_signals(
     signatures: np.ndarray,
     offsets: np.ndarray,
     max_values: Sequence[int],
-    seed: int = 7,
+    seed: int,
 ) -> dict[str, CandidateSignals]:
     """Condense a whole shortlist against the query sketch: one Jaccard block,
     query columns x candidate columns, maximised per table slice.
@@ -95,9 +95,7 @@ def candidate_signals(
     :meth:`~repro.lake.index.LakeIndex.signature_block` returns them;
     *seed* is the store config's MinHash seed.
     """
-    query = np.array(
-        [column.minhash.values for column in query_sketch.columns], dtype=np.uint32
-    )
+    query = query_sketch.signatures
     width = signatures.shape[1]
     sizes = np.diff(offsets)
     max_jaccard = np.zeros(len(names))

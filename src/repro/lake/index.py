@@ -125,6 +125,11 @@ def _band_keys(signatures: np.ndarray, params: LSHParams) -> tuple[np.ndarray, n
     return number | hashes >> shift, slices.view(np.dtype((np.void, 4 * rows))).ravel()
 
 
+def _by_name(sketch: TableSketch) -> list[int]:
+    """The positions of *sketch*'s columns, in column name order."""
+    return sorted(range(sketch.num_columns), key=lambda i: sketch.columns[i].column_name)
+
+
 @dataclass(frozen=True)
 class _Columnar:
     """One index generation's columns as arrays: a row per column of every
@@ -152,18 +157,17 @@ class _Columnar:
         cls, sketches: Iterable[TableSketch], config: SketchConfig, params: LSHParams
     ) -> "_Columnar":
         tables = sorted(sketches, key=lambda table: table.name)
-        columns = [
-            column
-            for table in tables
-            for column in sorted(table.columns, key=lambda column: column.column_name)
-        ]
+        orders = [_by_name(table) for table in tables]
+        columns = [table.columns[i] for table, order in zip(tables, orders) for i in order]
         sizes = [len(column.histogram) for column in columns]
         buckets = max(sizes, default=0)
         widths = [table.num_columns for table in tables]
-        signatures = np.array([column.minhash.values for column in columns], dtype=np.uint32)
-        signatures = signatures.reshape(len(columns), -1 if columns else config.num_permutations)
+        # A table without columns has a (0, 0) matrix: left out.
+        blocks = [table.signatures[order] for table, order in zip(tables, orders) if order]
+        empty = np.empty((0, config.num_permutations), dtype=np.uint32)
+        signatures = np.concatenate(blocks) if blocks else empty
         # Empty columns collide with everything trivially: never bucketed.
-        bucketed = np.flatnonzero([column.minhash.set_size for column in columns])
+        bucketed = np.flatnonzero([column.set_size for column in columns])
         prefixes, keys = _band_keys(signatures[bucketed], params)
         order = np.argsort(prefixes)
         return cls(
@@ -242,7 +246,7 @@ class LakeIndex:
             self.remove(table_sketch.name)
         self._tables[table_sketch.name] = table_sketch
         for column in table_sketch.columns:
-            if column.minhash.set_size:  # an empty column is never bucketed
+            if column.set_size:  # an empty column is never bucketed
                 names = self._name_buckets.setdefault(self._name_key(column.column_name), set())
                 names.add(column.key)
 
@@ -315,8 +319,9 @@ class LakeIndex:
         columns = self._columnar()
         params = self.params
         # In name order, so a query column's number orders its name too.
-        query_columns = sorted(query.columns, key=lambda column: column.column_name)
-        signatures = np.array([c.minhash.values for c in query_columns], dtype=np.uint32)
+        order = _by_name(query)
+        query_columns = [query.columns[i] for i in order]
+        signatures = query.signatures[order]
         if signatures.shape[1] != columns.signatures.shape[1]:
             raise ValueError("signatures must use the same number of permutations")
         # Band collisions: the bands under each query band's sort key that

@@ -1,13 +1,15 @@
 """Per-column sketches: the unit of storage of the lake index.
 
 A :class:`ColumnSketch` condenses a column into a few hundred bytes — a
-MinHash signature for value-overlap estimation, a histogram of the value
-multiset over a *fixed* hashed rank domain (so any two sketches are directly
-comparable without re-ranking the pair's value union), and the type/stats
-profile of :mod:`repro.data.profiling`.  Sketches are computed once per
-column when a table enters the :class:`~repro.lake.store.SketchStore` and
-reused by every subsequent query, which is what turns discovery from
-"re-profile the lake per query" into an index lookup.
+histogram of the value multiset over a *fixed* hashed rank domain (so any
+two sketches are directly comparable without re-ranking the pair's value
+union) and the type/stats profile of :mod:`repro.data.profiling`.  Its
+MinHash signature, for value-overlap estimation, is a row of its
+:class:`TableSketch`'s one ``uint32`` signature matrix.  Sketches are
+computed once per column when a table enters the
+:class:`~repro.lake.store.SketchStore` and reused by every subsequent query,
+which is what turns discovery from "re-profile the lake per query" into an
+index lookup.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.data.table import Table
 from repro.data.types import DataType
 from repro.distributions.histograms import build_histogram
 from repro.sketches.minhash import (
-    MinHashSignature,
+    DEFAULT_SEED,
     hash_normalized_values,
     minhash_signatures_from_hashes,
 )
@@ -55,7 +57,7 @@ class SketchConfig:
     """
 
     num_permutations: int = 128
-    seed: int = 7
+    seed: int = DEFAULT_SEED
     num_buckets: int = 16
 
     def as_dict(self) -> dict[str, int]:
@@ -91,12 +93,16 @@ def _hash_space_histogram(
 
 @dataclass(frozen=True)
 class ColumnSketch:
-    """A compact, serialisable summary of one column of one lake table."""
+    """A compact, serialisable summary of one column of one lake table.
+
+    *set_size* counts the normalised distinct values its MinHash signature
+    (its row of :attr:`TableSketch.signatures`) was taken over.
+    """
 
     table_name: str
     column_name: str
     data_type: DataType
-    minhash: MinHashSignature
+    set_size: int
     histogram: tuple[float, ...]
     row_count: int
     distinct_count: int
@@ -117,14 +123,14 @@ class ColumnSketch:
         cls,
         profile: ColumnProfile,
         table_name: str,
-        minhash: MinHashSignature,
+        set_size: int,
         histogram: tuple[float, ...],
     ) -> "ColumnSketch":
         return cls(
             table_name=table_name,
             column_name=profile.name,
             data_type=profile.data_type,
-            minhash=minhash,
+            set_size=set_size,
             histogram=histogram,
             row_count=profile.row_count,
             distinct_count=profile.distinct_count,
@@ -137,32 +143,35 @@ class ColumnSketch:
         )
 
 
-def _column_fields(column: ColumnSketch) -> list:
+def _column_fields(column: ColumnSketch, width: int) -> list:
     """A column's skeleton entry; its signature and histogram go to the sections."""
     stats = (column.mean, column.std, column.minimum, column.maximum, column.avg_length)
     return [
-        column.column_name, column.data_type.value, column.minhash.set_size,
-        len(column.minhash.values), len(column.histogram),
+        column.column_name, column.data_type.value, column.set_size,
+        width, len(column.histogram),
         column.row_count, column.distinct_count, column.missing_count,
         *(None if stat is None else float(stat) for stat in stats),
     ]  # fmt: skip
 
 
-def _column_from_fields(table: str, fields: list, values: Iterator, weights: Iterator):
-    """Inverse of :func:`_column_fields`, reading the numbers off *values* / *weights*."""
-    name, type_name, set_size, width, buckets, *profile = fields
+def _column_from_fields(table: str, fields: list, weights: Iterator):
+    """Inverse of :func:`_column_fields`, reading the histogram off *weights*."""
+    name, type_name, set_size, _width, buckets, *profile = fields
     if type(name) is not str or {*map(type, fields[2:8])} - {int} or (
         {*map(type, fields[8:])} - {float, type(None)}
     ):
         raise ValueError(f"malformed column {name!r}")
-    signature = MinHashSignature(tuple(islice(values, width)), set_size)
     histogram = tuple(islice(weights, buckets))
-    return ColumnSketch(table, name, DataType(type_name), signature, histogram, *profile)
+    return ColumnSketch(table, name, DataType(type_name), set_size, histogram, *profile)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableSketch:
     """All column sketches of one table plus identity metadata.
+
+    *signatures* holds the columns' MinHash signatures as one read-only
+    ``uint32`` matrix, a row per column in column order (``(0, 0)`` for a
+    table without columns).
 
     :meth:`to_bytes` / :meth:`from_bytes` are the one sketch codec: the bytes
     they define are a :class:`~repro.lake.store.SketchStore` row *and* the
@@ -174,6 +183,20 @@ class TableSketch:
     content_hash: str
     num_rows: int
     columns: tuple[ColumnSketch, ...]
+    signatures: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.signatures.ndim != 2 or len(self.signatures) != len(self.columns):
+            raise ValueError(f"table sketch {self.name!r} needs one signature per column")
+        self.signatures.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TableSketch):
+            return NotImplemented
+        fields = (self.name, self.content_hash, self.num_rows, self.columns)
+        return fields == (other.name, other.content_hash, other.num_rows, other.columns) and (
+            np.array_equal(self.signatures, other.signatures)
+        )
 
     @property
     def num_columns(self) -> int:
@@ -182,7 +205,7 @@ class TableSketch:
     def to_bytes(self) -> bytes:
         """The row bytes of this sketch (inverse of :meth:`from_bytes`): a
         :mod:`~repro.data.sections` frame of the identity and
-        :func:`_column_fields` per column, then every signature as one
+        :func:`_column_fields` per column, then the signature matrix as one
         ``<u4`` section and every histogram as one ``<f8`` section."""
         if any(column.table_name != self.name for column in self.columns):
             raise ValueError(f"table sketch {self.name!r} holds another table's column")
@@ -190,11 +213,13 @@ class TableSketch:
             "name": self.name,
             "content_hash": self.content_hash,
             "rows": self.num_rows,
-            "columns": [_column_fields(column) for column in self.columns],
+            "columns": [
+                _column_fields(column, self.signatures.shape[1]) for column in self.columns
+            ],
         }
-        signatures = [value for column in self.columns for value in column.minhash.values]
         histograms = [weight for column in self.columns for weight in column.histogram]
-        sections = (np.array(signatures, "<u4").tobytes(), np.array(histograms, "<f8").tobytes())
+        signatures = self.signatures.astype("<u4", copy=False)
+        sections = (signatures.tobytes(), np.array(histograms, "<f8").tobytes())
         return framing.pack(_SKETCH_MAGIC, skeleton, sections)
 
     @classmethod
@@ -208,22 +233,16 @@ class TableSketch:
             if not (type(name) is type(content_hash) is str and type(rows) is int):
                 raise ValueError("malformed table identity")
             signature_bytes, histogram_bytes = sections
-            widths = [(entry[3], entry[4]) for entry in entries]
-            signatures = framing.section_array(signature_bytes, "<u4", (sum(w for w, _ in widths),))
-            histograms = framing.section_array(histogram_bytes, "<f8", (sum(b for _, b in widths),))
-            values, weights = iter(signatures.tolist()), iter(histograms.tolist())
-            columns = [_column_from_fields(name, entry, values, weights) for entry in entries]
-            return cls(name=name, content_hash=content_hash, num_rows=rows, columns=tuple(columns))
+            (width,) = {entry[3] for entry in entries} or {0}  # ragged: ValueError
+            signatures = framing.section_array(signature_bytes, "<u4", (len(entries), width))
+            buckets = sum(entry[4] for entry in entries)
+            weights = iter(framing.section_array(histogram_bytes, "<f8", (buckets,)).tolist())
+            columns = tuple(_column_from_fields(name, entry, weights) for entry in entries)
+            return cls(name, content_hash, rows, columns, signatures)
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise ValueError(
                 f"not a table sketch ({type(exc).__name__}: {exc})"
             ) from exc
-
-    def column(self, name: str) -> ColumnSketch:
-        for sketch in self.columns:
-            if sketch.column_name == name:
-                return sketch
-        raise KeyError(f"table sketch {self.name!r} has no column {name!r}")
 
 
 def sketch_table(
@@ -266,25 +285,26 @@ def sketch_table(
         rank_maps.append(
             {raw: rank_of_normalized[norm] for raw, norm in normalized_of.items()}
         )
-    signatures = minhash_signatures_from_hashes(
+    signatures, set_sizes = minhash_signatures_from_hashes(
         hash_arrays,
         num_permutations=config.num_permutations,
         seed=config.seed,
     )
     sketches = []
-    for column, (values, distinct), ranks, signature in zip(
-        columns, scans, rank_maps, signatures
+    for column, (values, distinct), ranks, set_size in zip(
+        columns, scans, rank_maps, set_sizes.tolist()
     ):
         profile = profile_column(
             column, non_missing=values, distinct_count=len(distinct)
         )
         histogram = _hash_space_histogram(values, ranks, config.num_buckets)
         sketches.append(
-            ColumnSketch.from_profile(profile, table.name, signature, histogram)
+            ColumnSketch.from_profile(profile, table.name, set_size, histogram)
         )
     return TableSketch(
         name=table.name,
         content_hash=table_content_hash(table) if content_hash is None else content_hash,
         num_rows=table.num_rows,
         columns=tuple(sketches),
+        signatures=signatures,
     )

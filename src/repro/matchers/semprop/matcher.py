@@ -26,7 +26,7 @@ from repro.matchers.semprop.links import SemanticLink
 from repro.matchers.semprop.semantic import coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
-from repro.sketches.minhash import jaccard_matrix, minhash_signatures, signature_matrix
+from repro.sketches.minhash import DEFAULT_SEED, jaccard_matrix, minhash_signatures
 from repro.telemetry import recorder as telemetry
 
 __all__ = ["SemPropMatcher"]
@@ -159,20 +159,15 @@ class SemPropMatcher(BaseMatcher):
         the arrays :func:`~repro.sketches.minhash.jaccard_matrix` compares.
         """
         links = self._link_columns(table)
-        signatures = minhash_signatures(
+        signatures, set_sizes = minhash_signatures(
             [column.as_strings()[: self.sample_size] for column in table.columns],
             num_permutations=self.num_permutations,
+            seed=DEFAULT_SEED,
         )
         return PreparedTable(
             table=table,
             fingerprint=self.fingerprint(),
-            payload={
-                "links": links,
-                "signatures": signature_matrix(signatures).astype(np.uint32),
-                "set_sizes": np.array(
-                    [signature.set_size for signature in signatures], dtype=np.int64
-                ),
-            },
+            payload={"links": links, "signatures": signatures, "set_sizes": set_sizes},
         )
 
     def score_ceiling(self, prepared_query: PreparedTable) -> float:
@@ -208,9 +203,9 @@ class SemPropMatcher(BaseMatcher):
         """
         if math.isinf(self.score_ceiling(prepared_query)):
             return math.inf
-        if signals.num_permutations != self.num_permutations or signals.seed != 7:
-            # minhash_signature() hashes with the default seed-7 family; a
-            # store sketched differently estimates a different Jaccard.
+        if signals.num_permutations != self.num_permutations or signals.seed != DEFAULT_SEED:
+            # prepare() hashes with the DEFAULT_SEED family; a store
+            # sketched differently estimates a different Jaccard.
             return math.inf
         if signals.max_values > self.sample_size:
             # Sampling would truncate the candidate's value set, so the two
@@ -234,7 +229,6 @@ class SemPropMatcher(BaseMatcher):
         source_names = source.header.column_names
         target_names = target.header.column_names
 
-        # Each cell equals the corresponding signature.jaccard() exactly.
         estimated = jaccard_matrix(source.payload["signatures"], target.payload["signatures"])
         grid = np.where(estimated >= self.minhash_threshold, 0.5 * estimated, 0.25 * estimated)
 

@@ -1,15 +1,4 @@
-"""Sketching substrate: MinHash signatures for set-overlap estimation."""
+"""Sketching substrate: MinHash signatures for set-overlap estimation.
 
-from repro.sketches.minhash import (
-    MinHashSignature,
-    estimate_jaccard,
-    minhash_signature,
-    minhash_signatures,
-)
-
-__all__ = [
-    "MinHashSignature",
-    "minhash_signature",
-    "minhash_signatures",
-    "estimate_jaccard",
-]
+Import from the defining module, :mod:`repro.sketches.minhash`.
+"""

@@ -5,6 +5,9 @@ paper surveys, e.g. Aurum and LSH Ensemble) estimate value-set overlap with
 MinHash sketches instead of exact set intersection.  This module provides a
 deterministic MinHash implementation with a Jaccard estimator.
 
+A batch of signatures is one ``uint32`` matrix, a row per value set and a
+column per permutation (every MinHash value fits 32 bits), next to an array
+of the sets' distinct-value counts; nothing converts a row to Python ints.
 The implementation is fully batched: every distinct value across a batch of
 value sets is digested exactly once into a ``uint64`` hash array, the
 ``(a * h + b) mod p`` permutation family is applied to the whole array via
@@ -18,22 +21,22 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "MinHashSignature",
-    "minhash_signature",
+    "DEFAULT_SEED",
     "minhash_signatures",
     "minhash_signatures_scalar",
     "hash_normalized_values",
     "minhash_signatures_from_hashes",
-    "signature_matrix",
     "jaccard_matrix",
-    "estimate_jaccard",
 ]
+
+#: The permutation family's seed: every sketch store's default, and the one
+#: SemProp hashes with.
+DEFAULT_SEED = 7
 
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
@@ -70,27 +73,6 @@ def hash_normalized_values(values: Iterable[str]) -> np.ndarray:
     return np.frombuffer(buffer, dtype="<u8").astype(np.uint64) & np.uint64(_MAX_HASH)
 
 
-@dataclass(frozen=True)
-class MinHashSignature:
-    """A MinHash signature of a value set."""
-
-    values: tuple[int, ...]
-    set_size: int
-
-    @property
-    def num_permutations(self) -> int:
-        return len(self.values)
-
-    def jaccard(self, other: "MinHashSignature") -> float:
-        """Estimated Jaccard similarity with another signature."""
-        if self.num_permutations != other.num_permutations:
-            raise ValueError("signatures must use the same number of permutations")
-        if self.num_permutations == 0:
-            return 0.0
-        equal = int(np.count_nonzero(np.array(self.values) == np.array(other.values)))
-        return equal / self.num_permutations
-
-
 def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Multipliers/offsets of the ``(a*h + b) mod p`` permutation family.
 
@@ -104,21 +86,6 @@ def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarra
     return a, b
 
 
-def minhash_signature(
-    values: Iterable[object],
-    num_permutations: int = 128,
-    seed: int = 7,
-) -> MinHashSignature:
-    """Compute the MinHash signature of a collection of values.
-
-    Values are rendered as lowercase strings before hashing; the signature is
-    empty (all max) for an empty input set.  This is the batch path of
-    :func:`minhash_signatures` applied to a single collection, so store and
-    query sketches can never drift apart.
-    """
-    return minhash_signatures([values], num_permutations=num_permutations, seed=seed)[0]
-
-
 #: Upper bound on ``distinct values x permutations`` products materialised at
 #: once by :func:`minhash_signatures_from_hashes`; keeps peak memory flat on
 #: large lakes.
@@ -128,12 +95,15 @@ _BATCH_CELL_BUDGET = 4_000_000
 def minhash_signatures(
     value_sets: Sequence[Iterable[object]],
     num_permutations: int = 128,
-    seed: int = 7,
-) -> list[MinHashSignature]:
-    """Compute MinHash signatures for many value collections in one pass.
+    seed: int = DEFAULT_SEED,
+) -> tuple[np.ndarray, np.ndarray]:
+    """MinHash signatures of many value collections, computed in one pass.
 
-    Equivalent to ``[minhash_signature(v, ...) for v in value_sets]`` but
-    amortises the expensive parts across the whole batch: every distinct
+    Returns the ``(sets x permutations)`` ``uint32`` signature matrix and the
+    ``int64`` distinct-value count of each set; no sets give a ``(0, 0)``
+    matrix.  Values are rendered as stripped, lowercased strings before
+    hashing, and an empty set's row is all ``2**32 - 1``.  The expensive
+    parts are amortised across the whole batch: every distinct
     normalised string in the batch is digested exactly once (values shared
     across columns are interned, not re-hashed), the digests land in one
     ``uint64`` array, and the ``(a * h + b) mod p`` permutation products are
@@ -156,8 +126,8 @@ def minhash_signatures(
 def minhash_signatures_from_hashes(
     hash_arrays: Sequence[np.ndarray],
     num_permutations: int = 128,
-    seed: int = 7,
-) -> list[MinHashSignature]:
+    seed: int = DEFAULT_SEED,
+) -> tuple[np.ndarray, np.ndarray]:
     """Signatures from precomputed 32-bit value hashes (one array per set).
 
     The entry point for callers that already hold the hashed distinct values
@@ -170,8 +140,9 @@ def minhash_signatures_from_hashes(
         raise ValueError("num_permutations must be positive")
     a, b = _permutation_parameters(num_permutations, seed)
 
-    empty = MinHashSignature(tuple([_MAX_HASH] * num_permutations), 0)
-    signatures: list[Optional[MinHashSignature]] = [None] * len(hash_arrays)
+    signatures = np.full(
+        (len(hash_arrays), num_permutations if len(hash_arrays) else 0), _MAX_HASH, np.uint32
+    )
 
     chunk_rows = max(1, _BATCH_CELL_BUDGET // num_permutations)
     chunk_arrays: list[np.ndarray] = []  # hash arrays of the columns in flight
@@ -188,19 +159,14 @@ def minhash_signatures_from_hashes(
         # keep every intermediate below 2^64.
         products = (np.outer(hashes, a) + b) % np.uint64(_MERSENNE_PRIME)
         mins = np.minimum.reduceat(products & np.uint64(_MAX_HASH), np.asarray(chunk_offsets))
-        for row, column_index in enumerate(chunk_members):
-            signatures[column_index] = MinHashSignature(
-                tuple(mins[row].tolist()),
-                int(hash_arrays[column_index].size),
-            )
+        signatures[chunk_members] = mins
         chunk_arrays.clear()
         chunk_members.clear()
         chunk_offsets.clear()
         chunk_length = 0
 
     for column_index, hashes in enumerate(hash_arrays):
-        if hashes.size == 0:
-            signatures[column_index] = empty
+        if hashes.size == 0:  # its row stays all 2**32 - 1
             continue
         if chunk_length and chunk_length + hashes.size > chunk_rows:
             _flush()
@@ -209,14 +175,14 @@ def minhash_signatures_from_hashes(
         chunk_arrays.append(np.ascontiguousarray(hashes, dtype=np.uint64))
         chunk_length += int(hashes.size)
     _flush()
-    return [sig if sig is not None else empty for sig in signatures]
+    return signatures, np.array([hashes.size for hashes in hash_arrays], dtype=np.int64)
 
 
 def minhash_signatures_scalar(
     value_sets: Sequence[Iterable[object]],
     num_permutations: int = 128,
-    seed: int = 7,
-) -> list[MinHashSignature]:
+    seed: int = DEFAULT_SEED,
+) -> tuple[np.ndarray, np.ndarray]:
     """Pure-Python reference implementation of :func:`minhash_signatures`.
 
     One :func:`_stable_hash` call per distinct value and one Python-level
@@ -230,44 +196,35 @@ def minhash_signatures_scalar(
     a_ints = [int(x) for x in a]
     b_ints = [int(x) for x in b]
 
-    signatures = []
+    signatures, set_sizes = [], []
     for values in value_sets:
         distinct = {str(v).strip().lower() for v in values}
         hashes = [_stable_hash(value) for value in distinct]
         if not hashes:
-            signatures.append(MinHashSignature(tuple([_MAX_HASH] * num_permutations), 0))
-            continue
-        signature = tuple(
-            min(((a_i * h + b_i) % _MERSENNE_PRIME) & _MAX_HASH for h in hashes)
-            for a_i, b_i in zip(a_ints, b_ints)
-        )
-        signatures.append(MinHashSignature(signature, len(hashes)))
-    return signatures
-
-
-def signature_matrix(signatures: Sequence[MinHashSignature]) -> np.ndarray:
-    """Signatures as the rows of one ``uint64`` matrix (``len x permutations``).
-
-    What :func:`jaccard_matrix` compares.  Every signature value is below
-    ``2**32`` (the empty-set value included), so the matrix casts to
-    ``uint32`` without loss.  ``ValueError`` when the widths differ.
-    """
-    if not signatures:
-        return np.zeros((0, 0), dtype=np.uint64)
-    width = signatures[0].num_permutations
-    if any(signature.num_permutations != width for signature in signatures):
-        raise ValueError("signatures must use the same number of permutations")
-    return np.array([signature.values for signature in signatures], dtype=np.uint64)
+            signatures.append([_MAX_HASH] * num_permutations)
+        else:
+            signatures.append(
+                [
+                    min(((a_i * h + b_i) % _MERSENNE_PRIME) & _MAX_HASH for h in hashes)
+                    for a_i, b_i in zip(a_ints, b_ints)
+                ]
+            )
+        set_sizes.append(len(hashes))
+    width = num_permutations if signatures else 0
+    return (
+        np.array(signatures, dtype=np.uint32).reshape(len(signatures), width),
+        np.array(set_sizes, dtype=np.int64),
+    )
 
 
 def jaccard_matrix(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
     """Pairwise estimated Jaccard similarities between two signature matrices.
 
-    Rows are signatures (see :func:`signature_matrix`).  ``result[i, j]`` is
-    ``MinHashSignature.jaccard`` of row ``i`` and row ``j`` bit for bit (one
-    equality count per pair, divided by the permutation count), but the
-    whole grid is a single broadcast comparison — the shape every all-pairs
-    column matcher needs.
+    Rows are signatures (see :func:`minhash_signatures`).  ``result[i, j]``
+    is the share of permutations on which row ``i`` of *matrix_a* and row
+    ``j`` of *matrix_b* agree (one equality count per pair, divided by the
+    permutation count), and the whole grid is a single broadcast comparison
+    — the shape every all-pairs column matcher needs.
     """
     rows_a, rows_b = len(matrix_a), len(matrix_b)
     if not rows_a or not rows_b:
@@ -279,21 +236,3 @@ def jaccard_matrix(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
         return np.zeros((rows_a, rows_b), dtype=float)
     equal = (matrix_a[:, None, :] == matrix_b[None, :, :]).sum(axis=2)
     return equal / num_permutations
-
-
-def estimate_jaccard(
-    values_a: Iterable[object],
-    values_b: Iterable[object],
-    num_permutations: int = 128,
-    seed: int = 7,
-) -> float:
-    """Convenience: estimated Jaccard similarity of two raw value collections.
-
-    Both collections are sketched in one :func:`minhash_signatures` batch
-    (shared values hashed once) and compared with the vectorized
-    :meth:`MinHashSignature.jaccard`.
-    """
-    signature_a, signature_b = minhash_signatures(
-        [values_a, values_b], num_permutations=num_permutations, seed=seed
-    )
-    return signature_a.jaccard(signature_b)

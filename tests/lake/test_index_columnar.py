@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from matcher_support import (
 
 import repro.lake.engine as lake_engine
 import repro.lake.index as lake_index
+import repro.sketches.minhash as minhash
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Table
 from repro.data.types import DataType
@@ -41,7 +43,6 @@ from repro.lake.index import LakeIndex, LSHParams
 from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch, sketch_table
 from repro.lake.store import SketchStore
 from repro.matchers.semprop.matcher import SemPropMatcher
-from repro.sketches.minhash import MinHashSignature
 from repro.telemetry import recorder as telemetry
 from repro.telemetry.recorder import TelemetryRecorder
 
@@ -65,7 +66,7 @@ def _assert_matches_reference(index: LakeIndex, query: TableSketch, **kwargs) ->
     seed = index.config.seed
     signals = candidate_signals(query, priced, *index.signature_block(priced), seed=seed)
     assert signals == {
-        name: reference_candidate_signals(query, index.sketch(name).columns, seed=seed)
+        name: reference_candidate_signals(query, index.sketch(name), seed=seed)
         for name in priced
     }
 
@@ -124,7 +125,8 @@ _EMPTY_SIGNATURE = (2**32 - 1,) * _CONFIG.num_permutations
 
 
 @st.composite
-def column_sketches(draw, table_name: str, column_name: str) -> ColumnSketch:
+def column_sketches(draw, table_name: str, column_name: str) -> tuple[ColumnSketch, tuple]:
+    """A column and its signature."""
     empty = draw(st.booleans()) and draw(st.booleans())  # a quarter are empty
     if empty:
         signature, set_size = _EMPTY_SIGNATURE, 0
@@ -141,11 +143,11 @@ def column_sketches(draw, table_name: str, column_name: str) -> ColumnSketch:
         )
     )
     rows = draw(st.integers(0, 6))
-    return ColumnSketch(
+    column = ColumnSketch(
         table_name=table_name,
         column_name=column_name,
         data_type=draw(st.sampled_from(list(DataType))),
-        minhash=MinHashSignature(signature, set_size),
+        set_size=set_size,
         histogram=histogram,
         row_count=rows,
         distinct_count=set_size,
@@ -156,14 +158,21 @@ def column_sketches(draw, table_name: str, column_name: str) -> ColumnSketch:
         maximum=None,
         avg_length=1.0,
     )
+    return column, signature
+
+
+def _table(name: str, columns, signatures) -> TableSketch:
+    width = _CONFIG.num_permutations if signatures else 0
+    matrix = np.array(signatures, dtype=np.uint32).reshape(len(signatures), width)
+    return TableSketch(name, "", 0, tuple(columns), matrix)
 
 
 @st.composite
 def table_sketches(draw, name=None) -> TableSketch:
     name = name or draw(st.sampled_from(_TABLES))
     names = draw(st.lists(st.sampled_from(_NAMES), max_size=3, unique=True))
-    columns = tuple(draw(column_sketches(name, column)) for column in names)
-    return TableSketch(name=name, content_hash="", num_rows=0, columns=columns)
+    pairs = [draw(column_sketches(name, column)) for column in names]
+    return _table(name, [column for column, _ in pairs], [signature for _, signature in pairs])
 
 
 operations = st.lists(
@@ -209,9 +218,8 @@ def _rebuilt(index: LakeIndex, params: LSHParams) -> LakeIndex:
 
 def _emptied(sketch: TableSketch) -> TableSketch:
     """*sketch* with every column's value set empty."""
-    empty = MinHashSignature((2**32 - 1,) * len(sketch.columns[0].minhash.values), 0)
-    columns = tuple(replace(column, minhash=empty) for column in sketch.columns)
-    return replace(sketch, columns=columns)
+    columns = tuple(replace(column, set_size=0) for column in sketch.columns)
+    return replace(sketch, columns=columns, signatures=np.full_like(sketch.signatures, 2**32 - 1))
 
 
 class TestEdgeCasesEqualTheReference:
@@ -253,6 +261,30 @@ class TestEdgeCasesEqualTheReference:
             _assert_matches_reference(emptied, query)
             assert emptied.candidate_tables(query) == []
 
+    def test_a_table_without_columns_beside_indexed_tables(self, lakegen_index):
+        """A table without columns has a ``(0, 0)`` signature matrix: the
+        columnar copy leaves it out, it is never a candidate, its signature
+        block is empty, and as a query it finds nothing.  An index opened
+        from a store holding its row (the decoded path) answers the same."""
+        index, queries = lakegen_index
+        empty = sketch_table(Table("no_columns", []), index.config)
+        assert empty.signatures.shape == (0, 0)
+        with_empty = _rebuilt(index, index.params)
+        with_empty.add(empty)
+        with SketchStore() as store:
+            for name in sorted(with_empty.table_names):
+                store.add_sketch(with_empty.sketch(name))
+            reopened = LakeIndex.from_store(store)
+        assert reopened.sketch("no_columns") == empty
+        for probed in (with_empty, reopened):
+            for query in queries:
+                _assert_matches_reference(probed, query)
+                assert probed.candidate_tables(query) == index.candidate_tables(query)
+            signatures, offsets, max_values = probed.signature_block(["no_columns"])
+            assert signatures.shape == (0, index.config.num_permutations)
+            assert offsets.tolist() == [0, 0] and max_values == [0]
+            assert probed.candidate_tables(empty) == []
+
     def test_an_engines_incremental_refresh(self, tmp_path):
         """Tables added and removed through the store between two probes:
         the engine's refreshed index equals the reference over what it
@@ -286,7 +318,7 @@ def _one_column(table: str, name: str, signature, histogram) -> TableSketch:
         table_name=table,
         column_name=name,
         data_type=DataType.STRING,
-        minhash=MinHashSignature(tuple(signature), 3),
+        set_size=3,
         histogram=tuple(histogram),
         row_count=3,
         distinct_count=3,
@@ -297,7 +329,8 @@ def _one_column(table: str, name: str, signature, histogram) -> TableSketch:
         maximum=None,
         avg_length=1.0,
     )
-    return TableSketch(name=table, content_hash="", num_rows=3, columns=(column,))
+    signatures = np.array([list(signature)], dtype=np.uint32)
+    return TableSketch(table, "", 3, (column,), signatures)
 
 
 class TestMismatchesStillRaise:
@@ -310,7 +343,7 @@ class TestMismatchesStillRaise:
         with pytest.raises(ValueError, match="permutations"):
             index.candidate_tables(narrow)
         with pytest.raises(ValueError, match="permutations"):
-            candidate_signals(narrow, ["lake"], *index.signature_block(["lake"]))
+            candidate_signals(narrow, ["lake"], *index.signature_block(["lake"]), seed=7)
 
     def test_histogram_buckets(self):
         index = LakeIndex(_CONFIG, LSHParams(bands=4, rows=2))
@@ -447,26 +480,51 @@ class TestWorkCensus:
         assert candidates
         assert len(calls) <= 40 * units, (len(calls), units)
 
-    def test_no_per_pair_sketch_calls(self, monkeypatch):
+    def test_an_open_and_its_first_probe_allocate_per_column_not_per_value(self, tmp_path):
+        """The memory blocks ``from_store`` plus the first probe leave
+        allocated on the test ``families`` lake are bounded per table and
+        column: a signature stays a row of one ``uint32`` matrix from the row
+        bytes on.  Decoding every signature value into a Python int held
+        about 145 blocks per table or column here (128 values a column)."""
+        lake = lakebench_lake(tmp_path)
+        paths = sorted((lake / "lake").glob("*.csv"))
+        with SketchStore() as store:
+            build_from_paths(store, paths)
+            query = read_csv(sorted((lake / "queries").glob("*.csv"))[0])
+            sketch = sketch_table(query, store.config, content_hash="")
+            units = len(paths) + sum(table.num_columns for table in store)
+            LakeIndex.from_store(store).candidate_tables(sketch)  # first-use caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.take_snapshot()
+                index = LakeIndex.from_store(store)
+                candidates = index.candidate_tables(sketch)
+                after = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+        own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+        retained = after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
+        blocks = sum(stat.count_diff for stat in retained)
+        assert candidates and len(index) == len(paths)
+        assert blocks <= 50 * units, (blocks, units)
+
+    def test_no_per_pair_sketch_calls(self):
         index = LakeIndex()
         tables = _tables()
         for sketch in tables:
             index.add(sketch)
-        calls = []
-        jaccard = MinHashSignature.jaccard
-
-        def counting(self, other):
-            calls.append(1)
-            return jaccard(self, other)
-
-        monkeypatch.setattr(MinHashSignature, "jaccard", counting)
         candidates = index.candidate_tables(tables[0])
         names = [c.table_name for c in candidates]
-        candidate_signals(tables[0], names, *index.signature_block(names))
-        assert candidates and calls == []
-        # The per-pair sketch methods are gone, not merely bypassed.
+        signals = candidate_signals(tables[0], names, *index.signature_block(names), seed=7)
+        assert candidates and set(signals) == set(names)
+        # The per-pair sketch objects and methods are gone, not merely bypassed:
+        # a signature is a row of its table's matrix and nothing else.
+        for name in ("MinHashSignature", "minhash_signature", "estimate_jaccard"):
+            assert not hasattr(minhash, name)
+        assert "minhash" not in ColumnSketch.__dataclass_fields__
         for method in ("jaccard", "containment", "type_compatibility", "histogram_distance"):
             assert not hasattr(ColumnSketch, method)
+        assert not hasattr(TableSketch, "column")
         assert not hasattr(LakeIndex, "candidate_columns")
 
     def test_a_priced_query_prices_its_shortlist_in_one_call(self, monkeypatch, tmp_path):

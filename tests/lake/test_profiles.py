@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,66 +23,73 @@ from repro.lake.profiles import (
     sketch_table,
     table_content_hash,
 )
-from repro.sketches.minhash import MinHashSignature, minhash_signature
+from repro.sketches.minhash import minhash_signatures_scalar
+
+
+def _column(sketch: TableSketch, name: str) -> ColumnSketch:
+    (column,) = [column for column in sketch.columns if column.column_name == name]
+    return column
 
 
 class TestSketchTable:
     def test_sketch_matches_single_column_minhash(self, clients_table):
         sketch = sketch_table(clients_table)
         config = SketchConfig()
-        for column in clients_table.columns:
-            expected = minhash_signature(
-                column.non_missing(),
+        for row, column in enumerate(clients_table.columns):
+            signatures, set_sizes = minhash_signatures_scalar(
+                [column.non_missing()],
                 num_permutations=config.num_permutations,
                 seed=config.seed,
             )
-            assert sketch.column(column.name).minhash == expected
+            assert sketch.signatures[row].tolist() == signatures[0].tolist()
+            assert sketch.columns[row].set_size == set_sizes[0]
+
+    def test_signatures_are_one_read_only_uint32_matrix(self, clients_table):
+        sketch = sketch_table(clients_table)
+        assert sketch.signatures.dtype == np.uint32
+        assert sketch.signatures.shape == (clients_table.num_columns, 128)
+        assert not sketch.signatures.flags.writeable
+        decoded = TableSketch.from_bytes(sketch.to_bytes())
+        assert decoded.signatures.dtype == np.uint32
+        assert not decoded.signatures.flags.writeable
+        with pytest.raises(ValueError, match="one signature per column"):
+            TableSketch(sketch.name, "", 0, sketch.columns, sketch.signatures[:1])
 
     def test_sketch_carries_profile_and_type(self, clients_table):
         sketch = sketch_table(clients_table)
-        po = sketch.column("PO")
+        po = _column(sketch, "PO")
         assert po.data_type is DataType.INTEGER
         assert po.row_count == 6
         assert po.distinct_count == 6
         assert po.minimum == 31234
-        country = sketch.column("Country")
+        country = _column(sketch, "Country")
         assert country.data_type is DataType.STRING
         assert country.distinct_count == 4
 
     def test_histograms_share_the_fixed_domain(self, clients_table, offices_table):
         config = SketchConfig(num_buckets=8)
-        a = sketch_table(clients_table, config).column("Country")
-        b = sketch_table(offices_table, config).column("Cntr")
+        a = _column(sketch_table(clients_table, config), "Country")
+        b = _column(sketch_table(offices_table, config), "Cntr")
         assert len(a.histogram) == len(b.histogram) == 8
         assert reference_histogram_distance(a, b) <= 2.0
         assert reference_histogram_distance(a, a) == 0.0
 
     def test_identical_value_sets_have_identical_sketches(self):
-        a = Table("a", [Column("x", ["p", "q", "r"])])
-        b = Table("b", [Column("y", ["r", "q", "p"])])
-        sa = sketch_table(a).column("x")
-        sb = sketch_table(b).column("y")
-        assert sa.minhash.jaccard(sb.minhash) == 1.0
-        assert sa.histogram == sb.histogram
-
-    def test_unknown_column_raises(self, clients_table):
-        with pytest.raises(KeyError):
-            sketch_table(clients_table).column("nope")
+        a = sketch_table(Table("a", [Column("x", ["p", "q", "r"])]))
+        b = sketch_table(Table("b", [Column("y", ["r", "q", "p"])]))
+        assert a.signatures.tolist() == b.signatures.tolist()
+        assert a.columns[0].histogram == b.columns[0].histogram
 
 
-def _column_sketches(table_name: str, width: int):
-    """Columns of one table: one signature *width*, any histogram length."""
+def _column_sketches(table_name: str):
+    """Columns of one table: any histogram length."""
     stat = st.none() | st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf])
     return st.builds(
         ColumnSketch,
         table_name=st.just(table_name),
         column_name=st.text(max_size=8),
         data_type=st.sampled_from(DataType),
-        minhash=st.builds(
-            MinHashSignature,
-            st.tuples(*[st.integers(0, 2**32 - 1)] * width),
-            st.integers(0, 10**6),
-        ),
+        set_size=st.integers(0, 10**6),
         histogram=st.lists(st.floats(allow_nan=False), max_size=16).map(tuple),
         row_count=st.integers(0, 10**6),
         distinct_count=st.integers(0, 10**6),
@@ -96,13 +105,31 @@ def _column_sketches(table_name: str, width: int):
 @st.composite
 def _table_sketches(draw) -> TableSketch:
     name = draw(st.text(max_size=8))
-    width = draw(st.integers(0, 128))
+    columns = tuple(draw(st.lists(_column_sketches(name), max_size=12)))
+    width = draw(st.integers(0, 128)) if columns else 0
+    signature = st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width)
+    rows = draw(st.lists(signature, min_size=len(columns), max_size=len(columns)))
     return TableSketch(
         name=name,
         content_hash=draw(st.text(alphabet="0123456789abcdef", max_size=64)),
         num_rows=draw(st.integers(0, 10**6)),
-        columns=tuple(draw(st.lists(_column_sketches(name, width), max_size=12))),
+        columns=columns,
+        signatures=np.array(rows, dtype=np.uint32).reshape(len(columns), width),
     )
+
+
+def _ragged_row() -> bytes:
+    """A well-framed row whose two columns declare signature widths 2 and 3:
+    its section holds the five values the widths add up to."""
+    entries = [
+        [name, DataType.STRING.value, 1, width, 0, 1, 1, 0, None, None, None, None, 1.0]
+        for name, width in (("a", 2), ("b", 3))
+    ]
+    skeleton = {"name": "t", "content_hash": "", "rows": 1, "columns": entries}
+    return sections.pack(b"SKCH", skeleton, [np.arange(5, dtype="<u4").tobytes(), b""])
+
+
+_RAGGED_ROW = _ragged_row()
 
 
 class TestSerialisation:
@@ -127,7 +154,7 @@ class TestSerialisation:
     def test_a_column_of_another_table_is_not_encoded(self, clients_table):
         sketch = sketch_table(clients_table)
         with pytest.raises(ValueError, match="another table's column"):
-            TableSketch("renamed", sketch.content_hash, sketch.num_rows, sketch.columns).to_bytes()
+            replace(sketch, name="renamed").to_bytes()
 
     def test_config_round_trip(self):
         config = SketchConfig(num_permutations=64, seed=3, num_buckets=4)
@@ -140,12 +167,12 @@ class TestSerialisation:
         schema version (and ``MANIFEST_FORMAT`` if old artifacts stop
         decoding) together with this digest."""
 
-        def column(name, data_type, signature, set_size, histogram, missing, stats):
+        def column(name, data_type, set_size, histogram, missing, stats):
             return ColumnSketch(
                 table_name="golden",
                 column_name=name,
                 data_type=data_type,
-                minhash=MinHashSignature(signature, set_size),
+                set_size=set_size,
                 histogram=histogram,
                 row_count=3,
                 distinct_count=set_size,
@@ -162,11 +189,12 @@ class TestSerialisation:
             content_hash="c0ffee",
             num_rows=3,
             columns=(
-                column("amount", DataType.FLOAT, (3, 1, 4, 1, 5), 3,
+                column("amount", DataType.FLOAT, 3,
                        (0.5, 0.25, 0.25), 0, (2.5, 0.5, 2.0, 3.0, 3.0)),
-                column("näme", DataType.STRING, (9, 2, 6, 5, 3), 2,
+                column("näme", DataType.STRING, 2,
                        (1.0, 0.0, 0.0), 1, (None, None, None, None, 4.5)),
             ),
+            signatures=np.array([(3, 1, 4, 1, 5), (9, 2, 6, 5, 3)], dtype=np.uint32),
         )  # fmt: skip
         data = sketch.to_bytes()
         assert hashlib.sha256(data).hexdigest() == (
@@ -176,8 +204,11 @@ class TestSerialisation:
 
     @pytest.mark.parametrize(
         "garbage",
-        [b"\xde\xad\xbe\xef", b"[]", b'{"tampered": true}', b'{"name": "t"}', "text"],
-    )
+        [
+            b"\xde\xad\xbe\xef", b"[]", b'{"tampered": true}', b'{"name": "t"}', "text",
+            pytest.param(_RAGGED_ROW, id="ragged-widths"),
+        ],
+    )  # fmt: skip
     def test_from_bytes_refuses_anything_else_with_value_error(self, garbage):
         with pytest.raises(ValueError, match="not a table sketch"):
             TableSketch.from_bytes(garbage)

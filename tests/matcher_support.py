@@ -4,12 +4,14 @@ thesaurus (PR 19), the eager ``MatchResult``, ``relatedness`` and SemProp's
 per-cell ``match_prepared`` loop (PR 20).
 Cupid's per-pair, multi-level TreeMatch is kept the same way, with the
 element-level ``linguistic_similarity`` it called.
-``jaccard_matrix`` over lists of ``MinHashSignature`` objects is kept the
-same way, as it was before SemProp stored one signature matrix.
+``jaccard_matrix`` is kept as a pure-Python equality count, one pair of
+signatures (tuples of ints) at a time, so no reference shares the matrix
+kernels it checks.
 So are the LSH refine loop (``LakeIndex.candidate_columns`` +
 ``candidate_tables``, one Python comparison per colliding column pair) over
 the dict buckets the index filled one band key at a time before its bands
-were sorted arrays (rebuilt here from the index's sketches), and
+were sorted arrays (rebuilt here from the rows of the index's signature
+matrices, as tuples of ints), and
 the per-candidate ``candidate_signals``, as they were before the index kept
 a columnar copy of its columns.  The two-row and banded Levenshtein DPs
 (with their ``max_distance`` cutoff) and the Jaccard–Levenshtein fuzzy pass
@@ -54,7 +56,6 @@ from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.cupid.structural import CupidWeights
 from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score
-from repro.sketches.minhash import MinHashSignature
 from repro.telemetry import recorder as telemetry
 from repro.text.stemmer import stem
 from repro.text.thesaurus import _HYPERNYM_PAIRS, _SYNONYM_GROUPS, Thesaurus
@@ -76,6 +77,7 @@ __all__ = [
     "reference_candidate_tables",
     "reference_fuzzy_jaccard_sets",
     "reference_histogram_distance",
+    "reference_jaccard",
     "reference_jaccard_matrix",
     "reference_levenshtein_distance",
     "reference_relatedness",
@@ -84,6 +86,7 @@ __all__ = [
     "reference_tree_match",
     "reference_unionability",
     "semprop_signatures",
+    "signature_rows",
     "term_corpus",
     "walk",
 ]
@@ -340,23 +343,33 @@ def reference_relatedness(
     )
 
 
+#: One MinHash signature as plain ints: a row of a signature matrix.
+Signature = Sequence[int]
+
+
+def signature_rows(sketch: TableSketch) -> list[tuple[int, ...]]:
+    """*sketch*'s signature matrix as one tuple of ints per column."""
+    return [tuple(row) for row in sketch.signatures.tolist()]
+
+
+def reference_jaccard(a: Signature, b: Signature) -> float:
+    """The share of permutations two signatures agree on, counted in Python
+    (``MinHashSignature.jaccard`` as it was)."""
+    if len(a) != len(b):
+        raise ValueError("signatures must use the same number of permutations")
+    return sum(x == y for x, y in zip(a, b)) / len(a) if a else 0.0
+
+
 def reference_jaccard_matrix(
-    signatures_a: Sequence[MinHashSignature],
-    signatures_b: Sequence[MinHashSignature],
+    signatures_a: Sequence[Signature], signatures_b: Sequence[Signature]
 ) -> np.ndarray:
-    """``jaccard_matrix`` as it was: over two lists of signature objects."""
+    """``jaccard_matrix`` one pair at a time, over two lists of signatures."""
     if not signatures_a or not signatures_b:
         return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
-    num_permutations = signatures_a[0].num_permutations
-    for signature in (*signatures_a, *signatures_b):
-        if signature.num_permutations != num_permutations:
-            raise ValueError("signatures must use the same number of permutations")
-    if num_permutations == 0:
-        return np.zeros((len(signatures_a), len(signatures_b)), dtype=float)
-    matrix_a = np.stack([np.asarray(signature.values, np.uint64) for signature in signatures_a])
-    matrix_b = np.stack([np.asarray(signature.values, np.uint64) for signature in signatures_b])
-    equal = (matrix_a[:, None, :] == matrix_b[None, :, :]).sum(axis=2)
-    return equal / num_permutations
+    width = len(signatures_a[0])
+    if any(len(signature) != width for signature in (*signatures_a, *signatures_b)):
+        raise ValueError("signatures must use the same number of permutations")
+    return np.array([[reference_jaccard(a, b) for b in signatures_b] for a in signatures_a])
 
 
 def reference_histogram_distance(a: ColumnSketch, b: ColumnSketch) -> float:
@@ -381,27 +394,34 @@ def reference_buckets(index: LakeIndex) -> ReferenceBuckets:
     columns are never bucketed)."""
     buckets, names = {}, {}
     for table_name in index.table_names:
-        for column in index.sketch(table_name).columns:
-            if column.minhash.set_size == 0:
+        sketch = index.sketch(table_name)
+        for column, signature in zip(sketch.columns, signature_rows(sketch)):
+            if column.set_size == 0:
                 continue
-            for key in _reference_band_keys(index, column):
+            for key in _reference_band_keys(index, signature):
                 buckets.setdefault(key, set()).add(column.key)
             names.setdefault(column.column_name.strip().lower(), set()).add(column.key)
     return buckets, names
 
 
 def _reference_band_keys(
-    index: LakeIndex, sketch: ColumnSketch
+    index: LakeIndex, signature: tuple[int, ...]
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    values, rows = sketch.minhash.values, index.params.rows
+    rows = index.params.rows
     for band in range(index.params.bands):
-        yield (band, values[band * rows : (band + 1) * rows])
+        yield (band, signature[band * rows : (band + 1) * rows])
+
+
+#: ``(table name, column name) -> (its column sketch, its signature)``.
+ReferenceColumns = Mapping[tuple[str, str], tuple[ColumnSketch, tuple[int, ...]]]
 
 
 def _reference_candidate_columns(
     index: LakeIndex,
     query: ColumnSketch,
+    query_signature: tuple[int, ...],
     buckets: ReferenceBuckets,
+    lake: ReferenceColumns,
     exclude_table: Optional[str] = None,
 ) -> list[tuple[ColumnSketch, float]]:
     """``LakeIndex.candidate_columns`` as it was: one query column's
@@ -409,7 +429,7 @@ def _reference_candidate_columns(
     one pair at a time."""
     band_buckets, name_buckets = buckets
     seen: set[tuple[str, str]] = set()
-    for bucket_key in _reference_band_keys(index, query):
+    for bucket_key in _reference_band_keys(index, query_signature):
         seen.update(band_buckets.get(bucket_key, ()))
     params = index.params
     name_matches: set[tuple[str, str]] = set()
@@ -421,7 +441,7 @@ def _reference_candidate_columns(
     for column_key in seen:
         if column_key == query.key or column_key[0] == exclude_table:
             continue
-        candidate = index.sketch(column_key[0]).column(column_key[1])
+        candidate, signature = lake[column_key]
         if (
             type_compatibility(query.data_type, candidate.data_type)
             < params.min_type_compatibility
@@ -435,7 +455,7 @@ def _reference_candidate_columns(
         ):
             histogram_rejected += 1
             continue
-        similarity = query.minhash.jaccard(candidate.minhash)
+        similarity = reference_jaccard(query_signature, signature)
         if name_match:
             similarity = max(similarity, params.name_match_score)
         if similarity < params.min_jaccard:
@@ -464,9 +484,14 @@ def reference_candidate_tables(
     vote per (query column, table), a Python sum per table."""
     per_table: dict[str, dict[str, tuple[str, float]]] = {}
     buckets = reference_buckets(index)
-    for query_column in query.columns:
+    lake = {
+        column.key: (column, signature)
+        for sketch in map(index.sketch, index.table_names)
+        for column, signature in zip(sketch.columns, signature_rows(sketch))
+    }
+    for query_column, query_signature in zip(query.columns, signature_rows(query)):
         for candidate, similarity in _reference_candidate_columns(
-            index, query_column, buckets, exclude_table=query.name
+            index, query_column, query_signature, buckets, lake, exclude_table=query.name
         ):
             best = per_table.setdefault(candidate.table_name, {})
             current = best.get(query_column.column_name)
@@ -491,27 +516,22 @@ def reference_candidate_tables(
 
 
 def reference_candidate_signals(
-    query_sketch: TableSketch, columns: Sequence[ColumnSketch], seed: int = 7
+    query_sketch: TableSketch, candidate: TableSketch, seed: int
 ) -> CandidateSignals:
     """``candidate_signals`` as it was: one candidate's column sketches
     against the query sketch, one call per candidate."""
-    name = columns[0].table_name if columns else ""
     max_jaccard = 0.0
-    query_columns = list(query_sketch.columns)
-    if query_columns and columns:
-        matrix = reference_jaccard_matrix(
-            [sketch.minhash for sketch in query_columns],
-            [sketch.minhash for sketch in columns],
-        )
-        max_jaccard = float(matrix.max())
-    num_permutations = len(columns[0].minhash.values) if columns else 0
+    query_signatures, signatures = signature_rows(query_sketch), signature_rows(candidate)
+    if query_signatures and signatures:
+        max_jaccard = float(reference_jaccard_matrix(query_signatures, signatures).max())
+    num_permutations = len(signatures[0]) if signatures else 0
     max_values = 0
-    for c in columns:
+    for c in candidate.columns:
         non_missing = max(0, c.row_count - c.missing_count)
         if non_missing > max_values:
             max_values = non_missing
     return CandidateSignals(
-        table_name=name,
+        table_name=candidate.name,
         max_jaccard=max_jaccard,
         num_permutations=num_permutations,
         seed=seed,
@@ -519,12 +539,9 @@ def reference_candidate_signals(
     )
 
 
-def semprop_signatures(prepared: PreparedTable) -> list[MinHashSignature]:
-    """A SemProp payload's signature matrix as one signature object per column."""
-    return [
-        MinHashSignature(tuple(row.tolist()), int(size))
-        for row, size in zip(prepared.payload["signatures"], prepared.payload["set_sizes"])
-    ]
+def semprop_signatures(prepared: PreparedTable) -> list[tuple[int, ...]]:
+    """A SemProp payload's signature matrix as one tuple of ints per column."""
+    return [tuple(row) for row in prepared.payload["signatures"].tolist()]
 
 
 def reference_semprop_match_prepared(

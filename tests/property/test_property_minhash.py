@@ -7,39 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matcher_support import reference_jaccard_matrix
+from matcher_support import reference_jaccard, reference_jaccard_matrix
 from repro.data.table import ColumnRef
 from repro.matchers.base import Match, MatchResult
-from repro.sketches.minhash import (
-    jaccard_matrix,
-    minhash_signature,
-    minhash_signatures,
-    signature_matrix,
-)
+from repro.sketches.minhash import jaccard_matrix, minhash_signatures
 
 value_sets = st.sets(st.text(min_size=1, max_size=6), min_size=0, max_size=30)
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The signatures of *a* and *b*, each a one-row matrix."""
+    signatures, _ = minhash_signatures([a, b], num_permutations=64)
+    return signatures[:1], signatures[1:]
 
 
 class TestMinHashProperties:
     @settings(max_examples=30)
     @given(value_sets, value_sets)
     def test_estimate_bounded(self, a, b):
-        sig_a = minhash_signature(a, num_permutations=64)
-        sig_b = minhash_signature(b, num_permutations=64)
-        assert 0.0 <= sig_a.jaccard(sig_b) <= 1.0
+        assert 0.0 <= jaccard_matrix(*_pair(a, b))[0, 0] <= 1.0
 
     @settings(max_examples=30)
     @given(value_sets)
     def test_identity_estimate_is_one(self, a):
-        sig = minhash_signature(a, num_permutations=64)
-        assert sig.jaccard(minhash_signature(a, num_permutations=64)) == 1.0
+        assert jaccard_matrix(*_pair(a, a))[0, 0] == 1.0
 
     @settings(max_examples=30)
     @given(value_sets, value_sets)
     def test_symmetry(self, a, b):
-        sig_a = minhash_signature(a, num_permutations=64)
-        sig_b = minhash_signature(b, num_permutations=64)
-        assert sig_a.jaccard(sig_b) == sig_b.jaccard(sig_a)
+        sig_a, sig_b = _pair(a, b)
+        assert jaccard_matrix(sig_a, sig_b)[0, 0] == jaccard_matrix(sig_b, sig_a)[0, 0]
+        assert jaccard_matrix(sig_a, sig_b)[0, 0] == reference_jaccard(
+            sig_a[0].tolist(), sig_b[0].tolist()
+        )
 
 
 #: Zero to three columns of small, overlapping value sets (empty sets sign
@@ -48,17 +48,17 @@ columns = st.lists(st.sets(st.sampled_from("abcdefgh"), max_size=6), max_size=3)
 
 
 class TestJaccardMatrixAgainstTheListForm:
-    """The matrix kernel gives every cell the double the per-object form did."""
+    """The matrix kernel gives every cell the double the per-pair Python count does."""
 
     @settings(max_examples=60)
     @given(columns, columns, st.integers(min_value=1, max_value=24))
     def test_matrix_form_equals_reference(self, columns_a, columns_b, width):
-        signatures_a = minhash_signatures(columns_a, num_permutations=width)
-        signatures_b = minhash_signatures(columns_b, num_permutations=width)
-        expected = reference_jaccard_matrix(signatures_a, signatures_b)
-        for dtype in (np.uint64, np.uint32):  # the cascade's form, SemProp's form
-            matrix_a = signature_matrix(signatures_a).astype(dtype)
-            matrix_b = signature_matrix(signatures_b).astype(dtype)
+        signatures_a, _ = minhash_signatures(columns_a, num_permutations=width)
+        signatures_b, _ = minhash_signatures(columns_b, num_permutations=width)
+        expected = reference_jaccard_matrix(signatures_a.tolist(), signatures_b.tolist())
+        for dtype in (np.uint64, np.uint32):  # a widened copy, the signatures as made
+            matrix_a = signatures_a.astype(dtype)
+            matrix_b = signatures_b.astype(dtype)
             actual = jaccard_matrix(matrix_a, matrix_b)
             assert actual.shape == expected.shape
             assert actual.dtype == expected.dtype
@@ -66,12 +66,12 @@ class TestJaccardMatrixAgainstTheListForm:
 
     @given(columns, st.integers(min_value=1, max_value=8))
     def test_widths_must_agree(self, columns_a, width):
-        signatures_a = minhash_signatures(columns_a or [{"a"}], num_permutations=width)
-        wider = minhash_signatures([{"a"}], num_permutations=width + 1)
+        signatures_a, _ = minhash_signatures(columns_a or [{"a"}], num_permutations=width)
+        wider, _ = minhash_signatures([{"a"}], num_permutations=width + 1)
         with pytest.raises(ValueError, match="same number of permutations"):
-            reference_jaccard_matrix(signatures_a, wider)
+            reference_jaccard_matrix(signatures_a.tolist(), wider.tolist())
         with pytest.raises(ValueError, match="same number of permutations"):
-            jaccard_matrix(signature_matrix(signatures_a), signature_matrix(wider))
+            jaccard_matrix(signatures_a, wider)
 
 
 scores = st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=0, max_size=30)

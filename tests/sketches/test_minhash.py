@@ -2,56 +2,63 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.sketches.minhash import (
-    MinHashSignature,
-    estimate_jaccard,
-    minhash_signature,
-    minhash_signatures,
-)
+from repro.sketches.minhash import jaccard_matrix, minhash_signatures
 from repro.text.distance import jaccard_similarity
+
+
+def _estimate(a, b, **kwargs) -> float:
+    """Estimated Jaccard of two value collections, sketched in one batch."""
+    signatures, _ = minhash_signatures([a, b], **kwargs)
+    return float(jaccard_matrix(signatures[:1], signatures[1:])[0, 0])
+
+
+def _single(values, **kwargs) -> np.ndarray:
+    """The signature of one value collection: a row of a one-set batch."""
+    return minhash_signatures([values], **kwargs)[0][0]
 
 
 class TestMinHashSignature:
     def test_identical_sets_estimate_one(self):
         values = [f"value_{i}" for i in range(100)]
-        assert estimate_jaccard(values, list(values)) == pytest.approx(1.0)
+        assert _estimate(values, list(values)) == pytest.approx(1.0)
 
     def test_disjoint_sets_estimate_near_zero(self):
         a = [f"a_{i}" for i in range(100)]
         b = [f"b_{i}" for i in range(100)]
-        assert estimate_jaccard(a, b) <= 0.05
+        assert _estimate(a, b) <= 0.05
 
     def test_estimate_tracks_true_jaccard(self):
         a = [f"v_{i}" for i in range(200)]
         b = [f"v_{i}" for i in range(100, 300)]
         truth = jaccard_similarity(a, b)
-        estimate = estimate_jaccard(a, b, num_permutations=256)
+        estimate = _estimate(a, b, num_permutations=256)
         assert estimate == pytest.approx(truth, abs=0.1)
 
     def test_deterministic_given_seed(self):
         values = ["x", "y", "z"]
-        assert minhash_signature(values).values == minhash_signature(values).values
+        assert _single(values).tolist() == _single(values).tolist()
 
     def test_case_and_whitespace_normalised(self):
-        assert minhash_signature(["Apple "]).values == minhash_signature(["apple"]).values
+        assert _single(["Apple "]).tolist() == _single(["apple"]).tolist()
 
     def test_empty_set_signature(self):
-        signature = minhash_signature([])
-        assert signature.set_size == 0
-        other = minhash_signature(["a"])
-        assert signature.jaccard(other) <= 1.0
+        signatures, set_sizes = minhash_signatures([[], ["a"]], num_permutations=16)
+        assert set_sizes.tolist() == [0, 1]
+        assert signatures[0].tolist() == [2**32 - 1] * 16
+        assert 0.0 <= jaccard_matrix(signatures[:1], signatures[1:])[0, 0] <= 1.0
 
     def test_mismatched_permutations_rejected(self):
-        a = minhash_signature(["x"], num_permutations=16)
-        b = minhash_signature(["x"], num_permutations=32)
+        a, _ = minhash_signatures([["x"]], num_permutations=16)
+        b, _ = minhash_signatures([["x"]], num_permutations=32)
         with pytest.raises(ValueError):
-            a.jaccard(b)
+            jaccard_matrix(a, b)
 
     def test_invalid_permutation_count(self):
         with pytest.raises(ValueError):
-            minhash_signature(["x"], num_permutations=0)
+            minhash_signatures([["x"]], num_permutations=0)
 
 
 class TestBatchSignatures:
@@ -63,12 +70,11 @@ class TestBatchSignatures:
             [1, 2, 3, "Apple ", "apple"],
             ["only"],
         ]
-        batch = minhash_signatures(columns, num_permutations=64, seed=11)
-        singles = [
-            minhash_signature(column, num_permutations=64, seed=11)
-            for column in columns
-        ]
-        assert batch == singles
+        batch, set_sizes = minhash_signatures(columns, num_permutations=64, seed=11)
+        assert batch.dtype == np.uint32 and batch.shape == (5, 64)
+        assert set_sizes.tolist() == [80, 0, 80, 4, 1]
+        for row, column in zip(batch, columns):
+            assert row.tolist() == _single(column, num_permutations=64, seed=11).tolist()
 
     def test_batch_chunks_large_inputs(self, monkeypatch):
         """Force tiny chunks so several flushes happen within one call."""
@@ -76,15 +82,16 @@ class TestBatchSignatures:
 
         monkeypatch.setattr(module, "_BATCH_CELL_BUDGET", 64)
         columns = [[f"c{i}_{j}" for j in range(10)] for i in range(9)]
-        batch = minhash_signatures(columns, num_permutations=16)
-        singles = [minhash_signature(column, num_permutations=16) for column in columns]
-        assert batch == singles
+        batch, _ = minhash_signatures(columns, num_permutations=16)
+        monkeypatch.undo()
+        for row, column in zip(batch, columns):
+            assert row.tolist() == _single(column, num_permutations=16).tolist()
 
     def test_matches_independent_reference_implementation(self):
         """Guard the vectorised core against regressions with plain-int math.
 
-        ``minhash_signature`` delegates to the batch path, so batch-vs-single
-        comparisons alone cannot catch a bug in the shared implementation.
+        A batch of one set runs the same code as a larger batch, so
+        batch-vs-single comparisons alone cannot catch a bug in it.
         """
         import repro.sketches.minhash as module
 
@@ -93,26 +100,28 @@ class TestBatchSignatures:
         a, b = module._permutation_parameters(num_permutations, seed)
         distinct = {str(v).strip().lower() for v in values}
         hashes = [module._stable_hash(v) for v in distinct]
-        expected = tuple(
+        expected = [
             min(
                 ((int(a[k]) * h + int(b[k])) % module._MERSENNE_PRIME)
                 & module._MAX_HASH
                 for h in hashes
             )
             for k in range(num_permutations)
+        ]
+        signatures, set_sizes = minhash_signatures(
+            [values], num_permutations=num_permutations, seed=seed
         )
-        signature = minhash_signature(
-            values, num_permutations=num_permutations, seed=seed
-        )
-        assert signature.values == expected
-        assert signature.set_size == len(distinct)
+        assert signatures[0].tolist() == expected
+        assert set_sizes.tolist() == [len(distinct)]
 
     def test_batch_rejects_invalid_permutations(self):
         with pytest.raises(ValueError):
             minhash_signatures([["x"]], num_permutations=0)
 
     def test_empty_batch(self):
-        assert minhash_signatures([]) == []
+        signatures, set_sizes = minhash_signatures([])
+        assert signatures.shape == (0, 0) and signatures.dtype == np.uint32
+        assert set_sizes.shape == (0,)
 
 
 class TestVectorizedVsScalar:
@@ -127,6 +136,12 @@ class TestVectorizedVsScalar:
         ["ünïcode", "日本語", ""],
     ]
 
+    @staticmethod
+    def _assert_identical(vectorized, scalar) -> None:
+        for got, expected in zip(vectorized, scalar):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tolist() == expected.tolist()
+
     def test_signatures_identical(self):
         from repro.sketches.minhash import minhash_signatures_scalar
 
@@ -137,7 +152,8 @@ class TestVectorizedVsScalar:
             scalar = minhash_signatures_scalar(
                 self.CASES, num_permutations=num_permutations, seed=seed
             )
-            assert vectorized == scalar
+            self._assert_identical(vectorized, scalar)
+        self._assert_identical(minhash_signatures([]), minhash_signatures_scalar([]))
 
     def test_signatures_identical_across_chunk_boundaries(self, monkeypatch):
         import repro.sketches.minhash as module
@@ -145,13 +161,12 @@ class TestVectorizedVsScalar:
 
         monkeypatch.setattr(module, "_BATCH_CELL_BUDGET", 48)
         columns = [[f"c{i}_{j}" for j in range(11)] for i in range(7)]
-        assert minhash_signatures(columns, num_permutations=16) == (
-            minhash_signatures_scalar(columns, num_permutations=16)
+        self._assert_identical(
+            minhash_signatures(columns, num_permutations=16),
+            minhash_signatures_scalar(columns, num_permutations=16),
         )
 
     def test_hash_normalized_values_matches_stable_hash(self):
-        import numpy as np
-
         import repro.sketches.minhash as module
         from repro.sketches.minhash import hash_normalized_values
 
@@ -170,44 +185,40 @@ class TestVectorizedVsScalar:
 
 class TestJaccardMatrix:
     def test_matrix_equals_pairwise_jaccard(self):
-        from repro.sketches.minhash import jaccard_matrix, signature_matrix
-
         columns_a = [[f"v_{i}" for i in range(40)], ["x", "y"], []]
         columns_b = [[f"v_{i}" for i in range(20, 60)], ["y", "z"], ["q"]]
-        signatures_a = minhash_signatures(columns_a, num_permutations=64)
-        signatures_b = minhash_signatures(columns_b, num_permutations=64)
-        matrix = jaccard_matrix(signature_matrix(signatures_a), signature_matrix(signatures_b))
+        signatures_a, _ = minhash_signatures(columns_a, num_permutations=64)
+        signatures_b, _ = minhash_signatures(columns_b, num_permutations=64)
+        matrix = jaccard_matrix(signatures_a, signatures_b)
         assert matrix.shape == (3, 3)
-        for i, signature_a in enumerate(signatures_a):
-            for j, signature_b in enumerate(signatures_b):
-                assert matrix[i, j] == signature_a.jaccard(signature_b)
+        for i, row_a in enumerate(signatures_a.tolist()):
+            for j, row_b in enumerate(signatures_b.tolist()):
+                assert matrix[i, j] == sum(x == y for x, y in zip(row_a, row_b)) / 64
 
     def test_empty_sides(self):
-        from repro.sketches.minhash import jaccard_matrix, signature_matrix
-
-        signatures = signature_matrix(minhash_signatures([["a"]], num_permutations=16))
-        assert jaccard_matrix(signature_matrix([]), signatures).shape == (0, 1)
-        assert jaccard_matrix(signatures, signature_matrix([])).shape == (1, 0)
+        signatures, _ = minhash_signatures([["a"]], num_permutations=16)
+        nothing, _ = minhash_signatures([], num_permutations=16)
+        assert jaccard_matrix(nothing, signatures).shape == (0, 1)
+        assert jaccard_matrix(signatures, nothing).shape == (1, 0)
 
     def test_mismatched_permutations_rejected(self):
-        from repro.sketches.minhash import jaccard_matrix, signature_matrix
-
-        a = minhash_signature(["x"], num_permutations=16)
-        b = minhash_signature(["x"], num_permutations=32)
+        a, _ = minhash_signatures([["x"]], num_permutations=16)
+        b, _ = minhash_signatures([["x"]], num_permutations=32)
         with pytest.raises(ValueError):
-            jaccard_matrix(signature_matrix([a]), signature_matrix([b]))
-        with pytest.raises(ValueError):
-            signature_matrix([a, b])
+            jaccard_matrix(a, b)
 
 
 class TestSignaturePickling:
     def test_pickle_round_trip(self):
-        """What a parallel lake build's workers send back: the fields only."""
+        """What a parallel lake build's workers send back: a table sketch
+        whose signatures are one matrix, pickled as its fields only."""
         import pickle
 
-        signature = minhash_signature(["a", "b"], num_permutations=16)
-        signature.jaccard(signature)
-        clone = pickle.loads(pickle.dumps(signature))
-        assert clone == signature
-        assert set(clone.__dict__) == {"values", "set_size"}
-        assert clone.jaccard(signature) == 1.0
+        from repro.data.table import Table
+        from repro.lake.profiles import sketch_table
+
+        sketch = sketch_table(Table("t", {"a": ["x", "y"], "b": [1, 2]}))
+        clone = pickle.loads(pickle.dumps(sketch))
+        assert clone == sketch
+        assert set(clone.__dict__) == {"name", "content_hash", "num_rows", "columns", "signatures"}
+        assert clone.signatures.dtype == np.uint32 and clone.signatures.shape == (2, 128)
