@@ -161,18 +161,15 @@ def column_sketches(draw, table_name: str, column_name: str) -> tuple[ColumnSket
     return column, signature
 
 
-def _table(name: str, columns, signatures) -> TableSketch:
-    width = _CONFIG.num_permutations if signatures else 0
-    matrix = np.array(signatures, dtype=np.uint32).reshape(len(signatures), width)
-    return TableSketch(name, "", 0, tuple(columns), matrix)
-
-
 @st.composite
 def table_sketches(draw, name=None) -> TableSketch:
     name = name or draw(st.sampled_from(_TABLES))
     names = draw(st.lists(st.sampled_from(_NAMES), max_size=3, unique=True))
     pairs = [draw(column_sketches(name, column)) for column in names]
-    return _table(name, [column for column, _ in pairs], [signature for _, signature in pairs])
+    width = _CONFIG.num_permutations if pairs else 0
+    signatures = np.array([signature for _, signature in pairs], dtype=np.uint32)
+    columns = tuple(column for column, _ in pairs)
+    return TableSketch(name, "", 0, columns, signatures.reshape(len(pairs), width))
 
 
 operations = st.lists(
@@ -343,7 +340,7 @@ class TestMismatchesStillRaise:
         with pytest.raises(ValueError, match="permutations"):
             index.candidate_tables(narrow)
         with pytest.raises(ValueError, match="permutations"):
-            candidate_signals(narrow, ["lake"], *index.signature_block(["lake"]), seed=7)
+            candidate_signals(narrow, ["lake"], *index.signature_block(["lake"]), seed=_CONFIG.seed)
 
     def test_histogram_buckets(self):
         index = LakeIndex(_CONFIG, LSHParams(bands=4, rows=2))
@@ -515,7 +512,8 @@ class TestWorkCensus:
             index.add(sketch)
         candidates = index.candidate_tables(tables[0])
         names = [c.table_name for c in candidates]
-        signals = candidate_signals(tables[0], names, *index.signature_block(names), seed=7)
+        block = index.signature_block(names)
+        signals = candidate_signals(tables[0], names, *block, seed=index.config.seed)
         assert candidates and set(signals) == set(names)
         # The per-pair sketch objects and methods are gone, not merely bypassed:
         # a signature is a row of its table's matrix and nothing else.

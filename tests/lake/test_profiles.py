@@ -119,14 +119,15 @@ def _table_sketches(draw) -> TableSketch:
 
 
 def _ragged_row() -> bytes:
-    """A well-framed row whose two columns declare signature widths 2 and 3:
-    its section holds the five values the widths add up to."""
+    """A well-framed row whose three columns declare signature widths 2, 3
+    and 1: its section holds the six values the widths add up to, which is
+    also three rows of the first width."""
     entries = [
         [name, DataType.STRING.value, 1, width, 0, 1, 1, 0, None, None, None, None, 1.0]
-        for name, width in (("a", 2), ("b", 3))
+        for name, width in (("a", 2), ("b", 3), ("c", 1))
     ]
     skeleton = {"name": "t", "content_hash": "", "rows": 1, "columns": entries}
-    return sections.pack(b"SKCH", skeleton, [np.arange(5, dtype="<u4").tobytes(), b""])
+    return sections.pack(b"SKCH", skeleton, [np.arange(6, dtype="<u4").tobytes(), b""])
 
 
 _RAGGED_ROW = _ragged_row()
