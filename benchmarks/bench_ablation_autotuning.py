@@ -20,7 +20,7 @@ from repro.experiments.runner import run_single_experiment
 from repro.fabrication.fabricator import FabricationConfig, Fabricator
 from repro.fabrication.pairs import Scenario
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.tuning import AutoTuner
+from repro.tuning.auto_tune import AutoTuner
 
 GRID = ParameterGrid(
     "JaccardLevenshtein",

@@ -11,7 +11,7 @@ pairs.
 from __future__ import annotations
 
 from benchmarks.conftest import fast_grids, print_report
-from repro.datasets import wikidata_pairs
+from repro.datasets.wikidata import wikidata_pairs
 from repro.experiments.reports import render_boxplot_figure
 from repro.experiments.results import ResultSet
 from repro.experiments.runner import ExperimentRunner

@@ -10,7 +10,8 @@ method on ING#2 (cryptic technical column names, near-identical values).
 from __future__ import annotations
 
 from benchmarks.conftest import fast_grids, print_report
-from repro.datasets import ing_pairs, magellan_pairs
+from repro.datasets.ing import ing_pairs
+from repro.datasets.magellan import magellan_pairs
 from repro.experiments.reports import render_recall_table
 from repro.experiments.results import ResultSet
 from repro.experiments.runner import ExperimentRunner

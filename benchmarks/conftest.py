@@ -15,7 +15,7 @@ import functools
 
 import pytest
 
-from repro.datasets import (
+from repro.datasets.fabricated_sources import (
     chembl_assays_table,
     open_data_table,
     tpcdi_prospect_table,

@@ -21,12 +21,12 @@ from __future__ import annotations
 import random
 
 from repro.data.table import Table
-from repro.datasets import (
+from repro.datasets.fabricated_sources import (
     chembl_assays_table,
     open_data_table,
     tpcdi_prospect_table,
-    wikidata_singers_table,
 )
+from repro.datasets.wikidata import wikidata_singers_table
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.matchers.coma.matcher import ComaInstanceMatcher
 from repro.matchers.base import MatchResult

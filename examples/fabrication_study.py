@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import random
 
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.experiments.reports import format_table
 from repro.fabrication.pairs import NoiseVariant
 from repro.fabrication.scenarios import fabricate_unionable, fabricate_view_unionable
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.metrics import recall_at_ground_truth
+from repro.metrics.ranking import recall_at_ground_truth
 
 
 def run_matchers(pair) -> dict[str, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from repro.datasets import chembl_assays_table
+from repro.datasets.fabricated_sources import chembl_assays_table
 from repro.experiments.efficiency import measure_runtimes
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.reports import render_boxplot_figure, render_runtime_table

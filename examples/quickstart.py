@@ -13,13 +13,13 @@ Run with ``python examples/quickstart.py``.
 
 from __future__ import annotations
 
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.fabrication.fabricator import FabricationConfig, Fabricator
 from repro.fabrication.pairs import NoiseVariant, Scenario
 from repro.fabrication.scenarios import fabricate_unionable
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.metrics import recall_at_ground_truth
+from repro.metrics.ranking import recall_at_ground_truth
 
 import random
 

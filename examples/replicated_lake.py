@@ -36,13 +36,15 @@ import time
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
-from repro.artifacts import LakeWatcher, pull_snapshot
+from repro.artifacts.sync import pull_snapshot
+from repro.artifacts.watch import LakeWatcher
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import SketchStore
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
-from repro.serve import DiscoveryServer, ServeClient, ServeConfig
+from repro.serve.client import ServeClient
+from repro.serve.server import DiscoveryServer, ServeConfig
 
 METHOD = "jaccardlevenshtein"
 METHOD_KWARGS = {"sample_size": 20}

@@ -13,20 +13,23 @@ Matching Techniques for Dataset Discovery"* (Koutras et al., ICDE 2021):
 * the experiment suite — parameter grids, runner, aggregation, sensitivity
   and efficiency analyses (:mod:`repro.experiments`).
 
-Importing the package imports none of its subpackages: each module imports
-what it uses, so ``import repro.cli`` loads neither scipy nor networkx.
+Importing the package imports none of its subpackages, and no subpackage
+but :mod:`repro.telemetry` re-exports its modules' names: each module
+imports what it uses from the module that defines it, so ``import
+repro.cli`` loads neither scipy nor networkx.
 
 Quickstart
 ----------
->>> from repro import datasets, metrics
+>>> from repro.datasets.fabricated_sources import tpcdi_prospect_table
 >>> from repro.fabrication.fabricator import Fabricator
 >>> from repro.fabrication.pairs import Scenario
 >>> from repro.matchers.registry import create_matcher
->>> seed = datasets.tpcdi_prospect_table(num_rows=200)
+>>> from repro.metrics.ranking import recall_at_ground_truth
+>>> seed = tpcdi_prospect_table(num_rows=200)
 >>> pair = Fabricator().fabricate(seed, scenarios=[Scenario.UNIONABLE])[0]
 >>> matcher = create_matcher("ComaSchema")
 >>> result = matcher.get_matches(pair.source, pair.target)
->>> metrics.recall_at_ground_truth(result.ranked_pairs(), pair.ground_truth)  # doctest: +SKIP
+>>> recall_at_ground_truth(result.ranked_pairs(), pair.ground_truth)  # doctest: +SKIP
 1.0
 """
 

@@ -12,7 +12,7 @@ mismatch, so a corrupt read costs a retry, never a corrupt store.
 * :class:`LocalTransport` — the original behaviour: a path-like artifact
   directory (local disk, NFS export, object-store mount).
 * :class:`FaultyTransport` — wraps any transport with a
-  :class:`~repro.faults.FaultPlan`, injecting errors / delays / truncation
+  :class:`~repro.faults.plan.FaultPlan`, injecting errors / delays / truncation
   / bit flips / crashes at the two read points.  This is both the chaos
   test harness and living documentation of the failure model the retry
   layer is built against.
@@ -100,7 +100,7 @@ class LocalTransport(ArtifactTransport):
 
 
 class FaultyTransport(ArtifactTransport):
-    """Any transport seen through a :class:`~repro.faults.FaultPlan`.
+    """Any transport seen through a :class:`~repro.faults.plan.FaultPlan`.
 
     Control faults fire *before* the inner read (a failed request transfers
     nothing); data faults mutate the returned bytes (the read "succeeded"

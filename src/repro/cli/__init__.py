@@ -17,14 +17,14 @@ registers its subcommands (parser plus ``set_defaults(func=handler)``), and
 
 A lake is named by ``--store`` alone (its prepared store is always
 ``<store>.prepared``), and every ``lake`` command opens both stores through
-:func:`repro.lake.open_lake`, which also closes them afterwards.
+:func:`repro.lake.opening.open_lake`, which also closes them afterwards.
 
 Exit codes, for every command:
 
 ====  =====================================================================
 0     success
 1     operational error, one line on stderr: a store that is missing,
-      foreign or built with another config (:class:`repro.lake.LakeOpenError`),
+      foreign or built with another config (:class:`repro.lake.opening.LakeOpenError`),
       an unreadable input CSV or artifact, ``lake verify`` findings,
       ``lake pull`` skipping corrupt blobs
 2     usage error (argparse), including an unregistered matcher name
@@ -44,7 +44,7 @@ import sys
 
 from repro.cli import experiments, lake, serve, sync
 from repro.cli.options import fail
-from repro.lake import LakeOpenError
+from repro.lake.opening import LakeOpenError
 
 __all__ = ["main", "build_parser"]
 

@@ -25,10 +25,10 @@ def _fabricate(
     args: argparse.Namespace, scenarios: list[Scenario] | None = None
 ) -> list[DatasetPair]:
     """The pairs fabricated from the seed table ``--source`` / ``--rows`` name."""
-    from repro import datasets
+    from repro.datasets import fabricated_sources
     from repro.fabrication.fabricator import FabricationConfig, Fabricator
 
-    seed_table = getattr(datasets, _SOURCES[args.source])(num_rows=args.rows)
+    seed_table = getattr(fabricated_sources, _SOURCES[args.source])(num_rows=args.rows)
     return Fabricator(FabricationConfig()).fabricate(seed_table, scenarios=scenarios)
 
 

@@ -17,13 +17,9 @@ from repro.cli.options import (
 )
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.discovery.prepared import fingerprint_class
-from repro.lake import (
-    LakeDiscoveryEngine,
-    build_from_paths,
-    open_lake,
-    prepare_lake,
-    resolve_prepared_path,
-)
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.opening import open_lake, resolve_prepared_path
 from repro.matchers.registry import create_matcher
 
 
@@ -139,7 +135,8 @@ def _command_lake_query(args: argparse.Namespace) -> int:
 
 
 def _run_lake_query(args: argparse.Namespace) -> int:
-    from repro.telemetry import TelemetryRecorder, use, write_chrome_trace
+    from repro.telemetry.recorder import TelemetryRecorder, use
+    from repro.telemetry.trace import write_chrome_trace
 
     try:
         query = read_csv(args.query_csv)

@@ -50,7 +50,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
 
 
 def _command_lake_serve(args: argparse.Namespace) -> int:
-    from repro.serve import DiscoveryServer, ServeConfig
+    from repro.serve.server import DiscoveryServer, ServeConfig
 
     config = ServeConfig(
         store_path=args.store,

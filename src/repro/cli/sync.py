@@ -14,7 +14,7 @@ from repro.cli.options import (
     positive_float,
     positive_int,
 )
-from repro.lake import open_lake
+from repro.lake.opening import open_lake
 from repro.matchers.registry import create_matcher
 
 
@@ -86,7 +86,7 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
 
 
 def _command_lake_publish(args: argparse.Namespace) -> int:
-    from repro.artifacts import publish_snapshot
+    from repro.artifacts.sync import publish_snapshot
 
     with open_lake(args.store, prepared="if_present") as (store, prepared_store):
         report = publish_snapshot(store, args.out_dir, prepared_store=prepared_store)
@@ -100,8 +100,9 @@ def _command_lake_publish(args: argparse.Namespace) -> int:
 
 
 def _command_lake_pull(args: argparse.Namespace) -> int:
-    from repro.artifacts import LocalTransport, Manifest, RetryPolicy, pull_snapshot
-    from repro.artifacts.transport import PinnedTransport
+    from repro.artifacts.manifest import Manifest
+    from repro.artifacts.sync import pull_snapshot
+    from repro.artifacts.transport import LocalTransport, PinnedTransport, RetryPolicy
 
     try:
         raw = LocalTransport(args.src).read_manifest()
@@ -196,7 +197,7 @@ def _command_lake_verify(args: argparse.Namespace) -> int:
 
 
 def _command_lake_watch(args: argparse.Namespace) -> int:
-    from repro.artifacts import LakeWatcher, WatchReport
+    from repro.artifacts.watch import LakeWatcher, WatchReport
 
     if not args.input.is_dir():
         return fail(f"not a directory: {args.input}")

@@ -1,32 +1,1 @@
 """Tabular data substrate: tables, columns, types, CSV I/O and profiling."""
-
-from repro.data.csv_io import read_csv, table_from_csv_text, table_to_csv_text, write_csv
-from repro.data.profiling import ColumnProfile, profile_column, profile_table
-from repro.data.table import Column, ColumnRef, Table
-from repro.data.types import (
-    DataType,
-    coerce_value,
-    infer_column_type,
-    infer_value_type,
-    is_missing,
-    type_compatibility,
-)
-
-__all__ = [
-    "Column",
-    "ColumnRef",
-    "Table",
-    "DataType",
-    "coerce_value",
-    "infer_column_type",
-    "infer_value_type",
-    "is_missing",
-    "type_compatibility",
-    "read_csv",
-    "write_csv",
-    "table_from_csv_text",
-    "table_to_csv_text",
-    "ColumnProfile",
-    "profile_column",
-    "profile_table",
-]

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.data.table import Column, Table
+from repro.data.table import Column
 from repro.data.types import DataType, parse_numeric_values
 
-__all__ = ["ColumnProfile", "profile_column", "profile_table"]
+__all__ = ["ColumnProfile", "profile_column"]
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,3 @@ def profile_column(
         maximum=maximum,
         avg_length=avg_length,
     )
-
-
-def profile_table(table: Table) -> dict[str, ColumnProfile]:
-    """Profile every column of *table*; keyed by column name."""
-    return {column.name: profile_column(column) for column in table.columns}

@@ -1,24 +1,1 @@
 """Synthetic dataset sources standing in for the paper's data (Section V)."""
-
-from repro.datasets.fabricated_sources import (
-    chembl_assays_table,
-    open_data_table,
-    tpcdi_prospect_table,
-)
-from repro.datasets.ing import ing_application_pair, ing_backlog_pair, ing_pairs
-from repro.datasets.magellan import magellan_pairs
-from repro.datasets.vocabulary import ValueSampler
-from repro.datasets.wikidata import wikidata_pairs, wikidata_singers_table
-
-__all__ = [
-    "tpcdi_prospect_table",
-    "open_data_table",
-    "chembl_assays_table",
-    "wikidata_singers_table",
-    "wikidata_pairs",
-    "magellan_pairs",
-    "ing_backlog_pair",
-    "ing_application_pair",
-    "ing_pairs",
-    "ValueSampler",
-]

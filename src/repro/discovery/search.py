@@ -212,14 +212,14 @@ def score_prepared(
 
 
 class RerankPool:
-    """A persistent process pool for whole tasks, such as experiment runs.
+    """A persistent process pool for whole tasks.
 
-    :class:`~repro.experiments.runner.ExperimentRunner` fans the
-    (configuration x pair) runs of a grid sweep out over it, one task per
-    run.  ``ProcessPoolExecutor`` costs a spawn per pool plus an
-    initializer run per worker; the pool keeps one executor alive across
-    :meth:`map` calls so a sweep pays that once.  A discovery query never
-    uses it: every ranking is scored in the process that asked.
+    Nothing in the program builds one: only lakebench's stand-alone
+    ``search.pool_spawn_ms`` probe does, to time a spawn.  A discovery query
+    never uses it (every ranking is scored in the process that asked), and
+    the experiment runner's sweep is serial.  ``ProcessPoolExecutor`` costs
+    a spawn per pool plus an initializer run per worker; the pool keeps one
+    executor alive across :meth:`map` calls so a caller pays that once.
 
     The pool is lazy (no processes until the first task) and self-healing:
     after a :class:`BrokenProcessPool` (a worker died) :meth:`close`
@@ -237,7 +237,7 @@ class RerankPool:
             raise ValueError(f"max_workers must be at least 1, got {max_workers}")
         self.max_workers = max_workers
         #: How many executors this pool has spawned (observability: a
-        #: sweep with no worker deaths should see this stay at 1).
+        #: pool with no worker deaths should see this stay at 1).
         self.spawn_count = 0
         self._executor: Optional[ProcessPoolExecutor] = None
 

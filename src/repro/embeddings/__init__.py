@@ -1,18 +1,1 @@
 """Embedding substrate: vocabulary, word2vec trainer and pretrained substitute."""
-
-from repro.embeddings.pretrained import PretrainedEmbeddings, default_pretrained_embeddings
-from repro.embeddings.similarity import centroid, cosine_similarity, pairwise_cosine
-from repro.embeddings.vocab import Vocabulary
-from repro.embeddings.word2vec import Word2VecConfig, Word2VecModel, train_word2vec
-
-__all__ = [
-    "Vocabulary",
-    "Word2VecConfig",
-    "Word2VecModel",
-    "train_word2vec",
-    "PretrainedEmbeddings",
-    "default_pretrained_embeddings",
-    "cosine_similarity",
-    "pairwise_cosine",
-    "centroid",
-]

@@ -161,9 +161,10 @@ class PretrainedEmbeddings:
     def __getstate__(self) -> dict:
         """Drop the memoisation caches when pickling.
 
-        A pooled experiment sweep ships matchers (and therefore this
-        embedder) to every pool worker; a warm cache can hold tens of MB of vectors the
-        workers rebuild cheaply on demand.
+        A parallel ``lake prepare`` or ``lake watch --prepare`` ships its
+        matcher (and therefore this embedder) to every pool worker; a warm
+        cache can hold tens of MB of vectors the workers rebuild cheaply on
+        demand.
         """
         state = self.__dict__.copy()
         state["_vector_cache"] = {}

@@ -1,33 +1,1 @@
 """Experiment suite: parameter grids, runner, aggregation and reports."""
-
-from repro.experiments.efficiency import RuntimeMeasurement, measure_runtimes
-from repro.experiments.parameters import (
-    ParameterGrid,
-    default_parameter_grids,
-    expand_grid,
-    total_configurations,
-)
-from repro.experiments.results import BoxplotStats, ExperimentRecord, ResultSet
-from repro.experiments.runner import ExperimentRunner, run_single_experiment
-from repro.experiments.sensitivity import (
-    SensitivityResult,
-    parameter_sensitivity,
-    sensitivity_table,
-)
-
-__all__ = [
-    "ParameterGrid",
-    "default_parameter_grids",
-    "expand_grid",
-    "total_configurations",
-    "ExperimentRecord",
-    "BoxplotStats",
-    "ResultSet",
-    "ExperimentRunner",
-    "run_single_experiment",
-    "SensitivityResult",
-    "parameter_sensitivity",
-    "sensitivity_table",
-    "RuntimeMeasurement",
-    "measure_runtimes",
-]

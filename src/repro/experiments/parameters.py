@@ -25,7 +25,6 @@ from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
 __all__ = [
     "ParameterGrid",
     "default_parameter_grids",
-    "expand_grid",
     "total_configurations",
 ]
 
@@ -156,11 +155,6 @@ def default_parameter_grids(fast: bool = False) -> dict[str, ParameterGrid]:
         "JaccardLevenshtein": ParameterGrid("JaccardLevenshtein", JaccardLevenshteinMatcher, jl_values),
     }
     return grids
-
-
-def expand_grid(grid: ParameterGrid) -> list[tuple[dict[str, object], BaseMatcher]]:
-    """Materialise all ``(parameters, matcher)`` pairs of a grid."""
-    return list(grid.matchers())
 
 
 def total_configurations(grids: Mapping[str, ParameterGrid]) -> int:

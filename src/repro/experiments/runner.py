@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.discovery.search import RerankPool
 from repro.fabrication.pairs import DatasetPair
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.results import ExperimentRecord, ResultSet
@@ -95,16 +94,6 @@ def run_single_experiment(
     return record
 
 
-def _run_pooled_experiment(
-    task: tuple[BaseMatcher, DatasetPair, str, Mapping[str, object]],
-) -> ExperimentRecord:
-    """One (configuration, pair) experiment, shaped for ``RerankPool.map``."""
-    matcher, pair, method_name, parameters = task
-    return run_single_experiment(
-        matcher, pair, method_name=method_name, parameters=parameters
-    )
-
-
 @dataclass
 class ExperimentRunner:
     """Runs grids of method configurations over collections of dataset pairs.
@@ -117,20 +106,10 @@ class ExperimentRunner:
     progress_callback:
         Optional callable invoked with a human-readable progress string after
         every run (used by the CLI).
-    rerank_pool:
-        Optional persistent :class:`~repro.discovery.search.RerankPool`.
-        When set, the (configuration x pair) experiments of each method fan
-        out over its warm worker processes — the grid is embarrassingly
-        parallel, and one pool amortises its spawn cost over the whole
-        sweep.  Records come back in the same order as the serial loop.
-        Per-run wall-clock is still measured inside the worker, but
-        concurrent runs share cores, so keep the pool ``None`` for
-        paper-faithful runtime comparisons.
     """
 
     grids: Mapping[str, ParameterGrid]
     progress_callback: Optional[Callable[[str], None]] = None
-    rerank_pool: Optional[RerankPool] = None
 
     def _notify(self, message: str) -> None:
         if self.progress_callback is not None:
@@ -146,19 +125,6 @@ class ExperimentRunner:
             raise KeyError(f"no parameter grid for method {method_name!r}")
         grid = self.grids[method_name]
         results = ResultSet()
-        if self.rerank_pool is not None:
-            tasks = [
-                (matcher, pair, method_name, parameters)
-                for parameters, matcher in grid.matchers()
-                for pair in pairs
-            ]
-            for record in self.rerank_pool.map(_run_pooled_experiment, tasks):
-                results.add(record)
-                self._notify(
-                    f"{method_name} on {record.pair_name}: "
-                    f"recall@GT={record.recall_at_ground_truth:.3f}"
-                )
-            return results
         for parameters, matcher in grid.matchers():
             for pair in pairs:
                 record = run_single_experiment(

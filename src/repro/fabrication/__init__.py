@@ -2,13 +2,6 @@
 
 Import a name from the module that defines it: :mod:`.pairs` (``Scenario``,
 ``NoiseVariant``, ``DatasetPair``), :mod:`.fabricator`, :mod:`.scenarios`,
-:mod:`.splitting` or :mod:`.noise`.  This module loads none of the heavy
-ones, so the CLI, whose parser needs only ``Scenario``, does not load the
-fabricator.  It re-exports ``NoiseVariant`` from the light :mod:`.pairs`
-(which the CLI loads anyway), because the pinned paper-fidelity suite names
-it through the package.
+:mod:`.splitting` or :mod:`.noise`.  This module loads none of them, so the
+CLI, whose parser needs only ``Scenario``, does not load the fabricator.
 """
-
-from repro.fabrication.pairs import NoiseVariant
-
-__all__ = ["NoiseVariant"]

@@ -1,13 +1,9 @@
 """Deterministic fault injection for chaos-testing the discovery pipeline.
 
 The subsystem has one import rule: nothing in here imports the layers it
-faults (artifacts, serve, lake), so a :class:`FaultPlan` can be threaded
-into any of them without a cycle.  The artifact layer's
+faults (artifacts, serve, lake), so a :class:`~repro.faults.plan.FaultPlan`
+can be threaded into any of them without a cycle.  The artifact layer's
 :class:`~repro.artifacts.transport.FaultyTransport` and the serve daemon's
 ``ServeConfig.fault_plan`` are the two wired-in injection surfaces; both
 are no-ops unless a plan is supplied.
 """
-
-from repro.faults.plan import FaultPlan, FaultSpec, InjectedCrash, InjectedFault
-
-__all__ = ["FaultPlan", "FaultSpec", "InjectedCrash", "InjectedFault"]

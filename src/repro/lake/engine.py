@@ -169,7 +169,7 @@ class LakeDiscoveryEngine:
     prepared_store:
         Optional :class:`~repro.discovery.prepared.PreparedStore` — the
         persistent prepared-candidate store (``<store>.prepared`` when
-        opened by :func:`~repro.lake.open_lake`).  When set, shortlisted
+        opened by :func:`~repro.lake.opening.open_lake`).  When set, shortlisted
         candidates whose prepared payload is stored (keyed by this matcher's
         fingerprint and the content hash recorded at build time) are served
         straight from disk — no CSV read, no prepare — and cold candidates

@@ -1,22 +1,1 @@
 """Effectiveness metrics: ranked-list and classic 1-1 measures."""
-
-from repro.metrics.one_to_one import OneToOneScores, precision_recall_f1
-from repro.metrics.ranking import (
-    average_precision,
-    ndcg_at_k,
-    precision_at_k,
-    recall_at_ground_truth,
-    recall_at_k,
-    reciprocal_rank,
-)
-
-__all__ = [
-    "recall_at_ground_truth",
-    "precision_at_k",
-    "recall_at_k",
-    "reciprocal_rank",
-    "average_precision",
-    "ndcg_at_k",
-    "OneToOneScores",
-    "precision_recall_f1",
-]

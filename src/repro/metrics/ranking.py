@@ -3,9 +3,8 @@
 The paper's headline metric is **Recall@ground-truth** (Section II-C): with
 ``k = |ground truth|``, the fraction of the top-*k* ranked matches that are
 relevant.  Because *k* equals the ground-truth size, the measure coincides
-with Precision@ground-truth.  Additional ranked metrics (precision@k,
-recall@k, reciprocal rank, average precision) are provided for completeness
-and used in ablation benchmarks.
+with Precision@ground-truth.  Recall@k and reciprocal rank complete the
+module; the experiment runner records each run's reciprocal rank.
 """
 
 from __future__ import annotations
@@ -14,11 +13,8 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "recall_at_ground_truth",
-    "precision_at_k",
     "recall_at_k",
     "reciprocal_rank",
-    "average_precision",
-    "ndcg_at_k",
 ]
 
 Pair = tuple[str, str]
@@ -55,15 +51,6 @@ def recall_at_ground_truth(ranked_pairs: Sequence[Pair], ground_truth: Iterable[
     return _relevant_in_top_k(ranked_pairs, truth, k) / k
 
 
-def precision_at_k(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair], k: int) -> float:
-    """Precision of the top-*k* ranked matches."""
-    if k <= 0:
-        return 0.0
-    truth = set(_normalise_pairs(ground_truth))
-    if not _normalise_pairs(ranked_pairs)[:k]:
-        return 0.0
-    return _relevant_in_top_k(ranked_pairs, truth, k) / k
-
 
 def recall_at_k(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair], k: int) -> float:
     """Recall of the top-*k* ranked matches with respect to the ground truth."""
@@ -80,36 +67,3 @@ def reciprocal_rank(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair]) 
         if pair in truth:
             return 1.0 / index
     return 0.0
-
-
-def average_precision(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair]) -> float:
-    """Average precision over the full ranking."""
-    truth = set(_normalise_pairs(ground_truth))
-    if not truth:
-        return 0.0
-    seen: set[Pair] = set()
-    precision_sum = 0.0
-    for index, pair in enumerate(_normalise_pairs(ranked_pairs), start=1):
-        if pair in truth and pair not in seen:
-            seen.add(pair)
-            precision_sum += len(seen) / index
-    return precision_sum / len(truth)
-
-
-def ndcg_at_k(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair], k: int) -> float:
-    """Binary-relevance normalised discounted cumulative gain at *k*."""
-    import math
-
-    truth = set(_normalise_pairs(ground_truth))
-    if not truth or k <= 0:
-        return 0.0
-    top_k = _normalise_pairs(ranked_pairs)[:k]
-    seen: set[Pair] = set()
-    dcg = 0.0
-    for index, pair in enumerate(top_k, start=1):
-        if pair in truth and pair not in seen:
-            seen.add(pair)
-            dcg += 1.0 / math.log2(index + 1)
-    ideal_hits = min(len(truth), k)
-    ideal = sum(1.0 / math.log2(index + 1) for index in range(1, ideal_hits + 1))
-    return dcg / ideal if ideal else 0.0

@@ -1,6 +1,1 @@
 """Ontology substrate: class hierarchies and bundled domain ontologies."""
-
-from repro.ontology.domain import business_ontology, chemistry_ontology
-from repro.ontology.model import Ontology, OntologyClass
-
-__all__ = ["Ontology", "OntologyClass", "chemistry_ontology", "business_ontology"]

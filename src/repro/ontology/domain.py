@@ -1,45 +1,22 @@
-"""Synthetic domain ontologies bundled with the suite.
+"""The synthetic domain ontology bundled with the suite.
 
 The paper runs SemProp with the EFO ontology on ChEMBL data.  EFO is not
-redistributable here, so we bundle compact domain ontologies that mirror the
-vocabulary of the synthetic dataset generators: a chemistry/assay ontology
-(for the ChEMBL-like source), and a small business/people ontology used by
-the other sources.  SemProp's behaviour only depends on being able (or
-failing) to link attribute names to ontology classes, which these preserve.
+redistributable here, so we bundle a compact business/people ontology that
+mirrors the vocabulary of the synthetic dataset generators; SemProp takes
+any other :class:`~repro.ontology.model.Ontology` through its ``ontology``
+parameter.  SemProp's behaviour only depends on being able (or failing) to
+link attribute names to ontology classes, which this preserves.
 """
 
 from __future__ import annotations
 
 from repro.ontology.model import Ontology, OntologyClass
 
-__all__ = ["chemistry_ontology", "business_ontology"]
-
-
-def chemistry_ontology() -> Ontology:
-    """A compact assay/chemistry ontology standing in for EFO."""
-    classes = [
-        OntologyClass("experimental_factor", ("factor", "experimental factor")),
-        OntologyClass("assay", ("assay", "experiment", "test"), parents=("experimental_factor",)),
-        OntologyClass("bioassay", ("bioassay", "biological assay"), parents=("assay",)),
-        OntologyClass("measurement", ("measurement", "value", "reading"), parents=("experimental_factor",)),
-        OntologyClass("concentration", ("concentration", "dose", "dosage"), parents=("measurement",)),
-        OntologyClass("potency", ("potency", "ic50", "activity"), parents=("measurement",)),
-        OntologyClass("compound", ("compound", "molecule", "chemical", "substance")),
-        OntologyClass("target", ("target", "protein", "receptor")),
-        OntologyClass("organism", ("organism", "species", "taxon")),
-        OntologyClass("cell_line", ("cell line", "cell", "cellline"), parents=("organism",)),
-        OntologyClass("tissue", ("tissue", "organ"), parents=("organism",)),
-        OntologyClass("document", ("document", "journal", "publication", "reference")),
-        OntologyClass("identifier", ("identifier", "id", "accession", "code")),
-        OntologyClass("description", ("description", "comment", "text", "note")),
-        OntologyClass("date", ("date", "year", "time")),
-        OntologyClass("unit", ("unit", "units", "uom"), parents=("measurement",)),
-    ]
-    return Ontology("chemistry", classes)
+__all__ = ["business_ontology"]
 
 
 def business_ontology() -> Ontology:
-    """A compact business/people ontology used by non-chemistry sources."""
+    """A compact business/people ontology: SemProp's default."""
     classes = [
         OntologyClass("agent", ("agent", "actor")),
         OntologyClass("person", ("person", "individual", "human"), parents=("agent",)),

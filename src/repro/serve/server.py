@@ -45,7 +45,8 @@ from typing import Optional, Tuple
 
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
-from repro.lake import BatchQueryResult, LakeDiscoveryEngine, lake_generation, open_lake
+from repro.lake.engine import BatchQueryResult, LakeDiscoveryEngine
+from repro.lake.opening import lake_generation, open_lake
 from repro.matchers.registry import create_matcher
 from repro.serve.admission import AdmissionQueue, Deadline, DeadlineExpired, QueueFull, Ticket
 from repro.serve.dispatcher import Dispatcher
@@ -56,7 +57,7 @@ from repro.serve.protocol import (
     request_cache_key,
     response_to_dict,
 )
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 
 __all__ = ["ServeConfig", "DiscoveryServer"]
 
@@ -82,7 +83,7 @@ class ServeConfig:
     queue_limit: int = 32
     default_timeout_s: Optional[float] = 30.0
     reopen_poll_s: float = 1.0
-    #: Optional :class:`~repro.faults.FaultPlan` (duck-typed: anything with
+    #: Optional :class:`~repro.faults.plan.FaultPlan` (duck-typed: anything with
     #: ``check(operation)``) consulted at ``serve.score_batch`` — the chaos
     #: suite's injection point.  ``None`` costs nothing.
     fault_plan: Optional[object] = None

@@ -18,45 +18,19 @@ time actually goes.  Three pieces:
 
 Typical usage::
 
-    from repro import telemetry
+    from repro.telemetry.recorder import TelemetryRecorder, use
+    from repro.telemetry.trace import write_chrome_trace
 
-    with telemetry.use(telemetry.TelemetryRecorder()) as recorder:
+    with use(TelemetryRecorder()) as recorder:
         engine.query(table, top_k=10)
     print(engine.last_query_stats.format_summary())
-    telemetry.write_chrome_trace(recorder.snapshot(), "query.trace.json")
+    write_chrome_trace(recorder.snapshot(), "query.trace.json")
+
+Import each name from the module that defines it.  The package re-exports
+only the two names lakebench calls through it (``telemetry.TelemetryRecorder``
+and ``telemetry.set_default_recorder``).
 """
 
-from repro.telemetry.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    SpanRecord,
-    TelemetryRecorder,
-    TelemetrySnapshot,
-    count,
-    get_recorder,
-    observe,
-    quantile,
-    set_default_recorder,
-    span,
-    use,
-)
-from repro.telemetry.stats import QueryStats
-from repro.telemetry.trace import to_chrome_trace, write_chrome_trace
+from repro.telemetry.recorder import TelemetryRecorder, set_default_recorder
 
-__all__ = [
-    "NULL_RECORDER",
-    "NullRecorder",
-    "SpanRecord",
-    "TelemetryRecorder",
-    "TelemetrySnapshot",
-    "QueryStats",
-    "count",
-    "get_recorder",
-    "observe",
-    "quantile",
-    "set_default_recorder",
-    "span",
-    "use",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__all__ = ["TelemetryRecorder", "set_default_recorder"]

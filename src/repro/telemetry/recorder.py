@@ -15,22 +15,21 @@ so the design splits into two halves:
   serve`` daemon can share a recorder across request threads.
 
 Cross-process story: a discovery query records in the process that runs
-it.  The one pool that runs recorded work is an
-:class:`~repro.experiments.runner.ExperimentRunner` sweep on a
-:class:`~repro.discovery.search.RerankPool`: each run records into its own
-:class:`TelemetryRecorder` inside a spawn-based worker, and its
-:class:`TelemetrySnapshot` (a plain picklable dataclass) travels back
-flattened into the run's record (``tm.*`` extra metrics).  Within one
-process, a child recorder's snapshot is folded into its parent with
-:meth:`TelemetryRecorder.merge`.  Span timestamps come from
+it, and so does each :class:`~repro.experiments.runner.ExperimentRunner`
+run: the run records into its own :class:`TelemetryRecorder`, flattens its
+:class:`TelemetrySnapshot` (a plain picklable dataclass) into the run's
+record (``tm.*`` extra metrics) and folds it into the caller's recorder
+with :meth:`TelemetryRecorder.merge`.  The one process pool left,
+:class:`~repro.discovery.search.RerankPool`, is built only by lakebench's
+``search.pool_spawn_ms`` probe, whose task records nothing.  Span timestamps come from
 :func:`time.perf_counter`, which on Linux is ``CLOCK_MONOTONIC`` —
 machine-wide, so spans from different processes line up on one trace
 timeline.
 
 The **active** recorder is resolved per thread (with a process-wide
 default of :data:`NULL_RECORDER`): :func:`use` pushes a recorder for a
-``with`` scope, and module-level :func:`span` / :func:`count` /
-:func:`observe` in :mod:`repro.telemetry` delegate to whatever is active.
+``with`` scope, and this module's :func:`span` / :func:`count` /
+:func:`observe` delegate to whatever is active.
 """
 
 from __future__ import annotations

@@ -1,5 +1,1 @@
 """Automatic (eTuner-style) parameter tuning for matching methods."""
-
-from repro.tuning.auto_tune import AutoTuner, TuningOutcome
-
-__all__ = ["AutoTuner", "TuningOutcome"]

@@ -24,16 +24,20 @@ import pytest
 
 from matcher_support import LIGHT_MATCHER_CONFIGS, load_manifest
 
-from repro.artifacts import BlobStore, RetryPolicy, publish_snapshot, pull_snapshot
+from repro.artifacts.blobs import BlobStore
+from repro.artifacts.sync import publish_snapshot, pull_snapshot
+from repro.artifacts.transport import RetryPolicy
 from repro.artifacts import blobs as blobs_module
 from repro.artifacts.manifest import MANIFEST_NAME, PreparedEntry, TableEntry
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.lake.profiles import SketchConfig
 from repro.matchers.registry import available_matchers, create_matcher
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 
 _NUM_TABLES = 3
 

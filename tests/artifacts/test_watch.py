@@ -11,17 +11,18 @@ import pytest
 
 from matcher_support import load_manifest
 
-from repro.artifacts import LakeWatcher
 from repro.artifacts.watch import (
     QUARANTINE_AFTER,
     QUARANTINE_BASE_POLLS,
     QUARANTINE_MAX_POLLS,
+    LakeWatcher,
 )
 from repro.data import csv_io, fingerprint
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
 
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.data.table import Column, Table
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.fabrication.fabricator import FabricationConfig, Fabricator
 from repro.fabrication.pairs import NoiseVariant, Scenario
 from repro.fabrication.scenarios import fabricate_unionable

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data.profiling import profile_column, profile_table
-from repro.data.table import Column, Table
+from repro.data.profiling import profile_column
+from repro.data.table import Column
 from repro.data.types import DataType
 
 
 class TestProfileColumn:
     def test_numeric_summary(self):
         profile = profile_column(Column("x", [1, 2, 3, 4]))
+        assert profile.data_type is DataType.INTEGER
         assert profile.mean == pytest.approx(2.5)
         assert profile.minimum == 1
         assert profile.maximum == 4
@@ -43,10 +44,3 @@ class TestProfileColumn:
         assert profile.row_count == 0
         assert profile.missing_count == 0
         assert profile.distinct_count == 0
-
-
-class TestProfileTable:
-    def test_profiles_every_column(self, clients_table):
-        profiles = profile_table(clients_table)
-        assert set(profiles) == set(clients_table.column_names)
-        assert profiles["PO"].data_type is DataType.INTEGER

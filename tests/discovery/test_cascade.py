@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.cascade import mode_bound
 from repro.discovery.search import (
     DatasetRepository,

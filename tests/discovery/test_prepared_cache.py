@@ -7,7 +7,7 @@ import pytest
 from repro.data.table import Column, Table
 from repro.discovery.prepared import CACHE_MAX_ENTRIES, PreparedTableCache
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 
 
 def _table(name: str, values: list[object]) -> Table:

@@ -25,7 +25,7 @@ from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import create_matcher
 from repro.matchers.semprop.links import SemanticLink
 from repro.matchers.semprop.matcher import SemPropMatcher
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 
 
 def _table(name: str, values: list[object]) -> Table:

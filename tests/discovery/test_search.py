@@ -15,7 +15,7 @@ from matcher_support import (
 )
 from repro.data.csv_io import read_csv
 from repro.data.table import Table
-from repro.datasets import open_data_table, tpcdi_prospect_table
+from repro.datasets.fabricated_sources import open_data_table, tpcdi_prospect_table
 from repro.discovery import search
 from repro.discovery.search import (
     DEFAULT_UNION_THRESHOLD,

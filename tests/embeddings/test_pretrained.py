@@ -49,21 +49,3 @@ class TestPretrainedEmbeddings:
     def test_default_instance_cached(self):
         assert default_pretrained_embeddings() is default_pretrained_embeddings()
 
-
-class TestSimilarityHelpers:
-    def test_cosine_and_pairwise(self):
-        from repro.embeddings.similarity import centroid, cosine_similarity, pairwise_cosine
-
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        assert cosine_similarity(a, a) == pytest.approx(1.0)
-        assert cosine_similarity(a, b) == pytest.approx(0.0)
-        assert cosine_similarity(a, np.zeros(2)) == 0.0
-
-        matrix = pairwise_cosine(np.stack([a, b]), np.stack([a, b]))
-        np.testing.assert_allclose(matrix, np.eye(2), atol=1e-9)
-
-        np.testing.assert_allclose(centroid([a, b]), [0.5, 0.5])
-        assert centroid([], dimensions=3).shape == (3,)
-        with pytest.raises(ValueError):
-            centroid([])

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.parameters import (
     ParameterGrid,
     default_parameter_grids,
-    expand_grid,
     total_configurations,
 )
 from repro.matchers.cupid.matcher import CupidMatcher
@@ -37,7 +36,7 @@ class TestParameterGrid:
     def test_size(self):
         grid = ParameterGrid("CU", CupidMatcher, {"w_struct": (0.0, 0.2), "th_accept": (0.3, 0.4, 0.5)})
         assert grid.size() == 6
-        assert len(expand_grid(grid)) == 6
+        assert len(list(grid.matchers())) == 6
 
 
 class TestDefaultGrids:

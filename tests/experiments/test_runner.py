@@ -88,7 +88,6 @@ class TestConfiguration:
         assert [field.name for field in dataclasses.fields(ExperimentRunner)] == [
             "grids",
             "progress_callback",
-            "rerank_pool",
         ]
         assert list(inspect.signature(run_single_experiment).parameters) == [
             "matcher",
@@ -110,7 +109,7 @@ class TestTelemetryMetrics:
         )
 
     def test_run_merges_into_active_recorder(self, unionable_pair):
-        from repro.telemetry import TelemetryRecorder, use
+        from repro.telemetry.recorder import TelemetryRecorder, use
 
         recorder = TelemetryRecorder()
         with use(recorder):
@@ -121,42 +120,8 @@ class TestTelemetryMetrics:
         assert len(snap.durations["matcher.match"]) == 2
 
     def test_runs_record_nothing_globally_by_default(self, unionable_pair):
-        from repro.telemetry import NULL_RECORDER
+        from repro.telemetry.recorder import NULL_RECORDER
 
         run_single_experiment(ComaSchemaMatcher(), unionable_pair)
         assert NULL_RECORDER.snapshot().empty
 
-
-class TestPooledRunner:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        from repro.discovery.search import RerankPool
-
-        with RerankPool(max_workers=2) as pool:
-            yield pool
-
-    def test_pooled_sweep_matches_serial_records(
-        self, small_grids, unionable_pair, noisy_unionable_pair, pool
-    ):
-        """A RerankPool-backed sweep must produce the same records, in the
-        same order, as the serial loop (runtimes aside)."""
-        pairs = [unionable_pair, noisy_unionable_pair]
-        serial = ExperimentRunner(grids=small_grids).run_all(pairs)
-        pooled = ExperimentRunner(grids=small_grids, rerank_pool=pool).run_all(pairs)
-        assert pool.spawn_count == 1  # one pool serves the whole sweep
-        key = lambda r: (
-            r.method,
-            r.pair_name,
-            tuple(sorted(r.parameters.items())),
-            r.recall_at_ground_truth,
-        )
-        assert [key(r) for r in pooled.records] == [key(r) for r in serial.records]
-
-    def test_pooled_progress_callback_invoked(self, small_grids, unionable_pair, pool):
-        messages = []
-        runner = ExperimentRunner(
-            grids=small_grids, progress_callback=messages.append, rerank_pool=pool
-        )
-        runner.run_all([unionable_pair], methods=["JaccardLevenshtein"])
-        assert len(messages) == 2  # one per configuration x pair
-        assert all("recall@GT" in message for message in messages)

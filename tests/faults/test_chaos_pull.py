@@ -15,18 +15,15 @@ import shutil
 
 import pytest
 
-from repro.artifacts import (
-    FaultyTransport,
-    LocalTransport,
-    RetryPolicy,
-    publish_snapshot,
-    pull_snapshot,
-)
+from repro.artifacts.sync import publish_snapshot, pull_snapshot
+from repro.artifacts.transport import FaultyTransport, LocalTransport, RetryPolicy
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.faults import FaultPlan, FaultSpec, InjectedCrash
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
+from repro.faults.plan import FaultPlan, FaultSpec, InjectedCrash
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
 
 _METHOD = "jaccardlevenshtein"

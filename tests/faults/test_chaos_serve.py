@@ -18,12 +18,14 @@ import sqlite3
 import pytest
 
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.faults import FaultPlan, FaultSpec
-from repro.lake import SketchStore, build_from_paths, prepare_lake
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
-from repro.serve import DiscoveryServer, ServeClient, ServeConfig, ServeError
+from repro.serve.client import ServeClient, ServeError
+from repro.serve.server import DiscoveryServer, ServeConfig
 from repro.serve.protocol import encode_query_request
 
 _METHOD = "jaccardlevenshtein"
@@ -146,15 +148,10 @@ class TestEndToEndChaos:
         chaos-pull (30%+ failures, one crash mid-pull, resumed), then serve
         the replica under an injected transient failure — and the daemon's
         answers are exactly the publisher's."""
-        from repro.artifacts import (
-            FaultyTransport,
-            LocalTransport,
-            RetryPolicy,
-            publish_snapshot,
-            pull_snapshot,
-        )
-        from repro.faults import InjectedCrash
-        from repro.lake import LakeDiscoveryEngine
+        from repro.artifacts.sync import publish_snapshot, pull_snapshot
+        from repro.artifacts.transport import FaultyTransport, LocalTransport, RetryPolicy
+        from repro.faults.plan import InjectedCrash
+        from repro.lake.engine import LakeDiscoveryEngine
 
         lake_dir = tmp_path / "lake"
         lake_dir.mkdir()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import FaultPlan, FaultSpec, InjectedCrash, InjectedFault
+from repro.faults.plan import FaultPlan, FaultSpec, InjectedCrash, InjectedFault
 
 
 def _drive(plan, operation, calls):

@@ -14,17 +14,18 @@ import sqlite3
 import pytest
 
 from matcher_support import LIGHT_MATCHER_CONFIGS, load_manifest
-from repro.artifacts import publish_snapshot, pull_snapshot
+from repro.artifacts.sync import publish_snapshot, pull_snapshot
 from repro.artifacts.blobs import BlobStore
 from repro.artifacts.manifest import BLOBS_DIR
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.store import SketchStore
 from repro.cli import main
 from repro.lake.verify import verify_lake
 from repro.matchers.registry import create_matcher
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 
 _METHOD = "jaccardlevenshtein"
 _NUM_TABLES = 3

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datasets import ing_application_pair, magellan_pairs, wikidata_pairs
+from repro.datasets.ing import ing_application_pair
+from repro.datasets.magellan import magellan_pairs
+from repro.datasets.wikidata import wikidata_pairs
 from repro.experiments.parameters import ParameterGrid
 from repro.experiments.runner import ExperimentRunner, run_single_experiment
 from repro.fabrication.fabricator import FabricationConfig, Fabricator
@@ -20,7 +22,7 @@ from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.distribution_based.matcher import DistributionBasedMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.similarity_flooding.matcher import SimilarityFloodingMatcher
-from repro.metrics import recall_at_ground_truth
+from repro.metrics.ranking import recall_at_ground_truth
 
 
 class TestExpectedResultsSection:

@@ -20,11 +20,13 @@ import pytest
 from matcher_support import csv_lake
 
 from repro.data.table import Table
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import DiscoveryEngine
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.lake import LakeDiscoveryEngine, SketchStore, prepare_lake
+from repro.lake.build import prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 

@@ -36,17 +36,14 @@ from repro.discovery import search as discovery_search
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.lake import engine as lake_engine
-from repro.lake import (
-    LakeDiscoveryEngine,
-    SketchStore,
-    build_from_paths,
-    prepare_lake,
-)
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.lake.profiles import TableSketch
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import available_matchers, create_matcher
 from repro.matchers.semprop.matcher import SemPropMatcher
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 
 TOP_K = 3
 

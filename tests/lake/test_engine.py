@@ -10,10 +10,12 @@ import pytest
 from matcher_support import csv_lake
 
 from repro.data.csv_io import write_csv
-from repro.datasets import open_data_table, tpcdi_prospect_table
+from repro.datasets.fabricated_sources import open_data_table, tpcdi_prospect_table
 from repro.discovery.search import DiscoveryEngine, prune_then_rerank
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
+from repro.lake.build import build_from_paths
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 
 

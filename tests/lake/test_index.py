@@ -8,7 +8,7 @@ import pytest
 from matcher_support import reference_buckets, reference_candidate_tables
 
 from repro.data.table import Column, Table
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.fabrication.pairs import NoiseVariant
 from repro.fabrication.scenarios import fabricate_joinable, fabricate_unionable
 from repro.lake.index import LakeIndex, LSHParams

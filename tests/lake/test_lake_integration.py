@@ -12,10 +12,12 @@ import pytest
 from matcher_support import csv_lake
 
 from repro.data.table import Column, Table
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.search import DatasetRepository, DiscoveryEngine
 from repro.fabrication.splitting import split_horizontal, split_vertical
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
+from repro.lake.build import build_from_paths
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.coma.matcher import ComaSchemaMatcher
 
 pytestmark = pytest.mark.slow

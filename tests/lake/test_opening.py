@@ -8,15 +8,9 @@ import pytest
 
 from repro.data.table import Table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import (
-    LakeOpenError,
-    SketchConfig,
-    SketchStore,
-    lake_generation,
-    open_lake,
-    resolve_prepared_path,
-    store_generation,
-)
+from repro.lake.opening import LakeOpenError, lake_generation, open_lake, resolve_prepared_path
+from repro.lake.profiles import SketchConfig
+from repro.lake.store import SketchStore, store_generation
 
 
 @pytest.fixture()

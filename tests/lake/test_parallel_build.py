@@ -11,14 +11,11 @@ import pytest
 
 from repro.data.csv_io import write_csv
 from repro.data.table import Column, Table
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import (
-    LakeDiscoveryEngine,
-    SketchStore,
-    build_from_paths,
-    prepare_lake,
-)
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 

@@ -22,13 +22,15 @@ import pytest
 from matcher_support import LIGHT_MATCHER_CONFIGS
 
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import RerankPool
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 from repro.matchers.registry import create_matcher
-from repro.telemetry import NULL_RECORDER, TelemetryRecorder, use
+from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, use
 from repro.telemetry import recorder as telemetry_recorder
 
 _NUM_TABLES = 5

@@ -31,7 +31,9 @@ from repro.data.csv_io import read_csv
 from repro.data.table import ColumnRef
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import score_prepared
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers import base
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.cupid.structural import CupidWeights

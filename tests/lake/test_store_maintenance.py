@@ -16,9 +16,11 @@ from __future__ import annotations
 from matcher_support import engine_shortlist
 from repro.data.csv_io import write_csv
 from repro.data.fingerprint import table_content_hash
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
 
 

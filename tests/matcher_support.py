@@ -36,11 +36,12 @@ from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.artifacts import LocalTransport, Manifest
+from repro.artifacts.manifest import Manifest
+from repro.artifacts.transport import LocalTransport
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import ColumnRef, Table
 from repro.data.types import DataType, type_compatibility
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
 from repro.discovery.search import DatasetRepository

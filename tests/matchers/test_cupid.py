@@ -29,14 +29,14 @@ from matcher_support import (
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.table import Column, Table
 from repro.data.types import DataType
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.experiments.parameters import default_parameter_grids
 from repro.matchers.cupid import linguistic
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree, build_schema_tree
 from repro.matchers.cupid.structural import CupidWeights, tree_match
 from repro.metrics.ranking import recall_at_ground_truth
-from repro.telemetry import TelemetryRecorder, use
+from repro.telemetry.recorder import TelemetryRecorder, use
 from repro.telemetry import recorder as telemetry_recorder
 from repro.text.distance import jaro_winkler_similarity, monge_elkan
 from repro.text.thesaurus import Thesaurus, default_thesaurus
@@ -451,8 +451,10 @@ class TestTreeMatchWorkCensus:
 _SALT_SCRIPT = """
 import sys
 from pathlib import Path
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths
 from repro.data.csv_io import read_csv
+from repro.lake.build import build_from_paths
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.cupid.linguistic import name_pair_work
 

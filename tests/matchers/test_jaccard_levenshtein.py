@@ -9,9 +9,8 @@ import pytest
 
 from matcher_support import LIGHT_MATCHER_CONFIGS, reference_fuzzy_jaccard_sets
 from repro.data.table import Column, Table
-from repro.datasets import tpcdi_prospect_table
-from repro.fabrication.pairs import NoiseVariant
-from repro.fabrication.pairs import DatasetPair
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
+from repro.fabrication.pairs import DatasetPair, NoiseVariant
 from repro.fabrication.scenarios import (
     fabricate_joinable,
     fabricate_semantically_joinable,

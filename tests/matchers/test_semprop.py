@@ -13,7 +13,7 @@ from repro.discovery import prepared_codec
 from repro.matchers.base import PreparedTable
 from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score, link_to_ontology
-from repro.ontology.domain import business_ontology, chemistry_ontology
+from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology, OntologyClass
 from repro.telemetry import recorder as telemetry_recorder
 
@@ -69,7 +69,11 @@ class TestSemPropMatcher:
         assert result.ranked_pairs()[0] == ("qqq", "zzz")
 
     def test_custom_ontology_accepted(self, clients_table, offices_table):
-        matcher = SemPropMatcher(ontology=chemistry_ontology(), num_permutations=32)
+        ontology = Ontology(
+            "offices",
+            [OntologyClass("place", ("city", "office")), OntologyClass("code", ("id", "code"))],
+        )
+        matcher = SemPropMatcher(ontology=ontology, num_permutations=32)
         result = matcher.get_matches(clients_table, offices_table)
         assert len(result) > 0
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ontology.domain import business_ontology, chemistry_ontology
+from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology, OntologyClass
 
 
@@ -56,12 +56,6 @@ class TestOntologyModel:
 
 
 class TestDomainOntologies:
-    def test_chemistry_ontology_structure(self):
-        ontology = chemistry_ontology()
-        assert "assay" in ontology
-        assert "experimental_factor" in ontology._ancestors("bioassay")
-        assert ontology.related("concentration", "potency")
-
     def test_business_ontology_structure(self):
         ontology = business_ontology()
         assert "customer" in ontology

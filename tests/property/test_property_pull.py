@@ -18,15 +18,10 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.artifacts import (
-    FaultyTransport,
-    LocalTransport,
-    RetryPolicy,
-    publish_snapshot,
-    pull_snapshot,
-)
-from repro.datasets import tpcdi_prospect_table
-from repro.faults import FaultPlan, FaultSpec
+from repro.artifacts.sync import publish_snapshot, pull_snapshot
+from repro.artifacts.transport import FaultyTransport, LocalTransport, RetryPolicy
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.lake.profiles import sketch_table
 from repro.lake.store import SketchStore
 

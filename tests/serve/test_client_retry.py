@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.table import Column, Table
-from repro.serve import QueueFullError, ServeClient
+from repro.serve.client import QueueFullError, ServeClient
 
 
 def _table():

@@ -20,11 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.prepared import PreparedStore
-from repro.lake import SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
-from repro.serve import DiscoveryServer, ServeClient, ServeConfig
+from repro.serve.client import ServeClient
+from repro.serve.server import DiscoveryServer, ServeConfig
 from repro.serve import server as server_module
 
 _METHOD = "jaccardlevenshtein"

@@ -15,18 +15,15 @@ import time
 import pytest
 
 from repro.data.csv_io import write_csv
-from repro.datasets import tpcdi_prospect_table
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery import search
 from repro.discovery.prepared import PreparedStore
-from repro.lake import LakeDiscoveryEngine, SketchStore, build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.engine import LakeDiscoveryEngine
+from repro.lake.store import SketchStore
 from repro.matchers.registry import create_matcher
-from repro.serve import (
-    DeadlineExpiredError,
-    DiscoveryServer,
-    QueueFullError,
-    ServeClient,
-    ServeConfig,
-)
+from repro.serve.client import DeadlineExpiredError, QueueFullError, ServeClient
+from repro.serve.server import DiscoveryServer, ServeConfig
 
 _METHOD = "jaccardlevenshtein"
 _NUM_TABLES = 5

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
-from repro.telemetry import (
+from repro.telemetry.recorder import (
+    MAX_SAMPLES,
+    MAX_SPANS,
     NULL_RECORDER,
     NullRecorder,
     TelemetryRecorder,
@@ -22,7 +24,6 @@ from repro.telemetry import (
     span,
     use,
 )
-from repro.telemetry.recorder import MAX_SAMPLES, MAX_SPANS
 
 
 class TestQuantile:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import QueryStats, TelemetrySnapshot
+from repro.telemetry.recorder import TelemetrySnapshot
+from repro.telemetry.stats import QueryStats
 
 
 class TestStoreHitRate:

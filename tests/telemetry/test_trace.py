@@ -6,13 +6,8 @@ import json
 
 import pytest
 
-from repro.telemetry import (
-    TelemetryRecorder,
-    TelemetrySnapshot,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.telemetry.recorder import SpanRecord
+from repro.telemetry.recorder import SpanRecord, TelemetryRecorder, TelemetrySnapshot
+from repro.telemetry.trace import to_chrome_trace, write_chrome_trace
 
 
 def _snapshot_with_spans() -> TelemetrySnapshot:

@@ -4,9 +4,11 @@ A helper that only its own unit test calls is code a contributor reads and
 keeps green for no workload.  This census parses ``src/``, ``benchmarks/``
 and ``examples/`` and collects every name, attribute and import alias they
 use, plus the string constants under ``benchmarks/`` (lakebench shims the
-attributes it traces by name).  Each function, class and method under
-``src/repro`` — dunders excepted — must be used there by name; the name
-its own ``def`` or ``class`` statement binds does not count.
+attributes it traces by name).  An import in a package ``__init__`` does
+not count: a re-export is a second import path, not a caller.  Each
+function, class and method under ``src/repro`` — dunders excepted — must be
+used there by name; the name its own ``def`` or ``class`` statement binds
+does not count.
 
 The census is by name, so it is coarse: a method shares its name with every
 other def of that name, and a name someone uses keeps them all.  It finds
@@ -50,8 +52,9 @@ KEEP = {
 class _Census(ast.NodeVisitor):
     """The defs of one module, and the names it uses."""
 
-    def __init__(self, collect_strings: bool) -> None:
+    def __init__(self, collect_strings: bool, count_imports: bool) -> None:
         self.collect_strings = collect_strings
+        self.count_imports = count_imports
         self.defs: list[tuple[str, str]] = []  # (qualified name, name)
         self.uses: set[str] = set()
         self._scope: list[str] = []
@@ -72,11 +75,12 @@ class _Census(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self.uses.update((node.module or "").split("."))
+        if self.count_imports:
+            self.uses.update((node.module or "").split("."))
         self.visit_Import(node)
 
     def visit_Import(self, node) -> None:
-        for alias in node.names:
+        for alias in node.names if self.count_imports else ():
             self.uses.update(alias.name.split("."))
 
     def visit_Constant(self, node: ast.Constant) -> None:
@@ -90,7 +94,9 @@ def uncalled_defs() -> set[tuple[str, str]]:
     uses: set[str] = set()
     for tree in ("src", "benchmarks", "examples"):
         for path in sorted((ROOT / tree).rglob("*.py")):
-            census = _Census(collect_strings=tree == "benchmarks")
+            census = _Census(
+                collect_strings=tree == "benchmarks", count_imports=path.name != "__init__.py"
+            )
             census.visit(ast.parse(path.read_text(encoding="utf-8")))
             if tree == "src":
                 relative = path.relative_to(ROOT / "src").as_posix()

@@ -317,12 +317,13 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "th_accept" in output
 
-    def test_fabricate_writes_csv_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["tpcdi", "opendata", "chembl"])
+    def test_fabricate_writes_csv_files(self, source, tmp_path, capsys):
         exit_code = main(
             [
                 "fabricate",
                 "--source",
-                "tpcdi",
+                source,
                 "--rows",
                 "40",
                 "--scenario",
@@ -930,7 +931,7 @@ class TestBadInput:
     ):
         """Regression: an exception mid-query used to leak the prepared store."""
         from repro.discovery.prepared import PreparedStore
-        from repro.lake import LakeDiscoveryEngine
+        from repro.lake.engine import LakeDiscoveryEngine
 
         _, store, query_path = self._built_store(tmp_path)
         opened = []

@@ -1,4 +1,5 @@
-"""Docs, CI and source may only name benchmark files and CLI flags that exist.
+"""Docs, CI and source may only name benchmark files, CLI flags and
+``repro`` names that exist.
 
 Benchmark scripts and their result files get deleted; prose that cites them
 does not notice.  Every ``benchmarks/...py`` and ``BENCH...json`` path named
@@ -6,7 +7,10 @@ in the README, the CI workflow, the verify notes or anywhere in a source
 file must resolve from the repository root.  Flags get deleted too: every
 ``--flag`` those documents and the example docstrings show on a ``lake
 <command>`` command line must be an option of that sub-command in
-``repro.cli.build_parser()``.
+``repro.cli.build_parser()``.  Names move too: every qualified ``repro.…``
+name a docstring cross-references, the README or the verify notes quote, or
+a README code block, the package quickstart or an example imports must
+resolve, so each names the module that defines it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import ast
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 from repro.cli import build_parser
 
@@ -125,20 +131,56 @@ def test_every_qualified_cross_reference_in_src_resolves():
     assert not dangling, dangling
 
 
-#: ``from repro... import a, b`` or ``from repro... import (a,\n b)``.
-_IMPORT = re.compile(r"^[ \t]*from (repro[\w.]*) import (\([^)]*\)|[^\n]*)", re.MULTILINE)
+#: ``from repro... import a, b`` or ``from repro... import (a,\n b)``, also
+#: on a doctest line.
+_IMPORT = re.compile(
+    r"^[ \t]*(?:>>> )?from (repro[\w.]*) import (\([^)]*\)|[^\n]*)", re.MULTILINE
+)
 
 
-def test_every_import_in_a_readme_python_block_resolves():
-    """A deleted name leaves README examples that import it."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
+def test_every_import_in_a_readme_block_or_the_quickstart_resolves():
+    """A deleted or moved name leaves README examples that import it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = importlib.import_module("repro").__doc__
     imports = [
         f"{module}.{name.split(' as ')[0].strip()}"
-        for block in re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+        for block in [*readme.split("```")[1::2], quickstart]
         for module, names in _IMPORT.findall(block)
         for name in re.sub(r"#[^\n]*", "", names).strip("()").split(",")
         if name.strip()
     ]
-    assert len(imports) >= 5, "the import pattern stopped matching README"
+    assert len(imports) >= 10, "the import pattern stopped matching README"
     dangling = [dotted for dotted in imports if not _resolves(dotted)]
     assert not dangling, dangling
+
+
+#: An inline-code span that is a qualified name, or a call of one:
+#: ```repro.a.b``` or ```repro.a.b(...)```.
+_QUOTED_NAME = re.compile(r"`(repro(?:\.\w+)+)[`(]")
+
+
+def test_every_repro_name_the_readme_or_verify_notes_quote_resolves():
+    quoted = [
+        (f"{document.relative_to(ROOT)}: {dotted}", dotted)
+        for document in (ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
+        if document.exists()
+        for dotted in _QUOTED_NAME.findall(document.read_text(encoding="utf-8"))
+    ]
+    assert len(quoted) >= 10, "the quoted-name pattern stopped matching"
+    dangling = [where for where, dotted in quoted if not _resolves(dotted)]
+    assert not dangling, dangling
+
+
+@pytest.mark.parametrize("example", sorted(path.name for path in (ROOT / "examples").glob("*.py")))
+def test_every_repro_import_of_an_example_resolves(example):
+    """Checked without running the example, so the slow ones are covered too."""
+    tree = ast.parse((ROOT / "examples" / example).read_text(encoding="utf-8"))
+    imported = [
+        f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    ours = [dotted for dotted in imported if dotted.partition(".")[0] == "repro"]
+    assert ours, "the example imports nothing from repro"
+    assert [dotted for dotted in ours if not _resolves(dotted)] == []

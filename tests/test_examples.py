@@ -1,10 +1,12 @@
-"""The distribution examples run to completion.
+"""The examples that run in seconds run to completion.
 
 ``examples/`` count as callers for ``tests/test_callers.py`` and
-``tests/test_surface.py``, and each asserts what it demonstrates (the delta
-pull's blob counts, the chaos pull's convergence), so a change that breaks
-one of them fails here.  Each runs in a fresh interpreter, as a reader
-would run it.
+``tests/test_surface.py``, and the distribution examples assert what they
+demonstrate (the delta pull's blob counts, the chaos pull's convergence), so
+a change that breaks one of them fails here.  Each runs in a fresh
+interpreter, as a reader would run it.  ``fabrication_study.py`` and
+``matcher_comparison.py`` sweep every matcher over many pairs and take far
+longer; ``tests/test_doc_references.py`` checks that their imports resolve.
 """
 
 from __future__ import annotations
@@ -19,7 +21,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["replicated_lake.py", "chaos_pull.py"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "replicated_lake.py",
+        "chaos_pull.py",
+        "quickstart.py",
+        "dataset_discovery_pipeline.py",
+        "serve_daemon.py",
+    ],
+)
 def test_example_exits_0(script, tmp_path):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), path]))}

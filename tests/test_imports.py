@@ -5,9 +5,11 @@ time (``import repro.cli`` pays for every module it pulls in) and tells a
 reader about a dependency that is not there.  A name counts as used when
 the module's code refers to it (a name, or the base of an attribute), when
 a quoted annotation names it, or when ``__all__`` lists it (a re-export).
-Package ``__init__`` modules are not checked: some re-export by design.  The
-ones whose siblings are heavy import nothing at all, so that importing one
-module of the package does not load the rest (scipy, networkx, every matcher).
+
+A package ``__init__`` imports nothing from ``repro`` (the two exceptions
+are :data:`_LOUD_PACKAGES`), so each name has one import path, the module
+that defines it, and importing one module of a package does not load the
+rest (scipy, networkx, every matcher).
 """
 
 from __future__ import annotations
@@ -70,39 +72,47 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {
         str(path.relative_to(_SRC.parent)): names
         for path in sorted(_SRC.rglob("*.py"))
-        if path.name != "__init__.py" and (names := unused_imports(path))
+        if (names := unused_imports(path))
     }
     assert found == {}
 
 
-#: Packages whose ``__init__`` imports nothing: ``import repro.cli`` reaches
-#: each of them, and a re-export there would load every sibling module.
-_QUIET_PACKAGES = [
-    "",
-    "matchers",
-    "matchers/coma",
-    "matchers/cupid",
-    "matchers/distribution_based",
-    "matchers/embdi",
-    "matchers/semprop",
-    "matchers/similarity_flooding",
-    "discovery",
-    "graphmodel",
-    "distributions",
-    "optimize",
-]
+#: The packages whose ``__init__`` imports from ``repro``, and why.
+_LOUD_PACKAGES = {
+    "cli": "the package is the CLI: its __init__ holds main() and the parser",
+    "telemetry": "lakebench calls telemetry.TelemetryRecorder and "
+    "telemetry.set_default_recorder through the package",
+}
+
+_PACKAGES = sorted("/".join(path.parent.relative_to(_SRC).parts) for path in _SRC.rglob("__init__.py"))
 
 
-@pytest.mark.parametrize("package", _QUIET_PACKAGES)
-def test_quiet_package_inits_import_nothing_from_the_package(package):
-    tree = ast.parse((_SRC / package / "__init__.py").read_text(encoding="utf-8"))
+def _init(package: str) -> ast.Module:
+    return ast.parse((_SRC / package / "__init__.py").read_text(encoding="utf-8"))
+
+
+def _repro_imports(tree: ast.Module) -> list[str]:
     imported = [
         name
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
     ]
-    assert [name for name in imported if name.partition(".")[0] == "repro"] == []
+    return [name for name in imported if name.partition(".")[0] == "repro"]
+
+
+@pytest.mark.parametrize("package", [p for p in _PACKAGES if p not in _LOUD_PACKAGES])
+def test_quiet_package_inits_import_nothing_from_the_package(package):
+    """No import, and no module ``__getattr__`` that imports on demand."""
+    tree = _init(package)
+    assert _repro_imports(tree) == []
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)] == []
+
+
+@pytest.mark.parametrize("package", sorted(_LOUD_PACKAGES))
+def test_each_loud_package_still_imports_from_repro(package):
+    """An exception whose package went quiet is a stale exception."""
+    assert _repro_imports(_init(package)) != []
 
 
 def test_the_scan_sees_quoted_annotations_and_all(tmp_path):

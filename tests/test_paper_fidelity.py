@@ -22,9 +22,8 @@ from pathlib import Path
 import pytest
 
 from matcher_support import LIGHT_MATCHER_CONFIGS
-from repro.datasets import tpcdi_prospect_table
-from repro.fabrication import NoiseVariant
-from repro.fabrication.pairs import DatasetPair
+from repro.datasets.fabricated_sources import tpcdi_prospect_table
+from repro.fabrication.pairs import DatasetPair, NoiseVariant
 from repro.fabrication.scenarios import (
     fabricate_joinable,
     fabricate_semantically_joinable,

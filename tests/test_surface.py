@@ -19,15 +19,17 @@ import inspect
 
 import pytest
 
-from repro.artifacts import LakeWatcher, RetryPolicy, publish_snapshot, pull_snapshot
+from repro.artifacts.sync import publish_snapshot, pull_snapshot
+from repro.artifacts.transport import RetryPolicy
+from repro.artifacts.watch import LakeWatcher
 from repro.cli import build_parser
 from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import DiscoveryEngine
-from repro.lake import LakeDiscoveryEngine
+from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import LakeIndex
 from repro.lake.verify import verify_lake
-from repro.serve import ServeConfig
-from repro.telemetry import TelemetryRecorder
+from repro.serve.server import ServeConfig
+from repro.telemetry.recorder import TelemetryRecorder
 
 #: Entry point -> the names its signature (a dataclass's: its init fields)
 #: accepts, in order.

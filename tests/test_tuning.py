@@ -9,7 +9,7 @@ from repro.fabrication.fabricator import FabricationConfig
 from repro.fabrication.pairs import Scenario
 from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.tuning import AutoTuner
+from repro.tuning.auto_tune import AutoTuner
 
 
 @pytest.fixture(scope="module")
