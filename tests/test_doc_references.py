@@ -8,7 +8,7 @@ file must resolve from the repository root.  Flags get deleted too: every
 ``--flag`` those documents and the example docstrings show on a ``lake
 <command>`` command line must be an option of that sub-command in
 ``repro.cli.build_parser()``.  Names move too: every qualified ``repro.…``
-name a docstring cross-references, the README or the verify notes quote, or
+name a docstring cross-references, one of those documents quotes, or
 a README code block, the package quickstart or an example imports must
 resolve, so each names the module that defines it.
 """
@@ -159,10 +159,10 @@ def test_every_import_in_a_readme_block_or_the_quickstart_resolves():
 _QUOTED_NAME = re.compile(r"`(repro(?:\.\w+)+)[`(]")
 
 
-def test_every_repro_name_the_readme_or_verify_notes_quote_resolves():
+def test_every_repro_name_the_documents_quote_resolves():
     quoted = [
         (f"{document.relative_to(ROOT)}: {dotted}", dotted)
-        for document in (ROOT / "README.md", ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
+        for document in _DOCUMENTS
         if document.exists()
         for dotted in _QUOTED_NAME.findall(document.read_text(encoding="utf-8"))
     ]
