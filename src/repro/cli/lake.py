@@ -17,7 +17,7 @@ from repro.cli.options import (
 )
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.discovery.prepared import fingerprint_class
-from repro.lake.build import build_from_paths, prepare_lake
+from repro.lake.build import build_from_paths, nothing_to_prepare, prepare_lake
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.opening import open_lake, resolve_prepared_path
 from repro.matchers.registry import create_matcher
@@ -100,10 +100,13 @@ def _command_lake_build(args: argparse.Namespace) -> int:
 
 
 def _command_lake_prepare(args: argparse.Namespace) -> int:
-    with open_lake(args.store, prepared="create") as (store, prepared_store):
-        report = prepare_lake(
-            store, prepared_store, create_matcher(args.method), workers=args.workers
-        )
+    matcher = create_matcher(args.method)
+    prepared = None if nothing_to_prepare(matcher) else "create"
+    with open_lake(args.store, prepared=prepared) as (store, prepared_store):
+        if prepared_store is None:
+            print(f"{args.method} reads only the sketch: nothing to prepare")
+            return 0
+        report = prepare_lake(store, prepared_store, matcher, workers=args.workers)
     suffix = ""
     if report.stale_pruned:
         suffix += f", {report.stale_pruned} stale payloads pruned"

@@ -73,8 +73,8 @@ def register(lake_commands: argparse._SubParsersAction) -> None:
     )
     add_method_option(
         watch, "--prepare", metavar="METHOD", default=None,
-        help="also keep the prepared store warm for this matcher after every "
-        "mutating poll (stale payloads are pruned)",
+        help="also keep the prepared store warm for this (instance-based) matcher "
+        "after every mutating poll (stale payloads are pruned)",
     )
     watch.add_argument(
         "--publish", type=Path, default=None, metavar="DIR",
@@ -198,6 +198,7 @@ def _command_lake_verify(args: argparse.Namespace) -> int:
 
 def _command_lake_watch(args: argparse.Namespace) -> int:
     from repro.artifacts.watch import LakeWatcher, WatchReport
+    from repro.lake.build import nothing_to_prepare
 
     if not args.input.is_dir():
         return fail(f"not a directory: {args.input}")
@@ -214,14 +215,18 @@ def _command_lake_watch(args: argparse.Namespace) -> int:
             flush=True,
         )
 
+    matcher = None if args.prepare is None else create_matcher(args.prepare)
+    if matcher is not None and nothing_to_prepare(matcher):
+        print(f"{args.prepare} reads only the sketch: nothing to prepare", flush=True)
+        matcher = None
     with open_lake(
-        args.store, create=True, prepared=None if args.prepare is None else "create"
+        args.store, create=True, prepared=None if matcher is None else "create"
     ) as (store, prepared_store):
         watcher = LakeWatcher(
             store,
             args.input,
             prepared_store=prepared_store,
-            matcher=None if args.prepare is None else create_matcher(args.prepare),
+            matcher=matcher,
             publish_dir=args.publish,
             workers=args.workers,
         )

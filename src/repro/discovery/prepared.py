@@ -501,7 +501,8 @@ class PreparedStore(PerProcessSqliteStore):
 
         The write-through half of the lake's warm path: a miss computes the
         payload and persists it, so one cold rerank warms the store for
-        every later query.
+        every later query.  A payload the codec refuses (an Ensemble's
+        schema-based member) is returned unstored.
         """
         content_hash = table_content_hash(table)
         prepared = self.get(matcher.fingerprint(), table.name, content_hash)
@@ -510,7 +511,10 @@ class PreparedStore(PerProcessSqliteStore):
         telemetry.count("prepared_store.misses")
         with telemetry.span("prepared_store.prepare", table=table.name):
             prepared = matcher.prepare(table)
-        self.put(prepared, content_hash=content_hash)
+        try:
+            self.put(prepared, content_hash=content_hash)
+        except ValueError as exc:
+            logger.debug("prepared row of %r not stored: %s", table.name, exc)
         return prepared
 
     # ------------------------------------------------------------------ #

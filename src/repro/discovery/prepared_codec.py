@@ -17,11 +17,12 @@ element is a type tag from one allowlist:
 * ``ndarray`` — ``[dtype, shape, section index]`` over a ``<u4`` / ``<i8``
   / ``<f8`` section (SemProp's signature matrix and set sizes);
 * records, as their fields in declaration order — ``SemanticLink``
-  (SemProp), ``SchemaElement`` / ``SchemaTree`` (Cupid), ``SchemaNode`` and
-  ``SchemaGraph`` (Similarity Flooding's nodes and labelled edges),
-  ``ColumnProfile`` (a COMA feature bundle), the ``DataType`` and
-  ``NodeKind`` enums, and ``PreparedTable`` (an Ensemble member, sharing
-  the row's header).
+  (SemProp), ``ColumnProfile`` (a COMA feature bundle), the ``DataType``
+  enum, and ``PreparedTable`` (an Ensemble member, sharing the row's
+  header).
+
+Only instance-based matchers have rows (a schema-based one scores sketches),
+so an older codec's Cupid tree or Similarity Flooding graph is an unknown tag.
 
 :func:`decode` raises ``ValueError`` — and nothing else — for anything that
 is not such a row: a bad magic or length, an unknown tag, a short section,
@@ -31,8 +32,6 @@ a section whose size disagrees with its dtype and shape.
 from __future__ import annotations
 
 import dataclasses
-import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,13 +39,8 @@ from repro.data import sections as framing
 from repro.data.profiling import ColumnProfile
 from repro.data.table import TableHeader
 from repro.data.types import DataType
-from repro.graphmodel.schema_graph import NodeKind, SchemaNode
 from repro.matchers.base import PreparedTable
-from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.semprop.links import SemanticLink
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["decode", "encode"]
 
@@ -58,11 +52,7 @@ _DTYPES = frozenset({"<u4", "<i8", "<f8"})
 _SCALARS = (str, int, float, bool, type(None))
 _CONTAINERS = {"list": list, "tuple": tuple, "set": set, "frozenset": frozenset}
 #: Records stored as their dataclass fields, in declaration order.
-_RECORDS = {
-    cls.__name__: cls
-    for cls in (SemanticLink, SchemaElement, SchemaTree, SchemaNode, ColumnProfile)
-}
-_ENUMS = {cls.__name__: cls for cls in (DataType, NodeKind)}
+_RECORDS = {cls.__name__: cls for cls in (SemanticLink, ColumnProfile)}
 _DATA_TYPES = {data_type.value: data_type for data_type in DataType}
 
 
@@ -146,32 +136,16 @@ class _Writer:
                 raise ValueError(f"no section dtype for {value.dtype}")
             self.sections.append(np.ascontiguousarray(value, dtype=dtype).tobytes())
             return ["ndarray", dtype.str, list(value.shape), len(self.sections) - 1]
-        if _ENUMS.get(name) is kind:
+        if kind is DataType:
             return [name, value.value]
         if _RECORDS.get(name) is kind:
             fields = dataclasses.fields(value)
             return [name, *(self.value(getattr(value, field.name)) for field in fields)]
-        networkx = sys.modules.get("networkx")  # a graph value means it is loaded
-        if networkx is not None and kind is networkx.DiGraph:
-            return self._graph(value)
         if kind is PreparedTable:
             if value.header != self.header:
                 raise ValueError("a nested prepared table must share the row's header")
             return ["PreparedTable", value.fingerprint, self.value(dict(value.payload))]
         raise ValueError(f"{kind.__qualname__} cannot be stored in a prepared row")
-
-    def _graph(self, graph: nx.DiGraph) -> list:
-        """A schema graph as its nodes plus ``(source, target, label)`` edges."""
-        nodes = list(graph.nodes)
-        if any(graph.nodes[node] for node in nodes):
-            raise ValueError("schema graph nodes carry no attributes")
-        position = {node: i for i, node in enumerate(nodes)}
-        edges = []
-        for source, target, data in graph.edges(data=True):
-            if data.keys() != {"label"}:
-                raise ValueError("schema graph edges carry exactly a label")
-            edges.append((position[source], position[target], data["label"]))
-        return ["SchemaGraph", self.value(dict(graph.graph)), self.value(nodes), self.value(edges)]
 
 
 class _Reader:
@@ -196,22 +170,11 @@ class _Reader:
             return container(map(self.value, fields))
         if tag in _RECORDS:
             return _RECORDS[tag](*map(self.value, fields))
-        if tag in _ENUMS:
+        if tag == "DataType":
             (value,) = fields
-            return _ENUMS[tag](value)
+            return DataType(value)
         if tag == "ndarray":
             return self._array(*fields)
-        if tag == "SchemaGraph":
-            import networkx as nx  # only Similarity Flooding's rows hold graphs
-
-            attributes, nodes, edges = map(self.value, fields)
-            graph = nx.DiGraph()
-            graph.graph.update(attributes)
-            for node in nodes:
-                graph.add_node(node)
-            for source, target, label in edges:
-                graph.add_edge(nodes[source], nodes[target], label=label)
-            return graph
         if tag == "PreparedTable":
             fingerprint, payload = map(self.value, fields)
             return PreparedTable(fingerprint=fingerprint, payload=payload, header=self.header)

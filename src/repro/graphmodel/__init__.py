@@ -1,2 +1,2 @@
 """Graph substrate: schema graphs (:mod:`.schema_graph`) and similarity
-propagation (:mod:`.propagation`).  Only the graph builders load networkx."""
+propagation (:mod:`.propagation`), both on networkx."""

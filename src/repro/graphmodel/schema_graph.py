@@ -10,22 +10,19 @@ column name, data type and the relationships between them as nodes/edges:
 * ``Column --name--> NameLiteral``
 * ``Column --type--> TypeLiteral``
 
-The module builds these graphs with ``networkx`` (imported by the builders,
-so the prepared-row codec can name :class:`SchemaNode` without it) and exposes
-the node kinds so matchers can filter the correspondences they care about
-(column ↔ column).
+The module builds these graphs with ``networkx`` and exposes the node kinds
+so matchers can filter the correspondences they care about (column ↔
+column).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+
+import networkx as nx
 
 from repro.data.table import Table
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["NodeKind", "SchemaNode", "build_schema_graph", "pairwise_connectivity_graph"]
 
@@ -58,8 +55,6 @@ class SchemaNode:
 
 def build_schema_graph(table: Table) -> nx.DiGraph:
     """Build the directed labelled schema graph of *table*."""
-    import networkx as nx
-
     graph = nx.DiGraph(table_name=table.name)
     table_node = SchemaNode(NodeKind.TABLE, table.name)
     table_name_node = SchemaNode(NodeKind.NAME, table.name.lower())
@@ -90,8 +85,6 @@ def pairwise_connectivity_graph(
     Only node pairs that participate in at least one such shared-label edge
     appear in the PCG, as in the original algorithm.
     """
-    import networkx as nx
-
     pcg = nx.DiGraph()
     edges_by_label_b: dict[str, list[tuple]] = {}
     for source_b, target_b, data in graph_b.edges(data=True):

@@ -17,7 +17,7 @@ table also prepares it, and the owner commits both rows: an edited CSV is
 read and hashed once per poll, not once to sketch and again to prepare.
 
 :func:`prepare_lake` is the analogous fan-out for the *prepared-candidate*
-store: it pre-computes one matcher's
+store: it pre-computes one instance-based matcher's
 :meth:`~repro.matchers.base.BaseMatcher.prepare` payload for every lake
 table (workers prepare, the owner writes), so the very first discovery
 query runs warm.
@@ -39,7 +39,9 @@ from repro.lake.profiles import SketchConfig, TableSketch, sketch_table
 from repro.lake.store import SketchStore
 from repro.matchers.base import BaseMatcher, PreparedTable
 
-__all__ = ["BuildReport", "PrepareReport", "build_from_paths", "prepare_lake"]
+__all__ = [
+    "BuildReport", "PrepareReport", "build_from_paths", "nothing_to_prepare", "prepare_lake"
+]
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +94,14 @@ _PREPARE_MATCHER: Optional[BaseMatcher] = None
 def _prepare_worker_init(matcher: Optional[BaseMatcher]) -> None:
     global _PREPARE_MATCHER
     _PREPARE_MATCHER = matcher
+
+
+def nothing_to_prepare(matcher: BaseMatcher) -> bool:
+    """Whether *matcher* is schema-based (no prepared rows); logs one line saying so."""
+    if matcher.uses_instances:
+        return False
+    logger.info("%s reads only the sketch: nothing to prepare", matcher.name)
+    return True
 
 
 # ---------------------------------------------------------------------- #
@@ -165,8 +175,11 @@ def build_from_paths(
         prepared in the same task and its row written next to the sketch,
         as :func:`prepare_lake` would write it.  A table whose prepare
         fails, or whose prepared row cannot be stored, is only sketched;
-        so are the tables left when a pool worker dies.
+        so are the tables left when a pool worker dies (all of them for a
+        schema-based matcher).
     """
+    if prepare is not None and nothing_to_prepare(prepare[1]):
+        prepare = None
     report = BuildReport()
     # One batched store round trip for the known hashes, not one per CSV.
     known = store.table_meta([Path(path).stem for path in csv_paths])
@@ -303,10 +316,12 @@ def prepare_lake(
     their recorded source CSVs, prepared (in a process pool when *workers*
     > 1) and written by the calling process — the same single-writer rule
     as :func:`build_from_paths`.  Tables with no readable source CSV are
-    reported as missing.
+    reported as missing.  A schema-based matcher writes nothing.
     """
-    fingerprint = matcher.fingerprint()
     report = PrepareReport()
+    if nothing_to_prepare(matcher):
+        return report
+    fingerprint = matcher.fingerprint()
     # Two batched round trips — (hash, path) metadata from the sketch store
     # and an existence probe against the prepared store — instead of three
     # point queries per lake table.  The probe never decodes payloads.

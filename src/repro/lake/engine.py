@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
-from repro.data.table import Table
+from repro.data.table import Column, Table
 from repro.discovery.cascade import CandidateSignals, candidate_signals, mode_bound
 from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import (
@@ -74,13 +74,16 @@ class BatchQueryResult:
 class StoreResolver:
     """The one candidate resolver: name → something the matcher can score.
 
-    A candidate comes only from the lake.  Per name, in order: the stored
-    prepared payload, keyed by the content hash recorded at build time and
-    read in **one** batched :meth:`PreparedStore.get_many` per call (a hit
-    skips the CSV read *and* the prepare); else the CSV recorded at build
-    time, read and — when there is a prepared store — prepared and written
-    through so one cold query warms the next.  Names with neither payload
-    nor readable CSV are omitted (they cannot be ranked).
+    A candidate comes only from the lake.  For a schema-based matcher
+    (``uses_instances`` False) it is its sketch in the query's resident
+    index — or, rewritten since the index refresh, in the store — as a
+    zero-row :class:`Table` of typed columns: no CSV, no prepared row.
+    Otherwise, per name, in order: the stored prepared payload, keyed by the
+    content hash recorded at build time and read in **one** batched
+    :meth:`PreparedStore.get_many` per call (a hit skips the CSV read *and*
+    the prepare); else the CSV recorded at build time, read and — when there
+    is a prepared store — prepared and written through so one cold query
+    warms the next.  Names with neither payload nor readable CSV are omitted.
 
     Keying by build-time hash keeps the warm rerank consistent with the
     sketch shortlist: both answer as of the last ``lake build`` (a CSV
@@ -93,10 +96,16 @@ class StoreResolver:
     #: ``name -> (build-time content hash, source CSV path)`` for the
     #: shortlist, from the query's single :meth:`SketchStore.table_meta`.
     meta: Mapping[str, tuple[str, Optional[str]]]
+    #: The resident index the shortlist came from, and the store behind it.
+    index: LakeIndex
+    store: SketchStore
     fingerprint: str
     prepared_store: Optional[PreparedStore] = None
 
     def __call__(self, names: Sequence[str], matcher: BaseMatcher) -> Resolved:
+        if not matcher.uses_instances:
+            schemas = (self._schema(name) for name in names if name in self.meta)
+            return [table for table in schemas if table is not None], 0
         stored: dict[str, PreparedTable] = {}
         if self.prepared_store is not None:
             keys = [
@@ -114,6 +123,15 @@ class StoreResolver:
             if candidate is not None:
                 resolved.append(candidate)
         return resolved, len(stored)
+
+    def _schema(self, name: str) -> Optional[Table]:
+        """A schema-based matcher's candidate: its sketched typed columns."""
+        sketch = self.index.sketch(name)
+        if sketch.content_hash != self.meta[name][0]:
+            sketch = self.store.get(name)  # rewritten since the index refresh
+        if sketch is None:
+            return None
+        return Table(sketch.name, [Column(c.column_name, (), c.data_type) for c in sketch.columns])
 
     def _load(
         self, name: str, matcher: BaseMatcher
@@ -151,9 +169,9 @@ class StoreResolver:
 class LakeDiscoveryEngine:
     """Index-accelerated dataset discovery over a persistent sketch store.
 
-    Every candidate comes from the lake: a stored prepared payload, else
-    the CSV recorded when the table was sketched
-    (:func:`~repro.lake.build.build_from_paths`, or
+    Every candidate comes from the lake (:class:`StoreResolver`): its
+    sketch, or a stored prepared payload, else the CSV recorded when the
+    table was sketched (:func:`~repro.lake.build.build_from_paths`, or
     :meth:`SketchStore.add_table` with ``source_path=``).
 
     Attributes
@@ -169,13 +187,14 @@ class LakeDiscoveryEngine:
     prepared_store:
         Optional :class:`~repro.discovery.prepared.PreparedStore` — the
         persistent prepared-candidate store (``<store>.prepared`` when
-        opened by :func:`~repro.lake.opening.open_lake`).  When set, shortlisted
-        candidates whose prepared payload is stored (keyed by this matcher's
-        fingerprint and the content hash recorded at build time) are served
-        straight from disk — no CSV read, no prepare — and cold candidates
-        are written through after their first prepare, so one query warms
-        the next.  The query table itself is never written there: it is
-        prepared into a private in-memory
+        opened by :func:`~repro.lake.opening.open_lake`), for an
+        instance-based matcher.  When set, shortlisted candidates whose
+        prepared payload is stored (keyed by this matcher's fingerprint and
+        the content hash recorded at build time) are served straight from
+        disk — no CSV read, no prepare — and cold candidates are written
+        through after their first prepare, so one query warms the next.
+        The query table itself is never written there: it is prepared into
+        a private in-memory
         :class:`~repro.discovery.prepared.PreparedTableCache`, so a repeated
         query skips its prepare without adding a row to the lake.  Without a
         prepared store the query is prepared afresh every time.
@@ -269,9 +288,8 @@ class LakeDiscoveryEngine:
         ----------
         query:
             The input table (does not need to be in the store).  Candidates
-            come only from the lake: a stored prepared payload, else the CSV
-            recorded at build time; a candidate with neither cannot be
-            matched and is excluded from the ranking.
+            come only from the lake (:class:`StoreResolver`); a candidate
+            the lake cannot produce is excluded from the ranking.
         mode:
             ``"joinable"``, ``"unionable"`` or ``"combined"`` (same
             semantics as :meth:`DiscoveryEngine.discover`).
@@ -361,7 +379,7 @@ class LakeDiscoveryEngine:
             outcome = prune_then_rerank(
                 query_prepared,
                 names,
-                StoreResolver(meta, fingerprint, self.prepared_store),
+                StoreResolver(meta, index, self.store, fingerprint, self.prepared_store),
                 self.matcher,
                 mode=mode,
                 top_k=top_k,

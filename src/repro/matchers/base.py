@@ -310,7 +310,8 @@ class BaseMatcher(abc.ABC):
     code: str = "??"
     #: The match types of Table I this method covers.
     match_types: tuple[MatchType, ...] = ()
-    #: Whether the method reads instance values (affects runtime accounting).
+    #: Whether the method reads instance values (runtime accounting); the lake
+    #: scores one that does not from its candidates' sketches, reading no CSV.
     uses_instances: bool = False
     #: Whether the method reads schema-level information.
     uses_schema: bool = True

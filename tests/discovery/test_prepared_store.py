@@ -15,17 +15,23 @@ import pytest
 from matcher_support import LIGHT_MATCHER_CONFIGS, prospect_lake
 
 import repro
+from repro.data import sections as framing
 from repro.data.fingerprint import table_content_hash
 from repro.data.table import Column, Table
 from repro.discovery import prepared_codec
 from repro.discovery.prepared import PREPARED_PAYLOAD_FORMAT, PreparedStore
 from repro.matchers.base import PreparedTable
-from repro.matchers.cupid.matcher import CupidMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
-from repro.matchers.registry import create_matcher
+from repro.matchers.registry import available_matchers, create_matcher
 from repro.matchers.semprop.links import SemanticLink
 from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.telemetry.recorder import TelemetryRecorder, use
+
+
+#: The registered matchers the prepared store holds rows for.
+INSTANCE_BASED = sorted(
+    name for name, cls in available_matchers().items() if cls.uses_instances
+)
 
 
 def _table(name: str, values: list[object]) -> Table:
@@ -65,10 +71,9 @@ class TestRoundTripEquality:
         self, query_table, candidate_table
     ):
         """A store-loaded PreparedTable must produce identical matches to a
-        fresh prepare — for every registered matcher (tentpole invariant)."""
-        from repro.matchers.registry import available_matchers
-
-        for name in sorted(available_matchers()):
+        fresh prepare — for every registered matcher that has rows (the
+        instance-based ones; a schema-based matcher scores sketches)."""
+        for name in INSTANCE_BASED:
             matcher = create_matcher(name, **LIGHT_MATCHER_CONFIGS.get(name, {}))
             with PreparedStore() as store:
                 fresh = matcher.prepare(candidate_table)
@@ -85,7 +90,7 @@ class TestRoundTripEquality:
                     f"{name}: matches diverged after a store round trip"
                 )
 
-    @pytest.mark.parametrize("method", sorted(LIGHT_MATCHER_CONFIGS))
+    @pytest.mark.parametrize("method", INSTANCE_BASED)
     def test_codec_round_trip_keeps_every_score_on_the_grid_tables(self, method):
         """encode → decode → ``match_prepared`` scores every pair of the
         oracle grid's lake with the same double as the in-memory payloads,
@@ -523,6 +528,68 @@ def _golden_table() -> Table:
     )
 
 
+#: Rows the codec wrote for the schema-based matchers before they stopped
+#: having rows: ``_golden_table()`` under Cupid, and a one-column cut of it
+#: under Similarity Flooding, each with its SHA-256.
+_SCHEMA_ROWS = {
+    "cupid": (
+        {
+            "table": "golden",
+            "columns": ["customer_name", "amount", "zip"],
+            "types": ["string", "float", "integer"],
+            "rows": 4,
+            "fingerprint": "golden-cupid",
+            "payload": {
+                "tree": [
+                    "SchemaTree",
+                    [
+                        "SchemaElement", "golden_schema", "schema", None,
+                        ["list", [
+                            "SchemaElement", "golden", "table", None,
+                            ["list",
+                             ["SchemaElement", "customer_name", "string",
+                              ["DataType", "string"], ["list"]],
+                             ["SchemaElement", "amount", "float", ["DataType", "float"], ["list"]],
+                             ["SchemaElement", "zip", "integer",
+                              ["DataType", "integer"], ["list"]]],
+                        ]],
+                    ],
+                    "golden",
+                ]
+            },
+        },
+        "6524295dd125647057f79bdf64360d0b87f664405950bf2fcc71bbf710050380",
+    ),
+    "similarityflooding": (
+        {
+            "table": "golden",
+            "columns": ["zip"],
+            "types": ["integer"],
+            "rows": 2,
+            "fingerprint": "golden-sf",
+            "payload": {
+                "graph": [
+                    "SchemaGraph",
+                    {"table_name": "golden"},
+                    ["list",
+                     ["SchemaNode", ["NodeKind", "table"], "golden"],
+                     ["SchemaNode", ["NodeKind", "name"], "golden"],
+                     ["SchemaNode", ["NodeKind", "column"], "golden.zip"],
+                     ["SchemaNode", ["NodeKind", "name"], "zip"],
+                     ["SchemaNode", ["NodeKind", "type"], "integer"]],
+                    ["list",
+                     ["tuple", 0, 1, "name"],
+                     ["tuple", 0, 2, "column"],
+                     ["tuple", 2, 3, "name"],
+                     ["tuple", 2, 4, "type"]],
+                ]
+            },
+        },
+        "70e565c944d1a4b8118bba86ffac32d663bee801e0974c4d690e33518b7385f1",
+    ),
+}  # fmt: skip
+
+
 class TestGoldenRows:
     """A stored row is a published blob too: changing what the codec emits
     orphans every store and artifact in the field, so it has to be done on
@@ -562,11 +629,22 @@ class TestGoldenRows:
             prepared, "266a1f61a6523b8e5ac8eaba6f748bcbd133da902b61b4cd30c5dad6876b1217"
         )
 
-    def test_cupid_row_bytes_are_pinned(self):
-        prepared = replace(CupidMatcher().prepare(_golden_table()), fingerprint="golden-cupid")
-        self._pinned(
-            prepared, "6524295dd125647057f79bdf64360d0b87f664405950bf2fcc71bbf710050380"
-        )
+    @pytest.mark.parametrize("method", sorted(_SCHEMA_ROWS))
+    def test_a_schema_row_an_older_codec_wrote_is_refused(self, method):
+        """A schema-based matcher's row (a Cupid tree, a Similarity Flooding
+        graph) is an unknown tag now: decoding refuses it, a read discards
+        it, and ``lake verify`` counts it undecodable."""
+        skeleton, digest = _SCHEMA_ROWS[method]
+        blob = framing.pack(b"PREP", skeleton, ())
+        assert hashlib.sha256(blob).hexdigest() == digest  # the bytes once written
+        with pytest.raises(ValueError, match="unknown tag 'Schema"):
+            prepared_codec.decode(blob)
+        fingerprint = skeleton["fingerprint"]
+        with PreparedStore() as store:
+            store.put_raw(fingerprint, "golden", "h", PREPARED_PAYLOAD_FORMAT, blob)
+            assert store.undecodable_keys() == [(fingerprint, "golden", "h")]
+            assert store.get(fingerprint, "golden", "h") is None
+            assert len(store) == 0
 
 
 class TestCodecRefusals:

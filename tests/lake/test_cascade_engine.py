@@ -4,7 +4,9 @@ Covers the exactness contract — for **every** registered matcher the
 ranking is byte-identical in every lake x resolve cell ({``families``,
 ``overlap``, ``prospect``} x {warm, cold}) and equal to
 ``DiscoveryEngine.discover``, an oracle that shares only the matcher and the
-relatedness measures with the rerank — plus who prices: a query is priced
+relatedness measures with the rerank; a schema-based matcher's cells read
+and write no prepared row, an instance-based one's read (warm) or write
+(cold) one per scored candidate — plus who prices: a query is priced
 (stage-1 signals, bounds) exactly when a bound could skip — a top-k query
 whose matcher's score ceiling is finite and, in the mode, above 0 — which
 on lakebench's two profiles means a joinable or combined SemProp query on
@@ -170,10 +172,11 @@ def test_ranking_identical_in_every_lake_and_resolve_cell(
         store=grid_lake.store,
         prepared_store=prepared_store,
     ) as engine:
+        before = set(prepared_store.raw_keys())
         calls = _signal_calls(monkeypatch)
         ranking = engine.query(grid_lake.query, mode=mode, top_k=TOP_K)
         stats = engine.last_query_stats
-        written = {name for _, name, *_ in prepared_store.raw_keys()}
+        written = set(prepared_store.raw_keys()) - before
     assert _signature(ranking) == grid_lake.oracle(method, mode)
     assert stats.shortlist_size == len(grid_lake.repository)
     if method == "semprop" and profile == "overlap" and mode != "unionable":
@@ -191,7 +194,12 @@ def test_ranking_identical_in_every_lake_and_resolve_cell(
         assert calls == []
         assert stats.rerank_count == stats.shortlist_size
         assert stats.cascade_exact == stats.cascade_skipped == 0
-    if warm:
+    if not engine.matcher.uses_instances:
+        # A schema-based matcher scores the candidates' sketches: no
+        # prepared row is read or written, warm or cold.
+        assert stats.store_hits == 0
+        assert written == set()
+    elif warm:
         # Every scored candidate came from the prepared store.
         assert stats.store_hits == stats.rerank_count
     else:
@@ -647,3 +655,39 @@ def test_table_rewritten_after_the_index_refresh_is_scored_exactly(
     # Everything else as usual: the other bads are still skipped.
     assert stats.cascade_skipped > 0
     assert stats.cascade_exact + stats.cascade_skipped == stats.shortlist_size
+
+
+def test_cupid_scores_a_table_rewritten_after_the_index_refresh_from_the_store(
+    semprop_lake, tmp_path, monkeypatch
+):
+    """Cupid's twin of the test above.  Every table has the query's three
+    ``field_N`` columns, so Cupid ties them all and the name order puts
+    ``bad_0`` first.  A second handle commits ``bad_0`` with other column
+    names between the index refresh and ``table_meta``: the indexed sketch
+    no longer carries the stored hash, so the candidate is built from the
+    sketch the store now holds — not from the stale one, and not from a
+    CSV — and leaves the top k at once."""
+    source, query = semprop_lake
+    store_path = tmp_path / source.name
+    shutil.copy(source, store_path)
+    renamed = Table(
+        "bad_0", {f"other_{c}": [f"val_{c}_{r}" for r in range(_ROWS)] for c in range(3)}
+    )
+    renamed_csv = write_csv(renamed, tmp_path / "bad_0.csv")
+    reads: list = []
+    monkeypatch.setattr(lake_engine, "read_csv", lambda *args, **kwargs: reads.append(args))
+
+    def rewrite_bad_0() -> None:
+        with SketchStore(store_path) as second_handle:
+            assert second_handle.add_table(renamed, source_path=renamed_csv)
+
+    with _RacedSketchStore(
+        store_path, read_only=True, writer=rewrite_bad_0
+    ) as store, LakeDiscoveryEngine(matcher=create_matcher("cupid"), store=store) as engine:
+        raced = engine.query(query, mode="joinable", top_k=TOP_K)
+        assert store.writer is None  # the commit landed inside that query
+        assert engine.index.sketch("bad_0").columns[0].column_name == "other_0"
+        settled = engine.query(query, mode="joinable", top_k=TOP_K)
+    assert [r.table_name for r in raced] == ["bad_1", "bad_10", "bad_11"]
+    assert _signature(raced) == _signature(settled)
+    assert reads == []

@@ -11,12 +11,13 @@ from matcher_support import csv_lake
 
 from repro.data.csv_io import write_csv
 from repro.datasets.fabricated_sources import open_data_table, tpcdi_prospect_table
-from repro.discovery.search import DiscoveryEngine, prune_then_rerank
+from repro.discovery.search import DatasetRepository, DiscoveryEngine, prune_then_rerank
 from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake.build import build_from_paths
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.store import SketchStore
 from repro.matchers.coma.matcher import ComaSchemaMatcher
+from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +97,34 @@ class TestLakeDiscoveryEngine:
         engine.store.close()
 
     def test_a_candidate_with_no_csv_cannot_be_ranked(self, lake):
-        """The lake is the only source of candidates: a table sketched with
-        no source path and no stored payload is dropped from the ranking."""
+        """The lake is the only source of candidates: for an instance-based
+        matcher, a table sketched with no source path and no stored payload
+        is dropped from the ranking."""
+        query, tables = lake
+        with SketchStore() as store, LakeDiscoveryEngine(
+            matcher=JaccardLevenshteinMatcher(sample_size=8), store=store
+        ) as engine:
+            for table in tables:
+                store.add_table(table)
+            assert engine.query(query) == []
+            assert engine.last_query_stats.shortlist_size == len(tables)
+
+    def test_a_schema_based_matcher_ranks_a_candidate_with_no_csv(self, lake):
+        """A schema-based matcher's candidate is its sketch: a table
+        sketched with no source path ranks as the brute force ranks it."""
         query, tables = lake
         with SketchStore() as store, LakeDiscoveryEngine(
             matcher=ComaSchemaMatcher(), store=store
         ) as engine:
             for table in tables:
                 store.add_table(table)
-            assert engine.query(query) == []
-            assert engine.last_query_stats.shortlist_size == len(tables)
+            got = engine.query(query, mode="combined")
+        expected = DiscoveryEngine(matcher=ComaSchemaMatcher()).discover(
+            query, DatasetRepository(tables), mode="combined"
+        )
+        assert [(r.table_name, r.scores) for r in got] == [
+            (r.table_name, r.scores) for r in expected
+        ]
 
     def test_in_memory_surface_is_gone(self, lake, built_lake):
         """No second way to get candidates: no ``build``, no ``repository``

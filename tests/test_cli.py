@@ -765,8 +765,10 @@ class TestObservability:
 
     def test_lake_stats_reports_both_stores(self, tmp_path, capsys):
         store, query_path = self._built_lake(tmp_path)
-        # A cold query writes its candidates through to the default store.
-        assert main(["lake", "query", str(query_path), "--store", str(store)]) == 0
+        # A cold query of an instance-based matcher writes its candidates
+        # through to the default store.
+        query = ["lake", "query", str(query_path), "--store", str(store)]
+        assert main([*query, "--method", "JaccardLevenshtein"]) == 0
         capsys.readouterr()
         assert main(["lake", "stats", "--store", str(store)]) == 0
         output = capsys.readouterr().out

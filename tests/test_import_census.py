@@ -27,11 +27,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _HEAVY = ("scipy", "networkx")
 
 #: Matcher modules the prepared-row codec imports for its record types
-#: (Cupid's ``SchemaElement`` / ``SchemaTree``, SemProp's ``SemanticLink``):
-#: every process that opens a lake loads them, whichever matcher it runs.
+#: (SemProp's ``SemanticLink``): every process that opens a lake loads
+#: them, whichever matcher it runs.
 _CODEC_RECORDS = {
-    "repro.matchers.cupid",
-    "repro.matchers.cupid.schema_tree",
     "repro.matchers.semprop",
     "repro.matchers.semprop.links",
 }
@@ -87,8 +85,6 @@ def test_the_cli_running_semprop_loads_no_scipy_networkx_or_other_matcher():
     assert _heavy(modules) == []
     assert [module for module in modules if module.startswith("repro.matchers.")] == [
         "repro.matchers.base",
-        "repro.matchers.cupid",  # codec record
-        "repro.matchers.cupid.schema_tree",  # codec record
         "repro.matchers.registry",
         "repro.matchers.semprop",
         "repro.matchers.semprop.links",  # codec record
@@ -141,8 +137,20 @@ def _small_lake(root: Path) -> None:
     write_csv(Table("query", {"place": ["delft", "gouda"], "n": [7, 8]}), root / "query.csv")
 
 
-@pytest.mark.parametrize("method", ["SemProp", "Cupid"])
-def test_the_lake_path_runs_with_scipy_and_networkx_refused(method, tmp_path):
+@pytest.mark.parametrize(
+    "method, prepared, queried",
+    [
+        ("SemProp", "2 tables prepared with SemProp", "2 served from the prepared store"),
+        # A schema-based matcher has nothing to prepare and reads only sketches.
+        (
+            "Cupid",
+            "Cupid reads only the sketch: nothing to prepare",
+            "0 served from the prepared store",
+        ),
+    ],
+    ids=["SemProp", "Cupid"],
+)
+def test_the_lake_path_runs_with_scipy_and_networkx_refused(method, prepared, queried, tmp_path):
     """build → prepare → query and ``serve --help`` exit 0 with both
     dependencies unimportable, and print what an unrestricted run prints."""
     commands = [
@@ -162,8 +170,8 @@ def test_the_lake_path_runs_with_scipy_and_networkx_refused(method, tmp_path):
         assert (blocked.returncode, blocked.stderr) == (0, ""), command
         assert (blocked.stdout, blocked.returncode) == (plain.stdout, plain.returncode), command
         outputs.append(blocked.stdout)
-    assert f"2 tables prepared with {method}" in outputs[1]
-    assert "2 served from the prepared store" in outputs[2]
+    assert prepared in outputs[1]
+    assert queried in outputs[2]
 
 
 #: Runs the CLI, then writes every loaded module name to the file named by
