@@ -112,6 +112,8 @@ def _command_lake_prepare(args: argparse.Namespace) -> int:
         suffix += f", {report.stale_pruned} stale payloads pruned"
     if report.missing:
         suffix += f", {len(report.missing)} missing source CSVs (skipped)"
+    if report.refused:
+        suffix += f", {len(report.refused)} payloads no row can hold (skipped)"
     if report.stale:
         suffix += (
             f", {len(report.stale)} changed since build "
@@ -151,16 +153,18 @@ def _run_lake_query(args: argparse.Namespace) -> int:
     traced = args.stats or args.trace_json is not None
     # The prepared store is write-through for candidates: the first (cold)
     # query warms it, later queries with the same matcher config rerank
-    # without preparing.  The query table itself is never written there.
+    # without preparing.  The query table itself is never written there, and
+    # a schema-based matcher, which scores the sketches, never opens it.
+    matcher = create_matcher(args.method)
     with open_lake(
         args.store,
-        prepared="create",
+        prepared="create" if matcher.uses_instances else None,
         warn=lambda exc: print(
             f"prepared store unavailable, querying cold: {exc}", file=sys.stderr
         ),
     ) as (store, prepared_store):
         with LakeDiscoveryEngine(
-            matcher=create_matcher(args.method), store=store, prepared_store=prepared_store
+            matcher=matcher, store=store, prepared_store=prepared_store
         ) as engine, (use(TelemetryRecorder()) if traced else nullcontext()):
             results = engine.query(query, mode=args.mode, top_k=args.top)
         stats = engine.last_query_stats

@@ -29,23 +29,24 @@ def table_content_hash(table: Table) -> str:
     different digest.
     """
     hasher = hashlib.blake2b(digest_size=16)
-
-    def _update(payload: bytes) -> None:
-        # Length-prefix every field so adjacent values can never be confused
-        # with one longer value (or a None with a literal sentinel string).
-        hasher.update(len(payload).to_bytes(8, "little"))
-        hasher.update(payload)
-
+    update = hasher.update
     # Encode the shape too: without the column/row counts a 1x4 table and a
     # 2x1 table with the same flat value stream would collide.
-    hasher.update(table.num_columns.to_bytes(8, "little"))
+    update(table.num_columns.to_bytes(8, "little"))
     for column in table.columns:
-        _update(column.name.encode("utf-8"))
-        _update(column.data_type.value.encode("utf-8"))
-        hasher.update(len(column.values).to_bytes(8, "little"))
+        # Length-prefix every field so adjacent values can never be confused
+        # with one longer value (or a None with a literal sentinel string);
+        # the loop is inlined, as a call per cell costs more than its hashing.
+        for field in (column.name, column.data_type.value):
+            payload = field.encode("utf-8")
+            update(len(payload).to_bytes(8, "little"))
+            update(payload)
+        update(len(column.values).to_bytes(8, "little"))
         for value in column.values:
             if value is None:
-                hasher.update(b"\xff" * 8)  # length no real payload can have
+                update(b"\xff" * 8)  # length no real payload can have
             else:
-                _update(str(value).encode("utf-8"))
+                payload = str(value).encode("utf-8")
+                update(len(payload).to_bytes(8, "little"))
+                update(payload)
     return hasher.hexdigest()

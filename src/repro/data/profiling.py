@@ -52,49 +52,35 @@ class ColumnProfile:
     avg_length: float
 
 
-def profile_column(
-    column: Column,
-    *,
-    non_missing: Optional[list] = None,
-    distinct_count: Optional[int] = None,
-) -> ColumnProfile:
-    """Compute a :class:`ColumnProfile` for *column*.
+def profile_column(column: Column) -> ColumnProfile:
+    """Compute a :class:`ColumnProfile` for *column* from its
+    :meth:`~repro.data.table.Column.scan`.
 
-    Parameters
-    ----------
-    column:
-        The column to profile.
-    non_missing / distinct_count:
-        Optionally pass the precomputed non-missing values and distinct
-        count so callers that already scanned the column (e.g.
-        :func:`repro.lake.profiles.sketch_table`, which also feeds the same
-        scan to the MinHash and histogram passes) don't trigger another
-        traversal.  Results are identical either way.
+    The distinct, missing and length statistics come from the scan's
+    counts; the numeric summaries are still summed cell by cell in column
+    order, so every float is the one a per-cell pass computes.
     """
-    if non_missing is None:
-        non_missing = column.non_missing()
-    distinct = len(column.unique_values()) if distinct_count is None else distinct_count
-    missing = len(column) - len(non_missing)
+    scan = column.scan()
+    size = scan.size
     mean = std = minimum = maximum = None
     if column.data_type.is_numeric:
-        numbers = parse_numeric_values(non_missing)
+        cells = column.values if size == len(column) else column.non_missing()
+        numbers = parse_numeric_values(cells)
         if numbers:
             mean = sum(numbers) / len(numbers)
             variance = sum((x - mean) ** 2 for x in numbers) / len(numbers)
             std = math.sqrt(variance)
             minimum = min(numbers)
             maximum = max(numbers)
-    lengths = [len(str(v)) for v in non_missing]
-    avg_length = sum(lengths) / len(lengths) if lengths else 0.0
     return ColumnProfile(
         name=column.name,
         data_type=column.data_type,
         row_count=len(column),
-        distinct_count=distinct,
-        missing_count=missing,
+        distinct_count=len(scan.counts),
+        missing_count=len(column) - size,
         mean=mean,
         std=std,
         minimum=minimum,
         maximum=maximum,
-        avg_length=avg_length,
+        avg_length=scan.rendered_length / size if size else 0.0,
     )

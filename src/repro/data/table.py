@@ -9,8 +9,12 @@ schema metadata (names, types) and column value sets.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.data.types import (
     DataType,
@@ -18,8 +22,9 @@ from repro.data.types import (
     is_missing,
     parse_numeric_values,
 )
+from repro.sketches.minhash import hash_normalized_values
 
-__all__ = ["Column", "Table", "ColumnRef", "TableHeader"]
+__all__ = ["Column", "ColumnScan", "Table", "ColumnRef", "TableHeader"]
 
 
 @dataclass(frozen=True, order=True)
@@ -65,6 +70,26 @@ class TableHeader:
         return len(self.column_names)
 
 
+class ColumnScan(NamedTuple):
+    """A column's cells counted once (:meth:`Column.scan`).
+
+    Per distinct non-missing value (``set`` semantics: equal cells count
+    under the first one seen): *counts*, its number of cells, and *slots*,
+    the index of its normalised string (``str(v).strip().lower()``) in
+    *hashes*, their 32-bit blake2b hashes.  *size* counts the non-missing
+    cells and *rendered_length* sums their ``len(str(cell))``.  *uniform*:
+    every cell renders as the value it counts under, so *hashes* are every
+    cell's; ``1``, ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, do not.
+    """
+
+    counts: np.ndarray
+    slots: np.ndarray
+    hashes: np.ndarray
+    size: int
+    rendered_length: int
+    uniform: bool
+
+
 class Column:
     """A named, typed column with its cell values.
 
@@ -80,7 +105,7 @@ class Column:
         Name of the owning table (set by :class:`Table`).
     """
 
-    __slots__ = ("name", "values", "data_type", "table_name", "_unique_cache")
+    __slots__ = ("name", "values", "data_type", "table_name", "_unique_cache", "_scan_cache")
 
     def __init__(
         self,
@@ -94,6 +119,7 @@ class Column:
         self.data_type = data_type or infer_column_type(self.values)
         self.table_name = table_name
         self._unique_cache: Optional[set] = None
+        self._scan_cache: Optional[ColumnScan] = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -113,6 +139,34 @@ class Column:
         if self._unique_cache is None:
             self._unique_cache = set(self.non_missing())
         return self._unique_cache
+
+    def scan(self) -> ColumnScan:
+        """The column's :class:`ColumnScan` (cached): one count of the
+        cells, then one normalisation and one digest per distinct value."""
+        if self._scan_cache is None:
+            counts = Counter(self.values)
+            distinct = [value for value in counts if not is_missing(value)]
+            rendered = list(map(str, distinct))
+            slot_of: dict[str, int] = {}
+            slots = [slot_of.setdefault(text.strip().lower(), len(slot_of)) for text in rendered]
+            cells = list(map(counts.__getitem__, distinct))
+            kinds = set(map(type, self.values)) - {type(None)}
+            # Equal str, int, bool or float cells render alike, bar 0.0 and
+            # -0.0; no str equals a number, and bool mixes only with int.
+            uniform = kinds <= {str, int} or kinds <= {str, bool} or (
+                kinds <= {str, float} and 0.0 not in counts
+            )
+            length = sum(map(operator.mul, cells, map(len, rendered)))
+            if not uniform:  # tell cell by cell
+                non_missing = self.non_missing()
+                texts = list(map(str, non_missing))
+                uniform = len(set(zip(non_missing, texts))) == len(distinct)
+                length = sum(map(len, texts))
+            self._scan_cache = ColumnScan(
+                np.array(cells, np.int64), np.array(slots, np.intp),
+                hash_normalized_values(slot_of), sum(cells), length, uniform,
+            )  # fmt: skip
+        return self._scan_cache
 
     def as_strings(self) -> list[str]:
         """Return non-missing values rendered as stripped strings."""

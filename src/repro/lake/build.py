@@ -78,6 +78,9 @@ class PrepareReport:
     #: Stored payloads dropped because their build-time content hash no
     #: longer matches the sketch store (table re-sketched or removed).
     stale_pruned: int = 0
+    #: Tables whose payload the prepared-row codec refused (a schema tree
+    #: of an ``EnsembleMatcher`` member, say); they stay unprepared.
+    refused: list[str] = field(default_factory=list)
 
 
 def _effective_workers(workers: Optional[int], num_tasks: int) -> int:
@@ -357,7 +360,14 @@ def prepare_lake(
             )
             report.missing.append(name)
             return
-        prepared_store.put(prepared, content_hash=content_hash)
+        try:
+            prepared_store.put(prepared, content_hash=content_hash)
+        except ValueError as exc:
+            # As in build_from_paths, an unstorable payload skips its table;
+            # a store that refuses every write (locked, full) ends the pass.
+            logger.warning("prepare_lake: cannot store the prepared row of %r: %s", name, exc)
+            report.refused.append(name)
+            return
         report.prepared += 1
         expected = meta.get(name, (None, None))[0]
         if expected is not None and expected != content_hash:

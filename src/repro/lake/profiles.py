@@ -9,7 +9,10 @@ MinHash signature, for value-overlap estimation, is a row of its
 computed once per column when a table enters the
 :class:`~repro.lake.store.SketchStore` and reused by every subsequent query,
 which is what turns discovery from "re-profile the lake per query" into an
-index lookup.
+index lookup.  They are read off each column's memoised
+:meth:`~repro.data.table.Column.scan`, which normalises and hashes every
+distinct value once: the MinHash, the histogram and the profile read that
+one scan, and so does SemProp's prepare of the same table.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ from repro.data.fingerprint import table_content_hash
 from repro.data.profiling import ColumnProfile, profile_column
 from repro.data.table import Table
 from repro.data.types import DataType
-from repro.distributions.histograms import build_histogram
-from repro.sketches.minhash import (
-    DEFAULT_SEED,
-    hash_normalized_values,
-    minhash_signatures_from_hashes,
-)
+from repro.sketches.minhash import DEFAULT_SEED, minhash_signatures_from_hashes
 
 __all__ = [
     "SketchConfig",
@@ -74,21 +72,6 @@ class SketchConfig:
             seed=int(data["seed"]),
             num_buckets=int(data["num_buckets"]),
         )
-
-
-def _hash_space_histogram(
-    values: list, ranks: Mapping[object, int], num_buckets: int
-) -> tuple[float, ...]:
-    """Histogram of a value multiset over the hashed rank domain.
-
-    *values* are the column's non-missing cells and *ranks* their
-    value→rank mapping — passed in so the caller's single column scan (and
-    single hashing pass, shared with MinHash) is reused here.
-    """
-    histogram = build_histogram(
-        values, ranks, num_buckets=num_buckets, max_rank=_HASH_RANK_DOMAIN - 1
-    )
-    return histogram.weights
 
 
 @dataclass(frozen=True)
@@ -250,7 +233,13 @@ def sketch_table(
     config: SketchConfig = SketchConfig(),
     content_hash: Optional[str] = None,
 ) -> TableSketch:
-    """Sketch every column of *table* in one batched hashing pass.
+    """Sketch every column of *table* from its columns' memoised scans.
+
+    Each :meth:`~repro.data.table.Column.scan` hashes a column's distinct
+    values once, and SemProp's prepare reuses it.  The table's MinHash
+    signatures come from one batched kernel over the scans' hashes, each
+    histogram is a ``bincount`` weighted by the scan's counts, and each
+    profile comes from :func:`~repro.data.profiling.profile_column`.
 
     Parameters
     ----------
@@ -263,43 +252,27 @@ def sketch_table(
         consulted.  Computed on demand when omitted.
     """
     columns = table.columns
-    # One non-missing/distinct scan AND one hashing pass per column, shared
-    # by all three passes (minhash, profile, histogram) — previously minhash
-    # and the hashed-rank histogram each digested the distinct values.
-    scans = []
-    hash_arrays = []
-    rank_maps = []
-    for column in columns:
-        values = column.non_missing()
-        distinct = set(values)
-        scans.append((values, distinct))
-        # Normalise once; distinct raw values can collapse onto one
-        # normalised string, so hashes are computed over the normalised set.
-        normalized_of = {raw: str(raw).strip().lower() for raw in distinct}
-        normalized = list(dict.fromkeys(normalized_of.values()))
-        hashes = hash_normalized_values(normalized)
-        hash_arrays.append(hashes)
-        rank_of_normalized = dict(
-            zip(normalized, (hashes % np.uint64(_HASH_RANK_DOMAIN)).tolist())
-        )
-        rank_maps.append(
-            {raw: rank_of_normalized[norm] for raw, norm in normalized_of.items()}
-        )
+    scans = [column.scan() for column in columns]
     signatures, set_sizes = minhash_signatures_from_hashes(
-        hash_arrays,
+        [scan.hashes for scan in scans],
         num_permutations=config.num_permutations,
         seed=config.seed,
     )
     sketches = []
-    for column, (values, distinct), ranks, set_size in zip(
-        columns, scans, rank_maps, set_sizes.tolist()
-    ):
-        profile = profile_column(
-            column, non_missing=values, distinct_count=len(distinct)
+    for column, scan, set_size in zip(columns, scans, set_sizes.tolist()):
+        # The cells' shares per equal-width bucket of the hashed rank domain:
+        # a value's rank is its hash modulo the domain, weighed by its count.
+        ranks = scan.hashes[scan.slots] % np.uint64(_HASH_RANK_DOMAIN)
+        buckets = (ranks / _HASH_RANK_DOMAIN * config.num_buckets).astype(np.int64)
+        counts = np.bincount(
+            np.minimum(buckets, config.num_buckets - 1),
+            weights=scan.counts,
+            minlength=config.num_buckets,
         )
-        histogram = _hash_space_histogram(values, ranks, config.num_buckets)
+        total = counts.sum()
+        histogram = tuple((counts / total if total > 0 else counts).tolist())
         sketches.append(
-            ColumnSketch.from_profile(profile, table.name, set_size, histogram)
+            ColumnSketch.from_profile(profile_column(column), table.name, set_size, histogram)
         )
     return TableSketch(
         name=table.name,

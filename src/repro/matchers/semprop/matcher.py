@@ -26,7 +26,12 @@ from repro.matchers.semprop.links import SemanticLink
 from repro.matchers.semprop.semantic import coherence_score, link_to_ontology
 from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
-from repro.sketches.minhash import DEFAULT_SEED, jaccard_matrix, minhash_signatures
+from repro.sketches.minhash import (
+    DEFAULT_SEED,
+    hash_normalized_values,
+    jaccard_matrix,
+    minhash_signatures_from_hashes,
+)
 from repro.telemetry import recorder as telemetry
 
 __all__ = ["SemPropMatcher"]
@@ -157,12 +162,22 @@ class SemPropMatcher(BaseMatcher):
         The signatures are one ``uint32`` matrix, a row per column in column
         order (every MinHash value fits 32 bits), plus the value-set sizes:
         the arrays :func:`~repro.sketches.minhash.jaccard_matrix` compares.
+        A column of at most ``sample_size`` non-missing cells (each
+        rendering as the value it counts under) reuses the hashed set of its
+        :meth:`~repro.data.table.Column.scan`, the set its lake sketch was
+        taken over; any other column hashes its first ``sample_size`` cells.
         """
         links = self._link_columns(table)
-        signatures, set_sizes = minhash_signatures(
-            [column.as_strings()[: self.sample_size] for column in table.columns],
-            num_permutations=self.num_permutations,
-            seed=DEFAULT_SEED,
+        hashes = []
+        for column in table.columns:
+            scan = column.scan()
+            if scan.uniform and scan.size <= self.sample_size:
+                hashes.append(scan.hashes)
+            else:
+                sample = column.non_missing()[: self.sample_size]
+                hashes.append(hash_normalized_values({str(v).strip().lower(): 0 for v in sample}))
+        signatures, set_sizes = minhash_signatures_from_hashes(
+            hashes, num_permutations=self.num_permutations, seed=DEFAULT_SEED
         )
         return PreparedTable(
             table=table,

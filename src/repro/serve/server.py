@@ -105,15 +105,17 @@ class _EngineSession:
     @classmethod
     def open(cls, config: ServeConfig) -> "_EngineSession":
         generation = lake_generation(config.store_path)
+        matcher = create_matcher(config.method, **config.method_kwargs)
         with ExitStack() as stack:
             # Sketch store read-only, prepared store writable: a cold
             # candidate's write-through warms it for everyone.  Query tables
-            # stay in the engine's memory and never reach the store.
+            # stay in the engine's memory and never reach the store, and a
+            # schema-based matcher, which scores the sketches, never opens it.
             store, prepared_store = stack.enter_context(
                 open_lake(
                     config.store_path,
                     read_only=True,
-                    prepared="create",
+                    prepared="create" if matcher.uses_instances else None,
                     warn=lambda exc: logger.warning(
                         "prepared store unavailable, serving cold: %s", exc
                     ),
@@ -121,7 +123,7 @@ class _EngineSession:
             )
             engine = stack.enter_context(
                 LakeDiscoveryEngine(
-                    matcher=create_matcher(config.method, **config.method_kwargs),
+                    matcher=matcher,
                     store=store,
                     prepared_store=prepared_store,
                 )

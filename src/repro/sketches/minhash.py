@@ -8,13 +8,18 @@ deterministic MinHash implementation with a Jaccard estimator.
 A batch of signatures is one ``uint32`` matrix, a row per value set and a
 column per permutation (every MinHash value fits 32 bits), next to an array
 of the sets' distinct-value counts; nothing converts a row to Python ints.
-The implementation is fully batched: every distinct value across a batch of
-value sets is digested exactly once into a ``uint64`` hash array, the
-``(a * h + b) mod p`` permutation family is applied to the whole array via
-broadcast arithmetic, and the per-set minima come from one segmented
-reduction.  A pure-Python reference (:func:`minhash_signatures_scalar`)
-computes bit-identical signatures value by value; it exists so tests can
-verify the vectorized path against an independent implementation.
+Callers hash each set's distinct normalised values once
+(:func:`hash_normalized_values`; a column's memoised scan does it for the
+lake sketch and SemProp alike), and :func:`minhash_signatures_from_hashes`
+applies the ``(a * h + b) mod p`` permutation family to a whole batch by
+broadcast arithmetic, with the per-set minima from one segmented reduction.
+``p`` is the Mersenne prime ``2^61 - 1``, so the reduction needs no
+division: ``2^61`` is 1 modulo ``p``, hence ``x mod p`` is ``(x & p) + (x >>
+61)`` less one conditional subtraction of ``p`` (Thorup, *High Speed Hashing
+for Integers and Strings*, arXiv 1504.06804).  A pure-Python reference
+(:func:`minhash_signatures_scalar`) computes bit-identical signatures value
+by value; it exists so tests can verify the vectorized path against an
+independent implementation.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
-    "minhash_signatures",
     "minhash_signatures_scalar",
     "hash_normalized_values",
     "minhash_signatures_from_hashes",
@@ -47,9 +51,7 @@ def _stable_hash(value: str) -> int:
     """Deterministic 32-bit hash of a string (independent of PYTHONHASHSEED).
 
     The scalar twin of :func:`hash_normalized_values`: one blake2b digest
-    truncated to 32 bits.  Kept (and cached) for the callers that hash single
-    values on demand — the hashed-rank histogram domain and the scalar
-    reference path — while the batch pipeline hashes whole arrays at once.
+    truncated to 32 bits, for the scalar reference path.
     """
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") & _MAX_HASH
@@ -73,8 +75,10 @@ def hash_normalized_values(values: Iterable[str]) -> np.ndarray:
     return np.frombuffer(buffer, dtype="<u8").astype(np.uint64) & np.uint64(_MAX_HASH)
 
 
+@functools.lru_cache(maxsize=64)
 def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Multipliers/offsets of the ``(a*h + b) mod p`` permutation family.
+    """Multipliers/offsets of the ``(a*h + b) mod p`` permutation family,
+    drawn once per ``(width, seed)`` and read-only.
 
     ``a`` and ``b`` are drawn below 2^32 so that with 32-bit value hashes the
     product ``a*h + b`` stays below 2^64 and the modular reduction is *exact*
@@ -83,6 +87,7 @@ def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarra
     rng = np.random.default_rng(seed)
     a = rng.integers(1, _MAX_HASH + 1, size=num_permutations, dtype=np.uint64)
     b = rng.integers(0, _MAX_HASH + 1, size=num_permutations, dtype=np.uint64)
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
@@ -92,37 +97,6 @@ def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarra
 _BATCH_CELL_BUDGET = 4_000_000
 
 
-def minhash_signatures(
-    value_sets: Sequence[Iterable[object]],
-    num_permutations: int = 128,
-    seed: int = DEFAULT_SEED,
-) -> tuple[np.ndarray, np.ndarray]:
-    """MinHash signatures of many value collections, computed in one pass.
-
-    Returns the ``(sets x permutations)`` ``uint32`` signature matrix and the
-    ``int64`` distinct-value count of each set; no sets give a ``(0, 0)``
-    matrix.  Values are rendered as stripped, lowercased strings before
-    hashing, and an empty set's row is all ``2**32 - 1``.  The expensive
-    parts are amortised across the whole batch: every distinct
-    normalised string in the batch is digested exactly once (values shared
-    across columns are interned, not re-hashed), the digests land in one
-    ``uint64`` array, and the ``(a * h + b) mod p`` permutation products are
-    computed as chunked matrix operations with a segmented min
-    (``np.minimum.reduceat``) instead of a per-value Python loop.
-    """
-    interned: dict[str, int] = {}
-    column_indices: list[np.ndarray] = []
-    for values in value_sets:
-        distinct = {str(v).strip().lower() for v in values}
-        slots = [interned.setdefault(value, len(interned)) for value in distinct]
-        column_indices.append(np.asarray(slots, dtype=np.intp))
-    all_hashes = hash_normalized_values(interned)
-    hash_arrays = [all_hashes[indices] for indices in column_indices]
-    return minhash_signatures_from_hashes(
-        hash_arrays, num_permutations=num_permutations, seed=seed
-    )
-
-
 def minhash_signatures_from_hashes(
     hash_arrays: Sequence[np.ndarray],
     num_permutations: int = 128,
@@ -130,15 +104,17 @@ def minhash_signatures_from_hashes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signatures from precomputed 32-bit value hashes (one array per set).
 
-    The entry point for callers that already hold the hashed distinct values
-    — :func:`repro.lake.profiles.sketch_table` hashes each column once and
-    shares the array between the MinHash and histogram passes.  Hash arrays
-    must come from :func:`hash_normalized_values` (or equal
-    :func:`_stable_hash` values) with one entry per *distinct* value.
+    Returns the ``(sets x permutations)`` ``uint32`` signature matrix and
+    the ``int64`` size of each set; no sets give a ``(0, 0)`` matrix and an
+    empty set's row is all ``2**32 - 1``.  Hash arrays must come from
+    :func:`hash_normalized_values` (or equal :func:`_stable_hash` values)
+    with one entry per *distinct* normalised value, as a column's scan holds
+    them.
     """
     if num_permutations <= 0:
         raise ValueError("num_permutations must be positive")
     a, b = _permutation_parameters(num_permutations, seed)
+    prime = np.uint64(_MERSENNE_PRIME)
 
     signatures = np.full(
         (len(hash_arrays), num_permutations if len(hash_arrays) else 0), _MAX_HASH, np.uint32
@@ -154,11 +130,16 @@ def minhash_signatures_from_hashes(
         nonlocal chunk_length
         if not chunk_members:
             return
-        hashes = np.concatenate(chunk_arrays)
         # (a * h + b) mod p, truncated to 32 bits — exact: h, a, b < 2^32
-        # keep every intermediate below 2^64.
-        products = (np.outer(hashes, a) + b) % np.uint64(_MERSENNE_PRIME)
-        mins = np.minimum.reduceat(products & np.uint64(_MAX_HASH), np.asarray(chunk_offsets))
+        # keep every intermediate below 2^64, and the Mersenne fold leaves
+        # at most p + 7 for the one conditional subtraction.
+        products = np.outer(np.concatenate(chunk_arrays), a)
+        products += b
+        folded = products & prime
+        folded += np.right_shift(products, np.uint64(61), out=products)
+        np.subtract(folded, prime, out=folded, where=folded >= prime)
+        folded &= np.uint64(_MAX_HASH)
+        mins = np.minimum.reduceat(folded, np.asarray(chunk_offsets))
         signatures[chunk_members] = mins
         chunk_arrays.clear()
         chunk_members.clear()
@@ -183,7 +164,8 @@ def minhash_signatures_scalar(
     num_permutations: int = 128,
     seed: int = DEFAULT_SEED,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-Python reference implementation of :func:`minhash_signatures`.
+    """Pure-Python reference MinHash of value collections, each rendered as
+    stripped, lowercased strings.
 
     One :func:`_stable_hash` call per distinct value and one Python-level
     ``(a*h + b) mod p`` loop per permutation — the pre-vectorization hot
@@ -220,7 +202,7 @@ def minhash_signatures_scalar(
 def jaccard_matrix(matrix_a: np.ndarray, matrix_b: np.ndarray) -> np.ndarray:
     """Pairwise estimated Jaccard similarities between two signature matrices.
 
-    Rows are signatures (see :func:`minhash_signatures`).  ``result[i, j]``
+    Rows are signatures (see :func:`minhash_signatures_from_hashes`).  ``result[i, j]``
     is the share of permutations on which row ``i`` of *matrix_a* and row
     ``j`` of *matrix_b* agree (one equality count per pair, divided by the
     permutation count), and the whole grid is a single broadcast comparison

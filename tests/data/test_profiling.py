@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from matcher_support import reference_profile_column
 
 from repro.data.profiling import profile_column
 from repro.data.table import Column
@@ -29,15 +30,14 @@ class TestProfileColumn:
         assert profile.distinct_count == 2
         assert profile.row_count == 4
 
-    @pytest.mark.parametrize("values", [[3, 1, None, 3, "7"], ["b", None, "a", "b"], []])
+    @pytest.mark.parametrize(
+        "values",
+        [[3, 1, None, 3, "7"], ["b", None, "a", "b"], [], [1, 1.0, True, " NA "], [0.0, -0.0]],
+    )
     def test_a_precomputed_scan_profiles_the_same(self, values):
+        """The profile read off the column's scan is the per-cell one."""
         column = Column("x", values)
-        scanned = profile_column(
-            column,
-            non_missing=column.non_missing(),
-            distinct_count=len(column.unique_values()),
-        )
-        assert scanned == profile_column(column)
+        assert profile_column(column) == reference_profile_column(column)
 
     def test_empty_column(self):
         profile = profile_column(Column("x", []))

@@ -8,6 +8,7 @@ parallel results are indistinguishable from the serial ones.
 from __future__ import annotations
 
 import pytest
+from matcher_support import csv_lake, prospect_lake
 
 from repro.data.csv_io import write_csv
 from repro.data.table import Column, Table
@@ -16,6 +17,8 @@ from repro.discovery.prepared import PreparedStore
 from repro.lake.build import build_from_paths, prepare_lake
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.store import SketchStore
+from repro.matchers.cupid.matcher import CupidMatcher
+from repro.matchers.ensemble import EnsembleMatcher
 from repro.matchers.jaccard_levenshtein import JaccardLevenshteinMatcher
 
 
@@ -117,6 +120,22 @@ class TestPrepareLake:
                 report = prepare_lake(store, prepared_store, matcher)
                 assert report.prepared == 0
                 assert report.missing == ["clients"]
+
+    def test_a_row_the_codec_refuses_skips_its_table(self, tmp_path, caplog):
+        """An Ensemble with Cupid prepares a schema tree, which no prepared
+        row can hold: each table is skipped with a warning and reported, as
+        ``build_from_paths(prepare=...)`` skips it, and nothing is stored.
+        An unguarded ``put`` used to raise out of ``prepare_lake`` instead."""
+        _, tables = prospect_lake(2)
+        matcher = EnsembleMatcher([CupidMatcher(), JaccardLevenshteinMatcher()])
+        with SketchStore(tmp_path / "lake.sketches") as store:
+            csv_lake(tmp_path / "lake", tables, store)
+            with PreparedStore() as prepared_store, caplog.at_level("WARNING"):
+                report = prepare_lake(store, prepared_store, matcher)
+                assert report.prepared == 0
+                assert report.refused == sorted(table.name for table in tables)
+                assert len(prepared_store) == 0
+        assert caplog.text.count("cannot store the prepared row") == 3
 
     def test_warm_query_answers_without_csvs(self, tmp_path, lake_dir):
         """The decisive fast-path proof: once the prepared store is warm, a

@@ -5,17 +5,30 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matcher_support import LEGACY_JSON_SKETCH_ROW, lakebench_lake, reference_histogram_distance
+from matcher_support import (
+    LEGACY_JSON_SKETCH_ROW,
+    lakebench_lake,
+    reference_histogram_distance,
+    reference_profile_column,
+    reference_semprop_signatures,
+    reference_sketch_table,
+    reference_table_content_hash,
+)
 
 from repro.data import sections
 from repro.data.csv_io import read_csv
+from repro.data.profiling import profile_column
 from repro.data.table import Column, Table
 from repro.data.types import DataType
+from repro.discovery import prepared_codec
+from repro.discovery.prepared import PreparedStore
+from repro.lake.build import build_from_paths
 from repro.lake.profiles import (
     ColumnSketch,
     SketchConfig,
@@ -23,7 +36,14 @@ from repro.lake.profiles import (
     sketch_table,
     table_content_hash,
 )
-from repro.sketches.minhash import minhash_signatures_scalar
+from repro.lake.store import SketchStore
+from repro.matchers.semprop.matcher import SemPropMatcher
+from repro.sketches import minhash
+from repro.sketches.minhash import (
+    DEFAULT_SEED,
+    _permutation_parameters,
+    minhash_signatures_scalar,
+)
 
 
 def _column(sketch: TableSketch, name: str) -> ColumnSketch:
@@ -275,3 +295,145 @@ class TestContentHash:
         assert table_content_hash(renamed_column) != table_content_hash(clients_table)
         renamed_table = clients_table.rename("other")
         assert table_content_hash(renamed_table) == table_content_hash(clients_table)
+
+    def test_hash_is_pinned_and_equals_the_per_cell_reference(self):
+        """``None``, mixed types and non-ASCII cells and names: the digest the
+        per-cell body computed, and still computes."""
+        table = Table(
+            "odd",
+            [
+                Column("mixed", [None, 1, 2.5, True, "é", "", "None", -0.0]),
+                Column("ünï ç", ["ß", None, "x" * 300, "a,b", "\n", 7, "日本", " NA "]),
+            ],
+        )
+        assert table_content_hash(table) == reference_table_content_hash(table)
+        assert table_content_hash(table) == "180425213c71b9e88c12c159a07002ee"
+        assert table_content_hash(Table("t", [])) == reference_table_content_hash(Table("t", []))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_hash_equals_the_per_cell_reference(self, data):
+        table = data.draw(_adversarial_tables())
+        assert table_content_hash(table) == reference_table_content_hash(table)
+
+
+#: SHA-256 over, per CSV of the test ``families`` / ``overlap`` lake in path
+#: order, its ``sketch_table`` row and its SemProp prepared rows under
+#: :data:`_PINNED_SEMPROPS`; taken before the column scan fed both.
+_LAKE_ROW_DIGESTS = {
+    "families": "e778446a285b4461af5d300592b8a14aaa9a6fd7c364360a6a3acc0051a9c547",
+    "overlap": "989cd23c167c3863a9717d6de3aa93b2a649e5c2edd8d649a8162215c4014d2d",
+}
+#: The default SemProp, which reuses every 30-row column's scan, and one
+#: whose 16-cell sample makes it hash its own truncated value sets.
+_PINNED_SEMPROPS = (SemPropMatcher(), SemPropMatcher(num_permutations=16, sample_size=16))
+#: One SemProp whose 4-cell sample most adversarial columns overflow, and
+#: one whose default sample none does.
+_ADVERSARIAL_SEMPROPS = (
+    SemPropMatcher(num_permutations=16, sample_size=4),
+    SemPropMatcher(num_permutations=16),
+)
+
+#: Cells whose count-based shortcuts drift: equal values that render apart
+#: (``1``, ``1.0``, ``True``; ``0``, ``0.0``, ``-0.0``, ``False``), NaN
+#: objects (each draw a new one), missing tokens in odd case and spacing,
+#: and short strings that can spell numbers.
+_CELLS = st.one_of(
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 2, 2.5, -7, None]),
+    st.builds(float, st.just("nan")),
+    st.sampled_from(["NA", " na ", "N/A", "nUlL", "  ", "", "-", "?", "None", " NaN ", "Null"]),
+    st.text(alphabet="aAé ß1.-", max_size=4),
+)
+
+
+@st.composite
+def _adversarial_tables(draw) -> Table:
+    """0-4 columns of 0-12 cells (a table without columns, empty and
+    all-missing columns among them), typed by inference or by a drawn type."""
+    rows = draw(st.integers(0, 12))
+    columns = []
+    for index in range(draw(st.integers(0, 4))):
+        values = draw(
+            st.lists(_CELLS, min_size=rows, max_size=rows)
+            | st.lists(st.sampled_from([None, "NA", " n/a "]), min_size=rows, max_size=rows)
+        )
+        data_type = draw(st.none() | st.sampled_from(DataType))
+        columns.append(Column(f"c{index}", values, data_type))
+    return Table("t", columns)
+
+
+class TestColumnScan:
+    """A column's memoised scan feeds its sketch and SemProp's prepare: the
+    rows stay those of the per-cell bodies kept in ``matcher_support``."""
+
+    @pytest.mark.parametrize("profile", sorted(_LAKE_ROW_DIGESTS))
+    def test_lake_rows_are_pinned_and_equal_the_references(self, profile, tmp_path):
+        root = lakebench_lake(tmp_path / "gate", profile)
+        digest = hashlib.sha256()
+        for path in sorted(root.glob("*/*.csv")):
+            table = read_csv(path)
+            row = sketch_table(table).to_bytes()
+            reference = reference_sketch_table(table, content_hash=table_content_hash(table))
+            assert row == reference.to_bytes()
+            digest.update(row)
+            for matcher in _PINNED_SEMPROPS:
+                prepared = matcher.prepare(table)
+                signatures, set_sizes = reference_semprop_signatures(matcher, table)
+                assert np.array_equal(prepared.payload["signatures"], signatures)
+                assert np.array_equal(prepared.payload["set_sizes"], set_sizes)
+                digest.update(prepared_codec.encode(prepared))
+        assert digest.hexdigest() == _LAKE_ROW_DIGESTS[profile]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_adversarial_columns_sketch_and_prepare_as_the_references(self, data):
+        table = data.draw(_adversarial_tables())
+        config = SketchConfig(num_permutations=16, num_buckets=4)
+        assert sketch_table(table, config, "").to_bytes() == (
+            reference_sketch_table(table, config).to_bytes()
+        )
+        for column in table.columns:
+            assert profile_column(column) == reference_profile_column(column)
+        for matcher in _ADVERSARIAL_SEMPROPS:
+            prepared = matcher.prepare(table)
+            signatures, set_sizes = reference_semprop_signatures(matcher, table)
+            assert prepared.payload["signatures"].tolist() == signatures.tolist()
+            assert prepared.payload["set_sizes"].tolist() == set_sizes.tolist()
+
+    def test_a_prepared_build_digests_each_distinct_value_once(self, tmp_path, monkeypatch):
+        """A ``build_from_paths(prepare=(store, SemProp))`` task hashes each
+        column's distinct normalised values once, for its sketch and its
+        prepared row together (it hashed them once for each)."""
+        paths = sorted((lakebench_lake(tmp_path / "gate") / "lake").glob("*.csv"))
+        digested = []
+
+        def counting_blake2b(data, **kwargs):
+            digested.append(bytes(data))
+            return hashlib.blake2b(data, **kwargs)
+
+        monkeypatch.setattr(minhash, "hashlib", SimpleNamespace(blake2b=counting_blake2b))
+        with SketchStore(tmp_path / "lake.sketches") as store, PreparedStore() as prepared:
+            report = build_from_paths(store, paths, prepare=(prepared, SemPropMatcher()))
+        monkeypatch.undo()
+        assert report.prepared == len(paths)
+        expected = [
+            {str(value).strip().lower() for value in column.non_missing()}
+            for path in paths
+            for column in read_csv(path).columns
+        ]
+        assert len(digested) == sum(map(len, expected))
+
+    def test_permutation_parameters_are_drawn_once_per_width_and_seed(self, clients_table):
+        _permutation_parameters.cache_clear()
+        for _ in range(3):
+            sketch_table(clients_table)
+            SemPropMatcher().prepare(clients_table)
+        sketch_table(clients_table, SketchConfig(num_permutations=16))
+        assert _permutation_parameters.cache_info().misses == 2
+        multipliers, offsets = _permutation_parameters(128, DEFAULT_SEED)
+        assert not multipliers.flags.writeable and not offsets.flags.writeable
+
+    def test_the_scan_is_memoised(self, clients_table):
+        column = clients_table.columns[0]
+        assert column.scan() is column.scan()
+

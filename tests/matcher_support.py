@@ -21,6 +21,11 @@ kernel.  The generic schema-tree traversals (``is_leaf``, ``leaves``,
 reference walks a tree.  A sketch row in the canonical-JSON codec
 the sketch store wrote before its rows were sectioned is kept too, as the
 bytes every reader must now refuse.
+The column profile, ``sketch_table``, SemProp's value hashing and
+``table_content_hash`` are kept as they were before one memoised scan per
+column fed the first three and the last hashed one buffer per column: cell
+by cell, over ``set`` and dict scans, with the scalar MinHash for the
+signatures.
 
 ``tests/`` is on ``sys.path`` (the root ``conftest.py`` lives here), so any
 test module can ``from matcher_support import ...``.
@@ -28,7 +33,9 @@ test module can ``from matcher_support import ...``.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import math
 import random
 import sys
 from pathlib import Path
@@ -39,8 +46,9 @@ import numpy as np
 from repro.artifacts.manifest import Manifest
 from repro.artifacts.transport import LocalTransport
 from repro.data.csv_io import read_csv, write_csv
-from repro.data.table import ColumnRef, Table
-from repro.data.types import DataType, type_compatibility
+from repro.data.profiling import ColumnProfile
+from repro.data.table import Column, ColumnRef, Table
+from repro.data.types import DataType, parse_numeric_values, type_compatibility
 from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
@@ -49,7 +57,8 @@ from repro.fabrication.splitting import split_horizontal, split_vertical
 from repro.lake.build import build_from_paths
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import CandidateTable, LakeIndex
-from repro.lake.profiles import ColumnSketch, TableSketch
+from repro.distributions.histograms import build_histogram
+from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch
 from repro.lake.store import SketchStore
 from repro.matchers.base import Match, PreparedTable
 from repro.matchers.cupid.linguistic import name_similarities
@@ -57,6 +66,13 @@ from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.cupid.structural import CupidWeights
 from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.matchers.semprop.semantic import coherence_score
+from repro.sketches.minhash import (
+    DEFAULT_SEED,
+    _stable_hash,
+    hash_normalized_values,
+    minhash_signatures_from_hashes,
+    minhash_signatures_scalar,
+)
 from repro.telemetry import recorder as telemetry
 from repro.text.stemmer import stem
 from repro.text.thesaurus import _HYPERNYM_PAIRS, _SYNONYM_GROUPS, Thesaurus
@@ -65,6 +81,7 @@ from repro.text.tokenize import ABBREVIATIONS, tokenize_identifier
 __all__ = [
     "LIGHT_MATCHER_CONFIGS",
     "ReferenceMatchResult",
+    "batch_minhash",
     "category_compatibility",
     "is_leaf",
     "leaf_by_name",
@@ -82,8 +99,12 @@ __all__ = [
     "reference_jaccard_matrix",
     "reference_levenshtein_distance",
     "reference_relatedness",
+    "reference_profile_column",
     "reference_relation_score",
     "reference_semprop_match_prepared",
+    "reference_semprop_signatures",
+    "reference_sketch_table",
+    "reference_table_content_hash",
     "reference_tree_match",
     "reference_unionability",
     "semprop_signatures",
@@ -538,6 +559,118 @@ def reference_candidate_signals(
         seed=seed,
         max_values=max_values,
     )
+
+
+def reference_profile_column(column: Column) -> ColumnProfile:
+    """``profile_column`` as it was before the column scan: every statistic
+    taken cell by cell over ``non_missing()``."""
+    non_missing = column.non_missing()
+    mean = std = minimum = maximum = None
+    if column.data_type.is_numeric:
+        numbers = parse_numeric_values(non_missing)
+        if numbers:
+            mean = sum(numbers) / len(numbers)
+            variance = sum((x - mean) ** 2 for x in numbers) / len(numbers)
+            std = math.sqrt(variance)
+            minimum = min(numbers)
+            maximum = max(numbers)
+    lengths = [len(str(v)) for v in non_missing]
+    return ColumnProfile(
+        name=column.name,
+        data_type=column.data_type,
+        row_count=len(column),
+        distinct_count=len(set(non_missing)),
+        missing_count=len(column) - len(non_missing),
+        mean=mean,
+        std=std,
+        minimum=minimum,
+        maximum=maximum,
+        avg_length=sum(lengths) / len(lengths) if lengths else 0.0,
+    )
+
+
+#: The hashed rank domain every sketch histogram is built over.
+REFERENCE_RANK_DOMAIN = 8192
+
+
+def batch_minhash(
+    value_sets: Sequence[Iterable[object]],
+    num_permutations: int = 128,
+    seed: int = DEFAULT_SEED,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signatures and set sizes of value collections from one batched kernel
+    call, each set's values normalised (``str(v).strip().lower()``) and
+    hashed once, as a column's scan hashes its cells."""
+    hashes = [
+        hash_normalized_values({str(value).strip().lower(): 0 for value in values})
+        for values in value_sets
+    ]
+    return minhash_signatures_from_hashes(hashes, num_permutations=num_permutations, seed=seed)
+
+
+def reference_sketch_table(
+    table: Table, config: SketchConfig = SketchConfig(), content_hash: str = ""
+) -> TableSketch:
+    """``sketch_table`` as it was before the column scan: a ``set`` of each
+    column's non-missing cells, each distinct value normalised and ranked
+    through a dict, a histogram over those ranks by ``build_histogram``, and
+    the signatures of the scalar MinHash over the same sets."""
+    columns = table.columns
+    scans = [column.non_missing() for column in columns]
+    signatures, set_sizes = minhash_signatures_scalar(
+        [set(values) for values in scans],
+        num_permutations=config.num_permutations,
+        seed=config.seed,
+    )
+    sketches = []
+    for column, values, set_size in zip(columns, scans, set_sizes.tolist()):
+        ranks = {
+            raw: _stable_hash(str(raw).strip().lower()) % REFERENCE_RANK_DOMAIN
+            for raw in set(values)
+        }
+        histogram = build_histogram(
+            values, ranks, num_buckets=config.num_buckets, max_rank=REFERENCE_RANK_DOMAIN - 1
+        ).weights
+        sketches.append(
+            ColumnSketch.from_profile(
+                reference_profile_column(column), table.name, set_size, histogram
+            )
+        )
+    return TableSketch(table.name, content_hash, table.num_rows, tuple(sketches), signatures)
+
+
+def reference_semprop_signatures(
+    matcher: SemPropMatcher, table: Table
+) -> tuple[np.ndarray, np.ndarray]:
+    """SemProp's prepare hashing as it was: the first ``sample_size``
+    non-missing cells of each column, stripped, through the scalar MinHash
+    (which lowercases them) with the default seed."""
+    return minhash_signatures_scalar(
+        [column.as_strings()[: matcher.sample_size] for column in table.columns],
+        num_permutations=matcher.num_permutations,
+        seed=DEFAULT_SEED,
+    )
+
+
+def reference_table_content_hash(table: Table) -> str:
+    """``table_content_hash`` as it was: one length-prefixed update per cell."""
+    hasher = hashlib.blake2b(digest_size=16)
+
+    def _update(payload: bytes) -> None:
+        hasher.update(len(payload).to_bytes(8, "little"))
+        hasher.update(payload)
+
+    hasher.update(table.num_columns.to_bytes(8, "little"))
+    for column in table.columns:
+        _update(column.name.encode("utf-8"))
+        _update(column.data_type.value.encode("utf-8"))
+        hasher.update(len(column.values).to_bytes(8, "little"))
+        for value in column.values:
+            if value is None:
+                hasher.update(b"\xff" * 8)
+            else:
+                _update(str(value).encode("utf-8"))
+    return hasher.hexdigest()
 
 
 def semprop_signatures(prepared: PreparedTable) -> list[tuple[int, ...]]:

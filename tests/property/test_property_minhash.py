@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matcher_support import reference_jaccard, reference_jaccard_matrix
+from matcher_support import batch_minhash, reference_jaccard, reference_jaccard_matrix
 from repro.data.table import ColumnRef
 from repro.matchers.base import Match, MatchResult
-from repro.sketches.minhash import jaccard_matrix, minhash_signatures
+from repro.sketches.minhash import jaccard_matrix
 
 value_sets = st.sets(st.text(min_size=1, max_size=6), min_size=0, max_size=30)
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     """The signatures of *a* and *b*, each a one-row matrix."""
-    signatures, _ = minhash_signatures([a, b], num_permutations=64)
+    signatures, _ = batch_minhash([a, b], num_permutations=64)
     return signatures[:1], signatures[1:]
 
 
@@ -53,8 +53,8 @@ class TestJaccardMatrixAgainstTheListForm:
     @settings(max_examples=60)
     @given(columns, columns, st.integers(min_value=1, max_value=24))
     def test_matrix_form_equals_reference(self, columns_a, columns_b, width):
-        signatures_a, _ = minhash_signatures(columns_a, num_permutations=width)
-        signatures_b, _ = minhash_signatures(columns_b, num_permutations=width)
+        signatures_a, _ = batch_minhash(columns_a, num_permutations=width)
+        signatures_b, _ = batch_minhash(columns_b, num_permutations=width)
         expected = reference_jaccard_matrix(signatures_a.tolist(), signatures_b.tolist())
         for dtype in (np.uint64, np.uint32):  # a widened copy, the signatures as made
             matrix_a = signatures_a.astype(dtype)
@@ -66,8 +66,8 @@ class TestJaccardMatrixAgainstTheListForm:
 
     @given(columns, st.integers(min_value=1, max_value=8))
     def test_widths_must_agree(self, columns_a, width):
-        signatures_a, _ = minhash_signatures(columns_a or [{"a"}], num_permutations=width)
-        wider, _ = minhash_signatures([{"a"}], num_permutations=width + 1)
+        signatures_a, _ = batch_minhash(columns_a or [{"a"}], num_permutations=width)
+        wider, _ = batch_minhash([{"a"}], num_permutations=width + 1)
         with pytest.raises(ValueError, match="same number of permutations"):
             reference_jaccard_matrix(signatures_a.tolist(), wider.tolist())
         with pytest.raises(ValueError, match="same number of permutations"):

@@ -484,6 +484,23 @@ class TestPreparedStoreUnavailable:
         assert response["stats"]["store_hits"] == 0  # cold: nothing served warm
         assert "prepared store unavailable, serving cold" in caplog.text
 
+    def test_schema_based_session_opens_no_prepared_store(self, served_lake, tmp_path):
+        """Cupid scores the sketches: its session neither opens nor creates
+        ``<store>.prepared``."""
+        import shutil
+
+        from repro.serve.server import _EngineSession
+
+        store_path, _ = served_lake
+        copy = tmp_path / "lake.sketches"
+        shutil.copy(store_path, copy)
+        session = _EngineSession.open(ServeConfig(store_path=copy, method="Cupid"))
+        try:
+            assert session.engine.prepared_store is None
+        finally:
+            session.close()
+        assert not copy.with_name(copy.name + ".prepared").exists()
+
     def test_prepared_path_is_not_a_config_field(self, tmp_path):
         with pytest.raises(TypeError, match="prepared_path"):
             ServeConfig(

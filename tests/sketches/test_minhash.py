@@ -1,23 +1,25 @@
-"""Tests for MinHash signatures."""
+"""Tests for MinHash signatures: the batched kernel, fed by
+``matcher_support.batch_minhash``, against the scalar oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from matcher_support import batch_minhash
 
-from repro.sketches.minhash import jaccard_matrix, minhash_signatures
+from repro.sketches.minhash import jaccard_matrix
 from repro.text.distance import jaccard_similarity
 
 
 def _estimate(a, b, **kwargs) -> float:
     """Estimated Jaccard of two value collections, sketched in one batch."""
-    signatures, _ = minhash_signatures([a, b], **kwargs)
+    signatures, _ = batch_minhash([a, b], **kwargs)
     return float(jaccard_matrix(signatures[:1], signatures[1:])[0, 0])
 
 
 def _single(values, **kwargs) -> np.ndarray:
     """The signature of one value collection: a row of a one-set batch."""
-    return minhash_signatures([values], **kwargs)[0][0]
+    return batch_minhash([values], **kwargs)[0][0]
 
 
 class TestMinHashSignature:
@@ -45,20 +47,20 @@ class TestMinHashSignature:
         assert _single(["Apple "]).tolist() == _single(["apple"]).tolist()
 
     def test_empty_set_signature(self):
-        signatures, set_sizes = minhash_signatures([[], ["a"]], num_permutations=16)
+        signatures, set_sizes = batch_minhash([[], ["a"]], num_permutations=16)
         assert set_sizes.tolist() == [0, 1]
         assert signatures[0].tolist() == [2**32 - 1] * 16
         assert 0.0 <= jaccard_matrix(signatures[:1], signatures[1:])[0, 0] <= 1.0
 
     def test_mismatched_permutations_rejected(self):
-        a, _ = minhash_signatures([["x"]], num_permutations=16)
-        b, _ = minhash_signatures([["x"]], num_permutations=32)
+        a, _ = batch_minhash([["x"]], num_permutations=16)
+        b, _ = batch_minhash([["x"]], num_permutations=32)
         with pytest.raises(ValueError):
             jaccard_matrix(a, b)
 
     def test_invalid_permutation_count(self):
         with pytest.raises(ValueError):
-            minhash_signatures([["x"]], num_permutations=0)
+            batch_minhash([["x"]], num_permutations=0)
 
 
 class TestBatchSignatures:
@@ -70,7 +72,7 @@ class TestBatchSignatures:
             [1, 2, 3, "Apple ", "apple"],
             ["only"],
         ]
-        batch, set_sizes = minhash_signatures(columns, num_permutations=64, seed=11)
+        batch, set_sizes = batch_minhash(columns, num_permutations=64, seed=11)
         assert batch.dtype == np.uint32 and batch.shape == (5, 64)
         assert set_sizes.tolist() == [80, 0, 80, 4, 1]
         for row, column in zip(batch, columns):
@@ -82,7 +84,7 @@ class TestBatchSignatures:
 
         monkeypatch.setattr(module, "_BATCH_CELL_BUDGET", 64)
         columns = [[f"c{i}_{j}" for j in range(10)] for i in range(9)]
-        batch, _ = minhash_signatures(columns, num_permutations=16)
+        batch, _ = batch_minhash(columns, num_permutations=16)
         monkeypatch.undo()
         for row, column in zip(batch, columns):
             assert row.tolist() == _single(column, num_permutations=16).tolist()
@@ -108,7 +110,7 @@ class TestBatchSignatures:
             )
             for k in range(num_permutations)
         ]
-        signatures, set_sizes = minhash_signatures(
+        signatures, set_sizes = batch_minhash(
             [values], num_permutations=num_permutations, seed=seed
         )
         assert signatures[0].tolist() == expected
@@ -116,10 +118,10 @@ class TestBatchSignatures:
 
     def test_batch_rejects_invalid_permutations(self):
         with pytest.raises(ValueError):
-            minhash_signatures([["x"]], num_permutations=0)
+            batch_minhash([["x"]], num_permutations=0)
 
     def test_empty_batch(self):
-        signatures, set_sizes = minhash_signatures([])
+        signatures, set_sizes = batch_minhash([])
         assert signatures.shape == (0, 0) and signatures.dtype == np.uint32
         assert set_sizes.shape == (0,)
 
@@ -146,14 +148,14 @@ class TestVectorizedVsScalar:
         from repro.sketches.minhash import minhash_signatures_scalar
 
         for num_permutations, seed in ((16, 7), (128, 7), (64, 99)):
-            vectorized = minhash_signatures(
+            vectorized = batch_minhash(
                 self.CASES, num_permutations=num_permutations, seed=seed
             )
             scalar = minhash_signatures_scalar(
                 self.CASES, num_permutations=num_permutations, seed=seed
             )
             self._assert_identical(vectorized, scalar)
-        self._assert_identical(minhash_signatures([]), minhash_signatures_scalar([]))
+        self._assert_identical(batch_minhash([]), minhash_signatures_scalar([]))
 
     def test_signatures_identical_across_chunk_boundaries(self, monkeypatch):
         import repro.sketches.minhash as module
@@ -162,7 +164,7 @@ class TestVectorizedVsScalar:
         monkeypatch.setattr(module, "_BATCH_CELL_BUDGET", 48)
         columns = [[f"c{i}_{j}" for j in range(11)] for i in range(7)]
         self._assert_identical(
-            minhash_signatures(columns, num_permutations=16),
+            batch_minhash(columns, num_permutations=16),
             minhash_signatures_scalar(columns, num_permutations=16),
         )
 
@@ -187,8 +189,8 @@ class TestJaccardMatrix:
     def test_matrix_equals_pairwise_jaccard(self):
         columns_a = [[f"v_{i}" for i in range(40)], ["x", "y"], []]
         columns_b = [[f"v_{i}" for i in range(20, 60)], ["y", "z"], ["q"]]
-        signatures_a, _ = minhash_signatures(columns_a, num_permutations=64)
-        signatures_b, _ = minhash_signatures(columns_b, num_permutations=64)
+        signatures_a, _ = batch_minhash(columns_a, num_permutations=64)
+        signatures_b, _ = batch_minhash(columns_b, num_permutations=64)
         matrix = jaccard_matrix(signatures_a, signatures_b)
         assert matrix.shape == (3, 3)
         for i, row_a in enumerate(signatures_a.tolist()):
@@ -196,14 +198,14 @@ class TestJaccardMatrix:
                 assert matrix[i, j] == sum(x == y for x, y in zip(row_a, row_b)) / 64
 
     def test_empty_sides(self):
-        signatures, _ = minhash_signatures([["a"]], num_permutations=16)
-        nothing, _ = minhash_signatures([], num_permutations=16)
+        signatures, _ = batch_minhash([["a"]], num_permutations=16)
+        nothing, _ = batch_minhash([], num_permutations=16)
         assert jaccard_matrix(nothing, signatures).shape == (0, 1)
         assert jaccard_matrix(signatures, nothing).shape == (1, 0)
 
     def test_mismatched_permutations_rejected(self):
-        a, _ = minhash_signatures([["x"]], num_permutations=16)
-        b, _ = minhash_signatures([["x"]], num_permutations=32)
+        a, _ = batch_minhash([["x"]], num_permutations=16)
+        b, _ = batch_minhash([["x"]], num_permutations=32)
         with pytest.raises(ValueError):
             jaccard_matrix(a, b)
 

@@ -949,10 +949,21 @@ class TestBadInput:
         monkeypatch.setattr(PreparedStore, "__init__", recording_init)
         monkeypatch.setattr(LakeDiscoveryEngine, "query", exploding_query)
         with pytest.raises(RuntimeError, match="boom"):
-            main(["lake", "query", str(query_path), "--store", str(store)])
+            main(["lake", "query", str(query_path), "--store", str(store), "--method", "SemProp"])
         assert len(opened) == 1
         with pytest.raises(sqlite3.ProgrammingError):
             len(opened[0])
+
+    @pytest.mark.parametrize("method", ["Cupid", "SimilarityFlooding", "ComaSchema"])
+    def test_schema_based_query_opens_no_prepared_store(self, method, tmp_path, capsys):
+        """A schema-based matcher scores the sketches: its query neither
+        creates ``<store>.prepared`` nor reports rows served from it."""
+        _, store, query_path = self._built_store(tmp_path)
+        capsys.readouterr()
+        argv = ["lake", "query", str(query_path), "--store", str(store), "--method", method]
+        assert main(argv) == 0
+        assert "served from the prepared store" not in capsys.readouterr().out
+        assert not store.with_name(store.name + ".prepared").exists()
 
     @pytest.mark.parametrize(
         "suffix, old, command, fix",
@@ -986,7 +997,8 @@ class TestBadInput:
         """A read-write open converts a legacy rollback-journal store to WAL;
         `lake stats` must leave the files exactly as it found them."""
         _, store, query_path = self._built_store(tmp_path)
-        assert main(["lake", "query", str(query_path), "--store", str(store)]) == 0
+        argv = ["lake", "query", str(query_path), "--store", str(store), "--method", "SemProp"]
+        assert main(argv) == 0
         prepared = store.with_name(store.name + ".prepared")
         for path in (store, prepared):
             with sqlite3.connect(path) as connection:

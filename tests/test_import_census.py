@@ -141,11 +141,12 @@ def _small_lake(root: Path) -> None:
     "method, prepared, queried",
     [
         ("SemProp", "2 tables prepared with SemProp", "2 served from the prepared store"),
-        # A schema-based matcher has nothing to prepare and reads only sketches.
+        # A schema-based matcher has nothing to prepare and reads only
+        # sketches: its query opens no prepared store and names none.
         (
             "Cupid",
             "Cupid reads only the sketch: nothing to prepare",
-            "0 served from the prepared store",
+            "(2 candidates reranked with Cupid)\n",
         ),
     ],
     ids=["SemProp", "Cupid"],
