@@ -9,7 +9,6 @@ schema metadata (names, types) and column value sets.
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -22,7 +21,7 @@ from repro.data.types import (
     is_missing,
     parse_numeric_values,
 )
-from repro.sketches.minhash import hash_normalized_values
+from repro.sketches.minhash import hash_values
 
 __all__ = ["Column", "ColumnScan", "Table", "ColumnRef", "TableHeader"]
 
@@ -75,11 +74,12 @@ class ColumnScan(NamedTuple):
 
     Per distinct non-missing value (``set`` semantics: equal cells count
     under the first one seen): *counts*, its number of cells, and *slots*,
-    the index of its normalised string (``str(v).strip().lower()``) in
-    *hashes*, their 32-bit blake2b hashes.  *size* counts the non-missing
-    cells and *rendered_length* sums their ``len(str(cell))``.  *uniform*:
-    every cell renders as the value it counts under, so *hashes* are every
-    cell's; ``1``, ``1.0`` and ``True``, or ``0.0`` and ``-0.0``, do not.
+    the index of its normalised string's hash in *hashes* (as returned by
+    :func:`~repro.sketches.minhash.hash_values`).  *size* counts the
+    non-missing cells and *rendered_length* sums their ``len(str(cell))``.
+    *uniform*: every cell renders as the value it counts under, so *hashes*
+    are every cell's; ``1``, ``1.0`` and ``True``, or ``0.0`` and ``-0.0``,
+    do not.
     """
 
     counts: np.ndarray
@@ -121,6 +121,10 @@ class Column:
         self._unique_cache: Optional[set] = None
         self._scan_cache: Optional[ColumnScan] = None
 
+    def __reduce__(self):
+        # The caches are rebuilt on demand: a pickle carries none of them.
+        return Column, (self.name, self.values, self.data_type, self.table_name)
+
     def __len__(self) -> int:
         return len(self.values)
 
@@ -142,29 +146,18 @@ class Column:
 
     def scan(self) -> ColumnScan:
         """The column's :class:`ColumnScan` (cached): one count of the
-        cells, then one normalisation and one digest per distinct value."""
+        cells, one ``str`` per cell, one digest per distinct value."""
         if self._scan_cache is None:
             counts = Counter(self.values)
             distinct = [value for value in counts if not is_missing(value)]
-            rendered = list(map(str, distinct))
-            slot_of: dict[str, int] = {}
-            slots = [slot_of.setdefault(text.strip().lower(), len(slot_of)) for text in rendered]
             cells = list(map(counts.__getitem__, distinct))
-            kinds = set(map(type, self.values)) - {type(None)}
-            # Equal str, int, bool or float cells render alike, bar 0.0 and
-            # -0.0; no str equals a number, and bool mixes only with int.
-            uniform = kinds <= {str, int} or kinds <= {str, bool} or (
-                kinds <= {str, float} and 0.0 not in counts
-            )
-            length = sum(map(operator.mul, cells, map(len, rendered)))
-            if not uniform:  # tell cell by cell
-                non_missing = self.non_missing()
-                texts = list(map(str, non_missing))
-                uniform = len(set(zip(non_missing, texts))) == len(distinct)
-                length = sum(map(len, texts))
+            size = sum(cells)
+            non_missing = self.values if size == len(self.values) else self.non_missing()
+            texts = list(map(str, non_missing))
+            slots, hashes = hash_values(distinct)
             self._scan_cache = ColumnScan(
-                np.array(cells, np.int64), np.array(slots, np.intp),
-                hash_normalized_values(slot_of), sum(cells), length, uniform,
+                np.array(cells, np.int64), slots, hashes, size, sum(map(len, texts)),
+                len(set(zip(non_missing, texts))) == len(distinct),
             )  # fmt: skip
         return self._scan_cache
 

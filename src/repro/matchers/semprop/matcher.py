@@ -28,7 +28,7 @@ from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
 from repro.sketches.minhash import (
     DEFAULT_SEED,
-    hash_normalized_values,
+    hash_values,
     jaccard_matrix,
     minhash_signatures_from_hashes,
 )
@@ -162,20 +162,20 @@ class SemPropMatcher(BaseMatcher):
         The signatures are one ``uint32`` matrix, a row per column in column
         order (every MinHash value fits 32 bits), plus the value-set sizes:
         the arrays :func:`~repro.sketches.minhash.jaccard_matrix` compares.
-        A column of at most ``sample_size`` non-missing cells (each
-        rendering as the value it counts under) reuses the hashed set of its
+        A column of at most ``sample_size`` cells (each rendering as the
+        value it counts under) reuses the hashed set of its
         :meth:`~repro.data.table.Column.scan`, the set its lake sketch was
-        taken over; any other column hashes its first ``sample_size`` cells.
+        taken over; any other column hashes its first ``sample_size``
+        non-missing cells, and a longer column is never scanned here, so
+        its cost stays bounded by ``sample_size``.
         """
         links = self._link_columns(table)
         hashes = []
         for column in table.columns:
-            scan = column.scan()
-            if scan.uniform and scan.size <= self.sample_size:
+            if len(column) <= self.sample_size and (scan := column.scan()).uniform:
                 hashes.append(scan.hashes)
             else:
-                sample = column.non_missing()[: self.sample_size]
-                hashes.append(hash_normalized_values({str(v).strip().lower(): 0 for v in sample}))
+                hashes.append(hash_values(column.non_missing()[: self.sample_size])[1])
         signatures, set_sizes = minhash_signatures_from_hashes(
             hashes, num_permutations=self.num_permutations, seed=DEFAULT_SEED
         )

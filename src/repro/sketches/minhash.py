@@ -9,8 +9,8 @@ A batch of signatures is one ``uint32`` matrix, a row per value set and a
 column per permutation (every MinHash value fits 32 bits), next to an array
 of the sets' distinct-value counts; nothing converts a row to Python ints.
 Callers hash each set's distinct normalised values once
-(:func:`hash_normalized_values`; a column's memoised scan does it for the
-lake sketch and SemProp alike), and :func:`minhash_signatures_from_hashes`
+(:func:`hash_values`, the one place that normalises a value; a column's
+memoised scan calls it for the lake sketch and SemProp alike), and :func:`minhash_signatures_from_hashes`
 applies the ``(a * h + b) mod p`` permutation family to a whole batch by
 broadcast arithmetic, with the per-set minima from one segmented reduction.
 ``p`` is the Mersenne prime ``2^61 - 1``, so the reduction needs no
@@ -34,6 +34,7 @@ __all__ = [
     "DEFAULT_SEED",
     "minhash_signatures_scalar",
     "hash_normalized_values",
+    "hash_values",
     "minhash_signatures_from_hashes",
     "jaccard_matrix",
 ]
@@ -63,8 +64,8 @@ def hash_normalized_values(values: Iterable[str]) -> np.ndarray:
     Produces exactly ``[_stable_hash(v) for v in values]`` but builds the
     digests into one contiguous buffer and converts with a single
     ``np.frombuffer`` instead of a per-value ``int.from_bytes`` round trip.
-    Callers are expected to have normalised (stripped/lowercased) and
-    deduplicated the values already.
+    The values must be normalised and distinct already, as
+    :func:`hash_values` passes them.
     """
     blake2b = hashlib.blake2b
     buffer = b"".join(
@@ -73,6 +74,14 @@ def hash_normalized_values(values: Iterable[str]) -> np.ndarray:
     if not buffer:
         return np.empty(0, dtype=np.uint64)
     return np.frombuffer(buffer, dtype="<u8").astype(np.uint64) & np.uint64(_MAX_HASH)
+
+
+def hash_values(values: Iterable[object]) -> tuple[np.ndarray, np.ndarray]:
+    """Hash each distinct normalised ``str(v).strip().lower()`` of *values*
+    once: ``(slots, hashes)``, ``slots[i]`` the index of ``values[i]``'s hash."""
+    slot_of: dict[str, int] = {}
+    slots = [slot_of.setdefault(str(value).strip().lower(), len(slot_of)) for value in values]
+    return np.array(slots, np.intp), hash_normalized_values(slot_of)
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,7 +116,7 @@ def minhash_signatures_from_hashes(
     Returns the ``(sets x permutations)`` ``uint32`` signature matrix and
     the ``int64`` size of each set; no sets give a ``(0, 0)`` matrix and an
     empty set's row is all ``2**32 - 1``.  Hash arrays must come from
-    :func:`hash_normalized_values` (or equal :func:`_stable_hash` values)
+    :func:`hash_values` (or equal :func:`_stable_hash` values)
     with one entry per *distinct* normalised value, as a column's scan holds
     them.
     """

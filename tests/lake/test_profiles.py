@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -437,3 +438,33 @@ class TestColumnScan:
         column = clients_table.columns[0]
         assert column.scan() is column.scan()
 
+
+    def test_a_column_longer_than_the_sample_digests_only_its_sample(self, monkeypatch):
+        """SemProp's prepare never scans a column longer than ``sample_size``:
+        its cost stays bounded by the sample, whatever the column holds."""
+        table = Table("long", {"code": [f"v{i % 40}" for i in range(60)]})
+        matcher = SemPropMatcher(num_permutations=16, sample_size=10)
+        digested = []
+
+        def counting_blake2b(data, **kwargs):
+            digested.append(bytes(data))
+            return hashlib.blake2b(data, **kwargs)
+
+        monkeypatch.setattr(minhash, "hashlib", SimpleNamespace(blake2b=counting_blake2b))
+        prepared = matcher.prepare(table)
+        monkeypatch.undo()
+        assert sorted(digested) == sorted(f"v{i}".encode() for i in range(10))
+        signatures, set_sizes = reference_semprop_signatures(matcher, table)
+        assert np.array_equal(prepared.payload["signatures"], signatures)
+        assert np.array_equal(prepared.payload["set_sizes"], set_sizes)
+
+    def test_a_pickled_column_carries_no_memo(self, clients_table):
+        column = clients_table.columns[0]
+        column.scan(), column.unique_values()
+        unscanned = Column(column.name, column.values, column.data_type, column.table_name)
+        assert pickle.dumps(column) == pickle.dumps(unscanned)
+        restored = pickle.loads(pickle.dumps(column))
+        assert (restored.name, restored.values, restored.data_type, restored.table_name) == (
+            column.name, column.values, column.data_type, column.table_name
+        )
+        assert restored.scan().hashes.tolist() == column.scan().hashes.tolist()

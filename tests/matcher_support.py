@@ -69,7 +69,7 @@ from repro.matchers.semprop.semantic import coherence_score
 from repro.sketches.minhash import (
     DEFAULT_SEED,
     _stable_hash,
-    hash_normalized_values,
+    hash_values,
     minhash_signatures_from_hashes,
     minhash_signatures_scalar,
 )
@@ -599,12 +599,9 @@ def batch_minhash(
     seed: int = DEFAULT_SEED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signatures and set sizes of value collections from one batched kernel
-    call, each set's values normalised (``str(v).strip().lower()``) and
-    hashed once, as a column's scan hashes its cells."""
-    hashes = [
-        hash_normalized_values({str(value).strip().lower(): 0 for value in values})
-        for values in value_sets
-    ]
+    call, each set's values normalised and hashed once by ``hash_values``,
+    as a column's scan hashes its cells."""
+    hashes = [hash_values(values)[1] for values in value_sets]
     return minhash_signatures_from_hashes(hashes, num_permutations=num_permutations, seed=seed)
 
 
