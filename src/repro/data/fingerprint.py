@@ -26,8 +26,10 @@ def table_content_hash(table: Table) -> str:
 
     Caches key invalidation on this hash: re-adding a table whose content is
     unchanged is a cache hit, while any cell/schema change produces a
-    different digest.
+    different digest.  Memoised on the table (immutable by convention).
     """
+    if table._content_hash is not None:
+        return table._content_hash
     hasher = hashlib.blake2b(digest_size=16)
     update = hasher.update
     # Encode the shape too: without the column/row counts a 1x4 table and a
@@ -49,4 +51,5 @@ def table_content_hash(table: Table) -> str:
                 payload = str(value).encode("utf-8")
                 update(len(payload).to_bytes(8, "little"))
                 update(payload)
-    return hasher.hexdigest()
+    table._content_hash = hasher.hexdigest()
+    return table._content_hash

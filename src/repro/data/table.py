@@ -16,12 +16,13 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.data.types import (
+    _MISSING_TOKENS,
     DataType,
     infer_column_type,
     is_missing,
     parse_numeric_values,
 )
-from repro.sketches.minhash import hash_values
+from repro.sketches.minhash import hash_normalized, normalize_values
 
 __all__ = ["Column", "ColumnScan", "Table", "ColumnRef", "TableHeader"]
 
@@ -75,7 +76,7 @@ class ColumnScan(NamedTuple):
     Per distinct non-missing value (``set`` semantics: equal cells count
     under the first one seen): *counts*, its number of cells, and *slots*,
     the index of its normalised string's hash in *hashes* (as returned by
-    :func:`~repro.sketches.minhash.hash_values`).  *size* counts the
+    :func:`~repro.sketches.minhash.hash_normalized`).  *size* counts the
     non-missing cells and *rendered_length* sums their ``len(str(cell))``.
     *uniform*: every cell renders as the value it counts under, so *hashes*
     are every cell's; ``1``, ``1.0`` and ``True``, or ``0.0`` and ``-0.0``,
@@ -149,12 +150,20 @@ class Column:
         cells, one ``str`` per cell, one digest per distinct value."""
         if self._scan_cache is None:
             counts = Counter(self.values)
-            distinct = [value for value in counts if not is_missing(value)]
+            # A plain cell is missing exactly when its normalised string is a
+            # missing token (``str(nan)`` is "nan"; no int or bool is one).
+            plain = (str, int, float, bool)
+            kept = [
+                (value, text)
+                for value, text in zip(counts, normalize_values(counts))
+                if (text not in _MISSING_TOKENS if type(value) in plain else not is_missing(value))
+            ]
+            distinct = [value for value, _ in kept]
             cells = list(map(counts.__getitem__, distinct))
             size = sum(cells)
             non_missing = self.values if size == len(self.values) else self.non_missing()
             texts = list(map(str, non_missing))
-            slots, hashes = hash_values(distinct)
+            slots, hashes = hash_normalized([text for _, text in kept])
             self._scan_cache = ColumnScan(
                 np.array(cells, np.int64), slots, hashes, size, sum(map(len, texts)),
                 len(set(zip(non_missing, texts))) == len(distinct),
@@ -215,6 +224,10 @@ class Table:
             col.table_name = self.name
         self._columns: list[Column] = prepared
         self._index: dict[str, int] = {col.name: i for i, col in enumerate(prepared)}
+        self._content_hash: Optional[str] = None  # table_content_hash's memo
+
+    def __getstate__(self) -> dict:  # a pickle carries no content-hash memo
+        return {**self.__dict__, "_content_hash": None}
 
     # ------------------------------------------------------------------ #
     # basic accessors

@@ -73,34 +73,45 @@ class Match:
         return f"{self.source} ~ {self.target} ({self.score:.3f})"
 
 
-def _name_order(source: ColumnRef, target: ColumnRef) -> tuple[str, str, str, str]:
-    """The ranking's tie-break among equal scores."""
-    return (source.table, source.column, target.table, target.column)
+class _Grid:
+    """A ranking's two sides: position ``p`` pairs source column ``p //
+    width`` with target column ``p % width``.  A side holds its columns'
+    sort keys (names, or ``(table, name)`` when tables vary) and their
+    refs, each built once, on first use, for every result of the grid."""
 
+    __slots__ = ("tables", "keys", "refs", "width")
 
-def _take(
-    scores: list[float], sources: list[ColumnRef], targets: list[ColumnRef], rows: Sequence[int]
-) -> tuple[list[float], list[ColumnRef], list[ColumnRef]]:
-    """The given positions of three parallel columns, in the given order."""
-    return (
-        [scores[i] for i in rows],
-        [sources[i] for i in rows],
-        [targets[i] for i in rows],
-    )
+    def __init__(self, tables: tuple, keys: tuple[list, list], refs: Optional[tuple] = None):
+        self.tables, self.keys, self.width = tables, keys, len(keys[1])
+        self.refs = refs or ([None] * len(keys[0]), [None] * self.width)
+
+    def key(self, position: int) -> tuple:
+        """A position's tie-break key: its source and target column's keys."""
+        return (self.keys[0][position // self.width], self.keys[1][position % self.width])
+
+    def pair(self, position: int) -> tuple[ColumnRef, ColumnRef]:
+        """The source and target refs of a position."""
+        return self._ref(0, position // self.width), self._ref(1, position % self.width)
+
+    def _ref(self, side: int, column: int) -> ColumnRef:
+        ref = self.refs[side][column]
+        if ref is None:
+            ref = self.refs[side][column] = ColumnRef(self.tables[side], self.keys[side][column])
+        return ref
 
 
 class MatchResult:
     """A ranking of column-pair matches, best first.
 
-    The ranking is held as three parallel columns — scores, source refs,
-    target refs — not as a list of objects.  Building a result neither sorts
-    nor allocates per pair: the ranking order is worked out once, on the
-    first access that needs it (iteration, indexing, :meth:`top_k`,
-    :meth:`one_to_one`, the ``ranked_*`` views ...), and :class:`Match`
-    objects exist only while someone iterates or indexes.  ``len``,
-    :meth:`best` and :meth:`filter_threshold` never order anything, and they
-    are all that dataset discovery reads of most rankings (see
-    :func:`repro.discovery.relatedness.relatedness`).
+    A matcher hands over the score grid it computed (:meth:`from_grid`): two
+    headers and one row-major list of floats, kept as they are.  ``len``,
+    :meth:`best` and :meth:`filter_threshold` read that list alone, and are
+    all dataset discovery reads of most rankings (see
+    :func:`repro.discovery.relatedness.relatedness`).  The order is worked
+    out once, on the first access that needs it (iteration, indexing,
+    :meth:`top_k`, :meth:`one_to_one`, the ``ranked_*`` views ...); a
+    :class:`ColumnRef` is built once per column someone reads, and
+    :class:`Match` objects exist only while someone iterates or indexes.
 
     The order is what it always was: descending score, ties broken
     deterministically by source table, source column, target table and
@@ -110,64 +121,56 @@ class MatchResult:
 
     def __init__(self, matches: Iterable[Match] = ()) -> None:
         matches = list(matches)
-        # One attribute, replaced whole: (scores, sources, targets, whether
-        # they are in ranking order yet).  A concurrent reader sees either
-        # the unordered or the ordered columns, never a mix.
-        self._state: tuple[list[float], list[ColumnRef], list[ColumnRef], bool] = (
+        sources = list(dict.fromkeys(match.source for match in matches))
+        targets = list(dict.fromkeys(match.target for match in matches))
+        rows = {ref: i * len(targets) for i, ref in enumerate(sources)}
+        columns = {ref: j for j, ref in enumerate(targets)}
+        keys = tuple([(ref.table, ref.column) for ref in refs] for refs in (sources, targets))
+        self._grid = _Grid((None, None), keys, (sources, targets))
+        # One attribute, replaced whole: (scores, their grid positions, whether
+        # they are in ranking order yet), so no reader sees a mix of orders.
+        self._state: tuple[list[float], Sequence[int], bool] = (
             [match.score for match in matches],
-            [match.source for match in matches],
-            [match.target for match in matches],
+            [rows[match.source] + columns[match.target] for match in matches],
             False,
         )
 
     @classmethod
-    def _of(
-        cls,
-        scores: list[float],
-        sources: list[ColumnRef],
-        targets: list[ColumnRef],
-        ranked: bool,
-    ) -> "MatchResult":
-        """A result over the given columns (*ranked*: already in ranking order)."""
+    def _of(cls, grid: _Grid, scores: list[float], positions: Sequence[int], ranked: bool):
+        """A result over *grid* (*ranked*: already in ranking order)."""
         result = cls.__new__(cls)
-        result._state = (scores, sources, targets, ranked)
+        result._grid, result._state = grid, (scores, positions, ranked)
         return result
 
     @classmethod
-    def from_column_scores(
+    def from_grid(
         cls,
         source: Union[Table, TableHeader],
         target: Union[Table, TableHeader],
-        scores: Mapping[tuple[str, str], float],
+        scores: list[float],
+        positions: Optional[list[int]] = None,
     ) -> "MatchResult":
-        """Build a result from ``{(source column, target column): score}`` names.
-
-        How every matcher hands back its ranking, from the two tables'
-        headers (a table works too).  Each column's ref is built once, here,
-        not twice per scored pair, and every pair in *scores* is kept, zero
-        scores included: Valentine evaluates complete rankings, not
-        thresholded ones.
+        """The ranking of a matcher's score grid over two headers (a table
+        works too): one Python float per (source column, target column)
+        pair, row-major — or, with *positions*, the scores of only the pairs
+        at those row-major positions.  Every pair given is kept, zero
+        scores included: Valentine evaluates complete rankings.
         """
-        source_refs = {name: ColumnRef(source.name, name) for name in source.column_names}
-        target_refs = {name: ColumnRef(target.name, name) for name in target.column_names}
-        return cls._of(
-            [float(score) for score in scores.values()],
-            [source_refs[source_name] for source_name, _ in scores],
-            [target_refs[target_name] for _, target_name in scores],
-            ranked=False,
-        )
+        if positions is None:
+            if len(scores) != len(source.column_names) * len(target.column_names):
+                raise ValueError(f"{source.name!r} x {target.name!r} needs a score per pair")
+            positions = range(len(scores))
+        names = (list(source.column_names), list(target.column_names))
+        return cls._of(_Grid((source.name, target.name), names), scores, positions, False)
 
-    def _ranking(self) -> tuple[list[float], list[ColumnRef], list[ColumnRef]]:
-        """The three columns in ranking order (ordered on the first call)."""
-        scores, sources, targets, ranked = self._state
+    def _ranking(self) -> tuple[list[float], Sequence[int]]:
+        """The scores and their positions in ranking order (ordered on the first call)."""
+        scores, positions, ranked = self._state
         if not ranked:
-            keys = [
-                (-score, *_name_order(source, target))
-                for score, source, target in zip(scores, sources, targets)
-            ]
+            keys = [(-score, *self._grid.key(p)) for score, p in zip(scores, positions)]
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            self._state = (*_take(scores, sources, targets, order), True)
-        return self._state[:3]
+            self._state = ([scores[k] for k in order], [positions[k] for k in order], True)
+        return self._state[:2]
 
     # ------------------------------------------------------------------ #
     # sequence behaviour
@@ -176,11 +179,12 @@ class MatchResult:
         return len(self._state[0])
 
     def __iter__(self) -> Iterator[Match]:
-        return map(Match, *self._ranking())
+        pair = self._grid.pair
+        return (Match(score, *pair(position)) for score, position in zip(*self._ranking()))
 
     def __getitem__(self, index: int) -> Match:
-        scores, sources, targets = self._ranking()
-        return Match(scores[index], sources[index], targets[index])
+        scores, positions = self._ranking()
+        return Match(scores[index], *self._grid.pair(positions[index]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchResult(n={len(self)})"
@@ -193,21 +197,17 @@ class MatchResult:
     def best(self) -> Optional[Match]:
         """The top-ranked match — ``self[0]`` — or ``None`` when empty.
 
-        Found as the maximum score, ties broken by the ranking's name order;
-        nothing is sorted.
+        Python's ``max`` of the scores, ties broken by the ranking's name
+        order; nothing is sorted, and only the winner's two refs are built.
         """
-        scores, sources, targets, ranked = self._state
-        if not scores:
-            return None
-        if ranked:
-            top = 0
-        else:
-            high = max(scores)
-            top = min(
-                (i for i, score in enumerate(scores) if score == high),
-                key=lambda i: _name_order(sources[i], targets[i]),
-            )
-        return Match(scores[top], sources[top], targets[top])
+        scores, positions, ranked = self._state
+        if not scores or ranked:
+            return Match(scores[0], *self._grid.pair(positions[0])) if scores else None
+        high = max(scores)  # a NaN only from the front: then no score equals it
+        unique = scores.count(high) == 1  # the usual case: no tie to break
+        ties = [scores.index(high)] if unique else [k for k, s in enumerate(scores) if s == high] or [0]
+        top = min(ties, key=lambda k: self._grid.key(positions[k]))
+        return Match(scores[top], *self._grid.pair(positions[top]))
 
     # ------------------------------------------------------------------ #
     # derived views
@@ -215,19 +215,18 @@ class MatchResult:
     def top_k(self, k: int) -> "MatchResult":
         """The first *k* matches of the ranking."""
         k = max(k, 0)
-        scores, sources, targets = self._ranking()
-        return self._of(scores[:k], sources[:k], targets[:k], ranked=True)
+        scores, positions = self._ranking()
+        return self._of(self._grid, scores[:k], positions[:k], True)
 
     def ranked_pairs(self) -> list[tuple[str, str]]:
         """Column-name pairs in ranking order."""
-        _, sources, targets = self._ranking()
-        return [(source.column, target.column) for source, target in zip(sources, targets)]
+        return [match.as_pair() for match in self]
 
     def scores(self) -> dict[tuple[str, str], float]:
         """``{(source column, target column): score}`` (best score per pair)."""
         result: dict[tuple[str, str], float] = {}
-        for score, source, target in zip(*self._ranking()):
-            result.setdefault((source.column, target.column), score)
+        for match in self:
+            result.setdefault(match.as_pair(), match.score)
         return result
 
     def filter_threshold(self, threshold: float) -> "MatchResult":
@@ -236,23 +235,25 @@ class MatchResult:
         Filtering commutes with the ranking order, so a result that has not
         been ordered yet stays that way and only the survivors ever are.
         """
-        scores, sources, targets, ranked = self._state
-        keep = [i for i, score in enumerate(scores) if score >= threshold]
-        return self._of(*_take(scores, sources, targets, keep), ranked)
+        scores, positions, ranked = self._state
+        keep = [k for k, score in enumerate(scores) if score >= threshold]
+        return self._of(self._grid, [scores[k] for k in keep], [positions[k] for k in keep], ranked)
 
     def one_to_one(self) -> "MatchResult":
         """Greedy 1-1 filtering of the ranking (each column used at most once)."""
-        scores, sources, targets = self._ranking()
-        used_sources: set[ColumnRef] = set()
-        used_targets: set[ColumnRef] = set()
+        scores, positions = self._ranking()
+        width = self._grid.width
+        used_sources: set[int] = set()
+        used_targets: set[int] = set()
         keep: list[int] = []
-        for i, (source, target) in enumerate(zip(sources, targets)):
+        for k, position in enumerate(positions):
+            source, target = divmod(position, width)
             if source in used_sources or target in used_targets:
                 continue
-            keep.append(i)
+            keep.append(k)
             used_sources.add(source)
             used_targets.add(target)
-        return self._of(*_take(scores, sources, targets, keep), ranked=True)
+        return self._of(self._grid, [scores[k] for k in keep], [positions[k] for k in keep], True)
 
 
 @dataclass(frozen=True)
@@ -332,14 +333,25 @@ class BaseMatcher(abc.ABC):
         that only affect the pairwise stage (e.g. an acceptance threshold
         applied in :meth:`match_prepared`) are deliberately excluded, so a
         parameter sweep over them reuses one prepared payload per table.
+        Memoised under its :meth:`_fingerprint_extras` (a mutated ontology
+        or thesaurus still changes it); any attribute assignment drops it.
         """
+        extras = self._fingerprint_extras()
+        memo = self.__dict__.get("_fingerprint_memo")
+        if memo is not None and memo[0] == extras:
+            return memo[1]
         cls = type(self)
         params = ", ".join(
             f"{k}={v!r}" for k, v in sorted(self.prepare_parameters().items())
         )
-        extras = self._fingerprint_extras()
         suffix = f" deps={extras!r}" if extras else ""
-        return f"{cls.__module__}.{cls.__qualname__}({params}){suffix}"
+        fingerprint = f"{cls.__module__}.{cls.__qualname__}({params}){suffix}"
+        self.__dict__["_fingerprint_memo"] = (extras, fingerprint)
+        return fingerprint
+
+    def __setattr__(self, name: str, value: object) -> None:
+        self.__dict__.pop("_fingerprint_memo", None)
+        super().__setattr__(name, value)
 
     def prepare_parameters(self) -> dict[str, object]:
         """The subset of :meth:`parameters` that shapes :meth:`prepare` output.
@@ -427,7 +439,7 @@ class BaseMatcher(abc.ABC):
         callers (the rerank's :func:`~repro.discovery.search.score_prepared`
         included) may hand over a raw table or a payload prepared under
         another fingerprint and rely on that one guard — and end in
-        :meth:`MatchResult.from_column_scores`.
+        :meth:`MatchResult.from_grid` over the score grid they computed.
         """
 
     def get_matches(self, source: Table, target: Table) -> MatchResult:

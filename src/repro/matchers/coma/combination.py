@@ -61,9 +61,7 @@ def aggregate(
     config: CombinationConfig,
 ) -> dict[PairKey, float]:
     """Aggregate per-component similarities into one score per pair."""
-    pairs: set[PairKey] = set()
-    for scores in component_scores.values():
-        pairs.update(scores)
+    pairs = dict.fromkeys(pair for scores in component_scores.values() for pair in scores)
     aggregated: dict[PairKey, float] = {}
     for pair in pairs:
         values = []

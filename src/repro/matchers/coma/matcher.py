@@ -13,6 +13,7 @@ pair is reported with its combined similarity, and ranking decides.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from repro.data.table import Table
@@ -118,7 +119,9 @@ class _ComaBase(BaseMatcher):
 
         aggregated = aggregate(component_scores, self._config)
         selected = select_pairs(aggregated, self._config)
-        return MatchResult.from_column_scores(source.header, target.header, selected)
+        kept = [p for p, pair in enumerate(product(source_names, target_names)) if pair in selected]
+        grid = list(map(float, selected.values()))
+        return MatchResult.from_grid(source.header, target.header, grid, kept)
 
 
 class ComaSchemaMatcher(_ComaBase):

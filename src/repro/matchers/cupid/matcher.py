@@ -98,4 +98,4 @@ class CupidMatcher(BaseMatcher):
         hits, misses = name_pair_work()
         telemetry.count("cupid.name_pairs.hits", hits - hits_before)
         telemetry.count("cupid.name_pairs.misses", misses - misses_before)
-        return MatchResult.from_column_scores(source.header, target.header, weighted)
+        return MatchResult.from_grid(source.header, target.header, weighted.ravel().tolist())

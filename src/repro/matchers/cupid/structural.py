@@ -96,20 +96,19 @@ def tree_match(
     tree_b: SchemaTree,
     weights: CupidWeights | None = None,
     thesaurus: Thesaurus | None = None,
-) -> dict[tuple[str, str], float]:
+) -> np.ndarray:
     """Run TreeMatch and return weighted similarities for leaf (column) pairs.
 
     Returns
     -------
-    dict
-        ``{(leaf name in A, leaf name in B): weighted similarity}``, row-major
-        over the two trees' columns; empty when either table has no columns.
+    numpy.ndarray
+        ``wsim``: a row per leaf (column) of *tree_a*, a column per leaf of *tree_b*.
     """
     weights = weights or CupidWeights()
     schema_a, table_a, leaves_a = _levels(tree_a)
     schema_b, table_b, leaves_b = _levels(tree_b)
     if not leaves_a or not leaves_b:
-        return {}
+        return np.zeros((len(leaves_a), len(leaves_b)))
     names_a = [leaf.name for leaf in leaves_a]
     names_b = [leaf.name for leaf in leaves_b]
     name_scores = np.array(name_similarities(names_a, names_b, thesaurus))
@@ -137,4 +136,4 @@ def tree_match(
         if factor != 1.0:
             wsim = leaf_w * np.minimum(1.0, wsim * factor) + (1.0 - leaf_w) * lsim
 
-    return dict(zip(product(names_a, names_b), wsim.ravel().tolist()))
+    return wsim

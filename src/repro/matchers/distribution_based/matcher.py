@@ -23,6 +23,8 @@ groups are ordered by their (inverted, normalised) EMD.
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.data.table import Column, Table
 from repro.distributions.emd import column_emd, intersection_emd
 from repro.matchers.base import BaseMatcher, MatchResult, MatchType, PreparedTable
@@ -174,9 +176,8 @@ class DistributionBasedMatcher(BaseMatcher):
 
         # Ranked output: confirmed cluster members first, then the rest, both
         # ordered by inverted EMD.
-        scores: dict[tuple[str, str], float] = {}
-        for (node_a, node_b), emd in phase1_emd.items():
-            pair = (node_a[1], node_b[1])
-            base = 1.0 - emd
-            scores[pair] = 0.5 + 0.5 * base if pair in matched_pairs else 0.5 * base
-        return MatchResult.from_column_scores(source.header, target.header, scores)
+        grid = []
+        for pair in product(source.header.column_names, target.header.column_names):
+            base = 1.0 - phase1_emd[(("source", pair[0]), ("target", pair[1]))]
+            grid.append(float(0.5 + 0.5 * base if pair in matched_pairs else 0.5 * base))
+        return MatchResult.from_grid(source.header, target.header, grid)

@@ -115,7 +115,7 @@ class EmbDIMatcher(BaseMatcher):
             ),
         )
 
-        scores = {}
+        grid = []
         for source_name in source.column_names:
             source_token = cid_token(source.name, source_name)
             for target_name in target.column_names:
@@ -123,5 +123,5 @@ class EmbDIMatcher(BaseMatcher):
                 similarity = model.similarity(source_token, target_token)
                 # Cosine similarity lives in [-1, 1]; shift to [0, 1] so the
                 # ranking scores compose with the rest of the suite.
-                scores[(source_name, target_name)] = (similarity + 1.0) / 2.0
-        return MatchResult.from_column_scores(source, target, scores)
+                grid.append((similarity + 1.0) / 2.0)
+        return MatchResult.from_grid(source, target, grid)

@@ -18,6 +18,7 @@ Three aggregation strategies are provided:
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Mapping, Sequence
 
 from repro.data.table import Table
@@ -31,29 +32,18 @@ PairKey = tuple[str, str]
 
 def _normalised_scores(result: MatchResult) -> dict[PairKey, float]:
     """Min-max normalise a ranking's scores into [0, 1] (constant → 1.0)."""
-    pairs = result.ranked_pairs()
-    if not pairs:
-        return {}
-    scores = [match.score for match in result]
-    low, high = min(scores), max(scores)
+    scores = result.scores()
+    low, high = min(scores.values(), default=0.0), max(scores.values(), default=0.0)
     if high == low:
-        return {pair: 1.0 for pair in pairs}
-    normalised: dict[PairKey, float] = {}
-    for match in result:
-        key = match.as_pair()
-        value = (match.score - low) / (high - low)
-        normalised[key] = max(normalised.get(key, 0.0), value)
-    return normalised
+        return dict.fromkeys(scores, 1.0)
+    return {pair: (score - low) / (high - low) for pair, score in scores.items()}
 
 
 def _borda_points(result: MatchResult) -> dict[PairKey, float]:
     """Borda points: the best rank gets n-1 points, the worst gets 0."""
     pairs = result.ranked_pairs()
-    total = len(pairs)
-    points: dict[PairKey, float] = {}
-    for position, pair in enumerate(pairs):
-        points.setdefault(pair, float(total - 1 - position))
-    return points
+    # Walked from the worst up, so a pair's best rank is the one kept.
+    return dict(zip(reversed(pairs), map(float, range(len(pairs)))))
 
 
 class EnsembleMatcher(BaseMatcher):
@@ -159,4 +149,7 @@ class EnsembleMatcher(BaseMatcher):
                 for pair in totals
             }
 
-        return MatchResult.from_column_scores(source.header, target.header, combined)
+        pairs = list(product(source.header.column_names, target.header.column_names))
+        kept = [p for p, pair in enumerate(pairs) if pair in combined]
+        grid = [float(combined[pairs[p]]) for p in kept]
+        return MatchResult.from_grid(source.header, target.header, grid, kept)

@@ -130,13 +130,14 @@ class JaccardLevenshteinMatcher(BaseMatcher):
         target = self._ensure_prepared(target)
         source_sets = source.payload["value_sets"]
         target_sets = target.payload["value_sets"]
-        scores = {}
-        for source_name in source.header.column_names:
-            for target_name in target.header.column_names:
-                scores[(source_name, target_name)] = _fuzzy_jaccard_sets(
-                    source_sets[source_name],
-                    target_sets[target_name],
-                    threshold=self.threshold,
-                    sample_size=self.sample_size,
-                )
-        return MatchResult.from_column_scores(source.header, target.header, scores)
+        grid = [
+            _fuzzy_jaccard_sets(
+                source_sets[source_name],
+                target_sets[target_name],
+                threshold=self.threshold,
+                sample_size=self.sample_size,
+            )
+            for source_name in source.header.column_names
+            for target_name in target.header.column_names
+        ]
+        return MatchResult.from_grid(source.header, target.header, grid)

@@ -14,7 +14,6 @@ Parameters follow Table II: ``minhash_threshold`` (syntactic acceptance),
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -28,9 +27,10 @@ from repro.ontology.domain import business_ontology
 from repro.ontology.model import Ontology
 from repro.sketches.minhash import (
     DEFAULT_SEED,
-    hash_values,
+    hash_normalized,
     jaccard_matrix,
     minhash_signatures_from_hashes,
+    normalize_values,
 )
 from repro.telemetry import recorder as telemetry
 
@@ -175,7 +175,8 @@ class SemPropMatcher(BaseMatcher):
             if len(column) <= self.sample_size and (scan := column.scan()).uniform:
                 hashes.append(scan.hashes)
             else:
-                hashes.append(hash_values(column.non_missing()[: self.sample_size])[1])
+                sample = normalize_values(column.non_missing()[: self.sample_size])
+                hashes.append(hash_normalized(sample)[1])
         signatures, set_sizes = minhash_signatures_from_hashes(
             hashes, num_permutations=self.num_permutations, seed=DEFAULT_SEED
         )
@@ -260,7 +261,4 @@ class SemPropMatcher(BaseMatcher):
                     # Semantic matches rank above purely syntactic ones.
                     grid[i, j] = 0.5 + 0.5 * semantic
 
-        pairs = itertools.product(source_names, target_names)
-        return MatchResult.from_column_scores(
-            source.header, target.header, dict(zip(pairs, grid.ravel().tolist()))
-        )
+        return MatchResult.from_grid(source.header, target.header, grid.ravel().tolist())

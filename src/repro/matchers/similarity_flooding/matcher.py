@@ -14,6 +14,8 @@ map pairs from the fixpoint and ranks them by their final similarity.
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.data.table import Table
 from repro.graphmodel.propagation import PropagationConfig, similarity_flood
 from repro.graphmodel.schema_graph import (
@@ -117,7 +119,6 @@ class SimilarityFloodingMatcher(BaseMatcher):
             scores[(column_a, column_b)] = similarity
         # Columns that never co-occur in the PCG get a zero score so the
         # ranking is complete (Valentine evaluates rankings, not thresholds).
-        for source_name in source.header.column_names:
-            for target_name in target.header.column_names:
-                scores.setdefault((source_name, target_name), 0.0)
-        return MatchResult.from_column_scores(source.header, target.header, scores)
+        pairs = product(source.header.column_names, target.header.column_names)
+        grid = [float(scores.get(pair, 0.0)) for pair in pairs]
+        return MatchResult.from_grid(source.header, target.header, grid)

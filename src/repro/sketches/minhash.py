@@ -8,9 +8,9 @@ deterministic MinHash implementation with a Jaccard estimator.
 A batch of signatures is one ``uint32`` matrix, a row per value set and a
 column per permutation (every MinHash value fits 32 bits), next to an array
 of the sets' distinct-value counts; nothing converts a row to Python ints.
-Callers hash each set's distinct normalised values once
-(:func:`hash_values`, the one place that normalises a value; a column's
-memoised scan calls it for the lake sketch and SemProp alike), and :func:`minhash_signatures_from_hashes`
+Callers normalise values (:func:`normalize_values`, the one place that rule
+lives) and hash each set's distinct strings once (:func:`hash_normalized`, as
+a column's memoised scan does for the lake sketch and SemProp alike), and :func:`minhash_signatures_from_hashes`
 applies the ``(a * h + b) mod p`` permutation family to a whole batch by
 broadcast arithmetic, with the per-set minima from one segmented reduction.
 ``p`` is the Mersenne prime ``2^61 - 1``, so the reduction needs no
@@ -34,7 +34,8 @@ __all__ = [
     "DEFAULT_SEED",
     "minhash_signatures_scalar",
     "hash_normalized_values",
-    "hash_values",
+    "normalize_values",
+    "hash_normalized",
     "minhash_signatures_from_hashes",
     "jaccard_matrix",
 ]
@@ -65,7 +66,7 @@ def hash_normalized_values(values: Iterable[str]) -> np.ndarray:
     digests into one contiguous buffer and converts with a single
     ``np.frombuffer`` instead of a per-value ``int.from_bytes`` round trip.
     The values must be normalised and distinct already, as
-    :func:`hash_values` passes them.
+    :func:`hash_normalized` passes them.
     """
     blake2b = hashlib.blake2b
     buffer = b"".join(
@@ -76,11 +77,18 @@ def hash_normalized_values(values: Iterable[str]) -> np.ndarray:
     return np.frombuffer(buffer, dtype="<u8").astype(np.uint64) & np.uint64(_MAX_HASH)
 
 
-def hash_values(values: Iterable[object]) -> tuple[np.ndarray, np.ndarray]:
-    """Hash each distinct normalised ``str(v).strip().lower()`` of *values*
-    once: ``(slots, hashes)``, ``slots[i]`` the index of ``values[i]``'s hash."""
+def normalize_values(values: Iterable[object]) -> list[str]:
+    """``str(v).strip().lower()`` of each value: how a MinHash reads it."""
+    return [str(value).strip().lower() for value in values]
+
+
+def hash_normalized(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Hash each distinct normalised string once: ``(slots, hashes)``, ``slots[i]``
+    the index of ``texts[i]``'s hash (no slot lookup when all are distinct)."""
+    if len(set(texts)) == len(texts):
+        return np.arange(len(texts), dtype=np.intp), hash_normalized_values(texts)
     slot_of: dict[str, int] = {}
-    slots = [slot_of.setdefault(str(value).strip().lower(), len(slot_of)) for value in values]
+    slots = [slot_of.setdefault(text, len(slot_of)) for text in texts]
     return np.array(slots, np.intp), hash_normalized_values(slot_of)
 
 
@@ -101,9 +109,9 @@ def _permutation_parameters(num_permutations: int, seed: int) -> tuple[np.ndarra
 
 
 #: Upper bound on ``distinct values x permutations`` products materialised at
-#: once by :func:`minhash_signatures_from_hashes`; keeps peak memory flat on
-#: large lakes.
-_BATCH_CELL_BUDGET = 4_000_000
+#: once by :func:`minhash_signatures_from_hashes`: 512 KiB of ``uint64``, so
+#: a chunk stays in cache (signatures do not depend on it).
+_BATCH_CELL_BUDGET = 65_536
 
 
 def minhash_signatures_from_hashes(
@@ -116,7 +124,7 @@ def minhash_signatures_from_hashes(
     Returns the ``(sets x permutations)`` ``uint32`` signature matrix and
     the ``int64`` size of each set; no sets give a ``(0, 0)`` matrix and an
     empty set's row is all ``2**32 - 1``.  Hash arrays must come from
-    :func:`hash_values` (or equal :func:`_stable_hash` values)
+    :func:`hash_normalized` (or equal :func:`_stable_hash` values)
     with one entry per *distinct* normalised value, as a column's scan holds
     them.
     """

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from matcher_support import (
     LEGACY_JSON_SKETCH_ROW,
     lakebench_lake,
+    reference_column_scan,
     reference_histogram_distance,
     reference_profile_column,
     reference_semprop_signatures,
@@ -25,7 +26,7 @@ from matcher_support import (
 from repro.data import sections
 from repro.data.csv_io import read_csv
 from repro.data.profiling import profile_column
-from repro.data.table import Column, Table
+from repro.data.table import Column, ColumnScan, Table
 from repro.data.types import DataType
 from repro.discovery import prepared_codec
 from repro.discovery.prepared import PreparedStore
@@ -347,6 +348,18 @@ _CELLS = st.one_of(
 )
 
 
+class _Spelled:
+    """A cell that is no missing value but renders as a missing token."""
+
+    def __str__(self) -> str:
+        return " NA "
+
+
+#: Cells of other types than ``str``, ``int``, ``float`` and ``bool``: a NaN
+#: and a number of a float subclass, a ``str`` subclass spelling a token.
+_UNPLAIN_CELLS = [np.float64("nan"), np.float64(-0.0), type("Text", (str,), {})(" null "), _Spelled()]
+
+
 @st.composite
 def _adversarial_tables(draw) -> Table:
     """0-4 columns of 0-12 cells (a table without columns, empty and
@@ -400,6 +413,18 @@ class TestColumnScan:
             signatures, set_sizes = reference_semprop_signatures(matcher, table)
             assert prepared.payload["signatures"].tolist() == signatures.tolist()
             assert prepared.payload["set_sizes"].tolist() == set_sizes.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_CELLS, st.sampled_from(_UNPLAIN_CELLS)), max_size=16))
+    def test_scan_equals_the_per_value_reference(self, cells):
+        """Plain cells are missing exactly when their normalised string is a
+        missing token; any other cell still asks ``is_missing``."""
+        scan, expected = Column("c", cells).scan(), reference_column_scan(Column("c", cells))
+        for field, got, want in zip(ColumnScan._fields, scan, expected):
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.tolist()) == (want.dtype, want.tolist()), field
+            else:
+                assert (type(got), got) == (type(want), want), field
 
     def test_a_prepared_build_digests_each_distinct_value_once(self, tmp_path, monkeypatch):
         """A ``build_from_paths(prepare=(store, SemProp))`` task hashes each

@@ -4,12 +4,19 @@ A lake query reads three numbers off every candidate's ranking — the best
 match and how much of the at-least-threshold part survives the 1-1 walk — so
 scoring a candidate must not pay for a materialised, sorted ranking:
 
+* the matcher hands over its score grid (one ``MatchResult.from_grid`` per
+  candidate) and no per-pair result is built (no ``MatchResult(matches)``);
 * no :class:`~repro.matchers.base.Match` per scored column pair (one per
   candidate: the best match ``relatedness`` asks for);
-* no :class:`~repro.data.table.ColumnRef` per pair either — the shared
-  constructor builds each column's ref once;
+* at most 2 :class:`~repro.data.table.ColumnRef` per candidate (the best
+  match's) plus 2 per pair at or above the unionability threshold (the part
+  the 1-1 walk orders);
 * at most one ``sorted`` per candidate from ``MatchResult`` (the thresholded
   part), none from building the result;
+* the matcher's ``prepare_parameters`` at most once per query, not twice per
+  pair (its fingerprint is memoised);
+* no content-hash digest of a query table already hashed (its hash is
+  memoised on the table);
 
 and iterating a result afterwards still yields exactly the ranking the eager
 representation held.
@@ -17,7 +24,9 @@ representation held.
 
 from __future__ import annotations
 
+import hashlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,8 +36,10 @@ from matcher_support import (
     reference_semprop_match_prepared,
     reference_tree_match,
 )
+from repro.data import fingerprint as content_fingerprint
 from repro.data.csv_io import read_csv
 from repro.data.table import ColumnRef
+from repro.discovery.relatedness import DEFAULT_UNION_THRESHOLD
 from repro.discovery.prepared import PreparedStore
 from repro.discovery.search import score_prepared
 from repro.lake.build import build_from_paths, prepare_lake
@@ -48,11 +59,32 @@ def gate_lake(tmp_path_factory):
 
 
 class _Census:
-    """Counts ``Match()``, ``ColumnRef()`` and ``sorted`` as ``MatchResult`` sees them."""
+    """Counts ``Match()``, ``ColumnRef()`` and ``sorted`` as ``MatchResult``
+    sees them, the results built from grids and from matches, and the
+    matcher's ``prepare_parameters`` calls."""
 
-    def __init__(self, monkeypatch) -> None:
-        self.matches = self.refs = self.sorts = 0
+    def __init__(self, monkeypatch, matcher) -> None:
+        self.matches = self.refs = self.sorts = self.grids = self.eager = self.parameters = 0
+        self.digests = 0
         match_class, ref_class, builtin_sorted = base.Match, base.ColumnRef, sorted
+        from_grid, eager_init = base.MatchResult.from_grid.__func__, base.MatchResult.__init__
+        prepare_parameters = matcher.prepare_parameters
+
+        def grid(cls, *args, **kwargs):
+            self.grids += 1
+            return from_grid(cls, *args, **kwargs)
+
+        def eager(result, *args, **kwargs):
+            self.eager += 1
+            eager_init(result, *args, **kwargs)
+
+        def parameters():
+            self.parameters += 1
+            return prepare_parameters()
+
+        def blake2b(*args, **kwargs):
+            self.digests += 1
+            return hashlib.blake2b(*args, **kwargs)
 
         def match(*args, **kwargs):
             self.matches += 1
@@ -71,6 +103,23 @@ class _Census:
         monkeypatch.setattr(base, "Match", match)
         monkeypatch.setattr(base, "ColumnRef", ref)
         monkeypatch.setattr(base, "sorted", counting_sorted, raising=False)
+        monkeypatch.setattr(base.MatchResult, "from_grid", classmethod(grid))
+        monkeypatch.setattr(base.MatchResult, "__init__", eager)
+        # An assignment drops the fingerprint memo: the query rebuilds it once.
+        monkeypatch.setattr(matcher, "prepare_parameters", parameters)
+        monkeypatch.setattr(content_fingerprint, "hashlib", SimpleNamespace(blake2b=blake2b))
+
+    def assert_lean(self, results, expected) -> None:
+        """Per candidate: one grid, one Match, two refs plus two per strong pair."""
+        strong = sum(
+            1 for ranking in expected for match in ranking if match.score >= DEFAULT_UNION_THRESHOLD
+        )
+        assert self.grids == self.matches == len(results) == len(expected)
+        assert self.eager == 0
+        assert self.refs <= 2 * len(results) + 2 * strong
+        assert self.sorts <= len(results)
+        assert self.parameters == 1
+        assert self.digests == 0
 
 
 def test_warm_serial_semprop_query_builds_no_ranking_objects(gate_lake, tmp_path, monkeypatch):
@@ -86,42 +135,30 @@ def test_warm_serial_semprop_query_builds_no_ranking_objects(gate_lake, tmp_path
             matcher=matcher, store=store, prepared_store=prepared_store
         ) as engine:
             engine.query(query, mode="unionable")  # warm: index built, pools idle
-            census = _Census(monkeypatch)
+            census = _Census(monkeypatch, matcher)
             results = engine.query(query, mode="unionable")
             stats = engine.last_query_stats
             monkeypatch.undo()
     candidates = {path.stem: read_csv(path) for path in lake_paths}
     assert stats.rerank_count == stats.store_hits == len(results) == len(candidates) == 6
-    assert census.matches == len(results)  # relatedness' best(), once a candidate
-    assert census.refs <= sum(
-        query.num_columns + candidates[result.table_name].num_columns for result in results
-    )
-    assert census.sorts <= len(results)
+    query_prepared = matcher.prepare(query)
+    expected = {
+        result.table_name: reference_semprop_match_prepared(
+            matcher, query_prepared, matcher.prepare(candidates[result.table_name])
+        )
+        for result in results
+    }
+    census.assert_lean(results, list(expected.values()))
 
     # ... and the objects are there for whoever asks: the parent's exact list.
-    query_prepared = matcher.prepare(query)
     for result in results:
-        candidate = matcher.prepare(candidates[result.table_name])
-        expected = reference_semprop_match_prepared(matcher, query_prepared, candidate)
-        assert len(result.matches) == query.num_columns * candidate.table.num_columns
-        assert result.matches.matches == expected.matches
+        candidate = candidates[result.table_name]
+        assert len(result.matches) == query.num_columns * candidate.num_columns
+        assert result.matches.matches == expected[result.table_name].matches
 
 
-def test_one_cupid_pair_ends_in_the_same_constructor(gate_lake, monkeypatch):
-    lake_paths, query_path = gate_lake
-    query = read_csv(query_path)
-    candidate = read_csv(next(path for path in lake_paths if path.stem == "rel_00_joinable"))
-    assert (query.num_columns, candidate.num_columns) == (14, 8)
-    matcher = CupidMatcher()
-    query_prepared, candidate_prepared = matcher.prepare(query), matcher.prepare(candidate)
-
-    census = _Census(monkeypatch)
-    result = score_prepared(matcher, query_prepared, candidate_prepared)
-    monkeypatch.undo()
-    assert census.matches == 1
-    assert census.refs <= query.num_columns + candidate.num_columns
-    assert census.sorts <= 1
-
+def _reference_cupid(matcher, query_prepared, candidate_prepared) -> ReferenceMatchResult:
+    """The eager ranking of Cupid's per-pair TreeMatch over two prepared tables."""
     weighted = reference_tree_match(
         query_prepared.payload["tree"],
         candidate_prepared.payload["tree"],
@@ -132,11 +169,52 @@ def test_one_cupid_pair_ends_in_the_same_constructor(gate_lake, monkeypatch):
         ),
         thesaurus=matcher._thesaurus,
     )
-    expected = ReferenceMatchResult.from_scores(
+    return ReferenceMatchResult.from_scores(
         {
-            (ColumnRef(query.name, source), ColumnRef(candidate.name, target)): score
+            (ColumnRef(query_prepared.name, source), ColumnRef(candidate_prepared.name, target)): score
             for (source, target), score in weighted.items()
         },
         keep_zero=True,
     )
+
+
+def test_warm_cupid_query_builds_no_ranking_objects(gate_lake, tmp_path, monkeypatch):
+    """The Cupid twin: candidates scored from their sketches, same census."""
+    lake_paths, query_path = gate_lake
+    query = read_csv(query_path)
+    matcher = CupidMatcher()
+    with SketchStore(tmp_path / "lake.sketches") as store:
+        build_from_paths(store, lake_paths)
+        with LakeDiscoveryEngine(matcher=matcher, store=store) as engine:
+            engine.query(query, mode="unionable")
+            census = _Census(monkeypatch, matcher)
+            results = engine.query(query, mode="unionable")
+            monkeypatch.undo()
+    candidates = {path.stem: read_csv(path) for path in lake_paths}
+    assert len(results) == len(candidates) == 6
+    query_prepared = matcher.prepare(query)
+    expected = {
+        result.table_name: _reference_cupid(
+            matcher, query_prepared, matcher.prepare(candidates[result.table_name])
+        )
+        for result in results
+    }
+    census.assert_lean(results, list(expected.values()))
+    for result in results:
+        assert result.matches.matches == expected[result.table_name].matches
+
+
+def test_one_cupid_pair_ends_in_the_same_constructor(gate_lake, monkeypatch):
+    lake_paths, query_path = gate_lake
+    query = read_csv(query_path)
+    candidate = read_csv(next(path for path in lake_paths if path.stem == "rel_00_joinable"))
+    assert (query.num_columns, candidate.num_columns) == (14, 8)
+    matcher = CupidMatcher()
+    query_prepared, candidate_prepared = matcher.prepare(query), matcher.prepare(candidate)
+
+    census = _Census(monkeypatch, matcher)
+    result = score_prepared(matcher, query_prepared, candidate_prepared)
+    monkeypatch.undo()
+    expected = _reference_cupid(matcher, query_prepared, candidate_prepared)
+    census.assert_lean([result], [expected])
     assert result.matches.matches == expected.matches

@@ -25,7 +25,11 @@ The column profile, ``sketch_table``, SemProp's value hashing and
 ``table_content_hash`` are kept as they were before one memoised scan per
 column fed the first three and the last hashed one buffer per column: cell
 by cell, over ``set`` and dict scans, with the scalar MinHash for the
-signatures.
+signatures.  ``Column.scan`` is kept as it was before plain cells were
+checked for missingness by their normalised string (``is_missing`` per
+distinct value, a slot lookup per normalised string), and
+``MatchResult.from_column_scores`` as it was before matchers handed over
+their score grid: one ref, score and pair per entry of a name-keyed dict.
 
 ``tests/`` is on ``sys.path`` (the root ``conftest.py`` lives here), so any
 test module can ``from matcher_support import ...``.
@@ -36,10 +40,12 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import math
+import pickle
 import random
+from collections import Counter
 import sys
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,8 +53,8 @@ from repro.artifacts.manifest import Manifest
 from repro.artifacts.transport import LocalTransport
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.profiling import ColumnProfile
-from repro.data.table import Column, ColumnRef, Table
-from repro.data.types import DataType, parse_numeric_values, type_compatibility
+from repro.data.table import Column, ColumnRef, ColumnScan, Table, TableHeader
+from repro.data.types import DataType, is_missing, parse_numeric_values, type_compatibility
 from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
@@ -60,7 +66,7 @@ from repro.lake.index import CandidateTable, LakeIndex
 from repro.distributions.histograms import build_histogram
 from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch
 from repro.lake.store import SketchStore
-from repro.matchers.base import Match, PreparedTable
+from repro.matchers.base import Match, MatchResult, PreparedTable
 from repro.matchers.cupid.linguistic import name_similarities
 from repro.matchers.cupid.schema_tree import SchemaElement, SchemaTree
 from repro.matchers.cupid.structural import CupidWeights
@@ -69,9 +75,11 @@ from repro.matchers.semprop.semantic import coherence_score
 from repro.sketches.minhash import (
     DEFAULT_SEED,
     _stable_hash,
-    hash_values,
+    hash_normalized_values,
+    hash_normalized,
     minhash_signatures_from_hashes,
     minhash_signatures_scalar,
+    normalize_values,
 )
 from repro.telemetry import recorder as telemetry
 from repro.text.stemmer import stem
@@ -80,6 +88,7 @@ from repro.text.tokenize import ABBREVIATIONS, tokenize_identifier
 
 __all__ = [
     "LIGHT_MATCHER_CONFIGS",
+    "RANKING_READS",
     "ReferenceMatchResult",
     "batch_minhash",
     "category_compatibility",
@@ -93,6 +102,8 @@ __all__ = [
     "prospect_lake",
     "reference_candidate_signals",
     "reference_candidate_tables",
+    "reference_column_scan",
+    "reference_from_column_scores",
     "reference_fuzzy_jaccard_sets",
     "reference_histogram_distance",
     "reference_jaccard",
@@ -341,6 +352,49 @@ class ReferenceMatchResult:
             used_sources.add(match.source)
             used_targets.add(match.target)
         return ReferenceMatchResult(kept)
+
+
+def reference_from_column_scores(
+    source: Union[Table, TableHeader],
+    target: Union[Table, TableHeader],
+    scores: Mapping[tuple[str, str], float],
+) -> MatchResult:
+    """``MatchResult.from_column_scores`` as it was: three per-pair lists
+    (score, source ref, target ref) in the dict's order, unordered, each
+    column's ref built once up front."""
+    source_refs = {name: ColumnRef(source.name, name) for name in source.column_names}
+    target_refs = {name: ColumnRef(target.name, name) for name in target.column_names}
+    return MatchResult(
+        Match(float(score), source_refs[source_name], target_refs[target_name])
+        for (source_name, target_name), score in scores.items()
+    )
+
+
+def _exact(matches: Iterable[Optional[Match]]) -> list[tuple[str, ColumnRef, ColumnRef]]:
+    """Matches with their scores as ``repr``: ``-0.0`` is not ``0.0`` and a NaN is a NaN."""
+    return [(repr(m.score), m.source, m.target) for m in matches if m is not None]
+
+
+#: Every way discovery and the experiments read a ranking, as ``name ->
+#: callable(result)`` returning plain data that compares exactly.
+RANKING_READS = {
+    "len": len,
+    "best": lambda r: _exact([r.best()]),
+    "iter": _exact,
+    "index": lambda r: _exact(r[i] for i in range(-len(r), len(r))),
+    "ranked_pairs": lambda r: r.ranked_pairs(),
+    "scores": lambda r: [(pair, repr(score)) for pair, score in r.scores().items()],
+    "one_to_one": lambda r: _exact(r.one_to_one()),
+    "pickle": lambda r: _exact(pickle.loads(pickle.dumps(r))),
+    **{f"top_k({k})": lambda r, k=k: _exact(r.top_k(k)) for k in (-1, 0, 1, 3)},
+    **{
+        f"filter_threshold({t})": lambda r, t=t: (
+            _exact([r.filter_threshold(t).best()]),
+            _exact(r.filter_threshold(t).one_to_one()),
+        )
+        for t in (0.0, 0.5, 0.55)
+    },
+}
 
 
 def reference_unionability(
@@ -599,9 +653,10 @@ def batch_minhash(
     seed: int = DEFAULT_SEED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signatures and set sizes of value collections from one batched kernel
-    call, each set's values normalised and hashed once by ``hash_values``,
+    call, each set's values normalised and hashed once (``normalize_values``
+    then ``hash_normalized``),
     as a column's scan hashes its cells."""
-    hashes = [hash_values(values)[1] for values in value_sets]
+    hashes = [hash_normalized(normalize_values(values))[1] for values in value_sets]
     return minhash_signatures_from_hashes(hashes, num_permutations=num_permutations, seed=seed)
 
 
@@ -646,6 +701,27 @@ def reference_semprop_signatures(
         [column.as_strings()[: matcher.sample_size] for column in table.columns],
         num_permutations=matcher.num_permutations,
         seed=DEFAULT_SEED,
+    )
+
+
+def reference_column_scan(column: Column) -> ColumnScan:
+    """``Column.scan`` as it was: ``is_missing`` per distinct value, and a
+    slot looked up for every normalised string."""
+    counts = Counter(column.values)
+    distinct = [value for value in counts if not is_missing(value)]
+    cells = list(map(counts.__getitem__, distinct))
+    size = sum(cells)
+    non_missing = column.values if size == len(column.values) else column.non_missing()
+    texts = list(map(str, non_missing))
+    slot_of: dict[str, int] = {}
+    slots = [slot_of.setdefault(str(value).strip().lower(), len(slot_of)) for value in distinct]
+    return ColumnScan(
+        np.array(cells, np.int64),
+        np.array(slots, np.intp),
+        hash_normalized_values(slot_of),
+        size,
+        sum(map(len, texts)),
+        len(set(zip(non_missing, texts))) == len(distinct),
     )
 
 

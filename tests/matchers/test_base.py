@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import sys
 import threading
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matcher_support import ReferenceMatchResult
+from matcher_support import RANKING_READS, ReferenceMatchResult, reference_from_column_scores
 from repro.data.table import ColumnRef, Table
 from repro.matchers.base import BaseMatcher, Match, MatchResult, MatchType
 
@@ -136,7 +138,7 @@ _READS = {
 
 
 class TestColumnsAgainstTheEagerReference:
-    """The columnar ``MatchResult`` reads exactly like the eager one did."""
+    """A ``MatchResult`` built from matches reads exactly like the eager one did."""
 
     @given(_MATCHES)
     def test_every_read_of_a_fresh_and_of_an_ordered_result(self, matches):
@@ -185,16 +187,65 @@ class TestColumnsAgainstTheEagerReference:
         ),
         st.sampled_from(["s", "t"]),
     )
-    def test_from_column_scores_keeps_every_pair(self, scores, target_name):
+    def test_from_grid_keeps_every_kept_pair(self, scores, target_name):
         source = Table("s", {"a": [], "b": [], "c": []})
         target = Table(target_name, {"a": [], "b": [], "x": [], "y": []})
         by_ref = {
             (ColumnRef("s", a), ColumnRef(target_name, b)): score
             for (a, b), score in scores.items()
         }
-        result = MatchResult.from_column_scores(source, target, scores)
+        pairs = list(product(source.column_names, target.column_names))
+        kept = [p for p, pair in enumerate(pairs) if pair in scores]
+        result = MatchResult.from_grid(source, target, [scores[pairs[p]] for p in kept], kept)
         assert result.matches == ReferenceMatchResult.from_scores(by_ref, keep_zero=True).matches
         assert all(type(match.score) is float for match in result)
+
+
+_GRID_SCORES = st.sampled_from([-0.5, -0.0, 0.0, 0.25, 0.5, 0.55, 0.75, 1.0, math.nan])
+
+
+@st.composite
+def _grids(draw) -> tuple[Table, Table, list[float]]:
+    """Two headers (either may have no columns; names in no set order, the
+    tables maybe sharing a name) and a row-major grid of tied, signed-zero
+    and NaN scores."""
+    source_names = draw(st.lists(st.sampled_from("abcdef"), max_size=4, unique=True))
+    target_names = draw(st.lists(st.sampled_from("abxyz"), max_size=4, unique=True))
+    source = Table("s", {name: [] for name in source_names})
+    target = Table(draw(st.sampled_from(["s", "t"])), {name: [] for name in target_names})
+    size = len(source_names) * len(target_names)
+    return source, target, draw(st.lists(_GRID_SCORES, min_size=size, max_size=size))
+
+
+class TestGridAgainstTheEagerReference:
+    """A matcher's score grid reads exactly like the per-pair result it replaced."""
+
+    @given(_grids(), st.booleans())
+    def test_every_read_before_or_after_ordering(self, grid, order_first):
+        source, target, scores = grid
+        by_name = dict(zip(product(source.column_names, target.column_names), scores))
+        for name, read in RANKING_READS.items():
+            result = MatchResult.from_grid(source, target, scores)
+            reference = reference_from_column_scores(source, target, by_name)
+            if order_first:
+                list(result), list(reference)
+            assert read(result) == read(reference), name
+            assert read(result) == read(reference), f"{name}, second read"
+
+    @given(_grids(), st.sampled_from([0.0, 0.5, 0.55]))
+    def test_a_thresholded_grid_stays_a_grid(self, grid, threshold):
+        source, target, scores = grid
+        by_name = dict(zip(product(source.column_names, target.column_names), scores))
+        kept = MatchResult.from_grid(source, target, scores).filter_threshold(threshold)
+        expected = reference_from_column_scores(source, target, by_name).filter_threshold(threshold)
+        assert kept._state[2] is False  # nothing ordered yet
+        for name, read in RANKING_READS.items():
+            assert read(kept) == read(expected), name
+
+    def test_a_grid_needs_a_score_per_pair(self):
+        source, target = Table("s", {"a": [], "b": []}), Table("t", {"x": []})
+        with pytest.raises(ValueError, match="a score per pair"):
+            MatchResult.from_grid(source, target, [1.0])
 
 
 class TestMatchResultTravels:
@@ -205,19 +256,14 @@ class TestMatchResultTravels:
             list(result)
         assert pickle.loads(pickle.dumps(result)).matches == ReferenceMatchResult(matches).matches
 
-    def test_two_threads_reading_one_result_see_the_same_ranking(self):
-        """Ordering is idempotent: a race repeats work, never mixes columns."""
-        matches = [
-            Match((i * 7 % 5) / 4, ColumnRef("s", f"a{i % 9}"), ColumnRef("t", f"b{i % 11}"))
-            for i in range(400)
-        ]
-        reference = ReferenceMatchResult(matches)
-        expected = reference.matches + reference.filter_threshold(0.5).matches
+    @staticmethod
+    def _race(build, expected: list[Match]) -> None:
+        """Three threads read one fresh result, 20 times over."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                result = MatchResult(matches)
+                result = build()
                 seen: list[list[Match]] = []
                 barrier = threading.Barrier(3)
 
@@ -235,3 +281,27 @@ class TestMatchResultTravels:
                 assert seen == [expected] * 3
         finally:
             sys.setswitchinterval(interval)
+
+    def test_two_threads_reading_one_result_see_the_same_ranking(self):
+        """Ordering is idempotent: a race repeats work, never mixes columns."""
+        matches = [
+            Match((i * 7 % 5) / 4, ColumnRef("s", f"a{i % 9}"), ColumnRef("t", f"b{i % 11}"))
+            for i in range(400)
+        ]
+        reference = ReferenceMatchResult(matches)
+        self._race(
+            lambda: MatchResult(matches),
+            reference.matches + reference.filter_threshold(0.5).matches,
+        )
+
+    def test_threads_reading_one_grid_share_its_refs_safely(self):
+        """Readers racing to build a grid's refs build equal ones."""
+        source = Table("s", {f"a{i}": [] for i in range(20)})
+        target = Table("t", {f"b{j}": [] for j in range(20)})
+        scores = [(p * 7 % 5) / 4 for p in range(400)]
+        by_name = dict(zip(product(source.column_names, target.column_names), scores))
+        reference = reference_from_column_scores(source, target, by_name)
+        self._race(
+            lambda: MatchResult.from_grid(source, target, scores),
+            reference.matches + reference.filter_threshold(0.5).matches,
+        )

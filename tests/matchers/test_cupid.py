@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -121,17 +122,25 @@ class TestLinguisticMatching:
         assert linguistic_similarity(left, right_same) > linguistic_similarity(left, right_other)
 
 
+def tree_match_pairs(tree_a, tree_b, **kwargs) -> dict[tuple[str, str], float]:
+    """``tree_match``'s grid keyed as the per-pair reference keys it:
+    ``{(leaf name in A, leaf name in B): score}``, row-major."""
+    wsim = tree_match(tree_a, tree_b, **kwargs)
+    names = ([leaf.name for leaf in tree.root.children[0].children] for tree in (tree_a, tree_b))
+    return dict(zip(product(*names), wsim.ravel().tolist()))
+
+
 class TestTreeMatch:
-    def test_returns_all_leaf_pairs(self, clients_table, offices_table):
-        weighted = tree_match(build_schema_tree(clients_table), build_schema_tree(offices_table))
-        assert len(weighted) == clients_table.num_columns * offices_table.num_columns
+    def test_returns_the_leaf_grid(self, clients_table, offices_table):
+        wsim = tree_match(build_schema_tree(clients_table), build_schema_tree(offices_table))
+        assert wsim.shape == (clients_table.num_columns, offices_table.num_columns)
 
     def test_scores_in_unit_interval(self, clients_table, offices_table):
-        weighted = tree_match(build_schema_tree(clients_table), build_schema_tree(offices_table))
+        weighted = tree_match_pairs(build_schema_tree(clients_table), build_schema_tree(offices_table))
         assert all(0.0 <= score <= 1.0 for score in weighted.values())
 
     def test_country_abbreviation_matches(self, clients_table, offices_table):
-        weighted = tree_match(build_schema_tree(clients_table), build_schema_tree(offices_table))
+        weighted = tree_match_pairs(build_schema_tree(clients_table), build_schema_tree(offices_table))
         country_scores = {pair: score for pair, score in weighted.items() if pair[0] == "Country"}
         best = max(country_scores, key=country_scores.get)
         assert best == ("Country", "Cntr")
@@ -180,9 +189,9 @@ class TestTreeMatchShape:
     def test_a_table_without_columns_matches_nothing_on_either_side(self, clients_table):
         empty = Table("empty", [])
         trees = build_schema_tree(empty), build_schema_tree(clients_table)
-        assert tree_match(*trees) == {}
-        assert tree_match(*reversed(trees)) == {}
-        assert tree_match(trees[0], trees[0]) == {}
+        assert tree_match(*trees).shape == (0, clients_table.num_columns)
+        assert tree_match(*reversed(trees)).shape == (clients_table.num_columns, 0)
+        assert tree_match(trees[0], trees[0]).shape == (0, 0)
         matcher = CupidMatcher()
         assert len(matcher.get_matches(empty, clients_table)) == 0
         assert len(matcher.get_matches(clients_table, empty)) == 0
@@ -192,7 +201,7 @@ class TestTreeMatchShape:
             "a", [("id", DataType.INTEGER), ("name", DataType.STRING), ("id", DataType.STRING)]
         )
         tree_b = _two_level_tree("b", [("id", DataType.INTEGER)])
-        weighted = tree_match(tree_a, tree_b)
+        weighted = tree_match_pairs(tree_a, tree_b)
         assert list(weighted) == [("id", "id"), ("name", "id")]
         assert list(weighted.items()) == list(reference_tree_match(tree_a, tree_b).items())
 
@@ -303,7 +312,7 @@ class TestTreeMatchMatchesTheReference:
         for tree_a, tree_b in gate_tree_pairs:
             for weights in weight_sets:
                 expected = reference_tree_match(tree_a, tree_b, weights=weights)
-                assert list(tree_match(tree_a, tree_b, weights=weights).items()) == list(
+                assert list(tree_match_pairs(tree_a, tree_b, weights=weights).items()) == list(
                     expected.items()
                 ), (tree_a.table_name, tree_b.table_name, weights)
 
@@ -311,7 +320,7 @@ class TestTreeMatchMatchesTheReference:
     @given(_two_level_trees, _two_level_trees, _unit, _unit, _unit)
     def test_generated_two_level_schemas(self, tree_a, tree_b, w_struct, leaf_w_struct, th_accept):
         weights = CupidWeights(w_struct=w_struct, leaf_w_struct=leaf_w_struct, th_accept=th_accept)
-        weighted = tree_match(tree_a, tree_b, weights=weights)
+        weighted = tree_match_pairs(tree_a, tree_b, weights=weights)
         if tree_a.root.children[0].children and tree_b.root.children[0].children:
             expected = reference_tree_match(tree_a, tree_b, weights=weights)
             assert list(weighted.items()) == list(expected.items())
@@ -324,7 +333,7 @@ class TestTreeMatchMatchesTheReference:
 class TestNamePairTableContract:
     def _all_scores(self, tables):
         trees = [build_schema_tree(table) for table in tables]
-        return [tree_match(a, b) for a in trees for b in trees]
+        return [tree_match(a, b).tolist() for a in trees for b in trees]
 
     def test_scores_do_not_depend_on_the_table_bound(self, monkeypatch):
         tables = _prospect_tables(3)

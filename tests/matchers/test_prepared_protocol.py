@@ -9,8 +9,11 @@ whole point of the protocol.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from matcher_support import RANKING_READS, reference_from_column_scores
 from repro.data.table import Column, Table
 from repro.matchers.base import BaseMatcher, PreparedTable
 from repro.matchers.coma.matcher import ComaInstanceMatcher, ComaSchemaMatcher
@@ -112,6 +115,22 @@ class TestPreparedEquivalence:
         assert prepared.table is query
         assert prepared.fingerprint == matcher.fingerprint()
 
+    def test_the_grid_reads_like_the_eager_reference(self, matcher, tables):
+        """Every read of the ranking a matcher hands over as its score grid
+        equals the per-pair result built from the same scores."""
+        query, target, _ = tables
+        prepared = matcher.prepare(query), matcher.prepare(target)
+        scores = matcher.match_prepared(*prepared).scores()
+        assert len(scores) == query.num_columns * target.num_columns
+        for name, read in RANKING_READS.items():
+            result = matcher.match_prepared(*prepared)
+            assert result._state[2] is False, name  # handed over unordered
+            assert read(result) == read(reference_from_column_scores(query, target, scores)), name
+
+    def test_fingerprint_survives_a_pickle_round_trip(self, matcher):
+        fingerprint = matcher.fingerprint()
+        assert pickle.loads(pickle.dumps(matcher)).fingerprint() == fingerprint
+
     def test_foreign_prepared_table_is_reprepared(self, matcher, tables):
         """A payload from another matcher config is transparently re-prepared."""
         query, target, _ = tables
@@ -158,6 +177,62 @@ class TestEnsembleSharing:
         c = EnsembleMatcher([JaccardLevenshteinMatcher(threshold=0.8)])
         d = EnsembleMatcher([JaccardLevenshteinMatcher(threshold=0.5)])
         assert c.fingerprint() == d.fingerprint()
+
+
+class TestFingerprintMemo:
+    """``fingerprint()`` is built once, and rebuilt whenever it could change."""
+
+    def test_built_once_however_often_it_is_asked(self, monkeypatch):
+        matcher = SemPropMatcher()
+        calls = []
+        original = matcher.prepare_parameters
+        monkeypatch.setattr(matcher, "prepare_parameters", lambda: calls.append(1) or original())
+        fingerprint = matcher.fingerprint()
+        assert all(matcher.fingerprint() == fingerprint for _ in range(50))
+        assert len(calls) == 1
+
+    def test_setting_a_public_attribute_changes_it(self):
+        matcher = SemPropMatcher(num_permutations=32)
+        before = matcher.fingerprint()
+        matcher.num_permutations = 64
+        assert matcher.fingerprint() == SemPropMatcher(num_permutations=64).fingerprint() != before
+        matcher.num_permutations = 32
+        assert matcher.fingerprint() == before
+
+    def test_mutating_the_ontology_changes_it(self):
+        from repro.ontology.model import Ontology, OntologyClass
+
+        ontology = Ontology("custom", [OntologyClass("widget", ("widget",))])
+        matcher = SemPropMatcher(ontology=ontology)
+        before = matcher.fingerprint()
+        ontology.add_class(OntologyClass("gadget", ("gadget",)))
+        assert matcher.fingerprint() != before
+        assert matcher.fingerprint() == SemPropMatcher(ontology=ontology).fingerprint()
+
+    def test_mutating_the_thesaurus_changes_it(self):
+        from repro.text.thesaurus import Thesaurus
+
+        thesaurus = Thesaurus(synonym_groups=[("client", "patron")])
+        matcher = CupidMatcher(thesaurus=thesaurus)
+        before = matcher.fingerprint()
+        thesaurus.add_synonym_group(("vendor", "supplier"))
+        assert matcher.fingerprint() != before
+        assert matcher.fingerprint() == CupidMatcher(thesaurus=thesaurus).fingerprint()
+
+    def test_the_ensemble_follows_its_members(self):
+        member = DistributionBasedMatcher(sample_size=100)
+        ensemble = EnsembleMatcher([member, ComaSchemaMatcher()])
+        before = ensemble.fingerprint()
+        member.sample_size = 50
+        after = ensemble.fingerprint()
+        assert after != before
+        assert after == EnsembleMatcher(
+            [DistributionBasedMatcher(sample_size=50), ComaSchemaMatcher()]
+        ).fingerprint()
+        ensemble.aggregation = "borda"
+        assert ensemble.fingerprint() == EnsembleMatcher(
+            [DistributionBasedMatcher(sample_size=50), ComaSchemaMatcher()], aggregation="borda"
+        ).fingerprint()
 
 
 class TestLegacyBridge:

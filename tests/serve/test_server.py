@@ -8,12 +8,15 @@ these tests are seconds-scale and deterministic on one CPU.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.data import fingerprint as content_fingerprint
 from repro.data.csv_io import write_csv
 from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery import search
@@ -92,6 +95,21 @@ class TestEndpoints:
         ] == _one_shot_ranking(store_path, query, "joinable")
         assert served["stats"]["rerank_count"] == _NUM_TABLES
         assert served["stats"]["store_hits"] == _NUM_TABLES  # fully warm
+
+    def test_a_served_request_hashes_its_table_once(self, served_lake, client, monkeypatch):
+        """The coalescing key and the engine read one memoised content hash
+        of the request's table: one blake2b digest per request."""
+        _, query = served_lake
+        digests = []
+
+        def blake2b(*args, **kwargs):
+            digests.append(1)
+            return hashlib.blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(content_fingerprint, "hashlib", SimpleNamespace(blake2b=blake2b))
+        for requests in (1, 2, 3):
+            client.query(query, mode="unionable", top_k=2)
+            assert len(digests) == requests
 
     def test_stats_exposes_counters_and_stage_histograms(self, client, served_lake):
         _, query = served_lake

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from matcher_support import batch_minhash
 
-from repro.sketches.minhash import jaccard_matrix
+from repro.sketches.minhash import (
+    hash_normalized,
+    jaccard_matrix,
+    minhash_signatures_from_hashes,
+    minhash_signatures_scalar,
+)
 from repro.text.distance import jaccard_similarity
 
 
@@ -88,6 +93,25 @@ class TestBatchSignatures:
         monkeypatch.undo()
         for row, column in zip(batch, columns):
             assert row.tolist() == _single(column, num_permutations=16).tolist()
+
+    def test_signatures_do_not_depend_on_the_budget(self, monkeypatch):
+        """The cache-sized budget (512 values of a 128-wide signature per
+        chunk) gives the bits every other budget gives, for columns that
+        share a chunk and for ones longer than a chunk."""
+        import repro.sketches.minhash as module
+
+        assert module._BATCH_CELL_BUDGET == 65_536
+        sizes = (0, 3, 700, 1, 512, 513, 2_000, 40)
+        hashes = [hash_normalized([f"v{i}_{j}" for j in range(n)])[1] for i, n in enumerate(sizes)]
+        runs = []
+        for budget in (4_000_000, 262_144, 65_536, 16_384):
+            monkeypatch.setattr(module, "_BATCH_CELL_BUDGET", budget)
+            runs.append(minhash_signatures_from_hashes(hashes, num_permutations=128))
+        for signatures, set_sizes in runs:
+            assert set_sizes.tolist() == list(sizes)
+            assert np.array_equal(signatures, runs[0][0])
+        scalar, _ = minhash_signatures_scalar([[f"v6_{j}" for j in range(2_000)]])
+        assert np.array_equal(runs[2][0][6:7], scalar)
 
     def test_matches_independent_reference_implementation(self):
         """Guard the vectorised core against regressions with plain-int math.
