@@ -23,6 +23,7 @@ from matcher_support import (
     reference_table_content_hash,
 )
 
+from repro.data import fingerprint as content_fingerprint
 from repro.data import sections
 from repro.data.csv_io import read_csv
 from repro.data.profiling import profile_column
@@ -261,6 +262,16 @@ class TestSerialisation:
 class TestContentHash:
     def test_hash_is_deterministic(self, clients_table):
         assert table_content_hash(clients_table) == table_content_hash(clients_table)
+
+    def test_hashed_once_per_table_and_never_pickled(self, clients_table, monkeypatch):
+        table = Table(clients_table.name, clients_table.columns)
+        unhashed = pickle.dumps(table)
+        digest = table_content_hash(table)
+        assert pickle.dumps(table) == unhashed  # the memo stays out of pickles
+        monkeypatch.setattr(content_fingerprint, "hashlib", SimpleNamespace(blake2b=None))
+        assert table_content_hash(table) == digest  # served from the memo
+        with pytest.raises(TypeError):
+            table_content_hash(pickle.loads(unhashed))  # a copy hashes afresh
 
     def test_hash_detects_value_changes(self, clients_table):
         changed = Table(
