@@ -128,57 +128,24 @@ def _command_lake_prepare(args: argparse.Namespace) -> int:
 
 def _command_lake_query(args: argparse.Namespace) -> int:
     from repro.serve.admission import DeadlineExpired, run_with_deadline
+    from repro.telemetry.trace import write_chrome_trace
 
-    # The whole query (store opens included) runs under the deadline in a
-    # worker thread: SQLite connections are thread-bound, so the thread
-    # that opens the stores must be the one that queries and closes them.
+    # The ranking (store opens included) is computed under the deadline in a
+    # worker thread: SQLite connections are thread-bound, so the thread that
+    # opens the stores must be the one that queries and closes them.  Only
+    # this thread prints, so a worker abandoned at the deadline prints nothing.
+    warnings: list[str] = []
     try:
-        return run_with_deadline(lambda: _run_lake_query(args), args.timeout_s)
+        outcome = run_with_deadline(lambda: _rank_lake_query(args, warnings), args.timeout_s)
     except DeadlineExpired as exc:
         print(str(exc), file=sys.stderr)
         return 124
-
-
-def _run_lake_query(args: argparse.Namespace) -> int:
-    from repro.telemetry.recorder import TelemetryRecorder, use
-    from repro.telemetry.trace import write_chrome_trace
-
-    try:
-        query = read_csv(args.query_csv)
-    except UNREADABLE_CSV as exc:
-        return fail(f"cannot read {args.query_csv}: {exc}")
-    # --stats / --trace-json need counters and spans: activate a real
-    # recorder for the query.  Without them the default no-op recorder
-    # stays in place and instrumentation costs ~nothing.
-    traced = args.stats or args.trace_json is not None
-    # The prepared store is write-through for candidates: the first (cold)
-    # query warms it, later queries with the same matcher config rerank
-    # without preparing.  The query table itself is never written there, and
-    # a schema-based matcher, which scores the sketches, never opens it.
-    matcher = create_matcher(args.method)
-    with open_lake(
-        args.store,
-        prepared="create" if matcher.uses_instances else None,
-        warn=lambda exc: print(
-            f"prepared store unavailable, querying cold: {exc}", file=sys.stderr
-        ),
-    ) as (store, prepared_store):
-        with LakeDiscoveryEngine(
-            matcher=matcher, store=store, prepared_store=prepared_store
-        ) as engine, (use(TelemetryRecorder()) if traced else nullcontext()):
-            results = engine.query(query, mode=args.mode, top_k=args.top)
-        stats = engine.last_query_stats
-        warm_note = ""
-        if prepared_store is not None:
-            warm_note = f", {stats.store_hits} served from the prepared store"
-        cascade_note = ""
-        if stats.cascade_exact or stats.cascade_skipped:
-            cascade_note = f", {stats.cascade_skipped} skipped by cascade bound"
-        print(
-            f"query {query.name!r} against {len(store)} tables "
-            f"({stats.rerank_count} candidates reranked with {args.method}"
-            f"{warm_note}{cascade_note})"
-        )
+    for warning in warnings:
+        print(warning, file=sys.stderr)
+    if isinstance(outcome, str):
+        return fail(outcome)
+    summary, results, stats = outcome
+    print(summary)
     for result in results:
         best = result.scores.best_pair
         best_text = f"  via {best[0]} ~ {best[1]}" if best else ""
@@ -193,6 +160,48 @@ def _run_lake_query(args: argparse.Namespace) -> int:
         write_chrome_trace(stats.snapshot, args.trace_json)
         print(f"trace written to {args.trace_json} (open in chrome://tracing or Perfetto)")
     return 0
+
+
+def _rank_lake_query(args: argparse.Namespace, warnings: list[str]):
+    """The query's summary line, ranking and stats, or the error to report;
+    appends to *warnings* what the caller should print on stderr."""
+    from repro.telemetry.recorder import TelemetryRecorder, use
+
+    try:
+        query = read_csv(args.query_csv)
+    except UNREADABLE_CSV as exc:
+        return f"cannot read {args.query_csv}: {exc}"
+    # --stats / --trace-json need counters and spans: activate a real
+    # recorder for the query.  Without them the default no-op recorder
+    # stays in place and instrumentation costs ~nothing.
+    traced = args.stats or args.trace_json is not None
+    # The prepared store is write-through for candidates: the first (cold)
+    # query warms it, later queries with the same matcher config rerank
+    # without preparing.  The query table itself is never written there, and
+    # a schema-based matcher, which scores the sketches, never opens it.
+    matcher = create_matcher(args.method)
+    with open_lake(
+        args.store,
+        prepared="create" if matcher.uses_instances else None,
+        warn=lambda exc: warnings.append(f"prepared store unavailable, querying cold: {exc}"),
+    ) as (store, prepared_store):
+        with LakeDiscoveryEngine(
+            matcher=matcher, store=store, prepared_store=prepared_store
+        ) as engine, (use(TelemetryRecorder()) if traced else nullcontext()):
+            results = engine.query(query, mode=args.mode, top_k=args.top)
+        stats = engine.last_query_stats
+        warm_note = ""
+        if prepared_store is not None:
+            warm_note = f", {stats.store_hits} served from the prepared store"
+        cascade_note = ""
+        if stats.cascade_exact or stats.cascade_skipped:
+            cascade_note = f", {stats.cascade_skipped} skipped by cascade bound"
+        summary = (
+            f"query {query.name!r} against {len(store)} tables "
+            f"({stats.rerank_count} candidates reranked with {args.method}"
+            f"{warm_note}{cascade_note})"
+        )
+    return summary, results, stats
 
 
 def _command_lake_stats(args: argparse.Namespace) -> int:

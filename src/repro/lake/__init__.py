@@ -4,10 +4,10 @@ The discovery systems the paper surveys (Aurum, LSH Ensemble) do not brute
 force a matcher over every table in the lake; they prune candidates with
 compact per-column sketches first.  This package provides that layer:
 
-* :mod:`repro.lake.profiles` — :class:`~repro.lake.profiles.ColumnSketch` /
-  :class:`~repro.lake.profiles.TableSketch`, compact serialisable summaries
-  (MinHash signature, hash-space histogram, type/stats profile) computed
-  once per column;
+* :mod:`repro.lake.profiles` — :class:`~repro.lake.profiles.TableSketch`,
+  a compact serialisable summary of every column of a table (MinHash
+  signature, hash-space histogram, type/stats profile) held as a few
+  per-table arrays, a row per column, computed once per table;
 * :mod:`repro.lake.store` — :class:`~repro.lake.store.SketchStore`, a
   versioned on-disk SQLite store with incremental add/remove and
   content-hash cache invalidation;

@@ -40,6 +40,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from repro.data.csv_io import UNREADABLE_CSV, read_csv
 from repro.data.table import Column, Table
+from repro.data.types import DataType
 from repro.discovery.cascade import CandidateSignals, candidate_signals, mode_bound
 from repro.discovery.prepared import PreparedStore, PreparedTableCache
 from repro.discovery.search import (
@@ -60,6 +61,9 @@ from repro.telemetry.stats import QueryStats
 __all__ = ["LakeDiscoveryEngine", "BatchQueryResult", "StoreResolver"]
 
 logger = logging.getLogger(__name__)
+
+#: ``DataType`` by its ``TYPE_INDEX`` code, the code a sketch holds.
+_DATA_TYPES = tuple(DataType)
 
 
 @dataclass
@@ -131,7 +135,9 @@ class StoreResolver:
             sketch = self.store.get(name)  # rewritten since the index refresh
         if sketch is None:
             return None
-        return Table(sketch.name, [Column(c.column_name, (), c.data_type) for c in sketch.columns])
+        types = [_DATA_TYPES[code] for code in sketch.types.tolist()]
+        columns = [Column(name, (), data_type) for name, data_type in zip(sketch.column_names, types)]
+        return Table(sketch.name, columns)
 
     def _load(
         self, name: str, matcher: BaseMatcher
@@ -193,11 +199,11 @@ class LakeDiscoveryEngine:
         the content hash recorded at build time) are served straight from
         disk — no CSV read, no prepare — and cold candidates are written
         through after their first prepare, so one query warms the next.
-        The query table itself is never written there: it is prepared into
-        a private in-memory
-        :class:`~repro.discovery.prepared.PreparedTableCache`, so a repeated
-        query skips its prepare without adding a row to the lake.  Without a
-        prepared store the query is prepared afresh every time.
+        The query table itself is never written there.
+
+    Every query table is prepared through a private in-memory
+    :class:`~repro.discovery.prepared.PreparedTableCache`, so a repeated
+    query skips its prepare without adding a row to the lake.
     """
 
     matcher: BaseMatcher
@@ -351,15 +357,9 @@ class LakeDiscoveryEngine:
             # The query's one sketch-store read: build-time hashes and CSV
             # paths for the resolver.
             meta = self.store.table_meta([n for n in names if n != query.name])
-            fingerprint = ""
-            if self.prepared_store is not None:
-                fingerprint = self.matcher.fingerprint()
             rerank_start = time.perf_counter()
             with telemetry.span("discovery.prepare_query", table=query.name):
-                if self.prepared_store is not None:
-                    query_prepared = self._query_cache.prepare(self.matcher, query)
-                else:
-                    query_prepared = self.matcher.prepare(query)
+                query_prepared = self._query_cache.prepare(self.matcher, query)
             signals: Optional[dict[str, CandidateSignals]] = None
             # A bound skips a candidate only when it falls below the top-k
             # cutoff: pricing needs a cutoff and a finite ceiling above 0 in
@@ -371,7 +371,7 @@ class LakeDiscoveryEngine:
                 priced = []
                 for name, (content_hash, _) in meta.items():
                     sketch = index.sketch(name)
-                    if sketch.columns and sketch.content_hash == content_hash:
+                    if sketch.num_columns and sketch.content_hash == content_hash:
                         priced.append(name)
                 seed = self.store.config.seed
                 block = index.signature_block(priced)
@@ -379,7 +379,9 @@ class LakeDiscoveryEngine:
             outcome = prune_then_rerank(
                 query_prepared,
                 names,
-                StoreResolver(meta, index, self.store, fingerprint, self.prepared_store),
+                StoreResolver(
+                    meta, index, self.store, self.matcher.fingerprint(), self.prepared_store
+                ),
                 self.matcher,
                 mode=mode,
                 top_k=top_k,

@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.data.types import TYPE_COMPATIBILITY_MATRIX, TYPE_INDEX
+from repro.data.types import TYPE_COMPATIBILITY_MATRIX
 from repro.lake.profiles import SketchConfig, TableSketch
 from repro.telemetry import recorder as telemetry
 
@@ -95,6 +95,9 @@ class CandidateTable:
         return self.column_pairs[0] if self.column_pairs else None
 
 
+#: An empty row list: a query column no lake column shares a name with.
+_NO_ROWS = np.empty(0, np.intp)
+
 #: The builtin ``sum`` of floats compensates (Neumaier) from Python 3.12 on.
 _COMPENSATED_SUM = sys.version_info >= (3, 12)
 
@@ -127,7 +130,21 @@ def _band_keys(signatures: np.ndarray, params: LSHParams) -> tuple[np.ndarray, n
 
 def _by_name(sketch: TableSketch) -> list[int]:
     """The positions of *sketch*'s columns, in column name order."""
-    return sorted(range(sketch.num_columns), key=lambda i: sketch.columns[i].column_name)
+    return sorted(range(sketch.num_columns), key=sketch.column_names.__getitem__)
+
+
+def _name_key(column_name: str) -> str:
+    """A column name as the name channel files it."""
+    return column_name.strip().lower()
+
+
+def _check_widths(sketch: TableSketch, config: SketchConfig) -> None:
+    """Refuse a sketch with columns whose signatures or histograms are not
+    as wide as *config* makes them."""
+    if sketch.num_columns and sketch.signatures.shape[1] != config.num_permutations:
+        raise ValueError("signatures must use the same number of permutations")
+    if sketch.num_columns and sketch.histograms.shape[1] != config.num_buckets:
+        raise ValueError("histograms must use the same number of buckets")
 
 
 @dataclass(frozen=True)
@@ -135,16 +152,16 @@ class _Columnar:
     """One index generation's columns as arrays: a row per column of every
     table, the empty ones too (pricing compares them), sorted by
     ``(table name, column name)`` so row and table numbers order keys and
-    names the way ``str`` compares them; ``rows`` and ``band_*`` hold the bucketed ones."""
+    names the way ``str`` compares them; ``names`` and ``band_*`` hold the
+    bucketed ones."""
 
-    rows: dict[tuple[str, str], int]
+    names: dict[str, np.ndarray]  # normalised column name -> its rows
     band_prefixes: np.ndarray  # the sort keys of _band_keys, ascending
     band_keys: np.ndarray  # the bands as byte strings, in that order
     band_rows: np.ndarray  # the row each band belongs to
     column_names: list[str]
     signatures: np.ndarray  # uint32, rows x permutations
-    histograms: np.ndarray  # rows x the widest histogram, zero-padded
-    histogram_sizes: np.ndarray
+    histograms: np.ndarray  # float64, rows x buckets
     types: np.ndarray  # TYPE_INDEX codes
     table_of: np.ndarray  # row -> table number
     tables: list[str]
@@ -157,48 +174,57 @@ class _Columnar:
         cls, sketches: Iterable[TableSketch], config: SketchConfig, params: LSHParams
     ) -> "_Columnar":
         tables = sorted(sketches, key=lambda table: table.name)
-        orders = [_by_name(table) for table in tables]
-        columns = [table.columns[i] for table, order in zip(tables, orders) for i in order]
-        sizes = [len(column.histogram) for column in columns]
-        buckets = max(sizes, default=0)
         widths = [table.num_columns for table in tables]
-        # A table without columns has a (0, 0) matrix: left out.
-        blocks = [table.signatures[order] for table, order in zip(tables, orders) if order]
-        empty = np.empty((0, config.num_permutations), dtype=np.uint32)
-        signatures = np.concatenate(blocks) if blocks else empty
+        offsets = np.cumsum([0] + widths)
+        # A table without columns has (0, 0) matrices: left out.
+        filled = [i for i, width in enumerate(widths) if width]
+        order = [np.add(_by_name(tables[i]), offsets[i]) for i in filled]
+        order = np.concatenate(order) if order else np.empty(0, np.intp)
+
+        def stacked(field: str, empty: np.ndarray) -> np.ndarray:
+            arrays = [getattr(tables[i], field) for i in filled]
+            return np.concatenate(arrays)[order] if arrays else empty
+
+        permutations, buckets = config.num_permutations, config.num_buckets
+        signatures = stacked("signatures", np.empty((0, permutations), np.uint32))
+        counts = stacked("counts", np.empty((0, 4), np.int64))
+        column_names = list(chain(*(tables[i].column_names for i in filled)))
+        column_names = [column_names[row] for row in order.tolist()]
         # Empty columns collide with everything trivially: never bucketed.
-        bucketed = np.flatnonzero([column.set_size for column in columns])
+        bucketed = np.flatnonzero(counts[:, 0])
+        names: dict[str, list[int]] = {}
+        for row in bucketed.tolist():
+            names.setdefault(_name_key(column_names[row]), []).append(row)
         prefixes, keys = _band_keys(signatures[bucketed], params)
-        order = np.argsort(prefixes)
+        band_order = np.argsort(prefixes)
+        non_missing = np.maximum(counts[:, 1] - counts[:, 3], 0)
+        max_values = np.zeros(len(tables), np.int64)
+        if filled:
+            max_values[filled] = np.maximum.reduceat(non_missing, offsets[filled])
         return cls(
-            rows={columns[row].key: row for row in bucketed.tolist()},
-            band_prefixes=prefixes[order],
-            band_keys=keys[order],
-            band_rows=np.tile(bucketed, params.bands)[order],
-            column_names=[column.column_name for column in columns],
+            names={name: np.array(rows, np.intp) for name, rows in names.items()},
+            band_prefixes=prefixes[band_order],
+            band_keys=keys[band_order],
+            band_rows=np.tile(bucketed, params.bands)[band_order],
+            column_names=column_names,
             signatures=signatures,
-            histograms=np.array(
-                [c.histogram + (0.0,) * (buckets - len(c.histogram)) for c in columns]
-            ).reshape(len(columns), buckets),
-            histogram_sizes=np.array(sizes, dtype=np.intp),
-            types=np.array([TYPE_INDEX[c.data_type] for c in columns], dtype=np.intp),
+            histograms=stacked("histograms", np.empty((0, buckets))),
+            types=stacked("types", np.empty(0, np.intp)),
             table_of=np.repeat(np.arange(len(tables)), widths),
             tables=[table.name for table in tables],
             slots={table.name: i for i, table in enumerate(tables)},
-            offsets=np.cumsum([0] + widths),
-            max_values=np.array(
-                [max([0] + [c.row_count - c.missing_count for c in t.columns]) for t in tables]
-            ),
+            offsets=offsets,
+            max_values=max_values,
         )
 
 
 class LakeIndex:
     """In-memory LSH banding index over the column sketches of a lake.
 
-    Opening one from a :class:`SketchStore` decodes the persisted sketches
-    and files each column under its normalised name; the band arrays are
-    built from the signature matrix at the first query.  :meth:`add` /
-    :meth:`remove` mirror store mutations incrementally.
+    Opening one from a :class:`SketchStore` only decodes the persisted
+    sketches; the band arrays and the name channel are built from their
+    arrays at the first query.  :meth:`add` / :meth:`remove` mirror store
+    mutations.
     """
 
     def __init__(
@@ -209,10 +235,8 @@ class LakeIndex:
         params.validate(config.num_permutations)
         self.config = config
         self.params = params
-        # table name -> its whole sketch; makes removal O(columns of table).
+        # table name -> its whole sketch.
         self._tables: dict[str, TableSketch] = {}
-        # normalised column name -> keys; the schema-evidence channel.
-        self._name_buckets: dict[str, set[tuple[str, str]]] = {}
         # The columnar copy of this generation; any add / remove drops it.
         self._arrays: Optional[_Columnar] = None
 
@@ -235,33 +259,17 @@ class LakeIndex:
         """Names of the tables currently indexed."""
         return set(self._tables)
 
-    @staticmethod
-    def _name_key(column_name: str) -> str:
-        return column_name.strip().lower()
-
     def add(self, table_sketch: TableSketch) -> None:
-        """Insert (or replace) a table's column sketches."""
-        self._arrays = None
-        if table_sketch.name in self._tables:
-            self.remove(table_sketch.name)
+        """Insert (or replace) a table's sketch; ``ValueError`` when its
+        signatures or histograms are not as wide as the index's config."""
+        _check_widths(table_sketch, self.config)
         self._tables[table_sketch.name] = table_sketch
-        for column in table_sketch.columns:
-            if column.set_size:  # an empty column is never bucketed
-                names = self._name_buckets.setdefault(self._name_key(column.column_name), set())
-                names.add(column.key)
+        self._arrays = None
 
     def remove(self, table_name: str) -> None:
         """Drop every column of *table_name*."""
-        doomed = self._tables.pop(table_name, None)
-        if doomed is None:
-            return
-        self._arrays = None
-        for column in doomed.columns:
-            name_key = self._name_key(column.column_name)
-            names = self._name_buckets.get(name_key, set())
-            names.discard(column.key)
-            if not names:
-                self._name_buckets.pop(name_key, None)
+        if self._tables.pop(table_name, None) is not None:
+            self._arrays = None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -314,16 +322,15 @@ class LakeIndex:
         column equally well).  A lake table named like the query is never a
         candidate.
         """
-        if not query.columns:
+        if not query.num_columns:
             return []
+        _check_widths(query, self.config)
         columns = self._columnar()
         params = self.params
         # In name order, so a query column's number orders its name too.
         order = _by_name(query)
-        query_columns = [query.columns[i] for i in order]
+        query_names = [query.column_names[i] for i in order]
         signatures = query.signatures[order]
-        if signatures.shape[1] != columns.signatures.shape[1]:
-            raise ValueError("signatures must use the same number of permutations")
         # Band collisions: the bands under each query band's sort key that
         # equal it byte for byte, marked per (query column, row).
         prefixes, keys = _band_keys(signatures, params)
@@ -332,38 +339,30 @@ class LakeIndex:
         probe = np.repeat(np.arange(len(keys)), counts)
         at = np.arange(len(probe)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
         hit = columns.band_keys.take(at) == keys.take(probe)
-        collides = np.zeros((len(query_columns), len(columns.column_names)), dtype=bool)
-        collides[probe[hit] % len(query_columns), columns.band_rows.take(at[hit])] = True
+        collides = np.zeros((len(query_names), len(columns.column_names)), dtype=bool)
+        collides[probe[hit] % len(query_names), columns.band_rows.take(at[hit])] = True
         # Name collisions, then the band-only ones.
-        names = self._name_buckets if params.name_match_score > 0 else {}
-        named = [names.get(self._name_key(c.column_name), ()) for c in query_columns]
-        named_q = np.repeat(np.arange(len(named)), [len(keys) for keys in named])
-        named = np.fromiter(map(columns.rows.__getitem__, chain(*named)), np.intp)
+        names = columns.names if params.name_match_score > 0 else {}
+        named = [names.get(_name_key(name), _NO_ROWS) for name in query_names]
+        named_q = np.repeat(np.arange(len(named)), [len(rows) for rows in named])
+        named = np.concatenate(named)
         collides[named_q, named] = False
         band_q, band_row = np.nonzero(collides)
         q, row = np.concatenate((named_q, band_q)), np.concatenate((named, band_row))
-        telemetry.count("lsh.bands_probed", params.bands * len(query_columns))
+        telemetry.count("lsh.bands_probed", params.bands * len(query_names))
         telemetry.count("lsh.bucket_candidates", len(q))
         name_match = np.arange(len(q)) < len(named)
         keep = columns.table_of[row] != columns.slots.get(query.name, -1)
         q, row, name_match = q[keep], row[keep], name_match[keep]
 
-        query_types = np.array([TYPE_INDEX[c.data_type] for c in query_columns])
-        compatibility = TYPE_COMPATIBILITY_MATRIX[query_types[q], columns.types[row]]
+        compatibility = TYPE_COMPATIBILITY_MATRIX[query.types[order][q], columns.types[row]]
         type_rejected = compatibility < params.min_type_compatibility
         checked = ~type_rejected & ~name_match
-        sizes_q = np.array([len(c.histogram) for c in query_columns])[q]
-        sizes_c = columns.histogram_sizes[row]
-        compared = checked & (sizes_q > 0) & (sizes_c > 0)  # an empty one is at 0
-        if np.any(compared & (sizes_q != sizes_c)):
-            raise ValueError("histograms must use the same number of buckets")
         distance = np.zeros(len(row))
-        if compared.any():
-            buckets = columns.histograms.shape[1]
-            padded = [(c.histogram + (0.0,) * buckets)[:buckets] for c in query_columns]
-            histograms = np.array(padded)
-            distance[compared] = _builtin_sums(
-                np.abs(histograms[q[compared]] - columns.histograms[row[compared]])
+        if checked.any():
+            histograms = query.histograms[order]
+            distance[checked] = _builtin_sums(
+                np.abs(histograms[q[checked]] - columns.histograms[row[checked]])
             )
         histogram_rejected = checked & (distance > params.max_histogram_distance)
         scored = ~type_rejected & ~histogram_rejected
@@ -396,10 +395,10 @@ class LakeIndex:
         first = np.concatenate(([True], table[1:] != table[:-1]))
         bounds = [*np.flatnonzero(first).tolist(), len(table)]
         spans = [slice(start, end) for start, end in zip(bounds, bounds[1:])]
-        query_names = [query_columns[p].column_name for p in q.tolist()]
-        column_names = [columns.column_names[r] for r in row.tolist()]
+        sources = [query_names[p] for p in q.tolist()]
+        targets = [columns.column_names[r] for r in row.tolist()]
         votes = similarity.tolist()
-        pairs = list(zip(query_names, column_names, votes))
+        pairs = list(zip(sources, targets, votes))
         # Summed vote by vote in column_pairs order, as ``sum`` adds them.
         scores = np.array([sum(votes[span]) for span in spans]) / query.num_columns
         tables = table[bounds[:-1]]

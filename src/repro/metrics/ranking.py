@@ -3,8 +3,8 @@
 The paper's headline metric is **Recall@ground-truth** (Section II-C): with
 ``k = |ground truth|``, the fraction of the top-*k* ranked matches that are
 relevant.  Because *k* equals the ground-truth size, the measure coincides
-with Precision@ground-truth.  Recall@k and reciprocal rank complete the
-module; the experiment runner records each run's reciprocal rank.
+with Precision@ground-truth.  Reciprocal rank completes the module; the
+experiment runner records each run's reciprocal rank.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "recall_at_ground_truth",
-    "recall_at_k",
     "reciprocal_rank",
 ]
 
@@ -49,15 +48,6 @@ def recall_at_ground_truth(ranked_pairs: Sequence[Pair], ground_truth: Iterable[
         return 0.0
     k = len(truth)
     return _relevant_in_top_k(ranked_pairs, truth, k) / k
-
-
-
-def recall_at_k(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair], k: int) -> float:
-    """Recall of the top-*k* ranked matches with respect to the ground truth."""
-    truth = set(_normalise_pairs(ground_truth))
-    if not truth or k <= 0:
-        return 0.0
-    return _relevant_in_top_k(ranked_pairs, truth, k) / len(truth)
 
 
 def reciprocal_rank(ranked_pairs: Sequence[Pair], ground_truth: Iterable[Pair]) -> float:

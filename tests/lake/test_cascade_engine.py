@@ -686,7 +686,7 @@ def test_cupid_scores_a_table_rewritten_after_the_index_refresh_from_the_store(
     ) as store, LakeDiscoveryEngine(matcher=create_matcher("cupid"), store=store) as engine:
         raced = engine.query(query, mode="joinable", top_k=TOP_K)
         assert store.writer is None  # the commit landed inside that query
-        assert engine.index.sketch("bad_0").columns[0].column_name == "other_0"
+        assert engine.index.sketch("bad_0").column_names[0] == "other_0"
         settled = engine.query(query, mode="joinable", top_k=TOP_K)
     assert [r.table_name for r in raced] == ["bad_1", "bad_10", "bad_11"]
     assert _signature(raced) == _signature(settled)

@@ -22,12 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from matcher_support import (
+    SketchColumn,
     _lakegen,
     engine_shortlist,
     lakebench_lake,
     reference_candidate_signals,
     reference_candidate_tables,
     reference_histogram_distance,
+    sketch_columns,
+    sketch_from_columns,
 )
 
 import repro.lake.engine as lake_engine
@@ -40,7 +43,7 @@ from repro.discovery.cascade import candidate_signals
 from repro.lake.build import build_from_paths
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import LakeIndex, LSHParams
-from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch, sketch_table
+from repro.lake.profiles import SketchConfig, TableSketch, sketch_table
 from repro.lake.store import SketchStore
 from repro.matchers.semprop.matcher import SemPropMatcher
 from repro.telemetry import recorder as telemetry
@@ -62,7 +65,7 @@ def _assert_matches_reference(index: LakeIndex, query: TableSketch, **kwargs) ->
     assert tables == expected
     assert [c.score for c in tables] == [c.score for c in expected]
     assert _lsh_counters(new) == _lsh_counters(old)
-    priced = [c.table_name for c in tables if index.sketch(c.table_name).columns]
+    priced = [c.table_name for c in tables if index.sketch(c.table_name).num_columns]
     seed = index.config.seed
     signals = candidate_signals(query, priced, *index.signature_block(priced), seed=seed)
     assert signals == {
@@ -125,8 +128,9 @@ _EMPTY_SIGNATURE = (2**32 - 1,) * _CONFIG.num_permutations
 
 
 @st.composite
-def column_sketches(draw, table_name: str, column_name: str) -> tuple[ColumnSketch, tuple]:
-    """A column and its signature."""
+def column_sketches(draw, table_name: str, column_name: str) -> tuple[SketchColumn, tuple]:
+    """A column and its signature; its histogram is as wide as the config's,
+    as every histogram ``sketch_table`` makes is."""
     empty = draw(st.booleans()) and draw(st.booleans())  # a quarter are empty
     if empty:
         signature, set_size = _EMPTY_SIGNATURE, 0
@@ -137,13 +141,10 @@ def column_sketches(draw, table_name: str, column_name: str) -> tuple[ColumnSket
         )
         set_size = draw(st.integers(1, 5))
     histogram = draw(
-        st.one_of(
-            st.just(()),
-            st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])] * _CONFIG.num_buckets),
-        )
+        st.tuples(*[st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])] * _CONFIG.num_buckets)
     )
     rows = draw(st.integers(0, 6))
-    column = ColumnSketch(
+    column = SketchColumn(
         table_name=table_name,
         column_name=column_name,
         data_type=draw(st.sampled_from(list(DataType))),
@@ -168,8 +169,8 @@ def table_sketches(draw, name=None) -> TableSketch:
     pairs = [draw(column_sketches(name, column)) for column in names]
     width = _CONFIG.num_permutations if pairs else 0
     signatures = np.array([signature for _, signature in pairs], dtype=np.uint32)
-    columns = tuple(column for column, _ in pairs)
-    return TableSketch(name, "", 0, columns, signatures.reshape(len(pairs), width))
+    columns = [column for column, _ in pairs]
+    return sketch_from_columns(name, "", 0, columns, signatures.reshape(len(pairs), width))
 
 
 operations = st.lists(
@@ -215,8 +216,9 @@ def _rebuilt(index: LakeIndex, params: LSHParams) -> LakeIndex:
 
 def _emptied(sketch: TableSketch) -> TableSketch:
     """*sketch* with every column's value set empty."""
-    columns = tuple(replace(column, set_size=0) for column in sketch.columns)
-    return replace(sketch, columns=columns, signatures=np.full_like(sketch.signatures, 2**32 - 1))
+    counts = sketch.counts.copy()
+    counts[:, 0] = 0
+    return replace(sketch, counts=counts, signatures=np.full_like(sketch.signatures, 2**32 - 1))
 
 
 class TestEdgeCasesEqualTheReference:
@@ -311,7 +313,7 @@ class TestEdgeCasesEqualTheReference:
 
 
 def _one_column(table: str, name: str, signature, histogram) -> TableSketch:
-    column = ColumnSketch(
+    column = SketchColumn(
         table_name=table,
         column_name=name,
         data_type=DataType.STRING,
@@ -327,7 +329,7 @@ def _one_column(table: str, name: str, signature, histogram) -> TableSketch:
         avg_length=1.0,
     )
     signatures = np.array([list(signature)], dtype=np.uint32)
-    return TableSketch(table, "", 3, (column,), signatures)
+    return sketch_from_columns(table, "", 3, [column], signatures)
 
 
 class TestMismatchesStillRaise:
@@ -351,7 +353,22 @@ class TestMismatchesStillRaise:
         with pytest.raises(ValueError, match="buckets"):
             index.candidate_tables(query)
         with pytest.raises(ValueError, match="buckets"):
-            reference_histogram_distance(query.columns[0], index.sketch("lake").columns[0])
+            reference_histogram_distance(
+                sketch_columns(query)[0], sketch_columns(index.sketch("lake"))[0]
+            )
+
+    def test_a_lake_sketch_of_another_width_is_refused(self):
+        """The index stacks every histogram into one matrix as wide as its
+        config's; a sketch that does not fit it is refused at ``add``, and
+        so is one whose signatures are narrower, before any probe."""
+        index = LakeIndex(_CONFIG, LSHParams(bands=4, rows=2))
+        index.add(_one_column("lake", "x", range(8), [0.5] * 4))
+        with pytest.raises(ValueError, match="buckets"):
+            index.add(_one_column("narrow", "x", range(8), [0.5] * 2))
+        with pytest.raises(ValueError, match="permutations"):
+            index.add(_one_column("short", "x", range(4), [0.5] * 4))
+        assert index.table_names == {"lake"}
+        assert index.candidate_tables(_one_column("query", "x", range(8), [0.5] * 4))
 
 
 class TestBuiltinSums:
@@ -480,9 +497,11 @@ class TestWorkCensus:
     def test_an_open_and_its_first_probe_allocate_per_column_not_per_value(self, tmp_path):
         """The memory blocks ``from_store`` plus the first probe leave
         allocated on the test ``families`` lake are bounded per table and
-        column: a signature stays a row of one ``uint32`` matrix from the row
-        bytes on.  Decoding every signature value into a Python int held
-        about 145 blocks per table or column here (128 values a column)."""
+        column: a sketch row decodes to a few arrays per table (signatures
+        and histograms as views of its bytes), and no column becomes an
+        object of its own.  Decoding every signature value into a Python int
+        held about 145 blocks per table or column here (128 values a column),
+        an object per column about 22; the arrays hold about 7."""
         lake = lakebench_lake(tmp_path)
         paths = sorted((lake / "lake").glob("*.csv"))
         with SketchStore() as store:
@@ -503,7 +522,7 @@ class TestWorkCensus:
         retained = after.filter_traces(own).compare_to(before.filter_traces(own), "filename")
         blocks = sum(stat.count_diff for stat in retained)
         assert candidates and len(index) == len(paths)
-        assert blocks <= 50 * units, (blocks, units)
+        assert blocks <= 11 * units, (blocks, units)
 
     def test_no_per_pair_sketch_calls(self):
         index = LakeIndex()
@@ -519,11 +538,10 @@ class TestWorkCensus:
         # a signature is a row of its table's matrix and nothing else.
         for name in ("MinHashSignature", "minhash_signature", "estimate_jaccard"):
             assert not hasattr(minhash, name)
-        assert "minhash" not in ColumnSketch.__dataclass_fields__
-        for method in ("jaccard", "containment", "type_compatibility", "histogram_distance"):
-            assert not hasattr(ColumnSketch, method)
-        assert not hasattr(TableSketch, "column")
+        # Nor is there a per-column object: a sketch is its arrays.
+        assert not hasattr(TableSketch, "column") and not hasattr(TableSketch, "columns")
         assert not hasattr(LakeIndex, "candidate_columns")
+        assert not hasattr(index, "_name_buckets")
 
     def test_a_priced_query_prices_its_shortlist_in_one_call(self, monkeypatch, tmp_path):
         calls = []

@@ -326,14 +326,24 @@ class TestWriteThrough:
         assert (counters["prepared_cache.misses"], counters["prepared_cache.hits"]) == (2, 2)
         assert "prepared_cache.evictions" not in counters
 
-    def test_engine_without_a_prepared_store_keeps_no_query_cache(self, warm_lake):
-        """The cold path is unchanged: with no prepared store the query is
-        prepared with its candidates, and the engine's cache stays unused."""
+    def test_engine_without_a_prepared_store_prepares_a_repeated_query_once(
+        self, warm_lake, monkeypatch
+    ):
+        """With no prepared store the query table still goes through the
+        engine's in-memory cache: a repeat is served from it, not prepared
+        again, and no candidate comes from a store."""
         store, _, query, _ = warm_lake
+        prepared = []
+        prepare = JaccardLevenshteinMatcher.prepare
+
+        def counting(matcher, table):
+            prepared.append(table.name)
+            return prepare(matcher, table)
+
+        monkeypatch.setattr(JaccardLevenshteinMatcher, "prepare", counting)
         engine = LakeDiscoveryEngine(matcher=JaccardLevenshteinMatcher(), store=store)
-        recorder = TelemetryRecorder()
-        with use(recorder):
-            engine.query(query, top_k=2)
-            engine.query(query, top_k=2)
+        first = engine.query(query, top_k=2)
+        again = engine.query(query, top_k=2)
+        assert prepared.count(query.name) == 1
         assert engine.last_query_stats.store_hits == 0
-        assert not any(name.startswith("prepared_cache.") for name in recorder.snapshot().counters)
+        assert _ranking(again) == _ranking(first)

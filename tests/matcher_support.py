@@ -45,7 +45,7 @@ import random
 from collections import Counter
 import sys
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,7 +54,13 @@ from repro.artifacts.transport import LocalTransport
 from repro.data.csv_io import read_csv, write_csv
 from repro.data.profiling import ColumnProfile
 from repro.data.table import Column, ColumnRef, ColumnScan, Table, TableHeader
-from repro.data.types import DataType, is_missing, parse_numeric_values, type_compatibility
+from repro.data.types import (
+    TYPE_INDEX,
+    DataType,
+    is_missing,
+    parse_numeric_values,
+    type_compatibility,
+)
 from repro.datasets.fabricated_sources import tpcdi_prospect_table
 from repro.discovery.cascade import CandidateSignals
 from repro.discovery.relatedness import RelatednessScores
@@ -64,7 +70,7 @@ from repro.lake.build import build_from_paths
 from repro.lake.engine import LakeDiscoveryEngine
 from repro.lake.index import CandidateTable, LakeIndex
 from repro.distributions.histograms import build_histogram
-from repro.lake.profiles import ColumnSketch, SketchConfig, TableSketch
+from repro.lake.profiles import SketchConfig, TableSketch
 from repro.lake.store import SketchStore
 from repro.matchers.base import Match, MatchResult, PreparedTable
 from repro.matchers.cupid.linguistic import name_similarities
@@ -120,6 +126,9 @@ __all__ = [
     "reference_unionability",
     "semprop_signatures",
     "signature_rows",
+    "SketchColumn",
+    "sketch_columns",
+    "sketch_from_columns",
     "term_corpus",
     "walk",
 ]
@@ -428,6 +437,80 @@ def signature_rows(sketch: TableSketch) -> list[tuple[int, ...]]:
     return [tuple(row) for row in sketch.signatures.tolist()]
 
 
+class SketchColumn(NamedTuple):
+    """One column of a ``TableSketch`` as a record, the form the reference
+    bodies read (the sketch once held one such object per column)."""
+
+    table_name: str
+    column_name: str
+    data_type: DataType
+    set_size: int
+    histogram: tuple[float, ...]
+    row_count: int
+    distinct_count: int
+    missing_count: int
+    mean: Optional[float]
+    std: Optional[float]
+    minimum: Optional[float]
+    maximum: Optional[float]
+    avg_length: Optional[float]
+
+    @property
+    def key(self) -> tuple[str, str]:
+        return (self.table_name, self.column_name)
+
+
+_SKETCH_STATS = ("mean", "std", "minimum", "maximum", "avg_length")
+
+
+def sketch_columns(sketch: TableSketch) -> list[SketchColumn]:
+    """*sketch*'s columns, one record each, read off its arrays."""
+    types = list(TYPE_INDEX)
+    stats = [
+        [value if present else None for value, present in zip(values, mask)]
+        for values, mask in zip(sketch.stats.tolist(), sketch.present.tolist())
+    ]
+    return [
+        SketchColumn(sketch.name, name, types[code], size, tuple(histogram), rows, distinct,
+                     missing, *optional)
+        for name, code, (size, rows, distinct, missing), histogram, optional in zip(
+            sketch.column_names, sketch.types.tolist(), sketch.counts.tolist(),
+            sketch.histograms.tolist(), stats,
+        )
+    ]  # fmt: skip
+
+
+def sketch_from_columns(
+    name: str,
+    content_hash: str,
+    num_rows: int,
+    columns: Sequence[SketchColumn],
+    signatures: np.ndarray,
+) -> TableSketch:
+    """The ``TableSketch`` of per-column records whose histograms share one
+    width (``(0, 0)`` matrices for no columns)."""
+    histograms = [column.histogram for column in columns]
+    counts = [
+        (column.set_size, column.row_count, column.distinct_count, column.missing_count)
+        for column in columns
+    ]
+    stats = [[getattr(column, field) for field in _SKETCH_STATS] for column in columns]
+    return TableSketch(
+        name,
+        content_hash,
+        num_rows,
+        tuple(column.column_name for column in columns),
+        np.array([TYPE_INDEX[column.data_type] for column in columns], np.intp),
+        signatures,
+        np.array(histograms, np.float64) if columns else np.zeros((0, 0)),
+        np.array(counts, np.int64).reshape(len(columns), 4),
+        np.array(stats, np.float64).reshape(len(columns), len(_SKETCH_STATS)),
+        np.array([[value is not None for value in row] for row in stats], bool).reshape(
+            len(columns), len(_SKETCH_STATS)
+        ),
+    )
+
+
 def reference_jaccard(a: Signature, b: Signature) -> float:
     """The share of permutations two signatures agree on, counted in Python
     (``MinHashSignature.jaccard`` as it was)."""
@@ -448,8 +531,8 @@ def reference_jaccard_matrix(
     return np.array([[reference_jaccard(a, b) for b in signatures_b] for a in signatures_a])
 
 
-def reference_histogram_distance(a: ColumnSketch, b: ColumnSketch) -> float:
-    """``ColumnSketch.histogram_distance`` as it was: the L1 distance of the
+def reference_histogram_distance(a: SketchColumn, b: SketchColumn) -> float:
+    """A column sketch's ``histogram_distance`` as it was: the L1 distance of the
     two hash-space histograms, 0 when either is empty."""
     if not a.histogram or not b.histogram:
         return 0.0
@@ -471,7 +554,7 @@ def reference_buckets(index: LakeIndex) -> ReferenceBuckets:
     buckets, names = {}, {}
     for table_name in index.table_names:
         sketch = index.sketch(table_name)
-        for column, signature in zip(sketch.columns, signature_rows(sketch)):
+        for column, signature in zip(sketch_columns(sketch), signature_rows(sketch)):
             if column.set_size == 0:
                 continue
             for key in _reference_band_keys(index, signature):
@@ -489,17 +572,17 @@ def _reference_band_keys(
 
 
 #: ``(table name, column name) -> (its column sketch, its signature)``.
-ReferenceColumns = Mapping[tuple[str, str], tuple[ColumnSketch, tuple[int, ...]]]
+ReferenceColumns = Mapping[tuple[str, str], tuple[SketchColumn, tuple[int, ...]]]
 
 
 def _reference_candidate_columns(
     index: LakeIndex,
-    query: ColumnSketch,
+    query: SketchColumn,
     query_signature: tuple[int, ...],
     buckets: ReferenceBuckets,
     lake: ReferenceColumns,
     exclude_table: Optional[str] = None,
-) -> list[tuple[ColumnSketch, float]]:
+) -> list[tuple[SketchColumn, float]]:
     """``LakeIndex.candidate_columns`` as it was: one query column's
     collisions in *buckets* (:func:`reference_buckets`), refined and scored
     one pair at a time."""
@@ -512,7 +595,7 @@ def _reference_candidate_columns(
     if params.name_match_score > 0:
         name_matches = name_buckets.get(query.column_name.strip().lower(), set())
         seen |= name_matches
-    scored: list[tuple[ColumnSketch, float]] = []
+    scored: list[tuple[SketchColumn, float]] = []
     type_rejected = histogram_rejected = jaccard_rejected = 0
     for column_key in seen:
         if column_key == query.key or column_key[0] == exclude_table:
@@ -563,9 +646,9 @@ def reference_candidate_tables(
     lake = {
         column.key: (column, signature)
         for sketch in map(index.sketch, index.table_names)
-        for column, signature in zip(sketch.columns, signature_rows(sketch))
+        for column, signature in zip(sketch_columns(sketch), signature_rows(sketch))
     }
-    for query_column, query_signature in zip(query.columns, signature_rows(query)):
+    for query_column, query_signature in zip(sketch_columns(query), signature_rows(query)):
         for candidate, similarity in _reference_candidate_columns(
             index, query_column, query_signature, buckets, lake, exclude_table=query.name
         ):
@@ -602,7 +685,7 @@ def reference_candidate_signals(
         max_jaccard = float(reference_jaccard_matrix(query_signatures, signatures).max())
     num_permutations = len(signatures[0]) if signatures else 0
     max_values = 0
-    for c in candidate.columns:
+    for c in sketch_columns(candidate):
         non_missing = max(0, c.row_count - c.missing_count)
         if non_missing > max_values:
             max_values = non_missing
@@ -683,12 +766,15 @@ def reference_sketch_table(
         histogram = build_histogram(
             values, ranks, num_buckets=config.num_buckets, max_rank=REFERENCE_RANK_DOMAIN - 1
         ).weights
+        profile = reference_profile_column(column)
         sketches.append(
-            ColumnSketch.from_profile(
-                reference_profile_column(column), table.name, set_size, histogram
+            SketchColumn(
+                table.name, profile.name, profile.data_type, set_size, tuple(histogram),
+                profile.row_count, profile.distinct_count, profile.missing_count,
+                profile.mean, profile.std, profile.minimum, profile.maximum, profile.avg_length,
             )
-        )
-    return TableSketch(table.name, content_hash, table.num_rows, tuple(sketches), signatures)
+        )  # fmt: skip
+    return sketch_from_columns(table.name, content_hash, table.num_rows, sketches, signatures)
 
 
 def reference_semprop_signatures(

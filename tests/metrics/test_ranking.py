@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.ranking import recall_at_ground_truth, recall_at_k, reciprocal_rank
+from repro.metrics.ranking import recall_at_ground_truth, reciprocal_rank
 
 TRUTH = [("a", "a2"), ("b", "b2"), ("c", "c2")]
 
@@ -37,13 +37,6 @@ class TestRecallAtGroundTruth:
     def test_relevant_below_cutoff_not_counted(self):
         ranked = [("x", "1"), ("y", "2"), ("z", "3"), ("a", "a2")]
         assert recall_at_ground_truth(ranked, TRUTH) == 0.0
-
-
-class TestRecallAtK:
-    def test_recall_at_k_grows_with_k(self):
-        ranked = [("a", "a2"), ("b", "b2"), ("c", "c2")]
-        values = [recall_at_k(ranked, TRUTH, k) for k in (1, 2, 3)]
-        assert values == [pytest.approx(1 / 3), pytest.approx(2 / 3), pytest.approx(1.0)]
 
 
 class TestOtherRankMetrics:

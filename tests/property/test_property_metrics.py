@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.ranking import recall_at_ground_truth, recall_at_k
+from repro.metrics.ranking import recall_at_ground_truth
 
 pair = st.tuples(st.text(min_size=1, max_size=4), st.text(min_size=1, max_size=4))
 pair_lists = st.lists(pair, max_size=25)
@@ -40,16 +40,3 @@ class TestRecallAtGroundTruthProperties:
         if truth:
             assert recall_at_ground_truth(ranked, truth) == _precision_at_k(ranked, truth, len(truth))
 
-
-class TestOtherMetricProperties:
-    @given(pair_lists, pair_sets, st.integers(min_value=0, max_value=30))
-    def test_recall_at_k_bounded(self, ranked, truth, k):
-        assert 0.0 <= recall_at_k(ranked, truth, k) <= 1.0
-
-    @given(pair_lists, pair_sets)
-    def test_recall_monotone_in_k(self, ranked, truth):
-        previous = 0.0
-        for k in range(1, len(ranked) + 1):
-            current = recall_at_k(ranked, truth, k)
-            assert current >= previous - 1e-9
-            previous = current

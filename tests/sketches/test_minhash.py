@@ -246,5 +246,8 @@ class TestSignaturePickling:
         sketch = sketch_table(Table("t", {"a": ["x", "y"], "b": [1, 2]}))
         clone = pickle.loads(pickle.dumps(sketch))
         assert clone == sketch
-        assert set(clone.__dict__) == {"name", "content_hash", "num_rows", "columns", "signatures"}
+        assert set(clone.__dict__) == {
+            "name", "content_hash", "num_rows", "column_names", "types",
+            "signatures", "histograms", "counts", "stats", "present",
+        }  # fmt: skip
         assert clone.signatures.dtype == np.uint32 and clone.signatures.shape == (2, 128)

@@ -3,8 +3,8 @@
 A helper that only its own unit test calls is code a contributor reads and
 keeps green for no workload.  This census parses ``src/``, ``benchmarks/``
 and ``examples/`` and collects every name, attribute and import alias they
-use, plus the string constants under ``benchmarks/`` (lakebench shims the
-attributes it traces by name).  An import in a package ``__init__`` does
+use, plus the string constants of :data:`TRACING_SHIM`, the one lakebench
+file that imports the program and names the attributes it traces.  An import in a package ``__init__`` does
 not count: a re-export is a second import path, not a caller.  Each
 function, class and method under ``src/repro`` — dunders excepted — must be
 used there by name; the name its own ``def`` or ``class`` statement binds
@@ -26,6 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _REFERENCE = "reference implementation tests compare against: "
+#: The lakebench file whose string constants count as uses: it shims the
+#: program's attributes it traces by name.
+TRACING_SHIM = ROOT / "benchmarks" / "lakebench" / "adapter.py"
 _STDLIB_HOOK = "stdlib hook: "
 
 #: ``(path under src/, qualified name) -> why it has no caller in the program``.
@@ -95,7 +98,7 @@ def uncalled_defs() -> set[tuple[str, str]]:
     for tree in ("src", "benchmarks", "examples"):
         for path in sorted((ROOT / tree).rglob("*.py")):
             census = _Census(
-                collect_strings=tree == "benchmarks", count_imports=path.name != "__init__.py"
+                collect_strings=path == TRACING_SHIM, count_imports=path.name != "__init__.py"
             )
             census.visit(ast.parse(path.read_text(encoding="utf-8")))
             if tree == "src":

@@ -22,6 +22,7 @@ from repro.cli.options import (
 )
 from repro.data.csv_io import write_csv
 from repro.data.table import Table
+from repro.lake.engine import LakeDiscoveryEngine
 
 
 class TestParser:
@@ -692,22 +693,44 @@ class TestObservability:
         assert exit_code == 0
         assert "candidates reranked" in capsys.readouterr().out
 
-    def test_query_timeout_s_expiry_exits_124(self, tmp_path, capsys):
+    def test_query_timeout_s_expiry_exits_124(self, tmp_path, capsys, monkeypatch):
+        """The query is held until its deadline has passed: the command
+        exits 124, and its worker, released afterwards, prints nothing."""
         store, query_path = self._built_lake(tmp_path)
         capsys.readouterr()
+        release = threading.Event()
+        query = LakeDiscoveryEngine.query
+
+        def held(engine, *args, **kwargs):
+            release.wait(timeout=60)
+            return query(engine, *args, **kwargs)
+
+        monkeypatch.setattr(LakeDiscoveryEngine, "query", held)
         exit_code = main(
-            [
-                "lake",
-                "query",
-                str(query_path),
-                "--store",
-                str(store),
-                "--timeout-s",
-                "0.00001",
-            ]
+            ["lake", "query", str(query_path), "--store", str(store), "--timeout-s", "0.05"]
         )
+        workers = [thread for thread in threading.enumerate() if thread.name == "deadline-runner"]
+        release.set()
+        for worker in workers:
+            worker.join(timeout=60)
         assert exit_code == 124
-        assert "--timeout-s" in capsys.readouterr().err
+        assert workers and not any(worker.is_alive() for worker in workers)
+        captured = capsys.readouterr()
+        assert "--timeout-s" in captured.err
+        assert captured.out == ""
+
+    def test_query_timeout_s_unreadable_query_fails_in_the_caller(self, tmp_path, capsys):
+        """Under a deadline the worker only reports an unreadable query
+        CSV; the command prints the one stderr line and exits 1."""
+        store, _ = self._built_lake(tmp_path)
+        capsys.readouterr()
+        missing = tmp_path / "nope.csv"
+        exit_code = main(
+            ["lake", "query", str(missing), "--store", str(store), "--timeout-s", "30"]
+        )
+        assert exit_code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"cannot read {missing}")
 
     def test_serve_parser_defaults(self):
         parser = build_parser()
